@@ -10,13 +10,9 @@
 //! Each measurement prints a human-readable line plus a machine-harvestable
 //! `json:{...}` line (collected into `results/BENCH_kernels.json`).
 //!
-//! Before/after methodology: the seed (pre-optimization) matmul kernels are
-//! compiled into this binary unconditionally (`matmul_seed_into` & co.), so
-//! `kernels` mode reports blocked-vs-seed head-to-head from one build. For
-//! *end-to-end* numbers, build the whole tree twice — the default build
-//! routes the model through the blocked kernels; adding
-//! `--features dlion-tensor/seed-kernels` reroutes it through the seed
-//! algorithms (`e2e` mode labels its output with the active backend).
+//! The pre-optimization ("seed") matmul kernels these rows were once
+//! measured against are retired; their before/after rows are committed
+//! history in `results/BENCH_kernels.json`.
 
 use dlion_core::messages::{GradData, GradMsg, Payload, WireCfg, WireFormat, FRAME_HEADER_BYTES};
 use dlion_core::{run_env, ExchangeTransport, MaxNPlanner, RunConfig, SystemKind};
@@ -24,10 +20,9 @@ use dlion_microcloud::{ClusterKind, EnvId};
 use dlion_net::loopback_mesh;
 use dlion_tensor::ops::{
     conv2d, conv2d_backward, conv2d_backward_direct, conv2d_backward_im2col, conv2d_direct,
-    conv2d_im2col, matmul_into, matmul_nt_into, matmul_nt_seed_into, matmul_seed_into,
-    matmul_tn_into, matmul_tn_seed_into, maxpool2, softmax_xent,
+    conv2d_im2col, matmul_into, matmul_nt_into, matmul_tn_into, maxpool2, softmax_xent,
 };
-use dlion_tensor::{kernel_backend, DetRng, Shape, Tensor};
+use dlion_tensor::{DetRng, Shape, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -75,13 +70,9 @@ fn kernels() {
     // The acceptance-criterion shape plus the old criterion-bench shape.
     for &(m, k, n) in &[(256usize, 256usize, 256usize), (64, 216, 48)] {
         let (a, b, mut out) = mm_pair(&mut rng, m, k, n);
-        let t_new = bench(&format!("matmul {m}x{k}x{n} blocked"), || {
+        bench(&format!("matmul {m}x{k}x{n} blocked"), || {
             matmul_into(black_box(&a), black_box(&b), black_box(&mut out))
         });
-        let t_old = bench(&format!("matmul {m}x{k}x{n} seed"), || {
-            matmul_seed_into(black_box(&a), black_box(&b), black_box(&mut out))
-        });
-        speedup(&format!("matmul {m}x{k}x{n}"), t_old, t_new);
     }
 
     // Transposed variants (backward-pass kernels), 128^3.
@@ -92,20 +83,12 @@ fn kernels() {
         let at = Tensor::randn(Shape::d2(k, m), 1.0, &mut rng);
         let b = Tensor::randn(Shape::d2(k, n), 1.0, &mut rng);
         let mut out = vec![0.0f32; m * n];
-        let nt_new = bench("matmul_nt 128^3 blocked", || {
+        bench("matmul_nt 128^3 blocked", || {
             matmul_nt_into(black_box(&a), black_box(&bt), black_box(&mut out))
         });
-        let nt_old = bench("matmul_nt 128^3 seed", || {
-            matmul_nt_seed_into(black_box(&a), black_box(&bt), black_box(&mut out))
-        });
-        speedup("matmul_nt 128^3", nt_old, nt_new);
-        let tn_new = bench("matmul_tn 128^3 blocked", || {
+        bench("matmul_tn 128^3 blocked", || {
             matmul_tn_into(black_box(&at), black_box(&b), black_box(&mut out))
         });
-        let tn_old = bench("matmul_tn 128^3 seed", || {
-            matmul_tn_seed_into(black_box(&at), black_box(&b), black_box(&mut out))
-        });
-        speedup("matmul_tn 128^3", tn_old, tn_new);
     }
 
     // Convolution, old criterion-bench shape: (32,6,12,12) ⊛ (12,6,3,3) pad 1.
@@ -197,7 +180,7 @@ fn maxn() {
 }
 
 fn e2e() {
-    println!("== e2e (kernel backend: {}) ==", kernel_backend());
+    println!("== e2e ==");
     let mut cfg = RunConfig::paper_default(SystemKind::DLion, ClusterKind::Cpu);
     cfg.seed = 1;
     cfg.duration = 120.0;
@@ -210,8 +193,7 @@ fn e2e() {
     let iters: u64 = m.iterations.iter().sum();
     println!("  run_env DLion/HomoA 120s sim: {dt:.2} s wall, {iters} iterations");
     println!(
-        "json:{{\"bench\":\"e2e_dlion_homoa\",\"backend\":\"{}\",\"wall_s\":{dt:.3},\"iterations\":{iters}}}",
-        kernel_backend()
+        "json:{{\"bench\":\"e2e_dlion_homoa\",\"backend\":\"blocked\",\"wall_s\":{dt:.3},\"iterations\":{iters}}}"
     );
 }
 
@@ -340,16 +322,22 @@ fn net() {
         data: GradData::Dense(vec![Tensor::randn(Shape::d1(1_310_720), 1.0, &mut rng)]),
         n_used: 100.0,
     });
-    let frame = payload.to_frame();
+    // One plain (unchunked) frame: the materialize-then-send baseline the
+    // chunked rows below are compared against.
+    let plain = WireCfg {
+        chunk_bytes: usize::MAX,
+        ..WireCfg::default()
+    };
+    let frame = payload.to_wire(&plain);
     let mb = frame.len() as f64 / 1e6;
     println!("  frame size: {:.2} MB ({} bytes)", mb, frame.len());
 
     let enc = bench("codec encode 5MB dense grad", || {
-        black_box(black_box(&payload).to_frame());
+        black_box(black_box(&payload).to_wire(&plain));
     });
     println!("  encode throughput: {:.0} MB/s", mb / enc);
     let dec = bench("codec decode+verify 5MB dense grad", || {
-        black_box(Payload::from_frame(black_box(&frame)).expect("valid frame"));
+        black_box(Payload::from_wire(black_box(&frame), &mut Vec::new()).expect("valid frame"));
     });
     println!("  decode throughput: {:.0} MB/s", mb / dec);
     println!(

@@ -128,6 +128,10 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 scratch: dlion_tensor::Scratch::new(),
                 grads: Vec::new(),
                 batch_buf: Vec::new(),
+                lr: cfg.lr,
+                weighted: cfg.system.weighted_update(),
+                schedule: Arc::clone(&schedule),
+                parked: Vec::new(),
             }
         })
         .collect();

@@ -24,10 +24,12 @@
 //! Like the paper's prototype, the comparison systems are plugins: each is a
 //! small [`strategy::ExchangeStrategy`] implementation (Baseline, Ako, Gaia,
 //! Hop — Table 1's generality claim), combined with a [`sync::SyncPolicy`]
-//! (`synch_training` in the paper's API). The [`runner::ClusterRunner`]
-//! plays the role of a worker's main loop plus Redis queues: gradient
-//! computation, partial-gradient generation/sending, model update on
-//! arrival, model synchronization, and batch-size update (Fig. 10).
+//! (`synch_training` in the paper's API). A worker's main loop (Fig. 10) is
+//! split in two: [`round`] is the rank protocol itself — weighted
+//! self-update, partial-gradient generation, model update on arrival,
+//! strict-BSP flush, DKT — shared by every backend, and
+//! [`runner::ClusterRunner`] plays the Redis queues and the clock for the
+//! simulator: event queue, compute/network models, batch-size ticks.
 
 pub mod args;
 pub mod clock;
@@ -41,6 +43,7 @@ pub mod maxn;
 pub mod messages;
 pub mod metrics;
 pub mod report;
+pub mod round;
 pub mod runner;
 pub mod scenario;
 pub mod strategy;
@@ -59,6 +62,7 @@ pub use gbs::{GbsConfig, GbsController, GbsPhase};
 pub use maxn::MaxNPlanner;
 pub use messages::{GradMsg, Payload, WireError};
 pub use metrics::{HealthSummary, RunMetrics};
+pub use round::{Effect, Membership};
 pub use runner::{run_env, run_with_models, ClusterRunner};
 pub use scenario::{ScenarioKind, ScenarioPlan, ScenarioSpec};
 pub use strategy::{ExchangeStrategy, PeerUpdate, StrategyCtx};

@@ -9,7 +9,7 @@
 //! simulator to the sizes of the paper's models (5 MB Cipher / 17 MB
 //! MobileNet) so that network pressure matches the original testbed; the
 //! scaling is `bytes_per_param / ENC_DENSE_ENTRY_BYTES` relative to the
-//! codec's true encoded size (see [`Payload::encoded_len`]).
+//! codec's true encoded size (see [`Payload::wire_len`]).
 
 use dlion_tensor::{Shape, SparseVec, Tensor};
 
@@ -120,17 +120,6 @@ impl Payload {
         }
     }
 
-    /// Exact length in bytes of this payload's encoded frame (header + body),
-    /// computed without building the frame. `encoded_len == to_frame().len()`
-    /// always; a test in `tests/wire_codec.rs` asserts it.
-    pub fn encoded_len(&self) -> usize {
-        FRAME_HEADER_BYTES + self.body_len()
-    }
-
-    fn body_len(&self) -> usize {
-        self.body_len_with(WireFormat::Dense)
-    }
-
     /// Body length in bytes when encoded with `format`. Quantized formats
     /// only change dense gradient bodies; weights and control payloads are
     /// always full-precision (DKT transfers and rejoin pulls must be exact).
@@ -189,15 +178,6 @@ impl Payload {
         }
     }
 
-    /// Encode this payload as a complete checksummed wire frame (plain
-    /// layout, full-precision f32 bodies).
-    pub fn to_frame(&self) -> Vec<u8> {
-        self.to_wire(&WireCfg {
-            format: WireFormat::Dense,
-            chunk_bytes: usize::MAX,
-        })
-    }
-
     /// Encode this payload as a materialized wire stream under `cfg`:
     /// a plain frame when the body fits one chunk, the chunked layout
     /// otherwise. The bytes are identical to what [`Payload::write_wire`]
@@ -254,16 +234,10 @@ impl Payload {
     }
 
     /// Decode a wire stream (plain or chunked) back into a payload,
-    /// reassembling chunked bodies into `scratch`.
+    /// reassembling chunked bodies into `scratch`. Rejects transport-control
+    /// frame kinds (`>= KIND_NET_BASE`) and any malformed body; never panics.
     pub fn from_wire(stream: &[u8], scratch: &mut Vec<u8>) -> Result<Payload, WireError> {
         let (kind, body) = decode_wire(stream, scratch)?;
-        Payload::decode_body(kind, body)
-    }
-
-    /// Decode a complete frame back into a payload. Rejects transport-control
-    /// frame kinds (`>= KIND_NET_BASE`) and any malformed body; never panics.
-    pub fn from_frame(frame: &[u8]) -> Result<Payload, WireError> {
-        let (kind, body) = decode_frame(frame)?;
         Payload::decode_body(kind, body)
     }
 
@@ -1054,7 +1028,7 @@ fn enc_tensor_dims<S: WireSink>(out: &mut S, t: &Tensor) -> std::io::Result<()> 
 }
 
 /// Serialize a payload body through a sink. The one body encoder behind
-/// [`Payload::to_frame`], [`Payload::to_wire`] and [`Payload::write_wire`].
+/// [`Payload::to_wire`] and [`Payload::write_wire`].
 fn write_body<S: WireSink>(p: &Payload, format: WireFormat, out: &mut S) -> std::io::Result<()> {
     match p {
         Payload::Grad(g) => {
@@ -1378,6 +1352,13 @@ mod tests {
     use dlion_tensor::sparse::max_n_select;
     use dlion_tensor::Shape;
 
+    /// One plain frame whatever the body size: the canonical bytes the tests
+    /// below compare payloads by.
+    const PLAIN: WireCfg = WireCfg {
+        format: WireFormat::Dense,
+        chunk_bytes: usize::MAX,
+    };
+
     fn sparse_msg() -> GradMsg {
         let dense = vec![1.0f32, -0.5, 0.0, 0.95, -0.2];
         GradMsg {
@@ -1446,13 +1427,16 @@ mod tests {
         // sizes, not ad-hoc constants.
         let dkt = Payload::DktRequest;
         let loss = Payload::LossShare { avg_loss: 1.0 };
-        assert_eq!(dkt.wire_bytes(1000.0, 1_000_000), dkt.encoded_len() as f64);
+        assert_eq!(
+            dkt.wire_bytes(1000.0, 1_000_000),
+            dkt.wire_len(&PLAIN) as f64
+        );
         assert_eq!(
             loss.wire_bytes(1000.0, 1_000_000),
-            loss.encoded_len() as f64
+            loss.wire_len(&PLAIN) as f64
         );
         assert_eq!(loss.wire_bytes(1000.0, 1_000_000), CONTROL_BYTES);
-        assert_eq!(dkt.encoded_len(), FRAME_HEADER_BYTES);
+        assert_eq!(dkt.wire_len(&PLAIN), FRAME_HEADER_BYTES);
     }
 
     #[test]
@@ -1467,11 +1451,11 @@ mod tests {
                 sender_loss: 0.25,
             },
         ] {
-            let frame = payload.to_frame();
-            assert_eq!(frame.len(), payload.encoded_len(), "{}", payload.kind());
-            let back = Payload::from_frame(&frame).expect("round trip");
+            let frame = payload.to_wire(&PLAIN);
+            assert_eq!(frame.len(), payload.wire_len(&PLAIN), "{}", payload.kind());
+            let back = Payload::from_wire(&frame, &mut Vec::new()).expect("round trip");
             assert_eq!(back.kind(), payload.kind());
-            assert_eq!(frame, back.to_frame(), "re-encode must be identical");
+            assert_eq!(frame, back.to_wire(&PLAIN), "re-encode must be identical");
         }
     }
 
@@ -1502,7 +1486,7 @@ mod tests {
         super::put_f32(&mut body, 2.0);
         let frame = encode_frame(KIND_GRAD, &body);
         assert_eq!(
-            Payload::from_frame(&frame),
+            Payload::from_wire(&frame, &mut Vec::new()),
             Err(WireError::Malformed("sparse indices not increasing"))
         );
     }
@@ -1544,11 +1528,11 @@ mod tests {
         assert_eq!(stream.len(), p.wire_len(&cfg));
         let mut scratch = Vec::new();
         let back = Payload::from_wire(&stream, &mut scratch).expect("chunked round trip");
-        assert_eq!(back.to_frame(), p.to_frame());
+        assert_eq!(back.to_wire(&PLAIN), p.to_wire(&PLAIN));
         // Plain frames decode through the same entry point.
-        let plain = p.to_frame();
+        let plain = p.to_wire(&PLAIN);
         let back2 = Payload::from_wire(&plain, &mut scratch).expect("plain via from_wire");
-        assert_eq!(back2.to_frame(), plain);
+        assert_eq!(back2.to_wire(&PLAIN), plain);
     }
 
     #[test]
@@ -1619,7 +1603,7 @@ mod tests {
             // Codec decode == simulator's in-place quantize round trip.
             let mut expect = big_dense(513);
             apply_wire_format(&mut expect, format);
-            assert_eq!(decoded.to_frame(), expect.to_frame(), "{label}");
+            assert_eq!(decoded.to_wire(&PLAIN), expect.to_wire(&PLAIN), "{label}");
             assert_eq!(wire_label(&p, format), label);
         }
     }
@@ -1637,7 +1621,7 @@ mod tests {
     #[test]
     fn pooled_decode_reuses_recycled_buffers() {
         let p = big_dense(257);
-        let frame = p.to_frame();
+        let frame = p.to_wire(&PLAIN);
         let (kind, body) = decode_frame(&frame).unwrap();
         let mut pool = Vec::new();
         let first = Payload::decode_body_pooled(kind, body, &mut pool).unwrap();
@@ -1646,7 +1630,7 @@ mod tests {
         let cap_before = pool[0].capacity();
         let second = Payload::decode_body_pooled(kind, body, &mut pool).unwrap();
         assert!(pool.is_empty(), "pooled buffer was consumed");
-        assert_eq!(second.to_frame(), frame);
+        assert_eq!(second.to_wire(&PLAIN), frame);
         second.recycle(&mut pool);
         assert!(pool[0].capacity() >= cap_before);
     }

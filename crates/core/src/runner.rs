@@ -1,25 +1,22 @@
-//! The cluster runner: a discrete-event simulation of the full decentralized
-//! training loop.
+//! The cluster runner: the discrete-event backend of the rank protocol.
 //!
-//! Each worker's workflow per iteration mirrors Figure 4/10 of the paper:
-//! compute gradients (real SGD math, executed eagerly but *completed* at the
-//! simulated time the compute model dictates), generate and send partial
-//! gradients per link, apply arriving peer gradients via the weighted model
-//! update, periodically update batch sizes (GBS/LBS controllers), and run
-//! direct knowledge transfer rounds. Virtual time advances only through the
+//! The per-worker workflow of Figure 4/10 — weighted self-update, per-link
+//! fan-out, peer-gradient apply, strict-BSP flush, DKT — is
+//! [`crate::round`]; this file decides *when* each step happens in virtual
+//! time. It owns the event queue, the compute and network models (gradients
+//! are computed eagerly but *complete* at the simulated time the compute
+//! model dictates), byte accounting, fault scheduling, the GBS/LBS
+//! controller ticks and evaluation. Virtual time advances only through the
 //! event queue, so runs are fully deterministic for a given seed.
 
 use crate::cluster::build_cluster;
 use crate::config::RunConfig;
 use crate::lbs::{compute_rcp, partition_gbs, PROFILE_LBS};
 use crate::messages::{
-    apply_wire_format, wire_label, GradData, GradMsg, Payload, WireCfg, WireFormat,
-    DEFAULT_CHUNK_BYTES,
+    apply_wire_format, wire_label, GradData, Payload, WireCfg, WireFormat, DEFAULT_CHUNK_BYTES,
 };
 use crate::metrics::{LinkSample, RunMetrics};
-use crate::strategy::StrategyCtx;
-use crate::sync::SyncPolicy;
-use crate::weighted::update_factor;
+use crate::round::{Effect, Membership};
 use crate::worker::{PendingIteration, Worker};
 use crate::GbsController;
 use dlion_microcloud::EnvId;
@@ -27,8 +24,6 @@ use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
 use dlion_telemetry::{debug, event, profile_scope, Phase};
 use dlion_tensor::DetRng;
-use dlion_topo::TopologySchedule;
-use std::sync::Arc;
 
 /// Simulation events.
 enum Ev {
@@ -63,26 +58,17 @@ pub struct ClusterRunner {
     eval_indices: Vec<usize>,
     metrics: RunMetrics,
     gbs: Option<GbsController>,
-    /// Per-round neighbor oracle (from the configured topology); both the
-    /// gradient fan-out and the Eq. 7 divisor follow the round's set.
-    schedule: Arc<dyn TopologySchedule>,
     prof_rng: DetRng,
     bytes_per_param: f64,
     total_params: usize,
     /// IterDone + Msg events still in the queue — lets `max_iters` runs end
     /// exactly when all work (including in-flight messages) has drained.
     inflight: usize,
-    /// Per-worker parked peer gradients under strict BSP, applied at the
-    /// next round start in `(round, sender)` order. Mirrors the live
-    /// driver's deferred queue: arrival order (which depends on the
-    /// previous round's gating-release order) must not decide float
-    /// addition order, or sim and live bits diverge beyond 2 workers.
-    deferred: Vec<Vec<(usize, GradMsg)>>,
-    /// The fault ledger, seeded upfront from the plan exactly like the
-    /// live driver's: `Some(k)` means the worker computes rounds `0..k`
-    /// and its gradients stop counting from round `k` on. Rejoining kills
-    /// are *not* in the ledger — they pause, staying members.
-    departed_at: Vec<Option<u64>>,
+    /// The cluster's one membership ledger, shared by every worker's
+    /// round core. Departures are seeded upfront from the fault plan,
+    /// exactly like the live driver's; rejoining kills are *not* in the
+    /// ledger — they pause, staying members.
+    members: Membership,
     /// Per-worker iteration-time multiplier (>= 1), from `cfg.straggle`.
     straggle: Vec<f64>,
     /// True while a rejoining worker sits out its dead time.
@@ -117,10 +103,13 @@ impl ClusterRunner {
                 .validate(n, cfg.max_iters.unwrap_or(u64::MAX))
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         }
-        let mut departed_at = vec![None; n];
+        let mut members = Membership {
+            departed_at: vec![None; n],
+            lbs_of: vec![cfg.initial_lbs; n],
+        };
         for k in &cfg.fault.kills {
             if k.rejoin_after.is_none() {
-                departed_at[k.worker] = Some(k.at_iter);
+                members.departed_at[k.worker] = Some(k.at_iter);
             }
         }
         let mut straggle = vec![1.0; n];
@@ -130,7 +119,6 @@ impl ClusterRunner {
         }
 
         ClusterRunner {
-            schedule: init.schedule,
             prof_rng: init.prof_rng,
             cfg,
             n,
@@ -145,8 +133,7 @@ impl ClusterRunner {
             bytes_per_param: init.bytes_per_param,
             total_params: init.total_params,
             inflight: 0,
-            deferred: vec![Vec::new(); n],
-            departed_at,
+            members,
             straggle,
             paused: vec![false; n],
         }
@@ -155,13 +142,7 @@ impl ClusterRunner {
     /// Has worker `w` stopped contributing (its planned departure round is
     /// behind its completed-iteration count)?
     fn departed(&self, w: usize) -> bool {
-        self.departed_at[w].is_some_and(|k| self.workers[w].iteration >= k)
-    }
-
-    /// Does peer `j` contribute gradients for `round` (i.e. it computes
-    /// that round)? The live driver's `counted_for` predicate.
-    fn counts_for(&self, j: usize, round: u64) -> bool {
-        self.departed_at[j].is_none_or(|k| round < k)
+        !self.members.counts(w, self.workers[w].iteration)
     }
 
     /// Visit every worker mutably before [`ClusterRunner::run`] — the hook
@@ -170,6 +151,8 @@ impl ClusterRunner {
     pub fn for_each_worker(&mut self, mut f: impl FnMut(&mut Worker)) {
         for w in self.workers.iter_mut() {
             f(w);
+            // The hook may have changed the worker's share.
+            self.members.lbs_of[w.id] = w.lbs;
         }
     }
 
@@ -256,7 +239,7 @@ impl ClusterRunner {
         // weight capture — the live driver's shutdown flush does the same.
         for w in 0..self.n {
             if !self.departed(w) {
-                self.flush_deferred(w, true);
+                self.workers[w].flush_parked(&self.members, true, |_, _| {});
             }
         }
         // Final evaluation at the end of the run, unless one just happened.
@@ -344,8 +327,8 @@ impl ClusterRunner {
         // Strict BSP applies the previous round's parked peer gradients
         // here, so the forward pass below sees the same model the live
         // driver computes on.
-        self.flush_deferred(w, false);
         let worker = &mut self.workers[w];
+        worker.flush_parked(&self.members, false, |_, _| {});
         debug_assert!(!worker.computing);
         worker.waiting = false;
         worker.computing = true;
@@ -408,89 +391,16 @@ impl ClusterRunner {
     }
 
     fn on_iter_done(&mut self, w: usize, now: f64) {
-        let lr = self.cfg.lr;
-        let n = self.n;
-        // The round this completion belongs to, and the neighbor set the
-        // topology plane declares for it. Gradient fan-out, the Eq. 7
-        // divisor, and the next round's gating set all follow it.
-        let round = self.workers[w].iteration;
-        let round_nbrs = self.schedule.neighbors(w, round);
-        let (n_counted, gbs_counted) = self.group_divisor(w, &round_nbrs, round);
-        if round == 0 || self.schedule.rotates() {
-            event!(now, w: w, "topology_round";
-                "round" => round,
-                "topology" => self.schedule.name(),
-                "neighbors" => round_nbrs.len(),
-                "links" => self.schedule.link_count(round));
-        }
-        let (updates, share_dkt) = {
-            let worker = &mut self.workers[w];
-            worker.computing = false;
-            let PendingIteration { loss } = worker
-                .pending
-                .take()
-                .expect("IterDone without pending gradients");
-            worker.dkt.record_loss(loss);
-            // Self term of the (normalized, group-wise) Eq. 7.
-            let own_factor = update_factor(
-                lr,
-                n_counted,
-                worker.lbs,
-                gbs_counted,
-                self.cfg.system.weighted_update(),
-            );
-            let ctx = StrategyCtx {
-                worker: w,
-                n,
-                iteration: worker.iteration,
-                now,
-                lbs: worker.lbs,
-                iter_time: worker.last_iter_time,
-                neighbors: round_nbrs.clone(),
-                bw_mbps: {
-                    // Strategies only read the entries of their neighbors
-                    // (link budgets), so fill just those instead of
-                    // querying all n-1 schedules per iteration.
-                    let mut bw = vec![0.0; n];
-                    for &j in &round_nbrs {
-                        bw[j] = self.net.bandwidth_mbps(w, j, now);
-                    }
-                    bw
-                },
-                bytes_per_param: self.bytes_per_param,
-                total_params: self.total_params,
-                lr,
-            };
-            let Worker {
-                strategy,
-                model,
-                grads,
-                ..
-            } = worker;
-            model.apply_dense_update(grads, own_factor);
-            let mut updates = {
-                let _sg = profile_scope(Phase::Serialize);
-                strategy.generate_partial_gradients(&ctx, grads, model)
-            };
-            // Rotate the send order each iteration so no peer is permanently
-            // first (or last) in this worker's NIC queue.
-            if !updates.is_empty() {
-                let r = (worker.iteration as usize) % updates.len();
-                updates.rotate_left(r);
-            }
-            worker.iteration += 1;
-            // Gate the next round on the peers that owed us gradients this
-            // round: per-round schedules are symmetric, so the round's
-            // neighbor set is exactly the set of senders to expect.
-            worker.sync.retarget(&round_nbrs);
-            let share = worker.dkt.is_share_round(worker.iteration);
-            (updates, share)
-        };
-
-        event!(now, w: w, "iter_done";
-            "iter" => self.workers[w].iteration,
-            "updates" => updates.len(),
-            "share_dkt" => share_dkt);
+        let worker = &mut self.workers[w];
+        let round = worker.iteration;
+        worker.computing = false;
+        let PendingIteration { loss } = worker
+            .pending
+            .take()
+            .expect("IterDone without pending gradients");
+        let net = &self.net;
+        let (updates, share_dkt) =
+            worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now), &self.members);
         if self.cfg.telemetry {
             self.metrics
                 .telemetry
@@ -500,7 +410,7 @@ impl ClusterRunner {
             // The ledger says the peer never computes this round: its
             // process is gone by the time the gradient would matter, so
             // don't put it on the wire (the live driver's `!active` skip).
-            if !self.counts_for(up.peer, round) {
+            if !self.members.counts(up.peer, round) {
                 continue;
             }
             if self.cfg.trace_links {
@@ -566,7 +476,12 @@ impl ClusterRunner {
             }
         }
         if share_dkt {
-            self.dkt_round(w, now);
+            if self.cfg.telemetry {
+                self.metrics.telemetry.inc("dkt_rounds");
+            }
+            for (to, payload) in self.workers[w].dkt_round(now, |_| true) {
+                self.send(w, to, payload, now);
+            }
         }
         self.try_start(w, now);
     }
@@ -588,88 +503,36 @@ impl ClusterRunner {
         if self.departed(to) {
             return;
         }
-        match payload {
-            Payload::Grad(msg) => {
-                self.workers[to].sync.on_gradient(from, msg.iteration);
-                if self.workers[to].strategy.sync_policy() == SyncPolicy::Synchronous {
-                    // Strict BSP: park the gradient; the flush at the next
-                    // round start (or run end) applies the round's batch in
-                    // `(round, sender)` order — the same canonical order the
-                    // live driver uses, so arrival interleaving never leaks
-                    // into the float addition order.
-                    self.deferred[to].push((from, msg));
-                } else {
-                    self.apply_peer_grad(to, &msg);
-                }
-                if self.workers[to].waiting {
-                    self.try_start(to, now);
-                }
+        // Only a gradient or a demotion can open a blocked gate.
+        let regate = match self.workers[to].on_payload(from, payload, &self.members) {
+            Effect::Parked | Effect::Applied(_) => true,
+            Effect::Noted => false,
+            Effect::Reply(reply) => {
+                self.send(to, from, reply, now);
+                false
             }
-            Payload::LossShare { avg_loss } => {
-                self.workers[to].dkt.update_known(from, avg_loss);
-            }
-            Payload::DktRequest => {
-                // We are the (believed) best worker: ship our weights back.
-                let weights = self.workers[to].model.weights();
-                let sender_loss = self.workers[to].dkt.avg_loss().unwrap_or(f64::INFINITY);
-                self.send(
-                    to,
-                    from,
-                    Payload::Weights {
-                        weights,
-                        sender_loss,
-                    },
-                    now,
-                );
-            }
-            Payload::Weights { weights, .. } => {
-                self.workers[to]
-                    .model
-                    .merge_weights(&weights, self.cfg.dkt.lambda);
+            Effect::Merged(_) => {
                 self.metrics.dkt_merges += 1;
                 event!(now, w: to, "dkt_merge"; "from" => from);
                 if self.cfg.telemetry {
                     self.metrics.telemetry.inc("dkt_merges");
                 }
+                false
             }
-            Payload::Leave { completed } => {
+            Effect::Departed { completed } => {
                 // The victim's departure notice arrived — only now does
                 // this worker demote it (stop gating on it, drop it as a
-                // send/DKT target) and re-check a blocked gate. Arriving
-                // per-link FIFO behind the victim's last gradients, the
-                // demotion can never cost a round its gradients — the
-                // live `KIND_LEAVE` ordering.
+                // DKT target). Arriving per-link FIFO behind the victim's
+                // last gradients, the demotion can never cost a round its
+                // gradients — the live `KIND_LEAVE` ordering.
                 event!(now, w: to, "peer_departed"; "peer" => from, "completed" => completed);
                 self.workers[to].sync.demote(from);
                 self.workers[to].dkt.forget(from);
-                if self.workers[to].waiting {
-                    self.try_start(to, now);
-                }
+                true
             }
-        }
-    }
-
-    /// A DKT round for worker `w` (§3.4): share the recent average loss,
-    /// then pull from the best-known worker if the mode says so.
-    fn dkt_round(&mut self, w: usize, now: f64) {
-        let Some(avg) = self.workers[w].dkt.avg_loss() else {
-            return;
         };
-        event!(now, w: w, "dkt_round"; "avg_loss" => avg);
-        if self.cfg.telemetry {
-            self.metrics.telemetry.inc("dkt_rounds");
-        }
-        self.workers[w].dkt.update_known(w, avg);
-        let targets = self.schedule.neighbors(w, self.workers[w].iteration);
-        for j in targets {
-            self.send(w, j, Payload::LossShare { avg_loss: avg }, now);
-        }
-        let round = self.workers[w].iteration / self.workers[w].dkt.cfg().period_iters;
-        if self.workers[w].last_pull_round < round {
-            if let Some(target) = self.workers[w].dkt.pull_target() {
-                self.workers[w].last_pull_round = round;
-                self.send(w, target, Payload::DktRequest, now);
-            }
+        if regate && self.workers[to].waiting {
+            self.try_start(to, now);
         }
     }
 
@@ -740,69 +603,6 @@ impl ClusterRunner {
             .map_or(self.cfg.initial_lbs * self.n, |g| g.gbs())
     }
 
-    /// Group-wise Eq. 7 divisor for a round: the contributors to worker
-    /// `w`'s model in that round are `w` itself plus the round's declared
-    /// neighbors, so both the plain `1/n` and the weighted `LBS/GBS`
-    /// denominators count only that group. On a full mesh this equals the
-    /// global `(n, GBS)` pair exactly (shards partition the GBS), keeping
-    /// full-mesh runs bit-identical to the pre-topology-plane behavior.
-    /// Apply one peer gradient to worker `w`'s model, averaging over the
-    /// gradient round's group (the set is symmetric, so sender and
-    /// receiver agree on it).
-    fn apply_peer_grad(&mut self, w: usize, msg: &GradMsg) {
-        let weighted = self.cfg.system.weighted_update();
-        let nbrs = self.schedule.neighbors(w, msg.iteration);
-        let (n_counted, gbs_counted) = self.group_divisor(w, &nbrs, msg.iteration);
-        let factor = update_factor(self.cfg.lr, n_counted, msg.lbs, gbs_counted, weighted);
-        let worker = &mut self.workers[w];
-        match &msg.data {
-            GradData::Dense(vars) => worker.model.apply_dense_update(vars, factor),
-            GradData::Sparse(vars) => {
-                for (v, s) in vars.iter().enumerate() {
-                    worker.model.apply_sparse_update(v, s, factor);
-                }
-            }
-        }
-    }
-
-    /// Apply parked strict-BSP gradients for rounds strictly before worker
-    /// `w`'s current round (all of them when `force`), in `(round,
-    /// sender)` order — the live driver's canonical flush order. Without
-    /// this the event queue's pop order (which depends on the previous
-    /// round's gating-release order) would leak into the float addition
-    /// order and break sim-vs-live bit parity at n > 2.
-    fn flush_deferred(&mut self, w: usize, force: bool) {
-        if self.deferred[w].is_empty() {
-            return;
-        }
-        let cur = self.workers[w].iteration;
-        // Sort in place, drain the applicable prefix, hand the remainder
-        // (and the buffer's capacity) back: zero allocation once warm.
-        let mut parked = std::mem::take(&mut self.deferred[w]);
-        parked.sort_by_key(|&(from, ref msg)| (msg.iteration, from));
-        let split = if force {
-            parked.len()
-        } else {
-            parked.partition_point(|(_, m)| m.iteration < cur)
-        };
-        for (_, msg) in parked.drain(..split) {
-            self.apply_peer_grad(w, &msg);
-        }
-        self.deferred[w] = parked;
-    }
-
-    fn group_divisor(&self, w: usize, nbrs: &[usize], round: u64) -> (usize, usize) {
-        let mut n_counted = 1;
-        let mut gbs_counted = self.workers[w].lbs;
-        for &j in nbrs {
-            if self.counts_for(j, round) {
-                n_counted += 1;
-                gbs_counted += self.workers[j].lbs;
-            }
-        }
-        (n_counted, gbs_counted.max(1))
-    }
-
     /// Profile every worker and reassign LBS shares (Eq. 5).
     fn repartition(&mut self, now: f64) {
         let rcps: Vec<f64> = (0..self.n)
@@ -821,6 +621,7 @@ impl ClusterRunner {
         for (w, &lbs) in parts.iter().enumerate() {
             self.workers[w].lbs = lbs;
         }
+        self.members.lbs_of.clone_from(&parts);
         event!(now, "lbs_repartition";
             "gbs" => self.current_gbs(),
             "min_lbs" => parts.iter().min().copied().unwrap_or(0),

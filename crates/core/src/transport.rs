@@ -114,7 +114,7 @@ impl From<WireError> for TransportError {
 /// Implementations must preserve per-peer FIFO ordering (frames from a given
 /// peer arrive in send order) — the shutdown barrier and the synchronous
 /// parity argument both rely on it. Frames are the codec's checksummed
-/// byte strings; [`Payload::to_frame`] / [`Payload::from_frame`] convert.
+/// byte strings; [`Payload::to_wire`] / [`Payload::from_wire`] convert.
 ///
 /// # Error contract
 ///
@@ -188,19 +188,6 @@ pub trait ExchangeTransport: Send {
     fn link_health(&mut self) -> Vec<LinkHealth> {
         Vec::new()
     }
-}
-
-/// Encode and send a payload; returns the frame's encoded size in bytes
-/// (the live backend's byte accounting is exact, not scaled).
-pub fn send_payload(
-    t: &mut dyn ExchangeTransport,
-    to: usize,
-    payload: &Payload,
-) -> Result<usize, TransportError> {
-    let frame = payload.to_frame();
-    let len = frame.len();
-    t.send_frame(to, frame)?;
-    Ok(len)
 }
 
 /// In-process transport: a full mesh of unbounded channels. Used by tests
@@ -286,7 +273,7 @@ mod tests {
     #[test]
     fn mem_mesh_routes_frames_with_sender_ids() {
         let mut mesh = mem_mesh(3);
-        let frame = Payload::DktRequest.to_frame();
+        let frame = Payload::DktRequest.to_wire(&WireCfg::default());
         let mut w2 = mesh.pop().unwrap();
         let mut w1 = mesh.pop().unwrap();
         let mut w0 = mesh.pop().unwrap();
@@ -359,15 +346,16 @@ mod tests {
     }
 
     #[test]
-    fn payload_send_helper_reports_exact_bytes() {
+    fn send_wire_reports_exact_bytes_for_plain_frames() {
         let mut mesh = mem_mesh(2);
         let mut w1 = mesh.pop().unwrap();
         let mut w0 = mesh.pop().unwrap();
-        let p = Payload::LossShare { avg_loss: 1.5 };
-        let sent = send_payload(&mut w0, 1, &p).unwrap();
-        assert_eq!(sent, p.encoded_len());
+        let p = Arc::new(Payload::LossShare { avg_loss: 1.5 });
+        let cfg = WireCfg::default();
+        let sent = w0.send_wire(1, p.clone(), &cfg).unwrap();
+        assert_eq!(sent, p.wire_len(&cfg));
         let (from, frame) = w1.try_recv_frame().unwrap().unwrap();
         assert_eq!(from, 0);
-        assert_eq!(Payload::from_frame(&frame).unwrap(), p);
+        assert_eq!(Payload::from_wire(&frame, &mut Vec::new()).unwrap(), *p);
     }
 }

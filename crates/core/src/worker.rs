@@ -1,14 +1,18 @@
-//! Per-worker state: the in-simulation counterpart of Figure 10's worker
-//! architecture (model, training state, exchange strategy, synchronization
-//! bookkeeping, DKT state).
+//! Per-worker state: the counterpart of Figure 10's worker architecture
+//! (model, training state, exchange strategy, synchronization bookkeeping,
+//! DKT state). Both backends run the same `Worker`; the protocol it
+//! executes each round is `impl Worker` in [`crate::round`].
 
 use crate::dkt::DktState;
+use crate::messages::GradMsg;
 use crate::strategy::ExchangeStrategy;
 use crate::sync::SyncState;
 use dlion_nn::Model;
 use dlion_tensor::{DetRng, Scratch, Tensor};
+use dlion_topo::TopologySchedule;
+use std::sync::Arc;
 
-/// One simulated DLion worker.
+/// One DLion worker (a rank), simulated or live.
 pub struct Worker {
     pub id: usize,
     pub model: Model,
@@ -42,6 +46,15 @@ pub struct Worker {
     pub grads: Vec<Tensor>,
     /// Reusable minibatch index buffer (see [`Worker::sample_batch_reuse`]).
     pub batch_buf: Vec<usize>,
+    /// Run constants the round protocol (`crate::round`) reads: the global
+    /// learning rate, whether Eq. 7 weighting is on, and the per-round
+    /// neighbor oracle (shared by every worker of the cluster).
+    pub lr: f32,
+    pub weighted: bool,
+    pub schedule: Arc<dyn TopologySchedule>,
+    /// Strict BSP only: peer gradients parked as `(sender, msg)` until
+    /// the next [`Worker::flush_parked`].
+    pub parked: Vec<(usize, GradMsg)>,
 }
 
 /// The result of a gradient computation awaiting its virtual completion.
@@ -109,6 +122,10 @@ mod tests {
             scratch: Scratch::new(),
             grads: Vec::new(),
             batch_buf: Vec::new(),
+            lr: cfg.lr,
+            weighted: cfg.system.weighted_update(),
+            schedule: cfg.topology.build(6, cfg.seed).unwrap(),
+            parked: Vec::new(),
         }
     }
 

@@ -15,6 +15,13 @@ use dlion_core::messages::{
 };
 use dlion_tensor::{DetRng, Shape, SparseVec, Tensor};
 
+/// One plain frame whatever the body size: the canonical bytes the tests
+/// below compare payloads by.
+const PLAIN: WireCfg = WireCfg {
+    format: WireFormat::Dense,
+    chunk_bytes: usize::MAX,
+};
+
 /// A random tensor, sometimes empty, sometimes rank-0, sometimes carrying
 /// non-finite values (NaN with a specific bit pattern, ±inf).
 fn rand_tensor(rng: &mut DetRng) -> Tensor {
@@ -100,7 +107,7 @@ fn rand_payload(rng: &mut DetRng) -> Payload {
 /// Bit-exact equality (f32 `==` treats NaN != NaN and -0.0 == 0.0; the wire
 /// must preserve exact bit patterns).
 fn bits_eq(a: &Payload, b: &Payload) -> bool {
-    a.to_frame() == b.to_frame()
+    a.to_wire(&PLAIN) == b.to_wire(&PLAIN)
 }
 
 #[test]
@@ -108,14 +115,14 @@ fn every_variant_round_trips_bit_exactly() {
     for case in 0..256u64 {
         let mut rng = DetRng::seed_from_u64(case);
         let p = rand_payload(&mut rng);
-        let frame = p.to_frame();
+        let frame = p.to_wire(&PLAIN);
         assert_eq!(
             frame.len(),
-            p.encoded_len(),
-            "case {case}: encoded_len mismatch for {}",
+            p.wire_len(&PLAIN),
+            "case {case}: wire_len mismatch for {}",
             p.kind()
         );
-        let back = Payload::from_frame(&frame)
+        let back = Payload::from_wire(&frame, &mut Vec::new())
             .unwrap_or_else(|e| panic!("case {case}: decode failed: {e}"));
         assert!(
             bits_eq(&p, &back),
@@ -129,10 +136,10 @@ fn every_variant_round_trips_bit_exactly() {
 fn every_truncation_is_an_error_never_a_panic() {
     for case in 0..64u64 {
         let mut rng = DetRng::seed_from_u64(1000 + case);
-        let frame = rand_payload(&mut rng).to_frame();
+        let frame = rand_payload(&mut rng).to_wire(&PLAIN);
         for len in 0..frame.len() {
             assert!(
-                Payload::from_frame(&frame[..len]).is_err(),
+                Payload::from_wire(&frame[..len], &mut Vec::new()).is_err(),
                 "case {case}: truncation to {len}/{} decoded",
                 frame.len()
             );
@@ -146,13 +153,13 @@ fn every_single_byte_flip_is_detected() {
     // well as the body, so no single-byte corruption can survive decode.
     for case in 0..32u64 {
         let mut rng = DetRng::seed_from_u64(2000 + case);
-        let frame = rand_payload(&mut rng).to_frame();
+        let frame = rand_payload(&mut rng).to_wire(&PLAIN);
         for pos in 0..frame.len() {
             for flip in [0x01u8, 0x80] {
                 let mut bad = frame.clone();
                 bad[pos] ^= flip;
                 assert!(
-                    Payload::from_frame(&bad).is_err(),
+                    Payload::from_wire(&bad, &mut Vec::new()).is_err(),
                     "case {case}: flip {flip:#x} at byte {pos} decoded"
                 );
             }
@@ -166,20 +173,20 @@ fn garbage_bytes_never_panic() {
         let mut rng = DetRng::seed_from_u64(3000 + case);
         let len = rng.index(256);
         let junk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let _ = Payload::from_frame(&junk); // must return, not panic
+        let _ = Payload::from_wire(&junk, &mut Vec::new()); // must return, not panic
     }
     // Adversarial header: valid magic/version but an absurd length field.
     let mut frame = encode_frame(KIND_GRAD, &[0u8; 4]);
     frame[8..12].copy_from_slice(&(u32::MAX).to_le_bytes());
     assert!(matches!(
-        Payload::from_frame(&frame),
+        Payload::from_wire(&frame, &mut Vec::new()),
         Err(WireError::Oversize(n)) if n > MAX_FRAME_BODY_BYTES
     ));
 }
 
 #[test]
 fn header_fields_are_validated() {
-    let good = Payload::DktRequest.to_frame();
+    let good = Payload::DktRequest.to_wire(&PLAIN);
     assert_eq!(&good[0..4], &WIRE_MAGIC);
     assert_eq!(
         u16::from_le_bytes([good[4], good[5]]),
@@ -189,7 +196,7 @@ fn header_fields_are_validated() {
 
     let mut bad_magic = good.clone();
     bad_magic[0] = b'X';
-    assert!(Payload::from_frame(&bad_magic).is_err());
+    assert!(Payload::from_wire(&bad_magic, &mut Vec::new()).is_err());
 
     // A future version must be rejected (not mis-decoded). Rebuild the
     // checksum so the version check, not the checksum, is what fires.
@@ -198,13 +205,13 @@ fn header_fields_are_validated() {
     let sum = dlion_core::messages::frame_checksum(&future[0..12], &[]);
     future[12..20].copy_from_slice(&sum.to_le_bytes());
     assert_eq!(
-        Payload::from_frame(&future),
+        Payload::from_wire(&future, &mut Vec::new()),
         Err(WireError::BadVersion(WIRE_VERSION + 1))
     );
 
     let mut trailing = good.clone();
     trailing.push(0);
-    assert!(Payload::from_frame(&trailing).is_err());
+    assert!(Payload::from_wire(&trailing, &mut Vec::new()).is_err());
 }
 
 #[test]
@@ -257,7 +264,7 @@ fn simulated_bytes_match_encoded_lengths_at_native_scale() {
             };
             let p = Payload::Grad(msg.clone());
             let sim = p.wire_bytes(ENC_DENSE_ENTRY_BYTES as f64, total_params);
-            let real = p.encoded_len() as f64;
+            let real = p.wire_len(&PLAIN) as f64;
             // Entry bytes are charged exactly...
             let entry_bytes = if sparse {
                 (msg.entries() * ENC_SPARSE_ENTRY_BYTES) as f64
@@ -439,7 +446,13 @@ fn quantized_round_trip_errors_are_bounded() {
 fn control_bytes_are_exact_encoded_sizes() {
     let loss = Payload::LossShare { avg_loss: 2.5 };
     let dkt = Payload::DktRequest;
-    assert_eq!(CONTROL_BYTES, loss.encoded_len() as f64);
-    assert_eq!(loss.wire_bytes(357.0, 14_000), loss.to_frame().len() as f64);
-    assert_eq!(dkt.wire_bytes(357.0, 14_000), dkt.to_frame().len() as f64);
+    assert_eq!(CONTROL_BYTES, loss.wire_len(&PLAIN) as f64);
+    assert_eq!(
+        loss.wire_bytes(357.0, 14_000),
+        loss.to_wire(&PLAIN).len() as f64
+    );
+    assert_eq!(
+        dkt.wire_bytes(357.0, 14_000),
+        dkt.to_wire(&PLAIN).len() as f64
+    );
 }

@@ -37,6 +37,7 @@ fn main() {
                 seeds = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
             "--fast" => fast = true,

@@ -1,21 +1,14 @@
-//! The live worker driver: one DLion worker's main loop over a real
-//! transport.
+//! The live worker driver: one DLion rank's main loop over a real
+//! transport — the wall-clock backend of the rank protocol.
 //!
-//! The loop performs, in this order, exactly the model mutations the
-//! simulator performs (see `dlion_core::runner`): drain arrived peer
-//! gradients, compute the own gradient from the current weights, record
-//! the loss for DKT, apply the own update, generate and send the
-//! strategy's partial gradients, run a DKT round on share iterations, and
-//! gate the next iteration on the worker's [`dlion_core::SyncPolicy`].
-//! Peer gradients are applied the moment their frame is popped from the
-//! inbox — the live analogue of the simulator's `Msg` event — with one
-//! exception: under BSP *every* peer gradient is deferred and applied at a
-//! single flush point right before the next compute, in `(iteration,
-//! sender)` order (see `LiveWorker::deferred`). Gating guarantees the
-//! flushed round is complete at that point, so the float-op order is a
-//! pure function of the round schedule — synchronous runs are
-//! bit-identical to the simulator and to each other, regardless of
-//! arrival interleaving.
+//! Every model mutation and averaging divisor comes from the shared round
+//! core (`dlion_core::round`, DESIGN.md §4l), the same code the simulator
+//! calls: drain arrived frames, flush parked strict-BSP gradients, compute,
+//! `complete_round`, fan out, run a DKT round on share iterations, gate the
+//! next iteration on the worker's [`dlion_core::SyncPolicy`]. This file
+//! keeps what only a live rank has: the transport, the clock, gradient
+//! acks, buffer recycling, the `active`/`done` peer flags, the RCP, health,
+//! rejoin and Done planes, and [`WorkerOutcome`].
 //!
 //! ## Worker churn
 //!
@@ -70,17 +63,15 @@ use dlion_core::gbs::GbsController;
 use dlion_core::lbs::{compute_rcp, partition_gbs, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
     apply_wire_format, decode_frame, decode_frame_header, decode_wire, encode_frame, wire_label,
-    GradData, GradMsg, Payload, WireCfg, WireFormat, DEFAULT_CHUNK_BYTES,
+    Payload, WireCfg, WireFormat, DEFAULT_CHUNK_BYTES,
 };
-use dlion_core::weighted::update_factor;
 use dlion_core::worker::Worker;
-use dlion_core::SyncPolicy;
 use dlion_core::TopologySchedule;
-use dlion_core::{ExchangeTransport, FaultPlan, StrategyCtx, TransportError};
+use dlion_core::{Effect, ExchangeTransport, FaultPlan, Membership, TransportError};
 use dlion_nn::Dataset;
 use dlion_telemetry::{event, Histogram};
 use dlion_tensor::{DetRng, Tensor};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -612,27 +603,12 @@ struct LiveWorker<'a, 'b> {
     /// demoted everywhere (sync gating, DKT, sends, the Done barrier);
     /// a rejoin re-activates it as an untracked backup member.
     active: Vec<bool>,
-    /// Renormalization ledger: `Some(K)` means worker `j` contributes
-    /// gradients only for rounds `< K`, so rounds `>= K` average over the
-    /// remaining workers. Seeded from the fault plan for planned kills
-    /// (making renormalization independent of message timing), set from
-    /// the Leave frame or a received-round guess for unplanned crashes.
-    departed_at: Vec<Option<u64>>,
-    /// Every worker's LBS share, for renormalizing the weighted (Eq. 7)
-    /// denominator when someone departs. All `initial_lbs` unless the
-    /// startup profiling round repartitioned.
-    lbs_of: Vec<usize>,
-    /// Under BSP ([`SyncPolicy::Synchronous`]) only: *all* peer gradients
-    /// are parked here on receipt and applied at one flush point, right
-    /// before the next compute, ordered by `(iteration, sender)`. Gating
-    /// guarantees every gradient of a round has arrived before the round
-    /// after it can start, so the flushed batch is complete and the apply
-    /// order is a pure function of the schedule — this is what makes BSP
-    /// runs bit-identical across transports, interleavings, and (with a
-    /// fault plan) across repeated churn runs.
-    /// `SyncState::on_gradient` is still recorded at receipt, so
-    /// iteration gating is unaffected.
-    deferred: VecDeque<(usize, GradMsg)>,
+    /// The round core's ledger. `departed_at` is seeded from the fault
+    /// plan for planned kills (making renormalization independent of
+    /// message timing) and set from the Leave frame or a received-round
+    /// guess for unplanned crashes; `lbs_of` holds every worker's LBS
+    /// share — all `initial_lbs` until a profiling round repartitions.
+    members: Membership,
     /// Wire encoding in force for every training payload this worker
     /// sends ([`LiveOpts::wire`] + [`LiveOpts::chunk_bytes`]).
     wire_cfg: WireCfg,
@@ -651,28 +627,6 @@ impl LiveWorker<'_, '_> {
         self.env.clock.now()
     }
 
-    /// The averaging denominator for round `round`: ourselves plus the
-    /// round's declared neighbors, minus anyone the `departed_at` ledger
-    /// says stopped contributing before that round. Group-wise by
-    /// construction — a departed neighbor renormalizes only the groups it
-    /// was in, and on a full mesh with no departures this reduces to the
-    /// global `(n, GBS)` pair exactly (shares partition the GBS).
-    fn counted_for(&self, round: u64) -> (usize, usize) {
-        let mut n = 1usize;
-        let mut gbs = self.lbs_of[self.me];
-        for j in self.env.schedule.neighbors(self.me, round) {
-            let counted = match self.departed_at[j] {
-                None => true,
-                Some(k) => round < k,
-            };
-            if counted {
-                n += 1;
-                gbs += self.lbs_of[j];
-            }
-        }
-        (n, gbs.max(1))
-    }
-
     /// Demote a departed peer: it no longer gates us, receives from us,
     /// or serves as a DKT target, and rounds from `completed` on are
     /// averaged without it. Idempotent.
@@ -688,14 +642,14 @@ impl LiveWorker<'_, '_> {
                 "peer" => peer, "iter" => self.worker.iteration);
         }
         self.active[peer] = false;
-        let k = completed.or(self.departed_at[peer]).unwrap_or_else(|| {
-            // Crash without a Leave: everything received so far is all
-            // there will be.
-            self.worker.sync.received_from(peer).map_or(0, |r| r + 1)
-        });
-        if self.departed_at[peer].is_none() {
-            self.departed_at[peer] = Some(k);
-        }
+        let k = completed
+            .or(self.members.departed_at[peer])
+            .unwrap_or_else(|| {
+                // Crash without a Leave: everything received so far is all
+                // there will be.
+                self.worker.sync.received_from(peer).map_or(0, |r| r + 1)
+            });
+        self.members.departed_at[peer].get_or_insert(k);
         self.worker.sync.demote(peer);
         self.worker.dkt.forget(peer);
         event!(self.now(), w: self.me, "peer_departed";
@@ -736,11 +690,15 @@ impl LiveWorker<'_, '_> {
         )
     }
 
-    /// Receive with per-peer liveness folded in: a disconnect/timeout of
-    /// a live peer demotes it (a notification, not an error); one from a
-    /// peer that already completed the barrier is expected and ignored.
-    fn recv(&mut self, timeout: Duration) -> Result<Option<(usize, Vec<u8>)>, LiveError> {
-        match self.transport.recv_frame_timeout(timeout) {
+    /// Per-peer liveness folded into a receive result: a disconnect or
+    /// timeout of a live peer demotes it (a notification, not an error);
+    /// one from a peer that already completed the barrier is expected and
+    /// ignored.
+    fn inbound(
+        &mut self,
+        got: Result<Option<(usize, Vec<u8>)>, TransportError>,
+    ) -> Result<Option<(usize, Vec<u8>)>, LiveError> {
+        match got {
             Ok(x) => Ok(x),
             Err(TransportError::PeerDisconnected { peer })
             | Err(TransportError::PeerTimeout { peer }) => {
@@ -753,15 +711,33 @@ impl LiveWorker<'_, '_> {
         }
     }
 
+    fn recv(&mut self, timeout: Duration) -> Result<Option<(usize, Vec<u8>)>, LiveError> {
+        let got = self.transport.recv_frame_timeout(timeout);
+        self.inbound(got)
+    }
+
     /// Non-blocking [`recv`](Self::recv).
     fn poll(&mut self) -> Result<Option<(usize, Vec<u8>)>, LiveError> {
-        match self.transport.try_recv_frame() {
-            Ok(x) => Ok(x),
-            Err(TransportError::PeerDisconnected { peer })
-            | Err(TransportError::PeerTimeout { peer }) => {
-                if !self.done[peer] {
-                    self.note_departed(peer, None);
-                }
+        let got = self.transport.try_recv_frame();
+        self.inbound(got)
+    }
+
+    /// Per-peer liveness folded into a send result (`None` = not sent).
+    /// `best_effort` sends (shutdown phase) ignore unreachable peers: a
+    /// peer that already left the barrier cannot need this frame. A
+    /// normal send hitting a dead link demotes the peer instead of
+    /// failing the worker.
+    fn outbound<T>(
+        &mut self,
+        to: usize,
+        sent: Result<T, TransportError>,
+        best_effort: bool,
+    ) -> Result<Option<T>, LiveError> {
+        match sent {
+            Ok(x) => Ok(Some(x)),
+            Err(_) if best_effort => Ok(None),
+            Err(TransportError::PeerGone(_)) | Err(TransportError::PeerDisconnected { .. }) => {
+                self.note_departed(to, None);
                 Ok(None)
             }
             Err(e) => Err(e.into()),
@@ -771,10 +747,7 @@ impl LiveWorker<'_, '_> {
     /// Encode and send a training payload, with exact byte accounting per
     /// wire label. Top-k sparsification happens here, *above* the codec
     /// (the transport then encodes a sparse body); fp16/int8 quantization
-    /// happens inside the codec on the wire. `best_effort` sends (shutdown
-    /// phase) ignore unreachable peers: a peer that already left the
-    /// barrier cannot need this frame. A normal send hitting a dead link
-    /// demotes the peer instead of failing the worker.
+    /// happens inside the codec on the wire.
     fn send(
         &mut self,
         to: usize,
@@ -786,34 +759,26 @@ impl LiveWorker<'_, '_> {
         }
         let kind = payload.kind();
         let label = wire_label(&payload, self.wire_cfg.format);
-        match self
+        let sent = self
             .transport
-            .send_wire(to, Arc::new(payload), &self.wire_cfg)
-        {
-            Ok(bytes) => {
-                let bytes = bytes as f64;
-                match kind {
-                    "grad" => self.out.grad_bytes += bytes,
-                    "weights" => self.out.weight_bytes += bytes,
-                    _ => self.out.control_bytes += bytes,
-                }
-                *self
-                    .out
-                    .wire_bytes_by_kind
-                    .entry(label.to_string())
-                    .or_insert(0.0) += bytes;
-                self.out.msgs_sent += 1;
-                event!(self.now(), w: self.me, "send";
-                    "to" => to, "kind" => kind, "bytes" => bytes);
-                Ok(())
+            .send_wire(to, Arc::new(payload), &self.wire_cfg);
+        if let Some(bytes) = self.outbound(to, sent, best_effort)? {
+            let bytes = bytes as f64;
+            match kind {
+                "grad" => self.out.grad_bytes += bytes,
+                "weights" => self.out.weight_bytes += bytes,
+                _ => self.out.control_bytes += bytes,
             }
-            Err(_) if best_effort => Ok(()),
-            Err(TransportError::PeerGone(_)) | Err(TransportError::PeerDisconnected { .. }) => {
-                self.note_departed(to, None);
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
+            *self
+                .out
+                .wire_bytes_by_kind
+                .entry(label.to_string())
+                .or_insert(0.0) += bytes;
+            self.out.msgs_sent += 1;
+            event!(self.now(), w: self.me, "send";
+                "to" => to, "kind" => kind, "bytes" => bytes);
         }
+        Ok(())
     }
 
     /// Send a net-control frame (ack/done/rcp/leave/catchup/hello).
@@ -826,15 +791,26 @@ impl LiveWorker<'_, '_> {
     ) -> Result<(), LiveError> {
         let frame = encode_frame(kind, body);
         self.out.net_overhead_bytes += frame.len() as f64;
-        match self.transport.send_frame(to, frame) {
-            Ok(()) => Ok(()),
-            Err(_) if best_effort => Ok(()),
-            Err(TransportError::PeerGone(_)) | Err(TransportError::PeerDisconnected { .. }) => {
-                self.note_departed(to, None);
-                Ok(())
+        let sent = self.transport.send_frame(to, frame);
+        self.outbound(to, sent, best_effort).map(|_| ())
+    }
+
+    /// The two liveness control frames every receive loop must honour,
+    /// wherever it runs (startup profiling, dead time, rejoin waits). Both
+    /// are always plain frames, so callers pass the kind peeked from the
+    /// validated header and no chunked stream is ever reassembled for
+    /// this. Returns whether the frame was one of them.
+    fn note_liveness(&mut self, kind: u8, from: usize, frame: &[u8]) -> Result<bool, LiveError> {
+        match kind {
+            KIND_DONE => self.done[from] = true,
+            KIND_LEAVE => {
+                let (_, body) = decode_frame(frame)?;
+                let k = u64_body(body, from)?;
+                self.note_departed(from, Some(k));
             }
-            Err(e) => Err(e.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
     }
 
     /// Handle one inbound wire stream (plain frame or chunked) — the live
@@ -902,6 +878,8 @@ impl LiveWorker<'_, '_> {
         result
     }
 
+    /// Hand a training payload to the round core and do the live half of
+    /// its effect: acks, replies, buffer recycling, outcome counters.
     fn on_payload(
         &mut self,
         from: usize,
@@ -910,155 +888,60 @@ impl LiveWorker<'_, '_> {
     ) -> Result<(), LiveError> {
         self.out.msgs_recv += 1;
         event!(self.now(), w: self.me, "msg"; "from" => from, "kind" => payload.kind());
-        match payload {
-            Payload::Grad(msg) => {
-                self.worker.sync.on_gradient(from, msg.iteration);
-                if self.worker.strategy.sync_policy() == SyncPolicy::Synchronous {
-                    // See `deferred`: applied at the next flush point.
-                    self.deferred.push_back((from, msg));
-                    self.out.deferred_hw = self.out.deferred_hw.max(self.deferred.len() as u64);
-                    Ok(())
-                } else {
-                    let r = self.apply_grad(from, &msg, during_shutdown);
-                    Payload::Grad(msg).recycle(&mut self.pool);
-                    r
-                }
-            }
-            Payload::LossShare { avg_loss } => {
-                self.worker.dkt.update_known(from, avg_loss);
+        match self.worker.on_payload(from, payload, &self.members) {
+            Effect::Parked => {
+                self.out.deferred_hw = self.out.deferred_hw.max(self.worker.parked.len() as u64);
                 Ok(())
             }
-            Payload::DktRequest => {
-                // We are the (believed) best worker: ship our weights back.
-                let weights = self.worker.model.weights();
-                let sender_loss = self.worker.dkt.avg_loss().unwrap_or(f64::INFINITY);
-                self.send(
-                    from,
-                    Payload::Weights {
-                        weights,
-                        sender_loss,
-                    },
-                    during_shutdown,
-                )
+            Effect::Applied(msg) => {
+                Payload::Grad(msg).recycle(&mut self.pool);
+                self.ack(from, during_shutdown)
             }
-            Payload::Weights { weights, .. } => {
-                self.worker
-                    .model
-                    .merge_weights(&weights, self.env.cfg.dkt.lambda);
+            Effect::Noted => Ok(()),
+            Effect::Reply(reply) => self.send(from, reply, during_shutdown),
+            Effect::Merged(weights) => {
                 self.out.dkt_merges += 1;
                 event!(self.now(), w: self.me, "dkt_merge"; "from" => from);
-                for t in weights {
-                    self.pool.push(t.into_data());
-                }
+                self.pool.extend(weights.into_iter().map(Tensor::into_data));
                 Ok(())
             }
-            Payload::Leave { completed } => {
-                // The live stack announces departures with the net-level
-                // [`KIND_LEAVE`] control frame; a core-codec `Leave` exists
-                // so the *simulator* can route departures through modelled
-                // links. Honor it anyway so the two dialects stay
-                // interchangeable on the wire.
+            // The live stack announces departures with the net-level
+            // [`KIND_LEAVE`] control frame; the core-codec `Leave` exists
+            // so the *simulator* can route departures through modelled
+            // links. Honor it anyway so the two dialects stay
+            // interchangeable on the wire.
+            Effect::Departed { completed } => {
                 self.note_departed(from, Some(completed));
                 Ok(())
             }
         }
     }
 
-    /// Apply a peer gradient to the model and acknowledge it (the ack
-    /// drives the sender's `SyncState::on_delivered_from`). The update
-    /// factor averages over the workers counted for the gradient's round.
-    fn apply_grad(
-        &mut self,
-        from: usize,
-        msg: &GradMsg,
-        during_shutdown: bool,
-    ) -> Result<(), LiveError> {
-        let weighted = self.env.cfg.system.weighted_update();
-        let (n_counted, gbs_counted) = self.counted_for(msg.iteration);
-        let factor = update_factor(self.env.cfg.lr, n_counted, msg.lbs, gbs_counted, weighted);
-        match &msg.data {
-            GradData::Dense(vars) => self.worker.model.apply_dense_update(vars, factor),
-            GradData::Sparse(vars) => {
-                for (v, s) in vars.iter().enumerate() {
-                    self.worker.model.apply_sparse_update(v, s, factor);
-                }
-            }
-        }
-        let ack_best_effort = during_shutdown || !self.active[from];
-        self.send_control(from, KIND_ACK, &[], ack_best_effort)
+    /// Acknowledge an applied gradient (the ack drives the sender's
+    /// `SyncState::on_delivered_from`, `BlockOnDelivery`'s gate).
+    fn ack(&mut self, from: usize, during_shutdown: bool) -> Result<(), LiveError> {
+        let best_effort = during_shutdown || !self.active[from];
+        self.send_control(from, KIND_ACK, &[], best_effort)
     }
 
-    /// The single BSP flush point: apply every deferred gradient whose
-    /// round this worker has completed AND whose batch is complete, in
-    /// `(iteration, sender)` order (`force` applies everything —
-    /// shutdown, when no further local round will come).
-    ///
-    /// A round's batch is complete once every sender counted for it —
-    /// the round's declared neighbors minus peers the departure ledger
-    /// says left before it — is present. Without that hold-back, two
-    /// same-round gradients arriving across separate flush ticks would
-    /// apply in arrival order, and float addition order (hence the final
-    /// bits) would depend on frame racing instead of on `(round,
-    /// sender)`. The hold-back cannot stall: a counted sender's gradient
-    /// is guaranteed delivered (per-peer FIFO puts it before any Leave
-    /// or EOF), and sync gating blocks the next local round on the same
-    /// set anyway.
-    fn flush_deferred(&mut self, force: bool, during_shutdown: bool) -> Result<(), LiveError> {
-        if self.deferred.is_empty() {
-            return Ok(());
-        }
-        let mut batch: Vec<(usize, GradMsg)> = Vec::new();
-        let mut rounds: Vec<u64> = self
-            .deferred
-            .iter()
-            .map(|(_, m)| m.iteration)
-            .filter(|&r| force || r < self.worker.iteration)
-            .collect();
-        rounds.sort_unstable();
-        rounds.dedup();
-        for r in rounds {
-            let complete = force
-                || self
-                    .env
-                    .schedule
-                    .neighbors(self.me, r)
-                    .into_iter()
-                    .filter(|&j| match self.departed_at[j] {
-                        None => true,
-                        Some(k) => r < k,
-                    })
-                    .all(|j| {
-                        self.deferred
-                            .iter()
-                            .any(|&(from, ref m)| from == j && m.iteration == r)
-                    });
-            if !complete {
-                continue;
-            }
-            for _ in 0..self.deferred.len() {
-                let (from, msg) = self.deferred.pop_front().expect("len-bounded pop");
-                if msg.iteration == r {
-                    batch.push((from, msg));
-                } else {
-                    self.deferred.push_back((from, msg));
-                }
-            }
-        }
-        // Canonical apply order: by round, then by sender id.
-        batch.sort_by_key(|(from, msg)| (msg.iteration, *from));
-        for (from, msg) in batch {
-            self.apply_grad(from, &msg, during_shutdown)?;
+    /// The strict-BSP flush point (see `Worker::flush_parked`), plus the
+    /// live half: recycle each applied gradient's buffers and ack it.
+    fn flush_parked(&mut self, force: bool, during_shutdown: bool) -> Result<(), LiveError> {
+        let mut senders = Vec::new();
+        self.worker.flush_parked(&self.members, force, |from, msg| {
+            senders.push(from);
             Payload::Grad(msg).recycle(&mut self.pool);
-        }
-        Ok(())
+        });
+        senders
+            .into_iter()
+            .try_for_each(|from| self.ack(from, during_shutdown))
     }
 
-    /// One training iteration: same mutation order as the simulator's
-    /// `start_iteration` + `on_iter_done` pair, executed back to back
-    /// (live compute is atomic; there is no virtual completion time).
+    /// One training iteration: compute, then the round core's
+    /// `complete_round`, back to back (live compute is atomic; there is
+    /// no virtual completion time).
     fn step(&mut self) -> Result<(), LiveError> {
         let me = self.me;
-        let n = self.n;
         let cfg = self.env.cfg;
         let t0 = self.env.clock.now();
         let batch = self.worker.sample_batch();
@@ -1096,66 +979,10 @@ impl LiveWorker<'_, '_> {
             "iter" => self.worker.iteration, "lbs" => self.worker.lbs,
             "loss" => loss, "dt" => measured);
 
-        // The round this step completes and its declared neighbor set —
-        // the fan-out targets, the divisor group, and (after the
-        // increment below) the next round's gating set.
-        let round = self.worker.iteration;
-        let round_nbrs = self.env.schedule.neighbors(me, round);
-        if round == 0 || self.env.schedule.rotates() {
-            event!(self.now(), w: me, "topology_round";
-                "round" => round,
-                "topology" => self.env.schedule.name(),
-                "neighbors" => round_nbrs.len(),
-                "links" => self.env.schedule.link_count(round));
-        }
-        self.worker.dkt.record_loss(loss);
-        let (n_counted, gbs_counted) = self.counted_for(round);
-        let own_factor = update_factor(
-            cfg.lr,
-            n_counted,
-            self.worker.lbs,
-            gbs_counted,
-            cfg.system.weighted_update(),
-        );
-        let ctx = StrategyCtx {
-            worker: me,
-            n,
-            iteration: self.worker.iteration,
-            now: self.now(),
-            lbs: self.worker.lbs,
-            iter_time: dt,
-            neighbors: round_nbrs.clone(),
-            bw_mbps: (0..n)
-                .map(|j| if j == me { 0.0 } else { self.env.opts.bw_mbps })
-                .collect(),
-            bytes_per_param: self.env.bytes_per_param,
-            total_params: self.env.total_params,
-            lr: cfg.lr,
-        };
-        let Worker {
-            strategy,
-            model,
-            grads,
-            ..
-        } = &mut self.worker;
-        model.apply_dense_update(grads, own_factor);
-        let mut updates = strategy.generate_partial_gradients(&ctx, grads, model);
-        // Rotate the send order each iteration so no peer is permanently
-        // first (or last) in this worker's send queues.
-        if !updates.is_empty() {
-            let r = (self.worker.iteration as usize) % updates.len();
-            updates.rotate_left(r);
-        }
-        self.worker.iteration += 1;
-        // Same rotation rule as the simulator: gate the next round on the
-        // peers that owed us gradients this round (per-round sets are
-        // symmetric, so they are exactly this round's senders).
-        self.worker.sync.retarget(&round_nbrs);
-        let share = self.worker.dkt.is_share_round(self.worker.iteration);
-        event!(self.now(), w: me, "iter_done";
-            "iter" => self.worker.iteration,
-            "updates" => updates.len(),
-            "share_dkt" => share);
+        let (now, bw_mbps) = (self.now(), self.env.opts.bw_mbps);
+        let (updates, share_dkt) =
+            self.worker
+                .complete_round(loss, now, |_| bw_mbps, &self.members);
         for up in updates {
             if !self.active[up.peer] {
                 continue;
@@ -1163,38 +990,15 @@ impl LiveWorker<'_, '_> {
             self.worker.sync.on_sent_to(up.peer);
             self.send(up.peer, Payload::Grad(up.msg), false)?;
         }
-        if share {
-            self.dkt_round()?;
+        if share_dkt {
+            let (now, active) = (self.now(), &self.active);
+            for (to, payload) in self.worker.dkt_round(now, |j| active[j]) {
+                self.send(to, payload, false)?;
+            }
         }
         let every = self.env.opts.eval_every;
         if every > 0 && self.worker.iteration.is_multiple_of(every) {
             self.eval();
-        }
-        Ok(())
-    }
-
-    /// A DKT round (§3.4): share the recent average loss, then pull from
-    /// the best-known worker — same logic as the simulator's `dkt_round`.
-    fn dkt_round(&mut self) -> Result<(), LiveError> {
-        let Some(avg) = self.worker.dkt.avg_loss() else {
-            return Ok(());
-        };
-        event!(self.now(), w: self.me, "dkt_round"; "avg_loss" => avg);
-        self.worker.dkt.update_known(self.me, avg);
-        for j in self.env.schedule.neighbors(self.me, self.worker.iteration) {
-            if !self.active[j] {
-                continue;
-            }
-            self.send(j, Payload::LossShare { avg_loss: avg }, false)?;
-        }
-        let round = self.worker.iteration / self.worker.dkt.cfg().period_iters;
-        if self.worker.last_pull_round < round {
-            if let Some(target) = self.worker.dkt.pull_target() {
-                if self.active[target] {
-                    self.worker.last_pull_round = round;
-                    self.send(target, Payload::DktRequest, false)?;
-                }
-            }
         }
         Ok(())
     }
@@ -1283,11 +1087,7 @@ impl LiveWorker<'_, '_> {
                             have += 1;
                         }
                         rcps[from] = peer_rcp;
-                    } else if kind == KIND_LEAVE {
-                        let (_, body) = decode_frame(&frame)?;
-                        let k = u64_body(body, from)?;
-                        self.note_departed(from, Some(k));
-                    } else {
+                    } else if !self.note_liveness(kind, from, &frame)? {
                         stash.push((from, frame));
                     }
                 }
@@ -1312,7 +1112,7 @@ impl LiveWorker<'_, '_> {
         }
         let parts = partition_gbs(self.gbs, &rcps);
         self.worker.lbs = parts[self.me];
-        self.lbs_of = parts.clone();
+        self.members.lbs_of.clone_from(&parts);
         self.last_contributors = (0..self.n).filter(|&j| self.active[j]).collect();
         self.out.lbs_trace.push((0.0, parts.clone()));
         event!(self.now(), w: self.me, "lbs_repartition";
@@ -1338,10 +1138,7 @@ impl LiveWorker<'_, '_> {
     /// plan — decides, so participation under a kill plan is a pure
     /// function of the plan, not of Leave-frame timing.
     fn rcp_expected(&self, j: usize, trigger_iter: u64) -> bool {
-        j != self.me
-            && self.active[j]
-            && !self.done[j]
-            && self.departed_at[j].is_none_or(|k| trigger_iter < k)
+        j != self.me && self.active[j] && !self.done[j] && self.members.counts(j, trigger_iter)
     }
 
     /// Execute every adjustment round whose boundary the *local* training
@@ -1432,8 +1229,7 @@ impl LiveWorker<'_, '_> {
             .unwrap_or_else(|| vec![None; self.n]);
         let contributors: Vec<usize> = (0..self.n)
             .filter(|&j| {
-                (j == self.me || entry[j].is_some())
-                    && self.departed_at[j].is_none_or(|k| trigger_iter < k)
+                (j == self.me || entry[j].is_some()) && self.members.counts(j, trigger_iter)
             })
             .collect();
 
@@ -1479,7 +1275,7 @@ impl LiveWorker<'_, '_> {
             let mut row = vec![0usize; self.n];
             for (slot, &j) in contributors.iter().enumerate() {
                 row[j] = parts[slot];
-                self.lbs_of[j] = parts[slot];
+                self.members.lbs_of[j] = parts[slot];
             }
             if contributors.contains(&self.me) {
                 self.worker.lbs = row[self.me];
@@ -1540,7 +1336,7 @@ impl LiveWorker<'_, '_> {
             if j == self.me {
                 continue;
             }
-            let overdue = self.departed_at[j].is_some_and(|k| self.worker.iteration >= k);
+            let overdue = !self.members.counts(j, self.worker.iteration);
             if overdue && self.health.flag_silent(j) {
                 event!(self.now(), w: self.me, "health_silence";
                     "peer" => j, "iter" => self.worker.iteration);
@@ -1571,7 +1367,7 @@ impl LiveWorker<'_, '_> {
             round: self.health_round,
             iteration: self.worker.iteration,
             gbs_round: self.gbs_round,
-            deferred: self.deferred.len() as u32,
+            deferred: self.worker.parked.len() as u32,
             sendq_depth: sendq_depth as u32,
             scratch_hw,
             ewma_rate: self.ewma_rate,
@@ -1650,22 +1446,13 @@ impl LiveWorker<'_, '_> {
         while clock.now() < until {
             let left = Duration::from_secs_f64((until - clock.now()).max(0.0)).min(POLL);
             if let Some((from, frame)) = self.recv(left)? {
-                // Control frames are always plain; a chunked payload
-                // stream is dead traffic here, so peek the kind from
-                // the header without reassembling it.
-                match decode_frame_header(&frame)?.kind {
-                    KIND_DONE => self.done[from] = true,
-                    KIND_LEAVE => {
-                        let (_, body) = decode_frame(&frame)?;
-                        let k = u64_body(body, from)?;
-                        self.note_departed(from, Some(k));
-                    }
-                    _ => {}
-                }
+                // Anything else (a chunked payload stream in particular)
+                // is dead traffic here.
+                self.note_liveness(decode_frame_header(&frame)?.kind, from, &frame)?;
             }
         }
         // Stale pre-departure gradients are superseded by the pull.
-        self.deferred.clear();
+        self.worker.parked.clear();
         if self.all_peers_finished() {
             return Ok(false);
         }
@@ -1685,19 +1472,12 @@ impl LiveWorker<'_, '_> {
                 return Ok(false);
             }
             if let Some((from, frame)) = self.recv(POLL)? {
-                match decode_frame_header(&frame)?.kind {
-                    KIND_CATCHUP => {
-                        let (_, body) = decode_frame(&frame)?;
-                        break (from, u64_body(body, from)?);
-                    }
-                    KIND_DONE => self.done[from] = true,
-                    KIND_LEAVE => {
-                        let (_, body) = decode_frame(&frame)?;
-                        let k = u64_body(body, from)?;
-                        self.note_departed(from, Some(k));
-                    }
-                    _ => {}
+                let kind = decode_frame_header(&frame)?.kind;
+                if kind == KIND_CATCHUP {
+                    let (_, body) = decode_frame(&frame)?;
+                    break (from, u64_body(body, from)?);
                 }
+                self.note_liveness(kind, from, &frame)?;
             }
         };
 
@@ -1711,56 +1491,39 @@ impl LiveWorker<'_, '_> {
             let Some((from, frame)) = self.recv(POLL)? else {
                 continue;
             };
-            match decode_frame_header(&frame)?.kind {
-                KIND_DONE => self.done[from] = true,
-                KIND_LEAVE => {
-                    let (_, body) = decode_frame(&frame)?;
-                    let k = u64_body(body, from)?;
-                    self.note_departed(from, Some(k));
-                }
-                KIND_ACK | KIND_RCP | KIND_HELLO | KIND_CATCHUP => {}
-                _ => {
-                    // Payload frames (the donor's Weights in particular)
-                    // may arrive as chunked streams.
-                    let (kind, body) = decode_wire(&frame, &mut self.wire_scratch)?;
-                    let payload = Payload::decode_body_pooled(kind, body, &mut self.pool)?;
-                    if let Payload::Weights { weights, .. } = payload {
-                        if from == donor {
-                            // λ = 1: take the donor's weights wholesale.
-                            self.worker.model.merge_weights(&weights, 1.0);
-                            for t in weights {
-                                self.pool.push(t.into_data());
-                            }
-                            self.out.dkt_merges += 1;
-                            self.worker.iteration = target;
-                            let period = self.worker.dkt.cfg().period_iters;
-                            self.worker.last_pull_round = target / period;
-                            // Free-run from here: we are a backup member,
-                            // gated on no one (and no one gates on us).
-                            for j in 0..self.n {
-                                if j != self.me {
-                                    self.worker.sync.demote(j);
-                                }
-                            }
-                            self.deferred.retain(|(_, m)| m.iteration >= target);
-                            event!(self.now(), w: self.me, "rejoined";
-                                "donor" => donor, "iter" => target);
-                            return Ok(true);
+            let kind = decode_frame_header(&frame)?.kind;
+            if self.note_liveness(kind, from, &frame)?
+                || matches!(kind, KIND_ACK | KIND_RCP | KIND_HELLO | KIND_CATCHUP)
+            {
+                continue;
+            }
+            // Payload frames (the donor's Weights in particular) may
+            // arrive as chunked streams.
+            let (kind, body) = decode_wire(&frame, &mut self.wire_scratch)?;
+            match Payload::decode_body_pooled(kind, body, &mut self.pool)? {
+                Payload::Weights { weights, .. } if from == donor => {
+                    // λ = 1: take the donor's weights wholesale.
+                    self.worker.model.merge_weights(&weights, 1.0);
+                    self.pool.extend(weights.into_iter().map(Tensor::into_data));
+                    self.out.dkt_merges += 1;
+                    self.worker.iteration = target;
+                    let period = self.worker.dkt.cfg().period_iters;
+                    self.worker.last_pull_round = target / period;
+                    // Free-run from here: we are a backup member, gated
+                    // on no one (and no one gates on us).
+                    for j in 0..self.n {
+                        if j != self.me {
+                            self.worker.sync.demote(j);
                         }
-                        // A stray (non-donor) weights payload: a regular
-                        // DKT merge we are happy to take.
-                        self.on_payload(
-                            from,
-                            Payload::Weights {
-                                weights,
-                                sender_loss: 0.0,
-                            },
-                            false,
-                        )?;
-                    } else {
-                        self.on_payload(from, payload, false)?;
                     }
+                    self.worker.parked.retain(|(_, m)| m.iteration >= target);
+                    event!(self.now(), w: self.me, "rejoined";
+                        "donor" => donor, "iter" => target);
+                    return Ok(true);
                 }
+                // Anything else — a stray non-donor Weights included — is
+                // ordinary protocol traffic.
+                other => self.on_payload(from, other, false)?,
             }
         }
     }
@@ -1854,9 +1617,10 @@ pub fn run_worker(
         last_contributors: Vec::new(),
         done: vec![false; n],
         active: vec![true; n],
-        departed_at,
-        lbs_of: vec![env.cfg.initial_lbs; n],
-        deferred: VecDeque::new(),
+        members: Membership {
+            departed_at,
+            lbs_of: vec![env.cfg.initial_lbs; n],
+        },
         wire_cfg: WireCfg {
             format: env.opts.wire,
             chunk_bytes: env.opts.chunk_bytes,
@@ -1928,7 +1692,7 @@ pub fn run_worker(
             // The single BSP flush point: every gradient of the rounds
             // before the one we are about to compute applies now, in
             // canonical order (gating says those rounds are complete).
-            lw.flush_deferred(false, false)?;
+            lw.flush_parked(false, false)?;
             lw.step()?;
             last_progress = env.clock.now();
         } else {
@@ -1990,7 +1754,7 @@ pub fn run_worker(
         lw.handle_frame(from, frame, true)?;
     }
     // No further local rounds: whatever is still deferred applies now.
-    lw.flush_deferred(true, true)?;
+    lw.flush_parked(true, true)?;
 
     lw.eval();
     lw.out.iterations = lw.worker.iteration;

@@ -217,7 +217,7 @@ mod tests {
         assert_eq!(parse_stats(body, 1).unwrap(), s);
         // A stats frame is a control frame: the payload decoder must
         // reject it rather than misread it as training traffic.
-        assert!(Payload::from_frame(&frame).is_err());
+        assert!(Payload::from_wire(&frame, &mut Vec::new()).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! ## Control frames
 //!
 //! The live runtime adds eight frame kinds on top of the payload codec,
-//! all at or above [`KIND_NET_BASE`] so `Payload::from_frame` can never
+//! all at or above [`KIND_NET_BASE`] so `Payload::from_wire` can never
 //! mistake one for a training payload:
 //!
 //! | kind | body | role |
@@ -190,7 +190,7 @@ mod tests {
             assert!(kind >= KIND_NET_BASE);
             let frame = dlion_core::messages::encode_frame(kind, &[]);
             assert!(
-                Payload::from_frame(&frame).is_err(),
+                Payload::from_wire(&frame, &mut Vec::new()).is_err(),
                 "payload decoder accepted control kind {kind:#x}"
             );
         }

@@ -780,7 +780,6 @@ fn pump_loop(
 mod tests {
     use super::*;
     use dlion_core::mem_mesh;
-    use dlion_core::transport::send_payload;
     use std::time::Instant;
 
     #[test]
@@ -834,22 +833,26 @@ mod tests {
 
         let p = Payload::LossShare { avg_loss: 2.5 };
         // Local: rank 0 → rank 1 (both on host 0).
-        send_payload(&mut eps0[0], 1, &p).unwrap();
+        eps0[0]
+            .send_wire(1, Arc::new(p.clone()), &WireCfg::default())
+            .unwrap();
         let (from, frame) = eps0[1]
             .recv_frame_timeout(Duration::from_secs(5))
             .unwrap()
             .expect("local frame");
         assert_eq!(from, 0);
-        assert_eq!(Payload::from_frame(&frame).unwrap(), p);
+        assert_eq!(Payload::from_wire(&frame, &mut Vec::new()).unwrap(), p);
 
         // Routed: rank 3 (host 1) → rank 0 (host 0).
-        send_payload(&mut eps1[1], 0, &p).unwrap();
+        eps1[1]
+            .send_wire(0, Arc::new(p.clone()), &WireCfg::default())
+            .unwrap();
         let (from, frame) = eps0[0]
             .recv_frame_timeout(Duration::from_secs(5))
             .unwrap()
             .expect("routed frame");
         assert_eq!(from, 3);
-        assert_eq!(Payload::from_frame(&frame).unwrap(), p);
+        assert_eq!(Payload::from_wire(&frame, &mut Vec::new()).unwrap(), p);
 
         // Streamed wire sends report the same byte count either way.
         let cfg = WireCfg::default();
@@ -894,7 +897,9 @@ mod tests {
         // A probe send to one of its ranks makes host 0's pump hit the
         // dead link; every rank of host 2 is demoted at once.
         let p = Payload::LossShare { avg_loss: 1.0 };
-        send_payload(&mut eps0[0], 4, &p).unwrap();
+        eps0[0]
+            .send_wire(4, Arc::new(p.clone()), &WireCfg::default())
+            .unwrap();
         let mut gone = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
         while gone.len() < 2 {

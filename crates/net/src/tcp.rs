@@ -998,13 +998,12 @@ pub fn loopback_mesh(
 mod tests {
     use super::*;
     use dlion_core::messages::Payload;
-    use dlion_core::transport::send_payload;
 
     #[test]
     fn hello_round_trips() {
         let f = hello_frame(3, 8, 42, None);
         assert_eq!(parse_hello(&f).unwrap(), (3, 8, 42, None));
-        let grad = Payload::DktRequest.to_frame();
+        let grad = Payload::DktRequest.to_wire(&WireCfg::default());
         assert!(parse_hello(&grad).is_err());
     }
 
@@ -1067,14 +1066,16 @@ mod tests {
         let mut b = mesh.pop().unwrap();
         let mut a = mesh.pop().unwrap();
         let p = Payload::LossShare { avg_loss: 1.25 };
-        let bytes = send_payload(&mut a, 1, &p).unwrap();
-        assert_eq!(bytes, p.encoded_len());
+        let bytes = a
+            .send_wire(1, Arc::new(p.clone()), &WireCfg::default())
+            .unwrap();
+        assert_eq!(bytes, p.wire_len(&WireCfg::default()));
         let (from, frame) = b
             .recv_frame_timeout(Duration::from_secs(5))
             .unwrap()
             .expect("frame should arrive");
         assert_eq!(from, 0);
-        assert_eq!(Payload::from_frame(&frame).unwrap(), p);
+        assert_eq!(Payload::from_wire(&frame, &mut Vec::new()).unwrap(), p);
     }
 
     #[test]
@@ -1133,7 +1134,8 @@ mod tests {
         let mut b = mesh.pop().unwrap();
         let mut a = mesh.pop().unwrap();
         let p = Payload::LossShare { avg_loss: 1.25 };
-        send_payload(&mut a, 1, &p).unwrap();
+        a.send_wire(1, Arc::new(p.clone()), &WireCfg::default())
+            .unwrap();
         b.recv_frame_timeout(Duration::from_secs(5))
             .unwrap()
             .expect("frame should arrive");

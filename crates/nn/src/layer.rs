@@ -842,9 +842,7 @@ mod tests {
             Box::new(Conv2d::new(3, 8, 3, 1, &mut r1)),
             Box::new(Conv2d::new(3, 8, 3, 1, &mut r2)),
             &Tensor::randn(Shape::d4(4, 3, 8, 8), 1.0, &mut xr),
-            // Under the seed-kernels build the dispatcher goes direct, and
-            // the direct path pools nothing.
-            dlion_tensor::kernel_backend() == "blocked",
+            true,
         );
         // Small enough that it stays on the direct path (no pooled
         // intermediates, so no reuse expected).

@@ -35,16 +35,6 @@ pub mod tensor;
 pub use rng::DetRng;
 pub use scratch::Scratch;
 
-/// Which kernel algorithms this build routes the model through: `"blocked"`
-/// normally, `"seed"` under the `seed-kernels` feature (pre-optimization
-/// row-wise loops; used by the bench harness for before/after numbers).
-pub fn kernel_backend() -> &'static str {
-    if cfg!(feature = "seed-kernels") {
-        "seed"
-    } else {
-        "blocked"
-    }
-}
 pub use shape::Shape;
 pub use sparse::SparseVec;
 pub use tensor::Tensor;

@@ -41,10 +41,6 @@ pub(crate) fn out_hw(h: usize, w: usize, kh: usize, kw: usize, pad: usize) -> (u
 /// ~2 passes over the patch matrix, so the GEMM must do a multiple of that
 /// in useful MACs.
 fn use_im2col(n: usize, c: usize, f: usize, kh: usize, kw: usize, oh: usize, ow: usize) -> bool {
-    if cfg!(feature = "seed-kernels") {
-        // The seed tree convolved directly at every shape.
-        return false;
-    }
     let macs = n * oh * ow * c * kh * kw * f;
     macs >= 16 * 1024
 }

@@ -332,9 +332,6 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
 /// `C = A·B` for `A: M×K`, `B: K×N`, written into `out` (`len == m * n`).
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
-    if cfg!(feature = "seed-kernels") {
-        return matmul_seed_into(a, b, out);
-    }
     let (m, k) = dims2(a, "matmul lhs");
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
@@ -360,9 +357,6 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
 /// `C = A·Bᵀ` for `A: M×K`, `B: N×K`, written into `out` (`len == m * n`).
 pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
-    if cfg!(feature = "seed-kernels") {
-        return matmul_nt_seed_into(a, b, out);
-    }
     let (m, k) = dims2(a, "matmul_nt lhs");
     let (n, k2) = dims2(b, "matmul_nt rhs");
     assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
@@ -388,9 +382,6 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
 /// `C = Aᵀ·B` for `A: K×M`, `B: K×N`, written into `out` (`len == m * n`).
 pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
-    if cfg!(feature = "seed-kernels") {
-        return matmul_tn_seed_into(a, b, out);
-    }
     let (k, m) = dims2(a, "matmul_tn lhs");
     let (k2, n) = dims2(b, "matmul_tn rhs");
     assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
@@ -458,109 +449,6 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(Shape::d2(m, n), out)
-}
-
-// ---------------------------------------------------------------------------
-// Seed (pre-optimization) kernels.
-//
-// The algorithms this repository shipped before the blocked rewrite: plain
-// row-wise loops with an `av == 0.0` skip in the axpy variants and no
-// packing or register tiling. Always compiled so the bench binary can
-// measure them head-to-head against the blocked kernels; building with
-// `--features seed-kernels` additionally reroutes the public `_into` entry
-// points through them, so one source tree produces an honest "before"
-// binary for end-to-end comparisons. (The seed kernels accumulate in
-// k-major axpy order, so under the feature the blocked kernels' exact
-// bit-match tests do not apply.)
-
-/// Seed algorithm for [`matmul_into`]: per output row, axpy each `A[i][k]`
-/// against row `k` of B, skipping zero multipliers.
-pub fn matmul_seed_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
-    let (m, k) = dims2(a, "matmul lhs");
-    let (k2, n) = dims2(b, "matmul rhs");
-    assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-    assert_eq!(out.len(), m * n, "gemm output buffer size");
-    let (ad, bd) = (a.data(), b.data());
-    let body = |i0: usize, rows: &mut [f32]| {
-        for (r, orow) in rows.chunks_mut(n).enumerate() {
-            let i = i0 + r;
-            orow.fill(0.0);
-            for kk in 0..k {
-                let av = ad[i * k + kk];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bd[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    };
-    if m * n * k >= PAR_FLOPS_MM {
-        par::par_chunks_mut(out, n, body);
-    } else {
-        body(0, out);
-    }
-}
-
-/// Seed algorithm for [`matmul_nt_into`]: per output element, a dot product
-/// of one A row with one B row.
-pub fn matmul_nt_seed_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
-    let (m, k) = dims2(a, "matmul_nt lhs");
-    let (n, k2) = dims2(b, "matmul_nt rhs");
-    assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
-    assert_eq!(out.len(), m * n, "gemm output buffer size");
-    let (ad, bd) = (a.data(), b.data());
-    let body = |i0: usize, rows: &mut [f32]| {
-        for (r, orow) in rows.chunks_mut(n).enumerate() {
-            let arow = &ad[(i0 + r) * k..(i0 + r + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &bd[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += arow[kk] * brow[kk];
-                }
-                *o = acc;
-            }
-        }
-    };
-    if m * n * k >= PAR_FLOPS_NT {
-        par::par_chunks_mut(out, n, body);
-    } else {
-        body(0, out);
-    }
-}
-
-/// Seed algorithm for [`matmul_tn_into`]: per output row, axpy each
-/// `A[k][i]` (strided) against row `k` of B, skipping zero multipliers.
-pub fn matmul_tn_seed_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
-    let (k, m) = dims2(a, "matmul_tn lhs");
-    let (k2, n) = dims2(b, "matmul_tn rhs");
-    assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
-    assert_eq!(out.len(), m * n, "gemm output buffer size");
-    let (ad, bd) = (a.data(), b.data());
-    let body = |i0: usize, rows: &mut [f32]| {
-        for (r, orow) in rows.chunks_mut(n).enumerate() {
-            let i = i0 + r;
-            orow.fill(0.0);
-            for kk in 0..k {
-                let av = ad[kk * m + i];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bd[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    };
-    if m * n * k >= PAR_FLOPS_TN {
-        par::par_chunks_mut(out, n, body);
-    } else {
-        body(0, out);
-    }
 }
 
 #[cfg(test)]

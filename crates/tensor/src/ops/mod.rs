@@ -52,7 +52,6 @@ pub use im2col::{
     conv2d_im2col_s, im2col, im2col_into,
 };
 pub use matmul::{
-    matmul, matmul_into, matmul_naive, matmul_nt, matmul_nt_into, matmul_nt_seed_into,
-    matmul_seed_into, matmul_tn, matmul_tn_into, matmul_tn_seed_into,
+    matmul, matmul_into, matmul_naive, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
 };
 pub use pool::{maxpool2, maxpool2_backward, maxpool2_backward_into, maxpool2_into};
