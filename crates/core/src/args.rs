@@ -129,7 +129,8 @@ impl Args {
 
 /// Parse a `--straggle` spec: comma-separated `W:F` pairs, e.g.
 /// `2:3` or `0:1.5,2:4` — worker `W` runs `F`× slower on the training
-/// clock. Factors must be positive.
+/// clock. Factors must be positive and finite (the domain
+/// `RunConfig::validate` asserts).
 pub fn parse_straggle(s: &str) -> Result<Vec<(usize, f64)>, String> {
     let mut out = Vec::new();
     for part in s.split(',') {
@@ -139,8 +140,8 @@ pub fn parse_straggle(s: &str) -> Result<Vec<(usize, f64)>, String> {
         let w: usize = w.parse().map_err(|_| format!("bad worker id '{w}'"))?;
         let f: f64 = f.parse().map_err(|_| format!("bad factor '{f}'"))?;
         // NaN factors must also be rejected, hence not `f <= 0.0`.
-        if f.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(format!("factor must be positive, got {f}"));
+        if !(f > 0.0 && f.is_finite()) {
+            return Err(format!("factor must be positive and finite, got {f}"));
         }
         out.push((w, f));
     }
@@ -389,7 +390,7 @@ impl RunSpec {
     /// the generated plan's fault/straggler parts. Pure in
     /// `(scenario, workers, seed, iters)`, so every process parsing the
     /// same argv (parent and spawned children alike) derives identical
-    /// chaos.
+    /// chaos. [`RunSpec::configure`] writes it into the config.
     pub fn chaos(&self) -> Result<(FaultPlan, Vec<(usize, f64)>), String> {
         match &self.scenario {
             None => Ok((self.fault.clone(), self.straggle.clone())),
@@ -410,11 +411,38 @@ impl RunSpec {
         self.workers.div_ceil(self.virtual_ranks)
     }
 
-    /// Apply the training-problem fields to a config (typically one from
-    /// `live_config(spec.system, spec.seed)`). The execution fields —
-    /// iters, queue caps, timeouts, faults — feed the live backend's
-    /// options instead, via `LiveOpts::from_spec`.
-    pub fn configure(&self, cfg: &mut crate::config::RunConfig) {
+    /// Reconcile a `--peers` list of `peers` addresses with `--workers` /
+    /// `--virtual`. Peer addresses name HOSTS (each carries `virtual`
+    /// ranks): without an explicit `--workers` the list sizes the
+    /// cluster, with one it must match the spec's host count.
+    pub fn size_from_peers(&mut self, peers: usize, workers_given: bool) -> Result<(), UsageError> {
+        if !workers_given {
+            self.workers = peers * self.virtual_ranks;
+        } else if peers != self.host_count() {
+            return Err(UsageError::new(
+                "--peers",
+                format!(
+                    "{peers} addresses but --workers {} --virtual {} needs {} hosts",
+                    self.workers,
+                    self.virtual_ranks,
+                    self.host_count()
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The single spec → config mapping: apply everything that describes
+    /// the *run* — workload sizes, learning rate, wire format, topology
+    /// and the chaos plan (explicit `--kill`/`--straggle` or the
+    /// `--scenario` expansion) — to a config (typically one from
+    /// `live_config(spec.system, spec.seed)`). Both backends read these
+    /// fields from the config and nowhere else. The pure execution knobs
+    /// (iters, queue caps, timeouts, health cadence) go to
+    /// `LiveOpts::from_spec`. Fails only on a `--scenario` that cannot
+    /// expand, which [`RunSpec::validate`] reports first.
+    pub fn configure(&self, cfg: &mut crate::config::RunConfig) -> Result<(), UsageError> {
+        (cfg.fault, cfg.straggle) = self.chaos().map_err(|e| UsageError::new("--scenario", e))?;
         if let Some(v) = self.train {
             cfg.workload.train_size = v;
         }
@@ -430,6 +458,7 @@ impl RunSpec {
         cfg.wire = self.wire;
         cfg.topology = self.topology;
         cfg.telemetry = self.telemetry;
+        Ok(())
     }
 
     /// Emit exactly the flags that differ from [`RunSpec::default`], in a
@@ -788,6 +817,48 @@ mod tests {
     }
 
     #[test]
+    fn configure_is_the_one_spec_to_config_mapping() {
+        use crate::config::RunConfig;
+        let mut spec = RunSpec {
+            workers: 6,
+            wire: WireFormat::Fp16,
+            fault: FaultPlan::parse("1@3").unwrap(),
+            straggle: vec![(2, 3.0)],
+            ..RunSpec::default()
+        };
+        let mut cfg = RunConfig::small_test(SystemKind::Baseline);
+        spec.configure(&mut cfg).unwrap();
+        assert_eq!(cfg.wire, WireFormat::Fp16);
+        assert_eq!(cfg.fault, spec.fault);
+        assert_eq!(cfg.straggle, vec![(2, 3.0)]);
+        // A scenario expands into the same two fields.
+        spec.fault = FaultPlan::default();
+        spec.straggle.clear();
+        let sc = "outage:Mumbai@5/stragglers:2,2";
+        spec.scenario = Some(crate::scenario::ScenarioSpec::parse(sc).unwrap());
+        spec.configure(&mut cfg).unwrap();
+        assert_eq!(
+            (cfg.fault.clone(), cfg.straggle.clone()),
+            spec.chaos().unwrap()
+        );
+        assert_eq!(cfg.fault.kills[0].worker, 3);
+    }
+
+    #[test]
+    fn peer_lists_size_or_check_the_host_count() {
+        let mut s = RunSpec {
+            virtual_ranks: 3,
+            ..RunSpec::default()
+        };
+        // No explicit --workers: two host addresses x 3 ranks each.
+        s.size_from_peers(2, false).unwrap();
+        assert_eq!((s.workers, s.host_count()), (6, 2));
+        // Explicit --workers: the list must match the HOST count.
+        s.size_from_peers(2, true).unwrap();
+        assert_eq!(s.size_from_peers(6, true).unwrap_err().flag, "--peers");
+    }
+
+    #[test]
     fn host_count_is_ceil_division() {
         let mut s = RunSpec {
             workers: 8,
@@ -822,6 +893,7 @@ mod tests {
         assert!(parse_straggle("2:0").is_err());
         assert!(parse_straggle("2:-1").is_err());
         assert!(parse_straggle("2:NaN").is_err());
+        assert!(parse_straggle("2:inf").is_err());
     }
 
     #[test]

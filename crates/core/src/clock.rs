@@ -17,8 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// A monotonic time source. `now()` is seconds since the clock's own
-/// epoch (its creation); only differences are meaningful.
-pub trait Clock: Send + Sync {
+/// epoch (its creation); only differences are meaningful. `Debug` so the
+/// option structs that carry a clock can derive it.
+pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Monotonic seconds since this clock's epoch.
     fn now(&self) -> f64;
     /// Block (or, for a virtual clock, advance) for `d`.
@@ -26,6 +27,7 @@ pub trait Clock: Send + Sync {
 }
 
 /// The real thing: monotonic wall time from [`Instant`], real sleeps.
+#[derive(Debug)]
 pub struct SystemClock {
     epoch: Instant,
 }
@@ -69,6 +71,7 @@ impl Clock for SystemClock {
 /// c.sleep(Duration::from_millis(500)); // returns immediately
 /// assert_eq!(c.now(), 2.0);
 /// ```
+#[derive(Debug)]
 pub struct ManualClock {
     /// Current time in seconds, stored as `f64` bits. Monotonicity is
     /// enforced by only ever adding non-negative amounts.

@@ -244,18 +244,21 @@ pub struct RunConfig {
     /// wire; the lossy formats are applied at send so sim and live runs
     /// see the same receiver-side gradients.
     pub wire: WireFormat,
-    /// Scheduled worker departures (the live backend's `--kill` plan),
-    /// executed by the simulator with the same iteration-indexed
-    /// semantics: a killed worker completes rounds `0..at_iter`, sends its
-    /// last round's gradients, and leaves; survivors renormalize their
-    /// Eq. 7 divisors from that round on. Rejoining kills pause the worker
-    /// for `rejoin_after` virtual seconds instead (it stays a member).
+    /// Scheduled worker departures (`--kill`), read by both backends with
+    /// the same iteration-indexed semantics: a killed worker completes
+    /// rounds `0..at_iter`, sends its last round's gradients, and leaves;
+    /// survivors renormalize their Eq. 7 divisors from that round on
+    /// (every worker holds the full plan and seeds its ledger from it).
+    /// A rejoining kill pauses the worker for `rejoin_after` virtual
+    /// seconds in the simulator (it stays a member) and takes the
+    /// leave → late-Hello → DKT-pull path live.
     pub fault: crate::fault::FaultPlan,
-    /// Per-worker iteration-time multipliers (the live backend's
-    /// `--straggle` factor): `(worker, factor)` with `factor >= 1`.
-    /// Applied on top of the compute model, exactly where the live driver
-    /// multiplies its assumed iteration time, so `cluster_health`
-    /// straggler scores match between backends.
+    /// Per-worker iteration-time multipliers (`--straggle W:F`): `(worker,
+    /// factor)` with a positive finite factor (> 1 slows the worker).
+    /// The simulator applies it on top of the compute model and the live
+    /// driver on its (pinned or measured) iteration time — the same
+    /// place on the training clock, so `cluster_health` straggler scores
+    /// match between backends; a factor of 1.0 is an exact float no-op.
     pub straggle: Vec<(usize, f64)>,
 }
 
@@ -326,7 +329,7 @@ impl RunConfig {
             assert!(n > 0.0 && n <= 100.0, "topk N must be in (0, 100]");
         }
         for &(_, f) in &self.straggle {
-            assert!(f >= 1.0 && f.is_finite(), "straggle factor must be >= 1");
+            assert!(f > 0.0 && f.is_finite(), "straggle factor must be positive");
         }
         self.dkt.validate();
     }

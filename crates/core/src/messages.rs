@@ -12,6 +12,7 @@
 //! codec's true encoded size (see [`Payload::wire_len`]).
 
 use dlion_tensor::{Shape, SparseVec, Tensor};
+use std::collections::BTreeMap;
 
 /// Size of a small control message (loss share) in simulated bytes — the
 /// exact encoded size of a [`Payload::LossShare`] frame (header + `f64`).
@@ -386,6 +387,26 @@ pub fn wire_label(payload: &Payload, format: WireFormat) -> &'static str {
         Payload::Weights { .. } => "weights",
         Payload::LossShare { .. } | Payload::DktRequest | Payload::Leave { .. } => "control",
     }
+}
+
+/// Every label [`wire_label`] can return, in the fixed order the
+/// `wire_bytes_by_kind` trace event and the health report's byte ledger
+/// list them.
+pub const WIRE_LABELS: [&str; 6] = [
+    "grad_dense",
+    "grad_sparse",
+    "grad_fp16",
+    "grad_int8",
+    "weights",
+    "control",
+];
+
+/// Trace an encoded bytes-on-the-wire ledger as one `wire_bytes_by_kind`
+/// event: one fixed key per wire label, so sim (cluster-wide, `w` =
+/// `None`) and live (per worker) rows line up column-for-column.
+pub fn trace_wire_bytes(vt: f64, w: Option<usize>, by_kind: &BTreeMap<String, f64>) {
+    let fields = WIRE_LABELS.map(|l| (l, by_kind.get(l).copied().unwrap_or(0.0).into()));
+    dlion_telemetry::emit(vt, w, "wire_bytes_by_kind", &fields);
 }
 
 // ===================================================================

@@ -16,6 +16,7 @@ use crate::strategy::{PeerUpdate, StrategyCtx};
 use crate::sync::SyncPolicy;
 use crate::weighted::update_factor;
 use crate::worker::Worker;
+use dlion_nn::Dataset;
 use dlion_telemetry::{event, profile_scope, Phase};
 use dlion_tensor::Tensor;
 
@@ -94,6 +95,27 @@ impl Worker {
                 }
             }
         }
+    }
+
+    /// The compute step: forward/backward over the minibatch whose indices
+    /// sit in `self.batch_buf`, leaving the clipped mean gradients in
+    /// `self.grads`; returns the batch loss. Allocation-free: the batch
+    /// tensor, every activation and every gradient cycle through
+    /// `self.scratch`.
+    pub fn compute_grads(&mut self, data: &Dataset, grad_clip: f32) -> f64 {
+        let Worker {
+            model,
+            scratch,
+            grads,
+            batch_buf,
+            ..
+        } = self;
+        let (x, y) = data.batch_scratch(batch_buf, scratch);
+        let loss = model.forward_backward_scratch(x, &y, scratch, grads);
+        for g in grads.iter_mut() {
+            g.clip_inplace(grad_clip);
+        }
+        loss
     }
 
     /// Finish the round whose gradients sit in `self.grads`: record the

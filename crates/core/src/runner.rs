@@ -13,7 +13,8 @@ use crate::cluster::build_cluster;
 use crate::config::RunConfig;
 use crate::lbs::{compute_rcp, partition_gbs, PROFILE_LBS};
 use crate::messages::{
-    apply_wire_format, wire_label, GradData, Payload, WireCfg, WireFormat, DEFAULT_CHUNK_BYTES,
+    apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg, WireFormat,
+    DEFAULT_CHUNK_BYTES,
 };
 use crate::metrics::{LinkSample, RunMetrics};
 use crate::round::{Effect, Membership};
@@ -69,7 +70,7 @@ pub struct ClusterRunner {
     /// exactly like the live driver's; rejoining kills are *not* in the
     /// ledger — they pause, staying members.
     members: Membership,
-    /// Per-worker iteration-time multiplier (>= 1), from `cfg.straggle`.
+    /// Per-worker iteration-time multiplier, from `cfg.straggle`.
     straggle: Vec<f64>,
     /// True while a rejoining worker sits out its dead time.
     paused: Vec<bool>,
@@ -269,20 +270,7 @@ impl ClusterRunner {
                 .telemetry
                 .gauge_max("queue_peak", self.queue.peak_len() as f64);
         }
-        let wires = |label: &str| {
-            self.metrics
-                .wire_bytes_by_kind
-                .get(label)
-                .copied()
-                .unwrap_or(0.0)
-        };
-        event!(end_time, "wire_bytes_by_kind";
-            "grad_dense" => wires("grad_dense"),
-            "grad_sparse" => wires("grad_sparse"),
-            "grad_fp16" => wires("grad_fp16"),
-            "grad_int8" => wires("grad_int8"),
-            "weights" => wires("weights"),
-            "control" => wires("control"));
+        trace_wire_bytes(end_time, None, &self.metrics.wire_bytes_by_kind);
         // Cluster health summary (DESIGN.md §4h): iteration rates on the
         // virtual clock. The sim has no reporting protocol (reports = 0)
         // and no silence (a capacity-starved worker merely idles), but the
@@ -333,23 +321,7 @@ impl ClusterRunner {
         worker.waiting = false;
         worker.computing = true;
         worker.sample_batch_reuse();
-        // Allocation-free step: the batch index buffer, the batch tensor,
-        // every activation and every gradient cycle through per-worker
-        // buffers; the mean gradients land in the persistent `grads`
-        // tensors.
-        let (x, y) = self
-            .data
-            .batch_scratch(&worker.batch_buf, &mut worker.scratch);
-        let Worker {
-            model,
-            scratch,
-            grads,
-            ..
-        } = worker;
-        let loss = model.forward_backward_scratch(x, &y, scratch, grads);
-        for g in grads.iter_mut() {
-            g.clip_inplace(self.cfg.grad_clip);
-        }
+        let loss = worker.compute_grads(&self.data, self.cfg.grad_clip);
         worker.pending = Some(PendingIteration { loss });
         let lbs = worker.lbs;
         let iter = worker.iteration;

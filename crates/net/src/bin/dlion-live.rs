@@ -107,25 +107,7 @@ fn parse_cli(mut args: Args) -> Result<Cli, UsageError> {
                 "explicit addresses need --transport procs (tcp/mem run in-process)",
             ));
         }
-        // Peer addresses are HOSTS: with `--virtual R` each carries R
-        // ranks, so the list either matches the spec's host count or
-        // (without an explicit --workers) defines it.
-        if workers_given {
-            if peers.len() != cli.spec.host_count() {
-                return Err(UsageError::new(
-                    "--peers",
-                    format!(
-                        "{} addresses but --workers {} --virtual {} needs {} hosts",
-                        peers.len(),
-                        cli.spec.workers,
-                        cli.spec.virtual_ranks,
-                        cli.spec.host_count()
-                    ),
-                ));
-            }
-        } else {
-            cli.spec.workers = peers.len() * cli.spec.virtual_ranks;
-        }
+        cli.spec.size_from_peers(peers.len(), workers_given)?;
     }
     cli.spec.validate()?;
     Ok(cli)
@@ -252,7 +234,10 @@ fn main() {
     let workers = spec.workers;
 
     let mut cfg = live_config(spec.system, spec.seed);
-    spec.configure(&mut cfg);
+    spec.configure(&mut cfg).unwrap_or_else(|e| {
+        eprintln!("dlion-live: {e}");
+        usage();
+    });
     let opts = LiveOpts::from_spec(spec);
 
     dlion_telemetry::init_from_env("info");
@@ -260,9 +245,9 @@ fn main() {
     dlion_telemetry::info!(target: "dlion_live",
         "running {} on {workers} live workers ({}, {} per host) for {} iterations ...",
         spec.system.name(), cli.transport, spec.virtual_ranks, opts.iters);
-    if !opts.fault.is_empty() {
+    if !cfg.fault.is_empty() {
         dlion_telemetry::info!(target: "dlion_live",
-            "fault plan: {}", opts.fault.render());
+            "fault plan: {}", cfg.fault.render());
     }
 
     let m = match cli.transport.as_str() {

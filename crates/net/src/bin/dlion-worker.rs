@@ -22,22 +22,20 @@
 //! host count — handy on one machine, meaningless across several.
 //!
 //! Every process rebuilds the *whole* deterministic cluster from the
-//! shared [`RunSpec`] flags (`build_cluster` is a pure function of the
-//! config) and takes the rank slots its host id names — so all processes
+//! shared [`RunSpec`] flags ([`LiveCluster::new`] is a pure function of
+//! the config) and runs the rank slots its host id names — so all processes
 //! agree on every worker's shard, initial weights and RNG stream without
 //! any central coordinator. With a `--kill` plan naming a hosted rank,
 //! that rank departs at the planned iteration (exit code 0, outcome
 //! marked departed) — the chaos harness for churn testing.
 
 use dlion_core::args::RunSpec;
-use dlion_core::cluster::ClusterInit;
-use dlion_core::{build_cluster, Args, UsageError};
+use dlion_core::{Args, UsageError};
 use dlion_net::{
-    link_masks, live_config, loopback_addrs, parse_peers, run_worker, LiveError, LiveOpts,
-    RankHost, RankLayout, TcpOpts, TcpTransport, WorkerEnv, WorkerOutcome,
+    live_config, loopback_addrs, parse_peers, LiveCluster, LiveError, LiveOpts, TcpTransport,
+    VirtualPlan,
 };
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
 
 #[derive(Debug)]
 struct Cli {
@@ -75,35 +73,15 @@ fn parse_cli(mut args: Args) -> Result<Cli, UsageError> {
     let id = id.ok_or_else(|| UsageError::new("--id", "required"))?;
     let addrs = match peers {
         Some(addrs) => {
-            // --peers names hosts; with --workers given too, the host
-            // count (not the rank count) must match the list.
-            if workers_given && addrs.len() != spec.host_count() {
-                return Err(UsageError::new(
-                    "--peers",
-                    format!(
-                        "{} addresses but the spec spans {} hosts ({} workers / {} per host)",
-                        addrs.len(),
-                        spec.host_count(),
-                        spec.workers,
-                        spec.virtual_ranks
-                    ),
-                ));
-            }
-            if !workers_given {
-                // The peer list itself sizes the cluster: one host per
-                // address, `virtual` ranks per host.
-                spec.workers = addrs.len() * spec.virtual_ranks;
-            }
+            spec.size_from_peers(addrs.len(), workers_given)?;
             addrs
         }
+        None if workers_given => loopback_addrs(spec.host_count(), port_base),
         None => {
-            if !workers_given {
-                return Err(UsageError::new(
-                    "--workers",
-                    "required unless --peers is given",
-                ));
-            }
-            loopback_addrs(spec.host_count(), port_base)
+            return Err(UsageError::new(
+                "--workers",
+                "required unless --peers is given",
+            ))
         }
     };
     spec.validate()?;
@@ -139,11 +117,18 @@ fn main() {
         usage();
     });
     let spec = &cli.spec;
-    let (host, n) = (cli.id, spec.workers);
+    let host = cli.id;
 
     let mut cfg = live_config(spec.system, spec.seed);
-    spec.configure(&mut cfg);
+    spec.configure(&mut cfg).unwrap_or_else(|e| {
+        eprintln!("dlion-worker: {e}");
+        usage();
+    });
     let opts = LiveOpts::from_spec(spec);
+    let plan = VirtualPlan {
+        ranks_per_host: spec.virtual_ranks,
+        migrate: Vec::new(),
+    };
 
     dlion_telemetry::init_from_env("info");
     if let Some(path) = &spec.trace_out {
@@ -154,95 +139,25 @@ fn main() {
         eprintln!("dlion-worker: cannot bind {}: {e}", cli.addrs[host]);
         std::process::exit(1);
     });
-
-    let ClusterInit {
-        workers,
-        data,
-        eval_indices,
-        schedule,
-        total_params,
-        bytes_per_param,
-        prof_rng: _,
-    } = build_cluster(&cfg, n);
-    // Every process computes the same symmetric masks from the shared
-    // flags, so both endpoints of every kept link agree it exists.
-    let masks = link_masks(&schedule, &cfg, &opts, n);
-    let layout = RankLayout::even(n, spec.virtual_ranks);
-    let host_masks = layout.host_links(&masks);
-    let tcp_opts = TcpOpts {
-        // A host link multiplexes up to R×R rank pairs plus their route
-        // markers; scale the per-link backpressure budget to match.
-        queue_cap: if spec.virtual_ranks > 1 {
-            opts.queue_cap * spec.virtual_ranks * spec.virtual_ranks * 2
-        } else {
-            opts.queue_cap
-        },
-        establish_timeout: opts.stall_timeout,
-        peer_timeout: opts.peer_timeout,
-        clock: Arc::clone(&opts.clock),
-        instrument: opts.health_interval.is_some(),
-        // Flat runs (--virtual 1) speak the classic 16-byte Hello.
-        ranks: (spec.virtual_ranks > 1).then(|| Arc::new(layout.hello_blocks())),
+    let fail = |what: &str, e: LiveError| -> ! {
+        eprintln!("dlion-worker {host}: {what}: {e}");
+        std::process::exit(1);
     };
-    let mut transport = TcpTransport::establish_linked(
+
+    // Every process builds the identical cluster from the shared flags
+    // and runs the rank slots its host id names.
+    let cluster = LiveCluster::new(&cfg, spec.workers, &plan, &opts, &cli.env_label)
+        .unwrap_or_else(|e| fail("bad placement", e));
+    let transport = TcpTransport::establish_linked(
         host,
         listener,
         &cli.addrs,
         spec.seed,
-        &tcp_opts,
-        &host_masks[host],
+        &cluster.tcp_opts(),
+        &cluster.host_links()[host],
     )
-    .unwrap_or_else(|e| {
-        eprintln!("dlion-worker {host}: mesh setup failed: {e}");
-        std::process::exit(1);
-    });
-
-    // Pick out this host's rank slots; every other slot stays behind.
-    let mut slots: Vec<Option<dlion_core::worker::Worker>> =
-        workers.into_iter().map(Some).collect();
-    let make_env = |rank: usize| WorkerEnv {
-        cfg: &cfg,
-        opts: &opts,
-        data: &data,
-        eval_indices: &eval_indices,
-        schedule: Arc::clone(&schedule),
-        links: masks[rank].clone(),
-        total_params,
-        bytes_per_param,
-        clock: Arc::clone(&opts.clock),
-        env_label: cli.env_label.clone(),
-    };
-    let results: Vec<Result<WorkerOutcome, LiveError>> = if spec.virtual_ranks == 1 {
-        // Classic flat path: the process IS its one rank — the worker
-        // drives the socket mesh directly (no route markers, and the
-        // transport's link-health instrumentation feeds the health
-        // plane unwrapped).
-        let worker = slots[host].take().expect("host is its own rank");
-        let env = make_env(host);
-        vec![run_worker(worker, &env, &mut transport)]
-    } else {
-        let (rank_host, endpoints) = RankHost::new(host, Box::new(transport), &layout);
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .map(|mut ep| {
-                    let rank = ep.rank();
-                    let worker = slots[rank].take().expect("rank hosted once");
-                    let env = make_env(rank);
-                    s.spawn(move || run_worker(worker, &env, &mut ep))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(LiveError::Protocol("rank thread panicked".into())),
-                })
-                .collect()
-        });
-        drop(rank_host); // joins the pump, flushing final frames
-        results
-    };
+    .unwrap_or_else(|e| fail("mesh setup failed", e));
+    let results = cluster.run_hosts(vec![(host, Box::new(transport))]);
     if spec.trace_out.is_some() {
         dlion_telemetry::stop_trace();
     }

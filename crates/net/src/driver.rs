@@ -62,12 +62,12 @@ use dlion_core::config::RunConfig;
 use dlion_core::gbs::GbsController;
 use dlion_core::lbs::{compute_rcp, partition_gbs, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
-    apply_wire_format, decode_frame, decode_frame_header, decode_wire, encode_frame, wire_label,
-    Payload, WireCfg, WireFormat, DEFAULT_CHUNK_BYTES,
+    apply_wire_format, decode_frame, decode_frame_header, decode_wire, encode_frame,
+    trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat,
 };
 use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
-use dlion_core::{Effect, ExchangeTransport, FaultPlan, Membership, TransportError};
+use dlion_core::{Effect, ExchangeTransport, Membership, TransportError};
 use dlion_nn::Dataset;
 use dlion_telemetry::{event, Histogram};
 use dlion_tensor::{DetRng, Tensor};
@@ -86,8 +86,12 @@ const POLL: Duration = Duration::from_millis(20);
 const EWMA_ALPHA: f64 = 0.2;
 
 /// Knobs of a live run that have no [`RunConfig`] counterpart — they
-/// describe the *execution*, not the training problem.
-#[derive(Clone)]
+/// describe the *execution*, not the training problem. Everything both
+/// backends must agree on (wire format, fault plan, straggle factors,
+/// topology, …) lives in the [`RunConfig`] and is read from there by the
+/// simulator and the live driver alike, so a live run cannot be
+/// configured apart from its simulated twin.
+#[derive(Clone, Debug)]
 pub struct LiveOpts {
     /// Iterations each worker runs before entering the shutdown barrier.
     pub iters: u64,
@@ -108,10 +112,6 @@ pub struct LiveOpts {
     /// Abort if no progress (no frame received, no iteration startable)
     /// for this long.
     pub stall_timeout: Duration,
-    /// Deterministic fault injection: which workers leave, when, and
-    /// whether they rejoin (`--kill`). Every worker receives the full
-    /// plan, so survivors seed their renormalization ledger from it.
-    pub fault: FaultPlan,
     /// Per-peer receive timeout for the TCP transport (`None` = never) —
     /// surfaces a wedged-but-connected peer as a departure.
     pub peer_timeout: Option<Duration>,
@@ -119,10 +119,6 @@ pub struct LiveOpts {
     /// dynamic-batching systems — the pre-controller live behaviour.
     /// Startup profiling still assigns proportional LBS shares.
     pub gbs_static: bool,
-    /// Gradient wire format (`--wire`): how dense gradient bodies are
-    /// encoded on the wire. Weights and control payloads always travel
-    /// full-precision regardless.
-    pub wire: WireFormat,
     /// Chunk size for streamed frames (`--chunk-bytes`): bodies larger
     /// than this go out as chunked streams, verified chunk-by-chunk.
     pub chunk_bytes: usize,
@@ -139,53 +135,12 @@ pub struct LiveOpts {
     /// function of the iteration schedule, testable on a `ManualClock`
     /// with zero sleeps.
     pub health_interval: Option<f64>,
-    /// Deterministic straggler injection (`--straggle W:F`): worker `W`'s
-    /// effective iteration time is multiplied by `F` on the training
-    /// clock (its `dt`, after `assumed_iter_time` pinning). Under a
-    /// pinned time this makes `W` a reproducible straggler — its
-    /// iteration rate drops by exactly `F` — without perturbing anyone
-    /// else: a factor of 1.0 is an exact float no-op.
-    pub straggle: Vec<(usize, f64)>,
 }
 
 impl Default for LiveOpts {
+    /// The CLI defaults: one set of default values, [`RunSpec`]'s.
     fn default() -> Self {
-        LiveOpts {
-            iters: 30,
-            eval_every: 0,
-            queue_cap: 64,
-            bw_mbps: 1000.0,
-            assumed_iter_time: None,
-            stall_timeout: Duration::from_secs(60),
-            fault: FaultPlan::default(),
-            peer_timeout: None,
-            gbs_static: false,
-            wire: WireFormat::Dense,
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
-            clock: Arc::new(SystemClock::new()),
-            health_interval: None,
-            straggle: Vec::new(),
-        }
-    }
-}
-
-impl std::fmt::Debug for LiveOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiveOpts")
-            .field("iters", &self.iters)
-            .field("eval_every", &self.eval_every)
-            .field("queue_cap", &self.queue_cap)
-            .field("bw_mbps", &self.bw_mbps)
-            .field("assumed_iter_time", &self.assumed_iter_time)
-            .field("stall_timeout", &self.stall_timeout)
-            .field("fault", &self.fault)
-            .field("peer_timeout", &self.peer_timeout)
-            .field("gbs_static", &self.gbs_static)
-            .field("wire", &self.wire)
-            .field("chunk_bytes", &self.chunk_bytes)
-            .field("health_interval", &self.health_interval)
-            .field("straggle", &self.straggle)
-            .finish_non_exhaustive()
+        LiveOpts::from_spec(&RunSpec::default())
     }
 }
 
@@ -195,16 +150,10 @@ impl std::fmt::Debug for LiveOpts {
 pub use dlion_core::args::parse_straggle;
 
 impl LiveOpts {
-    /// The live-execution knobs a [`RunSpec`] carries. The clock stays at
-    /// its default (`SystemClock`); tests inject manual clocks directly.
+    /// The live-execution knobs a [`RunSpec`] carries; everything else
+    /// reaches the run through [`RunSpec::configure`]. The clock is a fresh
+    /// `SystemClock`; tests inject manual clocks directly.
     pub fn from_spec(spec: &RunSpec) -> LiveOpts {
-        // `--scenario` expands to the same fault/straggle plan in every
-        // process that parses the argv (RunSpec::chaos is pure in the
-        // spec); a bad scenario is caught by `spec.validate()` before
-        // any binary reaches this point.
-        let (fault, straggle) = spec
-            .chaos()
-            .unwrap_or_else(|e| panic!("invalid --scenario (validate first): {e}"));
         LiveOpts {
             iters: spec.iters,
             eval_every: spec.eval_every,
@@ -212,14 +161,11 @@ impl LiveOpts {
             bw_mbps: spec.bw_mbps,
             assumed_iter_time: spec.assumed_iter_time,
             stall_timeout: Duration::from_secs_f64(spec.stall_secs),
-            fault,
             peer_timeout: spec.peer_timeout.map(Duration::from_secs_f64),
             gbs_static: spec.gbs_static,
-            wire: spec.wire,
             chunk_bytes: spec.chunk_bytes,
             health_interval: spec.health_interval,
-            straggle,
-            ..LiveOpts::default()
+            clock: Arc::new(SystemClock::new()),
         }
     }
 }
@@ -421,6 +367,7 @@ impl WorkerOutcome {
 
     /// Parse [`WorkerOutcome::to_json`] output.
     pub fn from_json(line: &str) -> Result<WorkerOutcome, String> {
+        use dlion_telemetry::json::Json;
         let v = dlion_telemetry::json::parse(line)?;
         let num = |key: &str| {
             v.get(key)
@@ -440,39 +387,35 @@ impl WorkerOutcome {
             weight_bytes: num("weight_bytes")?,
             control_bytes: num("control_bytes")?,
             net_overhead_bytes: num("net_overhead_bytes")?,
-            departed: matches!(
-                v.get("departed"),
-                Some(dlion_telemetry::json::Json::Bool(true))
-            ),
+            train_secs: num("train_secs")?,
+            health_rounds: int("health_rounds")?,
+            health_frames_recv: int("health_frames_recv")?,
+            sendq_hw: int("sendq_hw")?,
+            deferred_hw: int("deferred_hw")?,
+            scratch_hw: int("scratch_hw")?,
+            departed: matches!(v.get("departed"), Some(Json::Bool(true))),
             ..Default::default()
         };
-        // Health-plane fields default to zero so pre-health outcome lines
-        // (older workers, hand-written fixtures) still parse.
-        let opt = |key: &str| v.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0);
-        out.train_secs = opt("train_secs");
-        out.health_rounds = opt("health_rounds") as u64;
-        out.health_frames_recv = opt("health_frames_recv") as u64;
-        out.sendq_hw = opt("sendq_hw") as u64;
-        out.deferred_hw = opt("deferred_hw") as u64;
-        out.scratch_hw = opt("scratch_hw") as u64;
-        if let Some(dlion_telemetry::json::Json::Arr(ids)) = v.get("silent_flagged") {
-            for p in ids {
-                out.silent_flagged
-                    .push(p.as_f64().ok_or("bad silent_flagged id")? as usize);
-            }
-        }
-        if let Some(dlion_telemetry::json::Json::Obj(buckets)) = v.get("wire_bytes_by_kind") {
-            for (label, val) in buckets {
-                let b = val
-                    .as_f64()
-                    .ok_or_else(|| format!("bad wire_bytes_by_kind[{label}]"))?;
-                out.wire_bytes_by_kind.insert(label.clone(), b);
-            }
-        }
-        let Some(dlion_telemetry::json::Json::Arr(evals)) = v.get("evals") else {
-            return Err("missing evals".into());
+        // Parent and child are always the same build: every field
+        // `to_json` writes is required.
+        let arr = |key: &str| match v.get(key) {
+            Some(Json::Arr(items)) => Ok(items),
+            _ => Err(format!("missing {key}")),
         };
-        for e in evals {
+        for p in arr("silent_flagged")? {
+            out.silent_flagged
+                .push(p.as_f64().ok_or("bad silent_flagged id")? as usize);
+        }
+        let Some(Json::Obj(buckets)) = v.get("wire_bytes_by_kind") else {
+            return Err("missing wire_bytes_by_kind".into());
+        };
+        for (label, val) in buckets {
+            let b = val
+                .as_f64()
+                .ok_or_else(|| format!("bad wire_bytes_by_kind[{label}]"))?;
+            out.wire_bytes_by_kind.insert(label.clone(), b);
+        }
+        for e in arr("evals")? {
             let num = |key: &str| {
                 e.get(key)
                     .and_then(|x| x.as_f64())
@@ -485,34 +428,29 @@ impl WorkerOutcome {
                 loss: num("loss")?,
             });
         }
-        use dlion_telemetry::json::Json;
-        if let Some(Json::Arr(rows)) = v.get("gbs_trace") {
-            for row in rows {
-                let pair = match row {
-                    Json::Arr(p) if p.len() == 2 => p,
-                    _ => return Err("bad gbs_trace row".into()),
-                };
-                let t = pair[0].as_f64().ok_or("bad gbs_trace time")?;
-                let g = pair[1].as_f64().ok_or("bad gbs_trace value")?;
-                out.gbs_trace.push((t, g as usize));
-            }
+        for row in arr("gbs_trace")? {
+            let pair = match row {
+                Json::Arr(p) if p.len() == 2 => p,
+                _ => return Err("bad gbs_trace row".into()),
+            };
+            let t = pair[0].as_f64().ok_or("bad gbs_trace time")?;
+            let g = pair[1].as_f64().ok_or("bad gbs_trace value")?;
+            out.gbs_trace.push((t, g as usize));
         }
-        if let Some(Json::Arr(rows)) = v.get("lbs_trace") {
-            for row in rows {
-                let pair = match row {
-                    Json::Arr(p) if p.len() == 2 => p,
-                    _ => return Err("bad lbs_trace row".into()),
-                };
-                let t = pair[0].as_f64().ok_or("bad lbs_trace time")?;
-                let Json::Arr(ps) = &pair[1] else {
-                    return Err("bad lbs_trace shares".into());
-                };
-                let mut parts = Vec::with_capacity(ps.len());
-                for p in ps {
-                    parts.push(p.as_f64().ok_or("bad lbs_trace share")? as usize);
-                }
-                out.lbs_trace.push((t, parts));
+        for row in arr("lbs_trace")? {
+            let pair = match row {
+                Json::Arr(p) if p.len() == 2 => p,
+                _ => return Err("bad lbs_trace row".into()),
+            };
+            let t = pair[0].as_f64().ok_or("bad lbs_trace time")?;
+            let Json::Arr(ps) = &pair[1] else {
+                return Err("bad lbs_trace shares".into());
+            };
+            let mut parts = Vec::with_capacity(ps.len());
+            for p in ps {
+                parts.push(p.as_f64().ok_or("bad lbs_trace share")? as usize);
             }
+            out.lbs_trace.push((t, parts));
         }
         Ok(out)
     }
@@ -578,8 +516,8 @@ struct LiveWorker<'a, 'b> {
     /// EWMA of this worker's measured throughput, in samples/sec;
     /// `0` until the first iteration completes.
     ewma_rate: f64,
-    /// This worker's [`LiveOpts::straggle`] factor (1.0 = none): the
-    /// effective `dt` multiplier applied in [`LiveWorker::step`].
+    /// This worker's `cfg.straggle` factor (1.0 = none): the effective
+    /// `dt` multiplier applied in [`LiveWorker::step`].
     straggle: f64,
     /// Health report rounds completed (round `r` fires when `train_secs`
     /// crosses `r × health_interval`; same scheme as `gbs_round`).
@@ -610,7 +548,7 @@ struct LiveWorker<'a, 'b> {
     /// share — all `initial_lbs` until a profiling round repartitions.
     members: Membership,
     /// Wire encoding in force for every training payload this worker
-    /// sends ([`LiveOpts::wire`] + [`LiveOpts::chunk_bytes`]).
+    /// sends (`cfg.wire` + [`LiveOpts::chunk_bytes`]).
     wire_cfg: WireCfg,
     /// Reusable reassembly buffer for inbound chunked streams
     /// (`decode_wire` scratch).
@@ -942,23 +880,11 @@ impl LiveWorker<'_, '_> {
     /// no virtual completion time).
     fn step(&mut self) -> Result<(), LiveError> {
         let me = self.me;
-        let cfg = self.env.cfg;
         let t0 = self.env.clock.now();
-        let batch = self.worker.sample_batch();
-        let (x, y) = self
-            .env
-            .data
-            .batch_scratch(&batch, &mut self.worker.scratch);
-        let Worker {
-            model,
-            scratch,
-            grads,
-            ..
-        } = &mut self.worker;
-        let loss = model.forward_backward_scratch(x, &y, scratch, grads);
-        for g in self.worker.grads.iter_mut() {
-            g.clip_inplace(cfg.grad_clip);
-        }
+        self.worker.sample_batch_reuse();
+        let loss = self
+            .worker
+            .compute_grads(self.env.data, self.env.cfg.grad_clip);
         let measured = (self.env.clock.now() - t0).max(1e-6);
         // `--straggle` skews the *effective* iteration time; ×1.0 is an
         // exact float no-op, so unskewed workers are byte-identical to a
@@ -1037,21 +963,14 @@ impl LiveWorker<'_, '_> {
         let mut prng = DetRng::seed_from_u64(self.env.cfg.seed ^ 0x5052_4F46 ^ self.me as u64);
         let mut samples = Vec::with_capacity(PROFILE_LBS.len());
         for &lbs in PROFILE_LBS.iter() {
-            let batch: Vec<usize> = (0..lbs)
-                .map(|_| self.worker.shard[prng.index(self.worker.shard.len())])
-                .collect();
-            let (x, y) = self
-                .env
-                .data
-                .batch_scratch(&batch, &mut self.worker.scratch);
             let Worker {
-                model,
-                scratch,
-                grads,
-                ..
+                batch_buf, shard, ..
             } = &mut self.worker;
+            batch_buf.clear();
+            batch_buf.extend((0..lbs).map(|_| shard[prng.index(shard.len())]));
             let t0 = self.env.clock.now();
-            let _ = model.forward_backward_scratch(x, &y, scratch, grads);
+            self.worker
+                .compute_grads(self.env.data, self.env.cfg.grad_clip);
             samples.push((lbs as f64, (self.env.clock.now() - t0).max(1e-6)));
         }
         let rcp = compute_rcp(&samples);
@@ -1536,36 +1455,17 @@ impl LiveWorker<'_, '_> {
         self.out.iterations = self.worker.iteration;
         self.out.wall_secs = self.now();
         self.finish_health();
-        self.emit_wire_bytes_event();
+        trace_wire_bytes(self.now(), Some(self.me), &self.out.wire_bytes_by_kind);
         event!(self.out.wall_secs, w: self.me, "run_end";
             "iterations" => self.out.iterations, "departed" => true);
         self.out
-    }
-
-    /// Trace the encoded bytes-on-the-wire ledger, one fixed key per
-    /// wire label so sim and live rows line up column-for-column.
-    fn emit_wire_bytes_event(&self) {
-        let b = |label: &str| {
-            self.out
-                .wire_bytes_by_kind
-                .get(label)
-                .copied()
-                .unwrap_or(0.0)
-        };
-        event!(self.now(), w: self.me, "wire_bytes_by_kind";
-            "grad_dense" => b("grad_dense"),
-            "grad_sparse" => b("grad_sparse"),
-            "grad_fp16" => b("grad_fp16"),
-            "grad_int8" => b("grad_int8"),
-            "weights" => b("weights"),
-            "control" => b("control"));
     }
 }
 
 /// Run one live worker to completion: startup profiling (dynamic-batching
 /// systems), `opts.iters` training iterations gated by the sync policy,
 /// then the Done shutdown barrier and a final evaluation. A worker named
-/// in `opts.fault` leaves at its planned iteration (and rejoins through
+/// in `cfg.fault` leaves at its planned iteration (and rejoins through
 /// the late-Hello → Catchup → DKT-pull path if the plan says so).
 pub fn run_worker(
     worker: Worker,
@@ -1580,12 +1480,12 @@ pub fn run_worker(
     let _scope = dlion_telemetry::run_scope(&system, &scope_env, env.cfg.seed);
 
     let mut departed_at = vec![None; n];
-    for kill in &env.opts.fault.kills {
+    for kill in &env.cfg.fault.kills {
         if kill.worker < n {
             departed_at[kill.worker] = Some(kill.at_iter);
         }
     }
-    let mut pending_kill = env.opts.fault.kill_of(me);
+    let mut pending_kill = env.cfg.fault.kill_of(me);
 
     // Same construction as the simulator's (`ClusterRunner::new`), with
     // one extra gate: `--gbs-static` freezes the GBS at its initial value
@@ -1598,7 +1498,7 @@ pub fn run_worker(
         )
     });
     let straggle = env
-        .opts
+        .cfg
         .straggle
         .iter()
         .find(|(w, _)| *w == me)
@@ -1622,7 +1522,7 @@ pub fn run_worker(
             lbs_of: vec![env.cfg.initial_lbs; n],
         },
         wire_cfg: WireCfg {
-            format: env.opts.wire,
+            format: env.cfg.wire,
             chunk_bytes: env.opts.chunk_bytes,
         },
         wire_scratch: Vec::new(),
@@ -1763,7 +1663,7 @@ pub fn run_worker(
         lw.out.final_weights = Some(lw.worker.model.weights());
     }
     lw.finish_health();
-    lw.emit_wire_bytes_event();
+    trace_wire_bytes(lw.now(), Some(me), &lw.out.wire_bytes_by_kind);
     event!(lw.out.wall_secs, w: me, "run_end";
         "iterations" => lw.out.iterations,
         "grad_bytes" => lw.out.grad_bytes,
@@ -1855,20 +1755,5 @@ mod tests {
     fn outcome_json_rejects_garbage() {
         assert!(WorkerOutcome::from_json("not json").is_err());
         assert!(WorkerOutcome::from_json("{\"id\":1}").is_err());
-    }
-
-    #[test]
-    fn pre_health_outcome_lines_still_parse() {
-        // A line without any health-plane fields (the pre-health wire
-        // format) must default them rather than fail.
-        let line = "{\"id\":0,\"iterations\":5,\"msgs_sent\":1,\"msgs_recv\":1,\
-                    \"dkt_merges\":0,\"departed\":false,\"busy_secs\":1.0,\
-                    \"wall_secs\":2.0,\"grad_bytes\":10.0,\"weight_bytes\":0.0,\
-                    \"control_bytes\":0.0,\"net_overhead_bytes\":0.0,\
-                    \"evals\":[]}";
-        let out = WorkerOutcome::from_json(line).unwrap();
-        assert_eq!(out.train_secs, 0.0);
-        assert_eq!(out.health_rounds, 0);
-        assert!(out.silent_flagged.is_empty());
     }
 }

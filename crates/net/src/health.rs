@@ -24,14 +24,7 @@ use crate::LiveError;
 /// Wire labels of the byte ledger carried in a [`WorkerStats`] report, in
 /// body order — the same six fixed keys as the `wire_bytes_by_kind` trace
 /// event, so dashboard columns line up with the ledger everywhere else.
-pub const WIRE_LABELS: [&str; 6] = [
-    "grad_dense",
-    "grad_sparse",
-    "grad_fp16",
-    "grad_int8",
-    "weights",
-    "control",
-];
+pub use dlion_core::messages::WIRE_LABELS;
 
 /// One worker's periodic health report — the body of a
 /// [`crate::KIND_STATS`] frame.

@@ -6,7 +6,7 @@
 //! `dlion_core::messages` — no virtual clock, no discrete-event queue.
 //!
 //! The exchange logic is *identical* to the simulator's: both backends
-//! build their cluster through [`dlion_core::build_cluster`], both drive
+//! build their cluster through `dlion_core::build_cluster`, both drive
 //! the same [`dlion_core::ExchangeStrategy`] plugins, the same
 //! [`dlion_core::SyncState`] gating, the same weighted update and the same
 //! DKT state machine. The only difference is what carries a
@@ -21,11 +21,19 @@
 //! * [`driver`] — the per-worker training loop (compute → apply own →
 //!   send → block per sync policy), plus the startup LBS profiling round
 //!   and the Done-barrier shutdown protocol.
-//! * [`tcp`] — [`tcp::TcpTransport`]: full-mesh establishment with a
-//!   Hello handshake, per-peer writer threads with bounded backpressure
-//!   queues, reader threads feeding one shared inbox.
-//! * [`live`] — the orchestrator: build the cluster once, spawn one
-//!   thread per worker over TCP or in-memory channels, assemble the same
+//! * [`tcp`] — [`tcp::TcpTransport`]: mesh establishment with a Hello
+//!   handshake through the one acceptor the transport keeps for its whole
+//!   life (establishment joins and late rejoins share it), per-peer writer
+//!   threads with bounded backpressure queues, reader threads feeding one
+//!   shared inbox.
+//! * [`live`] — the one assembly of a live run: [`live::LiveCluster`]
+//!   builds the cluster from the [`dlion_core::RunConfig`] (the run's only
+//!   description — [`LiveOpts`] adds execution knobs, nothing the
+//!   simulator also reads), places ranks on hosts, and runs the ranks of
+//!   the hosts it is handed — all of them in-process for
+//!   [`run_live`]/[`run_live_virtual`], one per `dlion-worker` process —
+//!   directly on the transport or through a [`rankhost::RankHost`] as the
+//!   layout dictates; outcomes fold into the same
 //!   [`dlion_core::RunMetrics`] the simulator reports.
 //! * [`health`] — the cluster health plane: the [`KIND_STATS`] report
 //!   codec and the [`health::HealthAggregator`] that merges per-worker
@@ -61,8 +69,8 @@ pub mod tcp;
 pub use driver::{parse_straggle, run_worker, EvalPoint, LiveOpts, WorkerEnv, WorkerOutcome};
 pub use health::{parse_stats, stats_body, HealthAggregator, WorkerStats, STATS_BODY_BYTES};
 pub use live::{
-    assemble_metrics, link_masks, live_config, run_live, run_live_virtual, TransportKind,
-    VirtualPlan,
+    assemble_metrics, link_masks, live_config, run_live, run_live_virtual, LiveCluster,
+    TransportKind, VirtualPlan,
 };
 pub use rankhost::{RankEndpoint, RankHost, RankHostHandle, RankLayout};
 pub use tcp::{

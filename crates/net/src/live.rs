@@ -1,14 +1,18 @@
-//! The live orchestrator: build the cluster once (through the same
-//! [`build_cluster`] the simulator uses), run every worker on its own
-//! thread over a chosen transport, and assemble the per-worker outcomes
+//! The live orchestrator — the one place a live run is assembled
+//! (DESIGN.md §4m). [`LiveCluster`] builds the cluster once (through the
+//! same [`build_cluster`] the simulator uses), places its ranks on hosts,
+//! and runs "the ranks homed on these hosts over these host transports":
+//! all hosts in this process for [`run_live`] / [`run_live_virtual`], one
+//! host per OS process for `dlion-worker`. The per-worker outcomes fold
 //! into the same [`RunMetrics`] the simulator reports — so the report,
 //! CSV and comparison tooling work unchanged on live runs.
 
 use crate::driver::{run_worker, LiveOpts, WorkerEnv, WorkerOutcome};
-use crate::rankhost::{RankEndpoint, RankHost, RankLayout};
+use crate::rankhost::{RankHost, RankLayout};
 use crate::tcp::{loopback_mesh, TcpOpts};
 use crate::LiveError;
 use dlion_core::cluster::ClusterInit;
+use dlion_core::worker::Worker;
 use dlion_core::{
     build_cluster, ExchangeTransport, HealthSummary, RunConfig, RunMetrics, SystemKind,
     TopologySchedule,
@@ -56,7 +60,7 @@ pub fn link_masks(
 ) -> Vec<Vec<bool>> {
     let all_to_all = cfg.system.dynamic_batching()
         || opts.health_interval.is_some()
-        || !opts.fault.kills.is_empty();
+        || !cfg.fault.kills.is_empty();
     (0..n)
         .map(|w| {
             if all_to_all {
@@ -68,100 +72,17 @@ pub fn link_masks(
         .collect()
 }
 
-/// Run `n` live workers to completion over the chosen transport and
-/// return the assembled metrics. `env_label` names the run in reports and
-/// telemetry (e.g. `live/3w`).
-pub fn run_live(
-    cfg: &RunConfig,
-    n: usize,
-    opts: &LiveOpts,
-    kind: TransportKind,
-    env_label: &str,
-) -> Result<RunMetrics, LiveError> {
-    let ClusterInit {
-        workers,
-        data,
-        eval_indices,
-        schedule,
-        total_params,
-        bytes_per_param,
-        prof_rng: _, // live profiling measures real wall clock, no noise RNG
-    } = build_cluster(cfg, n);
-    let masks = link_masks(&schedule, cfg, opts, n);
-
-    let transports: Vec<Box<dyn ExchangeTransport>> = match kind {
-        TransportKind::Mem => dlion_core::mem_mesh(n)
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn ExchangeTransport>)
-            .collect(),
-        TransportKind::Tcp => {
-            let tcp_opts = TcpOpts {
-                queue_cap: opts.queue_cap,
-                establish_timeout: opts.stall_timeout,
-                peer_timeout: opts.peer_timeout,
-                clock: Arc::clone(&opts.clock),
-                // The health plane wants per-link lifecycle latency; when
-                // it is off the transport pays zero instrumentation cost.
-                instrument: opts.health_interval.is_some(),
-                ranks: None,
-            };
-            // Only the links the mask names are dialed: topology is a
-            // connection-count saving, not just a send-count one.
-            loopback_mesh(n, cfg.seed, &tcp_opts, Some(&masks))?
-                .into_iter()
-                .map(|t| Box::new(t) as Box<dyn ExchangeTransport>)
-                .collect()
-        }
-    };
-
-    let results: Vec<Result<WorkerOutcome, LiveError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .zip(transports)
-            .map(|(worker, mut transport)| {
-                let env = WorkerEnv {
-                    cfg,
-                    opts,
-                    data: &data,
-                    eval_indices: &eval_indices,
-                    schedule: Arc::clone(&schedule),
-                    links: masks[worker.id].clone(),
-                    total_params,
-                    bytes_per_param,
-                    clock: Arc::clone(&opts.clock),
-                    env_label: env_label.to_string(),
-                };
-                s.spawn(move || run_worker(worker, &env, transport.as_mut()))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(LiveError::Protocol("worker thread panicked".into())),
-            })
-            .collect()
-    });
-    let mut outcomes = Vec::with_capacity(n);
-    for r in results {
-        outcomes.push(r?);
-    }
-    Ok(assemble_metrics(cfg, env_label, outcomes))
-}
-
-/// Placement plan for a virtual-rank run (`--virtual R`): how many ranks
-/// each host (OS process / transport endpoint) carries, plus optional
-/// mid-run migrations.
+/// Placement plan for a live run: how many ranks each host (OS process /
+/// transport endpoint) carries, plus optional mid-run migrations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VirtualPlan {
-    /// Ranks per host; the last host takes the remainder. `1` is a flat
-    /// run (one rank per host — [`run_live_virtual`] delegates to
-    /// [`run_live`] when no migrations are planned).
+    /// Ranks per host (`--virtual R`); the last host takes the remainder.
+    /// `1` is the flat plan: one rank per host.
     pub ranks_per_host: usize,
     /// `(rank, destination host)`: when the rank departs (a `--kill
     /// r@i` with a rejoin window), it re-homes onto the destination
     /// host instead of rejoining where it started — the mid-run
-    /// migration path. Requires a matching kill in `opts.fault`, since
+    /// migration path. Requires a matching kill in `cfg.fault`, since
     /// re-homing piggybacks on the Leave frame.
     pub migrate: Vec<(usize, usize)>,
 }
@@ -175,12 +96,213 @@ impl VirtualPlan {
     }
 }
 
-/// Run `n` virtual ranks multiplexed over `ceil(n / ranks_per_host)`
-/// host transports — e.g. a 64-rank cluster on 4 OS processes' worth of
-/// endpoints. Every rank still runs the full [`run_worker`] driver on
-/// its own thread; only the wire is shared (see [`crate::rankhost`]).
-/// Under strict BSP the result is bit-identical to [`run_live`] with
-/// one transport per worker, and to the simulator.
+/// Does every rank drive its host transport directly, or through a
+/// [`RankHost`]? Direct needs the transport to *be* rank space — the
+/// identity layout (host `h` homes exactly rank `h`) with no migration
+/// armed; anything else multiplexes. The choice is cluster-wide, not
+/// per host: it decides whether links carry route markers and ranked
+/// Hellos, so both ends of every link must make it the same way (a
+/// remainder host that happens to home a single rank still routes).
+fn runs_direct(layout: &RankLayout, migrate: &[(usize, usize)]) -> bool {
+    migrate.is_empty() && layout.host_of.iter().enumerate().all(|(r, &h)| r == h)
+}
+
+/// One live run, assembled: what [`build_cluster`] returns for the
+/// [`RunConfig`] plus the rank placement, the link masks, the execution
+/// options and the run label. Every way of standing a live run up — all
+/// hosts in this process ([`run_live_virtual`]) or one host per OS
+/// process (`dlion-worker`) — is this struct plus host transports.
+pub struct LiveCluster<'a> {
+    cfg: &'a RunConfig,
+    opts: &'a LiveOpts,
+    env_label: &'a str,
+    plan: &'a VirtualPlan,
+    layout: RankLayout,
+    init: ClusterInit,
+    /// Per-rank link masks ([`link_masks`]).
+    masks: Vec<Vec<bool>>,
+}
+
+impl<'a> LiveCluster<'a> {
+    /// Build the `n`-rank cluster (a pure function of `cfg`, so every
+    /// process of a multi-process run builds the same one) and place it
+    /// on hosts per `plan`.
+    pub fn new(
+        cfg: &'a RunConfig,
+        n: usize,
+        plan: &'a VirtualPlan,
+        opts: &'a LiveOpts,
+        env_label: &'a str,
+    ) -> Result<LiveCluster<'a>, LiveError> {
+        if plan.ranks_per_host == 0 {
+            return Err(LiveError::Protocol("--virtual must be at least 1".into()));
+        }
+        let layout = RankLayout::even(n, plan.ranks_per_host);
+        let hosts = layout.n_hosts();
+        for &(rank, dest) in &plan.migrate {
+            if rank >= n || dest >= hosts {
+                return Err(LiveError::Protocol(format!(
+                    "migration {rank}->{dest} outside {n} ranks / {hosts} hosts"
+                )));
+            }
+            if layout.host_of[rank] == dest {
+                return Err(LiveError::Protocol(format!(
+                    "rank {rank} already lives on host {dest}"
+                )));
+            }
+        }
+        // (`init.prof_rng` goes unused: live profiling measures the real
+        // wall clock, there is no noise to draw.)
+        let init = build_cluster(cfg, n);
+        let masks = link_masks(&init.schedule, cfg, opts, n);
+        Ok(LiveCluster {
+            cfg,
+            opts,
+            env_label,
+            plan,
+            layout,
+            init,
+            masks,
+        })
+    }
+
+    pub fn n_hosts(&self) -> usize {
+        self.layout.n_hosts()
+    }
+
+    /// Which host pairs hold a physical link: the rank masks collapsed
+    /// through the layout (on the flat plan, the rank masks themselves).
+    /// Only these are dialed — topology is a connection-count saving,
+    /// not just a send-count one. Every process computes the same
+    /// symmetric masks, so both endpoints of a link agree it exists.
+    pub fn host_links(&self) -> Vec<Vec<bool>> {
+        self.layout.host_links(&self.masks)
+    }
+
+    /// The host-level TCP options this run needs.
+    pub fn tcp_opts(&self) -> TcpOpts {
+        let direct = runs_direct(&self.layout, &self.plan.migrate);
+        let r = self.plan.ranks_per_host;
+        TcpOpts {
+            // A multiplexed host link carries up to R×R rank pairs, each
+            // frame preceded by its route marker — scale the per-link
+            // backpressure budget accordingly.
+            queue_cap: if direct {
+                self.opts.queue_cap
+            } else {
+                self.opts.queue_cap * r * r * 2
+            },
+            establish_timeout: self.opts.stall_timeout,
+            peer_timeout: self.opts.peer_timeout,
+            clock: Arc::clone(&self.opts.clock),
+            // The health plane wants per-link lifecycle latency; when it
+            // is off the transport pays zero instrumentation cost.
+            instrument: self.opts.health_interval.is_some(),
+            // Direct runs speak the classic 16-byte Hello.
+            ranks: (!direct).then(|| Arc::new(self.layout.hello_blocks())),
+        }
+    }
+
+    fn env(&self, rank: usize) -> WorkerEnv<'_> {
+        WorkerEnv {
+            cfg: self.cfg,
+            opts: self.opts,
+            data: &self.init.data,
+            eval_indices: &self.init.eval_indices,
+            schedule: Arc::clone(&self.init.schedule),
+            links: self.masks[rank].clone(),
+            total_params: self.init.total_params,
+            bytes_per_param: self.init.bytes_per_param,
+            clock: Arc::clone(&self.opts.clock),
+            env_label: self.env_label.to_string(),
+        }
+    }
+
+    /// Run every rank the layout homes on the given hosts to completion,
+    /// each on its own thread, over `(host id, host transport)` pairs —
+    /// all of them for an in-process run, this process's one for
+    /// `dlion-worker`. Ranks drive the transport directly or through a
+    /// [`RankHost`] as [`runs_direct`] says. Outcomes come back in rank
+    /// order.
+    pub fn run_hosts(
+        mut self,
+        hosts: Vec<(usize, Box<dyn ExchangeTransport>)>,
+    ) -> Vec<Result<WorkerOutcome, LiveError>> {
+        let mut rank_hosts = Vec::new();
+        let wires: Vec<(usize, Box<dyn ExchangeTransport>)> =
+            if runs_direct(&self.layout, &self.plan.migrate) {
+                hosts
+            } else {
+                let mut endpoints = Vec::new();
+                for (h, transport) in hosts {
+                    let (host, eps) = RankHost::new(h, transport, &self.layout);
+                    endpoints.extend(eps);
+                    rank_hosts.push((h, host));
+                }
+                // `new` validated ranks and hosts; a migration needs both
+                // of its ends mounted in this process.
+                for &(rank, dest) in &self.plan.migrate {
+                    let (_, target) = rank_hosts
+                        .iter()
+                        .find(|(h, _)| *h == dest)
+                        .expect("migration target host runs in this process");
+                    endpoints
+                        .iter_mut()
+                        .find(|ep| ep.rank() == rank)
+                        .expect("migrating rank runs in this process")
+                        .arm_rehome(target.handle());
+                }
+                endpoints
+                    .into_iter()
+                    .map(|ep| (ep.rank(), Box::new(ep) as Box<dyn ExchangeTransport>))
+                    .collect()
+            };
+        // This process's rank slots; every other worker stays behind.
+        let mut slots: Vec<Option<Worker>> = std::mem::take(&mut self.init.workers)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let cluster = &self;
+        let results = std::thread::scope(|s| {
+            let handles: Vec<_> = wires
+                .into_iter()
+                .map(|(rank, mut wire)| {
+                    let worker = slots[rank].take().expect("rank hosted once");
+                    let env = cluster.env(rank);
+                    s.spawn(move || run_worker(worker, &env, wire.as_mut()))
+                })
+                .collect();
+            let panicked = |_| Err(LiveError::Protocol("worker thread panicked".into()));
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(panicked))
+                .collect()
+        });
+        // Every endpoint retired inside the scope; this joins the pumps
+        // and flushes/closes the host links.
+        drop(rank_hosts);
+        results
+    }
+}
+
+/// Run `n` live workers, one per transport endpoint, to completion and
+/// return the assembled metrics: [`run_live_virtual`] on the flat plan.
+/// `env_label` names the run in reports and telemetry (e.g. `live/3w`).
+pub fn run_live(
+    cfg: &RunConfig,
+    n: usize,
+    opts: &LiveOpts,
+    kind: TransportKind,
+    env_label: &str,
+) -> Result<RunMetrics, LiveError> {
+    run_live_virtual(cfg, n, &VirtualPlan::flat(), opts, kind, env_label)
+}
+
+/// Run `n` ranks placed on `ceil(n / ranks_per_host)` in-process host
+/// transports — e.g. a 64-rank cluster on 4 hosts' worth of endpoints.
+/// Every rank runs the full [`run_worker`] driver on its own thread;
+/// only the wire is shared (see [`crate::rankhost`]). Under strict BSP
+/// the result is bit-identical whatever the plan, and to the simulator.
 pub fn run_live_virtual(
     cfg: &RunConfig,
     n: usize,
@@ -189,118 +311,25 @@ pub fn run_live_virtual(
     kind: TransportKind,
     env_label: &str,
 ) -> Result<RunMetrics, LiveError> {
-    if plan.ranks_per_host == 0 {
-        return Err(LiveError::Protocol("--virtual must be at least 1".into()));
-    }
-    if plan.ranks_per_host == 1 && plan.migrate.is_empty() {
-        return run_live(cfg, n, opts, kind, env_label);
-    }
-    let ClusterInit {
-        workers,
-        data,
-        eval_indices,
-        schedule,
-        total_params,
-        bytes_per_param,
-        prof_rng: _,
-    } = build_cluster(cfg, n);
-    let masks = link_masks(&schedule, cfg, opts, n);
-    let layout = RankLayout::even(n, plan.ranks_per_host);
-    let hosts = layout.n_hosts();
-    for &(rank, dest) in &plan.migrate {
-        if rank >= n || dest >= hosts {
-            return Err(LiveError::Protocol(format!(
-                "migration {rank}->{dest} outside {n} ranks / {hosts} hosts"
-            )));
-        }
-        if layout.host_of[rank] == dest {
-            return Err(LiveError::Protocol(format!(
-                "rank {rank} already lives on host {dest}"
-            )));
-        }
-    }
-
-    let host_transports: Vec<Box<dyn ExchangeTransport>> = match kind {
+    let cluster = LiveCluster::new(cfg, n, plan, opts, env_label)?;
+    let hosts = cluster.n_hosts();
+    let transports: Vec<Box<dyn ExchangeTransport>> = match kind {
         TransportKind::Mem => dlion_core::mem_mesh(hosts)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn ExchangeTransport>)
+            .map(|t| Box::new(t) as _)
             .collect(),
         TransportKind::Tcp => {
-            let tcp_opts = TcpOpts {
-                // A host link multiplexes up to R×R rank pairs, each
-                // frame preceded by its route marker — scale the
-                // per-link backpressure budget accordingly.
-                queue_cap: opts.queue_cap * plan.ranks_per_host * plan.ranks_per_host * 2,
-                establish_timeout: opts.stall_timeout,
-                peer_timeout: opts.peer_timeout,
-                clock: Arc::clone(&opts.clock),
-                instrument: opts.health_interval.is_some(),
-                ranks: Some(Arc::new(layout.hello_blocks())),
-            };
-            // Host pairs without any cross-host rank link are not dialed.
-            let host_masks = layout.host_links(&masks);
-            loopback_mesh(hosts, cfg.seed, &tcp_opts, Some(&host_masks))?
+            let (tcp_opts, links) = (cluster.tcp_opts(), cluster.host_links());
+            loopback_mesh(hosts, cfg.seed, &tcp_opts, Some(&links))?
                 .into_iter()
-                .map(|t| Box::new(t) as Box<dyn ExchangeTransport>)
+                .map(|t| Box::new(t) as _)
                 .collect()
         }
     };
-
-    // One RankHost per transport endpoint; collect every rank's endpoint
-    // in rank order so workers zip up with their wire.
-    let mut rank_hosts = Vec::with_capacity(hosts);
-    let mut endpoints: Vec<Option<RankEndpoint>> = (0..n).map(|_| None).collect();
-    for (h, transport) in host_transports.into_iter().enumerate() {
-        let (host, eps) = RankHost::new(h, transport, &layout);
-        for ep in eps {
-            let r = ep.rank();
-            endpoints[r] = Some(ep);
-        }
-        rank_hosts.push(host);
-    }
-    for &(rank, dest) in &plan.migrate {
-        endpoints[rank]
-            .as_mut()
-            .expect("validated above")
-            .arm_rehome(rank_hosts[dest].handle());
-    }
-
-    let results: Vec<Result<WorkerOutcome, LiveError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .zip(endpoints)
-            .map(|(worker, ep)| {
-                let mut ep = ep.expect("every rank has an endpoint");
-                let env = WorkerEnv {
-                    cfg,
-                    opts,
-                    data: &data,
-                    eval_indices: &eval_indices,
-                    schedule: Arc::clone(&schedule),
-                    links: masks[worker.id].clone(),
-                    total_params,
-                    bytes_per_param,
-                    clock: Arc::clone(&opts.clock),
-                    env_label: env_label.to_string(),
-                };
-                s.spawn(move || run_worker(worker, &env, &mut ep))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(LiveError::Protocol("worker thread panicked".into())),
-            })
-            .collect()
-    });
-    // All endpoints retired inside the scope; this joins the pumps and
-    // flushes/closes the host links.
-    drop(rank_hosts);
-    let mut outcomes = Vec::with_capacity(n);
-    for r in results {
-        outcomes.push(r?);
-    }
+    let outcomes = cluster
+        .run_hosts(transports.into_iter().enumerate().collect())
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(assemble_metrics(cfg, env_label, outcomes))
 }
 
@@ -461,6 +490,48 @@ mod tests {
             train_secs: 0.5,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn direct_or_rankhost_follows_from_the_layout_and_armed_migrations() {
+        let flat = RankLayout::even(4, 1);
+        // One rank per host and nothing migrates: the transport is rank
+        // space, ranks drive it directly.
+        assert!(runs_direct(&flat, &[]));
+        // Anything else multiplexes through a RankHost.
+        assert!(!runs_direct(&flat, &[(1, 2)]), "armed migration");
+        assert!(!runs_direct(&RankLayout::even(4, 2), &[]), "two per host");
+        // A remainder host homing a single rank still routes: its peers
+        // send route markers, and its rank id is not its host id.
+        let uneven = RankLayout::even(3, 2);
+        assert_eq!(uneven.ranks_on(1), vec![2]);
+        assert!(!runs_direct(&uneven, &[]));
+    }
+
+    #[test]
+    fn host_tcp_opts_scale_the_queue_and_announce_ranks_only_when_multiplexed() {
+        let cfg = live_config(SystemKind::Baseline, 1);
+        let opts = LiveOpts::default();
+        let flat = VirtualPlan::flat();
+        let t = LiveCluster::new(&cfg, 4, &flat, &opts, "t")
+            .unwrap()
+            .tcp_opts();
+        assert_eq!(t.queue_cap, opts.queue_cap);
+        assert!(t.ranks.is_none(), "flat runs speak the classic Hello");
+        let plan = VirtualPlan {
+            ranks_per_host: 2,
+            migrate: Vec::new(),
+        };
+        let cluster = LiveCluster::new(&cfg, 4, &plan, &opts, "t").unwrap();
+        let t = cluster.tcp_opts();
+        assert_eq!(t.queue_cap, 8 * opts.queue_cap, "R = 2: R x R pairs, x 2");
+        assert_eq!(t.ranks.expect("ranked hello").len(), cluster.n_hosts());
+        // Bad placements are refused up front.
+        let zero = VirtualPlan {
+            ranks_per_host: 0,
+            migrate: Vec::new(),
+        };
+        assert!(LiveCluster::new(&cfg, 4, &zero, &opts, "t").is_err());
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! list — the transport is host-agnostic; only [`loopback_addrs`] and
 //! [`loopback_mesh`] know about `127.0.0.1`.
 //!
+//! There is **one accept path**: the acceptor thread the transport keeps
+//! for its whole life starts *before* the first dial and blocks in
+//! `accept()`. Establishment just waits for the expected higher-numbered
+//! peers to join through it (their Hellos are consumed, not surfaced), so
+//! a peer that dials early is wired at once instead of sitting in the
+//! listen backlog, and a Hello is validated in exactly one function,
+//! `accept_hello`. While establishment still waits, a bad Hello fails it
+//! with [`LiveError::Protocol`]; afterwards it only drops the connection.
+//!
 //! ## Threads per connection
 //!
 //! Each established peer link gets:
@@ -38,12 +47,11 @@
 //! inbox. [`TcpOpts::peer_timeout`] additionally arms a per-peer silence
 //! alarm surfaced as [`TransportError::PeerTimeout`].
 //!
-//! After establishment the listener moves to an **acceptor thread** that
-//! keeps accepting for the rest of the run: a departed worker (or its
-//! replacement process, via [`TcpTransport::reconnect`]) can dial back
-//! in, re-wire the link, and its validated Hello frame is surfaced to
-//! the driver like any received frame — the late-Hello entry point of
-//! the rejoin protocol.
+//! After establishment the same acceptor keeps accepting for the rest of
+//! the run: a departed worker (or its replacement process, via
+//! [`TcpTransport::reconnect`]) can dial back in, re-wire the link, and
+//! its validated Hello frame is surfaced to the driver like any received
+//! frame — the late-Hello entry point of the rejoin protocol.
 //!
 //! ## Teardown
 //!
@@ -67,7 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -87,7 +95,7 @@ pub struct RankHello {
 }
 
 /// Transport tuning knobs (everything beyond the address list).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct TcpOpts {
     /// Per-peer send queue capacity, in frames (backpressure bound).
     pub queue_cap: usize,
@@ -124,18 +132,6 @@ impl Default for TcpOpts {
             instrument: false,
             ranks: None,
         }
-    }
-}
-
-impl std::fmt::Debug for TcpOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpOpts")
-            .field("queue_cap", &self.queue_cap)
-            .field("establish_timeout", &self.establish_timeout)
-            .field("peer_timeout", &self.peer_timeout)
-            .field("instrument", &self.instrument)
-            .field("ranks", &self.ranks)
-            .finish_non_exhaustive()
     }
 }
 
@@ -254,6 +250,45 @@ fn check_hello_ranks(
     }
 }
 
+/// How long an accepted connection may take to produce its Hello (the
+/// dialer writes it right after `connect`).
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// What every endpoint of one mesh agrees on (plus which endpoint this
+/// is): announced in our Hello, checked against each received one.
+struct Shape {
+    me: usize,
+    n: usize,
+    seed: u64,
+    ranks: Option<Arc<Vec<RankHello>>>,
+}
+
+/// The one place a Hello is read and validated: the first frame on an
+/// accepted connection must be a Hello from another endpoint of *this*
+/// mesh — same size, seed and rank layout. Returns the peer's id and the
+/// raw Hello frame.
+fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<(usize, Vec<u8>), LiveError> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
+    let (frame, _) = read_frame(stream)?
+        .ok_or_else(|| LiveError::Protocol("peer closed before hello".into()))?;
+    let (id, n, seed, ranks) = parse_hello(&frame)?;
+    if n != shape.n || seed != shape.seed {
+        return Err(LiveError::Protocol(format!(
+            "worker {id} disagrees on cluster shape (n {n} vs {}, seed {seed} vs {})",
+            shape.n, shape.seed
+        )));
+    }
+    if id == shape.me || id >= shape.n {
+        return Err(LiveError::Protocol(format!(
+            "unexpected hello from worker {id}"
+        )));
+    }
+    check_hello_ranks(id, ranks, shape.ranks.as_ref()).map_err(LiveError::Protocol)?;
+    stream.set_read_timeout(None)?;
+    Ok((id, frame))
+}
+
 /// What reader/acceptor threads push into the shared inbox. Liveness
 /// changes ride the same FIFO channel as frames, so a *gone* note can
 /// never overtake the frames the peer sent before dying.
@@ -284,6 +319,7 @@ enum Job {
 /// under [`TcpOpts::instrument`]). The depth counter is atomic so
 /// `enqueue` never takes a lock on the hot path; the histograms are
 /// touched once per frame by the writer/reader threads.
+#[derive(Default)]
 struct LinkStats {
     /// Frames currently sitting in the send queue.
     depth: AtomicUsize,
@@ -292,6 +328,7 @@ struct LinkStats {
     lat: Mutex<LinkLat>,
 }
 
+#[derive(Default)]
 struct LinkLat {
     /// Frames this writer pushed onto the socket.
     frames: u64,
@@ -302,21 +339,6 @@ struct LinkLat {
     write_time: Histogram,
     /// Inbound body transfer time (see [`read_frame`]).
     read_time: Histogram,
-}
-
-impl LinkStats {
-    fn new() -> LinkStats {
-        LinkStats {
-            depth: AtomicUsize::new(0),
-            depth_hw: AtomicUsize::new(0),
-            lat: Mutex::new(LinkLat {
-                frames: 0,
-                queue_wait: Histogram::default(),
-                write_time: Histogram::default(),
-                read_time: Histogram::default(),
-            }),
-        }
-    }
 }
 
 struct Peer {
@@ -330,12 +352,28 @@ struct Peer {
 /// State shared between the transport handle, its reader threads and the
 /// acceptor thread.
 struct Mesh {
+    shape: Shape,
+    /// Per-peer send queue capacity ([`TcpOpts::queue_cap`]).
+    queue_cap: usize,
     peers: Mutex<Vec<Option<Peer>>>,
     /// Writer handles of links replaced by a reconnect; joined on drop.
     retired: Mutex<Vec<JoinHandle<()>>>,
     /// Frame-lifecycle instrumentation, one slot per peer
     /// ([`TcpOpts::instrument`]; `None` = zero overhead).
     lat: Option<Arc<Vec<LinkStats>>>,
+    /// Establishment's rendezvous with the acceptor.
+    joining: Mutex<Joining>,
+    joined: Condvar,
+    /// Set on drop: the acceptor exits at its next wake-up.
+    stop: AtomicBool,
+}
+
+/// Which peers establishment still waits for, and the first bad Hello
+/// seen while it does. Once `awaited` is all-false the mesh is up and
+/// every later join is a rejoin.
+struct Joining {
+    awaited: Vec<bool>,
+    error: Option<LiveError>,
 }
 
 impl Mesh {
@@ -351,6 +389,14 @@ impl Mesh {
         }
     }
 
+    /// Install a freshly wired link as *the* link to `j`, retiring the
+    /// writer of whatever (dead) link held the slot.
+    fn install(&self, peers: &mut [Option<Peer>], j: usize, peer: Peer) {
+        if let Some(h) = peers[j].replace(peer).and_then(|mut old| old.writer.take()) {
+            self.retired.lock().unwrap().push(h);
+        }
+    }
+
     /// Wire a connected stream as the link to peer `j` (writer + reader
     /// threads). The reader pushes frames and, on EOF, a gone-note into
     /// `inbox_tx`.
@@ -358,10 +404,9 @@ impl Mesh {
         self: &Arc<Self>,
         j: usize,
         stream: TcpStream,
-        queue_cap: usize,
         inbox_tx: &Sender<Note>,
     ) -> std::io::Result<Peer> {
-        let (tx, rx) = sync_channel::<Job>(queue_cap);
+        let (tx, rx) = sync_channel::<Job>(self.queue_cap);
         let mut wstream = stream.try_clone()?;
         let wlat = self.lat.clone();
         let writer = thread::spawn(move || {
@@ -422,12 +467,11 @@ impl Mesh {
 
 /// One worker's endpoint of a fully-connected TCP mesh.
 pub struct TcpTransport {
-    me: usize,
-    n: usize,
     mesh: Arc<Mesh>,
     inbox: Receiver<Note>,
-    accept_stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    /// The acceptor thread and its listener's address: it blocks in
+    /// `accept()`, so `Drop` wakes it with a throwaway connection.
+    acceptor: Option<(JoinHandle<()>, SocketAddr)>,
     peer_timeout: Option<Duration>,
     clock: Arc<dyn Clock>,
     // Receiver-local liveness bookkeeping (only the owner thread touches
@@ -467,71 +511,38 @@ impl TcpTransport {
         links: &[bool],
     ) -> Result<TcpTransport, LiveError> {
         let n = addrs.len();
-        assert!(me < n, "worker id out of range");
         assert_eq!(links.len(), n, "link mask length mismatch");
-        assert!(opts.queue_cap > 0, "queue capacity must be positive");
         let deadline = Instant::now() + opts.establish_timeout;
-        let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-
+        // The higher-numbered linked peers dial us; the acceptor is up
+        // before our own first dial, so an early one is wired at once.
+        let awaited: Vec<bool> = (0..n).map(|j| j > me && links[j]).collect();
+        let (t, inbox_tx) = TcpTransport::start(me, n, seed, Some(listener), opts, awaited)?;
         // Dial the lower-numbered linked peers, announcing who we are.
         for (j, addr) in addrs.iter().enumerate().take(me) {
-            if !links[j] {
-                continue;
+            if links[j] {
+                t.dial(j, *addr, deadline, &inbox_tx).map_err(|e| {
+                    LiveError::Protocol(format!(
+                        "worker {me} cannot reach worker {j} at {addr}: {e}"
+                    ))
+                })?;
             }
-            let stream = dial(*addr, deadline).map_err(|e| {
-                LiveError::Protocol(format!(
-                    "worker {me} cannot reach worker {j} at {addr}: {e}"
-                ))
-            })?;
-            stream.set_nodelay(true)?;
-            let my_ranks = opts.ranks.as_ref().map(|l| l[me]);
-            (&stream).write_all(&hello_frame(me, n, seed, my_ranks))?;
-            streams[j] = Some(stream);
         }
-
-        // Accept the higher-numbered linked peers; each identifies
-        // itself first.
-        listener.set_nonblocking(true)?;
-        let expect = (me + 1..n).filter(|&j| links[j]).count();
-        let mut accepted = 0usize;
-        while accepted < expect {
-            let (mut stream, _) = match listener.accept() {
-                Ok(x) => x,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(LiveError::Stalled(format!(
-                            "worker {me} accepted {accepted}/{expect} dials"
-                        )));
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            stream.set_nonblocking(false)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(opts.establish_timeout))?;
-            let (frame, _) = read_frame(&mut stream)?
-                .ok_or_else(|| LiveError::Protocol("peer closed before hello".into()))?;
-            let (id, peer_n, peer_seed, peer_ranks) = parse_hello(&frame)?;
-            if peer_n != n || peer_seed != seed {
-                return Err(LiveError::Protocol(format!(
-                    "worker {id} disagrees on cluster shape (n {peer_n} vs {n}, \
-                     seed {peer_seed} vs {seed})"
+        let mut joining = t.mesh.joining.lock().unwrap();
+        while joining.error.is_none() && joining.awaited.contains(&true) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let missing: Vec<usize> = (0..n).filter(|&j| joining.awaited[j]).collect();
+                return Err(LiveError::Stalled(format!(
+                    "worker {me} still waiting for dials from {missing:?}"
                 )));
             }
-            if !(me < id && id < n && links[id]) || streams[id].is_some() {
-                return Err(LiveError::Protocol(format!(
-                    "unexpected or duplicate hello from worker {id}"
-                )));
-            }
-            check_hello_ranks(id, peer_ranks, opts.ranks.as_ref()).map_err(LiveError::Protocol)?;
-            stream.set_read_timeout(None)?;
-            streams[id] = Some(stream);
-            accepted += 1;
+            joining = t.mesh.joined.wait_timeout(joining, left).unwrap().0;
         }
-
-        TcpTransport::assemble(me, n, seed, streams, Some(listener), opts)
+        if let Some(e) = joining.error.take() {
+            return Err(e);
+        }
+        drop(joining);
+        Ok(t)
     }
 
     /// Re-dial a mesh this endpoint previously left (or crashed out of):
@@ -555,90 +566,104 @@ impl TcpTransport {
         opts: &TcpOpts,
     ) -> Result<TcpTransport, LiveError> {
         let n = addrs.len();
-        assert!(me < n, "worker id out of range");
         let deadline = Instant::now() + opts.establish_timeout;
-        let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut reached = 0usize;
-        for (j, addr) in addrs.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            let Ok(stream) = dial(*addr, deadline) else {
-                continue;
-            };
-            stream.set_nodelay(true)?;
-            let my_ranks = opts.ranks.as_ref().map(|l| l[me]);
-            if (&stream)
-                .write_all(&hello_frame(me, n, seed, my_ranks))
-                .is_err()
-            {
-                continue;
-            }
-            streams[j] = Some(stream);
-            reached += 1;
-        }
+        let listener = TcpListener::bind(addrs[me]).ok();
+        let (t, inbox_tx) = TcpTransport::start(me, n, seed, listener, opts, vec![false; n])?;
+        let reached = (0..n)
+            .filter(|&j| j != me && t.dial(j, addrs[j], deadline, &inbox_tx).is_ok())
+            .count();
         if reached == 0 {
             return Err(LiveError::Protocol(format!(
                 "worker {me} reconnect reached no peers"
             )));
         }
-        let listener = TcpListener::bind(addrs[me]).ok();
-        TcpTransport::assemble(me, n, seed, streams, listener, opts)
+        Ok(t)
     }
 
-    /// Wire established streams into threads and spawn the acceptor.
-    fn assemble(
+    /// An endpoint with no links yet: the shared mesh state plus the
+    /// acceptor thread (when there is a listener), already accepting.
+    /// Returns the inbox sender the caller's dials wire readers to; the
+    /// transport keeps none itself, so when all readers die *and* the
+    /// acceptor stops, the inbox reports Disconnected.
+    fn start(
         me: usize,
         n: usize,
         seed: u64,
-        streams: Vec<Option<TcpStream>>,
         listener: Option<TcpListener>,
         opts: &TcpOpts,
-    ) -> Result<TcpTransport, LiveError> {
+        awaited: Vec<bool>,
+    ) -> Result<(TcpTransport, Sender<Note>), LiveError> {
+        assert!(me < n, "worker id out of range");
+        assert!(opts.queue_cap > 0, "queue capacity must be positive");
         let (inbox_tx, inbox) = channel::<Note>();
         let mesh = Arc::new(Mesh {
+            shape: Shape {
+                me,
+                n,
+                seed,
+                ranks: opts.ranks.clone(),
+            },
+            queue_cap: opts.queue_cap,
             peers: Mutex::new((0..n).map(|_| None).collect()),
             retired: Mutex::new(Vec::new()),
             lat: opts
                 .instrument
-                .then(|| Arc::new((0..n).map(|_| LinkStats::new()).collect())),
+                .then(|| Arc::new((0..n).map(|_| LinkStats::default()).collect())),
+            joining: Mutex::new(Joining {
+                awaited,
+                error: None,
+            }),
+            joined: Condvar::new(),
+            stop: AtomicBool::new(false),
         });
-        {
-            let mut peers = mesh.peers.lock().unwrap();
-            for (j, slot) in streams.into_iter().enumerate() {
-                if let Some(stream) = slot {
-                    peers[j] = Some(mesh.wire(j, stream, opts.queue_cap, &inbox_tx)?);
-                }
+        let acceptor = match listener {
+            None => None,
+            Some(listener) => {
+                listener.set_nonblocking(false)?;
+                let addr = listener.local_addr()?;
+                let (mesh, itx) = (Arc::clone(&mesh), inbox_tx.clone());
+                let handle = thread::spawn(move || acceptor_loop(listener, mesh, itx));
+                Some((handle, addr))
             }
-        }
-        let accept_stop = Arc::new(AtomicBool::new(false));
-        let acceptor = listener.map(|listener| {
-            let mesh = Arc::clone(&mesh);
-            let stop = Arc::clone(&accept_stop);
-            let itx = inbox_tx.clone();
-            let queue_cap = opts.queue_cap;
-            let ranks = opts.ranks.clone();
-            thread::spawn(move || {
-                acceptor_loop(me, n, seed, listener, mesh, itx, stop, queue_cap, ranks)
-            })
-        });
-        // The transport holds no inbox sender itself: when all readers
-        // die *and* the acceptor stops, the inbox reports Disconnected.
-        drop(inbox_tx);
+        };
         let now = opts.clock.now();
-        Ok(TcpTransport {
-            me,
-            n,
+        let transport = TcpTransport {
             mesh,
             inbox,
-            accept_stop,
             acceptor,
             peer_timeout: opts.peer_timeout,
             clock: Arc::clone(&opts.clock),
             last_heard: vec![now; n],
             gone_reported: vec![false; n],
             timeout_reported: vec![false; n],
-        })
+        };
+        Ok((transport, inbox_tx))
+    }
+
+    /// Dial peer `j` (retrying until `deadline` — it may not have bound
+    /// yet), announce ourselves with a Hello, and wire the link.
+    fn dial(
+        &self,
+        j: usize,
+        addr: SocketAddr,
+        deadline: Instant,
+        inbox_tx: &Sender<Note>,
+    ) -> std::io::Result<()> {
+        let stream = loop {
+            match TcpStream::connect(addr) {
+                Ok(s) => break s,
+                Err(e) if Instant::now() > deadline => return Err(e),
+                Err(_) => thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        stream.set_nodelay(true)?;
+        let Shape { me, n, seed, ranks } = &self.mesh.shape;
+        let hello = hello_frame(*me, *n, *seed, ranks.as_ref().map(|l| l[*me]));
+        (&stream).write_all(&hello)?;
+        let peer = self.mesh.wire(j, stream, inbox_tx)?;
+        let mut peers = self.mesh.peers.lock().unwrap();
+        self.mesh.install(&mut peers, j, peer);
+        Ok(())
     }
 
     /// Fold an inbox note into the receiver-local liveness state.
@@ -699,8 +724,8 @@ impl TcpTransport {
         let timeout = self.peer_timeout?.as_secs_f64();
         let now = self.clock.now();
         let peers = self.mesh.peers.lock().unwrap();
-        for j in 0..self.n {
-            if j == self.me || self.gone_reported[j] || self.timeout_reported[j] {
+        for j in 0..self.mesh.shape.n {
+            if j == self.mesh.shape.me || self.gone_reported[j] || self.timeout_reported[j] {
                 continue;
             }
             let connected = peers[j].as_ref().is_some_and(|p| p.alive);
@@ -713,85 +738,60 @@ impl TcpTransport {
     }
 }
 
-/// Dial with retries until `deadline` (peers may not have bound yet).
-fn dial(addr: SocketAddr, deadline: Instant) -> std::io::Result<TcpStream> {
+/// The accept loop, from before the first dial until the transport drops:
+/// every connection is a peer joining — during establishment one of the
+/// awaited higher-numbered peers, afterwards a departed peer dialing back
+/// in. A duplicate connection for a live link is dropped; so is a bad
+/// Hello, unless establishment is still waiting, which it then fails.
+fn acceptor_loop(listener: TcpListener, mesh: Arc<Mesh>, inbox_tx: Sender<Note>) {
     loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if Instant::now() > deadline {
-                    return Err(e);
-                }
-                thread::sleep(Duration::from_millis(10));
-            }
+        let accepted = listener.accept();
+        if mesh.stop.load(Ordering::Relaxed) {
+            return;
         }
-    }
-}
-
-/// Post-establishment accept loop: re-wire links for departed peers that
-/// dial back in. Invalid or duplicate hellos drop the connection.
-#[allow(clippy::too_many_arguments)]
-fn acceptor_loop(
-    me: usize,
-    n: usize,
-    seed: u64,
-    listener: TcpListener,
-    mesh: Arc<Mesh>,
-    inbox_tx: Sender<Note>,
-    stop: Arc<AtomicBool>,
-    queue_cap: usize,
-    ranks: Option<Arc<Vec<RankHello>>>,
-) {
-    let _ = listener.set_nonblocking(true);
-    while !stop.load(Ordering::Relaxed) {
-        let (mut stream, _) = match listener.accept() {
+        let Ok((mut stream, _)) = accepted else {
+            thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        let (id, hello) = match accept_hello(&mut stream, &mesh.shape) {
             Ok(x) => x,
-            Err(_) => {
-                thread::sleep(Duration::from_millis(20));
+            Err(e) => {
+                let mut joining = mesh.joining.lock().unwrap();
+                if joining.awaited.contains(&true) {
+                    joining.error.get_or_insert(e);
+                    mesh.joined.notify_all();
+                }
                 continue;
             }
-        };
-        let hello = (|| -> Option<(usize, Vec<u8>)> {
-            stream.set_nonblocking(false).ok()?;
-            stream.set_nodelay(true).ok()?;
-            stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-            let (frame, _) = read_frame(&mut stream).ok()??;
-            let (id, peer_n, peer_seed, peer_ranks) = parse_hello(&frame).ok()?;
-            if id == me || id >= n || peer_n != n || peer_seed != seed {
-                return None;
-            }
-            check_hello_ranks(id, peer_ranks, ranks.as_ref()).ok()?;
-            stream.set_read_timeout(None).ok()?;
-            Some((id, frame))
-        })();
-        let Some((id, frame)) = hello else {
-            continue;
         };
         let mut peers = mesh.peers.lock().unwrap();
         if peers[id].as_ref().is_some_and(|p| p.alive) {
             continue; // duplicate connection for a live link
         }
-        if let Some(mut old) = peers[id].take() {
-            if let Some(h) = old.writer.take() {
-                mesh.retired.lock().unwrap().push(h);
-            }
-        }
-        match mesh.wire(id, stream, queue_cap, &inbox_tx) {
-            Ok(peer) => {
-                peers[id] = Some(peer);
-                drop(peers);
-                let _ = inbox_tx.send(Note::Joined(id, frame));
-            }
-            Err(_) => continue,
+        let Ok(peer) = mesh.wire(id, stream, &inbox_tx) else {
+            continue;
+        };
+        mesh.install(&mut peers, id, peer);
+        drop(peers);
+        // An awaited peer completes establishment silently; anyone else
+        // is a rejoin, announced to the driver by its Hello.
+        if std::mem::take(&mut mesh.joining.lock().unwrap().awaited[id]) {
+            mesh.joined.notify_all();
+        } else {
+            let _ = inbox_tx.send(Note::Joined(id, hello));
         }
     }
 }
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        self.accept_stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        self.mesh.stop.store(true, Ordering::Relaxed);
+        if let Some((handle, addr)) = self.acceptor.take() {
+            // Wake the blocked `accept()`; if even that fails the thread
+            // is left detached rather than joined forever.
+            if TcpStream::connect(addr).is_ok() {
+                let _ = handle.join();
+            }
         }
         // Take the senders down so writers see a closed queue, then join
         // them: every already-queued frame (a final Done in particular)
@@ -813,11 +813,11 @@ impl Drop for TcpTransport {
 
 impl ExchangeTransport for TcpTransport {
     fn me(&self) -> usize {
-        self.me
+        self.mesh.shape.me
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.mesh.shape.n
     }
 
     fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<(), TransportError> {
@@ -847,8 +847,8 @@ impl ExchangeTransport for TcpTransport {
         let Some(lat) = self.mesh.lat.as_deref() else {
             return Vec::new();
         };
-        (0..self.n)
-            .filter(|&j| j != self.me)
+        (0..self.mesh.shape.n)
+            .filter(|&j| j != self.mesh.shape.me)
             .map(|j| {
                 let stats = &lat[j];
                 let l = stats.lat.lock().unwrap();
@@ -868,11 +868,11 @@ impl ExchangeTransport for TcpTransport {
     fn try_recv_frame(&mut self) -> Result<Option<(usize, Vec<u8>)>, TransportError> {
         loop {
             match self.inbox.try_recv() {
-                Ok(note) => match self.on_note(note) {
-                    Some(Ok(m)) => return Ok(Some(m)),
-                    Some(Err(e)) => return Err(e),
-                    None => continue,
-                },
+                Ok(note) => {
+                    if let Some(r) = self.on_note(note) {
+                        return r.map(Some);
+                    }
+                }
                 Err(TryRecvError::Empty) => return Ok(None),
                 Err(TryRecvError::Disconnected) => return Err(TransportError::Disconnected),
             }
@@ -887,11 +887,11 @@ impl ExchangeTransport for TcpTransport {
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             match self.inbox.recv_timeout(left) {
-                Ok(note) => match self.on_note(note) {
-                    Some(Ok(m)) => return Ok(Some(m)),
-                    Some(Err(e)) => return Err(e),
-                    None => continue,
-                },
+                Ok(note) => {
+                    if let Some(r) = self.on_note(note) {
+                        return r.map(Some);
+                    }
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     if let Some(peer) = self.silent_peer() {
                         return Err(TransportError::PeerTimeout { peer });
@@ -969,12 +969,10 @@ pub fn loopback_mesh_addrs_linked(
                 })
             })
             .collect();
+        let panicked = |_| Err(LiveError::Protocol("mesh setup thread panicked".into()));
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(LiveError::Protocol("mesh setup thread panicked".into())),
-            })
+            .map(|h| h.join().unwrap_or_else(panicked))
             .collect()
     });
     let mut out = Vec::with_capacity(n);
@@ -1159,7 +1157,7 @@ mod tests {
                 break;
             }
             assert!(Instant::now() < deadline, "writer never recorded");
-            thread::sleep(Duration::from_millis(5));
+            thread::sleep(Duration::from_millis(2));
         }
         // Uninstrumented transports report nothing.
         let mut plain = loopback_mesh(2, 7, &TcpOpts::default(), None).unwrap();

@@ -18,8 +18,9 @@ use std::time::Duration;
 const BW_MBPS: f64 = 1000.0;
 const ITER_TIME: f64 = 0.05 + 0.001 * 32.0;
 
-fn chaos_cfg(system: SystemKind, iters: u64) -> RunConfig {
+fn chaos_cfg(system: SystemKind, iters: u64, kill: &str) -> RunConfig {
     let mut cfg = live_config(system, 1);
+    cfg.fault = FaultPlan::parse(kill).expect("valid fault plan");
     cfg.duration = 10_000.0;
     cfg.eval_interval = 10_000.0;
     cfg.max_iters = Some(iters);
@@ -27,14 +28,13 @@ fn chaos_cfg(system: SystemKind, iters: u64) -> RunConfig {
     cfg
 }
 
-fn chaos_opts(iters: u64, kill: &str) -> LiveOpts {
+fn chaos_opts(iters: u64) -> LiveOpts {
     LiveOpts {
         iters,
         eval_every: 0,
         bw_mbps: BW_MBPS,
         assumed_iter_time: Some(ITER_TIME),
         stall_timeout: Duration::from_secs(120),
-        fault: FaultPlan::parse(kill).expect("valid fault plan"),
         ..Default::default()
     }
 }
@@ -55,9 +55,9 @@ fn weight_bits(weights: &[Vec<Tensor>]) -> Vec<Vec<Vec<u32>>> {
 /// through the Done barrier without waiting on the dead peer.
 fn departed_peer_run(kind: TransportKind) {
     const ITERS: u64 = 8;
-    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS);
+    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS, "1@3");
     cfg.sync_override = Some(SyncPolicy::Synchronous);
-    let m = run_live(&cfg, 3, &chaos_opts(ITERS, "1@3"), kind, "live/chaos").expect("live run");
+    let m = run_live(&cfg, 3, &chaos_opts(ITERS), kind, "live/chaos").expect("live run");
     // Survivors ran to completion; the victim stopped where the plan says.
     assert_eq!(m.iterations, vec![ITERS, 3, ITERS]);
     // Convergence metrics cover exactly the two survivors.
@@ -79,9 +79,9 @@ fn done_barrier_completes_with_departed_peer_tcp() {
 #[test]
 fn identical_kill_plans_reproduce_survivor_weights() {
     const ITERS: u64 = 8;
-    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS);
+    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS, "1@3");
     cfg.sync_override = Some(SyncPolicy::Synchronous);
-    let opts = chaos_opts(ITERS, "1@3");
+    let opts = chaos_opts(ITERS);
     let runs = [
         run_live(&cfg, 3, &opts, TransportKind::Mem, "live/chaos").expect("mem run 1"),
         run_live(&cfg, 3, &opts, TransportKind::Mem, "live/chaos").expect("mem run 2"),
@@ -108,12 +108,12 @@ fn kill_with_chunked_frames_leaves_survivors_consistent() {
     // must apply no partial frame: their weights stay bit-identical to
     // the unchunked chaos run on both transports.
     const ITERS: u64 = 8;
-    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS);
+    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS, "1@3");
     cfg.sync_override = Some(SyncPolicy::Synchronous);
     let plain = run_live(
         &cfg,
         3,
-        &chaos_opts(ITERS, "1@3"),
+        &chaos_opts(ITERS),
         TransportKind::Mem,
         "live/chaos",
     )
@@ -122,7 +122,7 @@ fn kill_with_chunked_frames_leaves_survivors_consistent() {
     for kind in [TransportKind::Mem, TransportKind::Tcp] {
         let opts = LiveOpts {
             chunk_bytes: 2048,
-            ..chaos_opts(ITERS, "1@3")
+            ..chaos_opts(ITERS)
         };
         let m = run_live(&cfg, 3, &opts, kind, "live/chaos-chunk").expect("chunked run");
         assert_eq!(m.iterations, vec![ITERS, 3, ITERS]);
@@ -140,7 +140,7 @@ fn kill_with_chunked_frames_leaves_survivors_consistent() {
 /// 5, 10, 15, 20, 25, 30 under the pinned 0.05s iteration).
 fn gbs_chaos_run(kind: TransportKind) -> dlion_core::RunMetrics {
     const ITERS: u64 = 30;
-    let mut cfg = chaos_cfg(SystemKind::DLion, ITERS);
+    let mut cfg = chaos_cfg(SystemKind::DLion, ITERS, "1@17");
     cfg.workload.train_size = 12_000; // warm-up cap 120, speed-up cap 1200
     cfg.gbs.adjust_period_secs = 0.25;
     cfg.profile_interval = 1e9;
@@ -151,7 +151,6 @@ fn gbs_chaos_run(kind: TransportKind) -> dlion_core::RunMetrics {
         bw_mbps: BW_MBPS,
         assumed_iter_time: Some(0.05),
         stall_timeout: Duration::from_secs(120),
-        fault: FaultPlan::parse("1@17").expect("valid fault plan"),
         clock: Arc::new(ManualClock::new()),
         ..Default::default()
     };
@@ -220,14 +219,14 @@ fn gbs_chaos_trajectory_is_deterministic_across_runs_and_transports() {
 #[test]
 fn killed_worker_rejoins_via_dkt_catchup() {
     const ITERS: u64 = 12;
-    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS);
+    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS, "1@3+0");
     cfg.sync_override = Some(SyncPolicy::Synchronous);
     // `+0`: depart after iteration 3, rejoin immediately — late Hello,
     // Catchup invitation, full-weight DKT pull, free-run to the end.
     let m = run_live(
         &cfg,
         3,
-        &chaos_opts(ITERS, "1@3+0"),
+        &chaos_opts(ITERS),
         TransportKind::Mem,
         "live/chaos",
     )

@@ -25,10 +25,13 @@ fn health_cfg(iters: u64) -> RunConfig {
     // BSP ordering makes the whole run (not just the health plane)
     // deterministic, so cross-transport comparisons are exact.
     cfg.sync_override = Some(SyncPolicy::Synchronous);
+    // Worker 2 straggling 3×, worker 1 killed after iteration 3.
+    cfg.fault = FaultPlan::parse("1@3").expect("valid fault plan");
+    cfg.straggle = vec![(2, 3.0)];
     cfg
 }
 
-/// 3 workers, worker 2 straggling 3×, worker 1 killed after iteration 3.
+/// The execution half of the 3-worker chaos run [`health_cfg`] describes.
 fn chaos_health_opts(iters: u64) -> LiveOpts {
     LiveOpts {
         iters,
@@ -36,10 +39,8 @@ fn chaos_health_opts(iters: u64) -> LiveOpts {
         bw_mbps: 1000.0,
         assumed_iter_time: Some(ITER_TIME),
         stall_timeout: Duration::from_secs(120),
-        fault: FaultPlan::parse("1@3").expect("valid fault plan"),
         clock: Arc::new(ManualClock::new()),
         health_interval: Some(HEALTH_INTERVAL),
-        straggle: vec![(2, 3.0)],
         ..Default::default()
     }
 }

@@ -154,10 +154,7 @@ fn quantized_wire_formats_keep_counts_and_bound_loss_delta() {
         let mut qcfg = cfg.clone();
         qcfg.wire = format;
         let sim = sim_run(&qcfg, 2);
-        let opts = LiveOpts {
-            wire: format,
-            ..live_opts(ITERS)
-        };
+        let opts = live_opts(ITERS);
         let live =
             run_live(&qcfg, 2, &opts, TransportKind::Mem, "live/wire-q").expect("quantized run");
         // Identical iteration and message counts: quantization changes

@@ -34,8 +34,10 @@ fn scenario() -> (u64, ScenarioPlan) {
     panic!("no seed under 64 separates victim and straggler");
 }
 
-fn twin_cfg() -> RunConfig {
+fn twin_cfg(plan: &ScenarioPlan) -> RunConfig {
     let mut cfg = live_config(SystemKind::Baseline, 1);
+    cfg.fault = plan.fault.clone();
+    cfg.straggle = plan.straggle.clone();
     cfg.duration = 10_000.0; // never the stopping condition; max_iters is
     cfg.eval_interval = 10_000.0;
     cfg.max_iters = Some(ITERS);
@@ -45,9 +47,7 @@ fn twin_cfg() -> RunConfig {
 }
 
 fn sim_run(plan: &ScenarioPlan) -> RunMetrics {
-    let mut cfg = twin_cfg();
-    cfg.fault = plan.fault.clone();
-    cfg.straggle = plan.straggle.clone();
+    let cfg = twin_cfg(plan);
     let mut compute = ComputeModel::homogeneous(N, 1.0, 0.001, 0.05);
     let mut net = NetworkModel::uniform(N, BW_MBPS, 0.001);
     // No-op for this scenario (no diurnal wave) but part of the recipe:
@@ -63,11 +63,9 @@ fn live_run(plan: &ScenarioPlan, kind: TransportKind) -> RunMetrics {
         bw_mbps: BW_MBPS,
         assumed_iter_time: Some(ITER_TIME),
         stall_timeout: Duration::from_secs(120),
-        fault: plan.fault.clone(),
-        straggle: plan.straggle.clone(),
         ..Default::default()
     };
-    run_live(&twin_cfg(), N, &opts, kind, "live/scenario-twin").expect("live run")
+    run_live(&twin_cfg(plan), N, &opts, kind, "live/scenario-twin").expect("live run")
 }
 
 fn weight_bits(weights: &[Vec<Tensor>]) -> Vec<Vec<Vec<u32>>> {

@@ -132,10 +132,8 @@ fn ring_neighbor_kill_keeps_survivors_bit_identical() {
     const N: usize = 4;
     let mut cfg = topo_cfg(SystemKind::Baseline, ITERS, Topology::Ring);
     cfg.sync_override = Some(SyncPolicy::Synchronous);
-    let opts = LiveOpts {
-        fault: FaultPlan::parse("1@3").expect("valid fault plan"),
-        ..live_opts(ITERS)
-    };
+    cfg.fault = FaultPlan::parse("1@3").expect("valid fault plan");
+    let opts = live_opts(ITERS);
     let runs = [
         run_live(&cfg, N, &opts, TransportKind::Mem, "live/topo-chaos").expect("mem run 1"),
         run_live(&cfg, N, &opts, TransportKind::Mem, "live/topo-chaos").expect("mem run 2"),
@@ -165,10 +163,8 @@ fn group_member_kill_keeps_survivors_bit_identical() {
     const N: usize = 4;
     let mut cfg = topo_cfg(SystemKind::Baseline, ITERS, Topology::Groups { g: 2 });
     cfg.sync_override = Some(SyncPolicy::Synchronous);
-    let opts = LiveOpts {
-        fault: FaultPlan::parse("2@3").expect("valid fault plan"),
-        ..live_opts(ITERS)
-    };
+    cfg.fault = FaultPlan::parse("2@3").expect("valid fault plan");
+    let opts = live_opts(ITERS);
     let a = run_live(&cfg, N, &opts, TransportKind::Mem, "live/topo-chaos").expect("mem run");
     let b = run_live(&cfg, N, &opts, TransportKind::Tcp, "live/topo-chaos").expect("tcp run");
     assert_eq!(a.iterations, vec![ITERS, ITERS, 3, ITERS]);

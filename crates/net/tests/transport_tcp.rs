@@ -230,3 +230,72 @@ fn departed_peer_can_reconnect_and_surfaces_its_hello() {
     assert_eq!((from, body_of(&f)), (1, (1, 2)));
     drop(t2);
 }
+
+/// One accept path: the acceptor runs from before an endpoint's own first
+/// dial, so a higher-numbered peer that dials while the endpoint is still
+/// dialing downwards is wired at once — exactly once, and without its
+/// Hello being surfaced as a rejoin. A second connection claiming a live
+/// link's id is dropped and leaves the real link in place.
+#[test]
+fn early_dialer_joins_once_and_a_duplicate_hello_is_dropped() {
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    const SEED: u64 = 29;
+    // A 0–1–2 chain. Endpoint 0's address is reserved but not bound yet,
+    // so endpoint 1 sits in its dial loop while endpoint 2 dials *it*.
+    let bind = || TcpListener::bind("127.0.0.1:0").expect("bind");
+    let (l1, l2) = (bind(), bind());
+    let a0 = bind().local_addr().expect("addr");
+    let addrs = [a0, l1.local_addr().unwrap(), l2.local_addr().unwrap()];
+    let links = [
+        [false, true, false],
+        [true, false, true],
+        [false, true, false],
+    ];
+    let o = opts(8);
+    std::thread::scope(|s| {
+        let h1 = s.spawn(|| TcpTransport::establish_linked(1, l1, &addrs, SEED, &o, &links[1]));
+        // The top endpoint only dials; it is up while 1 is still dialing 0.
+        let mut t2 =
+            TcpTransport::establish_linked(2, l2, &addrs, SEED, &o, &links[2]).expect("node 2");
+        t2.send_frame(1, frame(2, 7))
+            .expect("send to an establishing peer");
+        let l0 = TcpListener::bind(a0).expect("bind the reserved address");
+        let t0 =
+            TcpTransport::establish_linked(0, l0, &addrs, SEED, &o, &links[0]).expect("node 0");
+        let mut t1 = h1.join().expect("thread").expect("node 1");
+        // 2's frame arrives once; its establishment-time Hello never does.
+        let (from, f) = t1
+            .recv_frame_timeout(TIMEOUT)
+            .expect("recv")
+            .expect("frame");
+        assert_eq!((from, body_of(&f)), (2, (2, 7)));
+        assert!(matches!(t1.try_recv_frame(), Ok(None)));
+
+        // An impostor connection re-announcing live link 2 is closed...
+        let mut dup = TcpStream::connect(addrs[1]).expect("connect");
+        dup.write_all(&encode_frame(
+            KIND_HELLO,
+            &dlion_net::hello_body(2, 3, SEED),
+        ))
+        .expect("hello");
+        dup.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+        assert_eq!(dup.read(&mut [0u8; 1]).expect("clean close"), 0);
+        // ...nothing is surfaced, and the real link still carries traffic
+        // both ways.
+        assert!(matches!(t1.try_recv_frame(), Ok(None)));
+        t1.send_frame(2, frame(1, 9)).expect("send");
+        let (from, f) = t2
+            .recv_frame_timeout(TIMEOUT)
+            .expect("recv")
+            .expect("frame");
+        assert_eq!((from, body_of(&f)), (1, (1, 9)));
+        t2.send_frame(1, frame(2, 8)).expect("send");
+        let (from, f) = t1
+            .recv_frame_timeout(TIMEOUT)
+            .expect("recv")
+            .expect("frame");
+        assert_eq!((from, body_of(&f)), (2, (2, 8)));
+        drop(t0);
+    });
+}

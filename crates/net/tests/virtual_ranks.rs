@@ -130,11 +130,9 @@ fn kregular_schedule_keeps_virtual_bit_parity() {
 fn killing_one_virtual_rank_leaves_survivors_identical_to_flat() {
     const ITERS: u64 = 8;
     const N: usize = 8;
-    let cfg = bsp_cfg(SystemKind::Baseline, ITERS);
-    let opts = LiveOpts {
-        fault: FaultPlan::parse("1@3").expect("valid fault plan"),
-        ..live_opts(ITERS)
-    };
+    let mut cfg = bsp_cfg(SystemKind::Baseline, ITERS);
+    cfg.fault = FaultPlan::parse("1@3").expect("valid fault plan");
+    let opts = live_opts(ITERS);
     let flat = run_live(&cfg, N, &opts, TransportKind::Mem, "live/virt-kill").expect("flat run");
     assert_eq!(flat.iterations[1], 3);
     let flat_bits = weight_bits(&flat.final_weights);
@@ -167,11 +165,9 @@ fn killing_one_virtual_rank_leaves_survivors_identical_to_flat() {
 fn midrun_migration_rehomes_a_rank_through_the_rejoin_path() {
     const ITERS: u64 = 12;
     const N: usize = 8;
-    let cfg = bsp_cfg(SystemKind::Baseline, ITERS);
-    let opts = LiveOpts {
-        fault: FaultPlan::parse("1@2+0").expect("valid fault plan"),
-        ..live_opts(ITERS)
-    };
+    let mut cfg = bsp_cfg(SystemKind::Baseline, ITERS);
+    cfg.fault = FaultPlan::parse("1@2+0").expect("valid fault plan");
+    let opts = live_opts(ITERS);
     let migration = VirtualPlan {
         ranks_per_host: 4,
         migrate: vec![(1, 1)],

@@ -35,7 +35,7 @@ fn sim_and_mem(fault: FaultPlan) -> (RunMetrics, RunMetrics) {
     cfg.max_iters = Some(ITERS);
     cfg.capture_weights = true;
     cfg.sync_override = Some(SyncPolicy::Synchronous);
-    cfg.fault = fault.clone();
+    cfg.fault = fault;
     let sim = run_with_models(
         &cfg,
         ComputeModel::homogeneous(N, 1.0, 0.001, 0.05),
@@ -48,7 +48,6 @@ fn sim_and_mem(fault: FaultPlan) -> (RunMetrics, RunMetrics) {
         bw_mbps: BW_MBPS,
         assumed_iter_time: Some(ITER_TIME),
         stall_timeout: Duration::from_secs(120),
-        fault,
         ..Default::default()
     };
     let mem = run_live(&cfg, N, &opts, TransportKind::Mem, "live/parity-smoke").expect("live run");
