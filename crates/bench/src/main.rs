@@ -19,10 +19,11 @@ use dlion_core::{run_env, ExchangeTransport, MaxNPlanner, RunConfig, SystemKind}
 use dlion_microcloud::{ClusterKind, EnvId};
 use dlion_net::loopback_mesh;
 use dlion_tensor::ops::{
-    conv2d, conv2d_backward, conv2d_backward_direct, conv2d_backward_im2col, conv2d_direct,
-    conv2d_im2col, matmul_into, matmul_nt_into, matmul_tn_into, maxpool2, softmax_xent,
+    conv2d_backward_direct, conv2d_backward_im2col_s, conv2d_backward_s, conv2d_direct,
+    conv2d_im2col_s, conv2d_s, matmul_into, matmul_nt_into, matmul_tn_into, maxpool2_into,
+    softmax_xent, ConvGrads,
 };
-use dlion_tensor::{DetRng, Shape, Tensor};
+use dlion_tensor::{DetRng, Scratch, Shape, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -91,63 +92,56 @@ fn kernels() {
         });
     }
 
-    // Convolution, old criterion-bench shape: (32,6,12,12) ⊛ (12,6,3,3) pad 1.
+    // Convolution, old criterion-bench shape: (32,6,12,12) ⊛ (12,6,3,3) pad 1,
+    // timed as a training step runs it: on a warm arena (`bench` makes one
+    // untimed call first) that gets every result back.
+    let mut s = Scratch::new();
+    let recycle = |g: ConvGrads, s: &mut Scratch| {
+        s.put_tensor(g.dinput);
+        s.put_tensor(g.dweight);
+        s.put_tensor(g.dbias);
+    };
     {
         let input = Tensor::randn(Shape::d4(32, 6, 12, 12), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(12, 6, 3, 3), 0.2, &mut rng);
         let bias = Tensor::zeros(Shape::d1(12));
+        let (i, w, b) = (&input, &weight, &bias);
         let fwd_gemm = bench("conv2d fwd im2col+GEMM", || {
-            black_box(conv2d_im2col(
-                black_box(&input),
-                black_box(&weight),
-                black_box(&bias),
-                1,
-            ));
+            let y = conv2d_im2col_s(black_box(i), black_box(w), black_box(b), 1, &mut s);
+            s.put_tensor(black_box(y));
         });
         let fwd_direct = bench("conv2d fwd direct (seed)", || {
-            black_box(conv2d_direct(
-                black_box(&input),
-                black_box(&weight),
-                black_box(&bias),
-                1,
-            ));
+            let y = conv2d_direct(black_box(i), black_box(w), black_box(b), 1, &mut s);
+            s.put_tensor(black_box(y));
         });
         speedup("conv2d fwd", fwd_direct, fwd_gemm);
-        let out = conv2d(&input, &weight, &bias, 1);
+        let out = conv2d_s(i, w, b, 1, &mut s);
         let dout = Tensor::randn(out.shape().clone(), 1.0, &mut rng);
+        let d = &dout;
         let bwd_gemm = bench("conv2d bwd im2col+GEMM", || {
-            black_box(conv2d_backward_im2col(
-                black_box(&input),
-                black_box(&weight),
-                black_box(&dout),
-                1,
-            ));
+            let g = conv2d_backward_im2col_s(black_box(i), black_box(w), black_box(d), 1, &mut s);
+            recycle(black_box(g), &mut s);
         });
         let bwd_direct = bench("conv2d bwd direct (seed)", || {
-            black_box(conv2d_backward_direct(
-                black_box(&input),
-                black_box(&weight),
-                black_box(&dout),
-                1,
-            ));
+            let g = conv2d_backward_direct(black_box(i), black_box(w), black_box(d), 1, &mut s);
+            recycle(black_box(g), &mut s);
         });
         speedup("conv2d bwd", bwd_direct, bwd_gemm);
         // Sanity: the dispatcher must be picking the winner on this shape.
         bench("conv2d bwd dispatched", || {
-            black_box(conv2d_backward(
-                black_box(&input),
-                black_box(&weight),
-                black_box(&dout),
-                1,
-            ));
+            let g = conv2d_backward_s(black_box(i), black_box(w), black_box(d), 1, &mut s);
+            recycle(black_box(g), &mut s);
         });
     }
 
     // Remaining hot ops from the old criterion suite.
     {
         let pool_in = Tensor::randn(Shape::d4(32, 12, 12, 12), 1.0, &mut rng);
+        let mut arg = vec![0u32; 32 * 12 * 6 * 6];
         bench("maxpool2 (32,12,12,12)", || {
-            black_box(maxpool2(black_box(&pool_in)));
+            let mut out = s.take_uninit(arg.len());
+            maxpool2_into(black_box(&pool_in), &mut out, &mut arg);
+            s.put(black_box(out));
         });
         let logits = Tensor::randn(Shape::d2(192, 10), 1.0, &mut rng);
         let labels: Vec<usize> = (0..192).map(|i| i % 10).collect();

@@ -591,7 +591,7 @@ impl ClusterRunner {
             .collect();
         let parts = partition_gbs(self.current_gbs(), &rcps);
         for (w, &lbs) in parts.iter().enumerate() {
-            self.workers[w].lbs = lbs;
+            self.workers[w].set_lbs(lbs);
         }
         self.members.lbs_of.clone_from(&parts);
         event!(now, "lbs_repartition";

@@ -40,6 +40,7 @@ pub struct Worker {
     pub last_pull_round: u64,
     /// Per-worker buffer arena: every activation/gradient/batch buffer of
     /// the training step recycles through here instead of the allocator.
+    /// Its buffers fit one batch size; [`Worker::set_lbs`] drops them.
     pub scratch: Scratch,
     /// Persistent per-variable gradient tensors, overwritten each
     /// iteration by `forward_backward_scratch` (empty until the first one).
@@ -63,15 +64,20 @@ pub struct PendingIteration {
 }
 
 impl Worker {
-    /// Sample a minibatch of `lbs` indices (with replacement) from the shard.
-    pub fn sample_batch(&mut self) -> Vec<usize> {
-        self.sample_batch_reuse();
-        self.batch_buf.clone()
+    /// Reassign the local batch size. The arena's buckets are exact lengths
+    /// and activation lengths scale with the batch, so after a change the
+    /// old buffers could never be taken again: release them and let the
+    /// next step refill the arena at the new size.
+    pub fn set_lbs(&mut self, lbs: usize) {
+        if lbs != self.lbs {
+            self.lbs = lbs;
+            self.scratch = Scratch::new();
+        }
     }
 
-    /// Fill [`Worker::batch_buf`] with the next batch, reusing its
-    /// allocation (the runner's per-iteration hot path). Draws the same
-    /// RNG sequence as [`Worker::sample_batch`].
+    /// Fill [`Worker::batch_buf`] with the next minibatch: `lbs` indices
+    /// drawn (with replacement) from the shard, reusing the buffer's
+    /// allocation.
     pub fn sample_batch_reuse(&mut self) {
         assert!(
             !self.shard.is_empty(),
@@ -132,18 +138,48 @@ mod tests {
     #[test]
     fn sample_batch_size_and_range() {
         let mut w = worker();
-        let b = w.sample_batch();
-        assert_eq!(b.len(), 32);
-        assert!(b.iter().all(|&i| i < 100));
-        w.lbs = 7;
-        assert_eq!(w.sample_batch().len(), 7);
+        w.sample_batch_reuse();
+        assert_eq!(w.batch_buf.len(), 32);
+        assert!(w.batch_buf.iter().all(|&i| i < 100));
+        w.set_lbs(7);
+        w.sample_batch_reuse();
+        assert_eq!(w.batch_buf.len(), 7);
     }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let mut a = worker();
         let mut b = worker();
-        assert_eq!(a.sample_batch(), b.sample_batch());
+        a.sample_batch_reuse();
+        b.sample_batch_reuse();
+        assert_eq!(a.batch_buf, b.batch_buf);
+    }
+
+    /// The arena follows the batch size: a worker stepped through LBS
+    /// 32 → 48 → 64 → 100 ends holding exactly what a worker that only
+    /// ever ran LBS 100 holds — nothing of the sizes it left.
+    #[test]
+    fn arena_holds_only_the_current_batch_size() {
+        let data = dlion_nn::Dataset::synth_vision(100, 1);
+        let steps = |w: &mut Worker, lbs: usize| {
+            w.set_lbs(lbs);
+            for _ in 0..2 {
+                w.sample_batch_reuse();
+                w.compute_grads(&data, 5.0);
+            }
+            w.scratch.held_bytes()
+        };
+        let mut fresh = worker();
+        let at_100 = steps(&mut fresh, 100);
+        let mut w = worker();
+        let at_32 = steps(&mut w, 32);
+        assert!(0 < at_32 && at_32 < at_100);
+        steps(&mut w, 48);
+        steps(&mut w, 64);
+        assert_eq!(steps(&mut w, 100), at_100);
+        // An unchanged LBS keeps the warm arena.
+        w.set_lbs(100);
+        assert_eq!(w.scratch.held_bytes(), at_100);
     }
 
     #[test]
@@ -162,6 +198,6 @@ mod tests {
     fn empty_shard_panics() {
         let mut w = worker();
         w.shard.clear();
-        w.sample_batch();
+        w.sample_batch_reuse();
     }
 }

@@ -963,6 +963,9 @@ impl LiveWorker<'_, '_> {
         let mut prng = DetRng::seed_from_u64(self.env.cfg.seed ^ 0x5052_4F46 ^ self.me as u64);
         let mut samples = Vec::with_capacity(PROFILE_LBS.len());
         for &lbs in PROFILE_LBS.iter() {
+            // Each profiled size is a batch-size change like any other: the
+            // arena lets go of the previous size's buffers.
+            self.worker.set_lbs(lbs);
             let Worker {
                 batch_buf, shard, ..
             } = &mut self.worker;
@@ -1030,7 +1033,7 @@ impl LiveWorker<'_, '_> {
             }
         }
         let parts = partition_gbs(self.gbs, &rcps);
-        self.worker.lbs = parts[self.me];
+        self.worker.set_lbs(parts[self.me]);
         self.members.lbs_of.clone_from(&parts);
         self.last_contributors = (0..self.n).filter(|&j| self.active[j]).collect();
         self.out.lbs_trace.push((0.0, parts.clone()));
@@ -1197,7 +1200,7 @@ impl LiveWorker<'_, '_> {
                 self.members.lbs_of[j] = parts[slot];
             }
             if contributors.contains(&self.me) {
-                self.worker.lbs = row[self.me];
+                self.worker.set_lbs(row[self.me]);
             }
             event!(self.env.clock.now(), w: self.me, "lbs_repartition";
                 "gbs" => self.gbs, "lbs" => row[self.me], "round" => round,

@@ -124,17 +124,10 @@ impl Dataset {
         &self.labels
     }
 
-    /// Materialize a batch `(images, labels)` for the given sample indices.
-    pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let x = self.images.gather_rows(indices);
-        let y = indices.iter().map(|&i| self.labels[i]).collect();
-        (x, y)
-    }
-
-    /// [`Dataset::batch`] with the image tensor's storage served from a
-    /// scratch arena; the buffer re-enters the arena when the training step
-    /// recycles it, so steady-state batching allocates nothing but the
-    /// (small) label vector.
+    /// Materialize a batch `(images, labels)` for the given sample indices,
+    /// the image tensor's storage drawn from the arena `s`; it re-enters
+    /// the arena when the training step recycles it, so steady-state
+    /// batching allocates nothing but the (small) label vector.
     pub fn batch_scratch(
         &self,
         indices: &[usize],
@@ -150,6 +143,11 @@ impl Dataset {
         dims[0] = indices.len();
         let y = indices.iter().map(|&i| self.labels[i]).collect();
         (Tensor::from_vec(dims, x), y)
+    }
+
+    /// [`Dataset::batch_scratch`] for callers without an arena to keep.
+    pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
+        self.batch_scratch(indices, &mut dlion_tensor::Scratch::new())
     }
 
     /// Randomly partition sample indices into `n_shards` near-equal shards

@@ -9,8 +9,9 @@
 //!
 //! The crate exposes exactly the surface DLion's worker needs:
 //!
-//! * [`Model::forward_backward`] — one gradient computation over a
+//! * [`Model::forward_backward_scratch`] — one gradient computation over a
 //!   minibatch (Eq. 6 of the paper: mean gradient over the local batch),
+//!   every buffer drawn from the worker's arena,
 //! * [`Model::apply_sparse_update`] / [`Model::apply_dense_update`] — the
 //!   weighted model update (Eq. 7),
 //! * [`Model::weights`] / [`Model::merge_weights`] — direct knowledge
@@ -27,7 +28,7 @@ pub mod serialize;
 pub mod sgd;
 
 pub use dataset::{Dataset, ShardPlan};
-pub use layer::{Conv2d, Dense, DepthwiseConv2d, Dropout, Flatten, Layer, MaxPool2, Relu};
+pub use layer::{Conv2d, Dense, DepthwiseConv2d, Flatten, Layer, MaxPool2, Relu};
 pub use model::{EvalResult, Model};
 pub use models::{cipher_net, micro_mobilenet, ModelSpec};
 pub use sgd::Sgd;

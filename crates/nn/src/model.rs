@@ -93,49 +93,27 @@ impl Model {
         self.wire_bytes as f64 / self.num_params() as f64
     }
 
-    /// Forward pass to logits.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for l in self.layers.iter_mut() {
-            cur = l.forward(&cur);
-        }
-        cur
-    }
-
-    /// One training gradient computation over a minibatch: forward, softmax
-    /// cross-entropy, backward. Returns `(mean loss, per-variable mean
-    /// gradients)` — Eq. 6 of the paper.
-    pub fn forward_backward(&mut self, x: &Tensor, labels: &[usize]) -> (f64, Vec<Tensor>) {
-        let logits = self.forward(x);
-        let (loss, dlogits) = softmax_xent(&logits, labels);
-        let mut grad = dlogits;
-        for l in self.layers.iter_mut().rev() {
-            grad = l.backward(&grad);
-        }
-        let grads = (0..self.num_vars())
-            .map(|v| {
-                let (li, pi) = self.param_map[v];
-                self.layers[li].grad(pi).clone()
-            })
-            .collect();
-        (loss as f64, grads)
-    }
-
-    /// Scratch-aware forward pass to logits: consumes `x` and recycles
-    /// every intermediate activation through `s`.
+    /// Forward pass to logits: consumes `x` and recycles every
+    /// intermediate activation through `s`.
     pub fn forward_scratch(&mut self, x: Tensor, s: &mut Scratch) -> Tensor {
         let mut cur = x;
         for l in self.layers.iter_mut() {
-            cur = l.forward_s(cur, s);
+            cur = l.forward(cur, s);
         }
         cur
     }
 
-    /// Allocation-free twin of [`Model::forward_backward`]: the input and
-    /// every intermediate tensor cycle through the per-worker arena `s`, and
-    /// the per-variable mean gradients are written into the caller-owned
-    /// `grads` vector (initialized on first use) instead of freshly cloned.
-    /// Bit-identical to the allocating path — same kernels, same order.
+    /// [`Model::forward_scratch`] for callers without an arena to keep.
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.forward_scratch(x.clone(), &mut Scratch::new())
+    }
+
+    /// One training gradient computation over a minibatch: forward, softmax
+    /// cross-entropy, backward — Eq. 6 of the paper. Returns the mean loss
+    /// and writes the per-variable mean gradients into the caller-owned
+    /// `grads` vector (initialized on first use). The input and every
+    /// intermediate tensor cycle through the arena `s`, which ends the
+    /// step holding exactly what it held at the end of the previous one.
     pub fn forward_backward_scratch(
         &mut self,
         x: Tensor,
@@ -147,13 +125,15 @@ impl Model {
             let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Forward);
             self.forward_scratch(x, s)
         };
+        // `logits` is dropped, not recycled: `dlogits`, which `softmax_xent`
+        // allocates at the same length, enters the arena in its place when
+        // the last layer's backward recycles it.
         let (loss, dlogits) = softmax_xent(&logits, labels);
-        s.put_tensor(logits);
         let mut grad = dlogits;
         {
             let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Backward);
             for l in self.layers.iter_mut().rev() {
-                grad = l.backward_s(grad, s);
+                grad = l.backward(grad, s);
             }
         }
         s.put_tensor(grad);
@@ -172,8 +152,17 @@ impl Model {
         loss as f64
     }
 
+    /// [`Model::forward_backward_scratch`] for callers without an arena or
+    /// gradient tensors to keep: `(mean loss, per-variable mean gradients)`.
+    pub fn forward_backward(&mut self, x: &Tensor, labels: &[usize]) -> (f64, Vec<Tensor>) {
+        let mut grads = Vec::new();
+        let loss =
+            self.forward_backward_scratch(x.clone(), labels, &mut Scratch::new(), &mut grads);
+        (loss, grads)
+    }
+
     /// Evaluate loss/accuracy on `indices` of `ds` (forward only), in
-    /// batches of `batch` to bound memory.
+    /// batches of `batch` to bound memory, through one arena of its own.
     pub fn evaluate(&mut self, ds: &Dataset, indices: &[usize], batch: usize) -> EvalResult {
         let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Eval);
         assert!(batch > 0);
@@ -183,14 +172,16 @@ impl Model {
                 accuracy: 0.0,
             };
         }
+        let mut s = Scratch::new();
         let mut total_loss = 0.0f64;
         let mut total_correct = 0.0f64;
         for chunk in indices.chunks(batch) {
-            let (x, y) = ds.batch(chunk);
-            let logits = self.forward(&x);
+            let (x, y) = ds.batch_scratch(chunk, &mut s);
+            let logits = self.forward_scratch(x, &mut s);
             let (loss, _) = softmax_xent(&logits, &y);
             total_loss += loss as f64 * chunk.len() as f64;
             total_correct += accuracy(&logits, &y) * chunk.len() as f64;
+            s.put_tensor(logits);
         }
         let n = indices.len() as f64;
         EvalResult {
@@ -392,40 +383,63 @@ mod tests {
         assert!(m1.weight_distance(&m2.weights()) < 1e-5);
     }
 
-    /// The allocation-free step must produce bit-identical losses, grads
-    /// and weight trajectories to the allocating one, while actually
-    /// recycling buffers.
+    /// CipherNet on both conv backends (batch 1: direct loops, batch 32:
+    /// im2col) and MicroMobileNet, end to end: three training steps on a
+    /// *warm* arena — every buffer recycled, NaN-poisoned by `Scratch::put`
+    /// in debug builds — give the losses, gradients and weights of three
+    /// steps that each get a fresh arena, bit for bit, and the warm arena
+    /// ends every step holding what it held before it.
     #[test]
-    fn forward_backward_scratch_matches_allocating() {
-        let mut rng = DetRng::seed_from_u64(11);
-        let mut ma = tiny_model(&mut rng);
-        let mut rngb = DetRng::seed_from_u64(11);
-        let mut mb = tiny_model(&mut rngb);
-        let ds = tiny_dataset(&mut rng);
-        let mut s = Scratch::new();
-        let mut grads_b: Vec<Tensor> = Vec::new();
-        for step in 0..10 {
-            let idx: Vec<usize> = (0..8).map(|i| (step * 8 + i) % ds.len()).collect();
-            let (xa, ya) = ds.batch(&idx);
-            let (la, ga) = ma.forward_backward(&xa, &ya);
-            let (xb, yb) = ds.batch_scratch(&idx, &mut s);
-            assert_eq!(xa.data(), xb.data());
-            assert_eq!(ya, yb);
-            let lb = mb.forward_backward_scratch(xb, &yb, &mut s, &mut grads_b);
-            assert_eq!(la.to_bits(), lb.to_bits(), "loss at step {step}");
-            assert_eq!(ga.len(), grads_b.len());
-            for (a, b) in ga.iter().zip(&grads_b) {
-                assert_eq!(a.data(), b.data(), "grads at step {step}");
+    fn warm_poisoned_arena_matches_fresh_arena_end_to_end() {
+        use crate::models::ModelSpec;
+        let cases = [
+            (ModelSpec::Cipher, Dataset::synth_vision(200, 1), 1usize),
+            (ModelSpec::Cipher, Dataset::synth_vision(200, 1), 32),
+            (ModelSpec::MobileNet, Dataset::synth_imagenet(200, 2), 8),
+        ];
+        for (spec, ds, b) in cases {
+            let mut rng = DetRng::seed_from_u64(11);
+            let mut warm = spec.build(&ds.sample_shape(), ds.classes(), &mut rng);
+            let mut fresh = warm.clone();
+            let (mut ws, mut gw, mut gf) = (Scratch::new(), Vec::new(), Vec::new());
+            let mut held = 0;
+            for step in 0..4 {
+                let idx: Vec<usize> = (0..b).map(|i| (step * b + i) % ds.len()).collect();
+                let (x, y) = ds.batch_scratch(&idx, &mut ws);
+                let lw = warm.forward_backward_scratch(x, &y, &mut ws, &mut gw);
+                let mut fs = Scratch::new();
+                let (x, y) = ds.batch_scratch(&idx, &mut fs);
+                let lf = fresh.forward_backward_scratch(x, &y, &mut fs, &mut gf);
+                assert_eq!(
+                    lw.to_bits(),
+                    lf.to_bits(),
+                    "{spec:?} b={b} loss, step {step}"
+                );
+                for (v, (a, c)) in gw.iter().zip(&gf).enumerate() {
+                    let same =
+                        (a.data().iter().zip(c.data())).all(|(p, q)| p.to_bits() == q.to_bits());
+                    assert!(same, "{spec:?} b={b} grad {v}, step {step}");
+                }
+                warm.apply_dense_update(&gw, -0.2);
+                fresh.apply_dense_update(&gf, -0.2);
+                if step == 0 {
+                    held = ws.held_bytes();
+                    assert_eq!(held, fs.held_bytes(), "{spec:?} b={b}");
+                } else {
+                    assert_eq!(
+                        ws.held_bytes(),
+                        held,
+                        "{spec:?} b={b}: arena grew, step {step}"
+                    );
+                }
             }
-            ma.apply_dense_update(&ga, -0.2);
-            mb.apply_dense_update(&grads_b, -0.2);
+            assert_eq!(warm.weight_distance(&fresh.weights()), 0.0);
+            assert!(
+                ws.reuse_ratio() > 0.7,
+                "{spec:?} b={b}: {}",
+                ws.reuse_ratio()
+            );
         }
-        assert_eq!(ma.weight_distance(&mb.weights()), 0.0);
-        assert!(
-            s.reuse_ratio() > 0.5,
-            "arena should serve most buffers after warmup: {}",
-            s.reuse_ratio()
-        );
     }
 
     #[test]

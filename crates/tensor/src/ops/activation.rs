@@ -1,24 +1,8 @@
-//! Activation and loss kernels: ReLU and softmax cross-entropy.
+//! Loss kernels: softmax cross-entropy and accuracy. (ReLU is two
+//! elementwise loops in `dlion_nn::layer::Relu`, over arena buffers.)
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-
-/// Elementwise `max(0, x)`.
-pub fn relu(x: &Tensor) -> Tensor {
-    x.map(|v| v.max(0.0))
-}
-
-/// Backward ReLU: passes gradient where the *input* was positive.
-pub fn relu_backward(input: &Tensor, dout: &Tensor) -> Tensor {
-    assert_eq!(input.shape(), dout.shape(), "relu_backward shape mismatch");
-    let mut out = dout.clone();
-    for (g, &x) in out.data_mut().iter_mut().zip(input.data()) {
-        if x <= 0.0 {
-            *g = 0.0;
-        }
-    }
-    out
-}
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
 pub fn softmax_rows(logits: &Tensor) -> Tensor {
@@ -92,16 +76,6 @@ pub fn one_hot(labels: &[usize], classes: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relu_forward_backward() {
-        let x = Tensor::from_vec(Shape::d1(4), vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = relu(&x);
-        assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
-        let dout = Tensor::full(Shape::d1(4), 1.0);
-        let dx = relu_backward(&x, &dout);
-        assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0]);
-    }
 
     #[test]
     fn softmax_rows_sum_to_one_and_order() {

@@ -2,7 +2,7 @@
 //! backward passes, plus the depthwise variant used by MobileNet-style
 //! models.
 //!
-//! Two backends sit behind [`conv2d`] / [`conv2d_backward`]:
+//! Two backends sit behind [`conv2d_s`] / [`conv2d_backward_s`]:
 //!
 //! * **direct** loops ([`conv2d_direct`], [`conv2d_backward_direct`]) — no
 //!   intermediate buffers, best for tiny shapes where im2col's patch
@@ -11,13 +11,23 @@
 //!   the register-tiled matmul kernels, which win as soon as the implied
 //!   GEMM has enough arithmetic to amortize packing.
 //!
-//! Dispatch ([`use_im2col`]) depends only on the static shapes, so a given
-//! layer always takes the same path and runs stay bit-reproducible. The
-//! direct backward keeps its `g == 0.0` skip: upstream gradients flow
-//! through ReLU and genuinely contain zeros, unlike the dense activations
-//! that made the old matmul zero-skip a pessimization.
+//! Both stay because each is the faster one on shapes a run really has
+//! (batch 1 on a thousand-worker simulation, batch ≥ 32 on a figure cell),
+//! and the direct loops double as the reference the GEMM path is tested
+//! against. Dispatch ([`use_im2col`]) depends only on the shapes, so a
+//! given layer at a given batch size always takes the same path and runs
+//! stay bit-reproducible. The direct backward keeps its `g == 0.0` skip:
+//! upstream gradients flow through ReLU and genuinely contain zeros, unlike
+//! the dense activations that made the old matmul zero-skip a
+//! pessimization.
+//!
+//! Every kernel here draws the tensors it returns from the caller's
+//! [`Scratch`] arena, so whoever consumes a result can recycle it and the
+//! arena holds a fixed set of buffers per batch size.
 
+use crate::ops::im2col::{conv2d_backward_im2col_s, conv2d_im2col_s};
 use crate::par;
+use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -36,122 +46,73 @@ pub(crate) fn out_hw(h: usize, w: usize, kh: usize, kw: usize, pad: usize) -> (u
     (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1)
 }
 
-/// Does the im2col-lowered GEMM carry enough arithmetic to beat the direct
-/// loops? Calibrated with `dlion-bench kernels`: patch materialization is
-/// ~2 passes over the patch matrix, so the GEMM must do a multiple of that
-/// in useful MACs.
-fn use_im2col(n: usize, c: usize, f: usize, kh: usize, kw: usize, oh: usize, ow: usize) -> bool {
-    let macs = n * oh * ow * c * kh * kw * f;
-    macs >= 16 * 1024
+/// `(d0, d1, d2, d3)` of a rank-4 tensor: `(N,C,H,W)` activations,
+/// `(F,C,KH,KW)` filters.
+pub(crate) fn dims4(t: &Tensor) -> [usize; 4] {
+    let dims = t.shape().dims();
+    dims.try_into().expect("convolution operands are rank-4")
+}
+
+/// Does `input ⊛ weight` lower to a GEMM with enough arithmetic to beat the
+/// direct loops? Calibrated with `dlion-bench kernels`: patch
+/// materialization is ~2 passes over the patch matrix, so the GEMM must do
+/// a multiple of that in useful MACs.
+fn use_im2col(input: &Tensor, weight: &Tensor, pad: usize) -> bool {
+    let [n, c, h, w] = dims4(input);
+    let [f, _, kh, kw] = dims4(weight);
+    let (oh, ow) = out_hw(h, w, kh, kw, pad);
+    n * oh * ow * c * kh * kw * f >= 16 * 1024
 }
 
 /// Standard convolution: `input (N,C,H,W)` ⊛ `weight (F,C,KH,KW)` + `bias (F)`
-/// → `(N,F,OH,OW)`. Dispatches to the GEMM backend on large shapes.
-pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usize) -> Tensor {
-    let (n, c) = (input.shape().dim(0), input.shape().dim(1));
-    let (h, w) = (input.shape().dim(2), input.shape().dim(3));
-    let (f, kh, kw) = (
-        weight.shape().dim(0),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    );
-    let (oh, ow) = out_hw(h, w, kh, kw, pad);
-    if use_im2col(n, c, f, kh, kw, oh, ow) {
-        crate::ops::im2col::conv2d_im2col(input, weight, bias, pad)
-    } else {
-        conv2d_direct(input, weight, bias, pad)
-    }
-}
-
-/// Backward pass of [`conv2d`]. `dout` has shape `(N,F,OH,OW)`. Uses the
-/// same backend selection as the forward pass.
-pub fn conv2d_backward(input: &Tensor, weight: &Tensor, dout: &Tensor, pad: usize) -> ConvGrads {
-    let (n, c) = (input.shape().dim(0), input.shape().dim(1));
-    let (h, w) = (input.shape().dim(2), input.shape().dim(3));
-    let (f, kh, kw) = (
-        weight.shape().dim(0),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    );
-    let (oh, ow) = out_hw(h, w, kh, kw, pad);
-    if use_im2col(n, c, f, kh, kw, oh, ow) {
-        crate::ops::im2col::conv2d_backward_im2col(input, weight, dout, pad)
-    } else {
-        conv2d_backward_direct(input, weight, dout, pad)
-    }
-}
-
-/// [`conv2d`] with intermediates served from a caller-owned scratch arena.
-/// The direct backend (tiny shapes) has no intermediates worth pooling and
-/// ignores `s`; dispatch is identical to [`conv2d`], so results are
-/// bit-identical.
+/// → `(N,F,OH,OW)`, on the backend [`use_im2col`] picks for the shapes.
 pub fn conv2d_s(
     input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
     pad: usize,
-    s: &mut crate::scratch::Scratch,
+    s: &mut Scratch,
 ) -> Tensor {
-    let (n, c) = (input.shape().dim(0), input.shape().dim(1));
-    let (h, w) = (input.shape().dim(2), input.shape().dim(3));
-    let (f, kh, kw) = (
-        weight.shape().dim(0),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    );
-    let (oh, ow) = out_hw(h, w, kh, kw, pad);
-    if use_im2col(n, c, f, kh, kw, oh, ow) {
-        crate::ops::im2col::conv2d_im2col_s(input, weight, bias, pad, s)
+    if use_im2col(input, weight, pad) {
+        conv2d_im2col_s(input, weight, bias, pad, s)
     } else {
-        conv2d_direct(input, weight, bias, pad)
+        conv2d_direct(input, weight, bias, pad, s)
     }
 }
 
-/// [`conv2d_backward`] with intermediates (and returned gradients, on the
-/// im2col path) served from a caller-owned scratch arena.
+/// Backward pass of [`conv2d_s`], on the same backend as the forward pass.
+/// `dout` has shape `(N,F,OH,OW)`.
 pub fn conv2d_backward_s(
     input: &Tensor,
     weight: &Tensor,
     dout: &Tensor,
     pad: usize,
-    s: &mut crate::scratch::Scratch,
+    s: &mut Scratch,
 ) -> ConvGrads {
-    let (n, c) = (input.shape().dim(0), input.shape().dim(1));
-    let (h, w) = (input.shape().dim(2), input.shape().dim(3));
-    let (f, kh, kw) = (
-        weight.shape().dim(0),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    );
-    let (oh, ow) = out_hw(h, w, kh, kw, pad);
-    if use_im2col(n, c, f, kh, kw, oh, ow) {
-        crate::ops::im2col::conv2d_backward_im2col_s(input, weight, dout, pad, s)
+    if use_im2col(input, weight, pad) {
+        conv2d_backward_im2col_s(input, weight, dout, pad, s)
     } else {
-        conv2d_backward_direct(input, weight, dout, pad)
+        conv2d_backward_direct(input, weight, dout, pad, s)
     }
 }
 
-/// Direct (loop-nest) convolution forward.
-pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usize) -> Tensor {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let [f, cw, kh, kw] = [
-        weight.shape().dim(0),
-        weight.shape().dim(1),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    ];
+/// Direct (loop-nest) convolution forward; every output slot is written.
+pub fn conv2d_direct(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    pad: usize,
+    s: &mut Scratch,
+) -> Tensor {
+    let [n, c, h, w] = dims4(input);
+    let [f, cw, kh, kw] = dims4(weight);
     assert_eq!(c, cw, "conv2d channel mismatch");
     assert_eq!(bias.numel(), f, "conv2d bias size");
     let (oh, ow) = out_hw(h, w, kh, kw, pad);
     let id = input.data();
     let wd = weight.data();
     let bd = bias.data();
-    let mut out = vec![0.0f32; n * f * oh * ow];
+    let mut out = s.take_uninit(n * f * oh * ow);
     par::par_chunks_mut(&mut out, f * oh * ow, |ni, ochunk| {
         let ibase = ni * c * h * w;
         for fi in 0..f {
@@ -193,19 +154,10 @@ pub fn conv2d_backward_direct(
     weight: &Tensor,
     dout: &Tensor,
     pad: usize,
+    s: &mut Scratch,
 ) -> ConvGrads {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let [f, _, kh, kw] = [
-        weight.shape().dim(0),
-        weight.shape().dim(1),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    ];
+    let [n, c, h, w] = dims4(input);
+    let [f, _, kh, kw] = dims4(weight);
     let (oh, ow) = out_hw(h, w, kh, kw, pad);
     assert_eq!(
         dout.shape().dims(),
@@ -217,7 +169,7 @@ pub fn conv2d_backward_direct(
     let dd = dout.data();
 
     // dinput: parallel over batch items (each writes only its own slice).
-    let mut dinput = vec![0.0f32; n * c * h * w];
+    let mut dinput = s.take(n * c * h * w);
     par::par_chunks_mut(&mut dinput, c * h * w, |ni, dslice| {
         let dbase = ni * f * oh * ow;
         for fi in 0..f {
@@ -252,8 +204,8 @@ pub fn conv2d_backward_direct(
 
     // dweight + dbias: parallel over output filters (each filter's gradient
     // slice is reduced over the batch with a fixed-order loop).
-    let mut dweight = vec![0.0f32; f * c * kh * kw];
-    let mut dbias = vec![0.0f32; f];
+    let mut dweight = s.take(f * c * kh * kw);
+    let mut dbias = s.take(f);
     par::par_chunks2_mut(
         &mut dweight,
         c * kh * kw,
@@ -305,19 +257,15 @@ pub fn conv2d_backward_direct(
 /// Depthwise convolution: `input (N,C,H,W)` ⊛ `weight (C,1,KH,KW)` + `bias (C)`
 /// → `(N,C,OH,OW)`; channel `c` of the output depends only on channel `c`
 /// of the input (channel multiplier 1, as in MobileNet).
-pub fn depthwise_conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usize) -> Tensor {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let [cw, one, kh, kw] = [
-        weight.shape().dim(0),
-        weight.shape().dim(1),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    ];
+pub fn depthwise_conv2d(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    pad: usize,
+    s: &mut Scratch,
+) -> Tensor {
+    let [n, c, h, w] = dims4(input);
+    let [cw, one, kh, kw] = dims4(weight);
     assert_eq!(c, cw, "depthwise channel mismatch");
     assert_eq!(one, 1, "depthwise weight must be (C,1,KH,KW)");
     assert_eq!(bias.numel(), c);
@@ -325,7 +273,7 @@ pub fn depthwise_conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usi
     let id = input.data();
     let wd = weight.data();
     let bd = bias.data();
-    let mut out = vec![0.0f32; n * c * oh * ow];
+    let mut out = s.take_uninit(n * c * oh * ow);
     par::par_chunks_mut(&mut out, c * oh * ow, |ni, ochunk| {
         for ci in 0..c {
             let icbase = (ni * c + ci) * h * w;
@@ -362,26 +310,17 @@ pub fn depthwise_conv2d_backward(
     weight: &Tensor,
     dout: &Tensor,
     pad: usize,
+    s: &mut Scratch,
 ) -> ConvGrads {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let [_, _, kh, kw] = [
-        weight.shape().dim(0),
-        weight.shape().dim(1),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    ];
+    let [n, c, h, w] = dims4(input);
+    let [_, _, kh, kw] = dims4(weight);
     let (oh, ow) = out_hw(h, w, kh, kw, pad);
     assert_eq!(dout.shape().dims(), &[n, c, oh, ow]);
     let id = input.data();
     let wd = weight.data();
     let dd = dout.data();
 
-    let mut dinput = vec![0.0f32; n * c * h * w];
+    let mut dinput = s.take(n * c * h * w);
     par::par_chunks_mut(&mut dinput, c * h * w, |ni, dslice| {
         for ci in 0..c {
             let dbase = (ni * c + ci) * oh * ow;
@@ -411,8 +350,8 @@ pub fn depthwise_conv2d_backward(
         }
     });
 
-    let mut dweight = vec![0.0f32; c * kh * kw];
-    let mut dbias = vec![0.0f32; c];
+    let mut dweight = s.take(c * kh * kw);
+    let mut dbias = s.take(c);
     par::par_chunks2_mut(&mut dweight, kh * kw, &mut dbias, 1, |ci, wslice, dbv| {
         for ni in 0..n {
             let dbase = (ni * c + ci) * oh * ow;
@@ -479,11 +418,12 @@ mod tests {
 
     #[test]
     fn conv2d_known_values() {
+        let mut s = Scratch::new();
         // 1x1x3x3 input, single 2x2 filter of ones, no padding.
         let input = Tensor::from_fn(Shape::d4(1, 1, 3, 3), |i| i as f32);
         let weight = Tensor::full(Shape::d4(1, 1, 2, 2), 1.0);
         let bias = Tensor::zeros(Shape::d1(1));
-        let out = conv2d(&input, &weight, &bias, 0);
+        let out = conv2d_s(&input, &weight, &bias, 0, &mut s);
         assert_eq!(out.shape().dims(), &[1, 1, 2, 2]);
         // windows: [0,1,3,4]=8, [1,2,4,5]=12, [3,4,6,7]=20, [4,5,7,8]=24
         assert_eq!(out.data(), &[8.0, 12.0, 20.0, 24.0]);
@@ -491,10 +431,11 @@ mod tests {
 
     #[test]
     fn conv2d_padding_preserves_size() {
+        let mut s = Scratch::new();
         let input = Tensor::full(Shape::d4(2, 3, 5, 5), 1.0);
         let weight = Tensor::full(Shape::d4(4, 3, 3, 3), 0.1);
         let bias = Tensor::zeros(Shape::d1(4));
-        let out = conv2d(&input, &weight, &bias, 1);
+        let out = conv2d_s(&input, &weight, &bias, 1, &mut s);
         assert_eq!(out.shape().dims(), &[2, 4, 5, 5]);
         // Center pixel sees all 27 taps: 27 * 0.1 = 2.7.
         assert!((out.at(&[0, 0, 2, 2]) - 2.7).abs() < 1e-5);
@@ -504,16 +445,18 @@ mod tests {
 
     #[test]
     fn conv2d_bias_applied() {
+        let mut s = Scratch::new();
         let input = Tensor::zeros(Shape::d4(1, 1, 3, 3));
         let weight = Tensor::zeros(Shape::d4(2, 1, 3, 3));
         let bias = Tensor::from_vec(Shape::d1(2), vec![0.5, -1.5]);
-        let out = conv2d(&input, &weight, &bias, 1);
+        let out = conv2d_s(&input, &weight, &bias, 1, &mut s);
         assert!(out.data()[..9].iter().all(|&x| x == 0.5));
         assert!(out.data()[9..].iter().all(|&x| x == -1.5));
     }
 
     #[test]
     fn conv2d_gradients_match_numerical() {
+        let mut s = Scratch::new();
         let mut rng = DetRng::seed_from_u64(10);
         let input = Tensor::randn(Shape::d4(2, 2, 4, 4), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(3, 2, 3, 3), 0.5, &mut rng);
@@ -521,34 +464,35 @@ mod tests {
         let pad = 1;
         // Scalar loss: sum of squares of the output.
         let loss = |out: &Tensor| 0.5 * out.sq_l2();
-        let out = conv2d(&input, &weight, &bias, pad);
+        let out = conv2d_s(&input, &weight, &bias, pad, &mut s);
         let dout = out.clone(); // d(0.5*||y||^2)/dy = y
-        let grads = conv2d_backward(&input, &weight, &dout, pad);
+        let grads = conv2d_backward_s(&input, &weight, &dout, pad, &mut s);
 
-        let mut f_in = |x: &Tensor| loss(&conv2d(x, &weight, &bias, pad));
+        let mut f_in = |x: &Tensor| loss(&conv2d_s(x, &weight, &bias, pad, &mut s));
         let ng_in = num_grad(&mut f_in, &input, 1e-2);
         assert_close(&grads.dinput, &ng_in, 0.05, "dinput");
 
-        let mut f_w = |wt: &Tensor| loss(&conv2d(&input, wt, &bias, pad));
+        let mut f_w = |wt: &Tensor| loss(&conv2d_s(&input, wt, &bias, pad, &mut s));
         let ng_w = num_grad(&mut f_w, &weight, 1e-2);
         assert_close(&grads.dweight, &ng_w, 0.05, "dweight");
 
-        let mut f_b = |bb: &Tensor| loss(&conv2d(&input, &weight, bb, pad));
+        let mut f_b = |bb: &Tensor| loss(&conv2d_s(&input, &weight, bb, pad, &mut s));
         let ng_b = num_grad(&mut f_b, &bias, 1e-2);
         assert_close(&grads.dbias, &ng_b, 0.05, "dbias");
     }
 
     #[test]
     fn dispatched_backward_matches_direct_backend() {
+        let mut s = Scratch::new();
         // Shape large enough to take the im2col path; direct loops are the
         // reference.
         let mut rng = DetRng::seed_from_u64(14);
         let input = Tensor::randn(Shape::d4(4, 3, 8, 8), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(6, 3, 3, 3), 0.5, &mut rng);
         let bias = Tensor::randn(Shape::d1(6), 0.5, &mut rng);
-        let out = conv2d(&input, &weight, &bias, 1);
-        let direct = conv2d_backward_direct(&input, &weight, &out, 1);
-        let dispatched = conv2d_backward(&input, &weight, &out, 1);
+        let out = conv2d_s(&input, &weight, &bias, 1, &mut s);
+        let direct = conv2d_backward_direct(&input, &weight, &out, 1, &mut s);
+        let dispatched = conv2d_backward_s(&input, &weight, &out, 1, &mut s);
         assert_close(&dispatched.dinput, &direct.dinput, 1e-3, "dinput");
         assert_close(&dispatched.dweight, &direct.dweight, 1e-2, "dweight");
         assert_close(&dispatched.dbias, &direct.dbias, 1e-2, "dbias");
@@ -556,6 +500,7 @@ mod tests {
 
     #[test]
     fn depthwise_independent_channels() {
+        let mut s = Scratch::new();
         // Two channels; filter for channel 1 is zero, so output channel 1
         // must be zero regardless of input.
         let mut rng = DetRng::seed_from_u64(11);
@@ -565,7 +510,7 @@ mod tests {
             weight.data_mut()[i] = 1.0; // channel 0 filter = ones
         }
         let bias = Tensor::zeros(Shape::d1(2));
-        let out = depthwise_conv2d(&input, &weight, &bias, 1);
+        let out = depthwise_conv2d(&input, &weight, &bias, 1, &mut s);
         assert_eq!(out.shape().dims(), &[1, 2, 4, 4]);
         assert!(
             out.data()[16..].iter().all(|&x| x == 0.0),
@@ -576,24 +521,25 @@ mod tests {
 
     #[test]
     fn depthwise_gradients_match_numerical() {
+        let mut s = Scratch::new();
         let mut rng = DetRng::seed_from_u64(12);
         let input = Tensor::randn(Shape::d4(2, 3, 4, 4), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(3, 1, 3, 3), 0.5, &mut rng);
         let bias = Tensor::randn(Shape::d1(3), 0.5, &mut rng);
         let pad = 1;
         let loss = |out: &Tensor| 0.5 * out.sq_l2();
-        let out = depthwise_conv2d(&input, &weight, &bias, pad);
-        let grads = depthwise_conv2d_backward(&input, &weight, &out, pad);
+        let out = depthwise_conv2d(&input, &weight, &bias, pad, &mut s);
+        let grads = depthwise_conv2d_backward(&input, &weight, &out, pad, &mut s);
 
-        let mut f_in = |x: &Tensor| loss(&depthwise_conv2d(x, &weight, &bias, pad));
+        let mut f_in = |x: &Tensor| loss(&depthwise_conv2d(x, &weight, &bias, pad, &mut s));
         let ng_in = num_grad(&mut f_in, &input, 1e-2);
         assert_close(&grads.dinput, &ng_in, 0.05, "dw dinput");
 
-        let mut f_w = |wt: &Tensor| loss(&depthwise_conv2d(&input, wt, &bias, pad));
+        let mut f_w = |wt: &Tensor| loss(&depthwise_conv2d(&input, wt, &bias, pad, &mut s));
         let ng_w = num_grad(&mut f_w, &weight, 1e-2);
         assert_close(&grads.dweight, &ng_w, 0.05, "dw dweight");
 
-        let mut f_b = |bb: &Tensor| loss(&depthwise_conv2d(&input, &weight, bb, pad));
+        let mut f_b = |bb: &Tensor| loss(&depthwise_conv2d(&input, &weight, bb, pad, &mut s));
         let ng_b = num_grad(&mut f_b, &bias, 1e-2);
         assert_close(&grads.dbias, &ng_b, 0.05, "dw dbias");
     }
@@ -601,20 +547,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "channel mismatch")]
     fn conv2d_channel_mismatch_panics() {
+        let mut s = Scratch::new();
         let input = Tensor::zeros(Shape::d4(1, 2, 4, 4));
         let weight = Tensor::zeros(Shape::d4(1, 3, 3, 3));
         let bias = Tensor::zeros(Shape::d1(1));
-        conv2d(&input, &weight, &bias, 1);
+        conv2d_s(&input, &weight, &bias, 1, &mut s);
     }
 
     #[test]
     fn conv2d_deterministic() {
+        let mut s = Scratch::new();
         let mut rng = DetRng::seed_from_u64(13);
         let input = Tensor::randn(Shape::d4(8, 4, 8, 8), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(8, 4, 3, 3), 0.5, &mut rng);
         let bias = Tensor::randn(Shape::d1(8), 0.5, &mut rng);
-        let a = conv2d(&input, &weight, &bias, 1);
-        let b = conv2d(&input, &weight, &bias, 1);
+        let a = conv2d_s(&input, &weight, &bias, 1, &mut s);
+        let b = conv2d_s(&input, &weight, &bias, 1, &mut s);
         assert_eq!(a.data(), b.data());
     }
 }

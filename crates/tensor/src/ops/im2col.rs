@@ -2,55 +2,35 @@
 //!
 //! The classic HPC formulation: lower the convolution into one large matrix
 //! multiplication by unrolling every receptive field into a row
-//! (`im2col`), then compute `out = patches · weightᵀ` with the blocked,
-//! register-tiled GEMM from `ops::matmul`. Trades memory for much better
-//! cache behaviour; on the shapes the paper's models use it beats the
-//! direct kernel in `ops::conv` as soon as the implied GEMM is non-trivial
-//! (the dispatch in `ops::conv` picks the winner per shape).
+//! ([`im2col_into`]), then compute `out = patches · weightᵀ` with the
+//! blocked, register-tiled GEMM from `ops::matmul`. Trades memory for much
+//! better cache behaviour; on the shapes the paper's models use it beats
+//! the direct kernel in `ops::conv` as soon as the implied GEMM is
+//! non-trivial (the dispatch in `ops::conv` picks the winner per shape).
+//! Every buffer — patch matrix, GEMM products, results — comes from the
+//! caller's [`Scratch`] arena.
 //!
 //! The backward pass is lowered the same way:
 //!
-//! * `dW = doutᵀ_rows · patches`   (one `matmul_tn`)
-//! * `dpatches = dout_rows · W`    (one `matmul`), then scattered back to
-//!   the input layout by [`col2im`] (the exact adjoint of [`im2col`]).
+//! * `dW = doutᵀ_rows · patches`   (one `matmul_tn_into`)
+//! * `dpatches = dout_rows · W`    (one `matmul_into`), then scattered back
+//!   to the input layout by [`col2im_into`] (the exact adjoint of
+//!   [`im2col_into`]).
 
-use crate::ops::conv::ConvGrads;
+use crate::ops::conv::{dims4, out_hw, ConvGrads};
 use crate::ops::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 use crate::par;
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Unroll `input (N,C,H,W)` into a patch matrix of shape
-/// `(N*OH*OW, C*KH*KW)` for a stride-1 convolution with zero padding `pad`.
-/// Out-of-bounds taps contribute zeros.
-pub fn im2col(input: &Tensor, kh: usize, kw: usize, pad: usize) -> Tensor {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let (oh, ow) = (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1);
-    let mut out = vec![0.0f32; n * oh * ow * c * kh * kw];
-    im2col_into(input, kh, kw, pad, &mut out);
-    Tensor::from_vec(Shape::d2(n * oh * ow, c * kh * kw), out)
-}
-
-/// [`im2col`] into a caller-owned buffer (every slot is overwritten,
-/// including the zero padding, so uninitialized scratch storage is fine).
+/// Unroll `input (N,C,H,W)` into a row-major patch matrix
+/// `(N*OH*OW, C*KH*KW)` for a stride-1 convolution with zero padding `pad`,
+/// written into a caller-owned buffer. Every slot is overwritten (out-of-
+/// bounds taps with zeros), so uninitialized scratch storage is fine.
 pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, pad: usize, out: &mut [f32]) {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    assert!(
-        h + 2 * pad >= kh && w + 2 * pad >= kw,
-        "kernel larger than padded input"
-    );
-    let (oh, ow) = (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1);
+    let [n, c, h, w] = dims4(input);
+    let (oh, ow) = out_hw(h, w, kh, kw, pad);
     let row_len = c * kh * kw;
     assert_eq!(out.len(), n * oh * ow * row_len, "im2col out length");
     let id = input.data();
@@ -80,28 +60,11 @@ pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, pad: usize, out: &mut [
     });
 }
 
-/// Adjoint of [`im2col`]: scatter-add a patch-gradient matrix
-/// `(N*OH*OW, C*KH*KW)` back into an input-shaped `(N,C,H,W)` tensor.
-/// Parallel over batch items; within one item the scatter runs in a fixed
-/// loop order, so the accumulation is deterministic.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im(
-    dpatches: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    pad: usize,
-) -> Tensor {
-    let mut dinput = vec![0.0f32; n * c * h * w];
-    col2im_into(dpatches, n, c, h, w, kh, kw, pad, &mut dinput);
-    Tensor::from_vec(Shape::d4(n, c, h, w), dinput)
-}
-
-/// [`col2im`] into a caller-owned, **pre-zeroed** buffer (the scatter
-/// accumulates).
+/// Adjoint of [`im2col_into`]: scatter-add a patch-gradient matrix
+/// `(N*OH*OW, C*KH*KW)` back into an input-shaped `(N,C,H,W)` buffer, which
+/// must be **pre-zeroed** (the scatter accumulates). Parallel over batch
+/// items; within one item the scatter runs in a fixed loop order, so the
+/// accumulation is deterministic.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im_into(
     dpatches: &Tensor,
@@ -114,7 +77,7 @@ pub fn col2im_into(
     pad: usize,
     dinput: &mut [f32],
 ) {
-    let (oh, ow) = (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1);
+    let (oh, ow) = out_hw(h, w, kh, kw, pad);
     let row_len = c * kh * kw;
     assert_eq!(
         dpatches.shape().dims(),
@@ -147,15 +110,9 @@ pub fn col2im_into(
     });
 }
 
-/// GEMM-backed convolution, numerically equivalent to [`crate::ops::conv2d`].
-pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, bias: &Tensor, pad: usize) -> Tensor {
-    conv2d_im2col_s(input, weight, bias, pad, &mut Scratch::new())
-}
-
-/// [`conv2d_im2col`] with every intermediate buffer (patch matrix, GEMM
-/// product, output) served from a caller-owned [`Scratch`] arena — the
-/// allocation-free training-step entry point. Bit-identical to the
-/// allocating wrapper: buffer reuse never changes what is computed.
+/// GEMM-backed convolution forward, numerically equivalent to
+/// [`crate::ops::conv2d_direct`]. The patch matrix, the GEMM product and
+/// the returned output all come from `s`.
 pub fn conv2d_im2col_s(
     input: &Tensor,
     weight: &Tensor,
@@ -163,21 +120,11 @@ pub fn conv2d_im2col_s(
     pad: usize,
     s: &mut Scratch,
 ) -> Tensor {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let [f, cw, kh, kw] = [
-        weight.shape().dim(0),
-        weight.shape().dim(1),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    ];
+    let [n, c, h, w] = dims4(input);
+    let [f, cw, kh, kw] = dims4(weight);
     assert_eq!(c, cw, "conv2d channel mismatch");
     assert_eq!(bias.numel(), f);
-    let (oh, ow) = (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1);
+    let (oh, ow) = out_hw(h, w, kh, kw, pad);
     let rows = n * oh * ow;
     let row_len = c * kh * kw;
 
@@ -213,21 +160,10 @@ pub fn conv2d_im2col_s(
 }
 
 /// GEMM-backed convolution backward, numerically equivalent to
-/// [`crate::ops::conv2d_backward`]'s direct loops but dominated by two
-/// blocked GEMMs instead of branchy scatter nests.
-pub fn conv2d_backward_im2col(
-    input: &Tensor,
-    weight: &Tensor,
-    dout: &Tensor,
-    pad: usize,
-) -> ConvGrads {
-    conv2d_backward_im2col_s(input, weight, dout, pad, &mut Scratch::new())
-}
-
-/// [`conv2d_backward_im2col`] with all buffers — including the returned
-/// gradient tensors — served from a caller-owned [`Scratch`] arena; callers
-/// on the training hot path recycle the results with
-/// [`Scratch::put_tensor`] once consumed.
+/// [`crate::ops::conv2d_backward_direct`] but dominated by two blocked
+/// GEMMs instead of branchy scatter nests. All buffers — including the
+/// returned gradient tensors — come from `s`; the caller recycles the
+/// results with [`Scratch::put_tensor`] once consumed.
 pub fn conv2d_backward_im2col_s(
     input: &Tensor,
     weight: &Tensor,
@@ -235,19 +171,9 @@ pub fn conv2d_backward_im2col_s(
     pad: usize,
     s: &mut Scratch,
 ) -> ConvGrads {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let [f, _, kh, kw] = [
-        weight.shape().dim(0),
-        weight.shape().dim(1),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    ];
-    let (oh, ow) = (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1);
+    let [n, c, h, w] = dims4(input);
+    let [f, _, kh, kw] = dims4(weight);
+    let (oh, ow) = out_hw(h, w, kh, kw, pad);
     assert_eq!(
         dout.shape().dims(),
         &[n, f, oh, ow],
@@ -318,20 +244,20 @@ mod tests {
     fn im2col_known_values() {
         // 1x1x3x3 ramp, 2x2 kernel, no padding: 4 patches of 4 taps.
         let input = Tensor::from_fn(Shape::d4(1, 1, 3, 3), |i| i as f32);
-        let p = im2col(&input, 2, 2, 0);
-        assert_eq!(p.shape().dims(), &[4, 4]);
-        assert_eq!(&p.data()[0..4], &[0.0, 1.0, 3.0, 4.0]);
-        assert_eq!(&p.data()[12..16], &[4.0, 5.0, 7.0, 8.0]);
+        let mut p = [f32::NAN; 4 * 4];
+        im2col_into(&input, 2, 2, 0, &mut p);
+        assert_eq!(&p[0..4], &[0.0, 1.0, 3.0, 4.0]);
+        assert_eq!(&p[12..16], &[4.0, 5.0, 7.0, 8.0]);
     }
 
     #[test]
     fn im2col_padding_zero_fills() {
         let input = Tensor::full(Shape::d4(1, 1, 2, 2), 1.0);
-        let p = im2col(&input, 3, 3, 1);
-        assert_eq!(p.shape().dims(), &[4, 9]);
+        let mut p = [f32::NAN; 4 * 9];
+        im2col_into(&input, 3, 3, 1, &mut p);
         // Top-left patch: only the 2x2 bottom-right of the kernel hits data.
-        let row0 = &p.data()[0..9];
-        assert_eq!(row0.iter().filter(|&&v| v != 0.0).count(), 4);
+        assert_eq!(p[0..9].iter().filter(|&&v| v != 0.0).count(), 4);
+        assert!(p.iter().all(|v| !v.is_nan()), "padding taps are written");
     }
 
     #[test]
@@ -339,27 +265,20 @@ mod tests {
         // <im2col(x), p> == <x, col2im(p)> for any p: the defining property
         // of an adjoint, checked exactly on small integers.
         let input = Tensor::from_fn(Shape::d4(1, 2, 3, 3), |i| (i % 7) as f32);
-        let patches = im2col(&input, 2, 2, 1);
-        let p = Tensor::from_fn(patches.shape().clone(), |i| ((i * 3) % 5) as f32);
-        let lhs: f32 = patches
-            .data()
-            .iter()
-            .zip(p.data())
-            .map(|(a, b)| a * b)
-            .sum();
-        let back = col2im(&p, 1, 2, 3, 3, 2, 2, 1);
-        let rhs: f32 = input
-            .data()
-            .iter()
-            .zip(back.data())
-            .map(|(a, b)| a * b)
-            .sum();
+        let mut patches = [f32::NAN; 16 * 8]; // 4x4 outputs, 2*2*2 taps
+        im2col_into(&input, 2, 2, 1, &mut patches);
+        let p = Tensor::from_fn(Shape::d2(16, 8), |i| ((i * 3) % 5) as f32);
+        let lhs: f32 = patches.iter().zip(p.data()).map(|(a, b)| a * b).sum();
+        let mut back = [0.0; 18];
+        col2im_into(&p, 1, 2, 3, 3, 2, 2, 1, &mut back);
+        let rhs: f32 = input.data().iter().zip(&back).map(|(a, b)| a * b).sum();
         assert_eq!(lhs, rhs);
     }
 
     #[test]
     fn matches_direct_conv_exactly_shaped() {
         let mut rng = DetRng::seed_from_u64(1);
+        let mut s = Scratch::new();
         for (n, c, h, w, f, k, pad) in [
             (2, 3, 8, 8, 5, 3, 1),
             (1, 1, 5, 7, 2, 3, 0),
@@ -369,8 +288,8 @@ mod tests {
             let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
             let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
-            let direct = conv2d_direct(&input, &weight, &bias, pad);
-            let gemm = conv2d_im2col(&input, &weight, &bias, pad);
+            let direct = conv2d_direct(&input, &weight, &bias, pad, &mut s);
+            let gemm = conv2d_im2col_s(&input, &weight, &bias, pad, &mut s);
             assert_eq!(direct.shape(), gemm.shape());
             for (i, (a, b)) in direct.data().iter().zip(gemm.data()).enumerate() {
                 assert!(
@@ -384,6 +303,7 @@ mod tests {
     #[test]
     fn backward_matches_direct_backend() {
         let mut rng = DetRng::seed_from_u64(3);
+        let mut s = Scratch::new();
         for (n, c, h, w, f, k, pad) in [
             (2, 3, 8, 8, 5, 3, 1),
             (1, 1, 5, 7, 2, 3, 0),
@@ -394,8 +314,8 @@ mod tests {
             let oh = h + 2 * pad - k + 1;
             let ow = w + 2 * pad - k + 1;
             let dout = Tensor::randn(Shape::d4(n, f, oh, ow), 1.0, &mut rng);
-            let a = conv2d_backward_direct(&input, &weight, &dout, pad);
-            let b = conv2d_backward_im2col(&input, &weight, &dout, pad);
+            let a = conv2d_backward_direct(&input, &weight, &dout, pad, &mut s);
+            let b = conv2d_backward_im2col_s(&input, &weight, &dout, pad, &mut s);
             for (what, x, y) in [
                 ("dinput", &a.dinput, &b.dinput),
                 ("dweight", &a.dweight, &b.dweight),
@@ -418,8 +338,9 @@ mod tests {
         let input = Tensor::randn(Shape::d4(4, 3, 10, 10), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(6, 3, 3, 3), 0.5, &mut rng);
         let bias = Tensor::zeros(Shape::d1(6));
-        let a = conv2d_im2col(&input, &weight, &bias, 1);
-        let b = conv2d_im2col(&input, &weight, &bias, 1);
+        let mut s = Scratch::new();
+        let a = conv2d_im2col_s(&input, &weight, &bias, 1, &mut s);
+        let b = conv2d_im2col_s(&input, &weight, &bias, 1, &mut s);
         assert_eq!(a.data(), b.data());
     }
 }

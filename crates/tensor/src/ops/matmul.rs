@@ -4,12 +4,12 @@
 //! Three variants cover everything a dense layer's forward/backward pass
 //! needs without materializing transposes:
 //!
-//! * [`matmul`]    — `C = A·B`      (`M×K · K×N`)
-//! * [`matmul_nt`] — `C = A·Bᵀ`    (`M×K · N×K`)
-//! * [`matmul_tn`] — `C = Aᵀ·B`    (`K×M · K×N`)
+//! * [`matmul_into`]    — `C = A·B`      (`M×K · K×N`)
+//! * [`matmul_nt_into`] — `C = A·Bᵀ`    (`M×K · N×K`)
+//! * [`matmul_tn_into`] — `C = Aᵀ·B`    (`K×M · K×N`)
 //!
-//! each with a `_into` twin that writes into a caller-owned buffer so the
-//! training hot path can run allocation-free (see [`crate::Scratch`]).
+//! each writing into a caller-owned buffer (in training, one drawn from
+//! the worker's [`crate::Scratch`]); none of them allocates its result.
 //!
 //! # Blocking / packing scheme
 //!
@@ -404,33 +404,6 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     });
 }
 
-/// `C = A·B` for `A: M×K`, `B: K×N`.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, _) = dims2(a, "matmul lhs");
-    let (_, n) = dims2(b, "matmul rhs");
-    let mut out = vec![0.0f32; m * n];
-    matmul_into(a, b, &mut out);
-    Tensor::from_vec(Shape::d2(m, n), out)
-}
-
-/// `C = A·Bᵀ` for `A: M×K`, `B: N×K`.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, _) = dims2(a, "matmul_nt lhs");
-    let (n, _) = dims2(b, "matmul_nt rhs");
-    let mut out = vec![0.0f32; m * n];
-    matmul_nt_into(a, b, &mut out);
-    Tensor::from_vec(Shape::d2(m, n), out)
-}
-
-/// `C = Aᵀ·B` for `A: K×M`, `B: K×N`.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let (_, m) = dims2(a, "matmul_tn lhs");
-    let (_, n) = dims2(b, "matmul_tn rhs");
-    let mut out = vec![0.0f32; m * n];
-    matmul_tn_into(a, b, &mut out);
-    Tensor::from_vec(Shape::d2(m, n), out)
-}
-
 /// Reference kernel: the naive `i,j,k` triple loop the blocked kernels must
 /// match bit-for-bit. Kept public for tests and the bench binary.
 pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
@@ -472,8 +445,9 @@ mod tests {
     fn matmul_small_exact() {
         let a = Tensor::from_vec(Shape::d2(2, 3), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Tensor::from_vec(Shape::d2(3, 2), vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = matmul(&a, &b);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
+        let mut c = [f32::NAN; 4];
+        matmul_into(&a, &b, &mut c);
+        assert_eq!(c, [58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
@@ -481,8 +455,9 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(1);
         let a = Tensor::randn(Shape::d2(5, 5), 1.0, &mut rng);
         let eye = Tensor::from_fn(Shape::d2(5, 5), |f| if f / 5 == f % 5 { 1.0 } else { 0.0 });
-        let c = matmul(&a, &eye);
-        for (x, y) in c.data().iter().zip(a.data()) {
+        let mut c = [f32::NAN; 25];
+        matmul_into(&a, &eye, &mut c);
+        for (x, y) in c.iter().zip(a.data()) {
             assert!((x - y).abs() < 1e-6);
         }
     }
@@ -492,9 +467,10 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(2);
         let a = Tensor::randn(Shape::d2(33, 47), 1.0, &mut rng);
         let b = Tensor::randn(Shape::d2(47, 29), 1.0, &mut rng);
-        let c = matmul(&a, &b);
+        let mut c = vec![f32::NAN; 33 * 29];
+        matmul_into(&a, &b, &mut c);
         let expect = naive(&a, &b);
-        for (x, y) in c.data().iter().zip(expect.data()) {
+        for (x, y) in c.iter().zip(expect.data()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
     }
@@ -515,36 +491,40 @@ mod tests {
         ] {
             let a = Tensor::randn(Shape::d2(m, k), 1.0, &mut rng);
             let b = Tensor::randn(Shape::d2(k, n), 1.0, &mut rng);
-            let c = matmul(&a, &b);
             let expect = naive(&a, &b);
-            assert_eq!(c.data(), expect.data(), "matmul {m}x{k}x{n}");
+            let mut c = vec![f32::NAN; m * n];
+            matmul_into(&a, &b, &mut c);
+            assert_eq!(c, expect.data(), "matmul {m}x{k}x{n}");
 
             let bt = transpose(&b);
-            let c_nt = matmul_nt(&a, &bt);
-            assert_eq!(c_nt.data(), expect.data(), "matmul_nt {m}x{k}x{n}");
+            c.fill(f32::NAN);
+            matmul_nt_into(&a, &bt, &mut c);
+            assert_eq!(c, expect.data(), "matmul_nt {m}x{k}x{n}");
 
             let at = transpose(&a);
-            let c_tn = matmul_tn(&at, &b);
-            assert_eq!(c_tn.data(), expect.data(), "matmul_tn {m}x{k}x{n}");
+            c.fill(f32::NAN);
+            matmul_tn_into(&at, &b, &mut c);
+            assert_eq!(c, expect.data(), "matmul_tn {m}x{k}x{n}");
         }
     }
 
     #[test]
-    fn into_variants_match_allocating_variants() {
+    fn stale_output_contents_are_overwritten() {
         let mut rng = DetRng::seed_from_u64(21);
         let a = Tensor::randn(Shape::d2(13, 21), 1.0, &mut rng);
         let b = Tensor::randn(Shape::d2(21, 10), 1.0, &mut rng);
-        let mut out = vec![7.0f32; 130]; // stale contents must be overwritten
+        let expect = naive(&a, &b);
+        let mut out = vec![7.0f32; 130];
         matmul_into(&a, &b, &mut out);
-        assert_eq!(out, matmul(&a, &b).data());
+        assert_eq!(out, expect.data());
 
-        let bt = transpose(&b);
-        matmul_nt_into(&a, &bt, &mut out);
-        assert_eq!(out, matmul_nt(&a, &bt).data());
+        out.fill(7.0);
+        matmul_nt_into(&a, &transpose(&b), &mut out);
+        assert_eq!(out, expect.data());
 
-        let at = transpose(&a);
-        matmul_tn_into(&at, &b, &mut out);
-        assert_eq!(out, matmul_tn(&at, &b).data());
+        out.fill(7.0);
+        matmul_tn_into(&transpose(&a), &b, &mut out);
+        assert_eq!(out, expect.data());
     }
 
     #[test]
@@ -552,9 +532,10 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(3);
         let a = Tensor::randn(Shape::d2(7, 11), 1.0, &mut rng);
         let b = Tensor::randn(Shape::d2(5, 11), 1.0, &mut rng);
-        let c = matmul_nt(&a, &b);
+        let mut c = [f32::NAN; 7 * 5];
+        matmul_nt_into(&a, &b, &mut c);
         let expect = naive(&a, &transpose(&b));
-        for (x, y) in c.data().iter().zip(expect.data()) {
+        for (x, y) in c.iter().zip(expect.data()) {
             assert!((x - y).abs() < 1e-4);
         }
     }
@@ -564,9 +545,10 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(4);
         let a = Tensor::randn(Shape::d2(11, 7), 1.0, &mut rng);
         let b = Tensor::randn(Shape::d2(11, 5), 1.0, &mut rng);
-        let c = matmul_tn(&a, &b);
+        let mut c = [f32::NAN; 7 * 5];
+        matmul_tn_into(&a, &b, &mut c);
         let expect = naive(&transpose(&a), &b);
-        for (x, y) in c.data().iter().zip(expect.data()) {
+        for (x, y) in c.iter().zip(expect.data()) {
             assert!((x - y).abs() < 1e-4);
         }
     }
@@ -576,7 +558,7 @@ mod tests {
     fn matmul_dim_mismatch_panics() {
         let a = Tensor::zeros(Shape::d2(2, 3));
         let b = Tensor::zeros(Shape::d2(4, 2));
-        matmul(&a, &b);
+        matmul_into(&a, &b, &mut [0.0; 4]);
     }
 
     #[test]
@@ -584,12 +566,9 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(5);
         let a = Tensor::randn(Shape::d2(64, 64), 1.0, &mut rng);
         let b = Tensor::randn(Shape::d2(64, 64), 1.0, &mut rng);
-        let c1 = matmul(&a, &b);
-        let c2 = matmul(&a, &b);
-        assert_eq!(
-            c1.data(),
-            c2.data(),
-            "parallel matmul must be deterministic"
-        );
+        let (mut c1, mut c2) = (vec![f32::NAN; 64 * 64], vec![f32::NAN; 64 * 64]);
+        matmul_into(&a, &b, &mut c1);
+        matmul_into(&a, &b, &mut c2);
+        assert_eq!(c1, c2, "parallel matmul must be deterministic");
     }
 }

@@ -5,8 +5,8 @@
 //! # Kernel architecture
 //!
 //! The GEMM family (`ops::matmul`) is cache-blocked and register-tiled:
-//! the right-hand operand is packed into 8-column panels, the micro-kernel
-//! computes a 4×8 accumulator tile per sweep, and row blocks of the output
+//! the right-hand operand is packed into 16-column panels, the micro-kernel
+//! computes a 4×16 accumulator tile per sweep, and row blocks of the output
 //! are distributed over the in-tree thread pool (`crate::par`). Large
 //! convolutions are lowered onto those GEMMs via `ops::im2col`
 //! (forward *and* backward); tiny shapes keep the branch-free direct loops
@@ -29,12 +29,17 @@
 //! enforce this with exact `f32` equality on shapes that are not multiples
 //! of the tile sizes.
 //!
-//! # Scratch / `_into` entry points
+//! # One entry point per kernel
 //!
-//! Hot-path kernels have `_into` twins (e.g. `matmul_into`) that write into
-//! caller-owned buffers; together with `crate::Scratch` (a per-worker
-//! size-bucketed buffer pool) the training step runs without per-iteration
-//! heap allocation. See `crate::scratch` for the ownership story.
+//! No kernel allocates its result: the GEMMs and the pooling kernels write
+//! into caller-owned buffers (`_into`), the convolutions draw theirs from a
+//! caller-owned `crate::Scratch` arena (`_s`, and the two backends behind
+//! them). Training passes the worker's arena, evaluation one of its own,
+//! a test a local one — the same code in all three. What remains beside
+//! the hot path is what tests compare it with: `matmul_naive` (the
+//! bit-identity reference for the blocked GEMMs) and the direct conv loops
+//! (a backend in their own right on tiny shapes, and the reference for the
+//! im2col lowering). See `crate::scratch` for the ownership story.
 
 pub mod activation;
 pub mod conv;
@@ -42,16 +47,11 @@ pub mod im2col;
 pub mod matmul;
 pub mod pool;
 
-pub use activation::{relu, relu_backward, softmax_rows, softmax_xent};
+pub use activation::{softmax_rows, softmax_xent};
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_direct, conv2d_backward_s, conv2d_direct, conv2d_s,
-    depthwise_conv2d, depthwise_conv2d_backward, ConvGrads,
+    conv2d_backward_direct, conv2d_backward_s, conv2d_direct, conv2d_s, depthwise_conv2d,
+    depthwise_conv2d_backward, ConvGrads,
 };
-pub use im2col::{
-    col2im, col2im_into, conv2d_backward_im2col, conv2d_backward_im2col_s, conv2d_im2col,
-    conv2d_im2col_s, im2col, im2col_into,
-};
-pub use matmul::{
-    matmul, matmul_into, matmul_naive, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
-};
-pub use pool::{maxpool2, maxpool2_backward, maxpool2_backward_into, maxpool2_into};
+pub use im2col::{col2im_into, conv2d_backward_im2col_s, conv2d_im2col_s, im2col_into};
+pub use matmul::{matmul_into, matmul_naive, matmul_nt_into, matmul_tn_into};
+pub use pool::{maxpool2_backward_into, maxpool2_into};

@@ -1,32 +1,16 @@
 //! 2×2 max-pooling with stride 2 (the only pooling the paper's models use).
 
 use crate::par;
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Forward max-pool. Returns `(output, argmax)` where `argmax` stores, for
-/// each output element, the flat index (within the whole input tensor) of
-/// the winning input element — consumed by [`maxpool2_backward`].
+/// Forward max-pool of `input (N,C,H,W)` into caller-owned `out` and `arg`,
+/// both of length `N*C*(H/2)*(W/2)`: `arg` stores, for each output element,
+/// the flat index (within the whole input tensor) of the winning input
+/// element — consumed by [`maxpool2_backward_into`]. Every slot is
+/// overwritten, so uninitialized scratch storage is fine.
 ///
 /// Odd trailing rows/columns are dropped (floor semantics), matching the
 /// common framework default.
-pub fn maxpool2(input: &Tensor) -> (Tensor, Vec<u32>) {
-    let [n, c, h, w] = [
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    ];
-    let (oh, ow) = (h / 2, w / 2);
-    assert!(oh > 0 && ow > 0, "input too small to pool");
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    let mut arg = vec![0u32; n * c * oh * ow];
-    maxpool2_into(input, &mut out, &mut arg);
-    (Tensor::from_vec(Shape::d4(n, c, oh, ow), out), arg)
-}
-
-/// [`maxpool2`] into caller-owned buffers (every slot is overwritten, so
-/// uninitialized scratch storage is fine).
 pub fn maxpool2_into(input: &Tensor, out: &mut [f32], arg: &mut [u32]) {
     let [n, c, h, w] = [
         input.shape().dim(0),
@@ -64,15 +48,8 @@ pub fn maxpool2_into(input: &Tensor, out: &mut [f32], arg: &mut [u32]) {
     });
 }
 
-/// Backward max-pool: routes each output gradient to the argmax position.
-pub fn maxpool2_backward(input_shape: &Shape, dout: &Tensor, argmax: &[u32]) -> Tensor {
-    let mut dinput = Tensor::zeros(input_shape.clone());
-    maxpool2_backward_into(dout, argmax, dinput.data_mut());
-    dinput
-}
-
-/// [`maxpool2_backward`] into a caller-owned, **pre-zeroed** buffer (the
-/// scatter accumulates).
+/// Backward max-pool: routes each output gradient to the argmax position
+/// of a caller-owned, **pre-zeroed** buffer (the scatter accumulates).
 pub fn maxpool2_backward_into(dout: &Tensor, argmax: &[u32], dinput: &mut [f32]) {
     assert_eq!(dout.numel(), argmax.len(), "dout/argmax length mismatch");
     for (&a, &g) in argmax.iter().zip(dout.data()) {
@@ -83,6 +60,7 @@ pub fn maxpool2_backward_into(dout: &Tensor, argmax: &[u32], dinput: &mut [f32])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::Shape;
 
     #[test]
     fn pool_known_values() {
@@ -95,29 +73,32 @@ mod tests {
                 -3.0, -4.0, 0.25, 0.75,
             ],
         );
-        let (out, arg) = maxpool2(&input);
-        assert_eq!(out.shape().dims(), &[1, 1, 2, 2]);
-        assert_eq!(out.data(), &[4.0, 8.0, -1.0, 0.75]);
-        assert_eq!(arg, vec![5, 7, 8, 15]);
+        let (mut out, mut arg) = ([f32::NAN; 4], [u32::MAX; 4]);
+        maxpool2_into(&input, &mut out, &mut arg);
+        assert_eq!(out, [4.0, 8.0, -1.0, 0.75]);
+        assert_eq!(arg, [5, 7, 8, 15]);
     }
 
     #[test]
     fn pool_odd_dims_floor() {
         let input = Tensor::from_fn(Shape::d4(1, 1, 5, 5), |i| i as f32);
-        let (out, _) = maxpool2(&input);
-        assert_eq!(out.shape().dims(), &[1, 1, 2, 2]);
-        // Last row/col dropped; max of window (0..2, 0..2) is index 6 -> 6.0.
-        assert_eq!(out.at(&[0, 0, 0, 0]), 6.0);
+        // Last row/col dropped, so 2x2 outputs (the length assert holds);
+        // max of window (0..2, 0..2) is index 6 -> 6.0.
+        let (mut out, mut arg) = ([f32::NAN; 4], [u32::MAX; 4]);
+        maxpool2_into(&input, &mut out, &mut arg);
+        assert_eq!(out[0], 6.0);
     }
 
     #[test]
     fn backward_routes_to_argmax() {
         let input = Tensor::from_vec(Shape::d4(1, 1, 2, 2), vec![1.0, 9.0, 2.0, 3.0]);
-        let (out, arg) = maxpool2(&input);
-        assert_eq!(out.data(), &[9.0]);
+        let (mut out, mut arg) = ([f32::NAN; 1], [u32::MAX; 1]);
+        maxpool2_into(&input, &mut out, &mut arg);
+        assert_eq!(out, [9.0]);
         let dout = Tensor::from_vec(Shape::d4(1, 1, 1, 1), vec![5.0]);
-        let din = maxpool2_backward(input.shape(), &dout, &arg);
-        assert_eq!(din.data(), &[0.0, 5.0, 0.0, 0.0]);
+        let mut din = [0.0; 4];
+        maxpool2_backward_into(&dout, &arg, &mut din);
+        assert_eq!(din, [0.0, 5.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -125,12 +106,19 @@ mod tests {
         use crate::rng::DetRng;
         let mut rng = DetRng::seed_from_u64(21);
         let input = Tensor::randn(Shape::d4(2, 3, 4, 4), 1.0, &mut rng);
-        let (out, arg) = maxpool2(&input);
+        let (mut out, mut arg) = (vec![f32::NAN; 24], vec![u32::MAX; 24]);
+        maxpool2_into(&input, &mut out, &mut arg);
         // Loss = 0.5 ||out||^2, so dout = out.
-        let din = maxpool2_backward(input.shape(), &out, &arg);
+        let dout = Tensor::from_vec(Shape::d4(2, 3, 2, 2), out);
+        let mut din = vec![0.0; input.numel()];
+        maxpool2_backward_into(&dout, &arg, &mut din);
         // Numerical check with small eps (max is locally linear away from ties).
         let eps = 1e-3;
-        let loss = |x: &Tensor| 0.5 * maxpool2(x).0.sq_l2();
+        let mut loss = |x: &Tensor| {
+            let mut out = [f32::NAN; 24];
+            maxpool2_into(x, &mut out, &mut arg);
+            0.5 * out.iter().map(|v| v * v).sum::<f32>()
+        };
         let mut xp = input.clone();
         for i in (0..input.numel()).step_by(7) {
             let orig = xp.data()[i];
@@ -140,11 +128,7 @@ mod tests {
             let fm = loss(&xp);
             xp.data_mut()[i] = orig;
             let ng = (fp - fm) / (2.0 * eps);
-            assert!(
-                (din.data()[i] - ng).abs() < 0.02,
-                "idx {i}: {} vs {ng}",
-                din.data()[i]
-            );
+            assert!((din[i] - ng).abs() < 0.02, "idx {i}: {} vs {ng}", din[i]);
         }
     }
 
@@ -153,7 +137,8 @@ mod tests {
         let mut input = Tensor::zeros(Shape::d4(1, 2, 2, 2));
         input.data_mut()[0] = 7.0; // channel 0
         input.data_mut()[4] = -7.0; // channel 1 (all others 0)
-        let (out, _) = maxpool2(&input);
-        assert_eq!(out.data(), &[7.0, 0.0]);
+        let (mut out, mut arg) = ([f32::NAN; 2], [u32::MAX; 2]);
+        maxpool2_into(&input, &mut out, &mut arg);
+        assert_eq!(out, [7.0, 0.0]);
     }
 }

@@ -1,19 +1,23 @@
-//! Per-worker scratch arena: recycled `f32` buffers for the training step.
+//! Per-worker scratch arena: the buffers of the forward/backward path.
 //!
-//! The simulated trainer runs `forward_backward` once per virtual iteration;
-//! without reuse every activation, im2col patch matrix and gradient is a
-//! fresh `Vec<f32>` allocation. [`Scratch`] is a size-bucketed free list:
+//! Every activation, im2col patch matrix, GEMM product, batch tensor and
+//! gradient of a training step is a `Vec<f32>` drawn from a [`Scratch`]:
 //! [`Scratch::take`] hands out a zeroed buffer of the requested length
-//! (reusing a previously returned one when available) and [`Scratch::put`]
-//! returns it for the next iteration.
+//! (a previously returned one when available), [`Scratch::take_uninit`]
+//! skips the zeroing for outputs that are fully overwritten, and
+//! [`Scratch::put`] returns a buffer for the next step.
 //!
-//! Ownership story: each simulated worker owns exactly one `Scratch`; layers
-//! never hold scratch buffers across calls — a buffer taken inside
-//! `forward`/`backward` is either returned with `put` before the call exits
-//! or handed back to the caller as part of a result tensor (in which case it
-//! re-enters the arena when the caller recycles that tensor). The arena is
-//! deliberately not thread-safe: it lives and dies with one worker, which is
-//! also what keeps reuse deterministic.
+//! Ownership: each worker owns exactly one `Scratch`; evaluation builds one
+//! per call. Layers never hold arena buffers across a step — a buffer taken
+//! inside `forward`/`backward` is either returned with `put` before the
+//! call exits or handed on as part of a result tensor, and re-enters the
+//! arena when its consumer recycles that tensor. A step puts back exactly
+//! what it took, so the arena stops growing after the first step *at one
+//! batch size*. Buckets are exact lengths and every length scales with the
+//! batch, so a new batch size can reuse none of the old buffers: whoever
+//! changes the batch size drops the arena (`Worker::set_lbs`). The arena
+//! is deliberately not thread-safe: it lives and dies with one worker,
+//! which is also what keeps reuse deterministic.
 
 use crate::tensor::Tensor;
 use std::collections::HashMap;
@@ -64,10 +68,14 @@ impl Scratch {
         Tensor::from_vec(shape, buf)
     }
 
-    /// Return a buffer to the pool.
-    pub fn put(&mut self, buf: Vec<f32>) {
+    /// Return a buffer to the pool. Debug builds poison it with NaN, so a
+    /// `take_uninit` caller that leaves a slot unwritten fails its test.
+    pub fn put(&mut self, mut buf: Vec<f32>) {
         if buf.is_empty() {
             return;
+        }
+        if cfg!(debug_assertions) {
+            buf.fill(f32::NAN);
         }
         self.buckets.entry(buf.len()).or_default().push(buf);
     }
@@ -84,6 +92,12 @@ impl Scratch {
         } else {
             self.reused as f64 / self.taken as f64
         }
+    }
+
+    /// Bytes of storage currently parked in the pool (diagnostics only).
+    pub fn held_bytes(&self) -> usize {
+        let floats: usize = self.buckets.iter().map(|(len, b)| len * b.len()).sum();
+        floats * std::mem::size_of::<f32>()
     }
 }
 
@@ -120,6 +134,21 @@ mod tests {
         s.put(vec![3.0; 16]);
         let b = s.take_uninit(16);
         assert_eq!(b.len(), 16);
+    }
+
+    #[test]
+    fn held_bytes_counts_parked_buffers_only() {
+        let mut s = Scratch::new();
+        assert_eq!(s.held_bytes(), 0);
+        s.put(vec![0.0; 10]);
+        s.put(vec![0.0; 10]);
+        s.put(vec![0.0; 3]);
+        assert_eq!(s.held_bytes(), 23 * 4);
+        let b = s.take_uninit(10);
+        assert_eq!(s.held_bytes(), 13 * 4, "a taken buffer is the caller's");
+        if cfg!(debug_assertions) {
+            assert!(b.iter().all(|v| v.is_nan()), "put poisons in debug builds");
+        }
     }
 
     #[test]

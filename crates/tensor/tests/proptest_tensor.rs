@@ -4,9 +4,7 @@
 //! `DetRng`), replacing the external proptest dependency: same invariants,
 //! reproducible offline.
 
-use dlion_tensor::ops::{
-    matmul, matmul_into, matmul_naive, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
-};
+use dlion_tensor::ops::{matmul_into, matmul_naive, matmul_nt_into, matmul_tn_into};
 use dlion_tensor::sparse::{kth_largest_abs, max_n_select, n_for_budget};
 use dlion_tensor::stats::linear_fit;
 use dlion_tensor::{DetRng, Shape, Tensor};
@@ -155,10 +153,11 @@ fn linear_fit_recovers_line() {
     }
 }
 
-/// The blocked kernels' central contract: `matmul`, `matmul_nt`, `matmul_tn`
-/// and all `_into` variants are *bit-identical* (exact f32 equality) to the
+/// The blocked kernels' central contract: `matmul_into`, `matmul_nt_into`
+/// and `matmul_tn_into` are *bit-identical* (exact f32 equality) to the
 /// naive `i,j,k` triple loop, across random shapes deliberately not
-/// divisible by the MR=4 / NR=16 / MC=32 tile sizes.
+/// divisible by the MR=4 / NR=16 / MC=32 tile sizes, and overwrite every
+/// slot of a stale (NaN-filled) output buffer.
 #[test]
 fn blocked_kernels_exactly_match_naive_reference() {
     for case in 0..96u64 {
@@ -172,33 +171,19 @@ fn blocked_kernels_exactly_match_naive_reference() {
         let b = Tensor::randn(Shape::d2(k, n), 1.0, &mut rng);
         let expect = matmul_naive(&a, &b);
 
-        let c = matmul(&a, &b);
-        assert_eq!(c.data(), expect.data(), "case {case}: matmul {m}x{k}x{n}");
-
-        let bt = transpose(&b);
-        let c_nt = matmul_nt(&a, &bt);
-        assert_eq!(
-            c_nt.data(),
-            expect.data(),
-            "case {case}: matmul_nt {m}x{k}x{n}"
-        );
-
-        let at = transpose(&a);
-        let c_tn = matmul_tn(&at, &b);
-        assert_eq!(
-            c_tn.data(),
-            expect.data(),
-            "case {case}: matmul_tn {m}x{k}x{n}"
-        );
-
-        // _into twins write the same bits into caller-owned (stale) buffers.
         let mut buf = vec![f32::NAN; m * n];
         matmul_into(&a, &b, &mut buf);
-        assert_eq!(buf, expect.data(), "case {case}: matmul_into");
+        assert_eq!(buf, expect.data(), "case {case}: matmul {m}x{k}x{n}");
+
+        let bt = transpose(&b);
+        buf.fill(f32::NAN);
         matmul_nt_into(&a, &bt, &mut buf);
-        assert_eq!(buf, expect.data(), "case {case}: matmul_nt_into");
+        assert_eq!(buf, expect.data(), "case {case}: matmul_nt {m}x{k}x{n}");
+
+        let at = transpose(&a);
+        buf.fill(f32::NAN);
         matmul_tn_into(&at, &b, &mut buf);
-        assert_eq!(buf, expect.data(), "case {case}: matmul_tn_into");
+        assert_eq!(buf, expect.data(), "case {case}: matmul_tn {m}x{k}x{n}");
     }
 }
 

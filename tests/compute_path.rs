@@ -1,0 +1,78 @@
+//! Tier-1 guard for "one compute path": training, evaluation and the
+//! `forward`/`forward_backward`/`batch` conveniences all run the arena
+//! forward/backward, so what they return cannot depend on which arena
+//! served them — a throwaway one, a warm one, or one that has already
+//! served other batch sizes — on either conv backend (batch 1 takes the
+//! direct loops for all three CipherNet convs, batch 32 im2col + GEMM).
+
+use dlion::nn::{Dataset, Model, ModelSpec};
+use dlion::tensor::{DetRng, Scratch, Tensor};
+
+fn cipher(ds: &Dataset) -> Model {
+    let mut rng = DetRng::seed_from_u64(7);
+    ModelSpec::Cipher.build(&ds.sample_shape(), ds.classes(), &mut rng)
+}
+
+fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
+    ts.iter()
+        .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn convenience_and_arena_forms_agree_on_both_conv_backends() {
+    let ds = Dataset::synth_vision(300, 3);
+    let (mut plain, mut pooled) = (cipher(&ds), cipher(&ds));
+    let (mut s, mut grads) = (Scratch::new(), Vec::new());
+    // The arena has served other batch sizes before each compared step.
+    for b in [5usize, 1, 48, 32] {
+        let idx: Vec<usize> = (0..b).map(|i| (i * 7 + b) % ds.len()).collect();
+        let (x, y) = ds.batch(&idx);
+        let (loss, g) = plain.forward_backward(&x, &y);
+        let (xs, ys) = ds.batch_scratch(&idx, &mut s);
+        assert_eq!((x.data(), &y), (xs.data(), &ys), "batch {b}");
+        let loss_s = pooled.forward_backward_scratch(xs, &ys, &mut s, &mut grads);
+        assert_eq!(loss.to_bits(), loss_s.to_bits(), "loss at batch {b}");
+        assert!(bits(&g) == bits(&grads), "gradients at batch {b}");
+        assert_eq!(
+            plain.forward(&x).data(),
+            pooled.forward_scratch(x.clone(), &mut s).data(),
+            "logits at batch {b}"
+        );
+    }
+}
+
+#[test]
+fn evaluate_is_repeatable_and_leaves_training_alone() {
+    let ds = Dataset::synth_vision(300, 4);
+    let all: Vec<usize> = (0..ds.len()).collect();
+    let mut m = cipher(&ds);
+    // 300 samples in batches of 125: two full chunks and a ragged one
+    // through the same per-call arena.
+    let first = m.evaluate(&ds, &all, 125);
+    let second = m.evaluate(&ds, &all, 125);
+    assert_eq!(first.loss.to_bits(), second.loss.to_bits());
+    assert_eq!(first.accuracy.to_bits(), second.accuracy.to_bits());
+    assert!(first.loss > 0.0 && first.accuracy > 0.0);
+
+    // A training step gives the same bits whether or not an evaluation
+    // ran between it and the previous one.
+    let mut never_evaluated = cipher(&ds);
+    let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+    let (mut g1, mut g2) = (Vec::new(), Vec::new());
+    for step in 0..2 {
+        let idx: Vec<usize> = (0..32).map(|i| step * 32 + i).collect();
+        let (x, y) = ds.batch_scratch(&idx, &mut s1);
+        let l1 = m.forward_backward_scratch(x, &y, &mut s1, &mut g1);
+        m.evaluate(&ds, &all[..50], 20);
+        let (x, y) = ds.batch_scratch(&idx, &mut s2);
+        let l2 = never_evaluated.forward_backward_scratch(x, &y, &mut s2, &mut g2);
+        assert_eq!(l1.to_bits(), l2.to_bits(), "loss at step {step}");
+        assert!(bits(&g1) == bits(&g2), "gradients at step {step}");
+        assert_eq!(
+            s1.held_bytes(),
+            s2.held_bytes(),
+            "evaluation touched the arena"
+        );
+    }
+}
