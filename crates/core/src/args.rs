@@ -233,7 +233,6 @@ pub struct RunSpec {
     /// the identical plan themselves from `(spec, workers, seed, iters)`.
     pub scenario: Option<crate::scenario::ScenarioSpec>,
     pub gbs_adjust_period: Option<f64>,
-    pub gbs_static: bool,
     pub health_interval: Option<f64>,
     pub trace_out: Option<String>,
     pub telemetry: bool,
@@ -264,7 +263,6 @@ impl Default for RunSpec {
             straggle: Vec::new(),
             scenario: None,
             gbs_adjust_period: None,
-            gbs_static: false,
             health_interval: None,
             trace_out: None,
             telemetry: false,
@@ -328,7 +326,6 @@ impl RunSpec {
             "--kill" => self.fault = args.parse_with(flag, FaultPlan::parse)?,
             "--straggle" => self.straggle = args.parse_with(flag, parse_straggle)?,
             "--gbs-adjust-period" => self.gbs_adjust_period = Some(args.parse(flag)?),
-            "--gbs-static" => self.gbs_static = true,
             "--health-interval" => self.health_interval = Some(args.parse(flag)?),
             _ => return Ok(false),
         }
@@ -540,9 +537,6 @@ impl RunSpec {
         if let Some(v) = self.gbs_adjust_period {
             flag("--gbs-adjust-period", Some(v.to_string()));
         }
-        if self.gbs_static {
-            flag("--gbs-static", None);
-        }
         if let Some(v) = self.health_interval {
             flag("--health-interval", Some(v.to_string()));
         }
@@ -716,9 +710,6 @@ mod tests {
         }
         if rng.chance(30) {
             s.gbs_adjust_period = Some(0.05 + rng.below(100) as f64 / 100.0);
-        }
-        if rng.chance(20) {
-            s.gbs_static = true;
         }
         if rng.chance(30) {
             s.health_interval = Some(0.05 + rng.below(100) as f64 / 100.0);

@@ -9,6 +9,7 @@
 //! Per-worker accuracy series additionally give Figure 17's deviation, and
 //! the GBS/LBS/link traces give Figures 6, 8, 19 and 20.
 
+use dlion_telemetry::event;
 use dlion_tensor::stats;
 
 /// One sampled gradient transfer (Figures 8/20).
@@ -27,11 +28,10 @@ pub struct LinkSample {
 /// The cluster-health view of one run (DESIGN.md §4h): per-worker
 /// iteration rates and straggler scores — the slowest/median ratio is the
 /// same signal §3.2's LBS repartitioning acts on — plus the silence
-/// ledger. Built by the sim at the end of `run()` and by the live
-/// orchestrator's `HealthAggregator` from worker outcomes, with rates
-/// taken from the *training clock* (virtual time in the sim, accumulated
-/// per-iteration `dt` live), so under a pinned iteration time the summary
-/// is bit-identical across repeat runs and transports.
+/// ledger. Both backends build it with [`HealthSummary::of_run`] — the sim
+/// at the end of `run()`, the live orchestrator from worker outcomes —
+/// with rates taken from the *training clock*, so under a pinned iteration
+/// time the summary is bit-identical across repeat runs and transports.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HealthSummary {
     /// Per-worker iteration rate on the training clock, iterations/sec
@@ -82,6 +82,36 @@ impl HealthSummary {
             straggler_score,
             silent,
             reports,
+        }
+    }
+
+    /// The verdict of a finished run, from what either backend knows per
+    /// worker: iterations completed, training-clock seconds they took
+    /// (virtual busy time in the sim, accumulated `dt` live), and the
+    /// silence/report ledgers.
+    pub fn of_run(
+        iterations: &[u64],
+        seconds: &[f64],
+        silent: Vec<bool>,
+        reports: Vec<u64>,
+    ) -> HealthSummary {
+        let rate = |(&i, &s): (&u64, &f64)| if s > 0.0 { i as f64 / s } else { 0.0 };
+        let rates = iterations.iter().zip(seconds).map(rate).collect();
+        HealthSummary::compute(rates, silent, reports)
+    }
+
+    /// Trace the verdict: one fixed-key `cluster_health` event per worker
+    /// at training-clock time `vt`, the same columns from both backends.
+    pub fn trace(&self, vt: f64, iterations: &[u64], departed: &[bool]) {
+        for w in 0..self.rates.len() {
+            event!(vt, w: w, "cluster_health";
+                "iterations" => iterations[w],
+                "rounds" => self.reports[w],
+                "rate" => self.rates[w],
+                "score" => self.scores[w],
+                "silent" => self.silent[w],
+                "departed" => departed[w],
+                "straggler" => self.straggler);
         }
     }
 

@@ -56,8 +56,8 @@ pub enum Effect {
     /// are handed back for recycling.
     Merged(Vec<Tensor>),
     /// The sender announced its departure after `completed` iterations;
-    /// demoting it is the caller's move (the live driver has more to
-    /// unwind than the simulator).
+    /// the caller demotes it with [`Worker::demote_peer`] (the live
+    /// driver has its own flags to unwind first).
     Departed { completed: u64 },
 }
 
@@ -280,6 +280,17 @@ impl Worker {
             applied(from, msg);
         }
         self.parked = parked;
+    }
+
+    /// Demote a departed peer — Hop's backup-worker demotion applied to
+    /// an absent worker: it no longer gates this worker's iterations (or
+    /// its `BlockOnDelivery` ack-waiting) and is no longer a DKT pull
+    /// target. `completed` is the round the ledger excludes it from.
+    pub fn demote_peer(&mut self, peer: usize, completed: u64, now: f64) {
+        self.sync.demote(peer);
+        self.dkt.forget(peer);
+        event!(now, w: self.id, "peer_departed";
+            "peer" => peer, "completed" => completed, "iter" => self.iteration);
     }
 
     /// A DKT round (§3.4): share the recent average loss with the current

@@ -5,21 +5,24 @@
 //! [`crate::round`]; this file decides *when* each step happens in virtual
 //! time. It owns the event queue, the compute and network models (gradients
 //! are computed eagerly but *complete* at the simulated time the compute
-//! model dictates), byte accounting, fault scheduling, the GBS/LBS
-//! controller ticks and evaluation. Virtual time advances only through the
-//! event queue, so runs are fully deterministic for a given seed.
+//! model dictates), byte accounting, fault scheduling, the batching ticks
+//! and evaluation. What a tick *decides* — the GBS step, who contributes,
+//! the Eq. 5 split — is [`crate::gbs::Batching`], shared with the live
+//! driver (DESIGN.md §4n); this file supplies the RCPs, by profiling its
+//! compute model. Virtual time advances only through the event queue, so
+//! runs are fully deterministic for a given seed.
 
 use crate::cluster::build_cluster;
 use crate::config::RunConfig;
-use crate::lbs::{compute_rcp, partition_gbs, PROFILE_LBS};
+use crate::gbs::Batching;
+use crate::lbs::{compute_rcp, PROFILE_LBS};
 use crate::messages::{
     apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg, WireFormat,
     DEFAULT_CHUNK_BYTES,
 };
-use crate::metrics::{LinkSample, RunMetrics};
+use crate::metrics::{HealthSummary, LinkSample, RunMetrics};
 use crate::round::{Effect, Membership};
 use crate::worker::{PendingIteration, Worker};
-use crate::GbsController;
 use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
@@ -58,7 +61,7 @@ pub struct ClusterRunner {
     data: Dataset,
     eval_indices: Vec<usize>,
     metrics: RunMetrics,
-    gbs: Option<GbsController>,
+    batching: Batching,
     prof_rng: DetRng,
     bytes_per_param: f64,
     total_params: usize,
@@ -84,11 +87,6 @@ impl ClusterRunner {
         // Shared (backend-independent) construction: workers, dataset,
         // shards, neighbor sets — identical to what the live backend builds.
         let init = build_cluster(&cfg, n);
-
-        let gbs = cfg
-            .system
-            .dynamic_batching()
-            .then(|| GbsController::new(cfg.initial_lbs * n, cfg.workload.train_size, cfg.gbs));
 
         let metrics = RunMetrics {
             system: cfg.system.name(),
@@ -121,6 +119,7 @@ impl ClusterRunner {
 
         ClusterRunner {
             prof_rng: init.prof_rng,
+            batching: Batching::new(&cfg, n),
             cfg,
             n,
             workers: init.workers,
@@ -130,7 +129,6 @@ impl ClusterRunner {
             data: init.data,
             eval_indices: init.eval_indices,
             metrics,
-            gbs,
             bytes_per_param: init.bytes_per_param,
             total_params: init.total_params,
             inflight: 0,
@@ -174,7 +172,7 @@ impl ClusterRunner {
         // Initial LBS assignment ("the LBS controller is invoked to profile
         // the compute capacity of workers" before training starts).
         if self.cfg.system.dynamic_batching() {
-            self.repartition(0.0);
+            self.batching_round(0, None, 0.0);
         }
         for w in 0..self.n {
             if !self.reached_max_iters(w) {
@@ -265,40 +263,32 @@ impl ClusterRunner {
                 })
                 .collect();
         }
+        self.metrics.gbs_trace = std::mem::take(&mut self.batching.gbs_trace);
+        self.metrics.lbs_trace = std::mem::take(&mut self.batching.lbs_trace);
         if self.cfg.telemetry {
-            self.metrics
-                .telemetry
-                .gauge_max("queue_peak", self.queue.peak_len() as f64);
+            let tm = &mut self.metrics.telemetry;
+            tm.gauge_max("queue_peak", self.queue.peak_len() as f64);
+            let (adjusts, parts) = (self.metrics.gbs_trace.len(), self.metrics.lbs_trace.len());
+            for (name, k) in [("gbs_adjusts", adjusts), ("lbs_repartitions", parts)] {
+                if k > 0 {
+                    tm.add(name, k as u64);
+                }
+            }
         }
         trace_wire_bytes(end_time, None, &self.metrics.wire_bytes_by_kind);
-        // Cluster health summary (DESIGN.md §4h): iteration rates on the
+        // Cluster health verdict (DESIGN.md §4h): iteration rates on the
         // virtual clock. The sim has no reporting protocol (reports = 0)
-        // and no silence (a capacity-starved worker merely idles), but the
-        // per-worker `cluster_health` rows carry the same fixed keys as
-        // the live aggregator's, so sim and live views line up
-        // column-for-column.
-        let rates: Vec<f64> = (0..self.n)
-            .map(|w| {
-                let busy = self.metrics.busy_time[w];
-                if busy > 0.0 {
-                    self.metrics.iterations[w] as f64 / busy
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        self.metrics.health =
-            crate::metrics::HealthSummary::compute(rates, vec![false; self.n], vec![0; self.n]);
-        for w in 0..self.n {
-            event!(end_time, w: w, "cluster_health";
-                "iterations" => self.metrics.iterations[w],
-                "rounds" => self.metrics.health.reports[w],
-                "rate" => self.metrics.health.rates[w],
-                "score" => self.metrics.health.scores[w],
-                "silent" => self.metrics.health.silent[w],
-                "departed" => self.departed(w),
-                "straggler" => self.metrics.health.straggler);
-        }
+        // and no silence (a capacity-starved worker merely idles).
+        let m = &self.metrics;
+        let health = HealthSummary::of_run(
+            &m.iterations,
+            &m.busy_time,
+            vec![false; self.n],
+            vec![0; self.n],
+        );
+        let departed: Vec<bool> = (0..self.n).map(|w| self.departed(w)).collect();
+        health.trace(end_time, &m.iterations, &departed);
+        self.metrics.health = health;
         event!(end_time, "run_end";
             "iterations" => self.metrics.total_iterations(),
             "grad_bytes" => self.metrics.grad_bytes,
@@ -493,13 +483,10 @@ impl ClusterRunner {
             }
             Effect::Departed { completed } => {
                 // The victim's departure notice arrived — only now does
-                // this worker demote it (stop gating on it, drop it as a
-                // DKT target). Arriving per-link FIFO behind the victim's
-                // last gradients, the demotion can never cost a round its
-                // gradients — the live `KIND_LEAVE` ordering.
-                event!(now, w: to, "peer_departed"; "peer" => from, "completed" => completed);
-                self.workers[to].sync.demote(from);
-                self.workers[to].dkt.forget(from);
+                // this worker demote it. Arriving per-link FIFO behind the
+                // victim's last gradients, the demotion can never cost a
+                // round its gradients — the live `KIND_LEAVE` ordering.
+                self.workers[to].demote_peer(from, completed, now);
                 true
             }
         };
@@ -569,61 +556,44 @@ impl ClusterRunner {
 
     // ----------------------------------------------------- periodic ticks
 
-    fn current_gbs(&self) -> usize {
-        self.gbs
-            .as_ref()
-            .map_or(self.cfg.initial_lbs * self.n, |g| g.gbs())
-    }
-
-    /// Profile every worker and reassign LBS shares (Eq. 5).
-    fn repartition(&mut self, now: f64) {
-        let rcps: Vec<f64> = (0..self.n)
-            .map(|w| {
-                let samples = self.compute.profile(
-                    w,
-                    &PROFILE_LBS,
-                    now,
-                    self.cfg.profile_noise,
-                    &mut self.prof_rng,
-                );
-                compute_rcp(&samples)
-            })
-            .collect();
-        let parts = partition_gbs(self.current_gbs(), &rcps);
-        for (w, &lbs) in parts.iter().enumerate() {
-            self.workers[w].set_lbs(lbs);
-        }
-        self.members.lbs_of.clone_from(&parts);
-        event!(now, "lbs_repartition";
-            "gbs" => self.current_gbs(),
-            "min_lbs" => parts.iter().min().copied().unwrap_or(0),
-            "max_lbs" => parts.iter().max().copied().unwrap_or(0));
-        debug!(target: "core.lbs", "t={now:.1}: LBS repartition -> {parts:?}");
-        if self.cfg.telemetry {
-            self.metrics.telemetry.inc("lbs_repartitions");
-        }
-        self.metrics.lbs_trace.push((now, parts));
-    }
-
-    fn on_gbs_tick(&mut self, now: f64) {
-        let changed = self.gbs.as_mut().and_then(|g| g.maybe_adjust());
-        if let Some(new_gbs) = changed {
-            event!(now, "gbs_adjust"; "gbs" => new_gbs);
-            debug!(target: "core.gbs", "t={now:.1}: GBS adjusted to {new_gbs}");
-            if self.cfg.telemetry {
-                self.metrics.telemetry.inc("gbs_adjusts");
+    /// One batching control round at virtual time `now`: the decision is
+    /// [`Batching::round`]'s; the simulator's half is the RCPs — profiled
+    /// from the compute model, noise drawn only if the round repartitions
+    /// — and resizing the workers that are still computing.
+    fn batching_round(&mut self, round: u64, reprofiled_at: Option<f64>, now: f64) {
+        let (compute, rng, noise) = (&self.compute, &mut self.prof_rng, self.cfg.profile_noise);
+        let rcp = |w| {
+            let samples = compute.profile(w, &PROFILE_LBS, now, noise, rng);
+            Some(compute_rcp(&samples))
+        };
+        let (members, workers) = (&mut self.members, &mut self.workers);
+        let (iter_of, stamp) = (|w: usize| workers[w].iteration, (now, None));
+        if self
+            .batching
+            .round(round, reprofiled_at, stamp, members, iter_of, rcp)
+        {
+            for w in workers.iter_mut() {
+                if members.counts(w.id, w.iteration) {
+                    w.set_lbs(members.lbs_of[w.id]);
+                }
             }
-            self.metrics.gbs_trace.push((now, new_gbs));
-            self.repartition(now);
         }
-        // Keep ticking even in Done phase (cheap) so dynamism handling stays
-        // uniform; profiling has its own tick.
-        self.queue
-            .schedule(now + self.cfg.gbs.adjust_period_secs, Ev::GbsTick);
     }
 
+    /// The GBS controller's adjustment opportunity: round `r` at its
+    /// nominal boundary `r × period`. Keeps ticking in the Done phase — a
+    /// departure still has to re-split the GBS over the survivors.
+    fn on_gbs_tick(&mut self, now: f64) {
+        let round = self.batching.rounds() + 1;
+        self.batching_round(round, None, now);
+        let next = (round + 1) as f64 * self.cfg.gbs.adjust_period_secs;
+        self.queue.schedule(next, Ev::GbsTick);
+    }
+
+    /// Periodic re-profiling: the shares follow the compute model even
+    /// when neither the GBS nor the membership moved.
     fn on_profile_tick(&mut self, now: f64) {
-        self.repartition(now);
+        self.batching_round(self.batching.rounds(), Some(now), now);
         self.queue
             .schedule(now + self.cfg.profile_interval, Ev::ProfileTick);
     }

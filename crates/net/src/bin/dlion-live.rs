@@ -9,7 +9,7 @@
 //!            [--bw-mbps F] [--assumed-iter-time S] [--stall-secs S]
 //!            [--peer-timeout S] [--kill W@I[+R],...]
 //!            [--wire dense|fp16|int8|topk[:N]] [--chunk-bytes B]
-//!            [--gbs-adjust-period S] [--gbs-static]
+//!            [--gbs-adjust-period S]
 //!            [--topology full|ring|star:H|kregular:K|groups:G|hier:G]
 //!            [--health-interval S] [--straggle W:F,...]
 //!            [--trace-out FILE] [--telemetry] [--csv FILE]
@@ -121,7 +121,7 @@ fn usage() -> ! {
          \x20                 [--queue-cap N] [--bw-mbps F] [--assumed-iter-time S] [--stall-secs S]\n\
          \x20                 [--peer-timeout S] [--kill W@I[+R],...]\n\
          \x20                 [--wire dense|fp16|int8|topk[:N]] [--chunk-bytes B]\n\
-         \x20                 [--gbs-adjust-period S] [--gbs-static]\n\
+         \x20                 [--gbs-adjust-period S]\n\
          \x20                 [--topology full|ring|star:H|kregular:K|groups:G|hier:G]\n\
          \x20                 [--health-interval S] [--straggle W:F,...]\n\
          \x20                 [--trace-out FILE] [--telemetry] [--csv FILE]"
@@ -451,12 +451,10 @@ mod tests {
 
     #[test]
     fn gbs_flags_parse() {
-        let c = cli(&["--gbs-adjust-period", "0.25", "--gbs-static"]).unwrap();
+        let c = cli(&["--gbs-adjust-period", "0.25"]).unwrap();
         assert_eq!(c.spec.gbs_adjust_period, Some(0.25));
-        assert!(c.spec.gbs_static);
         let d = cli(&[]).unwrap();
         assert_eq!(d.spec.gbs_adjust_period, None);
-        assert!(!d.spec.gbs_static);
         let e = cli(&["--gbs-adjust-period", "soon"]).unwrap_err();
         assert_eq!(e.flag, "--gbs-adjust-period");
     }

@@ -104,7 +104,7 @@ fn usage() -> ! {
          \x20                   [--queue-cap N] [--bw-mbps F] [--assumed-iter-time S]\n\
          \x20                   [--stall-secs S] [--peer-timeout S] [--kill W@I[+R],...]\n\
          \x20                   [--topology SPEC] [--wire dense|fp16|int8|topk[:N]]\n\
-         \x20                   [--chunk-bytes B] [--gbs-adjust-period S] [--gbs-static]\n\
+         \x20                   [--chunk-bytes B] [--gbs-adjust-period S]\n\
          \x20                   [--health-interval S] [--straggle W:F,...]\n\
          \x20                   [--env-label L] [--trace-out FILE] [--telemetry]"
     );

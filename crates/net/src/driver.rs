@@ -5,10 +5,16 @@
 //! core (`dlion_core::round`, DESIGN.md §4l), the same code the simulator
 //! calls: drain arrived frames, flush parked strict-BSP gradients, compute,
 //! `complete_round`, fan out, run a DKT round on share iterations, gate the
-//! next iteration on the worker's [`dlion_core::SyncPolicy`]. This file
-//! keeps what only a live rank has: the transport, the clock, gradient
-//! acks, buffer recycling, the `active`/`done` peer flags, the RCP, health,
-//! rejoin and Done planes, and [`WorkerOutcome`].
+//! next iteration on the worker's [`dlion_core::SyncPolicy`]. Every
+//! control decision comes from there too (DESIGN.md §4n): when a batching
+//! round is due, who contributes and the LBS split
+//! ([`dlion_core::gbs::Batching`]), what demoting a peer does
+//! (`Worker::demote_peer`). This file keeps what only a live rank has: the
+//! transport, the clock, gradient acks, buffer recycling, the
+//! `active`/`done` peer flags, the RCP *exchange* (frames out, frames in),
+//! the health cadence, the rejoin and Done planes, and [`WorkerOutcome`].
+//! Every wait that may apply traffic — an RCP collect, the iteration gate,
+//! the Done barrier — is one loop, `serve_until`.
 //!
 //! ## Worker churn
 //!
@@ -22,10 +28,10 @@
 //!   [`dlion_core::TransportError::PeerDisconnected`] (reader EOF) or
 //!   [`dlion_core::TransportError::PeerTimeout`] from the transport.
 //! * Either way the survivor **demotes** the peer — Hop's
-//!   backup-worker demotion applied to an absent worker:
-//!   [`dlion_core::SyncState::demote`] stops iteration gating (and
-//!   `BlockOnDelivery` ack-waiting) on it, `DktState::forget` removes it
-//!   as a pull target, and the update-factor ledger (`departed_at`)
+//!   backup-worker demotion applied to an absent worker
+//!   (`Worker::demote_peer`, shared with the simulator): it stops
+//!   iteration gating (and `BlockOnDelivery` ack-waiting) on it and drops
+//!   it as a DKT pull target, and the update-factor ledger (`departed_at`)
 //!   renormalizes averaging over the workers that actually contribute:
 //!   the departed peer counts in the divisor for rounds `< K` (its
 //!   gradients for those rounds exist and are applied) and is excluded
@@ -59,8 +65,8 @@ use crate::{
 use dlion_core::args::RunSpec;
 use dlion_core::clock::{Clock, SystemClock};
 use dlion_core::config::RunConfig;
-use dlion_core::gbs::GbsController;
-use dlion_core::lbs::{compute_rcp, partition_gbs, rcp_from_rate, PROFILE_LBS};
+use dlion_core::gbs::{round_due, Batching};
+use dlion_core::lbs::{compute_rcp, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
     apply_wire_format, decode_frame, decode_frame_header, decode_wire, encode_frame,
     trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat,
@@ -115,10 +121,6 @@ pub struct LiveOpts {
     /// Per-peer receive timeout for the TCP transport (`None` = never) —
     /// surfaces a wedged-but-connected peer as a departure.
     pub peer_timeout: Option<Duration>,
-    /// Freeze the GBS at its initial value (`--gbs-static`) even for
-    /// dynamic-batching systems — the pre-controller live behaviour.
-    /// Startup profiling still assigns proportional LBS shares.
-    pub gbs_static: bool,
     /// Chunk size for streamed frames (`--chunk-bytes`): bodies larger
     /// than this go out as chunked streams, verified chunk-by-chunk.
     pub chunk_bytes: usize,
@@ -162,7 +164,6 @@ impl LiveOpts {
             assumed_iter_time: spec.assumed_iter_time,
             stall_timeout: Duration::from_secs_f64(spec.stall_secs),
             peer_timeout: spec.peer_timeout.map(Duration::from_secs_f64),
-            gbs_static: spec.gbs_static,
             chunk_bytes: spec.chunk_bytes,
             health_interval: spec.health_interval,
             clock: Arc::new(SystemClock::new()),
@@ -464,29 +465,22 @@ fn u64_body(body: &[u8], from: usize) -> Result<u64, LiveError> {
     Ok(u64::from_le_bytes(bytes))
 }
 
-/// Encode an RCP frame body: the adjustment round it belongs to, the
-/// sender's iteration when the round was opened, and the RCP itself.
-/// Round 0 is the startup profiling exchange.
-fn rcp_body(round: u64, at_iter: u64, rcp: f64) -> [u8; 24] {
-    let mut b = [0u8; 24];
-    b[0..8].copy_from_slice(&round.to_le_bytes());
-    b[8..16].copy_from_slice(&at_iter.to_le_bytes());
-    b[16..24].copy_from_slice(&rcp.to_le_bytes());
-    b
+/// Encode an RCP frame body: the adjustment round it belongs to (0 is
+/// the start-up profiling exchange) and the RCP itself.
+fn rcp_body(round: u64, rcp: f64) -> Vec<u8> {
+    [round.to_le_bytes(), rcp.to_le_bytes()].concat()
 }
 
 /// Decode [`rcp_body`].
-fn parse_rcp(body: &[u8], from: usize) -> Result<(u64, u64, f64), LiveError> {
-    if body.len() != 24 {
+fn parse_rcp(body: &[u8], from: usize) -> Result<(u64, f64), LiveError> {
+    if body.len() != 16 {
         return Err(LiveError::Protocol(format!(
             "bad rcp body from {from}: {} bytes",
             body.len()
         )));
     }
-    let round = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    let at_iter = u64::from_le_bytes(body[8..16].try_into().unwrap());
-    let rcp = f64::from_le_bytes(body[16..24].try_into().unwrap());
-    Ok((round, at_iter, rcp))
+    let (round, rcp) = (u64_body(&body[..8], from)?, u64_body(&body[8..], from)?);
+    Ok((round, f64::from_bits(rcp)))
 }
 
 struct LiveWorker<'a, 'b> {
@@ -495,19 +489,12 @@ struct LiveWorker<'a, 'b> {
     transport: &'b mut dyn ExchangeTransport,
     n: usize,
     me: usize,
-    /// The GBS currently in force: `initial_lbs * n` until the growth
-    /// controller (below) adjusts it.
-    gbs: usize,
-    /// The §3.2 GBS growth controller. `None` freezes the GBS at its
-    /// initial value: non-dynamic-batching systems and `--gbs-static`.
-    /// Every member runs its own copy; agreement holds because
-    /// [`GbsController::maybe_adjust`] is a pure function of its call
-    /// count, and the round protocol (see [`LiveWorker::gbs_adjust_round`])
-    /// makes every member execute the same rounds.
-    gbs_ctl: Option<GbsController>,
-    /// Adjustment rounds completed so far (round `r` has nominal time
-    /// `r × adjust_period` on the training clock; round 0 is startup).
-    gbs_round: u64,
+    /// This rank's copy of the §3.2 batching state. Every member runs its
+    /// own; agreement holds because a round's decision is a pure function
+    /// of the round number, the ledger and the exchanged RCPs, and the
+    /// exchange ([`LiveWorker::rcp_round`]) makes every member execute
+    /// the same rounds.
+    batching: Batching,
     /// The training clock: accumulated per-iteration wall times (`dt`).
     /// The adjustment schedule runs on this rather than raw `clock.now()`
     /// so a run's round-to-iteration alignment is a pure function of its
@@ -520,7 +507,7 @@ struct LiveWorker<'a, 'b> {
     /// `dt` multiplier applied in [`LiveWorker::step`].
     straggle: f64,
     /// Health report rounds completed (round `r` fires when `train_secs`
-    /// crosses `r × health_interval`; same scheme as `gbs_round`).
+    /// crosses `r × health_interval`; the batching rounds' due rule).
     health_round: u64,
     /// Peer-report view and silence ledger of the health plane. Allocated
     /// even when the plane is off — then it just never records.
@@ -528,14 +515,9 @@ struct LiveWorker<'a, 'b> {
     /// Decode+apply latency of inbound frames, per sending peer
     /// (advisory; recorded only while the health plane is on).
     apply_lat: Vec<Histogram>,
-    /// Round-tagged RCPs received from peers; rounds may pre-arrive
+    /// RCPs received from peers, by `(round, peer)`; rounds may pre-arrive
     /// (a faster peer opened a round we have not reached yet).
-    rcp_pending: BTreeMap<u64, Vec<Option<f64>>>,
-    /// The contributor set of the last repartition; a membership change
-    /// (departure, rejoin) forces a repartition even on a round where
-    /// the GBS itself did not move — the departed worker's share must be
-    /// re-split over the survivors.
-    last_contributors: Vec<usize>,
+    rcp_pending: BTreeMap<(u64, usize), f64>,
     done: Vec<bool>,
     /// Which peers are currently members of the run. A departed peer is
     /// demoted everywhere (sync gating, DKT, sends, the Done barrier);
@@ -575,9 +557,8 @@ impl LiveWorker<'_, '_> {
         // The health plane flags the peer silent *before* any demotion
         // action (the flag is one-shot — a ledger-driven flag at an
         // earlier health tick wins, and this is a no-op).
-        if self.env.opts.health_interval.is_some() && self.health.flag_silent(peer) {
-            event!(self.now(), w: self.me, "health_silence";
-                "peer" => peer, "iter" => self.worker.iteration);
+        if self.env.opts.health_interval.is_some() {
+            self.flag_silent(peer);
         }
         self.active[peer] = false;
         let k = completed
@@ -588,10 +569,7 @@ impl LiveWorker<'_, '_> {
                 self.worker.sync.received_from(peer).map_or(0, |r| r + 1)
             });
         self.members.departed_at[peer].get_or_insert(k);
-        self.worker.sync.demote(peer);
-        self.worker.dkt.forget(peer);
-        event!(self.now(), w: self.me, "peer_departed";
-            "peer" => peer, "completed" => k, "iter" => self.worker.iteration);
+        self.worker.demote_peer(peer, k, self.now());
         // A departure can cut the communication graph: a partitioned
         // component would train on silently while the others' gradients
         // never reach it. Warn loudly instead of hanging quietly (the
@@ -733,8 +711,23 @@ impl LiveWorker<'_, '_> {
         self.outbound(to, sent, best_effort).map(|_| ())
     }
 
-    /// The two liveness control frames every receive loop must honour,
-    /// wherever it runs (startup profiling, dead time, rejoin waits). Both
+    /// Best-effort control frame to every peer `to` selects.
+    fn broadcast(
+        &mut self,
+        kind: u8,
+        body: &[u8],
+        to: impl Fn(&Self, usize) -> bool,
+    ) -> Result<(), LiveError> {
+        for j in 0..self.n {
+            if j != self.me && to(self, j) {
+                self.send_control(j, kind, body, true)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The two liveness control frames the rejoin path's raw-frame loops
+    /// must honour (dead time, the Catchup and weight waits). Both
     /// are always plain frames, so callers pass the kind peeked from the
     /// validated header and no chunked stream is ever reassembled for
     /// this. Returns whether the frame was one of them.
@@ -792,8 +785,12 @@ impl LiveWorker<'_, '_> {
                 }
             }
             KIND_RCP => {
-                let (round, _, rcp) = parse_rcp(body, from)?;
-                self.note_rcp(round, from, rcp);
+                let (round, rcp) = parse_rcp(body, from)?;
+                // Rounds already run are stale; rounds ahead of us
+                // pre-arrive when a faster peer opens them first.
+                if self.batching.awaits(round) {
+                    self.rcp_pending.insert((round, from), rcp);
+                }
                 Ok(())
             }
             // Catchup replies are consumed by the rejoin loop; a stray
@@ -945,15 +942,35 @@ impl LiveWorker<'_, '_> {
         self.out.evals.push(point);
     }
 
-    /// Startup LBS assignment for dynamic-batching systems: profile our
-    /// own compute by wall clock at [`PROFILE_LBS`], broadcast the RCP,
-    /// collect everyone else's, and take our Eq. 5 share of the GBS.
-    /// Frames of other kinds that race in (none should before everyone has
-    /// all RCPs, but the protocol does not depend on that) are stashed for
-    /// the main loop. A peer that dies during profiling is demoted and its
-    /// RCP replaced with the mean of the collected ones, so the partition
-    /// stays well-formed.
-    fn startup_lbs(&mut self, stash: &mut Vec<(usize, Vec<u8>)>) -> Result<(), LiveError> {
+    /// Serve inbound frames until `ready` holds. `Ok(false)` means nothing
+    /// arrived for a whole stall timeout; what that costs is the caller's
+    /// call (a collect proceeds with whoever answered, a gate or barrier
+    /// wait fails the worker).
+    fn serve_until(
+        &mut self,
+        during_shutdown: bool,
+        ready: impl Fn(&Self) -> bool,
+    ) -> Result<bool, LiveError> {
+        let stall = self.env.opts.stall_timeout.as_secs_f64();
+        let mut deadline = self.now() + stall;
+        while !ready(self) {
+            match self.recv(POLL)? {
+                Some((from, frame)) => {
+                    self.handle_frame(from, frame, during_shutdown)?;
+                    deadline = self.now() + stall;
+                }
+                None if self.now() > deadline => return Ok(false),
+                None => {}
+            }
+        }
+        Ok(true)
+    }
+
+    /// Start-up LBS assignment for dynamic-batching systems: profile our
+    /// own compute by wall clock at [`PROFILE_LBS`]; the RCP that yields
+    /// is exchanged and partitioned as round 0 of
+    /// [`LiveWorker::rcp_round`], like any later round's.
+    fn startup_lbs(&mut self) -> Result<(), LiveError> {
         if !self.env.cfg.system.dynamic_batching() {
             return Ok(());
         }
@@ -976,83 +993,11 @@ impl LiveWorker<'_, '_> {
                 .compute_grads(self.env.data, self.env.cfg.grad_clip);
             samples.push((lbs as f64, (self.env.clock.now() - t0).max(1e-6)));
         }
-        let rcp = compute_rcp(&samples);
-        let mut rcps = vec![0.0f64; self.n];
-        rcps[self.me] = rcp;
-        let mut have = 1usize;
-        for j in 0..self.n {
-            if j != self.me {
-                self.send_control(j, KIND_RCP, &rcp_body(0, 0, rcp), false)?;
-            }
-        }
-        let stall = self.env.opts.stall_timeout.as_secs_f64();
-        let mut deadline = self.env.clock.now() + stall;
-        while have < (0..self.n).filter(|&j| self.active[j]).count() {
-            match self.recv(POLL)? {
-                Some((from, frame)) => {
-                    deadline = self.env.clock.now() + stall;
-                    // Peek the kind from the validated header only:
-                    // control frames (RCP/Leave) are always plain, and a
-                    // racing chunked payload is stashed raw for the main
-                    // loop without paying for its reassembly here.
-                    let kind = decode_frame_header(&frame)?.kind;
-                    if kind == KIND_RCP {
-                        let (_, body) = decode_frame(&frame)?;
-                        let (round, _, peer_rcp) = parse_rcp(body, from)?;
-                        if round > 0 {
-                            // A fast peer already opened a periodic round;
-                            // park it for the main loop.
-                            self.note_rcp(round, from, peer_rcp);
-                            continue;
-                        }
-                        if rcps[from] == 0.0 {
-                            have += 1;
-                        }
-                        rcps[from] = peer_rcp;
-                    } else if !self.note_liveness(kind, from, &frame)? {
-                        stash.push((from, frame));
-                    }
-                }
-                None => {
-                    if self.env.clock.now() > deadline {
-                        return Err(LiveError::Stalled(format!(
-                            "worker {} got {have}/{} RCPs",
-                            self.me, self.n
-                        )));
-                    }
-                }
-            }
-        }
-        // A peer that departed mid-profiling never sent its RCP;
-        // `partition_gbs` needs every entry positive.
-        let known: Vec<f64> = rcps.iter().copied().filter(|&r| r > 0.0).collect();
-        let mean = known.iter().sum::<f64>() / known.len() as f64;
-        for r in rcps.iter_mut() {
-            if *r == 0.0 {
-                *r = mean;
-            }
-        }
-        let parts = partition_gbs(self.gbs, &rcps);
-        self.worker.set_lbs(parts[self.me]);
-        self.members.lbs_of.clone_from(&parts);
-        self.last_contributors = (0..self.n).filter(|&j| self.active[j]).collect();
-        self.out.lbs_trace.push((0.0, parts.clone()));
-        event!(self.now(), w: self.me, "lbs_repartition";
-            "gbs" => self.gbs, "lbs" => parts[self.me], "round" => 0u64);
-        Ok(())
-    }
-
-    /// Record a peer's RCP for a periodic adjustment round. Rounds we have
-    /// already completed (including startup's round 0) are stale; rounds
-    /// ahead of us pre-arrive when a faster peer opens them first.
-    fn note_rcp(&mut self, round: u64, from: usize, rcp: f64) {
-        if self.gbs_ctl.is_none() || round <= self.gbs_round {
-            return;
-        }
-        let n = self.n;
-        self.rcp_pending
-            .entry(round)
-            .or_insert_with(|| vec![None; n])[from] = Some(rcp);
+        // Until the partition lands we hold the share the ledger says we
+        // do: a fast peer's first gradient can race into the collect, and
+        // its Eq. 7 divisor must not see a probe size.
+        self.worker.set_lbs(self.env.cfg.initial_lbs);
+        self.rcp_round(0, compute_rcp(&samples))
     }
 
     /// Must peer `j` answer a round triggered at local iteration
@@ -1070,152 +1015,61 @@ impl LiveWorker<'_, '_> {
     /// would make the trigger iteration — and hence the EWMA sample fed
     /// into our broadcast RCP — depend on real-time thread interleaving,
     /// destroying run-to-run determinism under a pinned iteration time.
-    /// The opener blocks in its collect loop (still serving frames), so a
+    /// The opener blocks in its collect (still serving frames), so a
     /// slower peer keeps stepping until its own clock crosses and answers.
     fn run_due_gbs_rounds(&mut self) -> Result<(), LiveError> {
-        if self.gbs_ctl.is_none() {
-            return Ok(());
-        }
         loop {
-            let next = self.gbs_round + 1;
-            if self.train_secs < next as f64 * self.env.cfg.gbs.adjust_period_secs {
+            let newest_seen = self.rcp_pending.keys().next_back().map(|&(r, _)| r);
+            let Some(round) = self.batching.next_due(self.train_secs, newest_seen) else {
                 return Ok(());
-            }
-            // A peer may have raced ahead and opened a later round; once we
-            // are due at all, fast-forward to the newest round seen so the
-            // cluster converges on one round instead of trading stale ones.
-            let target = self
-                .rcp_pending
-                .keys()
-                .next_back()
-                .copied()
-                .filter(|&r| self.train_secs >= r as f64 * self.env.cfg.gbs.adjust_period_secs)
-                .map_or(next, |r| r.max(next));
-            self.gbs_adjust_round(target)?;
+            };
+            // Rounds only trigger after at least one step, so the EWMA
+            // — our measured throughput — is primed.
+            self.rcp_round(round, rcp_from_rate(self.ewma_rate))?;
         }
     }
 
-    /// One GBS adjustment round (§3.2, live): broadcast our RCP — derived
-    /// from the measured-throughput EWMA — collect every expected peer's,
-    /// advance the growth controller, and repartition the new GBS over the
-    /// round's contributors. `round` may be several periods ahead of
-    /// `gbs_round` (a long iteration crossed several boundaries, or a
-    /// stalled peer was skipped over); the controller is
-    /// fast-forwarded through the skipped boundaries so every member's GBS
-    /// stays a pure function of the round number.
-    fn gbs_adjust_round(&mut self, round: u64) -> Result<(), LiveError> {
-        let period = self.env.cfg.gbs.adjust_period_secs;
+    /// One RCP exchange (§3.2, live; round 0 is start-up): broadcast our
+    /// RCP, collect every expected peer's, and hand the round to the
+    /// shared batching core, which steps the growth controller and
+    /// repartitions. `round` may be several periods ahead of the last one
+    /// run (a long iteration crossed several boundaries, or a stalled peer
+    /// was skipped over); the core fast-forwards through them.
+    fn rcp_round(&mut self, round: u64, my_rcp: f64) -> Result<(), LiveError> {
         let trigger_iter = self.worker.iteration;
-        // Rounds only trigger after at least one step, so the EWMA is
-        // primed. Peers use the broadcast value verbatim — that is how
-        // every member partitions from the same RCP vector.
-        let my_rcp = rcp_from_rate(self.ewma_rate);
-        for j in 0..self.n {
-            if self.rcp_expected(j, trigger_iter) {
-                self.send_control(j, KIND_RCP, &rcp_body(round, trigger_iter, my_rcp), true)?;
-            }
-        }
-        // Blocking collect: the round's partition must not be computed
-        // until every expected peer has answered (departures and Dones
-        // observed mid-collect shrink the expectation). The stall deadline
-        // only breaks genuinely wedged clusters.
-        let stall = self.env.opts.stall_timeout.as_secs_f64();
-        let mut deadline = self.env.clock.now() + stall;
-        loop {
-            let entry = self.rcp_pending.get(&round);
-            let missing = (0..self.n).any(|j| {
-                self.rcp_expected(j, trigger_iter) && entry.is_none_or(|e| e[j].is_none())
-            });
-            if !missing {
-                break;
-            }
-            match self.recv(POLL)? {
-                Some((from, frame)) => {
-                    deadline = self.env.clock.now() + stall;
-                    self.handle_frame(from, frame, false)?;
-                }
-                None => {
-                    if self.env.clock.now() > deadline {
-                        break;
-                    }
-                }
-            }
-        }
-        // Contributors: everyone whose RCP we hold and whom the ledger
-        // still counts at this round — plus ourselves under the same
-        // ledger test, so every member derives the round's share list
-        // from the plan-seeded ledger alone, never from frame timing.
-        let entry = self
-            .rcp_pending
-            .remove(&round)
-            .unwrap_or_else(|| vec![None; self.n]);
-        let contributors: Vec<usize> = (0..self.n)
-            .filter(|&j| {
-                (j == self.me || entry[j].is_some()) && self.members.counts(j, trigger_iter)
+        // Peers use the broadcast value verbatim — that is how every
+        // member partitions from the same RCP vector.
+        let body = rcp_body(round, my_rcp);
+        self.broadcast(KIND_RCP, &body, |lw, j| lw.rcp_expected(j, trigger_iter))?;
+        self.rcp_pending.insert((round, self.me), my_rcp);
+        // Blocking collect: the round must not be decided until every
+        // expected peer has answered (departures and Dones observed
+        // mid-collect shrink the expectation). A stall only breaks
+        // genuinely wedged clusters: the silent peer then holds share 0.
+        self.serve_until(false, |lw| {
+            (0..lw.n).all(|j| {
+                !lw.rcp_expected(j, trigger_iter) || lw.rcp_pending.contains_key(&(round, j))
             })
-            .collect();
-
-        // Fast-forward the controller over every boundary up to `round`,
-        // recording changes at their *nominal* times (`r × period`) — the
-        // trace is bit-identical across runs and transports.
-        let ctl = self.gbs_ctl.as_mut().expect("round requires a controller");
-        let mut changed = false;
-        while self.gbs_round < round {
-            self.gbs_round += 1;
-            let t = self.gbs_round as f64 * period;
-            let before = ctl.phase();
-            if let Some(new_gbs) = ctl.maybe_adjust() {
-                self.gbs = new_gbs;
-                changed = true;
-                self.out.gbs_trace.push((t, new_gbs));
-                event!(self.env.clock.now(), w: self.me, "gbs_adjust";
-                    "gbs" => new_gbs, "round" => self.gbs_round, "t" => t);
-            }
-            let after = ctl.phase();
-            if after != before {
-                event!(self.env.clock.now(), w: self.me, "gbs_phase";
-                    "from" => format!("{before:?}"), "to" => format!("{after:?}"),
-                    "gbs" => ctl.gbs(), "round" => self.gbs_round);
-            }
+        })?;
+        // Every member tests everyone — itself included — against the
+        // plan-seeded ledger at its own trigger iteration, so the round's
+        // share list never depends on frame timing.
+        let stamp = (self.now(), Some(self.me));
+        let (members, rcps) = (&mut self.members, &self.rcp_pending);
+        let rcp = |j| rcps.get(&(round, j)).copied();
+        let resplit = self
+            .batching
+            .round(round, None, stamp, members, |_| trigger_iter, rcp);
+        if resplit && members.counts(self.me, trigger_iter) {
+            self.worker.set_lbs(members.lbs_of[self.me]);
         }
-
-        // Repartition when the GBS moved or the membership did (a departed
-        // worker's share must be re-split over the survivors even on a
-        // round where the GBS held still).
-        if !contributors.is_empty() && (changed || contributors != self.last_contributors) {
-            let rcps: Vec<f64> = contributors
-                .iter()
-                .map(|&j| {
-                    if j == self.me {
-                        my_rcp
-                    } else {
-                        entry[j].expect("contributors hold an entry")
-                    }
-                })
-                .collect();
-            let parts = partition_gbs(self.gbs, &rcps);
-            let mut row = vec![0usize; self.n];
-            for (slot, &j) in contributors.iter().enumerate() {
-                row[j] = parts[slot];
-                self.members.lbs_of[j] = parts[slot];
-            }
-            if contributors.contains(&self.me) {
-                self.worker.set_lbs(row[self.me]);
-            }
-            event!(self.env.clock.now(), w: self.me, "lbs_repartition";
-                "gbs" => self.gbs, "lbs" => row[self.me], "round" => round,
-                "members" => contributors.len());
-            self.out.lbs_trace.push((round as f64 * period, row));
-        }
-        self.last_contributors = contributors;
         // Anything at or below the completed round is stale now.
-        let done_round = self.gbs_round;
-        self.rcp_pending.retain(|&r, _| r > done_round);
+        self.rcp_pending.retain(|&(r, _), _| r > round);
         Ok(())
     }
 
     /// Emit every health report whose training-clock boundary has been
-    /// crossed — the same nominal-time scheduling as
+    /// crossed — the same nominal-time due rule as
     /// [`LiveWorker::run_due_gbs_rounds`], so with a pinned iteration
     /// time the report count and round numbers are pure functions of the
     /// iteration schedule (and hence `ManualClock`-testable without
@@ -1224,17 +1078,13 @@ impl LiveWorker<'_, '_> {
         let Some(interval) = self.env.opts.health_interval else {
             return Ok(());
         };
-        while self.train_secs >= (self.health_round + 1) as f64 * interval {
+        while round_due(self.health_round + 1, self.train_secs, interval) {
             self.health_round += 1;
             self.out.health_rounds = self.health_round;
             self.flag_planned_silent();
             let stats = self.current_stats();
             let body = stats_body(&stats);
-            for j in 0..self.n {
-                if j != self.me && self.active[j] && !self.done[j] {
-                    self.send_control(j, KIND_STATS, &body, true)?;
-                }
-            }
+            self.broadcast(KIND_STATS, &body, |lw, j| lw.active[j] && !lw.done[j])?;
             // Nominal round time, like GBS traces — though the *values*
             // of the load fields (deferred, sendq) stay advisory.
             event!(self.health_round as f64 * interval, w: self.me, "worker_health";
@@ -1249,19 +1099,22 @@ impl LiveWorker<'_, '_> {
         Ok(())
     }
 
+    /// Flag `peer` silent on the health plane — one-shot per peer, however
+    /// many of the ledger, a Leave frame or a socket EOF report it.
+    fn flag_silent(&mut self, peer: usize) {
+        if self.health.flag_silent(peer) {
+            event!(self.now(), w: self.me, "health_silence";
+                "peer" => peer, "iter" => self.worker.iteration);
+        }
+    }
+
     /// Ledger-based silence detection: a peer whose planned kill
     /// iteration we have crossed locally will send nothing new — flag it
-    /// even before its Leave frame or socket EOF lands. One-shot per
-    /// peer (shared flag with [`LiveWorker::note_departed`]).
+    /// even before its Leave frame or socket EOF lands.
     fn flag_planned_silent(&mut self) {
         for j in 0..self.n {
-            if j == self.me {
-                continue;
-            }
-            let overdue = !self.members.counts(j, self.worker.iteration);
-            if overdue && self.health.flag_silent(j) {
-                event!(self.now(), w: self.me, "health_silence";
-                    "peer" => j, "iter" => self.worker.iteration);
+            if j != self.me && !self.members.counts(j, self.worker.iteration) {
+                self.flag_silent(j);
             }
         }
     }
@@ -1276,19 +1129,12 @@ impl LiveWorker<'_, '_> {
         self.out.sendq_hw = self.out.sendq_hw.max(sendq_depth as u64);
         let scratch_hw = self.wire_scratch.capacity() as u64;
         self.out.scratch_hw = self.out.scratch_hw.max(scratch_hw);
-        let mut bytes_by_kind = [0.0f64; 6];
-        for (slot, label) in bytes_by_kind.iter_mut().zip(WIRE_LABELS) {
-            *slot = self
-                .out
-                .wire_bytes_by_kind
-                .get(label)
-                .copied()
-                .unwrap_or(0.0);
-        }
+        let sent = &self.out.wire_bytes_by_kind;
+        let bytes_by_kind = WIRE_LABELS.map(|l| sent.get(l).copied().unwrap_or(0.0));
         WorkerStats {
             round: self.health_round,
             iteration: self.worker.iteration,
-            gbs_round: self.gbs_round,
+            gbs_round: self.batching.rounds(),
             deferred: self.worker.parked.len() as u32,
             sendq_depth: sendq_depth as u32,
             scratch_hw,
@@ -1299,10 +1145,12 @@ impl LiveWorker<'_, '_> {
         }
     }
 
-    /// Fold the health plane's end-of-run state into the outcome and
-    /// trace per-link frame-lifecycle latency (advisory wall-clock
+    /// Fold the batching and health planes' end-of-run state into the
+    /// outcome and trace per-link frame-lifecycle latency (advisory wall-clock
     /// quantiles, in µs, over the whole run).
     fn finish_health(&mut self) {
+        self.out.gbs_trace = std::mem::take(&mut self.batching.gbs_trace);
+        self.out.lbs_trace = std::mem::take(&mut self.batching.lbs_trace);
         self.out.train_secs = self.train_secs;
         self.out.health_rounds = self.health_round;
         self.out.silent_flagged = self.health.silent_peers();
@@ -1337,12 +1185,7 @@ impl LiveWorker<'_, '_> {
     fn depart(&mut self) -> Result<(), LiveError> {
         let completed = self.worker.iteration;
         event!(self.now(), w: self.me, "depart"; "completed" => completed);
-        for j in 0..self.n {
-            if j != self.me && self.active[j] {
-                self.send_control(j, KIND_LEAVE, &completed.to_le_bytes(), true)?;
-            }
-        }
-        Ok(())
+        self.broadcast(KIND_LEAVE, &completed.to_le_bytes(), |lw, j| lw.active[j])
     }
 
     /// Have all peers either finished or departed? Peers we never held a
@@ -1379,11 +1222,7 @@ impl LiveWorker<'_, '_> {
             return Ok(false);
         }
         let hello = crate::hello_body(self.me, self.n, self.env.cfg.seed);
-        for j in 0..self.n {
-            if j != self.me && self.active[j] && !self.done[j] {
-                self.send_control(j, KIND_HELLO, &hello, true)?;
-            }
-        }
+        self.broadcast(KIND_HELLO, &hello, |lw, j| lw.active[j] && !lw.done[j])?;
         event!(self.now(), w: self.me, "rejoin_hello"; "iter" => self.worker.iteration);
 
         // Wait for the first Catchup invitation.
@@ -1490,16 +1329,6 @@ pub fn run_worker(
     }
     let mut pending_kill = env.cfg.fault.kill_of(me);
 
-    // Same construction as the simulator's (`ClusterRunner::new`), with
-    // one extra gate: `--gbs-static` freezes the GBS at its initial value
-    // while keeping startup profiling — the pre-controller behaviour.
-    let gbs_ctl = (env.cfg.system.dynamic_batching() && !env.opts.gbs_static).then(|| {
-        GbsController::new(
-            env.cfg.initial_lbs * n,
-            env.cfg.workload.train_size,
-            env.cfg.gbs,
-        )
-    });
     let straggle = env
         .cfg
         .straggle
@@ -1507,9 +1336,7 @@ pub fn run_worker(
         .find(|(w, _)| *w == me)
         .map_or(1.0, |&(_, f)| f);
     let mut lw = LiveWorker {
-        gbs: env.cfg.initial_lbs * n,
-        gbs_ctl,
-        gbs_round: 0,
+        batching: Batching::new(env.cfg, n),
         train_secs: 0.0,
         ewma_rate: 0.0,
         straggle,
@@ -1517,7 +1344,6 @@ pub fn run_worker(
         health: HealthAggregator::new(n),
         apply_lat: vec![Histogram::default(); n],
         rcp_pending: BTreeMap::new(),
-        last_contributors: Vec::new(),
         done: vec![false; n],
         active: vec![true; n],
         members: Membership {
@@ -1544,20 +1370,13 @@ pub fn run_worker(
         "workers" => n, "iters" => env.opts.iters,
         "params" => env.total_params, "initial_lbs" => env.cfg.initial_lbs);
 
-    let mut stash = Vec::new();
-    lw.startup_lbs(&mut stash)?;
-    for (from, frame) in stash {
-        lw.handle_frame(from, frame, false)?;
-    }
+    lw.startup_lbs()?;
 
-    let stall = env.opts.stall_timeout.as_secs_f64();
-    let mut last_progress = env.clock.now();
     loop {
         // Apply everything that has arrived before deciding to compute —
         // the freshest peer state the transport can give us.
         while let Some((from, frame)) = lw.poll()? {
             lw.handle_frame(from, frame, false)?;
-            last_progress = env.clock.now();
         }
         // Any adjustment round that is due (training clock crossed a
         // boundary, or a peer opened one — its RCP just arrived above)
@@ -1581,39 +1400,29 @@ pub fn run_worker(
                 // exchange, so a stale round it opened would block on
                 // answers nobody sends. Its LBS stays frozen at the
                 // pre-departure share.
-                lw.gbs_ctl = None;
+                lw.batching.freeze();
                 lw.rcp_pending.clear();
-                last_progress = env.clock.now();
                 continue;
             }
         }
         if lw.worker.iteration >= env.opts.iters {
             break;
         }
+        // Gate the next iteration on the sync policy, serving frames
+        // (only a gradient, an ack or a demotion can open it).
         let policy = lw.worker.strategy.sync_policy();
-        if lw.worker.sync.can_start(policy, lw.worker.iteration) {
-            // The single BSP flush point: every gradient of the rounds
-            // before the one we are about to compute applies now, in
-            // canonical order (gating says those rounds are complete).
-            lw.flush_parked(false, false)?;
-            lw.step()?;
-            last_progress = env.clock.now();
-        } else {
-            match lw.recv(POLL)? {
-                Some((from, frame)) => {
-                    lw.handle_frame(from, frame, false)?;
-                    last_progress = env.clock.now();
-                }
-                None => {
-                    if env.clock.now() - last_progress > stall {
-                        return Err(LiveError::Stalled(format!(
-                            "worker {me} blocked at iteration {} under {policy:?}",
-                            lw.worker.iteration
-                        )));
-                    }
-                }
-            }
+        let open = |lw: &LiveWorker| lw.worker.sync.can_start(policy, lw.worker.iteration);
+        if !lw.serve_until(false, open)? {
+            return Err(LiveError::Stalled(format!(
+                "worker {me} blocked at iteration {} under {policy:?}",
+                lw.worker.iteration
+            )));
         }
+        // The single BSP flush point: every gradient of the rounds before
+        // the one we are about to compute applies now, in canonical order
+        // (gating says those rounds are complete).
+        lw.flush_parked(false, false)?;
+        lw.step()?;
     }
 
     // Shutdown barrier: announce Done to every *linked* peer (even ones
@@ -1622,35 +1431,22 @@ pub fn run_worker(
     // Done is in; departed peers owe us nothing, and a peer we never held
     // a connection to cannot send one. Per-peer FIFO means a peer's Done
     // arrives after all its gradients.
-    for j in 0..n {
-        if j != me && env.links[j] {
-            lw.send_control(j, KIND_DONE, &[], true)?;
-        }
-    }
+    lw.broadcast(KIND_DONE, &[], |lw, j| lw.env.links[j])?;
     lw.done[me] = true;
     event!(lw.now(), w: me, "barrier_enter"; "iter" => lw.worker.iteration);
-    let mut deadline = env.clock.now() + stall;
-    while !(0..n).all(|j| lw.done[j] || !lw.active[j] || !env.links[j]) {
-        match lw.recv(POLL) {
-            Ok(Some((from, frame))) => {
-                lw.handle_frame(from, frame, true)?;
-                deadline = env.clock.now() + stall;
-            }
-            Ok(None) => {
-                if env.clock.now() > deadline {
-                    let missing: Vec<usize> = (0..n)
-                        .filter(|&j| !lw.done[j] && lw.active[j] && env.links[j])
-                        .collect();
-                    return Err(LiveError::Stalled(format!(
-                        "worker {me} waiting for Done from {missing:?}"
-                    )));
-                }
-            }
-            // All peers closed their connections — they can only do that
-            // after completing their own barrier, so nothing is missing.
-            Err(LiveError::Transport(TransportError::Disconnected)) => break,
-            Err(e) => return Err(e),
+    match lw.serve_until(true, |lw| lw.all_peers_finished()) {
+        // All peers closed their connections — they can only do that
+        // after completing their own barrier, so nothing is missing.
+        Ok(true) | Err(LiveError::Transport(TransportError::Disconnected)) => {}
+        Ok(false) => {
+            let missing: Vec<usize> = (0..n)
+                .filter(|&j| !lw.done[j] && lw.active[j] && env.links[j])
+                .collect();
+            return Err(LiveError::Stalled(format!(
+                "worker {me} waiting for Done from {missing:?}"
+            )));
         }
+        Err(e) => return Err(e),
     }
     // Anything still queued locally arrived before the senders' Dones.
     while let Ok(Some((from, frame))) = lw.poll() {

@@ -18,7 +18,6 @@ use dlion_core::{
     TopologySchedule,
 };
 use dlion_microcloud::ClusterKind;
-use dlion_telemetry::event;
 use std::sync::Arc;
 
 /// Which wire the cluster runs over.
@@ -393,44 +392,24 @@ pub fn assemble_metrics(
             .map(|o| o.final_weights.take().unwrap_or_default())
             .collect();
     }
-    // Cluster health view (the orchestrator side of the health plane):
-    // iteration rates on the *training clock*, straggler scores against
-    // the median, the union of the workers' silence ledgers. All inputs
-    // are deterministic under a pinned iteration time, so this summary —
-    // unlike wall-clock durations — is bit-comparable across repeat runs
-    // and across Mem vs TCP transports.
-    let rates: Vec<f64> = outcomes
-        .iter()
-        .map(|o| {
-            if o.train_secs > 0.0 {
-                o.iterations as f64 / o.train_secs
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    // Cluster health verdict (the orchestrator side of the health plane):
+    // rates on the *training clock* and the union of the workers' silence
+    // ledgers. All inputs are deterministic under a pinned iteration
+    // time, so this summary — unlike wall-clock durations — is
+    // bit-comparable across repeat runs and across Mem vs TCP transports.
+    let train_secs: Vec<f64> = outcomes.iter().map(|o| o.train_secs).collect();
     let silent: Vec<bool> = (0..n)
         .map(|j| outcomes.iter().any(|o| o.silent_flagged.contains(&j)))
         .collect();
     let reports: Vec<u64> = outcomes.iter().map(|o| o.health_rounds).collect();
-    m.health = HealthSummary::compute(rates, silent, reports);
-    // With health reporting on, trace one `cluster_health` event per
-    // worker — the same fixed keys the simulator emits, at the cluster's
-    // final training-clock time, so sim and live health traces line up.
+    m.health = HealthSummary::of_run(&m.iterations, &train_secs, silent, reports);
+    // With health reporting on, trace the verdict at the cluster's final
+    // training-clock time, so sim and live health traces line up.
     if outcomes.iter().any(|o| o.health_rounds > 0) {
         let _scope = dlion_telemetry::run_scope(&m.system, env_label, cfg.seed);
-        let vt = outcomes.iter().map(|o| o.train_secs).fold(0.0, f64::max);
-        for o in &outcomes {
-            let w = o.id;
-            event!(vt, w: w, "cluster_health";
-                "iterations" => o.iterations,
-                "rounds" => m.health.reports[w],
-                "rate" => m.health.rates[w],
-                "score" => m.health.scores[w],
-                "silent" => m.health.silent[w],
-                "departed" => o.departed,
-                "straggler" => m.health.straggler);
-        }
+        let vt = train_secs.iter().copied().fold(0.0, f64::max);
+        let departed: Vec<bool> = outcomes.iter().map(|o| o.departed).collect();
+        m.health.trace(vt, &m.iterations, &departed);
     }
     if cfg.telemetry {
         let tm = &mut m.telemetry;

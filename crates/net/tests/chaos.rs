@@ -9,8 +9,14 @@
 //! lands. The Leave only drives *gating* (stop waiting for the dead
 //! peer), never the arithmetic.
 
-use dlion_core::{FaultPlan, ManualClock, RunConfig, SyncPolicy, SystemKind};
-use dlion_net::{live_config, run_live, LiveOpts, TransportKind};
+use dlion_core::ExchangeTransport;
+use dlion_core::{
+    run_with_models, FaultPlan, ManualClock, RunConfig, RunMetrics, SyncPolicy, SystemKind,
+};
+use dlion_net::{
+    live_config, loopback_mesh, run_live, LiveCluster, LiveOpts, TransportKind, VirtualPlan,
+};
+use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::Tensor;
 use std::sync::Arc;
 use std::time::Duration;
@@ -135,16 +141,24 @@ fn kill_with_chunked_frames_leaves_survivors_consistent() {
     }
 }
 
-/// One DLion GBS-growth chaos run: worker 1 is killed after iteration 17,
+const GBS_CHAOS_ITERS: u64 = 30;
+
+/// The DLion GBS-growth chaos cell: worker 1 is killed after iteration 17,
 /// mid-way through the §3.2 speed-up phase (rounds trigger at iterations
-/// 5, 10, 15, 20, 25, 30 under the pinned 0.05s iteration).
-fn gbs_chaos_run(kind: TransportKind) -> dlion_core::RunMetrics {
-    const ITERS: u64 = 30;
-    let mut cfg = chaos_cfg(SystemKind::DLion, ITERS, "1@17");
+/// 5, 10, 15, 20, 25, 30 under a 0.05s iteration).
+fn gbs_chaos_cfg() -> RunConfig {
+    let mut cfg = chaos_cfg(SystemKind::DLion, GBS_CHAOS_ITERS, "1@17");
     cfg.workload.train_size = 12_000; // warm-up cap 120, speed-up cap 1200
     cfg.gbs.adjust_period_secs = 0.25;
     cfg.profile_interval = 1e9;
     cfg.profile_noise = 0.0;
+    cfg
+}
+
+/// One live run of [`gbs_chaos_cfg`] with the iteration pinned to 0.05s.
+fn gbs_chaos_run(kind: TransportKind) -> RunMetrics {
+    const ITERS: u64 = GBS_CHAOS_ITERS;
+    let cfg = gbs_chaos_cfg();
     let opts = LiveOpts {
         iters: ITERS,
         eval_every: 0,
@@ -199,6 +213,77 @@ fn gbs_growth_survives_a_mid_speedup_kill() {
             assert_eq!(parts[1], 0, "dead worker still holds a share at t={t}");
             assert!(parts[0] >= 1 && parts[2] >= 1, "survivor starved at t={t}");
         }
+    }
+}
+
+/// The simulator twin of the test above, through the same batching core:
+/// the same cell over a compute model whose iteration takes (almost
+/// exactly) the pinned 0.05s whatever the LBS. Before the control plane
+/// was shared the simulator split every GBS over all `n` workers, so the
+/// dead worker kept a share and the survivors trained on less than the GBS.
+#[test]
+fn sim_survivors_split_the_full_gbs_after_a_kill_exactly_like_live_ones() {
+    let sim = run_with_models(
+        &gbs_chaos_cfg(),
+        ComputeModel::homogeneous(3, 1.0, 1e-5, 0.05),
+        NetworkModel::uniform(3, 100_000.0, 1e-4),
+        "sim/gbs-chaos",
+    );
+    assert_eq!(sim.iterations, vec![GBS_CHAOS_ITERS, 17, GBS_CHAOS_ITERS]);
+    let live = gbs_chaos_run(TransportKind::Mem);
+    assert_eq!(sim.gbs_trace, live.gbs_trace);
+    let sums: Vec<usize> = sim.lbs_trace.iter().map(|(_, p)| p.iter().sum()).collect();
+    let in_force = [96, 160, 240, 360, 540, 810, 1200];
+    assert_eq!(sums, in_force, "every row covers the GBS in force");
+    for (t, parts) in &sim.lbs_trace {
+        // The victim computes rounds 0..17, i.e. until t ≈ 0.85.
+        assert_eq!(parts[1] == 0, *t >= 1.0, "victim's share at t={t}");
+    }
+    // Same rows at the same nominal times with the same workers at zero.
+    let zeros = |m: &RunMetrics| -> Vec<(f64, Vec<bool>)> {
+        let zero = |parts: &Vec<usize>| parts.iter().map(|&p| p == 0).collect();
+        m.lbs_trace.iter().map(|(t, p)| (*t, zero(p))).collect()
+    };
+    assert_eq!(zeros(&sim), zeros(&live));
+}
+
+/// A rank that dies during start-up profiling — its endpoint closes before
+/// it ever sends an RCP — is lost like in any later round: the survivors
+/// see the EOF, stop expecting it, and split the whole GBS between
+/// themselves. (Start-up used to give it the mean RCP and a share nobody
+/// trained on.)
+#[test]
+fn a_rank_lost_during_startup_profiling_gets_no_share() {
+    const ITERS: u64 = 4;
+    let mut cfg = live_config(SystemKind::DLion, 1);
+    cfg.max_iters = Some(ITERS);
+    let opts = LiveOpts {
+        iters: ITERS,
+        eval_every: 0,
+        assumed_iter_time: Some(0.05),
+        stall_timeout: Duration::from_secs(120),
+        ..Default::default()
+    };
+    let plan = VirtualPlan::flat();
+    let cluster = LiveCluster::new(&cfg, 3, &plan, &opts, "live/startup-loss").expect("cluster");
+    let links = cluster.host_links();
+    let mut mesh = loopback_mesh(3, cfg.seed, &cluster.tcp_opts(), Some(&links)).expect("mesh");
+    drop(mesh.pop()); // rank 2 is gone before it profiled anything
+    let hosts = mesh
+        .into_iter()
+        .map(|t| Box::new(t) as Box<dyn ExchangeTransport>)
+        .enumerate()
+        .collect();
+    for outcome in cluster.run_hosts(hosts) {
+        let o = outcome.expect("survivor run");
+        assert_eq!(o.iterations, ITERS);
+        let (t, parts) = &o.lbs_trace[0];
+        assert_eq!((*t, parts[2]), (0.0, 0), "the lost rank holds a share");
+        assert!(
+            parts[0] >= 1 && parts[1] >= 1,
+            "survivor starved: {parts:?}"
+        );
+        assert_eq!(parts.iter().sum::<usize>(), 96, "survivors cover the GBS");
     }
 }
 

@@ -352,18 +352,16 @@ fn live_gbs_trajectory_is_bit_identical_across_runs() {
 }
 
 #[test]
-fn gbs_static_freezes_the_schedule() {
-    let cfg = gbs_parity_cfg();
-    let opts = LiveOpts {
-        gbs_static: true,
-        ..gbs_live_opts()
-    };
-    let live = run_live(&cfg, 3, &opts, TransportKind::Mem, "live/gbs-static").expect("live run");
+fn an_adjust_period_longer_than_the_run_freezes_the_schedule() {
+    let mut cfg = gbs_parity_cfg();
+    cfg.gbs.adjust_period_secs = 1e9;
+    let opts = gbs_live_opts();
+    let live = run_live(&cfg, 3, &opts, TransportKind::Mem, "live/gbs-frozen").expect("live run");
     assert_eq!(live.iterations, vec![GBS_ITERS; 3]);
-    // The pre-controller behaviour: startup profiling still splits the
-    // initial GBS once, but no adjustment round ever fires.
-    assert!(live.gbs_trace.is_empty(), "static run adjusted the GBS");
-    assert_eq!(live.lbs_trace.len(), 1, "static run repartitioned");
+    // Startup profiling still splits the initial GBS once, but no
+    // adjustment round ever comes due.
+    assert!(live.gbs_trace.is_empty(), "frozen run adjusted the GBS");
+    assert_eq!(live.lbs_trace.len(), 1, "frozen run repartitioned");
     assert_eq!(live.lbs_trace[0].1.iter().sum::<usize>(), 96);
 }
 

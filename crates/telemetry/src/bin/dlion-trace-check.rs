@@ -7,11 +7,12 @@
 //! of that kind — how CI asserts a run actually exercised a subsystem
 //! (e.g. `--require gbs_adjust` for the live batching controller, or
 //! `--require cluster_health` for the health plane). Event kinds with a
-//! pinned field schema (the health-plane events below) are additionally
-//! checked field-for-field on every record. `--summary` prints a per-kind
-//! table with record counts and first/last vtime instead of the one-line
-//! report. Exits 0 on success; exits 1 with the first offending line (or
-//! the missing kind) otherwise. Used by the CI telemetry smoke jobs.
+//! pinned field schema (the health-, topology- and control-plane events
+//! below) are additionally checked field-for-field on every record.
+//! `--summary` prints a per-kind table with record counts and first/last
+//! vtime instead of the one-line report. Exits 0 on success; exits 1 with
+//! the first offending line (or the missing kind) otherwise. Used by the
+//! CI telemetry smoke jobs.
 
 use dlion_telemetry::json::{self, Json};
 use std::collections::BTreeMap;
@@ -23,8 +24,10 @@ const REQUIRED_KEYS: [&str; 9] = [
 /// Event kinds whose `fields` layout is pinned: every record of the kind
 /// must carry exactly these keys. The health plane's events (DESIGN.md
 /// §4h) and the topology plane's round event (DESIGN.md §4i) are
-/// fixed-key by design so traces stay diffable across runs.
-const SCHEMAS: [(&str, &[&str]); 5] = [
+/// fixed-key by design so traces stay diffable across runs; the control
+/// plane's four (DESIGN.md §4n) each have one emitter in `dlion-core`, so
+/// a simulator trace and a live trace carry the same columns.
+const SCHEMAS: [(&str, &[&str]); 9] = [
     (
         "cluster_health",
         &[
@@ -68,6 +71,10 @@ const SCHEMAS: [(&str, &[&str]); 5] = [
         "topology_round",
         &["round", "topology", "neighbors", "links"],
     ),
+    ("gbs_adjust", &["gbs", "round", "t"]),
+    ("gbs_phase", &["from", "to", "gbs", "round"]),
+    ("lbs_repartition", &["gbs", "round", "t", "members"]),
+    ("peer_departed", &["peer", "completed", "iter"]),
 ];
 
 fn check_line(n: usize, line: &str) -> Result<Json, String> {
@@ -326,6 +333,42 @@ mod tests {
         let extra = tr.replace("\"links\":6", "\"links\":6,\"hub\":0");
         let err = check_line(1, &extra).unwrap_err();
         assert!(err.contains("schema pins"), "{err}");
+    }
+
+    #[test]
+    fn control_plane_schemas_are_pinned_field_for_field() {
+        let cases = [
+            ("gbs_adjust", r#"{"gbs":160,"round":1,"t":0.25}"#, "\"t\""),
+            (
+                "gbs_phase",
+                r#"{"from":"Warmup","to":"Speedup","gbs":160,"round":1}"#,
+                "\"to\"",
+            ),
+            (
+                "lbs_repartition",
+                r#"{"gbs":160,"round":1,"t":0.25,"members":3}"#,
+                "\"members\"",
+            ),
+            (
+                "peer_departed",
+                r#"{"peer":1,"completed":17,"iter":16}"#,
+                "\"completed\"",
+            ),
+        ];
+        for (kind, fields, key) in cases {
+            let line = GOOD
+                .replace("\"kind\":\"iter_done\"", &format!("\"kind\":\"{kind}\""))
+                .replace("{\"loss\":1.5}", fields);
+            assert!(check_line(1, &line).is_ok(), "{kind}");
+            // Renaming a pinned key fails, naming the key...
+            let missing = line.replace(&format!("{key}:"), "\"renamed\":");
+            let err = check_line(1, &missing).unwrap_err();
+            assert!(err.contains(key), "{kind}: {err}");
+            // ...and so does a field only one backend would add.
+            let extra = line.replace("}}", ",\"lbs\":54}}");
+            let err = check_line(1, &extra).unwrap_err();
+            assert!(err.contains("schema pins"), "{kind}: {err}");
+        }
     }
 
     #[test]

@@ -152,21 +152,6 @@ impl Tensor {
         self
     }
 
-    /// Copy rows `rows` (first-axis indices) into a new tensor.
-    /// Works for any rank >= 1; the first axis is the batch axis.
-    pub fn gather_rows(&self, rows: &[usize]) -> Tensor {
-        assert!(self.shape.rank() >= 1);
-        let row_len = self.numel() / self.shape.dim(0);
-        let mut dims = self.shape.dims().to_vec();
-        dims[0] = rows.len();
-        let mut out = Vec::with_capacity(rows.len() * row_len);
-        for &r in rows {
-            assert!(r < self.shape.dim(0), "row {r} out of bounds");
-            out.extend_from_slice(&self.data[r * row_len..(r + 1) * row_len]);
-        }
-        Tensor::from_vec(dims, out)
-    }
-
     // ---------- elementwise ----------
 
     /// `self += other` (same shape).
@@ -350,15 +335,6 @@ mod tests {
         let t = Tensor::from_vec(Shape::d2(2, 3), vec![0.1, 0.9, 0.3, 0.7, 0.2, 0.1]);
         assert_eq!(t.argmax_row(0), 1);
         assert_eq!(t.argmax_row(1), 0);
-    }
-
-    #[test]
-    fn gather_rows_copies_batch_items() {
-        let t = Tensor::from_fn(Shape::d4(4, 1, 2, 2), |i| i as f32);
-        let g = t.gather_rows(&[2, 0]);
-        assert_eq!(g.shape().dims(), &[2, 1, 2, 2]);
-        assert_eq!(g.data()[0..4], [8.0, 9.0, 10.0, 11.0]);
-        assert_eq!(g.data()[4..8], [0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
