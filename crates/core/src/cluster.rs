@@ -132,6 +132,7 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 weighted: cfg.system.weighted_update(),
                 schedule: Arc::clone(&schedule),
                 parked: Vec::new(),
+                queued: Vec::new(),
             }
         })
         .collect();

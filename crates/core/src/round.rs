@@ -15,10 +15,11 @@ use crate::messages::{GradData, GradMsg, Payload};
 use crate::strategy::{PeerUpdate, StrategyCtx};
 use crate::sync::SyncPolicy;
 use crate::weighted::update_factor;
-use crate::worker::Worker;
-use dlion_nn::Dataset;
+use crate::worker::{GradJob, PendingIteration, Worker};
+use dlion_nn::{Dataset, Model};
 use dlion_telemetry::{event, profile_scope, Phase};
-use dlion_tensor::Tensor;
+use dlion_tensor::{par, Scratch, Tensor};
+use std::sync::Arc;
 
 /// Who contributes to which round, and with what share: the ledger every
 /// Eq. 7 divisor is computed from. The simulator shares one per cluster;
@@ -42,7 +43,9 @@ impl Membership {
 /// What [`Worker::on_payload`] did with a payload, and what is left for
 /// the backend to do about it.
 pub enum Effect {
-    /// Strict BSP: the gradient is parked until [`Worker::flush_parked`].
+    /// The gradient is accounted for but not applied yet: parked until
+    /// [`Worker::flush_parked`] (strict BSP), or queued behind this
+    /// worker's in-flight gradient job until [`Worker::join_grads`].
     Parked,
     /// The gradient was applied; it is handed back so the caller can
     /// acknowledge it and recycle its buffers.
@@ -59,6 +62,26 @@ pub enum Effect {
     /// the caller demotes it with [`Worker::demote_peer`] (the live
     /// driver has its own flags to unwind first).
     Departed { completed: u64 },
+}
+
+/// One gradient computation: forward/backward over the minibatch whose
+/// indices sit in `batch_buf`, the clipped mean gradients left in `grads`;
+/// returns the batch loss. Allocation-free once `scratch` is warm: the
+/// batch tensor, every activation and every gradient cycle through it.
+fn grads_step(
+    model: &mut Model,
+    scratch: &mut Scratch,
+    grads: &mut Vec<Tensor>,
+    batch_buf: &[usize],
+    data: &Dataset,
+    grad_clip: f32,
+) -> f64 {
+    let (x, y) = data.batch_scratch(batch_buf, scratch);
+    let loss = model.forward_backward_scratch(x, &y, scratch, grads);
+    for g in grads.iter_mut() {
+        g.clip_inplace(grad_clip);
+    }
+    loss
 }
 
 impl Worker {
@@ -85,8 +108,7 @@ impl Worker {
         update_factor(self.lr, n, lbs, gbs, self.weighted)
     }
 
-    fn apply_grad(&mut self, msg: &GradMsg, divisor: (usize, usize)) {
-        let factor = self.factor(msg.lbs, divisor);
+    fn apply_grad(&mut self, msg: &GradMsg, factor: f32) {
         match &msg.data {
             GradData::Dense(vars) => self.model.apply_dense_update(vars, factor),
             GradData::Sparse(vars) => {
@@ -97,25 +119,87 @@ impl Worker {
         }
     }
 
-    /// The compute step: forward/backward over the minibatch whose indices
-    /// sit in `self.batch_buf`, leaving the clipped mean gradients in
-    /// `self.grads`; returns the batch loss. Allocation-free: the batch
-    /// tensor, every activation and every gradient cycle through
-    /// `self.scratch`.
+    /// The compute step, here and now: forward/backward over the minibatch
+    /// in `self.batch_buf`, leaving the clipped mean gradients in
+    /// `self.grads`; returns the batch loss.
     pub fn compute_grads(&mut self, data: &Dataset, grad_clip: f32) -> f64 {
-        let Worker {
+        grads_step(
+            &mut self.model,
+            &mut self.scratch,
+            &mut self.grads,
+            &self.batch_buf,
+            data,
+            grad_clip,
+        )
+    }
+
+    /// [`Worker::compute_grads`] as a pool job that owns what it touches:
+    /// `model`, `scratch`, `grads` and `batch_buf` move into it and come
+    /// back at [`Worker::join_grads`]. Until then a peer gradient is
+    /// accounted on arrival and its weight update queued
+    /// ([`Worker::on_payload`]); anything else that reads or writes those
+    /// four fields must join first. The job reads exactly the weights the
+    /// eager call would and the queued updates land in arrival order, so
+    /// every float is the one `compute_grads` here and now would give.
+    pub fn spawn_grads(&mut self, data: &Arc<Dataset>, grad_clip: f32) {
+        debug_assert!(self.pending.is_none(), "one gradient job per worker");
+        // Messages still in flight share the gradient tensors' storage, so
+        // the step's in-place overwrite copies them first. Make that copy
+        // here: a job that allocates nothing large leaves the pool
+        // thread's malloc arena small, and what this thread frees stays
+        // reusable by what it allocates.
+        for g in &mut self.grads {
+            g.data_mut();
+        }
+        let mut job = GradJob {
+            model: std::mem::take(&mut self.model),
+            scratch: std::mem::take(&mut self.scratch),
+            grads: std::mem::take(&mut self.grads),
+            batch_buf: std::mem::take(&mut self.batch_buf),
+            loss: 0.0,
+        };
+        let data = Arc::clone(data);
+        self.pending = Some(PendingIteration::InFlight(par::spawn(move || {
+            job.loss = grads_step(
+                &mut job.model,
+                &mut job.scratch,
+                &mut job.grads,
+                &job.batch_buf,
+                &data,
+                grad_clip,
+            );
+            job
+        })));
+    }
+
+    /// The join point of [`Worker::spawn_grads`]: bring the job's state
+    /// home (running the job here if no pool thread has started it), then
+    /// apply the peer gradients that queued behind it, in arrival order.
+    /// Returns the batch loss if a job was in flight, `None` (and does
+    /// nothing) otherwise.
+    pub fn join_grads(&mut self) -> Option<f64> {
+        let job = match self.pending.take() {
+            Some(PendingIteration::InFlight(job)) => job,
+            home => {
+                self.pending = home;
+                return None;
+            }
+        };
+        let GradJob {
             model,
             scratch,
             grads,
             batch_buf,
-            ..
-        } = self;
-        let (x, y) = data.batch_scratch(batch_buf, scratch);
-        let loss = model.forward_backward_scratch(x, &y, scratch, grads);
-        for g in grads.iter_mut() {
-            g.clip_inplace(grad_clip);
+            loss,
+        } = job.join();
+        (self.model, self.scratch, self.grads, self.batch_buf) = (model, scratch, grads, batch_buf);
+        let mut queued = std::mem::take(&mut self.queued);
+        for (msg, factor) in queued.drain(..) {
+            self.apply_grad(&msg, factor);
         }
-        loss
+        self.queued = queued;
+        self.pending = Some(PendingIteration::Done { loss });
+        Some(loss)
     }
 
     /// Finish the round whose gradients sit in `self.grads`: record the
@@ -200,7 +284,16 @@ impl Worker {
                 // receiver agree on it) sets the divisor.
                 let nbrs = self.schedule.neighbors(self.id, msg.iteration);
                 let divisor = self.counted_for(&nbrs, msg.iteration, members);
-                self.apply_grad(&msg, divisor);
+                let factor = self.factor(msg.lbs, divisor);
+                // The model is away computing: the arrival is accounted
+                // (above) and priced (the factor, from the ledger as it
+                // stands now); the axpy waits for the model in arrival
+                // order. Only the simulator ever has a job in flight.
+                if matches!(self.pending, Some(PendingIteration::InFlight(_))) {
+                    self.queued.push((msg, factor));
+                    return Effect::Parked;
+                }
+                self.apply_grad(&msg, factor);
                 Effect::Applied(msg)
             }
             Payload::LossShare { avg_loss } => {
@@ -268,7 +361,7 @@ impl Worker {
             if complete {
                 let divisor = self.counted_for(&nbrs, round, members);
                 for (_, msg) in batch {
-                    self.apply_grad(msg, divisor);
+                    self.apply_grad(msg, self.factor(msg.lbs, divisor));
                 }
             } else {
                 parked[held..at + len].rotate_right(len);
@@ -457,6 +550,52 @@ mod tests {
         assert_eq!(applied, vec![(1, 1), (1, 2)]);
         assert_eq!(w.parked.len(), 1);
         assert_eq!((w.parked[0].0, w.parked[0].1.iteration), (1, 0));
+    }
+
+    /// Peer gradients that reach a worker whose gradient job is out are
+    /// accounted at once and applied at the join, in arrival order: the
+    /// weights (and the job's gradients) carry the bits of computing first
+    /// and applying each gradient on arrival.
+    #[test]
+    fn gradients_queued_behind_a_job_apply_at_the_join_in_arrival_order() {
+        let cfg = RunConfig::small_test(SystemKind::Baseline);
+        let init = |n| build_cluster(&cfg, n);
+        let (mut ia, mut ib) = (init(3), init(3));
+        let data = Arc::new(ia.data);
+        let (mut a, mut b) = (ia.workers.swap_remove(0), ib.workers.swap_remove(0));
+        let m = ledger(vec![32, 20, 44]);
+        // Distinct magnitudes make the float addition order observable.
+        let arrivals = [(1, 1e-3), (2, 3e3), (1, 7e-5), (2, 11.0)];
+        for w in [&mut a, &mut b] {
+            w.sample_batch_reuse();
+            w.compute_grads(&data, cfg.grad_clip);
+            w.sample_batch_reuse();
+        }
+        let before = bits(&a);
+
+        a.spawn_grads(&data, cfg.grad_clip);
+        for (round, &(from, v)) in arrivals.iter().enumerate() {
+            let g = grad(&b, round as u64 / 2, v);
+            assert!(matches!(a.on_payload(from, g, &m), Effect::Parked));
+        }
+        assert_eq!(a.queued.len(), 4, "the model is away: nothing applied");
+        assert_eq!(a.sync.received_from(2), Some(1), "gating sees it at once");
+        let loss_a = a.join_grads().expect("a job was in flight");
+        assert!(a.queued.is_empty() && a.join_grads().is_none());
+
+        let loss_b = b.compute_grads(&data, cfg.grad_clip);
+        for (round, &(from, v)) in arrivals.iter().enumerate() {
+            let g = grad(&b, round as u64 / 2, v);
+            assert!(matches!(b.on_payload(from, g, &m), Effect::Applied(_)));
+        }
+        assert_eq!(loss_a.to_bits(), loss_b.to_bits());
+        assert_eq!(bits(&a), bits(&b));
+        assert_ne!(bits(&a), before, "nothing was applied");
+        let grad_bits = |w: &Worker| -> Vec<Vec<u32>> {
+            let to_bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+            w.grads.iter().map(to_bits).collect()
+        };
+        assert_eq!(grad_bits(&a), grad_bits(&b));
     }
 
     #[test]

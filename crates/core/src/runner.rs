@@ -3,14 +3,22 @@
 //! The per-worker workflow of Figure 4/10 — weighted self-update, per-link
 //! fan-out, peer-gradient apply, strict-BSP flush, DKT — is
 //! [`crate::round`]; this file decides *when* each step happens in virtual
-//! time. It owns the event queue, the compute and network models (gradients
-//! are computed eagerly but *complete* at the simulated time the compute
-//! model dictates), byte accounting, fault scheduling, the batching ticks
-//! and evaluation. What a tick *decides* — the GBS step, who contributes,
-//! the Eq. 5 split — is [`crate::gbs::Batching`], shared with the live
-//! driver (DESIGN.md §4n); this file supplies the RCPs, by profiling its
-//! compute model. Virtual time advances only through the event queue, so
-//! runs are fully deterministic for a given seed.
+//! time. It owns the event queue, the compute and network models, byte
+//! accounting, fault scheduling, the batching ticks and evaluation. What a
+//! tick *decides* — the GBS step, who contributes, the Eq. 5 split — is
+//! [`crate::gbs::Batching`], shared with the live driver (DESIGN.md §4n);
+//! this file supplies the RCPs, by profiling its compute model. Virtual
+//! time advances only through the event queue, so runs are fully
+//! deterministic for a given seed.
+//!
+//! Host time is another matter: a worker's gradients *complete* at the
+//! simulated time the compute model dictates, and are computed on the host
+//! anywhere between — spawned at `start_iteration` as a job on
+//! [`dlion_tensor::par`], joined at first need ([`ClusterRunner::join`]
+//! lists the join points), so the simulated workers' forward/backward
+//! passes overlap each other and the event loop (DESIGN.md §4b). A join's
+//! place in the event order is fixed; only which thread ran the job is not,
+//! and no number depends on that.
 
 use crate::cluster::build_cluster;
 use crate::config::RunConfig;
@@ -26,8 +34,9 @@ use crate::worker::{PendingIteration, Worker};
 use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
-use dlion_telemetry::{debug, event, profile_scope, Phase};
-use dlion_tensor::DetRng;
+use dlion_telemetry::{debug, event, profile_scope, tracing_on, Phase};
+use dlion_tensor::{par, DetRng};
+use std::sync::Arc;
 
 /// Simulation events.
 enum Ev {
@@ -58,8 +67,9 @@ pub struct ClusterRunner {
     net: NetworkModel,
     compute: ComputeModel,
     queue: EventQueue<Ev>,
-    data: Dataset,
-    eval_indices: Vec<usize>,
+    /// Shared with the gradient and evaluation jobs out on the pool.
+    data: Arc<Dataset>,
+    eval_indices: Arc<[usize]>,
     metrics: RunMetrics,
     batching: Batching,
     prof_rng: DetRng,
@@ -126,8 +136,8 @@ impl ClusterRunner {
             net,
             compute,
             queue: EventQueue::new(),
-            data: init.data,
-            eval_indices: init.eval_indices,
+            data: Arc::new(init.data),
+            eval_indices: init.eval_indices.into(),
             metrics,
             bytes_per_param: init.bytes_per_param,
             total_params: init.total_params,
@@ -236,7 +246,10 @@ impl ClusterRunner {
         // the end of the run there is no next round, so flush the
         // remainder in the same canonical order before the final eval and
         // weight capture — the live driver's shutdown flush does the same.
+        // An iteration still computing when the run ends is joined first:
+        // gradients queued behind it belong in the final weights.
         for w in 0..self.n {
+            self.join(w);
             if !self.departed(w) {
                 self.workers[w].flush_parked(&self.members, true, |_, _| {});
             }
@@ -311,8 +324,19 @@ impl ClusterRunner {
         worker.waiting = false;
         worker.computing = true;
         worker.sample_batch_reuse();
-        let loss = worker.compute_grads(&self.data, self.cfg.grad_clip);
-        worker.pending = Some(PendingIteration { loss });
+        // The gradients go out as a pool job unless they have to be
+        // computed here and now: a trace carries the loss in `iter_start`,
+        // and an arena's first fill (first step, first step after an LBS
+        // change) is the step's large allocations, which stay in this
+        // thread's malloc arena instead of growing a second one.
+        let loss_now = if tracing_on() || worker.scratch.held_bytes() == 0 {
+            let loss = worker.compute_grads(&self.data, self.cfg.grad_clip);
+            worker.pending = Some(PendingIteration::Done { loss });
+            Some(loss)
+        } else {
+            worker.spawn_grads(&self.data, self.cfg.grad_clip);
+            None
+        };
         let lbs = worker.lbs;
         let iter = worker.iteration;
         // The straggle factor multiplies the modelled iteration time — the
@@ -323,13 +347,34 @@ impl ClusterRunner {
         worker.last_iter_time = dt;
         self.metrics.busy_time[w] += dt;
         event!(now, w: w, "iter_start";
-            "iter" => iter, "lbs" => lbs, "loss" => loss, "dt" => dt);
+            "iter" => iter, "lbs" => lbs, "loss" => loss_now.unwrap_or(f64::NAN), "dt" => dt);
         if self.cfg.telemetry {
             self.metrics.telemetry.observe("iter_secs", dt);
-            self.metrics.telemetry.observe("loss", loss);
+        }
+        if let Some(loss) = loss_now {
+            self.observe_loss(loss);
         }
         self.inflight += 1;
         self.queue.schedule(now + dt, Ev::IterDone { w });
+    }
+
+    /// Bring worker `w`'s gradient job home, if one is out: from here on
+    /// its model, gradients and arena are where the eager computation
+    /// would have left them. Called wherever they are first needed —
+    /// `on_iter_done(w)`, a DKT request for or a weight merge into `w`'s
+    /// model, an LBS change (it resets the arena), evaluation, the end of
+    /// the run. A peer gradient reaching `w` is *not* a join point: it
+    /// queues behind the job ([`Worker::on_payload`]).
+    fn join(&mut self, w: usize) {
+        if let Some(loss) = self.workers[w].join_grads() {
+            self.observe_loss(loss);
+        }
+    }
+
+    fn observe_loss(&mut self, loss: f64) {
+        if self.cfg.telemetry {
+            self.metrics.telemetry.observe("loss", loss);
+        }
     }
 
     /// Has worker `w` completed the configured iteration cap (if any)?
@@ -353,13 +398,13 @@ impl ClusterRunner {
     }
 
     fn on_iter_done(&mut self, w: usize, now: f64) {
+        self.join(w);
         let worker = &mut self.workers[w];
         let round = worker.iteration;
         worker.computing = false;
-        let PendingIteration { loss } = worker
-            .pending
-            .take()
-            .expect("IterDone without pending gradients");
+        let Some(PendingIteration::Done { loss }) = worker.pending.take() else {
+            panic!("IterDone without pending gradients");
+        };
         let net = &self.net;
         let (updates, share_dkt) =
             worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now), &self.members);
@@ -465,6 +510,10 @@ impl ClusterRunner {
         if self.departed(to) {
             return;
         }
+        // A pull of, or a merge into, the model needs it home.
+        if matches!(payload, Payload::DktRequest | Payload::Weights { .. }) {
+            self.join(to);
+        }
         // Only a gradient or a demotion can open a blocked gate.
         let regate = match self.workers[to].on_payload(from, payload, &self.members) {
             Effect::Parked | Effect::Applied(_) => true,
@@ -559,7 +608,7 @@ impl ClusterRunner {
     /// One batching control round at virtual time `now`: the decision is
     /// [`Batching::round`]'s; the simulator's half is the RCPs — profiled
     /// from the compute model, noise drawn only if the round repartitions
-    /// — and resizing the workers that are still computing.
+    /// — and resizing the workers that still contribute.
     fn batching_round(&mut self, round: u64, reprofiled_at: Option<f64>, now: f64) {
         let (compute, rng, noise) = (&self.compute, &mut self.prof_rng, self.cfg.profile_noise);
         let rcp = |w| {
@@ -572,9 +621,13 @@ impl ClusterRunner {
             .batching
             .round(round, reprofiled_at, stamp, members, iter_of, rcp)
         {
-            for w in workers.iter_mut() {
-                if members.counts(w.id, w.iteration) {
-                    w.set_lbs(members.lbs_of[w.id]);
+            for w in 0..self.n {
+                let lbs = self.members.lbs_of[w];
+                if self.members.counts(w, self.workers[w].iteration) && lbs != self.workers[w].lbs {
+                    // A new size releases the arena — which a job in
+                    // flight holds.
+                    self.join(w);
+                    self.workers[w].set_lbs(lbs);
                 }
             }
         }
@@ -599,23 +652,34 @@ impl ClusterRunner {
     }
 
     fn eval_all(&mut self, now: f64) {
-        let mut accs = Vec::with_capacity(self.n);
-        let mut losses = Vec::with_capacity(self.n);
+        // Evaluation sees every model as the event order left it — queued
+        // gradients applied — and fans out over the same pool: each job
+        // takes its worker's model along and brings it back.
+        let jobs: Vec<_> = (0..self.n)
+            .map(|w| {
+                self.join(w);
+                // A departed worker is gone; like the live collector, it
+                // has no eval row — the fixed-shape metric slots read 0.
+                (!self.departed(w)).then(|| {
+                    let mut model = std::mem::take(&mut self.workers[w].model);
+                    let (data, indices) = (self.data.clone(), self.eval_indices.clone());
+                    par::spawn(move || {
+                        let r = model.evaluate(&data, &indices, 125);
+                        (model, r)
+                    })
+                })
+            })
+            .collect();
+        let mut accs = vec![0.0; self.n];
+        let mut losses = vec![0.0; self.n];
         let mut alive = Vec::with_capacity(self.n);
-        for w in 0..self.n {
-            if self.departed(w) {
-                // The worker is gone; like the live collector, it has no
-                // eval row — the fixed-shape metric slots read 0.
-                accs.push(0.0);
-                losses.push(0.0);
-                continue;
+        for (w, job) in jobs.into_iter().enumerate() {
+            if let Some((model, r)) = job.map(par::Job::join) {
+                self.workers[w].model = model;
+                accs[w] = r.accuracy;
+                losses[w] = r.loss;
+                alive.push(r.accuracy);
             }
-            let r = self.workers[w]
-                .model
-                .evaluate(&self.data, &self.eval_indices, 125);
-            accs.push(r.accuracy);
-            losses.push(r.loss);
-            alive.push(r.accuracy);
         }
         let mean = dlion_tensor::stats::mean(&alive);
         event!(now, "eval"; "mean_acc" => mean);
@@ -752,6 +816,37 @@ mod tests {
         assert_eq!(a.worker_acc, b.worker_acc);
         assert_eq!(a.grad_bytes, b.grad_bytes);
         assert_eq!(a.gbs_trace, b.gbs_trace);
+    }
+
+    /// The same cell with its gradient and evaluation jobs on the pool (run
+    /// from a plain thread) and inline (run inside a `par_map` item: a
+    /// spawn from inside a job runs at its join) — every number equal.
+    fn pooled_equals_inline(mut cfg: RunConfig) {
+        cfg.capture_weights = true;
+        let pooled = run_env(&cfg, EnvId::HeteroSysA);
+        let inline = par::par_map(&[cfg], |cfg| run_env(cfg, EnvId::HeteroSysA)).remove(0);
+        assert!(pooled.total_iterations() > 50, "{:?}", pooled.iterations);
+        assert_eq!(pooled.final_weights, inline.final_weights);
+        assert_eq!(pooled.iterations, inline.iterations);
+        assert_eq!(pooled.worker_acc, inline.worker_acc);
+        assert_eq!(pooled.gbs_trace, inline.gbs_trace);
+        assert_eq!(pooled.lbs_trace, inline.lbs_trace);
+        assert_eq!(pooled.wire_bytes_by_kind, inline.wire_bytes_by_kind);
+    }
+
+    #[test]
+    fn pooled_jobs_change_no_number_under_faults_or_strict_bsp() {
+        let cfg = small(SystemKind::DLion);
+        let with_fault = |plan: &str| RunConfig {
+            fault: crate::fault::FaultPlan::parse(plan).expect("valid kill spec"),
+            ..cfg.clone()
+        };
+        pooled_equals_inline(with_fault("1@17"));
+        pooled_equals_inline(with_fault("2@9+30"));
+        pooled_equals_inline(RunConfig {
+            sync_override: Some(crate::sync::SyncPolicy::Synchronous),
+            ..cfg
+        });
     }
 
     #[test]

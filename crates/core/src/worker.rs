@@ -8,6 +8,7 @@ use crate::messages::GradMsg;
 use crate::strategy::ExchangeStrategy;
 use crate::sync::SyncState;
 use dlion_nn::Model;
+use dlion_tensor::par::Job;
 use dlion_tensor::{DetRng, Scratch, Tensor};
 use dlion_topo::TopologySchedule;
 use std::sync::Arc;
@@ -27,8 +28,9 @@ pub struct Worker {
     pub lbs: usize,
     /// Completed iterations (== index of the next iteration to run).
     pub iteration: u64,
-    /// Loss computed eagerly at iteration start, consumed at the simulated
-    /// completion time (the gradients themselves live in [`Worker::grads`]).
+    /// The simulator's iteration in progress: its gradient computation,
+    /// out on the pool or already home, until the simulated completion
+    /// time consumes the loss. Always `None` on the live backend.
     pub pending: Option<PendingIteration>,
     /// True while an iteration is "executing" in virtual time.
     pub computing: bool,
@@ -56,11 +58,29 @@ pub struct Worker {
     /// Strict BSP only: peer gradients parked as `(sender, msg)` until
     /// the next [`Worker::flush_parked`].
     pub parked: Vec<(usize, GradMsg)>,
+    /// Peer gradients that arrived while a [`PendingIteration::InFlight`]
+    /// job held the model, each with the Eq. 7 factor it had on arrival;
+    /// [`Worker::join_grads`] applies them in this order.
+    pub queued: Vec<(GradMsg, f32)>,
 }
 
-/// The result of a gradient computation awaiting its virtual completion.
-pub struct PendingIteration {
-    pub loss: f64,
+/// A gradient computation awaiting its virtual completion.
+pub enum PendingIteration {
+    /// Spawned by [`Worker::spawn_grads`] and not joined yet: the job owns
+    /// `model`, `scratch`, `grads` and `batch_buf`; the worker's fields of
+    /// those names are empty until [`Worker::join_grads`].
+    InFlight(Job<GradJob>),
+    /// The gradients are in [`Worker::grads`]; this is the batch loss.
+    Done { loss: f64 },
+}
+
+/// What a gradient job takes from its worker and brings back.
+pub struct GradJob {
+    pub(crate) model: Model,
+    pub(crate) scratch: Scratch,
+    pub(crate) grads: Vec<Tensor>,
+    pub(crate) batch_buf: Vec<usize>,
+    pub(crate) loss: f64,
 }
 
 impl Worker {
@@ -132,6 +152,7 @@ mod tests {
             weighted: cfg.system.weighted_update(),
             schedule: cfg.topology.build(6, cfg.seed).unwrap(),
             parked: Vec::new(),
+            queued: Vec::new(),
         }
     }
 

@@ -19,8 +19,10 @@ use std::time::Instant;
 /// list first and hands it here, so independent simulations run
 /// concurrently when cores are available. Results come back in input
 /// (index) order regardless of execution interleaving, so tables built
-/// from them are byte-identical to the old serial loops. On a single-core
-/// host the pool degrades to an inline serial loop.
+/// from them are byte-identical to the old serial loops. A cell is the
+/// grain here: inside a fanned cell the runner's own gradient jobs run
+/// inline (a spawn from inside a pool job runs at its join). On a
+/// single-core host the whole fan is an inline serial loop.
 ///
 /// Sweep progress (cells completed / total, elapsed, ETA) is reported at
 /// `info` level on the `experiments.sweep` target as cells finish.

@@ -123,9 +123,11 @@ impl Layer for Dense {
         matmul_tn_into(&x, &dout, self.dw.data_mut());
         let (n, out) = (dout.shape().dim(0), dout.shape().dim(1));
         self.db.fill_zero();
-        for r in 0..n {
-            for c in 0..out {
-                self.db.data_mut()[c] += dout.at(&[r, c]);
+        // Column sums, row-outer: each db[c] adds its rows in ascending order.
+        let db = self.db.data_mut();
+        for row in dout.data().chunks_exact(out) {
+            for (b, &g) in db.iter_mut().zip(row) {
+                *b += g;
             }
         }
         let inf = self.w.shape().dim(0);
@@ -523,6 +525,29 @@ mod tests {
         let x = Tensor::from_vec(Shape::d2(1, 2), vec![1.0, 1.0]);
         let y = d.forward(x, &mut Scratch::new());
         assert_eq!(y.data(), &[5.1, 7.2, 9.3]);
+    }
+
+    /// The bias gradient is the column sums of `dout`, each column adding
+    /// its rows in ascending order — bit for bit.
+    #[test]
+    fn dense_bias_gradient_adds_rows_in_order() {
+        let mut rng = DetRng::seed_from_u64(7);
+        let mut s = Scratch::new();
+        let mut d = Dense::new(6, 5, &mut rng);
+        let x = Tensor::randn(Shape::d2(37, 6), 1.0, &mut rng);
+        let dout = Tensor::randn(Shape::d2(37, 5), 100.0, &mut rng);
+        let mut expect = [0.0f32; 5];
+        for r in 0..37 {
+            for (c, e) in expect.iter_mut().enumerate() {
+                *e += dout.at(&[r, c]);
+            }
+        }
+        d.forward(feed(&x, &mut s), &mut s);
+        d.backward(feed(&dout, &mut s), &mut s);
+        assert_eq!(
+            bits(d.grad(1)),
+            bits(&Tensor::from_vec(Shape::d1(5), expect.to_vec()))
+        );
     }
 
     #[test]

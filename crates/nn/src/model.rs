@@ -19,8 +19,9 @@ pub struct EvalResult {
 }
 
 /// A feed-forward model: an ordered stack of layers ending in logits,
-/// trained with softmax cross-entropy.
-#[derive(Clone)]
+/// trained with softmax cross-entropy. The default is the empty stack — what
+/// `std::mem::take` leaves behind while a model is away in a pool job.
+#[derive(Clone, Default)]
 pub struct Model {
     layers: Vec<Box<dyn Layer>>,
     /// var index -> (layer index, param index within layer)
@@ -139,8 +140,12 @@ impl Model {
         s.put_tensor(grad);
         if grads.len() != self.num_vars() {
             grads.clear();
+            // Own storage, not a clone: sharing the layer's buffer would
+            // make the next backward's in-place write copy it — one step
+            // later, wherever that step runs.
             for &(li, pi) in &self.param_map {
-                grads.push(self.layers[li].grad(pi).clone());
+                let g = self.layers[li].grad(pi);
+                grads.push(Tensor::from_vec(g.shape().clone(), g.data().to_vec()));
             }
         } else {
             for (g, &(li, pi)) in grads.iter_mut().zip(&self.param_map) {
@@ -172,12 +177,22 @@ impl Model {
                 accuracy: 0.0,
             };
         }
+        // A forward pass caches its activations in the layers for a
+        // backward that never comes here. Run on a clone (refcount bumps:
+        // the weights are copy-on-write) so those die with it when this
+        // returns, not in the training model at its next step.
+        let mut model = self.clone();
         let mut s = Scratch::new();
         let mut total_loss = 0.0f64;
         let mut total_correct = 0.0f64;
         for chunk in indices.chunks(batch) {
+            // The arena's buckets are exact lengths: the short last chunk
+            // can reuse nothing the full ones left, so let that go first.
+            if chunk.len() != batch {
+                s = Scratch::new();
+            }
             let (x, y) = ds.batch_scratch(chunk, &mut s);
-            let logits = self.forward_scratch(x, &mut s);
+            let logits = model.forward_scratch(x, &mut s);
             let (loss, _) = softmax_xent(&logits, &y);
             total_loss += loss as f64 * chunk.len() as f64;
             total_correct += accuracy(&logits, &y) * chunk.len() as f64;

@@ -6,9 +6,8 @@
 //! gradient-exchange machinery need from a numerics library:
 //!
 //! * [`Tensor`] — a dense, row-major `f32` tensor with elementwise and
-//!   BLAS-like operations (parallelized over the in-tree deterministic
-//!   thread pool [`par`] where it pays off, with deterministic reductions
-//!   so simulations are bit-reproducible),
+//!   BLAS-like operations, every one serial with a fixed reduction order so
+//!   simulations are bit-reproducible,
 //! * [`ops`] — matmul, 2-D convolution (incl. depthwise), max-pooling and
 //!   activation kernels with hand-written backward passes,
 //! * [`SparseVec`] — the sparse gradient representation exchanged between
@@ -18,7 +17,9 @@
 //! * [`stats`] — small statistics helpers (mean/std, linear regression used
 //!   by the LBS controller's compute profiler, 95 % confidence intervals),
 //! * [`DetRng`] — a deterministic, seedable RNG with the distributions the
-//!   workloads need (uniform, normal via Box–Muller, shuffling).
+//!   workloads need (uniform, normal via Box–Muller, shuffling),
+//! * [`par`] — the task pool the layers above run whole worker-iterations
+//!   and experiment cells on; nothing in this crate's math calls it.
 //!
 //! Nothing in this crate knows about workers, networks or training loops;
 //! it is a pure math layer.
@@ -39,26 +40,23 @@ pub use shape::Shape;
 pub use sparse::SparseVec;
 pub use tensor::Tensor;
 
-/// Deterministic parallel sum: chunks are reduced in parallel but combined
-/// in a fixed (index) order, so results do not depend on thread scheduling.
-///
-/// This matters because the cluster simulator must be bit-reproducible for a
-/// given seed: figure regeneration and tests rely on it.
+/// The repo's one summation order: 4096-element chunks summed left to
+/// right, then the partials summed left to right (a shorter input is one
+/// plain sum). Every reduction the simulator's numbers depend on goes
+/// through here, so a seed's bits never depend on how a sum was split.
 pub fn deterministic_sum(xs: &[f32]) -> f32 {
+    chunked_sum(xs, |&x| x)
+}
+
+/// [`deterministic_sum`] of `f(x)` over `xs`, without materializing the
+/// mapped values.
+pub(crate) fn chunked_sum(xs: &[f32], f: impl Fn(&f32) -> f32) -> f32 {
     const CHUNK: usize = 4096;
     if xs.len() <= CHUNK {
-        return xs.iter().sum();
+        return xs.iter().map(&f).sum();
     }
-    let n_chunks = xs.len().div_ceil(CHUNK);
-    let mut partials = vec![0.0f32; n_chunks];
-    // One task per chunk; each writes only its own slot, so the combine
-    // below always sees partials in index order.
-    par::par_chunks_mut(&mut partials, 1, |i, slot| {
-        let start = i * CHUNK;
-        let end = (start + CHUNK).min(xs.len());
-        slot[0] = xs[start..end].iter().sum();
-    });
-    partials.iter().sum()
+    let partials = xs.chunks(CHUNK).map(|c| c.iter().map(&f).sum::<f32>());
+    partials.sum()
 }
 
 #[cfg(test)]
@@ -69,12 +67,11 @@ mod tests {
     fn deterministic_sum_matches_serial() {
         let xs: Vec<f32> = (0..100_000).map(|i| (i as f32 * 0.001).sin()).collect();
         let serial: f32 = {
-            // Same chunking as the parallel path, applied serially.
+            // The documented order, spelled out.
             let partials: Vec<f32> = xs.chunks(4096).map(|c| c.iter().sum::<f32>()).collect();
             partials.iter().sum()
         };
-        let parallel = deterministic_sum(&xs);
-        assert_eq!(serial, parallel, "parallel sum must be bit-identical");
+        assert_eq!(serial, deterministic_sum(&xs), "the chunk order is fixed");
     }
 
     #[test]

@@ -24,9 +24,13 @@
 //! Every kernel here draws the tensors it returns from the caller's
 //! [`Scratch`] arena, so whoever consumes a result can recycle it and the
 //! arena holds a fixed set of buffers per batch size.
+//!
+//! Every kernel is a plain serial loop nest. A training step is ~40 kernel
+//! calls of 3–300 µs each, and fanning any of them over threads cost more in
+//! dispatch than it saved at every batch size a run has (DESIGN.md §4b);
+//! the threads run whole worker-iterations instead (`crate::par`).
 
 use crate::ops::im2col::{conv2d_backward_im2col_s, conv2d_im2col_s};
-use crate::par;
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -113,7 +117,7 @@ pub fn conv2d_direct(
     let wd = weight.data();
     let bd = bias.data();
     let mut out = s.take_uninit(n * f * oh * ow);
-    par::par_chunks_mut(&mut out, f * oh * ow, |ni, ochunk| {
+    for (ni, ochunk) in out.chunks_mut(f * oh * ow).enumerate() {
         let ibase = ni * c * h * w;
         for fi in 0..f {
             let b = bd[fi];
@@ -144,7 +148,7 @@ pub fn conv2d_direct(
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(Shape::d4(n, f, oh, ow), out)
 }
 
@@ -168,9 +172,9 @@ pub fn conv2d_backward_direct(
     let wd = weight.data();
     let dd = dout.data();
 
-    // dinput: parallel over batch items (each writes only its own slice).
+    // dinput: batch item by batch item, each its own slice.
     let mut dinput = s.take(n * c * h * w);
-    par::par_chunks_mut(&mut dinput, c * h * w, |ni, dslice| {
+    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
         let dbase = ni * f * oh * ow;
         for fi in 0..f {
             for oy in 0..oh {
@@ -200,52 +204,47 @@ pub fn conv2d_backward_direct(
                 }
             }
         }
-    });
+    }
 
-    // dweight + dbias: parallel over output filters (each filter's gradient
-    // slice is reduced over the batch with a fixed-order loop).
+    // dweight + dbias: filter by filter, each filter's gradient slice
+    // reduced over the batch with a fixed-order loop.
     let mut dweight = s.take(f * c * kh * kw);
     let mut dbias = s.take(f);
-    par::par_chunks2_mut(
-        &mut dweight,
-        c * kh * kw,
-        &mut dbias,
-        1,
-        |fi, wslice, dbv| {
-            for ni in 0..n {
-                let dbase = ni * f * oh * ow + fi * oh * ow;
-                let ibase = ni * c * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = dd[dbase + oy * ow + ox];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        dbv[0] += g;
-                        for ci in 0..c {
-                            let icbase = ibase + ci * h * w;
-                            let wcbase = ci * kh * kw;
-                            for ky in 0..kh {
-                                let iy = oy + ky;
-                                if iy < pad || iy >= h + pad {
+    let per_filter = dweight.chunks_mut(c * kh * kw).zip(dbias.iter_mut());
+    for (fi, (wslice, dbv)) in per_filter.enumerate() {
+        for ni in 0..n {
+            let dbase = ni * f * oh * ow + fi * oh * ow;
+            let ibase = ni * c * h * w;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = dd[dbase + oy * ow + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    *dbv += g;
+                    for ci in 0..c {
+                        let icbase = ibase + ci * h * w;
+                        let wcbase = ci * kh * kw;
+                        for ky in 0..kh {
+                            let iy = oy + ky;
+                            if iy < pad || iy >= h + pad {
+                                continue;
+                            }
+                            let iy = iy - pad;
+                            for kx in 0..kw {
+                                let ix = ox + kx;
+                                if ix < pad || ix >= w + pad {
                                     continue;
                                 }
-                                let iy = iy - pad;
-                                for kx in 0..kw {
-                                    let ix = ox + kx;
-                                    if ix < pad || ix >= w + pad {
-                                        continue;
-                                    }
-                                    wslice[wcbase + ky * kw + kx] +=
-                                        g * id[icbase + iy * w + (ix - pad)];
-                                }
+                                wslice[wcbase + ky * kw + kx] +=
+                                    g * id[icbase + iy * w + (ix - pad)];
                             }
                         }
                     }
                 }
             }
-        },
-    );
+        }
+    }
 
     ConvGrads {
         dinput: Tensor::from_vec(Shape::d4(n, c, h, w), dinput),
@@ -274,7 +273,7 @@ pub fn depthwise_conv2d(
     let wd = weight.data();
     let bd = bias.data();
     let mut out = s.take_uninit(n * c * oh * ow);
-    par::par_chunks_mut(&mut out, c * oh * ow, |ni, ochunk| {
+    for (ni, ochunk) in out.chunks_mut(c * oh * ow).enumerate() {
         for ci in 0..c {
             let icbase = (ni * c + ci) * h * w;
             let wbase = ci * kh * kw;
@@ -300,7 +299,7 @@ pub fn depthwise_conv2d(
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
 }
 
@@ -321,7 +320,7 @@ pub fn depthwise_conv2d_backward(
     let dd = dout.data();
 
     let mut dinput = s.take(n * c * h * w);
-    par::par_chunks_mut(&mut dinput, c * h * w, |ni, dslice| {
+    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
         for ci in 0..c {
             let dbase = (ni * c + ci) * oh * ow;
             let wbase = ci * kh * kw;
@@ -348,11 +347,12 @@ pub fn depthwise_conv2d_backward(
                 }
             }
         }
-    });
+    }
 
     let mut dweight = s.take(c * kh * kw);
     let mut dbias = s.take(c);
-    par::par_chunks2_mut(&mut dweight, kh * kw, &mut dbias, 1, |ci, wslice, dbv| {
+    let per_channel = dweight.chunks_mut(kh * kw).zip(dbias.iter_mut());
+    for (ci, (wslice, dbv)) in per_channel.enumerate() {
         for ni in 0..n {
             let dbase = (ni * c + ci) * oh * ow;
             let icbase = (ni * c + ci) * h * w;
@@ -362,7 +362,7 @@ pub fn depthwise_conv2d_backward(
                     if g == 0.0 {
                         continue;
                     }
-                    dbv[0] += g;
+                    *dbv += g;
                     for ky in 0..kh {
                         let iy = oy + ky;
                         if iy < pad || iy >= h + pad {
@@ -380,7 +380,7 @@ pub fn depthwise_conv2d_backward(
                 }
             }
         }
-    });
+    }
 
     ConvGrads {
         dinput: Tensor::from_vec(Shape::d4(n, c, h, w), dinput),

@@ -8,7 +8,9 @@
 //! the direct kernel in `ops::conv` as soon as the implied GEMM is
 //! non-trivial (the dispatch in `ops::conv` picks the winner per shape).
 //! Every buffer — patch matrix, GEMM products, results — comes from the
-//! caller's [`Scratch`] arena.
+//! caller's [`Scratch`] arena; the filter bank is read in place, viewed as
+//! `(F, C·KH·KW)`. Unrolling, scattering and the layout transposes are
+//! plain serial loops, like the GEMMs they feed.
 //!
 //! The backward pass is lowered the same way:
 //!
@@ -19,7 +21,6 @@
 
 use crate::ops::conv::{dims4, out_hw, ConvGrads};
 use crate::ops::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
-use crate::par;
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -34,7 +35,7 @@ pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, pad: usize, out: &mut [
     let row_len = c * kh * kw;
     assert_eq!(out.len(), n * oh * ow * row_len, "im2col out length");
     let id = input.data();
-    par::par_chunks_mut(out, oh * ow * row_len, |ni, chunk| {
+    for (ni, chunk) in out.chunks_mut(oh * ow * row_len).enumerate() {
         let ibase = ni * c * h * w;
         for oy in 0..oh {
             for ox in 0..ow {
@@ -57,14 +58,13 @@ pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, pad: usize, out: &mut [
                 }
             }
         }
-    });
+    }
 }
 
 /// Adjoint of [`im2col_into`]: scatter-add a patch-gradient matrix
 /// `(N*OH*OW, C*KH*KW)` back into an input-shaped `(N,C,H,W)` buffer, which
-/// must be **pre-zeroed** (the scatter accumulates). Parallel over batch
-/// items; within one item the scatter runs in a fixed loop order, so the
-/// accumulation is deterministic.
+/// must be **pre-zeroed** (the scatter accumulates). The scatter runs in a
+/// fixed loop order, so the accumulation is deterministic.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im_into(
     dpatches: &Tensor,
@@ -86,7 +86,7 @@ pub fn col2im_into(
     );
     assert_eq!(dinput.len(), n * c * h * w, "col2im dinput length");
     let pd = dpatches.data();
-    par::par_chunks_mut(dinput, c * h * w, |ni, dslice| {
+    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
         let rbase = ni * oh * ow;
         for oy in 0..oh {
             for ox in 0..ow {
@@ -107,7 +107,7 @@ pub fn col2im_into(
                 }
             }
         }
-    });
+    }
 }
 
 /// GEMM-backed convolution forward, numerically equivalent to
@@ -131,14 +131,12 @@ pub fn conv2d_im2col_s(
     let mut patches_buf = s.take_uninit(rows * row_len);
     im2col_into(input, kh, kw, pad, &mut patches_buf);
     let patches = Tensor::from_vec(Shape::d2(rows, row_len), patches_buf);
-    // weight viewed as (F, C*KH*KW): patches (R, K) x weightᵀ -> (R, F).
-    let mut wbuf = s.take_uninit(f * row_len);
-    wbuf.copy_from_slice(weight.data());
-    let wmat = Tensor::from_vec(Shape::d2(f, row_len), wbuf);
+    // weight viewed as (F, C*KH*KW) — shared storage, no copy:
+    // patches (R, K) x weightᵀ -> (R, F).
+    let wmat = weight.clone().reshape(Shape::d2(f, row_len));
     let mut prod = s.take_uninit(rows * f); // (N*OH*OW, F)
     matmul_nt_into(&patches, &wmat, &mut prod);
     s.put_tensor(patches);
-    s.put_tensor(wmat);
 
     // Transpose rows into NCHW order and add bias. `out` is taken while
     // `prod` is still live (they are the same length, so putting `prod`
@@ -146,7 +144,7 @@ pub fn conv2d_im2col_s(
     let pd = &prod[..];
     let bd = bias.data();
     let mut out = s.take_uninit(n * f * oh * ow);
-    par::par_chunks_mut(&mut out, f * oh * ow, |ni, chunk| {
+    for (ni, chunk) in out.chunks_mut(f * oh * ow).enumerate() {
         let rbase = ni * oh * ow;
         for fi in 0..f {
             let b = bd[fi];
@@ -154,7 +152,7 @@ pub fn conv2d_im2col_s(
                 chunk[fi * oh * ow + p] = pd[(rbase + p) * f + fi] + b;
             }
         }
-    });
+    }
     s.put(prod);
     Tensor::from_vec(Shape::d4(n, f, oh, ow), out)
 }
@@ -186,7 +184,7 @@ pub fn conv2d_backward_im2col_s(
     // output transpose.
     let dd = dout.data();
     let mut drows_buf = s.take_uninit(rows * f);
-    par::par_chunks_mut(&mut drows_buf, oh * ow * f, |ni, chunk| {
+    for (ni, chunk) in drows_buf.chunks_mut(oh * ow * f).enumerate() {
         let dbase = ni * f * oh * ow;
         for p in 0..oh * ow {
             let dst = &mut chunk[p * f..(p + 1) * f];
@@ -194,7 +192,7 @@ pub fn conv2d_backward_im2col_s(
                 *v = dd[dbase + fi * oh * ow + p];
             }
         }
-    });
+    }
     let drows = Tensor::from_vec(Shape::d2(rows, f), drows_buf);
 
     // dbias: column sums of dout rows, fixed (row-major) reduction order.
@@ -213,15 +211,12 @@ pub fn conv2d_backward_im2col_s(
     let mut dw_buf = s.take_uninit(f * row_len);
     matmul_tn_into(&drows, &patches, &mut dw_buf);
     let dweight = Tensor::from_vec(Shape::d4(f, c, kh, kw), dw_buf);
-    // dpatches (R, K) = dout_rows · W.
-    let mut wbuf = s.take_uninit(f * row_len);
-    wbuf.copy_from_slice(weight.data());
-    let wmat = Tensor::from_vec(Shape::d2(f, row_len), wbuf);
+    // dpatches (R, K) = dout_rows · W, W viewed as (F, K) without a copy.
+    let wmat = weight.clone().reshape(Shape::d2(f, row_len));
     let mut dpatches_buf = s.take_uninit(rows * row_len);
     matmul_into(&drows, &wmat, &mut dpatches_buf);
     let dpatches = Tensor::from_vec(Shape::d2(rows, row_len), dpatches_buf);
     s.put_tensor(patches);
-    s.put_tensor(wmat);
     s.put_tensor(drows);
     let mut dinput_buf = s.take(n * c * h * w);
     col2im_into(&dpatches, n, c, h, w, kh, kw, pad, &mut dinput_buf);

@@ -1,5 +1,5 @@
-//! Dense matrix multiplication kernels: cache-blocked, register-tiled,
-//! panel-packed, parallel over row blocks.
+//! Dense matrix multiplication kernels: register-tiled, panel-packed,
+//! serial.
 //!
 //! Three variants cover everything a dense layer's forward/backward pass
 //! needs without materializing transposes:
@@ -20,9 +20,9 @@
 //! (4×16) register tile: for each `k` it loads one packed B row and `MR`
 //! A scalars, updating 64 accumulators. On AVX-512 hosts the full-tile
 //! case uses explicit 512-bit `mul`/`add` intrinsics (one ZMM per row);
-//! elsewhere a constant-trip-count scalar loop autovectorizes. Row blocks
-//! of [`MC`] rows are distributed over the thread pool; each task owns a
-//! disjoint slice of `C`.
+//! elsewhere a constant-trip-count scalar loop autovectorizes. One call
+//! is one thread's work: the largest GEMM a training step issues is a few
+//! hundred µs, below what a fork-join pays back (DESIGN.md §4b).
 //!
 //! # Determinism rules
 //!
@@ -31,11 +31,10 @@
 //! Tiling changes which elements are computed together, never the order of
 //! additions within one element, and `mul_add`/split-`k` reductions are
 //! deliberately not used — so every variant is bit-identical to the naive
-//! `i,j,k` triple loop, on any thread count, on every run. (The seed
+//! `i,j,k` triple loop, on every run. (The seed
 //! kernels' `av == 0.0` skip is gone: it cost a branch per inner iteration
 //! on dense activations and made results depend on signed zeros.)
 
-use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -45,16 +44,6 @@ pub const MR: usize = 4;
 /// Micro-tile columns (packed B panel width): one 512-bit vector, or two
 /// 256-bit ones on AVX2-only hosts.
 pub const NR: usize = 16;
-/// Rows of `C` per parallel task.
-const MC: usize = 32;
-
-/// Per-kernel parallelism thresholds on `m * n * k`, calibrated with
-/// `dlion-bench kernels` (see `results/BENCH_kernels.json`): a task must be
-/// worth ≥ ~10 µs of math before pool dispatch pays for itself. `matmul_nt`
-/// amortizes an extra transpose-pack of B, so it parallelizes slightly later.
-const PAR_FLOPS_MM: usize = 32 * 32 * 32;
-const PAR_FLOPS_NT: usize = 40 * 32 * 32;
-const PAR_FLOPS_TN: usize = 32 * 32 * 32;
 
 thread_local! {
     /// Reusable panel-packing buffer (per thread; GEMMs never nest).
@@ -274,8 +263,8 @@ fn micro_a_cols(
     }
 }
 
-/// Shared driver: C rows `[0, m)` in MC-row tasks, each task sweeping its
-/// rows in MR strips against every packed panel.
+/// Shared driver: C rows `[0, m)` swept in MR strips against every packed
+/// panel.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     m: usize,
@@ -283,44 +272,32 @@ fn gemm_driver(
     n: usize,
     out: &mut [f32],
     packed: &[f32],
-    parallel: bool,
-    a_at_row: &(dyn Fn(usize) -> (usize, usize) + Sync), // row -> (offset, stride)
+    a_at_row: &dyn Fn(usize) -> (usize, usize), // row -> (offset, stride)
     col_major_a: bool,
     ad: &[f32],
 ) {
     assert_eq!(out.len(), m * n, "gemm output buffer size");
     let np = n.div_ceil(NR);
-    let body = |blk: usize, chunk: &mut [f32]| {
-        let i0 = blk * MC;
-        let rows = chunk.len() / n;
-        let mut r0 = 0;
-        while r0 < rows {
-            let mr = MR.min(rows - r0);
-            for jp in 0..np {
-                let j0 = jp * NR;
-                let ne = NR.min(n - j0);
-                let panel = &packed[jp * k * NR..(jp + 1) * k * NR];
-                let mut acc = [[0.0f32; NR]; MR];
-                let (off, stride) = a_at_row(i0 + r0);
-                if col_major_a {
-                    micro_a_cols(mr, k, &ad[off..], stride, panel, &mut acc);
-                } else {
-                    micro_a_rows(mr, k, &ad[off..], stride, panel, &mut acc);
-                }
-                for r in 0..mr {
-                    let dst = &mut chunk[(r0 + r) * n + j0..(r0 + r) * n + j0 + ne];
-                    dst.copy_from_slice(&acc[r][..ne]);
-                }
+    let mut r0 = 0;
+    while r0 < m {
+        let mr = MR.min(m - r0);
+        for jp in 0..np {
+            let j0 = jp * NR;
+            let ne = NR.min(n - j0);
+            let panel = &packed[jp * k * NR..(jp + 1) * k * NR];
+            let mut acc = [[0.0f32; NR]; MR];
+            let (off, stride) = a_at_row(r0);
+            if col_major_a {
+                micro_a_cols(mr, k, &ad[off..], stride, panel, &mut acc);
+            } else {
+                micro_a_rows(mr, k, &ad[off..], stride, panel, &mut acc);
             }
-            r0 += mr;
+            for r in 0..mr {
+                let dst = &mut out[(r0 + r) * n + j0..(r0 + r) * n + j0 + ne];
+                dst.copy_from_slice(&acc[r][..ne]);
+            }
         }
-    };
-    if parallel {
-        par::par_chunks_mut(out, MC * n, body);
-    } else {
-        out.chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(b, c)| body(b, c));
+        r0 += mr;
     }
 }
 
@@ -339,17 +316,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     PACK_BUF.with(|p| {
         let mut pb = std::mem::take(&mut *p.borrow_mut());
         pack_panels_rowmajor(bd, k, n, &mut pb);
-        gemm_driver(
-            m,
-            k,
-            n,
-            out,
-            &pb,
-            m * n * k >= PAR_FLOPS_MM,
-            &|row| (row * k, k),
-            false,
-            ad,
-        );
+        gemm_driver(m, k, n, out, &pb, &|row| (row * k, k), false, ad);
         *p.borrow_mut() = pb;
     });
 }
@@ -364,17 +331,7 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     PACK_BUF.with(|p| {
         let mut pb = std::mem::take(&mut *p.borrow_mut());
         pack_panels_transposed(bd, k, n, &mut pb);
-        gemm_driver(
-            m,
-            k,
-            n,
-            out,
-            &pb,
-            m * n * k >= PAR_FLOPS_NT,
-            &|row| (row * k, k),
-            false,
-            ad,
-        );
+        gemm_driver(m, k, n, out, &pb, &|row| (row * k, k), false, ad);
         *p.borrow_mut() = pb;
     });
 }
@@ -389,17 +346,7 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     PACK_BUF.with(|p| {
         let mut pb = std::mem::take(&mut *p.borrow_mut());
         pack_panels_rowmajor(bd, k, n, &mut pb);
-        gemm_driver(
-            m,
-            k,
-            n,
-            out,
-            &pb,
-            m * n * k >= PAR_FLOPS_TN,
-            &|row| (row, m),
-            true,
-            ad,
-        );
+        gemm_driver(m, k, n, out, &pb, &|row| (row, m), true, ad);
         *p.borrow_mut() = pb;
     });
 }
@@ -463,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_large_parallel_path() {
+    fn matmul_matches_naive_on_ragged_shapes() {
         let mut rng = DetRng::seed_from_u64(2);
         let a = Tensor::randn(Shape::d2(33, 47), 1.0, &mut rng);
         let b = Tensor::randn(Shape::d2(47, 29), 1.0, &mut rng);
@@ -476,7 +423,7 @@ mod tests {
     }
 
     /// The blocked kernels' determinism contract: bit-identical to the naive
-    /// triple loop, including shapes not divisible by MR/NR/MC.
+    /// triple loop, including shapes not divisible by MR/NR.
     #[test]
     fn blocked_kernels_bit_match_naive() {
         let mut rng = DetRng::seed_from_u64(20);
@@ -569,6 +516,6 @@ mod tests {
         let (mut c1, mut c2) = (vec![f32::NAN; 64 * 64], vec![f32::NAN; 64 * 64]);
         matmul_into(&a, &b, &mut c1);
         matmul_into(&a, &b, &mut c2);
-        assert_eq!(c1, c2, "parallel matmul must be deterministic");
+        assert_eq!(c1, c2, "matmul must be deterministic");
     }
 }

@@ -4,23 +4,20 @@
 //!
 //! # Kernel architecture
 //!
-//! The GEMM family (`ops::matmul`) is cache-blocked and register-tiled:
-//! the right-hand operand is packed into 16-column panels, the micro-kernel
-//! computes a 4×16 accumulator tile per sweep, and row blocks of the output
-//! are distributed over the in-tree thread pool (`crate::par`). Large
-//! convolutions are lowered onto those GEMMs via `ops::im2col`
-//! (forward *and* backward); tiny shapes keep the branch-free direct loops
-//! in `ops::conv`. Backend dispatch depends only on static shapes.
+//! The GEMM family (`ops::matmul`) is register-tiled: the right-hand
+//! operand is packed into 16-column panels and the micro-kernel computes a
+//! 4×16 accumulator tile per sweep. Large convolutions are lowered onto
+//! those GEMMs via `ops::im2col` (forward *and* backward); tiny shapes keep
+//! the branch-free direct loops in `ops::conv`. Backend dispatch depends
+//! only on static shapes. Every kernel is serial: the repo's threads run
+//! whole worker-iterations (`crate::par`), not slices of a kernel.
 //!
-//! # Determinism rules
+//! # Determinism rule
 //!
-//! All kernels follow two rules that make results bit-identical across
-//! runs, thread counts, and schedulings:
-//!
-//! 1. every output element is written by exactly one task, and
-//! 2. every reduction into an element is a single sequential chain in a
-//!    fixed index order (ascending `k` for GEMM, the loop-nest order for
-//!    direct conv, chunk-index order for sums).
+//! Every reduction into an output element is a single sequential chain in
+//! a fixed index order (ascending `k` for GEMM, the loop-nest order for
+//! direct conv, chunk-index order for sums), so results are bit-identical
+//! across runs and do not depend on which thread ran the step.
 //!
 //! In particular the blocked GEMMs are bit-identical to the naive `i,j,k`
 //! triple loop — tiling only regroups *which* elements are computed

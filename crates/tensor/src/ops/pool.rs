@@ -1,6 +1,5 @@
 //! 2×2 max-pooling with stride 2 (the only pooling the paper's models use).
 
-use crate::par;
 use crate::tensor::Tensor;
 
 /// Forward max-pool of `input (N,C,H,W)` into caller-owned `out` and `arg`,
@@ -23,7 +22,8 @@ pub fn maxpool2_into(input: &Tensor, out: &mut [f32], arg: &mut [u32]) {
     assert_eq!(out.len(), n * c * oh * ow, "maxpool2 out length");
     assert_eq!(arg.len(), n * c * oh * ow, "maxpool2 argmax length");
     let id = input.data();
-    par::par_chunks2_mut(out, oh * ow, arg, oh * ow, |nc, ochunk, achunk| {
+    let planes = out.chunks_mut(oh * ow).zip(arg.chunks_mut(oh * ow));
+    for (nc, (ochunk, achunk)) in planes.enumerate() {
         let ibase = nc * h * w;
         for oy in 0..oh {
             for ox in 0..ow {
@@ -45,7 +45,7 @@ pub fn maxpool2_into(input: &Tensor, out: &mut [f32], arg: &mut [u32]) {
                 achunk[oy * ow + ox] = best_i as u32;
             }
         }
-    });
+    }
 }
 
 /// Backward max-pool: routes each output gradient to the argmax position

@@ -1,299 +1,355 @@
-//! Minimal deterministic data-parallel runtime (no external dependencies).
+//! The repo's one task pool: jobs at the grain of a worker-iteration or an
+//! experiment cell (no external dependencies).
 //!
-//! A lazily-spawned, persistent worker pool executes indexed task batches:
-//! [`run`] hands each index in `0..n_tasks` to exactly one thread, with the
-//! submitting thread participating. Determinism rule: tasks must write only
-//! to disjoint data decided by their index, and every per-element reduction
-//! must happen inside a single task with a fixed-order loop. Under that
-//! rule the result is bit-identical to serial execution regardless of how
-//! indices are interleaved across threads.
+//! One primitive: [`spawn`] queues a closure and returns its [`Job`];
+//! [`Job::join`] returns the closure's value. [`par_map`] is `spawn` per
+//! item, `join` in index order. Nothing below that grain goes through the
+//! pool — the tensor kernels are serial (DESIGN.md §4b has the
+//! measurements) — so a job is one thread's work from start to end and its
+//! result cannot depend on which thread ran it.
 //!
-//! The pool is intentionally simple:
-//! * one batch in flight at a time — a second submitter (or a task that
-//!   itself calls [`run`], e.g. a parallel experiment cell whose kernels
-//!   are parallel too) falls back to inline serial execution, so nesting
-//!   can never deadlock;
-//! * work is claimed from an atomic counter, so load balancing is dynamic
-//!   while output placement stays index-addressed and deterministic;
-//! * on single-core machines (`available_parallelism() == 1`) no worker
-//!   threads are spawned and every batch runs inline.
+//! The rules that make it safe to join anywhere:
+//! * a lazily-spawned, persistent set of `available_parallelism() - 1`
+//!   threads takes queued jobs oldest first; on a single-core machine there
+//!   are none and every job runs at its join;
+//! * `join` never waits for a job nobody has started: it runs the job on
+//!   the caller. While the job it wants is executing elsewhere it runs
+//!   *other queued jobs spawned by the calling thread* (a runner waiting
+//!   for worker 3's gradients computes worker 5's meanwhile) and only then
+//!   sleeps;
+//! * a `spawn` from inside a job is not queued at all — it runs at its
+//!   `join` — so nesting cannot deadlock (a running job never waits on the
+//!   pool) and a sweep of experiment cells keeps the cell as its grain;
+//! * a panic inside a job is caught there and re-raised at its `join`; a
+//!   `Job` dropped unjoined (the holder is unwinding) cancels the job if
+//!   nobody started it and otherwise waits for it, so no job outlives its
+//!   handle.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::ThreadId;
 
-/// A `*const dyn Fn(usize)` that may cross thread boundaries. Validity is
-/// guaranteed by [`run`]: the submitter does not return until every worker
-/// has finished the batch, so the borrow outlives all uses.
-#[derive(Clone, Copy)]
-struct JobPtr(*const (dyn Fn(usize) + Sync));
-unsafe impl Send for JobPtr {}
+type Thunk<R> = Box<dyn FnOnce() -> R + Send>;
+type Outcome<R> = Result<R, Box<dyn Any + Send>>;
 
-struct PoolState {
-    generation: u64,
-    job: Option<JobPtr>,
-    /// Workers still running the current generation.
-    workers_left: usize,
+struct Task<R> {
+    /// The spawning thread: `join` only helps with jobs of its own thread.
+    owner: ThreadId,
+    /// Set once, by whoever gets to run (or cancel) the job.
+    claimed: AtomicBool,
+    thunk: Mutex<Option<Thunk<R>>>,
+    outcome: Mutex<Option<Outcome<R>>>,
+    done: Condvar,
+}
+
+/// What the queue and a helping joiner see of a [`Task`].
+trait Runnable: Send + Sync {
+    fn owner(&self) -> ThreadId;
+    /// Run the job and publish its outcome, unless somebody else has
+    /// claimed it; true if it ran here.
+    fn run_if_unclaimed(&self) -> bool;
+}
+
+/// No lock in this file is held across a job or any other code that can
+/// panic, and every guarded value is valid after each single store, so a
+/// poisoned lock (unreachable) is simply entered.
+fn enter<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<R> Task<R> {
+    /// Win the right to run or cancel the job; false if somebody else has.
+    fn claim(&self) -> bool {
+        // The swap decides one thing only — who takes the job; the closure
+        // and the outcome travel through their mutexes.
+        !self.claimed.swap(true, Ordering::AcqRel)
+    }
+
+    fn is_done(&self) -> bool {
+        enter(&self.outcome).is_some()
+    }
+
+    /// Block until whoever claimed the job has published its outcome.
+    fn wait(&self) -> Outcome<R> {
+        let mut slot = enter(&self.outcome);
+        loop {
+            match slot.take() {
+                Some(outcome) => return outcome,
+                None => slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    }
+}
+
+impl<R: Send> Runnable for Task<R> {
+    fn owner(&self) -> ThreadId {
+        self.owner
+    }
+
+    fn run_if_unclaimed(&self) -> bool {
+        if !self.claim() {
+            return false;
+        }
+        let thunk = enter(&self.thunk).take();
+        let thunk = thunk.expect("a job just claimed still holds its closure");
+        let outer = IN_JOB.replace(true);
+        let outcome = catch_unwind(AssertUnwindSafe(thunk));
+        IN_JOB.set(outer);
+        *enter(&self.outcome) = Some(outcome);
+        self.done.notify_all();
+        true
+    }
+}
+
+struct Queue {
+    jobs: VecDeque<Arc<dyn Runnable>>,
+    /// Pool threads asleep on `wake` — `spawn` skips the futex call when
+    /// there is nobody to wake.
+    sleepers: usize,
 }
 
 struct Pool {
-    state: Mutex<PoolState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    next_task: AtomicUsize,
-    n_tasks: AtomicUsize,
-    n_workers: usize,
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    threads: usize,
 }
-
-/// Set while the pool is executing a batch; a concurrent submitter runs
-/// its batch inline instead of queueing (prevents nested deadlock).
-static BUSY: AtomicBool = AtomicBool::new(false);
-static POOL: OnceLock<Pool> = OnceLock::new();
 
 thread_local! {
-    /// True on dedicated pool worker threads: nested `run` calls from
-    /// inside a task body always execute inline.
-    static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// True while this thread executes a job (always, on a pool thread): a
+    /// `spawn` from here runs at its `join`.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Worker threads beyond the submitting thread.
-pub fn extra_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1))
-        .unwrap_or(0)
-}
-
+/// The pool, its threads started on first use.
 fn pool() -> &'static Pool {
+    static POOL: OnceLock<&'static Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let n_workers = extra_workers();
-        Pool {
-            state: Mutex::new(PoolState {
-                generation: 0,
-                job: None,
-                workers_left: 0,
+        let threads = std::thread::available_parallelism().map_or(0, |n| n.get() - 1);
+        let pool: &'static Pool = Box::leak(Box::new(Pool {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                sleepers: 0,
             }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            next_task: AtomicUsize::new(0),
-            n_tasks: AtomicUsize::new(0),
-            n_workers,
+            wake: Condvar::new(),
+            threads,
+        }));
+        for i in 0..threads {
+            // Never joined: the threads live as long as the process and
+            // hold nothing but the queue. A job's panic is caught where it
+            // runs, so they cannot die with a job claimed.
+            std::thread::Builder::new()
+                .name(format!("dlion-par-{i}"))
+                .spawn(move || pool.serve())
+                .expect("spawn pool thread");
         }
+        pool
     })
 }
 
-fn spawn_workers(p: &'static Pool) {
-    static SPAWNED: AtomicBool = AtomicBool::new(false);
-    if SPAWNED.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    for w in 0..p.n_workers {
-        std::thread::Builder::new()
-            .name(format!("dlion-par-{w}"))
-            .spawn(move || {
-                IS_POOL_WORKER.with(|f| f.set(true));
-                let mut seen_gen = 0u64;
+impl Pool {
+    fn serve(&self) -> ! {
+        IN_JOB.set(true);
+        loop {
+            let job = {
+                let mut q = enter(&self.queue);
                 loop {
-                    let job = {
-                        let mut st = p.state.lock().expect("pool mutex");
-                        while st.generation == seen_gen {
-                            st = p.work_cv.wait(st).expect("pool condvar");
-                        }
-                        seen_gen = st.generation;
-                        st.job.expect("generation advanced without a job")
-                    };
-                    let f = unsafe { &*job.0 };
-                    drain(p, f);
-                    let mut st = p.state.lock().expect("pool mutex");
-                    st.workers_left -= 1;
-                    if st.workers_left == 0 {
-                        p.done_cv.notify_all();
+                    if let Some(job) = q.jobs.pop_front() {
+                        break job;
                     }
+                    q.sleepers += 1;
+                    q = self.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
+                    q.sleepers -= 1;
                 }
-            })
-            .expect("spawn pool worker");
-    }
-}
-
-/// Claim and execute tasks until the batch counter is exhausted.
-fn drain(p: &Pool, f: &(dyn Fn(usize) + Sync)) {
-    let n = p.n_tasks.load(Ordering::Acquire);
-    loop {
-        let i = p.next_task.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
+            };
+            // (A joiner may have claimed it while it sat in the queue.)
+            job.run_if_unclaimed();
         }
-        f(i);
     }
-}
 
-/// Execute `f(0), f(1), ..., f(n_tasks - 1)` across the pool (or inline when
-/// the pool is busy, nested, or the machine is single-core). Blocks until
-/// every task has completed.
-pub fn run(n_tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-    if n_tasks == 0 {
-        return;
-    }
-    let serial = || {
-        for i in 0..n_tasks {
-            f(i);
+    fn push(&self, job: Arc<dyn Runnable>) {
+        let mut q = enter(&self.queue);
+        q.jobs.push_back(job);
+        if q.sleepers > 0 {
+            self.wake.notify_one();
         }
-    };
-    if n_tasks == 1 || extra_workers() == 0 || IS_POOL_WORKER.with(|w| w.get()) {
-        return serial();
     }
-    if BUSY
-        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-        .is_err()
-    {
-        return serial();
+
+    /// Take the oldest queued job that thread `owner` spawned.
+    fn take_one_of(&self, owner: ThreadId) -> Option<Arc<dyn Runnable>> {
+        let mut q = enter(&self.queue);
+        let at = q.jobs.iter().position(|j| j.owner() == owner)?;
+        q.jobs.remove(at)
     }
-    let p = pool();
-    spawn_workers(p);
-    // Publish the batch: counters first, then the generation bump that
-    // wakes workers (the mutex orders both for every waiter).
-    let erased: &(dyn Fn(usize) + Sync) = f;
-    let job = JobPtr(unsafe {
-        std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(erased)
+}
+
+/// A spawned job's handle. Dropping it unjoined cancels the job if nobody
+/// has started it and waits for it otherwise.
+pub struct Job<R> {
+    task: Arc<Task<R>>,
+    joined: bool,
+}
+
+fn spawn_boxed<R: Send + 'static>(thunk: Thunk<R>) -> Job<R> {
+    let pool = pool();
+    let task = Arc::new(Task {
+        owner: std::thread::current().id(),
+        claimed: AtomicBool::new(false),
+        thunk: Mutex::new(Some(thunk)),
+        outcome: Mutex::new(None),
+        done: Condvar::new(),
     });
-    {
-        let mut st = p.state.lock().expect("pool mutex");
-        p.next_task.store(0, Ordering::Relaxed);
-        p.n_tasks.store(n_tasks, Ordering::Release);
-        st.job = Some(job);
-        st.generation += 1;
-        st.workers_left = p.n_workers;
-        p.work_cv.notify_all();
+    if pool.threads > 0 && !IN_JOB.get() {
+        pool.push(task.clone());
     }
-    // The submitter is a full participant.
-    drain(p, f);
-    let mut st = p.state.lock().expect("pool mutex");
-    while st.workers_left > 0 {
-        st = p.done_cv.wait(st).expect("pool condvar");
-    }
-    st.job = None;
-    drop(st);
-    BUSY.store(false, Ordering::Release);
-}
-
-/// Raw pointer wrapper so task closures (which must be `Sync`) can carry a
-/// mutable base pointer; soundness comes from tasks touching disjoint
-/// index-derived regions only.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Sync for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessed through a method so closures capture the `Sync` wrapper,
-    /// not the raw pointer field (2021-edition disjoint capture).
-    fn get(&self) -> *mut T {
-        self.0
+    Job {
+        task,
+        joined: false,
     }
 }
 
-/// Parallel `chunks_mut(chunk).enumerate().for_each(f)`: each task gets one
-/// disjoint chunk, identified by its chunk index.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
+/// Hand `job` to the pool. It starts when a pool thread is free or at
+/// [`Job::join`], whichever comes first; spawned from inside another job
+/// (or on a single-core machine) it runs at its `join`.
+pub fn spawn<R, F>(job: F) -> Job<R>
 where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    R: Send + 'static,
+    F: FnOnce() -> R + Send + 'static,
 {
-    assert!(chunk > 0, "chunk size must be positive");
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let n_chunks = len.div_ceil(chunk);
-    let base = SendPtr(data.as_mut_ptr());
-    run(n_chunks, &|i| {
-        let start = i * chunk;
-        let end = (start + chunk).min(len);
-        // Disjoint by construction: chunk i covers [i*chunk, (i+1)*chunk).
-        let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        f(i, slice);
-    });
+    spawn_boxed(Box::new(job))
 }
 
-/// Parallel lock-step chunking of two slices: task `i` receives chunk `i`
-/// of `a` (size `chunk_a`) and chunk `i` of `b` (size `chunk_b`). The two
-/// slices must describe the same number of chunks.
-pub fn par_chunks2_mut<T, U, F>(a: &mut [T], chunk_a: usize, b: &mut [U], chunk_b: usize, f: F)
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T], &mut [U]) + Sync,
-{
-    assert!(chunk_a > 0 && chunk_b > 0, "chunk sizes must be positive");
-    let n_chunks = a.len().div_ceil(chunk_a);
-    assert_eq!(
-        n_chunks,
-        b.len().div_ceil(chunk_b),
-        "slices disagree on chunk count"
-    );
-    if n_chunks == 0 {
-        return;
+impl<R: Send> Job<R> {
+    /// The job's value, computed on the calling thread if no pool thread
+    /// has started it. Re-raises the job's panic.
+    pub fn join(mut self) -> R {
+        self.joined = true;
+        if !self.task.run_if_unclaimed() {
+            // Somebody else is running it: do our own queued work
+            // meanwhile rather than sleep next to it — but go back to the
+            // caller, the only one who can spawn more, once it is done.
+            let (pool, me) = (pool(), std::thread::current().id());
+            while !self.task.is_done() {
+                match pool.take_one_of(me) {
+                    Some(other) => other.run_if_unclaimed(),
+                    None => break,
+                };
+            }
+        }
+        match self.task.wait() {
+            Ok(value) => value,
+            Err(panic) => resume_unwind(panic),
+        }
     }
-    let (la, lb) = (a.len(), b.len());
-    let pa = SendPtr(a.as_mut_ptr());
-    let pb = SendPtr(b.as_mut_ptr());
-    run(n_chunks, &|i| {
-        let (sa, sb) = (i * chunk_a, i * chunk_b);
-        let (ea, eb) = ((sa + chunk_a).min(la), (sb + chunk_b).min(lb));
-        let ca = unsafe { std::slice::from_raw_parts_mut(pa.get().add(sa), ea - sa) };
-        let cb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(sb), eb - sb) };
-        f(i, ca, cb);
-    });
 }
 
-/// Parallel map over a slice with results collected in input (index) order,
-/// independent of execution interleaving.
+impl<R> Drop for Job<R> {
+    fn drop(&mut self) {
+        if self.joined {
+            return;
+        }
+        if self.task.claim() {
+            // Nobody started it and now nobody will: drop the closure
+            // unrun (outside the lock, like everything that runs user code).
+            let unrun = enter(&self.task.thunk).take();
+            drop(unrun);
+        } else {
+            // It is running (or done): wait, and let its value or panic go.
+            drop(self.task.wait());
+        }
+    }
+}
+
+/// Map `f` over a slice on the pool, results in input (index) order
+/// whatever the execution interleaving. The caller takes part: it runs
+/// every item no pool thread got to. A panic in `f` reaches the caller
+/// after the items already running have finished.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
-    R: Send,
+    R: Send + 'static,
     F: Fn(&T) -> R + Sync,
 {
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    let base = SendPtr(out.as_mut_ptr());
-    run(items.len(), &|i| {
-        let v = f(&items[i]);
-        // Each task writes exactly one slot: its own index.
-        unsafe { *base.get().add(i) = Some(v) };
-    });
-    out.into_iter()
-        .map(|o| o.expect("pool task completed"))
-        .collect()
+    let f = &f;
+    let jobs: Vec<Job<R>> = items
+        .iter()
+        .map(|item| {
+            let thunk: Box<dyn FnOnce() -> R + Send + '_> = Box::new(move || f(item));
+            // SAFETY: the transmute only erases the closure's borrow of
+            // `items` and `f` to `'static`. Every `Job` made here lives in
+            // `jobs`, which this function consumes by `join` or — if a
+            // join unwinds — drops; both return only once the closure has
+            // run to completion or been dropped unrun, so no use of the
+            // borrows outlives this call. Afterwards the queue may still
+            // hold the `Task`, but its closure slot is empty and its
+            // outcome holds an `R: 'static`.
+            let thunk: Thunk<R> = unsafe {
+                std::mem::transmute::<Box<dyn FnOnce() -> R + Send + '_>, Thunk<R>>(thunk)
+            };
+            spawn_boxed(thunk)
+        })
+        .collect();
+    jobs.into_iter().map(Job::join).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
-    #[test]
-    fn run_covers_every_index_once() {
-        let n = 997;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        run(n, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    fn ran_on() -> Option<String> {
+        std::thread::current().name().map(str::to_string)
     }
 
     #[test]
-    fn par_chunks_mut_matches_serial() {
-        let mut a: Vec<f32> = (0..10_000).map(|i| i as f32).collect();
-        let mut b = a.clone();
-        par_chunks_mut(&mut a, 37, |ci, chunk| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = *v * 2.0 + (ci * 37 + j) as f32;
-            }
+    fn result_is_the_same_whoever_runs_the_job() {
+        let work = |seed: u64| move || (0..1000u64).fold(seed, |h, i| h.rotate_left(5) ^ i);
+        let expect = work(7)();
+        // Run by the caller: a job spawned inside a job is never queued.
+        let (by_caller, who) = spawn(move || {
+            let inner = spawn(move || (work(7)(), ran_on()));
+            let me = ran_on();
+            let (v, who) = inner.join();
+            (v, who == me)
+        })
+        .join();
+        assert!(who, "a nested job runs on its joiner");
+        assert_eq!(by_caller, expect);
+        // Run by a pool thread: wait until one reports it has started.
+        if pool().threads > 0 {
+            let (started, wait) = mpsc::channel();
+            let job = spawn(move || {
+                started.send(ran_on()).expect("the test is waiting");
+                work(7)()
+            });
+            let who = wait.recv().expect("a pool thread takes the job");
+            assert!(who.is_some_and(|n| n.starts_with("dlion-par-")));
+            assert_eq!(job.join(), expect);
+        }
+    }
+
+    #[test]
+    fn spawn_inside_a_job_runs_at_its_join() {
+        let (tx, rx) = mpsc::channel();
+        let outer = spawn(move || {
+            let tx2 = tx.clone();
+            let inner = spawn(move || tx2.send("inner").expect("receiver alive"));
+            tx.send("outer").expect("receiver alive");
+            inner.join();
         });
-        b.chunks_mut(37).enumerate().for_each(|(ci, chunk)| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = *v * 2.0 + (ci * 37 + j) as f32;
-            }
-        });
-        assert_eq!(a, b);
+        outer.join();
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec!["outer", "inner"]);
+    }
+
+    #[test]
+    fn ten_thousand_tiny_jobs_joined_in_reverse_terminate() {
+        let jobs: Vec<Job<usize>> = (0..10_000).map(|i| spawn(move || i * 2)).collect();
+        for (i, job) in jobs.into_iter().enumerate().rev() {
+            assert_eq!(job.join(), i * 2);
+        }
     }
 
     #[test]
@@ -303,29 +359,66 @@ mod tests {
         for (i, y) in ys.iter().enumerate() {
             assert_eq!(*y, i * i);
         }
-    }
-
-    #[test]
-    fn nested_run_falls_back_to_serial() {
-        let total = AtomicUsize::new(0);
-        run(8, &|_| {
-            run(8, &|_| {
-                total.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        run(0, &|_| panic!("no tasks to run"));
-        let called = AtomicUsize::new(0);
-        run(1, &|i| {
-            assert_eq!(i, 0);
-            called.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(called.load(Ordering::Relaxed), 1);
         let empty: Vec<u8> = vec![];
         assert!(par_map(&empty, |_| 0u8).is_empty());
+    }
+
+    /// What `par_chunks_mut_matches_serial` pinned, on spawn/join: chunked
+    /// work fanned over the pool lands where the serial loop puts it.
+    #[test]
+    fn chunked_work_over_par_map_matches_serial() {
+        let src: Vec<f32> = (0..10_000).map(|i| i as f32).collect();
+        let step = |ci: usize, chunk: &[f32]| -> Vec<f32> {
+            let at = |j: usize| (ci * 37 + j) as f32;
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(j, v)| v * 2.0 + at(j))
+                .collect()
+        };
+        let chunks: Vec<(usize, &[f32])> = src.chunks(37).enumerate().collect();
+        let a: Vec<f32> = par_map(&chunks, |&(ci, c)| step(ci, c)).concat();
+        let b: Vec<f32> = chunks.iter().flat_map(|&(ci, c)| step(ci, c)).collect();
+        assert_eq!(a, b);
+    }
+
+    /// What `nested_run_falls_back_to_serial` pinned: a fan-out inside a
+    /// fan-out completes, every inner item exactly once.
+    #[test]
+    fn nested_par_map_runs_inline() {
+        let outer: Vec<usize> = (0..8).collect();
+        let sums = par_map(&outer, |&o| {
+            let inner: Vec<usize> = (0..8).collect();
+            par_map(&inner, |&i| o * 8 + i).into_iter().sum::<usize>()
+        });
+        assert_eq!(sums.iter().sum::<usize>(), (0..64).sum());
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_and_the_pool_survives() {
+        let xs: Vec<usize> = (0..8).collect();
+        let caught = catch_unwind(|| {
+            par_map(&xs, |&x| {
+                assert!(x != 5, "item five fails");
+                x
+            })
+        });
+        let panic = caught.expect_err("the panic must reach the caller");
+        let text = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied());
+        assert!(text.is_some_and(|t| t.contains("item five fails")));
+        assert_eq!(par_map(&xs, |&x| x + 1), (1..=8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_dropped_job_no_longer_holds_its_closure() {
+        let held = Arc::new(());
+        let in_job = held.clone();
+        drop(spawn(move || drop(in_job)));
+        // Cancelled unrun, or run to completion before `drop` returned:
+        // the closure and what it captured are gone either way.
+        assert_eq!(Arc::strong_count(&held), 1);
     }
 }

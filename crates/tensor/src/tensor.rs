@@ -4,9 +4,9 @@
 //! operations, no views or broadcasting machinery beyond what the NN stack
 //! needs. Heavy kernels live in [`crate::ops`].
 
-use crate::deterministic_sum;
 use crate::rng::DetRng;
 use crate::shape::Shape;
+use crate::{chunked_sum, deterministic_sum};
 use std::sync::Arc;
 
 /// A dense, row-major tensor of `f32` with copy-on-write storage.
@@ -224,8 +224,7 @@ impl Tensor {
 
     /// Squared L2 norm.
     pub fn sq_l2(&self) -> f32 {
-        let sq: Vec<f32> = self.data.iter().map(|&x| x * x).collect();
-        deterministic_sum(&sq)
+        chunked_sum(&self.data, |&x| x * x)
     }
 
     /// L2 norm.

@@ -4,10 +4,13 @@
 //! `DetRng`), replacing the external proptest dependency: same invariants,
 //! reproducible offline.
 
-use dlion_tensor::ops::{matmul_into, matmul_naive, matmul_nt_into, matmul_tn_into};
+use dlion_tensor::ops::{
+    col2im_into, conv2d_backward_im2col_s, conv2d_im2col_s, im2col_into, matmul_into, matmul_naive,
+    matmul_nt_into, matmul_tn_into,
+};
 use dlion_tensor::sparse::{kth_largest_abs, max_n_select, n_for_budget};
 use dlion_tensor::stats::linear_fit;
-use dlion_tensor::{DetRng, Shape, Tensor};
+use dlion_tensor::{deterministic_sum, DetRng, Scratch, Shape, Tensor};
 
 fn finite_vec(rng: &mut DetRng, max_len: usize) -> Vec<f32> {
     let len = 1 + rng.index(max_len - 1);
@@ -156,8 +159,8 @@ fn linear_fit_recovers_line() {
 /// The blocked kernels' central contract: `matmul_into`, `matmul_nt_into`
 /// and `matmul_tn_into` are *bit-identical* (exact f32 equality) to the
 /// naive `i,j,k` triple loop, across random shapes deliberately not
-/// divisible by the MR=4 / NR=16 / MC=32 tile sizes, and overwrite every
-/// slot of a stale (NaN-filled) output buffer.
+/// divisible by the MR=4 / NR=16 tile sizes, and overwrite every slot of a
+/// stale (NaN-filled) output buffer.
 #[test]
 fn blocked_kernels_exactly_match_naive_reference() {
     for case in 0..96u64 {
@@ -184,6 +187,67 @@ fn blocked_kernels_exactly_match_naive_reference() {
         buf.fill(f32::NAN);
         matmul_tn_into(&at, &b, &mut buf);
         assert_eq!(buf, expect.data(), "case {case}: matmul_tn {m}x{k}x{n}");
+    }
+}
+
+/// The im2col convolution views the filter bank as `(F, C·KH·KW)` in place
+/// (shared storage): forward and `dinput` carry the same bits as the same
+/// lowering fed a materialized copy of the bank, and the bank is untouched.
+#[test]
+fn im2col_conv_reads_the_filter_bank_in_place() {
+    let mut s = Scratch::new();
+    for case in 0..24u64 {
+        let mut rng = DetRng::seed_from_u64(6500 + case);
+        let (n, c, f) = (1 + rng.index(3), 1 + rng.index(4), 1 + rng.index(6));
+        let (k, pad) = (1 + 2 * rng.index(2), rng.index(2));
+        let (h, w) = (k + rng.index(6), k + rng.index(6));
+        let (oh, ow) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
+        let (rows, row_len) = (n * oh * ow, c * k * k);
+        let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
+        let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
+        let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
+        let dout = Tensor::randn(Shape::d4(n, f, oh, ow), 1.0, &mut rng);
+        let bank = weight.data().to_vec();
+        let wcopy = Tensor::from_vec(Shape::d2(f, row_len), bank.clone());
+
+        let mut patches = vec![f32::NAN; rows * row_len];
+        im2col_into(&input, k, k, pad, &mut patches);
+        let patches = Tensor::from_vec(Shape::d2(rows, row_len), patches);
+        let mut prod = vec![f32::NAN; rows * f];
+        matmul_nt_into(&patches, &wcopy, &mut prod);
+        let expect = Tensor::from_fn(Shape::d4(n, f, oh, ow), |i| {
+            let (ni, fi, p) = (i / (f * oh * ow), i / (oh * ow) % f, i % (oh * ow));
+            prod[(ni * oh * ow + p) * f + fi] + bias.data()[fi]
+        });
+        let got = conv2d_im2col_s(&input, &weight, &bias, pad, &mut s);
+        assert_eq!(got.data(), expect.data(), "case {case}: forward");
+
+        let drows = Tensor::from_fn(Shape::d2(rows, f), |i| {
+            let (r, fi) = (i / f, i % f);
+            dout.data()[(r / (oh * ow) * f + fi) * oh * ow + r % (oh * ow)]
+        });
+        let mut dpatches = vec![f32::NAN; rows * row_len];
+        matmul_into(&drows, &wcopy, &mut dpatches);
+        let dpatches = Tensor::from_vec(Shape::d2(rows, row_len), dpatches);
+        let mut dinput = vec![0.0; n * c * h * w];
+        col2im_into(&dpatches, n, c, h, w, k, k, pad, &mut dinput);
+        let grads = conv2d_backward_im2col_s(&input, &weight, &dout, pad, &mut s);
+        assert_eq!(grads.dinput.data(), &dinput[..], "case {case}: dinput");
+        assert_eq!(weight.data(), &bank[..], "case {case}: bank rewritten");
+    }
+}
+
+/// `sq_l2` folds the squaring into the repo's one summation order: the same
+/// bits as summing a squared copy, on either side of the 4096 chunk.
+#[test]
+fn sq_l2_exactly_matches_summing_a_squared_copy() {
+    for case in 0..32u64 {
+        let mut rng = DetRng::seed_from_u64(6800 + case);
+        let len = 1 + rng.index(3 * 4096);
+        let t = Tensor::randn(Shape::d1(len), 3.0, &mut rng);
+        let squared: Vec<f32> = t.data().iter().map(|&x| x * x).collect();
+        let expect = deterministic_sum(&squared);
+        assert_eq!(t.sq_l2().to_bits(), expect.to_bits(), "case {case}");
     }
 }
 

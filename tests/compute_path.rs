@@ -4,9 +4,14 @@
 //! served them — a throwaway one, a warm one, or one that has already
 //! served other batch sizes — on either conv backend (batch 1 takes the
 //! direct loops for all three CipherNet convs, batch 32 im2col + GEMM).
+//! Nor can it depend on which thread computed it: the simulator runs each
+//! worker's gradient step as a pool job, and a run whose jobs go to the
+//! pool equals one whose jobs run inline.
 
+use dlion::core::{run_env, RunConfig, SystemKind};
+use dlion::microcloud::EnvId;
 use dlion::nn::{Dataset, Model, ModelSpec};
-use dlion::tensor::{DetRng, Scratch, Tensor};
+use dlion::tensor::{par, DetRng, Scratch, Tensor};
 
 fn cipher(ds: &Dataset) -> Model {
     let mut rng = DetRng::seed_from_u64(7);
@@ -75,4 +80,24 @@ fn evaluate_is_repeatable_and_leaves_training_alone() {
             "evaluation touched the arena"
         );
     }
+}
+
+/// One DLion cell run from this thread (its gradient and evaluation jobs
+/// go to the pool) and inside a `par_map` item (a spawn from inside a job
+/// runs at its join, so every job runs inline): every number equal. The
+/// fault and strict-BSP variants live beside the runner
+/// (`pooled_jobs_change_no_number_under_faults_or_strict_bsp`).
+#[test]
+fn a_run_with_pooled_jobs_equals_the_same_run_inline() {
+    let mut cfg = RunConfig::small_test(SystemKind::DLion);
+    cfg.capture_weights = true;
+    let pooled = run_env(&cfg, EnvId::HeteroSysA);
+    let inline = par::par_map(&[cfg], |cfg| run_env(cfg, EnvId::HeteroSysA)).remove(0);
+    assert!(pooled.total_iterations() > 50, "{:?}", pooled.iterations);
+    assert_eq!(pooled.final_weights, inline.final_weights);
+    assert_eq!(pooled.iterations, inline.iterations);
+    assert_eq!(pooled.worker_acc, inline.worker_acc);
+    assert_eq!(pooled.gbs_trace, inline.gbs_trace);
+    assert_eq!(pooled.lbs_trace, inline.lbs_trace);
+    assert_eq!(pooled.wire_bytes_by_kind, inline.wire_bytes_by_kind);
 }
