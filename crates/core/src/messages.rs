@@ -424,8 +424,9 @@ pub fn trace_wire_bytes(vt: f64, w: Option<usize>, by_kind: &BTreeMap<String, f6
 //   12      8     checksum
 //   20      ...   body
 //
-// Plain frames (flags == 0): `checksum` is the lane-parallel FNV digest
-// over bytes [0..12) ++ body, and exactly `body_len` body bytes follow.
+// Plain frames (flags == 0): `checksum` is `frame_checksum(bytes [0..12),
+// body)` — the lane checksum of the body, seeded with the header prefix —
+// and exactly `body_len` body bytes follow.
 //
 // Chunked streams (flags & FLAG_CHUNKED): `body_len` is the *total* body
 // length, `checksum` covers only bytes [0..12) (the body checksums ride on
@@ -433,22 +434,39 @@ pub fn trace_wire_bytes(vt: f64, w: Option<usize>, by_kind: &BTreeMap<String, f6
 //
 //   chunk_len u32 | chunk_sum u64 | chunk bytes
 //
-// until `body_len` body bytes have been covered. Each `chunk_sum` is the
-// lane-parallel FNV digest of that chunk's bytes *seeded with the chunk
-// index*, so a reader verifies incrementally as chunks land, and a
-// reordered chunk fails verification even when its bytes are intact.
+// until `body_len` body bytes have been covered. Each `chunk_sum` is
+// `chunk_checksum(index, chunk bytes)` — the lane checksum of that chunk
+// *seeded with the chunk index* — so a reader verifies incrementally as
+// chunks land, and a reordered chunk fails verification even when its
+// bytes are intact.
+//
+// The lane checksum (wire v3; DESIGN.md "Frame format (v3)" is normative):
+// 32 `u64` lanes start from fixed constants; lane `i` absorbs the
+// little-endian 8-byte words `i, i+32, i+64, ...` of the input by
+// `lane = ((lane ^ word) * LANE_MUL).rotate_left(29)`, the last partial
+// 256-byte block zero-padded; the 32 lanes are halved five times by the
+// same step (`lane[i] = step(lane[i], lane[i + width])`), and the digest is
+// `step(step(seed, lane[0]), byte length)`, the seed being the folded
+// header prefix or chunk index. Every step is a bijection of its state
+// and injective in the word, so a change confined to one aligned word —
+// or to the seed, or to the length — always changes the digest, and the
+// rotate keeps a bit position from cancelling between two words of a
+// lane. One pass runs at memory speed, which is why the sender,
+// `read_frame` and `decode_wire` can all verify every byte.
 //
 // The checksums cover the header prefix as well as the body, so any
-// single-byte corruption anywhere in the frame — including the kind or
+// single-bit corruption anywhere in the frame — including the kind or
 // length fields — is detected. Decoding is fully bounds-checked and never
 // panics; every failure mode maps to a `WireError`.
 
 /// Frame magic: "DLion Wire Frame".
 pub const WIRE_MAGIC: [u8; 4] = *b"DLWF";
-/// Codec version; bump on any incompatible layout change. Version 2:
-/// lane-parallel FNV checksums, flags byte, chunked streams, quantized
-/// gradient variants.
-pub const WIRE_VERSION: u16 = 2;
+/// Codec version; bump on any incompatible change. Version 2: flags byte,
+/// chunked streams, quantized gradient variants, byte-wise [`Fnv8`]
+/// checksums. Version 3: same layout and sizes, the frame and chunk
+/// checksums are the word-wise lane checksum ([`frame_checksum`],
+/// [`chunk_checksum`]); a v2 frame is rejected as `BadVersion(2)`.
+pub const WIRE_VERSION: u16 = 3;
 /// Fixed frame header size in bytes (magic..checksum).
 pub const FRAME_HEADER_BYTES: usize = 20;
 /// Bytes of the header covered by the frame checksum (magic..body_len).
@@ -615,8 +633,8 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a 64-bit over a byte slice (seeded); used for the short digest
-/// fold and header-only sums where throughput is irrelevant.
+/// FNV-1a 64-bit over a byte slice (seeded); the serial fold inside
+/// [`Fnv8`].
 fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
@@ -630,13 +648,15 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 const FNV_LANES: usize = 8;
 
-/// Lane-parallel FNV-1a-64: eight independent FNV states, lane `i`
-/// consuming bytes `i, i+8, i+16, ...`. Byte-serial FNV is a 1-byte
-/// xor→multiply dependency chain (latency-bound, ~0.5 GB/s); eight
-/// independent lanes turn it throughput-bound and autovectorize, which is
-/// what lets the codec saturate the socket instead of the checksum.
-/// [`Fnv8::digest`] folds the lanes plus the total length through a short
-/// serial FNV, so truncation and cross-lane swaps still change the digest.
+/// Lane-parallel FNV-1a-64, the repo's *digest* hash: eight independent
+/// FNV states, lane `i` consuming bytes `i, i+8, i+16, ...`, updatable at
+/// any split. Result digests (the benchmark's input and output digests)
+/// are built on it, so its bits never change. It is no longer the frame
+/// checksum: one byte per multiply is latency-bound at ~1.7 GB/s however
+/// it vectorizes, and wire v3 moved the frames to the word-wise
+/// [`frame_checksum`]. [`Fnv8::digest`] folds the lanes plus the total
+/// length through a short serial FNV, so truncation and cross-lane swaps
+/// still change the digest.
 #[derive(Clone, Debug)]
 pub struct Fnv8 {
     lanes: [u64; FNV_LANES],
@@ -689,21 +709,75 @@ impl Fnv8 {
     }
 }
 
-/// Checksum of a plain frame: lane-parallel FNV over the 12-byte header
-/// prefix, continued over the body.
+/// Lanes of the frame checksum: 32 `u64`s, four 512-bit (eight 256-bit)
+/// vectors of independent multiply chains.
+const SUM_LANES: usize = 32;
+/// Bytes one round over the lanes absorbs.
+const SUM_BLOCK_BYTES: usize = 8 * SUM_LANES;
+/// Odd multiplier of the checksum step (2⁶⁴/φ).
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+const LANE_ROT: u32 = 29;
+
+/// One checksum step: absorb `word` into `state`. For a fixed word it is a
+/// bijection of the state (xor, odd multiply, rotate), for a fixed state
+/// injective in the word.
+#[inline(always)]
+fn lane_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(LANE_MUL).rotate_left(LANE_ROT)
+}
+
+/// Fold `bytes` into a seed, 8 little-endian bytes per step, the last
+/// partial word zero-padded.
+fn seed_from(bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(FNV_OFFSET, |h, ch| {
+        let mut word = [0u8; 8];
+        word[..ch.len()].copy_from_slice(ch);
+        lane_step(h, u64::from_le_bytes(word))
+    })
+}
+
+/// The word-wise lane checksum of `bytes` under `seed` (see the layout
+/// comment above and DESIGN.md "Frame format (v3)").
+fn lane_checksum(seed: u64, bytes: &[u8]) -> u64 {
+    // Lane i starts at (i + 1) · LANE_MUL: distinct and never zero, the one
+    // state an all-zero input would leave in place.
+    let mut lanes: [u64; SUM_LANES] =
+        std::array::from_fn(|i| (i as u64 + 1).wrapping_mul(LANE_MUL));
+    let mut absorb = |block: &[u8]| {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = lane_step(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+        }
+    };
+    let mut blocks = bytes.chunks_exact(SUM_BLOCK_BYTES);
+    blocks.by_ref().for_each(&mut absorb);
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; SUM_BLOCK_BYTES];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&last);
+    }
+    // Fold the lanes as a tree (five dependent steps, not 32: this is the
+    // fixed cost every small frame pays), then bind the seed and length.
+    let mut width = SUM_LANES / 2;
+    while width > 0 {
+        for i in 0..width {
+            lanes[i] = lane_step(lanes[i], lanes[i + width]);
+        }
+        width /= 2;
+    }
+    lane_step(lane_step(seed, lanes[0]), bytes.len() as u64)
+}
+
+/// Checksum of a plain frame: the lane checksum of the body, seeded with
+/// the 12-byte header prefix.
 pub fn frame_checksum(header_prefix: &[u8], body: &[u8]) -> u64 {
-    let mut f = Fnv8::new(FNV_OFFSET);
-    f.update(header_prefix);
-    f.update(body);
-    f.digest()
+    lane_checksum(seed_from(header_prefix), body)
 }
 
 /// Checksum of one chunk of a chunked stream, seeded with the chunk index
 /// so intact-but-reordered chunks fail verification.
 pub fn chunk_checksum(index: u64, bytes: &[u8]) -> u64 {
-    let mut f = Fnv8::new(FNV_OFFSET ^ index.wrapping_mul(FNV_PRIME));
-    f.update(bytes);
-    f.digest()
+    lane_checksum(lane_step(FNV_OFFSET, index), bytes)
 }
 
 /// Build the 20-byte frame header. `checksum == None` computes the
@@ -990,10 +1064,12 @@ impl<W: std::io::Write> WireSink for ChunkSink<'_, W> {
     }
 }
 
-/// Batch size (in values) for the bulk putters' stack buffer.
-const PUT_BATCH: usize = 64;
+/// Batch size (in values) for the bulk putters' stack buffer: large enough
+/// that the per-`put` bookkeeping is noise next to the conversion loop
+/// (fp16 encodes 1.6× faster at 512 than at 64), small enough to stay in L1.
+const PUT_BATCH: usize = 512;
 
-/// Bulk little-endian f32 emit: 64 values per `put` through a stack
+/// Bulk little-endian f32 emit: one `put` per batch through a stack
 /// buffer; the inner loop is a straight store on LE targets.
 fn put_f32s<S: WireSink>(s: &mut S, xs: &[f32]) -> std::io::Result<()> {
     let mut buf = [0u8; 4 * PUT_BATCH];
@@ -1021,7 +1097,7 @@ fn put_f16s<S: WireSink>(s: &mut S, xs: &[f32]) -> std::io::Result<()> {
     let mut buf = [0u8; 2 * PUT_BATCH];
     for ch in xs.chunks(PUT_BATCH) {
         for (i, &x) in ch.iter().enumerate() {
-            buf[2 * i..2 * i + 2].copy_from_slice(&f32_to_f16_bits(x).to_le_bytes());
+            buf[2 * i..2 * i + 2].copy_from_slice(&f16_bits_select(x).to_le_bytes());
         }
         s.put(&buf[..2 * ch.len()])?;
     }
@@ -1214,6 +1290,58 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     }
 }
 
+/// [`f32_to_f16_bits`] without branches, for the bulk encoder: the three
+/// ranges (inf/NaN/overflow, normal, subnormal) are all computed and one is
+/// selected, so a loop over it vectorizes. Bit-identical to the reference
+/// on every input (`bulk_f16_encode_matches_the_reference_*` tests).
+#[inline(always)]
+fn f16_bits_select(x: f32) -> u16 {
+    let bits = x.to_bits();
+    let sign = (bits >> 16) & 0x8000;
+    let abs = bits & 0x7fff_ffff;
+    // Exponent above 15 (or inf): ±inf; NaN: quiet bit set.
+    let special = if abs > 0x7f80_0000 { 0x7e00 } else { 0x7c00 };
+    // Normal half: re-bias the exponent and round the 13 dropped mantissa
+    // bits to nearest even with one integer add; a mantissa carry walks
+    // into the exponent, up to 0x7c00 = inf.
+    let odd = (abs >> 13) & 1;
+    let normal = abs.wrapping_sub((112 << 23) - 0xfff - odd) >> 13;
+    // Subnormal half (and underflow to zero): adding 0.5 leaves exactly
+    // the 10 result bits at the bottom of the f32 mantissa, rounded to
+    // nearest even by the IEEE add itself.
+    let half = 0.5f32.to_bits();
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits().wrapping_sub(half);
+    let magnitude = if abs >= (143 << 23) {
+        special
+    } else if abs < (113 << 23) {
+        subnormal
+    } else {
+        normal
+    };
+    (sign | magnitude) as u16
+}
+
+/// [`f16_bits_to_f32`] without branches, for the bulk decoder.
+#[inline(always)]
+fn f16_to_f32_select(h: u16) -> f32 {
+    let h = h as u32;
+    let sign = (h & 0x8000) << 16;
+    let exp = (h >> 10) & 0x1f;
+    let mant = h & 0x3ff;
+    let normal = ((exp + 112) << 23) | (mant << 13);
+    // mant · 2⁻²⁴: both conversions exact; zero stays zero.
+    let subnormal = (mant as f32 * (1.0 / 16_777_216.0)).to_bits();
+    let special = if mant == 0 { 0x7f80_0000 } else { 0x7fc0_0000 };
+    let magnitude = if exp == 0 {
+        subnormal
+    } else if exp == 0x1f {
+        special
+    } else {
+        normal
+    };
+    f32::from_bits(sign | magnitude)
+}
+
 /// Symmetric int8 quantization: `round(x · inv_scale)` clamped to
 /// ±127 (`inv_scale = 127 / max|g|`; 0 when the tensor is all zero).
 pub fn quantize_i8(x: f32, inv_scale: f32) -> i8 {
@@ -1225,9 +1353,9 @@ pub fn quantize_i8(x: f32, inv_scale: f32) -> i8 {
 // ===================================================================
 
 /// Decode one tensor of the given gradient variant, drawing value storage
-/// from `pool`. The fill loops read 4-byte (f32), 2-byte (f16) or 1-byte
-/// (i8) lanes straight off the validated body slice — no per-element
-/// `Vec::push`, no reallocation when the pool is warm.
+/// from `pool`. The values are `extend`ed from 4-byte (f32), 2-byte (f16)
+/// or 1-byte (i8) lanes of the validated body slice: one reservation (none
+/// when the pool is warm), no zero-fill before the real values land.
 fn dec_tensor_fmt(
     c: &mut Cursor<'_>,
     variant: u8,
@@ -1263,23 +1391,18 @@ fn dec_tensor_fmt(
     let bytes = c.take(need)?;
     let mut data = pool.pop().unwrap_or_default();
     data.clear();
-    data.resize(numel, 0.0);
     match variant {
-        GRAD_VARIANT_F16 => {
-            for (dst, src) in data.iter_mut().zip(bytes.chunks_exact(2)) {
-                *dst = f16_bits_to_f32(u16::from_le_bytes(src.try_into().unwrap()));
-            }
-        }
-        GRAD_VARIANT_I8 => {
-            for (dst, &src) in data.iter_mut().zip(bytes) {
-                *dst = (src as i8) as f32 * scale;
-            }
-        }
-        _ => {
-            for (dst, src) in data.iter_mut().zip(bytes.chunks_exact(4)) {
-                *dst = f32::from_le_bytes(src.try_into().unwrap());
-            }
-        }
+        GRAD_VARIANT_F16 => data.extend(
+            bytes
+                .chunks_exact(2)
+                .map(|b| f16_to_f32_select(u16::from_le_bytes(b.try_into().unwrap()))),
+        ),
+        GRAD_VARIANT_I8 => data.extend(bytes.iter().map(|&b| (b as i8) as f32 * scale)),
+        _ => data.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().unwrap())),
+        ),
     }
     Ok(Tensor::from_vec(Shape(dims), data))
 }
@@ -1294,22 +1417,23 @@ fn dec_sparse(c: &mut Cursor<'_>) -> Result<SparseVec, WireError> {
         .checked_mul(ENC_SPARSE_ENTRY_BYTES)
         .ok_or(WireError::Malformed("sparse entry count overflow"))?;
     c.ensure(need)?;
-    let mut indices: Vec<u32> = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        let i = c.u32()?;
-        if i as usize >= dense_len {
-            return Err(WireError::Malformed("sparse index out of range"));
-        }
-        if indices.last().is_some_and(|&prev| i <= prev) {
-            return Err(WireError::Malformed("sparse indices not increasing"));
-        }
-        indices.push(i);
+    let indices: Vec<u32> = c
+        .take(4 * nnz)?
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    // Strictly increasing and the last one in range ⇒ all in range.
+    if !indices.windows(2).all(|w| w[0] < w[1]) {
+        return Err(WireError::Malformed("sparse indices not increasing"));
     }
-    let value_bytes = c.take(4 * nnz)?;
-    let mut values = vec![0.0f32; nnz];
-    for (dst, src) in values.iter_mut().zip(value_bytes.chunks_exact(4)) {
-        *dst = f32::from_le_bytes(src.try_into().unwrap());
+    if indices.last().is_some_and(|&i| i as usize >= dense_len) {
+        return Err(WireError::Malformed("sparse index out of range"));
     }
+    let values: Vec<f32> = c
+        .take(4 * nnz)?
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
     Ok(SparseVec {
         indices,
         values,
@@ -1512,6 +1636,55 @@ mod tests {
         );
     }
 
+    /// A hand-built gradient body up to its single variable.
+    fn one_var_grad_body(variant: u8) -> Vec<u8> {
+        let mut body = Vec::new();
+        super::put_u64(&mut body, 0); // iteration
+        super::put_u32(&mut body, 32); // lbs
+        super::put_f64(&mut body, 1.0); // n_used
+        body.push(variant);
+        super::put_u32(&mut body, 1); // one var
+        body
+    }
+
+    /// A one-variable sparse gradient frame with the given index list.
+    fn sparse_frame(dense_len: u32, nnz: u32, indices: &[u32]) -> Vec<u8> {
+        let mut body = one_var_grad_body(GRAD_VARIANT_SPARSE);
+        super::put_u32(&mut body, dense_len);
+        super::put_u32(&mut body, nnz);
+        for &i in indices {
+            super::put_u32(&mut body, i);
+        }
+        for i in 0..indices.len() {
+            super::put_f32(&mut body, i as f32);
+        }
+        encode_frame(KIND_GRAD, &body)
+    }
+
+    #[test]
+    fn decode_rejects_bad_sparse_index_lists() {
+        let decode = |frame: Vec<u8>| Payload::from_wire(&frame, &mut Vec::new());
+        assert!(decode(sparse_frame(10, 3, &[2, 5, 9])).is_ok());
+        for (dense_len, nnz, indices, what) in [
+            (10, 3, &[2, 7, 5][..], "sparse indices not increasing"), // unsorted
+            (10, 3, &[2, 5, 5][..], "sparse indices not increasing"), // duplicate
+            (10, 3, &[2, 5, 10][..], "sparse index out of range"),    // last one past the end
+            (2, 3, &[0, 1, 2][..], "sparse nnz exceeds dense length"),
+        ] {
+            assert_eq!(
+                decode(sparse_frame(dense_len, nnz, indices)),
+                Err(WireError::Malformed(what)),
+                "{indices:?} in {dense_len}"
+            );
+        }
+        // Fewer entries present than `nnz` announces: refused before any
+        // allocation sized by it.
+        assert!(matches!(
+            decode(sparse_frame(1 << 30, 1 << 29, &[1, 2])),
+            Err(WireError::Truncated { .. })
+        ));
+    }
+
     #[test]
     fn payload_kinds() {
         assert_eq!(Payload::Grad(sparse_msg()).kind(), "grad");
@@ -1654,6 +1827,119 @@ mod tests {
         assert_eq!(second.to_wire(&PLAIN), frame);
         second.recycle(&mut pool);
         assert!(pool[0].capacity() >= cap_before);
+    }
+
+    /// f32 bit patterns around every rounding decision of the f32 → f16
+    /// conversion: each exponent and sign with mantissas at the ends, at
+    /// the tie of the normal range and next to it; ±0, ±inf, NaNs; and the
+    /// band that lands in the subnormal half range (2⁻²⁵…2⁻¹⁴, dropping
+    /// 14…24 mantissa bits) with ties, near-ties, odd and even keepers at
+    /// every shift.
+    fn f16_edge_patterns() -> Vec<u32> {
+        let mut bits = vec![0, 0x8000_0000, 0x7f80_0000, 0xff80_0000];
+        bits.extend([0x7f80_0001, 0x7fc0_0000, 0xffc0_1234, 0x7fff_ffff]);
+        for sign in [0u32, 0x8000_0000] {
+            for exp in 0..=0xffu32 {
+                for mant in [0, 1, 0x0fff, 0x1000, 0x1001, 0x1fff, 0x7f_e000, 0x7f_ffff] {
+                    bits.push(sign | (exp << 23) | mant);
+                }
+            }
+            for exp in (127 - 26)..=(127 - 14) {
+                for p in 0..23 {
+                    let one = 1u32 << p;
+                    for mant in [one, one - 1, one + 1, 3 * one, 0x7f_ffff ^ one] {
+                        bits.push(sign | (exp << 23) | (mant & 0x7f_ffff));
+                    }
+                }
+            }
+        }
+        bits
+    }
+
+    /// The bulk encoder's halves for `xs`.
+    fn bulk_f16(xs: &[f32]) -> Vec<u16> {
+        let mut out = Vec::new();
+        put_f16s(&mut out, xs).unwrap();
+        out.chunks_exact(2)
+            .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_f16_encode_matches_the_reference_at_every_rounding_edge() {
+        let xs: Vec<f32> = f16_edge_patterns()
+            .into_iter()
+            .map(f32::from_bits)
+            .collect();
+        for (x, got) in xs.iter().zip(bulk_f16(&xs)) {
+            assert_eq!(got, f32_to_f16_bits(*x), "{:#010x}", x.to_bits());
+        }
+    }
+
+    /// Release-only (`cargo test --release -p dlion-core -- --ignored f16`,
+    /// about ten seconds): all 2³² inputs.
+    #[test]
+    #[ignore]
+    fn bulk_f16_encode_matches_the_reference_on_every_f32() {
+        const STEP: u32 = 1 << 16;
+        let mut xs = vec![0f32; STEP as usize];
+        for base in (0..=u32::MAX).step_by(STEP as usize) {
+            for (i, x) in xs.iter_mut().enumerate() {
+                *x = f32::from_bits(base + i as u32);
+            }
+            for (x, got) in xs.iter().zip(bulk_f16(&xs)) {
+                assert_eq!(got, f32_to_f16_bits(*x), "{:#010x}", x.to_bits());
+            }
+        }
+    }
+
+    /// A dense gradient body of one rank-1 tensor in the given quantized
+    /// variant, straight from raw value bytes.
+    fn quantized_frame(variant: u8, scale: Option<f32>, numel: u32, values: &[u8]) -> Vec<u8> {
+        let mut body = one_var_grad_body(variant);
+        body.push(1); // rank
+        super::put_u32(&mut body, numel);
+        if let Some(scale) = scale {
+            super::put_f32(&mut body, scale);
+        }
+        body.extend_from_slice(values);
+        encode_frame(KIND_GRAD, &body)
+    }
+
+    fn decoded_values(frame: &[u8]) -> Vec<f32> {
+        match Payload::from_wire(frame, &mut Vec::new()).unwrap() {
+            Payload::Grad(GradMsg {
+                data: GradData::Dense(mut vars),
+                ..
+            }) => vars.remove(0).into_data(),
+            other => panic!("decoded to {}", other.kind()),
+        }
+    }
+
+    #[test]
+    fn f16_decode_matches_the_reference_on_every_half() {
+        for h in 0..=u16::MAX {
+            let (got, want) = (f16_to_f32_select(h), f16_bits_to_f32(h));
+            assert_eq!(got.to_bits(), want.to_bits(), "{h:#06x}");
+        }
+        // ...and through the bulk decoder, which is what receivers run.
+        let halves: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let got = decoded_values(&quantized_frame(GRAD_VARIANT_F16, None, 1 << 16, &halves));
+        for (h, got) in (0..=u16::MAX).zip(got) {
+            assert_eq!(got.to_bits(), f16_bits_to_f32(h).to_bits(), "{h:#06x}");
+        }
+    }
+
+    #[test]
+    fn int8_bulk_decode_matches_the_reference_on_every_byte() {
+        let bytes: Vec<u8> = (0..=u8::MAX).collect();
+        for scale in [0.0f32, 1.0, 0.0123, -3.5e-7, 7.0e30, f32::INFINITY] {
+            let got = decoded_values(&quantized_frame(GRAD_VARIANT_I8, Some(scale), 256, &bytes));
+            for (b, got) in bytes.iter().zip(got) {
+                let want = (*b as i8) as f32 * scale;
+                assert_eq!(got.to_bits(), want.to_bits(), "{b} × {scale}");
+            }
+        }
     }
 
     #[test]

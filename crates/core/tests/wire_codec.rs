@@ -9,9 +9,10 @@
 //! proptest dependency.
 
 use dlion_core::messages::{
-    decode_frame, encode_frame, GradData, GradMsg, Payload, WireCfg, WireError, WireFormat,
-    CHUNK_HEADER_BYTES, CONTROL_BYTES, ENC_DENSE_ENTRY_BYTES, ENC_SPARSE_ENTRY_BYTES,
-    FRAME_HEADER_BYTES, KIND_GRAD, MAX_FRAME_BODY_BYTES, WIRE_MAGIC, WIRE_VERSION,
+    chunk_checksum, decode_frame, decode_wire, encode_frame, frame_checksum, GradData, GradMsg,
+    Payload, WireCfg, WireError, WireFormat, CHUNK_HEADER_BYTES, CONTROL_BYTES,
+    ENC_DENSE_ENTRY_BYTES, ENC_SPARSE_ENTRY_BYTES, FRAME_HEADER_BYTES, KIND_GRAD,
+    MAX_FRAME_BODY_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };
 use dlion_tensor::{DetRng, Shape, SparseVec, Tensor};
 
@@ -455,4 +456,173 @@ fn control_bytes_are_exact_encoded_sizes() {
         dkt.wire_bytes(357.0, 14_000),
         dkt.to_wire(&PLAIN).len() as f64
     );
+}
+
+// ------------------------------------------------------------------
+// Wire v3: properties of the word-wise lane checksum.
+// ------------------------------------------------------------------
+
+/// A ~2 KB dense gradient as one plain frame and as a 3-chunk stream
+/// (768-byte chunks: three 256-byte checksum blocks each, so words `j`
+/// and `j + 32` of a chunk share a lane).
+fn plain_and_chunked() -> (Vec<u8>, Vec<u8>, WireCfg) {
+    let mut rng = DetRng::seed_from_u64(8000);
+    let p = big_dense_payload(&mut rng, 500);
+    let cfg = WireCfg {
+        format: WireFormat::Dense,
+        chunk_bytes: 768,
+    };
+    let chunked = p.to_wire(&cfg);
+    let body_len = p.body_len_with(cfg.format);
+    assert_eq!(body_len.div_ceil(cfg.chunk_bytes), 3, "three chunks");
+    (p.to_wire(&PLAIN), chunked, cfg)
+}
+
+fn rejects(stream: &[u8]) -> bool {
+    decode_wire(stream, &mut Vec::new()).is_err()
+}
+
+/// Re-stamp a chunked stream's header checksum after editing its prefix,
+/// so only the chunk checksums stand between the edit and the decoder.
+fn restamp_chunked_header(stream: &mut [u8]) {
+    let sum = frame_checksum(&stream[0..12], &[]);
+    stream[12..20].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn every_single_bit_flip_is_rejected() {
+    // Header prefix, checksum field, chunk headers, body: all of them.
+    let (plain, chunked, _) = plain_and_chunked();
+    for stream in [&plain, &chunked] {
+        assert!(!rejects(stream));
+        for pos in 0..stream.len() {
+            for bit in 0..8 {
+                let mut bad = stream.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(rejects(&bad), "bit {bit} of byte {pos} decoded");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_same_bit_flipped_in_two_words_of_a_lane_is_rejected() {
+    // The blind spot of xor-multiply without the rotate: bit 63 of a word
+    // only ever reaches bit 63 of the lane, so the same flip one round
+    // later cancels it. Every position, neighbouring and distant rounds.
+    let (plain, chunked, _) = plain_and_chunked();
+    let first_chunk = FRAME_HEADER_BYTES + CHUNK_HEADER_BYTES;
+    for (stream, body_at) in [(&plain, FRAME_HEADER_BYTES), (&chunked, first_chunk)] {
+        for (word_a, word_b) in [(0, 32), (5, 69), (31, 63)] {
+            for bit in 0..64 {
+                let mut bad = stream.clone();
+                for word in [word_a, word_b] {
+                    bad[body_at + 8 * word + bit / 8] ^= 1 << (bit % 8);
+                }
+                assert_eq!(
+                    decode_wire(&bad, &mut Vec::new()).err(),
+                    Some(WireError::ChecksumMismatch),
+                    "bit {bit} of words {word_a} and {word_b} cancelled"
+                );
+            }
+        }
+    }
+    // The same at the function level, on all-zero input (no data bits to
+    // hide behind).
+    let zeros = [0u8; 1024];
+    for bit in 0..64 {
+        let mut bad = zeros;
+        bad[bit / 8] ^= 1 << (bit % 8);
+        bad[256 + bit / 8] ^= 1 << (bit % 8);
+        assert_ne!(chunk_checksum(0, &zeros), chunk_checksum(0, &bad), "{bit}");
+    }
+}
+
+#[test]
+fn chunk_order_and_length_are_bound_into_the_digest() {
+    let (_, chunked, cfg) = plain_and_chunked();
+    let c = CHUNK_HEADER_BYTES + cfg.chunk_bytes;
+    let (a, b) = (FRAME_HEADER_BYTES, FRAME_HEADER_BYTES + c);
+
+    // Two intact, equal-length chunks trading places.
+    let mut swapped = chunked.clone();
+    swapped[a..a + c].copy_from_slice(&chunked[b..b + c]);
+    swapped[b..b + c].copy_from_slice(&chunked[a..a + c]);
+    assert_eq!(
+        decode_wire(&swapped, &mut Vec::new()).err(),
+        Some(WireError::ChecksumMismatch)
+    );
+
+    // The last chunk grown by zero bytes that the zero-padded final block
+    // already implies: lanes unchanged, only the folded length differs.
+    let body_len = u32::from_le_bytes(chunked[8..12].try_into().unwrap());
+    let last = b + c;
+    let last_len = u32::from_le_bytes(chunked[last..last + 4].try_into().unwrap());
+    assert_ne!(last_len % 256, 0, "last chunk ends inside a block");
+    for extra in [1u32, 7, 8, 256 - last_len % 256] {
+        let mut grown = chunked.clone();
+        grown.extend(std::iter::repeat_n(0u8, extra as usize));
+        grown[8..12].copy_from_slice(&(body_len + extra).to_le_bytes());
+        grown[last..last + 4].copy_from_slice(&(last_len + extra).to_le_bytes());
+        restamp_chunked_header(&mut grown);
+        assert_eq!(
+            decode_wire(&grown, &mut Vec::new()).err(),
+            Some(WireError::ChecksumMismatch),
+            "{extra} appended zero bytes decoded"
+        );
+    }
+
+    // A chunk cut short at a block boundary, even when what is cut is zeros.
+    let mut data = vec![0x5au8; 768];
+    data[512..].fill(0);
+    let full = chunk_checksum(1, &data);
+    assert_ne!(full, chunk_checksum(1, &data[..512]));
+    assert_ne!(full, chunk_checksum(1, &data[..767]));
+    assert_ne!(chunk_checksum(1, &[]), chunk_checksum(1, &[0]));
+    let mut cut = chunked[..a + CHUNK_HEADER_BYTES + 512].to_vec();
+    cut.extend_from_slice(&chunked[a + c..]);
+    cut[8..12].copy_from_slice(&(body_len - 256).to_le_bytes());
+    cut[a..a + 4].copy_from_slice(&512u32.to_le_bytes());
+    restamp_chunked_header(&mut cut);
+    assert_eq!(
+        decode_wire(&cut, &mut Vec::new()).err(),
+        Some(WireError::ChecksumMismatch)
+    );
+}
+
+#[test]
+fn frame_checksum_depends_on_every_prefix_byte() {
+    let (plain, _, _) = plain_and_chunked();
+    let (prefix, body) = (&plain[0..12], &plain[FRAME_HEADER_BYTES..]);
+    for body in [body, &[]] {
+        let sum = frame_checksum(prefix, body);
+        for pos in 0..prefix.len() {
+            for bit in 0..8 {
+                let mut other = prefix.to_vec();
+                other[pos] ^= 1 << bit;
+                assert_ne!(sum, frame_checksum(&other, body), "byte {pos} bit {bit}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_v2_frame_is_a_version_error() {
+    // Stamped 2 and re-summed, so the version check is what fires.
+    assert_eq!(WIRE_VERSION, 3);
+    let (plain, chunked, _) = plain_and_chunked();
+    for mut old in [plain, chunked] {
+        old[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let body_end = if old[7] == 0 {
+            old.len()
+        } else {
+            FRAME_HEADER_BYTES
+        };
+        let sum = frame_checksum(&old[0..12], &old[FRAME_HEADER_BYTES..body_end]);
+        old[12..20].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            decode_wire(&old, &mut Vec::new()).err(),
+            Some(WireError::BadVersion(2))
+        );
+    }
 }

@@ -152,7 +152,13 @@ impl Default for TcpOpts {
 /// headers included; receivers decode it with `decode_wire`, which
 /// re-verifies end-to-end, so in-memory and TCP transports deliver
 /// byte-identical streams to the driver.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<(Vec<u8>, Duration)>> {
+///
+/// The buffer is sized once and written once: it is reserved for the whole
+/// stream when the first chunk header says how many chunk headers a body
+/// of `body_len` carries, and the socket's bytes land in its spare
+/// capacity ([`read_body`]) — no zero-fill ahead of the read, no
+/// reallocation at the last chunk.
+fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Duration)>> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match stream.read_exact(&mut header) {
         Ok(()) => {}
@@ -162,15 +168,13 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<(Vec<u8>, Durati
     let t0 = Instant::now();
     let bad = |msg: String| std::io::Error::new(ErrorKind::InvalidData, msg);
     let h = decode_frame_header(&header).map_err(|e| bad(format!("bad header: {e}")))?;
+    let mut frame = header.to_vec();
     if !h.is_chunked() {
-        let mut frame = vec![0u8; FRAME_HEADER_BYTES + h.body_len];
-        frame[..FRAME_HEADER_BYTES].copy_from_slice(&header);
-        stream.read_exact(&mut frame[FRAME_HEADER_BYTES..])?;
+        frame.reserve_exact(h.body_len);
+        read_body(stream, &mut frame, h.body_len)?;
         return Ok(Some((frame, t0.elapsed())));
     }
     verify_chunked_header(&header, h.checksum).map_err(|e| bad(format!("bad header: {e}")))?;
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + h.body_len + CHUNK_HEADER_BYTES);
-    frame.extend_from_slice(&header);
     let mut received = 0usize;
     let mut index = 0u64;
     while received < h.body_len {
@@ -184,10 +188,15 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<(Vec<u8>, Durati
                 h.body_len
             )));
         }
+        if index == 0 {
+            // Every chunk but the last is as long as the first; a stream
+            // whose later chunks are shorter just grows the buffer.
+            let chunks = h.body_len.div_ceil(chunk_len);
+            frame.reserve_exact(h.body_len + chunks * CHUNK_HEADER_BYTES);
+        }
         frame.extend_from_slice(&chead);
         let start = frame.len();
-        frame.resize(start + chunk_len, 0);
-        stream.read_exact(&mut frame[start..])?;
+        read_body(stream, &mut frame, chunk_len)?;
         if chunk_checksum(index, &frame[start..]) != chunk_sum {
             return Err(bad(format!("chunk {index} checksum mismatch")));
         }
@@ -195,6 +204,16 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<(Vec<u8>, Durati
         index += 1;
     }
     Ok(Some((frame, t0.elapsed())))
+}
+
+/// Append exactly `len` bytes from `stream` to `frame`, straight into its
+/// spare capacity (`read_exact` would need the bytes zero-filled first).
+fn read_body(stream: &mut impl Read, frame: &mut Vec<u8>, len: usize) -> std::io::Result<()> {
+    let got = stream.take(len as u64).read_to_end(frame)?;
+    if got < len {
+        return Err(ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 fn hello_frame(me: usize, n: usize, seed: u64, ranks: Option<RankHello>) -> Vec<u8> {
@@ -1118,6 +1137,126 @@ mod tests {
             let back = Payload::from_wire(&stream, &mut scratch).unwrap();
             assert_eq!(back.kind(), "grad");
         }
+    }
+
+    fn dense_grad(n: usize) -> Payload {
+        use dlion_core::messages::{GradData, GradMsg};
+        use dlion_tensor::{Shape, Tensor};
+        Payload::Grad(GradMsg {
+            iteration: 5,
+            lbs: 32,
+            data: GradData::Dense(vec![Tensor::from_vec(
+                Shape::d1(n),
+                (0..n).map(|i| (i as f32 * 0.013).cos()).collect(),
+            )]),
+            n_used: 100.0,
+        })
+    }
+
+    #[test]
+    fn received_chunked_streams_are_sized_once() {
+        // One chunk header of slack used to be reserved for a stream that
+        // carries one per chunk, so the last chunk doubled the buffer.
+        let mut mesh = loopback_mesh(2, 7, &TcpOpts::default(), None).unwrap();
+        let mut b = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
+        let payload = Arc::new(dense_grad(200_000));
+        for chunk_bytes in [4096, WireCfg::default().chunk_bytes] {
+            let cfg = WireCfg {
+                chunk_bytes,
+                ..WireCfg::default()
+            };
+            assert!(payload.body_len_with(cfg.format) > 3 * chunk_bytes);
+            a.send_wire(1, Arc::clone(&payload), &cfg).unwrap();
+            let (_, stream) = b
+                .recv_frame_timeout(Duration::from_secs(5))
+                .unwrap()
+                .expect("stream should arrive");
+            assert_eq!(stream.len(), payload.wire_len(&cfg));
+            let slack = stream.capacity() - stream.len();
+            assert!(slack < CHUNK_HEADER_BYTES, "{slack} spare bytes");
+        }
+    }
+
+    /// Counts what `read_frame` takes off the socket.
+    struct Counted<'a> {
+        stream: &'a TcpStream,
+        taken: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.stream.read(buf)?;
+            self.taken += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_flipped_bit_ends_the_read_before_the_next_chunk() {
+        use dlion_core::messages::decode_wire;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+        // ~2 KB in three chunks; chunk k spans `bounds[k]..bounds[k + 1]`.
+        let cfg = WireCfg {
+            chunk_bytes: 768,
+            ..WireCfg::default()
+        };
+        let payload = dense_grad(500);
+        let stream = payload.to_wire(&cfg);
+        let body_len = payload.body_len_with(cfg.format);
+        let full = CHUNK_HEADER_BYTES + cfg.chunk_bytes;
+        let bounds = [0, 1, 2].map(|k| FRAME_HEADER_BYTES + k * full);
+        assert_eq!(body_len.div_ceil(cfg.chunk_bytes), 3);
+
+        for pos in 0..stream.len() {
+            for bit in 0..8 {
+                let mut bad = stream.clone();
+                bad[pos] ^= 1 << bit;
+                tx.write_all(&bad).unwrap();
+                let mut counted = Counted {
+                    stream: &rx,
+                    taken: 0,
+                };
+                let got = read_frame(&mut counted);
+                let taken = counted.taken;
+                if (pos, bit) == (7, 0) {
+                    // FLAG_CHUNKED cleared: read as a plain frame (which
+                    // the reader does not sum), refused by `decode_wire`;
+                    // the chunk headers left over are no frame header.
+                    let (frame, _) = got.unwrap().unwrap();
+                    assert_eq!(taken, FRAME_HEADER_BYTES + body_len);
+                    assert!(decode_wire(&frame, &mut Vec::new()).is_err());
+                    assert!(read_frame(&mut counted).is_err());
+                } else {
+                    let err = got.expect_err("corrupt stream was delivered");
+                    assert_eq!(err.kind(), ErrorKind::InvalidData, "byte {pos} bit {bit}");
+                    if pos < FRAME_HEADER_BYTES {
+                        assert_eq!(taken, FRAME_HEADER_BYTES, "byte {pos} bit {bit}");
+                    } else if bounds.iter().any(|&b| (b..b + 4).contains(&pos)) {
+                        // A wrong chunk length: refused on sight, or after
+                        // as many bytes as it claims.
+                        assert!(taken <= stream.len());
+                    } else {
+                        // Chunk sum or chunk bytes: refused as the chunk
+                        // lands, with the later chunks still in the socket.
+                        let chunk = bounds.iter().rposition(|&b| b <= pos).unwrap();
+                        let end = bounds.get(chunk + 1).copied().unwrap_or(stream.len());
+                        assert_eq!(taken, end, "byte {pos} bit {bit}");
+                    }
+                }
+                // Drain what the refused read left, to line up the next case.
+                let mut rest = vec![0u8; stream.len() - counted.taken];
+                (&rx).read_exact(&mut rest).unwrap();
+            }
+        }
+        // The link itself is fine: the intact stream still arrives.
+        tx.write_all(&stream).unwrap();
+        let (frame, _) = read_frame(&mut &rx).unwrap().unwrap();
+        assert_eq!(frame, stream);
     }
 
     #[test]
