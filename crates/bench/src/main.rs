@@ -19,9 +19,8 @@ use dlion_core::{run_env, ExchangeTransport, MaxNPlanner, RunConfig, SystemKind}
 use dlion_microcloud::{ClusterKind, EnvId};
 use dlion_net::loopback_mesh;
 use dlion_tensor::ops::{
-    conv2d_backward_direct, conv2d_backward_im2col_s, conv2d_backward_s, conv2d_direct,
-    conv2d_im2col_s, conv2d_s, matmul_into, matmul_nt_into, matmul_tn_into, maxpool2_into,
-    softmax_xent, ConvGrads,
+    conv2d_backward_direct, conv2d_backward_into, conv2d_backward_s, conv2d_direct, conv2d_s,
+    matmul_into, matmul_nt_into, matmul_tn_into, maxpool2_into, softmax_xent, ConvGrads,
 };
 use dlion_tensor::{DetRng, Scratch, Shape, Tensor};
 use std::hint::black_box;
@@ -106,8 +105,10 @@ fn kernels() {
         let weight = Tensor::randn(Shape::d4(12, 6, 3, 3), 0.2, &mut rng);
         let bias = Tensor::zeros(Shape::d1(12));
         let (i, w, b) = (&input, &weight, &bias);
-        let fwd_gemm = bench("conv2d fwd im2col+GEMM", || {
-            let y = conv2d_im2col_s(black_box(i), black_box(w), black_box(b), 1, &mut s);
+        // This shape is in the GEMM regime, so the dispatched entry points
+        // are the implicit-GEMM backend.
+        let fwd_gemm = bench("conv2d fwd implicit GEMM", || {
+            let y = conv2d_s(black_box(i), black_box(w), black_box(b), 1, &mut s);
             s.put_tensor(black_box(y));
         });
         let fwd_direct = bench("conv2d fwd direct (seed)", || {
@@ -118,8 +119,8 @@ fn kernels() {
         let out = conv2d_s(i, w, b, 1, &mut s);
         let dout = Tensor::randn(out.shape().clone(), 1.0, &mut rng);
         let d = &dout;
-        let bwd_gemm = bench("conv2d bwd im2col+GEMM", || {
-            let g = conv2d_backward_im2col_s(black_box(i), black_box(w), black_box(d), 1, &mut s);
+        let bwd_gemm = bench("conv2d bwd implicit GEMM", || {
+            let g = conv2d_backward_s(black_box(i), black_box(w), black_box(d), 1, &mut s);
             recycle(black_box(g), &mut s);
         });
         let bwd_direct = bench("conv2d bwd direct (seed)", || {
@@ -127,10 +128,14 @@ fn kernels() {
             recycle(black_box(g), &mut s);
         });
         speedup("conv2d bwd", bwd_direct, bwd_gemm);
-        // Sanity: the dispatcher must be picking the winner on this shape.
-        bench("conv2d bwd dispatched", || {
-            let g = conv2d_backward_s(black_box(i), black_box(w), black_box(d), 1, &mut s);
-            recycle(black_box(g), &mut s);
+        // As a model's first layer runs it: into the layer's own dw/db, no
+        // input gradient.
+        let (mut dw, mut db) = (vec![0.0f32; weight.numel()], vec![0.0f32; 12]);
+        bench("conv2d bwd implicit GEMM, no dinput", || {
+            let (i, w, d) = (black_box(i), black_box(w), black_box(d));
+            black_box(conv2d_backward_into(
+                i, w, d, 1, false, &mut dw, &mut db, &mut s,
+            ));
         });
     }
 

@@ -5,13 +5,15 @@
 //! ownership rather than by copy, `backward` consumes that cache, fills the
 //! layer's parameter gradients (overwriting, not accumulating — there is
 //! exactly one backward per forward) and returns the gradient w.r.t. the
-//! layer input. Every buffer a layer produces comes from the caller's
-//! [`Scratch`] arena and every tensor it has finished with goes back there,
-//! so a training step puts back exactly what it took.
+//! layer input — unless the caller has no use for it (`want_dx == false`:
+//! the model's first layer), in which case it is not computed at all. Every
+//! buffer a layer produces comes from the caller's [`Scratch`] arena and
+//! every tensor it has finished with goes back there, so a training step
+//! puts back exactly what it took.
 
 use dlion_tensor::ops::{
-    conv2d_backward_s, conv2d_s, depthwise_conv2d, depthwise_conv2d_backward, matmul_into,
-    matmul_nt_into, matmul_tn_into, maxpool2_backward_into, maxpool2_into, ConvGrads,
+    conv2d_backward_into, conv2d_s, depthwise_conv2d, depthwise_conv2d_backward_into, matmul_into,
+    matmul_nt_into, matmul_tn_into, maxpool2_backward_into, maxpool2_into,
 };
 use dlion_tensor::{DetRng, Scratch, Shape, Tensor};
 
@@ -25,9 +27,10 @@ pub trait Layer: Send {
     fn forward(&mut self, x: Tensor, s: &mut Scratch) -> Tensor;
 
     /// Backward pass: given dL/d(output), fill the parameter gradients,
-    /// recycle the consumed tensors into `s` and return dL/d(input). Must
-    /// be called after `forward`.
-    fn backward(&mut self, dout: Tensor, s: &mut Scratch) -> Tensor;
+    /// recycle the consumed tensors into `s` and return dL/d(input) —
+    /// `Some` exactly when `want_dx`; a layer whose input gradient nobody
+    /// reads skips computing it. Must be called after `forward`.
+    fn backward(&mut self, dout: Tensor, want_dx: bool, s: &mut Scratch) -> Option<Tensor>;
 
     /// Number of parameter tensors (0 for activations/pools).
     fn param_count(&self) -> usize {
@@ -117,7 +120,7 @@ impl Layer for Dense {
         Tensor::from_vec(Shape::d2(n, out), y)
     }
 
-    fn backward(&mut self, dout: Tensor, s: &mut Scratch) -> Tensor {
+    fn backward(&mut self, dout: Tensor, want_dx: bool, s: &mut Scratch) -> Option<Tensor> {
         let x = self.cached_x.take().expect("backward without forward");
         // dW/db overwrite their persistent buffers in place.
         matmul_tn_into(&x, &dout, self.dw.data_mut());
@@ -130,12 +133,15 @@ impl Layer for Dense {
                 *b += g;
             }
         }
-        let inf = self.w.shape().dim(0);
-        let mut dx = s.take_uninit(n * inf);
-        matmul_nt_into(&dout, &self.w, &mut dx);
+        let dx = want_dx.then(|| {
+            let inf = self.w.shape().dim(0);
+            let mut dx = s.take_uninit(n * inf);
+            matmul_nt_into(&dout, &self.w, &mut dx);
+            Tensor::from_vec(Shape::d2(n, inf), dx)
+        });
         s.put_tensor(x);
         s.put_tensor(dout);
-        Tensor::from_vec(Shape::d2(n, inf), dx)
+        dx
     }
 
     fn param_count(&self) -> usize {
@@ -168,17 +174,6 @@ impl Layer for Dense {
 }
 
 // ---------------------------------------------------------------- Conv2d
-
-/// Copy a convolution backward's parameter gradients into the layer's
-/// persistent tensors (rather than swapping allocations in and out),
-/// recycle the op's buffers and hand on dL/d(input).
-fn keep_grads(g: ConvGrads, dw: &mut Tensor, db: &mut Tensor, s: &mut Scratch) -> Tensor {
-    dw.data_mut().copy_from_slice(g.dweight.data());
-    db.data_mut().copy_from_slice(g.dbias.data());
-    s.put_tensor(g.dweight);
-    s.put_tensor(g.dbias);
-    g.dinput
-}
 
 /// Standard 2-D convolution layer (stride 1, configurable zero padding).
 #[derive(Clone)]
@@ -221,12 +216,14 @@ impl Layer for Conv2d {
         y
     }
 
-    fn backward(&mut self, dout: Tensor, s: &mut Scratch) -> Tensor {
+    fn backward(&mut self, dout: Tensor, want_dx: bool, s: &mut Scratch) -> Option<Tensor> {
         let x = self.cached_x.take().expect("backward without forward");
-        let g = conv2d_backward_s(&x, &self.w, &dout, self.pad, s);
+        // dW/db overwrite their persistent buffers in place.
+        let (dw, db) = (self.dw.data_mut(), self.db.data_mut());
+        let dx = conv2d_backward_into(&x, &self.w, &dout, self.pad, want_dx, dw, db, s);
         s.put_tensor(x);
         s.put_tensor(dout);
-        keep_grads(g, &mut self.dw, &mut self.db, s)
+        dx
     }
 
     fn param_count(&self) -> usize {
@@ -301,12 +298,13 @@ impl Layer for DepthwiseConv2d {
         y
     }
 
-    fn backward(&mut self, dout: Tensor, s: &mut Scratch) -> Tensor {
+    fn backward(&mut self, dout: Tensor, want_dx: bool, s: &mut Scratch) -> Option<Tensor> {
         let x = self.cached_x.take().expect("backward without forward");
-        let g = depthwise_conv2d_backward(&x, &self.w, &dout, self.pad, s);
+        let (dw, db) = (self.dw.data_mut(), self.db.data_mut());
+        let dx = depthwise_conv2d_backward_into(&x, &self.w, &dout, self.pad, want_dx, dw, db, s);
         s.put_tensor(x);
         s.put_tensor(dout);
-        keep_grads(g, &mut self.dw, &mut self.db, s)
+        dx
     }
 
     fn param_count(&self) -> usize {
@@ -336,6 +334,13 @@ impl Layer for DepthwiseConv2d {
             _ => panic!("dw grad index {i}"),
         }
     }
+}
+
+/// What a parameter-free layer does when nobody wants its input gradient:
+/// put back what it holds and return nothing.
+fn recycle<const N: usize>(s: &mut Scratch, done: [Tensor; N]) -> Option<Tensor> {
+    done.into_iter().for_each(|t| s.put_tensor(t));
+    None
 }
 
 // ---------------------------------------------------------------- ReLU
@@ -371,8 +376,11 @@ impl Layer for Relu {
         Tensor::from_vec(shape, y)
     }
 
-    fn backward(&mut self, mut dout: Tensor, s: &mut Scratch) -> Tensor {
+    fn backward(&mut self, mut dout: Tensor, want_dx: bool, s: &mut Scratch) -> Option<Tensor> {
         let x = self.cached_x.take().expect("backward without forward");
+        if !want_dx {
+            return recycle(s, [x, dout]);
+        }
         // Mask in place: zero allocations, zero copies.
         for (g, &v) in dout.data_mut().iter_mut().zip(x.data()) {
             if v <= 0.0 {
@@ -380,7 +388,7 @@ impl Layer for Relu {
             }
         }
         s.put_tensor(x);
-        dout
+        Some(dout)
     }
 }
 
@@ -430,14 +438,16 @@ impl Layer for MaxPool2 {
         Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
     }
 
-    fn backward(&mut self, dout: Tensor, s: &mut Scratch) -> Tensor {
+    fn backward(&mut self, dout: Tensor, want_dx: bool, s: &mut Scratch) -> Option<Tensor> {
         let shape = self.cached_shape.take().expect("backward without forward");
-        let arg = self.cached_argmax.take().expect("backward without forward");
+        self.spare_argmax = self.cached_argmax.take().expect("backward without forward");
+        if !want_dx {
+            return recycle(s, [dout]);
+        }
         let mut din = s.take(shape.numel());
-        maxpool2_backward_into(&dout, &arg, &mut din);
-        self.spare_argmax = arg;
+        maxpool2_backward_into(&dout, &self.spare_argmax, &mut din);
         s.put_tensor(dout);
-        Tensor::from_vec(shape, din)
+        Some(Tensor::from_vec(shape, din))
     }
 }
 
@@ -473,9 +483,12 @@ impl Layer for Flatten {
         x.reshape(Shape::d2(n, f))
     }
 
-    fn backward(&mut self, dout: Tensor, _s: &mut Scratch) -> Tensor {
+    fn backward(&mut self, dout: Tensor, want_dx: bool, s: &mut Scratch) -> Option<Tensor> {
         let shape = self.cached_shape.take().expect("backward without forward");
-        dout.reshape(shape)
+        if !want_dx {
+            return recycle(s, [dout]);
+        }
+        Some(dout.reshape(shape))
     }
 }
 
@@ -543,7 +556,7 @@ mod tests {
             }
         }
         d.forward(feed(&x, &mut s), &mut s);
-        d.backward(feed(&dout, &mut s), &mut s);
+        d.backward(feed(&dout, &mut s), true, &mut s);
         assert_eq!(
             bits(d.grad(1)),
             bits(&Tensor::from_vec(Shape::d1(5), expect.to_vec()))
@@ -557,13 +570,13 @@ mod tests {
         let mut d = Dense::new(4, 3, &mut rng);
         let x = Tensor::randn(Shape::d2(5, 4), 1.0, &mut rng);
         let y = d.forward(x.clone(), &mut s);
-        let dx = d.backward(y, &mut s); // loss = 0.5||y||^2 -> dout = y
+        let dx = d.backward(y, true, &mut s).unwrap(); // loss = 0.5||y||^2 -> dout = y
         for pidx in 0..2 {
             for flat in 0..d.param(pidx).numel() {
                 let ng = num_grad_param(&mut d, &x, pidx, flat, 1e-2, &mut s);
                 // Recompute analytic grads after probing (probe restores params).
                 let yy = d.forward(x.clone(), &mut s);
-                d.backward(yy, &mut s);
+                d.backward(yy, true, &mut s);
                 let ag = d.grad(pidx).data()[flat];
                 assert!((ag - ng).abs() < 0.05, "p{pidx}[{flat}]: {ag} vs {ng}");
             }
@@ -595,7 +608,8 @@ mod tests {
         let y = l.forward(x, &mut s);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
         // The gradient passes only where the *input* was positive.
-        let dx = l.backward(Tensor::full(Shape::d2(1, 4), 1.0), &mut s);
+        let dx = l.backward(Tensor::full(Shape::d2(1, 4), 1.0), true, &mut s);
+        let dx = dx.unwrap();
         assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0]);
         assert_eq!(l.param_count(), 0);
     }
@@ -607,7 +621,7 @@ mod tests {
         let x = Tensor::from_fn(Shape::d4(2, 3, 2, 2), |i| i as f32);
         let y = l.forward(x.clone(), &mut s);
         assert_eq!(y.shape().dims(), &[2, 12]);
-        let dx = l.backward(y, &mut s);
+        let dx = l.backward(y, true, &mut s).unwrap();
         assert_eq!(dx.shape().dims(), &[2, 3, 2, 2]);
         assert_eq!(dx.data(), x.data());
     }
@@ -620,7 +634,7 @@ mod tests {
         let x = Tensor::randn(Shape::d4(2, 3, 4, 4), 1.0, &mut rng);
         let y = l.forward(x, &mut s);
         assert_eq!(y.shape().dims(), &[2, 3, 2, 2]);
-        let dx = l.backward(y, &mut s);
+        let dx = l.backward(y, true, &mut s).unwrap();
         assert_eq!(dx.shape().dims(), &[2, 3, 4, 4]);
         // Exactly one nonzero per pooling window (barring exact ties).
         let nz = dx.data().iter().filter(|&&v| v != 0.0).count();
@@ -637,7 +651,7 @@ mod tests {
         let x = Tensor::randn(Shape::d4(2, 3, 6, 6), 1.0, &mut rng);
         let y = l.forward(x, &mut s);
         assert_eq!(y.shape().dims(), &[2, 8, 6, 6]);
-        let dx = l.backward(y, &mut s);
+        let dx = l.backward(y, true, &mut s).unwrap();
         assert_eq!(dx.shape().dims(), &[2, 3, 6, 6]);
         assert_eq!(l.grad(0).shape().dims(), &[8, 3, 3, 3]);
     }
@@ -650,7 +664,7 @@ mod tests {
         let x = Tensor::randn(Shape::d4(1, 4, 5, 5), 1.0, &mut rng);
         let y = l.forward(x, &mut s);
         assert_eq!(y.shape().dims(), &[1, 4, 5, 5]);
-        let dx = l.backward(y, &mut s);
+        let dx = l.backward(y, true, &mut s).unwrap();
         assert_eq!(dx.shape().dims(), &[1, 4, 5, 5]);
     }
 
@@ -658,7 +672,62 @@ mod tests {
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
         let mut l = Relu::new();
-        l.backward(Tensor::zeros(Shape::d1(3)), &mut Scratch::new());
+        l.backward(Tensor::zeros(Shape::d1(3)), true, &mut Scratch::new());
+    }
+
+    /// A layer told that nobody reads its input gradient returns none,
+    /// leaves its parameter gradients bit-equal to a full backward's, and
+    /// still puts back everything it took: the arena holds the same bytes
+    /// from pass to pass.
+    #[test]
+    fn without_the_input_gradient_the_parameter_gradients_are_the_same_bits() {
+        let mut r = DetRng::seed_from_u64(81);
+        let cases: Vec<(Box<dyn Layer>, Shape)> = vec![
+            (Box::new(Dense::new(6, 4, &mut r)), Shape::d2(5, 6)),
+            // Implicit GEMM, then the direct loops.
+            (
+                Box::new(Conv2d::new(3, 8, 3, 1, &mut r)),
+                Shape::d4(4, 3, 8, 8),
+            ),
+            (
+                Box::new(Conv2d::new(1, 2, 3, 1, &mut r)),
+                Shape::d4(1, 1, 4, 4),
+            ),
+            (
+                Box::new(Conv2d::new(8, 5, 1, 0, &mut r)),
+                Shape::d4(6, 8, 5, 5),
+            ),
+            (
+                Box::new(DepthwiseConv2d::new(4, 3, 1, &mut r)),
+                Shape::d4(2, 4, 6, 6),
+            ),
+            (Box::new(Relu::new()), Shape::d2(7, 9)),
+            (Box::new(MaxPool2::new()), Shape::d4(2, 3, 6, 6)),
+            (Box::new(Flatten::new()), Shape::d4(2, 3, 2, 2)),
+        ];
+        for (mut full, shape) in cases {
+            let mut lean = full.clone();
+            let name = full.name();
+            let x = Tensor::randn(shape, 1.0, &mut r);
+            let (mut fs, mut ls) = (Scratch::new(), Scratch::new());
+            let mut held = 0;
+            for pass in 0..3 {
+                let y = full.forward(feed(&x, &mut fs), &mut fs);
+                let dx = full.backward(y, true, &mut fs).expect("asked for");
+                assert_eq!(dx.shape(), x.shape(), "{name}");
+                fs.put_tensor(dx);
+                let y = lean.forward(feed(&x, &mut ls), &mut ls);
+                assert!(lean.backward(y, false, &mut ls).is_none(), "{name}");
+                for p in 0..full.param_count() {
+                    assert!(bits(full.grad(p)) == bits(lean.grad(p)), "{name} grad {p}");
+                }
+                if pass == 0 {
+                    held = ls.held_bytes();
+                }
+                assert_eq!(ls.held_bytes(), held, "{name}: arena moved in pass {pass}");
+                assert!(held <= fs.held_bytes(), "{name}");
+            }
+        }
     }
 
     /// What buffer recycling must never do is change a result: for every
@@ -678,7 +747,7 @@ mod tests {
             let run = |l: &mut Box<dyn Layer>, x: &Tensor, s: &mut Scratch| {
                 let y = l.forward(feed(x, s), s);
                 let y_bits = bits(&y);
-                let dx = l.backward(y, s); // loss = 0.5||y||^2 -> dout = y
+                let dx = l.backward(y, true, s).unwrap(); // loss = 0.5||y||^2 -> dout = y
                 let dx_bits = bits(&dx);
                 s.put_tensor(dx);
                 let grads: Vec<_> = (0..l.param_count()).map(|p| bits(l.grad(p))).collect();
@@ -707,7 +776,7 @@ mod tests {
             &Tensor::randn(Shape::d2(5, 6), 1.0, &mut xr),
             true,
         );
-        // Large enough that the conv dispatcher takes the im2col path.
+        // Large enough that the conv dispatcher takes the implicit-GEMM path.
         check(
             Box::new(Conv2d::new(3, 8, 3, 1, &mut r)),
             &Tensor::randn(Shape::d4(4, 3, 8, 8), 1.0, &mut xr),

@@ -130,14 +130,16 @@ impl Model {
         // allocates at the same length, enters the arena in its place when
         // the last layer's backward recycles it.
         let (loss, dlogits) = softmax_xent(&logits, labels);
-        let mut grad = dlogits;
         {
             let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Backward);
-            for l in self.layers.iter_mut().rev() {
-                grad = l.backward(grad, s);
+            // Nobody reads the first layer's input gradient, so it is not
+            // asked for; every other layer hands its own to the one below.
+            let mut grad = Some(dlogits);
+            for (li, l) in self.layers.iter_mut().enumerate().rev() {
+                let dout = grad.expect("a layer above the first returns dL/dx");
+                grad = l.backward(dout, li > 0, s);
             }
         }
-        s.put_tensor(grad);
         if grads.len() != self.num_vars() {
             grads.clear();
             // Own storage, not a clone: sharing the layer's buffer would
@@ -399,7 +401,7 @@ mod tests {
     }
 
     /// CipherNet on both conv backends (batch 1: direct loops, batch 32:
-    /// im2col) and MicroMobileNet, end to end: three training steps on a
+    /// implicit GEMM) and MicroMobileNet, end to end: three training steps on a
     /// *warm* arena — every buffer recycled, NaN-poisoned by `Scratch::put`
     /// in debug builds — give the losses, gradients and weights of three
     /// steps that each get a fresh arena, bit for bit, and the warm arena

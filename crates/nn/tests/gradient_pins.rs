@@ -1,0 +1,69 @@
+//! Pinned bits of a training step, recorded at `b638dd3` (the im2col +
+//! GEMM convolution) before the implicit-GEMM kernels replaced it: a
+//! convolution kernel change must leave every float of every gradient
+//! where it was, and must not make the arena larger.
+
+use dlion_nn::{Dataset, ModelSpec};
+use dlion_tensor::{DetRng, Scratch};
+
+/// FNV-1a over the loss bits and every gradient's bits, three steps of
+/// `forward_backward_scratch` + SGD on one warm arena. Also returns the
+/// arena's `held_bytes` after the last step, having checked it constant
+/// from the second step on.
+fn three_steps(spec: ModelSpec, ds: &Dataset, b: usize) -> (u64, usize) {
+    let mut rng = DetRng::seed_from_u64(5);
+    let mut m = spec.build(&ds.sample_shape(), ds.classes(), &mut rng);
+    let (mut s, mut grads) = (Scratch::new(), Vec::new());
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bits: u64| {
+        for byte in bits.to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut held = 0;
+    for step in 0..3 {
+        let idx: Vec<usize> = (0..b).map(|i| (step * b + i * 3) % ds.len()).collect();
+        let (x, y) = ds.batch_scratch(&idx, &mut s);
+        let loss = m.forward_backward_scratch(x, &y, &mut s, &mut grads);
+        eat(loss.to_bits());
+        for g in &grads {
+            g.data().iter().for_each(|v| eat(v.to_bits() as u64));
+        }
+        m.apply_dense_update(&grads, -0.1);
+        if step == 1 {
+            held = s.held_bytes();
+        }
+    }
+    assert_eq!(s.held_bytes(), held, "{spec:?} b={b}: arena not constant");
+    (h, held)
+}
+
+#[test]
+fn gradient_bits_and_arena_size_are_those_of_the_im2col_parent() {
+    let vision = Dataset::synth_vision(400, 9);
+    let imagenet = Dataset::synth_imagenet(200, 9);
+    // (model, batch, gradient hash at b638dd3, held_bytes at b638dd3)
+    let pins = [
+        (ModelSpec::Cipher, 1usize, 0x018ab63f20940c48u64, 15656usize),
+        (ModelSpec::Cipher, 32, 0x4e5c3997c7447370, 849024),
+        (ModelSpec::Cipher, 64, 0x027f7a9d50b3a4da, 1692032),
+        (ModelSpec::Cipher, 100, 0xbd7781de27866d01, 2640416),
+        (ModelSpec::MobileNet, 32, 0x6ab3070b33d6d5f8, 1868704),
+    ];
+    for (spec, b, hash, parent_held) in pins {
+        let ds = if spec == ModelSpec::Cipher {
+            &vision
+        } else {
+            &imagenet
+        };
+        let (got, held) = three_steps(spec, ds, b);
+        assert_eq!(
+            got, hash,
+            "{spec:?} b={b}: gradient bits moved (now {got:#018x})"
+        );
+        assert!(
+            held <= parent_held,
+            "{spec:?} b={b}: arena holds {held} B, the parent held {parent_held}"
+        );
+    }
+}

@@ -2,24 +2,34 @@
 //! backward passes, plus the depthwise variant used by MobileNet-style
 //! models.
 //!
-//! Two backends sit behind [`conv2d_s`] / [`conv2d_backward_s`]:
+//! Two backends sit behind [`conv2d_s`] / [`conv2d_backward_into`]:
 //!
 //! * **direct** loops ([`conv2d_direct`], [`conv2d_backward_direct`]) — no
-//!   intermediate buffers, best for tiny shapes where im2col's patch
-//!   materialization costs more than it saves;
-//! * **im2col + blocked GEMM** (`ops::im2col`) — lowers the convolution to
-//!   the register-tiled matmul kernels, which win as soon as the implied
-//!   GEMM has enough arithmetic to amortize packing.
+//!   intermediate buffers at all, best for tiny shapes (batch 1), where
+//!   padding the input and packing the filters cost more than they save;
+//! * **implicit GEMM** (`ops::igemm`) — the register-tiled matmul
+//!   micro-kernel reading its A operand from a zero-padded copy of the input
+//!   through an offset table, which wins as soon as the implied GEMM has
+//!   enough arithmetic to amortize that copy. No patch matrix is built.
 //!
 //! Both stay because each is the faster one on shapes a run really has
 //! (batch 1 on a thousand-worker simulation, batch ≥ 32 on a figure cell),
-//! and the direct loops double as the reference the GEMM path is tested
-//! against. Dispatch ([`use_im2col`]) depends only on the shapes, so a
-//! given layer at a given batch size always takes the same path and runs
-//! stay bit-reproducible. The direct backward keeps its `g == 0.0` skip:
-//! upstream gradients flow through ReLU and genuinely contain zeros, unlike
-//! the dense activations that made the old matmul zero-skip a
-//! pessimization.
+//! and the direct loops double as the independent reference the GEMM path
+//! is tested against. Dispatch ([`use_gemm`]) depends only on the shapes, so
+//! a given layer at a given batch size always takes the same path and runs
+//! stay bit-reproducible — and its threshold is frozen: the two backends
+//! round differently (direct adds the bias first, the GEMM regime last), so
+//! moving a shape across it moves that shape's bits. The direct backward
+//! keeps its `g == 0.0` skip: upstream gradients flow through ReLU and
+//! genuinely contain zeros, unlike the dense activations that made the old
+//! matmul zero-skip a pessimization.
+//!
+//! The backward kernels proper are the `_into` forms: they write the
+//! parameter gradients into the caller's buffers (a layer's persistent
+//! `dw`/`db`) and compute the input gradient only when asked — the first
+//! layer of a model has nobody to hand it to. [`conv2d_backward_s`],
+//! [`conv2d_backward_direct`] and [`depthwise_conv2d_backward`] are those
+//! kernels with all three gradients drawn from the arena.
 //!
 //! Every kernel here draws the tensors it returns from the caller's
 //! [`Scratch`] arena, so whoever consumes a result can recycle it and the
@@ -30,7 +40,7 @@
 //! dispatch than it saved at every batch size a run has (DESIGN.md §4b);
 //! the threads run whole worker-iterations instead (`crate::par`).
 
-use crate::ops::im2col::{conv2d_backward_im2col_s, conv2d_im2col_s};
+use crate::ops::igemm;
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -58,10 +68,12 @@ pub(crate) fn dims4(t: &Tensor) -> [usize; 4] {
 }
 
 /// Does `input ⊛ weight` lower to a GEMM with enough arithmetic to beat the
-/// direct loops? Calibrated with `dlion-bench kernels`: patch
-/// materialization is ~2 passes over the patch matrix, so the GEMM must do
-/// a multiple of that in useful MACs.
-fn use_im2col(input: &Tensor, weight: &Tensor, pad: usize) -> bool {
+/// direct loops? Calibrated with `dlion-bench kernels` against the
+/// patch-matrix lowering the implicit GEMM replaced (materializing the
+/// patches was ~2 passes over them) and kept where it was: the backends add
+/// the bias at different ends of the chain, so the value decides bits, not
+/// only speed.
+fn use_gemm(input: &Tensor, weight: &Tensor, pad: usize) -> bool {
     let [n, c, h, w] = dims4(input);
     let [f, _, kh, kw] = dims4(weight);
     let (oh, ow) = out_hw(h, w, kh, kw, pad);
@@ -69,7 +81,7 @@ fn use_im2col(input: &Tensor, weight: &Tensor, pad: usize) -> bool {
 }
 
 /// Standard convolution: `input (N,C,H,W)` ⊛ `weight (F,C,KH,KW)` + `bias (F)`
-/// → `(N,F,OH,OW)`, on the backend [`use_im2col`] picks for the shapes.
+/// → `(N,F,OH,OW)`, on the backend [`use_gemm`] picks for the shapes.
 pub fn conv2d_s(
     input: &Tensor,
     weight: &Tensor,
@@ -77,15 +89,53 @@ pub fn conv2d_s(
     pad: usize,
     s: &mut Scratch,
 ) -> Tensor {
-    if use_im2col(input, weight, pad) {
-        conv2d_im2col_s(input, weight, bias, pad, s)
+    if use_gemm(input, weight, pad) {
+        igemm::forward(input, weight, bias, pad, s)
     } else {
         conv2d_direct(input, weight, bias, pad, s)
     }
 }
 
-/// Backward pass of [`conv2d_s`], on the same backend as the forward pass.
-/// `dout` has shape `(N,F,OH,OW)`.
+/// Backward pass of [`conv2d_s`], on the same backend as the forward pass:
+/// writes `dL/dW` and `dL/db` into the caller's `dweight (F·C·KH·KW)` and
+/// `dbias (F)` — every slot, so stale contents are fine — and returns
+/// `dL/d(input)` from `s` when `want_dx`. `dout` has shape `(N,F,OH,OW)`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_into(
+    input: &Tensor,
+    weight: &Tensor,
+    dout: &Tensor,
+    pad: usize,
+    want_dx: bool,
+    dweight: &mut [f32],
+    dbias: &mut [f32],
+    s: &mut Scratch,
+) -> Option<Tensor> {
+    if use_gemm(input, weight, pad) {
+        igemm::backward_into(input, weight, dout, pad, want_dx, dweight, dbias, s)
+    } else {
+        backward_direct_into(input, weight, dout, pad, want_dx, dweight, dbias, s)
+    }
+}
+
+/// Run a backward `_into` kernel with `dweight`/`dbias` drawn from `s` and
+/// the input gradient asked for: all three gradients as arena tensors.
+fn grads_from_arena(
+    weight: &Tensor,
+    s: &mut Scratch,
+    kernel: impl FnOnce(&mut [f32], &mut [f32], &mut Scratch) -> Option<Tensor>,
+) -> ConvGrads {
+    let mut dweight = s.take_uninit(weight.numel());
+    let mut dbias = s.take_uninit(weight.shape().dim(0));
+    let dinput = kernel(&mut dweight, &mut dbias, s).expect("input gradient was asked for");
+    ConvGrads {
+        dinput,
+        dbias: Tensor::from_vec(Shape::d1(dbias.len()), dbias),
+        dweight: Tensor::from_vec(weight.shape().clone(), dweight),
+    }
+}
+
+/// [`conv2d_backward_into`] with all three gradients drawn from `s`.
 pub fn conv2d_backward_s(
     input: &Tensor,
     weight: &Tensor,
@@ -93,11 +143,9 @@ pub fn conv2d_backward_s(
     pad: usize,
     s: &mut Scratch,
 ) -> ConvGrads {
-    if use_im2col(input, weight, pad) {
-        conv2d_backward_im2col_s(input, weight, dout, pad, s)
-    } else {
-        conv2d_backward_direct(input, weight, dout, pad, s)
-    }
+    grads_from_arena(weight, s, |dw, db, s| {
+        conv2d_backward_into(input, weight, dout, pad, true, dw, db, s)
+    })
 }
 
 /// Direct (loop-nest) convolution forward; every output slot is written.
@@ -152,7 +200,7 @@ pub fn conv2d_direct(
     Tensor::from_vec(Shape::d4(n, f, oh, ow), out)
 }
 
-/// Direct (loop-nest) convolution backward.
+/// Direct (loop-nest) convolution backward, all three gradients from `s`.
 pub fn conv2d_backward_direct(
     input: &Tensor,
     weight: &Tensor,
@@ -160,6 +208,23 @@ pub fn conv2d_backward_direct(
     pad: usize,
     s: &mut Scratch,
 ) -> ConvGrads {
+    grads_from_arena(weight, s, |dw, db, s| {
+        backward_direct_into(input, weight, dout, pad, true, dw, db, s)
+    })
+}
+
+/// The direct backend of [`conv2d_backward_into`].
+#[allow(clippy::too_many_arguments)]
+fn backward_direct_into(
+    input: &Tensor,
+    weight: &Tensor,
+    dout: &Tensor,
+    pad: usize,
+    want_dx: bool,
+    dweight: &mut [f32],
+    dbias: &mut [f32],
+    s: &mut Scratch,
+) -> Option<Tensor> {
     let [n, c, h, w] = dims4(input);
     let [f, _, kh, kw] = dims4(weight);
     let (oh, ow) = out_hw(h, w, kh, kw, pad);
@@ -168,48 +233,57 @@ pub fn conv2d_backward_direct(
         &[n, f, oh, ow],
         "conv2d_backward dout shape"
     );
+    assert_eq!(
+        dweight.len(),
+        f * c * kh * kw,
+        "conv2d_backward dweight length"
+    );
+    assert_eq!(dbias.len(), f, "conv2d_backward dbias length");
     let id = input.data();
     let wd = weight.data();
     let dd = dout.data();
 
     // dinput: batch item by batch item, each its own slice.
-    let mut dinput = s.take(n * c * h * w);
-    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
-        let dbase = ni * f * oh * ow;
-        for fi in 0..f {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = dd[dbase + (fi * oh + oy) * ow + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ci in 0..c {
-                        let wbase = ((fi * c + ci) * kh) * kw;
-                        for ky in 0..kh {
-                            let iy = oy + ky;
-                            if iy < pad || iy >= h + pad {
-                                continue;
-                            }
-                            let iy = iy - pad;
-                            for kx in 0..kw {
-                                let ix = ox + kx;
-                                if ix < pad || ix >= w + pad {
+    let dinput = want_dx.then(|| {
+        let mut dinput = s.take(n * c * h * w);
+        for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
+            let dbase = ni * f * oh * ow;
+            for fi in 0..f {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = dd[dbase + (fi * oh + oy) * ow + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for ci in 0..c {
+                            let wbase = ((fi * c + ci) * kh) * kw;
+                            for ky in 0..kh {
+                                let iy = oy + ky;
+                                if iy < pad || iy >= h + pad {
                                     continue;
                                 }
-                                dslice[(ci * h + iy) * w + (ix - pad)] +=
-                                    g * wd[wbase + ky * kw + kx];
+                                let iy = iy - pad;
+                                for kx in 0..kw {
+                                    let ix = ox + kx;
+                                    if ix < pad || ix >= w + pad {
+                                        continue;
+                                    }
+                                    dslice[(ci * h + iy) * w + (ix - pad)] +=
+                                        g * wd[wbase + ky * kw + kx];
+                                }
                             }
                         }
                     }
                 }
             }
         }
-    }
+        Tensor::from_vec(Shape::d4(n, c, h, w), dinput)
+    });
 
     // dweight + dbias: filter by filter, each filter's gradient slice
     // reduced over the batch with a fixed-order loop.
-    let mut dweight = s.take(f * c * kh * kw);
-    let mut dbias = s.take(f);
+    dweight.fill(0.0);
+    dbias.fill(0.0);
     let per_filter = dweight.chunks_mut(c * kh * kw).zip(dbias.iter_mut());
     for (fi, (wslice, dbv)) in per_filter.enumerate() {
         for ni in 0..n {
@@ -245,12 +319,7 @@ pub fn conv2d_backward_direct(
             }
         }
     }
-
-    ConvGrads {
-        dinput: Tensor::from_vec(Shape::d4(n, c, h, w), dinput),
-        dweight: Tensor::from_vec(Shape::d4(f, c, kh, kw), dweight),
-        dbias: Tensor::from_vec(Shape::d1(f), dbias),
-    }
+    dinput
 }
 
 /// Depthwise convolution: `input (N,C,H,W)` ⊛ `weight (C,1,KH,KW)` + `bias (C)`
@@ -303,7 +372,7 @@ pub fn depthwise_conv2d(
     Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
 }
 
-/// Backward pass of [`depthwise_conv2d`].
+/// Backward pass of [`depthwise_conv2d`], all three gradients from `s`.
 pub fn depthwise_conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
@@ -311,46 +380,71 @@ pub fn depthwise_conv2d_backward(
     pad: usize,
     s: &mut Scratch,
 ) -> ConvGrads {
+    grads_from_arena(weight, s, |dw, db, s| {
+        depthwise_conv2d_backward_into(input, weight, dout, pad, true, dw, db, s)
+    })
+}
+
+/// Backward pass of [`depthwise_conv2d`]: writes `dL/dW` and `dL/db` into
+/// the caller's `dweight (C·KH·KW)` and `dbias (C)` (every slot) and returns
+/// `dL/d(input)` from `s` when `want_dx`.
+#[allow(clippy::too_many_arguments)]
+pub fn depthwise_conv2d_backward_into(
+    input: &Tensor,
+    weight: &Tensor,
+    dout: &Tensor,
+    pad: usize,
+    want_dx: bool,
+    dweight: &mut [f32],
+    dbias: &mut [f32],
+    s: &mut Scratch,
+) -> Option<Tensor> {
     let [n, c, h, w] = dims4(input);
     let [_, _, kh, kw] = dims4(weight);
     let (oh, ow) = out_hw(h, w, kh, kw, pad);
     assert_eq!(dout.shape().dims(), &[n, c, oh, ow]);
+    assert_eq!(dweight.len(), c * kh * kw, "depthwise dweight length");
+    assert_eq!(dbias.len(), c, "depthwise dbias length");
     let id = input.data();
     let wd = weight.data();
     let dd = dout.data();
 
-    let mut dinput = s.take(n * c * h * w);
-    for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
-        for ci in 0..c {
-            let dbase = (ni * c + ci) * oh * ow;
-            let wbase = ci * kh * kw;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = dd[dbase + oy * ow + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ky in 0..kh {
-                        let iy = oy + ky;
-                        if iy < pad || iy >= h + pad {
+    let dinput = want_dx.then(|| {
+        let mut dinput = s.take(n * c * h * w);
+        for (ni, dslice) in dinput.chunks_mut(c * h * w).enumerate() {
+            for ci in 0..c {
+                let dbase = (ni * c + ci) * oh * ow;
+                let wbase = ci * kh * kw;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = dd[dbase + oy * ow + ox];
+                        if g == 0.0 {
                             continue;
                         }
-                        let iy = iy - pad;
-                        for kx in 0..kw {
-                            let ix = ox + kx;
-                            if ix < pad || ix >= w + pad {
+                        for ky in 0..kh {
+                            let iy = oy + ky;
+                            if iy < pad || iy >= h + pad {
                                 continue;
                             }
-                            dslice[(ci * h + iy) * w + (ix - pad)] += g * wd[wbase + ky * kw + kx];
+                            let iy = iy - pad;
+                            for kx in 0..kw {
+                                let ix = ox + kx;
+                                if ix < pad || ix >= w + pad {
+                                    continue;
+                                }
+                                dslice[(ci * h + iy) * w + (ix - pad)] +=
+                                    g * wd[wbase + ky * kw + kx];
+                            }
                         }
                     }
                 }
             }
         }
-    }
+        Tensor::from_vec(Shape::d4(n, c, h, w), dinput)
+    });
 
-    let mut dweight = s.take(c * kh * kw);
-    let mut dbias = s.take(c);
+    dweight.fill(0.0);
+    dbias.fill(0.0);
     let per_channel = dweight.chunks_mut(kh * kw).zip(dbias.iter_mut());
     for (ci, (wslice, dbv)) in per_channel.enumerate() {
         for ni in 0..n {
@@ -381,12 +475,7 @@ pub fn depthwise_conv2d_backward(
             }
         }
     }
-
-    ConvGrads {
-        dinput: Tensor::from_vec(Shape::d4(n, c, h, w), dinput),
-        dweight: Tensor::from_vec(Shape::d4(c, 1, kh, kw), dweight),
-        dbias: Tensor::from_vec(Shape::d1(c), dbias),
-    }
+    dinput
 }
 
 #[cfg(test)]
@@ -484,8 +573,8 @@ mod tests {
     #[test]
     fn dispatched_backward_matches_direct_backend() {
         let mut s = Scratch::new();
-        // Shape large enough to take the im2col path; direct loops are the
-        // reference.
+        // Shape large enough to take the implicit-GEMM path; direct loops
+        // are the reference.
         let mut rng = DetRng::seed_from_u64(14);
         let input = Tensor::randn(Shape::d4(4, 3, 8, 8), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(6, 3, 3, 3), 0.5, &mut rng);
@@ -552,6 +641,40 @@ mod tests {
         let weight = Tensor::zeros(Shape::d4(1, 3, 3, 3));
         let bias = Tensor::zeros(Shape::d1(1));
         conv2d_s(&input, &weight, &bias, 1, &mut s);
+    }
+
+    /// The GEMM regime refuses the same malformed operands, in the same
+    /// words, as the direct loops.
+    fn gemm_regime_operands() -> (Tensor, Tensor, Tensor, Tensor) {
+        let input = Tensor::zeros(Shape::d4(8, 4, 8, 8));
+        let weight = Tensor::zeros(Shape::d4(8, 4, 3, 3));
+        assert!(use_gemm(&input, &weight, 1));
+        let dout = Tensor::zeros(Shape::d4(8, 8, 8, 8));
+        (input, weight, Tensor::zeros(Shape::d1(8)), dout)
+    }
+
+    #[test]
+    #[should_panic(expected = "channel mismatch")]
+    fn gemm_regime_channel_mismatch_panics() {
+        let (input, _, bias, _) = gemm_regime_operands();
+        let weight = Tensor::zeros(Shape::d4(8, 5, 3, 3));
+        conv2d_s(&input, &weight, &bias, 1, &mut Scratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "bias size")]
+    fn gemm_regime_bias_size_panics() {
+        let (input, weight, _, _) = gemm_regime_operands();
+        let bias = Tensor::zeros(Shape::d1(7));
+        conv2d_s(&input, &weight, &bias, 1, &mut Scratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "dout shape")]
+    fn gemm_regime_dout_shape_panics() {
+        let (input, weight, _, _) = gemm_regime_operands();
+        let dout = Tensor::zeros(Shape::d4(8, 8, 8, 7));
+        conv2d_backward_s(&input, &weight, &dout, 1, &mut Scratch::new());
     }
 
     #[test]

@@ -50,9 +50,20 @@ thread_local! {
     static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Run `f` with this thread's panel-packing buffer (its contents are stale;
+/// the pack functions overwrite it).
+pub(super) fn with_pack_buf<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    PACK_BUF.with(|p| {
+        let mut pb = std::mem::take(&mut *p.borrow_mut());
+        let r = f(&mut pb);
+        *p.borrow_mut() = pb;
+        r
+    })
+}
+
 /// Pack row-major `B: K×N` into `ceil(n/NR)` column panels, each `k × NR`
 /// contiguous, zero-padding the last panel's missing columns.
-fn pack_panels_rowmajor(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
+pub(super) fn pack_panels_rowmajor(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
     let np = n.div_ceil(NR);
     pb.clear();
     pb.resize(np * k * NR, 0.0);
@@ -69,7 +80,7 @@ fn pack_panels_rowmajor(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
 
 /// Pack row-major `B: N×K` (i.e. Bᵀ of the multiply) into the same panel
 /// layout as [`pack_panels_rowmajor`].
-fn pack_panels_transposed(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
+pub(super) fn pack_panels_transposed(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
     let np = n.div_ceil(NR);
     pb.clear();
     pb.resize(np * k * NR, 0.0);
@@ -90,7 +101,7 @@ fn pack_panels_transposed(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
 /// the determinism contract is bit-identity with the naive mul-then-add
 /// loop, and a fused multiply-add rounds once instead of twice.
 #[cfg(target_arch = "x86_64")]
-mod simd {
+pub(super) mod simd {
     use super::{MR, NR};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
@@ -178,7 +189,7 @@ mod simd {
 /// registers, which is the entire point of register tiling (with a runtime
 /// `mr` the tile lives in memory and every `k` step pays loads + stores).
 #[inline]
-fn micro_a_rows(
+pub(super) fn micro_a_rows(
     mr: usize,
     k: usize,
     a: &[f32],
@@ -313,11 +324,9 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
     let (ad, bd) = (a.data(), b.data());
-    PACK_BUF.with(|p| {
-        let mut pb = std::mem::take(&mut *p.borrow_mut());
-        pack_panels_rowmajor(bd, k, n, &mut pb);
-        gemm_driver(m, k, n, out, &pb, &|row| (row * k, k), false, ad);
-        *p.borrow_mut() = pb;
+    with_pack_buf(|pb| {
+        pack_panels_rowmajor(bd, k, n, pb);
+        gemm_driver(m, k, n, out, pb, &|row| (row * k, k), false, ad);
     });
 }
 
@@ -328,11 +337,9 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (n, k2) = dims2(b, "matmul_nt rhs");
     assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
     let (ad, bd) = (a.data(), b.data());
-    PACK_BUF.with(|p| {
-        let mut pb = std::mem::take(&mut *p.borrow_mut());
-        pack_panels_transposed(bd, k, n, &mut pb);
-        gemm_driver(m, k, n, out, &pb, &|row| (row * k, k), false, ad);
-        *p.borrow_mut() = pb;
+    with_pack_buf(|pb| {
+        pack_panels_transposed(bd, k, n, pb);
+        gemm_driver(m, k, n, out, pb, &|row| (row * k, k), false, ad);
     });
 }
 
@@ -343,11 +350,9 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (k2, n) = dims2(b, "matmul_tn rhs");
     assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
     let (ad, bd) = (a.data(), b.data());
-    PACK_BUF.with(|p| {
-        let mut pb = std::mem::take(&mut *p.borrow_mut());
-        pack_panels_rowmajor(bd, k, n, &mut pb);
-        gemm_driver(m, k, n, out, &pb, &|row| (row, m), true, ad);
-        *p.borrow_mut() = pb;
+    with_pack_buf(|pb| {
+        pack_panels_rowmajor(bd, k, n, pb);
+        gemm_driver(m, k, n, out, pb, &|row| (row, m), true, ad);
     });
 }
 

@@ -6,10 +6,12 @@
 //!
 //! The GEMM family (`ops::matmul`) is register-tiled: the right-hand
 //! operand is packed into 16-column panels and the micro-kernel computes a
-//! 4×16 accumulator tile per sweep. Large convolutions are lowered onto
-//! those GEMMs via `ops::im2col` (forward *and* backward); tiny shapes keep
-//! the branch-free direct loops in `ops::conv`. Backend dispatch depends
-//! only on static shapes. Every kernel is serial: the repo's threads run
+//! 4×16 accumulator tile per sweep. Large convolutions run the same tile as
+//! an *implicit* GEMM (`ops::igemm`, forward *and* backward): the A operand
+//! is read from a zero-padded copy of the input through a table of tap
+//! offsets, so no patch matrix is ever materialized; tiny shapes keep the
+//! direct loops in `ops::conv`. Backend dispatch depends only on static
+//! shapes. Every kernel is serial: the repo's threads run
 //! whole worker-iterations (`crate::par`), not slices of a kernel.
 //!
 //! # Determinism rule
@@ -31,24 +33,25 @@
 //! No kernel allocates its result: the GEMMs and the pooling kernels write
 //! into caller-owned buffers (`_into`), the convolutions draw theirs from a
 //! caller-owned `crate::Scratch` arena (`_s`, and the two backends behind
-//! them). Training passes the worker's arena, evaluation one of its own,
+//! them; the convolution backward's `_into` form writes the parameter
+//! gradients into the caller's buffers and skips the input gradient when
+//! nobody wants it). Training passes the worker's arena, evaluation one of its own,
 //! a test a local one — the same code in all three. What remains beside
 //! the hot path is what tests compare it with: `matmul_naive` (the
 //! bit-identity reference for the blocked GEMMs) and the direct conv loops
-//! (a backend in their own right on tiny shapes, and the reference for the
-//! im2col lowering). See `crate::scratch` for the ownership story.
+//! (a backend in their own right on tiny shapes, and the independent
+//! reference for the implicit GEMM). See `crate::scratch` for the ownership story.
 
 pub mod activation;
 pub mod conv;
-pub mod im2col;
+mod igemm;
 pub mod matmul;
 pub mod pool;
 
 pub use activation::{softmax_rows, softmax_xent};
 pub use conv::{
-    conv2d_backward_direct, conv2d_backward_s, conv2d_direct, conv2d_s, depthwise_conv2d,
-    depthwise_conv2d_backward, ConvGrads,
+    conv2d_backward_direct, conv2d_backward_into, conv2d_backward_s, conv2d_direct, conv2d_s,
+    depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_backward_into, ConvGrads,
 };
-pub use im2col::{col2im_into, conv2d_backward_im2col_s, conv2d_im2col_s, im2col_into};
 pub use matmul::{matmul_into, matmul_naive, matmul_nt_into, matmul_tn_into};
 pub use pool::{maxpool2_backward_into, maxpool2_into};

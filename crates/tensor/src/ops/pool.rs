@@ -27,18 +27,16 @@ pub fn maxpool2_into(input: &Tensor, out: &mut [f32], arg: &mut [u32]) {
         let ibase = nc * h * w;
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_i = 0usize;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let iy = oy * 2 + dy;
-                        let ix = ox * 2 + dx;
-                        let idx = ibase + iy * w + ix;
-                        let v = id[idx];
-                        if v > best {
-                            best = v;
-                            best_i = idx;
-                        }
+                // Start from the window's own first element, not from -inf
+                // at index 0: a window of NaNs (or of -inf) then keeps its
+                // argmax inside itself and its NaN in the output.
+                let first = ibase + oy * 2 * w + ox * 2;
+                let (mut best, mut best_i) = (id[first], first);
+                for idx in [first + 1, first + w, first + w + 1] {
+                    let v = id[idx];
+                    if v > best {
+                        best = v;
+                        best_i = idx;
                     }
                 }
                 ochunk[oy * ow + ox] = best;
@@ -130,6 +128,33 @@ mod tests {
             let ng = (fp - fm) / (2.0 * eps);
             assert!((din[i] - ng).abs() < 0.02, "idx {i}: {} vs {ng}", din[i]);
         }
+    }
+
+    /// A window with no finite maximum still belongs to itself: its argmax
+    /// is one of its own four elements (so its gradient goes back to its own
+    /// sample) and an all-NaN window outputs NaN rather than hiding it.
+    #[test]
+    fn windows_without_a_finite_maximum_keep_their_argmax_and_their_nan() {
+        let mut input = Tensor::from_fn(Shape::d4(2, 1, 2, 4), |i| i as f32);
+        // Second sample: first window all NaN, second window all -inf.
+        for (at, v) in [(8, f32::NAN), (12, f32::NAN), (10, f32::NEG_INFINITY)] {
+            input.data_mut()[at] = v;
+            input.data_mut()[at + 1] = v;
+        }
+        input.data_mut()[14] = f32::NEG_INFINITY;
+        input.data_mut()[15] = f32::NEG_INFINITY;
+        let (mut out, mut arg) = ([0.0; 4], [u32::MAX; 4]);
+        maxpool2_into(&input, &mut out, &mut arg);
+        assert_eq!(&out[..2], &[5.0, 7.0]);
+        assert_eq!(&arg[..2], &[5, 7]);
+        assert!(out[2].is_nan(), "the NaN reaches the output: {}", out[2]);
+        assert_eq!(out[3], f32::NEG_INFINITY);
+        assert_eq!(&arg[2..], &[8, 10], "argmax inside its own window");
+        let dout = Tensor::from_vec(Shape::d4(2, 1, 1, 2), vec![1.0, 2.0, 3.0, 4.0]);
+        let mut din = [0.0; 16];
+        maxpool2_backward_into(&dout, &arg, &mut din);
+        assert_eq!(din[0], 0.0, "nothing lands on sample 0's first pixel");
+        assert_eq!((din[8], din[10]), (3.0, 4.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-worker scratch arena: the buffers of the forward/backward path.
 //!
-//! Every activation, im2col patch matrix, GEMM product, batch tensor and
+//! Every activation, zero-padded convolution input, batch tensor and
 //! gradient of a training step is a `Vec<f32>` drawn from a [`Scratch`]:
 //! [`Scratch::take`] hands out a zeroed buffer of the requested length
 //! (a previously returned one when available), [`Scratch::take_uninit`]

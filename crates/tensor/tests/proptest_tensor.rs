@@ -5,8 +5,8 @@
 //! reproducible offline.
 
 use dlion_tensor::ops::{
-    col2im_into, conv2d_backward_im2col_s, conv2d_im2col_s, im2col_into, matmul_into, matmul_naive,
-    matmul_nt_into, matmul_tn_into,
+    conv2d_backward_direct, conv2d_backward_into, conv2d_backward_s, conv2d_direct, conv2d_s,
+    matmul_into, matmul_naive, matmul_nt_into, matmul_tn_into,
 };
 use dlion_tensor::sparse::{kth_largest_abs, max_n_select, n_for_budget};
 use dlion_tensor::stats::linear_fit;
@@ -190,51 +190,208 @@ fn blocked_kernels_exactly_match_naive_reference() {
     }
 }
 
-/// The im2col convolution views the filter bank as `(F, C·KH·KW)` in place
-/// (shared storage): forward and `dinput` carry the same bits as the same
-/// lowering fed a materialized copy of the bank, and the bank is untouched.
-#[test]
-fn im2col_conv_reads_the_filter_bank_in_place() {
-    let mut s = Scratch::new();
-    for case in 0..24u64 {
-        let mut rng = DetRng::seed_from_u64(6500 + case);
-        let (n, c, f) = (1 + rng.index(3), 1 + rng.index(4), 1 + rng.index(6));
-        let (k, pad) = (1 + 2 * rng.index(2), rng.index(2));
-        let (h, w) = (k + rng.index(6), k + rng.index(6));
-        let (oh, ow) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
-        let (rows, row_len) = (n * oh * ow, c * k * k);
-        let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
-        let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
-        let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
-        let dout = Tensor::randn(Shape::d4(n, f, oh, ow), 1.0, &mut rng);
-        let bank = weight.data().to_vec();
-        let wcopy = Tensor::from_vec(Shape::d2(f, row_len), bank.clone());
+/// One GEMM-regime convolution problem and its naive scalar reference,
+/// written from the order contract in `ops/igemm.rs`: the chains the
+/// im2col + GEMM lowering ran, element by element, with no tiling at all.
+struct ConvCase {
+    dims: [usize; 8], // n, c, h, w, f, kh, kw, pad
+    input: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    dout: Tensor,
+}
 
-        let mut patches = vec![f32::NAN; rows * row_len];
-        im2col_into(&input, k, k, pad, &mut patches);
-        let patches = Tensor::from_vec(Shape::d2(rows, row_len), patches);
-        let mut prod = vec![f32::NAN; rows * f];
-        matmul_nt_into(&patches, &wcopy, &mut prod);
-        let expect = Tensor::from_fn(Shape::d4(n, f, oh, ow), |i| {
-            let (ni, fi, p) = (i / (f * oh * ow), i / (oh * ow) % f, i % (oh * ow));
-            prod[(ni * oh * ow + p) * f + fi] + bias.data()[fi]
-        });
-        let got = conv2d_im2col_s(&input, &weight, &bias, pad, &mut s);
-        assert_eq!(got.data(), expect.data(), "case {case}: forward");
-
-        let drows = Tensor::from_fn(Shape::d2(rows, f), |i| {
-            let (r, fi) = (i / f, i % f);
-            dout.data()[(r / (oh * ow) * f + fi) * oh * ow + r % (oh * ow)]
-        });
-        let mut dpatches = vec![f32::NAN; rows * row_len];
-        matmul_into(&drows, &wcopy, &mut dpatches);
-        let dpatches = Tensor::from_vec(Shape::d2(rows, row_len), dpatches);
-        let mut dinput = vec![0.0; n * c * h * w];
-        col2im_into(&dpatches, n, c, h, w, k, k, pad, &mut dinput);
-        let grads = conv2d_backward_im2col_s(&input, &weight, &dout, pad, &mut s);
-        assert_eq!(grads.dinput.data(), &dinput[..], "case {case}: dinput");
-        assert_eq!(weight.data(), &bank[..], "case {case}: bank rewritten");
+impl ConvCase {
+    fn out_hw(&self) -> (usize, usize) {
+        let [_, _, h, w, _, kh, kw, pad] = self.dims;
+        (h + 2 * pad + 1 - kh, w + 2 * pad + 1 - kw)
     }
+
+    /// `patches[(ni, oy, ox)][(ci, ky, kx)]`: the input value under the
+    /// tap, `+0.0` where the tap hangs over the padding; plus the flat input
+    /// index it came from.
+    fn tap(&self, ni: usize, oy: usize, ox: usize, k: usize) -> (f32, Option<usize>) {
+        let [_, c, h, w, _, kh, kw, pad] = self.dims;
+        let (ci, ky, kx) = (k / (kh * kw), k / kw % kh, k % kw);
+        let (iy, ix) = (oy + ky, ox + kx);
+        if iy < pad || iy >= h + pad || ix < pad || ix >= w + pad {
+            return (0.0, None);
+        }
+        let at = ((ni * c + ci) * h + iy - pad) * w + ix - pad;
+        (self.input.data()[at], Some(at))
+    }
+
+    /// `(out, dinput, dweight, dbias)` by the order contract.
+    fn reference(&self) -> [Vec<f32>; 4] {
+        let [n, c, h, w, f, kh, kw, _] = self.dims;
+        let (oh, ow) = self.out_hw();
+        let k_len = c * kh * kw;
+        let (wd, dd) = (self.weight.data(), self.dout.data());
+        let mut out = vec![0.0f32; n * f * oh * ow];
+        let mut dinput = vec![0.0f32; n * c * h * w];
+        let mut dweight = vec![0.0f32; f * k_len];
+        let mut dbias = vec![0.0f32; f];
+        // Rows r = (ni, oy, ox) ascending everywhere below.
+        for ni in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let at = |fi: usize| ((ni * f + fi) * oh + oy) * ow + ox;
+                    for fi in 0..f {
+                        // Forward: ascending k from +0.0, padding taps
+                        // included, bias last.
+                        let mut acc = 0.0f32;
+                        for k in 0..k_len {
+                            acc += self.tap(ni, oy, ox, k).0 * wd[fi * k_len + k];
+                        }
+                        out[at(fi)] = acc + self.bias.data()[fi];
+                        // dW[f][k] and dbias[f]: one more row onto each chain.
+                        for k in 0..k_len {
+                            dweight[fi * k_len + k] += self.tap(ni, oy, ox, k).0 * dd[at(fi)];
+                        }
+                        dbias[fi] += dd[at(fi)];
+                    }
+                    // dpatches[r][k] from +0.0 in ascending f, scattered in
+                    // ascending k.
+                    for k in 0..k_len {
+                        let mut dpatch = 0.0f32;
+                        for fi in 0..f {
+                            dpatch += dd[at(fi)] * wd[fi * k_len + k];
+                        }
+                        if let (_, Some(i)) = self.tap(ni, oy, ox, k) {
+                            dinput[i] += dpatch;
+                        }
+                    }
+                }
+            }
+        }
+        [out, dinput, dweight, dbias]
+    }
+}
+
+/// Bit equality, except that two NaNs are equal whatever their sign and
+/// payload: which operand's NaN a `mul`/`add` hands on depends on operand
+/// order, which neither the compiler nor the contract fixes.
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}[{i}]: {g:e} ({:#x}) vs reference {w:e} ({:#x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// The implicit-GEMM convolution's contract: forward and all three
+/// gradients are *bit-identical* to the naive chains of [`ConvCase`], on
+/// shapes that straddle every tile edge — F below, at and above one and two
+/// 16-filter panels; K below and above one and several 16-tap panels; pad
+/// 0/1/2; 1×1 and non-square kernels; `N·OH·OW` not a multiple of 4 and
+/// `OH·OW` < 4 — with exact zeros in `dout` (no zero skip) and, on every
+/// third case, −0.0, NaN and ±∞ among the inputs and weights. Every shape is
+/// sized into the GEMM regime, whose threshold (`16 · 1024` MACs) is part of
+/// the contract: the direct loops on the other side round differently.
+#[test]
+fn implicit_gemm_conv_exactly_matches_the_order_contract() {
+    let mut s = Scratch::new();
+    // (c, h, w, f, kh, kw, pad)
+    let shapes = [
+        (1, 12, 12, 4, 3, 3, 1), // Cipher conv1: K = 9, one ragged panel
+        (4, 6, 6, 8, 3, 3, 1),   // Cipher conv2: K = 36, three panels
+        (8, 3, 3, 16, 3, 3, 1),  // Cipher conv3: K = 72, F a full panel
+        (3, 5, 4, 17, 3, 3, 1),  // F one past a panel
+        (2, 4, 5, 32, 3, 2, 2),  // two full panels, non-square kernel, pad 2
+        (5, 3, 3, 5, 1, 1, 0),   // 1x1, K = 5
+        (16, 2, 3, 1, 1, 1, 0),  // F = 1, K = 16 exactly
+        (1, 1, 2, 1, 1, 1, 0),   // K = 1, F = 1, OH·OW = 2
+        (2, 1, 3, 4, 1, 2, 0),   // 1x2 kernel, OH·OW = 2
+        (7, 5, 3, 5, 2, 3, 0),   // K = 42, pad 0, OW = 1
+        (3, 1, 1, 17, 3, 3, 2),  // 1x1 image under pad 2: mostly padding taps
+    ];
+    let mut strip_remainders = [0; 4];
+    for (case, &(c, h, w, f, kh, kw, pad)) in shapes.iter().enumerate() {
+        let mut rng = DetRng::seed_from_u64(6500 + case as u64);
+        let (oh, ow) = (h + 2 * pad + 1 - kh, w + 2 * pad + 1 - kw);
+        // The smallest batch in the GEMM regime, plus one so that the row
+        // count is not always a multiple of the 4-row strip.
+        let n = (16 * 1024usize).div_ceil(oh * ow * c * kh * kw * f) + 1;
+        strip_remainders[n * oh * ow % 4] += 1;
+        let mut input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
+        let mut weight = Tensor::randn(Shape::d4(f, c, kh, kw), 0.5, &mut rng);
+        let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
+        let mut dout = Tensor::randn(Shape::d4(n, f, oh, ow), 1.0, &mut rng);
+        // ReLU-style exact zeros upstream.
+        for v in dout.data_mut().iter_mut().step_by(3) {
+            *v = 0.0;
+        }
+        if case % 3 == 2 {
+            let specials = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (i, &v) in specials.iter().enumerate() {
+                let at = rng.index(input.numel());
+                input.data_mut()[at] = v;
+                let at = rng.index(weight.numel());
+                weight.data_mut()[at] = specials[(i + 1) % 4];
+            }
+            dout.data_mut()[0] = -0.0;
+        }
+        let problem = ConvCase {
+            dims: [n, c, h, w, f, kh, kw, pad],
+            input,
+            weight,
+            bias,
+            dout,
+        };
+        let [out, dinput, dweight, dbias] = problem.reference();
+        let ConvCase {
+            input,
+            weight,
+            bias,
+            dout,
+            ..
+        } = &problem;
+        let what =
+            |t: &str| format!("case {case} ({n},{c},{h},{w})x({f},{c},{kh},{kw}) pad {pad}: {t}");
+
+        let got = conv2d_s(input, weight, bias, pad, &mut s);
+        assert_eq!(got.shape().dims(), &[n, f, oh, ow]);
+        assert_same_bits(got.data(), &out, &what("forward"));
+        s.put_tensor(got);
+
+        let g = conv2d_backward_s(input, weight, dout, pad, &mut s);
+        assert_same_bits(g.dinput.data(), &dinput, &what("dinput"));
+        assert_same_bits(g.dweight.data(), &dweight, &what("dweight"));
+        assert_same_bits(g.dbias.data(), &dbias, &what("dbias"));
+
+        // Without the input gradient: same parameter gradients, written
+        // over stale buffer contents.
+        let (mut dw, mut db) = (vec![f32::NAN; dweight.len()], vec![f32::NAN; f]);
+        let none = conv2d_backward_into(input, weight, dout, pad, false, &mut dw, &mut db, &mut s);
+        assert!(none.is_none());
+        assert_same_bits(&dw, &dweight, &what("dweight, no dx"));
+        assert_same_bits(&db, &dbias, &what("dbias, no dx"));
+
+        // The direct loops are the independent reference: same numbers to
+        // rounding (they add the bias first and skip zero gradients).
+        if case % 3 != 2 {
+            let close = |a: &[f32], b: &[f32], t: &str| {
+                for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                    let tol = 1e-3 * (1.0 + x.abs().max(y.abs()));
+                    assert!((x - y).abs() < tol, "{}[{i}]: {x} vs {y}", what(t));
+                }
+            };
+            let direct = conv2d_direct(input, weight, bias, pad, &mut s);
+            close(&out, direct.data(), "forward vs direct");
+            let d = conv2d_backward_direct(input, weight, dout, pad, &mut s);
+            close(g.dinput.data(), d.dinput.data(), "dinput vs direct");
+            close(g.dweight.data(), d.dweight.data(), "dweight vs direct");
+            close(g.dbias.data(), d.dbias.data(), "dbias vs direct");
+        }
+    }
+    assert!(
+        strip_remainders.iter().all(|&cases| cases > 0),
+        "every 4-row strip remainder is covered: {strip_remainders:?}"
+    );
 }
 
 /// `sq_l2` folds the squaring into the repo's one summation order: the same

@@ -3,7 +3,7 @@
 //! forward/backward, so what they return cannot depend on which arena
 //! served them — a throwaway one, a warm one, or one that has already
 //! served other batch sizes — on either conv backend (batch 1 takes the
-//! direct loops for all three CipherNet convs, batch 32 im2col + GEMM).
+//! direct loops for all three CipherNet convs, batch 32 the implicit GEMM).
 //! Nor can it depend on which thread computed it: the simulator runs each
 //! worker's gradient step as a pool job, and a run whose jobs go to the
 //! pool equals one whose jobs run inline.
