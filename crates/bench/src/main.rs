@@ -260,7 +260,7 @@ fn telemetry() {
 
     // Health-plane overhead on a live 3-worker cluster (in-memory
     // transport, so the measurement is the reporting machinery itself —
-    // stats encoding, KIND_STATS fan-out, aggregation, training-clock
+    // the per-round report event, the silence check, training-clock
     // bookkeeping — not socket noise). Off must be ~free (the plane is a
     // handful of `Option` checks when disabled), on must stay <1% e2e.
     let live_cfg = {

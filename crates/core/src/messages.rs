@@ -78,11 +78,11 @@ pub enum Payload {
         sender_loss: f64,
     },
     /// "I have left the run", carrying the sender's completed-iteration
-    /// count — the control frame a departing worker broadcasts (the live
-    /// backend's `KIND_LEAVE`). The simulator sends it through the same
-    /// latency-modelled links as gradients, so a departure notice can
-    /// never overtake the victim's own last gradients: the per-link FIFO
-    /// the live transports guarantee.
+    /// count — the control frame a departing worker broadcasts, on both
+    /// backends. The simulator sends it through the same latency-modelled
+    /// links as gradients, so a departure notice can never overtake the
+    /// victim's own last gradients: the per-link FIFO the live transports
+    /// guarantee.
     Leave { completed: u64 },
 }
 
@@ -348,8 +348,10 @@ pub fn apply_wire_format(payload: &mut Payload, format: WireFormat) {
         WireFormat::Dense => {}
         WireFormat::Fp16 => {
             for t in vars {
+                // The codec's own pair, so sim and live round the same way
+                // by construction (the scalar forms are the test reference).
                 for x in t.data_mut() {
-                    *x = f16_bits_to_f32(f32_to_f16_bits(*x));
+                    *x = f16_to_f32_select(f16_bits_select(*x));
                 }
             }
         }
@@ -1219,7 +1221,9 @@ fn enc_tensor_len(t: &Tensor) -> usize {
 
 /// f32 → IEEE-754 binary16 bits, round-to-nearest-even; overflow goes to
 /// ±inf, underflow to ±0 through the subnormal range. Deterministic (no
-/// stochastic rounding) so sim and live quantize identically.
+/// stochastic rounding). The reference form: the codec and the simulator
+/// both run `f16_bits_select`, which the tests hold to this one bit for
+/// bit on every input.
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -1268,7 +1272,8 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
     sign // underflow → ±0
 }
 
-/// IEEE-754 binary16 bits → f32 (exact).
+/// IEEE-754 binary16 bits → f32 (exact). The reference form of
+/// `f16_to_f32_select`.
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1f) as u32;

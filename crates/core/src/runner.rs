@@ -534,7 +534,7 @@ impl ClusterRunner {
                 // The victim's departure notice arrived — only now does
                 // this worker demote it. Arriving per-link FIFO behind the
                 // victim's last gradients, the demotion can never cost a
-                // round its gradients — the live `KIND_LEAVE` ordering.
+                // round its gradients — the live backend's ordering.
                 self.workers[to].demote_peer(from, completed, now);
                 true
             }

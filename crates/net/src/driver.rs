@@ -21,9 +21,11 @@
 //! The driver survives peers leaving (and optionally rejoining) mid-run:
 //!
 //! * A **planned departure** ([`dlion_core::FaultPlan`], `--kill`) makes
-//!   the victim broadcast [`crate::KIND_LEAVE`] carrying its completed
-//!   iteration count `K` and exit (or go silent until its rejoin time).
-//!   Per-peer FIFO puts the Leave after every gradient the victim sent.
+//!   the victim broadcast `Payload::Leave` — the same message, through the
+//!   same payload codec, as the simulator's victim — carrying its
+//!   completed iteration count `K` and exit (or go silent until its rejoin
+//!   time). Per-peer FIFO puts the Leave after every gradient the victim
+//!   sent.
 //! * A **crash** surfaces on each survivor as
 //!   [`dlion_core::TransportError::PeerDisconnected`] (reader EOF) or
 //!   [`dlion_core::TransportError::PeerTimeout`] from the transport.
@@ -39,8 +41,8 @@
 //!   fault plan itself, so every survivor renormalizes at the same round
 //!   no matter when the Leave frame lands — kill plans are deterministic.
 //! * A departed worker **rejoins** by sending a late
-//!   [`crate::KIND_HELLO`]; any survivor that sees it re-activates the
-//!   peer and replies [`crate::KIND_CATCHUP`] with its current
+//!   [`Control::Hello`]; any survivor that sees it re-activates the
+//!   peer and replies [`Control::Catchup`] with its current
 //!   iteration. The rejoiner then uses the ordinary DKT pull path
 //!   (`DktRequest` → full `Weights`, merged with λ = 1) to catch up, and
 //!   resumes at the donor's iteration as an untracked backup member:
@@ -48,28 +50,27 @@
 //!
 //! Two protocol additions have no simulator counterpart:
 //!
-//! * every received gradient is acknowledged with a [`crate::KIND_ACK`]
+//! * every received gradient is acknowledged with a [`Control::Ack`]
 //!   frame; the ack drives `SyncState::on_delivered_from` on the sender,
 //!   which is what `BlockOnDelivery` (Gaia) gates on. The simulator calls
 //!   `on_delivered` at the virtual arrival time instead.
-//! * when a worker finishes its last iteration it sends [`crate::KIND_DONE`]
+//! * when a worker finishes its last iteration it sends [`Control::Done`]
 //!   to every peer and keeps receiving until it holds a Done from every
 //!   peer that has not departed. Transports guarantee per-peer FIFO, so a
 //!   Done from a peer proves all of that peer's gradients have already
 //!   been applied — no message can be lost by exiting after the barrier.
 
-use crate::health::{parse_stats, stats_body, HealthAggregator, WorkerStats, WIRE_LABELS};
-use crate::{
-    LiveError, KIND_ACK, KIND_CATCHUP, KIND_DONE, KIND_HELLO, KIND_LEAVE, KIND_RCP, KIND_STATS,
-};
+use crate::control::{Control, RankHello};
+use crate::health::HealthAggregator;
+use crate::LiveError;
 use dlion_core::args::RunSpec;
 use dlion_core::clock::{Clock, SystemClock};
 use dlion_core::config::RunConfig;
 use dlion_core::gbs::{round_due, Batching};
 use dlion_core::lbs::{compute_rcp, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
-    apply_wire_format, decode_frame, decode_frame_header, decode_wire, encode_frame,
-    trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat,
+    apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat,
+    KIND_NET_BASE,
 };
 use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
@@ -129,13 +130,13 @@ pub struct LiveOpts {
     /// periods, stall deadlines, rejoin delays) runs deterministically
     /// and without real sleeps.
     pub clock: Arc<dyn Clock>,
-    /// Emit a [`crate::KIND_STATS`] health report every this many
-    /// *training-clock* seconds (`--health-interval`; `None` = health
-    /// plane off). Reports ride the same nominal-time schedule as GBS
-    /// rounds, so with a pinned `assumed_iter_time` the report cadence —
-    /// and every deterministic counter derived from it — is a pure
-    /// function of the iteration schedule, testable on a `ManualClock`
-    /// with zero sleeps.
+    /// Run a health round (a `worker_health` trace event plus the silence
+    /// check) every this many *training-clock* seconds
+    /// (`--health-interval`; `None` = health plane off). Rounds ride the
+    /// same nominal-time schedule as GBS rounds, so with a pinned
+    /// `assumed_iter_time` the round cadence — and every deterministic
+    /// counter derived from it — is a pure function of the iteration
+    /// schedule, testable on a `ManualClock` with zero sleeps.
     pub health_interval: Option<f64>,
 }
 
@@ -225,8 +226,8 @@ pub struct WorkerOutcome {
     pub grad_bytes: f64,
     pub weight_bytes: f64,
     pub control_bytes: f64,
-    /// Bytes of net-only control frames (hello/ack/done/rcp/leave/
-    /// catchup) — overhead the simulator does not model, kept out of the
+    /// Bytes of net-only control frames (hello/ack/done/rcp/catchup) —
+    /// overhead the simulator does not model, kept out of the
     /// sim-comparable counters above.
     pub net_overhead_bytes: f64,
     /// Exact encoded bytes sent, bucketed by wire label (`grad_dense`,
@@ -257,12 +258,9 @@ pub struct WorkerOutcome {
     pub train_secs: f64,
     /// Health report rounds this worker emitted (0 = plane off).
     pub health_rounds: u64,
-    /// `KIND_STATS` frames received from peers. Advisory: the count near
-    /// the shutdown barrier depends on arrival timing.
-    pub health_frames_recv: u64,
     /// Peers this worker flagged silent, in id order. Deterministic: the
     /// set equals the peers that departed (ledger-driven), independent of
-    /// when their Leave frames or socket EOFs landed.
+    /// when their Leaves or socket EOFs landed.
     pub silent_flagged: Vec<usize>,
     /// Advisory high-water marks: deepest send queue seen at a health
     /// tick / end of run, deepest BSP deferred-gradient backlog, largest
@@ -287,13 +285,8 @@ impl WorkerOutcome {
             self.departed
         ));
         s.push_str(&format!(
-            ",\"health_rounds\":{},\"health_frames_recv\":{},\"sendq_hw\":{},\
-             \"deferred_hw\":{},\"scratch_hw\":{}",
-            self.health_rounds,
-            self.health_frames_recv,
-            self.sendq_hw,
-            self.deferred_hw,
-            self.scratch_hw
+            ",\"health_rounds\":{},\"sendq_hw\":{},\"deferred_hw\":{},\"scratch_hw\":{}",
+            self.health_rounds, self.sendq_hw, self.deferred_hw, self.scratch_hw
         ));
         s.push_str(",\"silent_flagged\":[");
         for (i, p) in self.silent_flagged.iter().enumerate() {
@@ -390,7 +383,6 @@ impl WorkerOutcome {
             net_overhead_bytes: num("net_overhead_bytes")?,
             train_secs: num("train_secs")?,
             health_rounds: int("health_rounds")?,
-            health_frames_recv: int("health_frames_recv")?,
             sendq_hw: int("sendq_hw")?,
             deferred_hw: int("deferred_hw")?,
             scratch_hw: int("scratch_hw")?,
@@ -457,30 +449,10 @@ impl WorkerOutcome {
     }
 }
 
-/// Decode the `u64` body of a Leave/Catchup control frame.
-fn u64_body(body: &[u8], from: usize) -> Result<u64, LiveError> {
-    let bytes: [u8; 8] = body
-        .try_into()
-        .map_err(|_| LiveError::Protocol(format!("bad u64 control body from {from}")))?;
-    Ok(u64::from_le_bytes(bytes))
-}
-
-/// Encode an RCP frame body: the adjustment round it belongs to (0 is
-/// the start-up profiling exchange) and the RCP itself.
-fn rcp_body(round: u64, rcp: f64) -> Vec<u8> {
-    [round.to_le_bytes(), rcp.to_le_bytes()].concat()
-}
-
-/// Decode [`rcp_body`].
-fn parse_rcp(body: &[u8], from: usize) -> Result<(u64, f64), LiveError> {
-    if body.len() != 16 {
-        return Err(LiveError::Protocol(format!(
-            "bad rcp body from {from}: {} bytes",
-            body.len()
-        )));
-    }
-    let (round, rcp) = (u64_body(&body[..8], from)?, u64_body(&body[8..], from)?);
-    Ok((round, f64::from_bits(rcp)))
+/// What one inbound wire stream carries.
+enum Inbound {
+    Control(Control),
+    Payload(Payload),
 }
 
 struct LiveWorker<'a, 'b> {
@@ -509,8 +481,8 @@ struct LiveWorker<'a, 'b> {
     /// Health report rounds completed (round `r` fires when `train_secs`
     /// crosses `r × health_interval`; the batching rounds' due rule).
     health_round: u64,
-    /// Peer-report view and silence ledger of the health plane. Allocated
-    /// even when the plane is off — then it just never records.
+    /// Silence ledger of the health plane. Allocated even when the plane
+    /// is off — then it just never flags.
     health: HealthAggregator,
     /// Decode+apply latency of inbound frames, per sending peer
     /// (advisory; recorded only while the health plane is on).
@@ -525,7 +497,7 @@ struct LiveWorker<'a, 'b> {
     active: Vec<bool>,
     /// The round core's ledger. `departed_at` is seeded from the fault
     /// plan for planned kills (making renormalization independent of
-    /// message timing) and set from the Leave frame or a received-round
+    /// message timing) and set from the Leave or a received-round
     /// guess for unplanned crashes; `lbs_of` holds every worker's LBS
     /// share — all `initial_lbs` until a profiling round repartitions.
     members: Membership,
@@ -598,12 +570,8 @@ impl LiveWorker<'_, '_> {
         self.done[from] = false;
         event!(self.now(), w: self.me, "peer_rejoined";
             "peer" => from, "iter" => self.worker.iteration);
-        self.send_control(
-            from,
-            KIND_CATCHUP,
-            &self.worker.iteration.to_le_bytes(),
-            true,
-        )
+        let iteration = self.worker.iteration;
+        self.send_control(from, Control::Catchup { iteration }, true)
     }
 
     /// Per-peer liveness folded into a receive result: a disconnect or
@@ -697,15 +665,14 @@ impl LiveWorker<'_, '_> {
         Ok(())
     }
 
-    /// Send a net-control frame (ack/done/rcp/leave/catchup/hello).
+    /// Send a net-control frame (ack/done/rcp/catchup/hello).
     fn send_control(
         &mut self,
         to: usize,
-        kind: u8,
-        body: &[u8],
+        msg: Control,
         best_effort: bool,
     ) -> Result<(), LiveError> {
-        let frame = encode_frame(kind, body);
+        let frame = msg.to_frame();
         self.out.net_overhead_bytes += frame.len() as f64;
         let sent = self.transport.send_frame(to, frame);
         self.outbound(to, sent, best_effort).map(|_| ())
@@ -714,40 +681,59 @@ impl LiveWorker<'_, '_> {
     /// Best-effort control frame to every peer `to` selects.
     fn broadcast(
         &mut self,
-        kind: u8,
-        body: &[u8],
+        msg: Control,
         to: impl Fn(&Self, usize) -> bool,
     ) -> Result<(), LiveError> {
         for j in 0..self.n {
             if j != self.me && to(self, j) {
-                self.send_control(j, kind, body, true)?;
+                self.send_control(j, msg, true)?;
             }
         }
         Ok(())
     }
 
-    /// The two liveness control frames the rejoin path's raw-frame loops
-    /// must honour (dead time, the Catchup and weight waits). Both
-    /// are always plain frames, so callers pass the kind peeked from the
-    /// validated header and no chunked stream is ever reassembled for
-    /// this. Returns whether the frame was one of them.
-    fn note_liveness(&mut self, kind: u8, from: usize, frame: &[u8]) -> Result<bool, LiveError> {
-        match kind {
-            KIND_DONE => self.done[from] = true,
-            KIND_LEAVE => {
-                let (_, body) = decode_frame(frame)?;
-                let k = u64_body(body, from)?;
-                self.note_departed(from, Some(k));
-            }
-            _ => return Ok(false),
+    /// Decode one inbound wire stream (plain frame or chunked): a control
+    /// frame through the one control decode, anything else through the
+    /// payload codec. Chunked bodies reassemble into the worker's reusable
+    /// scratch; payload decode draws storage from the recycle pool.
+    fn decode_inbound(&mut self, from: usize, frame: &[u8]) -> Result<Inbound, LiveError> {
+        let (kind, body) = decode_wire(frame, &mut self.wire_scratch)?;
+        if kind < KIND_NET_BASE {
+            let payload = Payload::decode_body_pooled(kind, body, &mut self.pool)?;
+            return Ok(Inbound::Payload(payload));
         }
-        Ok(true)
+        match Control::decode(kind, body, self.n) {
+            Ok(msg) => Ok(Inbound::Control(msg)),
+            Err(LiveError::Protocol(why)) => {
+                Err(LiveError::Protocol(format!("from worker {from}: {why}")))
+            }
+            Err(e) => Err(e),
+        }
     }
 
-    /// Handle one inbound wire stream (plain frame or chunked) — the live
-    /// analogue of the simulator's `Msg` event plus the net-control
-    /// protocol. Chunked bodies reassemble into the worker's reusable
-    /// scratch; payload decode draws storage from the recycle pool.
+    /// Receive while out of the run (dead time, the Catchup and weight
+    /// waits): nothing is served, but a Done or a Leave still counts — the
+    /// give-up checks read `done` and `active`. Returns whatever else
+    /// arrived.
+    fn recv_away(&mut self, timeout: Duration) -> Result<Option<(usize, Inbound)>, LiveError> {
+        let Some((from, frame)) = self.recv(timeout)? else {
+            return Ok(None);
+        };
+        Ok(match self.decode_inbound(from, &frame)? {
+            Inbound::Control(Control::Done) => {
+                self.done[from] = true;
+                None
+            }
+            Inbound::Payload(Payload::Leave { completed }) => {
+                self.note_departed(from, Some(completed));
+                None
+            }
+            other => Some((from, other)),
+        })
+    }
+
+    /// Handle one inbound wire stream — the live analogue of the
+    /// simulator's `Msg` event plus the net-control protocol.
     fn handle_frame(
         &mut self,
         from: usize,
@@ -757,60 +743,48 @@ impl LiveWorker<'_, '_> {
         // Frame-lifecycle instrumentation, last leg: reassembly + decode +
         // apply, recorded per sending peer while the health plane is on.
         let t0 = self.env.opts.health_interval.is_some().then(Instant::now);
-        let (kind, body) = decode_wire(&frame, &mut self.wire_scratch)?;
-        let result = match kind {
-            KIND_ACK => {
-                // One of our gradient messages reached its peer
-                // (BlockOnDelivery's gate).
-                self.worker.sync.on_delivered_from(from);
-                Ok(())
-            }
-            KIND_DONE => {
-                self.done[from] = true;
-                Ok(())
-            }
-            KIND_LEAVE => {
-                let k = u64_body(body, from)?;
-                self.note_departed(from, Some(k));
-                Ok(())
-            }
-            KIND_HELLO => {
-                // A Hello after establishment is a rejoin announcement.
-                // During shutdown we are leaving ourselves — the rejoiner
-                // gives up once it holds everyone's Done.
-                if during_shutdown {
-                    Ok(())
-                } else {
-                    self.promote(from)
-                }
-            }
-            KIND_RCP => {
-                let (round, rcp) = parse_rcp(body, from)?;
-                // Rounds already run are stale; rounds ahead of us
-                // pre-arrive when a faster peer opens them first.
-                if self.batching.awaits(round) {
-                    self.rcp_pending.insert((round, from), rcp);
-                }
-                Ok(())
-            }
-            // Catchup replies are consumed by the rejoin loop; a stray
-            // one (we took another donor's offer first) is ignored.
-            KIND_CATCHUP => Ok(()),
-            KIND_STATS => {
-                let stats = parse_stats(body, from)?;
-                self.out.health_frames_recv += 1;
-                self.health.record(from, stats);
-                Ok(())
-            }
-            _ => {
-                let payload = Payload::decode_body_pooled(kind, body, &mut self.pool)?;
-                self.on_payload(from, payload, during_shutdown)
-            }
+        let result = match self.decode_inbound(from, &frame)? {
+            Inbound::Payload(payload) => self.on_payload(from, payload, during_shutdown),
+            Inbound::Control(msg) => self.on_control(from, msg, during_shutdown),
         };
         if let (Some(t0), Some(h)) = (t0, self.apply_lat.get_mut(from)) {
             h.record(t0.elapsed().as_secs_f64());
         }
         result
+    }
+
+    /// The net-control protocol: what each control message does to a rank
+    /// that is in the run.
+    fn on_control(
+        &mut self,
+        from: usize,
+        msg: Control,
+        during_shutdown: bool,
+    ) -> Result<(), LiveError> {
+        match msg {
+            // One of our gradient messages reached its peer
+            // (BlockOnDelivery's gate).
+            Control::Ack => self.worker.sync.on_delivered_from(from),
+            Control::Done => self.done[from] = true,
+            // A Hello after establishment is a rejoin announcement.
+            // During shutdown we are leaving ourselves — the rejoiner
+            // gives up once it holds everyone's Done.
+            Control::Hello { .. } if !during_shutdown => return self.promote(from),
+            // Rounds already run are stale; rounds ahead of us pre-arrive
+            // when a faster peer opens them first.
+            Control::Rcp { round, rcp } if self.batching.awaits(round) => {
+                self.rcp_pending.insert((round, from), rcp);
+            }
+            // Catchup replies are consumed by the rejoin loop; a stray
+            // one (we took another donor's offer first) is ignored.
+            Control::Hello { .. } | Control::Rcp { .. } | Control::Catchup { .. } => {}
+            Control::Route { .. } => {
+                return Err(LiveError::Protocol(format!(
+                    "route marker from worker {from} outside a host link"
+                )))
+            }
+        }
+        Ok(())
     }
 
     /// Hand a training payload to the round core and do the live half of
@@ -840,11 +814,6 @@ impl LiveWorker<'_, '_> {
                 self.pool.extend(weights.into_iter().map(Tensor::into_data));
                 Ok(())
             }
-            // The live stack announces departures with the net-level
-            // [`KIND_LEAVE`] control frame; the core-codec `Leave` exists
-            // so the *simulator* can route departures through modelled
-            // links. Honor it anyway so the two dialects stay
-            // interchangeable on the wire.
             Effect::Departed { completed } => {
                 self.note_departed(from, Some(completed));
                 Ok(())
@@ -856,7 +825,7 @@ impl LiveWorker<'_, '_> {
     /// `SyncState::on_delivered_from`, `BlockOnDelivery`'s gate).
     fn ack(&mut self, from: usize, during_shutdown: bool) -> Result<(), LiveError> {
         let best_effort = during_shutdown || !self.active[from];
-        self.send_control(from, KIND_ACK, &[], best_effort)
+        self.send_control(from, Control::Ack, best_effort)
     }
 
     /// The strict-BSP flush point (see `Worker::flush_parked`), plus the
@@ -1003,7 +972,7 @@ impl LiveWorker<'_, '_> {
     /// Must peer `j` answer a round triggered at local iteration
     /// `trigger_iter`? The `departed_at` ledger — seeded from the fault
     /// plan — decides, so participation under a kill plan is a pure
-    /// function of the plan, not of Leave-frame timing.
+    /// function of the plan, not of Leave timing.
     fn rcp_expected(&self, j: usize, trigger_iter: u64) -> bool {
         j != self.me && self.active[j] && !self.done[j] && self.members.counts(j, trigger_iter)
     }
@@ -1039,8 +1008,8 @@ impl LiveWorker<'_, '_> {
         let trigger_iter = self.worker.iteration;
         // Peers use the broadcast value verbatim — that is how every
         // member partitions from the same RCP vector.
-        let body = rcp_body(round, my_rcp);
-        self.broadcast(KIND_RCP, &body, |lw, j| lw.rcp_expected(j, trigger_iter))?;
+        let msg = Control::Rcp { round, rcp: my_rcp };
+        self.broadcast(msg, |lw, j| lw.rcp_expected(j, trigger_iter))?;
         self.rcp_pending.insert((round, self.me), my_rcp);
         // Blocking collect: the round must not be decided until every
         // expected peer has answered (departures and Dones observed
@@ -1068,39 +1037,42 @@ impl LiveWorker<'_, '_> {
         Ok(())
     }
 
-    /// Emit every health report whose training-clock boundary has been
+    /// Run every health round whose training-clock boundary has been
     /// crossed — the same nominal-time due rule as
     /// [`LiveWorker::run_due_gbs_rounds`], so with a pinned iteration
-    /// time the report count and round numbers are pure functions of the
+    /// time the round count and round numbers are pure functions of the
     /// iteration schedule (and hence `ManualClock`-testable without
-    /// sleeps). Each tick also runs the ledger-based silence check.
-    fn run_due_health_rounds(&mut self) -> Result<(), LiveError> {
+    /// sleeps). Each round runs the ledger-based silence check and traces
+    /// this rank's `worker_health` report, folding the advisory high-water
+    /// marks into the outcome.
+    fn run_due_health_rounds(&mut self) {
         let Some(interval) = self.env.opts.health_interval else {
-            return Ok(());
+            return;
         };
         while round_due(self.health_round + 1, self.train_secs, interval) {
             self.health_round += 1;
             self.out.health_rounds = self.health_round;
             self.flag_planned_silent();
-            let stats = self.current_stats();
-            let body = stats_body(&stats);
-            self.broadcast(KIND_STATS, &body, |lw, j| lw.active[j] && !lw.done[j])?;
+            let links = self.transport.link_health();
+            let sendq = links.iter().map(|l| l.queue_depth).max().unwrap_or(0);
+            self.out.sendq_hw = self.out.sendq_hw.max(sendq as u64);
+            let scratch_hw = self.wire_scratch.capacity() as u64;
+            self.out.scratch_hw = self.out.scratch_hw.max(scratch_hw);
             // Nominal round time, like GBS traces — though the *values*
             // of the load fields (deferred, sendq) stay advisory.
             event!(self.health_round as f64 * interval, w: self.me, "worker_health";
                 "round" => self.health_round,
-                "iter" => stats.iteration,
-                "rate" => stats.ewma_rate,
-                "gbs_round" => stats.gbs_round,
-                "deferred" => stats.deferred,
-                "sendq" => stats.sendq_depth,
-                "scratch_hw" => stats.scratch_hw);
+                "iter" => self.worker.iteration,
+                "rate" => self.ewma_rate,
+                "gbs_round" => self.batching.rounds(),
+                "deferred" => self.worker.parked.len() as u32,
+                "sendq" => sendq as u32,
+                "scratch_hw" => scratch_hw);
         }
-        Ok(())
     }
 
     /// Flag `peer` silent on the health plane — one-shot per peer, however
-    /// many of the ledger, a Leave frame or a socket EOF report it.
+    /// many of the ledger, a Leave or a socket EOF report it.
     fn flag_silent(&mut self, peer: usize) {
         if self.health.flag_silent(peer) {
             event!(self.now(), w: self.me, "health_silence";
@@ -1110,38 +1082,12 @@ impl LiveWorker<'_, '_> {
 
     /// Ledger-based silence detection: a peer whose planned kill
     /// iteration we have crossed locally will send nothing new — flag it
-    /// even before its Leave frame or socket EOF lands.
+    /// even before its Leave or socket EOF lands.
     fn flag_planned_silent(&mut self) {
         for j in 0..self.n {
             if j != self.me && !self.members.counts(j, self.worker.iteration) {
                 self.flag_silent(j);
             }
-        }
-    }
-
-    /// Snapshot this worker's health report, folding the advisory
-    /// high-water marks into the outcome as a side effect.
-    fn current_stats(&mut self) -> WorkerStats {
-        let mut sendq_depth = 0usize;
-        for link in self.transport.link_health() {
-            sendq_depth = sendq_depth.max(link.queue_depth);
-        }
-        self.out.sendq_hw = self.out.sendq_hw.max(sendq_depth as u64);
-        let scratch_hw = self.wire_scratch.capacity() as u64;
-        self.out.scratch_hw = self.out.scratch_hw.max(scratch_hw);
-        let sent = &self.out.wire_bytes_by_kind;
-        let bytes_by_kind = WIRE_LABELS.map(|l| sent.get(l).copied().unwrap_or(0.0));
-        WorkerStats {
-            round: self.health_round,
-            iteration: self.worker.iteration,
-            gbs_round: self.batching.rounds(),
-            deferred: self.worker.parked.len() as u32,
-            sendq_depth: sendq_depth as u32,
-            scratch_hw,
-            ewma_rate: self.ewma_rate,
-            msgs_sent: self.out.msgs_sent,
-            msgs_recv: self.out.msgs_recv,
-            bytes_by_kind,
         }
     }
 
@@ -1185,7 +1131,12 @@ impl LiveWorker<'_, '_> {
     fn depart(&mut self) -> Result<(), LiveError> {
         let completed = self.worker.iteration;
         event!(self.now(), w: self.me, "depart"; "completed" => completed);
-        self.broadcast(KIND_LEAVE, &completed.to_le_bytes(), |lw, j| lw.active[j])
+        for j in 0..self.n {
+            if j != self.me && self.active[j] {
+                self.send(j, Payload::Leave { completed }, true)?;
+            }
+        }
+        Ok(())
     }
 
     /// Have all peers either finished or departed? Peers we never held a
@@ -1210,19 +1161,20 @@ impl LiveWorker<'_, '_> {
         let until = clock.now() + delay.as_secs_f64();
         while clock.now() < until {
             let left = Duration::from_secs_f64((until - clock.now()).max(0.0)).min(POLL);
-            if let Some((from, frame)) = self.recv(left)? {
-                // Anything else (a chunked payload stream in particular)
-                // is dead traffic here.
-                self.note_liveness(decode_frame_header(&frame)?.kind, from, &frame)?;
-            }
+            self.recv_away(left)?;
         }
         // Stale pre-departure gradients are superseded by the pull.
         self.worker.parked.clear();
         if self.all_peers_finished() {
             return Ok(false);
         }
-        let hello = crate::hello_body(self.me, self.n, self.env.cfg.seed);
-        self.broadcast(KIND_HELLO, &hello, |lw, j| lw.active[j] && !lw.done[j])?;
+        let hello = Control::Hello {
+            id: self.me,
+            n: self.n,
+            seed: self.env.cfg.seed,
+            ranks: RankHello::flat(self.me, self.n),
+        };
+        self.broadcast(hello, |lw, j| lw.active[j] && !lw.done[j])?;
         event!(self.now(), w: self.me, "rejoin_hello"; "iter" => self.worker.iteration);
 
         // Wait for the first Catchup invitation.
@@ -1232,13 +1184,10 @@ impl LiveWorker<'_, '_> {
             if clock.now() > deadline || self.all_peers_finished() {
                 return Ok(false);
             }
-            if let Some((from, frame)) = self.recv(POLL)? {
-                let kind = decode_frame_header(&frame)?.kind;
-                if kind == KIND_CATCHUP {
-                    let (_, body) = decode_frame(&frame)?;
-                    break (from, u64_body(body, from)?);
-                }
-                self.note_liveness(kind, from, &frame)?;
+            if let Some((from, Inbound::Control(Control::Catchup { iteration }))) =
+                self.recv_away(POLL)?
+            {
+                break (from, iteration);
             }
         };
 
@@ -1249,19 +1198,11 @@ impl LiveWorker<'_, '_> {
             if clock.now() > deadline || self.all_peers_finished() {
                 return Ok(false);
             }
-            let Some((from, frame)) = self.recv(POLL)? else {
+            // Control frames mean nothing to a rank that is not back yet.
+            let Some((from, Inbound::Payload(payload))) = self.recv_away(POLL)? else {
                 continue;
             };
-            let kind = decode_frame_header(&frame)?.kind;
-            if self.note_liveness(kind, from, &frame)?
-                || matches!(kind, KIND_ACK | KIND_RCP | KIND_HELLO | KIND_CATCHUP)
-            {
-                continue;
-            }
-            // Payload frames (the donor's Weights in particular) may
-            // arrive as chunked streams.
-            let (kind, body) = decode_wire(&frame, &mut self.wire_scratch)?;
-            match Payload::decode_body_pooled(kind, body, &mut self.pool)? {
+            match payload {
                 Payload::Weights { weights, .. } if from == donor => {
                     // λ = 1: take the donor's weights wholesale.
                     self.worker.model.merge_weights(&weights, 1.0);
@@ -1383,7 +1324,7 @@ pub fn run_worker(
         // runs to completion before the next compute, so the new LBS is
         // in force for it.
         lw.run_due_gbs_rounds()?;
-        lw.run_due_health_rounds()?;
+        lw.run_due_health_rounds();
         if let Some(kill) = pending_kill {
             if lw.worker.iteration >= kill.at_iter {
                 pending_kill = None;
@@ -1431,7 +1372,7 @@ pub fn run_worker(
     // Done is in; departed peers owe us nothing, and a peer we never held
     // a connection to cannot send one. Per-peer FIFO means a peer's Done
     // arrives after all its gradients.
-    lw.broadcast(KIND_DONE, &[], |lw, j| lw.env.links[j])?;
+    lw.broadcast(Control::Done, |lw, j| lw.env.links[j])?;
     lw.done[me] = true;
     event!(lw.now(), w: me, "barrier_enter"; "iter" => lw.worker.iteration);
     match lw.serve_until(true, |lw| lw.all_peers_finished()) {
@@ -1505,7 +1446,6 @@ mod tests {
             .collect(),
             train_secs: 1.5,
             health_rounds: 6,
-            health_frames_recv: 12,
             silent_flagged: vec![1],
             sendq_hw: 4,
             deferred_hw: 2,
@@ -1516,7 +1456,6 @@ mod tests {
         assert_eq!(back.id, 2);
         assert_eq!(back.train_secs, 1.5);
         assert_eq!(back.health_rounds, 6);
-        assert_eq!(back.health_frames_recv, 12);
         assert_eq!(back.silent_flagged, vec![1]);
         assert_eq!(back.sendq_hw, 4);
         assert_eq!(back.deferred_hw, 2);

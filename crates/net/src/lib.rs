@@ -35,102 +35,39 @@
 //!   directly on the transport or through a [`rankhost::RankHost`] as the
 //!   layout dictates; outcomes fold into the same
 //!   [`dlion_core::RunMetrics`] the simulator reports.
-//! * [`health`] — the cluster health plane: the [`KIND_STATS`] report
-//!   codec and the [`health::HealthAggregator`] that merges per-worker
-//!   reports into straggler scores and a silence ledger.
+//! * [`health`] — the cluster health plane's live half: the one-shot
+//!   silence ledger ([`health::HealthAggregator`]); the verdict itself is
+//!   `dlion_core::HealthSummary`.
 //! * [`rankhost`] — virtual workers: one process hosting N ranks
 //!   multiplexed over a single host-level transport endpoint
 //!   ([`rankhost::RankHost`] + per-rank [`rankhost::RankEndpoint`]s),
 //!   routing frames by `(host, rank)` via [`KIND_ROUTE`] markers.
-//!
-//! ## Control frames
-//!
-//! The live runtime adds eight frame kinds on top of the payload codec,
-//! all at or above [`KIND_NET_BASE`] so `Payload::from_wire` can never
-//! mistake one for a training payload:
-//!
-//! | kind | body | role |
-//! |------|------|------|
-//! | [`KIND_HELLO`] | `id u32, n u32, seed u64` (+ optional `base u32, count u32, total u32` rank block) | mesh handshake: identifies the dialing worker, sanity-checks cluster size and seed; a *late* Hello (after establishment) announces a rejoin. The ranked 28-byte form announces which virtual ranks the host speaks for |
-//! | [`KIND_ACK`] | empty | delivery acknowledgement for one gradient message (drives `SyncState::on_delivered_from`, i.e. Gaia's `BlockOnDelivery`) |
-//! | [`KIND_DONE`] | empty | shutdown barrier: the sender finished all its iterations; per-peer FIFO guarantees every earlier gradient already arrived |
-//! | [`KIND_RCP`] | `round u64, at_iter u64, rcp f64` | LBS/GBS exchange: the sender's measured relative compute power (Eq. 5) for adjustment round `round` (0 = startup profiling), opened at the sender's iteration `at_iter` |
-//! | [`KIND_LEAVE`] | `completed_iters u64` | planned departure: the sender is leaving after completing that many iterations; receivers demote it from sync gating and averaging from the next round on |
-//! | [`KIND_CATCHUP`] | `iteration u64` | rejoin reply to a late Hello: the responder's current iteration, inviting the rejoiner to DKT-pull full weights and resume there |
-//! | [`KIND_STATS`] | [`health::WorkerStats`], 112 bytes | periodic health report (`--health-interval`): iteration, samples/sec EWMA, send-queue depth, deferred backlog, scratch high-water, GBS round, byte ledger — the cluster health plane's wire format (see [`health`]) |
-//! | [`KIND_ROUTE`] | `src_rank u32, dst_rank u32` | rank-address marker on a host link: the *next* frame on this link is from `src_rank` to `dst_rank` (see [`rankhost`]); never appears outside host-to-host links |
+//! * [`control`] — the net-level control protocol: the [`Control`] enum,
+//!   its frame encoding and the one validated decode. The normative
+//!   control-frame table lives there.
 
+pub mod control;
 pub mod driver;
 pub mod health;
 pub mod live;
 pub mod rankhost;
 pub mod tcp;
 
+pub use control::{
+    Control, RankHello, KIND_ACK, KIND_CATCHUP, KIND_DONE, KIND_HELLO, KIND_RCP, KIND_ROUTE,
+};
 pub use driver::{parse_straggle, run_worker, EvalPoint, LiveOpts, WorkerEnv, WorkerOutcome};
-pub use health::{parse_stats, stats_body, HealthAggregator, WorkerStats, STATS_BODY_BYTES};
+pub use health::HealthAggregator;
 pub use live::{
     assemble_metrics, link_masks, live_config, run_live, run_live_virtual, LiveCluster,
     TransportKind, VirtualPlan,
 };
 pub use rankhost::{RankEndpoint, RankHost, RankHostHandle, RankLayout};
 pub use tcp::{
-    loopback_addrs, loopback_mesh, loopback_mesh_addrs, parse_peers, RankHello, TcpOpts,
-    TcpTransport,
+    loopback_addrs, loopback_mesh, loopback_mesh_addrs, parse_peers, TcpOpts, TcpTransport,
 };
 
-use dlion_core::messages::KIND_NET_BASE;
 use dlion_core::{TransportError, WireError};
-
-/// Mesh handshake frame (dialer → acceptor): `id u32, n u32, seed u64`.
-/// Arriving *after* establishment it is a rejoin announcement.
-pub const KIND_HELLO: u8 = KIND_NET_BASE;
-/// Per-gradient delivery acknowledgement (empty body).
-pub const KIND_ACK: u8 = KIND_NET_BASE + 1;
-/// Shutdown barrier: "I finished my iterations" (empty body).
-pub const KIND_DONE: u8 = KIND_NET_BASE + 2;
-/// RCP exchange (startup profiling and periodic GBS adjustment rounds):
-/// `round u64 | at_iter u64 | rcp f64` body.
-pub const KIND_RCP: u8 = KIND_NET_BASE + 3;
-/// Planned departure: the sender's completed-iteration count (`u64` body).
-pub const KIND_LEAVE: u8 = KIND_NET_BASE + 4;
-/// Rejoin reply: the responder's current iteration (`u64` body).
-pub const KIND_CATCHUP: u8 = KIND_NET_BASE + 5;
-/// Periodic worker health report ([`health::WorkerStats`] body), emitted
-/// every `--health-interval` training-clock seconds.
-pub const KIND_STATS: u8 = KIND_NET_BASE + 6;
-/// Rank-address marker on a host-to-host link: `src_rank u32, dst_rank
-/// u32` body, announcing that the next frame on the same link travels
-/// between those virtual ranks (see [`rankhost`]). Host links are single
-/// FIFO streams, so the pairing cannot be reordered.
-pub const KIND_ROUTE: u8 = KIND_NET_BASE + 7;
-
-/// Encode the 16-byte Hello body: `id u32 LE, n u32 LE, seed u64 LE`.
-pub fn hello_body(me: usize, n: usize, seed: u64) -> [u8; 16] {
-    let mut body = [0u8; 16];
-    body[0..4].copy_from_slice(&(me as u32).to_le_bytes());
-    body[4..8].copy_from_slice(&(n as u32).to_le_bytes());
-    body[8..16].copy_from_slice(&seed.to_le_bytes());
-    body
-}
-
-/// Encode the ranked 28-byte Hello body: the 16-byte classic body plus
-/// `base u32 LE, count u32 LE, total u32 LE` — the block of virtual
-/// ranks the sending host speaks for and the cluster's total rank count.
-pub fn hello_body_ranked(
-    me: usize,
-    n: usize,
-    seed: u64,
-    base: u32,
-    count: u32,
-    total: u32,
-) -> [u8; 28] {
-    let mut body = [0u8; 28];
-    body[0..16].copy_from_slice(&hello_body(me, n, seed));
-    body[16..20].copy_from_slice(&base.to_le_bytes());
-    body[20..24].copy_from_slice(&count.to_le_bytes());
-    body[24..28].copy_from_slice(&total.to_le_bytes());
-    body
-}
 
 /// A live-run failure. Transport and wire errors are fatal for the worker
 /// that hits them; the orchestrator surfaces the first failure.
@@ -181,28 +118,6 @@ impl From<std::io::Error> for LiveError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlion_core::messages::Payload;
-
-    #[test]
-    fn control_kinds_are_outside_payload_space() {
-        for kind in [
-            KIND_HELLO,
-            KIND_ACK,
-            KIND_DONE,
-            KIND_RCP,
-            KIND_LEAVE,
-            KIND_CATCHUP,
-            KIND_STATS,
-            KIND_ROUTE,
-        ] {
-            assert!(kind >= KIND_NET_BASE);
-            let frame = dlion_core::messages::encode_frame(kind, &[]);
-            assert!(
-                Payload::from_wire(&frame, &mut Vec::new()).is_err(),
-                "payload decoder accepted control kind {kind:#x}"
-            );
-        }
-    }
 
     #[test]
     fn errors_render() {

@@ -47,8 +47,9 @@ pub fn live_config(system: SystemKind, seed: u64) -> RunConfig {
 /// union of the schedule's per-round neighbor sets (so a ring cluster
 /// holds two connections per worker, not `n-1`), widened back to the full
 /// mesh whenever a blocking all-to-all control plane is active — dynamic
-/// batching broadcasts RCPs to everyone, health reports and fault
-/// rejoin/Leave announcements likewise assume every peer is reachable.
+/// batching broadcasts RCPs to everyone, fault rejoin/Leave announcements
+/// likewise assume every peer is reachable, and the health plane measures
+/// a `frame_latency` row per peer.
 /// Masks are symmetric (per-round neighbor sets are), so both endpoints
 /// agree on whether a connection exists.
 pub fn link_masks(
@@ -197,7 +198,7 @@ impl<'a> LiveCluster<'a> {
             // The health plane wants per-link lifecycle latency; when it
             // is off the transport pays zero instrumentation cost.
             instrument: self.opts.health_interval.is_some(),
-            // Direct runs speak the classic 16-byte Hello.
+            // Direct runs are flat: every endpoint announces itself.
             ranks: (!direct).then(|| Arc::new(self.layout.hello_blocks())),
         }
     }
@@ -496,7 +497,7 @@ mod tests {
             .unwrap()
             .tcp_opts();
         assert_eq!(t.queue_cap, opts.queue_cap);
-        assert!(t.ranks.is_none(), "flat runs speak the classic Hello");
+        assert!(t.ranks.is_none(), "flat runs announce the identity block");
         let plan = VirtualPlan {
             ranks_per_host: 2,
             migrate: Vec::new(),

@@ -15,15 +15,13 @@
 //! ## Addressing
 //!
 //! Host links carry frames for many rank pairs, so every routed frame is
-//! preceded by a [`crate::KIND_ROUTE`] marker (`src_rank u32, dst_rank
-//! u32` body) on the same link. A host link is one FIFO stream (one
-//! writer thread → one socket → one reader thread, or one in-memory
-//! channel), so the marker/frame pairing cannot be reordered or
-//! interleaved — no change to the frame codec itself is needed, and
+//! preceded by a [`Control::Route`] marker on the same link. A host link is
+//! one FIFO stream (one writer thread → one socket → one reader thread, or
+//! one in-memory channel), so the marker/frame pairing cannot be reordered
+//! or interleaved — no change to the frame codec itself is needed, and
 //! streamed chunked payloads ride the same queue as their marker. The
-//! `Hello` handshake grows an optional rank block (`base, count, total`;
-//! see [`crate::hello_body_ranked`]) announcing which ranks a host
-//! speaks for.
+//! `Hello` handshake's rank block (`base, count, total`) announces which
+//! ranks a host speaks for.
 //!
 //! ## The pump
 //!
@@ -53,16 +51,15 @@
 //! **migrate** between hosts mid-run ([`RankEndpoint::arm_rehome`])
 //! with no coordination protocol beyond the existing leave/rejoin +
 //! DKT-pull machinery — the rank re-homes at the moment it sends its
-//! `KIND_LEAVE`, and its late rejoin Hello (routed from the new host)
+//! `Payload::Leave`, and its late rejoin Hello (routed from the new host)
 //! teaches every peer the new placement.
 //!
 //! Route markers are transport-internal overhead: they appear in no
 //! byte ledger (the driver never sees them), exactly like TCP/IP
 //! headers don't appear in the simulator's cost model.
 
-use crate::tcp::RankHello;
-use crate::{KIND_HELLO, KIND_LEAVE, KIND_ROUTE};
-use dlion_core::messages::{decode_frame, encode_frame, Payload, WireCfg};
+use crate::control::{Control, RankHello};
+use dlion_core::messages::{Payload, WireCfg};
 use dlion_core::{ExchangeTransport, TransportError};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -320,7 +317,7 @@ pub struct RankEndpoint {
     /// Kept to re-register in a new host's switchboard on migration.
     inbox_tx: Sender<RankNote>,
     /// Armed migration target: the endpoint re-homes the moment it
-    /// sends its first `KIND_LEAVE` (the driver's departure
+    /// sends its first `Payload::Leave` (the driver's departure
     /// announcement), so the subsequent rejoin Hello already flows from
     /// the new host.
     rehome: Option<RankHostHandle>,
@@ -332,7 +329,7 @@ impl RankEndpoint {
     }
 
     /// Arm a mid-run migration: when this rank departs (sends its
-    /// `KIND_LEAVE`), it deregisters from its current host and re-homes
+    /// `Payload::Leave`), it deregisters from its current host and re-homes
     /// onto `target` — its rejoin then reuses the ordinary late-Hello +
     /// catch-up + DKT-pull machinery, and peers learn the new placement
     /// from the routed frames' source addresses.
@@ -349,14 +346,16 @@ impl RankEndpoint {
         self.shared.rank_map.lock().unwrap()[to]
     }
 
-    /// If a migration is armed and this outbound frame is the rank's
+    /// If a migration is armed and this outbound payload is the rank's
     /// departure announcement, move to the target host *first* — Leave
     /// and everything after it flow from there.
-    fn maybe_rehome(&mut self, frame: &[u8]) {
-        if self.rehome.is_none() || frame.get(6) != Some(&KIND_LEAVE) {
+    fn maybe_rehome(&mut self, payload: &Payload) {
+        if !matches!(payload, Payload::Leave { .. }) {
             return;
         }
-        let target = self.rehome.take().expect("checked above");
+        let Some(target) = self.rehome.take() else {
+            return;
+        };
         // Deregister here: local siblings' sends now fail PeerGone, the
         // old pump no longer counts us. Point the old host's map at the
         // new home so its pump forwards late frames for us over the wire
@@ -411,7 +410,6 @@ impl ExchangeTransport for RankEndpoint {
     }
 
     fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.maybe_rehome(&frame);
         let host = self.host_of(to);
         if host == self.shared.host {
             return self.send_local(to, frame);
@@ -437,6 +435,7 @@ impl ExchangeTransport for RankEndpoint {
         payload: Arc<Payload>,
         cfg: &WireCfg,
     ) -> Result<usize, TransportError> {
+        self.maybe_rehome(&payload);
         let len = payload.wire_len(cfg);
         let host = self.host_of(to);
         if host == self.shared.host {
@@ -491,30 +490,16 @@ impl Drop for RankEndpoint {
     }
 }
 
-fn route_frame(src: usize, dst: usize) -> Vec<u8> {
-    let mut body = [0u8; 8];
-    body[0..4].copy_from_slice(&(src as u32).to_le_bytes());
-    body[4..8].copy_from_slice(&(dst as u32).to_le_bytes());
-    encode_frame(KIND_ROUTE, &body)
-}
-
-fn parse_route(body: &[u8]) -> Option<(usize, usize)> {
-    if body.len() != 8 {
-        return None;
-    }
-    let src = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-    let dst = u32::from_le_bytes(body[4..8].try_into().unwrap()) as usize;
-    Some((src, dst))
-}
-
 /// Pump-local view of the host transport's state.
 struct Pump {
     transport: Box<dyn ExchangeTransport>,
     shared: Arc<Shared>,
+    /// The cluster's rank count: what inbound rank ids are checked against.
+    n_ranks: usize,
     /// Ranks currently homed here and not yet retired.
     live_local: usize,
-    /// Per-source-host routing state: a received `KIND_ROUTE` waiting
-    /// for its frame (the next frame on that host link).
+    /// Per-source-host routing state: a received [`Control::Route`]
+    /// waiting for its frame (the next frame on that host link).
     pending_route: Vec<Option<(usize, usize)>>,
     /// Host drops already fanned out (dedup across send-path and
     /// recv-path detection).
@@ -584,12 +569,7 @@ impl Pump {
 
     /// Whether `rank` has a live inbox on this host right now.
     fn is_local(&self, rank: usize) -> bool {
-        self.shared
-            .switchboard
-            .lock()
-            .unwrap()
-            .get(rank)
-            .is_some_and(|s| s.is_some())
+        self.shared.switchboard.lock().unwrap()[rank].is_some()
     }
 
     /// Hand an inbound routed frame to its destination rank (drop it if
@@ -603,18 +583,9 @@ impl Pump {
         // home, still in flight), and for the rank's own host-mates no
         // later frame would ever re-correct the map.
         if !self.is_local(src) {
-            let mut map = self.shared.rank_map.lock().unwrap();
-            if src < map.len() {
-                map[src] = from_host;
-            }
+            self.shared.rank_map.lock().unwrap()[src] = from_host;
         }
-        let tx = self
-            .shared
-            .switchboard
-            .lock()
-            .unwrap()
-            .get(dst)
-            .and_then(|s| s.clone());
+        let tx = self.shared.switchboard.lock().unwrap()[dst].clone();
         if let Some(tx) = tx {
             let _ = tx.send(RankNote::Frame(src, frame));
         }
@@ -632,30 +603,27 @@ impl Pump {
             self.deliver(from_host, src, dst, frame);
             return;
         }
-        match decode_frame(&frame) {
-            Ok((KIND_ROUTE, body)) => {
-                self.pending_route[from_host] = parse_route(body);
+        // What `decode` lets through names only ranks of this cluster.
+        match Control::from_frame(&frame, self.n_ranks) {
+            Ok(Control::Route { src, dst }) => {
+                self.pending_route[from_host] = Some((src, dst));
             }
-            Ok((KIND_HELLO, _)) => {
-                // Host-level (re)join: the acceptor validated the rank
-                // block already; the ranks it announces live there now.
-                // Ranks registered locally are exempt — the static block
-                // predates any migration onto this host.
-                if let Ok((id, _, _, Some(block))) = crate::tcp::parse_hello(&frame) {
-                    for r in block.base..block.base + block.count {
-                        let r = r as usize;
-                        if !self.is_local(r) {
-                            let mut map = self.shared.rank_map.lock().unwrap();
-                            if r < map.len() {
-                                map[r] = id;
-                            }
-                        }
+            Ok(Control::Hello { ranks: block, .. }) => {
+                // Host-level (re)join: the acceptor checked the block
+                // against the layout already; the ranks it announces live
+                // there now. Ranks registered locally are exempt — the
+                // static block predates any migration onto this host.
+                // Not forwarded: rank-level rejoin hellos travel routed.
+                for r in block.base..block.base + block.count {
+                    let r = r as usize;
+                    if !self.is_local(r) {
+                        self.shared.rank_map.lock().unwrap()[r] = from_host;
                     }
                 }
-                // Not forwarded: rank-level rejoin hellos travel routed.
             }
-            // Anything else without a route marker is a protocol
-            // anomaly on a multiplexed link; drop it.
+            // Anything else without a route marker — a refused marker's
+            // frame included — is a protocol anomaly on a multiplexed
+            // link; drop it.
             _ => {}
         }
     }
@@ -678,7 +646,8 @@ impl Pump {
                     self.deliver(self.shared.host, src, dst, frame);
                     return;
                 }
-                if self.send_host(host, route_frame(src, dst)).is_ok() {
+                let marker = Control::Route { src, dst }.to_frame();
+                if self.send_host(host, marker).is_ok() {
                     let _ = self.send_host(host, frame);
                 }
             }
@@ -693,7 +662,8 @@ impl Pump {
                     self.deliver(self.shared.host, src, dst, payload.to_wire(&cfg));
                     return;
                 }
-                if self.send_host(host, route_frame(src, dst)).is_err() {
+                let marker = Control::Route { src, dst }.to_frame();
+                if self.send_host(host, marker).is_err() {
                     return;
                 }
                 if let Err(e) = self.transport.send_wire(host, payload, &cfg) {
@@ -731,9 +701,11 @@ fn pump_loop(
     initial_local: usize,
 ) {
     let n_hosts = transport.n();
+    let n_ranks = shared.rank_map.lock().unwrap().len();
     let mut pump = Pump {
         transport,
         shared,
+        n_ranks,
         live_local: initial_local,
         pending_route: (0..n_hosts).map(|_| None).collect(),
         host_down: vec![false; n_hosts],
@@ -808,15 +780,6 @@ mod tests {
         let host = l.host_links(&masks);
         assert!(host[0][1] && host[1][0]);
         assert!(!host[0][0] && !host[1][1]);
-    }
-
-    #[test]
-    fn route_marker_round_trips() {
-        let f = route_frame(3, 61);
-        let (kind, body) = decode_frame(&f).unwrap();
-        assert_eq!(kind, KIND_ROUTE);
-        assert_eq!(parse_route(body), Some((3, 61)));
-        assert_eq!(parse_route(&[0; 4]), None);
     }
 
     /// Two hosts × two ranks over in-memory host links: local and
@@ -919,7 +882,7 @@ mod tests {
         assert_eq!(ledger[0].1, vec![4, 5]);
         // Sends to either dead rank now fail fast at the endpoint.
         assert!(matches!(
-            eps0[0].send_frame(5, encode_frame(crate::KIND_DONE, &[])),
+            eps0[0].send_frame(5, Control::Done.to_frame()),
             Err(TransportError::PeerGone(5))
         ));
     }

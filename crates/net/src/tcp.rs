@@ -5,12 +5,12 @@
 //!
 //! Worker `i` **dials** every peer `j < i` and **accepts** from every
 //! `j > i` (so each of the `n·(n-1)/2` links is created exactly once).
-//! The dialer's first frame is a [`crate::KIND_HELLO`] carrying its id,
-//! the cluster size and the run seed; the acceptor validates all three,
-//! which catches two clusters sharing a port range or workers launched
-//! with mismatched configs. Addresses come in as a `&[SocketAddr]` peer
-//! list — the transport is host-agnostic; only [`loopback_addrs`] and
-//! [`loopback_mesh`] know about `127.0.0.1`.
+//! The dialer's first frame is a [`Control::Hello`] carrying its id, the
+//! cluster size, the run seed and the rank block it speaks for; the
+//! acceptor validates all four, which catches two clusters sharing a port
+//! range or workers launched with mismatched configs. Addresses come in as
+//! a `&[SocketAddr]` peer list — the transport is host-agnostic; only
+//! [`loopback_addrs`] and [`loopback_mesh`] know about `127.0.0.1`.
 //!
 //! There is **one accept path**: the acceptor thread the transport keeps
 //! for its whole life starts *before* the first dial and blocks in
@@ -60,11 +60,12 @@
 //! importantly) are flushed even if the owner exits immediately after.
 //! Readers exit on EOF/error and are detached.
 
-use crate::{LiveError, KIND_HELLO};
+use crate::control::{Control, RankHello};
+use crate::LiveError;
 use dlion_core::clock::{Clock, SystemClock};
 use dlion_core::messages::{
-    chunk_checksum, decode_frame, decode_frame_header, encode_frame, verify_chunked_header,
-    Payload, WireCfg, CHUNK_HEADER_BYTES, FRAME_HEADER_BYTES,
+    chunk_checksum, decode_frame_header, verify_chunked_header, Payload, WireCfg,
+    CHUNK_HEADER_BYTES, FRAME_HEADER_BYTES,
 };
 use dlion_core::transport::LinkHealth;
 use dlion_core::{ExchangeTransport, TransportError};
@@ -78,21 +79,6 @@ use std::sync::mpsc::{
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// The virtual-rank block a host announces in its Hello (the `(host,
-/// rank)` addressing extension): "endpoint `id` speaks for ranks
-/// `base..base+count` of a `total`-rank cluster". Legacy 16-byte hellos
-/// carry no block; ranked 28-byte hellos append one (see
-/// [`crate::hello_body_ranked`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RankHello {
-    /// First global rank homed on this host.
-    pub base: u32,
-    /// How many consecutive ranks the host speaks for.
-    pub count: u32,
-    /// Total virtual ranks in the cluster (every host must agree).
-    pub total: u32,
-}
 
 /// Transport tuning knobs (everything beyond the address list).
 #[derive(Clone, Debug)]
@@ -114,11 +100,11 @@ pub struct TcpOpts {
     /// through [`ExchangeTransport::link_health`]. Off by default: the
     /// health plane (`--health-interval`) turns it on.
     pub instrument: bool,
-    /// Virtual-rank layout, indexed by host id (`None` = classic
-    /// one-rank-per-endpoint mode). When set, hellos go out ranked
-    /// (28-byte body) and incoming hellos must carry the matching block —
-    /// a host that disagrees on the rank layout is rejected exactly like
-    /// one that disagrees on `n` or the seed.
+    /// Virtual-rank layout, indexed by host id (`None` = flat: every
+    /// endpoint is its own rank, [`RankHello::flat`]). Every Hello carries
+    /// its sender's block and must match the receiver's row for that
+    /// sender — a host that disagrees on the rank layout is rejected
+    /// exactly like one that disagrees on `n` or the seed.
     pub ranks: Option<Arc<Vec<RankHello>>>,
 }
 
@@ -216,59 +202,6 @@ fn read_body(stream: &mut impl Read, frame: &mut Vec<u8>, len: usize) -> std::io
     Ok(())
 }
 
-fn hello_frame(me: usize, n: usize, seed: u64, ranks: Option<RankHello>) -> Vec<u8> {
-    match ranks {
-        None => encode_frame(KIND_HELLO, &crate::hello_body(me, n, seed)),
-        Some(r) => encode_frame(
-            KIND_HELLO,
-            &crate::hello_body_ranked(me, n, seed, r.base, r.count, r.total),
-        ),
-    }
-}
-
-/// Decode a Hello. Accepts both wire shapes: the legacy 16-byte body
-/// (`id, n, seed` → rank block `None`) and the ranked 28-byte body that
-/// appends `base, count, total`.
-pub(crate) fn parse_hello(
-    frame: &[u8],
-) -> Result<(usize, usize, u64, Option<RankHello>), LiveError> {
-    let (kind, body) = decode_frame(frame)?;
-    if kind != KIND_HELLO || !(body.len() == 16 || body.len() == 28) {
-        return Err(LiveError::Protocol(format!(
-            "expected hello, got kind {kind:#x} with {} body bytes",
-            frame.len().saturating_sub(FRAME_HEADER_BYTES)
-        )));
-    }
-    let id = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-    let n = u32::from_le_bytes(body[4..8].try_into().unwrap()) as usize;
-    let seed = u64::from_le_bytes(body[8..16].try_into().unwrap());
-    let ranks = (body.len() == 28).then(|| RankHello {
-        base: u32::from_le_bytes(body[16..20].try_into().unwrap()),
-        count: u32::from_le_bytes(body[20..24].try_into().unwrap()),
-        total: u32::from_le_bytes(body[24..28].try_into().unwrap()),
-    });
-    Ok((id, n, seed, ranks))
-}
-
-/// Validate a received hello's rank block against the local layout:
-/// either both sides run classic mode, or both run virtual mode and
-/// agree on host `id`'s block. `Err` carries the reason.
-fn check_hello_ranks(
-    id: usize,
-    got: Option<RankHello>,
-    layout: Option<&Arc<Vec<RankHello>>>,
-) -> Result<(), String> {
-    match (got, layout.map(|l| l[id])) {
-        (None, None) => Ok(()),
-        (Some(g), Some(want)) if g == want => Ok(()),
-        (Some(g), Some(want)) => Err(format!(
-            "host {id} disagrees on its rank block ({g:?} vs {want:?})"
-        )),
-        (Some(_), None) => Err(format!("host {id} sent a ranked hello to a flat cluster")),
-        (None, Some(_)) => Err(format!("host {id} sent a flat hello to a ranked cluster")),
-    }
-}
-
 /// How long an accepted connection may take to produce its Hello (the
 /// dialer writes it right after `connect`).
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
@@ -282,6 +215,22 @@ struct Shape {
     ranks: Option<Arc<Vec<RankHello>>>,
 }
 
+impl Shape {
+    /// The Hello endpoint `id` of this mesh announces.
+    fn hello(&self, id: usize) -> Control {
+        let ranks = match &self.ranks {
+            Some(layout) => layout[id],
+            None => RankHello::flat(id, self.n),
+        };
+        Control::Hello {
+            id,
+            n: self.n,
+            seed: self.seed,
+            ranks,
+        }
+    }
+}
+
 /// The one place a Hello is read and validated: the first frame on an
 /// accepted connection must be a Hello from another endpoint of *this*
 /// mesh — same size, seed and rank layout. Returns the peer's id and the
@@ -291,19 +240,24 @@ fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<(usize, Vec<u8>
     stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
     let (frame, _) = read_frame(stream)?
         .ok_or_else(|| LiveError::Protocol("peer closed before hello".into()))?;
-    let (id, n, seed, ranks) = parse_hello(&frame)?;
-    if n != shape.n || seed != shape.seed {
+    let total = shape
+        .ranks
+        .as_ref()
+        .map_or(shape.n, |l| l[shape.me].total as usize);
+    let got = Control::from_frame(&frame, total)?;
+    let Control::Hello { id, n, .. } = got else {
         return Err(LiveError::Protocol(format!(
-            "worker {id} disagrees on cluster shape (n {n} vs {}, seed {seed} vs {})",
-            shape.n, shape.seed
+            "expected a hello, got {got:?}"
+        )));
+    };
+    // Whoever dials in must announce exactly what that endpoint of this
+    // mesh would: same size, seed and rank block.
+    let expected = (id != shape.me && n == shape.n).then(|| shape.hello(id));
+    if expected != Some(got) {
+        return Err(LiveError::Protocol(format!(
+            "{got:?} is not from this mesh (expected {expected:?})"
         )));
     }
-    if id == shape.me || id >= shape.n {
-        return Err(LiveError::Protocol(format!(
-            "unexpected hello from worker {id}"
-        )));
-    }
-    check_hello_ranks(id, ranks, shape.ranks.as_ref()).map_err(LiveError::Protocol)?;
     stream.set_read_timeout(None)?;
     Ok((id, frame))
 }
@@ -676,9 +630,8 @@ impl TcpTransport {
             }
         };
         stream.set_nodelay(true)?;
-        let Shape { me, n, seed, ranks } = &self.mesh.shape;
-        let hello = hello_frame(*me, *n, *seed, ranks.as_ref().map(|l| l[*me]));
-        (&stream).write_all(&hello)?;
+        let shape = &self.mesh.shape;
+        (&stream).write_all(&shape.hello(shape.me).to_frame())?;
         let peer = self.mesh.wire(j, stream, inbox_tx)?;
         let mut peers = self.mesh.peers.lock().unwrap();
         self.mesh.install(&mut peers, j, peer);
@@ -1017,45 +970,6 @@ mod tests {
     use dlion_core::messages::Payload;
 
     #[test]
-    fn hello_round_trips() {
-        let f = hello_frame(3, 8, 42, None);
-        assert_eq!(parse_hello(&f).unwrap(), (3, 8, 42, None));
-        let grad = Payload::DktRequest.to_wire(&WireCfg::default());
-        assert!(parse_hello(&grad).is_err());
-    }
-
-    #[test]
-    fn ranked_hello_round_trips_and_validates() {
-        let block = RankHello {
-            base: 4,
-            count: 4,
-            total: 8,
-        };
-        let f = hello_frame(1, 2, 42, Some(block));
-        assert_eq!(parse_hello(&f).unwrap(), (1, 2, 42, Some(block)));
-        // Both sides flat, both sides agreeing: fine.
-        assert!(check_hello_ranks(1, None, None).is_ok());
-        let layout = Arc::new(vec![
-            RankHello {
-                base: 0,
-                count: 4,
-                total: 8,
-            },
-            block,
-        ]);
-        assert!(check_hello_ranks(1, Some(block), Some(&layout)).is_ok());
-        // Mixed modes or a disagreeing block are protocol errors.
-        assert!(check_hello_ranks(1, None, Some(&layout)).is_err());
-        assert!(check_hello_ranks(1, Some(block), None).is_err());
-        let wrong = RankHello {
-            base: 0,
-            count: 4,
-            total: 8,
-        };
-        assert!(check_hello_ranks(1, Some(wrong), Some(&layout)).is_err());
-    }
-
-    #[test]
     fn loopback_addrs_expand_port_base() {
         let addrs = loopback_addrs(3, 7300);
         assert_eq!(addrs[0], "127.0.0.1:7300".parse().unwrap());
@@ -1304,25 +1218,66 @@ mod tests {
         assert!(plain[1].link_health().is_empty());
     }
 
-    #[test]
-    fn mismatched_seed_is_rejected() {
+    /// Establish a 2-endpoint mesh whose ends were launched with
+    /// `(seed, opts)` each; returns what the acceptor (endpoint 0) made of
+    /// the dialer's Hello.
+    fn establish_pair(ends: [(u64, TcpOpts); 2]) -> Result<TcpTransport, LiveError> {
         let listeners: Vec<TcpListener> = (0..2)
             .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
         let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-        let mut it = listeners.into_iter();
-        let (l0, l1) = (it.next().unwrap(), it.next().unwrap());
-        let a0 = addrs.clone();
-        let opts = TcpOpts {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .zip(ends)
+            .enumerate()
+            .map(|(me, (listener, (seed, opts)))| {
+                let addrs = addrs.clone();
+                thread::spawn(move || TcpTransport::establish(me, listener, &addrs, seed, &opts))
+            })
+            .collect();
+        let mut results = handles.into_iter().map(|h| h.join().unwrap());
+        let acceptor = results.next().unwrap();
+        let _ = results.next(); // the dialer may succeed or see a reset
+        acceptor
+    }
+
+    fn quick_opts(ranks: Option<Vec<RankHello>>) -> TcpOpts {
+        TcpOpts {
             queue_cap: 4,
             establish_timeout: Duration::from_secs(5),
+            ranks: ranks.map(Arc::new),
             ..Default::default()
+        }
+    }
+
+    #[test]
+    fn mismatched_seed_is_rejected() {
+        let got = establish_pair([(1, quick_opts(None)), (2, quick_opts(None))]);
+        assert!(matches!(got, Err(LiveError::Protocol(_))));
+    }
+
+    #[test]
+    fn mixed_and_disagreeing_rank_layouts_are_refused_at_establishment() {
+        let block = |base| RankHello {
+            base,
+            count: 4,
+            total: 8,
         };
-        let o2 = opts.clone();
-        let h0 = thread::spawn(move || TcpTransport::establish(0, l0, &a0, 1, &opts));
-        let h1 = thread::spawn(move || TcpTransport::establish(1, l1, &addrs, 2, &o2));
-        // The acceptor (worker 0) must reject the dialer's wrong seed.
-        assert!(matches!(h0.join().unwrap(), Err(LiveError::Protocol(_))));
-        let _ = h1.join(); // dialer may succeed or see a reset; either is fine
+        let layout = vec![block(0), block(4)];
+        // Both ends flat, both ends on the same layout: the mesh comes up.
+        establish_pair([(1, quick_opts(None)), (1, quick_opts(None))]).unwrap();
+        let same = || quick_opts(Some(layout.clone()));
+        establish_pair([(1, same()), (1, same())]).unwrap();
+        // A flat dialer (identity block) into a ranked mesh, a ranked one
+        // into a flat mesh, and a dialer claiming the acceptor's block.
+        let wrong = quick_opts(Some(vec![block(0), block(0)]));
+        for (acceptor, dialer) in [
+            (same(), quick_opts(None)),
+            (quick_opts(None), same()),
+            (same(), wrong),
+        ] {
+            let got = establish_pair([(1, acceptor), (1, dialer)]);
+            assert!(matches!(got, Err(LiveError::Protocol(_))));
+        }
     }
 }

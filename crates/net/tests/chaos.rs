@@ -11,10 +11,12 @@
 
 use dlion_core::ExchangeTransport;
 use dlion_core::{
-    run_with_models, FaultPlan, ManualClock, RunConfig, RunMetrics, SyncPolicy, SystemKind,
+    mem_mesh, run_with_models, FaultPlan, ManualClock, RunConfig, RunMetrics, SyncPolicy,
+    SystemKind,
 };
 use dlion_net::{
-    live_config, loopback_mesh, run_live, LiveCluster, LiveOpts, TransportKind, VirtualPlan,
+    live_config, loopback_mesh, run_live, Control, LiveCluster, LiveError, LiveOpts, TransportKind,
+    VirtualPlan,
 };
 use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::Tensor;
@@ -284,6 +286,52 @@ fn a_rank_lost_during_startup_profiling_gets_no_share() {
             "survivor starved: {parts:?}"
         );
         assert_eq!(parts.iter().sum::<usize>(), 96, "survivors cover the GBS");
+    }
+}
+
+/// An RCP from the wire is checked where it is decoded: a peer answering
+/// the start-up round with a value `partition_gbs` cannot divide by fails
+/// the receiving rank with a protocol error naming the peer. (The value
+/// used to reach `partition_gbs`'s assertion and panic the rank thread.)
+#[test]
+fn an_unusable_rcp_from_a_peer_is_a_protocol_error_not_a_panic() {
+    let mut cfg = live_config(SystemKind::DLion, 1);
+    cfg.max_iters = Some(4);
+    let opts = LiveOpts {
+        iters: 4,
+        eval_every: 0,
+        assumed_iter_time: Some(0.05),
+        stall_timeout: Duration::from_secs(120),
+        ..Default::default()
+    };
+    let plan = VirtualPlan::flat();
+    for rcp in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let cluster = LiveCluster::new(&cfg, 2, &plan, &opts, "live/bad-rcp").expect("cluster");
+        let mut mesh = mem_mesh(2);
+        let mut rank1 = mesh.pop().expect("endpoint 1");
+        let rank0 = Box::new(mesh.pop().expect("endpoint 0")) as Box<dyn ExchangeTransport>;
+        let outcome = std::thread::scope(|s| {
+            let run = s.spawn(|| cluster.run_hosts(vec![(0, rank0)]).remove(0));
+            // Play rank 1: wait for rank 0 to open round 0, then answer it.
+            let (from, frame) = rank1
+                .recv_frame_timeout(Duration::from_secs(120))
+                .expect("recv")
+                .expect("rank 0's RCP");
+            let opened = Control::from_frame(&frame, 2).expect("a control frame");
+            assert!(
+                matches!(opened, Control::Rcp { round: 0, .. }),
+                "{opened:?}"
+            );
+            let answer = Control::Rcp { round: 0, rcp };
+            rank1.send_frame(from, answer.to_frame()).expect("send");
+            run.join().expect("run_hosts")
+        });
+        match outcome {
+            Err(LiveError::Protocol(why)) => {
+                assert!(why.contains("worker 1") && why.contains("rcp"), "{why}")
+            }
+            other => panic!("rcp {rcp}: expected a protocol error, got {other:?}"),
+        }
     }
 }
 

@@ -6,7 +6,9 @@
 
 use dlion_core::messages::encode_frame;
 use dlion_core::{ExchangeTransport, ManualClock, TransportError};
-use dlion_net::{loopback_mesh, loopback_mesh_addrs, TcpOpts, TcpTransport, KIND_ACK, KIND_HELLO};
+use dlion_net::{
+    loopback_mesh, loopback_mesh_addrs, Control, RankHello, TcpOpts, TcpTransport, KIND_ACK,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -213,8 +215,8 @@ fn departed_peer_can_reconnect_and_surfaces_its_hello() {
         .expect("recv")
         .expect("hello before timeout");
     assert_eq!(from, 1);
-    let (kind, _) = dlion_core::messages::decode_frame(&hello).expect("valid frame");
-    assert_eq!(kind, KIND_HELLO);
+    let announced = Control::from_frame(&hello, 3).expect("valid hello");
+    assert!(matches!(announced, Control::Hello { id: 1, n: 3, .. }));
     // The re-wired link carries traffic both ways again.
     t0.send_frame(1, frame(0, 1)).expect("send to rejoined");
     let (from, f) = t1b
@@ -274,11 +276,13 @@ fn early_dialer_joins_once_and_a_duplicate_hello_is_dropped() {
 
         // An impostor connection re-announcing live link 2 is closed...
         let mut dup = TcpStream::connect(addrs[1]).expect("connect");
-        dup.write_all(&encode_frame(
-            KIND_HELLO,
-            &dlion_net::hello_body(2, 3, SEED),
-        ))
-        .expect("hello");
+        let hello = Control::Hello {
+            id: 2,
+            n: 3,
+            seed: SEED,
+            ranks: RankHello::flat(2, 3),
+        };
+        dup.write_all(&hello.to_frame()).expect("hello");
         dup.set_read_timeout(Some(TIMEOUT)).expect("timeout");
         assert_eq!(dup.read(&mut [0u8; 1]).expect("clean close"), 0);
         // ...nothing is surfaced, and the real link still carries traffic

@@ -9,8 +9,8 @@
 //!   (equivalent to dense exchange, as the paper states),
 //! * `N = 1`  ⇒ threshold `0.99·max` ⇒ only near-maximal entries.
 //!
-//! The transmission-speed assurance module inverts a per-link byte budget
-//! into the largest admissible `N` ([`n_for_budget`]).
+//! The transmission-speed assurance module — inverting a per-link byte
+//! budget into the largest admissible `N` — is `dlion_core`'s `MaxNPlanner`.
 
 use crate::tensor::Tensor;
 
@@ -121,78 +121,6 @@ pub fn max_n_select(dense: &[f32], n_percent: f64) -> SparseVec {
     SparseVec::from_dense_threshold(dense, thr)
 }
 
-/// The `k`-th largest absolute value of `dense` (1-based `k`), or 0.0 for
-/// `k == 0` / empty input. Used to convert a byte budget into a threshold.
-pub fn kth_largest_abs(dense: &[f32], k: usize) -> f32 {
-    if k == 0 || dense.is_empty() {
-        return 0.0;
-    }
-    let k = k.min(dense.len());
-    let mut abs: Vec<f32> = dense.iter().map(|x| x.abs()).collect();
-    // k-th largest == (len - k)-th smallest (0-based).
-    let pos = abs.len() - k;
-    abs.select_nth_unstable_by(pos, |a, b| {
-        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    abs[pos]
-}
-
-/// Transmission-speed assurance (§3.3): find the largest `N ∈ [min_n, 100]`
-/// such that Max N selection of `dense` fits within `max_entries` entries.
-///
-/// Returns `(n, selection)`. The paper's module computes the per-link entry
-/// budget as `BW_net_j / Iter_com_i`; this function performs the inversion
-/// from budget to `N` exactly (via the k-th largest magnitude) rather than
-/// by trial and error.
-pub fn n_for_budget(dense: &[f32], max_entries: usize, min_n: f64) -> (f64, SparseVec) {
-    let min_n = min_n.clamp(f64::MIN_POSITIVE, 100.0);
-    let max = dense.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    if max == 0.0 || dense.is_empty() {
-        return (min_n, SparseVec::empty(dense.len()));
-    }
-    if max_entries >= dense.len() {
-        // Whole gradient fits.
-        return (100.0, SparseVec::from_dense_full(dense));
-    }
-    if max_entries == 0 {
-        // Even at the minimum N we must send *something* to guarantee
-        // convergence; fall through with a budget of 1 entry.
-        let sel = max_n_select(dense, min_n);
-        return (min_n, clamp_entries(sel, 1));
-    }
-    let thr = kth_largest_abs(dense, max_entries);
-    // N that produces exactly this threshold.
-    let n = ((1.0 - (thr / max) as f64) * 100.0).clamp(min_n, 100.0);
-    let sel = max_n_select(dense, n);
-    // Ties at the threshold can overshoot the budget; trim lowest-magnitude
-    // entries to honor the hard byte budget.
-    (n, clamp_entries(sel, max_entries))
-}
-
-/// Keep only the `max_entries` largest-magnitude entries of `sel`
-/// (preserving index order).
-fn clamp_entries(sel: SparseVec, max_entries: usize) -> SparseVec {
-    if sel.nnz() <= max_entries {
-        return sel;
-    }
-    let mut order: Vec<usize> = (0..sel.nnz()).collect();
-    order.sort_by(|&a, &b| {
-        sel.values[b]
-            .abs()
-            .partial_cmp(&sel.values[a].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order.truncate(max_entries);
-    order.sort_unstable();
-    let indices = order.iter().map(|&i| sel.indices[i]).collect();
-    let values = order.iter().map(|&i| sel.values[i]).collect();
-    SparseVec {
-        indices,
-        values,
-        dense_len: sel.dense_len,
-    }
-}
-
 /// Max N applied per weight variable of a whole model gradient, as the paper
 /// specifies ("Max N is applied per weight variable").
 pub fn max_n_select_model(grads: &[Tensor], n_percent: f64) -> Vec<SparseVec> {
@@ -248,48 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn kth_largest_abs_basic() {
-        let d = dense();
-        assert_eq!(kth_largest_abs(&d, 1), 1.0);
-        assert_eq!(kth_largest_abs(&d, 2), 0.95);
-        assert_eq!(kth_largest_abs(&d, 3), 0.91);
-        assert_eq!(kth_largest_abs(&d, 100), 0.0); // clamped to len, min |v| is 0.0
-        assert_eq!(kth_largest_abs(&d, 0), 0.0);
-        assert_eq!(kth_largest_abs(&[], 3), 0.0);
-    }
-
-    #[test]
-    fn budget_inversion_respects_budget_and_min_n() {
-        let d = dense();
-        for budget in 0..=8 {
-            let (n, sel) = n_for_budget(&d, budget, 0.85);
-            assert!(
-                sel.nnz() <= budget.max(1),
-                "budget {budget} violated: {}",
-                sel.nnz()
-            );
-            assert!((0.85..=100.0).contains(&n), "N out of range: {n}");
-        }
-        let (n, sel) = n_for_budget(&d, 8, 0.85);
-        assert_eq!(n, 100.0);
-        assert_eq!(sel.nnz(), 8);
-    }
-
-    #[test]
-    fn budget_selects_largest_magnitudes() {
-        let d = dense();
-        let (_, sel) = n_for_budget(&d, 3, 0.85);
-        assert_eq!(sel.indices, vec![1, 4, 6], "must pick top-3 magnitudes");
-    }
-
-    #[test]
-    fn budget_zero_still_sends_one_entry() {
-        let d = dense();
-        let (_, sel) = n_for_budget(&d, 0, 0.85);
-        assert!(sel.nnz() >= 1, "convergence guarantee: never send nothing");
-    }
-
-    #[test]
     fn scatter_add_and_roundtrip() {
         let d = dense();
         let s = max_n_select(&d, 100.0);
@@ -316,10 +202,6 @@ mod tests {
     fn indices_strictly_increasing() {
         let s = max_n_select(&dense(), 60.0);
         for w in s.indices.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        let (_, s2) = n_for_budget(&dense(), 5, 0.85);
-        for w in s2.indices.windows(2) {
             assert!(w[0] < w[1]);
         }
     }

@@ -8,7 +8,7 @@ use dlion_tensor::ops::{
     conv2d_backward_direct, conv2d_backward_into, conv2d_backward_s, conv2d_direct, conv2d_s,
     matmul_into, matmul_naive, matmul_nt_into, matmul_tn_into,
 };
-use dlion_tensor::sparse::{kth_largest_abs, max_n_select, n_for_budget};
+use dlion_tensor::sparse::max_n_select;
 use dlion_tensor::stats::linear_fit;
 use dlion_tensor::{deterministic_sum, DetRng, Scratch, Shape, Tensor};
 
@@ -69,50 +69,6 @@ fn max_n_monotone() {
             assert!(sel.nnz() >= prev, "case {case}: nnz not monotone in N");
             prev = sel.nnz();
         }
-    }
-}
-
-/// Budgeted selection never exceeds the entry budget (when budget >= 1)
-/// and keeps the largest-magnitude entries.
-#[test]
-fn budget_respected_and_greedy() {
-    for case in 0..128u64 {
-        let mut rng = DetRng::seed_from_u64(2000 + case);
-        let dense = finite_vec(&mut rng, 128);
-        let budget = 1 + rng.index(63);
-        let (_, sel) = n_for_budget(&dense, budget, 0.85);
-        assert!(sel.nnz() <= budget, "case {case}: budget exceeded");
-        let selected: std::collections::HashSet<u32> = sel.indices.iter().copied().collect();
-        let min_sel = sel
-            .values
-            .iter()
-            .map(|v| v.abs())
-            .fold(f32::INFINITY, f32::min);
-        if sel.nnz() > 0 && sel.nnz() == budget {
-            for (i, &v) in dense.iter().enumerate() {
-                if !selected.contains(&(i as u32)) {
-                    assert!(
-                        v.abs() <= min_sel + 1e-6,
-                        "case {case}: unselected {v} larger than selected min {min_sel}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// kth_largest_abs agrees with a sort-based oracle.
-#[test]
-fn kth_largest_matches_sort() {
-    for case in 0..128u64 {
-        let mut rng = DetRng::seed_from_u64(3000 + case);
-        let dense = finite_vec(&mut rng, 128);
-        let k = 1 + rng.index(63);
-        let got = kth_largest_abs(&dense, k);
-        let mut abs: Vec<f32> = dense.iter().map(|x| x.abs()).collect();
-        abs.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let expect = abs[(k - 1).min(abs.len() - 1)];
-        assert_eq!(got, expect, "case {case}");
     }
 }
 
