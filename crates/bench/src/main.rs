@@ -15,7 +15,9 @@
 //! history in `results/BENCH_kernels.json`.
 
 use dlion_core::messages::{GradData, GradMsg, Payload, WireCfg, WireFormat, FRAME_HEADER_BYTES};
-use dlion_core::{run_env, ExchangeTransport, MaxNPlanner, RunConfig, SystemKind};
+use dlion_core::{
+    build_cluster, run_env, ExchangeTransport, MaxNPlanner, RunConfig, StrategyCtx, SystemKind,
+};
 use dlion_microcloud::{ClusterKind, EnvId};
 use dlion_net::loopback_mesh;
 use dlion_tensor::ops::{
@@ -175,6 +177,44 @@ fn maxn() {
     });
     bench("n_for_entry_budget", || {
         black_box(p.n_for_entry_budget(black_box(10_000), 0.85));
+    });
+    bench("select 280k entries N=10", || {
+        black_box(p.select(black_box(&grads), 10.0));
+    });
+
+    // Cipher's ten variables / 6.5k entries, as `sim_paper` presents them:
+    // one real gradient step, then what `complete_round` asks of Max N.
+    let cfg = RunConfig::paper_default(SystemKind::DLion, ClusterKind::Cpu);
+    let mut init = build_cluster(&cfg, 6);
+    let mut w = init.workers.swap_remove(0);
+    w.sample_batch_reuse();
+    w.compute_grads(&init.data, cfg.grad_clip);
+    bench("MaxNPlanner::new Cipher 6.5k entries", || {
+        black_box(MaxNPlanner::new(black_box(&w.grads)));
+    });
+    let p = MaxNPlanner::new(&w.grads);
+    bench("select Cipher N=10", || {
+        black_box(p.select(black_box(&w.grads), 10.0));
+    });
+    // Three LAN peers and two WAN peers: two distinct link budgets.
+    let ctx = StrategyCtx {
+        worker: 0,
+        n: 6,
+        iteration: 0,
+        now: 0.0,
+        lbs: w.lbs,
+        iter_time: 2.0,
+        bw_mbps: vec![0.0, 50.0, 50.0, 50.0, 20.0, 20.0],
+        neighbors: (1..6).collect(),
+        bytes_per_param: init.bytes_per_param,
+        total_params: init.total_params,
+        lr: cfg.lr,
+    };
+    bench("DLion generate Cipher, 5 peers / 2 budgets", || {
+        black_box(
+            w.strategy
+                .generate_partial_gradients(black_box(&ctx), &w.grads, &w.model),
+        );
     });
 }
 

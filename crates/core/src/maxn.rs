@@ -13,14 +13,30 @@
 //!
 //! [`MaxNPlanner`] makes the inversion cheap without sorting: each
 //! variable's magnitudes are histogrammed once per iteration into buckets
-//! linear in `|g| / max|g|` (an O(E) counting pass, replacing the old
-//! O(E log E) sort). A quantile query then charges every bucket strictly
-//! above the threshold from the precomputed suffix offsets and scans only
-//! the one bucket the threshold lands in — exact, not approximate, because
-//! the bucket map is monotone in `|g|`. The largest admissible `N` is found
-//! by bisection over `[min_n, 100]`.
+//! (an O(E) counting pass, replacing the old O(E log E) sort). A quantile
+//! query then charges every bucket strictly above the threshold from the
+//! precomputed offsets and scans only the one bucket the threshold lands
+//! in. The largest admissible `N` is found by bisection over
+//! `[min_n, 100]`.
+//!
+//! The bucket of a magnitude is `⌊|g| · (n_buckets / max|g|)⌋`, capped at
+//! the last bucket: one multiply by a factor computed once per variable.
+//! The count is exact, not approximate, for *any* such factor — also one
+//! that rounds badly, overflows to ∞ (a denormal maximum) or is 0 (an
+//! infinite one) — because a float multiply by a non-negative constant, the
+//! truncating cast and the cap are each non-decreasing, and so is their
+//! composition. The threshold goes through the same map, so an entry in a
+//! higher bucket than the threshold's is `> thr`, one in a lower bucket is
+//! `< thr`, and only the threshold's own bucket holds entries on both
+//! sides. How evenly the map spreads the entries decides the cost of that
+//! scan, never the answer.
+//!
+//! The histogram that answers "how many" also sizes the selection itself:
+//! [`MaxNPlanner::select`] hands each variable's threshold and count to
+//! `SparseVec::from_dense_counted`, which fills exact-size vectors in one
+//! branch-free pass.
 
-use dlion_tensor::sparse::{max_n_select_model, SparseVec};
+use dlion_tensor::sparse::{max_abs, max_n_threshold, SparseVec};
 use dlion_tensor::Tensor;
 
 /// Per-variable magnitude histogram: nonzero `|g|` values grouped by bucket
@@ -31,71 +47,78 @@ struct VarTable {
     /// `bucketed[starts[b]..starts[b + 1]]`.
     bucketed: Vec<f32>,
     /// Bucket start offsets; `starts.len() == n_buckets + 1`.
-    starts: Vec<usize>,
+    starts: Vec<u32>,
     /// Max `|g|` (0.0 for an all-zero variable).
     max_abs: f32,
+    /// `n_buckets / max_abs`: what [`bucket_of`] multiplies by.
+    scale: f64,
+}
+
+/// Bucket of magnitude `v` among `nb`. Non-decreasing in `v` whatever
+/// `scale` is (module header), which is all the counting needs.
+#[inline(always)]
+fn bucket_of(v: f32, scale: f64, nb: usize) -> usize {
+    ((v as f64 * scale) as usize).min(nb - 1)
 }
 
 impl VarTable {
-    /// Bucket of magnitude `v` under this table's linear map. Monotone in
-    /// `v`, which is what makes bucket-granular counting exact: an entry in
-    /// a bucket above the threshold's bucket is `> thr`, one below is
-    /// `< thr`, and only the threshold's own bucket needs a scan.
     fn bucket(&self, v: f32) -> usize {
-        let nb = self.starts.len() - 1;
-        (((v as f64 / self.max_abs as f64) * nb as f64) as usize).min(nb - 1)
+        bucket_of(v, self.scale, self.starts.len() - 1)
     }
 
     fn build(data: &[f32]) -> Self {
-        let mut mx = 0.0f32;
-        let mut nonzero = 0usize;
-        for &g in data {
-            let a = g.abs();
-            if a > mx {
-                mx = a;
-            }
-            if a > 0.0 {
-                nonzero += 1;
-            }
-        }
+        let mx = max_abs(data);
+        let nonzero = data.iter().filter(|g| g.abs() > 0.0).count();
         if mx == 0.0 {
             return VarTable {
                 bucketed: Vec::new(),
                 starts: vec![0, 0],
                 max_abs: 0.0,
+                scale: 0.0,
             };
         }
-        // ~1 expected entry per bucket keeps threshold-bucket scans O(1)
-        // for well-spread magnitudes; the cap bounds the offset table.
-        let nb = nonzero.clamp(16, 1 << 16);
-        let mut table = VarTable {
-            bucketed: Vec::new(),
-            starts: vec![0; nb + 1],
+        // A vector's worth of expected entries per bucket: the scan of the
+        // threshold's bucket stays one or two instructions, and the offset
+        // table — zeroed, summed and walked at random by both passes below
+        // — stays an eighth of the data. The cap bounds it outright, and
+        // keeps every bucket id, the spare one included, a `u16`.
+        let nb = (nonzero / 8).clamp(16, u16::MAX as usize);
+        let scale = nb as f64 / mx as f64;
+        // Counting pass. Each entry's bucket is computed here, once, and
+        // kept for the placement pass; what no query counts (exact zeros,
+        // NaN) goes to a spare bucket `nb` past the real ones, so neither
+        // pass branches on the data. Bucket `b` is counted two slots up,
+        // at `starts[b + 2]`...
+        let mut starts = vec![0u32; nb + 3];
+        let mut ids = vec![0u16; data.len()];
+        for (id, &g) in ids.iter_mut().zip(data) {
+            let a = g.abs();
+            let b = if a > 0.0 { bucket_of(a, scale, nb) } else { nb };
+            *id = b as u16;
+            starts[b + 2] += 1;
+        }
+        // ...so that after the prefix sum `starts[b + 1]` is where bucket
+        // `b` starts...
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        // ...and, used as its cursor by the placement pass, ends up where
+        // bucket `b + 1` starts: `starts[b]` is then bucket `b`'s offset.
+        let mut bucketed = vec![0.0f32; data.len()];
+        for (&g, &b) in data.iter().zip(&ids) {
+            let cursor = &mut starts[b as usize + 1];
+            bucketed[*cursor as usize] = g.abs();
+            *cursor += 1;
+        }
+        // Drop the spare bucket: the tail of `bucketed`, the last two slots.
+        bucketed.truncate(nonzero);
+        starts.truncate(nb + 1);
+        VarTable {
+            bucketed,
+            starts,
             max_abs: mx,
-        };
-        // Counting pass, then prefix-sum into start offsets...
-        for &g in data {
-            let a = g.abs();
-            if a > 0.0 {
-                let b = table.bucket(a);
-                table.starts[b + 1] += 1;
-            }
+            scale,
         }
-        for b in 1..=nb {
-            table.starts[b] += table.starts[b - 1];
-        }
-        // ...then the placement pass, using a cursor per bucket.
-        let mut cursor = table.starts.clone();
-        table.bucketed = vec![0.0; nonzero];
-        for &g in data {
-            let a = g.abs();
-            if a > 0.0 {
-                let b = table.bucket(a);
-                table.bucketed[cursor[b]] = a;
-                cursor[b] += 1;
-            }
-        }
-        table
     }
 
     /// Entries with `|g| >= thr` and `|g| > 0` — the Max N selection count
@@ -108,11 +131,9 @@ impl VarTable {
             return self.bucketed.len();
         }
         let b = self.bucket(thr);
-        let above = self.bucketed.len() - self.starts[b + 1];
-        let in_bucket = self.bucketed[self.starts[b]..self.starts[b + 1]]
-            .iter()
-            .filter(|&&v| v >= thr)
-            .count();
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        let above = self.bucketed.len() - hi;
+        let in_bucket = self.bucketed[lo..hi].iter().filter(|&&v| v >= thr).count();
         above + in_bucket
     }
 }
@@ -164,10 +185,9 @@ impl MaxNPlanner {
         if n >= 100.0 {
             return self.total_entries;
         }
-        let frac = 1.0 - n / 100.0;
         self.vars
             .iter()
-            .map(|v| v.count_at_threshold((frac * v.max_abs as f64) as f32))
+            .map(|v| v.count_at_threshold(max_n_threshold(v.max_abs, n)))
             .sum()
     }
 
@@ -195,14 +215,30 @@ impl MaxNPlanner {
         lo
     }
 
-    /// Materialize the Max N selection of `grads` at parameter `n`.
+    /// Materialize the Max N selection at parameter `n` of `grads`, the
+    /// gradients this planner was built from: each variable's maximum and
+    /// selection count come from its table, so the one pass left over the
+    /// data is the copy.
     pub fn select(&self, grads: &[Tensor], n: f64) -> Vec<SparseVec> {
         assert_eq!(grads.len(), self.vars.len());
-        max_n_select_model(grads, n)
+        let entries: usize = grads.iter().map(|g| g.data().len()).sum();
+        assert_eq!(entries, self.total_entries, "not this planner's gradients");
+        if n >= 100.0 {
+            let full = |g: &Tensor| SparseVec::from_dense_full(g.data());
+            return grads.iter().map(full).collect();
+        }
+        grads
+            .iter()
+            .zip(&self.vars)
+            .map(|(g, var)| {
+                let thr = max_n_threshold(var.max_abs, n);
+                SparseVec::from_dense_counted(g.data(), thr, var.count_at_threshold(thr))
+            })
+            .collect()
     }
 
     /// Convenience: plan and select for a link byte budget. Returns
-    /// `(n, selection, selected_entries)`.
+    /// `(n, selection)`.
     pub fn select_for_budget(
         &self,
         grads: &[Tensor],
@@ -210,11 +246,16 @@ impl MaxNPlanner {
         bytes_per_entry: f64,
         min_n: f64,
     ) -> (f64, Vec<SparseVec>) {
-        assert!(bytes_per_entry > 0.0);
-        let budget_entries = (budget_bytes / bytes_per_entry).floor().max(0.0) as usize;
-        let n = self.n_for_entry_budget(budget_entries, min_n);
+        let n = self.n_for_entry_budget(budget_entries(budget_bytes, bytes_per_entry), min_n);
         (n, self.select(grads, n))
     }
+}
+
+/// Whole sparse entries a byte budget carries — all of a link's budget
+/// that [`MaxNPlanner::n_for_entry_budget`] looks at.
+pub(crate) fn budget_entries(budget_bytes: f64, bytes_per_entry: f64) -> usize {
+    assert!(bytes_per_entry > 0.0);
+    (budget_bytes / bytes_per_entry).floor().max(0.0) as usize
 }
 
 #[cfg(test)]
@@ -313,6 +354,21 @@ mod tests {
             "100-entry budget violated: {entries} at N={n}"
         );
         assert!(n < 100.0);
+    }
+
+    #[test]
+    fn capped_bucket_table_counts_exactly() {
+        // Enough nonzero entries that `nonzero / 8` passes the bucket cap.
+        let mut rng = DetRng::seed_from_u64(3);
+        let g = vec![Tensor::randn(Shape::d1(600_000), 1.0, &mut rng)];
+        let p = MaxNPlanner::new(&g);
+        assert_eq!(p.vars[0].starts.len(), u16::MAX as usize + 1);
+        for n in [0.85, 10.0, 50.0, 90.0, 99.5] {
+            let thr = max_n_threshold(p.vars[0].max_abs, n);
+            let direct = g[0].data().iter().filter(|v| v.abs() >= thr).count();
+            assert_eq!(p.count_for_n(n), direct, "N={n}");
+            assert_eq!(p.select(&g, n)[0].nnz(), direct, "N={n}");
+        }
     }
 
     #[test]

@@ -365,11 +365,7 @@ pub fn apply_wire_format(payload: &mut Payload, format: WireFormat) {
             }
         }
         WireFormat::TopK(n) => {
-            g.data = GradData::Sparse(
-                vars.iter()
-                    .map(|t| dlion_tensor::sparse::max_n_select(t.data(), n))
-                    .collect(),
-            );
+            g.data = GradData::Sparse(dlion_tensor::sparse::max_n_select_model(vars, n));
             g.n_used = n;
         }
     }
@@ -402,6 +398,18 @@ pub const WIRE_LABELS: [&str; 6] = [
     "weights",
     "control",
 ];
+
+/// Charge `bytes` to `label`'s bucket of a `wire_bytes_by_kind` ledger.
+/// Called once per message on both backends: the key is allocated the
+/// first time a label occurs, not per message.
+pub fn add_wire_bytes(by_kind: &mut BTreeMap<String, f64>, label: &'static str, bytes: f64) {
+    match by_kind.get_mut(label) {
+        Some(total) => *total += bytes,
+        None => {
+            by_kind.insert(label.to_owned(), bytes);
+        }
+    }
+}
 
 /// Trace an encoded bytes-on-the-wire ledger as one `wire_bytes_by_kind`
 /// event: one fixed key per wire label, so sim (cluster-wide, `w` =

@@ -145,9 +145,10 @@ impl Worker {
         debug_assert!(self.pending.is_none(), "one gradient job per worker");
         // Messages still in flight share the gradient tensors' storage, so
         // the step's in-place overwrite copies them first. Make that copy
-        // here: a job that allocates nothing large leaves the pool
-        // thread's malloc arena small, and what this thread frees stays
-        // reusable by what it allocates.
+        // here, on the thread that frees the messages: what it frees stays
+        // reusable by what it allocates, and a step on a warm arena then
+        // allocates nothing large on the pool thread (a cold arena's fill
+        // does, once per LBS).
         for g in &mut self.grads {
             g.data_mut();
         }

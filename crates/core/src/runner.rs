@@ -18,15 +18,20 @@
 //! lists the join points), so the simulated workers' forward/backward
 //! passes overlap each other and the event loop (DESIGN.md §4b). A join's
 //! place in the event order is fixed; only which thread ran the job is not,
-//! and no number depends on that.
+//! and no number depends on that. The thread running this file schedules:
+//! every gradient step of an untraced run is such a job, the first on a
+//! cold arena included, and what the loop itself computes per round —
+//! the own update, Max N planning and one selection per distinct link
+//! budget (`strategy/dlion.rs`) — is kept small; at a join it lends a hand
+//! with its own queued jobs rather than sleep.
 
 use crate::cluster::build_cluster;
 use crate::config::RunConfig;
 use crate::gbs::Batching;
 use crate::lbs::{compute_rcp, PROFILE_LBS};
 use crate::messages::{
-    apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg, WireFormat,
-    DEFAULT_CHUNK_BYTES,
+    add_wire_bytes, apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg,
+    WireFormat, DEFAULT_CHUNK_BYTES,
 };
 use crate::metrics::{HealthSummary, LinkSample, RunMetrics};
 use crate::round::{Effect, Membership};
@@ -324,12 +329,10 @@ impl ClusterRunner {
         worker.waiting = false;
         worker.computing = true;
         worker.sample_batch_reuse();
-        // The gradients go out as a pool job unless they have to be
-        // computed here and now: a trace carries the loss in `iter_start`,
-        // and an arena's first fill (first step, first step after an LBS
-        // change) is the step's large allocations, which stay in this
-        // thread's malloc arena instead of growing a second one.
-        let loss_now = if tracing_on() || worker.scratch.held_bytes() == 0 {
+        // The gradients go out as a pool job — this thread schedules, it
+        // does not compute — unless a trace is being written: `iter_start`
+        // carries the loss.
+        let loss_now = if tracing_on() {
             let loss = worker.compute_grads(&self.data, self.cfg.grad_clip);
             worker.pending = Some(PendingIteration::Done { loss });
             Some(loss)
@@ -562,11 +565,7 @@ impl ClusterRunner {
             format: self.cfg.wire,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
         }) as f64;
-        *self
-            .metrics
-            .wire_bytes_by_kind
-            .entry(label.to_string())
-            .or_insert(0.0) += encoded;
+        add_wire_bytes(&mut self.metrics.wire_bytes_by_kind, label, encoded);
         let t = self.net.transfer(from, to, bytes, now);
         event!(now, w: from, "send";
             "to" => to,
@@ -821,7 +820,7 @@ mod tests {
     /// The same cell with its gradient and evaluation jobs on the pool (run
     /// from a plain thread) and inline (run inside a `par_map` item: a
     /// spawn from inside a job runs at its join) — every number equal.
-    fn pooled_equals_inline(mut cfg: RunConfig) {
+    fn pooled_equals_inline(mut cfg: RunConfig) -> RunMetrics {
         cfg.capture_weights = true;
         let pooled = run_env(&cfg, EnvId::HeteroSysA);
         let inline = par::par_map(&[cfg], |cfg| run_env(cfg, EnvId::HeteroSysA)).remove(0);
@@ -832,6 +831,7 @@ mod tests {
         assert_eq!(pooled.gbs_trace, inline.gbs_trace);
         assert_eq!(pooled.lbs_trace, inline.lbs_trace);
         assert_eq!(pooled.wire_bytes_by_kind, inline.wire_bytes_by_kind);
+        pooled
     }
 
     #[test]
@@ -845,8 +845,17 @@ mod tests {
         pooled_equals_inline(with_fault("2@9+30"));
         pooled_equals_inline(RunConfig {
             sync_override: Some(crate::sync::SyncPolicy::Synchronous),
-            ..cfg
+            ..cfg.clone()
         });
+        // Every step goes to the pool, also the first on a cold arena: a
+        // cell whose LBS moves mid-run (each move releases the arena) has
+        // such steps on the pool in one run and inline in the other.
+        let mut moving = cfg;
+        moving.gbs.adjust_period_secs = 30.0;
+        moving.workload.train_size = 6000; // headroom under the GBS cap
+        let m = pooled_equals_inline(moving);
+        let repartitions = m.lbs_trace.iter().filter(|(t, _)| *t > 0.0).count();
+        assert!(repartitions >= 2, "LBS moved {repartitions} times");
     }
 
     #[test]

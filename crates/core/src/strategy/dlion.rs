@@ -7,9 +7,17 @@
 //! carry during one iteration, and picks the *largest* N that fits — so
 //! fat links get rich gradients (up to dense) and thin links get only the
 //! statistically significant entries, down to the configured minimum N.
+//!
+//! The planner's histogram is built once per iteration; the budget
+//! inversion and the selection run once per *distinct* budget, counted in
+//! whole entries — all of a budget the inversion sees — and links that
+//! share one get copies. Micro-cloud links come in a few bandwidth classes,
+//! so that is one or two selections for five peers, and each peer's message
+//! is bit for bit what planning its link alone would give
+//! (`equal_budgets_share_one_selection`).
 
 use super::{ExchangeStrategy, PeerUpdate, StrategyCtx};
-use crate::maxn::MaxNPlanner;
+use crate::maxn::{budget_entries, MaxNPlanner};
 use crate::messages::{GradData, GradMsg};
 use crate::sync::SyncPolicy;
 use dlion_nn::Model;
@@ -47,25 +55,35 @@ impl ExchangeStrategy for DLionExchange {
         _model: &Model,
     ) -> Vec<PeerUpdate> {
         let planner = MaxNPlanner::new(grads);
+        // A link's N depends on its budget only through the whole entries
+        // that fit, and links of equal bandwidth are the rule (one LAN, one
+        // WAN class): plan and select once per distinct entry budget, and
+        // give the peers that share it copies.
+        let mut plans: Vec<(usize, f64, GradData)> = Vec::new();
         ctx.peers()
             .map(|peer| {
-                let budget = ctx.link_budget_bytes(peer);
-                let (n, sel) =
-                    planner.select_for_budget(grads, budget, ctx.bytes_per_entry(), self.min_n);
-                // At N=100 a dense encoding is strictly cheaper on the wire
-                // (no index overhead) — use it.
-                let data = if n >= 100.0 {
-                    GradData::Dense(grads.to_vec())
-                } else {
-                    GradData::Sparse(sel)
-                };
+                let entries = budget_entries(ctx.link_budget_bytes(peer), ctx.bytes_per_entry());
+                let known = plans.iter().position(|p| p.0 == entries);
+                let plan = known.unwrap_or_else(|| {
+                    let n = planner.n_for_entry_budget(entries, self.min_n);
+                    // At N=100 a dense encoding is strictly cheaper on the
+                    // wire (no index overhead) — use it.
+                    let data = if n >= 100.0 {
+                        GradData::Dense(grads.to_vec())
+                    } else {
+                        GradData::Sparse(planner.select(grads, n))
+                    };
+                    plans.push((entries, n, data));
+                    plans.len() - 1
+                });
+                let (_, n, data) = &plans[plan];
                 PeerUpdate {
                     peer,
                     msg: GradMsg {
                         iteration: ctx.iteration,
                         lbs: ctx.lbs,
-                        data,
-                        n_used: n,
+                        data: data.clone(),
+                        n_used: *n,
                     },
                 }
             })
@@ -129,6 +147,38 @@ mod tests {
                     "peer {peer}: {bytes} > budget {budget}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn equal_budgets_share_one_selection() {
+        let m = model();
+        let mut rng = DetRng::seed_from_u64(9);
+        let g = grads(&m, &mut rng);
+        let mut ctx = test_ctx(0, 4);
+        ctx.bw_mbps = vec![0.0, 50.0, 20.0, 50.0];
+        ctx.total_params = m.num_params();
+        ctx.bytes_per_param = 5_000_000.0 / m.num_params() as f64;
+        let ups = DLionExchange::new(0.85, 5).generate_partial_gradients(&ctx, &g, &m);
+        let sparse = |u: &PeerUpdate| match &u.msg.data {
+            GradData::Sparse(sel) => sel.clone(),
+            GradData::Dense(_) => panic!("peer {} got a dense gradient", u.peer),
+        };
+        assert_eq!(ups.iter().map(|u| u.peer).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(sparse(&ups[0]), sparse(&ups[2]));
+        assert_eq!(ups[0].msg.n_used, ups[2].msg.n_used);
+        assert_ne!(sparse(&ups[0]), sparse(&ups[1]));
+        // Shared or not, each is what planning that link alone gives.
+        let planner = MaxNPlanner::new(&g);
+        for u in &ups {
+            let (n, sel) = planner.select_for_budget(
+                &g,
+                ctx.link_budget_bytes(u.peer),
+                ctx.bytes_per_entry(),
+                0.85,
+            );
+            assert_eq!(u.msg.n_used.to_bits(), n.to_bits(), "peer {}", u.peer);
+            assert_eq!(sparse(u), sel, "peer {}", u.peer);
         }
     }
 

@@ -3,10 +3,10 @@
 //! algorithm ... without any support from the other DLion techniques").
 
 use super::{ExchangeStrategy, PeerUpdate, StrategyCtx};
-use crate::maxn::MaxNPlanner;
 use crate::messages::{GradData, GradMsg};
 use crate::sync::SyncPolicy;
 use dlion_nn::Model;
+use dlion_tensor::sparse::max_n_select_model;
 use dlion_tensor::Tensor;
 
 /// Fixed-N Max N exchange (no speed assurance, no batching, no DKT).
@@ -40,19 +40,19 @@ impl ExchangeStrategy for MaxNOnly {
         grads: &[Tensor],
         _model: &Model,
     ) -> Vec<PeerUpdate> {
-        let planner = MaxNPlanner::new(grads);
-        let sel = planner.select(grads, self.n);
+        // One selection, a copy per peer; N = 100 is the dense gradient.
+        let data = if self.n >= 100.0 {
+            GradData::Dense(grads.to_vec())
+        } else {
+            GradData::Sparse(max_n_select_model(grads, self.n))
+        };
         ctx.peers()
             .map(|peer| PeerUpdate {
                 peer,
                 msg: GradMsg {
                     iteration: ctx.iteration,
                     lbs: ctx.lbs,
-                    data: if self.n >= 100.0 {
-                        GradData::Dense(grads.to_vec())
-                    } else {
-                        GradData::Sparse(sel.clone())
-                    },
+                    data: data.clone(),
                     n_used: self.n,
                 },
             })

@@ -69,8 +69,8 @@ use dlion_core::config::RunConfig;
 use dlion_core::gbs::{round_due, Batching};
 use dlion_core::lbs::{compute_rcp, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
-    apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat,
-    KIND_NET_BASE,
+    add_wire_bytes, apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg,
+    WireFormat, KIND_NET_BASE,
 };
 use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
@@ -653,11 +653,7 @@ impl LiveWorker<'_, '_> {
                 "weights" => self.out.weight_bytes += bytes,
                 _ => self.out.control_bytes += bytes,
             }
-            *self
-                .out
-                .wire_bytes_by_kind
-                .entry(label.to_string())
-                .or_insert(0.0) += bytes;
+            add_wire_bytes(&mut self.out.wire_bytes_by_kind, label, bytes);
             self.out.msgs_sent += 1;
             event!(self.now(), w: self.me, "send";
                 "to" => to, "kind" => kind, "bytes" => bytes);

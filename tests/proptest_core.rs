@@ -187,6 +187,156 @@ fn maxn_planner_matches_sorted_reference() {
     }
 }
 
+/// `MaxNPlanner::select` / `select_for_budget` against the §3.3 definition
+/// written as plain scalar loops — same indices, same value bits, and
+/// `count_for_n` equal to the entries actually selected — over inputs that
+/// stress the bucket map and the compaction: exact zeros, −0.0, NaN, ±∞, a
+/// denormal maximum, all-equal magnitudes, one-entry and all-zero
+/// variables, and thresholds that land exactly on an entry.
+#[test]
+fn maxn_select_matches_scalar_definition() {
+    use dlion::tensor::sparse::SparseVec;
+
+    // §3.3: per variable, the entries within N% of its largest magnitude;
+    // exact zeros never travel; N = 100 is the dense gradient.
+    fn reference_select(dense: &[f32], n: f64) -> SparseVec {
+        let mut out = SparseVec::empty(dense.len());
+        let max = dense.iter().filter(|v| !v.is_nan()).fold(0.0f32, |m, v| {
+            if v.abs() > m {
+                v.abs()
+            } else {
+                m
+            }
+        });
+        let n = n.clamp(f64::MIN_POSITIVE, 100.0);
+        let thr = ((1.0 - n / 100.0) * max as f64) as f32;
+        for (i, &v) in dense.iter().enumerate() {
+            let keep = if n >= 100.0 {
+                true
+            } else {
+                max > 0.0 && v.abs() >= thr && v != 0.0
+            };
+            if keep {
+                out.indices.push(i as u32);
+                out.values.push(v);
+            }
+        }
+        out
+    }
+    fn reference_count(grads: &[Tensor], n: f64) -> usize {
+        grads
+            .iter()
+            .map(|g| reference_select(g.data(), n).nnz())
+            .sum()
+    }
+    // The largest admissible N by the documented 40-step bisection.
+    fn reference_n(grads: &[Tensor], budget: usize, min_n: f64) -> f64 {
+        if reference_count(grads, 100.0) <= budget {
+            return 100.0;
+        }
+        if reference_count(grads, min_n) > budget {
+            return min_n;
+        }
+        let (mut lo, mut hi) = (min_n, 100.0);
+        for _ in 0..40 {
+            let mid = 0.5 * (lo + hi);
+            if reference_count(grads, mid) <= budget {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+    fn same_bits(got: &[SparseVec], grads: &[Tensor], n: f64, what: &str) {
+        assert_eq!(got.len(), grads.len(), "{what}");
+        for (v, (s, g)) in got.iter().zip(grads).enumerate() {
+            let want = reference_select(g.data(), n);
+            assert_eq!(s.dense_len, want.dense_len, "{what}: var {v}");
+            assert_eq!(s.indices, want.indices, "{what}: var {v} at N={n}");
+            let bits = |s: &SparseVec| s.values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(s), bits(&want), "{what}: var {v} at N={n}");
+        }
+    }
+    let var = |v: Vec<f32>| Tensor::from_vec(Shape::d1(v.len()), v);
+
+    // Hand-built variables, one hazard each.
+    let tiny = f32::from_bits(3); // a denormal
+    let fixed = vec![
+        var(vec![0.0, -0.0, 1.0, -0.5, 0.5, 0.25, -0.75, 0.0, 0.1]), // 0.5·max, 0.25·max, 0.75·max are entries
+        var(vec![f32::NAN, 2.0, -1.0, f32::NAN, 0.0, 1.5]),
+        var(vec![1.0, f32::INFINITY, -3.0, f32::NEG_INFINITY, 0.0]),
+        var(vec![tiny, -tiny, f32::from_bits(1), 0.0, f32::from_bits(2)]),
+        var(vec![-0.3; 40]),
+        var(vec![0.7]),
+        var(vec![f32::NAN]),
+        var(vec![0.0; 23]),
+        var(vec![-0.0; 5]),
+        var(vec![f32::MAX, f32::MIN_POSITIVE, -f32::MAX, 1.0]),
+    ];
+    let ns = [
+        0.0, 1e-9, 0.85, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.999, 100.0, 250.0,
+    ];
+    let p = MaxNPlanner::new(&fixed);
+    for n in ns {
+        same_bits(&p.select(&fixed, n), &fixed, n, "fixed");
+        assert_eq!(
+            p.count_for_n(n),
+            reference_count(&fixed, n),
+            "fixed: count_for_n({n})"
+        );
+    }
+
+    for case in 0..96u64 {
+        let mut rng = DetRng::seed_from_u64(8100 + case);
+        let mut grads = Vec::new();
+        for _ in 0..1 + rng.index(4) {
+            let len = 1 + rng.index(700);
+            let std = [1e-3, 1.0, 1e30][rng.index(3)];
+            let mut t = Tensor::randn(Shape::d1(len), std, &mut rng);
+            // Quantize some cases so magnitudes repeat and k/8·max thresholds
+            // are entries; sprinkle the special values over all of them.
+            let quantize = rng.index(2) == 0;
+            for v in t.data_mut().iter_mut() {
+                if quantize {
+                    *v = (*v / std * 4.0).round() / 8.0 * std;
+                }
+                *v = match rng.index(40) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::NAN,
+                    3 if case % 7 == 0 => f32::INFINITY,
+                    4 if case % 11 == 0 => f32::NEG_INFINITY,
+                    _ => *v,
+                };
+            }
+            grads.push(t);
+        }
+        let p = MaxNPlanner::new(&grads);
+        for n in ns {
+            same_bits(
+                &p.select(&grads, n),
+                &grads,
+                n,
+                &format!("case {case} select"),
+            );
+            let selected: usize = p.select(&grads, n).iter().map(|s| s.nnz()).sum();
+            assert_eq!(p.count_for_n(n), selected, "case {case}: count_for_n({n})");
+        }
+        let total = p.total_entries();
+        for budget in [0, 1, total / 10, total / 2, total - 1, total, total + 1] {
+            let want_n = reference_n(&grads, budget, 0.85);
+            let (n, sel) = p.select_for_budget(&grads, budget as f64 * 8.0 + 3.0, 8.0, 0.85);
+            assert_eq!(
+                n.to_bits(),
+                want_n.to_bits(),
+                "case {case}: budget {budget}"
+            );
+            same_bits(&sel, &grads, n, &format!("case {case} budget {budget}"));
+        }
+    }
+}
+
 /// Bounded staleness is monotone: observing more gradients never takes
 /// away permission to proceed.
 #[test]
