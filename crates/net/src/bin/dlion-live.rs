@@ -58,7 +58,7 @@
 use dlion_core::{report, Args, RunSpec, UsageError};
 use dlion_net::{
     assemble_metrics, live_config, loopback_addrs, parse_peers, run_live_virtual, LiveOpts,
-    TransportKind, VirtualPlan, WorkerOutcome,
+    TransportKind, WorkerOutcome,
 };
 use std::io::Read;
 use std::net::SocketAddr;
@@ -260,11 +260,8 @@ fn main() {
             } else {
                 TransportKind::Mem
             };
-            let plan = VirtualPlan {
-                ranks_per_host: spec.virtual_ranks,
-                migrate: vec![],
-            };
-            let result = run_live_virtual(&cfg, workers, &plan, &opts, kind, &env_label);
+            let ranks_per_host = spec.virtual_ranks;
+            let result = run_live_virtual(&cfg, workers, ranks_per_host, &opts, kind, &env_label);
             if spec.trace_out.is_some() {
                 dlion_telemetry::stop_trace();
             }

@@ -33,7 +33,6 @@ use dlion_core::args::RunSpec;
 use dlion_core::{Args, UsageError};
 use dlion_net::{
     live_config, loopback_addrs, parse_peers, LiveCluster, LiveError, LiveOpts, TcpTransport,
-    VirtualPlan,
 };
 use std::net::{SocketAddr, TcpListener};
 
@@ -125,10 +124,6 @@ fn main() {
         usage();
     });
     let opts = LiveOpts::from_spec(spec);
-    let plan = VirtualPlan {
-        ranks_per_host: spec.virtual_ranks,
-        migrate: Vec::new(),
-    };
 
     dlion_telemetry::init_from_env("info");
     if let Some(path) = &spec.trace_out {
@@ -146,8 +141,14 @@ fn main() {
 
     // Every process builds the identical cluster from the shared flags
     // and runs the rank slots its host id names.
-    let cluster = LiveCluster::new(&cfg, spec.workers, &plan, &opts, &cli.env_label)
-        .unwrap_or_else(|e| fail("bad placement", e));
+    let cluster = LiveCluster::new(
+        &cfg,
+        spec.workers,
+        spec.virtual_ranks,
+        &opts,
+        &cli.env_label,
+    )
+    .unwrap_or_else(|e| fail("bad placement", e));
     let transport = TcpTransport::establish_linked(
         host,
         listener,

@@ -262,12 +262,6 @@ pub struct WorkerOutcome {
     /// set equals the peers that departed (ledger-driven), independent of
     /// when their Leaves or socket EOFs landed.
     pub silent_flagged: Vec<usize>,
-    /// Advisory high-water marks: deepest send queue seen at a health
-    /// tick / end of run, deepest BSP deferred-gradient backlog, largest
-    /// chunked-stream reassembly scratch.
-    pub sendq_hw: u64,
-    pub deferred_hw: u64,
-    pub scratch_hw: u64,
     /// Final weight tensors, when `cfg.capture_weights` is on.
     pub final_weights: Option<Vec<Tensor>>,
 }
@@ -284,10 +278,7 @@ impl WorkerOutcome {
             self.id, self.iterations, self.msgs_sent, self.msgs_recv, self.dkt_merges,
             self.departed
         ));
-        s.push_str(&format!(
-            ",\"health_rounds\":{},\"sendq_hw\":{},\"deferred_hw\":{},\"scratch_hw\":{}",
-            self.health_rounds, self.sendq_hw, self.deferred_hw, self.scratch_hw
-        ));
+        s.push_str(&format!(",\"health_rounds\":{}", self.health_rounds));
         s.push_str(",\"silent_flagged\":[");
         for (i, p) in self.silent_flagged.iter().enumerate() {
             if i > 0 {
@@ -383,9 +374,6 @@ impl WorkerOutcome {
             net_overhead_bytes: num("net_overhead_bytes")?,
             train_secs: num("train_secs")?,
             health_rounds: int("health_rounds")?,
-            sendq_hw: int("sendq_hw")?,
-            deferred_hw: int("deferred_hw")?,
-            scratch_hw: int("scratch_hw")?,
             departed: matches!(v.get("departed"), Some(Json::Bool(true))),
             ..Default::default()
         };
@@ -794,15 +782,11 @@ impl LiveWorker<'_, '_> {
         self.out.msgs_recv += 1;
         event!(self.now(), w: self.me, "msg"; "from" => from, "kind" => payload.kind());
         match self.worker.on_payload(from, payload, &self.members) {
-            Effect::Parked => {
-                self.out.deferred_hw = self.out.deferred_hw.max(self.worker.parked.len() as u64);
-                Ok(())
-            }
+            Effect::Parked | Effect::Noted => Ok(()),
             Effect::Applied(msg) => {
                 Payload::Grad(msg).recycle(&mut self.pool);
-                self.ack(from, during_shutdown)
+                self.ack(from)
             }
-            Effect::Noted => Ok(()),
             Effect::Reply(reply) => self.send(from, reply, during_shutdown),
             Effect::Merged(weights) => {
                 self.out.dkt_merges += 1;
@@ -818,23 +802,24 @@ impl LiveWorker<'_, '_> {
     }
 
     /// Acknowledge an applied gradient (the ack drives the sender's
-    /// `SyncState::on_delivered_from`, `BlockOnDelivery`'s gate).
-    fn ack(&mut self, from: usize, during_shutdown: bool) -> Result<(), LiveError> {
-        let best_effort = during_shutdown || !self.active[from];
-        self.send_control(from, Control::Ack, best_effort)
+    /// `SyncState::on_delivered_from`, `BlockOnDelivery`'s gate). An ack
+    /// is advisory — a peer that cannot receive it cannot be gated on —
+    /// so it is sent best-effort: a failed ack demotes nobody, and the
+    /// peer's departure arrives in FIFO order behind the frames it
+    /// already queued (its Leave, the link's EOF, a failed gradient send).
+    fn ack(&mut self, from: usize) -> Result<(), LiveError> {
+        self.send_control(from, Control::Ack, true)
     }
 
     /// The strict-BSP flush point (see `Worker::flush_parked`), plus the
     /// live half: recycle each applied gradient's buffers and ack it.
-    fn flush_parked(&mut self, force: bool, during_shutdown: bool) -> Result<(), LiveError> {
+    fn flush_parked(&mut self, force: bool) -> Result<(), LiveError> {
         let mut senders = Vec::new();
         self.worker.flush_parked(&self.members, force, |from, msg| {
             senders.push(from);
             Payload::Grad(msg).recycle(&mut self.pool);
         });
-        senders
-            .into_iter()
-            .try_for_each(|from| self.ack(from, during_shutdown))
+        senders.into_iter().try_for_each(|from| self.ack(from))
     }
 
     /// One training iteration: compute, then the round core's
@@ -1039,8 +1024,7 @@ impl LiveWorker<'_, '_> {
     /// time the round count and round numbers are pure functions of the
     /// iteration schedule (and hence `ManualClock`-testable without
     /// sleeps). Each round runs the ledger-based silence check and traces
-    /// this rank's `worker_health` report, folding the advisory high-water
-    /// marks into the outcome.
+    /// this rank's `worker_health` report.
     fn run_due_health_rounds(&mut self) {
         let Some(interval) = self.env.opts.health_interval else {
             return;
@@ -1051,9 +1035,7 @@ impl LiveWorker<'_, '_> {
             self.flag_planned_silent();
             let links = self.transport.link_health();
             let sendq = links.iter().map(|l| l.queue_depth).max().unwrap_or(0);
-            self.out.sendq_hw = self.out.sendq_hw.max(sendq as u64);
             let scratch_hw = self.wire_scratch.capacity() as u64;
-            self.out.scratch_hw = self.out.scratch_hw.max(scratch_hw);
             // Nominal round time, like GBS traces — though the *values*
             // of the load fields (deferred, sendq) stay advisory.
             event!(self.health_round as f64 * interval, w: self.me, "worker_health";
@@ -1096,13 +1078,11 @@ impl LiveWorker<'_, '_> {
         self.out.train_secs = self.train_secs;
         self.out.health_rounds = self.health_round;
         self.out.silent_flagged = self.health.silent_peers();
-        self.out.scratch_hw = self.out.scratch_hw.max(self.wire_scratch.capacity() as u64);
         if self.env.opts.health_interval.is_none() {
             return;
         }
         let now = self.now();
         for link in self.transport.link_health() {
-            self.out.sendq_hw = self.out.sendq_hw.max(link.queue_depth_hw as u64);
             if link.frames == 0 {
                 continue;
             }
@@ -1358,7 +1338,7 @@ pub fn run_worker(
         // The single BSP flush point: every gradient of the rounds before
         // the one we are about to compute applies now, in canonical order
         // (gating says those rounds are complete).
-        lw.flush_parked(false, false)?;
+        lw.flush_parked(false)?;
         lw.step()?;
     }
 
@@ -1390,7 +1370,7 @@ pub fn run_worker(
         lw.handle_frame(from, frame, true)?;
     }
     // No further local rounds: whatever is still deferred applies now.
-    lw.flush_parked(true, true)?;
+    lw.flush_parked(true)?;
 
     lw.eval();
     lw.out.iterations = lw.worker.iteration;
@@ -1443,9 +1423,6 @@ mod tests {
             train_secs: 1.5,
             health_rounds: 6,
             silent_flagged: vec![1],
-            sendq_hw: 4,
-            deferred_hw: 2,
-            scratch_hw: 1 << 16,
             final_weights: None,
         };
         let back = WorkerOutcome::from_json(&out.to_json()).unwrap();
@@ -1453,9 +1430,6 @@ mod tests {
         assert_eq!(back.train_secs, 1.5);
         assert_eq!(back.health_rounds, 6);
         assert_eq!(back.silent_flagged, vec![1]);
-        assert_eq!(back.sendq_hw, 4);
-        assert_eq!(back.deferred_hw, 2);
-        assert_eq!(back.scratch_hw, 1 << 16);
         assert_eq!(back.gbs_trace, vec![(0.25, 160), (0.5, 240)]);
         assert_eq!(back.lbs_trace.len(), 2);
         assert_eq!(back.lbs_trace[1], (0.25, vec![54, 53, 53]));

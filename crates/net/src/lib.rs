@@ -22,10 +22,10 @@
 //!   send → block per sync policy), plus the startup LBS profiling round
 //!   and the Done-barrier shutdown protocol.
 //! * [`tcp`] — [`tcp::TcpTransport`]: mesh establishment with a Hello
-//!   handshake through the one acceptor the transport keeps for its whole
-//!   life (establishment joins and late rejoins share it), per-peer writer
-//!   threads with bounded backpressure queues, reader threads feeding one
-//!   shared inbox.
+//!   handshake through one acceptor that lives only until the expected
+//!   peers are wired (a late rejoin is a Hello over the still-open link,
+//!   not a new connection), per-peer writer threads with bounded
+//!   backpressure queues, reader threads feeding one shared inbox.
 //! * [`live`] — the one assembly of a live run: [`live::LiveCluster`]
 //!   builds the cluster from the [`dlion_core::RunConfig`] (the run's only
 //!   description — [`LiveOpts`] adds execution knobs, nothing the
@@ -40,8 +40,9 @@
 //!   `dlion_core::HealthSummary`.
 //! * [`rankhost`] — virtual workers: one process hosting N ranks
 //!   multiplexed over a single host-level transport endpoint
-//!   ([`rankhost::RankHost`] + per-rank [`rankhost::RankEndpoint`]s),
-//!   routing frames by `(host, rank)` via [`KIND_ROUTE`] markers.
+//!   ([`rankhost::RankHost`] + per-rank [`rankhost::RankEndpoint`]s) on
+//!   the static [`rankhost::RankLayout`] placement, routing frames by
+//!   `(host, rank)` via [`KIND_ROUTE`] markers.
 //! * [`control`] — the net-level control protocol: the [`Control`] enum,
 //!   its frame encoding and the one validated decode. The normative
 //!   control-frame table lives there.
@@ -60,12 +61,10 @@ pub use driver::{parse_straggle, run_worker, EvalPoint, LiveOpts, WorkerEnv, Wor
 pub use health::HealthAggregator;
 pub use live::{
     assemble_metrics, link_masks, live_config, run_live, run_live_virtual, LiveCluster,
-    TransportKind, VirtualPlan,
+    TransportKind,
 };
-pub use rankhost::{RankEndpoint, RankHost, RankHostHandle, RankLayout};
-pub use tcp::{
-    loopback_addrs, loopback_mesh, loopback_mesh_addrs, parse_peers, TcpOpts, TcpTransport,
-};
+pub use rankhost::{RankEndpoint, RankHost, RankLayout};
+pub use tcp::{loopback_addrs, loopback_mesh, parse_peers, TcpOpts, TcpTransport};
 
 use dlion_core::{TransportError, WireError};
 

@@ -47,9 +47,9 @@ pub fn live_config(system: SystemKind, seed: u64) -> RunConfig {
 /// union of the schedule's per-round neighbor sets (so a ring cluster
 /// holds two connections per worker, not `n-1`), widened back to the full
 /// mesh whenever a blocking all-to-all control plane is active — dynamic
-/// batching broadcasts RCPs to everyone, fault rejoin/Leave announcements
-/// likewise assume every peer is reachable, and the health plane measures
-/// a `frame_latency` row per peer.
+/// batching broadcasts RCPs to everyone, and fault rejoin/Leave
+/// announcements likewise assume every peer is reachable. (The health
+/// plane sends nothing; it reports `frame_latency` per held link.)
 /// Masks are symmetric (per-round neighbor sets are), so both endpoints
 /// agree on whether a connection exists.
 pub fn link_masks(
@@ -58,9 +58,7 @@ pub fn link_masks(
     opts: &LiveOpts,
     n: usize,
 ) -> Vec<Vec<bool>> {
-    let all_to_all = cfg.system.dynamic_batching()
-        || opts.health_interval.is_some()
-        || !cfg.fault.kills.is_empty();
+    let all_to_all = cfg.system.dynamic_batching() || !cfg.fault.kills.is_empty();
     (0..n)
         .map(|w| {
             if all_to_all {
@@ -72,41 +70,6 @@ pub fn link_masks(
         .collect()
 }
 
-/// Placement plan for a live run: how many ranks each host (OS process /
-/// transport endpoint) carries, plus optional mid-run migrations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VirtualPlan {
-    /// Ranks per host (`--virtual R`); the last host takes the remainder.
-    /// `1` is the flat plan: one rank per host.
-    pub ranks_per_host: usize,
-    /// `(rank, destination host)`: when the rank departs (a `--kill
-    /// r@i` with a rejoin window), it re-homes onto the destination
-    /// host instead of rejoining where it started — the mid-run
-    /// migration path. Requires a matching kill in `cfg.fault`, since
-    /// re-homing piggybacks on the Leave frame.
-    pub migrate: Vec<(usize, usize)>,
-}
-
-impl VirtualPlan {
-    pub fn flat() -> VirtualPlan {
-        VirtualPlan {
-            ranks_per_host: 1,
-            migrate: Vec::new(),
-        }
-    }
-}
-
-/// Does every rank drive its host transport directly, or through a
-/// [`RankHost`]? Direct needs the transport to *be* rank space — the
-/// identity layout (host `h` homes exactly rank `h`) with no migration
-/// armed; anything else multiplexes. The choice is cluster-wide, not
-/// per host: it decides whether links carry route markers and ranked
-/// Hellos, so both ends of every link must make it the same way (a
-/// remainder host that happens to home a single rank still routes).
-fn runs_direct(layout: &RankLayout, migrate: &[(usize, usize)]) -> bool {
-    migrate.is_empty() && layout.host_of.iter().enumerate().all(|(r, &h)| r == h)
-}
-
 /// One live run, assembled: what [`build_cluster`] returns for the
 /// [`RunConfig`] plus the rank placement, the link masks, the execution
 /// options and the run label. Every way of standing a live run up — all
@@ -116,7 +79,6 @@ pub struct LiveCluster<'a> {
     cfg: &'a RunConfig,
     opts: &'a LiveOpts,
     env_label: &'a str,
-    plan: &'a VirtualPlan,
     layout: RankLayout,
     init: ClusterInit,
     /// Per-rank link masks ([`link_masks`]).
@@ -126,30 +88,17 @@ pub struct LiveCluster<'a> {
 impl<'a> LiveCluster<'a> {
     /// Build the `n`-rank cluster (a pure function of `cfg`, so every
     /// process of a multi-process run builds the same one) and place it
-    /// on hosts per `plan`.
+    /// on hosts of `ranks_per_host` ranks each (`--virtual R`; the last
+    /// host takes the remainder, `1` is one rank per host).
     pub fn new(
         cfg: &'a RunConfig,
         n: usize,
-        plan: &'a VirtualPlan,
+        ranks_per_host: usize,
         opts: &'a LiveOpts,
         env_label: &'a str,
     ) -> Result<LiveCluster<'a>, LiveError> {
-        if plan.ranks_per_host == 0 {
+        if ranks_per_host == 0 {
             return Err(LiveError::Protocol("--virtual must be at least 1".into()));
-        }
-        let layout = RankLayout::even(n, plan.ranks_per_host);
-        let hosts = layout.n_hosts();
-        for &(rank, dest) in &plan.migrate {
-            if rank >= n || dest >= hosts {
-                return Err(LiveError::Protocol(format!(
-                    "migration {rank}->{dest} outside {n} ranks / {hosts} hosts"
-                )));
-            }
-            if layout.host_of[rank] == dest {
-                return Err(LiveError::Protocol(format!(
-                    "rank {rank} already lives on host {dest}"
-                )));
-            }
         }
         // (`init.prof_rng` goes unused: live profiling measures the real
         // wall clock, there is no noise to draw.)
@@ -159,11 +108,20 @@ impl<'a> LiveCluster<'a> {
             cfg,
             opts,
             env_label,
-            plan,
-            layout,
+            layout: RankLayout::even(n, ranks_per_host),
             init,
             masks,
         })
+    }
+
+    /// Does every rank drive its host transport directly, or through a
+    /// [`RankHost`]? Directly exactly when the transport already *is*
+    /// rank space: one rank per host. The choice is cluster-wide, not per
+    /// host: it decides whether links carry route markers and ranked
+    /// Hellos, so both ends of every link must make it the same way (a
+    /// remainder host that happens to home a single rank still routes).
+    fn runs_direct(&self) -> bool {
+        self.layout.ranks_per_host() == 1
     }
 
     pub fn n_hosts(&self) -> usize {
@@ -181,8 +139,8 @@ impl<'a> LiveCluster<'a> {
 
     /// The host-level TCP options this run needs.
     pub fn tcp_opts(&self) -> TcpOpts {
-        let direct = runs_direct(&self.layout, &self.plan.migrate);
-        let r = self.plan.ranks_per_host;
+        let direct = self.runs_direct();
+        let r = self.layout.ranks_per_host();
         TcpOpts {
             // A multiplexed host link carries up to R×R rank pairs, each
             // frame preceded by its route marker — scale the per-link
@@ -222,41 +180,24 @@ impl<'a> LiveCluster<'a> {
     /// each on its own thread, over `(host id, host transport)` pairs —
     /// all of them for an in-process run, this process's one for
     /// `dlion-worker`. Ranks drive the transport directly or through a
-    /// [`RankHost`] as [`runs_direct`] says. Outcomes come back in rank
-    /// order.
+    /// [`RankHost`] as [`LiveCluster::runs_direct`] says. Outcomes come
+    /// back in rank order.
     pub fn run_hosts(
         mut self,
         hosts: Vec<(usize, Box<dyn ExchangeTransport>)>,
     ) -> Vec<Result<WorkerOutcome, LiveError>> {
         let mut rank_hosts = Vec::new();
-        let wires: Vec<(usize, Box<dyn ExchangeTransport>)> =
-            if runs_direct(&self.layout, &self.plan.migrate) {
-                hosts
-            } else {
-                let mut endpoints = Vec::new();
-                for (h, transport) in hosts {
-                    let (host, eps) = RankHost::new(h, transport, &self.layout);
-                    endpoints.extend(eps);
-                    rank_hosts.push((h, host));
-                }
-                // `new` validated ranks and hosts; a migration needs both
-                // of its ends mounted in this process.
-                for &(rank, dest) in &self.plan.migrate {
-                    let (_, target) = rank_hosts
-                        .iter()
-                        .find(|(h, _)| *h == dest)
-                        .expect("migration target host runs in this process");
-                    endpoints
-                        .iter_mut()
-                        .find(|ep| ep.rank() == rank)
-                        .expect("migrating rank runs in this process")
-                        .arm_rehome(target.handle());
-                }
-                endpoints
-                    .into_iter()
-                    .map(|ep| (ep.rank(), Box::new(ep) as Box<dyn ExchangeTransport>))
-                    .collect()
-            };
+        let wires: Vec<(usize, Box<dyn ExchangeTransport>)> = if self.runs_direct() {
+            hosts
+        } else {
+            let mut wires = Vec::new();
+            for (h, transport) in hosts {
+                let (host, eps) = RankHost::new(h, transport, &self.layout);
+                wires.extend(eps.into_iter().map(|ep| (ep.rank(), Box::new(ep) as _)));
+                rank_hosts.push(host);
+            }
+            wires
+        };
         // This process's rank slots; every other worker stays behind.
         let mut slots: Vec<Option<Worker>> = std::mem::take(&mut self.init.workers)
             .into_iter()
@@ -286,8 +227,9 @@ impl<'a> LiveCluster<'a> {
 }
 
 /// Run `n` live workers, one per transport endpoint, to completion and
-/// return the assembled metrics: [`run_live_virtual`] on the flat plan.
-/// `env_label` names the run in reports and telemetry (e.g. `live/3w`).
+/// return the assembled metrics: [`run_live_virtual`] with one rank per
+/// host. `env_label` names the run in reports and telemetry (e.g.
+/// `live/3w`).
 pub fn run_live(
     cfg: &RunConfig,
     n: usize,
@@ -295,23 +237,24 @@ pub fn run_live(
     kind: TransportKind,
     env_label: &str,
 ) -> Result<RunMetrics, LiveError> {
-    run_live_virtual(cfg, n, &VirtualPlan::flat(), opts, kind, env_label)
+    run_live_virtual(cfg, n, 1, opts, kind, env_label)
 }
 
 /// Run `n` ranks placed on `ceil(n / ranks_per_host)` in-process host
 /// transports — e.g. a 64-rank cluster on 4 hosts' worth of endpoints.
 /// Every rank runs the full [`run_worker`] driver on its own thread;
 /// only the wire is shared (see [`crate::rankhost`]). Under strict BSP
-/// the result is bit-identical whatever the plan, and to the simulator.
+/// the result is bit-identical whatever the placement, and to the
+/// simulator.
 pub fn run_live_virtual(
     cfg: &RunConfig,
     n: usize,
-    plan: &VirtualPlan,
+    ranks_per_host: usize,
     opts: &LiveOpts,
     kind: TransportKind,
     env_label: &str,
 ) -> Result<RunMetrics, LiveError> {
-    let cluster = LiveCluster::new(cfg, n, plan, opts, env_label)?;
+    let cluster = LiveCluster::new(cfg, n, ranks_per_host, opts, env_label)?;
     let hosts = cluster.n_hosts();
     let transports: Vec<Box<dyn ExchangeTransport>> = match kind {
         TransportKind::Mem => dlion_core::mem_mesh(hosts)
@@ -473,45 +416,42 @@ mod tests {
     }
 
     #[test]
-    fn direct_or_rankhost_follows_from_the_layout_and_armed_migrations() {
-        let flat = RankLayout::even(4, 1);
-        // One rank per host and nothing migrates: the transport is rank
-        // space, ranks drive it directly.
-        assert!(runs_direct(&flat, &[]));
-        // Anything else multiplexes through a RankHost.
-        assert!(!runs_direct(&flat, &[(1, 2)]), "armed migration");
-        assert!(!runs_direct(&RankLayout::even(4, 2), &[]), "two per host");
-        // A remainder host homing a single rank still routes: its peers
-        // send route markers, and its rank id is not its host id.
-        let uneven = RankLayout::even(3, 2);
-        assert_eq!(uneven.ranks_on(1), vec![2]);
-        assert!(!runs_direct(&uneven, &[]));
-    }
-
-    #[test]
     fn host_tcp_opts_scale_the_queue_and_announce_ranks_only_when_multiplexed() {
         let cfg = live_config(SystemKind::Baseline, 1);
         let opts = LiveOpts::default();
-        let flat = VirtualPlan::flat();
-        let t = LiveCluster::new(&cfg, 4, &flat, &opts, "t")
-            .unwrap()
-            .tcp_opts();
+        let t = LiveCluster::new(&cfg, 4, 1, &opts, "t").unwrap().tcp_opts();
         assert_eq!(t.queue_cap, opts.queue_cap);
         assert!(t.ranks.is_none(), "flat runs announce the identity block");
-        let plan = VirtualPlan {
-            ranks_per_host: 2,
-            migrate: Vec::new(),
-        };
-        let cluster = LiveCluster::new(&cfg, 4, &plan, &opts, "t").unwrap();
+        let cluster = LiveCluster::new(&cfg, 4, 2, &opts, "t").unwrap();
         let t = cluster.tcp_opts();
         assert_eq!(t.queue_cap, 8 * opts.queue_cap, "R = 2: R x R pairs, x 2");
         assert_eq!(t.ranks.expect("ranked hello").len(), cluster.n_hosts());
+        // A remainder host homing a single rank still routes: its peers
+        // send route markers, and its rank id is not its host id.
+        let uneven = LiveCluster::new(&cfg, 3, 2, &opts, "t").unwrap().tcp_opts();
+        assert_eq!(uneven.ranks.expect("ranked hello")[1].count, 1);
         // Bad placements are refused up front.
-        let zero = VirtualPlan {
-            ranks_per_host: 0,
-            migrate: Vec::new(),
+        assert!(LiveCluster::new(&cfg, 4, 0, &opts, "t").is_err());
+    }
+
+    /// The health plane sends no frame, so it holds no link the
+    /// schedule does not: a sparse topology stays sparse with it on.
+    #[test]
+    fn the_health_plane_does_not_widen_the_link_masks() {
+        let mut cfg = live_config(SystemKind::Baseline, 1);
+        cfg.topology = dlion_core::Topology::KRegular { k: 2 };
+        let opts = LiveOpts {
+            iters: 1,
+            health_interval: Some(0.2),
+            ..LiveOpts::default()
         };
-        assert!(LiveCluster::new(&cfg, 4, &zero, &opts, "t").is_err());
+        let n = 6;
+        let schedule = build_cluster(&cfg, n).schedule;
+        let masks = link_masks(&schedule, &cfg, &opts, n);
+        for (w, mask) in masks.iter().enumerate() {
+            assert_eq!(mask, &schedule.union_links(w, opts.iters), "worker {w}");
+        }
+        assert!(masks[0].iter().filter(|&&on| on).count() < n - 1);
     }
 
     #[test]

@@ -38,21 +38,20 @@
 //! weights a pure function of the round schedule, not of arrival
 //! interleaving.
 //!
-//! ## Liveness and churn
+//! ## Placement and churn
 //!
-//! Host-level failures fan out to rank space: when the host transport
-//! reports a peer *host* gone (EOF, I/O error, send to a dead link),
-//! the pump demotes **all** of that host's ranks in one step — one
-//! churn-ledger entry per host drop, one `PeerDisconnected` per rank
-//! surfaced to each local driver. Rank-to-host placement is tracked in
-//! a `rank_map` seeded from the static layout and updated
-//! *learn-by-source*: every routed frame teaches the receiving host
-//! where its source rank currently lives, which is what lets a rank
-//! **migrate** between hosts mid-run ([`RankEndpoint::arm_rehome`])
-//! with no coordination protocol beyond the existing leave/rejoin +
-//! DKT-pull machinery — the rank re-homes at the moment it sends its
-//! `Payload::Leave`, and its late rejoin Hello (routed from the new host)
-//! teaches every peer the new placement.
+//! Placement is static: rank `r` lives on host `r / ranks_per_host` for
+//! the whole run ([`RankLayout::host_of`]), so a send finds its
+//! destination's host by arithmetic, without a lock, and a route marker
+//! is *checked* against the placement — its `src` must live on the host
+//! that sent it and its `dst` here — never learned from. Host-level
+//! failures fan out to rank space: when the host transport reports a
+//! peer *host* gone (EOF, I/O error, send to a dead link), the pump
+//! demotes **all** of that host's ranks in one step — one
+//! `PeerDisconnected` per rank, in rank order, surfaced to each local
+//! driver. A departed rank comes back through the driver's rejoin
+//! protocol alone (late Hello → Catchup → DKT pull), from the same host
+//! over the still-open host links.
 //!
 //! Route markers are transport-internal overhead: they appear in no
 //! byte ledger (the driver never sees them), exactly like TCP/IP
@@ -61,6 +60,7 @@
 use crate::control::{Control, RankHello};
 use dlion_core::messages::{Payload, WireCfg};
 use dlion_core::{ExchangeTransport, TransportError};
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -70,58 +70,57 @@ use std::time::Duration;
 /// Bounds the latency of an outbound send sitting in the pump queue.
 const PUMP_POLL: Duration = Duration::from_millis(1);
 
-/// Static rank→host placement for a virtual-rank cluster.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Static rank→host placement for a virtual-rank cluster (`--virtual R`):
+/// ranks `[h·R, (h+1)·R)` on host `h`, the last host taking the
+/// remainder. Every host computes the same placement, and nothing on the
+/// wire changes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RankLayout {
-    /// `host_of[rank]` = the host (OS process / transport endpoint) the
-    /// rank starts on.
-    pub host_of: Vec<usize>,
+    n_ranks: usize,
+    ranks_per_host: usize,
 }
 
 impl RankLayout {
-    /// The standard layout for `--virtual R`: ranks `[h·R, (h+1)·R)` on
-    /// host `h`, the last host taking the remainder.
     pub fn even(n_ranks: usize, ranks_per_host: usize) -> RankLayout {
         assert!(ranks_per_host > 0, "need at least one rank per host");
         RankLayout {
-            host_of: (0..n_ranks).map(|r| r / ranks_per_host).collect(),
+            n_ranks,
+            ranks_per_host,
         }
     }
 
     pub fn n_ranks(&self) -> usize {
-        self.host_of.len()
+        self.n_ranks
+    }
+
+    pub fn ranks_per_host(&self) -> usize {
+        self.ranks_per_host
     }
 
     pub fn n_hosts(&self) -> usize {
-        self.host_of.iter().map(|&h| h + 1).max().unwrap_or(0)
+        self.n_ranks.div_ceil(self.ranks_per_host)
+    }
+
+    /// The host (OS process / transport endpoint) `rank` lives on.
+    pub fn host_of(&self, rank: usize) -> usize {
+        rank / self.ranks_per_host
     }
 
     /// The ranks homed on `host`, ascending.
-    pub fn ranks_on(&self, host: usize) -> Vec<usize> {
-        (0..self.n_ranks())
-            .filter(|&r| self.host_of[r] == host)
-            .collect()
+    pub fn ranks_on(&self, host: usize) -> Range<usize> {
+        let r = self.ranks_per_host;
+        (host * r).min(self.n_ranks)..((host + 1) * r).min(self.n_ranks)
     }
 
-    /// The per-host Hello rank blocks. Each host's ranks must be one
-    /// contiguous run (true for [`RankLayout::even`]; migration changes
-    /// placement only *after* establishment).
+    /// The per-host Hello rank blocks.
     pub fn hello_blocks(&self) -> Vec<RankHello> {
-        let total = self.n_ranks() as u32;
         (0..self.n_hosts())
             .map(|h| {
                 let ranks = self.ranks_on(h);
-                assert!(!ranks.is_empty(), "host {h} owns no ranks");
-                let (base, count) = (ranks[0], ranks.len());
-                assert_eq!(
-                    ranks[count - 1] - base + 1,
-                    count,
-                    "host {h}'s rank block is not contiguous"
-                );
                 RankHello {
-                    base: base as u32,
-                    count: count as u32,
-                    total,
+                    base: ranks.start as u32,
+                    count: ranks.len() as u32,
+                    total: self.n_ranks as u32,
                 }
             })
             .collect()
@@ -135,7 +134,7 @@ impl RankLayout {
         let mut links = vec![vec![false; hosts]; hosts];
         for (i, row) in rank_masks.iter().enumerate() {
             for (j, &on) in row.iter().enumerate() {
-                let (a, b) = (self.host_of[i], self.host_of[j]);
+                let (a, b) = (self.host_of(i), self.host_of(j));
                 if on && a != b {
                     links[a][b] = true;
                     links[b][a] = true;
@@ -172,47 +171,34 @@ enum Outbound {
         payload: Arc<Payload>,
         cfg: WireCfg,
     },
-    /// A local rank is done with the transport (endpoint dropped or
-    /// migrated away). Queued after the endpoint's final frames, so the
-    /// pump flushes those first.
+    /// A local rank is done with the transport (endpoint dropped).
+    /// Queued after the endpoint's final frames, so the pump flushes
+    /// those first.
     Retire,
-    /// A migrated rank now calls this host home.
-    Register(usize),
 }
 
-/// Host-level state shared between the pump, the local endpoints and the
-/// owning [`RankHost`].
+/// Host-level state shared between the pump and the local endpoints.
 struct Shared {
     /// This host's id in the host-level mesh.
     host: usize,
-    /// rank → host placement; seeded from the static layout, updated by
-    /// the pump learn-by-source and by migration registration.
-    rank_map: Mutex<Vec<usize>>,
-    /// rank → local inbox sender, for ranks currently homed here. The
-    /// source of truth for "is this rank local".
-    switchboard: Mutex<Vec<Option<Sender<RankNote>>>>,
+    layout: RankLayout,
+    /// The inbox of every rank homed here, in rank order.
+    inboxes: Vec<Sender<RankNote>>,
     /// Host-level liveness: endpoints consult this so sends to a dead
     /// host fail fast with `PeerGone` (the trait contract).
     host_gone: Mutex<Vec<bool>>,
-    /// The churn ledger: one entry per observed host drop, carrying the
-    /// virtual ranks demoted by it. Test-visible via
-    /// [`RankHost::churn_ledger`].
-    ledger: Mutex<Vec<(usize, Vec<usize>)>>,
 }
 
-/// Handles a migrating endpoint needs to re-home onto another host (all
-/// cheaply clonable; see [`RankEndpoint::arm_rehome`]).
-#[derive(Clone)]
-pub struct RankHostHandle {
-    shared: Arc<Shared>,
-    to_pump: Sender<Outbound>,
+impl Shared {
+    /// The inbox of `rank`, which lives on this host.
+    fn inbox(&self, rank: usize) -> &Sender<RankNote> {
+        &self.inboxes[rank - self.layout.ranks_on(self.host).start]
+    }
 }
 
-/// One process's multiplexer: owns the host transport (through its pump
-/// thread) and the shared routing state for every rank homed here.
+/// One process's multiplexer: owns the host transport through its pump
+/// thread.
 pub struct RankHost {
-    shared: Arc<Shared>,
-    to_pump: Option<Sender<Outbound>>,
     pump: Option<JoinHandle<()>>,
 }
 
@@ -232,62 +218,29 @@ impl RankHost {
             layout.n_hosts(),
             "transport mesh size must be the host count"
         );
-        let n_ranks = layout.n_ranks();
+        let (inboxes, receivers): (Vec<_>, Vec<_>) =
+            layout.ranks_on(host).map(|_| channel::<RankNote>()).unzip();
         let shared = Arc::new(Shared {
             host,
-            rank_map: Mutex::new(layout.host_of.clone()),
-            switchboard: Mutex::new((0..n_ranks).map(|_| None).collect()),
+            layout: *layout,
+            inboxes,
             host_gone: Mutex::new(vec![false; layout.n_hosts()]),
-            ledger: Mutex::new(Vec::new()),
         });
         let (to_pump, from_endpoints) = channel::<Outbound>();
-        let local = layout.ranks_on(host);
-        let endpoints: Vec<RankEndpoint> = {
-            let mut board = shared.switchboard.lock().unwrap();
-            local
-                .iter()
-                .map(|&rank| {
-                    let (tx, rx) = channel::<RankNote>();
-                    board[rank] = Some(tx.clone());
-                    RankEndpoint {
-                        rank,
-                        n_ranks,
-                        shared: Arc::clone(&shared),
-                        to_pump: to_pump.clone(),
-                        inbox: rx,
-                        inbox_tx: tx,
-                        rehome: None,
-                    }
-                })
-                .collect()
-        };
-        let pump_shared = Arc::clone(&shared);
+        let endpoints: Vec<RankEndpoint> = layout
+            .ranks_on(host)
+            .zip(receivers)
+            .map(|(rank, inbox)| RankEndpoint {
+                rank,
+                shared: Arc::clone(&shared),
+                to_pump: to_pump.clone(),
+                inbox,
+            })
+            .collect();
         let initial_local = endpoints.len();
-        let pump = std::thread::spawn(move || {
-            pump_loop(transport, pump_shared, from_endpoints, initial_local)
-        });
-        (
-            RankHost {
-                shared,
-                to_pump: Some(to_pump),
-                pump: Some(pump),
-            },
-            endpoints,
-        )
-    }
-
-    /// Clonable handles for migrating a rank *onto* this host.
-    pub fn handle(&self) -> RankHostHandle {
-        RankHostHandle {
-            shared: Arc::clone(&self.shared),
-            to_pump: self.to_pump.clone().expect("host not shut down"),
-        }
-    }
-
-    /// Snapshot of the churn ledger: one `(host, ranks)` entry per host
-    /// drop the pump observed, in observation order.
-    pub fn churn_ledger(&self) -> Vec<(usize, Vec<usize>)> {
-        self.shared.ledger.lock().unwrap().clone()
+        let pump =
+            std::thread::spawn(move || pump_loop(transport, shared, from_endpoints, initial_local));
+        (RankHost { pump: Some(pump) }, endpoints)
     }
 }
 
@@ -297,7 +250,6 @@ impl Drop for RankHost {
     /// TCP) joins the writer threads so final frames are flushed. Drop
     /// the host only after its rank threads finished.
     fn drop(&mut self) {
-        drop(self.to_pump.take());
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
@@ -310,17 +262,9 @@ impl Drop for RankHost {
 /// socket mesh.
 pub struct RankEndpoint {
     rank: usize,
-    n_ranks: usize,
     shared: Arc<Shared>,
     to_pump: Sender<Outbound>,
     inbox: Receiver<RankNote>,
-    /// Kept to re-register in a new host's switchboard on migration.
-    inbox_tx: Sender<RankNote>,
-    /// Armed migration target: the endpoint re-homes the moment it
-    /// sends its first `Payload::Leave` (the driver's departure
-    /// announcement), so the subsequent rejoin Hello already flows from
-    /// the new host.
-    rehome: Option<RankHostHandle>,
 }
 
 impl RankEndpoint {
@@ -328,59 +272,13 @@ impl RankEndpoint {
         self.rank
     }
 
-    /// Arm a mid-run migration: when this rank departs (sends its
-    /// `Payload::Leave`), it deregisters from its current host and re-homes
-    /// onto `target` — its rejoin then reuses the ordinary late-Hello +
-    /// catch-up + DKT-pull machinery, and peers learn the new placement
-    /// from the routed frames' source addresses.
-    pub fn arm_rehome(&mut self, target: RankHostHandle) {
-        assert!(
-            !Arc::ptr_eq(&target.shared, &self.shared),
-            "migration target is the rank's current host"
-        );
-        self.rehome = Some(target);
-    }
-
-    /// The home of rank `to` right now.
-    fn host_of(&self, to: usize) -> usize {
-        self.shared.rank_map.lock().unwrap()[to]
-    }
-
-    /// If a migration is armed and this outbound payload is the rank's
-    /// departure announcement, move to the target host *first* — Leave
-    /// and everything after it flow from there.
-    fn maybe_rehome(&mut self, payload: &Payload) {
-        if !matches!(payload, Payload::Leave { .. }) {
-            return;
-        }
-        let Some(target) = self.rehome.take() else {
-            return;
-        };
-        // Deregister here: local siblings' sends now fail PeerGone, the
-        // old pump no longer counts us. Point the old host's map at the
-        // new home so its pump forwards late frames for us over the wire
-        // instead of dropping them into the cleared slot.
-        self.shared.switchboard.lock().unwrap()[self.rank] = None;
-        self.shared.rank_map.lock().unwrap()[self.rank] = target.shared.host;
-        let _ = self.to_pump.send(Outbound::Retire);
-        // Register there (Register also points the new host's rank_map
-        // at itself before any frame of ours reaches its pump).
-        target.shared.switchboard.lock().unwrap()[self.rank] = Some(self.inbox_tx.clone());
-        let _ = target.to_pump.send(Outbound::Register(self.rank));
-        self.shared = target.shared;
-        self.to_pump = target.to_pump;
-    }
-
     /// Deliver `bytes` to a rank homed on this host, or the routed
-    /// equivalent of `PeerGone` if it is not actually present.
+    /// equivalent of `PeerGone` if its endpoint is gone.
     fn send_local(&self, to: usize, bytes: Vec<u8>) -> Result<(), TransportError> {
-        let tx = self.shared.switchboard.lock().unwrap()[to].clone();
-        match tx {
-            Some(tx) => tx
-                .send(RankNote::Frame(self.rank, bytes))
-                .map_err(|_| TransportError::PeerGone(to)),
-            None => Err(TransportError::PeerGone(to)),
-        }
+        self.shared
+            .inbox(to)
+            .send(RankNote::Frame(self.rank, bytes))
+            .map_err(|_| TransportError::PeerGone(to))
     }
 
     fn check_remote(&self, to: usize, host: usize) -> Result<(), TransportError> {
@@ -406,11 +304,11 @@ impl ExchangeTransport for RankEndpoint {
     }
 
     fn n(&self) -> usize {
-        self.n_ranks
+        self.shared.layout.n_ranks()
     }
 
     fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<(), TransportError> {
-        let host = self.host_of(to);
+        let host = self.shared.layout.host_of(to);
         if host == self.shared.host {
             return self.send_local(to, frame);
         }
@@ -435,9 +333,8 @@ impl ExchangeTransport for RankEndpoint {
         payload: Arc<Payload>,
         cfg: &WireCfg,
     ) -> Result<usize, TransportError> {
-        self.maybe_rehome(&payload);
         let len = payload.wire_len(cfg);
-        let host = self.host_of(to);
+        let host = self.shared.layout.host_of(to);
         if host == self.shared.host {
             self.send_local(to, payload.to_wire(cfg))?;
             return Ok(len);
@@ -479,13 +376,6 @@ impl Drop for RankEndpoint {
     /// (FIFO), so the final Done still reaches the wire before the pump
     /// counts the rank out.
     fn drop(&mut self) {
-        let mut board = self.shared.switchboard.lock().unwrap();
-        // Only clear the slot if it is still ours (a later migration of
-        // the same rank id back in would have replaced it).
-        if board[self.rank].is_some() {
-            board[self.rank] = None;
-        }
-        drop(board);
         let _ = self.to_pump.send(Outbound::Retire);
     }
 }
@@ -494,67 +384,31 @@ impl Drop for RankEndpoint {
 struct Pump {
     transport: Box<dyn ExchangeTransport>,
     shared: Arc<Shared>,
-    /// The cluster's rank count: what inbound rank ids are checked against.
-    n_ranks: usize,
-    /// Ranks currently homed here and not yet retired.
+    /// Local ranks not yet retired.
     live_local: usize,
     /// Per-source-host routing state: a received [`Control::Route`]
     /// waiting for its frame (the next frame on that host link).
     pending_route: Vec<Option<(usize, usize)>>,
-    /// Host drops already fanned out (dedup across send-path and
-    /// recv-path detection).
-    host_down: Vec<bool>,
     /// The host transport reported `Disconnected`; stop polling it.
     transport_dead: bool,
 }
 
 impl Pump {
-    /// Every local inbox sender, snapshot outside the lock.
-    fn local_inboxes(&self) -> Vec<Sender<RankNote>> {
-        self.shared
-            .switchboard
-            .lock()
-            .unwrap()
-            .iter()
-            .flatten()
-            .cloned()
-            .collect()
-    }
-
-    /// A peer host died: demote all of its ranks in one step — one
-    /// ledger entry, one `Gone` per (local endpoint × dead rank).
+    /// A peer host died: demote all of its ranks in one step, once,
+    /// however many of the send and receive paths report it.
     fn host_down(&mut self, host: usize) {
-        if host >= self.host_down.len() || self.host_down[host] {
+        if std::mem::replace(&mut self.shared.host_gone.lock().unwrap()[host], true) {
             return;
         }
-        self.host_down[host] = true;
-        self.shared.host_gone.lock().unwrap()[host] = true;
-        let ranks: Vec<usize> = {
-            let map = self.shared.rank_map.lock().unwrap();
-            (0..map.len()).filter(|&r| map[r] == host).collect()
-        };
-        self.shared
-            .ledger
-            .lock()
-            .unwrap()
-            .push((host, ranks.clone()));
-        for tx in self.local_inboxes() {
-            for &r in &ranks {
-                let _ = tx.send(RankNote::Gone(r));
-            }
-        }
+        self.fan_out(host, RankNote::Gone);
     }
 
-    /// A peer host went silent past the transport's peer timeout: fan
-    /// the alarm out to rank space.
-    fn host_timeout(&mut self, host: usize) {
-        let ranks: Vec<usize> = {
-            let map = self.shared.rank_map.lock().unwrap();
-            (0..map.len()).filter(|&r| map[r] == host).collect()
-        };
-        for tx in self.local_inboxes() {
-            for &r in &ranks {
-                let _ = tx.send(RankNote::Timeout(r));
+    /// Tell every local rank `note(r)` for each rank `r` of `host`, in
+    /// rank order.
+    fn fan_out(&self, host: usize, note: fn(usize) -> RankNote) {
+        for tx in &self.shared.inboxes {
+            for r in self.shared.layout.ranks_on(host) {
+                let _ = tx.send(note(r));
             }
         }
     }
@@ -562,90 +416,42 @@ impl Pump {
     /// The host transport is gone entirely.
     fn all_gone(&mut self) {
         self.transport_dead = true;
-        for tx in self.local_inboxes() {
+        for tx in &self.shared.inboxes {
             let _ = tx.send(RankNote::AllGone);
         }
     }
 
-    /// Whether `rank` has a live inbox on this host right now.
-    fn is_local(&self, rank: usize) -> bool {
-        self.shared.switchboard.lock().unwrap()[rank].is_some()
-    }
-
-    /// Hand an inbound routed frame to its destination rank (drop it if
-    /// the rank is not, or no longer, local — equivalent to a frame for
-    /// a departed worker).
-    fn deliver(&mut self, from_host: usize, src: usize, dst: usize, frame: Vec<u8>) {
-        // Learn-by-source: the frame proves where `src` lives now —
-        // unless `src` is registered on THIS host. A live local inbox is
-        // ground truth; a wire frame contradicting it is a stale
-        // pre-migration straggler (the rank's last frames from its old
-        // home, still in flight), and for the rank's own host-mates no
-        // later frame would ever re-correct the map.
-        if !self.is_local(src) {
-            self.shared.rank_map.lock().unwrap()[src] = from_host;
-        }
-        let tx = self.shared.switchboard.lock().unwrap()[dst].clone();
-        if let Some(tx) = tx {
-            let _ = tx.send(RankNote::Frame(src, frame));
-        }
-    }
-
-    /// One inbound frame from the host transport.
+    /// One inbound frame from the host transport: a route marker, or the
+    /// frame its marker announced.
     fn on_inbound(&mut self, from_host: usize, frame: Vec<u8>) {
-        // A host that speaks is alive again (reconnect path).
-        if from_host < self.host_down.len() && self.host_down[from_host] {
-            self.host_down[from_host] = false;
-            self.shared.host_gone.lock().unwrap()[from_host] = false;
-        }
-        if let Some(route) = self.pending_route[from_host].take() {
-            let (src, dst) = route;
-            self.deliver(from_host, src, dst, frame);
+        if let Some((src, dst)) = self.pending_route[from_host].take() {
+            let _ = self.shared.inbox(dst).send(RankNote::Frame(src, frame));
             return;
         }
-        // What `decode` lets through names only ranks of this cluster.
-        match Control::from_frame(&frame, self.n_ranks) {
-            Ok(Control::Route { src, dst }) => {
+        let (layout, host) = (&self.shared.layout, self.shared.host);
+        // What `decode` lets through names only ranks of this cluster; a
+        // marker counts only if it routes from a rank of the sending host
+        // to one of ours, as every marker a pump writes does.
+        match Control::from_frame(&frame, layout.n_ranks()) {
+            Ok(Control::Route { src, dst })
+                if layout.host_of(src) == from_host && layout.host_of(dst) == host =>
+            {
                 self.pending_route[from_host] = Some((src, dst));
             }
-            Ok(Control::Hello { ranks: block, .. }) => {
-                // Host-level (re)join: the acceptor checked the block
-                // against the layout already; the ranks it announces live
-                // there now. Ranks registered locally are exempt — the
-                // static block predates any migration onto this host.
-                // Not forwarded: rank-level rejoin hellos travel routed.
-                for r in block.base..block.base + block.count {
-                    let r = r as usize;
-                    if !self.is_local(r) {
-                        self.shared.rank_map.lock().unwrap()[r] = from_host;
-                    }
-                }
-            }
-            // Anything else without a route marker — a refused marker's
-            // frame included — is a protocol anomaly on a multiplexed
-            // link; drop it.
+            // Anything else without a route marker — a refused marker and
+            // the frame behind it included — is a protocol anomaly on a
+            // multiplexed link; drop it.
             _ => {}
         }
     }
 
-    /// One outbound item from a local endpoint.
+    /// One outbound item from a local endpoint (whose destination, by
+    /// construction, lives on another host).
     fn on_outbound(&mut self, item: Outbound) {
         match item {
-            Outbound::Retire => {
-                self.live_local = self.live_local.saturating_sub(1);
-            }
-            Outbound::Register(rank) => {
-                self.live_local += 1;
-                self.shared.rank_map.lock().unwrap()[rank] = self.shared.host;
-            }
+            Outbound::Retire => self.live_local -= 1,
             Outbound::Frame { src, dst, frame } => {
-                let host = self.shared.rank_map.lock().unwrap()[dst];
-                if host == self.shared.host {
-                    // The destination migrated in between the endpoint's
-                    // check and ours: deliver locally.
-                    self.deliver(self.shared.host, src, dst, frame);
-                    return;
-                }
+                let host = self.shared.layout.host_of(dst);
                 let marker = Control::Route { src, dst }.to_frame();
                 if self.send_host(host, marker).is_ok() {
                     let _ = self.send_host(host, frame);
@@ -657,11 +463,7 @@ impl Pump {
                 payload,
                 cfg,
             } => {
-                let host = self.shared.rank_map.lock().unwrap()[dst];
-                if host == self.shared.host {
-                    self.deliver(self.shared.host, src, dst, payload.to_wire(&cfg));
-                    return;
-                }
+                let host = self.shared.layout.host_of(dst);
                 let marker = Control::Route { src, dst }.to_frame();
                 if self.send_host(host, marker).is_err() {
                     return;
@@ -701,14 +503,11 @@ fn pump_loop(
     initial_local: usize,
 ) {
     let n_hosts = transport.n();
-    let n_ranks = shared.rank_map.lock().unwrap().len();
     let mut pump = Pump {
         transport,
         shared,
-        n_ranks,
         live_local: initial_local,
         pending_route: (0..n_hosts).map(|_| None).collect(),
-        host_down: vec![false; n_hosts],
         transport_dead: false,
     };
     loop {
@@ -739,7 +538,7 @@ fn pump_loop(
             Ok(None) => {}
             Err(TransportError::PeerGone(h)) => pump.host_down(h),
             Err(TransportError::PeerDisconnected { peer }) => pump.host_down(peer),
-            Err(TransportError::PeerTimeout { peer }) => pump.host_timeout(peer),
+            Err(TransportError::PeerTimeout { peer }) => pump.fan_out(peer, RankNote::Timeout),
             Err(TransportError::Disconnected) => pump.all_gone(),
             Err(_) => pump.all_gone(),
         }
@@ -759,7 +558,8 @@ mod tests {
         let l = RankLayout::even(8, 4);
         assert_eq!(l.n_ranks(), 8);
         assert_eq!(l.n_hosts(), 2);
-        assert_eq!(l.ranks_on(1), vec![4, 5, 6, 7]);
+        assert_eq!(l.ranks_on(1), 4..8);
+        assert_eq!(l.host_of(5), 1);
         let blocks = l.hello_blocks();
         assert_eq!(blocks[1].base, 4);
         assert_eq!(blocks[1].count, 4);
@@ -767,7 +567,8 @@ mod tests {
         // Remainder layout: 5 ranks over 2-per-host = 3 hosts.
         let l = RankLayout::even(5, 2);
         assert_eq!(l.n_hosts(), 3);
-        assert_eq!(l.ranks_on(2), vec![4]);
+        assert_eq!(l.ranks_on(2), 4..5);
+        assert_eq!(l.hello_blocks()[2].count, 1);
 
         // A ring over 4 ranks on 2 hosts: ranks 1↔2 cross hosts, so the
         // hosts hold one link; rank 0↔1 stays in-process.
@@ -839,17 +640,49 @@ mod tests {
         drop(host1);
     }
 
-    /// A host drop demotes ALL of its virtual ranks in one step: each
-    /// rank surfaces `PeerDisconnected` to the local drivers, the churn
-    /// ledger records ONE `(host, ranks)` entry (not one per rank), and
-    /// further sends to any of the dead ranks fail fast with `PeerGone`.
-    /// (Mem links report a dead peer on send, so a probe send triggers
-    /// detection; the TCP EOF path is covered in `tests/virtual_ranks.rs`.)
+    /// A route marker is checked against the static placement, not
+    /// learned from: a host claiming to speak for a rank homed elsewhere
+    /// has its marker and the frame behind it dropped, and that rank's
+    /// traffic still goes to its real host.
     #[test]
-    fn host_drop_demotes_all_ranks_in_one_ledger_entry() {
+    fn a_forged_route_marker_is_dropped_and_redirects_nothing() {
         let layout = RankLayout::even(6, 2);
         let mut mesh = mem_mesh(3).into_iter();
-        let (host0, mut eps0) = RankHost::new(0, Box::new(mesh.next().unwrap()), &layout);
+        let (_host0, mut eps0) = RankHost::new(0, Box::new(mesh.next().unwrap()), &layout);
+        let mut host1 = mesh.next().unwrap(); // played by the test
+        let (_host2, mut eps2) = RankHost::new(2, Box::new(mesh.next().unwrap()), &layout);
+        let frame = |tag: f64| Payload::LossShare { avg_loss: tag }.to_wire(&WireCfg::default());
+        let marker = |src, dst| Control::Route { src, dst }.to_frame();
+        // Host 1 forges rank 0 (host 0's), then routes for its own rank 2.
+        host1.send_frame(2, marker(0, 4)).unwrap();
+        host1.send_frame(2, frame(1.0)).unwrap();
+        host1.send_frame(2, marker(2, 4)).unwrap();
+        host1.send_frame(2, frame(2.0)).unwrap();
+        let got = eps2[0]
+            .recv_frame_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("the routed frame");
+        assert_eq!(got, (2, frame(2.0)), "the forged frame was delivered");
+        assert!(matches!(eps2[0].try_recv_frame(), Ok(None)));
+        // Rank 4's reply to rank 0 reaches it on host 0.
+        eps2[0].send_frame(0, frame(3.0)).unwrap();
+        let got = eps0[0]
+            .recv_frame_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("the reply");
+        assert_eq!(got, (4, frame(3.0)));
+    }
+
+    /// A host drop demotes ALL of its virtual ranks in one step: each
+    /// rank surfaces `PeerDisconnected` to the local drivers, and further
+    /// sends to any of the dead ranks fail fast with `PeerGone`. (Mem
+    /// links report a dead peer on send, so a probe send triggers
+    /// detection; the TCP EOF path is covered in `tests/virtual_ranks.rs`.)
+    #[test]
+    fn host_drop_demotes_all_ranks_in_one_step() {
+        let layout = RankLayout::even(6, 2);
+        let mut mesh = mem_mesh(3).into_iter();
+        let (_host0, mut eps0) = RankHost::new(0, Box::new(mesh.next().unwrap()), &layout);
         let (_host1, _eps1) = RankHost::new(1, Box::new(mesh.next().unwrap()), &layout);
         let (host2, eps2) = RankHost::new(2, Box::new(mesh.next().unwrap()), &layout);
 
@@ -873,13 +706,7 @@ mod tests {
                 gone.push(peer);
             }
         }
-        gone.sort_unstable();
         assert_eq!(gone, vec![4, 5]);
-        // One ledger entry for the whole host, naming both ranks.
-        let ledger = host0.churn_ledger();
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger[0].0, 2);
-        assert_eq!(ledger[0].1, vec![4, 5]);
         // Sends to either dead rank now fail fast at the endpoint.
         assert!(matches!(
             eps0[0].send_frame(5, Control::Done.to_frame()),

@@ -12,14 +12,18 @@
 //! a `&[SocketAddr]` peer list — the transport is host-agnostic; only
 //! [`loopback_addrs`] and [`loopback_mesh`] know about `127.0.0.1`.
 //!
-//! There is **one accept path**: the acceptor thread the transport keeps
-//! for its whole life starts *before* the first dial and blocks in
-//! `accept()`. Establishment just waits for the expected higher-numbered
-//! peers to join through it (their Hellos are consumed, not surfaced), so
-//! a peer that dials early is wired at once instead of sitting in the
-//! listen backlog, and a Hello is validated in exactly one function,
-//! `accept_hello`. While establishment still waits, a bad Hello fails it
-//! with [`LiveError::Protocol`]; afterwards it only drops the connection.
+//! There is **one accept path**, and it lives only through establishment:
+//! the acceptor thread starts *before* the first dial, blocks in
+//! `accept()`, and returns — closing the listener — once the last
+//! expected higher-numbered peer is wired (an endpoint that expects none
+//! spawns none). Establishment waits for those peers to join through it
+//! (their Hellos are consumed, not surfaced), so a peer that dials early
+//! is wired at once instead of sitting in the listen backlog, and a Hello
+//! is validated in exactly one function, `accept_hello`. A bad Hello fails
+//! establishment with [`LiveError::Protocol`]; a connection from a peer
+//! that is not expected is dropped. After establishment the endpoint
+//! accepts nothing: a departed worker comes back with a late Hello over
+//! its still-open link, which the driver's rejoin protocol handles.
 //!
 //! ## Threads per connection
 //!
@@ -47,18 +51,12 @@
 //! inbox. [`TcpOpts::peer_timeout`] additionally arms a per-peer silence
 //! alarm surfaced as [`TransportError::PeerTimeout`].
 //!
-//! After establishment the same acceptor keeps accepting for the rest of
-//! the run: a departed worker (or its replacement process, via
-//! [`TcpTransport::reconnect`]) can dial back in, re-wire the link, and
-//! its validated Hello frame is surfaced to the driver like any received
-//! frame — the late-Hello entry point of the rejoin protocol.
-//!
 //! ## Teardown
 //!
-//! Dropping the transport stops the acceptor, closes all send queues,
-//! and joins the writers so queued frames (a worker's final Done, most
-//! importantly) are flushed even if the owner exits immediately after.
-//! Readers exit on EOF/error and are detached.
+//! Dropping the transport closes all send queues and joins the writers so
+//! queued frames (a worker's final Done, most importantly) are flushed
+//! even if the owner exits immediately after. Readers exit on EOF/error
+//! and are detached.
 
 use crate::control::{Control, RankHello};
 use crate::LiveError;
@@ -72,7 +70,7 @@ use dlion_core::{ExchangeTransport, TransportError};
 use dlion_telemetry::Histogram;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
 };
@@ -233,9 +231,8 @@ impl Shape {
 
 /// The one place a Hello is read and validated: the first frame on an
 /// accepted connection must be a Hello from another endpoint of *this*
-/// mesh — same size, seed and rank layout. Returns the peer's id and the
-/// raw Hello frame.
-fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<(usize, Vec<u8>), LiveError> {
+/// mesh — same size, seed and rank layout. Returns the peer's id.
+fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<usize, LiveError> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
     let (frame, _) = read_frame(stream)?
@@ -259,19 +256,16 @@ fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<(usize, Vec<u8>
         )));
     }
     stream.set_read_timeout(None)?;
-    Ok((id, frame))
+    Ok(id)
 }
 
-/// What reader/acceptor threads push into the shared inbox. Liveness
-/// changes ride the same FIFO channel as frames, so a *gone* note can
-/// never overtake the frames the peer sent before dying.
+/// What reader threads push into the shared inbox. Liveness changes ride
+/// the same FIFO channel as frames, so a *gone* note can never overtake
+/// the frames the peer sent before dying.
 enum Note {
     Frame(usize, Vec<u8>),
     /// The peer's link closed (reader saw EOF or an I/O error).
     Gone(usize),
-    /// The peer (re)connected through the acceptor; carries its
-    /// validated hello frame, which is surfaced to the caller.
-    Joined(usize, Vec<u8>),
 }
 
 /// One unit of work for a peer's writer thread. Control frames and small
@@ -316,34 +310,28 @@ struct LinkLat {
 
 struct Peer {
     tx: SyncSender<Job>,
-    writer: Option<JoinHandle<()>>,
-    /// Cleared by the reader on EOF/error; a dead slot rejects sends and
-    /// may be replaced by the acceptor on reconnect.
+    writer: JoinHandle<()>,
+    /// Cleared by the reader on EOF/error; a dead link rejects sends.
     alive: bool,
 }
 
-/// State shared between the transport handle, its reader threads and the
-/// acceptor thread.
+/// State shared between the transport handle, its reader threads and,
+/// during establishment, the acceptor thread.
 struct Mesh {
     shape: Shape,
     /// Per-peer send queue capacity ([`TcpOpts::queue_cap`]).
     queue_cap: usize,
     peers: Mutex<Vec<Option<Peer>>>,
-    /// Writer handles of links replaced by a reconnect; joined on drop.
-    retired: Mutex<Vec<JoinHandle<()>>>,
     /// Frame-lifecycle instrumentation, one slot per peer
     /// ([`TcpOpts::instrument`]; `None` = zero overhead).
     lat: Option<Arc<Vec<LinkStats>>>,
     /// Establishment's rendezvous with the acceptor.
     joining: Mutex<Joining>,
     joined: Condvar,
-    /// Set on drop: the acceptor exits at its next wake-up.
-    stop: AtomicBool,
 }
 
 /// Which peers establishment still waits for, and the first bad Hello
-/// seen while it does. Once `awaited` is all-false the mesh is up and
-/// every later join is a rejoin.
+/// seen while it does. Once `awaited` is all-false the mesh is up.
 struct Joining {
     awaited: Vec<bool>,
     error: Option<LiveError>,
@@ -362,15 +350,7 @@ impl Mesh {
         }
     }
 
-    /// Install a freshly wired link as *the* link to `j`, retiring the
-    /// writer of whatever (dead) link held the slot.
-    fn install(&self, peers: &mut [Option<Peer>], j: usize, peer: Peer) {
-        if let Some(h) = peers[j].replace(peer).and_then(|mut old| old.writer.take()) {
-            self.retired.lock().unwrap().push(h);
-        }
-    }
-
-    /// Wire a connected stream as the link to peer `j` (writer + reader
+    /// Wire a connected stream as *the* link to peer `j` (writer + reader
     /// threads). The reader pushes frames and, on EOF, a gone-note into
     /// `inbox_tx`.
     fn wire(
@@ -378,7 +358,7 @@ impl Mesh {
         j: usize,
         stream: TcpStream,
         inbox_tx: &Sender<Note>,
-    ) -> std::io::Result<Peer> {
+    ) -> std::io::Result<()> {
         let (tx, rx) = sync_channel::<Job>(self.queue_cap);
         let mut wstream = stream.try_clone()?;
         let wlat = self.lat.clone();
@@ -430,193 +410,52 @@ impl Mesh {
             mesh.kill_link(j);
             let _ = itx.send(Note::Gone(j));
         });
-        Ok(Peer {
+        self.peers.lock().unwrap()[j] = Some(Peer {
             tx,
-            writer: Some(writer),
+            writer,
             alive: true,
-        })
-    }
-}
-
-/// One worker's endpoint of a fully-connected TCP mesh.
-pub struct TcpTransport {
-    mesh: Arc<Mesh>,
-    inbox: Receiver<Note>,
-    /// The acceptor thread and its listener's address: it blocks in
-    /// `accept()`, so `Drop` wakes it with a throwaway connection.
-    acceptor: Option<(JoinHandle<()>, SocketAddr)>,
-    peer_timeout: Option<Duration>,
-    clock: Arc<dyn Clock>,
-    // Receiver-local liveness bookkeeping (only the owner thread touches
-    // these, through the receive methods). Times are `clock.now()`.
-    last_heard: Vec<f64>,
-    gone_reported: Vec<bool>,
-    timeout_reported: Vec<bool>,
-}
-
-impl TcpTransport {
-    /// Establish this worker's side of the mesh. `addrs[j]` must be the
-    /// address worker `j` listens on; `listener` must be bound to
-    /// `addrs[me]`. Blocks until all `n-1` links are up (dials retry
-    /// until `opts.establish_timeout` — peers may not have bound yet).
-    pub fn establish(
-        me: usize,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-        seed: u64,
-        opts: &TcpOpts,
-    ) -> Result<TcpTransport, LiveError> {
-        let links: Vec<bool> = (0..addrs.len()).map(|j| j != me).collect();
-        TcpTransport::establish_linked(me, listener, addrs, seed, opts, &links)
+        });
+        Ok(())
     }
 
-    /// [`TcpTransport::establish`] over a partial topology: only the
-    /// peers `links` names are dialed/accepted (the mask must be the
-    /// same, symmetric one on every worker — both endpoints of a link
-    /// have to agree it exists). Unconnected slots behave like a departed
-    /// peer: sends fail with `PeerGone`, nothing is ever received.
-    pub fn establish_linked(
-        me: usize,
-        listener: TcpListener,
+    /// Dial the lower-numbered linked peers, then wait until every
+    /// awaited higher-numbered one has joined through the acceptor.
+    fn link_up(
+        self: &Arc<Self>,
         addrs: &[SocketAddr],
-        seed: u64,
-        opts: &TcpOpts,
         links: &[bool],
-    ) -> Result<TcpTransport, LiveError> {
-        let n = addrs.len();
-        assert_eq!(links.len(), n, "link mask length mismatch");
-        let deadline = Instant::now() + opts.establish_timeout;
-        // The higher-numbered linked peers dial us; the acceptor is up
-        // before our own first dial, so an early one is wired at once.
-        let awaited: Vec<bool> = (0..n).map(|j| j > me && links[j]).collect();
-        let (t, inbox_tx) = TcpTransport::start(me, n, seed, Some(listener), opts, awaited)?;
-        // Dial the lower-numbered linked peers, announcing who we are.
+        deadline: Instant,
+        inbox_tx: &Sender<Note>,
+    ) -> Result<(), LiveError> {
+        let me = self.shape.me;
         for (j, addr) in addrs.iter().enumerate().take(me) {
             if links[j] {
-                t.dial(j, *addr, deadline, &inbox_tx).map_err(|e| {
+                self.dial(j, *addr, deadline, inbox_tx).map_err(|e| {
                     LiveError::Protocol(format!(
                         "worker {me} cannot reach worker {j} at {addr}: {e}"
                     ))
                 })?;
             }
         }
-        let mut joining = t.mesh.joining.lock().unwrap();
+        let mut joining = self.joining.lock().unwrap();
         while joining.error.is_none() && joining.awaited.contains(&true) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                let missing: Vec<usize> = (0..n).filter(|&j| joining.awaited[j]).collect();
+                let missing: Vec<usize> =
+                    (0..addrs.len()).filter(|&j| joining.awaited[j]).collect();
                 return Err(LiveError::Stalled(format!(
                     "worker {me} still waiting for dials from {missing:?}"
                 )));
             }
-            joining = t.mesh.joined.wait_timeout(joining, left).unwrap().0;
+            joining = self.joined.wait_timeout(joining, left).unwrap().0;
         }
-        if let Some(e) = joining.error.take() {
-            return Err(e);
-        }
-        drop(joining);
-        Ok(t)
-    }
-
-    /// Re-dial a mesh this endpoint previously left (or crashed out of):
-    /// connect to every reachable peer and announce with a Hello. Each
-    /// peer's acceptor re-wires its side of the link and surfaces the
-    /// Hello to its driver — the rejoin entry point. Peers that cannot
-    /// be reached stay unconnected (sends to them fail with `PeerGone`);
-    /// at least one must be reachable. The endpoint's own listening
-    /// address is re-bound on a best-effort basis, so yet-later joiners
-    /// can reach it too.
-    ///
-    /// Reconnection is per **host link**, not per rank: `addrs` is the
-    /// host list, and with [`TcpOpts::ranks`] set the announced Hello
-    /// carries this host's whole rank block — a rejoining `RankHost`
-    /// restores *all* of its virtual ranks over the one re-dialed socket
-    /// per peer host instead of dialing once per rank.
-    pub fn reconnect(
-        me: usize,
-        addrs: &[SocketAddr],
-        seed: u64,
-        opts: &TcpOpts,
-    ) -> Result<TcpTransport, LiveError> {
-        let n = addrs.len();
-        let deadline = Instant::now() + opts.establish_timeout;
-        let listener = TcpListener::bind(addrs[me]).ok();
-        let (t, inbox_tx) = TcpTransport::start(me, n, seed, listener, opts, vec![false; n])?;
-        let reached = (0..n)
-            .filter(|&j| j != me && t.dial(j, addrs[j], deadline, &inbox_tx).is_ok())
-            .count();
-        if reached == 0 {
-            return Err(LiveError::Protocol(format!(
-                "worker {me} reconnect reached no peers"
-            )));
-        }
-        Ok(t)
-    }
-
-    /// An endpoint with no links yet: the shared mesh state plus the
-    /// acceptor thread (when there is a listener), already accepting.
-    /// Returns the inbox sender the caller's dials wire readers to; the
-    /// transport keeps none itself, so when all readers die *and* the
-    /// acceptor stops, the inbox reports Disconnected.
-    fn start(
-        me: usize,
-        n: usize,
-        seed: u64,
-        listener: Option<TcpListener>,
-        opts: &TcpOpts,
-        awaited: Vec<bool>,
-    ) -> Result<(TcpTransport, Sender<Note>), LiveError> {
-        assert!(me < n, "worker id out of range");
-        assert!(opts.queue_cap > 0, "queue capacity must be positive");
-        let (inbox_tx, inbox) = channel::<Note>();
-        let mesh = Arc::new(Mesh {
-            shape: Shape {
-                me,
-                n,
-                seed,
-                ranks: opts.ranks.clone(),
-            },
-            queue_cap: opts.queue_cap,
-            peers: Mutex::new((0..n).map(|_| None).collect()),
-            retired: Mutex::new(Vec::new()),
-            lat: opts
-                .instrument
-                .then(|| Arc::new((0..n).map(|_| LinkStats::default()).collect())),
-            joining: Mutex::new(Joining {
-                awaited,
-                error: None,
-            }),
-            joined: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
-        let acceptor = match listener {
-            None => None,
-            Some(listener) => {
-                listener.set_nonblocking(false)?;
-                let addr = listener.local_addr()?;
-                let (mesh, itx) = (Arc::clone(&mesh), inbox_tx.clone());
-                let handle = thread::spawn(move || acceptor_loop(listener, mesh, itx));
-                Some((handle, addr))
-            }
-        };
-        let now = opts.clock.now();
-        let transport = TcpTransport {
-            mesh,
-            inbox,
-            acceptor,
-            peer_timeout: opts.peer_timeout,
-            clock: Arc::clone(&opts.clock),
-            last_heard: vec![now; n],
-            gone_reported: vec![false; n],
-            timeout_reported: vec![false; n],
-        };
-        Ok((transport, inbox_tx))
+        joining.error.take().map_or(Ok(()), Err)
     }
 
     /// Dial peer `j` (retrying until `deadline` — it may not have bound
     /// yet), announce ourselves with a Hello, and wire the link.
     fn dial(
-        &self,
+        self: &Arc<Self>,
         j: usize,
         addr: SocketAddr,
         deadline: Instant,
@@ -630,43 +469,130 @@ impl TcpTransport {
             }
         };
         stream.set_nodelay(true)?;
-        let shape = &self.mesh.shape;
-        (&stream).write_all(&shape.hello(shape.me).to_frame())?;
-        let peer = self.mesh.wire(j, stream, inbox_tx)?;
-        let mut peers = self.mesh.peers.lock().unwrap();
-        self.mesh.install(&mut peers, j, peer);
-        Ok(())
+        (&stream).write_all(&self.shape.hello(self.shape.me).to_frame())?;
+        self.wire(j, stream, inbox_tx)
+    }
+}
+
+/// One worker's endpoint of a fully-connected TCP mesh.
+pub struct TcpTransport {
+    mesh: Arc<Mesh>,
+    inbox: Receiver<Note>,
+    /// Never sends. Holding it keeps the inbox from ever reporting
+    /// `Disconnected`: every closed link is surfaced per peer, and an
+    /// endpoint with no links at all (a one-host run) just stays quiet.
+    _inbox_tx: Sender<Note>,
+    peer_timeout: Option<Duration>,
+    clock: Arc<dyn Clock>,
+    // Receiver-local liveness bookkeeping (only the owner thread touches
+    // these, through the receive methods). Times are `clock.now()`.
+    last_heard: Vec<f64>,
+    gone_reported: Vec<bool>,
+    timeout_reported: Vec<bool>,
+}
+
+impl TcpTransport {
+    /// Establish this worker's side of the mesh. `addrs[j]` must be the
+    /// address worker `j` listens on; `listener` must be bound to
+    /// `addrs[me]`. Only the peers `links` names are dialed/accepted (the
+    /// mask must be the same, symmetric one on every worker — both
+    /// endpoints of a link have to agree it exists); unconnected slots
+    /// behave like a departed peer: sends fail with `PeerGone`, nothing is
+    /// ever received. Blocks until every link is up (dials retry until
+    /// `opts.establish_timeout` — peers may not have bound yet); when it
+    /// returns, the listener is closed.
+    pub fn establish_linked(
+        me: usize,
+        listener: TcpListener,
+        addrs: &[SocketAddr],
+        seed: u64,
+        opts: &TcpOpts,
+        links: &[bool],
+    ) -> Result<TcpTransport, LiveError> {
+        let n = addrs.len();
+        assert_eq!(links.len(), n, "link mask length mismatch");
+        assert!(me < n, "worker id out of range");
+        assert!(opts.queue_cap > 0, "queue capacity must be positive");
+        let deadline = Instant::now() + opts.establish_timeout;
+        // The higher-numbered linked peers dial us.
+        let awaited: Vec<bool> = (0..n).map(|j| j > me && links[j]).collect();
+        let expecting = awaited.contains(&true);
+        let (inbox_tx, inbox) = channel::<Note>();
+        let mesh = Arc::new(Mesh {
+            shape: Shape {
+                me,
+                n,
+                seed,
+                ranks: opts.ranks.clone(),
+            },
+            queue_cap: opts.queue_cap,
+            peers: Mutex::new((0..n).map(|_| None).collect()),
+            lat: opts
+                .instrument
+                .then(|| Arc::new((0..n).map(|_| LinkStats::default()).collect())),
+            joining: Mutex::new(Joining {
+                awaited,
+                error: None,
+            }),
+            joined: Condvar::new(),
+        });
+        // The acceptor is up before our own first dial, so an early dialer
+        // is wired at once; it owns the listener and closes it on return.
+        let acceptor = if expecting {
+            listener.set_nonblocking(false)?;
+            let addr = listener.local_addr()?;
+            let (mesh, itx) = (Arc::clone(&mesh), inbox_tx.clone());
+            Some((
+                thread::spawn(move || acceptor_loop(listener, mesh, itx)),
+                addr,
+            ))
+        } else {
+            None
+        };
+        let linked = mesh.link_up(addrs, links, deadline, &inbox_tx);
+        // Once everyone awaited is wired, or a Hello failed establishment,
+        // the acceptor has returned (or is returning). After any other
+        // failure it still waits in `accept()`: a connection that closes
+        // without a Hello ends it.
+        if let Some((handle, addr)) = acceptor {
+            if linked.is_err() {
+                drop(TcpStream::connect(addr));
+            }
+            let _ = handle.join();
+        }
+        linked?;
+        let now = opts.clock.now();
+        Ok(TcpTransport {
+            mesh,
+            inbox,
+            _inbox_tx: inbox_tx,
+            peer_timeout: opts.peer_timeout,
+            clock: Arc::clone(&opts.clock),
+            last_heard: vec![now; n],
+            gone_reported: vec![false; n],
+            timeout_reported: vec![false; n],
+        })
     }
 
-    /// Fold an inbox note into the receiver-local liveness state.
-    /// `None` = swallowed (duplicate gone-note), keep polling.
-    fn on_note(&mut self, note: Note) -> Option<Result<(usize, Vec<u8>), TransportError>> {
+    /// Fold an inbox note into the receiver-local liveness state. Each
+    /// link has one reader, so each peer's gone-note arrives at most once.
+    fn on_note(&mut self, note: Note) -> Result<(usize, Vec<u8>), TransportError> {
         match note {
             Note::Frame(j, f) => {
                 self.last_heard[j] = self.clock.now();
                 self.timeout_reported[j] = false;
-                Some(Ok((j, f)))
-            }
-            Note::Joined(j, hello) => {
-                self.last_heard[j] = self.clock.now();
-                self.gone_reported[j] = false;
-                self.timeout_reported[j] = false;
-                Some(Ok((j, hello)))
+                Ok((j, f))
             }
             Note::Gone(j) => {
-                if self.gone_reported[j] {
-                    None
-                } else {
-                    self.gone_reported[j] = true;
-                    Some(Err(TransportError::PeerDisconnected { peer: j }))
-                }
+                self.gone_reported[j] = true;
+                Err(TransportError::PeerDisconnected { peer: j })
             }
         }
     }
 
     /// Queue a job on `to`'s writer. Clones the sender out of the lock:
     /// a blocking backpressure send must not hold the mesh mutex against
-    /// readers and the acceptor.
+    /// the readers.
     fn enqueue(&mut self, to: usize, job: Job) -> Result<(), TransportError> {
         let tx = {
             let peers = self.mesh.peers.lock().unwrap();
@@ -710,75 +636,45 @@ impl TcpTransport {
     }
 }
 
-/// The accept loop, from before the first dial until the transport drops:
-/// every connection is a peer joining — during establishment one of the
-/// awaited higher-numbered peers, afterwards a departed peer dialing back
-/// in. A duplicate connection for a live link is dropped; so is a bad
-/// Hello, unless establishment is still waiting, which it then fails.
+/// The accept loop, from before the first dial until the last awaited
+/// (higher-numbered) peer is wired; returning closes the listener. A
+/// connection from anyone else — a peer not awaited, or one already
+/// wired — is dropped. A bad Hello fails establishment and ends the loop.
 fn acceptor_loop(listener: TcpListener, mesh: Arc<Mesh>, inbox_tx: Sender<Note>) {
     loop {
-        let accepted = listener.accept();
-        if mesh.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let Ok((mut stream, _)) = accepted else {
+        let Ok((mut stream, _)) = listener.accept() else {
             thread::sleep(Duration::from_millis(1));
             continue;
         };
-        let (id, hello) = match accept_hello(&mut stream, &mesh.shape) {
-            Ok(x) => x,
+        let id = match accept_hello(&mut stream, &mesh.shape) {
+            Ok(id) => id,
             Err(e) => {
-                let mut joining = mesh.joining.lock().unwrap();
-                if joining.awaited.contains(&true) {
-                    joining.error.get_or_insert(e);
-                    mesh.joined.notify_all();
-                }
-                continue;
+                mesh.joining.lock().unwrap().error.get_or_insert(e);
+                mesh.joined.notify_all();
+                return;
             }
         };
-        let mut peers = mesh.peers.lock().unwrap();
-        if peers[id].as_ref().is_some_and(|p| p.alive) {
-            continue; // duplicate connection for a live link
-        }
-        let Ok(peer) = mesh.wire(id, stream, &inbox_tx) else {
+        if !mesh.joining.lock().unwrap().awaited[id] || mesh.wire(id, stream, &inbox_tx).is_err() {
             continue;
-        };
-        mesh.install(&mut peers, id, peer);
-        drop(peers);
-        // An awaited peer completes establishment silently; anyone else
-        // is a rejoin, announced to the driver by its Hello.
-        if std::mem::take(&mut mesh.joining.lock().unwrap().awaited[id]) {
-            mesh.joined.notify_all();
-        } else {
-            let _ = inbox_tx.send(Note::Joined(id, hello));
+        }
+        let mut joining = mesh.joining.lock().unwrap();
+        joining.awaited[id] = false;
+        mesh.joined.notify_all();
+        if !joining.awaited.contains(&true) {
+            return;
         }
     }
 }
 
 impl Drop for TcpTransport {
+    /// Take the senders down so writers see a closed queue, then join
+    /// them: every already-queued frame (a final Done in particular) hits
+    /// the socket before the worker is gone.
     fn drop(&mut self) {
-        self.mesh.stop.store(true, Ordering::Relaxed);
-        if let Some((handle, addr)) = self.acceptor.take() {
-            // Wake the blocked `accept()`; if even that fails the thread
-            // is left detached rather than joined forever.
-            if TcpStream::connect(addr).is_ok() {
-                let _ = handle.join();
-            }
-        }
-        // Take the senders down so writers see a closed queue, then join
-        // them: every already-queued frame (a final Done in particular)
-        // hits the socket before the worker is gone.
         let mut peers = self.mesh.peers.lock().unwrap();
-        for peer in peers.iter_mut().flatten() {
-            let (tx, _) = sync_channel::<Job>(1);
-            drop(std::mem::replace(&mut peer.tx, tx));
-            if let Some(handle) = peer.writer.take() {
-                let _ = handle.join();
-            }
-        }
-        drop(peers);
-        for handle in self.mesh.retired.lock().unwrap().drain(..) {
-            let _ = handle.join();
+        for Peer { tx, writer, .. } in peers.iter_mut().filter_map(Option::take) {
+            drop(tx);
+            let _ = writer.join();
         }
     }
 }
@@ -838,16 +734,10 @@ impl ExchangeTransport for TcpTransport {
     }
 
     fn try_recv_frame(&mut self) -> Result<Option<(usize, Vec<u8>)>, TransportError> {
-        loop {
-            match self.inbox.try_recv() {
-                Ok(note) => {
-                    if let Some(r) = self.on_note(note) {
-                        return r.map(Some);
-                    }
-                }
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(TransportError::Disconnected),
-            }
+        match self.inbox.try_recv() {
+            Ok(note) => self.on_note(note).map(Some),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
 
@@ -855,23 +745,13 @@ impl ExchangeTransport for TcpTransport {
         &mut self,
         timeout: Duration,
     ) -> Result<Option<(usize, Vec<u8>)>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.inbox.recv_timeout(left) {
-                Ok(note) => {
-                    if let Some(r) = self.on_note(note) {
-                        return r.map(Some);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(peer) = self.silent_peer() {
-                        return Err(TransportError::PeerTimeout { peer });
-                    }
-                    return Ok(None);
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Disconnected),
-            }
+        match self.inbox.recv_timeout(timeout) {
+            Ok(note) => self.on_note(note).map(Some),
+            Err(RecvTimeoutError::Timeout) => match self.silent_peer() {
+                Some(peer) => Err(TransportError::PeerTimeout { peer }),
+                None => Ok(None),
+            },
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
 }
@@ -895,27 +775,16 @@ pub use dlion_core::args::parse_peers;
 /// Build an `n`-worker loopback mesh on ephemeral ports: bind `n`
 /// listeners, then establish every endpoint concurrently (establishment
 /// blocks on peers, so it cannot be done sequentially). Element `i` of
-/// the result is worker `i`'s transport; the second return is the
-/// address list (a departed worker can [`TcpTransport::reconnect`] with
-/// it).
-pub fn loopback_mesh_addrs(
-    n: usize,
-    seed: u64,
-    opts: &TcpOpts,
-) -> Result<(Vec<TcpTransport>, Vec<SocketAddr>), LiveError> {
-    loopback_mesh_addrs_linked(n, seed, opts, None)
-}
-
-/// [`loopback_mesh_addrs`] over a partial topology: `links[i][j]` says
-/// whether workers `i` and `j` hold a connection (must be symmetric;
-/// `None` = full mesh). Only masked links are dialed — a ring cluster
-/// opens `n` sockets, not `n(n-1)/2`.
-pub fn loopback_mesh_addrs_linked(
+/// the result is worker `i`'s transport. `links[i][j]` says whether
+/// workers `i` and `j` hold a connection (must be symmetric; `None` =
+/// full mesh). Only masked links are dialed — a ring cluster opens `n`
+/// sockets, not `n(n-1)/2`.
+pub fn loopback_mesh(
     n: usize,
     seed: u64,
     opts: &TcpOpts,
     links: Option<&[Vec<bool>]>,
-) -> Result<(Vec<TcpTransport>, Vec<SocketAddr>), LiveError> {
+) -> Result<Vec<TcpTransport>, LiveError> {
     assert!(n > 0);
     if let Some(masks) = links {
         assert_eq!(masks.len(), n, "one link mask per worker");
@@ -927,17 +796,16 @@ pub fn loopback_mesh_addrs_linked(
         .iter()
         .map(|l| l.local_addr())
         .collect::<std::io::Result<_>>()?;
-    let mut endpoints: Vec<Result<TcpTransport, LiveError>> = thread::scope(|s| {
+    thread::scope(|s| {
         let handles: Vec<_> = listeners
             .into_iter()
             .enumerate()
             .map(|(me, listener)| {
                 let addrs = &addrs;
-                s.spawn(move || match links {
-                    None => TcpTransport::establish(me, listener, addrs, seed, opts),
-                    Some(masks) => {
-                        TcpTransport::establish_linked(me, listener, addrs, seed, opts, &masks[me])
-                    }
+                let full = || (0..n).map(|j| j != me).collect();
+                let mask: Vec<bool> = links.map_or_else(full, |masks| masks[me].clone());
+                s.spawn(move || {
+                    TcpTransport::establish_linked(me, listener, addrs, seed, opts, &mask)
                 })
             })
             .collect();
@@ -946,22 +814,7 @@ pub fn loopback_mesh_addrs_linked(
             .into_iter()
             .map(|h| h.join().unwrap_or_else(panicked))
             .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for e in endpoints.drain(..) {
-        out.push(e?);
-    }
-    Ok((out, addrs))
-}
-
-/// [`loopback_mesh_addrs_linked`] without the address list.
-pub fn loopback_mesh(
-    n: usize,
-    seed: u64,
-    opts: &TcpOpts,
-    links: Option<&[Vec<bool>]>,
-) -> Result<Vec<TcpTransport>, LiveError> {
-    loopback_mesh_addrs_linked(n, seed, opts, links).map(|(mesh, _)| mesh)
+    })
 }
 
 #[cfg(test)]
@@ -1232,7 +1085,10 @@ mod tests {
             .enumerate()
             .map(|(me, (listener, (seed, opts)))| {
                 let addrs = addrs.clone();
-                thread::spawn(move || TcpTransport::establish(me, listener, &addrs, seed, &opts))
+                let links = [me == 1, me == 0];
+                thread::spawn(move || {
+                    TcpTransport::establish_linked(me, listener, &addrs, seed, &opts, &links)
+                })
             })
             .collect();
         let mut results = handles.into_iter().map(|h| h.join().unwrap());
@@ -1248,6 +1104,39 @@ mod tests {
             ranks: ranks.map(Arc::new),
             ..Default::default()
         }
+    }
+
+    /// A one-host run's endpoint has no links and no acceptor: it stays
+    /// quiet instead of reporting the whole mesh gone.
+    #[test]
+    fn an_endpoint_without_links_stays_quiet() {
+        let mut mesh = loopback_mesh(1, 7, &TcpOpts::default(), None).unwrap();
+        let t = &mut mesh[0];
+        assert!(matches!(t.try_recv_frame(), Ok(None)));
+        assert!(matches!(
+            t.recv_frame_timeout(Duration::from_millis(5)),
+            Ok(None)
+        ));
+    }
+
+    /// A peer that never dials stalls establishment at its deadline; the
+    /// acceptor still waiting for it is ended and joined, and the
+    /// listener closed with it.
+    #[test]
+    fn a_missing_dialer_stalls_establishment_and_ends_the_acceptor() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let addrs = [addr, loopback_addrs(1, 9)[0]];
+        let opts = TcpOpts {
+            establish_timeout: Duration::from_millis(50),
+            ..Default::default()
+        };
+        let got = TcpTransport::establish_linked(0, listener, &addrs, 1, &opts, &[false, true]);
+        assert!(matches!(got, Err(LiveError::Stalled(_))));
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "the listener outlived it"
+        );
     }
 
     #[test]

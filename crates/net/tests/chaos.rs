@@ -9,17 +9,17 @@
 //! lands. The Leave only drives *gating* (stop waiting for the dead
 //! peer), never the arithmetic.
 
-use dlion_core::ExchangeTransport;
+use dlion_core::messages::{GradData, GradMsg, Payload, WireCfg};
 use dlion_core::{
-    mem_mesh, run_with_models, FaultPlan, ManualClock, RunConfig, RunMetrics, SyncPolicy,
-    SystemKind,
+    mem_mesh, run_with_models, ExchangeTransport, FaultPlan, ManualClock, MemTransport, RunConfig,
+    RunMetrics, SyncPolicy, SystemKind, TransportError,
 };
 use dlion_net::{
     live_config, loopback_mesh, run_live, Control, LiveCluster, LiveError, LiveOpts, TransportKind,
-    VirtualPlan,
 };
 use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::Tensor;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -266,8 +266,7 @@ fn a_rank_lost_during_startup_profiling_gets_no_share() {
         stall_timeout: Duration::from_secs(120),
         ..Default::default()
     };
-    let plan = VirtualPlan::flat();
-    let cluster = LiveCluster::new(&cfg, 3, &plan, &opts, "live/startup-loss").expect("cluster");
+    let cluster = LiveCluster::new(&cfg, 3, 1, &opts, "live/startup-loss").expect("cluster");
     let links = cluster.host_links();
     let mut mesh = loopback_mesh(3, cfg.seed, &cluster.tcp_opts(), Some(&links)).expect("mesh");
     drop(mesh.pop()); // rank 2 is gone before it profiled anything
@@ -304,9 +303,8 @@ fn an_unusable_rcp_from_a_peer_is_a_protocol_error_not_a_panic() {
         stall_timeout: Duration::from_secs(120),
         ..Default::default()
     };
-    let plan = VirtualPlan::flat();
     for rcp in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let cluster = LiveCluster::new(&cfg, 2, &plan, &opts, "live/bad-rcp").expect("cluster");
+        let cluster = LiveCluster::new(&cfg, 2, 1, &opts, "live/bad-rcp").expect("cluster");
         let mut mesh = mem_mesh(2);
         let mut rank1 = mesh.pop().expect("endpoint 1");
         let rank0 = Box::new(mesh.pop().expect("endpoint 0")) as Box<dyn ExchangeTransport>;
@@ -333,6 +331,122 @@ fn an_unusable_rcp_from_a_peer_is_a_protocol_error_not_a_panic() {
             other => panic!("rcp {rcp}: expected a protocol error, got {other:?}"),
         }
     }
+}
+
+/// Rank 0's endpoint, whose sends to rank 1 fail once `cut` is set: rank
+/// 1's process has exited under it.
+struct CutOffFromOne {
+    inner: MemTransport,
+    cut: Arc<AtomicBool>,
+}
+
+impl ExchangeTransport for CutOffFromOne {
+    fn me(&self) -> usize {
+        self.inner.me()
+    }
+
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+
+    fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<(), TransportError> {
+        if to == 1 && self.cut.load(Ordering::SeqCst) {
+            return Err(TransportError::PeerGone(1));
+        }
+        self.inner.send_frame(to, frame)
+    }
+
+    fn try_recv_frame(&mut self) -> Result<Option<(usize, Vec<u8>)>, TransportError> {
+        self.inner.try_recv_frame()
+    }
+
+    fn recv_frame_timeout(
+        &mut self,
+        timeout: Duration,
+    ) -> Result<Option<(usize, Vec<u8>)>, TransportError> {
+        self.inner.recv_frame_timeout(timeout)
+    }
+}
+
+/// A rank whose last frames — a gradient, its RCP for the round in
+/// progress, its Leave — are queued when it exits still has that RCP
+/// counted: the ack for the gradient fails, but an ack is advisory, so it
+/// demotes nobody, and the RCP behind the gradient decides the round. (A
+/// failed ack used to demote the rank on the spot and rank 0 alone gave it
+/// share 0 — the flake of the determinism test below.)
+#[test]
+fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
+    let mut cfg = gbs_chaos_cfg();
+    // Rank 0 never waits for gradients the test does not send.
+    cfg.sync_override = Some(SyncPolicy::Asynchronous);
+    let opts = LiveOpts {
+        iters: 6,
+        eval_every: 0,
+        assumed_iter_time: Some(0.05),
+        stall_timeout: Duration::from_secs(120),
+        clock: Arc::new(ManualClock::new()),
+        ..Default::default()
+    };
+    let weights = dlion_core::build_cluster(&cfg, 2).workers[1]
+        .model
+        .weights();
+    let zeros = weights.iter().map(|w| Tensor::zeros(w.shape().clone()));
+    let grad = Payload::Grad(GradMsg {
+        iteration: 4,
+        lbs: cfg.initial_lbs,
+        data: GradData::Dense(zeros.collect()),
+        n_used: 100.0,
+    });
+    let cluster = LiveCluster::new(&cfg, 2, 1, &opts, "live/failed-ack").expect("cluster");
+    let mut mesh = mem_mesh(2);
+    let mut rank1 = mesh.pop().expect("endpoint 1");
+    let cut = Arc::new(AtomicBool::new(false));
+    let rank0 = CutOffFromOne {
+        inner: mesh.pop().expect("endpoint 0"),
+        cut: Arc::clone(&cut),
+    };
+    let outcome = std::thread::scope(|s| {
+        let run = s.spawn(|| cluster.run_hosts(vec![(0, Box::new(rank0) as _)]).remove(0));
+        // Play rank 1: answer round 0; when round 1 opens (rank 0 is now
+        // in its collect), queue the last frames and exit.
+        loop {
+            let (_, frame) = rank1
+                .recv_frame_timeout(Duration::from_secs(120))
+                .expect("recv")
+                .expect("a frame from rank 0");
+            match Control::from_frame(&frame, 2) {
+                Ok(Control::Rcp { round: 0, rcp }) => {
+                    let answer = Control::Rcp { round: 0, rcp }.to_frame();
+                    rank1.send_frame(0, answer).expect("send");
+                }
+                Ok(Control::Rcp { round: 1, rcp }) => {
+                    cut.store(true, Ordering::SeqCst);
+                    let wire = WireCfg::default();
+                    let last = [
+                        grad.to_wire(&wire),
+                        Control::Rcp { round: 1, rcp }.to_frame(),
+                        Payload::Leave { completed: 17 }.to_wire(&wire),
+                    ];
+                    for frame in last {
+                        rank1.send_frame(0, frame).expect("send");
+                    }
+                    break;
+                }
+                _ => {} // rank 0's gradients
+            }
+        }
+        run.join().expect("run_hosts")
+    });
+    let o = outcome.expect("rank 0's run");
+    let (_, parts) = o
+        .lbs_trace
+        .iter()
+        .find(|(t, _)| *t == 0.25)
+        .expect("round 1 repartitions");
+    assert!(
+        parts[1] > 0,
+        "rank 1's queued RCP was not counted: {parts:?}"
+    );
 }
 
 #[test]

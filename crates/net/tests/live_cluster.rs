@@ -9,7 +9,6 @@
 use dlion_core::{RunConfig, SyncPolicy, SystemKind};
 use dlion_net::{
     assemble_metrics, live_config, run_live, LiveCluster, LiveOpts, TcpTransport, TransportKind,
-    VirtualPlan,
 };
 use dlion_tensor::Tensor;
 use std::net::{SocketAddr, TcpListener};
@@ -52,10 +51,6 @@ fn two_tcp_hosts_of_two_ranks_equal_the_flat_mem_run_bit_for_bit() {
     let flat = run_live(&cfg, RANKS, &opts, TransportKind::Mem, "live/flat").expect("flat run");
     assert_eq!(flat.iterations, vec![ITERS; RANKS]);
 
-    let plan = VirtualPlan {
-        ranks_per_host: 2,
-        migrate: Vec::new(),
-    };
     let listeners: Vec<TcpListener> = (0..2)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
         .collect();
@@ -68,10 +63,10 @@ fn two_tcp_hosts_of_two_ranks_equal_the_flat_mem_run_bit_for_bit() {
             .into_iter()
             .enumerate()
             .map(|(host, listener)| {
-                let (cfg, opts, plan, addrs) = (&cfg, &opts, &plan, &addrs);
+                let (cfg, opts, addrs) = (&cfg, &opts, &addrs);
                 s.spawn(move || {
                     let cluster =
-                        LiveCluster::new(cfg, RANKS, plan, opts, "live/hosts").expect("placement");
+                        LiveCluster::new(cfg, RANKS, 2, opts, "live/hosts").expect("placement");
                     assert_eq!(cluster.n_hosts(), 2);
                     let transport = TcpTransport::establish_linked(
                         host,

@@ -9,10 +9,8 @@
 //!
 //! The churn composition is covered too: killing one virtual rank must
 //! leave every survivor — *including the victim's host-mates* —
-//! bit-identical to the flat one-rank-per-host run, a whole-host TCP
-//! drop must demote all of its ranks in one ledger entry, and a killed
-//! rank must be able to re-home onto a different host mid-run (the
-//! migration path) and still finish through the DKT catch-up machinery.
+//! bit-identical to the flat one-rank-per-host run, and a whole-host TCP
+//! drop must demote all of its ranks at once.
 
 use dlion_core::messages::encode_frame;
 use dlion_core::{
@@ -21,7 +19,7 @@ use dlion_core::{
 };
 use dlion_net::{
     live_config, loopback_mesh, run_live, run_live_virtual, LiveOpts, RankHost, RankLayout,
-    TcpOpts, TransportKind, VirtualPlan, KIND_ACK,
+    TcpOpts, TransportKind, KIND_ACK,
 };
 use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::Tensor;
@@ -60,13 +58,6 @@ fn live_opts(iters: u64) -> LiveOpts {
     }
 }
 
-fn plan(ranks_per_host: usize) -> VirtualPlan {
-    VirtualPlan {
-        ranks_per_host,
-        migrate: Vec::new(),
-    }
-}
-
 fn weight_bits(weights: &[Vec<Tensor>]) -> Vec<Vec<Vec<u32>>> {
     weights
         .iter()
@@ -88,7 +79,7 @@ fn two_hosts_of_four_virtual_ranks_match_the_simulator_bit_for_bit() {
     let sim = sim_run(&cfg, N);
     assert_eq!(sim.iterations, vec![ITERS; N]);
     for kind in [TransportKind::Mem, TransportKind::Tcp] {
-        let live = run_live_virtual(&cfg, N, &plan(4), &live_opts(ITERS), kind, "live/virt")
+        let live = run_live_virtual(&cfg, N, 4, &live_opts(ITERS), kind, "live/virt")
             .expect("virtual run");
         assert_eq!(live.iterations, vec![ITERS; N], "{kind:?} stalled");
         assert_eq!(
@@ -112,7 +103,7 @@ fn kregular_schedule_keeps_virtual_bit_parity() {
     let sim = sim_run(&cfg, N);
     assert_eq!(sim.iterations, vec![ITERS; N]);
     for kind in [TransportKind::Mem, TransportKind::Tcp] {
-        let live = run_live_virtual(&cfg, N, &plan(4), &live_opts(ITERS), kind, "live/virt-kreg")
+        let live = run_live_virtual(&cfg, N, 4, &live_opts(ITERS), kind, "live/virt-kreg")
             .expect("virtual run");
         assert_eq!(live.iterations, vec![ITERS; N], "{kind:?} stalled");
         assert_eq!(
@@ -138,8 +129,8 @@ fn killing_one_virtual_rank_leaves_survivors_identical_to_flat() {
     let flat_bits = weight_bits(&flat.final_weights);
     assert!(flat_bits[1].is_empty(), "victim captured weights");
     for kind in [TransportKind::Mem, TransportKind::Tcp] {
-        let live = run_live_virtual(&cfg, N, &plan(4), &opts, kind, "live/virt-kill")
-            .expect("virtual run");
+        let live =
+            run_live_virtual(&cfg, N, 4, &opts, kind, "live/virt-kill").expect("virtual run");
         assert_eq!(live.iterations[1], 3, "{kind:?}: victim outlived its plan");
         let bits = weight_bits(&live.final_weights);
         for w in 0..N {
@@ -154,56 +145,11 @@ fn killing_one_virtual_rank_leaves_survivors_identical_to_flat() {
     }
 }
 
-/// Mid-run migration: rank 1 (home: host 0) departs at iteration 2 and
-/// rejoins homed on host 1 — Leave and everything after flow over the
-/// new host's link, receivers re-learn the address from the frames
-/// themselves, and the regular late-Hello → Catchup → DKT-pull rejoin
-/// completes. Survivor arithmetic is ledger-driven (rejoiners are
-/// uncounted backup members), so survivors keep finite losses and full
-/// iteration counts; the migrated rank finishes the run as a member.
+/// EOF semantics: a whole host dropping off the TCP mesh demotes ALL of
+/// its virtual ranks at once — every surviving endpoint hears a per-rank
+/// disconnect for each dead rank, in rank order.
 #[test]
-fn midrun_migration_rehomes_a_rank_through_the_rejoin_path() {
-    const ITERS: u64 = 12;
-    const N: usize = 8;
-    let mut cfg = bsp_cfg(SystemKind::Baseline, ITERS);
-    cfg.fault = FaultPlan::parse("1@2+0").expect("valid fault plan");
-    let opts = live_opts(ITERS);
-    let migration = VirtualPlan {
-        ranks_per_host: 4,
-        migrate: vec![(1, 1)],
-    };
-    for kind in [TransportKind::Mem, TransportKind::Tcp] {
-        let m = run_live_virtual(&cfg, N, &migration, &opts, kind, "live/virt-mig")
-            .expect("migration run");
-        // Everyone — including the migrated rank — finished the run.
-        assert_eq!(m.iterations, vec![ITERS; N], "{kind:?}: migration stalled");
-        // The catch-up pull moved real weights through DKT.
-        assert!(m.dkt_merges >= 1, "{kind:?}: no catch-up merge");
-        assert!(m.weight_bytes > 0.0, "{kind:?}: no catch-up weights");
-        // The rejoined rank is a member again: it evaluates with the rest.
-        let acc = m.worker_acc.last().expect("final eval");
-        assert_eq!(acc.len(), N, "{kind:?}: migrated rank missing from eval");
-        assert!(
-            acc.iter().all(|&a| a > 0.0),
-            "{kind:?}: no accuracy {acc:?}"
-        );
-    }
-    // Bogus plans are rejected up front, not deadlocked into.
-    let bad = VirtualPlan {
-        ranks_per_host: 4,
-        migrate: vec![(1, 0)],
-    };
-    assert!(
-        run_live_virtual(&cfg, N, &bad, &opts, TransportKind::Mem, "live/virt-mig").is_err(),
-        "migrating a rank onto its own host must be rejected"
-    );
-}
-
-/// Satellite 3 (EOF semantics): a whole host dropping off the TCP mesh
-/// demotes ALL of its virtual ranks in one churn-ledger entry, and every
-/// surviving endpoint hears a per-rank disconnect for each dead rank.
-#[test]
-fn tcp_host_drop_demotes_all_its_ranks_in_one_ledger_entry() {
+fn tcp_host_drop_demotes_all_its_ranks_in_rank_order() {
     const TIMEOUT: Duration = Duration::from_secs(20);
     let layout = RankLayout::even(4, 2); // hosts 0,1 carry ranks [0,1], [2,3]
     let topts = TcpOpts {
@@ -238,8 +184,6 @@ fn tcp_host_drop_demotes_all_its_ranks_in_one_ledger_entry() {
             other => panic!("expected PeerDisconnected({rank}), got {other:?}"),
         }
     }
-    // The ledger records the whole host as one entry, all ranks at once.
-    assert_eq!(host0.churn_ledger(), vec![(1, vec![2, 3])]);
     // Sends to any dead rank fail fast.
     assert!(matches!(
         eps0[1].send_frame(3, encode_frame(KIND_ACK, b"x")),
@@ -266,7 +210,7 @@ fn sixty_four_ranks_on_four_tcp_hosts_match_the_simulator() {
     let live = run_live_virtual(
         &cfg,
         N,
-        &plan(16),
+        16,
         &live_opts(ITERS),
         TransportKind::Tcp,
         "live/virt-64",
