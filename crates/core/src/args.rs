@@ -129,10 +129,10 @@ impl Args {
 
 /// Parse a `--straggle` spec: comma-separated `W:F` pairs, e.g.
 /// `2:3` or `0:1.5,2:4` — worker `W` runs `F`× slower on the training
-/// clock. Factors must be positive and finite (the domain
-/// `RunConfig::validate` asserts).
+/// clock. Factors must be positive and finite and no worker may be named
+/// twice (the domain `RunConfig::validate` asserts).
 pub fn parse_straggle(s: &str) -> Result<Vec<(usize, f64)>, String> {
-    let mut out = Vec::new();
+    let mut out: Vec<(usize, f64)> = Vec::new();
     for part in s.split(',') {
         let (w, f) = part
             .split_once(':')
@@ -142,6 +142,9 @@ pub fn parse_straggle(s: &str) -> Result<Vec<(usize, f64)>, String> {
         // NaN factors must also be rejected, hence not `f <= 0.0`.
         if !(f > 0.0 && f.is_finite()) {
             return Err(format!("factor must be positive and finite, got {f}"));
+        }
+        if out.iter().any(|&(seen, _)| seen == w) {
+            return Err(format!("worker {w} is straggled twice"));
         }
         out.push((w, f));
     }
@@ -885,6 +888,8 @@ mod tests {
         assert!(parse_straggle("2:-1").is_err());
         assert!(parse_straggle("2:NaN").is_err());
         assert!(parse_straggle("2:inf").is_err());
+        // The live driver would read the first factor, the runner the last.
+        assert!(parse_straggle("1:2,1:3").is_err());
     }
 
     #[test]

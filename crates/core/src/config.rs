@@ -254,7 +254,8 @@ pub struct RunConfig {
     /// leave → late-Hello → DKT-pull path live.
     pub fault: crate::fault::FaultPlan,
     /// Per-worker iteration-time multipliers (`--straggle W:F`): `(worker,
-    /// factor)` with a positive finite factor (> 1 slows the worker).
+    /// factor)` with a positive finite factor (> 1 slows the worker), at
+    /// most one pair per worker.
     /// The simulator applies it on top of the compute model and the live
     /// driver on its (pinned or measured) iteration time — the same
     /// place on the training clock, so `cluster_health` straggler scores
@@ -328,8 +329,12 @@ impl RunConfig {
         if let WireFormat::TopK(n) = self.wire {
             assert!(n > 0.0 && n <= 100.0, "topk N must be in (0, 100]");
         }
-        for &(_, f) in &self.straggle {
+        for (i, &(w, f)) in self.straggle.iter().enumerate() {
             assert!(f > 0.0 && f.is_finite(), "straggle factor must be positive");
+            assert!(
+                self.straggle[..i].iter().all(|&(seen, _)| seen != w),
+                "worker {w} is straggled twice"
+            );
         }
         self.dkt.validate();
     }

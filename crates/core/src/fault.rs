@@ -5,9 +5,9 @@
 //! dynamism schedules, and the live backend expresses it with worker
 //! churn — a `dlion-worker` departing (and optionally rejoining)
 //! mid-run. A [`FaultPlan`] is the shared description both backends
-//! consume: the live driver reads it directly (`dlion-live --kill`),
-//! and [`FaultPlan::to_capacity_schedules`] lowers the same plan onto
-//! the simulator's compute-capacity schedules.
+//! consume (`RunConfig::fault`, `--kill`): a permanent kill broadcasts a
+//! `Payload::Leave` on both, and a rejoining one pauses the worker in the
+//! simulator's runner and takes the late-Hello path in the live driver.
 //!
 //! Kill specs are written `W@I` ("worker W leaves when it reaches
 //! iteration I") with an optional `+R` suffix ("…and rejoins after R
@@ -16,8 +16,6 @@
 //! the departing worker announces its exact departure iteration, so
 //! every survivor renormalizes at the same round regardless of
 //! wall-clock timing (see `dlion-net`'s driver).
-
-use dlion_simnet::PiecewiseConst;
 
 /// One worker's scheduled departure.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -131,31 +129,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Lower this plan onto the simulator's dynamism vocabulary: one
-    /// compute-capacity schedule per worker, `base` capacity while the
-    /// worker is up and `0` while it is gone. `iter_time` converts the
-    /// plan's iteration indices to the simulator's virtual seconds.
-    pub fn to_capacity_schedules(
-        &self,
-        n: usize,
-        base: f64,
-        iter_time: f64,
-    ) -> Vec<PiecewiseConst> {
-        (0..n)
-            .map(|w| match self.kill_of(w) {
-                None => PiecewiseConst::constant(base),
-                Some(k) => {
-                    let down = k.at_iter as f64 * iter_time;
-                    let mut points = vec![(0.0, base), (down, 0.0)];
-                    if let Some(r) = k.rejoin_after {
-                        points.push((down + r, base));
-                    }
-                    PiecewiseConst::steps(points)
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -216,21 +189,5 @@ mod tests {
             .unwrap()
             .validate(2, 10)
             .is_ok());
-    }
-
-    #[test]
-    fn lowers_to_capacity_schedules() {
-        let p = FaultPlan::parse("1@10+2").unwrap();
-        let scheds = p.to_capacity_schedules(3, 4.0, 0.5);
-        assert_eq!(scheds.len(), 3);
-        assert_eq!(scheds[0].value_at(100.0), 4.0);
-        // Worker 1 loses capacity at 10 * 0.5 = 5s, regains it at 7s.
-        assert_eq!(scheds[1].value_at(4.9), 4.0);
-        assert_eq!(scheds[1].value_at(5.1), 0.0);
-        assert_eq!(scheds[1].value_at(7.1), 4.0);
-        // Without rejoin the capacity stays at zero.
-        let p = FaultPlan::parse("1@10").unwrap();
-        let scheds = p.to_capacity_schedules(2, 4.0, 0.5);
-        assert_eq!(scheds[1].value_at(1e9), 0.0);
     }
 }

@@ -86,14 +86,6 @@ impl Dense {
             cached_x: None,
         }
     }
-
-    pub fn in_features(&self) -> usize {
-        self.w.shape().dim(0)
-    }
-
-    pub fn out_features(&self) -> usize {
-        self.w.shape().dim(1)
-    }
 }
 
 impl Layer for Dense {

@@ -89,11 +89,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Timestamp of the next event without popping.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }

@@ -198,12 +198,6 @@ impl NetworkModel {
         self.classes = classes;
     }
 
-    /// Replace the latency of one directed link.
-    pub fn set_latency(&mut self, src: usize, dst: usize, latency: f64) {
-        let i = self.link_idx(src, dst);
-        self.latency[i] = latency;
-    }
-
     /// The *network resource monitor*: currently available bandwidth of the
     /// link `src→dst`, in Mbps.
     pub fn bandwidth_mbps(&self, src: usize, dst: usize, now: f64) -> f64 {

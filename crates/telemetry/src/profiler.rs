@@ -170,22 +170,6 @@ pub fn render_table(wall_s: f64) -> String {
     s
 }
 
-/// JSON array of phase totals (for `BENCH_telemetry.json`-style dumps).
-pub fn to_json() -> String {
-    let mut s = String::from("[");
-    for (i, st) in snapshot().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"phase\":\"{}\",\"calls\":{},\"total_ns\":{}}}",
-            st.phase, st.calls, st.total_ns
-        ));
-    }
-    s.push(']');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,12 +206,6 @@ mod tests {
         let table = render_table(1.0);
         for name in PHASE_NAMES {
             assert!(table.contains(name), "{name} missing from table");
-        }
-        let j = to_json();
-        let v = crate::json::parse(&j).unwrap();
-        match v {
-            crate::json::Json::Arr(items) => assert_eq!(items.len(), PHASE_COUNT),
-            other => panic!("expected array, got {other:?}"),
         }
 
         reset();

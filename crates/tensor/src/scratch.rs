@@ -61,13 +61,6 @@ impl Scratch {
         }
     }
 
-    /// Get a zeroed tensor of the given shape (storage from the pool).
-    pub fn take_tensor(&mut self, shape: impl Into<crate::Shape>) -> Tensor {
-        let shape = shape.into();
-        let buf = self.take(shape.numel());
-        Tensor::from_vec(shape, buf)
-    }
-
     /// Return a buffer to the pool. Debug builds poison it with NaN, so a
     /// `take_uninit` caller that leaves a slot unwritten fails its test.
     pub fn put(&mut self, mut buf: Vec<f32>) {

@@ -115,13 +115,6 @@ impl Tensor {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// True if this tensor currently shares its buffer with another clone
-    /// (diagnostics: a freshly-built cluster should share every weight
-    /// buffer; post-training weights should not).
-    pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.data) > 1
-    }
-
     pub fn into_data(self) -> Vec<f32> {
         Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
