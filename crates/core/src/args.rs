@@ -151,6 +151,28 @@ pub fn parse_straggle(s: &str) -> Result<Vec<(usize, f64)>, String> {
     Ok(out)
 }
 
+/// A span of seconds (`--stall-secs`, `--peer-timeout`,
+/// `--gbs-adjust-period`, `--health-interval`, `--assumed-iter-time`):
+/// finite and above zero. A negative, NaN or infinite span makes no
+/// `Duration`, and a zero period never moves on.
+fn parse_secs(s: &str) -> Result<f64, String> {
+    let v: f64 = s.parse().map_err(|e| format!("bad value '{s}': {e}"))?;
+    if !(v > 0.0 && v.is_finite()) {
+        return Err(format!("seconds must be finite and above zero, got {s}"));
+    }
+    Ok(v)
+}
+
+/// A count of frames or bytes (`--queue-cap`, `--chunk-bytes`): at least
+/// one.
+fn parse_count(s: &str) -> Result<usize, String> {
+    match s.parse() {
+        Ok(0) => Err("must be at least 1".into()),
+        Ok(v) => Ok(v),
+        Err(e) => Err(format!("bad value '{s}': {e}")),
+    }
+}
+
 /// Parse a `host:port,host:port,…` peer list (`--peers`).
 pub fn parse_peers(s: &str) -> Result<Vec<SocketAddr>, String> {
     let addrs: Result<Vec<SocketAddr>, String> = s
@@ -211,9 +233,8 @@ pub struct RunSpec {
     /// Total logical worker (rank) count.
     pub workers: usize,
     /// Virtual ranks per host process (`--virtual R`): 1 keeps the
-    /// classic one-rank-per-process layout; R > 1 multiplexes R ranks
-    /// over each host's single transport endpoint (see
-    /// `dlion_net::rankhost`).
+    /// classic one-rank-per-process layout; R > 1 puts R ranks on each
+    /// host, sharing its links (see `dlion_net::tcp`).
     pub virtual_ranks: usize,
     pub iters: u64,
     pub eval_every: u64,
@@ -314,22 +335,20 @@ impl RunSpec {
             "--eval-every" => self.eval_every = args.parse(flag)?,
             "--train" => self.train = Some(args.parse(flag)?),
             "--test" => self.test = Some(args.parse(flag)?),
-            "--chunk-bytes" => {
-                let v: usize = args.parse(flag)?;
-                if v == 0 {
-                    return Err(UsageError::new(flag, "chunk size must be positive"));
-                }
-                self.chunk_bytes = v;
-            }
-            "--queue-cap" => self.queue_cap = args.parse(flag)?,
+            "--chunk-bytes" => self.chunk_bytes = args.parse_with(flag, parse_count)?,
+            "--queue-cap" => self.queue_cap = args.parse_with(flag, parse_count)?,
             "--bw-mbps" => self.bw_mbps = args.parse(flag)?,
-            "--assumed-iter-time" => self.assumed_iter_time = Some(args.parse(flag)?),
-            "--stall-secs" => self.stall_secs = args.parse(flag)?,
-            "--peer-timeout" => self.peer_timeout = Some(args.parse(flag)?),
+            "--assumed-iter-time" => {
+                self.assumed_iter_time = Some(args.parse_with(flag, parse_secs)?)
+            }
+            "--stall-secs" => self.stall_secs = args.parse_with(flag, parse_secs)?,
+            "--peer-timeout" => self.peer_timeout = Some(args.parse_with(flag, parse_secs)?),
             "--kill" => self.fault = args.parse_with(flag, FaultPlan::parse)?,
             "--straggle" => self.straggle = args.parse_with(flag, parse_straggle)?,
-            "--gbs-adjust-period" => self.gbs_adjust_period = Some(args.parse(flag)?),
-            "--health-interval" => self.health_interval = Some(args.parse(flag)?),
+            "--gbs-adjust-period" => {
+                self.gbs_adjust_period = Some(args.parse_with(flag, parse_secs)?)
+            }
+            "--health-interval" => self.health_interval = Some(args.parse_with(flag, parse_secs)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -864,6 +883,38 @@ mod tests {
         assert_eq!(s.host_count(), 3);
         s.virtual_ranks = 1;
         assert_eq!(s.host_count(), 9);
+    }
+
+    /// Each of these used to panic (`Duration::from_secs_f64`, a zero-slot
+    /// channel, the LBS controller's period) or hang (a health cadence
+    /// that never advances) inside a run; each is a usage error naming
+    /// its flag now.
+    #[test]
+    fn knobs_that_would_panic_or_hang_a_run_are_usage_errors() {
+        let refused = [
+            ("--queue-cap", "0"),
+            ("--chunk-bytes", "0"),
+            ("--stall-secs", "-1"),
+            ("--stall-secs", "nan"),
+            ("--peer-timeout", "-1"),
+            ("--peer-timeout", "inf"),
+            ("--gbs-adjust-period", "0"),
+            ("--health-interval", "0"),
+            ("--health-interval", "-1"),
+            ("--assumed-iter-time", "0"),
+            ("--assumed-iter-time", "-0.05"),
+        ];
+        for (flag, value) in refused {
+            let e = RunSpec::default()
+                .apply_flag(flag, &mut args(&[value]))
+                .unwrap_err();
+            assert_eq!(e.flag, flag, "{flag} {value}: {e}");
+        }
+        let mut spec = RunSpec::default();
+        for (flag, value) in [("--queue-cap", "1"), ("--health-interval", "0.2")] {
+            assert!(spec.apply_flag(flag, &mut args(&[value])).unwrap());
+        }
+        assert_eq!((spec.queue_cap, spec.health_interval), (1, Some(0.2)));
     }
 
     #[test]

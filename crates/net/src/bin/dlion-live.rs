@@ -31,14 +31,15 @@
 //!   addresses (or the `--port-base` loopback sugar); outcomes come back
 //!   as JSON on the children's stdout.
 //!
-//! `--virtual R` multiplexes R virtual ranks onto every host endpoint:
-//! `--workers 64 --virtual 16 --transport procs` runs the 64-rank
-//! cluster on 4 OS processes, one socket mesh between them. With
-//! `tcp`/`mem` the ranks share one process but still route through the
-//! per-host `RankHost` pumps, so the wire behaviour matches procs mode.
-//! Strict-BSP runs stay bit-identical to the flat (and simulated)
-//! cluster — rank multiplexing changes where ranks live, not what they
-//! compute.
+//! `--virtual R` places R virtual ranks on every host: `--workers 64
+//! --virtual 16 --transport procs` runs the 64-rank cluster on 4 OS
+//! processes, one socket mesh between them. With `tcp` the hosts share
+//! one process but still talk over per-host loopback links carrying route
+//! markers, so the wire matches procs mode; `mem` channels are rank space
+//! (one process has no host link to share), so there `--virtual` changes
+//! nothing. Strict-BSP runs stay bit-identical to the flat (and
+//! simulated) cluster — placement changes where ranks live, not what
+//! they compute.
 //!
 //! `--kill W@I[+R]` injects deterministic churn: worker `W` departs after
 //! completing iteration `I`, and rejoins `R` seconds later (omit `+R` to

@@ -9,11 +9,11 @@
 //!
 //! With the default `--virtual 1` each process hosts exactly one worker
 //! (rank) and `--id` is that worker's id. With `--virtual R` the process
-//! is a **RankHost** carrying `R` virtual ranks (ranks `I·R ..
-//! min((I+1)·R, workers)`) over a single transport endpoint, and `--id`
-//! names the host; the cluster then spans `ceil(workers / R)` processes.
-//! Either way the process prints one `outcome:{json}` line per rank it
-//! hosted.
+//! is a host carrying `R` virtual ranks (ranks `I·R .. min((I+1)·R,
+//! workers)`), each with its own `TcpTransport` endpoint over the host's
+//! one set of links, and `--id` names the host; the cluster then spans
+//! `ceil(workers / R)` processes. Either way the process prints one
+//! `outcome:{json}` line per rank it hosted.
 //!
 //! `--peers` is the primary addressing interface: the comma-separated
 //! list names every *host's* listen address, in host-id order, and this
@@ -149,7 +149,7 @@ fn main() {
         &cli.env_label,
     )
     .unwrap_or_else(|e| fail("bad placement", e));
-    let transport = TcpTransport::establish_linked(
+    let endpoints = TcpTransport::establish_linked(
         host,
         listener,
         &cli.addrs,
@@ -158,7 +158,7 @@ fn main() {
         &cluster.host_links()[host],
     )
     .unwrap_or_else(|e| fail("mesh setup failed", e));
-    let results = cluster.run_hosts(vec![(host, Box::new(transport))]);
+    let results = cluster.run_ranks(endpoints);
     if spec.trace_out.is_some() {
         dlion_telemetry::stop_trace();
     }

@@ -19,7 +19,7 @@
 //! | `0x12` [`KIND_DONE`] | [`Control::Done`] | empty | shutdown barrier: the sender finished all its iterations; per-peer FIFO guarantees every earlier gradient already arrived | — |
 //! | `0x13` [`KIND_RCP`] | [`Control::Rcp`] | `round u64, rcp f64` | LBS/GBS exchange: the sender's relative compute power (Eq. 5) for adjustment round `round` (0 = start-up profiling) | `rcp` is not finite and `> 0` (`partition_gbs` divides by the sum) |
 //! | `0x15` [`KIND_CATCHUP`] | [`Control::Catchup`] | `iteration u64` | rejoin reply to a late Hello: the responder's current iteration, inviting the rejoiner to DKT-pull full weights and resume there | — |
-//! | `0x17` [`KIND_ROUTE`] | [`Control::Route`] | `src u32, dst u32` | rank-address marker on a host link: the *next* frame on this link travels from rank `src` to rank `dst` (see [`crate::rankhost`]); never appears outside host-to-host links | `src >= ranks` or `dst >= ranks` |
+//! | `0x17` [`KIND_ROUTE`] | [`Control::Route`] | `src u32, dst u32` | rank-address marker on a ranked host link: the *next* frame on this link travels from rank `src` to rank `dst`; the writer puts it in the same job as that frame, the reader takes it only if `src` lives on the sending host and `dst` on its own (see [`crate::tcp`]); never appears on a flat mesh | `src >= ranks` or `dst >= ranks` |
 //!
 //! Kinds `0x14` and `0x16` are retired (a net-level departure notice — a
 //! departure is `Payload::Leave` on both backends — and a health report

@@ -21,28 +21,25 @@
 //! * [`driver`] — the per-worker training loop (compute → apply own →
 //!   send → block per sync policy), plus the startup LBS profiling round
 //!   and the Done-barrier shutdown protocol.
-//! * [`tcp`] — [`tcp::TcpTransport`]: mesh establishment with a Hello
-//!   handshake through one acceptor that lives only until the expected
-//!   peers are wired (a late rejoin is a Hello over the still-open link,
-//!   not a new connection), per-peer writer threads with bounded
-//!   backpressure queues, reader threads feeding one shared inbox.
+//! * [`tcp`] — [`tcp::TcpTransport`], one endpoint per rank: mesh
+//!   establishment with a Hello handshake through one acceptor that lives
+//!   only until the expected peers are wired (a late rejoin is a Hello
+//!   over the still-open link, not a new connection), and one writer and
+//!   one reader thread per host link. A host's ranks share its links: the
+//!   writer puts a [`KIND_ROUTE`] marker ahead of each frame on a ranked
+//!   mesh, the reader checks it against the placement and routes the
+//!   frame to the rank's inbox.
 //! * [`live`] — the one assembly of a live run: [`live::LiveCluster`]
 //!   builds the cluster from the [`dlion_core::RunConfig`] (the run's only
 //!   description — [`LiveOpts`] adds execution knobs, nothing the
-//!   simulator also reads), places ranks on hosts, and runs the ranks of
-//!   the hosts it is handed — all of them in-process for
-//!   [`run_live`]/[`run_live_virtual`], one per `dlion-worker` process —
-//!   directly on the transport or through a [`rankhost::RankHost`] as the
-//!   layout dictates; outcomes fold into the same
+//!   simulator also reads), places ranks on hosts by the static
+//!   [`live::RankLayout`], and runs the rank endpoints it is handed — all
+//!   of them in-process for [`run_live`]/[`run_live_virtual`], one host's
+//!   per `dlion-worker` process; outcomes fold into the same
 //!   [`dlion_core::RunMetrics`] the simulator reports.
 //! * [`health`] — the cluster health plane's live half: the one-shot
 //!   silence ledger ([`health::HealthAggregator`]); the verdict itself is
 //!   `dlion_core::HealthSummary`.
-//! * [`rankhost`] — virtual workers: one process hosting N ranks
-//!   multiplexed over a single host-level transport endpoint
-//!   ([`rankhost::RankHost`] + per-rank [`rankhost::RankEndpoint`]s) on
-//!   the static [`rankhost::RankLayout`] placement, routing frames by
-//!   `(host, rank)` via [`KIND_ROUTE`] markers.
 //! * [`control`] — the net-level control protocol: the [`Control`] enum,
 //!   its frame encoding and the one validated decode. The normative
 //!   control-frame table lives there.
@@ -51,7 +48,6 @@ pub mod control;
 pub mod driver;
 pub mod health;
 pub mod live;
-pub mod rankhost;
 pub mod tcp;
 
 pub use control::{
@@ -60,10 +56,9 @@ pub use control::{
 pub use driver::{parse_straggle, run_worker, EvalPoint, LiveOpts, WorkerEnv, WorkerOutcome};
 pub use health::HealthAggregator;
 pub use live::{
-    assemble_metrics, link_masks, live_config, run_live, run_live_virtual, LiveCluster,
+    assemble_metrics, link_masks, live_config, run_live, run_live_virtual, LiveCluster, RankLayout,
     TransportKind,
 };
-pub use rankhost::{RankEndpoint, RankHost, RankLayout};
 pub use tcp::{loopback_addrs, loopback_mesh, parse_peers, TcpOpts, TcpTransport};
 
 use dlion_core::{TransportError, WireError};

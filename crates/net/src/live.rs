@@ -1,14 +1,14 @@
 //! The live orchestrator — the one place a live run is assembled
 //! (DESIGN.md §4m). [`LiveCluster`] builds the cluster once (through the
 //! same [`build_cluster`] the simulator uses), places its ranks on hosts,
-//! and runs "the ranks homed on these hosts over these host transports":
-//! all hosts in this process for [`run_live`] / [`run_live_virtual`], one
-//! host per OS process for `dlion-worker`. The per-worker outcomes fold
-//! into the same [`RunMetrics`] the simulator reports — so the report,
-//! CSV and comparison tooling work unchanged on live runs.
+//! and runs the rank endpoints it is handed: every rank in this process
+//! for [`run_live`] / [`run_live_virtual`], one host's ranks per OS
+//! process for `dlion-worker`. The per-worker outcomes fold into the same
+//! [`RunMetrics`] the simulator reports — so the report, CSV and
+//! comparison tooling work unchanged on live runs.
 
+use crate::control::RankHello;
 use crate::driver::{run_worker, LiveOpts, WorkerEnv, WorkerOutcome};
-use crate::rankhost::{RankHost, RankLayout};
 use crate::tcp::{loopback_mesh, TcpOpts};
 use crate::LiveError;
 use dlion_core::cluster::ClusterInit;
@@ -18,15 +18,19 @@ use dlion_core::{
     TopologySchedule,
 };
 use dlion_microcloud::ClusterKind;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which wire the cluster runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Real TCP sockets on loopback (the default).
+    /// Real TCP sockets on loopback (the default): one host link per
+    /// host pair, `--virtual R` ranks per host.
     Tcp,
     /// In-process channels ([`dlion_core::mem_mesh`]) — same driver, no
-    /// sockets; isolates "does parity hold?" from "does TCP work?".
+    /// sockets; isolates "does parity hold?" from "does TCP work?". One
+    /// process has no host link to share, so Mem is rank space whatever
+    /// the placement.
     Mem,
 }
 
@@ -70,11 +74,82 @@ pub fn link_masks(
         .collect()
 }
 
+/// Static rank→host placement for a virtual-rank cluster (`--virtual R`):
+/// ranks `[h·R, (h+1)·R)` on host `h`, the last host taking the
+/// remainder. Every host computes the same placement, and nothing on the
+/// wire changes it: its Hello blocks are what a TCP mesh routes by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankLayout {
+    n_ranks: usize,
+    ranks_per_host: usize,
+}
+
+impl RankLayout {
+    pub fn even(n_ranks: usize, ranks_per_host: usize) -> RankLayout {
+        assert!(ranks_per_host > 0, "need at least one rank per host");
+        RankLayout {
+            n_ranks,
+            ranks_per_host,
+        }
+    }
+
+    pub fn ranks_per_host(&self) -> usize {
+        self.ranks_per_host
+    }
+
+    pub fn n_hosts(&self) -> usize {
+        self.n_ranks.div_ceil(self.ranks_per_host)
+    }
+
+    /// The host (OS process / host-mesh endpoint) `rank` lives on.
+    pub fn host_of(&self, rank: usize) -> usize {
+        rank / self.ranks_per_host
+    }
+
+    /// The ranks homed on `host`, ascending.
+    pub fn ranks_on(&self, host: usize) -> Range<usize> {
+        let r = self.ranks_per_host;
+        (host * r).min(self.n_ranks)..((host + 1) * r).min(self.n_ranks)
+    }
+
+    /// The per-host Hello rank blocks ([`TcpOpts::ranks`]).
+    pub fn hello_blocks(&self) -> Vec<RankHello> {
+        (0..self.n_hosts())
+            .map(|h| {
+                let ranks = self.ranks_on(h);
+                RankHello {
+                    base: ranks.start as u32,
+                    count: ranks.len() as u32,
+                    total: self.n_ranks as u32,
+                }
+            })
+            .collect()
+    }
+
+    /// Collapse per-rank link masks into per-host ones: hosts `a` and
+    /// `b` hold a physical link iff some rank pair across them does.
+    /// Same-host pairs need no link (delivery is in-process).
+    pub fn host_links(&self, rank_masks: &[Vec<bool>]) -> Vec<Vec<bool>> {
+        let hosts = self.n_hosts();
+        let mut links = vec![vec![false; hosts]; hosts];
+        for (i, row) in rank_masks.iter().enumerate() {
+            for (j, &on) in row.iter().enumerate() {
+                let (a, b) = (self.host_of(i), self.host_of(j));
+                if on && a != b {
+                    links[a][b] = true;
+                    links[b][a] = true;
+                }
+            }
+        }
+        links
+    }
+}
+
 /// One live run, assembled: what [`build_cluster`] returns for the
 /// [`RunConfig`] plus the rank placement, the link masks, the execution
 /// options and the run label. Every way of standing a live run up — all
 /// hosts in this process ([`run_live_virtual`]) or one host per OS
-/// process (`dlion-worker`) — is this struct plus host transports.
+/// process (`dlion-worker`) — is this struct plus rank endpoints.
 pub struct LiveCluster<'a> {
     cfg: &'a RunConfig,
     opts: &'a LiveOpts,
@@ -114,16 +189,6 @@ impl<'a> LiveCluster<'a> {
         })
     }
 
-    /// Does every rank drive its host transport directly, or through a
-    /// [`RankHost`]? Directly exactly when the transport already *is*
-    /// rank space: one rank per host. The choice is cluster-wide, not per
-    /// host: it decides whether links carry route markers and ranked
-    /// Hellos, so both ends of every link must make it the same way (a
-    /// remainder host that happens to home a single rank still routes).
-    fn runs_direct(&self) -> bool {
-        self.layout.ranks_per_host() == 1
-    }
-
     pub fn n_hosts(&self) -> usize {
         self.layout.n_hosts()
     }
@@ -139,25 +204,24 @@ impl<'a> LiveCluster<'a> {
 
     /// The host-level TCP options this run needs.
     pub fn tcp_opts(&self) -> TcpOpts {
-        let direct = self.runs_direct();
         let r = self.layout.ranks_per_host();
         TcpOpts {
-            // A multiplexed host link carries up to R×R rank pairs, each
-            // frame preceded by its route marker — scale the per-link
-            // backpressure budget accordingly.
-            queue_cap: if direct {
-                self.opts.queue_cap
-            } else {
-                self.opts.queue_cap * r * r * 2
-            },
+            // A host link carries up to R×R rank pairs (a route marker
+            // rides in its frame's job) — scale the per-link backpressure
+            // budget accordingly.
+            queue_cap: self.opts.queue_cap * r * r,
             establish_timeout: self.opts.stall_timeout,
             peer_timeout: self.opts.peer_timeout,
             clock: Arc::clone(&self.opts.clock),
             // The health plane wants per-link lifecycle latency; when it
             // is off the transport pays zero instrumentation cost.
             instrument: self.opts.health_interval.is_some(),
-            // Direct runs are flat: every endpoint announces itself.
-            ranks: (!direct).then(|| Arc::new(self.layout.hello_blocks())),
+            // One rank per host is a flat mesh: every host announces
+            // itself and no frame carries a route marker. The choice is
+            // cluster-wide, not per host — both ends of every link must
+            // make it the same way (a remainder host that happens to home
+            // a single rank still routes).
+            ranks: (r > 1).then(|| Arc::new(self.layout.hello_blocks())),
         }
     }
 
@@ -176,41 +240,27 @@ impl<'a> LiveCluster<'a> {
         }
     }
 
-    /// Run every rank the layout homes on the given hosts to completion,
-    /// each on its own thread, over `(host id, host transport)` pairs —
-    /// all of them for an in-process run, this process's one for
-    /// `dlion-worker`. Ranks drive the transport directly or through a
-    /// [`RankHost`] as [`LiveCluster::runs_direct`] says. Outcomes come
-    /// back in rank order.
-    pub fn run_hosts(
+    /// Run the rank of each endpoint to completion, each on its own
+    /// thread: every rank for an in-process run, this host's for
+    /// `dlion-worker`. Outcomes come back in endpoint order.
+    pub fn run_ranks<T: ExchangeTransport>(
         mut self,
-        hosts: Vec<(usize, Box<dyn ExchangeTransport>)>,
+        endpoints: Vec<T>,
     ) -> Vec<Result<WorkerOutcome, LiveError>> {
-        let mut rank_hosts = Vec::new();
-        let wires: Vec<(usize, Box<dyn ExchangeTransport>)> = if self.runs_direct() {
-            hosts
-        } else {
-            let mut wires = Vec::new();
-            for (h, transport) in hosts {
-                let (host, eps) = RankHost::new(h, transport, &self.layout);
-                wires.extend(eps.into_iter().map(|ep| (ep.rank(), Box::new(ep) as _)));
-                rank_hosts.push(host);
-            }
-            wires
-        };
         // This process's rank slots; every other worker stays behind.
         let mut slots: Vec<Option<Worker>> = std::mem::take(&mut self.init.workers)
             .into_iter()
             .map(Some)
             .collect();
         let cluster = &self;
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = wires
+        std::thread::scope(|s| {
+            let handles: Vec<_> = endpoints
                 .into_iter()
-                .map(|(rank, mut wire)| {
+                .map(|mut endpoint| {
+                    let rank = endpoint.me();
                     let worker = slots[rank].take().expect("rank hosted once");
                     let env = cluster.env(rank);
-                    s.spawn(move || run_worker(worker, &env, wire.as_mut()))
+                    s.spawn(move || run_worker(worker, &env, &mut endpoint))
                 })
                 .collect();
             let panicked = |_| Err(LiveError::Protocol("worker thread panicked".into()));
@@ -218,11 +268,7 @@ impl<'a> LiveCluster<'a> {
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(panicked))
                 .collect()
-        });
-        // Every endpoint retired inside the scope; this joins the pumps
-        // and flushes/closes the host links.
-        drop(rank_hosts);
-        results
+        })
     }
 }
 
@@ -240,11 +286,12 @@ pub fn run_live(
     run_live_virtual(cfg, n, 1, opts, kind, env_label)
 }
 
-/// Run `n` ranks placed on `ceil(n / ranks_per_host)` in-process host
-/// transports — e.g. a 64-rank cluster on 4 hosts' worth of endpoints.
-/// Every rank runs the full [`run_worker`] driver on its own thread;
-/// only the wire is shared (see [`crate::rankhost`]). Under strict BSP
-/// the result is bit-identical whatever the placement, and to the
+/// Run `n` ranks placed on `ceil(n / ranks_per_host)` in-process hosts —
+/// e.g. a 64-rank cluster on 4 hosts' worth of TCP links. Every rank runs
+/// the full [`run_worker`] driver on its own thread over its own endpoint;
+/// on TCP a host's ranks share its links (see [`crate::tcp`]), on Mem
+/// every rank has its own channels. Under strict BSP the result is
+/// bit-identical whatever the placement and transport, and to the
 /// simulator.
 pub fn run_live_virtual(
     cfg: &RunConfig,
@@ -255,24 +302,15 @@ pub fn run_live_virtual(
     env_label: &str,
 ) -> Result<RunMetrics, LiveError> {
     let cluster = LiveCluster::new(cfg, n, ranks_per_host, opts, env_label)?;
-    let hosts = cluster.n_hosts();
-    let transports: Vec<Box<dyn ExchangeTransport>> = match kind {
-        TransportKind::Mem => dlion_core::mem_mesh(hosts)
-            .into_iter()
-            .map(|t| Box::new(t) as _)
-            .collect(),
+    let outcomes = match kind {
+        TransportKind::Mem => cluster.run_ranks(dlion_core::mem_mesh(n)),
         TransportKind::Tcp => {
             let (tcp_opts, links) = (cluster.tcp_opts(), cluster.host_links());
-            loopback_mesh(hosts, cfg.seed, &tcp_opts, Some(&links))?
-                .into_iter()
-                .map(|t| Box::new(t) as _)
-                .collect()
+            let endpoints = loopback_mesh(cluster.n_hosts(), cfg.seed, &tcp_opts, Some(&links))?;
+            cluster.run_ranks(endpoints)
         }
     };
-    let outcomes = cluster
-        .run_hosts(transports.into_iter().enumerate().collect())
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(assemble_metrics(cfg, env_label, outcomes))
 }
 
@@ -416,6 +454,35 @@ mod tests {
     }
 
     #[test]
+    fn layout_even_splits_and_collapses_links() {
+        let l = RankLayout::even(8, 4);
+        assert_eq!(l.n_hosts(), 2);
+        assert_eq!(l.ranks_on(1), 4..8);
+        assert_eq!(l.host_of(5), 1);
+        let blocks = l.hello_blocks();
+        assert_eq!(blocks[1].base, 4);
+        assert_eq!(blocks[1].count, 4);
+        assert_eq!(blocks[1].total, 8);
+        // Remainder layout: 5 ranks over 2-per-host = 3 hosts.
+        let l = RankLayout::even(5, 2);
+        assert_eq!(l.n_hosts(), 3);
+        assert_eq!(l.ranks_on(2), 4..5);
+        assert_eq!(l.hello_blocks()[2].count, 1);
+
+        // A ring over 4 ranks on 2 hosts: ranks 1↔2 cross hosts, so the
+        // hosts hold one link; rank 0↔1 stays in-process.
+        let l = RankLayout::even(4, 2);
+        let mut masks = vec![vec![false; 4]; 4];
+        for r in 0..4 {
+            masks[r][(r + 1) % 4] = true;
+            masks[(r + 1) % 4][r] = true;
+        }
+        let host = l.host_links(&masks);
+        assert!(host[0][1] && host[1][0]);
+        assert!(!host[0][0] && !host[1][1]);
+    }
+
+    #[test]
     fn host_tcp_opts_scale_the_queue_and_announce_ranks_only_when_multiplexed() {
         let cfg = live_config(SystemKind::Baseline, 1);
         let opts = LiveOpts::default();
@@ -424,7 +491,7 @@ mod tests {
         assert!(t.ranks.is_none(), "flat runs announce the identity block");
         let cluster = LiveCluster::new(&cfg, 4, 2, &opts, "t").unwrap();
         let t = cluster.tcp_opts();
-        assert_eq!(t.queue_cap, 8 * opts.queue_cap, "R = 2: R x R pairs, x 2");
+        assert_eq!(t.queue_cap, 4 * opts.queue_cap, "R = 2: R x R pairs");
         assert_eq!(t.ranks.expect("ranked hello").len(), cluster.n_hosts());
         // A remainder host homing a single rank still routes: its peers
         // send route markers, and its rank id is not its host id.

@@ -1,42 +1,69 @@
 //! [`TcpTransport`]: the real-socket implementation of
-//! [`dlion_core::ExchangeTransport`].
+//! [`dlion_core::ExchangeTransport`], one endpoint per rank.
 //!
 //! ## Mesh establishment
 //!
-//! Worker `i` **dials** every peer `j < i` and **accepts** from every
-//! `j > i` (so each of the `n·(n-1)/2` links is created exactly once).
-//! The dialer's first frame is a [`Control::Hello`] carrying its id, the
-//! cluster size, the run seed and the rank block it speaks for; the
-//! acceptor validates all four, which catches two clusters sharing a port
-//! range or workers launched with mismatched configs. Addresses come in as
-//! a `&[SocketAddr]` peer list — the transport is host-agnostic; only
-//! [`loopback_addrs`] and [`loopback_mesh`] know about `127.0.0.1`.
+//! The mesh is one of *hosts*. Host `i` **dials** every peer `j < i` and
+//! **accepts** from every `j > i` (so each of the `n·(n-1)/2` links is
+//! created exactly once). The dialer's first frame is a
+//! [`Control::Hello`] carrying its id, the host count, the run seed and
+//! the rank block it speaks for; the acceptor validates all four, which
+//! catches two clusters sharing a port range or hosts launched with
+//! mismatched configs. Addresses come in as a `&[SocketAddr]` peer list —
+//! the transport is host-agnostic; only [`loopback_addrs`] and
+//! [`loopback_mesh`] know about `127.0.0.1`.
 //!
 //! There is **one accept path**, and it lives only through establishment:
 //! the acceptor thread starts *before* the first dial, blocks in
 //! `accept()`, and returns — closing the listener — once the last
-//! expected higher-numbered peer is wired (an endpoint that expects none
+//! expected higher-numbered peer is wired (a host that expects none
 //! spawns none). Establishment waits for those peers to join through it
 //! (their Hellos are consumed, not surfaced), so a peer that dials early
 //! is wired at once instead of sitting in the listen backlog, and a Hello
 //! is validated in exactly one function, `accept_hello`. A bad Hello fails
 //! establishment with [`LiveError::Protocol`]; a connection from a peer
-//! that is not expected is dropped. After establishment the endpoint
-//! accepts nothing: a departed worker comes back with a late Hello over
-//! its still-open link, which the driver's rejoin protocol handles.
+//! that is not expected is dropped. After establishment the host accepts
+//! nothing: a departed rank comes back with a late Hello over its
+//! still-open link, which the driver's rejoin protocol handles.
 //!
-//! ## Threads per connection
+//! ## Rank space
 //!
-//! Each established peer link gets:
+//! A host carries one rank (a *flat* mesh, [`TcpOpts::ranks`] `None`: host
+//! `h` is rank `h`) or the block of ranks its Hello announces (a *ranked*
+//! mesh, DESIGN.md §4j). [`TcpTransport::establish_linked`] returns one
+//! endpoint per rank the host carries, and every endpoint speaks rank
+//! space: `me()` is its rank, `n()` the cluster's rank count. The
+//! endpoints of one host share its links and its placement — the Hello
+//! blocks, checked, never learned from:
 //!
-//! * a **writer thread** draining a bounded `sync_channel` of frames into
-//!   the socket — the channel bound is the backpressure limit: a worker
-//!   producing gradients faster than a link drains them blocks in
-//!   `send_frame` once `queue_cap` frames are queued;
+//! * a send to a host-mate pushes the exact wire bytes a socket would
+//!   carry into that rank's inbox, so local and remote peers decode
+//!   byte-identical streams;
+//! * a send to another host is **one writer job**. On a ranked mesh the
+//!   writer puts a [`Control::Route`] marker right ahead of the frame, so
+//!   a marker takes no queue slot of its own, and because one writer feeds
+//!   one socket feeds one reader, nothing can come between the two;
+//! * a link's **reader** takes a marker only if its `src` lives on the
+//!   sending host and its `dst` here. Any other marker is dropped, and so
+//!   is the frame behind it (it is no marker either). The frame behind a
+//!   taken marker goes to `dst`'s inbox, tagged `src`; if that rank's
+//!   endpoint is gone it is dropped, and the reader goes on serving the
+//!   rank's host-mates.
+//!
+//! Markers are transport overhead: they appear in no byte ledger (the
+//! driver never sees them), as TCP/IP headers appear in no simulated cost.
+//!
+//! ## Threads per link
+//!
+//! Each established host link gets:
+//!
+//! * a **writer thread** draining a bounded `sync_channel` of jobs into
+//!   the socket — the channel bound is the backpressure limit: ranks
+//!   producing gradients faster than a link drains them block in
+//!   `send_frame` once `queue_cap` jobs are queued;
 //! * a **reader thread** that reassembles length-prefixed frames
 //!   (header-validated, so a corrupt length field can never cause an
-//!   unbounded allocation) and forwards them into the transport's single
-//!   shared inbox, tagged with the peer id.
+//!   unbounded allocation) and routes them into the rank inboxes.
 //!
 //! Per-peer FIFO — the trait's ordering contract — holds because one
 //! writer feeds one TCP stream feeds one reader.
@@ -44,19 +71,21 @@
 //! ## Per-peer liveness
 //!
 //! When a reader hits EOF or an I/O error it marks the link dead (later
-//! sends fail with `PeerGone`) and pushes a *gone* note into the inbox;
-//! the receive methods surface it once as
+//! sends to any rank of that host fail with `PeerGone`) and pushes one
+//! *gone* note per rank of the dead host, in rank order, into every inbox
+//! here; the receive methods surface each once as
 //! [`TransportError::PeerDisconnected`] — strictly after every frame the
-//! peer managed to send, because notes travel through the same FIFO
-//! inbox. [`TcpOpts::peer_timeout`] additionally arms a per-peer silence
-//! alarm surfaced as [`TransportError::PeerTimeout`].
+//! host managed to send, because notes travel through the same FIFO
+//! inbox. [`TcpOpts::peer_timeout`] additionally arms a per-host silence
+//! alarm: every endpoint surfaces each rank of a host silent past it as
+//! [`TransportError::PeerTimeout`], once per silence.
 //!
 //! ## Teardown
 //!
-//! Dropping the transport closes all send queues and joins the writers so
-//! queued frames (a worker's final Done, most importantly) are flushed
-//! even if the owner exits immediately after. Readers exit on EOF/error
-//! and are detached.
+//! Dropping a host's last endpoint closes all send queues and joins the
+//! writers so queued frames (a rank's final Done, most importantly) are
+//! flushed even if the owner exits immediately after. Readers exit on
+//! EOF/error and are detached.
 
 use crate::control::{Control, RankHello};
 use crate::LiveError;
@@ -70,7 +99,8 @@ use dlion_core::{ExchangeTransport, TransportError};
 use dlion_telemetry::Histogram;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
 };
@@ -81,11 +111,11 @@ use std::time::{Duration, Instant};
 /// Transport tuning knobs (everything beyond the address list).
 #[derive(Clone, Debug)]
 pub struct TcpOpts {
-    /// Per-peer send queue capacity, in frames (backpressure bound).
+    /// Per-link send queue capacity, in jobs (backpressure bound).
     pub queue_cap: usize,
     /// How long mesh establishment may wait for peers to appear.
     pub establish_timeout: Duration,
-    /// Surface [`TransportError::PeerTimeout`] when a connected peer has
+    /// Surface [`TransportError::PeerTimeout`] when a connected host has
     /// sent nothing for this long (`None` = never).
     pub peer_timeout: Option<Duration>,
     /// Time source for the peer-silence watchdog. Establishment and
@@ -96,13 +126,16 @@ pub struct TcpOpts {
     /// Record per-link frame-lifecycle latency (enqueue→writer-pickup,
     /// serialize+socket write, body read) and send-queue depth, surfaced
     /// through [`ExchangeTransport::link_health`]. Off by default: the
-    /// health plane (`--health-interval`) turns it on.
+    /// health plane (`--health-interval`) turns it on. A flat mesh's
+    /// links are its ranks' own; a ranked mesh's are shared by many rank
+    /// pairs, and its endpoints report none.
     pub instrument: bool,
-    /// Virtual-rank layout, indexed by host id (`None` = flat: every
-    /// endpoint is its own rank, [`RankHello::flat`]). Every Hello carries
-    /// its sender's block and must match the receiver's row for that
-    /// sender — a host that disagrees on the rank layout is rejected
-    /// exactly like one that disagrees on `n` or the seed.
+    /// Virtual-rank layout: each host's rank block, by host id, ascending
+    /// and consecutive (`None` = flat: every host is its own rank,
+    /// [`RankHello::flat`]). Every Hello carries its sender's block and
+    /// must match the receiver's row for that sender — a host that
+    /// disagrees on the rank layout is rejected exactly like one that
+    /// disagrees on `n` or the seed.
     pub ranks: Option<Arc<Vec<RankHello>>>,
 }
 
@@ -204,8 +237,9 @@ fn read_body(stream: &mut impl Read, frame: &mut Vec<u8>, len: usize) -> std::io
 /// dialer writes it right after `connect`).
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// What every endpoint of one mesh agrees on (plus which endpoint this
-/// is): announced in our Hello, checked against each received one.
+/// What every host of one mesh agrees on (plus which host this is):
+/// announced in our Hello, checked against each received one, and the
+/// rank placement every send and every route marker is checked against.
 struct Shape {
     me: usize,
     n: usize,
@@ -214,41 +248,61 @@ struct Shape {
 }
 
 impl Shape {
-    /// The Hello endpoint `id` of this mesh announces.
+    /// The ranks host `h` speaks for: its row of the layout, or on a flat
+    /// mesh the identity block.
+    fn block(&self, h: usize) -> RankHello {
+        match &self.ranks {
+            Some(layout) => layout[h],
+            None => RankHello::flat(h, self.n),
+        }
+    }
+
+    fn ranks_of(&self, h: usize) -> Range<usize> {
+        let b = self.block(h);
+        b.base as usize..b.base as usize + b.count as usize
+    }
+
+    /// The cluster's rank count.
+    fn total(&self) -> usize {
+        self.block(self.me).total as usize
+    }
+
+    /// The host `rank` lives on: the one whose block holds it (`n` for a
+    /// rank of no host).
+    fn host_of(&self, rank: usize) -> usize {
+        match &self.ranks {
+            Some(layout) => layout.partition_point(|b| b.base as usize + b.count as usize <= rank),
+            None => rank,
+        }
+    }
+
+    /// The Hello host `id` of this mesh announces.
     fn hello(&self, id: usize) -> Control {
-        let ranks = match &self.ranks {
-            Some(layout) => layout[id],
-            None => RankHello::flat(id, self.n),
-        };
         Control::Hello {
             id,
             n: self.n,
             seed: self.seed,
-            ranks,
+            ranks: self.block(id),
         }
     }
 }
 
 /// The one place a Hello is read and validated: the first frame on an
-/// accepted connection must be a Hello from another endpoint of *this*
+/// accepted connection must be a Hello from another host of *this*
 /// mesh — same size, seed and rank layout. Returns the peer's id.
 fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<usize, LiveError> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
     let (frame, _) = read_frame(stream)?
         .ok_or_else(|| LiveError::Protocol("peer closed before hello".into()))?;
-    let total = shape
-        .ranks
-        .as_ref()
-        .map_or(shape.n, |l| l[shape.me].total as usize);
-    let got = Control::from_frame(&frame, total)?;
+    let got = Control::from_frame(&frame, shape.total())?;
     let Control::Hello { id, n, .. } = got else {
         return Err(LiveError::Protocol(format!(
             "expected a hello, got {got:?}"
         )));
     };
-    // Whoever dials in must announce exactly what that endpoint of this
-    // mesh would: same size, seed and rank block.
+    // Whoever dials in must announce exactly what that host of this mesh
+    // would: same size, seed and rank block.
     let expected = (id != shape.me && n == shape.n).then(|| shape.hello(id));
     if expected != Some(got) {
         return Err(LiveError::Protocol(format!(
@@ -259,27 +313,39 @@ fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<usize, LiveErro
     Ok(id)
 }
 
-/// What reader threads push into the shared inbox. Liveness changes ride
-/// the same FIFO channel as frames, so a *gone* note can never overtake
-/// the frames the peer sent before dying.
+/// What lands in a rank's inbox. Liveness notes ride the same FIFO
+/// channel as frames, so a *gone* note can never overtake the frames the
+/// host sent before dying.
 enum Note {
+    /// A frame from a rank.
     Frame(usize, Vec<u8>),
-    /// The peer's link closed (reader saw EOF or an I/O error).
+    /// The rank's host link closed (its reader saw EOF or an I/O error).
     Gone(usize),
+    /// The rank's host has been silent past the peer timeout.
+    Silent(usize),
 }
 
-/// One unit of work for a peer's writer thread. Control frames and small
-/// payloads travel pre-encoded; large payloads travel as `Arc<Payload>`
-/// and are *streamed* by the writer — serialized chunk-by-chunk into its
-/// reusable scratch buffer, so chunk *k+1* is being encoded while chunk
-/// *k* is in the kernel's socket buffer, and the full body never exists
-/// as one materialized `Vec<u8>`. Both job kinds ride the same bounded
-/// queue, so per-peer FIFO (the trait contract) is preserved. Each job
-/// carries its enqueue instant; when instrumentation is on, the writer
-/// turns it into the link's queue-wait sample.
-enum Job {
-    Frame(Vec<u8>, Instant),
-    Stream(Arc<Payload>, WireCfg, Instant),
+/// One unit of work for a host link's writer thread: a body, and on a
+/// ranked mesh the `(src, dst)` ranks of the route marker the writer puts
+/// right ahead of it. Each job carries its enqueue instant; when
+/// instrumentation is on, the writer turns it into the link's queue-wait
+/// sample.
+struct Job {
+    route: Option<(usize, usize)>,
+    body: Body,
+    at: Instant,
+}
+
+/// Control frames and small payloads travel pre-encoded; large payloads
+/// travel as `Arc<Payload>` and are *streamed* by the writer — serialized
+/// chunk-by-chunk into its reusable scratch buffer, so chunk *k+1* is
+/// being encoded while chunk *k* is in the kernel's socket buffer, and the
+/// full body never exists as one materialized `Vec<u8>`. Both kinds ride
+/// the same bounded queue, so per-peer FIFO (the trait contract) is
+/// preserved.
+enum Body {
+    Frame(Vec<u8>),
+    Stream(Arc<Payload>, WireCfg),
 }
 
 /// Per-link lifecycle instrumentation (one slot per peer, allocated only
@@ -315,16 +381,41 @@ struct Peer {
     alive: bool,
 }
 
-/// State shared between the transport handle, its reader threads and,
-/// during establishment, the acceptor thread.
+/// The peer-silence watchdog's shared half ([`TcpOpts::peer_timeout`]).
+struct Silence {
+    timeout: f64,
+    clock: Arc<dyn Clock>,
+    /// Per host, the `clock` time its link last delivered a frame, as
+    /// `f64` bits.
+    heard: Vec<AtomicU64>,
+}
+
+impl Silence {
+    fn hear(&self, h: usize) {
+        self.heard[h].store(self.clock.now().to_bits(), Ordering::Relaxed);
+    }
+}
+
+/// State shared between one host's endpoints, its reader threads and,
+/// during establishment, its acceptor thread. Links are per host; inboxes
+/// are per rank.
 struct Mesh {
     shape: Shape,
-    /// Per-peer send queue capacity ([`TcpOpts::queue_cap`]).
+    /// Per-link send queue capacity ([`TcpOpts::queue_cap`]).
     queue_cap: usize,
     peers: Mutex<Vec<Option<Peer>>>,
     /// Frame-lifecycle instrumentation, one slot per peer
     /// ([`TcpOpts::instrument`]; `None` = zero overhead).
     lat: Option<Arc<Vec<LinkStats>>>,
+    /// The inbox of every rank this host carries, in rank order. Held
+    /// here, an inbox never reports `Disconnected`: every closed link is
+    /// surfaced per rank, and a host with no links at all (a one-host
+    /// run) just stays quiet.
+    inboxes: Vec<Sender<Note>>,
+    /// This host's endpoints not yet dropped; the last one closes the
+    /// links.
+    endpoints: AtomicUsize,
+    silence: Option<Silence>,
     /// Establishment's rendezvous with the acceptor.
     joining: Mutex<Joining>,
     joined: Condvar,
@@ -338,6 +429,11 @@ struct Joining {
 }
 
 impl Mesh {
+    /// The inbox of `rank`, which lives on this host.
+    fn inbox(&self, rank: usize) -> &Sender<Note> {
+        &self.inboxes[rank - self.shape.ranks_of(self.shape.me).start]
+    }
+
     /// Mark `j` dead: sends start failing, the writer drains and exits.
     fn kill_link(&self, j: usize) {
         let mut peers = self.peers.lock().unwrap();
@@ -350,36 +446,77 @@ impl Mesh {
         }
     }
 
-    /// Wire a connected stream as *the* link to peer `j` (writer + reader
-    /// threads). The reader pushes frames and, on EOF, a gone-note into
-    /// `inbox_tx`.
-    fn wire(
-        self: &Arc<Self>,
-        j: usize,
-        stream: TcpStream,
-        inbox_tx: &Sender<Note>,
-    ) -> std::io::Result<()> {
+    /// Hand a frame read from host `j` to the rank it is for: on a flat
+    /// link, this host's one rank; on a ranked link, the rank the marker
+    /// ahead of it named. `route` holds a taken marker until its frame.
+    fn deliver(&self, j: usize, route: &mut Option<(usize, usize)>, frame: Vec<u8>) {
+        let (src, dst) = if self.shape.ranks.is_none() {
+            (j, self.shape.me)
+        } else if let Some(marked) = route.take() {
+            marked
+        } else {
+            *route = self.marker(j, &frame);
+            return;
+        };
+        // A rank whose endpoint is gone misses the frame, nobody else.
+        let _ = self.inbox(dst).send(Note::Frame(src, frame));
+    }
+
+    /// `frame` as a route marker from host `j`, if it is one that routes
+    /// from a rank of `j` to one of ours — as every marker a writer
+    /// writes does. (What `decode` lets through names only ranks of this
+    /// cluster.)
+    fn marker(&self, j: usize, frame: &[u8]) -> Option<(usize, usize)> {
+        let (shape, ours) = (&self.shape, self.shape.ranks_of(self.shape.me));
+        match Control::from_frame(frame, shape.total()) {
+            Ok(Control::Route { src, dst })
+                if shape.ranks_of(j).contains(&src) && ours.contains(&dst) =>
+            {
+                Some((src, dst))
+            }
+            _ => None,
+        }
+    }
+
+    /// Host `j`'s link closed: tell every rank here that each rank of `j`
+    /// is gone, in rank order.
+    fn host_gone(&self, j: usize) {
+        for inbox in &self.inboxes {
+            for rank in self.shape.ranks_of(j) {
+                let _ = inbox.send(Note::Gone(rank));
+            }
+        }
+    }
+
+    /// Wire a connected stream as *the* link to host `j` (writer + reader
+    /// threads). The reader routes frames and, on EOF, gone-notes into
+    /// the inboxes.
+    fn wire(self: &Arc<Self>, j: usize, stream: TcpStream) -> std::io::Result<()> {
         let (tx, rx) = sync_channel::<Job>(self.queue_cap);
         let mut wstream = stream.try_clone()?;
         let wlat = self.lat.clone();
         let writer = thread::spawn(move || {
-            // Reusable per-peer scratch: one chunk large, reused across
+            // Reusable per-link scratch: one chunk large, reused across
             // every streamed payload on this link.
             let mut scratch: Vec<u8> = Vec::new();
-            while let Ok(job) = rx.recv() {
+            while let Ok(Job { route, body, at }) = rx.recv() {
                 let picked = Instant::now();
-                let (ok, enqueued) = match job {
-                    Job::Frame(frame, at) => (wstream.write_all(&frame).is_ok(), at),
-                    Job::Stream(payload, cfg, at) => (
-                        payload.write_wire(&mut wstream, &cfg, &mut scratch).is_ok(),
-                        at,
-                    ),
-                };
+                let marked = route.is_none_or(|(src, dst)| {
+                    let marker = Control::Route { src, dst }.to_frame();
+                    wstream.write_all(&marker).is_ok()
+                });
+                let ok = marked
+                    && match body {
+                        Body::Frame(frame) => wstream.write_all(&frame).is_ok(),
+                        Body::Stream(payload, cfg) => {
+                            payload.write_wire(&mut wstream, &cfg, &mut scratch).is_ok()
+                        }
+                    };
                 if let Some(stats) = wlat.as_deref().map(|l| &l[j]) {
                     stats.depth.fetch_sub(1, Ordering::Relaxed);
                     let mut lat = stats.lat.lock().unwrap();
                     lat.frames += 1;
-                    lat.queue_wait.record((picked - enqueued).as_secs_f64());
+                    lat.queue_wait.record((picked - at).as_secs_f64());
                     lat.write_time.record(picked.elapsed().as_secs_f64());
                 }
                 if !ok {
@@ -389,11 +526,11 @@ impl Mesh {
             let _ = wstream.shutdown(Shutdown::Write);
         });
         let mut rstream = stream;
-        let itx = inbox_tx.clone();
         let mesh = Arc::clone(self);
-        // Readers are detached: they exit on EOF/error (announcing the
-        // loss) or when the inbox receiver is dropped.
+        // Readers are detached: they exit on EOF/error, announcing the
+        // loss.
         thread::spawn(move || {
+            let mut route = None;
             while let Ok(Some((frame, took))) = read_frame(&mut rstream) {
                 if let Some(stats) = mesh.lat.as_deref().map(|l| &l[j]) {
                     stats
@@ -403,12 +540,13 @@ impl Mesh {
                         .read_time
                         .record(took.as_secs_f64());
                 }
-                if itx.send(Note::Frame(j, frame)).is_err() {
-                    return;
+                if let Some(silence) = &mesh.silence {
+                    silence.hear(j);
                 }
+                mesh.deliver(j, &mut route, frame);
             }
             mesh.kill_link(j);
-            let _ = itx.send(Note::Gone(j));
+            mesh.host_gone(j);
         });
         self.peers.lock().unwrap()[j] = Some(Peer {
             tx,
@@ -425,15 +563,12 @@ impl Mesh {
         addrs: &[SocketAddr],
         links: &[bool],
         deadline: Instant,
-        inbox_tx: &Sender<Note>,
     ) -> Result<(), LiveError> {
         let me = self.shape.me;
         for (j, addr) in addrs.iter().enumerate().take(me) {
             if links[j] {
-                self.dial(j, *addr, deadline, inbox_tx).map_err(|e| {
-                    LiveError::Protocol(format!(
-                        "worker {me} cannot reach worker {j} at {addr}: {e}"
-                    ))
+                self.dial(j, *addr, deadline).map_err(|e| {
+                    LiveError::Protocol(format!("host {me} cannot reach host {j} at {addr}: {e}"))
                 })?;
             }
         }
@@ -444,7 +579,7 @@ impl Mesh {
                 let missing: Vec<usize> =
                     (0..addrs.len()).filter(|&j| joining.awaited[j]).collect();
                 return Err(LiveError::Stalled(format!(
-                    "worker {me} still waiting for dials from {missing:?}"
+                    "host {me} still waiting for dials from {missing:?}"
                 )));
             }
             joining = self.joined.wait_timeout(joining, left).unwrap().0;
@@ -459,7 +594,6 @@ impl Mesh {
         j: usize,
         addr: SocketAddr,
         deadline: Instant,
-        inbox_tx: &Sender<Note>,
     ) -> std::io::Result<()> {
         let stream = loop {
             match TcpStream::connect(addr) {
@@ -470,34 +604,30 @@ impl Mesh {
         };
         stream.set_nodelay(true)?;
         (&stream).write_all(&self.shape.hello(self.shape.me).to_frame())?;
-        self.wire(j, stream, inbox_tx)
+        self.wire(j, stream)
     }
 }
 
-/// One worker's endpoint of a fully-connected TCP mesh.
+/// One rank's endpoint of a TCP mesh; the endpoints of one host share its
+/// links.
 pub struct TcpTransport {
+    rank: usize,
     mesh: Arc<Mesh>,
     inbox: Receiver<Note>,
-    /// Never sends. Holding it keeps the inbox from ever reporting
-    /// `Disconnected`: every closed link is surfaced per peer, and an
-    /// endpoint with no links at all (a one-host run) just stays quiet.
-    _inbox_tx: Sender<Note>,
-    peer_timeout: Option<Duration>,
-    clock: Arc<dyn Clock>,
-    // Receiver-local liveness bookkeeping (only the owner thread touches
-    // these, through the receive methods). Times are `clock.now()`.
-    last_heard: Vec<f64>,
-    gone_reported: Vec<bool>,
-    timeout_reported: Vec<bool>,
+    /// Per host, the `heard` stamp of the silence this endpoint last
+    /// reported: a frame from the host moves the stamp and re-arms the
+    /// alarm.
+    reported: Vec<Option<u64>>,
 }
 
 impl TcpTransport {
-    /// Establish this worker's side of the mesh. `addrs[j]` must be the
-    /// address worker `j` listens on; `listener` must be bound to
+    /// Establish host `me`'s side of the mesh and return an endpoint for
+    /// every rank it carries, in rank order. `addrs[j]` must be the
+    /// address host `j` listens on; `listener` must be bound to
     /// `addrs[me]`. Only the peers `links` names are dialed/accepted (the
-    /// mask must be the same, symmetric one on every worker — both
-    /// endpoints of a link have to agree it exists); unconnected slots
-    /// behave like a departed peer: sends fail with `PeerGone`, nothing is
+    /// mask must be the same, symmetric one on every host — both ends of
+    /// a link have to agree it exists); the ranks of an unconnected host
+    /// behave like departed ones: sends fail with `PeerGone`, nothing is
     /// ever received. Blocks until every link is up (dials retry until
     /// `opts.establish_timeout` — peers may not have bound yet); when it
     /// returns, the listener is closed.
@@ -508,48 +638,53 @@ impl TcpTransport {
         seed: u64,
         opts: &TcpOpts,
         links: &[bool],
-    ) -> Result<TcpTransport, LiveError> {
+    ) -> Result<Vec<TcpTransport>, LiveError> {
         let n = addrs.len();
         assert_eq!(links.len(), n, "link mask length mismatch");
-        assert!(me < n, "worker id out of range");
+        assert!(me < n, "host id out of range");
         assert!(opts.queue_cap > 0, "queue capacity must be positive");
         let deadline = Instant::now() + opts.establish_timeout;
         // The higher-numbered linked peers dial us.
         let awaited: Vec<bool> = (0..n).map(|j| j > me && links[j]).collect();
         let expecting = awaited.contains(&true);
-        let (inbox_tx, inbox) = channel::<Note>();
+        let shape = Shape {
+            me,
+            n,
+            seed,
+            ranks: opts.ranks.clone(),
+        };
+        let (inboxes, receivers): (Vec<_>, Vec<_>) =
+            shape.ranks_of(me).map(|_| channel::<Note>()).unzip();
         let mesh = Arc::new(Mesh {
-            shape: Shape {
-                me,
-                n,
-                seed,
-                ranks: opts.ranks.clone(),
-            },
             queue_cap: opts.queue_cap,
             peers: Mutex::new((0..n).map(|_| None).collect()),
-            lat: opts
-                .instrument
+            lat: (opts.instrument && shape.ranks.is_none())
                 .then(|| Arc::new((0..n).map(|_| LinkStats::default()).collect())),
+            inboxes,
+            endpoints: AtomicUsize::new(receivers.len()),
+            silence: opts.peer_timeout.map(|t| Silence {
+                timeout: t.as_secs_f64(),
+                clock: Arc::clone(&opts.clock),
+                heard: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            }),
             joining: Mutex::new(Joining {
                 awaited,
                 error: None,
             }),
             joined: Condvar::new(),
+            shape,
         });
         // The acceptor is up before our own first dial, so an early dialer
         // is wired at once; it owns the listener and closes it on return.
         let acceptor = if expecting {
             listener.set_nonblocking(false)?;
             let addr = listener.local_addr()?;
-            let (mesh, itx) = (Arc::clone(&mesh), inbox_tx.clone());
-            Some((
-                thread::spawn(move || acceptor_loop(listener, mesh, itx)),
-                addr,
-            ))
+            let mesh = Arc::clone(&mesh);
+            Some((thread::spawn(move || acceptor_loop(listener, mesh)), addr))
         } else {
             None
         };
-        let linked = mesh.link_up(addrs, links, deadline, &inbox_tx);
+        let linked = mesh.link_up(addrs, links, deadline);
         // Once everyone awaited is wired, or a Hello failed establishment,
         // the acceptor has returned (or is returning). After any other
         // failure it still waits in `accept()`: a connection that closes
@@ -561,78 +696,103 @@ impl TcpTransport {
             let _ = handle.join();
         }
         linked?;
-        let now = opts.clock.now();
-        Ok(TcpTransport {
-            mesh,
-            inbox,
-            _inbox_tx: inbox_tx,
-            peer_timeout: opts.peer_timeout,
-            clock: Arc::clone(&opts.clock),
-            last_heard: vec![now; n],
-            gone_reported: vec![false; n],
-            timeout_reported: vec![false; n],
-        })
+        // Silence is counted from the moment the mesh is up.
+        if let Some(silence) = &mesh.silence {
+            (0..n).for_each(|h| silence.hear(h));
+        }
+        let ranks = mesh.shape.ranks_of(me);
+        Ok(ranks
+            .zip(receivers)
+            .map(|(rank, inbox)| TcpTransport {
+                rank,
+                mesh: Arc::clone(&mesh),
+                inbox,
+                reported: vec![None; n],
+            })
+            .collect())
     }
 
-    /// Fold an inbox note into the receiver-local liveness state. Each
-    /// link has one reader, so each peer's gone-note arrives at most once.
-    fn on_note(&mut self, note: Note) -> Result<(usize, Vec<u8>), TransportError> {
+    fn on_note(note: Note) -> Result<(usize, Vec<u8>), TransportError> {
         match note {
-            Note::Frame(j, f) => {
-                self.last_heard[j] = self.clock.now();
-                self.timeout_reported[j] = false;
-                Ok((j, f))
-            }
-            Note::Gone(j) => {
-                self.gone_reported[j] = true;
-                Err(TransportError::PeerDisconnected { peer: j })
-            }
+            Note::Frame(from, f) => Ok((from, f)),
+            Note::Gone(peer) => Err(TransportError::PeerDisconnected { peer }),
+            Note::Silent(peer) => Err(TransportError::PeerTimeout { peer }),
         }
     }
 
-    /// Queue a job on `to`'s writer. Clones the sender out of the lock:
-    /// a blocking backpressure send must not hold the mesh mutex against
-    /// the readers.
-    fn enqueue(&mut self, to: usize, job: Job) -> Result<(), TransportError> {
+    /// Deliver `body` to rank `to`: straight into its inbox if it lives on
+    /// this host, as the exact wire bytes a socket would carry; otherwise
+    /// as one job on its host's link, behind its route marker on a ranked
+    /// mesh.
+    fn send(&self, to: usize, body: Body) -> Result<(), TransportError> {
+        if to == self.rank {
+            return Err(TransportError::PeerGone(to));
+        }
+        let shape = &self.mesh.shape;
+        let host = shape.host_of(to);
+        if host == shape.me {
+            let bytes = match body {
+                Body::Frame(frame) => frame,
+                Body::Stream(payload, cfg) => payload.to_wire(&cfg),
+            };
+            return self
+                .mesh
+                .inbox(to)
+                .send(Note::Frame(self.rank, bytes))
+                .map_err(|_| TransportError::PeerGone(to));
+        }
+        let route = shape.ranks.is_some().then_some((self.rank, to));
+        let job = Job {
+            route,
+            body,
+            at: Instant::now(),
+        };
+        self.enqueue(host, to, job)
+    }
+
+    /// Queue a job for rank `to` on host `h`'s writer. Clones the sender
+    /// out of the lock: a blocking backpressure send must not hold the
+    /// mesh mutex against the readers.
+    fn enqueue(&self, h: usize, to: usize, job: Job) -> Result<(), TransportError> {
         let tx = {
             let peers = self.mesh.peers.lock().unwrap();
-            match peers.get(to).and_then(|p| p.as_ref()) {
+            match peers.get(h).and_then(|p| p.as_ref()) {
                 Some(p) if p.alive => p.tx.clone(),
                 _ => return Err(TransportError::PeerGone(to)),
             }
         };
-        // Count the frame in before the (possibly blocking) send, so the
-        // depth includes the frame we may be backpressured on; the writer
+        // Count the job in before the (possibly blocking) send, so the
+        // depth includes the job we may be backpressured on; the writer
         // decrements at pickup, and a failed send rolls back here.
-        if let Some(stats) = self.mesh.lat.as_deref().map(|l| &l[to]) {
+        if let Some(stats) = self.mesh.lat.as_deref().map(|l| &l[h]) {
             let depth = stats.depth.fetch_add(1, Ordering::Relaxed) + 1;
             stats.depth_hw.fetch_max(depth, Ordering::Relaxed);
         }
         tx.send(job).map_err(|_| {
-            if let Some(stats) = self.mesh.lat.as_deref().map(|l| &l[to]) {
+            if let Some(stats) = self.mesh.lat.as_deref().map(|l| &l[h]) {
                 stats.depth.fetch_sub(1, Ordering::Relaxed);
             }
             TransportError::PeerGone(to)
         })
     }
 
-    /// A connected-but-silent peer past the timeout, if any (each
-    /// silence is reported once; a frame re-arms it).
-    fn silent_peer(&mut self) -> Option<usize> {
-        let timeout = self.peer_timeout?.as_secs_f64();
-        let now = self.clock.now();
+    /// A connected host silent past the timeout whose silence this
+    /// endpoint has not reported yet, if any.
+    fn silent_host(&mut self) -> Option<usize> {
+        let silence = self.mesh.silence.as_ref()?;
+        let now = silence.clock.now();
         let peers = self.mesh.peers.lock().unwrap();
-        for j in 0..self.mesh.shape.n {
-            if j == self.mesh.shape.me || self.gone_reported[j] || self.timeout_reported[j] {
-                continue;
+        (0..self.mesh.shape.n).find(|&h| {
+            let heard = silence.heard[h].load(Ordering::Relaxed);
+            let connected = peers[h].as_ref().is_some_and(|p| p.alive);
+            let silent = connected
+                && now - f64::from_bits(heard) > silence.timeout
+                && self.reported[h] != Some(heard);
+            if silent {
+                self.reported[h] = Some(heard);
             }
-            let connected = peers[j].as_ref().is_some_and(|p| p.alive);
-            if connected && now - self.last_heard[j] > timeout {
-                self.timeout_reported[j] = true;
-                return Some(j);
-            }
-        }
-        None
+            silent
+        })
     }
 }
 
@@ -640,7 +800,7 @@ impl TcpTransport {
 /// (higher-numbered) peer is wired; returning closes the listener. A
 /// connection from anyone else — a peer not awaited, or one already
 /// wired — is dropped. A bad Hello fails establishment and ends the loop.
-fn acceptor_loop(listener: TcpListener, mesh: Arc<Mesh>, inbox_tx: Sender<Note>) {
+fn acceptor_loop(listener: TcpListener, mesh: Arc<Mesh>) {
     loop {
         let Ok((mut stream, _)) = listener.accept() else {
             thread::sleep(Duration::from_millis(1));
@@ -654,7 +814,7 @@ fn acceptor_loop(listener: TcpListener, mesh: Arc<Mesh>, inbox_tx: Sender<Note>)
                 return;
             }
         };
-        if !mesh.joining.lock().unwrap().awaited[id] || mesh.wire(id, stream, &inbox_tx).is_err() {
+        if !mesh.joining.lock().unwrap().awaited[id] || mesh.wire(id, stream).is_err() {
             continue;
         }
         let mut joining = mesh.joining.lock().unwrap();
@@ -667,10 +827,13 @@ fn acceptor_loop(listener: TcpListener, mesh: Arc<Mesh>, inbox_tx: Sender<Note>)
 }
 
 impl Drop for TcpTransport {
-    /// Take the senders down so writers see a closed queue, then join
-    /// them: every already-queued frame (a final Done in particular) hits
-    /// the socket before the worker is gone.
+    /// The host's last endpoint takes the senders down so writers see a
+    /// closed queue, then joins them: every already-queued frame (a final
+    /// Done in particular) hits the socket before the host is gone.
     fn drop(&mut self) {
+        if self.mesh.endpoints.fetch_sub(1, Ordering::AcqRel) > 1 {
+            return;
+        }
         let mut peers = self.mesh.peers.lock().unwrap();
         for Peer { tx, writer, .. } in peers.iter_mut().filter_map(Option::take) {
             drop(tx);
@@ -681,22 +844,23 @@ impl Drop for TcpTransport {
 
 impl ExchangeTransport for TcpTransport {
     fn me(&self) -> usize {
-        self.mesh.shape.me
+        self.rank
     }
 
     fn n(&self) -> usize {
-        self.mesh.shape.n
+        self.mesh.shape.total()
     }
 
     fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.enqueue(to, Job::Frame(frame, Instant::now()))
+        self.send(to, Body::Frame(frame))
     }
 
     /// Streamed send: the payload crosses to the writer thread as an
     /// `Arc`, which serializes it straight onto the socket under `cfg` —
     /// the 20-byte header is on the wire after O(1) work and the body
     /// never materializes. Small bodies (one chunk or less) go out as a
-    /// plain frame from the same code path.
+    /// plain frame from the same code path. Returns the wire length
+    /// whether the peer is a host-mate or not — byte ledgers cannot tell.
     fn send_wire(
         &mut self,
         to: usize,
@@ -704,13 +868,13 @@ impl ExchangeTransport for TcpTransport {
         cfg: &WireCfg,
     ) -> Result<usize, TransportError> {
         let len = payload.wire_len(cfg);
-        self.enqueue(to, Job::Stream(payload, *cfg, Instant::now()))?;
+        self.send(to, Body::Stream(payload, *cfg))?;
         Ok(len)
     }
 
     /// Snapshot the per-link instrumentation (empty unless
-    /// [`TcpOpts::instrument`] was set). Depths are instantaneous;
-    /// histograms are cumulative since establishment.
+    /// [`TcpOpts::instrument`] was set on a flat mesh). Depths are
+    /// instantaneous; histograms are cumulative since establishment.
     fn link_health(&mut self) -> Vec<LinkHealth> {
         let Some(lat) = self.mesh.lat.as_deref() else {
             return Vec::new();
@@ -735,28 +899,36 @@ impl ExchangeTransport for TcpTransport {
 
     fn try_recv_frame(&mut self) -> Result<Option<(usize, Vec<u8>)>, TransportError> {
         match self.inbox.try_recv() {
-            Ok(note) => self.on_note(note).map(Some),
+            Ok(note) => Self::on_note(note).map(Some),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
 
+    /// Waits for the next note; when none comes in time, a silent host's
+    /// ranks are queued as timeout notes, in rank order, and the first
+    /// note is returned.
     fn recv_frame_timeout(
         &mut self,
         timeout: Duration,
     ) -> Result<Option<(usize, Vec<u8>)>, TransportError> {
         match self.inbox.recv_timeout(timeout) {
-            Ok(note) => self.on_note(note).map(Some),
-            Err(RecvTimeoutError::Timeout) => match self.silent_peer() {
-                Some(peer) => Err(TransportError::PeerTimeout { peer }),
-                None => Ok(None),
-            },
+            Ok(note) => Self::on_note(note).map(Some),
+            Err(RecvTimeoutError::Timeout) => {
+                let Some(host) = self.silent_host() else {
+                    return Ok(None);
+                };
+                for rank in self.mesh.shape.ranks_of(host) {
+                    let _ = self.mesh.inbox(self.rank).send(Note::Silent(rank));
+                }
+                self.try_recv_frame()
+            }
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
 }
 
-/// The loopback sugar: `--port-base P` for `n` workers means worker `j`
+/// The loopback sugar: `--port-base P` for `n` hosts means host `j`
 /// listens on `127.0.0.1:P+j`. The only place (besides the ephemeral
 /// [`loopback_mesh`] test helper) that hardcodes a loopback address —
 /// everything else takes an explicit peer list.
@@ -772,13 +944,13 @@ pub fn loopback_addrs(n: usize, port_base: u16) -> Vec<SocketAddr> {
 // builders.
 pub use dlion_core::args::parse_peers;
 
-/// Build an `n`-worker loopback mesh on ephemeral ports: bind `n`
-/// listeners, then establish every endpoint concurrently (establishment
-/// blocks on peers, so it cannot be done sequentially). Element `i` of
-/// the result is worker `i`'s transport. `links[i][j]` says whether
-/// workers `i` and `j` hold a connection (must be symmetric; `None` =
-/// full mesh). Only masked links are dialed — a ring cluster opens `n`
-/// sockets, not `n(n-1)/2`.
+/// Build an `n`-host loopback mesh on ephemeral ports: bind `n`
+/// listeners, then establish every host concurrently (establishment
+/// blocks on peers, so it cannot be done sequentially). The result is
+/// every rank's endpoint, in rank order — on a flat mesh, element `i` is
+/// host `i`'s. `links[i][j]` says whether hosts `i` and `j` hold a
+/// connection (must be symmetric; `None` = full mesh). Only masked links
+/// are dialed — a ring cluster opens `n` sockets, not `n(n-1)/2`.
 pub fn loopback_mesh(
     n: usize,
     seed: u64,
@@ -787,7 +959,7 @@ pub fn loopback_mesh(
 ) -> Result<Vec<TcpTransport>, LiveError> {
     assert!(n > 0);
     if let Some(masks) = links {
-        assert_eq!(masks.len(), n, "one link mask per worker");
+        assert_eq!(masks.len(), n, "one link mask per host");
     }
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0"))
@@ -796,7 +968,7 @@ pub fn loopback_mesh(
         .iter()
         .map(|l| l.local_addr())
         .collect::<std::io::Result<_>>()?;
-    thread::scope(|s| {
+    let hosts: Vec<Vec<TcpTransport>> = thread::scope(|s| {
         let handles: Vec<_> = listeners
             .into_iter()
             .enumerate()
@@ -813,14 +985,17 @@ pub fn loopback_mesh(
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(panicked))
-            .collect()
-    })
+            .collect::<Result<_, _>>()
+    })?;
+    Ok(hosts.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RankLayout;
     use dlion_core::messages::Payload;
+    use dlion_core::ManualClock;
 
     #[test]
     fn loopback_addrs_expand_port_base() {
@@ -1074,7 +1249,7 @@ mod tests {
     /// Establish a 2-endpoint mesh whose ends were launched with
     /// `(seed, opts)` each; returns what the acceptor (endpoint 0) made of
     /// the dialer's Hello.
-    fn establish_pair(ends: [(u64, TcpOpts); 2]) -> Result<TcpTransport, LiveError> {
+    fn establish_pair(ends: [(u64, TcpOpts); 2]) -> Result<Vec<TcpTransport>, LiveError> {
         let listeners: Vec<TcpListener> = (0..2)
             .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
@@ -1168,5 +1343,158 @@ mod tests {
             let got = establish_pair([(1, acceptor), (1, dialer)]);
             assert!(matches!(got, Err(LiveError::Protocol(_))));
         }
+    }
+
+    fn ranked_opts(layout: &RankLayout) -> TcpOpts {
+        TcpOpts {
+            establish_timeout: Duration::from_secs(10),
+            ranks: Some(Arc::new(layout.hello_blocks())),
+            ..Default::default()
+        }
+    }
+
+    fn recv(t: &mut TcpTransport) -> (usize, Vec<u8>) {
+        t.recv_frame_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("a frame before the timeout")
+    }
+
+    /// Two hosts × two ranks over TCP host links: local and routed frames
+    /// both arrive rank-addressed, and a host-mate receives the very bytes
+    /// a routed peer does, at the same reported length.
+    #[test]
+    fn frames_route_between_and_within_hosts() {
+        let layout = RankLayout::even(4, 2);
+        let mut eps = loopback_mesh(2, 7, &ranked_opts(&layout), None).unwrap();
+        let shape: Vec<(usize, usize)> = eps.iter().map(|t| (t.me(), t.n())).collect();
+        assert_eq!(shape, [(0, 4), (1, 4), (2, 4), (3, 4)]);
+
+        let p = Payload::LossShare { avg_loss: 2.5 };
+        let cfg = WireCfg::default();
+        // Local: rank 0 → rank 1 (both on host 0).
+        eps[0].send_wire(1, Arc::new(p.clone()), &cfg).unwrap();
+        let (from, frame) = recv(&mut eps[1]);
+        assert_eq!(from, 0);
+        assert_eq!(Payload::from_wire(&frame, &mut Vec::new()).unwrap(), p);
+        // Routed: rank 3 (host 1) → rank 0 (host 0).
+        eps[3].send_wire(0, Arc::new(p.clone()), &cfg).unwrap();
+        let (from, frame) = recv(&mut eps[0]);
+        assert_eq!(from, 3);
+        assert_eq!(Payload::from_wire(&frame, &mut Vec::new()).unwrap(), p);
+
+        // A streamed, chunked payload: same length, same bytes, either way.
+        let cfg = WireCfg {
+            chunk_bytes: 4096,
+            ..WireCfg::default()
+        };
+        let big = Arc::new(dense_grad(50_000));
+        assert!(big.wire_is_chunked(&cfg));
+        let local_len = eps[0].send_wire(1, Arc::clone(&big), &cfg).unwrap();
+        let routed_len = eps[2].send_wire(1, Arc::clone(&big), &cfg).unwrap();
+        assert_eq!(local_len, routed_len);
+        let mut got = [recv(&mut eps[1]), recv(&mut eps[1])];
+        got.sort_by_key(|(from, _)| *from);
+        assert_eq!([got[0].0, got[1].0], [0, 2]);
+        assert_eq!(got[0].1, big.to_wire(&cfg), "local bytes");
+        assert_eq!(got[1].1, got[0].1, "local and routed wire bytes differ");
+        assert_eq!(got[1].1.len(), routed_len);
+    }
+
+    /// A route marker is checked against the placement, not learned from.
+    /// Host 1 — played here over a raw socket, after a valid ranked Hello
+    /// — forges a rank of host 2: that marker and the frame behind it are
+    /// dropped. A frame for a rank whose endpoint is gone is dropped
+    /// without starving its host-mate, and rank 4 still lives on host 2.
+    #[test]
+    fn a_forged_route_marker_is_dropped_and_redirects_nothing() {
+        const SEED: u64 = 7;
+        let layout = RankLayout::even(6, 2);
+        let opts = ranked_opts(&layout);
+        let bind = || TcpListener::bind("127.0.0.1:0").unwrap();
+        let (l0, l2) = (bind(), bind());
+        let addrs = [
+            l0.local_addr().unwrap(),
+            loopback_addrs(1, 9)[0],
+            l2.local_addr().unwrap(),
+        ];
+        // Host 0 holds links to hosts 1 and 2; host 1 only to host 0.
+        let links = [
+            [false, true, true],
+            [true, false, false],
+            [true, false, false],
+        ];
+        let (opts, addrs, links) = (&opts, &addrs, &links);
+        let (mut eps0, mut eps2, mut host1) = thread::scope(|s| {
+            let h0 = s
+                .spawn(move || TcpTransport::establish_linked(0, l0, addrs, SEED, opts, &links[0]));
+            let h2 = s
+                .spawn(move || TcpTransport::establish_linked(2, l2, addrs, SEED, opts, &links[2]));
+            let mut host1 = TcpStream::connect(addrs[0]).unwrap();
+            let hello = Control::Hello {
+                id: 1,
+                n: 3,
+                seed: SEED,
+                ranks: layout.hello_blocks()[1],
+            };
+            host1.write_all(&hello.to_frame()).unwrap();
+            let host0 = h0.join().unwrap().expect("host 0");
+            (host0, h2.join().unwrap().expect("host 2"), host1)
+        });
+        let frame = |tag: f64| Payload::LossShare { avg_loss: tag }.to_wire(&WireCfg::default());
+        let marker = |src, dst| Control::Route { src, dst }.to_frame();
+        drop(eps0.pop()); // rank 1's endpoint is gone
+        for f in [
+            marker(4, 0), // rank 4 lives on host 2
+            frame(1.0),
+            marker(3, 1),
+            frame(1.5),
+            marker(2, 0),
+            frame(2.0),
+        ] {
+            host1.write_all(&f).unwrap();
+        }
+        assert_eq!(
+            recv(&mut eps0[0]),
+            (2, frame(2.0)),
+            "a forged frame was delivered"
+        );
+        assert!(matches!(eps0[0].try_recv_frame(), Ok(None)));
+        // Rank 0's reply to rank 4 reaches it on host 2.
+        eps0[0].send_frame(4, frame(3.0)).unwrap();
+        assert_eq!(recv(&mut eps2[0]), (0, frame(3.0)));
+    }
+
+    /// Every timeout the endpoint reports before it would block.
+    fn timeouts(t: &mut TcpTransport) -> Vec<usize> {
+        let mut peers = Vec::new();
+        while let Err(TransportError::PeerTimeout { peer }) =
+            t.recv_frame_timeout(Duration::from_millis(10))
+        {
+            peers.push(peer);
+        }
+        peers
+    }
+
+    /// Under a peer timeout, every endpoint reports each rank of a silent
+    /// host, in rank order, once per silence; a frame from the host re-arms
+    /// the alarm for all of its ranks.
+    #[test]
+    fn a_silent_host_times_out_each_of_its_ranks_once_per_silence() {
+        let clock = Arc::new(ManualClock::new());
+        let opts = TcpOpts {
+            peer_timeout: Some(Duration::from_millis(100)),
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
+            ..ranked_opts(&RankLayout::even(4, 2))
+        };
+        let mut eps = loopback_mesh(2, 7, &opts, None).unwrap();
+        clock.advance(0.15);
+        assert_eq!(timeouts(&mut eps[0]), [2, 3]);
+        assert_eq!(timeouts(&mut eps[1]), [2, 3]);
+        assert_eq!(timeouts(&mut eps[3]), [0, 1]);
+        assert!(timeouts(&mut eps[0]).is_empty(), "reported twice");
+        eps[2].send_frame(1, Control::Done.to_frame()).unwrap();
+        assert_eq!(recv(&mut eps[1]).0, 2);
+        clock.advance(0.15);
+        assert_eq!(timeouts(&mut eps[0]), [2, 3]);
     }
 }

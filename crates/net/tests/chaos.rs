@@ -270,12 +270,7 @@ fn a_rank_lost_during_startup_profiling_gets_no_share() {
     let links = cluster.host_links();
     let mut mesh = loopback_mesh(3, cfg.seed, &cluster.tcp_opts(), Some(&links)).expect("mesh");
     drop(mesh.pop()); // rank 2 is gone before it profiled anything
-    let hosts = mesh
-        .into_iter()
-        .map(|t| Box::new(t) as Box<dyn ExchangeTransport>)
-        .enumerate()
-        .collect();
-    for outcome in cluster.run_hosts(hosts) {
+    for outcome in cluster.run_ranks(mesh) {
         let o = outcome.expect("survivor run");
         assert_eq!(o.iterations, ITERS);
         let (t, parts) = &o.lbs_trace[0];
@@ -307,9 +302,9 @@ fn an_unusable_rcp_from_a_peer_is_a_protocol_error_not_a_panic() {
         let cluster = LiveCluster::new(&cfg, 2, 1, &opts, "live/bad-rcp").expect("cluster");
         let mut mesh = mem_mesh(2);
         let mut rank1 = mesh.pop().expect("endpoint 1");
-        let rank0 = Box::new(mesh.pop().expect("endpoint 0")) as Box<dyn ExchangeTransport>;
+        let rank0 = mesh.pop().expect("endpoint 0");
         let outcome = std::thread::scope(|s| {
-            let run = s.spawn(|| cluster.run_hosts(vec![(0, rank0)]).remove(0));
+            let run = s.spawn(|| cluster.run_ranks(vec![rank0]).remove(0));
             // Play rank 1: wait for rank 0 to open round 0, then answer it.
             let (from, frame) = rank1
                 .recv_frame_timeout(Duration::from_secs(120))
@@ -322,7 +317,7 @@ fn an_unusable_rcp_from_a_peer_is_a_protocol_error_not_a_panic() {
             );
             let answer = Control::Rcp { round: 0, rcp };
             rank1.send_frame(from, answer.to_frame()).expect("send");
-            run.join().expect("run_hosts")
+            run.join().expect("run_ranks")
         });
         match outcome {
             Err(LiveError::Protocol(why)) => {
@@ -406,7 +401,7 @@ fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
         cut: Arc::clone(&cut),
     };
     let outcome = std::thread::scope(|s| {
-        let run = s.spawn(|| cluster.run_hosts(vec![(0, Box::new(rank0) as _)]).remove(0));
+        let run = s.spawn(|| cluster.run_ranks(vec![rank0]).remove(0));
         // Play rank 1: answer round 0; when round 1 opens (rank 0 is now
         // in its collect), queue the last frames and exit.
         loop {
@@ -435,7 +430,7 @@ fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
                 _ => {} // rank 0's gradients
             }
         }
-        run.join().expect("run_hosts")
+        run.join().expect("run_ranks")
     });
     let o = outcome.expect("rank 0's run");
     let (_, parts) = o

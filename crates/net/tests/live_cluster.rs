@@ -1,6 +1,6 @@
 //! One live run path: the host runner `dlion-worker` calls — build a
 //! [`LiveCluster`] from the shared config, establish this host's
-//! endpoint, `run_hosts` — stood up here as two "processes" (threads
+//! endpoints, `run_ranks` — stood up here as two "processes" (threads
 //! sharing nothing but the config and the address list), each carrying
 //! two ranks over loopback TCP. Under strict BSP the result must equal
 //! the flat 4-rank in-memory run bit for bit: where ranks live and what
@@ -68,7 +68,7 @@ fn two_tcp_hosts_of_two_ranks_equal_the_flat_mem_run_bit_for_bit() {
                     let cluster =
                         LiveCluster::new(cfg, RANKS, 2, opts, "live/hosts").expect("placement");
                     assert_eq!(cluster.n_hosts(), 2);
-                    let transport = TcpTransport::establish_linked(
+                    let endpoints = TcpTransport::establish_linked(
                         host,
                         listener,
                         addrs,
@@ -77,7 +77,7 @@ fn two_tcp_hosts_of_two_ranks_equal_the_flat_mem_run_bit_for_bit() {
                         &cluster.host_links()[host],
                     )
                     .expect("mesh");
-                    cluster.run_hosts(vec![(host, Box::new(transport))])
+                    cluster.run_ranks(endpoints)
                 })
             })
             .collect();

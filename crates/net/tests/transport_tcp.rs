@@ -219,15 +219,18 @@ fn early_dialer_joins_once_and_later_dials_are_refused() {
     let o = opts(8);
     std::thread::scope(|s| {
         let h1 = s.spawn(|| TcpTransport::establish_linked(1, l1, &addrs, SEED, &o, &links[1]));
+        let one = |endpoints: Vec<TcpTransport>| endpoints.into_iter().next().expect("one rank");
         // The top endpoint only dials; it is up while 1 is still dialing 0.
-        let mut t2 =
-            TcpTransport::establish_linked(2, l2, &addrs, SEED, &o, &links[2]).expect("node 2");
+        let mut t2 = one(
+            TcpTransport::establish_linked(2, l2, &addrs, SEED, &o, &links[2]).expect("node 2"),
+        );
         t2.send_frame(1, frame(2, 7))
             .expect("send to an establishing peer");
         let l0 = TcpListener::bind(a0).expect("bind the reserved address");
-        let t0 =
-            TcpTransport::establish_linked(0, l0, &addrs, SEED, &o, &links[0]).expect("node 0");
-        let mut t1 = h1.join().expect("thread").expect("node 1");
+        let t0 = one(
+            TcpTransport::establish_linked(0, l0, &addrs, SEED, &o, &links[0]).expect("node 0"),
+        );
+        let mut t1 = one(h1.join().expect("thread").expect("node 1"));
         // 2's frame arrives once; its establishment-time Hello never does.
         let (from, f) = t1
             .recv_frame_timeout(TIMEOUT)

@@ -1,11 +1,11 @@
-//! Virtual workers: N ranks multiplexed over one transport endpoint per
-//! host (`RankHost`) must be *invisible* to the training semantics.
+//! Virtual workers: N ranks sharing one host's TCP links must be
+//! *invisible* to the training semantics.
 //! Under strict BSP the final weights are a pure function of the apply
 //! order `own g_t, peer g_t (by sender id), own g_{t+1}, ...`, and rank
 //! multiplexing only changes where ranks live — so a 2-host × 4-rank
 //! cluster must reach the simulator's 8-worker weights bit for bit, on
 //! channels and on real TCP sockets, with route markers, shared host
-//! links and pump-thread demux in between.
+//! links and the reader's routing in between.
 //!
 //! The churn composition is covered too: killing one virtual rank must
 //! leave every survivor — *including the victim's host-mates* —
@@ -18,8 +18,8 @@ use dlion_core::{
     Topology, TransportError,
 };
 use dlion_net::{
-    live_config, loopback_mesh, run_live, run_live_virtual, LiveOpts, RankHost, RankLayout,
-    TcpOpts, TransportKind, KIND_ACK,
+    live_config, loopback_mesh, run_live, run_live_virtual, LiveOpts, RankLayout, TcpOpts,
+    TransportKind, KIND_ACK,
 };
 use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::Tensor;
@@ -157,11 +157,8 @@ fn tcp_host_drop_demotes_all_its_ranks_in_rank_order() {
         ranks: Some(std::sync::Arc::new(layout.hello_blocks())),
         ..Default::default()
     };
-    let mut mesh = loopback_mesh(2, 31, &topts, None).expect("mesh");
-    let t1 = mesh.pop().expect("host 1");
-    let t0 = mesh.pop().expect("host 0");
-    let (host0, mut eps0) = RankHost::new(0, Box::new(t0), &layout);
-    let (host1, eps1) = RankHost::new(1, Box::new(t1), &layout);
+    let mut eps0 = loopback_mesh(2, 31, &topts, None).expect("mesh");
+    let eps1 = eps0.split_off(2);
     // Rank 2 (host 1) proves the link works, then host 1 dies wholesale.
     {
         let mut eps1 = eps1;
@@ -173,10 +170,9 @@ fn tcp_host_drop_demotes_all_its_ranks_in_rank_order() {
             .expect("recv")
             .expect("frame before timeout");
         assert_eq!(from, 2);
-        // Endpoints retire, then the RankHost drop closes the sockets.
+        // Host 1's last endpoint going closes its sockets.
     }
-    drop(host1);
-    // Host 0's pump sees ONE socket EOF and fans it out: each surviving
+    // Host 0's reader sees ONE socket EOF and fans it out: each surviving
     // endpoint hears a disconnect per dead rank, in rank order.
     for rank in [2usize, 3] {
         match eps0[0].recv_frame_timeout(TIMEOUT) {
@@ -190,7 +186,26 @@ fn tcp_host_drop_demotes_all_its_ranks_in_rank_order() {
         Err(TransportError::PeerGone(3))
     ));
     drop(eps0);
-    drop(host0);
+}
+
+/// All ranks on one host: the run finishes on TCP (no link at all) and on
+/// Mem (rank space — one process has no host link to share), and both
+/// match the simulator.
+#[test]
+fn one_host_of_two_ranks_finishes_on_both_transports() {
+    const ITERS: u64 = 4;
+    let cfg = bsp_cfg(SystemKind::Baseline, ITERS);
+    let sim = sim_run(&cfg, 2);
+    for kind in [TransportKind::Mem, TransportKind::Tcp] {
+        let live = run_live_virtual(&cfg, 2, 2, &live_opts(ITERS), kind, "live/one-host")
+            .expect("one-host run");
+        assert_eq!(live.iterations, vec![ITERS; 2], "{kind:?} stalled");
+        assert_eq!(
+            weight_bits(&sim.final_weights),
+            weight_bits(&live.final_weights),
+            "one host of two ranks diverged from the simulator ({kind:?})"
+        );
+    }
 }
 
 /// The oversubscription acceptance claim: 64 virtual ranks on 4 host
