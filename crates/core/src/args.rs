@@ -378,17 +378,33 @@ impl RunSpec {
         self.fault
             .validate(self.workers, self.iters)
             .map_err(|e| UsageError::new("--kill", e))?;
-        if self.scenario.is_some() {
+        let chaos_flag = if self.scenario.is_some() {
             if !self.fault.is_empty() || !self.straggle.is_empty() {
                 return Err(UsageError::new(
                     "--scenario",
                     "combines with --kill/--straggle; pick one chaos source",
                 ));
             }
-            // Expansion can fail (e.g. a region outage that leaves no
-            // survivor is repaired, but a zero-worker plan cannot be);
-            // surface that at parse time, not mid-run.
-            self.chaos().map_err(|e| UsageError::new("--scenario", e))?;
+            "--scenario"
+        } else {
+            "--kill"
+        };
+        // Expansion can fail (e.g. a region outage that leaves no survivor
+        // is repaired, but a zero-worker plan cannot be); surface that at
+        // parse time, not mid-run.
+        let (fault, _) = self.chaos().map_err(|e| UsageError::new("--scenario", e))?;
+        // A paused rank stays a member, so its neighbors wait for it: a
+        // pause as long as the stall timeout fails the run.
+        for k in &fault.kills {
+            if let Some(r) = k.rejoin_after.filter(|&r| r >= self.stall_secs) {
+                return Err(UsageError::new(
+                    chaos_flag,
+                    format!(
+                        "worker {} pauses {r} s, not under --stall-secs {}: its peers would stall",
+                        k.worker, self.stall_secs
+                    ),
+                ));
+            }
         }
         for &(w, _) in &self.straggle {
             if w >= self.workers {
@@ -797,6 +813,33 @@ mod tests {
         s.fault = FaultPlan::default();
         s.workers = 1;
         assert_eq!(s.validate().unwrap_err().flag, "--workers");
+    }
+
+    /// Survivors wait for a paused rank; a pause of at least the stall
+    /// timeout would fail the run after `--stall-secs`, so it is refused
+    /// up front, from `--kill` and from a `--scenario` expansion alike.
+    #[test]
+    fn a_pause_the_stall_timeout_would_cut_short_is_refused() {
+        let mut s = RunSpec {
+            workers: 4,
+            iters: 20,
+            ..RunSpec::default()
+        };
+        s.fault = FaultPlan::parse("1@5+59.5").unwrap();
+        s.validate().unwrap();
+        for kill in ["1@5+90", "1@5+60", "0@2,1@5+60"] {
+            s.fault = FaultPlan::parse(kill).unwrap();
+            let e = s.validate().unwrap_err();
+            assert_eq!(e.flag, "--kill", "{kill}: {e}");
+        }
+        s.stall_secs = 120.0;
+        s.fault = FaultPlan::parse("1@5+90").unwrap();
+        s.validate().unwrap();
+        s.fault = FaultPlan::default();
+        s.scenario = Some(crate::scenario::ScenarioSpec::parse("spotstorm:2@5+120").unwrap());
+        assert_eq!(s.validate().unwrap_err().flag, "--scenario");
+        s.scenario = Some(crate::scenario::ScenarioSpec::parse("spotstorm:2@5+3").unwrap());
+        s.validate().unwrap();
     }
 
     #[test]

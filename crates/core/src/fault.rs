@@ -5,17 +5,19 @@
 //! dynamism schedules, and the live backend expresses it with worker
 //! churn — a `dlion-worker` departing (and optionally rejoining)
 //! mid-run. A [`FaultPlan`] is the shared description both backends
-//! consume (`RunConfig::fault`, `--kill`): a permanent kill broadcasts a
-//! `Payload::Leave` on both, and a rejoining one pauses the worker in the
-//! simulator's runner and takes the late-Hello path in the live driver.
+//! consume (`RunConfig::fault`, `--kill`), with one meaning on both: a
+//! permanent kill broadcasts a `Payload::Leave` and is seeded into the
+//! ledger ([`crate::Membership::planned`]); a rejoining one pauses the
+//! worker — it stops stepping, keeps receiving and stays a member.
 //!
 //! Kill specs are written `W@I` ("worker W leaves when it reaches
-//! iteration I") with an optional `+R` suffix ("…and rejoins after R
-//! seconds of dead time"), comma-separated: `1@20`, `1@20+0.5,3@40`.
+//! iteration I") with an optional `+R` suffix ("…or, instead of leaving,
+//! pauses there for R seconds and resumes"), comma-separated: `1@20`,
+//! `1@20+0.5,3@40`.
 //! Iteration-indexed kills are what makes live churn *reproducible*:
-//! the departing worker announces its exact departure iteration, so
-//! every survivor renormalizes at the same round regardless of
-//! wall-clock timing (see `dlion-net`'s driver).
+//! every worker knows the exact departure iteration, so every survivor
+//! renormalizes at the same round regardless of wall-clock timing (see
+//! `dlion-net`'s driver).
 
 /// One worker's scheduled departure.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -25,8 +27,9 @@ pub struct KillSpec {
     /// The worker departs when its completed-iteration count reaches
     /// this value (it finishes rounds `0..at_iter`, then leaves).
     pub at_iter: u64,
-    /// Seconds of dead time before the worker rejoins; `None` = the
-    /// departure is permanent.
+    /// Seconds the worker pauses before it rejoins (virtual seconds in the
+    /// simulator, clock seconds live); `None` = the departure is
+    /// permanent.
     pub rejoin_after: Option<f64>,
 }
 

@@ -158,8 +158,7 @@ pub fn round_due(r: u64, train_secs: f64, period: f64) -> bool {
 #[derive(Default)]
 pub struct Batching {
     /// The growth controller and, in it, the GBS in force. `None`: no
-    /// batching control at all — systems without dynamic batching, and a
-    /// rejoined live rank ([`Batching::freeze`]).
+    /// batching control at all (systems without dynamic batching).
     ctl: Option<GbsController>,
     period: f64,
     /// The next round to run. Round `r` has nominal time `r × period` on
@@ -188,12 +187,6 @@ impl Batching {
     /// Adjustment rounds completed (start-up is not one).
     pub fn rounds(&self) -> u64 {
         self.next.saturating_sub(1)
-    }
-
-    /// Stop: no further round is ever due and the shares stay where they
-    /// are.
-    pub fn freeze(&mut self) {
-        self.ctl = None;
     }
 
     /// Is an RCP tagged `round` still of use (a round not yet run, on a
@@ -479,12 +472,9 @@ mod tests {
         assert_eq!(b.next_due(0.8, Some(3)), None);
         assert_eq!(b.next_due(1.0, None), Some(4));
         assert!(!b.awaits(3) && b.awaits(4));
-        // A frozen rank (and a system without dynamic batching) has no
-        // rounds at all.
-        b.freeze();
-        assert_eq!(b.next_due(9.0, Some(7)), None);
-        assert!(!b.awaits(4));
+        // A system without dynamic batching has no rounds at all.
         let fixed = Batching::new(&RunConfig::small_test(SystemKind::Baseline), 3);
-        assert_eq!(fixed.next_due(9.0, None), None);
+        assert_eq!(fixed.next_due(9.0, Some(7)), None);
+        assert!(!fixed.awaits(4));
     }
 }

@@ -123,7 +123,7 @@ impl Payload {
 
     /// Body length in bytes when encoded with `format`. Quantized formats
     /// only change dense gradient bodies; weights and control payloads are
-    /// always full-precision (DKT transfers and rejoin pulls must be exact).
+    /// always full-precision (DKT transfers must be exact).
     pub fn body_len_with(&self, format: WireFormat) -> usize {
         match self {
             Payload::Grad(g) => {
@@ -523,7 +523,7 @@ const MAX_DECODE_VARS: usize = 1024;
 const MAX_TENSOR_RANK: u8 = 8;
 
 /// How gradient values travel on the wire — the `--wire` ablation axis.
-/// Weights (DKT transfers, rejoin pulls) and control frames are always
+/// Weights (DKT transfers) and control frames are always
 /// full-precision regardless of this setting.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum WireFormat {
@@ -1196,8 +1196,8 @@ fn write_body<S: WireSink>(p: &Payload, format: WireFormat, out: &mut S) -> std:
             weights,
             sender_loss,
         } => {
-            // Weights are always full-precision: DKT merges and rejoin
-            // pulls copy the donor's model exactly.
+            // Weights are always full-precision: a DKT merge reads the
+            // donor's model exactly.
             out.put(&sender_loss.to_le_bytes())?;
             out.put(&(weights.len() as u32).to_le_bytes())?;
             for t in weights {

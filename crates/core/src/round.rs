@@ -11,6 +11,7 @@
 //! [`Effect`]. Sim ≡ live bit parity under strict BSP follows from both
 //! backends executing this code, not from two copies being kept in step.
 
+use crate::config::RunConfig;
 use crate::messages::{GradData, GradMsg, Payload};
 use crate::strategy::{PeerUpdate, StrategyCtx};
 use crate::sync::SyncPolicy;
@@ -33,6 +34,24 @@ pub struct Membership {
 }
 
 impl Membership {
+    /// The ledger both backends start a run from: every worker at
+    /// `cfg.initial_lbs`, and every *permanent* kill of the fault plan
+    /// seeded, so all copies renormalize at the planned round whenever the
+    /// Leave lands. A rejoining kill (`W@I+R`) is a pause: the worker stays
+    /// a member and is never listed.
+    pub fn planned(cfg: &RunConfig, n: usize) -> Membership {
+        let mut departed_at = vec![None; n];
+        for k in &cfg.fault.kills {
+            if k.rejoin_after.is_none() && k.worker < n {
+                departed_at[k.worker] = Some(k.at_iter);
+            }
+        }
+        Membership {
+            departed_at,
+            lbs_of: vec![cfg.initial_lbs; n],
+        }
+    }
+
     /// Does worker `j` compute — and hence contribute gradients for —
     /// `round`?
     pub fn counts(&self, j: usize, round: u64) -> bool {
@@ -327,9 +346,9 @@ impl Worker {
     /// still missing — stays parked: applying half of it now and half at a
     /// later flush would order by arrival again. The hold-back cannot
     /// stall: a counted sender's gradient is guaranteed delivered (per-link
-    /// FIFO puts it before any Leave), and gating blocks the next local
-    /// round on the same set anyway; only an ungated rejoined backup
-    /// member ever sees it. In place and allocation-free once warm.
+    /// FIFO puts it before any Leave; a paused sender stays gated on), and
+    /// gating blocks the next local round on the same set anyway. In place
+    /// and allocation-free once warm.
     pub fn flush_parked(
         &mut self,
         members: &Membership,

@@ -84,9 +84,9 @@ pub struct ClusterRunner {
     /// exactly when all work (including in-flight messages) has drained.
     inflight: usize,
     /// The cluster's one membership ledger, shared by every worker's
-    /// round core. Departures are seeded upfront from the fault plan,
-    /// exactly like the live driver's; rejoining kills are *not* in the
-    /// ledger — they pause, staying members.
+    /// round core: [`Membership::planned`], exactly like the live
+    /// driver's; rejoining kills are *not* in the ledger — they pause,
+    /// staying members.
     members: Membership,
     /// Per-worker iteration-time multiplier, from `cfg.straggle`.
     straggle: Vec<f64>,
@@ -117,15 +117,7 @@ impl ClusterRunner {
                 .validate(n, cfg.max_iters.unwrap_or(u64::MAX))
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         }
-        let mut members = Membership {
-            departed_at: vec![None; n],
-            lbs_of: vec![cfg.initial_lbs; n],
-        };
-        for k in &cfg.fault.kills {
-            if k.rejoin_after.is_none() {
-                members.departed_at[k.worker] = Some(k.at_iter);
-            }
-        }
+        let members = Membership::planned(&cfg, n);
         let mut straggle = vec![1.0; n];
         for &(w, f) in &cfg.straggle {
             assert!(w < n, "straggle names worker {w} of {n}");
@@ -474,9 +466,8 @@ impl ClusterRunner {
                     Some(r) => {
                         // Pause-and-resume: the worker stays a member (no
                         // ledger entry, divisors unchanged) and just sits
-                        // out `r` virtual seconds. This is deliberately
-                        // *not* the live leave-and-rejoin path — see
-                        // DESIGN.md §4k for the divergence note.
+                        // out `r` virtual seconds, still receiving — the
+                        // live driver pauses the same way (DESIGN.md §4e).
                         event!(now, w: w, "pause"; "iter" => kill.at_iter, "secs" => r);
                         self.paused[w] = true;
                         self.queue.schedule(now + r, Ev::Resume { w });

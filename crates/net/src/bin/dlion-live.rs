@@ -42,10 +42,11 @@
 //! they compute.
 //!
 //! `--kill W@I[+R]` injects deterministic churn: worker `W` departs after
-//! completing iteration `I`, and rejoins `R` seconds later (omit `+R` to
-//! keep it dead). Survivors demote the departed peer and renormalize
-//! their weighted averaging; the run completes and the report covers the
-//! surviving membership.
+//! completing iteration `I`. Survivors demote the departed peer and
+//! renormalize their weighted averaging; the run completes and the report
+//! covers the surviving membership. With `+R` the worker pauses there for
+//! `R` seconds instead, as in the simulator: it stays a member and its
+//! peers wait for it (`R` must stay under `--stall-secs`).
 //!
 //! Examples:
 //!

@@ -27,7 +27,8 @@
 //! agree on every worker's shard, initial weights and RNG stream without
 //! any central coordinator. With a `--kill` plan naming a hosted rank,
 //! that rank departs at the planned iteration (exit code 0, outcome
-//! marked departed) — the chaos harness for churn testing.
+//! marked departed), or pauses there if the kill has `+R` — the chaos
+//! harness for churn testing.
 
 use dlion_core::args::RunSpec;
 use dlion_core::{Args, UsageError};

@@ -5,7 +5,7 @@
 //!
 //! ## Control frames (normative)
 //!
-//! Six frame kinds ride on top of the payload codec, all at or above
+//! Five frame kinds ride on top of the payload codec, all at or above
 //! [`KIND_NET_BASE`] so `Payload::from_wire` can never mistake one for a
 //! training payload. All integers are little-endian; a body of any other
 //! length than the one listed is a [`LiveError::Protocol`] error, and so is
@@ -14,21 +14,22 @@
 //!
 //! | kind | variant | body | role | refused when |
 //! |------|---------|------|------|--------------|
-//! | `0x10` [`KIND_HELLO`] | [`Control::Hello`] | `id u32, n u32, seed u64, base u32, count u32, total u32` (28 bytes) | mesh handshake (dialer → acceptor): endpoint `id` of an `n`-endpoint mesh with run seed `seed` speaks for ranks `base..base+count` of a `total`-rank cluster. A flat endpoint is its own rank and announces the identity block `{id, 1, n}` ([`RankHello::flat`]). Arriving *after* establishment it announces a rejoin | `id >= n`, `count == 0`, `base + count` overflows or exceeds `total`, `total != ranks` |
+//! | `0x10` [`KIND_HELLO`] | [`Control::Hello`] | `id u32, n u32, seed u64, base u32, count u32, total u32` (28 bytes) | mesh handshake (dialer → acceptor): endpoint `id` of an `n`-endpoint mesh with run seed `seed` speaks for ranks `base..base+count` of a `total`-rank cluster. A flat endpoint is its own rank and announces the identity block `{id, 1, n}` ([`RankHello::flat`]). Establishment only: the driver refuses one that arrives later | `id >= n`, `count == 0`, `base + count` overflows or exceeds `total`, `total != ranks` |
 //! | `0x11` [`KIND_ACK`] | [`Control::Ack`] | empty | delivery acknowledgement for one gradient message (drives `SyncState::on_delivered_from`, i.e. Gaia's `BlockOnDelivery`) | — |
 //! | `0x12` [`KIND_DONE`] | [`Control::Done`] | empty | shutdown barrier: the sender finished all its iterations; per-peer FIFO guarantees every earlier gradient already arrived | — |
 //! | `0x13` [`KIND_RCP`] | [`Control::Rcp`] | `round u64, rcp f64` | LBS/GBS exchange: the sender's relative compute power (Eq. 5) for adjustment round `round` (0 = start-up profiling) | `rcp` is not finite and `> 0` (`partition_gbs` divides by the sum) |
-//! | `0x15` [`KIND_CATCHUP`] | [`Control::Catchup`] | `iteration u64` | rejoin reply to a late Hello: the responder's current iteration, inviting the rejoiner to DKT-pull full weights and resume there | — |
 //! | `0x17` [`KIND_ROUTE`] | [`Control::Route`] | `src u32, dst u32` | rank-address marker on a ranked host link: the *next* frame on this link travels from rank `src` to rank `dst`; the writer puts it in the same job as that frame, the reader takes it only if `src` lives on the sending host and `dst` on its own (see [`crate::tcp`]); never appears on a flat mesh | `src >= ranks` or `dst >= ranks` |
 //!
-//! Kinds `0x14` and `0x16` are retired (a net-level departure notice — a
-//! departure is `Payload::Leave` on both backends — and a health report
-//! nobody read) and are refused like any unknown kind.
+//! Kinds `0x14`, `0x15` and `0x16` are retired and refused like any
+//! unknown kind. They were a net-level departure notice (a departure is
+//! `Payload::Leave` on both backends), the reply that let a rank back in
+//! after its Leave (a rejoining kill is a pause on both backends, and a
+//! paused rank never leaves), and a health report nobody read.
 
 use crate::LiveError;
 use dlion_core::messages::{decode_frame, encode_frame, KIND_NET_BASE};
 
-/// Mesh handshake, or — after establishment — a rejoin announcement.
+/// Mesh handshake (establishment only).
 pub const KIND_HELLO: u8 = KIND_NET_BASE;
 /// Per-gradient delivery acknowledgement.
 pub const KIND_ACK: u8 = KIND_NET_BASE + 1;
@@ -36,8 +37,6 @@ pub const KIND_ACK: u8 = KIND_NET_BASE + 1;
 pub const KIND_DONE: u8 = KIND_NET_BASE + 2;
 /// RCP exchange (start-up profiling and periodic GBS adjustment rounds).
 pub const KIND_RCP: u8 = KIND_NET_BASE + 3;
-/// Rejoin reply: the responder's current iteration.
-pub const KIND_CATCHUP: u8 = KIND_NET_BASE + 5;
 /// Rank-address marker on a host-to-host link.
 pub const KIND_ROUTE: u8 = KIND_NET_BASE + 7;
 
@@ -80,9 +79,6 @@ pub enum Control {
         round: u64,
         rcp: f64,
     },
-    Catchup {
-        iteration: u64,
-    },
     Route {
         src: usize,
         dst: usize,
@@ -103,7 +99,6 @@ impl Control {
             Control::Ack => KIND_ACK,
             Control::Done => KIND_DONE,
             Control::Rcp { .. } => KIND_RCP,
-            Control::Catchup { .. } => KIND_CATCHUP,
             Control::Route { .. } => KIND_ROUTE,
         }
     }
@@ -132,7 +127,6 @@ impl Control {
                 put(&round.to_le_bytes());
                 put(&rcp.to_le_bytes());
             }
-            Control::Catchup { iteration } => put(&iteration.to_le_bytes()),
             Control::Route { src, dst } => {
                 put(&wire_u32(src).to_le_bytes());
                 put(&wire_u32(dst).to_le_bytes());
@@ -166,7 +160,6 @@ impl Control {
                 round: w64(0),
                 rcp: f64::from_bits(w64(2)),
             },
-            (KIND_CATCHUP, 2, 0) => Control::Catchup { iteration: w64(0) },
             (KIND_ROUTE, 2, 0) => Control::Route {
                 src: w(0) as usize,
                 dst: w(1) as usize,
@@ -188,7 +181,7 @@ impl Control {
             }
             Control::Rcp { rcp, .. } => rcp.is_finite() && rcp > 0.0,
             Control::Route { src, dst } => src < ranks && dst < ranks,
-            Control::Ack | Control::Done | Control::Catchup { .. } => true,
+            Control::Ack | Control::Done => true,
         };
         if !usable {
             return Err(LiveError::Protocol(format!(
@@ -236,7 +229,6 @@ mod tests {
             Control::Ack,
             Control::Done,
             Control::Rcp { round: 7, rcp: 1.5 },
-            Control::Catchup { iteration: 41 },
             Control::Route { src: 3, dst: 61 },
         ]
     }
@@ -261,7 +253,7 @@ mod tests {
     /// `rcp_body`, `route_frame`, …) at `d9d6646`: the wire did not move.
     #[test]
     fn frames_are_byte_identical_to_the_recorded_ones() {
-        let recorded: [(Control, &[u8]); 6] = [
+        let recorded: [(Control, &[u8]); 5] = [
             (
                 Control::Ack,
                 &[
@@ -279,13 +271,6 @@ mod tests {
                 &[
                     68, 76, 87, 70, 3, 0, 19, 0, 16, 0, 0, 0, 117, 206, 88, 178, 53, 139, 142, 151,
                     7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 248, 63,
-                ],
-            ),
-            (
-                Control::Catchup { iteration: 41 },
-                &[
-                    68, 76, 87, 70, 3, 0, 21, 0, 8, 0, 0, 0, 76, 159, 173, 219, 169, 171, 22, 247,
-                    41, 0, 0, 0, 0, 0, 0, 0,
                 ],
             ),
             (
@@ -368,7 +353,7 @@ mod tests {
         refused(Control::Route { src: 8, dst: 0 }, 8);
         refused(Control::Route { src: 0, dst: 8 }, 8);
         // Retired and unknown kinds, and payload kinds.
-        for kind in [0x14, 0x16, 0x18, 0xff, 0x01] {
+        for kind in [0x14, 0x15, 0x16, 0x18, 0xff, 0x01] {
             assert!(Control::decode(kind, &[], RANKS).is_err(), "{kind:#x}");
         }
     }

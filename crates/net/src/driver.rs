@@ -12,20 +12,20 @@
 //! (`Worker::demote_peer`). This file keeps what only a live rank has: the
 //! transport, the clock, gradient acks, buffer recycling, the
 //! `active`/`done` peer flags, the RCP *exchange* (frames out, frames in),
-//! the health cadence, the rejoin and Done planes, and [`WorkerOutcome`].
+//! the health cadence, the pause, the Done plane, and [`WorkerOutcome`].
 //! Every wait that may apply traffic — an RCP collect, the iteration gate,
-//! the Done barrier — is one loop, `serve_until`.
+//! a pause, the Done barrier — is one loop, `serve_until`.
 //!
 //! ## Worker churn
 //!
-//! The driver survives peers leaving (and optionally rejoining) mid-run:
+//! The driver survives peers leaving mid-run, and pauses where the plan
+//! says so — the simulator's fault semantics, kill for kill:
 //!
-//! * A **planned departure** ([`dlion_core::FaultPlan`], `--kill`) makes
-//!   the victim broadcast `Payload::Leave` — the same message, through the
-//!   same payload codec, as the simulator's victim — carrying its
-//!   completed iteration count `K` and exit (or go silent until its rejoin
-//!   time). Per-peer FIFO puts the Leave after every gradient the victim
-//!   sent.
+//! * A **planned departure** ([`dlion_core::FaultPlan`], `--kill W@I`)
+//!   makes the victim broadcast `Payload::Leave` — the same message,
+//!   through the same payload codec, as the simulator's victim — carrying
+//!   its completed iteration count `K` and exit. Per-peer FIFO puts the
+//!   Leave after every gradient the victim sent.
 //! * A **crash** surfaces on each survivor as
 //!   [`dlion_core::TransportError::PeerDisconnected`] (reader EOF) or
 //!   [`dlion_core::TransportError::PeerTimeout`] from the transport.
@@ -38,15 +38,15 @@
 //!   the departed peer counts in the divisor for rounds `< K` (its
 //!   gradients for those rounds exist and are applied) and is excluded
 //!   from `K` on. With a planned kill the ledger is seeded from the
-//!   fault plan itself, so every survivor renormalizes at the same round
-//!   no matter when the Leave frame lands — kill plans are deterministic.
-//! * A departed worker **rejoins** by sending a late
-//!   [`Control::Hello`]; any survivor that sees it re-activates the
-//!   peer and replies [`Control::Catchup`] with its current
-//!   iteration. The rejoiner then uses the ordinary DKT pull path
-//!   (`DktRequest` → full `Weights`, merged with λ = 1) to catch up, and
-//!   resumes at the donor's iteration as an untracked backup member:
-//!   nobody gates on it, it gates on nobody.
+//!   fault plan itself ([`Membership::planned`], the simulator's seeding),
+//!   so every survivor renormalizes at the same round no matter when the
+//!   Leave frame lands — kill plans are deterministic.
+//! * A **rejoining kill** (`--kill W@I+R`) is a pause, like the
+//!   simulator's: the rank stops stepping for `R` clock seconds and keeps
+//!   serving frames. It stays a member — no Leave, no ledger entry — so
+//!   its neighbors wait for it as for any slow peer (`RunSpec::validate`
+//!   refuses a pause the stall timeout would cut short). A Hello after
+//!   establishment is a protocol error: nobody comes back from a Leave.
 //!
 //! Two protocol additions have no simulator counterpart:
 //!
@@ -60,7 +60,7 @@
 //!   Done from a peer proves all of that peer's gradients have already
 //!   been applied — no message can be lost by exiting after the barrier.
 
-use crate::control::{Control, RankHello};
+use crate::control::Control;
 use crate::health::HealthAggregator;
 use crate::LiveError;
 use dlion_core::args::RunSpec;
@@ -127,7 +127,7 @@ pub struct LiveOpts {
     pub chunk_bytes: usize,
     /// The cluster's time source. [`SystemClock`] for real runs; tests
     /// inject a [`dlion_core::ManualClock`] so timing-driven logic (GBS
-    /// periods, stall deadlines, rejoin delays) runs deterministically
+    /// periods, stall deadlines, pauses) runs deterministically
     /// and without real sleeps.
     pub clock: Arc<dyn Clock>,
     /// Run a health round (a `worker_health` trace event plus the silence
@@ -185,8 +185,8 @@ pub struct WorkerEnv<'a> {
     pub schedule: Arc<dyn TopologySchedule>,
     /// Which peers this worker holds a physical connection to: the union
     /// of every round's neighbor sets, or the full mesh when a blocking
-    /// control plane (dynamic batching, health reports, fault rejoin)
-    /// needs all-to-all control frames. Unlinked peers are skipped by the
+    /// control plane (dynamic batching, a fault plan's Leave) needs
+    /// all-to-all control frames. Unlinked peers are skipped by the
     /// Done barrier — they can never send us anything.
     pub links: Vec<bool>,
     pub total_params: usize,
@@ -226,7 +226,7 @@ pub struct WorkerOutcome {
     pub grad_bytes: f64,
     pub weight_bytes: f64,
     pub control_bytes: f64,
-    /// Bytes of net-only control frames (hello/ack/done/rcp/catchup) —
+    /// Bytes of net-only control frames (ack/done/rcp) —
     /// overhead the simulator does not model, kept out of the
     /// sim-comparable counters above.
     pub net_overhead_bytes: f64,
@@ -236,8 +236,8 @@ pub struct WorkerOutcome {
     /// the simulator's `RunMetrics::wire_bytes_by_kind`.
     pub wire_bytes_by_kind: BTreeMap<String, f64>,
     pub dkt_merges: u64,
-    /// This worker left the run early (planned kill without a completed
-    /// rejoin). A departed worker reports no final evaluation and its
+    /// This worker left the run early (a permanent planned kill). A
+    /// departed worker reports no final evaluation and its
     /// outcome is excluded from cluster-level convergence metrics.
     pub departed: bool,
     pub evals: Vec<EvalPoint>,
@@ -480,14 +480,14 @@ struct LiveWorker<'a, 'b> {
     rcp_pending: BTreeMap<(u64, usize), f64>,
     done: Vec<bool>,
     /// Which peers are currently members of the run. A departed peer is
-    /// demoted everywhere (sync gating, DKT, sends, the Done barrier);
-    /// a rejoin re-activates it as an untracked backup member.
+    /// demoted everywhere (sync gating, DKT, sends, the Done barrier).
     active: Vec<bool>,
-    /// The round core's ledger. `departed_at` is seeded from the fault
-    /// plan for planned kills (making renormalization independent of
-    /// message timing) and set from the Leave or a received-round
-    /// guess for unplanned crashes; `lbs_of` holds every worker's LBS
-    /// share — all `initial_lbs` until a profiling round repartitions.
+    /// The round core's ledger, [`Membership::planned`]: `departed_at` is
+    /// seeded from the fault plan for permanent kills (making
+    /// renormalization independent of message timing) and set from the
+    /// Leave or a received-round guess for unplanned crashes; `lbs_of`
+    /// holds every worker's LBS share — all `initial_lbs` until a
+    /// profiling round repartitions.
     members: Membership,
     /// Wire encoding in force for every training payload this worker
     /// sends (`cfg.wire` + [`LiveOpts::chunk_bytes`]).
@@ -545,21 +545,6 @@ impl LiveWorker<'_, '_> {
                 "iter" => self.worker.iteration,
                 "alive" => self.active.iter().filter(|&&a| a).count());
         }
-    }
-
-    /// Re-activate a rejoining peer and invite it to catch up from our
-    /// current iteration. It stays out of the sync tracked set — a
-    /// backup member nobody gates on.
-    fn promote(&mut self, from: usize) -> Result<(), LiveError> {
-        if self.active[from] {
-            return Ok(());
-        }
-        self.active[from] = true;
-        self.done[from] = false;
-        event!(self.now(), w: self.me, "peer_rejoined";
-            "peer" => from, "iter" => self.worker.iteration);
-        let iteration = self.worker.iteration;
-        self.send_control(from, Control::Catchup { iteration }, true)
     }
 
     /// Per-peer liveness folded into a receive result: a disconnect or
@@ -649,7 +634,7 @@ impl LiveWorker<'_, '_> {
         Ok(())
     }
 
-    /// Send a net-control frame (ack/done/rcp/catchup/hello).
+    /// Send a net-control frame (ack/done/rcp).
     fn send_control(
         &mut self,
         to: usize,
@@ -695,27 +680,6 @@ impl LiveWorker<'_, '_> {
         }
     }
 
-    /// Receive while out of the run (dead time, the Catchup and weight
-    /// waits): nothing is served, but a Done or a Leave still counts — the
-    /// give-up checks read `done` and `active`. Returns whatever else
-    /// arrived.
-    fn recv_away(&mut self, timeout: Duration) -> Result<Option<(usize, Inbound)>, LiveError> {
-        let Some((from, frame)) = self.recv(timeout)? else {
-            return Ok(None);
-        };
-        Ok(match self.decode_inbound(from, &frame)? {
-            Inbound::Control(Control::Done) => {
-                self.done[from] = true;
-                None
-            }
-            Inbound::Payload(Payload::Leave { completed }) => {
-                self.note_departed(from, Some(completed));
-                None
-            }
-            other => Some((from, other)),
-        })
-    }
-
     /// Handle one inbound wire stream — the live analogue of the
     /// simulator's `Msg` event plus the net-control protocol.
     fn handle_frame(
@@ -729,7 +693,7 @@ impl LiveWorker<'_, '_> {
         let t0 = self.env.opts.health_interval.is_some().then(Instant::now);
         let result = match self.decode_inbound(from, &frame)? {
             Inbound::Payload(payload) => self.on_payload(from, payload, during_shutdown),
-            Inbound::Control(msg) => self.on_control(from, msg, during_shutdown),
+            Inbound::Control(msg) => self.on_control(from, msg),
         };
         if let (Some(t0), Some(h)) = (t0, self.apply_lat.get_mut(from)) {
             h.record(t0.elapsed().as_secs_f64());
@@ -739,29 +703,24 @@ impl LiveWorker<'_, '_> {
 
     /// The net-control protocol: what each control message does to a rank
     /// that is in the run.
-    fn on_control(
-        &mut self,
-        from: usize,
-        msg: Control,
-        during_shutdown: bool,
-    ) -> Result<(), LiveError> {
+    fn on_control(&mut self, from: usize, msg: Control) -> Result<(), LiveError> {
         match msg {
             // One of our gradient messages reached its peer
             // (BlockOnDelivery's gate).
             Control::Ack => self.worker.sync.on_delivered_from(from),
             Control::Done => self.done[from] = true,
-            // A Hello after establishment is a rejoin announcement.
-            // During shutdown we are leaving ourselves — the rejoiner
-            // gives up once it holds everyone's Done.
-            Control::Hello { .. } if !during_shutdown => return self.promote(from),
             // Rounds already run are stale; rounds ahead of us pre-arrive
             // when a faster peer opens them first.
             Control::Rcp { round, rcp } if self.batching.awaits(round) => {
                 self.rcp_pending.insert((round, from), rcp);
             }
-            // Catchup replies are consumed by the rejoin loop; a stray
-            // one (we took another donor's offer first) is ignored.
-            Control::Hello { .. } | Control::Rcp { .. } | Control::Catchup { .. } => {}
+            Control::Rcp { .. } => {}
+            // The mesh is established: no rank joins a running one.
+            Control::Hello { .. } => {
+                return Err(LiveError::Protocol(format!(
+                    "hello from worker {from} after establishment"
+                )))
+            }
             Control::Route { .. } => {
                 return Err(LiveError::Protocol(format!(
                     "route marker from worker {from} outside a host link"
@@ -1106,7 +1065,7 @@ impl LiveWorker<'_, '_> {
     /// round instead of stalling on gradients that will never come.
     fn depart(&mut self) -> Result<(), LiveError> {
         let completed = self.worker.iteration;
-        event!(self.now(), w: self.me, "depart"; "completed" => completed);
+        event!(self.now(), w: self.me, "departed"; "iter" => completed);
         for j in 0..self.n {
             if j != self.me && self.active[j] {
                 self.send(j, Payload::Leave { completed }, true)?;
@@ -1115,98 +1074,30 @@ impl LiveWorker<'_, '_> {
         Ok(())
     }
 
+    /// A rejoining kill (`W@I+R`), the runner's pause and resume: stop
+    /// stepping for `secs` clock seconds, serving frames as usual. We stay
+    /// a member — no Leave, no ledger entry — and our neighbors wait for
+    /// us as for any slow peer.
+    fn pause(&mut self, secs: f64) -> Result<(), LiveError> {
+        let iter = self.worker.iteration;
+        event!(self.now(), w: self.me, "pause"; "iter" => iter, "secs" => secs);
+        let until = self.now() + secs;
+        // Silence for a whole stall timeout only ends the wait early:
+        // `RunSpec::validate` keeps a pause shorter than that.
+        self.serve_until(false, |lw| lw.now() >= until)?;
+        event!(self.now(), w: self.me, "rejoin"; "iter" => iter);
+        Ok(())
+    }
+
     /// Have all peers either finished or departed? Peers we never held a
-    /// link to can send us nothing, so they count as finished. (A
-    /// rejoiner with no one left to rejoin gives up.)
+    /// link to can send us nothing, so they count as finished.
     fn all_peers_finished(&self) -> bool {
         (0..self.n)
             .filter(|&j| j != self.me)
             .all(|j| self.done[j] || !self.active[j] || !self.env.links[j])
     }
 
-    /// Play dead for `delay`, then rejoin: announce with a late Hello,
-    /// take the first Catchup invitation, pull the donor's full weights
-    /// through the regular DKT path (merged with λ = 1 — a copy), and
-    /// resume at the donor's iteration as a free-running backup member.
-    /// Returns `false` (give up, stay departed) if no survivor answers
-    /// before the stall deadline or everyone has already finished.
-    fn await_rejoin(&mut self, delay: Duration) -> Result<bool, LiveError> {
-        // Dead time: discard traffic, but keep liveness bookkeeping so
-        // the give-up checks below are accurate.
-        let clock = Arc::clone(&self.env.clock);
-        let until = clock.now() + delay.as_secs_f64();
-        while clock.now() < until {
-            let left = Duration::from_secs_f64((until - clock.now()).max(0.0)).min(POLL);
-            self.recv_away(left)?;
-        }
-        // Stale pre-departure gradients are superseded by the pull.
-        self.worker.parked.clear();
-        if self.all_peers_finished() {
-            return Ok(false);
-        }
-        let hello = Control::Hello {
-            id: self.me,
-            n: self.n,
-            seed: self.env.cfg.seed,
-            ranks: RankHello::flat(self.me, self.n),
-        };
-        self.broadcast(hello, |lw, j| lw.active[j] && !lw.done[j])?;
-        event!(self.now(), w: self.me, "rejoin_hello"; "iter" => self.worker.iteration);
-
-        // Wait for the first Catchup invitation.
-        let stall = self.env.opts.stall_timeout.as_secs_f64();
-        let deadline = clock.now() + stall;
-        let (donor, target) = loop {
-            if clock.now() > deadline || self.all_peers_finished() {
-                return Ok(false);
-            }
-            if let Some((from, Inbound::Control(Control::Catchup { iteration }))) =
-                self.recv_away(POLL)?
-            {
-                break (from, iteration);
-            }
-        };
-
-        // Pull the donor's full weights (the regular DKT transfer path).
-        self.send(donor, Payload::DktRequest, true)?;
-        let deadline = clock.now() + stall;
-        loop {
-            if clock.now() > deadline || self.all_peers_finished() {
-                return Ok(false);
-            }
-            // Control frames mean nothing to a rank that is not back yet.
-            let Some((from, Inbound::Payload(payload))) = self.recv_away(POLL)? else {
-                continue;
-            };
-            match payload {
-                Payload::Weights { weights, .. } if from == donor => {
-                    // λ = 1: take the donor's weights wholesale.
-                    self.worker.model.merge_weights(&weights, 1.0);
-                    self.pool.extend(weights.into_iter().map(Tensor::into_data));
-                    self.out.dkt_merges += 1;
-                    self.worker.iteration = target;
-                    let period = self.worker.dkt.cfg().period_iters;
-                    self.worker.last_pull_round = target / period;
-                    // Free-run from here: we are a backup member, gated
-                    // on no one (and no one gates on us).
-                    for j in 0..self.n {
-                        if j != self.me {
-                            self.worker.sync.demote(j);
-                        }
-                    }
-                    self.worker.parked.retain(|(_, m)| m.iteration >= target);
-                    event!(self.now(), w: self.me, "rejoined";
-                        "donor" => donor, "iter" => target);
-                    return Ok(true);
-                }
-                // Anything else — a stray non-donor Weights included — is
-                // ordinary protocol traffic.
-                other => self.on_payload(from, other, false)?,
-            }
-        }
-    }
-
-    /// Finalize an early exit (kill without rejoin): no final evaluation,
+    /// Finalize an early exit (a permanent kill): no final evaluation,
     /// no weights — the outcome is marked departed and excluded from
     /// cluster convergence metrics.
     fn finish_departed(mut self) -> WorkerOutcome {
@@ -1224,8 +1115,8 @@ impl LiveWorker<'_, '_> {
 /// Run one live worker to completion: startup profiling (dynamic-batching
 /// systems), `opts.iters` training iterations gated by the sync policy,
 /// then the Done shutdown barrier and a final evaluation. A worker named
-/// in `cfg.fault` leaves at its planned iteration (and rejoins through
-/// the late-Hello → Catchup → DKT-pull path if the plan says so).
+/// in `cfg.fault` leaves at its planned iteration, or pauses there if the
+/// kill rejoins.
 pub fn run_worker(
     worker: Worker,
     env: &WorkerEnv<'_>,
@@ -1238,12 +1129,6 @@ pub fn run_worker(
     let scope_env = format!("{}/w{me}", env.env_label);
     let _scope = dlion_telemetry::run_scope(&system, &scope_env, env.cfg.seed);
 
-    let mut departed_at = vec![None; n];
-    for kill in &env.cfg.fault.kills {
-        if kill.worker < n {
-            departed_at[kill.worker] = Some(kill.at_iter);
-        }
-    }
     let mut pending_kill = env.cfg.fault.kill_of(me);
 
     let straggle = env
@@ -1263,10 +1148,7 @@ pub fn run_worker(
         rcp_pending: BTreeMap::new(),
         done: vec![false; n],
         active: vec![true; n],
-        members: Membership {
-            departed_at,
-            lbs_of: vec![env.cfg.initial_lbs; n],
-        },
+        members: Membership::planned(env.cfg, n),
         wire_cfg: WireCfg {
             format: env.cfg.wire,
             chunk_bytes: env.opts.chunk_bytes,
@@ -1301,26 +1183,13 @@ pub fn run_worker(
         // in force for it.
         lw.run_due_gbs_rounds()?;
         lw.run_due_health_rounds();
-        if let Some(kill) = pending_kill {
-            if lw.worker.iteration >= kill.at_iter {
-                pending_kill = None;
+        if let Some(kill) = pending_kill.filter(|k| lw.worker.iteration >= k.at_iter) {
+            pending_kill = None;
+            let Some(secs) = kill.rejoin_after else {
                 lw.depart()?;
-                let rejoined = match kill.rejoin_after {
-                    None => false,
-                    Some(secs) => lw.await_rejoin(Duration::from_secs_f64(secs))?,
-                };
-                if !rejoined {
-                    return Ok(lw.finish_departed());
-                }
-                // A rejoined backup member opens no further batching
-                // rounds: every survivor's ledger excludes it from RCP
-                // exchange, so a stale round it opened would block on
-                // answers nobody sends. Its LBS stays frozen at the
-                // pre-departure share.
-                lw.batching.freeze();
-                lw.rcp_pending.clear();
-                continue;
-            }
+                return Ok(lw.finish_departed());
+            };
+            lw.pause(secs)?;
         }
         if lw.worker.iteration >= env.opts.iters {
             break;

@@ -23,9 +23,8 @@
 //!   and the Done-barrier shutdown protocol.
 //! * [`tcp`] — [`tcp::TcpTransport`], one endpoint per rank: mesh
 //!   establishment with a Hello handshake through one acceptor that lives
-//!   only until the expected peers are wired (a late rejoin is a Hello
-//!   over the still-open link, not a new connection), and one writer and
-//!   one reader thread per host link. A host's ranks share its links: the
+//!   only until the expected peers are wired (a Hello after that is a
+//!   protocol error), and one writer and one reader thread per host link. A host's ranks share its links: the
 //!   writer puts a [`KIND_ROUTE`] marker ahead of each frame on a ranked
 //!   mesh, the reader checks it against the placement and routes the
 //!   frame to the rank's inbox.
@@ -50,9 +49,7 @@ pub mod health;
 pub mod live;
 pub mod tcp;
 
-pub use control::{
-    Control, RankHello, KIND_ACK, KIND_CATCHUP, KIND_DONE, KIND_HELLO, KIND_RCP, KIND_ROUTE,
-};
+pub use control::{Control, RankHello, KIND_ACK, KIND_DONE, KIND_HELLO, KIND_RCP, KIND_ROUTE};
 pub use driver::{parse_straggle, run_worker, EvalPoint, LiveOpts, WorkerEnv, WorkerOutcome};
 pub use health::HealthAggregator;
 pub use live::{

@@ -51,7 +51,7 @@ pub fn live_config(system: SystemKind, seed: u64) -> RunConfig {
 /// union of the schedule's per-round neighbor sets (so a ring cluster
 /// holds two connections per worker, not `n-1`), widened back to the full
 /// mesh whenever a blocking all-to-all control plane is active — dynamic
-/// batching broadcasts RCPs to everyone, and fault rejoin/Leave
+/// batching broadcasts RCPs to everyone, and a fault plan's Leave
 /// announcements likewise assume every peer is reachable. (The health
 /// plane sends nothing; it reports `frame_latency` per held link.)
 /// Masks are symmetric (per-round neighbor sets are), so both endpoints

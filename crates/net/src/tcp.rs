@@ -23,8 +23,8 @@
 //! is validated in exactly one function, `accept_hello`. A bad Hello fails
 //! establishment with [`LiveError::Protocol`]; a connection from a peer
 //! that is not expected is dropped. After establishment the host accepts
-//! nothing: a departed rank comes back with a late Hello over its
-//! still-open link, which the driver's rejoin protocol handles.
+//! nothing, and the driver refuses a Hello arriving over an established
+//! link: a rank that left the run stays gone.
 //!
 //! ## Rank space
 //!

@@ -1,6 +1,7 @@
 //! Churn on the live backend: a worker killed mid-run must not hang the
-//! survivors, must not perturb their determinism, and — when the fault
-//! plan says so — must be able to rejoin through the DKT catch-up path.
+//! survivors or perturb their determinism, and a rank that left cannot
+//! talk its way back in. (A rejoining kill is a pause; its sim ≡ Mem ≡
+//! TCP twin is in `scenario_parity.rs`.)
 //!
 //! Why the survivor weights stay deterministic: every worker seeds the
 //! same departure ledger from the shared `FaultPlan` before the run
@@ -15,7 +16,8 @@ use dlion_core::{
     RunMetrics, SyncPolicy, SystemKind, TransportError,
 };
 use dlion_net::{
-    live_config, loopback_mesh, run_live, Control, LiveCluster, LiveError, LiveOpts, TransportKind,
+    live_config, loopback_mesh, run_live, Control, LiveCluster, LiveError, LiveOpts, RankHello,
+    TransportKind,
 };
 use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::Tensor;
@@ -458,33 +460,57 @@ fn gbs_chaos_trajectory_is_deterministic_across_runs_and_transports() {
     assert_eq!(a.lbs_trace, c.lbs_trace, "mem vs TCP LBS rows diverged");
 }
 
+/// A Hello after establishment is refused like a stray route marker: a
+/// rank that announced its Leave and then says Hello again fails the
+/// receiving rank with a protocol error naming it. (It used to be a rejoin
+/// announcement, which let any peer revive a departed rank.)
 #[test]
-fn killed_worker_rejoins_via_dkt_catchup() {
-    const ITERS: u64 = 12;
-    let mut cfg = chaos_cfg(SystemKind::Baseline, ITERS, "1@3+0");
-    cfg.sync_override = Some(SyncPolicy::Synchronous);
-    // `+0`: depart after iteration 3, rejoin immediately — late Hello,
-    // Catchup invitation, full-weight DKT pull, free-run to the end.
-    let m = run_live(
-        &cfg,
-        3,
-        &chaos_opts(ITERS),
-        TransportKind::Mem,
-        "live/chaos",
-    )
-    .expect("live run");
-    // The rejoiner resumed at the donor's iteration and finished the run
-    // as a member again: not departed, so it evaluates with the others.
-    assert_eq!(m.iterations[0], ITERS);
-    assert_eq!(m.iterations[2], ITERS);
-    assert_eq!(m.iterations[1], ITERS, "rejoiner did not finish the run");
-    let acc = m.worker_acc.last().expect("final eval");
-    assert_eq!(acc.len(), 3, "rejoiner missing from convergence metrics");
-    // The catch-up pull is a DKT weight transfer: at least one merge, and
-    // full-weight bytes moved on the wire.
-    assert!(m.dkt_merges >= 1, "no DKT merge recorded for the catch-up");
-    assert!(
-        m.weight_bytes > 0.0,
-        "no weights travelled for the catch-up"
-    );
+fn a_late_hello_is_a_protocol_error() {
+    const ITERS: u64 = 20;
+    let mut cfg = live_config(SystemKind::Baseline, 1);
+    cfg.max_iters = Some(ITERS);
+    // Rank 0 never waits for gradients the test does not send.
+    cfg.sync_override = Some(SyncPolicy::Asynchronous);
+    let opts = LiveOpts {
+        iters: ITERS,
+        eval_every: 0,
+        assumed_iter_time: Some(0.05),
+        stall_timeout: Duration::from_secs(120),
+        ..Default::default()
+    };
+    let cluster = LiveCluster::new(&cfg, 2, 1, &opts, "live/late-hello").expect("cluster");
+    let mut mesh = mem_mesh(2);
+    let mut rank1 = mesh.pop().expect("endpoint 1");
+    let rank0 = mesh.pop().expect("endpoint 0");
+    let outcome = std::thread::scope(|s| {
+        let run = s.spawn(|| cluster.run_ranks(vec![rank0]).remove(0));
+        // Play rank 1: once rank 0 is training, leave, say Hello again,
+        // and finish (the Done only lets a rank that took the Hello exit).
+        rank1
+            .recv_frame_timeout(Duration::from_secs(120))
+            .expect("recv")
+            .expect("rank 0's first gradient");
+        let hello = Control::Hello {
+            id: 1,
+            n: 2,
+            seed: cfg.seed,
+            ranks: RankHello::flat(1, 2),
+        };
+        let wire = WireCfg::default();
+        let frames = [
+            Payload::Leave { completed: 1 }.to_wire(&wire),
+            hello.to_frame(),
+            Control::Done.to_frame(),
+        ];
+        for frame in frames {
+            rank1.send_frame(0, frame).expect("send");
+        }
+        run.join().expect("run_ranks")
+    });
+    match outcome {
+        Err(LiveError::Protocol(why)) => {
+            assert!(why.contains("worker 1") && why.contains("hello"), "{why}")
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
 }

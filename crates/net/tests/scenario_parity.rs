@@ -4,7 +4,9 @@
 //! backends (sim, Mem, TCP) agree bit-for-bit on the survivors' weights
 //! and on the cluster-health straggler verdict. This is what makes
 //! `--scenario` a portable chaos format rather than two dialects that
-//! merely share a parser.
+//! merely share a parser. Its rejoining twin pauses the outage victim
+//! instead (`0@3+0.2`): one kill semantic on both backends, so every
+//! rank's weights agree, the paused one's included.
 
 use dlion_core::scenario::{generate, ScenarioPlan, ScenarioSpec};
 use dlion_core::{run_with_models, RunConfig, RunMetrics, SyncPolicy, SystemKind};
@@ -18,13 +20,17 @@ const ITERS: u64 = 8;
 const BW_MBPS: f64 = 1000.0;
 const ITER_TIME: f64 = 0.05 + 0.001 * 32.0;
 
-/// The scenario under test: Virginia (worker 0 at n=4) goes down for
-/// good after iteration 3, and one Pareto straggler slows down. Picks
-/// the first seed whose straggler is *not* the outage victim, so the
-/// straggler verdict is non-degenerate. The scan is deterministic, so
-/// every run of this test exercises the same plan.
-fn scenario() -> (u64, ScenarioPlan) {
-    let spec = ScenarioSpec::parse("outage:Virginia@3/stragglers:1,3.0").expect("spec");
+/// Virginia (worker 0 at n=4) goes down for good after iteration 3, and
+/// one Pareto straggler slows down.
+const OUTAGE: &str = "outage:Virginia@3/stragglers:1,3.0";
+/// The same, but Virginia comes back after 0.2 s.
+const PAUSE: &str = "outage:Virginia@3+0.2/stragglers:1,3.0";
+
+/// The scenario under test. Picks the first seed whose straggler is *not*
+/// the outage victim, so the straggler verdict is non-degenerate. The
+/// scan is deterministic, so every run of a test exercises the same plan.
+fn scenario(spec: &str) -> (u64, ScenarioPlan) {
+    let spec = ScenarioSpec::parse(spec).expect("spec");
     for seed in 1..64 {
         let plan = generate(&spec, N, seed, ITERS, 10_000.0).expect("generate");
         if plan.fault.kill_of(0).is_some() && plan.straggle.len() == 1 && plan.straggle[0].0 != 0 {
@@ -81,7 +87,7 @@ fn weight_bits(weights: &[Vec<Tensor>]) -> Vec<Vec<Vec<u32>>> {
 
 #[test]
 fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
-    let (seed, plan) = scenario();
+    let (seed, plan) = scenario(OUTAGE);
     let victim = plan.fault.kills[0].worker;
     let (slow, _) = plan.straggle[0];
     assert_eq!(victim, 0, "Virginia maps to worker 0 at n=4");
@@ -146,4 +152,54 @@ fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
         sim.health.straggler, slow,
         "straggler flag missed the slow worker"
     );
+}
+
+/// The rejoining twin: the outage victim pauses for 0.2 s (`0@3+0.2`)
+/// instead of leaving. Both backends pause it alike — it stops stepping,
+/// keeps receiving, stays a member and resumes — so every rank finishes
+/// every iteration with the same bits on all three backends, the paused
+/// one included, and the health verdict matches. (The live driver used to
+/// run a second protocol here — Leave, late Hello, a weight pull — after
+/// which the rank trained ungated, on weights no simulator run had.)
+#[test]
+fn a_rejoining_kill_pauses_bit_identically_on_sim_mem_and_tcp() {
+    let (_, plan) = scenario(PAUSE);
+    assert_eq!(plan.fault.render(), "0@3+0.2");
+
+    let sim = sim_run(&plan);
+    let mem = live_run(&plan, TransportKind::Mem);
+    let tcp = live_run(&plan, TransportKind::Tcp);
+
+    for (m, label) in [(&sim, "sim"), (&mem, "mem"), (&tcp, "tcp")] {
+        assert_eq!(m.iterations, vec![ITERS; N], "{label} iteration schedule");
+        // The paused rank is a member to the end: it is evaluated too.
+        let acc = m.worker_acc.last().expect("final eval");
+        assert_eq!(acc.len(), N, "{label}: a rank missing from the final eval");
+        assert!(
+            acc.iter().all(|&a| a > 0.0),
+            "{label}: no accuracy: {acc:?}"
+        );
+    }
+    let (sw, mw, tw) = (
+        weight_bits(&sim.final_weights),
+        weight_bits(&mem.final_weights),
+        weight_bits(&tcp.final_weights),
+    );
+    for w in 0..N {
+        assert!(!sw[w].is_empty(), "sim captured no weights for {w}");
+        assert_eq!(sw[w], mw[w], "sim vs mem weights diverged at worker {w}");
+        assert_eq!(mw[w], tw[w], "mem vs tcp weights diverged at worker {w}");
+    }
+    let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (m, label) in [(&mem, "mem"), (&tcp, "tcp")] {
+        assert_eq!(
+            bits(&m.health.rates),
+            bits(&sim.health.rates),
+            "{label} health rates diverged from sim"
+        );
+        assert_eq!(
+            m.health.straggler, sim.health.straggler,
+            "{label} straggler"
+        );
+    }
 }

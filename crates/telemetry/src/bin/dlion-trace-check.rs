@@ -7,8 +7,8 @@
 //! of that kind — how CI asserts a run actually exercised a subsystem
 //! (e.g. `--require gbs_adjust` for the live batching controller, or
 //! `--require cluster_health` for the health plane). Event kinds with a
-//! pinned field schema (the health-, topology- and control-plane events
-//! below) are additionally checked field-for-field on every record.
+//! pinned field schema (the health-, topology-, control-plane and fault
+//! events below) are additionally checked field-for-field on every record.
 //! `--summary` prints a per-kind table with record counts and first/last
 //! vtime instead of the one-line report. Exits 0 on success; exits 1 with
 //! the first offending line (or the missing kind) otherwise. Used by the
@@ -26,8 +26,9 @@ const REQUIRED_KEYS: [&str; 9] = [
 /// §4h) and the topology plane's round event (DESIGN.md §4i) are
 /// fixed-key by design so traces stay diffable across runs; the control
 /// plane's four (DESIGN.md §4n) each have one emitter in `dlion-core`, so
-/// a simulator trace and a live trace carry the same columns.
-const SCHEMAS: [(&str, &[&str]); 9] = [
+/// a simulator trace and a live trace carry the same columns; and the three
+/// fault events (DESIGN.md §4e) carry the runner's fields on both backends.
+const SCHEMAS: [(&str, &[&str]); 12] = [
     (
         "cluster_health",
         &[
@@ -75,6 +76,9 @@ const SCHEMAS: [(&str, &[&str]); 9] = [
     ("gbs_phase", &["from", "to", "gbs", "round"]),
     ("lbs_repartition", &["gbs", "round", "t", "members"]),
     ("peer_departed", &["peer", "completed", "iter"]),
+    ("departed", &["iter"]),
+    ("pause", &["iter", "secs"]),
+    ("rejoin", &["iter"]),
 ];
 
 fn check_line(n: usize, line: &str) -> Result<Json, String> {
@@ -354,6 +358,9 @@ mod tests {
                 r#"{"peer":1,"completed":17,"iter":16}"#,
                 "\"completed\"",
             ),
+            ("departed", r#"{"iter":10}"#, "\"iter\""),
+            ("pause", r#"{"iter":5,"secs":0.3}"#, "\"secs\""),
+            ("rejoin", r#"{"iter":5}"#, "\"iter\""),
         ];
         for (kind, fields, key) in cases {
             let line = GOOD
