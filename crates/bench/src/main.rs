@@ -138,6 +138,23 @@ fn kernels() {
         });
     }
 
+    // Cipher's three convolutions at batch 64 (a `sim_paper` LBS), forward,
+    // on the same warm arena: (c, h, w, f), 3×3 filters, pad 1.
+    for (layer, (c, hw, f)) in [(1, 12, 4), (4, 6, 8), (8, 3, 16)].into_iter().enumerate() {
+        let input = Tensor::randn(Shape::d4(64, c, hw, hw), 1.0, &mut rng);
+        let weight = Tensor::randn(Shape::d4(f, c, 3, 3), 0.2, &mut rng);
+        let bias = Tensor::randn(Shape::d1(f), 0.1, &mut rng);
+        let (i, w, b) = (&input, &weight, &bias);
+        let label = format!(
+            "conv2d fwd Cipher conv{} (64,{c},{hw},{hw})x({f},{c},3,3)",
+            layer + 1
+        );
+        bench(&label, || {
+            let y = conv2d_s(black_box(i), black_box(w), black_box(b), 1, &mut s);
+            s.put_tensor(black_box(y));
+        });
+    }
+
     // Remaining hot ops from the old criterion suite.
     {
         let pool_in = Tensor::randn(Shape::d4(32, 12, 12, 12), 1.0, &mut rng);

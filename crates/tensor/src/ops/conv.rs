@@ -7,10 +7,11 @@
 //! * **direct** loops ([`conv2d_direct`], [`conv2d_backward_direct`]) — no
 //!   intermediate buffers at all, best for tiny shapes (batch 1), where
 //!   padding the input and packing the filters cost more than they save;
-//! * **implicit GEMM** (`ops::igemm`) — the register-tiled matmul
-//!   micro-kernel reading its A operand from a zero-padded copy of the input
-//!   through an offset table, which wins as soon as the implied GEMM has
-//!   enough arithmetic to amortize that copy. No patch matrix is built.
+//! * **implicit GEMM** (`ops::igemm`) — register-tiled micro-kernels
+//!   reading the patches from a zero-padded copy of the input through an
+//!   offset table (the forward with its lanes across pixels), which wins as
+//!   soon as the implied GEMM has enough arithmetic to amortize that copy.
+//!   No patch matrix is built.
 //!
 //! Both stay because each is the faster one on shapes a run really has
 //! (batch 1 on a thousand-worker simulation, batch ≥ 32 on a figure cell),

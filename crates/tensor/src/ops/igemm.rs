@@ -12,12 +12,20 @@
 //! off[k] = ci·Hp·Wp + ky·Wp + kx           (a K-entry table)
 //! ```
 //!
-//! so the 4×16 register tile of `ops::matmul` reads its A operand through
-//! the offset table — no patch buffer, no bounds test per element, and the
-//! padding taps are `xpad`'s zeros. The three products of a training step:
+//! so the kernels read the patches through the offset table — no patch
+//! buffer, no bounds test per element, and the padding taps are `xpad`'s
+//! zeros. The three products of a training step:
 //!
-//! * forward `out = patches · Wᵀ + bias` — the tile against the packed
-//!   filter panel, bias-add and the NCHW transpose done in the tile store;
+//! * forward `out = patches · Wᵀ + bias` with sixteen *pixel* lanes: a vector
+//!   holds the positions `q = oy·Wp + ox … + 15` of one sample's
+//!   padded-width output grid, so tap `k` of all sixteen is one contiguous
+//!   (masked) load `xpad[n·C·Hp·Wp + q + off[k] ..]`, and each filter `j` of a
+//!   register group of 16/8/4/1 is one accumulator. A lane is live iff
+//!   `q % Wp < OW` and `q < (OH−1)·Wp + OW`; the live lanes of a block are
+//!   consecutive NCHW outputs of each filter, so the bias-added accumulator
+//!   is compress-stored straight into `out[n][j]` — no transpose. Filter
+//!   count does not idle lanes (Cipher's 4- and 8-filter layers fill all
+//!   sixteen); a small map does (a 3×3 map fills 9 of its one block's 16);
 //! * `dWᵀ[k][f] = Σ_r patches[r][k] · drows[r][f]` — four taps × sixteen
 //!   filters per sweep over the rows, `dbias` one more accumulator of the
 //!   first sweep;
@@ -41,27 +49,34 @@
 //! All `unsafe` of the convolution is in this module: the [`simd`] kernels,
 //! which read `xpad` through raw pointers, and [`scatter_add`]'s unchecked
 //! writes into `dpad`. [`Geom::with`] makes the one assertion that covers a
-//! whole pass — the largest index any tile can form,
+//! whole pass — the largest index any live read can form,
 //! `(N−1)·C·Hp·Wp + (OH−1)·Wp + (OW−1) + off[K−1]`, is inside the padded
-//! buffer — before any tile loop runs; bases and offsets come only from the
-//! geometry's own tables, which nothing outside this module can build.
+//! buffer — before any loop runs; bases, offsets and lane masks come only
+//! from the geometry's own tables, which nothing outside this module can
+//! build. The forward's loads are masked: a dead lane (a padding column, or
+//! past the grid's last pixel) is never read, even where its address lies
+//! beyond the buffer, and the portable twin reads live lanes only. The
+//! compress store writes exactly a block's live lanes; the masks of a
+//! sample count `OH·OW` of them, so a sample's stores stay inside its
+//! `F·OH·OW` outputs.
 
 use crate::ops::conv::{dims4, out_hw};
-use crate::ops::matmul::{
-    micro_a_rows, pack_panels_rowmajor, pack_panels_transposed, with_pack_buf, MR, NR,
-};
+use crate::ops::matmul::{micro_a_rows, pack_panels_rowmajor, with_pack_buf, MR, NR};
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
+/// Pixel lanes of the forward kernel: `f32`s per 512-bit vector.
+const LANES: usize = 16;
+
 thread_local! {
-    /// Reusable storage for [`Geom`]'s two index tables (per thread; like
-    /// the GEMMs' packing buffer, convolutions never nest).
+    /// Reusable storage for [`Geom`]'s index and mask tables (per thread;
+    /// like the GEMMs' packing buffer, convolutions never nest).
     static TABLES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One convolution's shapes and its two index tables into the padded image.
+/// One convolution's shapes and its tables into the padded image.
 struct Geom<'a> {
     n: usize,
     c: usize,
@@ -77,6 +92,10 @@ struct Geom<'a> {
     off: &'a [usize],
     /// `pix[p] = oy·Wp + ox` for `p = (oy, ox)`.
     pix: &'a [usize],
+    /// One per 16-lane block of a sample's padded-width output grid: bit
+    /// `i` of `masks[b]` is set iff `q = 16·b + i` is live (`q % Wp < OW`,
+    /// `q < (OH−1)·Wp + OW`).
+    masks: &'a [usize],
 }
 
 impl Geom<'_> {
@@ -98,7 +117,17 @@ impl Geom<'_> {
             for oy in 0..oh {
                 tab.extend((0..ow).map(|ox| oy * wp + ox));
             }
-            let (off, pix) = tab.split_at(c * kh * kw);
+            let span = (oh - 1) * wp + ow;
+            for q0 in (0..span).step_by(LANES) {
+                let live = (q0..span.min(q0 + LANES)).filter(|q| q % wp < ow);
+                tab.push(live.fold(0, |m, q| m | 1 << (q - q0)));
+            }
+            let (off, rest) = tab.split_at(c * kh * kw);
+            let (pix, masks) = rest.split_at(oh * ow);
+            // Each output pixel is one live lane: a sample's compress stores
+            // fill its `OH·OW` outputs exactly.
+            let live: u32 = masks.iter().map(|m| m.count_ones()).sum();
+            debug_assert_eq!(live as usize, oh * ow);
             let g = Geom {
                 n,
                 c,
@@ -112,6 +141,7 @@ impl Geom<'_> {
                 wp,
                 off,
                 pix,
+                masks,
             };
             // The one bound every raw read below relies on (see the module
             // header): the last pixel's last tap is inside the padded image.
@@ -208,53 +238,87 @@ impl Rows {
     }
 }
 
-/// AVX-512 micro-kernels reading the A operand through the offset table.
+/// AVX-512 micro-kernels reading the patches through the offset table.
 /// `mul` + `add`, never FMA, like `ops::matmul::simd`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{MR, NR};
+    use super::{Geom, LANES, MR, NR};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// `acc[i][c] = Σ_k x[base[i] + off[k]] · panel[k·NR + c]`, ascending `k`
-    /// from `+0.0`.
+    /// The forward over pixel lanes: for every sample `ni`, every block `b`
+    /// of its padded-width grid and every filter `j`, the live lanes `q` of
+    /// `Σ_k x[ni·sample + q + off[k]] · wk[k·F + j]`, ascending `k` from
+    /// `+0.0`, plus `bias[j]`, stored at `out[(ni·F + j)·OH·OW + p]` where `p`
+    /// is the lane's output pixel. Filters go in register groups of
+    /// 16/8/4/1.
     ///
     /// # Safety
-    /// AVX-512F must be available; `base[i] + off[k] < x.len()` for every
-    /// `i`, `k`; `panel` must hold `off.len() · NR` elements.
+    /// AVX-512F must be available; `x` must hold `g.padded_len()` elements
+    /// (which [`Geom::with`] bounds every live read by), `wk` `K·F` (the
+    /// filters as `(K, F)`), `bias` `F` and `out` `N·F·OH·OW`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gather_rows(
-        x: &[f32],
-        base: &[usize; MR],
-        off: &[usize],
-        panel: &[f32],
-    ) -> [[f32; NR]; MR] {
-        let xp = x.as_ptr();
-        let (x0, x1, x2, x3) = (
-            xp.add(base[0]),
-            xp.add(base[1]),
-            xp.add(base[2]),
-            xp.add(base[3]),
-        );
-        let mut c0 = _mm512_setzero_ps();
-        let mut c1 = _mm512_setzero_ps();
-        let mut c2 = _mm512_setzero_ps();
-        let mut c3 = _mm512_setzero_ps();
-        let mut pp = panel.as_ptr();
-        for &o in off {
-            let b = _mm512_loadu_ps(pp);
-            pp = pp.add(NR);
-            c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(*x0.add(o)), b));
-            c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(*x1.add(o)), b));
-            c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(*x2.add(o)), b));
-            c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(*x3.add(o)), b));
+    pub unsafe fn pixel_lanes(g: &Geom, x: &[f32], wk: &[f32], bias: &[f32], out: &mut [f32]) {
+        let (f, ohw) = (g.f, g.ohw());
+        for ni in 0..g.n {
+            let xs = x.as_ptr().add(ni * g.sample());
+            let os = out.as_mut_ptr().add(ni * f * ohw);
+            // The live lanes of the blocks before this one: the pixel of its
+            // first live lane.
+            let mut p0 = 0;
+            for (b, &m) in g.masks.iter().enumerate() {
+                let (xq, m) = (xs.add(b * LANES), m as __mmask16);
+                let mut j0 = 0;
+                while j0 < f {
+                    let (w, bj) = (wk.as_ptr().add(j0), bias.as_ptr().add(j0));
+                    let dst = os.add(j0 * ohw + p0);
+                    j0 += match f - j0 {
+                        16.. => filters::<16>(xq, m, g.off, w, f, bj, dst, ohw),
+                        8.. => filters::<8>(xq, m, g.off, w, f, bj, dst, ohw),
+                        4.. => filters::<4>(xq, m, g.off, w, f, bj, dst, ohw),
+                        _ => filters::<1>(xq, m, g.off, w, f, bj, dst, ohw),
+                    };
+                }
+                p0 += m.count_ones() as usize;
+            }
         }
-        let mut acc = [[0.0f32; NR]; MR];
-        _mm512_storeu_ps(acc[0].as_mut_ptr(), c0);
-        _mm512_storeu_ps(acc[1].as_mut_ptr(), c1);
-        _mm512_storeu_ps(acc[2].as_mut_ptr(), c2);
-        _mm512_storeu_ps(acc[3].as_mut_ptr(), c3);
-        acc
+    }
+
+    /// One block, `G` filters: `acc[j] = acc[j] + x · w[k·F + j]` over the
+    /// taps, `x` the block's masked load at `xq + off[k]`, then
+    /// `acc[j] + bias[j]` compress-stored at `dst + j·OH·OW`. Returns `G`.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; the live lanes of `m` at `xq + off[k]`
+    /// must be readable for every `k`, `w` must hold `(K−1)·F + G` elements,
+    /// `bias` `G`, and `dst + j·OH·OW` room for `m`'s live lanes for `j < G`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn filters<const G: usize>(
+        xq: *const f32,
+        m: __mmask16,
+        off: &[usize],
+        w: *const f32,
+        f: usize,
+        bias: *const f32,
+        dst: *mut f32,
+        ohw: usize,
+    ) -> usize {
+        let mut acc = [_mm512_setzero_ps(); G];
+        let mut wk = w;
+        for &o in off {
+            let x = _mm512_maskz_loadu_ps(m, xq.add(o));
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(x, _mm512_set1_ps(*wk.add(j))));
+            }
+            wk = wk.add(f);
+        }
+        for (j, a) in acc.into_iter().enumerate() {
+            let y = _mm512_add_ps(a, _mm512_set1_ps(*bias.add(j)));
+            _mm512_mask_compressstoreu_ps(dst.add(j * ohw), m, y);
+        }
+        G
     }
 
     /// One sweep over every row `r = (ni, p)`, ascending, from `+0.0`:
@@ -309,24 +373,30 @@ mod simd {
     }
 }
 
-/// Portable twin of [`simd::gather_rows`]: constant trip counts on a local
-/// tile, so the accumulators live in vector registers.
-fn gather_rows_portable(
-    x: &[f32],
-    base: &[usize; MR],
-    off: &[usize],
-    panel: &[f32],
-) -> [[f32; NR]; MR] {
-    let mut t = [[0.0f32; NR]; MR];
-    for (&o, b) in off.iter().zip(panel.chunks_exact(NR)) {
-        for r in 0..MR {
-            let av = x[base[r] + o];
-            for c in 0..NR {
-                t[r][c] += av * b[c];
+/// Portable twin of [`simd::pixel_lanes`]: the same chains, a row segment
+/// of up to sixteen output pixels at a time, reading live lanes only.
+fn pixel_lanes_portable(g: &Geom, x: &[f32], wk: &[f32], bias: &[f32], out: &mut [f32]) {
+    let (ow, ohw) = (g.ow, g.ohw());
+    for (ni, os) in out.chunks_exact_mut(g.f * ohw).enumerate() {
+        for p0 in (0..ohw).step_by(ow) {
+            for ox0 in (0..ow).step_by(LANES) {
+                let (p, lanes) = (p0 + ox0, LANES.min(ow - ox0));
+                let base = g.base(ni, p);
+                for (j, &b) in bias.iter().enumerate() {
+                    let mut acc = [0.0f32; LANES];
+                    for (&o, wrow) in g.off.iter().zip(wk.chunks_exact(g.f)) {
+                        let w = wrow[j];
+                        for (a, &xv) in acc.iter_mut().zip(&x[base + o..][..lanes]) {
+                            *a += xv * w;
+                        }
+                    }
+                    for (y, &a) in os[j * ohw + p..][..lanes].iter_mut().zip(&acc) {
+                        *y = a + b;
+                    }
+                }
             }
         }
     }
-    t
 }
 
 /// Portable twin of [`simd::gather_cols`].
@@ -363,20 +433,25 @@ fn gather_cols_portable(
     (t, sum)
 }
 
-/// [`simd::gather_rows`] where the host has AVX-512, its twin elsewhere.
-#[inline]
-fn gather_rows(g: &Geom, x: &[f32], base: &[usize; MR], panel: &[f32]) -> [[f32; NR]; MR] {
+/// [`simd::pixel_lanes`] where the host has AVX-512, its twin elsewhere.
+fn pixel_lanes(g: &Geom, x: &[f32], wk: &[f32], bias: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), g.padded_len(), "conv2d padded image length");
-    assert!(panel.len() >= g.k() * NR, "conv2d filter panel length");
-    debug_assert!(base.iter().all(|&b| b <= g.base(g.n - 1, g.ohw() - 1)));
+    assert_eq!(wk.len(), g.k() * g.f, "conv2d packed filter length");
+    assert_eq!(bias.len(), g.f, "conv2d bias size");
+    assert_eq!(out.len(), g.rows() * g.f, "conv2d output length");
     #[cfg(target_arch = "x86_64")]
     if crate::ops::matmul::simd::available() {
         // SAFETY: feature checked. `x` has the length `Geom::with` asserted
-        // its bound against, every `base` is a `Geom::base` of one of its
-        // rows, and `panel` holds `k` packed rows.
-        return unsafe { simd::gather_rows(x, base, g.off, panel) };
+        // its bound against, the other extents are asserted above.
+        return unsafe { simd::pixel_lanes(g, x, wk, bias, out) };
     }
-    gather_rows_portable(x, base, g.off, panel)
+    pixel_lanes_portable(g, x, wk, bias, out)
+}
+
+/// `weight (F, K)` as `(K, F)` into `pb`: `pb[k·F + j] = W[j][k]`.
+fn pack_taps_by_filters(wd: &[f32], k: usize, pb: &mut Vec<f32>) {
+    pb.clear();
+    pb.extend((0..k).flat_map(|kk| wd[kk..].iter().step_by(k).copied()));
 }
 
 /// [`simd::gather_cols`] where the host has AVX-512, its twin elsewhere.
@@ -430,45 +505,17 @@ pub(super) fn forward(
 ) -> Tensor {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
     Geom::with(input, weight, pad, |g| {
-        let (f, k, ohw) = (g.f, g.k(), g.ohw());
-        assert_eq!(bias.numel(), f, "conv2d bias size");
-        let bd = bias.data();
         let xbuf = g.padded(input.data(), s);
         let x = xbuf.as_deref().unwrap_or(input.data());
-        let mut out = s.take_uninit(g.rows() * f);
+        let mut out = s.take_uninit(g.rows() * g.f);
         with_pack_buf(|pb| {
-            // weight viewed as (F, K): panel[k][c] = W[j0 + c][k].
-            pack_panels_transposed(weight.data(), k, f, pb);
-            let mut rows = Rows { ni: 0, p: 0 };
-            for r0 in (0..g.rows()).step_by(MR) {
-                let mr = MR.min(g.rows() - r0);
-                // A ragged last strip repeats its last row; only `mr` rows
-                // are stored.
-                let (mut base, mut dst) = ([0; MR], [0; MR]);
-                for i in 0..MR {
-                    if i < mr {
-                        let (ni, p) = rows.next(ohw);
-                        (base[i], dst[i]) = (g.base(ni, p), ni * f * ohw + p);
-                    } else {
-                        (base[i], dst[i]) = (base[mr - 1], dst[mr - 1]);
-                    }
-                }
-                for (jp, panel) in pb.chunks_exact(k * NR).enumerate() {
-                    let j0 = jp * NR;
-                    let acc = gather_rows(g, x, &base, panel);
-                    // Tile store: bias-add and the (R, F) → NCHW transpose.
-                    for (row, &d) in acc.iter().zip(&dst).take(mr) {
-                        for (c, &b) in bd[j0..].iter().take(NR).enumerate() {
-                            out[d + (j0 + c) * ohw] = row[c] + b;
-                        }
-                    }
-                }
-            }
+            pack_taps_by_filters(weight.data(), g.k(), pb);
+            pixel_lanes(g, x, pb, bias.data(), &mut out);
         });
         if let Some(xpad) = xbuf {
             s.put(xpad);
         }
-        Tensor::from_vec(Shape::d4(g.n, f, g.oh, g.ow), out)
+        Tensor::from_vec(Shape::d4(g.n, g.f, g.oh, g.ow), out)
     })
 }
 
@@ -497,8 +544,7 @@ pub(super) fn backward_into(
         assert_eq!(dweight.len(), f * k, "conv2d_backward dweight length");
         assert_eq!(dbias.len(), f, "conv2d_backward dbias length");
 
-        // dout (N,F,OH,OW) -> row layout (N*OH*OW, F), inverse of the
-        // forward tile store's transpose.
+        // dout (N,F,OH,OW) -> row layout (N*OH*OW, F): one row per pixel.
         let mut drows = s.take_uninit(g.rows() * f);
         let samples = drows.chunks_exact_mut(ohw * f);
         for (chunk, dsample) in samples.zip(dout.data().chunks_exact(f * ohw)) {
@@ -630,6 +676,14 @@ mod tests {
         }
     }
 
+    /// Cipher's three convolutions, at a batch whose blocks end every sample
+    /// short of sixteen live lanes.
+    const CIPHER: [(usize, usize, usize, usize, usize, usize, usize); 3] = [
+        (3, 1, 12, 12, 4, 3, 1),
+        (3, 4, 6, 6, 8, 3, 1),
+        (3, 8, 3, 3, 16, 3, 1),
+    ];
+
     /// On an AVX-512 host the dispatched micro-kernels are the intrinsics;
     /// the portable twins every other host runs must give the same bits
     /// (elsewhere this compares the twins with themselves).
@@ -637,25 +691,24 @@ mod tests {
     fn portable_micro_kernels_match_the_dispatched_ones_bit_for_bit() {
         let bits = |t: &[[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
         let mut rng = DetRng::seed_from_u64(9);
-        for (n, c, h, w, f, k, pad) in SHAPES {
+        for (n, c, h, w, f, k, pad) in SHAPES.into_iter().chain(CIPHER) {
             let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
+            let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
             let mut s = Scratch::new();
             Geom::with(&input, &weight, pad, |g| {
                 let xbuf = g.padded(input.data(), &mut s);
                 let x = xbuf.as_deref().unwrap_or(input.data());
                 let drows = Tensor::randn(Shape::d2(g.rows(), f), 1.0, &mut rng);
-                let mut pb = Vec::new();
-                pack_panels_transposed(weight.data(), g.k(), f, &mut pb);
-                for r0 in 0..g.rows().min(9) {
-                    let base: [usize; MR] = std::array::from_fn(|i| {
-                        let r = (r0 + 3 * i) % g.rows();
-                        g.base(r / g.ohw(), r % g.ohw())
-                    });
-                    let got = gather_rows(g, x, &base, &pb[..g.k() * NR]);
-                    let want = gather_rows_portable(x, &base, g.off, &pb[..g.k() * NR]);
-                    assert_eq!(bits(&got), bits(&want), "gather_rows, row {r0}");
-                }
+                let mut wk = Vec::new();
+                pack_taps_by_filters(weight.data(), g.k(), &mut wk);
+                // Stale outputs: every slot must be written.
+                let (mut got, mut want) = (vec![f32::NAN; g.rows() * f], vec![0.0; g.rows() * f]);
+                pixel_lanes(g, x, &wk, bias.data(), &mut got);
+                pixel_lanes_portable(g, x, &wk, bias.data(), &mut want);
+                let vbits = |v: &[f32]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                let what = format!("pixel_lanes ({n},{c},{h},{w},{f},{k},{pad})");
+                assert_eq!(vbits(&got), vbits(&want), "{what}");
                 for k0 in 0..g.k() {
                     let off: [usize; MR] = std::array::from_fn(|i| g.off[(k0 + i) % g.k()]);
                     let ne = NR.min(f);

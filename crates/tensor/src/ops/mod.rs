@@ -6,13 +6,17 @@
 //!
 //! The GEMM family (`ops::matmul`) is register-tiled: the right-hand
 //! operand is packed into 16-column panels and the micro-kernel computes a
-//! 4×16 accumulator tile per sweep. Large convolutions run the same tile as
-//! an *implicit* GEMM (`ops::igemm`, forward *and* backward): the A operand
-//! is read from a zero-padded copy of the input through a table of tap
-//! offsets, so no patch matrix is ever materialized; tiny shapes keep the
-//! direct loops in `ops::conv`. Backend dispatch depends only on static
-//! shapes. Every kernel is serial: the repo's threads run
-//! whole worker-iterations (`crate::par`), not slices of a kernel.
+//! 4×16 accumulator tile per sweep. Large convolutions are an *implicit*
+//! GEMM (`ops::igemm`, forward *and* backward): the patches are read from a
+//! zero-padded copy of the input through a table of tap offsets, so no
+//! patch matrix is ever materialized. Its forward puts the 16 vector lanes
+//! across consecutive pixels of a padded-width row, one accumulator per
+//! filter, so a layer with 4 or 8 filters still fills every lane; its
+//! backward keeps filter lanes (a 4-tap × 16-filter tile for `dW`, the
+//! matmul tile for `dinput`). Tiny shapes keep the direct loops in
+//! `ops::conv`. Backend dispatch depends only on static shapes. Every
+//! kernel is serial: the repo's threads run whole worker-iterations
+//! (`crate::par`), not slices of a kernel.
 //!
 //! # Determinism rule
 //!

@@ -244,10 +244,14 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
 /// shapes that straddle every tile edge — F below, at and above one and two
 /// 16-filter panels; K below and above one and several 16-tap panels; pad
 /// 0/1/2; 1×1 and non-square kernels; `N·OH·OW` not a multiple of 4 and
-/// `OH·OW` < 4 — with exact zeros in `dout` (no zero skip) and, on every
-/// third case, −0.0, NaN and ±∞ among the inputs and weights. Every shape is
-/// sized into the GEMM regime, whose threshold (`16 · 1024` MACs) is part of
-/// the contract: the direct loops on the other side round differently.
+/// `OH·OW` < 4; and every edge of the forward's 16-pixel blocks over a
+/// sample's padded-width grid — `OW` of 16, 17 and 33, `OH` = 1, a 4-column
+/// padding gap inside a block, a sample's last block short of 16 live lanes
+/// and one that is full up to the padded buffer's last element — with exact
+/// zeros in `dout` (no zero skip) and, on every third case, −0.0, NaN and
+/// ±∞ among the inputs and weights. Every shape is sized into the GEMM
+/// regime, whose threshold (`16 · 1024` MACs) is part of the contract: the
+/// direct loops on the other side round differently.
 #[test]
 fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     let mut s = Scratch::new();
@@ -264,8 +268,18 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
         (2, 1, 3, 4, 1, 2, 0),   // 1x2 kernel, OH·OW = 2
         (7, 5, 3, 5, 2, 3, 0),   // K = 42, pad 0, OW = 1
         (3, 1, 1, 17, 3, 3, 2),  // 1x1 image under pad 2: mostly padding taps
+        (2, 3, 18, 3, 3, 3, 0),  // OH = 1, OW = 16: one full block per sample
+        (2, 2, 17, 5, 3, 3, 1),  // OW = 17: a row spans two blocks
+        (1, 5, 33, 9, 1, 3, 1),  // OW = 33: a row spans three blocks
+        (3, 6, 5, 6, 5, 5, 2),   // pad 2, 5x5: a 4-column gap inside blocks
+        (4, 2, 9, 7, 2, 3, 0),   // OH = 1, OW = 7: one short block per sample
     ];
     let mut strip_remainders = [0; 4];
+    // The forward's 16-lane blocks over a sample's padded-width grid: [some
+    // block straddles two rows, a sample's last block has fewer than 16
+    // live lanes, a sample's last block is full up to the padded buffer's
+    // last element].
+    let mut lane_edges = [0; 3];
     for (case, &(c, h, w, f, kh, kw, pad)) in shapes.iter().enumerate() {
         let mut rng = DetRng::seed_from_u64(6500 + case as u64);
         let (oh, ow) = (h + 2 * pad + 1 - kh, w + 2 * pad + 1 - kw);
@@ -273,6 +287,13 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
         // count is not always a multiple of the 4-row strip.
         let n = (16 * 1024usize).div_ceil(oh * ow * c * kh * kw * f) + 1;
         strip_remainders[n * oh * ow % 4] += 1;
+        let (wp, span) = (w + 2 * pad, (oh - 1) * (w + 2 * pad) + ow);
+        let mut blocks = (0..span).step_by(16).map(|q0| q0..span.min(q0 + 16));
+        if blocks.any(|b| b.start / wp != (b.end - 1) / wp) {
+            lane_edges[0] += 1;
+        }
+        let live = ((span - 1) / 16 * 16..span).filter(|q| q % wp < ow).count();
+        lane_edges[if live < 16 { 1 } else { 2 }] += 1;
         let mut input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
         let mut weight = Tensor::randn(Shape::d4(f, c, kh, kw), 0.5, &mut rng);
         let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
@@ -347,6 +368,10 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     assert!(
         strip_remainders.iter().all(|&cases| cases > 0),
         "every 4-row strip remainder is covered: {strip_remainders:?}"
+    );
+    assert!(
+        lane_edges.iter().all(|&cases| cases > 0),
+        "every 16-lane block edge is covered: {lane_edges:?}"
     );
 }
 
