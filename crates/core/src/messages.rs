@@ -181,21 +181,14 @@ impl Payload {
 
     /// Encode this payload as a materialized wire stream under `cfg`:
     /// a plain frame when the body fits one chunk, the chunked layout
-    /// otherwise. The bytes are identical to what [`Payload::write_wire`]
-    /// streams — in-memory transports deliver exactly what TCP carries.
+    /// otherwise: what [`Payload::write_wire`] streams, written into a
+    /// `Vec` — in-memory transports deliver exactly what TCP carries.
     pub fn to_wire(&self, cfg: &WireCfg) -> Vec<u8> {
-        let body_len = self.body_len_with(cfg.format);
-        if body_len <= cfg.chunk_bytes {
-            let mut body = Vec::with_capacity(body_len);
-            write_body(self, cfg.format, &mut body).expect("Vec sink cannot fail");
-            encode_frame(self.wire_kind(), &body)
-        } else {
-            let mut out = Vec::with_capacity(self.wire_len(cfg));
-            let mut scratch = Vec::new();
-            self.write_wire(&mut out, cfg, &mut scratch)
-                .expect("Vec sink cannot fail");
-            out
-        }
+        let mut out = Vec::with_capacity(self.wire_len(cfg));
+        let mut scratch = Vec::with_capacity(self.body_len_with(cfg.format).min(cfg.chunk_bytes));
+        self.write_wire(&mut out, cfg, &mut scratch)
+            .expect("Vec sink cannot fail");
+        out
     }
 
     /// Stream this payload onto `w` under `cfg`, returning the exact number
@@ -217,7 +210,7 @@ impl Payload {
         if body_len <= cfg.chunk_bytes {
             scratch.clear();
             write_body(self, cfg.format, scratch)?;
-            let header = frame_header(self.wire_kind(), 0, scratch.len(), None);
+            let header = frame_header(self.wire_kind(), 0, scratch.len(), Some(0));
             let sum = frame_checksum(&header[0..CHECKSUMMED_PREFIX_BYTES], scratch);
             w.write_all(&header[0..CHECKSUMMED_PREFIX_BYTES])?;
             w.write_all(&sum.to_le_bytes())?;

@@ -27,11 +27,11 @@ pub struct LinkSample {
 
 /// The cluster-health view of one run (DESIGN.md §4h): per-worker
 /// iteration rates and straggler scores — the slowest/median ratio is the
-/// same signal §3.2's LBS repartitioning acts on — plus the silence
-/// ledger. Both backends build it with [`HealthSummary::of_run`] — the sim
-/// at the end of `run()`, the live orchestrator from worker outcomes —
-/// with rates taken from the *training clock*, so under a pinned iteration
-/// time the summary is bit-identical across repeat runs and transports.
+/// same signal §3.2's LBS repartitioning acts on — plus who left the run.
+/// Both backends build it with [`HealthSummary::of_run`] — the sim at the
+/// end of `run()`, the live orchestrator from worker outcomes — with rates
+/// taken from the *training clock*, so under a pinned iteration time the
+/// summary is bit-identical across repeat runs and transports.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HealthSummary {
     /// Per-worker iteration rate on the training clock, iterations/sec
@@ -40,22 +40,23 @@ pub struct HealthSummary {
     /// Per-worker straggler score: `median_rate / own_rate`. 1 = exactly
     /// median, > 1 = slower than the median (0 when the rate is unknown).
     pub scores: Vec<f64>,
-    /// The slowest worker (highest score; 0 when nobody has a rate).
+    /// The slowest worker (the lowest id of the highest score; 0 when
+    /// nobody has a rate).
     pub straggler: usize,
     /// The straggler's score — the paper's slowest/median ratio.
     pub straggler_score: f64,
-    /// Workers flagged silent by the health plane (stopped reporting
-    /// before the end of the run, or departed).
-    pub silent: Vec<bool>,
+    /// Workers that left the run for good (a permanent kill): the sim's
+    /// ledger, the live outcomes' `departed` flags.
+    pub departed: Vec<bool>,
     /// Health reports each worker emitted (0 in the sim, which computes
     /// the summary without a reporting protocol).
     pub reports: Vec<u64>,
 }
 
 impl HealthSummary {
-    /// Build a summary from per-worker rates plus the silence/report
-    /// ledgers. The median is taken over workers with a known (> 0) rate.
-    pub fn compute(rates: Vec<f64>, silent: Vec<bool>, reports: Vec<u64>) -> HealthSummary {
+    /// Build a summary from per-worker rates, departures and report
+    /// counts. The median is taken over workers with a known (> 0) rate.
+    pub fn compute(rates: Vec<f64>, departed: Vec<bool>, reports: Vec<u64>) -> HealthSummary {
         let mut known: Vec<f64> = rates.iter().copied().filter(|&r| r > 0.0).collect();
         known.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
         let median = if known.is_empty() {
@@ -69,55 +70,47 @@ impl HealthSummary {
             .iter()
             .map(|&r| if r > 0.0 { median / r } else { 0.0 })
             .collect();
-        let straggler = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
-            .map_or(0, |(w, _)| w);
+        // The first of equal maxima: a tied cluster names its lowest id.
+        let straggler =
+            (0..scores.len()).fold(0, |best, w| if scores[w] > scores[best] { w } else { best });
         let straggler_score = scores.get(straggler).copied().unwrap_or(0.0);
         HealthSummary {
             rates,
             scores,
             straggler,
             straggler_score,
-            silent,
+            departed,
             reports,
         }
     }
 
     /// The verdict of a finished run, from what either backend knows per
     /// worker: iterations completed, training-clock seconds they took
-    /// (virtual busy time in the sim, accumulated `dt` live), and the
-    /// silence/report ledgers.
+    /// (virtual busy time in the sim, accumulated `dt` live), departures
+    /// and report counts.
     pub fn of_run(
         iterations: &[u64],
         seconds: &[f64],
-        silent: Vec<bool>,
+        departed: Vec<bool>,
         reports: Vec<u64>,
     ) -> HealthSummary {
         let rate = |(&i, &s): (&u64, &f64)| if s > 0.0 { i as f64 / s } else { 0.0 };
         let rates = iterations.iter().zip(seconds).map(rate).collect();
-        HealthSummary::compute(rates, silent, reports)
+        HealthSummary::compute(rates, departed, reports)
     }
 
     /// Trace the verdict: one fixed-key `cluster_health` event per worker
     /// at training-clock time `vt`, the same columns from both backends.
-    pub fn trace(&self, vt: f64, iterations: &[u64], departed: &[bool]) {
-        for w in 0..self.rates.len() {
+    pub fn trace(&self, vt: f64, iterations: &[u64]) {
+        for (w, &iters) in iterations.iter().enumerate() {
             event!(vt, w: w, "cluster_health";
-                "iterations" => iterations[w],
+                "iterations" => iters,
                 "rounds" => self.reports[w],
                 "rate" => self.rates[w],
                 "score" => self.scores[w],
-                "silent" => self.silent[w],
-                "departed" => departed[w],
+                "departed" => self.departed[w],
                 "straggler" => self.straggler);
         }
-    }
-
-    /// How many workers the health plane flagged silent.
-    pub fn silent_count(&self) -> usize {
-        self.silent.iter().filter(|&&s| s).count()
     }
 }
 
@@ -163,7 +156,7 @@ pub struct RunMetrics {
     /// when `RunConfig::telemetry` is on. All recorded quantities are
     /// virtual-time-derived, so this is deterministic per seed.
     pub telemetry: dlion_telemetry::Registry,
-    /// Cluster health summary (straggler scores, silence ledger) — the
+    /// Cluster health summary (straggler scores, departures) — the
     /// final `cluster_health` view, always populated by both backends.
     pub health: HealthSummary,
     /// `final_weights[w]`: worker w's weight tensors at the end of the run,
@@ -417,7 +410,21 @@ mod tests {
         assert_eq!(h.straggler, 2);
         assert!((h.straggler_score - 3.0).abs() < 1e-12);
         assert!((h.scores[0] - 1.0).abs() < 1e-12);
-        assert_eq!(h.silent_count(), 0);
+    }
+
+    #[test]
+    fn health_summary_ties_name_the_lowest_id() {
+        // Nobody has a rate: every score is 0 and the straggler is 0.
+        let h = HealthSummary::compute(vec![0.0; 3], vec![false; 3], vec![0; 3]);
+        assert_eq!(h.straggler, 0);
+        assert_eq!(h.straggler_score, 0.0);
+        // A homogeneous cluster: every score is 1, the first one wins.
+        let h = HealthSummary::compute(vec![1.0; 3], vec![false; 3], vec![0; 3]);
+        assert_eq!(h.straggler, 0);
+        assert_eq!(h.straggler_score, 1.0);
+        // A tie behind a lower-scored worker names the first of the tie.
+        let h = HealthSummary::compute(vec![4.0, 2.0, 2.0], vec![false; 3], vec![0; 3]);
+        assert_eq!(h.straggler, 1);
     }
 
     #[test]
@@ -432,7 +439,6 @@ mod tests {
         assert_eq!(h.scores[1], 0.0);
         assert_eq!(h.straggler, 3);
         assert!((h.straggler_score - 2.0).abs() < 1e-12);
-        assert_eq!(h.silent_count(), 1);
     }
 
     #[test]
@@ -440,7 +446,6 @@ mod tests {
         let h = HealthSummary::compute(Vec::new(), Vec::new(), Vec::new());
         assert_eq!(h.straggler, 0);
         assert_eq!(h.straggler_score, 0.0);
-        assert_eq!(h.silent_count(), 0);
         assert_eq!(h, HealthSummary::default());
     }
 }

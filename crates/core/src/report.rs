@@ -68,6 +68,9 @@ pub fn summarize(m: &RunMetrics) -> String {
     // Health: only when a rate is known (any worker finished an
     // iteration with a training clock), so empty runs stay terse.
     if m.health.rates.iter().any(|&r| r > 0.0) {
+        let departed: Vec<usize> = (0..m.health.departed.len())
+            .filter(|&w| m.health.departed[w])
+            .collect();
         s.push_str(&format!(
             "cluster health: straggler w{} (score {:.2}); rates {}{}\n",
             m.health.straggler,
@@ -78,15 +81,10 @@ pub fn summarize(m: &RunMetrics) -> String {
                 .map(|r| format!("{r:.2}"))
                 .collect::<Vec<_>>()
                 .join("/"),
-            if m.health.silent_count() > 0 {
-                format!(
-                    "; silent {:?}",
-                    (0..m.health.silent.len())
-                        .filter(|&w| m.health.silent[w])
-                        .collect::<Vec<_>>()
-                )
-            } else {
+            if departed.is_empty() {
                 String::new()
+            } else {
+                format!("; departed {departed:?}")
             }
         ));
     }
@@ -146,7 +144,7 @@ mod tests {
         // Two workers at 20 and 20/3 it/s: median is their mean (13.33),
         // so the straggler's median/own score is exactly 2.
         assert!(s.contains("straggler w1 (score 2.00)"), "{s}");
-        assert!(s.contains("silent [1]"), "{s}");
+        assert!(s.contains("departed [1]"), "{s}");
     }
 
     #[test]

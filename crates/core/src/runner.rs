@@ -287,17 +287,12 @@ impl ClusterRunner {
         }
         trace_wire_bytes(end_time, None, &self.metrics.wire_bytes_by_kind);
         // Cluster health verdict (DESIGN.md §4h): iteration rates on the
-        // virtual clock. The sim has no reporting protocol (reports = 0)
-        // and no silence (a capacity-starved worker merely idles).
+        // virtual clock, departures from the ledger. The sim has no
+        // reporting protocol (reports = 0).
         let m = &self.metrics;
-        let health = HealthSummary::of_run(
-            &m.iterations,
-            &m.busy_time,
-            vec![false; self.n],
-            vec![0; self.n],
-        );
-        let departed: Vec<bool> = (0..self.n).map(|w| self.departed(w)).collect();
-        health.trace(end_time, &m.iterations, &departed);
+        let departed = (0..self.n).map(|w| self.departed(w)).collect();
+        let health = HealthSummary::of_run(&m.iterations, &m.busy_time, departed, vec![0; self.n]);
+        health.trace(end_time, &m.iterations);
         self.metrics.health = health;
         event!(end_time, "run_end";
             "iterations" => self.metrics.total_iterations(),

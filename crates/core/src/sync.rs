@@ -144,6 +144,12 @@ impl SyncState {
         self.undelivered_to[peer] = 0;
     }
 
+    /// Has `peer` been [`demote`](SyncState::demote)d — has it left the
+    /// run?
+    pub fn is_demoted(&self, peer: usize) -> bool {
+        self.demoted[peer]
+    }
+
     /// Is `peer` currently in the tracked (gating) set?
     pub fn is_tracked(&self, peer: usize) -> bool {
         self.tracked.contains(&peer)
@@ -371,6 +377,7 @@ mod tests {
         assert!(s.is_tracked(1));
         assert!(s.can_start(SyncPolicy::Synchronous, 1));
         s.demote(2); // idempotent
+        assert!(s.is_demoted(2) && !s.is_demoted(1));
         assert!(s.can_start(SyncPolicy::Synchronous, 1));
     }
 

@@ -10,9 +10,10 @@
 //! round is due, who contributes and the LBS split
 //! ([`dlion_core::gbs::Batching`]), what demoting a peer does
 //! (`Worker::demote_peer`). This file keeps what only a live rank has: the
-//! transport, the clock, gradient acks, buffer recycling, the
-//! `active`/`done` peer flags, the RCP *exchange* (frames out, frames in),
-//! the health cadence, the pause, the Done plane, and [`WorkerOutcome`].
+//! transport, the clock, gradient acks, buffer recycling, the `done` peer
+//! flags (who left is `SyncState::is_demoted`), the RCP *exchange* (frames
+//! out, frames in), the health cadence, the pause, the Done plane, and
+//! [`WorkerOutcome`].
 //! Every wait that may apply traffic — an RCP collect, the iteration gate,
 //! a pause, the Done barrier — is one loop, `serve_until`.
 //!
@@ -61,7 +62,6 @@
 //!   been applied — no message can be lost by exiting after the barrier.
 
 use crate::control::Control;
-use crate::health::HealthAggregator;
 use crate::LiveError;
 use dlion_core::args::RunSpec;
 use dlion_core::clock::{Clock, SystemClock};
@@ -130,8 +130,8 @@ pub struct LiveOpts {
     /// periods, stall deadlines, pauses) runs deterministically
     /// and without real sleeps.
     pub clock: Arc<dyn Clock>,
-    /// Run a health round (a `worker_health` trace event plus the silence
-    /// check) every this many *training-clock* seconds
+    /// Run a health round (a `worker_health` trace event) every this many
+    /// *training-clock* seconds
     /// (`--health-interval`; `None` = health plane off). Rounds ride the
     /// same nominal-time schedule as GBS rounds, so with a pinned
     /// `assumed_iter_time` the round cadence — and every deterministic
@@ -258,10 +258,6 @@ pub struct WorkerOutcome {
     pub train_secs: f64,
     /// Health report rounds this worker emitted (0 = plane off).
     pub health_rounds: u64,
-    /// Peers this worker flagged silent, in id order. Deterministic: the
-    /// set equals the peers that departed (ledger-driven), independent of
-    /// when their Leaves or socket EOFs landed.
-    pub silent_flagged: Vec<usize>,
     /// Final weight tensors, when `cfg.capture_weights` is on.
     pub final_weights: Option<Vec<Tensor>>,
 }
@@ -279,14 +275,6 @@ impl WorkerOutcome {
             self.departed
         ));
         s.push_str(&format!(",\"health_rounds\":{}", self.health_rounds));
-        s.push_str(",\"silent_flagged\":[");
-        for (i, p) in self.silent_flagged.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&p.to_string());
-        }
-        s.push(']');
         for (key, v) in [
             ("busy_secs", self.busy_secs),
             ("wall_secs", self.wall_secs),
@@ -383,10 +371,6 @@ impl WorkerOutcome {
             Some(Json::Arr(items)) => Ok(items),
             _ => Err(format!("missing {key}")),
         };
-        for p in arr("silent_flagged")? {
-            out.silent_flagged
-                .push(p.as_f64().ok_or("bad silent_flagged id")? as usize);
-        }
         let Some(Json::Obj(buckets)) = v.get("wire_bytes_by_kind") else {
             return Err("missing wire_bytes_by_kind".into());
         };
@@ -469,9 +453,6 @@ struct LiveWorker<'a, 'b> {
     /// Health report rounds completed (round `r` fires when `train_secs`
     /// crosses `r × health_interval`; the batching rounds' due rule).
     health_round: u64,
-    /// Silence ledger of the health plane. Allocated even when the plane
-    /// is off — then it just never flags.
-    health: HealthAggregator,
     /// Decode+apply latency of inbound frames, per sending peer
     /// (advisory; recorded only while the health plane is on).
     apply_lat: Vec<Histogram>,
@@ -479,9 +460,6 @@ struct LiveWorker<'a, 'b> {
     /// (a faster peer opened a round we have not reached yet).
     rcp_pending: BTreeMap<(u64, usize), f64>,
     done: Vec<bool>,
-    /// Which peers are currently members of the run. A departed peer is
-    /// demoted everywhere (sync gating, DKT, sends, the Done barrier).
-    active: Vec<bool>,
     /// The round core's ledger, [`Membership::planned`]: `departed_at` is
     /// seeded from the fault plan for permanent kills (making
     /// renormalization independent of message timing) and set from the
@@ -509,18 +487,11 @@ impl LiveWorker<'_, '_> {
 
     /// Demote a departed peer: it no longer gates us, receives from us,
     /// or serves as a DKT target, and rounds from `completed` on are
-    /// averaged without it. Idempotent.
+    /// averaged without it. Idempotent: the demotion is the record.
     fn note_departed(&mut self, peer: usize, completed: Option<u64>) {
-        if peer == self.me || !self.active[peer] {
+        if peer == self.me || self.worker.sync.is_demoted(peer) {
             return;
         }
-        // The health plane flags the peer silent *before* any demotion
-        // action (the flag is one-shot — a ledger-driven flag at an
-        // earlier health tick wins, and this is a no-op).
-        if self.env.opts.health_interval.is_some() {
-            self.flag_silent(peer);
-        }
-        self.active[peer] = false;
         let k = completed
             .or(self.members.departed_at[peer])
             .unwrap_or_else(|| {
@@ -535,15 +506,18 @@ impl LiveWorker<'_, '_> {
         // never reach it. Warn loudly instead of hanging quietly (the
         // union-window check covers rotating group schedules, whose
         // single-round graphs are disconnected by design).
+        let alive: Vec<bool> = (0..self.n)
+            .map(|j| !self.worker.sync.is_demoted(j))
+            .collect();
         if !self
             .env
             .schedule
-            .is_connected_over(&self.active, self.worker.iteration)
+            .is_connected_over(&alive, self.worker.iteration)
         {
             event!(self.now(), w: self.me, "topology_partitioned";
                 "peer" => peer,
                 "iter" => self.worker.iteration,
-                "alive" => self.active.iter().filter(|&&a| a).count());
+                "alive" => alive.iter().filter(|&&a| a).count());
         }
     }
 
@@ -816,15 +790,18 @@ impl LiveWorker<'_, '_> {
             self.worker
                 .complete_round(loss, now, |_| bw_mbps, &self.members);
         for up in updates {
-            if !self.active[up.peer] {
+            if self.worker.sync.is_demoted(up.peer) {
                 continue;
             }
             self.worker.sync.on_sent_to(up.peer);
             self.send(up.peer, Payload::Grad(up.msg), false)?;
         }
         if share_dkt {
-            let (now, active) = (self.now(), &self.active);
-            for (to, payload) in self.worker.dkt_round(now, |j| active[j]) {
+            // A snapshot: `dkt_round` borrows the worker.
+            let gone: Vec<bool> = (0..self.n)
+                .map(|j| self.worker.sync.is_demoted(j))
+                .collect();
+            for (to, payload) in self.worker.dkt_round(self.now(), |j| !gone[j]) {
                 self.send(to, payload, false)?;
             }
         }
@@ -914,7 +891,10 @@ impl LiveWorker<'_, '_> {
     /// plan — decides, so participation under a kill plan is a pure
     /// function of the plan, not of Leave timing.
     fn rcp_expected(&self, j: usize, trigger_iter: u64) -> bool {
-        j != self.me && self.active[j] && !self.done[j] && self.members.counts(j, trigger_iter)
+        j != self.me
+            && !self.worker.sync.is_demoted(j)
+            && !self.done[j]
+            && self.members.counts(j, trigger_iter)
     }
 
     /// Execute every adjustment round whose boundary the *local* training
@@ -982,16 +962,13 @@ impl LiveWorker<'_, '_> {
     /// [`LiveWorker::run_due_gbs_rounds`], so with a pinned iteration
     /// time the round count and round numbers are pure functions of the
     /// iteration schedule (and hence `ManualClock`-testable without
-    /// sleeps). Each round runs the ledger-based silence check and traces
-    /// this rank's `worker_health` report.
+    /// sleeps). Each round traces this rank's `worker_health` report.
     fn run_due_health_rounds(&mut self) {
         let Some(interval) = self.env.opts.health_interval else {
             return;
         };
         while round_due(self.health_round + 1, self.train_secs, interval) {
             self.health_round += 1;
-            self.out.health_rounds = self.health_round;
-            self.flag_planned_silent();
             let links = self.transport.link_health();
             let sendq = links.iter().map(|l| l.queue_depth).max().unwrap_or(0);
             let scratch_hw = self.wire_scratch.capacity() as u64;
@@ -1008,26 +985,6 @@ impl LiveWorker<'_, '_> {
         }
     }
 
-    /// Flag `peer` silent on the health plane — one-shot per peer, however
-    /// many of the ledger, a Leave or a socket EOF report it.
-    fn flag_silent(&mut self, peer: usize) {
-        if self.health.flag_silent(peer) {
-            event!(self.now(), w: self.me, "health_silence";
-                "peer" => peer, "iter" => self.worker.iteration);
-        }
-    }
-
-    /// Ledger-based silence detection: a peer whose planned kill
-    /// iteration we have crossed locally will send nothing new — flag it
-    /// even before its Leave or socket EOF lands.
-    fn flag_planned_silent(&mut self) {
-        for j in 0..self.n {
-            if j != self.me && !self.members.counts(j, self.worker.iteration) {
-                self.flag_silent(j);
-            }
-        }
-    }
-
     /// Fold the batching and health planes' end-of-run state into the
     /// outcome and trace per-link frame-lifecycle latency (advisory wall-clock
     /// quantiles, in µs, over the whole run).
@@ -1036,7 +993,6 @@ impl LiveWorker<'_, '_> {
         self.out.lbs_trace = std::mem::take(&mut self.batching.lbs_trace);
         self.out.train_secs = self.train_secs;
         self.out.health_rounds = self.health_round;
-        self.out.silent_flagged = self.health.silent_peers();
         if self.env.opts.health_interval.is_none() {
             return;
         }
@@ -1067,7 +1023,7 @@ impl LiveWorker<'_, '_> {
         let completed = self.worker.iteration;
         event!(self.now(), w: self.me, "departed"; "iter" => completed);
         for j in 0..self.n {
-            if j != self.me && self.active[j] {
+            if j != self.me && !self.worker.sync.is_demoted(j) {
                 self.send(j, Payload::Leave { completed }, true)?;
             }
         }
@@ -1094,7 +1050,7 @@ impl LiveWorker<'_, '_> {
     fn all_peers_finished(&self) -> bool {
         (0..self.n)
             .filter(|&j| j != self.me)
-            .all(|j| self.done[j] || !self.active[j] || !self.env.links[j])
+            .all(|j| self.done[j] || self.worker.sync.is_demoted(j) || !self.env.links[j])
     }
 
     /// Finalize an early exit (a permanent kill): no final evaluation,
@@ -1143,11 +1099,9 @@ pub fn run_worker(
         ewma_rate: 0.0,
         straggle,
         health_round: 0,
-        health: HealthAggregator::new(n),
         apply_lat: vec![Histogram::default(); n],
         rcp_pending: BTreeMap::new(),
         done: vec![false; n],
-        active: vec![true; n],
         members: Membership::planned(env.cfg, n),
         wire_cfg: WireCfg {
             format: env.cfg.wire,
@@ -1226,7 +1180,7 @@ pub fn run_worker(
         Ok(true) | Err(LiveError::Transport(TransportError::Disconnected)) => {}
         Ok(false) => {
             let missing: Vec<usize> = (0..n)
-                .filter(|&j| !lw.done[j] && lw.active[j] && env.links[j])
+                .filter(|&j| !lw.done[j] && !lw.worker.sync.is_demoted(j) && env.links[j])
                 .collect();
             return Err(LiveError::Stalled(format!(
                 "worker {me} waiting for Done from {missing:?}"
@@ -1291,14 +1245,12 @@ mod tests {
             .collect(),
             train_secs: 1.5,
             health_rounds: 6,
-            silent_flagged: vec![1],
             final_weights: None,
         };
         let back = WorkerOutcome::from_json(&out.to_json()).unwrap();
         assert_eq!(back.id, 2);
         assert_eq!(back.train_secs, 1.5);
         assert_eq!(back.health_rounds, 6);
-        assert_eq!(back.silent_flagged, vec![1]);
         assert_eq!(back.gbs_trace, vec![(0.25, 160), (0.5, 240)]);
         assert_eq!(back.lbs_trace.len(), 2);
         assert_eq!(back.lbs_trace[1], (0.25, vec![54, 53, 53]));

@@ -19,8 +19,10 @@
 //! ## Module map
 //!
 //! * [`driver`] — the per-worker training loop (compute → apply own →
-//!   send → block per sync policy), plus the startup LBS profiling round
-//!   and the Done-barrier shutdown protocol.
+//!   send → block per sync policy), plus the startup LBS profiling round,
+//!   the health plane's report cadence (`worker_health`, `frame_latency`)
+//!   and the Done-barrier shutdown protocol. Who left the run is what a
+//!   rank's gating demoted; the verdict is `dlion_core::HealthSummary`.
 //! * [`tcp`] — [`tcp::TcpTransport`], one endpoint per rank: mesh
 //!   establishment with a Hello handshake through one acceptor that lives
 //!   only until the expected peers are wired (a Hello after that is a
@@ -36,22 +38,17 @@
 //!   of them in-process for [`run_live`]/[`run_live_virtual`], one host's
 //!   per `dlion-worker` process; outcomes fold into the same
 //!   [`dlion_core::RunMetrics`] the simulator reports.
-//! * [`health`] — the cluster health plane's live half: the one-shot
-//!   silence ledger ([`health::HealthAggregator`]); the verdict itself is
-//!   `dlion_core::HealthSummary`.
 //! * [`control`] — the net-level control protocol: the [`Control`] enum,
 //!   its frame encoding and the one validated decode. The normative
 //!   control-frame table lives there.
 
 pub mod control;
 pub mod driver;
-pub mod health;
 pub mod live;
 pub mod tcp;
 
 pub use control::{Control, RankHello, KIND_ACK, KIND_DONE, KIND_HELLO, KIND_RCP, KIND_ROUTE};
 pub use driver::{parse_straggle, run_worker, EvalPoint, LiveOpts, WorkerEnv, WorkerOutcome};
-pub use health::HealthAggregator;
 pub use live::{
     assemble_metrics, link_masks, live_config, run_live, run_live_virtual, LiveCluster, RankLayout,
     TransportKind,

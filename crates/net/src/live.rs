@@ -375,23 +375,20 @@ pub fn assemble_metrics(
             .collect();
     }
     // Cluster health verdict (the orchestrator side of the health plane):
-    // rates on the *training clock* and the union of the workers' silence
-    // ledgers. All inputs are deterministic under a pinned iteration
-    // time, so this summary — unlike wall-clock durations — is
-    // bit-comparable across repeat runs and across Mem vs TCP transports.
+    // rates on the *training clock* and who departed. All inputs are
+    // deterministic under a pinned iteration time, so this summary —
+    // unlike wall-clock durations — is bit-comparable across repeat runs
+    // and across Mem vs TCP transports.
     let train_secs: Vec<f64> = outcomes.iter().map(|o| o.train_secs).collect();
-    let silent: Vec<bool> = (0..n)
-        .map(|j| outcomes.iter().any(|o| o.silent_flagged.contains(&j)))
-        .collect();
-    let reports: Vec<u64> = outcomes.iter().map(|o| o.health_rounds).collect();
-    m.health = HealthSummary::of_run(&m.iterations, &train_secs, silent, reports);
+    let departed = outcomes.iter().map(|o| o.departed).collect();
+    let reports = outcomes.iter().map(|o| o.health_rounds).collect();
+    m.health = HealthSummary::of_run(&m.iterations, &train_secs, departed, reports);
     // With health reporting on, trace the verdict at the cluster's final
     // training-clock time, so sim and live health traces line up.
     if outcomes.iter().any(|o| o.health_rounds > 0) {
         let _scope = dlion_telemetry::run_scope(&m.system, env_label, cfg.seed);
         let vt = train_secs.iter().copied().fold(0.0, f64::max);
-        let departed: Vec<bool> = outcomes.iter().map(|o| o.departed).collect();
-        m.health.trace(vt, &m.iterations, &departed);
+        m.health.trace(vt, &m.iterations);
     }
     if cfg.telemetry {
         let tm = &mut m.telemetry;
@@ -559,18 +556,19 @@ mod tests {
     }
 
     #[test]
-    fn health_summary_scores_rates_and_unions_silence() {
+    fn health_summary_scores_rates_and_records_departures() {
         let cfg = live_config(SystemKind::Baseline, 1);
         let mut slow = outcome(2);
         slow.train_secs = 1.5; // rate 6.67 vs the others' 20
-        let mut flagger = outcome(0);
-        flagger.silent_flagged = vec![1];
-        flagger.health_rounds = 5;
-        let m = assemble_metrics(&cfg, "live/3w", vec![flagger, outcome(1), slow]);
+        let mut reporter = outcome(0);
+        reporter.health_rounds = 5;
+        let mut gone = outcome(1);
+        gone.departed = true;
+        let m = assemble_metrics(&cfg, "live/3w", vec![reporter, gone, slow]);
         assert_eq!(m.health.straggler, 2);
         assert!((m.health.straggler_score - 3.0).abs() < 1e-12);
         assert!((m.health.rates[0] - 20.0).abs() < 1e-12);
-        assert_eq!(m.health.silent, vec![false, true, false]);
+        assert_eq!(m.health.departed, vec![false, true, false]);
         assert_eq!(m.health.reports, vec![5, 0, 0]);
     }
 

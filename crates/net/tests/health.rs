@@ -1,10 +1,10 @@
-//! The cluster health plane end to end: straggler scoring, silence
-//! detection under churn, and bit-identical health counters across repeat
-//! runs and transports.
+//! The cluster health plane end to end: straggler scoring and departures
+//! under churn, one verdict whether the plane reports or not, and
+//! bit-identical health counters across repeat runs and transports.
 //!
 //! All runs pin the iteration time (`assumed_iter_time`) and inject a
 //! `ManualClock`, so the training clock — and with it every deterministic
-//! health quantity (report rounds, rates, scores, the silence ledger) —
+//! health quantity (report rounds, rates, scores, departures) —
 //! is a pure function of the iteration schedule: no sleeps, no wall-clock
 //! flakiness. Advisory signals (queue depths, frame latencies) are
 //! deliberately *not* asserted on; they exist for the dashboard only.
@@ -46,7 +46,7 @@ fn chaos_health_opts(iters: u64) -> LiveOpts {
 }
 
 #[test]
-fn straggler_and_silent_peer_are_detected_under_churn() {
+fn straggler_and_departed_peer_are_detected_under_churn() {
     const ITERS: u64 = 8;
     let cfg = health_cfg(ITERS);
     let m = run_live(
@@ -75,9 +75,8 @@ fn straggler_and_silent_peer_are_detected_under_churn() {
         "straggler score: {}",
         h.straggler_score
     );
-    // The killed worker was flagged silent by the survivors' ledger-based
-    // check — before its Leave/EOF demotion had to land anywhere.
-    assert_eq!(h.silent, vec![false, true, false]);
+    // The killed worker is the one the survivors demoted.
+    assert_eq!(h.departed, vec![false, true, false]);
     // Both survivors emitted reports; the straggler's slower train clock
     // means *more* rounds per iteration, never fewer. The victim may or
     // may not cross its first boundary before iteration 3 — no assert.
@@ -93,8 +92,8 @@ fn health_counters_are_bit_identical_across_runs_and_transports() {
     let a = run_live(&cfg, 3, &opts, TransportKind::Mem, "live/health").expect("mem run 1");
     let b = run_live(&cfg, 3, &opts, TransportKind::Mem, "live/health").expect("mem run 2");
     let c = run_live(&cfg, 3, &opts, TransportKind::Tcp, "live/health").expect("tcp run");
-    // The whole summary — rates, scores, straggler verdict, silence
-    // ledger, report counts — is deterministic: equal field-for-field
+    // The whole summary — rates, scores, straggler verdict, departures,
+    // report counts — is deterministic: equal field-for-field
     // (f64s bit-equal via PartialEq) across repeats AND transports.
     assert_eq!(a.health, b.health, "health diverged between repeat runs");
     assert_eq!(a.health, c.health, "health diverged between Mem and TCP");
@@ -103,8 +102,8 @@ fn health_counters_are_bit_identical_across_runs_and_transports() {
 
 #[test]
 fn health_reports_ride_the_chunked_codec_unchanged() {
-    // A tiny chunk size turns every gradient into a multi-chunk stream;
-    // the 112-byte stats frames interleave with those streams on the same
+    // A tiny chunk size turns every gradient into a multi-chunk stream,
+    // interleaved with the small control frames (acks, Dones) on the same
     // sockets. The deterministic health summary must not care.
     const ITERS: u64 = 8;
     let cfg = health_cfg(ITERS);
@@ -126,19 +125,30 @@ fn health_reports_ride_the_chunked_codec_unchanged() {
 }
 
 #[test]
-fn health_plane_off_still_scores_rates_but_flags_nothing() {
-    // Without --health-interval no stats frames flow and nobody runs the
-    // silence check, but train_secs still accumulates — so the summary
-    // keeps its rates/straggler view and the ledgers stay empty.
+fn the_verdict_is_the_same_with_the_plane_on_and_off() {
+    // Without --health-interval no rank traces a report, but train_secs
+    // still accumulates and a departure is still a demotion — so the
+    // verdict keeps its rates, straggler and departures; only the report
+    // counts differ.
     const ITERS: u64 = 8;
     let cfg = health_cfg(ITERS);
-    let opts = LiveOpts {
+    let on = chaos_health_opts(ITERS);
+    let off = LiveOpts {
         health_interval: None,
         ..chaos_health_opts(ITERS)
     };
-    let m = run_live(&cfg, 3, &opts, TransportKind::Mem, "live/health-off").expect("live run");
-    let h = &m.health;
-    assert_eq!(h.straggler, 2);
-    assert_eq!(h.silent, vec![false, false, false]);
-    assert_eq!(h.reports, vec![0, 0, 0]);
+    let on = run_live(&cfg, 3, &on, TransportKind::Mem, "live/health-on").expect("plane on");
+    let off = run_live(&cfg, 3, &off, TransportKind::Mem, "live/health-off").expect("plane off");
+    for (h, label) in [(&on.health, "on"), (&off.health, "off")] {
+        assert_eq!(h.departed, vec![false, true, false], "plane {label}");
+        assert_eq!(h.straggler, 2, "plane {label}");
+    }
+    assert_eq!(on.health.rates, off.health.rates);
+    assert_eq!(on.health.scores, off.health.scores);
+    assert!(
+        on.health.reports[0] >= 1,
+        "reports: {:?}",
+        on.health.reports
+    );
+    assert_eq!(off.health.reports, vec![0, 0, 0]);
 }

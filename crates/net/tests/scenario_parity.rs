@@ -2,7 +2,8 @@
 //! regional outage plus a Pareto straggler — drives the simulator's
 //! fault/straggle machinery and the live backend's, and all three
 //! backends (sim, Mem, TCP) agree bit-for-bit on the survivors' weights
-//! and on the cluster-health straggler verdict. This is what makes
+//! and on the cluster-health verdict (departures, rates, scores and the
+//! straggler), with the live health plane reporting. This is what makes
 //! `--scenario` a portable chaos format rather than two dialects that
 //! merely share a parser. Its rejoining twin pauses the outage victim
 //! instead (`0@3+0.2`): one kill semantic on both backends, so every
@@ -62,6 +63,8 @@ fn sim_run(plan: &ScenarioPlan) -> RunMetrics {
     run_with_models(&cfg, compute, net, "scenario-twin")
 }
 
+/// The live half, with the health plane on: its reports must not change
+/// the verdict the simulator reaches without one.
 fn live_run(plan: &ScenarioPlan, kind: TransportKind) -> RunMetrics {
     let opts = LiveOpts {
         iters: ITERS,
@@ -69,6 +72,7 @@ fn live_run(plan: &ScenarioPlan, kind: TransportKind) -> RunMetrics {
         bw_mbps: BW_MBPS,
         assumed_iter_time: Some(ITER_TIME),
         stall_timeout: Duration::from_secs(120),
+        health_interval: Some(2.0 * ITER_TIME),
         ..Default::default()
     };
     run_live(&twin_cfg(plan), N, &opts, kind, "live/scenario-twin").expect("live run")
@@ -127,12 +131,15 @@ fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
         assert_eq!(mw[w], tw[w], "mem vs tcp weights diverged at worker {w}");
     }
 
-    // The cluster-health verdict matches: same straggler, and the
-    // iteration rates/scores bit-match because the sim multiplies its
-    // modelled iteration time by the straggle factor exactly where the
-    // live driver multiplies its pinned assumed time.
+    // The cluster-health verdict matches: the same departures and
+    // straggler, and the iteration rates/scores bit-match because the sim
+    // multiplies its modelled iteration time by the straggle factor
+    // exactly where the live driver multiplies its pinned assumed time.
+    let departed: Vec<bool> = (0..N).map(|w| w == victim).collect();
+    assert_eq!(sim.health.departed, departed, "sim departures");
     let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (m, label) in [(&mem, "mem"), (&tcp, "tcp")] {
+        assert_eq!(m.health.departed, departed, "{label} departures");
         assert_eq!(
             m.health.straggler, sim.health.straggler,
             "{label} straggler"
@@ -190,12 +197,20 @@ fn a_rejoining_kill_pauses_bit_identically_on_sim_mem_and_tcp() {
         assert_eq!(sw[w], mw[w], "sim vs mem weights diverged at worker {w}");
         assert_eq!(mw[w], tw[w], "mem vs tcp weights diverged at worker {w}");
     }
+    // Nobody departed: a paused rank is a member.
+    assert_eq!(sim.health.departed, vec![false; N], "sim departures");
     let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (m, label) in [(&mem, "mem"), (&tcp, "tcp")] {
+        assert_eq!(m.health.departed, sim.health.departed, "{label} departures");
         assert_eq!(
             bits(&m.health.rates),
             bits(&sim.health.rates),
             "{label} health rates diverged from sim"
+        );
+        assert_eq!(
+            bits(&m.health.scores),
+            bits(&sim.health.scores),
+            "{label} health scores diverged from sim"
         );
         assert_eq!(
             m.health.straggler, sim.health.straggler,

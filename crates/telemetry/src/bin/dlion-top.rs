@@ -12,12 +12,14 @@
 //! a recorded stream.
 //!
 //! The dashboard consumes the health plane's fixed-key events
-//! (`worker_health`, `health_silence`, `cluster_health`, `frame_latency`)
-//! plus `peer_departed` and the topology plane's `topology_round` (active
-//! topology name in the header, per-worker neighbor count in the NBRS
-//! column); all other kinds count toward the record total but
-//! render nothing. Lines that do not parse are skipped silently — a live
-//! tail can observe a torn final line that the next refresh completes.
+//! (`worker_health`, `cluster_health`, `frame_latency`), `peer_departed`
+//! and the topology plane's `topology_round` (active topology name in the
+//! header, per-worker neighbor count in the NBRS column); all other kinds
+//! count toward the record total but render nothing. A worker is tagged
+//! DEPARTED once a survivor demotes it (`peer_departed`) or the verdict's
+//! `departed` column says so — the same record on both backends. Lines
+//! that do not parse are skipped silently — a live tail can observe a torn
+//! final line that the next refresh completes.
 
 use dlion_telemetry::json::{self, Json};
 use std::collections::{BTreeMap, BTreeSet};
@@ -41,7 +43,6 @@ struct ClusterRow {
     iterations: u64,
     rate: f64,
     score: f64,
-    silent: bool,
     departed: bool,
 }
 
@@ -62,7 +63,6 @@ struct LinkRow {
 struct State {
     records: usize,
     workers: BTreeMap<usize, WorkerRow>,
-    silent: BTreeSet<usize>,
     departed: BTreeSet<usize>,
     cluster: BTreeMap<usize, ClusterRow>,
     /// The cluster-level straggler verdict, once `cluster_health` arrives.
@@ -112,9 +112,6 @@ impl State {
                     scratch_hw: num(fields, "scratch_hw") as u64,
                 };
             }
-            "health_silence" => {
-                self.silent.insert(num(fields, "peer") as usize);
-            }
             "peer_departed" => {
                 self.departed.insert(num(fields, "peer") as usize);
             }
@@ -125,7 +122,6 @@ impl State {
                         iterations: num(fields, "iterations") as u64,
                         rate: num(fields, "rate"),
                         score: num(fields, "score"),
-                        silent: flag(fields, "silent"),
                         departed: flag(fields, "departed"),
                     },
                 );
@@ -165,9 +161,6 @@ impl State {
         if self.straggler == Some(w) {
             tags.push("STRAGGLER");
         }
-        if self.silent.contains(&w) || self.cluster.get(&w).is_some_and(|c| c.silent) {
-            tags.push("SILENT");
-        }
         if self.departed.contains(&w) || self.cluster.get(&w).is_some_and(|c| c.departed) {
             tags.push("DEPARTED");
         }
@@ -204,7 +197,6 @@ impl State {
             .keys()
             .chain(self.cluster.keys())
             .chain(self.neighbors.keys())
-            .chain(self.silent.iter())
             .chain(self.departed.iter())
             .copied()
             .collect();
@@ -334,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_worker_rows_silence_and_straggler() {
+    fn renders_worker_rows_departures_and_straggler() {
         let mut s = State::default();
         s.ingest(&line(
             0,
@@ -347,7 +339,6 @@ mod tests {
             "worker_health",
             r#"{"round":1,"iter":4,"rate":100.0,"gbs_round":0,"deferred":0,"sendq":0,"scratch_hw":0}"#,
         ));
-        s.ingest(&line(0, "health_silence", r#"{"peer":1,"iter":9}"#));
         s.ingest(&line(
             0,
             "peer_departed",
@@ -356,7 +347,7 @@ mod tests {
         s.ingest(&line(
             2,
             "cluster_health",
-            r#"{"iterations":24,"rounds":6,"rate":6.67,"score":3.0,"silent":false,"departed":false,"straggler":2}"#,
+            r#"{"iterations":24,"rounds":6,"rate":6.67,"score":3.0,"departed":false,"straggler":2}"#,
         ));
         s.ingest(&line(
             0,
@@ -371,11 +362,10 @@ mod tests {
         assert!(out.contains("612.5"), "{out}");
         assert_eq!(s.workers[&0].round, 2);
         assert!(out.contains("straggler w2 (score 3.00)"), "{out}");
-        assert!(out.contains("SILENT"), "{out}");
         assert!(out.contains("DEPARTED"), "{out}");
         assert!(out.contains("STRAGGLER"), "{out}");
         assert!(out.contains("w0->w2"), "{out}");
-        assert!(out.contains("7 records"), "{out}");
+        assert!(out.contains("6 records"), "{out}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ const REQUIRED_KEYS: [&str; 9] = [
 /// plane's four (DESIGN.md §4n) each have one emitter in `dlion-core`, so
 /// a simulator trace and a live trace carry the same columns; and the three
 /// fault events (DESIGN.md §4e) carry the runner's fields on both backends.
-const SCHEMAS: [(&str, &[&str]); 12] = [
+const SCHEMAS: [(&str, &[&str]); 11] = [
     (
         "cluster_health",
         &[
@@ -36,7 +36,6 @@ const SCHEMAS: [(&str, &[&str]); 12] = [
             "rounds",
             "rate",
             "score",
-            "silent",
             "departed",
             "straggler",
         ],
@@ -67,7 +66,6 @@ const SCHEMAS: [(&str, &[&str]); 12] = [
             "apply_p99_us",
         ],
     ),
-    ("health_silence", &["peer", "iter"]),
     (
         "topology_round",
         &["round", "topology", "neighbors", "links"],
@@ -299,27 +297,23 @@ mod tests {
 
     #[test]
     fn health_schemas_are_pinned_field_for_field() {
-        let silence = GOOD
-            .replace("\"kind\":\"iter_done\"", "\"kind\":\"health_silence\"")
-            .replace("{\"loss\":1.5}", "{\"peer\":1,\"iter\":10}");
-        assert!(check_line(1, &silence).is_ok());
-        // A missing schema key fails, naming the key...
-        let missing = silence.replace("\"iter\":10", "\"later\":10");
-        let err = check_line(1, &missing).unwrap_err();
-        assert!(err.contains("\"iter\""), "{err}");
-        // ...and so does an extra field (schemas pin the exact key set).
-        let extra = silence.replace("\"iter\":10", "\"iter\":10,\"extra\":1");
-        let err = check_line(1, &extra).unwrap_err();
-        assert!(err.contains("schema pins"), "{err}");
-        // Unpinned kinds still take any fields object.
-        assert!(check_line(1, GOOD).is_ok());
         let ch = GOOD
             .replace("\"kind\":\"iter_done\"", "\"kind\":\"cluster_health\"")
             .replace(
                 "{\"loss\":1.5}",
-                "{\"iterations\":24,\"rounds\":6,\"rate\":20,\"score\":1,\"silent\":0,\"departed\":0,\"straggler\":0}",
+                "{\"iterations\":24,\"rounds\":6,\"rate\":20,\"score\":1,\"departed\":false,\"straggler\":0}",
             );
         assert!(check_line(1, &ch).is_ok());
+        // A missing schema key fails, naming the key...
+        let missing = ch.replace("\"departed\":false", "\"silent\":false");
+        let err = check_line(1, &missing).unwrap_err();
+        assert!(err.contains("\"departed\""), "{err}");
+        // ...and so does an extra field (schemas pin the exact key set).
+        let extra = ch.replace("\"departed\":false", "\"departed\":false,\"silent\":false");
+        let err = check_line(1, &extra).unwrap_err();
+        assert!(err.contains("schema pins"), "{err}");
+        // Unpinned kinds still take any fields object.
+        assert!(check_line(1, GOOD).is_ok());
     }
 
     #[test]
