@@ -138,20 +138,31 @@ fn kernels() {
         });
     }
 
-    // Cipher's three convolutions at batch 64 (a `sim_paper` LBS), forward,
-    // on the same warm arena: (c, h, w, f), 3×3 filters, pad 1.
-    for (layer, (c, hw, f)) in [(1, 12, 4), (4, 6, 8), (8, 3, 16)].into_iter().enumerate() {
+    // Cipher's three convolutions at batch 64 (a `sim_paper` LBS) on the
+    // same warm arena, forward, then backward as the model runs it: into the
+    // layer's own dw/db, and no input gradient for the first layer.
+    // (c, h, w, f), 3×3 filters, pad 1.
+    let cipher = [(1, 12, 4), (4, 6, 8), (8, 3, 16)];
+    for (layer, (c, hw, f)) in cipher.into_iter().enumerate() {
         let input = Tensor::randn(Shape::d4(64, c, hw, hw), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(f, c, 3, 3), 0.2, &mut rng);
         let bias = Tensor::randn(Shape::d1(f), 0.1, &mut rng);
-        let (i, w, b) = (&input, &weight, &bias);
-        let label = format!(
-            "conv2d fwd Cipher conv{} (64,{c},{hw},{hw})x({f},{c},3,3)",
-            layer + 1
-        );
-        bench(&label, || {
+        let dout = Tensor::randn(Shape::d4(64, f, hw, hw), 1.0, &mut rng);
+        let (i, w, b, d) = (&input, &weight, &bias, &dout);
+        let name = format!("Cipher conv{} (64,{c},{hw},{hw})x({f},{c},3,3)", layer + 1);
+        bench(&format!("conv2d fwd {name}"), || {
             let y = conv2d_s(black_box(i), black_box(w), black_box(b), 1, &mut s);
             s.put_tensor(black_box(y));
+        });
+        let want_dx = layer > 0;
+        let (mut dw, mut db) = (vec![0.0f32; weight.numel()], vec![0.0f32; f]);
+        let dx = if want_dx { "" } else { ", no dinput" };
+        bench(&format!("conv2d bwd {name}{dx}"), || {
+            let (i, w, d) = (black_box(i), black_box(w), black_box(d));
+            let dx = conv2d_backward_into(i, w, d, 1, want_dx, &mut dw, &mut db, &mut s);
+            if let Some(dx) = black_box(dx) {
+                s.put_tensor(dx);
+            }
         });
     }
 

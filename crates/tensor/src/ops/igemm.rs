@@ -26,9 +26,17 @@
 //!   is compress-stored straight into `out[n][j]` — no transpose. Filter
 //!   count does not idle lanes (Cipher's 4- and 8-filter layers fill all
 //!   sixteen); a small map does (a 3×3 map fills 9 of its one block's 16);
-//! * `dWᵀ[k][f] = Σ_r patches[r][k] · drows[r][f]` — four taps × sixteen
-//!   filters per sweep over the rows, `dbias` one more accumulator of the
-//!   first sweep;
+//! * `dW[f][k] = Σ_r patches[r][k] · drows[r][f]` over *runs*: a vector's
+//!   lanes are `fw = min(16, F.next_power_of_two())` filters × `T = 16/fw`
+//!   taps, lane `l` filter `j0 + l/T` and tap `ks + l%T` of a run — `T`
+//!   adjacent `kx` taps of one `(ci, ky)` kernel row, which are contiguous in
+//!   `xpad`. Per row `r` the run is one broadcast load of `T` floats, and
+//!   `drows[r]` one permute shared by every run of the sweep (up to 12);
+//!   `dbias[f]` is lane `f·T` of `Σ_r` of that permuted row. Cipher's 4-, 8-
+//!   and 16-filter layers fill 75 %, 75 % and 100 % of the lanes (a 3-tap
+//!   row in a 4- or 2-tap run). `drows` itself — `dout (N,F,OH,OW)` in row
+//!   layout — is a block transpose, sixteen pixels × `fw` filters through
+//!   `log₂ fw` perfect shuffles;
 //! * `dinput`: each 4-row strip of `dpatches = drows · W` is computed into a
 //!   strip buffer (all panels of the strip first) and scatter-added into a
 //!   padded `dpad` through the same offset table, then un-padded.
@@ -39,7 +47,8 @@
 //! replaced ran, so the bits are that lowering's: forward
 //! `((0 + a₀w₀) + a₁w₁ + …) + bias` in ascending `k`, *including* the
 //! padding taps' `0·w` terms (a NaN or ±∞ weight propagates as before);
-//! `dW[f][k]` and `dbias[f]` from `+0.0` in ascending `r`; each
+//! `dW[f][k]` and `dbias[f]` from `+0.0` in ascending `r` (a lane is one
+//! `(f, k)`: runs and filter groups only regroup the chains); each
 //! `dpatches[r][k]` from `+0.0` in ascending `f`, and each `dinput` element
 //! from `+0.0` receiving its `dpatches` terms in ascending `(r, k)`. `mul`
 //! then `add`, never FMA; no split-`k`; no zero skips.
@@ -49,16 +58,21 @@
 //! All `unsafe` of the convolution is in this module: the [`simd`] kernels,
 //! which read `xpad` through raw pointers, and [`scatter_add`]'s unchecked
 //! writes into `dpad`. [`Geom::with`] makes the one assertion that covers a
-//! whole pass — the largest index any live read can form,
-//! `(N−1)·C·Hp·Wp + (OH−1)·Wp + (OW−1) + off[K−1]`, is inside the padded
-//! buffer — before any loop runs; bases, offsets and lane masks come only
-//! from the geometry's own tables, which nothing outside this module can
-//! build. The forward's loads are masked: a dead lane (a padding column, or
-//! past the grid's last pixel) is never read, even where its address lies
-//! beyond the buffer, and the portable twin reads live lanes only. The
-//! compress store writes exactly a block's live lanes; the masks of a
-//! sample count `OH·OW` of them, so a sample's stores stay inside its
-//! `F·OH·OW` outputs.
+//! whole pass — the largest index any read can form, the last pixel's last
+//! run, `(N−1)·C·Hp·Wp + (OH−1)·Wp + (OW−1) + off[ks] + T − 1`, is inside
+//! the padded buffer — before any loop runs; bases, offsets, runs and lane
+//! masks come only from the geometry's own tables, which nothing outside
+//! this module can build. A run's dead taps (`kx ≥ KW`) read up to `T − 1`
+//! floats past its row's last tap, so the padded buffer carries that slack
+//! after its last sample, zeroed, and a pad-0 input is copied too when the
+//! slack is not zero; forward, `dW` and `dpad` share the one length. The
+//! forward's last tap `off[K−1]` lies inside the last run, and its loads are
+//! masked: a dead lane (a padding column, or past the grid's last pixel) is
+//! never read, and the portable twin reads live lanes only. The compress
+//! store writes exactly a block's live lanes; the masks of a sample count
+//! `OH·OW` of them, so a sample's stores stay inside its `F·OH·OW` outputs.
+//! `dW`'s `drows` loads and the transpose's loads and stores are masked to
+//! the row's filters and the sample's pixels.
 
 use crate::ops::conv::{dims4, out_hw};
 use crate::ops::matmul::{micro_a_rows, pack_panels_rowmajor, with_pack_buf, MR, NR};
@@ -67,7 +81,7 @@ use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
-/// Pixel lanes of the forward kernel: `f32`s per 512-bit vector.
+/// `f32`s per 512-bit vector: the forward's pixels, `dW`'s filters × taps.
 const LANES: usize = 16;
 
 thread_local! {
@@ -83,6 +97,7 @@ struct Geom<'a> {
     h: usize,
     w: usize,
     f: usize,
+    kw: usize,
     pad: usize,
     oh: usize,
     ow: usize,
@@ -92,6 +107,9 @@ struct Geom<'a> {
     off: &'a [usize],
     /// `pix[p] = oy·Wp + ox` for `p = (oy, ox)`.
     pix: &'a [usize],
+    /// `dW`'s runs by first tap `ks = (ci, ky, kx0)`, `kx0` a multiple of
+    /// [`Geom::taps`], ascending.
+    runs: &'a [usize],
     /// One per 16-lane block of a sample's padded-width output grid: bit
     /// `i` of `masks[b]` is set iff `q = 16·b + i` is live (`q % Wp < OW`,
     /// `q < (OH−1)·Wp + OW`).
@@ -106,6 +124,7 @@ impl Geom<'_> {
         assert_eq!(c, cw, "conv2d channel mismatch");
         let (oh, ow) = out_hw(h, w, kh, kw, pad);
         let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let taps = LANES / LANES.min(f.next_power_of_two());
         TABLES.with(|t| {
             let mut tab = std::mem::take(&mut *t.borrow_mut());
             tab.clear();
@@ -117,13 +136,17 @@ impl Geom<'_> {
             for oy in 0..oh {
                 tab.extend((0..ow).map(|ox| oy * wp + ox));
             }
+            for row in 0..c * kh {
+                tab.extend((0..kw).step_by(taps).map(|kx| row * kw + kx));
+            }
             let span = (oh - 1) * wp + ow;
             for q0 in (0..span).step_by(LANES) {
                 let live = (q0..span.min(q0 + LANES)).filter(|q| q % wp < ow);
                 tab.push(live.fold(0, |m, q| m | 1 << (q - q0)));
             }
             let (off, rest) = tab.split_at(c * kh * kw);
-            let (pix, masks) = rest.split_at(oh * ow);
+            let (pix, rest) = rest.split_at(oh * ow);
+            let (runs, masks) = rest.split_at(c * kh * kw.div_ceil(taps));
             // Each output pixel is one live lane: a sample's compress stores
             // fill its `OH·OW` outputs exactly.
             let live: u32 = masks.iter().map(|m| m.count_ones()).sum();
@@ -134,6 +157,7 @@ impl Geom<'_> {
                 h,
                 w,
                 f,
+                kw,
                 pad,
                 oh,
                 ow,
@@ -141,11 +165,15 @@ impl Geom<'_> {
                 wp,
                 off,
                 pix,
+                runs,
                 masks,
             };
             // The one bound every raw read below relies on (see the module
-            // header): the last pixel's last tap is inside the padded image.
-            let last = (n - 1) * g.sample() + g.pix[g.ohw() - 1] + g.off[g.k() - 1];
+            // header): all `T` lanes of the last pixel's last run are inside
+            // the padded image, and the forward's last tap lies in that run.
+            let last_run = g.off[g.runs[g.runs.len() - 1]];
+            debug_assert!(g.off[g.k() - 1] < last_run + taps);
+            let last = (n - 1) * g.sample() + g.pix[g.ohw() - 1] + last_run + taps - 1;
             assert!(last < g.padded_len(), "conv2d gather out of bounds");
             let r = body(&g);
             *t.borrow_mut() = tab;
@@ -156,6 +184,22 @@ impl Geom<'_> {
     /// Taps per output element, `C·KH·KW`.
     fn k(&self) -> usize {
         self.off.len()
+    }
+
+    /// Filter lanes of a `dW` vector, `min(16, F.next_power_of_two())`.
+    fn fw(&self) -> usize {
+        LANES.min(self.f.next_power_of_two())
+    }
+
+    /// Tap lanes per filter of a `dW` vector, `16 / fw`: a run's length.
+    fn taps(&self) -> usize {
+        LANES / self.fw()
+    }
+
+    /// Floats past the last sample that a run's dead taps read: the last
+    /// kernel row's runs end `kw.next_multiple_of(T)` taps after it starts.
+    fn slack(&self) -> usize {
+        self.kw.next_multiple_of(self.taps()) - self.kw
     }
 
     /// Output pixels per sample, `OH·OW`.
@@ -173,8 +217,14 @@ impl Geom<'_> {
         self.c * self.hp * self.wp
     }
 
+    /// The padded buffer: `N` padded samples, then [`Geom::slack`] floats.
     fn padded_len(&self) -> usize {
-        self.n * self.sample()
+        self.n * self.sample() + self.slack()
+    }
+
+    /// Whether the padded buffer is the input itself (no padding, no slack).
+    fn in_place(&self) -> bool {
+        self.pad == 0 && self.slack() == 0
     }
 
     /// `base_r` of row `r = ni·OH·OW + p`.
@@ -183,39 +233,61 @@ impl Geom<'_> {
         ni * self.sample() + self.pix[p]
     }
 
+    /// Where the `(N,C,H,W)` input's rows sit.
+    fn dense(&self) -> Planes {
+        Planes {
+            at: 0,
+            row: self.w,
+            plane: self.h * self.w,
+        }
+    }
+
+    /// Where the input's rows sit inside the padded buffer.
+    fn interior(&self) -> Planes {
+        Planes {
+            at: self.pad * self.wp + self.pad,
+            row: self.wp,
+            plane: self.hp * self.wp,
+        }
+    }
+
     /// Copy `src (N,C,H,W)` into the interior of a zeroed padded buffer
-    /// from `s`; `None` when there is no padding and `src` serves as is.
+    /// from `s`; `None` when [`Geom::in_place`] and `src` serves as is.
     fn padded(&self, src: &[f32], s: &mut Scratch) -> Option<Vec<f32>> {
-        if self.pad == 0 {
+        if self.in_place() {
             return None;
         }
         let mut xpad = s.take(self.padded_len());
-        let planes = xpad.chunks_exact_mut(self.hp * self.wp);
-        for (plane, img) in planes.zip(src.chunks_exact(self.h * self.w)) {
-            let interior = plane[self.pad * self.wp..].chunks_exact_mut(self.wp);
-            for (dst, row) in interior.zip(img.chunks_exact(self.w)) {
-                dst[self.pad..self.pad + self.w].copy_from_slice(row);
-            }
-        }
+        copy_rows(self, src, self.dense(), &mut xpad, self.interior());
         Some(xpad)
     }
 
     /// Inverse of [`Geom::padded`]: the interior of `dpad`, as a fresh
     /// `(N,C,H,W)` buffer from `s`.
     fn unpadded(&self, dpad: Vec<f32>, s: &mut Scratch) -> Vec<f32> {
-        if self.pad == 0 {
+        if self.in_place() {
             return dpad;
         }
         let mut out = s.take_uninit(self.n * self.c * self.h * self.w);
-        let planes = dpad.chunks_exact(self.hp * self.wp);
-        for (plane, img) in planes.zip(out.chunks_exact_mut(self.h * self.w)) {
-            let interior = plane[self.pad * self.wp..].chunks_exact(self.wp);
-            for (src, row) in interior.zip(img.chunks_exact_mut(self.w)) {
-                row.copy_from_slice(&src[self.pad..self.pad + self.w]);
-            }
-        }
+        copy_rows(self, &dpad, self.interior(), &mut out, self.dense());
         s.put(dpad);
         out
+    }
+}
+
+/// Where an image's rows sit in a buffer: row `y` of plane `i` (of `N·C`)
+/// starts at `at + i·plane + y·row`.
+#[derive(Clone, Copy)]
+struct Planes {
+    at: usize,
+    row: usize,
+    plane: usize,
+}
+
+impl Planes {
+    /// One past the last element of `g`'s image rows laid out this way.
+    fn end(self, g: &Geom) -> usize {
+        self.at + (g.n * g.c - 1) * self.plane + (g.h - 1) * self.row + g.w
     }
 }
 
@@ -242,7 +314,7 @@ impl Rows {
 /// `mul` + `add`, never FMA, like `ops::matmul::simd`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{Geom, LANES, MR, NR};
+    use super::{store_sweep, sweep_len, Geom, Planes, LANES, SWEEP};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
@@ -321,55 +393,183 @@ mod simd {
         G
     }
 
-    /// One sweep over every row `r = (ni, p)`, ascending, from `+0.0`:
-    /// `acc[i][c] = Σ_r x[base_r + off[i]] · g_r[c]` and `sum[c] = Σ_r g_r[c]`,
-    /// where `g_r` is `drows[r·f + j0 ..][..ne]` zero-extended to `NR` and
-    /// `base_r = ni·sample + pix[p]`.
+    /// `dW` and `dbias` over runs of `T` taps: for every filter group `j0`
+    /// and every sweep of the runs (see [`super::sweep_len`]), the lanes of
+    /// [`sweep`], stored by [`super::store_sweep`].
     ///
     /// # Safety
-    /// AVX-512F must be available; `(n−1)·sample + pix[p] + off[i] < x.len()`
-    /// for every `p`, `i`; `drows` must hold `n · pix.len() · f` elements and
-    /// `j0 + ne <= f`, `ne <= NR`.
+    /// AVX-512F must be available; `T` must be `g.taps()`; `x` must hold
+    /// `g.padded_len()` elements (which [`Geom::with`] bounds every run's
+    /// read by) and `drows` `g.rows()·F`.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gather_cols(
+    pub unsafe fn tap_runs<const T: usize>(
+        g: &Geom,
         x: &[f32],
-        n: usize,
-        sample: usize,
-        pix: &[usize],
-        off: &[usize; MR],
         drows: &[f32],
-        f: usize,
-        j0: usize,
-        ne: usize,
-    ) -> ([[f32; NR]; MR], [f32; NR]) {
-        let lanes: __mmask16 = ((1u32 << ne) - 1) as __mmask16;
-        let mut c0 = _mm512_setzero_ps();
-        let mut c1 = _mm512_setzero_ps();
-        let mut c2 = _mm512_setzero_ps();
-        let mut c3 = _mm512_setzero_ps();
-        let mut cs = _mm512_setzero_ps();
-        let mut gp = drows.as_ptr().add(j0);
-        for ni in 0..n {
-            let xs = x.as_ptr().add(ni * sample);
-            for &p in pix {
-                let g = _mm512_maskz_loadu_ps(lanes, gp);
-                gp = gp.add(f);
-                let xr = xs.add(p);
-                c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(*xr.add(off[0])), g));
-                c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(*xr.add(off[1])), g));
-                c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(*xr.add(off[2])), g));
-                c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(*xr.add(off[3])), g));
-                cs = _mm512_add_ps(cs, g);
+        dw: &mut [f32],
+        db: &mut [f32],
+    ) {
+        let (mut acc, mut sum) = ([[0.0f32; LANES]; SWEEP], [0.0f32; LANES]);
+        for j0 in (0..g.f).step_by(LANES / T) {
+            let mut i0 = 0;
+            while i0 < g.runs.len() {
+                let (runs, a, s) = (&g.runs[i0..], &mut acc, &mut sum);
+                let took = match sweep_len(runs.len()) {
+                    12 => sweep::<T, 12>(g, x, runs, drows, j0, a, s),
+                    6 => sweep::<T, 6>(g, x, runs, drows, j0, a, s),
+                    3 => sweep::<T, 3>(g, x, runs, drows, j0, a, s),
+                    2 => sweep::<T, 2>(g, x, runs, drows, j0, a, s),
+                    _ => sweep::<T, 1>(g, x, runs, drows, j0, a, s),
+                };
+                let first = (i0 == 0).then_some(&sum);
+                store_sweep(g, j0, &runs[..took], &acc, first, dw, db);
+                i0 += took;
             }
         }
-        let (mut acc, mut sum) = ([[0.0f32; NR]; MR], [0.0f32; NR]);
-        _mm512_storeu_ps(acc[0].as_mut_ptr(), c0);
-        _mm512_storeu_ps(acc[1].as_mut_ptr(), c1);
-        _mm512_storeu_ps(acc[2].as_mut_ptr(), c2);
-        _mm512_storeu_ps(acc[3].as_mut_ptr(), c3);
-        _mm512_storeu_ps(sum.as_mut_ptr(), cs);
-        (acc, sum)
+    }
+
+    /// One sweep over every row `r = (ni, p)`, ascending, from `+0.0`, for
+    /// the first `G` runs: lane `l` of `acc[i]` is
+    /// `Σ_r x[base_r + off[runs[i]] + l%T] · drows[r][j0 + l/T]` and of `sum`
+    /// `Σ_r drows[r][j0 + l/T]` (0 past the row's `F`). Returns `G`.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `base_r + off[runs[i]] + T − 1 < x.len()`
+    /// for every row and run; `drows` must hold `g.rows()·F` elements and
+    /// `j0 < F`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn sweep<const T: usize, const G: usize>(
+        g: &Geom,
+        x: &[f32],
+        runs: &[usize],
+        drows: &[f32],
+        j0: usize,
+        acc: &mut [[f32; LANES]; SWEEP],
+        sum: &mut [f32; LANES],
+    ) -> usize {
+        let mut off = [0; G];
+        for (o, &ks) in off.iter_mut().zip(runs) {
+            *o = g.off[ks];
+        }
+        let row = ((1u32 << (g.f - j0).min(LANES)) - 1) as __mmask16;
+        let idx: [i32; LANES] = std::array::from_fn(|l| (l / T) as i32);
+        let idx = _mm512_loadu_si512(idx.as_ptr().cast());
+        let mut a = [_mm512_setzero_ps(); G];
+        let mut s = _mm512_setzero_ps();
+        let mut gp = drows.as_ptr().add(j0);
+        for ni in 0..g.n {
+            let xs = x.as_ptr().add(ni * g.sample());
+            for &p in g.pix {
+                let gr = _mm512_permutexvar_ps(idx, _mm512_maskz_loadu_ps(row, gp));
+                gp = gp.add(g.f);
+                let xr = xs.add(p);
+                for (ai, &o) in a.iter_mut().zip(&off) {
+                    *ai = _mm512_add_ps(*ai, _mm512_mul_ps(run::<T>(xr.add(o)), gr));
+                }
+                s = _mm512_add_ps(s, gr);
+            }
+        }
+        for (dst, ai) in acc.iter_mut().zip(a) {
+            _mm512_storeu_ps(dst.as_mut_ptr(), ai);
+        }
+        _mm512_storeu_ps(sum.as_mut_ptr(), s);
+        G
+    }
+
+    /// The `T` floats at `p` in every `T`-lane slot: one broadcast load.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `p .. p + T` must be readable.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn run<const T: usize>(p: *const f32) -> __m512 {
+        match T {
+            1 => _mm512_set1_ps(*p),
+            2 => _mm512_castsi512_ps(_mm512_set1_epi64(p.cast::<i64>().read_unaligned())),
+            4 => _mm512_broadcast_f32x4(_mm_loadu_ps(p)),
+            8 => _mm512_castsi512_ps(_mm512_broadcast_i64x4(_mm256_loadu_si256(p.cast()))),
+            _ => _mm512_loadu_ps(p),
+        }
+    }
+
+    /// `drows[(ni·OH·OW + p)·F + j] = dout[(ni·F + j)·OH·OW + p]`, a block of
+    /// sixteen pixels × `FW` filters at a time: `FW` masked loads of the
+    /// block from consecutive filter planes, `log₂ FW` perfect shuffles,
+    /// after which vector `i` holds pixels `p0 + i·T ..` (`T = 16/FW`) with
+    /// `FW` filter slots each; its live lanes are compressed and stored.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `FW` must be `g.fw()`; `dout` and `drows`
+    /// must hold `g.rows()·F` elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn row_layout<const FW: usize>(g: &Geom, dout: &[f32], drows: &mut [f32]) {
+        let (f, ohw, t) = (g.f, g.ohw(), LANES / FW);
+        let lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let hi = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+        for ni in 0..g.n {
+            let src = dout.as_ptr().add(ni * f * ohw);
+            let dst = drows.as_mut_ptr().add(ni * ohw * f);
+            for p0 in (0..ohw).step_by(LANES) {
+                let np = LANES.min(ohw - p0);
+                let pixels = ((1u32 << np) - 1) as __mmask16;
+                for j0 in (0..f).step_by(FW) {
+                    let nf = FW.min(f - j0);
+                    let mut v = [_mm512_setzero_ps(); FW];
+                    for (j, vj) in v.iter_mut().enumerate().take(nf) {
+                        *vj = _mm512_maskz_loadu_ps(pixels, src.add((j0 + j) * ohw + p0));
+                    }
+                    for _ in 0..FW.trailing_zeros() {
+                        let mut w = v;
+                        for m in 0..FW / 2 {
+                            w[2 * m] = _mm512_permutex2var_ps(v[m], lo, v[m + FW / 2]);
+                            w[2 * m + 1] = _mm512_permutex2var_ps(v[m], hi, v[m + FW / 2]);
+                        }
+                        v = w;
+                    }
+                    // Lane `l` is filter `j0 + l%FW` of pixel `l/FW`. The live
+                    // lanes are a prefix when the group is full or a vector
+                    // holds one pixel; otherwise they are compressed first.
+                    let slots = ((1u32 << nf) - 1) * (0xffff / ((1u32 << FW) - 1));
+                    for (i, &vi) in v.iter().enumerate().take(np.div_ceil(t)) {
+                        let px = (np - i * t).min(t);
+                        let packed = if nf == FW || t == 1 {
+                            vi
+                        } else {
+                            let live = slots & ((1u32 << (px * FW)) - 1);
+                            _mm512_maskz_compress_ps(live as __mmask16, vi)
+                        };
+                        let stored = ((1u32 << (px * nf)) - 1) as __mmask16;
+                        _mm512_mask_storeu_ps(dst.add((p0 + i * t) * f + j0), stored, packed);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every image row of `g` from `src` laid out as `from` to `dst` laid out
+    /// as `to`: sixteen floats at a time, a row's last (or only) vector
+    /// masked.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `from.end(g) <= src` length and
+    /// `to.end(g) <= dst` length.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn copy_rows(g: &Geom, src: *const f32, from: Planes, dst: *mut f32, to: Planes) {
+        let whole = g.w - g.w % LANES;
+        let tail = ((1u32 << (g.w % LANES)) - 1) as __mmask16;
+        for i in 0..g.n * g.c {
+            for y in 0..g.h {
+                let s = src.add(from.at + i * from.plane + y * from.row);
+                let d = dst.add(to.at + i * to.plane + y * to.row);
+                for c in (0..whole).step_by(LANES) {
+                    _mm512_storeu_ps(d.add(c), _mm512_loadu_ps(s.add(c)));
+                }
+                let last = _mm512_maskz_loadu_ps(tail, s.add(whole));
+                _mm512_mask_storeu_ps(d.add(whole), tail, last);
+            }
+        }
     }
 }
 
@@ -399,38 +599,91 @@ fn pixel_lanes_portable(g: &Geom, x: &[f32], wk: &[f32], bias: &[f32], out: &mut
     }
 }
 
-/// Portable twin of [`simd::gather_cols`].
-#[allow(clippy::too_many_arguments)]
-fn gather_cols_portable(
-    x: &[f32],
-    n: usize,
-    sample: usize,
-    pix: &[usize],
-    off: &[usize; MR],
-    drows: &[f32],
-    f: usize,
+/// Most runs one `dW` sweep holds.
+const SWEEP: usize = 12;
+
+/// How many of `left` runs the next `dW` sweep takes: 12, 6, 3, 2 or 1.
+fn sweep_len(left: usize) -> usize {
+    match left {
+        SWEEP.. => SWEEP,
+        6.. => 6,
+        3.. => 3,
+        _ => left,
+    }
+}
+
+/// Store one sweep: lane `fl·T + t` of `acc[i]` is `dW[j0 + fl][runs[i] + t]`,
+/// written for the group's filters below `F` and the run's taps inside its
+/// kernel row; with `sum` (a group's first sweep), lane `fl·T` of it is
+/// `dbias[j0 + fl]`.
+fn store_sweep(
+    g: &Geom,
     j0: usize,
-    ne: usize,
-) -> ([[f32; NR]; MR], [f32; NR]) {
-    let (mut t, mut sum) = ([[0.0f32; NR]; MR], [0.0f32; NR]);
-    let mut grows = drows.chunks_exact(f);
-    for ni in 0..n {
-        for &p in pix {
-            let mut g = [0.0f32; NR];
-            let grow = grows.next().expect("one dout row per output pixel");
-            g[..ne].copy_from_slice(&grow[j0..j0 + ne]);
-            for r in 0..MR {
-                let av = x[ni * sample + p + off[r]];
-                for c in 0..NR {
-                    t[r][c] += av * g[c];
+    runs: &[usize],
+    acc: &[[f32; LANES]],
+    sum: Option<&[f32; LANES]>,
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    let (t, k) = (g.taps(), g.k());
+    for (&ks, a) in runs.iter().zip(acc) {
+        let live = t.min(g.kw - ks % g.kw);
+        for (fl, dst) in dw[j0 * k..].chunks_exact_mut(k).take(g.fw()).enumerate() {
+            dst[ks..ks + live].copy_from_slice(&a[fl * t..][..live]);
+        }
+    }
+    if let Some(sum) = sum {
+        for (fl, b) in db[j0..].iter_mut().take(g.fw()).enumerate() {
+            *b = sum[fl * t];
+        }
+    }
+}
+
+/// Portable twin of [`simd::tap_runs`]: the same lanes, one run at a time.
+fn tap_runs_portable(g: &Geom, x: &[f32], drows: &[f32], dw: &mut [f32], db: &mut [f32]) {
+    let (t, ohw) = (g.taps(), g.ohw());
+    for j0 in (0..g.f).step_by(g.fw()) {
+        for (i, &ks) in g.runs.iter().enumerate() {
+            let (mut acc, mut sum) = ([0.0f32; LANES], [0.0f32; LANES]);
+            for (r, row) in drows.chunks_exact(g.f).enumerate() {
+                let gr: [f32; LANES] =
+                    std::array::from_fn(|l| row.get(j0 + l / t).copied().unwrap_or(0.0));
+                let xr = &x[g.base(r / ohw, r % ohw) + g.off[ks]..][..t];
+                for (l, (a, s)) in acc.iter_mut().zip(&mut sum).enumerate() {
+                    *a += xr[l % t] * gr[l];
+                    *s += gr[l];
                 }
             }
-            for c in 0..NR {
-                sum[c] += g[c];
+            store_sweep(g, j0, &[ks], &[acc], (i == 0).then_some(&sum), dw, db);
+        }
+    }
+}
+
+/// Portable twin of [`simd::row_layout`].
+fn row_layout_portable(g: &Geom, dout: &[f32], drows: &mut [f32]) {
+    let (f, ohw) = (g.f, g.ohw());
+    let samples = drows
+        .chunks_exact_mut(ohw * f)
+        .zip(dout.chunks_exact(f * ohw));
+    for (rows, planes) in samples {
+        for (j, plane) in planes.chunks_exact(ohw).enumerate() {
+            for (row, &d) in rows.chunks_exact_mut(f).zip(plane) {
+                row[j] = d;
             }
         }
     }
-    (t, sum)
+}
+
+/// Portable twin of [`simd::copy_rows`].
+fn copy_rows_portable(g: &Geom, src: &[f32], from: Planes, dst: &mut [f32], to: Planes) {
+    for i in 0..g.n * g.c {
+        for y in 0..g.h {
+            let s = &src[from.at + i * from.plane + y * from.row..][..g.w];
+            for (d, &v) in dst[to.at + i * to.plane + y * to.row..].iter_mut().zip(s) {
+                *d = v;
+            }
+        }
+    }
 }
 
 /// [`simd::pixel_lanes`] where the host has AVX-512, its twin elsewhere.
@@ -454,28 +707,66 @@ fn pack_taps_by_filters(wd: &[f32], k: usize, pb: &mut Vec<f32>) {
     pb.extend((0..k).flat_map(|kk| wd[kk..].iter().step_by(k).copied()));
 }
 
-/// [`simd::gather_cols`] where the host has AVX-512, its twin elsewhere.
-#[inline]
-fn gather_cols(
-    g: &Geom,
-    x: &[f32],
-    off: &[usize; MR],
-    drows: &[f32],
-    j0: usize,
-    ne: usize,
-) -> ([[f32; NR]; MR], [f32; NR]) {
+/// `dW (F, K)` and `dbias (F)`, every slot, from `x` and `drows` over runs
+/// of adjacent taps (module header): [`simd::tap_runs`] where the host has
+/// AVX-512, its twin elsewhere.
+fn tap_runs(g: &Geom, x: &[f32], drows: &[f32], dw: &mut [f32], db: &mut [f32]) {
     assert_eq!(x.len(), g.padded_len(), "conv2d padded image length");
     assert_eq!(drows.len(), g.rows() * g.f, "one dout row per output pixel");
-    assert!(j0 + ne <= g.f && ne <= NR);
-    debug_assert!(off.iter().all(|o| g.off.contains(o)));
+    assert_eq!(dw.len(), g.f * g.k(), "conv2d_backward dweight length");
+    assert_eq!(db.len(), g.f, "conv2d_backward dbias length");
     #[cfg(target_arch = "x86_64")]
     if crate::ops::matmul::simd::available() {
-        // SAFETY: feature checked. `x` has the length `Geom::with` asserted
-        // its bound against and `off` holds four of the geometry's offsets;
-        // the `drows` extent is asserted above.
-        return unsafe { simd::gather_cols(x, g.n, g.sample(), g.pix, off, drows, g.f, j0, ne) };
+        // SAFETY: feature checked, `T` is the geometry's. `x` has the length
+        // `Geom::with` asserted every run's read against; the `drows` extent
+        // is asserted above.
+        return unsafe {
+            match g.taps() {
+                1 => simd::tap_runs::<1>(g, x, drows, dw, db),
+                2 => simd::tap_runs::<2>(g, x, drows, dw, db),
+                4 => simd::tap_runs::<4>(g, x, drows, dw, db),
+                8 => simd::tap_runs::<8>(g, x, drows, dw, db),
+                _ => simd::tap_runs::<16>(g, x, drows, dw, db),
+            }
+        };
     }
-    gather_cols_portable(x, g.n, g.sample(), g.pix, off, drows, g.f, j0, ne)
+    tap_runs_portable(g, x, drows, dw, db)
+}
+
+/// `dout (N,F,OH,OW)` → `drows (N·OH·OW, F)`, one row per pixel, every slot:
+/// [`simd::row_layout`] where the host has AVX-512, its twin elsewhere.
+fn row_layout(g: &Geom, dout: &[f32], drows: &mut [f32]) {
+    assert_eq!(dout.len(), g.rows() * g.f, "conv2d_backward dout length");
+    assert_eq!(drows.len(), g.rows() * g.f, "one dout row per output pixel");
+    #[cfg(target_arch = "x86_64")]
+    if crate::ops::matmul::simd::available() {
+        // SAFETY: feature checked, `FW` is the geometry's; both extents are
+        // asserted above.
+        return unsafe {
+            match g.fw() {
+                1 => simd::row_layout::<1>(g, dout, drows),
+                2 => simd::row_layout::<2>(g, dout, drows),
+                4 => simd::row_layout::<4>(g, dout, drows),
+                8 => simd::row_layout::<8>(g, dout, drows),
+                _ => simd::row_layout::<16>(g, dout, drows),
+            }
+        };
+    }
+    row_layout_portable(g, dout, drows)
+}
+
+/// Copy every image row of `g` from `src` laid out as `from` to `dst` laid
+/// out as `to`: [`simd::copy_rows`] where the host has AVX-512, its twin
+/// elsewhere.
+fn copy_rows(g: &Geom, src: &[f32], from: Planes, dst: &mut [f32], to: Planes) {
+    assert!(from.end(g) <= src.len(), "conv2d row copy: source");
+    assert!(to.end(g) <= dst.len(), "conv2d row copy: destination");
+    #[cfg(target_arch = "x86_64")]
+    if crate::ops::matmul::simd::available() {
+        // SAFETY: feature checked; both extents are asserted above.
+        return unsafe { simd::copy_rows(g, src.as_ptr(), from, dst.as_mut_ptr(), to) };
+    }
+    copy_rows_portable(g, src, from, dst, to)
 }
 
 /// `dpad[base + off[k]] += dpatch[k]` in ascending `k`: one row of
@@ -541,41 +832,15 @@ pub(super) fn backward_into(
             &[g.n, f, g.oh, g.ow],
             "conv2d_backward dout shape"
         );
-        assert_eq!(dweight.len(), f * k, "conv2d_backward dweight length");
-        assert_eq!(dbias.len(), f, "conv2d_backward dbias length");
 
         // dout (N,F,OH,OW) -> row layout (N*OH*OW, F): one row per pixel.
         let mut drows = s.take_uninit(g.rows() * f);
-        let samples = drows.chunks_exact_mut(ohw * f);
-        for (chunk, dsample) in samples.zip(dout.data().chunks_exact(f * ohw)) {
-            for (p, row) in chunk.chunks_exact_mut(f).enumerate() {
-                for (v, plane) in row.iter_mut().zip(dsample.chunks_exact(ohw)) {
-                    *v = plane[p];
-                }
-            }
-        }
+        row_layout(g, dout.data(), &mut drows);
 
-        // dWᵀ (K, F) = patchesᵀ · drows, four taps by sixteen filters per
-        // sweep over the rows; dbias rides on the first sweep.
+        // dW and dbias over runs of adjacent taps, filters × taps per vector.
         let xbuf = g.padded(input.data(), s);
         let x = xbuf.as_deref().unwrap_or(input.data());
-        for k0 in (0..k).step_by(MR) {
-            let mk = MR.min(k - k0);
-            // A ragged last strip repeats its last tap; only `mk` are stored.
-            let off: [usize; MR] = std::array::from_fn(|i| g.off[k0 + i.min(mk - 1)]);
-            for j0 in (0..f).step_by(NR) {
-                let ne = NR.min(f - j0);
-                let (acc, sum) = gather_cols(g, x, &off, &drows, j0, ne);
-                for (i, row) in acc.iter().enumerate().take(mk) {
-                    for (c, &v) in row.iter().enumerate().take(ne) {
-                        dweight[(j0 + c) * k + k0 + i] = v;
-                    }
-                }
-                if k0 == 0 {
-                    dbias[j0..j0 + ne].copy_from_slice(&sum[..ne]);
-                }
-            }
-        }
+        tap_runs(g, x, &drows, dweight, dbias);
         if let Some(xpad) = xbuf {
             s.put(xpad);
         }
@@ -684,50 +949,74 @@ mod tests {
         (3, 8, 3, 3, 16, 3, 1),
     ];
 
+    /// Past `SHAPES` and `CIPHER`: `F = 1` (16-tap runs) on a pad-0 1×1
+    /// kernel, so the padded copy exists for its slack alone, and `F = 20`
+    /// (two filter groups, the second four wide) on a 25-pixel map.
+    const EDGES: [(usize, usize, usize, usize, usize, usize, usize); 2] =
+        [(1, 2, 5, 5, 1, 1, 0), (1, 3, 5, 5, 20, 3, 1)];
+
     /// On an AVX-512 host the dispatched micro-kernels are the intrinsics;
     /// the portable twins every other host runs must give the same bits
     /// (elsewhere this compares the twins with themselves).
     #[test]
     fn portable_micro_kernels_match_the_dispatched_ones_bit_for_bit() {
-        let bits = |t: &[[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
+        let bits = |v: &[f32]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
         let mut rng = DetRng::seed_from_u64(9);
-        for (n, c, h, w, f, k, pad) in SHAPES.into_iter().chain(CIPHER) {
+        // Which run lengths `T`, sweep sizes and transpose widths `fw` (with
+        // a sample's last pixel block short of sixteen) ran.
+        let (mut taps, mut sweeps, mut ragged) = (vec![], vec![], vec![]);
+        for (n, c, h, w, f, k, pad) in SHAPES.into_iter().chain(CIPHER).chain(EDGES) {
             let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
             let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
             let mut s = Scratch::new();
             Geom::with(&input, &weight, pad, |g| {
+                let what = |t: &str| format!("{t} ({n},{c},{h},{w},{f},{k},{pad})");
                 let xbuf = g.padded(input.data(), &mut s);
                 let x = xbuf.as_deref().unwrap_or(input.data());
-                let drows = Tensor::randn(Shape::d2(g.rows(), f), 1.0, &mut rng);
+                let mut want = vec![0.0; g.padded_len()];
+                copy_rows_portable(g, input.data(), g.dense(), &mut want, g.interior());
+                assert_eq!(bits(x), bits(&want), "{}", what("padded copy"));
+
                 let mut wk = Vec::new();
                 pack_taps_by_filters(weight.data(), g.k(), &mut wk);
                 // Stale outputs: every slot must be written.
                 let (mut got, mut want) = (vec![f32::NAN; g.rows() * f], vec![0.0; g.rows() * f]);
                 pixel_lanes(g, x, &wk, bias.data(), &mut got);
                 pixel_lanes_portable(g, x, &wk, bias.data(), &mut want);
-                let vbits = |v: &[f32]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-                let what = format!("pixel_lanes ({n},{c},{h},{w},{f},{k},{pad})");
-                assert_eq!(vbits(&got), vbits(&want), "{what}");
-                for k0 in 0..g.k() {
-                    let off: [usize; MR] = std::array::from_fn(|i| g.off[(k0 + i) % g.k()]);
-                    let ne = NR.min(f);
-                    let (got, gsum) = gather_cols(g, x, &off, drows.data(), 0, ne);
-                    let (want, wsum) = gather_cols_portable(
-                        x,
-                        g.n,
-                        g.sample(),
-                        g.pix,
-                        &off,
-                        drows.data(),
-                        f,
-                        0,
-                        ne,
-                    );
-                    assert_eq!(bits(&got), bits(&want), "gather_cols, tap {k0}");
-                    assert_eq!(gsum.map(f32::to_bits), wsum.map(f32::to_bits), "dbias sums");
+                assert_eq!(bits(&got), bits(&want), "{}", what("pixel_lanes"));
+
+                let dout = Tensor::randn(Shape::d4(n, f, g.oh, g.ow), 1.0, &mut rng);
+                let (mut got, mut want) = (vec![f32::NAN; g.rows() * f], vec![0.0; g.rows() * f]);
+                row_layout(g, dout.data(), &mut got);
+                row_layout_portable(g, dout.data(), &mut want);
+                assert_eq!(bits(&got), bits(&want), "{}", what("row_layout"));
+                if g.ohw() % LANES != 0 {
+                    ragged.push(g.fw());
+                }
+
+                let drows = got;
+                let (mut dw, mut db) = (vec![f32::NAN; f * g.k()], vec![f32::NAN; f]);
+                tap_runs(g, x, &drows, &mut dw, &mut db);
+                let (mut dw_want, mut db_want) = (vec![0.0; f * g.k()], vec![0.0; f]);
+                tap_runs_portable(g, x, &drows, &mut dw_want, &mut db_want);
+                assert_eq!(bits(&dw), bits(&dw_want), "{}", what("tap_runs dW"));
+                assert_eq!(bits(&db), bits(&db_want), "{}", what("tap_runs dbias"));
+                taps.push(g.taps());
+                let mut left = g.runs.len();
+                while left > 0 {
+                    sweeps.push(sweep_len(left));
+                    left -= sweep_len(left);
                 }
             });
+        }
+        for t in [1, 2, 4, 8, 16] {
+            assert!(taps.contains(&t), "runs of {t} taps: {taps:?}");
+            let fw = LANES / t;
+            assert!(ragged.contains(&fw), "{fw} filters, ragged: {ragged:?}");
+        }
+        for len in [12, 6, 3, 2, 1] {
+            assert!(sweeps.contains(&len), "a sweep of {len} runs: {sweeps:?}");
         }
     }
 

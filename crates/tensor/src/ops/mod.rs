@@ -11,12 +11,13 @@
 //! zero-padded copy of the input through a table of tap offsets, so no
 //! patch matrix is ever materialized. Its forward puts the 16 vector lanes
 //! across consecutive pixels of a padded-width row, one accumulator per
-//! filter, so a layer with 4 or 8 filters still fills every lane; its
-//! backward keeps filter lanes (a 4-tap × 16-filter tile for `dW`, the
-//! matmul tile for `dinput`). Tiny shapes keep the direct loops in
-//! `ops::conv`. Backend dispatch depends only on static shapes. Every
-//! kernel is serial: the repo's threads run whole worker-iterations
-//! (`crate::par`), not slices of a kernel.
+//! filter, so a layer with 4 or 8 filters still fills every lane; `dW`'s
+//! lanes are filters × a run of adjacent taps (a 4-filter layer's vector
+//! holds one 4-tap run per filter), and `dinput` keeps the matmul tile.
+//! Tiny shapes keep the direct loops in `ops::conv`. Backend dispatch
+//! depends only on static shapes. Every kernel is serial: the repo's
+//! threads run whole worker-iterations (`crate::par`), not slices of a
+//! kernel.
 //!
 //! # Determinism rule
 //!

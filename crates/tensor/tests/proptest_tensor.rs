@@ -273,8 +273,12 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
         (1, 5, 33, 9, 1, 3, 1),  // OW = 33: a row spans three blocks
         (3, 6, 5, 6, 5, 5, 2),   // pad 2, 5x5: a 4-column gap inside blocks
         (4, 2, 9, 7, 2, 3, 0),   // OH = 1, OW = 7: one short block per sample
+        (2, 6, 6, 2, 3, 3, 1),   // F = 2: dW runs of 8 taps
+        (3, 5, 5, 1, 3, 3, 0),   // F = 1, pad 0: the last 16-tap run reads past the image
     ];
     let mut strip_remainders = [0; 4];
+    // dW's run lengths T = 16 / min(16, F.next_power_of_two()): [1, 2, 4, 8, 16].
+    let mut run_lengths = [0; 5];
     // The forward's 16-lane blocks over a sample's padded-width grid: [some
     // block straddles two rows, a sample's last block has fewer than 16
     // live lanes, a sample's last block is full up to the padded buffer's
@@ -287,6 +291,7 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
         // count is not always a multiple of the 4-row strip.
         let n = (16 * 1024usize).div_ceil(oh * ow * c * kh * kw * f) + 1;
         strip_remainders[n * oh * ow % 4] += 1;
+        run_lengths[(16 / f.next_power_of_two().min(16)).trailing_zeros() as usize] += 1;
         let (wp, span) = (w + 2 * pad, (oh - 1) * (w + 2 * pad) + ow);
         let mut blocks = (0..span).step_by(16).map(|q0| q0..span.min(q0 + 16));
         if blocks.any(|b| b.start / wp != (b.end - 1) / wp) {
@@ -372,6 +377,10 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     assert!(
         lane_edges.iter().all(|&cases| cases > 0),
         "every 16-lane block edge is covered: {lane_edges:?}"
+    );
+    assert!(
+        run_lengths.iter().all(|&cases| cases > 0),
+        "every dW run length is covered: {run_lengths:?}"
     );
 }
 
