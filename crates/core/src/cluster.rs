@@ -133,6 +133,7 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 schedule: Arc::clone(&schedule),
                 parked: Vec::new(),
                 queued: Vec::new(),
+                kill: cfg.fault.kill_of(w),
             }
         })
         .collect();

@@ -126,7 +126,7 @@ impl DktState {
         self.known[who] = Some(loss);
     }
 
-    /// Drop everything known about `who` (the live backend forgets a
+    /// Drop everything known about `who` (`Worker::demote_peer` forgets a
     /// departed worker so it can never be chosen as a pull target).
     pub fn forget(&mut self, who: usize) {
         self.known[who] = None;

@@ -26,8 +26,9 @@
 //! Hop — Table 1's generality claim), combined with a [`sync::SyncPolicy`]
 //! (`synch_training` in the paper's API). A worker's main loop (Fig. 10) is
 //! split in two: [`round`] is the rank protocol itself — weighted
-//! self-update, partial-gradient generation, model update on arrival,
-//! strict-BSP flush, DKT — shared by every backend, and
+//! self-update, partial-gradient generation, the post-round sends, model
+//! update on arrival, strict-BSP flush, DKT, the planned kill — shared by
+//! every backend, and
 //! [`runner::ClusterRunner`] plays the Redis queues and the clock for the
 //! simulator: event queue, compute/network models, batch-size ticks.
 
@@ -62,7 +63,7 @@ pub use gbs::{GbsConfig, GbsController, GbsPhase};
 pub use maxn::MaxNPlanner;
 pub use messages::{GradMsg, Payload, WireError};
 pub use metrics::{HealthSummary, RunMetrics};
-pub use round::{Effect, Membership};
+pub use round::{Action, Effect, Membership};
 pub use runner::{run_env, run_with_models, ClusterRunner};
 pub use scenario::{ScenarioKind, ScenarioPlan, ScenarioSpec};
 pub use strategy::{ExchangeStrategy, PeerUpdate, StrategyCtx};

@@ -4,16 +4,17 @@
 //!
 //! [`crate::runner::ClusterRunner`] (virtual time) and the live driver in
 //! `dlion-net` (real transports) each own *when* things happen and *how*
-//! bytes move; everything that mutates a model or decides an averaging
-//! divisor lives here, once. Whatever differs per backend — link
-//! bandwidth, the timestamp, which peers are reachable, acks, buffer
-//! recycling — is an argument or is done by the caller on the returned
-//! [`Effect`]. Sim ≡ live bit parity under strict BSP follows from both
-//! backends executing this code, not from two copies being kept in step.
+//! bytes move; everything that mutates a model, decides an averaging
+//! divisor or decides what a rank sends after a round lives here, once.
+//! Whatever differs per backend — link bandwidth, the timestamp, acks,
+//! buffer recycling — is an argument or is done by the caller on the
+//! returned [`Effect`] or [`Action`]. Sim ≡ live bit parity under strict
+//! BSP follows from both backends executing this code, not from two
+//! copies being kept in step.
 
 use crate::config::RunConfig;
 use crate::messages::{GradData, GradMsg, Payload};
-use crate::strategy::{PeerUpdate, StrategyCtx};
+use crate::strategy::StrategyCtx;
 use crate::sync::SyncPolicy;
 use crate::weighted::update_factor;
 use crate::worker::{GradJob, PendingIteration, Worker};
@@ -78,9 +79,59 @@ pub enum Effect {
     /// are handed back for recycling.
     Merged(Vec<Tensor>),
     /// The sender announced its departure after `completed` iterations;
-    /// the caller demotes it with [`Worker::demote_peer`] (the live
-    /// driver has its own flags to unwind first).
+    /// the caller demotes it with [`Worker::demote_peer`].
     Departed { completed: u64 },
+}
+
+/// One step of a rank's post-round sequence ([`Worker::complete_round`]),
+/// for the backend to carry out in order.
+#[derive(Debug, PartialEq)]
+pub enum Action {
+    /// Put this payload on the wire to that peer.
+    Send(usize, Payload),
+    /// The rank leaves the run (a permanent kill): it stops stepping. The
+    /// ledger already excludes it from this round on.
+    Depart,
+    /// A rejoining kill: stop stepping for this many seconds (virtual or
+    /// clock), still receiving, then go on as a member.
+    Pause(f64),
+}
+
+/// The post-round sequence, in execution order. Its own trace events
+/// (`departed`, `pause`, `dkt_round`) sit between its actions and are
+/// emitted as iteration passes them, so they land among the backend's
+/// `send` rows where the sequence puts them.
+pub struct Actions {
+    steps: std::vec::IntoIter<Step>,
+    now: f64,
+    w: usize,
+}
+
+/// An action, or the trace event that precedes the next ones: `departed
+/// {iter}`, `pause {iter, secs}` and `dkt_round {avg_loss}`.
+enum Step {
+    Act(Action),
+    Departed(u64),
+    Pause(u64, f64),
+    DktRound(f64),
+}
+
+impl Iterator for Actions {
+    type Item = Action;
+
+    fn next(&mut self) -> Option<Action> {
+        let (now, w) = (self.now, self.w);
+        loop {
+            match self.steps.next()? {
+                Step::Act(action) => return Some(action),
+                Step::Departed(iter) => event!(now, w: w, "departed"; "iter" => iter),
+                Step::Pause(iter, secs) => {
+                    event!(now, w: w, "pause"; "iter" => iter, "secs" => secs)
+                }
+                Step::DktRound(loss) => event!(now, w: w, "dkt_round"; "avg_loss" => loss),
+            }
+        }
+    }
 }
 
 /// One gradient computation: forward/backward over the minibatch whose
@@ -225,16 +276,21 @@ impl Worker {
     /// Finish the round whose gradients sit in `self.grads`: record the
     /// loss, apply the own (self-weighted) update, generate the per-link
     /// partial gradients, advance the iteration and retarget gating at
-    /// the round's neighbor set. Returns the updates in send order and
-    /// whether the completed iteration is a DKT share round. `bw(j)` is
-    /// the bandwidth to neighbor `j` in Mbps.
+    /// the round's neighbor set. Returns what the rank does next, in
+    /// order: the gradient sends; then, on the round its [`Worker::kill`]
+    /// fires, the Leaves and [`Action::Depart`] (permanent) or
+    /// [`Action::Pause`] (rejoining) and nothing else; otherwise, on a
+    /// share round, the DKT sends. A gradient goes to the peers the ledger
+    /// counts for its round; a Leave or DKT send to those it counts for
+    /// the next round and gating has not demoted. `bw(j)` is the bandwidth
+    /// to neighbor `j` in Mbps.
     pub fn complete_round(
         &mut self,
         loss: f64,
         now: f64,
         bw: impl Fn(usize) -> f64,
         members: &Membership,
-    ) -> (Vec<PeerUpdate>, bool) {
+    ) -> Actions {
         // The round this completion belongs to and its declared neighbor
         // set: the fan-out targets, the divisor group, and (per-round sets
         // are symmetric) exactly the senders the next round gates on.
@@ -282,12 +338,56 @@ impl Worker {
         }
         self.iteration += 1;
         self.sync.retarget(&ctx.neighbors);
-        let share_dkt = self.dkt.is_share_round(self.iteration);
+        let next = self.iteration;
+        let share_dkt = self.dkt.is_share_round(next);
         event!(now, w: self.id, "iter_done";
-            "iter" => self.iteration,
+            "iter" => next,
             "updates" => updates.len(),
             "share_dkt" => share_dkt);
-        (updates, share_dkt)
+
+        // A gradient goes to every peer the ledger counts for the round it
+        // was computed in — the peers whose divisor counts it. A demoted
+        // one's delivery is not awaited (`SyncState::on_sent_to`).
+        let mut steps = Vec::with_capacity(updates.len() + 1);
+        for up in updates {
+            if members.counts(up.peer, round) {
+                self.sync.on_sent_to(up.peer);
+                steps.push(Step::Act(Action::Send(up.peer, Payload::Grad(up.msg))));
+            }
+        }
+        // The kill fires right after the fan-out, so the victim's last
+        // gradients are on the wire ahead of its Leaves (per-link FIFO on
+        // both backends), and before anything else the backend would run.
+        let kill = self.kill.filter(|k| k.at_iter == next);
+        match kill.map(|k| k.rejoin_after) {
+            Some(None) => {
+                steps.push(Step::Departed(next));
+                let leave = Payload::Leave { completed: next };
+                for j in (0..n).filter(|&j| j != self.id && self.is_target(j, next, members)) {
+                    steps.push(Step::Act(Action::Send(j, leave.clone())));
+                }
+                steps.push(Step::Act(Action::Depart));
+            }
+            Some(Some(secs)) => {
+                steps.push(Step::Pause(next, secs));
+                steps.push(Step::Act(Action::Pause(secs)));
+            }
+            None if share_dkt => self.dkt_round(members, &mut steps),
+            None => {}
+        }
+        Actions {
+            steps: steps.into_iter(),
+            now,
+            w: self.id,
+        }
+    }
+
+    /// Who hears a Leave or a DKT send, which speak for the next `round`:
+    /// peer `j` iff the ledger counts it for that round and gating has not
+    /// demoted it. Planned kills make the set a pure function of the plan,
+    /// like the Eq. 7 divisor; demotion covers unplanned loss.
+    fn is_target(&self, j: usize, round: u64, members: &Membership) -> bool {
+        members.counts(j, round) && !self.sync.is_demoted(j)
     }
 
     /// Handle one training payload from `from` — the simulator's `Msg`
@@ -406,35 +506,31 @@ impl Worker {
             "peer" => peer, "completed" => completed, "iter" => self.iteration);
     }
 
-    /// A DKT round (§3.4): share the recent average loss with the current
-    /// round's `reachable` neighbors, then pull from the best-known worker
-    /// if the mode says so (at most once per DKT period). Returns the
-    /// `(peer, payload)` sends in order.
-    pub fn dkt_round(
-        &mut self,
-        now: f64,
-        reachable: impl Fn(usize) -> bool,
-    ) -> Vec<(usize, Payload)> {
+    /// A DKT round (§3.4) of [`Worker::complete_round`]: share the recent
+    /// average loss with the next round's target neighbors, then pull from
+    /// the best-known worker if the mode says so and it is a target (at
+    /// most once per DKT period).
+    fn dkt_round(&mut self, members: &Membership, steps: &mut Vec<Step>) {
         let Some(avg_loss) = self.dkt.avg_loss() else {
-            return Vec::new();
+            return;
         };
-        event!(now, w: self.id, "dkt_round"; "avg_loss" => avg_loss);
+        steps.push(Step::DktRound(avg_loss));
         self.dkt.update_known(self.id, avg_loss);
-        let mut sends: Vec<(usize, Payload)> = self
-            .schedule
-            .neighbors(self.id, self.iteration)
-            .into_iter()
-            .filter(|&j| reachable(j))
-            .map(|j| (j, Payload::LossShare { avg_loss }))
-            .collect();
-        let round = self.iteration / self.dkt.cfg().period_iters;
-        if self.last_pull_round < round {
-            if let Some(target) = self.dkt.pull_target().filter(|&t| reachable(t)) {
-                self.last_pull_round = round;
-                sends.push((target, Payload::DktRequest));
+        let next = self.iteration;
+        for j in self.schedule.neighbors(self.id, next) {
+            if self.is_target(j, next, members) {
+                steps.push(Step::Act(Action::Send(j, Payload::LossShare { avg_loss })));
             }
         }
-        sends
+        let round = next / self.dkt.cfg().period_iters;
+        let pull = self
+            .dkt
+            .pull_target()
+            .filter(|&t| self.is_target(t, next, members));
+        if let Some(target) = pull.filter(|_| self.last_pull_round < round) {
+            self.last_pull_round = round;
+            steps.push(Step::Act(Action::Send(target, Payload::DktRequest)));
+        }
     }
 }
 
@@ -616,6 +712,109 @@ mod tests {
             w.grads.iter().map(to_bits).collect()
         };
         assert_eq!(grad_bits(&a), grad_bits(&b));
+    }
+
+    /// `n` strict-BSP Baseline workers sharing losses every 4 rounds under
+    /// the fault plan `kills`, each holding one computed gradient, and the
+    /// plan's ledger.
+    fn planned_ranks(n: usize, kills: &str) -> (Vec<Worker>, Membership) {
+        let mut cfg = RunConfig::small_test(SystemKind::Baseline);
+        cfg.sync_override = Some(SyncPolicy::Synchronous);
+        cfg.dkt.mode = crate::dkt::DktMode::Best2All;
+        cfg.dkt.period_iters = 4;
+        cfg.fault = crate::fault::FaultPlan::parse(kills).expect("kill spec");
+        let init = build_cluster(&cfg, n);
+        let mut workers = init.workers;
+        for w in &mut workers {
+            w.sample_batch_reuse();
+            w.compute_grads(&init.data, cfg.grad_clip);
+        }
+        (workers, Membership::planned(&cfg, n))
+    }
+
+    /// Complete `w`'s round `round`; its actions as `(what, peer)` in order.
+    fn post_round(w: &mut Worker, round: u64, m: &Membership) -> Vec<(&'static str, usize)> {
+        w.iteration = round;
+        let actions = w.complete_round(1.0, 0.0, |_| 1000.0, m);
+        actions
+            .map(|a| match a {
+                Action::Send(j, payload) => (payload.kind(), j),
+                Action::Depart => ("depart", w.id),
+                Action::Pause(_) => ("pause", w.id),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_permanent_kill_sends_gradients_then_leaves_then_departs() {
+        // Worker 2 is planned out from round 2; worker 1 leaves at 4 — a
+        // share round, with worker 0 a target — having demoted worker 3,
+        // which the ledger still counts for round 3.
+        let (mut ws, m) = planned_ranks(4, "1@4,2@2");
+        let w = &mut ws[1];
+        w.demote_peer(3, 9, 0.0);
+        let got = post_round(w, 3, &m);
+        let want = [("grad", 0), ("grad", 3), ("leave", 0), ("depart", 1)];
+        assert_eq!(got, want);
+        assert_eq!(w.iteration, 4);
+        assert_eq!(
+            w.sync.undelivered(),
+            1,
+            "worker 3's delivery is not awaited"
+        );
+    }
+
+    #[test]
+    fn a_rejoining_kill_pauses_exactly_once() {
+        let (mut ws, m) = planned_ranks(3, "1@4+0.5");
+        let w = &mut ws[1];
+        w.iteration = 3;
+        let actions: Vec<Action> = w.complete_round(1.0, 0.0, |_| 1000.0, &m).collect();
+        assert_eq!(actions.last(), Some(&Action::Pause(0.5)));
+        assert!(actions[..2]
+            .iter()
+            .all(|a| matches!(a, Action::Send(_, Payload::Grad(_)))));
+        assert_eq!(actions.len(), 3, "no DKT on the kill round: {actions:?}");
+        let pauses: usize = (0..12)
+            .map(|r| {
+                post_round(w, r, &m)
+                    .iter()
+                    .filter(|(a, _)| *a == "pause")
+                    .count()
+            })
+            .sum();
+        assert_eq!(pauses, 1);
+    }
+
+    #[test]
+    fn a_share_round_skips_demoted_and_uncounted_neighbors() {
+        // Worker 3 is planned out from round 2, worker 2 is demoted, and
+        // the best loss worker 0 knows of is worker 3's.
+        let (mut ws, m) = planned_ranks(4, "3@2");
+        let w = &mut ws[0];
+        w.demote_peer(2, 9, 0.0);
+        w.dkt.update_known(3, 0.0);
+        w.dkt.update_known(1, 1e9);
+        // The ledger still counts worker 2 for round 3's gradient.
+        let got = post_round(w, 3, &m);
+        let want = [("grad", 1), ("grad", 2), ("loss_share", 1)];
+        assert_eq!(got, want, "no share to 2 or 3, no pull to 3");
+        // A counted, live best is pulled from.
+        w.dkt.forget(3);
+        w.dkt.update_known(1, 0.0);
+        let got = post_round(w, 7, &m);
+        let pulls: Vec<_> = got.iter().filter(|(a, _)| *a == "dkt_request").collect();
+        assert_eq!(pulls, vec![&("dkt_request", 1)]);
+    }
+
+    #[test]
+    fn a_gradient_goes_only_to_a_peer_counted_for_its_round() {
+        let (mut ws, m) = planned_ranks(3, "2@2");
+        let w = &mut ws[0];
+        // Round 1's send order is rotated by one.
+        assert_eq!(post_round(w, 1, &m), vec![("grad", 2), ("grad", 1)]);
+        assert_eq!(post_round(w, 2, &m), vec![("grad", 1)]);
+        assert_eq!(w.sync.undelivered(), 3);
     }
 
     #[test]

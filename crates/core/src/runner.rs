@@ -1,10 +1,11 @@
 //! The cluster runner: the discrete-event backend of the rank protocol.
 //!
 //! The per-worker workflow of Figure 4/10 — weighted self-update, per-link
-//! fan-out, peer-gradient apply, strict-BSP flush, DKT — is
-//! [`crate::round`]; this file decides *when* each step happens in virtual
-//! time. It owns the event queue, the compute and network models, byte
-//! accounting, fault scheduling, the batching ticks and evaluation. What a
+//! fan-out, peer-gradient apply, strict-BSP flush, DKT, the planned kill —
+//! is [`crate::round`]; this file decides *when* each step happens in
+//! virtual time and turns the round's [`Action`]s into events. It owns the
+//! event queue, the compute and network models, byte accounting, a paused
+//! worker's resume, the batching ticks and evaluation. What a
 //! tick *decides* — the GBS step, who contributes, the Eq. 5 split — is
 //! [`crate::gbs::Batching`], shared with the live driver (DESIGN.md §4n);
 //! this file supplies the RCPs, by profiling its compute model. Virtual
@@ -34,7 +35,7 @@ use crate::messages::{
     WireFormat, DEFAULT_CHUNK_BYTES,
 };
 use crate::metrics::{HealthSummary, LinkSample, RunMetrics};
-use crate::round::{Effect, Membership};
+use crate::round::{Action, Effect, Membership};
 use crate::worker::{PendingIteration, Worker};
 use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
@@ -390,94 +391,50 @@ impl ClusterRunner {
     fn on_iter_done(&mut self, w: usize, now: f64) {
         self.join(w);
         let worker = &mut self.workers[w];
-        let round = worker.iteration;
         worker.computing = false;
         let Some(PendingIteration::Done { loss }) = worker.pending.take() else {
             panic!("IterDone without pending gradients");
         };
         let net = &self.net;
-        let (updates, share_dkt) =
+        let actions =
             worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now), &self.members);
-        if self.cfg.telemetry {
-            self.metrics
-                .telemetry
-                .add("strategy_updates", updates.len() as u64);
-        }
-        for up in updates {
-            // The ledger says the peer never computes this round: its
-            // process is gone by the time the gradient would matter, so
-            // don't put it on the wire (the live driver's `!active` skip).
-            if !self.members.counts(up.peer, round) {
-                continue;
-            }
-            if self.cfg.trace_links {
-                let bytes = up.msg.wire_bytes(self.bytes_per_param, self.total_params);
-                self.metrics.link_trace.push(LinkSample {
-                    time: now,
-                    src: w,
-                    dst: up.peer,
-                    bytes,
-                    entries: up.msg.entries(),
-                    n_used: up.msg.n_used,
-                });
-            }
-            self.workers[w].sync.on_sent(1);
-            self.send(w, up.peer, Payload::Grad(up.msg), now);
-        }
-
-        // Planned fault actions fire when the completed-iteration count
-        // reaches the kill's trigger — after the round's fan-out, so the
-        // victim's last gradients are already on the wire.
-        if let Some(kill) = self.cfg.fault.kill_of(w) {
-            if self.workers[w].iteration == kill.at_iter {
-                match kill.rejoin_after {
-                    None => {
-                        // Permanent departure: broadcast a Leave through
-                        // the modelled links, exactly like the live
-                        // victim. Each survivor demotes the victim when
-                        // the notice *arrives* — egress is serialized per
-                        // sender and the event queue is FIFO at equal
-                        // timestamps, so the Leave can never overtake the
-                        // gradients fanned out above. An instant demote
-                        // would release a blocked survivor's gate before
-                        // the victim's last gradients land, and its next
-                        // round would miss them — a divergence from the
-                        // live backend's per-peer-FIFO ordering.
-                        event!(now, w: w, "departed"; "iter" => kill.at_iter);
-                        for x in 0..self.n {
-                            if x != w && !self.departed(x) {
-                                self.send(
-                                    w,
-                                    x,
-                                    Payload::Leave {
-                                        completed: kill.at_iter,
-                                    },
-                                    now,
-                                );
-                            }
+        let mut shared_loss = false;
+        for action in actions {
+            match action {
+                Action::Send(to, payload) => {
+                    if let Payload::Grad(msg) = &payload {
+                        if self.cfg.telemetry {
+                            self.metrics.telemetry.inc("strategy_updates");
                         }
-                        return;
+                        if self.cfg.trace_links {
+                            self.metrics.link_trace.push(LinkSample {
+                                time: now,
+                                src: w,
+                                dst: to,
+                                bytes: msg.wire_bytes(self.bytes_per_param, self.total_params),
+                                entries: msg.entries(),
+                                n_used: msg.n_used,
+                            });
+                        }
                     }
-                    Some(r) => {
-                        // Pause-and-resume: the worker stays a member (no
-                        // ledger entry, divisors unchanged) and just sits
-                        // out `r` virtual seconds, still receiving — the
-                        // live driver pauses the same way (DESIGN.md §4e).
-                        event!(now, w: w, "pause"; "iter" => kill.at_iter, "secs" => r);
-                        self.paused[w] = true;
-                        self.queue.schedule(now + r, Ev::Resume { w });
-                        return;
-                    }
+                    shared_loss |= matches!(payload, Payload::LossShare { .. });
+                    // A Leave goes through the modelled links: egress is
+                    // serialized per sender and the queue is FIFO at equal
+                    // timestamps, so it never overtakes the victim's last
+                    // gradients — the live backend's per-peer FIFO.
+                    self.send(w, to, payload, now);
+                }
+                // The ledger excludes a departed worker from here on.
+                Action::Depart => {}
+                // A paused worker stays a member and keeps receiving.
+                Action::Pause(secs) => {
+                    self.paused[w] = true;
+                    self.queue.schedule(now + secs, Ev::Resume { w });
                 }
             }
         }
-        if share_dkt {
-            if self.cfg.telemetry {
-                self.metrics.telemetry.inc("dkt_rounds");
-            }
-            for (to, payload) in self.workers[w].dkt_round(now, |_| true) {
-                self.send(w, to, payload, now);
-            }
+        if shared_loss && self.cfg.telemetry {
+            self.metrics.telemetry.inc("dkt_rounds");
         }
         self.try_start(w, now);
     }
@@ -489,7 +446,7 @@ impl ClusterRunner {
         }
         // Gradient delivery unblocks the sender under BlockOnDelivery.
         if matches!(payload, Payload::Grad(_)) {
-            self.workers[from].sync.on_delivered();
+            self.workers[from].sync.on_delivered_from(to);
             if self.workers[from].waiting {
                 self.try_start(from, now);
             }

@@ -42,19 +42,15 @@ pub struct SyncState {
     ///
     /// [`demote`]: SyncState::demote
     tracked: Vec<usize>,
-    /// Number of this worker's own gradient messages still in flight.
-    undelivered_sends: usize,
-    /// Outstanding sends per destination. Maintained only through the
-    /// per-peer API ([`on_sent_to`] / [`on_delivered_from`], used by the
-    /// live backend); the simulator's aggregate [`on_sent`] /
-    /// [`on_delivered`] leave it untouched. [`demote`] forgives a dead
-    /// peer's entries so `BlockOnDelivery` cannot deadlock on acks that
-    /// will never come.
+    /// This worker's gradient messages still in flight, per destination —
+    /// the one delivery ledger: [`on_sent_to`] when the round core puts
+    /// one on the wire, [`on_delivered_from`] when it is delivered (the
+    /// simulator's arrival, the live backend's ack). [`demote`] forgives a
+    /// dead peer's entries so `BlockOnDelivery` cannot deadlock on
+    /// deliveries that will never come.
     ///
     /// [`on_sent_to`]: SyncState::on_sent_to
     /// [`on_delivered_from`]: SyncState::on_delivered_from
-    /// [`on_sent`]: SyncState::on_sent
-    /// [`on_delivered`]: SyncState::on_delivered
     /// [`demote`]: SyncState::demote
     undelivered_to: Vec<usize>,
     /// Peers permanently removed by [`demote`](SyncState::demote). A
@@ -77,7 +73,6 @@ impl SyncState {
         SyncState {
             received: vec![None; n],
             tracked,
-            undelivered_sends: 0,
             undelivered_to: vec![0; n],
             demoted: vec![false; n],
             me,
@@ -103,44 +98,36 @@ impl SyncState {
         *e = Some(e.map_or(iteration, |prev| prev.max(iteration)));
     }
 
-    /// Record that we put `k` gradient messages on the wire.
-    pub fn on_sent(&mut self, k: usize) {
-        self.undelivered_sends += k;
-    }
-
-    /// Record that one of our messages was delivered.
-    pub fn on_delivered(&mut self) {
-        assert!(self.undelivered_sends > 0, "delivery without send");
-        self.undelivered_sends -= 1;
-    }
-
-    /// Per-peer variant of [`on_sent`](SyncState::on_sent): one message
-    /// put on the wire toward `to`.
+    /// Record one gradient message put on the wire toward `to`. A demoted
+    /// peer's delivery is not awaited, like the ones [`demote`] forgave:
+    /// it may have left before the message lands.
+    ///
+    /// [`demote`]: SyncState::demote
     pub fn on_sent_to(&mut self, to: usize) {
-        self.undelivered_sends += 1;
-        self.undelivered_to[to] += 1;
+        if !self.demoted[to] {
+            self.undelivered_to[to] += 1;
+        }
     }
 
-    /// Per-peer variant of [`on_delivered`](SyncState::on_delivered):
-    /// `from` acknowledged one of our messages. An ack from a peer with
-    /// no outstanding sends (its balance was forgiven by
-    /// [`demote`](SyncState::demote), then the ack raced in) is ignored.
+    /// One of our gradient messages reached `from`. A delivery from a
+    /// peer with no outstanding sends (its balance was forgiven by
+    /// [`demote`](SyncState::demote), then the delivery raced in) is
+    /// ignored.
     pub fn on_delivered_from(&mut self, from: usize) {
         if self.undelivered_to[from] > 0 {
             self.undelivered_to[from] -= 1;
-            self.undelivered_sends -= 1;
         }
     }
 
     /// Stop waiting on `peer`: remove it from the tracked set (gating
     /// under `Synchronous` / `BoundedStaleness` no longer counts it) and
     /// forgive its outstanding deliveries (`BlockOnDelivery` no longer
-    /// waits for its acks). Idempotent; the live backend calls this when
-    /// a peer departs — the Hop-style demotion to an absent worker.
+    /// waits for them). Idempotent; `Worker::demote_peer` calls this on
+    /// both backends when a peer departs — the Hop-style demotion to an
+    /// absent worker.
     pub fn demote(&mut self, peer: usize) {
         self.demoted[peer] = true;
         self.tracked.retain(|&j| j != peer);
-        self.undelivered_sends -= self.undelivered_to[peer];
         self.undelivered_to[peer] = 0;
     }
 
@@ -155,8 +142,9 @@ impl SyncState {
         self.tracked.contains(&peer)
     }
 
+    /// This worker's gradient messages still in flight.
     pub fn undelivered(&self) -> usize {
-        self.undelivered_sends
+        self.undelivered_to.iter().sum()
     }
 
     /// Latest iteration received from `from` (None if nothing yet).
@@ -186,7 +174,7 @@ impl SyncState {
                 }
                 self.peers_at_least(floor) >= needed
             }
-            SyncPolicy::BlockOnDelivery => self.undelivered_sends == 0,
+            SyncPolicy::BlockOnDelivery => self.undelivered() == 0,
         }
     }
 
@@ -288,11 +276,12 @@ mod tests {
     #[test]
     fn block_on_delivery() {
         let mut s = SyncState::new(0, 3);
-        s.on_sent(2);
+        s.on_sent_to(1);
+        s.on_sent_to(2);
         assert!(!s.can_start(SyncPolicy::BlockOnDelivery, 1));
-        s.on_delivered();
+        s.on_delivered_from(2);
         assert!(!s.can_start(SyncPolicy::BlockOnDelivery, 1));
-        s.on_delivered();
+        s.on_delivered_from(1);
         assert!(s.can_start(SyncPolicy::BlockOnDelivery, 1));
         assert_eq!(s.undelivered(), 0);
     }
@@ -360,13 +349,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "delivery without send")]
-    fn spurious_delivery_panics() {
-        let mut s = SyncState::new(0, 2);
-        s.on_delivered();
-    }
-
-    #[test]
     fn demote_unblocks_synchronous_gating() {
         let mut s = SyncState::new(0, 3);
         s.on_gradient(1, 0);
@@ -398,5 +380,18 @@ mod tests {
         // A late ack from the demoted peer is ignored, not a panic.
         s.on_delivered_from(1);
         assert_eq!(s.undelivered(), 0);
+    }
+
+    #[test]
+    fn a_send_to_a_demoted_peer_is_not_awaited() {
+        let mut s = SyncState::new(0, 3);
+        s.demote(1);
+        s.on_sent_to(1);
+        s.on_sent_to(2);
+        assert_eq!(s.undelivered(), 1);
+        s.on_delivered_from(1);
+        assert!(!s.can_start(SyncPolicy::BlockOnDelivery, 1));
+        s.on_delivered_from(2);
+        assert!(s.can_start(SyncPolicy::BlockOnDelivery, 1));
     }
 }

@@ -4,6 +4,7 @@
 //! executes each round is `impl Worker` in [`crate::round`].
 
 use crate::dkt::DktState;
+use crate::fault::KillSpec;
 use crate::messages::GradMsg;
 use crate::strategy::ExchangeStrategy;
 use crate::sync::SyncState;
@@ -62,6 +63,9 @@ pub struct Worker {
     /// job held the model, each with the Eq. 7 factor it had on arrival;
     /// [`Worker::join_grads`] applies them in this order.
     pub queued: Vec<(GradMsg, f32)>,
+    /// This rank's planned kill (`RunConfig::fault`), if any: the round
+    /// core fires it once the completed-iteration count reaches `at_iter`.
+    pub kill: Option<KillSpec>,
 }
 
 /// A gradient computation awaiting its virtual completion.
@@ -153,6 +157,7 @@ mod tests {
             schedule: cfg.topology.build(6, cfg.seed).unwrap(),
             parked: Vec::new(),
             queued: Vec::new(),
+            kill: None,
         }
     }
 

@@ -1,11 +1,12 @@
 //! The live worker driver: one DLion rank's main loop over a real
 //! transport — the wall-clock backend of the rank protocol.
 //!
-//! Every model mutation and averaging divisor comes from the shared round
-//! core (`dlion_core::round`, DESIGN.md §4l), the same code the simulator
-//! calls: drain arrived frames, flush parked strict-BSP gradients, compute,
-//! `complete_round`, fan out, run a DKT round on share iterations, gate the
-//! next iteration on the worker's [`dlion_core::SyncPolicy`]. Every
+//! Every model mutation, averaging divisor and post-round send comes from
+//! the shared round core (`dlion_core::round`, DESIGN.md §4l), the same
+//! code the simulator calls: drain arrived frames, flush parked strict-BSP
+//! gradients, compute, carry out `complete_round`'s actions (the fan-out,
+//! then the kill's Leaves and departure or pause, or a DKT round), gate
+//! the next iteration on the worker's [`dlion_core::SyncPolicy`]. Every
 //! control decision comes from there too (DESIGN.md §4n): when a batching
 //! round is due, who contributes and the LBS split
 //! ([`dlion_core::gbs::Batching`]), what demoting a peer does
@@ -23,10 +24,11 @@
 //! says so — the simulator's fault semantics, kill for kill:
 //!
 //! * A **planned departure** ([`dlion_core::FaultPlan`], `--kill W@I`)
-//!   makes the victim broadcast `Payload::Leave` — the same message,
-//!   through the same payload codec, as the simulator's victim — carrying
-//!   its completed iteration count `K` and exit. Per-peer FIFO puts the
-//!   Leave after every gradient the victim sent.
+//!   makes the victim broadcast `Payload::Leave` — the round core's
+//!   action, through the same payload codec, as the simulator's victim —
+//!   carrying its completed iteration count `K` right after its last
+//!   fan-out, and exit. Per-peer FIFO puts the Leave after every gradient
+//!   the victim sent.
 //! * A **crash** surfaces on each survivor as
 //!   [`dlion_core::TransportError::PeerDisconnected`] (reader EOF) or
 //!   [`dlion_core::TransportError::PeerTimeout`] from the transport.
@@ -53,8 +55,8 @@
 //!
 //! * every received gradient is acknowledged with a [`Control::Ack`]
 //!   frame; the ack drives `SyncState::on_delivered_from` on the sender,
-//!   which is what `BlockOnDelivery` (Gaia) gates on. The simulator calls
-//!   `on_delivered` at the virtual arrival time instead.
+//!   which is what `BlockOnDelivery` (Gaia) gates on. The simulator makes
+//!   the same call at the virtual arrival time instead.
 //! * when a worker finishes its last iteration it sends [`Control::Done`]
 //!   to every peer and keeps receiving until it holds a Done from every
 //!   peer that has not departed. Transports guarantee per-peer FIFO, so a
@@ -74,7 +76,7 @@ use dlion_core::messages::{
 };
 use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
-use dlion_core::{Effect, ExchangeTransport, Membership, TransportError};
+use dlion_core::{Action, Effect, ExchangeTransport, Membership, TransportError};
 use dlion_nn::Dataset;
 use dlion_telemetry::{event, Histogram};
 use dlion_tensor::{DetRng, Tensor};
@@ -756,9 +758,11 @@ impl LiveWorker<'_, '_> {
     }
 
     /// One training iteration: compute, then the round core's
-    /// `complete_round`, back to back (live compute is atomic; there is
-    /// no virtual completion time).
-    fn step(&mut self) -> Result<(), LiveError> {
+    /// `complete_round` and its actions, back to back (live compute is
+    /// atomic; there is no virtual completion time) and before anything
+    /// else runs — a due batching round included. `Ok(false)`: this rank
+    /// has departed.
+    fn step(&mut self) -> Result<bool, LiveError> {
         let me = self.me;
         let t0 = self.env.clock.now();
         self.worker.sample_batch_reuse();
@@ -786,30 +790,21 @@ impl LiveWorker<'_, '_> {
             "loss" => loss, "dt" => measured);
 
         let (now, bw_mbps) = (self.now(), self.env.opts.bw_mbps);
-        let (updates, share_dkt) =
-            self.worker
-                .complete_round(loss, now, |_| bw_mbps, &self.members);
-        for up in updates {
-            if self.worker.sync.is_demoted(up.peer) {
-                continue;
-            }
-            self.worker.sync.on_sent_to(up.peer);
-            self.send(up.peer, Payload::Grad(up.msg), false)?;
-        }
-        if share_dkt {
-            // A snapshot: `dkt_round` borrows the worker.
-            let gone: Vec<bool> = (0..self.n)
-                .map(|j| self.worker.sync.is_demoted(j))
-                .collect();
-            for (to, payload) in self.worker.dkt_round(self.now(), |j| !gone[j]) {
-                self.send(to, payload, false)?;
+        let actions = self
+            .worker
+            .complete_round(loss, now, |_| bw_mbps, &self.members);
+        for action in actions {
+            match action {
+                Action::Send(to, payload) => self.send(to, payload, false)?,
+                Action::Depart => return Ok(false),
+                Action::Pause(secs) => self.pause(secs)?,
             }
         }
         let every = self.env.opts.eval_every;
         if every > 0 && self.worker.iteration.is_multiple_of(every) {
             self.eval();
         }
-        Ok(())
+        Ok(true)
     }
 
     fn eval(&mut self) {
@@ -1016,32 +1011,16 @@ impl LiveWorker<'_, '_> {
         }
     }
 
-    /// Announce a planned departure: Leave (with our completed-iteration
-    /// count) to every live peer, so survivors demote us at the right
-    /// round instead of stalling on gradients that will never come.
-    fn depart(&mut self) -> Result<(), LiveError> {
-        let completed = self.worker.iteration;
-        event!(self.now(), w: self.me, "departed"; "iter" => completed);
-        for j in 0..self.n {
-            if j != self.me && !self.worker.sync.is_demoted(j) {
-                self.send(j, Payload::Leave { completed }, true)?;
-            }
-        }
-        Ok(())
-    }
-
     /// A rejoining kill (`W@I+R`), the runner's pause and resume: stop
     /// stepping for `secs` clock seconds, serving frames as usual. We stay
     /// a member — no Leave, no ledger entry — and our neighbors wait for
     /// us as for any slow peer.
     fn pause(&mut self, secs: f64) -> Result<(), LiveError> {
-        let iter = self.worker.iteration;
-        event!(self.now(), w: self.me, "pause"; "iter" => iter, "secs" => secs);
         let until = self.now() + secs;
         // Silence for a whole stall timeout only ends the wait early:
         // `RunSpec::validate` keeps a pause shorter than that.
         self.serve_until(false, |lw| lw.now() >= until)?;
-        event!(self.now(), w: self.me, "rejoin"; "iter" => iter);
+        event!(self.now(), w: self.me, "rejoin"; "iter" => self.worker.iteration);
         Ok(())
     }
 
@@ -1084,8 +1063,6 @@ pub fn run_worker(
     let system = env.cfg.system.name();
     let scope_env = format!("{}/w{me}", env.env_label);
     let _scope = dlion_telemetry::run_scope(&system, &scope_env, env.cfg.seed);
-
-    let mut pending_kill = env.cfg.fault.kill_of(me);
 
     let straggle = env
         .cfg
@@ -1137,14 +1114,6 @@ pub fn run_worker(
         // in force for it.
         lw.run_due_gbs_rounds()?;
         lw.run_due_health_rounds();
-        if let Some(kill) = pending_kill.filter(|k| lw.worker.iteration >= k.at_iter) {
-            pending_kill = None;
-            let Some(secs) = kill.rejoin_after else {
-                lw.depart()?;
-                return Ok(lw.finish_departed());
-            };
-            lw.pause(secs)?;
-        }
         if lw.worker.iteration >= env.opts.iters {
             break;
         }
@@ -1162,7 +1131,9 @@ pub fn run_worker(
         // the one we are about to compute applies now, in canonical order
         // (gating says those rounds are complete).
         lw.flush_parked(false)?;
-        lw.step()?;
+        if !lw.step()? {
+            return Ok(lw.finish_departed());
+        }
     }
 
     // Shutdown barrier: announce Done to every *linked* peer (even ones

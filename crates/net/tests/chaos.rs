@@ -460,6 +460,54 @@ fn gbs_chaos_trajectory_is_deterministic_across_runs_and_transports() {
     assert_eq!(a.lbs_trace, c.lbs_trace, "mem vs TCP LBS rows diverged");
 }
 
+/// A kill whose last step crosses a batching boundary: under `1@20` the
+/// victim's 20th step takes its training clock to round 4's boundary
+/// (t = 1.0). The victim leaves right after that step's fan-out, before
+/// any due round — the simulator's order — so it never opens a round that
+/// the survivors, following the ledger, do not answer. (It used to open it
+/// and wait: forever on a `ManualClock`, one stall timeout on the system
+/// clock.) Each run has a deadline, so a regression fails, not hangs.
+#[test]
+fn a_kill_on_a_batching_boundary_step_leaves_before_the_round() {
+    for kind in [TransportKind::Mem, TransportKind::Tcp] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let mut cfg = gbs_chaos_cfg();
+            cfg.fault = FaultPlan::parse("1@20").expect("valid fault plan");
+            let opts = LiveOpts {
+                iters: GBS_CHAOS_ITERS,
+                eval_every: 0,
+                bw_mbps: BW_MBPS,
+                assumed_iter_time: Some(0.05),
+                stall_timeout: Duration::from_secs(120),
+                clock: Arc::new(ManualClock::new()),
+                ..Default::default()
+            };
+            let _ = tx.send(run_live(&cfg, 3, &opts, kind, "live/gbs-boundary-kill"));
+        });
+        let m = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{kind:?}: the run hung"))
+            .expect("live run");
+        run.join().expect("the run's thread");
+        assert_eq!(m.iterations, vec![GBS_CHAOS_ITERS, 20, GBS_CHAOS_ITERS]);
+        for (t, parts) in &m.lbs_trace {
+            let gbs = m
+                .gbs_trace
+                .iter()
+                .rev()
+                .find(|&&(tt, _)| tt <= *t)
+                .map_or(96, |&(_, g)| g);
+            assert_eq!(parts.iter().sum::<usize>(), gbs, "{kind:?}: GBS at t={t}");
+            assert_eq!(
+                parts[1] == 0,
+                *t >= 1.0,
+                "{kind:?}: victim's share at t={t}"
+            );
+        }
+    }
+}
+
 /// A Hello after establishment is refused like a stray route marker: a
 /// rank that announced its Leave and then says Hello again fails the
 /// receiving rank with a protocol error naming it. (It used to be a rejoin

@@ -9,11 +9,17 @@
 //! instead (`0@3+0.2`): one kill semantic on both backends, so every
 //! rank's weights agree, the paused one's included.
 
+use dlion_core::messages::{Payload, WireCfg};
 use dlion_core::scenario::{generate, ScenarioPlan, ScenarioSpec};
-use dlion_core::{run_with_models, RunConfig, RunMetrics, SyncPolicy, SystemKind};
+use dlion_core::{
+    run_with_models, DktMode, FaultPlan, RunConfig, RunMetrics, SyncPolicy, SystemKind,
+};
 use dlion_net::{live_config, run_live, LiveOpts, TransportKind};
 use dlion_simnet::{ComputeModel, NetworkModel};
+use dlion_telemetry::json;
 use dlion_tensor::Tensor;
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const N: usize = 4;
@@ -217,4 +223,129 @@ fn a_rejoining_kill_pauses_bit_identically_on_sim_mem_and_tcp() {
             "{label} straggler"
         );
     }
+}
+
+/// A trace sink the test reads back.
+#[derive(Clone, Default)]
+struct Captured(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Run `env`'s control sends as traced, `(from, to, kind)`, sorted.
+fn control_sends(rows: &str, env: &str) -> Vec<(u64, u64, String)> {
+    let mut sends: Vec<_> = rows
+        .lines()
+        .filter_map(|line| {
+            let row = json::parse(line).ok()?;
+            let fields = row.get("fields")?;
+            let kind = fields.get("kind").and_then(|k| k.as_str());
+            let ours = row.get("env")?.as_str()?.starts_with(env);
+            let control = !matches!(kind, None | Some("grad") | Some("weights"));
+            let send = row.get("kind")?.as_str()? == "send";
+            (ours && send && control).then_some((
+                row.get("worker")?.as_u64()?,
+                fields.get("to")?.as_u64()?,
+                kind?.to_string(),
+            ))
+        })
+        .collect();
+    sends.sort();
+    sends
+}
+
+/// The post-round twin: Baseline with Best2All DKT every 4 rounds under
+/// strict BSP, worker 1 killed on a share round (`1@4`) and after one
+/// (`1@6`). Both backends execute the round core's one post-round
+/// sequence — gradients, then either the Leaves or the DKT sends to the
+/// peers the ledger counts for the next round and gating has not demoted
+/// — so every loss share and Leave goes from and to the same ranks on
+/// sim, Mem and TCP, and the control bytes agree. (The live driver used to
+/// share losses on the kill round and send its Leaves after the round's
+/// DKT; the simulator shared losses with the departed rank.) The sends are
+/// read back from the trace, whose sink is process-wide: rows of the
+/// other tests here, running alongside, are told apart by their `env`.
+///
+/// Two live races stay out of the cell. A DKT pull is decided on the
+/// losses a rank has read when its share round comes, and a peer's
+/// same-round share can race in first: pulls are left out of the
+/// comparison, and λ = 0 makes a pull move no weight. And a send to the
+/// victim after the last gradient it waits for races its exit (a live
+/// send to an exited rank fails and is not counted): the victim of `1@6`
+/// still waits for round 4's gradients, which follow round 4's shares.
+#[test]
+fn post_round_traffic_under_a_kill_is_identical_on_sim_mem_and_tcp() {
+    const N: usize = 3;
+    const ITERS: u64 = 10;
+    let trace = Captured::default();
+    dlion_telemetry::set_trace_writer(Box::new(trace.clone()));
+    let request = Payload::DktRequest.wire_len(&WireCfg::default()) as f64;
+    for kill in ["1@4", "1@6"] {
+        let mut cfg = live_config(SystemKind::Baseline, 1);
+        cfg.dkt.mode = DktMode::Best2All;
+        cfg.dkt.period_iters = 4;
+        cfg.dkt.lambda = 0.0;
+        cfg.fault = FaultPlan::parse(kill).expect("kill spec");
+        cfg.duration = 10_000.0;
+        cfg.eval_interval = 10_000.0;
+        cfg.max_iters = Some(ITERS);
+        cfg.capture_weights = true;
+        cfg.sync_override = Some(SyncPolicy::Synchronous);
+        let sim = run_with_models(
+            &cfg,
+            ComputeModel::homogeneous(N, 1.0, 0.001, 0.05),
+            NetworkModel::uniform(N, BW_MBPS, 0.001),
+            "sim/post-round-twin",
+        );
+        let opts = LiveOpts {
+            iters: ITERS,
+            eval_every: 0,
+            bw_mbps: BW_MBPS,
+            assumed_iter_time: Some(ITER_TIME),
+            stall_timeout: Duration::from_secs(120),
+            ..Default::default()
+        };
+        let live = |kind, env| run_live(&cfg, N, &opts, kind, env).expect("live run");
+        let mem = live(TransportKind::Mem, "live/post-round-twin-mem");
+        let tcp = live(TransportKind::Tcp, "live/post-round-twin-tcp");
+        let rows = String::from_utf8(std::mem::take(&mut *trace.0.lock().unwrap())).unwrap();
+        let traffic = |m: &RunMetrics, env: &str| {
+            let (pulls, sends): (Vec<_>, Vec<_>) = control_sends(&rows, env)
+                .into_iter()
+                .partition(|(_, _, kind)| kind == "dkt_request");
+            let control = m.wire_bytes_by_kind["control"] - request * pulls.len() as f64;
+            (sends, control)
+        };
+        let want = traffic(&sim, "sim/post-round-twin");
+        assert!(
+            want.0.iter().any(|(_, _, kind)| kind == "leave"),
+            "{kill}: no Leave"
+        );
+        let sw = weight_bits(&sim.final_weights);
+        for (m, env) in [
+            (&mem, "live/post-round-twin-mem"),
+            (&tcp, "live/post-round-twin-tcp"),
+        ] {
+            assert_eq!(m.iterations, sim.iterations, "{kill}: {env} iterations");
+            let mw = weight_bits(&m.final_weights);
+            for w in [0, 2] {
+                assert!(!sw[w].is_empty(), "{kill}: sim captured no weights for {w}");
+                assert_eq!(sw[w], mw[w], "{kill}: sim vs {env} weights at worker {w}");
+            }
+            assert_eq!(
+                traffic(m, env),
+                want,
+                "{kill}: sim vs {env} control traffic"
+            );
+        }
+    }
+    dlion_telemetry::stop_trace();
 }
