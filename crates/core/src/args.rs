@@ -152,7 +152,7 @@ pub fn parse_straggle(s: &str) -> Result<Vec<(usize, f64)>, String> {
 }
 
 /// A span of seconds (`--stall-secs`, `--peer-timeout`,
-/// `--gbs-adjust-period`, `--health-interval`, `--assumed-iter-time`):
+/// `--gbs-adjust-period`, `--assumed-iter-time`):
 /// finite and above zero. A negative, NaN or infinite span makes no
 /// `Duration`, and a zero period never moves on.
 fn parse_secs(s: &str) -> Result<f64, String> {
@@ -257,7 +257,6 @@ pub struct RunSpec {
     /// the identical plan themselves from `(spec, workers, seed, iters)`.
     pub scenario: Option<crate::scenario::ScenarioSpec>,
     pub gbs_adjust_period: Option<f64>,
-    pub health_interval: Option<f64>,
     pub trace_out: Option<String>,
     pub telemetry: bool,
     pub csv: Option<String>,
@@ -287,7 +286,6 @@ impl Default for RunSpec {
             straggle: Vec::new(),
             scenario: None,
             gbs_adjust_period: None,
-            health_interval: None,
             trace_out: None,
             telemetry: false,
             csv: None,
@@ -348,7 +346,6 @@ impl RunSpec {
             "--gbs-adjust-period" => {
                 self.gbs_adjust_period = Some(args.parse_with(flag, parse_secs)?)
             }
-            "--health-interval" => self.health_interval = Some(args.parse_with(flag, parse_secs)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -473,7 +470,7 @@ impl RunSpec {
     /// `--scenario` expansion) — to a config (typically one from
     /// `live_config(spec.system, spec.seed)`). Both backends read these
     /// fields from the config and nowhere else. The pure execution knobs
-    /// (iters, queue caps, timeouts, health cadence) go to
+    /// (iters, queue caps, timeouts) go to
     /// `LiveOpts::from_spec`. Fails only on a `--scenario` that cannot
     /// expand, which [`RunSpec::validate`] reports first.
     pub fn configure(&self, cfg: &mut crate::config::RunConfig) -> Result<(), UsageError> {
@@ -574,9 +571,6 @@ impl RunSpec {
         }
         if let Some(v) = self.gbs_adjust_period {
             flag("--gbs-adjust-period", Some(v.to_string()));
-        }
-        if let Some(v) = self.health_interval {
-            flag("--health-interval", Some(v.to_string()));
         }
         if let Some(v) = &self.trace_out {
             flag("--trace-out", Some(v.clone()));
@@ -748,9 +742,6 @@ mod tests {
         }
         if rng.chance(30) {
             s.gbs_adjust_period = Some(0.05 + rng.below(100) as f64 / 100.0);
-        }
-        if rng.chance(30) {
-            s.health_interval = Some(0.05 + rng.below(100) as f64 / 100.0);
         }
         if rng.chance(20) {
             s.trace_out = Some(format!("/tmp/t{}.jsonl", rng.below(100)));
@@ -929,9 +920,8 @@ mod tests {
     }
 
     /// Each of these used to panic (`Duration::from_secs_f64`, a zero-slot
-    /// channel, the LBS controller's period) or hang (a health cadence
-    /// that never advances) inside a run; each is a usage error naming
-    /// its flag now.
+    /// channel, the LBS controller's period) or hang inside a run; each is
+    /// a usage error naming its flag now.
     #[test]
     fn knobs_that_would_panic_or_hang_a_run_are_usage_errors() {
         let refused = [
@@ -942,8 +932,6 @@ mod tests {
             ("--peer-timeout", "-1"),
             ("--peer-timeout", "inf"),
             ("--gbs-adjust-period", "0"),
-            ("--health-interval", "0"),
-            ("--health-interval", "-1"),
             ("--assumed-iter-time", "0"),
             ("--assumed-iter-time", "-0.05"),
         ];
@@ -954,10 +942,8 @@ mod tests {
             assert_eq!(e.flag, flag, "{flag} {value}: {e}");
         }
         let mut spec = RunSpec::default();
-        for (flag, value) in [("--queue-cap", "1"), ("--health-interval", "0.2")] {
-            assert!(spec.apply_flag(flag, &mut args(&[value])).unwrap());
-        }
-        assert_eq!((spec.queue_cap, spec.health_interval), (1, Some(0.2)));
+        assert!(spec.apply_flag("--queue-cap", &mut args(&["1"])).unwrap());
+        assert_eq!(spec.queue_cap, 1);
     }
 
     #[test]

@@ -145,9 +145,9 @@ impl GbsController {
     }
 }
 
-/// The due rule of every training-clock cadence (GBS rounds, health
-/// reports): round `r` is due once the clock reaches `r × period`.
-pub fn round_due(r: u64, train_secs: f64, period: f64) -> bool {
+/// The due rule of the batching cadence: round `r` is due once the
+/// training clock reaches `r × period`.
+fn round_due(r: u64, train_secs: f64, period: f64) -> bool {
     train_secs >= r as f64 * period
 }
 

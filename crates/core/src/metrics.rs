@@ -48,15 +48,12 @@ pub struct HealthSummary {
     /// Workers that left the run for good (a permanent kill): the sim's
     /// ledger, the live outcomes' `departed` flags.
     pub departed: Vec<bool>,
-    /// Health reports each worker emitted (0 in the sim, which computes
-    /// the summary without a reporting protocol).
-    pub reports: Vec<u64>,
 }
 
 impl HealthSummary {
-    /// Build a summary from per-worker rates, departures and report
-    /// counts. The median is taken over workers with a known (> 0) rate.
-    pub fn compute(rates: Vec<f64>, departed: Vec<bool>, reports: Vec<u64>) -> HealthSummary {
+    /// Build a summary from per-worker rates and departures. The median is
+    /// taken over workers with a known (> 0) rate.
+    pub fn compute(rates: Vec<f64>, departed: Vec<bool>) -> HealthSummary {
         let mut known: Vec<f64> = rates.iter().copied().filter(|&r| r > 0.0).collect();
         known.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
         let median = if known.is_empty() {
@@ -80,23 +77,17 @@ impl HealthSummary {
             straggler,
             straggler_score,
             departed,
-            reports,
         }
     }
 
     /// The verdict of a finished run, from what either backend knows per
     /// worker: iterations completed, training-clock seconds they took
-    /// (virtual busy time in the sim, accumulated `dt` live), departures
-    /// and report counts.
-    pub fn of_run(
-        iterations: &[u64],
-        seconds: &[f64],
-        departed: Vec<bool>,
-        reports: Vec<u64>,
-    ) -> HealthSummary {
+    /// (virtual busy time in the sim, accumulated `dt` live) and
+    /// departures.
+    pub fn of_run(iterations: &[u64], seconds: &[f64], departed: Vec<bool>) -> HealthSummary {
         let rate = |(&i, &s): (&u64, &f64)| if s > 0.0 { i as f64 / s } else { 0.0 };
         let rates = iterations.iter().zip(seconds).map(rate).collect();
-        HealthSummary::compute(rates, departed, reports)
+        HealthSummary::compute(rates, departed)
     }
 
     /// Trace the verdict: one fixed-key `cluster_health` event per worker
@@ -105,7 +96,6 @@ impl HealthSummary {
         for (w, &iters) in iterations.iter().enumerate() {
             event!(vt, w: w, "cluster_health";
                 "iterations" => iters,
-                "rounds" => self.reports[w],
                 "rate" => self.rates[w],
                 "score" => self.scores[w],
                 "departed" => self.departed[w],
@@ -406,7 +396,7 @@ mod tests {
     #[test]
     fn health_summary_scores_the_slowest_against_the_median() {
         // Worker 2 runs at a third of the others' rate: score 3, straggler.
-        let h = HealthSummary::compute(vec![20.0, 20.0, 20.0 / 3.0], vec![false; 3], vec![4, 4, 4]);
+        let h = HealthSummary::compute(vec![20.0, 20.0, 20.0 / 3.0], vec![false; 3]);
         assert_eq!(h.straggler, 2);
         assert!((h.straggler_score - 3.0).abs() < 1e-12);
         assert!((h.scores[0] - 1.0).abs() < 1e-12);
@@ -415,15 +405,15 @@ mod tests {
     #[test]
     fn health_summary_ties_name_the_lowest_id() {
         // Nobody has a rate: every score is 0 and the straggler is 0.
-        let h = HealthSummary::compute(vec![0.0; 3], vec![false; 3], vec![0; 3]);
+        let h = HealthSummary::compute(vec![0.0; 3], vec![false; 3]);
         assert_eq!(h.straggler, 0);
         assert_eq!(h.straggler_score, 0.0);
         // A homogeneous cluster: every score is 1, the first one wins.
-        let h = HealthSummary::compute(vec![1.0; 3], vec![false; 3], vec![0; 3]);
+        let h = HealthSummary::compute(vec![1.0; 3], vec![false; 3]);
         assert_eq!(h.straggler, 0);
         assert_eq!(h.straggler_score, 1.0);
         // A tie behind a lower-scored worker names the first of the tie.
-        let h = HealthSummary::compute(vec![4.0, 2.0, 2.0], vec![false; 3], vec![0; 3]);
+        let h = HealthSummary::compute(vec![4.0, 2.0, 2.0], vec![false; 3]);
         assert_eq!(h.straggler, 1);
     }
 
@@ -431,11 +421,7 @@ mod tests {
     fn health_summary_median_skips_unknown_rates() {
         // A worker that never stepped (rate 0) neither drags the median
         // down nor becomes the straggler.
-        let h = HealthSummary::compute(
-            vec![10.0, 0.0, 10.0, 5.0],
-            vec![false, true, false, false],
-            vec![3, 0, 3, 3],
-        );
+        let h = HealthSummary::compute(vec![10.0, 0.0, 10.0, 5.0], vec![false, true, false, false]);
         assert_eq!(h.scores[1], 0.0);
         assert_eq!(h.straggler, 3);
         assert!((h.straggler_score - 2.0).abs() < 1e-12);
@@ -443,7 +429,7 @@ mod tests {
 
     #[test]
     fn health_summary_empty_cluster_is_safe() {
-        let h = HealthSummary::compute(Vec::new(), Vec::new(), Vec::new());
+        let h = HealthSummary::compute(Vec::new(), Vec::new());
         assert_eq!(h.straggler, 0);
         assert_eq!(h.straggler_score, 0.0);
         assert_eq!(h, HealthSummary::default());

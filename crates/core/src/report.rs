@@ -126,7 +126,6 @@ mod tests {
             health: crate::metrics::HealthSummary::compute(
                 vec![20.0, 20.0 / 3.0],
                 vec![false, true],
-                vec![4, 1],
             ),
             ..Default::default()
         }

@@ -288,11 +288,10 @@ impl ClusterRunner {
         }
         trace_wire_bytes(end_time, None, &self.metrics.wire_bytes_by_kind);
         // Cluster health verdict (DESIGN.md §4h): iteration rates on the
-        // virtual clock, departures from the ledger. The sim has no
-        // reporting protocol (reports = 0).
+        // virtual clock, departures from the ledger.
         let m = &self.metrics;
         let departed = (0..self.n).map(|w| self.departed(w)).collect();
-        let health = HealthSummary::of_run(&m.iterations, &m.busy_time, departed, vec![0; self.n]);
+        let health = HealthSummary::of_run(&m.iterations, &m.busy_time, departed);
         health.trace(end_time, &m.iterations);
         self.metrics.health = health;
         event!(end_time, "run_end";

@@ -15,9 +15,9 @@ use std::time::Duration;
 
 /// Advisory per-link transport health (DESIGN.md §4h): send-queue depth
 /// and frame-lifecycle latency histograms collected by an instrumented
-/// transport. All quantities are wall-clock-derived, so they feed the
-/// health plane's *advisory* view (dashboards, `frame_latency` trace
-/// events) — never the deterministic `cluster_health` counters.
+/// transport (TCP in a traced live run). All quantities are
+/// wall-clock-derived, so they feed only the `frame_latency` trace rows
+/// and the dashboard — never the deterministic `cluster_health` verdict.
 #[derive(Clone, Debug)]
 pub struct LinkHealth {
     /// The peer this link reaches.
@@ -35,22 +35,6 @@ pub struct LinkHealth {
     pub write_time: Histogram,
     /// Seconds the reader spent pulling + verifying a frame off the wire.
     pub read_time: Histogram,
-}
-
-impl LinkHealth {
-    /// Empty instrumentation record for `peer`, with the health plane's
-    /// standard exponential buckets (1 µs first bucket, ×4 growth).
-    pub fn new(peer: usize) -> LinkHealth {
-        LinkHealth {
-            peer,
-            queue_depth: 0,
-            queue_depth_hw: 0,
-            frames: 0,
-            queue_wait: Histogram::exponential(1e-6, 4.0, 24),
-            write_time: Histogram::exponential(1e-6, 4.0, 24),
-            read_time: Histogram::exponential(1e-6, 4.0, 24),
-        }
-    }
 }
 
 /// Transport failure. Every [`ExchangeTransport`] method reports its
@@ -182,9 +166,9 @@ pub trait ExchangeTransport: Send {
 
     /// Snapshot this endpoint's per-link health instrumentation (one
     /// entry per connected peer). The default returns nothing — only
-    /// instrumented transports (TCP with health reporting on) override
-    /// it; `MemTransport`'s channels have no meaningful queue or wire
-    /// latency to report.
+    /// instrumented transports (TCP in a traced run) override it;
+    /// `MemTransport`'s channels have no meaningful queue or wire latency
+    /// to report.
     fn link_health(&mut self) -> Vec<LinkHealth> {
         Vec::new()
     }

@@ -11,8 +11,8 @@
 //!            [--wire dense|fp16|int8|topk[:N]] [--chunk-bytes B]
 //!            [--gbs-adjust-period S]
 //!            [--topology full|ring|star:H|kregular:K|groups:G|hier:G]
-//!            [--health-interval S] [--straggle W:F,...]
-//!            [--trace-out FILE] [--telemetry] [--csv FILE]
+//!            [--straggle W:F,...] [--trace-out FILE] [--telemetry]
+//!            [--csv FILE]
 //! ```
 //!
 //! All shared flags live in [`RunSpec`]; this binary only adds the
@@ -47,6 +47,10 @@
 //! covers the surviving membership. With `+R` the worker pauses there for
 //! `R` seconds instead, as in the simulator: it stays a member and its
 //! peers wait for it (`R` must stay under `--stall-secs`).
+//!
+//! `--trace-out FILE` is the health plane: a traced run also carries each
+//! link's `frame_latency` and the `cluster_health` verdict, which
+//! `dlion-top FILE` renders. An untraced run does none of that work.
 //!
 //! Examples:
 //!
@@ -125,8 +129,7 @@ fn usage() -> ! {
          \x20                 [--wire dense|fp16|int8|topk[:N]] [--chunk-bytes B]\n\
          \x20                 [--gbs-adjust-period S]\n\
          \x20                 [--topology full|ring|star:H|kregular:K|groups:G|hier:G]\n\
-         \x20                 [--health-interval S] [--straggle W:F,...]\n\
-         \x20                 [--trace-out FILE] [--telemetry] [--csv FILE]"
+         \x20                 [--straggle W:F,...] [--trace-out FILE] [--telemetry] [--csv FILE]"
     );
     std::process::exit(2);
 }
@@ -420,12 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn health_flags_parse_and_validate() {
-        let c = cli(&["--health-interval", "0.2", "--straggle", "2:3"]).unwrap();
-        assert_eq!(c.spec.health_interval, Some(0.2));
+    fn straggle_flag_parses_and_validates() {
+        let c = cli(&["--straggle", "2:3"]).unwrap();
         assert_eq!(c.spec.straggle, vec![(2, 3.0)]);
         let d = cli(&[]).unwrap();
-        assert_eq!(d.spec.health_interval, None);
         assert!(d.spec.straggle.is_empty());
         // Worker 5 does not exist in the default 3-worker cluster.
         let e = cli(&["--straggle", "5:2"]).unwrap_err();

@@ -104,8 +104,7 @@ fn usage() -> ! {
          \x20                   [--queue-cap N] [--bw-mbps F] [--assumed-iter-time S]\n\
          \x20                   [--stall-secs S] [--peer-timeout S] [--kill W@I[+R],...]\n\
          \x20                   [--topology SPEC] [--wire dense|fp16|int8|topk[:N]]\n\
-         \x20                   [--chunk-bytes B] [--gbs-adjust-period S]\n\
-         \x20                   [--health-interval S] [--straggle W:F,...]\n\
+         \x20                   [--chunk-bytes B] [--gbs-adjust-period S] [--straggle W:F,...]\n\
          \x20                   [--env-label L] [--trace-out FILE] [--telemetry]"
     );
     std::process::exit(2);
@@ -278,19 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn health_flags_parse() {
-        let c = cli(&[
-            "--id",
-            "0",
-            "--workers",
-            "3",
-            "--health-interval",
-            "0.2",
-            "--straggle",
-            "2:3,0:1.5",
-        ])
-        .unwrap();
-        assert_eq!(c.spec.health_interval, Some(0.2));
+    fn straggle_flag_parses() {
+        let c = cli(&["--id", "0", "--workers", "3", "--straggle", "2:3,0:1.5"]).unwrap();
         assert_eq!(c.spec.straggle, vec![(2, 3.0), (0, 1.5)]);
         let e = cli(&["--id", "0", "--workers", "2", "--straggle", "2x3"]).unwrap_err();
         assert_eq!(e.flag, "--straggle");

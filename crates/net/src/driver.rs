@@ -13,8 +13,7 @@
 //! (`Worker::demote_peer`). This file keeps what only a live rank has: the
 //! transport, the clock, gradient acks, buffer recycling, the `done` peer
 //! flags (who left is `SyncState::is_demoted`), the RCP *exchange* (frames
-//! out, frames in), the health cadence, the pause, the Done plane, and
-//! [`WorkerOutcome`].
+//! out, frames in), the pause, the Done plane, and [`WorkerOutcome`].
 //! Every wait that may apply traffic — an RCP collect, the iteration gate,
 //! a pause, the Done barrier — is one loop, `serve_until`.
 //!
@@ -68,7 +67,7 @@ use crate::LiveError;
 use dlion_core::args::RunSpec;
 use dlion_core::clock::{Clock, SystemClock};
 use dlion_core::config::RunConfig;
-use dlion_core::gbs::{round_due, Batching};
+use dlion_core::gbs::Batching;
 use dlion_core::lbs::{compute_rcp, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
     add_wire_bytes, apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg,
@@ -78,7 +77,7 @@ use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
 use dlion_core::{Action, Effect, ExchangeTransport, Membership, TransportError};
 use dlion_nn::Dataset;
-use dlion_telemetry::{event, Histogram};
+use dlion_telemetry::{event, tracing_on, Histogram};
 use dlion_tensor::{DetRng, Tensor};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -132,14 +131,6 @@ pub struct LiveOpts {
     /// periods, stall deadlines, pauses) runs deterministically
     /// and without real sleeps.
     pub clock: Arc<dyn Clock>,
-    /// Run a health round (a `worker_health` trace event) every this many
-    /// *training-clock* seconds
-    /// (`--health-interval`; `None` = health plane off). Rounds ride the
-    /// same nominal-time schedule as GBS rounds, so with a pinned
-    /// `assumed_iter_time` the round cadence — and every deterministic
-    /// counter derived from it — is a pure function of the iteration
-    /// schedule, testable on a `ManualClock` with zero sleeps.
-    pub health_interval: Option<f64>,
 }
 
 impl Default for LiveOpts {
@@ -168,7 +159,6 @@ impl LiveOpts {
             stall_timeout: Duration::from_secs_f64(spec.stall_secs),
             peer_timeout: spec.peer_timeout.map(Duration::from_secs_f64),
             chunk_bytes: spec.chunk_bytes,
-            health_interval: spec.health_interval,
             clock: Arc::new(SystemClock::new()),
         }
     }
@@ -258,8 +248,6 @@ pub struct WorkerOutcome {
     /// rate `iterations / train_secs` the health plane scores stragglers
     /// by — is bit-identical across runs and transports.
     pub train_secs: f64,
-    /// Health report rounds this worker emitted (0 = plane off).
-    pub health_rounds: u64,
     /// Final weight tensors, when `cfg.capture_weights` is on.
     pub final_weights: Option<Vec<Tensor>>,
 }
@@ -276,7 +264,6 @@ impl WorkerOutcome {
             self.id, self.iterations, self.msgs_sent, self.msgs_recv, self.dkt_merges,
             self.departed
         ));
-        s.push_str(&format!(",\"health_rounds\":{}", self.health_rounds));
         for (key, v) in [
             ("busy_secs", self.busy_secs),
             ("wall_secs", self.wall_secs),
@@ -363,7 +350,6 @@ impl WorkerOutcome {
             control_bytes: num("control_bytes")?,
             net_overhead_bytes: num("net_overhead_bytes")?,
             train_secs: num("train_secs")?,
-            health_rounds: int("health_rounds")?,
             departed: matches!(v.get("departed"), Some(Json::Bool(true))),
             ..Default::default()
         };
@@ -441,7 +427,7 @@ struct LiveWorker<'a, 'b> {
     /// exchange ([`LiveWorker::rcp_round`]) makes every member execute
     /// the same rounds.
     batching: Batching,
-    /// The training clock: accumulated per-iteration wall times (`dt`).
+    /// The training clock: accumulated effective iteration times (`dt`).
     /// The adjustment schedule runs on this rather than raw `clock.now()`
     /// so a run's round-to-iteration alignment is a pure function of its
     /// iteration times — pinnable via `assumed_iter_time`.
@@ -452,11 +438,8 @@ struct LiveWorker<'a, 'b> {
     /// This worker's `cfg.straggle` factor (1.0 = none): the effective
     /// `dt` multiplier applied in [`LiveWorker::step`].
     straggle: f64,
-    /// Health report rounds completed (round `r` fires when `train_secs`
-    /// crosses `r × health_interval`; the batching rounds' due rule).
-    health_round: u64,
     /// Decode+apply latency of inbound frames, per sending peer
-    /// (advisory; recorded only while the health plane is on).
+    /// (advisory; recorded only in a traced run).
     apply_lat: Vec<Histogram>,
     /// RCPs received from peers, by `(round, peer)`; rounds may pre-arrive
     /// (a faster peer opened a round we have not reached yet).
@@ -665,8 +648,8 @@ impl LiveWorker<'_, '_> {
         during_shutdown: bool,
     ) -> Result<(), LiveError> {
         // Frame-lifecycle instrumentation, last leg: reassembly + decode +
-        // apply, recorded per sending peer while the health plane is on.
-        let t0 = self.env.opts.health_interval.is_some().then(Instant::now);
+        // apply, recorded per sending peer in a traced run.
+        let t0 = tracing_on().then(Instant::now);
         let result = match self.decode_inbound(from, &frame)? {
             Inbound::Payload(payload) => self.on_payload(from, payload, during_shutdown),
             Inbound::Control(msg) => self.on_control(from, msg),
@@ -785,9 +768,11 @@ impl LiveWorker<'_, '_> {
         } else {
             rate
         };
+        // The training-clock step, as the simulator traces it: Σ dt is
+        // the verdict's seconds. The wall compute time is `busy_secs`.
         event!(self.now(), w: me, "iter_start";
             "iter" => self.worker.iteration, "lbs" => self.worker.lbs,
-            "loss" => loss, "dt" => measured);
+            "loss" => loss, "dt" => dt);
 
         let (now, bw_mbps) = (self.now(), self.env.opts.bw_mbps);
         let actions = self
@@ -952,53 +937,19 @@ impl LiveWorker<'_, '_> {
         Ok(())
     }
 
-    /// Run every health round whose training-clock boundary has been
-    /// crossed — the same nominal-time due rule as
-    /// [`LiveWorker::run_due_gbs_rounds`], so with a pinned iteration
-    /// time the round count and round numbers are pure functions of the
-    /// iteration schedule (and hence `ManualClock`-testable without
-    /// sleeps). Each round traces this rank's `worker_health` report.
-    fn run_due_health_rounds(&mut self) {
-        let Some(interval) = self.env.opts.health_interval else {
-            return;
-        };
-        while round_due(self.health_round + 1, self.train_secs, interval) {
-            self.health_round += 1;
-            let links = self.transport.link_health();
-            let sendq = links.iter().map(|l| l.queue_depth).max().unwrap_or(0);
-            let scratch_hw = self.wire_scratch.capacity() as u64;
-            // Nominal round time, like GBS traces — though the *values*
-            // of the load fields (deferred, sendq) stay advisory.
-            event!(self.health_round as f64 * interval, w: self.me, "worker_health";
-                "round" => self.health_round,
-                "iter" => self.worker.iteration,
-                "rate" => self.ewma_rate,
-                "gbs_round" => self.batching.rounds(),
-                "deferred" => self.worker.parked.len() as u32,
-                "sendq" => sendq as u32,
-                "scratch_hw" => scratch_hw);
-        }
-    }
-
-    /// Fold the batching and health planes' end-of-run state into the
-    /// outcome and trace per-link frame-lifecycle latency (advisory wall-clock
-    /// quantiles, in µs, over the whole run).
-    fn finish_health(&mut self) {
+    /// Fold the end-of-run state into the outcome and trace the per-link
+    /// frame-lifecycle latency (advisory wall-clock quantiles, in µs, over
+    /// the whole run; an instrumented transport's links that carried
+    /// frames) and the byte ledger.
+    fn finish(&mut self) {
+        self.out.iterations = self.worker.iteration;
+        self.out.wall_secs = self.now();
         self.out.gbs_trace = std::mem::take(&mut self.batching.gbs_trace);
         self.out.lbs_trace = std::mem::take(&mut self.batching.lbs_trace);
         self.out.train_secs = self.train_secs;
-        self.out.health_rounds = self.health_round;
-        if self.env.opts.health_interval.is_none() {
-            return;
-        }
-        let now = self.now();
-        for link in self.transport.link_health() {
-            if link.frames == 0 {
-                continue;
-            }
-            let us = |h: &Histogram, q: f64| h.quantile(q) * 1e6;
-            let apply_p99 = self.apply_lat.get(link.peer).map_or(0.0, |h| us(h, 0.99));
-            event!(now, w: self.me, "frame_latency";
+        let us = |h: &Histogram, q: f64| h.quantile(q) * 1e6;
+        for link in self.transport.link_health().iter().filter(|l| l.frames > 0) {
+            event!(self.out.wall_secs, w: self.me, "frame_latency";
                 "peer" => link.peer,
                 "frames" => link.frames,
                 "depth_hw" => link.queue_depth_hw,
@@ -1007,8 +958,9 @@ impl LiveWorker<'_, '_> {
                 "write_p50_us" => us(&link.write_time, 0.5),
                 "write_p99_us" => us(&link.write_time, 0.99),
                 "read_p99_us" => us(&link.read_time, 0.99),
-                "apply_p99_us" => apply_p99);
+                "apply_p99_us" => self.apply_lat.get(link.peer).map_or(0.0, |h| us(h, 0.99)));
         }
+        trace_wire_bytes(self.now(), Some(self.me), &self.out.wire_bytes_by_kind);
     }
 
     /// A rejoining kill (`W@I+R`), the runner's pause and resume: stop
@@ -1037,10 +989,7 @@ impl LiveWorker<'_, '_> {
     /// cluster convergence metrics.
     fn finish_departed(mut self) -> WorkerOutcome {
         self.out.departed = true;
-        self.out.iterations = self.worker.iteration;
-        self.out.wall_secs = self.now();
-        self.finish_health();
-        trace_wire_bytes(self.now(), Some(self.me), &self.out.wire_bytes_by_kind);
+        self.finish();
         event!(self.out.wall_secs, w: self.me, "run_end";
             "iterations" => self.out.iterations, "departed" => true);
         self.out
@@ -1075,7 +1024,6 @@ pub fn run_worker(
         train_secs: 0.0,
         ewma_rate: 0.0,
         straggle,
-        health_round: 0,
         apply_lat: vec![Histogram::default(); n],
         rcp_pending: BTreeMap::new(),
         done: vec![false; n],
@@ -1113,7 +1061,6 @@ pub fn run_worker(
         // runs to completion before the next compute, so the new LBS is
         // in force for it.
         lw.run_due_gbs_rounds()?;
-        lw.run_due_health_rounds();
         if lw.worker.iteration >= env.opts.iters {
             break;
         }
@@ -1167,13 +1114,10 @@ pub fn run_worker(
     lw.flush_parked(true)?;
 
     lw.eval();
-    lw.out.iterations = lw.worker.iteration;
-    lw.out.wall_secs = lw.now();
+    lw.finish();
     if env.cfg.capture_weights {
         lw.out.final_weights = Some(lw.worker.model.weights());
     }
-    lw.finish_health();
-    trace_wire_bytes(lw.now(), Some(me), &lw.out.wire_bytes_by_kind);
     event!(lw.out.wall_secs, w: me, "run_end";
         "iterations" => lw.out.iterations,
         "grad_bytes" => lw.out.grad_bytes,
@@ -1215,13 +1159,11 @@ mod tests {
             .into_iter()
             .collect(),
             train_secs: 1.5,
-            health_rounds: 6,
             final_weights: None,
         };
         let back = WorkerOutcome::from_json(&out.to_json()).unwrap();
         assert_eq!(back.id, 2);
         assert_eq!(back.train_secs, 1.5);
-        assert_eq!(back.health_rounds, 6);
         assert_eq!(back.gbs_trace, vec![(0.25, 160), (0.5, 240)]);
         assert_eq!(back.lbs_trace.len(), 2);
         assert_eq!(back.lbs_trace[1], (0.25, vec![54, 53, 53]));

@@ -19,10 +19,10 @@
 //! ## Module map
 //!
 //! * [`driver`] — the per-worker training loop (compute → apply own →
-//!   send → block per sync policy), plus the startup LBS profiling round,
-//!   the health plane's report cadence (`worker_health`, `frame_latency`)
-//!   and the Done-barrier shutdown protocol. Who left the run is what a
-//!   rank's gating demoted; the verdict is `dlion_core::HealthSummary`.
+//!   send → block per sync policy), plus the startup LBS profiling round
+//!   and the Done-barrier shutdown protocol; a traced run also reports
+//!   each link's `frame_latency`. Who left the run is what a rank's
+//!   gating demoted; the verdict is `dlion_core::HealthSummary`.
 //! * [`tcp`] — [`tcp::TcpTransport`], one endpoint per rank: mesh
 //!   establishment with a Hello handshake through one acceptor that lives
 //!   only until the expected peers are wired (a Hello after that is a

@@ -52,8 +52,8 @@ pub fn live_config(system: SystemKind, seed: u64) -> RunConfig {
 /// holds two connections per worker, not `n-1`), widened back to the full
 /// mesh whenever a blocking all-to-all control plane is active — dynamic
 /// batching broadcasts RCPs to everyone, and a fault plan's Leave
-/// announcements likewise assume every peer is reachable. (The health
-/// plane sends nothing; it reports `frame_latency` per held link.)
+/// announcements likewise assume every peer is reachable. (A traced run
+/// sends nothing extra; it reports `frame_latency` per held link.)
 /// Masks are symmetric (per-round neighbor sets are), so both endpoints
 /// agree on whether a connection exists.
 pub fn link_masks(
@@ -213,9 +213,10 @@ impl<'a> LiveCluster<'a> {
             establish_timeout: self.opts.stall_timeout,
             peer_timeout: self.opts.peer_timeout,
             clock: Arc::clone(&self.opts.clock),
-            // The health plane wants per-link lifecycle latency; when it
-            // is off the transport pays zero instrumentation cost.
-            instrument: self.opts.health_interval.is_some(),
+            // A traced run reports per-link lifecycle latency
+            // (`frame_latency`); an untraced one pays zero instrumentation
+            // cost. Both binaries open the sink before asking.
+            instrument: dlion_telemetry::tracing_on(),
             // One rank per host is a flat mesh: every host announces
             // itself and no frame carries a route marker. The choice is
             // cluster-wide, not per host — both ends of every link must
@@ -381,15 +382,12 @@ pub fn assemble_metrics(
     // and across Mem vs TCP transports.
     let train_secs: Vec<f64> = outcomes.iter().map(|o| o.train_secs).collect();
     let departed = outcomes.iter().map(|o| o.departed).collect();
-    let reports = outcomes.iter().map(|o| o.health_rounds).collect();
-    m.health = HealthSummary::of_run(&m.iterations, &train_secs, departed, reports);
-    // With health reporting on, trace the verdict at the cluster's final
-    // training-clock time, so sim and live health traces line up.
-    if outcomes.iter().any(|o| o.health_rounds > 0) {
-        let _scope = dlion_telemetry::run_scope(&m.system, env_label, cfg.seed);
-        let vt = train_secs.iter().copied().fold(0.0, f64::max);
-        m.health.trace(vt, &m.iterations);
-    }
+    m.health = HealthSummary::of_run(&m.iterations, &train_secs, departed);
+    // Trace the verdict at the cluster's final training-clock time, as the
+    // simulator does at its end time, so sim and live traces line up.
+    let _scope = dlion_telemetry::run_scope(&m.system, env_label, cfg.seed);
+    let vt = train_secs.iter().copied().fold(0.0, f64::max);
+    m.health.trace(vt, &m.iterations);
     if cfg.telemetry {
         let tm = &mut m.telemetry;
         for o in &outcomes {
@@ -498,15 +496,14 @@ mod tests {
         assert!(LiveCluster::new(&cfg, 4, 0, &opts, "t").is_err());
     }
 
-    /// The health plane sends no frame, so it holds no link the
-    /// schedule does not: a sparse topology stays sparse with it on.
+    /// Without a blocking all-to-all control plane a rank holds no link
+    /// the schedule does not: a sparse topology stays sparse.
     #[test]
-    fn the_health_plane_does_not_widen_the_link_masks() {
+    fn a_sparse_topology_keeps_sparse_link_masks() {
         let mut cfg = live_config(SystemKind::Baseline, 1);
         cfg.topology = dlion_core::Topology::KRegular { k: 2 };
         let opts = LiveOpts {
             iters: 1,
-            health_interval: Some(0.2),
             ..LiveOpts::default()
         };
         let n = 6;
@@ -560,16 +557,13 @@ mod tests {
         let cfg = live_config(SystemKind::Baseline, 1);
         let mut slow = outcome(2);
         slow.train_secs = 1.5; // rate 6.67 vs the others' 20
-        let mut reporter = outcome(0);
-        reporter.health_rounds = 5;
         let mut gone = outcome(1);
         gone.departed = true;
-        let m = assemble_metrics(&cfg, "live/3w", vec![reporter, gone, slow]);
+        let m = assemble_metrics(&cfg, "live/3w", vec![outcome(0), gone, slow]);
         assert_eq!(m.health.straggler, 2);
         assert!((m.health.straggler_score - 3.0).abs() < 1e-12);
         assert!((m.health.rates[0] - 20.0).abs() < 1e-12);
         assert_eq!(m.health.departed, vec![false, true, false]);
-        assert_eq!(m.health.reports, vec![5, 0, 0]);
     }
 
     #[test]

@@ -125,8 +125,8 @@ pub struct TcpOpts {
     pub clock: Arc<dyn Clock>,
     /// Record per-link frame-lifecycle latency (enqueue→writer-pickup,
     /// serialize+socket write, body read) and send-queue depth, surfaced
-    /// through [`ExchangeTransport::link_health`]. Off by default: the
-    /// health plane (`--health-interval`) turns it on. A flat mesh's
+    /// through [`ExchangeTransport::link_health`]. Off by default: a
+    /// traced live run turns it on (`LiveCluster::tcp_opts`). A flat mesh's
     /// links are its ranks' own; a ranked mesh's are shared by many rank
     /// pairs, and its endpoints report none.
     pub instrument: bool,

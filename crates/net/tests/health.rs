@@ -1,21 +1,23 @@
 //! The cluster health plane end to end: straggler scoring and departures
-//! under churn, one verdict whether the plane reports or not, and
-//! bit-identical health counters across repeat runs and transports.
+//! under churn, bit-identical verdicts across repeat runs and transports,
+//! and a traced run that carries its health rows with no knob.
 //!
 //! All runs pin the iteration time (`assumed_iter_time`) and inject a
 //! `ManualClock`, so the training clock — and with it every deterministic
-//! health quantity (report rounds, rates, scores, departures) —
-//! is a pure function of the iteration schedule: no sleeps, no wall-clock
-//! flakiness. Advisory signals (queue depths, frame latencies) are
-//! deliberately *not* asserted on; they exist for the dashboard only.
+//! health quantity (rates, scores, departures) — is a pure function of
+//! the iteration schedule: no sleeps, no wall-clock flakiness. Advisory
+//! values (queue depths, frame latencies) are deliberately *not* asserted
+//! on; they exist for the dashboard only.
 
 use dlion_core::{FaultPlan, ManualClock, RunConfig, SyncPolicy, SystemKind};
 use dlion_net::{live_config, run_live, LiveOpts, TransportKind};
-use std::sync::Arc;
+use dlion_telemetry::json::{self, Json};
+use std::collections::BTreeSet;
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const ITER_TIME: f64 = 0.05;
-const HEALTH_INTERVAL: f64 = 0.1;
 
 fn health_cfg(iters: u64) -> RunConfig {
     let mut cfg = live_config(SystemKind::Baseline, 1);
@@ -40,7 +42,6 @@ fn chaos_health_opts(iters: u64) -> LiveOpts {
         assumed_iter_time: Some(ITER_TIME),
         stall_timeout: Duration::from_secs(120),
         clock: Arc::new(ManualClock::new()),
-        health_interval: Some(HEALTH_INTERVAL),
         ..Default::default()
     }
 }
@@ -77,11 +78,6 @@ fn straggler_and_departed_peer_are_detected_under_churn() {
     );
     // The killed worker is the one the survivors demoted.
     assert_eq!(h.departed, vec![false, true, false]);
-    // Both survivors emitted reports; the straggler's slower train clock
-    // means *more* rounds per iteration, never fewer. The victim may or
-    // may not cross its first boundary before iteration 3 — no assert.
-    assert!(h.reports[0] >= 1, "reports: {:?}", h.reports);
-    assert!(h.reports[2] > h.reports[0], "reports: {:?}", h.reports);
 }
 
 #[test]
@@ -124,31 +120,103 @@ fn health_reports_ride_the_chunked_codec_unchanged() {
     assert_eq!(plain.health, chunked.health, "chunking changed the summary");
 }
 
-#[test]
-fn the_verdict_is_the_same_with_the_plane_on_and_off() {
-    // Without --health-interval no rank traces a report, but train_secs
-    // still accumulates and a departure is still a demotion — so the
-    // verdict keeps its rates, straggler and departures; only the report
-    // counts differ.
-    const ITERS: u64 = 8;
-    let cfg = health_cfg(ITERS);
-    let on = chaos_health_opts(ITERS);
-    let off = LiveOpts {
-        health_interval: None,
-        ..chaos_health_opts(ITERS)
-    };
-    let on = run_live(&cfg, 3, &on, TransportKind::Mem, "live/health-on").expect("plane on");
-    let off = run_live(&cfg, 3, &off, TransportKind::Mem, "live/health-off").expect("plane off");
-    for (h, label) in [(&on.health, "on"), (&off.health, "off")] {
-        assert_eq!(h.departed, vec![false, true, false], "plane {label}");
-        assert_eq!(h.straggler, 2, "plane {label}");
+/// A trace sink the test reads back.
+#[derive(Clone, Default)]
+struct Captured(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
     }
-    assert_eq!(on.health.rates, off.health.rates);
-    assert_eq!(on.health.scores, off.health.scores);
-    assert!(
-        on.health.reports[0] >= 1,
-        "reports: {:?}",
-        on.health.reports
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A traced run is the health plane: the chaos cell on TCP, traced and
+/// with no other switch, carries the verdict (one row per worker), the
+/// latency of every survivor link and the departure, and each worker's
+/// `iter_start` rows are the verdict's rate — their count over the sum of
+/// their `dt`, bit for bit, as in a simulator trace. The sink is
+/// process-wide, so this run's rows are told apart by their `env`.
+#[test]
+fn a_traced_live_run_carries_its_health_with_no_knob() {
+    const ITERS: u64 = 8;
+    const ENV: &str = "live/health-traced";
+    let trace = Captured::default();
+    dlion_telemetry::set_trace_writer(Box::new(trace.clone()));
+    let m = run_live(
+        &health_cfg(ITERS),
+        3,
+        &chaos_health_opts(ITERS),
+        TransportKind::Tcp,
+        ENV,
     );
-    assert_eq!(off.health.reports, vec![0, 0, 0]);
+    dlion_telemetry::stop_trace();
+    let m = m.expect("traced run");
+    let text = String::from_utf8(std::mem::take(&mut *trace.0.lock().unwrap())).unwrap();
+    let ours = |row: &Json| {
+        let env = row.get("env").and_then(Json::as_str).unwrap_or("");
+        env == ENV || env.starts_with(&format!("{ENV}/"))
+    };
+    let rows: Vec<Json> = text
+        .lines()
+        .filter_map(|line| json::parse(line).ok())
+        .filter(ours)
+        .collect();
+    let of_kind = |kind: &str| -> Vec<&Json> {
+        let kind_of = |r: &Json| r.get("kind").and_then(Json::as_str) == Some(kind);
+        rows.iter().filter(|r| kind_of(r)).collect()
+    };
+    let worker = |r: &Json| r.get("worker").and_then(Json::as_u64).expect("worker") as usize;
+    let field = |r: &Json, key: &str| r.get("fields").and_then(|f| f.get(key)).cloned();
+
+    let verdict = of_kind("cluster_health");
+    let mut who: Vec<usize> = verdict.iter().map(|r| worker(r)).collect();
+    who.sort();
+    assert_eq!(who, vec![0, 1, 2], "one cluster_health row per worker");
+    assert!(verdict.iter().all(|r| field(r, "rounds").is_none()));
+
+    let links: BTreeSet<(usize, usize)> = of_kind("frame_latency")
+        .iter()
+        .map(|r| {
+            (
+                worker(r),
+                field(r, "peer").and_then(|p| p.as_u64()).unwrap() as usize,
+            )
+        })
+        .collect();
+    for link in [(0, 1), (0, 2), (2, 0), (2, 1)] {
+        assert!(
+            links.contains(&link),
+            "no frame_latency for {link:?}: {links:?}"
+        );
+    }
+
+    let departed = of_kind("peer_departed");
+    assert!(
+        departed
+            .iter()
+            .any(|r| field(r, "peer").and_then(|p| p.as_u64()) == Some(1)),
+        "no peer_departed row for worker 1"
+    );
+
+    let steps = of_kind("iter_start");
+    for w in 0..3 {
+        let dts: Vec<f64> = steps
+            .iter()
+            .filter(|r| worker(r) == w)
+            .map(|r| field(r, "dt").and_then(|d| d.as_f64()).expect("dt"))
+            .collect();
+        let secs = dts.iter().fold(0.0, |sum, dt| sum + dt);
+        assert_eq!(
+            (dts.len() as f64 / secs).to_bits(),
+            m.health.rates[w].to_bits(),
+            "worker {w}: {} steps over {secs} s vs rate {}",
+            dts.len(),
+            m.health.rates[w]
+        );
+    }
 }

@@ -2,8 +2,8 @@
 //! regional outage plus a Pareto straggler — drives the simulator's
 //! fault/straggle machinery and the live backend's, and all three
 //! backends (sim, Mem, TCP) agree bit-for-bit on the survivors' weights
-//! and on the cluster-health verdict (departures, rates, scores and the
-//! straggler), with the live health plane reporting. This is what makes
+//! and on the whole cluster-health verdict (departures, rates, scores and
+//! the straggler). This is what makes
 //! `--scenario` a portable chaos format rather than two dialects that
 //! merely share a parser. Its rejoining twin pauses the outage victim
 //! instead (`0@3+0.2`): one kill semantic on both backends, so every
@@ -69,8 +69,7 @@ fn sim_run(plan: &ScenarioPlan) -> RunMetrics {
     run_with_models(&cfg, compute, net, "scenario-twin")
 }
 
-/// The live half, with the health plane on: its reports must not change
-/// the verdict the simulator reaches without one.
+/// The live half.
 fn live_run(plan: &ScenarioPlan, kind: TransportKind) -> RunMetrics {
     let opts = LiveOpts {
         iters: ITERS,
@@ -78,7 +77,6 @@ fn live_run(plan: &ScenarioPlan, kind: TransportKind) -> RunMetrics {
         bw_mbps: BW_MBPS,
         assumed_iter_time: Some(ITER_TIME),
         stall_timeout: Duration::from_secs(120),
-        health_interval: Some(2.0 * ITER_TIME),
         ..Default::default()
     };
     run_live(&twin_cfg(plan), N, &opts, kind, "live/scenario-twin").expect("live run")
@@ -137,19 +135,21 @@ fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
         assert_eq!(mw[w], tw[w], "mem vs tcp weights diverged at worker {w}");
     }
 
-    // The cluster-health verdict matches: the same departures and
-    // straggler, and the iteration rates/scores bit-match because the sim
-    // multiplies its modelled iteration time by the straggle factor
-    // exactly where the live driver multiplies its pinned assumed time.
+    // The cluster-health verdict is one value on every backend: the same
+    // departures and straggler, and the iteration rates/scores bit-match
+    // because the sim multiplies its modelled iteration time by the
+    // straggle factor exactly where the live driver multiplies its pinned
+    // assumed time.
     let departed: Vec<bool> = (0..N).map(|w| w == victim).collect();
     assert_eq!(sim.health.departed, departed, "sim departures");
+    assert_eq!(
+        sim.health.straggler, slow,
+        "straggler flag missed the slow worker"
+    );
+    assert_eq!(sim.health, mem.health, "sim vs mem verdict");
+    assert_eq!(mem.health, tcp.health, "mem vs tcp verdict");
     let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (m, label) in [(&mem, "mem"), (&tcp, "tcp")] {
-        assert_eq!(m.health.departed, departed, "{label} departures");
-        assert_eq!(
-            m.health.straggler, sim.health.straggler,
-            "{label} straggler"
-        );
         assert_eq!(
             bits(&m.health.rates),
             bits(&sim.health.rates),
@@ -161,10 +161,6 @@ fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
             "{label} health scores diverged from sim"
         );
     }
-    assert_eq!(
-        sim.health.straggler, slow,
-        "straggler flag missed the slow worker"
-    );
 }
 
 /// The rejoining twin: the outage victim pauses for 0.2 s (`0@3+0.2`)

@@ -1,40 +1,53 @@
-//! `dlion-top` — a refreshing text dashboard over a health trace stream.
+//! `dlion-top` — a refreshing text dashboard over a run's trace stream.
 //!
 //! ```text
 //! dlion-top <trace.jsonl> [--once] [--interval S]
 //! ```
 //!
-//! Point it at the `--trace-out` file of a run started with
-//! `--health-interval`: it tails the JSONL stream and renders a per-worker
-//! / per-link cluster view every `--interval` seconds (default 1.0),
-//! clearing the screen between refreshes like `top`. `--once` reads the
-//! whole file, prints one snapshot and exits — the mode CI uses to render
-//! a recorded stream.
+//! Point it at the `--trace-out` file of any run, simulated (`dlion-sim`)
+//! or live (`dlion-live`): it tails the JSONL stream and renders a
+//! per-worker / per-link cluster view every `--interval` seconds (default
+//! 1.0; above zero and a valid `Duration`, else a usage error), clearing
+//! the screen between refreshes like `top`. `--once` reads the whole
+//! file, prints one snapshot and exits — the mode CI uses to render a
+//! recorded stream.
 //!
-//! The dashboard consumes the health plane's fixed-key events
-//! (`worker_health`, `cluster_health`, `frame_latency`), `peer_departed`
-//! and the topology plane's `topology_round` (active topology name in the
-//! header, per-worker neighbor count in the NBRS column); all other kinds
-//! count toward the record total but render nothing. A worker is tagged
-//! DEPARTED once a survivor demotes it (`peer_departed`) or the verdict's
-//! `departed` column says so — the same record on both backends. Lines
-//! that do not parse are skipped silently — a live tail can observe a torn
-//! final line that the next refresh completes.
+//! The dashboard reads rows both backends emit: each worker's newest
+//! `iter_start` (ITER, LBS, and RATE = `lbs / dt` in samples per
+//! training-clock second, so a `--straggle`d rank shows its slowdown), the
+//! `cluster_health` verdict, `peer_departed` and the topology plane's
+//! `topology_round` (active topology name in the header, per-worker
+//! neighbor count in the NBRS column); a traced live TCP run adds each
+//! link's `frame_latency`. All other kinds count toward the record total
+//! but render nothing. A worker is tagged DEPARTED once a survivor demotes
+//! it (`peer_departed`) or the verdict's `departed` column says so — the
+//! same record on both backends. Lines that do not parse are skipped
+//! silently — a live tail can observe a torn final line that the next
+//! refresh completes.
 
 use dlion_telemetry::json::{self, Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
+use std::time::Duration;
 
-/// Latest `worker_health` report from one worker.
-#[derive(Clone, Debug, Default)]
+/// One worker's newest `iter_start` row.
+#[derive(Clone, Copy, Debug, Default)]
 struct WorkerRow {
-    round: u64,
     iter: u64,
-    rate: f64,
-    gbs_round: u64,
-    deferred: u64,
-    sendq: u64,
-    scratch_hw: u64,
+    lbs: u64,
+    /// The step's training-clock seconds.
+    dt: f64,
+}
+
+impl WorkerRow {
+    /// Samples per training-clock second (0 before the first row).
+    fn rate(&self) -> f64 {
+        if self.dt > 0.0 {
+            self.lbs as f64 / self.dt
+        } else {
+            0.0
+        }
+    }
 }
 
 /// One worker's row of the final `cluster_health` verdict.
@@ -95,22 +108,18 @@ impl State {
         };
         self.records += 1;
         match kind {
-            "worker_health" => {
-                let row = self.workers.entry(worker).or_default();
-                // Keep the newest round (tail order is arrival order, but
-                // multi-worker streams interleave freely).
-                if (num(fields, "round") as u64) < row.round {
-                    return;
-                }
-                *row = WorkerRow {
-                    round: num(fields, "round") as u64,
+            "iter_start" => {
+                let row = WorkerRow {
                     iter: num(fields, "iter") as u64,
-                    rate: num(fields, "rate"),
-                    gbs_round: num(fields, "gbs_round") as u64,
-                    deferred: num(fields, "deferred") as u64,
-                    sendq: num(fields, "sendq") as u64,
-                    scratch_hw: num(fields, "scratch_hw") as u64,
+                    lbs: num(fields, "lbs") as u64,
+                    dt: num(fields, "dt"),
                 };
+                // Keep the newest iteration (tail order is arrival order,
+                // but multi-worker streams interleave freely).
+                let newest = self.workers.entry(worker).or_insert(row);
+                if row.iter >= newest.iter {
+                    *newest = row;
+                }
             }
             "peer_departed" => {
                 self.departed.insert(num(fields, "peer") as usize);
@@ -180,17 +189,8 @@ impl State {
         }
         out.push('\n');
         out.push_str(&format!(
-            "{:<6} {:>6} {:>7} {:>11} {:>5} {:>5} {:>6} {:>6} {:>10}  {}\n",
-            "WORKER",
-            "ROUND",
-            "ITER",
-            "RATE(sps)",
-            "GBS",
-            "NBRS",
-            "DEFER",
-            "SENDQ",
-            "SCRATCH",
-            "STATUS"
+            "{:<6} {:>7} {:>5} {:>11} {:>5}  {}\n",
+            "WORKER", "ITER", "LBS", "RATE(sps)", "NBRS", "STATUS"
         ));
         let ids: BTreeSet<usize> = self
             .workers
@@ -201,22 +201,18 @@ impl State {
             .copied()
             .collect();
         for w in &ids {
-            let row = self.workers.get(w).cloned().unwrap_or_default();
+            let row = self.workers.get(w).copied().unwrap_or_default();
             let nbrs = self
                 .neighbors
                 .get(w)
                 .map_or("-".to_string(), |(_, n)| n.to_string());
             out.push_str(&format!(
-                "w{:<5} {:>6} {:>7} {:>11.1} {:>5} {:>5} {:>6} {:>6} {:>10}  {}\n",
+                "w{:<5} {:>7} {:>5} {:>11.1} {:>5}  {}\n",
                 w,
-                row.round,
                 row.iter,
-                row.rate,
-                row.gbs_round,
+                row.lbs,
+                row.rate(),
                 nbrs,
-                row.deferred,
-                row.sendq,
-                row.scratch_hw,
                 self.status(*w)
             ));
         }
@@ -252,11 +248,22 @@ impl State {
     }
 }
 
+/// Parse `--interval`: seconds above zero that make a `Duration` (`0`,
+/// negatives, `NaN`, `inf` and `1e300` make none).
+fn parse_interval(s: &str) -> Option<Duration> {
+    let secs: f64 = s.parse().ok()?;
+    if secs > 0.0 {
+        Duration::try_from_secs_f64(secs).ok()
+    } else {
+        None
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut path: Option<String> = None;
     let mut once = false;
-    let mut interval = 1.0f64;
+    let mut interval = Duration::from_secs(1);
     let usage = || -> ! {
         eprintln!("usage: dlion-top <trace.jsonl> [--once] [--interval S]");
         std::process::exit(2);
@@ -264,9 +271,9 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--once" => once = true,
-            "--interval" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) if s > 0.0 => interval = s,
-                _ => usage(),
+            "--interval" => match args.next().as_deref().and_then(parse_interval) {
+                Some(d) => interval = d,
+                None => usage(),
             },
             _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
             _ => usage(),
@@ -310,7 +317,7 @@ fn main() {
         // ANSI clear + home, like `top`.
         print!("\x1b[2J\x1b[H{}", state.render());
         std::io::stdout().flush().ok();
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 
@@ -330,14 +337,14 @@ mod tests {
         let mut s = State::default();
         s.ingest(&line(
             0,
-            "worker_health",
-            r#"{"round":2,"iter":8,"rate":612.5,"gbs_round":1,"deferred":0,"sendq":2,"scratch_hw":1024}"#,
+            "iter_start",
+            r#"{"iter":8,"lbs":49,"loss":1.5,"dt":0.08}"#,
         ));
-        // A stale round must not clobber the newer report.
+        // A stale iteration must not clobber the newer row.
         s.ingest(&line(
             0,
-            "worker_health",
-            r#"{"round":1,"iter":4,"rate":100.0,"gbs_round":0,"deferred":0,"sendq":0,"scratch_hw":0}"#,
+            "iter_start",
+            r#"{"iter":4,"lbs":32,"loss":2.0,"dt":0.05}"#,
         ));
         s.ingest(&line(
             0,
@@ -347,7 +354,7 @@ mod tests {
         s.ingest(&line(
             2,
             "cluster_health",
-            r#"{"iterations":24,"rounds":6,"rate":6.67,"score":3.0,"departed":false,"straggler":2}"#,
+            r#"{"iterations":24,"rate":6.67,"score":3.0,"departed":false,"straggler":2}"#,
         ));
         s.ingest(&line(
             0,
@@ -360,7 +367,7 @@ mod tests {
 
         let out = s.render();
         assert!(out.contains("612.5"), "{out}");
-        assert_eq!(s.workers[&0].round, 2);
+        assert_eq!((s.workers[&0].iter, s.workers[&0].lbs), (8, 49));
         assert!(out.contains("straggler w2 (score 3.00)"), "{out}");
         assert!(out.contains("DEPARTED"), "{out}");
         assert!(out.contains("STRAGGLER"), "{out}");
@@ -397,6 +404,38 @@ mod tests {
         assert!(out.contains("NBRS"), "{out}");
         assert_eq!(s.neighbors[&0], (0, 2));
         assert_eq!(s.neighbors[&1], (3, 1));
+    }
+
+    /// A simulator trace renders like a live one: the same rows, on
+    /// virtual time.
+    #[test]
+    fn a_sim_trace_renders_rates_and_the_verdict() {
+        let mut s = State::default();
+        for (w, dt) in [(0, 0.5), (1, 1.5)] {
+            s.ingest(&line(
+                w,
+                "iter_start",
+                &format!(r#"{{"iter":11,"lbs":32,"loss":2.1,"dt":{dt}}}"#),
+            ));
+        }
+        s.ingest(&line(
+            1,
+            "cluster_health",
+            r#"{"iterations":12,"rate":0.67,"score":3.0,"departed":false,"straggler":1}"#,
+        ));
+        let out = s.render();
+        assert!(out.contains("w0"), "{out}");
+        assert!(out.contains("64.0"), "{out}");
+        assert!(out.contains("21.3"), "{out}");
+        assert!(out.contains("cluster: straggler w1"), "{out}");
+    }
+
+    #[test]
+    fn intervals_must_make_a_duration() {
+        for bad in ["inf", "NaN", "1e300", "0", "-1", "soon"] {
+            assert_eq!(parse_interval(bad), None, "{bad}");
+        }
+        assert_eq!(parse_interval("0.5"), Some(Duration::from_millis(500)));
     }
 
     #[test]

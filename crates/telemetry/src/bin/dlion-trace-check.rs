@@ -23,35 +23,19 @@ const REQUIRED_KEYS: [&str; 9] = [
 
 /// Event kinds whose `fields` layout is pinned: every record of the kind
 /// must carry exactly these keys. The health plane's events (DESIGN.md
-/// §4h) and the topology plane's round event (DESIGN.md §4i) are
-/// fixed-key by design so traces stay diffable across runs; the control
+/// §4h: the verdict, each link's latency and each step's `iter_start`,
+/// whose `dt` sums to the verdict's seconds on both backends) and the
+/// topology plane's round event (DESIGN.md §4i) are fixed-key by design
+/// so traces stay diffable across runs; the control
 /// plane's four (DESIGN.md §4n) each have one emitter in `dlion-core`, so
 /// a simulator trace and a live trace carry the same columns; and the three
 /// fault events (DESIGN.md §4e) carry the runner's fields on both backends.
 const SCHEMAS: [(&str, &[&str]); 11] = [
     (
         "cluster_health",
-        &[
-            "iterations",
-            "rounds",
-            "rate",
-            "score",
-            "departed",
-            "straggler",
-        ],
+        &["iterations", "rate", "score", "departed", "straggler"],
     ),
-    (
-        "worker_health",
-        &[
-            "round",
-            "iter",
-            "rate",
-            "gbs_round",
-            "deferred",
-            "sendq",
-            "scratch_hw",
-        ],
-    ),
+    ("iter_start", &["iter", "lbs", "loss", "dt"]),
     (
         "frame_latency",
         &[
@@ -301,7 +285,7 @@ mod tests {
             .replace("\"kind\":\"iter_done\"", "\"kind\":\"cluster_health\"")
             .replace(
                 "{\"loss\":1.5}",
-                "{\"iterations\":24,\"rounds\":6,\"rate\":20,\"score\":1,\"departed\":false,\"straggler\":0}",
+                "{\"iterations\":24,\"rate\":20,\"score\":1,\"departed\":false,\"straggler\":0}",
             );
         assert!(check_line(1, &ch).is_ok());
         // A missing schema key fails, naming the key...
@@ -311,6 +295,17 @@ mod tests {
         // ...and so does an extra field (schemas pin the exact key set).
         let extra = ch.replace("\"departed\":false", "\"departed\":false,\"silent\":false");
         let err = check_line(1, &extra).unwrap_err();
+        assert!(err.contains("schema pins"), "{err}");
+        // A step's row carries the same four fields on both backends.
+        let step = GOOD
+            .replace("\"kind\":\"iter_done\"", "\"kind\":\"iter_start\"")
+            .replace(
+                "{\"loss\":1.5}",
+                "{\"iter\":3,\"lbs\":32,\"loss\":1.5,\"dt\":0.05}",
+            );
+        assert!(check_line(1, &step).is_ok());
+        let wall = step.replace("\"dt\":0.05", "\"dt\":0.05,\"wall\":0.01");
+        let err = check_line(1, &wall).unwrap_err();
         assert!(err.contains("schema pins"), "{err}");
         // Unpinned kinds still take any fields object.
         assert!(check_line(1, GOOD).is_ok());
