@@ -1,6 +1,11 @@
 //! The one rank protocol: the paper's per-worker workflow (Fig. 4/10 —
 //! compute → weighted self-update → per-link fan-out → apply peer
 //! gradients → DKT) as methods on [`Worker`], called by both backends.
+//! Both updates go through one update log: `complete_round` logs the own
+//! update, `on_payload` every gradient it does not park, and the model's
+//! next user settles the log in order — the gradient step as its prologue
+//! (inside the pool job on the simulator), or whoever reads the weights
+//! first ([`Worker::settle`]).
 //!
 //! [`crate::runner::ClusterRunner`] (virtual time) and the live driver in
 //! `dlion-net` (real transports) each own *when* things happen and *how*
@@ -17,10 +22,10 @@ use crate::messages::{GradData, GradMsg, Payload};
 use crate::strategy::StrategyCtx;
 use crate::sync::SyncPolicy;
 use crate::weighted::update_factor;
-use crate::worker::{GradJob, PendingIteration, Worker};
-use dlion_nn::{Dataset, Model};
+use crate::worker::{EvalJob, GradJob, PendingIteration, Update, Worker};
+use dlion_nn::{Dataset, EvalResult, Model};
 use dlion_telemetry::{event, profile_scope, Phase};
-use dlion_tensor::{par, Scratch, Tensor};
+use dlion_tensor::{par, Scratch, SparseVec, Tensor};
 use std::sync::Arc;
 
 /// Who contributes to which round, and with what share: the ledger every
@@ -63,13 +68,13 @@ impl Membership {
 /// What [`Worker::on_payload`] did with a payload, and what is left for
 /// the backend to do about it.
 pub enum Effect {
-    /// The gradient is accounted for but not applied yet: parked until
-    /// [`Worker::flush_parked`] (strict BSP), or queued behind this
-    /// worker's in-flight gradient job until [`Worker::join_grads`].
+    /// Strict BSP: the gradient is accounted for and parked until
+    /// [`Worker::flush_parked`], which hands it back once applied.
     Parked,
-    /// The gradient was applied; it is handed back so the caller can
-    /// acknowledge it and recycle its buffers.
-    Applied(GradMsg),
+    /// The gradient is accounted for, priced and in the update log: it
+    /// is accepted (the live caller acknowledges it now) and applies when
+    /// the model's next user settles the log.
+    Logged,
     /// A peer's loss share was recorded.
     Noted,
     /// Send this payload back to the sender (a DKT pull answered with our
@@ -134,7 +139,79 @@ impl Iterator for Actions {
     }
 }
 
-/// One gradient computation: forward/backward over the minibatch whose
+/// What one weight update adds, before its factor: dense gradients (a
+/// peer's, or the worker's own) or a sparse selection per variable.
+enum Delta<'a> {
+    Dense(&'a [Tensor]),
+    Sparse(&'a [SparseVec]),
+}
+
+impl<'a> From<&'a GradData> for Delta<'a> {
+    fn from(data: &'a GradData) -> Self {
+        match data {
+            GradData::Dense(vars) => Delta::Dense(vars),
+            GradData::Sparse(vars) => Delta::Sparse(vars),
+        }
+    }
+}
+
+/// The one place weight updates reach a model: `w += factor · delta` for
+/// each update, in the order given. A run of dense updates is one pass
+/// over the weights ([`Model::apply_dense_updates`]: every element takes
+/// the same additions in the same order as one update at a time); a
+/// sparse one ends the run. Allocation-free.
+fn apply_in_order<'a>(model: &mut Model, updates: impl IntoIterator<Item = (Delta<'a>, f32)>) {
+    /// Dense updates per pass; a longer run takes several, in order.
+    const RUN: usize = 16;
+    let mut run: [(&[Tensor], f32); RUN] = [(&[], 0.0); RUN];
+    let mut len = 0;
+    for (delta, factor) in updates {
+        match delta {
+            Delta::Dense(grads) => {
+                if len == RUN {
+                    model.apply_dense_updates(&run);
+                    len = 0;
+                }
+                run[len] = (grads, factor);
+                len += 1;
+            }
+            Delta::Sparse(vars) => {
+                model.apply_dense_updates(&run[..len]);
+                len = 0;
+                for (v, s) in vars.iter().enumerate() {
+                    model.apply_sparse_update(v, s, factor);
+                }
+            }
+        }
+    }
+    model.apply_dense_updates(&run[..len]);
+}
+
+impl Update {
+    /// The entry's delta and factor; the own update's delta is `own`.
+    fn delta<'a>(&'a self, own: &'a [Tensor]) -> (Delta<'a>, f32) {
+        match self {
+            Update::Own { factor } => (Delta::Dense(own), *factor),
+            Update::Peer { msg, factor } => (Delta::from(&msg.data), *factor),
+        }
+    }
+}
+
+/// Apply an update log to `model`, in log order — the order eager
+/// application would have used, so every float is the eager one. An
+/// `Own` entry reads `grads`, the worker's own gradients. The entries
+/// stay in the log for its holder to drop: a pool job's log comes back
+/// applied, and [`Worker::join_grads`] drops it.
+fn apply_log(model: &mut Model, grads: &[Tensor], log: &[Update]) {
+    if log.is_empty() {
+        return;
+    }
+    let _ap = profile_scope(Phase::Apply);
+    apply_in_order(model, log.iter().map(|update| update.delta(grads)));
+}
+
+/// One gradient computation: apply the update log (the step is the
+/// model's next user), then forward/backward over the minibatch whose
 /// indices sit in `batch_buf`, the clipped mean gradients left in `grads`;
 /// returns the batch loss. Allocation-free once `scratch` is warm: the
 /// batch tensor, every activation and every gradient cycle through it.
@@ -142,10 +219,12 @@ fn grads_step(
     model: &mut Model,
     scratch: &mut Scratch,
     grads: &mut Vec<Tensor>,
+    log: &[Update],
     batch_buf: &[usize],
     data: &Dataset,
     grad_clip: f32,
 ) -> f64 {
+    apply_log(model, grads, log);
     let (x, y) = data.batch_scratch(batch_buf, scratch);
     let loss = model.forward_backward_scratch(x, &y, scratch, grads);
     for g in grads.iter_mut() {
@@ -178,47 +257,61 @@ impl Worker {
         update_factor(self.lr, n, lbs, gbs, self.weighted)
     }
 
-    fn apply_grad(&mut self, msg: &GradMsg, factor: f32) {
-        match &msg.data {
-            GradData::Dense(vars) => self.model.apply_dense_update(vars, factor),
-            GradData::Sparse(vars) => {
-                for (v, s) in vars.iter().enumerate() {
-                    self.model.apply_sparse_update(v, s, factor);
-                }
+    /// Settle the update log here and now: every pending own and peer
+    /// update reaches the model in log order, each peer message going to
+    /// `settled` once applied (the live driver recycles its buffers).
+    /// Whoever reads the weights calls this first; the gradient step does
+    /// it as its prologue. The model must be home (no job in flight).
+    pub fn settle(&mut self, mut settled: impl FnMut(GradMsg)) {
+        debug_assert!(
+            !matches!(self.pending, Some(PendingIteration::InFlight(_))),
+            "settling a model that is out on the pool"
+        );
+        apply_log(&mut self.model, &self.grads, &self.queued);
+        for update in self.queued.drain(..) {
+            if let Update::Peer { msg, .. } = update {
+                settled(msg);
             }
         }
     }
 
-    /// The compute step, here and now: forward/backward over the minibatch
-    /// in `self.batch_buf`, leaving the clipped mean gradients in
-    /// `self.grads`; returns the batch loss.
+    /// The compute step, here and now: settle the log, then
+    /// forward/backward over the minibatch in `self.batch_buf`, leaving
+    /// the clipped mean gradients in `self.grads`; returns the batch loss.
     pub fn compute_grads(&mut self, data: &Dataset, grad_clip: f32) -> f64 {
-        grads_step(
+        let loss = grads_step(
             &mut self.model,
             &mut self.scratch,
             &mut self.grads,
+            &self.queued,
             &self.batch_buf,
             data,
             grad_clip,
-        )
+        );
+        self.queued.clear();
+        loss
     }
 
     /// [`Worker::compute_grads`] as a pool job that owns what it touches:
-    /// `model`, `scratch`, `grads` and `batch_buf` move into it and come
-    /// back at [`Worker::join_grads`]. Until then a peer gradient is
-    /// accounted on arrival and its weight update queued
-    /// ([`Worker::on_payload`]); anything else that reads or writes those
-    /// four fields must join first. The job reads exactly the weights the
-    /// eager call would and the queued updates land in arrival order, so
-    /// every float is the one `compute_grads` here and now would give.
+    /// `model`, `scratch`, `grads`, `batch_buf` and the update log move
+    /// into it and come back at [`Worker::join_grads`]; the job applies
+    /// the log before its step, so the axpys run on the pool. Until the
+    /// join a peer gradient is accounted and logged on arrival as ever
+    /// ([`Worker::on_payload`]); anything else that reads or writes the
+    /// moved fields must join first. The job applies the log in the order
+    /// it was built and then reads exactly the weights the eager call
+    /// would, so every float is the one `compute_grads` here and now
+    /// would give.
     pub fn spawn_grads(&mut self, data: &Arc<Dataset>, grad_clip: f32) {
         debug_assert!(self.pending.is_none(), "one gradient job per worker");
-        // Messages still in flight share the gradient tensors' storage, so
-        // the step's in-place overwrite copies them first. Make that copy
-        // here, on the thread that frees the messages: what it frees stays
+        // Messages still in flight or waiting in peers' update logs share
+        // the gradient tensors' storage, so the step's in-place overwrite
+        // copies them first. Make that copy here, on the thread that frees
+        // the messages (at the receivers' joins): what it frees stays
         // reusable by what it allocates, and a step on a warm arena then
         // allocates nothing large on the pool thread (a cold arena's fill
-        // does, once per LBS).
+        // does, once per LBS). Leaving the copy to the job cost `sim_scale`
+        // ≈ 1.5 % more peak RSS for no steady gain (DESIGN.md §4b).
         for g in &mut self.grads {
             g.data_mut();
         }
@@ -227,6 +320,7 @@ impl Worker {
             scratch: std::mem::take(&mut self.scratch),
             grads: std::mem::take(&mut self.grads),
             batch_buf: std::mem::take(&mut self.batch_buf),
+            log: std::mem::take(&mut self.queued),
             loss: 0.0,
         };
         let data = Arc::clone(data);
@@ -235,6 +329,7 @@ impl Worker {
                 &mut job.model,
                 &mut job.scratch,
                 &mut job.grads,
+                &job.log,
                 &job.batch_buf,
                 &data,
                 grad_clip,
@@ -244,10 +339,11 @@ impl Worker {
     }
 
     /// The join point of [`Worker::spawn_grads`]: bring the job's state
-    /// home (running the job here if no pool thread has started it), then
-    /// apply the peer gradients that queued behind it, in arrival order.
-    /// Returns the batch loss if a job was in flight, `None` (and does
-    /// nothing) otherwise.
+    /// home (running the job here if no pool thread has started it) and
+    /// drop the log it applied. The updates logged meanwhile stay logged,
+    /// behind nothing: the job applied everything before them. Returns
+    /// the batch loss if a job was in flight, `None` (and does nothing)
+    /// otherwise.
     pub fn join_grads(&mut self) -> Option<f64> {
         let job = match self.pending.take() {
             Some(PendingIteration::InFlight(job)) => job,
@@ -261,20 +357,53 @@ impl Worker {
             scratch,
             grads,
             batch_buf,
+            mut log,
             loss,
         } = job.join();
         (self.model, self.scratch, self.grads, self.batch_buf) = (model, scratch, grads, batch_buf);
-        let mut queued = std::mem::take(&mut self.queued);
-        for (msg, factor) in queued.drain(..) {
-            self.apply_grad(&msg, factor);
-        }
-        self.queued = queued;
+        // The job applied its log; the messages die here, on the thread
+        // that allocated their storage (a sender's round, or the copy in
+        // `spawn_grads`): freed from the pool thread, they contended for
+        // the allocator — `sim_paper` ran ≈ 6 % slower. The log keeps its
+        // capacity and takes what arrived meanwhile.
+        log.clear();
+        log.append(&mut self.queued);
+        self.queued = log;
         self.pending = Some(PendingIteration::Done { loss });
         Some(loss)
     }
 
+    /// Evaluate the model as a pool job: `model`, `grads` and the update
+    /// log move into it, the job applies the log and evaluates on
+    /// `indices` (batches of 125), and [`Worker::join_eval`] brings all
+    /// three back. The model must be home.
+    pub fn spawn_eval(&mut self, data: &Arc<Dataset>, indices: &Arc<[usize]>) -> EvalJob {
+        debug_assert!(
+            !matches!(self.pending, Some(PendingIteration::InFlight(_))),
+            "evaluating a model that is out on the pool"
+        );
+        let mut model = std::mem::take(&mut self.model);
+        let grads = std::mem::take(&mut self.grads);
+        let log = std::mem::take(&mut self.queued);
+        let (data, indices) = (Arc::clone(data), Arc::clone(indices));
+        EvalJob(par::spawn(move || {
+            apply_log(&mut model, &grads, &log);
+            let r = model.evaluate(&data, &indices, 125);
+            (model, grads, log, r)
+        }))
+    }
+
+    /// The join point of [`Worker::spawn_eval`]; the applied log's
+    /// messages are dropped here, as at [`Worker::join_grads`].
+    pub fn join_eval(&mut self, job: EvalJob) -> EvalResult {
+        let (model, grads, mut log, r) = job.0.join();
+        log.clear();
+        (self.model, self.grads, self.queued) = (model, grads, log);
+        r
+    }
+
     /// Finish the round whose gradients sit in `self.grads`: record the
-    /// loss, apply the own (self-weighted) update, generate the per-link
+    /// loss, log the own (self-weighted) update, generate the per-link
     /// partial gradients, advance the iteration and retarget gating at
     /// the round's neighbor set. Returns what the rank does next, in
     /// order: the gradient sends; then, on the round its [`Worker::kill`]
@@ -304,8 +433,13 @@ impl Worker {
                 "links" => self.schedule.link_count(round));
         }
         self.dkt.record_loss(loss);
-        let own_factor = self.factor(self.lbs, self.counted_for(&nbrs, round, members));
-        self.model.apply_dense_update(&self.grads, own_factor);
+        let factor = self.factor(self.lbs, self.counted_for(&nbrs, round, members));
+        self.queued.push(Update::Own { factor });
+        // A strategy that reads the weights sees them with the own update
+        // (and everything logged before it) applied, as eagerly.
+        if self.strategy.reads_weights() {
+            self.settle(drop);
+        }
         let n = members.lbs_of.len();
         // Strategies only read their neighbors' entries (link budgets).
         let mut bw_mbps = vec![0.0; n];
@@ -401,31 +535,29 @@ impl Worker {
                     return Effect::Parked;
                 }
                 // The gradient round's group (symmetric, so sender and
-                // receiver agree on it) sets the divisor.
+                // receiver agree on it) sets the divisor, from the ledger
+                // as it stands now; the axpy waits in the log for the
+                // model's next user.
                 let nbrs = self.schedule.neighbors(self.id, msg.iteration);
                 let divisor = self.counted_for(&nbrs, msg.iteration, members);
                 let factor = self.factor(msg.lbs, divisor);
-                // The model is away computing: the arrival is accounted
-                // (above) and priced (the factor, from the ledger as it
-                // stands now); the axpy waits for the model in arrival
-                // order. Only the simulator ever has a job in flight.
-                if matches!(self.pending, Some(PendingIteration::InFlight(_))) {
-                    self.queued.push((msg, factor));
-                    return Effect::Parked;
-                }
-                self.apply_grad(&msg, factor);
-                Effect::Applied(msg)
+                self.queued.push(Update::Peer { msg, factor });
+                Effect::Logged
             }
             Payload::LossShare { avg_loss } => {
                 self.dkt.update_known(from, avg_loss);
                 Effect::Noted
             }
             // We are the (believed) best worker: ship our weights back.
-            Payload::DktRequest => Effect::Reply(Payload::Weights {
-                weights: self.model.weights(),
-                sender_loss: self.dkt.avg_loss().unwrap_or(f64::INFINITY),
-            }),
+            Payload::DktRequest => {
+                self.settle(drop);
+                Effect::Reply(Payload::Weights {
+                    weights: self.model.weights(),
+                    sender_loss: self.dkt.avg_loss().unwrap_or(f64::INFINITY),
+                })
+            }
             Payload::Weights { weights, .. } => {
+                self.settle(drop);
                 self.model.merge_weights(&weights, self.dkt.cfg().lambda);
                 Effect::Merged(weights)
             }
@@ -433,10 +565,11 @@ impl Worker {
         }
     }
 
-    /// The single strict-BSP flush point: apply parked gradients of rounds
-    /// this worker has completed (all rounds when `force` — end of run, no
-    /// further local round will come) in `(round, sender)` order, handing
-    /// each applied message to `applied`.
+    /// The single strict-BSP flush point: settle the update log (under
+    /// strict BSP it holds at most the own update), then apply parked
+    /// gradients of rounds this worker has completed (all rounds when
+    /// `force` — end of run, no further local round will come) in
+    /// `(round, sender)` order, handing each applied message to `applied`.
     ///
     /// Arrival order depends on the previous round's gating-release order
     /// (sim) or on frame racing (live); sorting keeps it out of the float
@@ -458,6 +591,7 @@ impl Worker {
         if self.parked.is_empty() {
             return;
         }
+        self.settle(drop);
         let mut parked = std::mem::take(&mut self.parked);
         parked.sort_by_key(|&(from, ref msg)| (msg.iteration, from));
         let end = if force {
@@ -479,10 +613,13 @@ impl Worker {
                         || batch.binary_search_by_key(&j, |&(from, _)| from).is_ok()
                 });
             if complete {
-                let divisor = self.counted_for(&nbrs, round, members);
-                for (_, msg) in batch {
-                    self.apply_grad(msg, self.factor(msg.lbs, divisor));
-                }
+                let (n, gbs) = self.counted_for(&nbrs, round, members);
+                let (lr, weighted) = (self.lr, self.weighted);
+                let factor = |lbs| update_factor(lr, n, lbs, gbs, weighted);
+                let updates = batch
+                    .iter()
+                    .map(|(_, msg)| (Delta::from(&msg.data), factor(msg.lbs)));
+                apply_in_order(&mut self.model, updates);
             } else {
                 parked[held..at + len].rotate_right(len);
                 held += len;
@@ -570,9 +707,12 @@ mod tests {
         })
     }
 
+    fn tensor_bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     fn bits(w: &Worker) -> Vec<Vec<u32>> {
-        let to_bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
-        w.model.weights().iter().map(to_bits).collect()
+        w.model.weights().iter().map(tensor_bits).collect()
     }
 
     #[test]
@@ -668,50 +808,174 @@ mod tests {
         assert_eq!((w.parked[0].0, w.parked[0].1.iteration), (1, 0));
     }
 
-    /// Peer gradients that reach a worker whose gradient job is out are
-    /// accounted at once and applied at the join, in arrival order: the
-    /// weights (and the job's gradients) carry the bits of computing first
-    /// and applying each gradient on arrival.
+    /// The arrivals of the update-log tests: two while the round's
+    /// gradient job is out, two to the idle worker after the round, as
+    /// `(sender, round, value)`.
+    const DURING_JOB: [(usize, u64, f32); 2] = [(1, 0, 1e-3), (2, 0, 3e3)];
+    const WHILE_IDLE: [(usize, u64, f32); 2] = [(1, 1, 7e-5), (2, 1, 11.0)];
+
+    /// Rank 0 of a seeded 3-rank `system` cluster (every call builds the
+    /// same weights) with its next batch sampled, and the data.
+    fn rank0(system: SystemKind) -> (Worker, Arc<Dataset>, f32) {
+        let cfg = RunConfig::small_test(system);
+        let init = build_cluster(&cfg, 3);
+        let mut w = init.workers.into_iter().next().expect("rank 0");
+        w.sample_batch_reuse();
+        (w, Arc::new(init.data), cfg.grad_clip)
+    }
+
+    /// The reference: apply each arrival to `w`'s model at once, with the
+    /// factor the round core logs for it.
+    fn apply_eagerly(w: &mut Worker, arrivals: &[(usize, u64, f32)], m: &Membership) {
+        for &(_, round, v) in arrivals {
+            let Payload::Grad(msg) = grad(w, round, v) else {
+                unreachable!()
+            };
+            let nbrs = w.schedule.neighbors(w.id, round);
+            let factor = w.factor(msg.lbs, w.counted_for(&nbrs, round, m));
+            let GradData::Dense(vars) = &msg.data else {
+                unreachable!()
+            };
+            w.model.apply_dense_update(vars, factor);
+        }
+    }
+
+    /// The reference's own update for its round `w.iteration`.
+    fn own_eagerly(w: &mut Worker, m: &Membership) {
+        let nbrs = w.schedule.neighbors(w.id, w.iteration);
+        let factor = w.factor(w.lbs, w.counted_for(&nbrs, w.iteration, m));
+        w.model.apply_dense_update(&w.grads, factor);
+    }
+
+    /// Hand `arrivals` to `w`'s round core, shaped like `shape`'s model.
+    fn log(w: &mut Worker, shape: &Worker, arrivals: &[(usize, u64, f32)], m: &Membership) {
+        for &(from, round, v) in arrivals {
+            let g = grad(shape, round, v);
+            assert!(matches!(w.on_payload(from, g, m), Effect::Logged));
+        }
+    }
+
+    fn grad_bits(w: &Worker) -> Vec<Vec<u32>> {
+        w.grads.iter().map(tensor_bits).collect()
+    }
+
+    /// The update log holds arrivals during a job, the round's own update
+    /// and arrivals to the idle worker. Settled by the next step — inside
+    /// the job or in place — or by a DKT reply, it leaves the bits of
+    /// applying each update the moment it happened.
     #[test]
-    fn gradients_queued_behind_a_job_apply_at_the_join_in_arrival_order() {
-        let cfg = RunConfig::small_test(SystemKind::Baseline);
-        let init = |n| build_cluster(&cfg, n);
-        let (mut ia, mut ib) = (init(3), init(3));
-        let data = Arc::new(ia.data);
-        let (mut a, mut b) = (ia.workers.swap_remove(0), ib.workers.swap_remove(0));
+    fn the_update_log_settles_in_the_eager_order() {
         let m = ledger(vec![32, 20, 44]);
-        // Distinct magnitudes make the float addition order observable.
-        let arrivals = [(1, 1e-3), (2, 3e3), (1, 7e-5), (2, 11.0)];
-        for w in [&mut a, &mut b] {
-            w.sample_batch_reuse();
-            w.compute_grads(&data, cfg.grad_clip);
-            w.sample_batch_reuse();
-        }
-        let before = bits(&a);
+        let (mut eager, data, clip) = rank0(SystemKind::Baseline);
+        let (mut pooled, ..) = rank0(SystemKind::Baseline);
+        let (mut in_place, ..) = rank0(SystemKind::Baseline);
+        let before = bits(&eager);
 
-        a.spawn_grads(&data, cfg.grad_clip);
-        for (round, &(from, v)) in arrivals.iter().enumerate() {
-            let g = grad(&b, round as u64 / 2, v);
-            assert!(matches!(a.on_payload(from, g, &m), Effect::Parked));
-        }
-        assert_eq!(a.queued.len(), 4, "the model is away: nothing applied");
-        assert_eq!(a.sync.received_from(2), Some(1), "gating sees it at once");
-        let loss_a = a.join_grads().expect("a job was in flight");
-        assert!(a.queued.is_empty() && a.join_grads().is_none());
+        // Eager: the round's step, each update as it happens, the next step.
+        eager.compute_grads(&data, clip);
+        apply_eagerly(&mut eager, &DURING_JOB, &m);
+        own_eagerly(&mut eager, &m);
+        apply_eagerly(&mut eager, &WHILE_IDLE, &m);
+        let settled = bits(&eager);
+        assert_ne!(settled, before, "nothing was applied");
+        eager.sample_batch_reuse();
+        let next_loss = eager.compute_grads(&data, clip);
 
-        let loss_b = b.compute_grads(&data, cfg.grad_clip);
-        for (round, &(from, v)) in arrivals.iter().enumerate() {
-            let g = grad(&b, round as u64 / 2, v);
-            assert!(matches!(b.on_payload(from, g, &m), Effect::Applied(_)));
+        // The round: out on the pool while two gradients arrive, and in
+        // place with the same two arriving after it.
+        pooled.spawn_grads(&data, clip);
+        log(&mut pooled, &eager, &DURING_JOB, &m);
+        assert_eq!(
+            pooled.sync.received_from(2),
+            Some(0),
+            "gating sees it at once"
+        );
+        let loss = pooled.join_grads().expect("a job was in flight");
+        assert_eq!(
+            in_place.compute_grads(&data, clip).to_bits(),
+            loss.to_bits()
+        );
+        log(&mut in_place, &eager, &DURING_JOB, &m);
+        for w in [&mut pooled, &mut in_place] {
+            w.pending = None;
+            assert_eq!(w.complete_round(loss, 0.0, |_| 1000.0, &m).count(), 2);
+            log(w, &eager, &WHILE_IDLE, &m);
+            assert_eq!(w.queued.len(), 5, "nothing applies on arrival");
+            assert_eq!(bits(w), before);
+            w.sample_batch_reuse();
         }
-        assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        assert_eq!(bits(&a), bits(&b));
-        assert_ne!(bits(&a), before, "nothing was applied");
-        let grad_bits = |w: &Worker| -> Vec<Vec<u32>> {
-            let to_bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
-            w.grads.iter().map(to_bits).collect()
-        };
-        assert_eq!(grad_bits(&a), grad_bits(&b));
+
+        // A DKT pull reads the settled weights.
+        match in_place.on_payload(1, Payload::DktRequest, &m) {
+            Effect::Reply(Payload::Weights { weights, .. }) => {
+                assert_eq!(weights.iter().map(tensor_bits).collect::<Vec<_>>(), settled);
+            }
+            _ => panic!("a DKT request must be answered with weights"),
+        }
+        assert!(in_place.queued.is_empty());
+
+        // The next step settles what is left: inside the job, in place.
+        pooled.spawn_grads(&data, clip);
+        let losses = [
+            pooled.join_grads().expect("a job was in flight"),
+            in_place.compute_grads(&data, clip),
+        ];
+        for (w, loss) in [(&pooled, losses[0]), (&in_place, losses[1])] {
+            assert!(w.queued.is_empty());
+            assert_eq!(loss.to_bits(), next_loss.to_bits());
+            assert_eq!(bits(w), bits(&eager));
+            assert_eq!(grad_bits(w), grad_bits(&eager));
+        }
+    }
+
+    /// A strategy that reads the weights (Gaia's significance filter) sees
+    /// them with everything logged before it settled — the round's own
+    /// update included.
+    #[test]
+    fn a_weight_reading_strategy_sees_the_own_update() {
+        use crate::strategy::{ExchangeStrategy, PeerUpdate};
+        use std::sync::Mutex;
+        /// Records the weights the wrapped strategy is shown.
+        struct Spy(Box<dyn ExchangeStrategy>, Arc<Mutex<Vec<Vec<u32>>>>);
+        impl ExchangeStrategy for Spy {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn sync_policy(&self) -> SyncPolicy {
+                self.0.sync_policy()
+            }
+            fn generate_partial_gradients(
+                &mut self,
+                ctx: &StrategyCtx,
+                grads: &[Tensor],
+                model: &Model,
+            ) -> Vec<PeerUpdate> {
+                *self.1.lock().unwrap() = model.weights().iter().map(tensor_bits).collect();
+                self.0.generate_partial_gradients(ctx, grads, model)
+            }
+            fn reads_weights(&self) -> bool {
+                self.0.reads_weights()
+            }
+        }
+        let m = ledger(vec![32; 3]);
+        let (mut eager, data, clip) = rank0(SystemKind::Gaia);
+        let (mut gaia, ..) = rank0(SystemKind::Gaia);
+        eager.compute_grads(&data, clip);
+        apply_eagerly(&mut eager, &DURING_JOB, &m);
+        own_eagerly(&mut eager, &m);
+
+        gaia.compute_grads(&data, clip);
+        log(&mut gaia, &eager, &DURING_JOB, &m);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let inner = std::mem::replace(
+            &mut gaia.strategy,
+            crate::strategy::build_strategy(&RunConfig::small_test(SystemKind::Baseline)),
+        );
+        assert!(inner.reads_weights());
+        gaia.strategy = Box::new(Spy(inner, Arc::clone(&seen)));
+        gaia.complete_round(1.0, 0.0, |_| 1000.0, &m).for_each(drop);
+        assert!(gaia.queued.is_empty(), "settled before generating");
+        assert_eq!(*seen.lock().unwrap(), bits(&eager));
     }
 
     /// `n` strict-BSP Baseline workers sharing losses every 4 rounds under

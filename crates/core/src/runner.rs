@@ -21,10 +21,12 @@
 //! place in the event order is fixed; only which thread ran the job is not,
 //! and no number depends on that. The thread running this file schedules:
 //! every gradient step of an untraced run is such a job, the first on a
-//! cold arena included, and what the loop itself computes per round —
-//! the own update, Max N planning and one selection per distinct link
-//! budget (`strategy/dlion.rs`) — is kept small; at a join it lends a hand
-//! with its own queued jobs rather than sleep.
+//! cold arena included; the weight updates — the own update and every
+//! peer gradient — wait in the worker's update log and are settled by the
+//! model's next user, normally that job (or an evaluation job); and what
+//! the loop itself computes per round — Max N planning and one selection
+//! per distinct link budget (`strategy/dlion.rs`) — is kept small. At a
+//! join it lends a hand with its own queued jobs rather than sleep.
 
 use crate::cluster::build_cluster;
 use crate::config::RunConfig;
@@ -41,7 +43,7 @@ use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
 use dlion_telemetry::{debug, event, profile_scope, tracing_on, Phase};
-use dlion_tensor::{par, DetRng};
+use dlion_tensor::DetRng;
 use std::sync::Arc;
 
 /// Simulation events.
@@ -244,8 +246,9 @@ impl ClusterRunner {
         // the end of the run there is no next round, so flush the
         // remainder in the same canonical order before the final eval and
         // weight capture — the live driver's shutdown flush does the same.
-        // An iteration still computing when the run ends is joined first:
-        // gradients queued behind it belong in the final weights.
+        // An iteration still computing when the run ends is joined first.
+        // The update logs stay as they are: the evaluation jobs apply
+        // them, not this thread.
         for w in 0..self.n {
             self.join(w);
             if !self.departed(w) {
@@ -269,6 +272,9 @@ impl ClusterRunner {
                     if self.departed(w) {
                         Vec::new()
                     } else {
+                        // Empty unless the run ended right after an
+                        // evaluation with arrivals behind it.
+                        self.workers[w].settle(drop);
                         self.workers[w].model.weights()
                     }
                 })
@@ -350,11 +356,12 @@ impl ClusterRunner {
 
     /// Bring worker `w`'s gradient job home, if one is out: from here on
     /// its model, gradients and arena are where the eager computation
-    /// would have left them. Called wherever they are first needed —
-    /// `on_iter_done(w)`, a DKT request for or a weight merge into `w`'s
-    /// model, an LBS change (it resets the arena), evaluation, the end of
-    /// the run. A peer gradient reaching `w` is *not* a join point: it
-    /// queues behind the job ([`Worker::on_payload`]).
+    /// would have left them, up to the updates still in its log. Called
+    /// wherever they are first needed — `on_iter_done(w)`, a DKT request
+    /// for or a weight merge into `w`'s model, an LBS change (it resets
+    /// the arena), evaluation, the end of the run. A peer gradient
+    /// reaching `w` is *not* a join point: it joins the update log
+    /// ([`Worker::on_payload`]).
     fn join(&mut self, w: usize) {
         if let Some(loss) = self.workers[w].join_grads() {
             self.observe_loss(loss);
@@ -461,7 +468,7 @@ impl ClusterRunner {
         }
         // Only a gradient or a demotion can open a blocked gate.
         let regate = match self.workers[to].on_payload(from, payload, &self.members) {
-            Effect::Parked | Effect::Applied(_) => true,
+            Effect::Parked | Effect::Logged => true,
             Effect::Noted => false,
             Effect::Reply(reply) => {
                 self.send(to, from, reply, now);
@@ -593,30 +600,24 @@ impl ClusterRunner {
     }
 
     fn eval_all(&mut self, now: f64) {
-        // Evaluation sees every model as the event order left it — queued
-        // gradients applied — and fans out over the same pool: each job
-        // takes its worker's model along and brings it back.
+        // Evaluation sees every model as the event order left it — its
+        // update log applied, inside the job — and fans out over the same
+        // pool ([`Worker::spawn_eval`]).
         let jobs: Vec<_> = (0..self.n)
             .map(|w| {
                 self.join(w);
                 // A departed worker is gone; like the live collector, it
                 // has no eval row — the fixed-shape metric slots read 0.
-                (!self.departed(w)).then(|| {
-                    let mut model = std::mem::take(&mut self.workers[w].model);
-                    let (data, indices) = (self.data.clone(), self.eval_indices.clone());
-                    par::spawn(move || {
-                        let r = model.evaluate(&data, &indices, 125);
-                        (model, r)
-                    })
-                })
+                (!self.departed(w))
+                    .then(|| self.workers[w].spawn_eval(&self.data, &self.eval_indices))
             })
             .collect();
         let mut accs = vec![0.0; self.n];
         let mut losses = vec![0.0; self.n];
         let mut alive = Vec::with_capacity(self.n);
         for (w, job) in jobs.into_iter().enumerate() {
-            if let Some((model, r)) = job.map(par::Job::join) {
-                self.workers[w].model = model;
+            if let Some(job) = job {
+                let r = self.workers[w].join_eval(job);
                 accs[w] = r.accuracy;
                 losses[w] = r.loss;
                 alive.push(r.accuracy);
@@ -697,6 +698,7 @@ mod tests {
     use super::*;
     use crate::config::SystemKind;
     use dlion_microcloud::ClusterKind;
+    use dlion_tensor::par;
 
     fn small(system: SystemKind) -> RunConfig {
         RunConfig::small_test(system)
@@ -762,10 +764,17 @@ mod tests {
     /// The same cell with its gradient and evaluation jobs on the pool (run
     /// from a plain thread) and inline (run inside a `par_map` item: a
     /// spawn from inside a job runs at its join) — every number equal.
-    fn pooled_equals_inline(mut cfg: RunConfig) -> RunMetrics {
+    fn pooled_equals_inline(cfg: RunConfig) -> RunMetrics {
+        pooled_equals_inline_by(cfg, |cfg| run_env(cfg, EnvId::HeteroSysA))
+    }
+
+    fn pooled_equals_inline_by(
+        mut cfg: RunConfig,
+        run: fn(&RunConfig) -> RunMetrics,
+    ) -> RunMetrics {
         cfg.capture_weights = true;
-        let pooled = run_env(&cfg, EnvId::HeteroSysA);
-        let inline = par::par_map(&[cfg], |cfg| run_env(cfg, EnvId::HeteroSysA)).remove(0);
+        let pooled = run(&cfg);
+        let inline = par::par_map(&[cfg], run).remove(0);
         assert!(pooled.total_iterations() > 50, "{:?}", pooled.iterations);
         assert_eq!(pooled.final_weights, inline.final_weights);
         assert_eq!(pooled.iterations, inline.iterations);
@@ -798,6 +807,35 @@ mod tests {
         let m = pooled_equals_inline(moving);
         let repartitions = m.lbs_trace.iter().filter(|(t, _)| *t > 0.0).count();
         assert!(repartitions >= 2, "LBS moved {repartitions} times");
+    }
+
+    /// Where the update log moved the most axpys off the event thread:
+    /// `sim_scale`'s shape at toy n (Baseline, `kregular:8`, batch 1, an
+    /// iteration cap: every dense peer gradient settles in a job), Gaia
+    /// (its strategy reads the weights, so its rounds settle in place) and
+    /// DLion with DKT merges (a pull and a merge settle in place).
+    #[test]
+    fn pooled_jobs_change_no_number_where_the_log_settles() {
+        let mut scale = small(SystemKind::Baseline);
+        scale.topology = dlion_topo::Topology::KRegular { k: 8 };
+        scale.initial_lbs = 1;
+        scale.max_iters = Some(6);
+        scale.duration = 1e9;
+        scale.workload.train_size = 8 * 16;
+        scale.eval_subset = 8;
+        pooled_equals_inline_by(scale, |cfg| {
+            let n = 16;
+            let compute = ComputeModel::homogeneous(n, 1.0, 0.001, 0.05);
+            run_with_models(
+                cfg,
+                compute,
+                NetworkModel::uniform(n, 1000.0, 0.001),
+                "kregular8",
+            )
+        });
+        pooled_equals_inline(small(SystemKind::Gaia));
+        let m = pooled_equals_inline(small(SystemKind::DLion));
+        assert!(m.dkt_merges > 0, "no DKT merge");
     }
 
     #[test]

@@ -45,6 +45,10 @@ impl ExchangeStrategy for Gaia {
         SyncPolicy::BlockOnDelivery
     }
 
+    fn reads_weights(&self) -> bool {
+        true
+    }
+
     fn generate_partial_gradients(
         &mut self,
         ctx: &StrategyCtx,

@@ -98,13 +98,22 @@ pub trait ExchangeStrategy: Send {
     fn sync_policy(&self) -> SyncPolicy;
 
     /// Turn this iteration's gradients into per-peer messages. `model`
-    /// exposes current weights (Gaia's significance filter needs them).
+    /// exposes current weights (Gaia's significance filter needs them) —
+    /// settled ones only if [`ExchangeStrategy::reads_weights`] says so.
     fn generate_partial_gradients(
         &mut self,
         ctx: &StrategyCtx,
         grads: &[Tensor],
         model: &Model,
     ) -> Vec<PeerUpdate>;
+
+    /// Does [`ExchangeStrategy::generate_partial_gradients`] read the
+    /// model's weights? If so the worker settles its update log first —
+    /// the round's own update included — so they are the eager weights;
+    /// otherwise the pending updates wait for the model's next user.
+    fn reads_weights(&self) -> bool {
+        false
+    }
 }
 
 /// Wraps a strategy, replacing only its `synch_training` policy — how
@@ -131,6 +140,10 @@ impl ExchangeStrategy for SyncOverride {
         model: &Model,
     ) -> Vec<PeerUpdate> {
         self.inner.generate_partial_gradients(ctx, grads, model)
+    }
+
+    fn reads_weights(&self) -> bool {
+        self.inner.reads_weights()
     }
 }
 

@@ -2,13 +2,21 @@
 //! (model, training state, exchange strategy, synchronization bookkeeping,
 //! DKT state). Both backends run the same `Worker`; the protocol it
 //! executes each round is `impl Worker` in [`crate::round`].
+//!
+//! A worker's weight updates — its own Eq. 7 step and every accepted peer
+//! gradient — wait in one update log ([`Worker::queued`]) until the
+//! model's next user settles it, in log order: the next gradient step (a
+//! pool job on the simulator), or a reader of the weights (a DKT reply or
+//! merge, evaluation, final-weight capture, a weight-reading strategy, the
+//! strict-BSP flush). Log order is the order eager application used, so
+//! deferring changes no bit.
 
 use crate::dkt::DktState;
 use crate::fault::KillSpec;
 use crate::messages::GradMsg;
 use crate::strategy::ExchangeStrategy;
 use crate::sync::SyncState;
-use dlion_nn::Model;
+use dlion_nn::{EvalResult, Model};
 use dlion_tensor::par::Job;
 use dlion_tensor::{DetRng, Scratch, Tensor};
 use dlion_topo::TopologySchedule;
@@ -59,20 +67,33 @@ pub struct Worker {
     /// Strict BSP only: peer gradients parked as `(sender, msg)` until
     /// the next [`Worker::flush_parked`].
     pub parked: Vec<(usize, GradMsg)>,
-    /// Peer gradients that arrived while a [`PendingIteration::InFlight`]
-    /// job held the model, each with the Eq. 7 factor it had on arrival;
-    /// [`Worker::join_grads`] applies them in this order.
-    pub queued: Vec<(GradMsg, f32)>,
+    /// The update log: every weight update accepted but not yet applied —
+    /// the own update of each completed round and every non-parked peer
+    /// gradient, in the order they happened, each priced (its Eq. 7
+    /// factor) when it was logged. Nothing applies an entry on arrival;
+    /// the model's next user settles the log in this order
+    /// ([`Worker::settle`]; inside the gradient job on the simulator).
+    pub queued: Vec<Update>,
     /// This rank's planned kill (`RunConfig::fault`), if any: the round
     /// core fires it once the completed-iteration count reaches `at_iter`.
     pub kill: Option<KillSpec>,
 }
 
+/// One entry of the update log ([`Worker::queued`]).
+pub enum Update {
+    /// This worker's own Eq. 7 step over [`Worker::grads`] — which stay
+    /// untouched until the log is settled.
+    Own { factor: f32 },
+    /// A peer's gradient, priced with the ledger as it stood on arrival.
+    Peer { msg: GradMsg, factor: f32 },
+}
+
 /// A gradient computation awaiting its virtual completion.
 pub enum PendingIteration {
     /// Spawned by [`Worker::spawn_grads`] and not joined yet: the job owns
-    /// `model`, `scratch`, `grads` and `batch_buf`; the worker's fields of
-    /// those names are empty until [`Worker::join_grads`].
+    /// `model`, `scratch`, `grads`, `batch_buf` and the log it settles;
+    /// the worker's fields of those names are empty (its log collects
+    /// what arrives meanwhile) until [`Worker::join_grads`].
     InFlight(Job<GradJob>),
     /// The gradients are in [`Worker::grads`]; this is the batch loss.
     Done { loss: f64 },
@@ -84,8 +105,13 @@ pub struct GradJob {
     pub(crate) scratch: Scratch,
     pub(crate) grads: Vec<Tensor>,
     pub(crate) batch_buf: Vec<usize>,
+    pub(crate) log: Vec<Update>,
     pub(crate) loss: f64,
 }
+
+/// What an evaluation job ([`Worker::spawn_eval`]) takes from its worker
+/// and brings back, with the result.
+pub struct EvalJob(pub(crate) Job<(Model, Vec<Tensor>, Vec<Update>, EvalResult)>);
 
 impl Worker {
     /// Reassign the local batch size. The arena's buckets are exact lengths

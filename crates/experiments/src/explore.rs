@@ -9,7 +9,7 @@ use dlion_core::{run_with_models, DktConfig, DktMode, RunConfig, SystemKind};
 use dlion_microcloud::{
     ClusterKind, EnvId, CPU_COST_PER_SAMPLE, CPU_OVERHEAD, LAN_LATENCY, LAN_MBPS,
 };
-use dlion_nn::{Dataset, ModelSpec};
+use dlion_nn::{Dataset, ModelSpec, Sgd};
 use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::{stats, DetRng};
 
@@ -37,6 +37,8 @@ pub fn fig5(opts: &ExpOpts) -> Table {
             let mut rng = DetRng::seed_from_u64(seed);
             let mut model = ModelSpec::Cipher.build(&ds.sample_shape(), ds.classes(), &mut rng);
             let test_idx: Vec<usize> = (train..train + 500).collect();
+            let shard: Vec<usize> = (0..train).collect();
+            let sgd = Sgd::new(0.3);
             let mut gbs = initial_gbs;
             updates = 0;
             for epoch in 0..epochs {
@@ -49,10 +51,7 @@ pub fn fig5(opts: &ExpOpts) -> Table {
                 }
                 let iters = train.div_ceil(gbs);
                 for _ in 0..iters {
-                    let idx: Vec<usize> = (0..gbs).map(|_| rng.index(train)).collect();
-                    let (x, y) = ds.batch(&idx);
-                    let (_, grads) = model.forward_backward(&x, &y);
-                    model.apply_dense_update(&grads, -0.3);
+                    sgd.step(&mut model, &ds, &shard, gbs, &mut rng);
                     updates += 1;
                 }
             }

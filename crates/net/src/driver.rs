@@ -53,14 +53,15 @@
 //! Two protocol additions have no simulator counterpart:
 //!
 //! * every received gradient is acknowledged with a [`Control::Ack`]
-//!   frame; the ack drives `SyncState::on_delivered_from` on the sender,
-//!   which is what `BlockOnDelivery` (Gaia) gates on. The simulator makes
-//!   the same call at the virtual arrival time instead.
+//!   frame when the round core accepts it — into the update log, or at
+//!   the strict-BSP flush; the ack drives `SyncState::on_delivered_from`
+//!   on the sender, which is what `BlockOnDelivery` (Gaia) gates on. The
+//!   simulator makes the same call at the virtual arrival time instead.
 //! * when a worker finishes its last iteration it sends [`Control::Done`]
 //!   to every peer and keeps receiving until it holds a Done from every
 //!   peer that has not departed. Transports guarantee per-peer FIFO, so a
 //!   Done from a peer proves all of that peer's gradients have already
-//!   been applied — no message can be lost by exiting after the barrier.
+//!   been accepted — no message can be lost by exiting after the barrier.
 
 use crate::control::Control;
 use crate::LiveError;
@@ -438,8 +439,9 @@ struct LiveWorker<'a, 'b> {
     /// This worker's `cfg.straggle` factor (1.0 = none): the effective
     /// `dt` multiplier applied in [`LiveWorker::step`].
     straggle: f64,
-    /// Decode+apply latency of inbound frames, per sending peer
-    /// (advisory; recorded only in a traced run).
+    /// Decode+accept latency of inbound frames, per sending peer
+    /// (advisory; recorded only in a traced run). A gradient is logged,
+    /// not applied, on acceptance: its axpy is the next step's prologue.
     apply_lat: Vec<Histogram>,
     /// RCPs received from peers, by `(round, peer)`; rounds may pre-arrive
     /// (a faster peer opened a round we have not reached yet).
@@ -458,7 +460,7 @@ struct LiveWorker<'a, 'b> {
     /// Reusable reassembly buffer for inbound chunked streams
     /// (`decode_wire` scratch).
     wire_scratch: Vec<u8>,
-    /// Recycled dense-value buffers: applied gradients return their
+    /// Recycled dense-value buffers: settled gradients return their
     /// storage here, and `decode_body_pooled` draws from it — steady-state
     /// decode does not allocate.
     pool: Vec<Vec<f32>>,
@@ -648,7 +650,8 @@ impl LiveWorker<'_, '_> {
         during_shutdown: bool,
     ) -> Result<(), LiveError> {
         // Frame-lifecycle instrumentation, last leg: reassembly + decode +
-        // apply, recorded per sending peer in a traced run.
+        // the round core's acceptance (a gradient is logged, not applied),
+        // recorded per sending peer in a traced run.
         let t0 = tracing_on().then(Instant::now);
         let result = match self.decode_inbound(from, &frame)? {
             Inbound::Payload(payload) => self.on_payload(from, payload, during_shutdown),
@@ -690,7 +693,8 @@ impl LiveWorker<'_, '_> {
     }
 
     /// Hand a training payload to the round core and do the live half of
-    /// its effect: acks, replies, buffer recycling, outcome counters.
+    /// its effect: acks, replies, merged weights' recycling, outcome
+    /// counters.
     fn on_payload(
         &mut self,
         from: usize,
@@ -701,10 +705,7 @@ impl LiveWorker<'_, '_> {
         event!(self.now(), w: self.me, "msg"; "from" => from, "kind" => payload.kind());
         match self.worker.on_payload(from, payload, &self.members) {
             Effect::Parked | Effect::Noted => Ok(()),
-            Effect::Applied(msg) => {
-                Payload::Grad(msg).recycle(&mut self.pool);
-                self.ack(from)
-            }
+            Effect::Logged => self.ack(from),
             Effect::Reply(reply) => self.send(from, reply, during_shutdown),
             Effect::Merged(weights) => {
                 self.out.dkt_merges += 1;
@@ -719,7 +720,7 @@ impl LiveWorker<'_, '_> {
         }
     }
 
-    /// Acknowledge an applied gradient (the ack drives the sender's
+    /// Acknowledge an accepted gradient (the ack drives the sender's
     /// `SyncState::on_delivered_from`, `BlockOnDelivery`'s gate). An ack
     /// is advisory — a peer that cannot receive it cannot be gated on —
     /// so it is sent best-effort: a failed ack demotes nobody, and the
@@ -731,6 +732,7 @@ impl LiveWorker<'_, '_> {
 
     /// The strict-BSP flush point (see `Worker::flush_parked`), plus the
     /// live half: recycle each applied gradient's buffers and ack it.
+    /// Strict BSP accepts a gradient here, not on arrival.
     fn flush_parked(&mut self, force: bool) -> Result<(), LiveError> {
         let mut senders = Vec::new();
         self.worker.flush_parked(&self.members, force, |from, msg| {
@@ -747,6 +749,9 @@ impl LiveWorker<'_, '_> {
     /// has departed.
     fn step(&mut self) -> Result<bool, LiveError> {
         let me = self.me;
+        // The step is the model's next user: the logged updates apply
+        // first, outside the measured compute time.
+        self.settle();
         let t0 = self.env.clock.now();
         self.worker.sample_batch_reuse();
         let loss = self
@@ -792,7 +797,15 @@ impl LiveWorker<'_, '_> {
         Ok(true)
     }
 
+    /// Settle the round core's update log, recycling each peer
+    /// gradient's buffers into the decode pool.
+    fn settle(&mut self) {
+        let pool = &mut self.pool;
+        self.worker.settle(|msg| Payload::Grad(msg).recycle(pool));
+    }
+
     fn eval(&mut self) {
+        self.settle();
         let r = self
             .worker
             .model

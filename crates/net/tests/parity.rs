@@ -225,20 +225,34 @@ fn async_ako_matches_iteration_and_message_counts() {
     );
 }
 
+/// Gaia gates each iteration on the delivery acks of the last one. A
+/// gradient is acked when the round core accepts it into its update log,
+/// not when it is applied — the next step applies it, and that step waits
+/// for the acks — so on both transports the run completes.
 #[test]
 fn gaia_block_on_delivery_completes_with_matching_counts() {
     const ITERS: u64 = 6;
     let mut cfg = parity_cfg(SystemKind::Gaia, ITERS);
     cfg.telemetry = true;
     let sim = sim_run(&cfg, 3);
-    let live =
-        run_live(&cfg, 3, &live_opts(ITERS), TransportKind::Mem, "live/gaia").expect("live run");
     assert_eq!(sim.iterations, vec![ITERS; 3]);
-    assert_eq!(live.iterations, sim.iterations);
     // Gaia sends one (significance-filtered) message per peer per
     // iteration; delivery acks gate progress but never drop messages.
     assert_eq!(sim.telemetry.counter("msgs_sent"), 3 * 2 * ITERS);
-    assert_eq!(live.telemetry.counter("msgs_sent"), 3 * 2 * ITERS);
+    for kind in [TransportKind::Mem, TransportKind::Tcp] {
+        let opts = LiveOpts {
+            stall_timeout: Duration::from_secs(20),
+            ..live_opts(ITERS)
+        };
+        let live = run_live(&cfg, 3, &opts, kind, "live/gaia").expect("live run");
+        assert_eq!(live.iterations, sim.iterations, "{kind:?}");
+        assert_eq!(
+            live.telemetry.counter("msgs_sent"),
+            3 * 2 * ITERS,
+            "{kind:?}"
+        );
+        assert_eq!(live.final_weights.len(), 3, "{kind:?}");
+    }
 }
 
 /// The GBS-growth parity fixture: 3 workers, LBS 32 (GBS 96) over a

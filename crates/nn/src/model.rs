@@ -228,9 +228,38 @@ impl Model {
     /// Dense update: `w_v += factor * g_v` for every variable. Callers pass
     /// `factor = -lr * coeff` to implement Eq. 4/7.
     pub fn apply_dense_update(&mut self, grads: &[Tensor], factor: f32) {
-        assert_eq!(grads.len(), self.num_vars(), "gradient var count");
-        for (v, g) in grads.iter().enumerate() {
-            self.var_mut(v).axpy(factor, g);
+        self.apply_dense_updates(&[(grads, factor)]);
+    }
+
+    /// A run of dense updates, in order: `w_v += f_k * g_k,v` for k = 0,
+    /// 1, …. Each element takes the same additions in the same order as
+    /// one [`Model::apply_dense_update`] per entry — the same bits — but
+    /// the weights are read and written once, a block at a time while it
+    /// sits in L1, instead of once per entry.
+    pub fn apply_dense_updates(&mut self, updates: &[(&[Tensor], f32)]) {
+        /// Weights per block: 4 KiB, well inside L1 beside the streams.
+        const BLOCK: usize = 1024;
+        if updates.is_empty() {
+            // Nothing to add: leave shared (copy-on-write) weights shared.
+            return;
+        }
+        let n = self.num_vars();
+        for (grads, _) in updates {
+            assert_eq!(grads.len(), n, "gradient var count");
+        }
+        for v in 0..n {
+            let w = self.var_mut(v);
+            for (grads, _) in updates {
+                assert_eq!(w.shape(), grads[v].shape(), "axpy shape mismatch");
+            }
+            for (i, block) in w.data_mut().chunks_mut(BLOCK).enumerate() {
+                for &(grads, factor) in updates {
+                    let g = &grads[v].data()[i * BLOCK..];
+                    for (a, &b) in block.iter_mut().zip(g) {
+                        *a += factor * b;
+                    }
+                }
+            }
         }
     }
 
@@ -398,6 +427,42 @@ mod tests {
             m2.apply_sparse_update(v, &s, -0.1);
         }
         assert!(m1.weight_distance(&m2.weights()) < 1e-5);
+    }
+
+    /// A fused run of dense updates leaves the bits of one `Tensor::axpy`
+    /// per entry and variable, in order — on variables shorter and longer
+    /// than a block.
+    #[test]
+    fn fused_dense_updates_equal_one_at_a_time() {
+        use crate::models::ModelSpec;
+        let mut rng = DetRng::seed_from_u64(9);
+        let shape = Shape::d4(1, 1, 12, 12);
+        let mut one = ModelSpec::Cipher.build(&shape, 10, &mut rng);
+        let mut fused = ModelSpec::Cipher.build(&shape, 10, &mut DetRng::seed_from_u64(9));
+        assert!((0..one.num_vars()).any(|v| one.var(v).numel() > 1024));
+        let grads: Vec<(Vec<Tensor>, f32)> = [(1e-3, -0.3), (3e3, 2e-4), (7e-5, -11.0)]
+            .iter()
+            .map(|&(scale, factor)| {
+                let g = (0..one.num_vars())
+                    .map(|v| Tensor::randn(one.var(v).shape().clone(), scale, &mut rng))
+                    .collect();
+                (g, factor)
+            })
+            .collect();
+        for (g, factor) in &grads {
+            for (v, g) in g.iter().enumerate() {
+                one.var_mut(v).axpy(*factor, g);
+            }
+        }
+        let run: Vec<(&[Tensor], f32)> = grads.iter().map(|(g, f)| (g.as_slice(), *f)).collect();
+        fused.apply_dense_updates(&run);
+        let bits = |m: &Model| -> Vec<u32> {
+            m.weights()
+                .iter()
+                .flat_map(|t| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                .collect()
+        };
+        assert_eq!(bits(&one), bits(&fused));
     }
 
     /// CipherNet on both conv backends (batch 1: direct loops, batch 32:

@@ -21,7 +21,7 @@
 //! * **Metrics** ([`Registry`]): counters, max-gauges and exponential
 //!   histograms aggregated per run and dumped alongside `RunMetrics`.
 //! * **Profiling** ([`profiler`]): wall-clock per-phase totals
-//!   (forward/backward/gemm/serialize/event-queue/eval) collected by RAII
+//!   (forward/backward/gemm/serialize/event-queue/eval/apply) collected by RAII
 //!   scope guards and rendered as the `--profile` summary table.
 
 pub mod json;

@@ -27,9 +27,12 @@ pub enum Phase {
     EventQueue,
     /// Periodic cluster-wide accuracy evaluation.
     Eval,
+    /// Settling a worker's update log: the own and peer weight updates
+    /// that waited for the model's next user.
+    Apply,
 }
 
-pub const PHASE_COUNT: usize = 6;
+pub const PHASE_COUNT: usize = 7;
 
 const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "forward",
@@ -38,6 +41,7 @@ const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "serialize",
     "event_queue",
     "eval",
+    "apply",
 ];
 
 impl Phase {
@@ -61,6 +65,7 @@ impl Slot {
 }
 
 static SLOTS: [Slot; PHASE_COUNT] = [
+    Slot::new(),
     Slot::new(),
     Slot::new(),
     Slot::new(),

@@ -8,9 +8,10 @@
 //! worker's gradient step as a pool job, and a run whose jobs go to the
 //! pool equals one whose jobs run inline.
 
-use dlion::core::{run_env, RunConfig, SystemKind};
+use dlion::core::{run_env, run_with_models, RunConfig, RunMetrics, SystemKind, Topology};
 use dlion::microcloud::EnvId;
 use dlion::nn::{Dataset, Model, ModelSpec};
+use dlion::simnet::{ComputeModel, NetworkModel};
 use dlion::tensor::{par, DetRng, Scratch, Tensor};
 
 fn cipher(ds: &Dataset) -> Model {
@@ -82,17 +83,14 @@ fn evaluate_is_repeatable_and_leaves_training_alone() {
     }
 }
 
-/// One DLion cell run from this thread (its gradient and evaluation jobs
-/// go to the pool) and inside a `par_map` item (a spawn from inside a job
-/// runs at its join, so every job runs inline): every number equal. The
-/// fault and strict-BSP variants live beside the runner
-/// (`pooled_jobs_change_no_number_under_faults_or_strict_bsp`).
-#[test]
-fn a_run_with_pooled_jobs_equals_the_same_run_inline() {
-    let mut cfg = RunConfig::small_test(SystemKind::DLion);
+/// A cell run by `run` from this thread (its gradient and evaluation jobs
+/// go to the pool — and with them, settling each worker's update log) and
+/// inside a `par_map` item (a spawn from inside a job runs at its join, so
+/// every job runs inline): every number equal.
+fn pooled_equals_inline(mut cfg: RunConfig, run: fn(&RunConfig) -> RunMetrics) -> RunMetrics {
     cfg.capture_weights = true;
-    let pooled = run_env(&cfg, EnvId::HeteroSysA);
-    let inline = par::par_map(&[cfg], |cfg| run_env(cfg, EnvId::HeteroSysA)).remove(0);
+    let pooled = run(&cfg);
+    let inline = par::par_map(&[cfg], run).remove(0);
     assert!(pooled.total_iterations() > 50, "{:?}", pooled.iterations);
     assert_eq!(pooled.final_weights, inline.final_weights);
     assert_eq!(pooled.iterations, inline.iterations);
@@ -100,4 +98,39 @@ fn a_run_with_pooled_jobs_equals_the_same_run_inline() {
     assert_eq!(pooled.gbs_trace, inline.gbs_trace);
     assert_eq!(pooled.lbs_trace, inline.lbs_trace);
     assert_eq!(pooled.wire_bytes_by_kind, inline.wire_bytes_by_kind);
+    pooled
+}
+
+fn hetero(cfg: &RunConfig) -> RunMetrics {
+    run_env(cfg, EnvId::HeteroSysA)
+}
+
+/// One DLion cell with DKT merges (a pull and a merge settle the log in
+/// place), pooled and inline. The fault and strict-BSP variants live
+/// beside the runner (`pooled_jobs_change_no_number_under_faults_or_strict_bsp`).
+#[test]
+fn a_run_with_pooled_jobs_equals_the_same_run_inline() {
+    let dlion = pooled_equals_inline(RunConfig::small_test(SystemKind::DLion), hetero);
+    assert!(dlion.dkt_merges > 0, "no DKT merge");
+}
+
+/// The other cells where the update log moved the most axpys:
+/// `sim_scale`'s shape at 16 ranks (Baseline on `kregular:8` at batch 1
+/// under an iteration cap) and Gaia (a weight-reading strategy: its
+/// rounds settle in place).
+#[test]
+fn pooled_jobs_equal_inline_where_the_update_log_settles() {
+    let mut scale = RunConfig::small_test(SystemKind::Baseline);
+    scale.topology = Topology::KRegular { k: 8 };
+    scale.initial_lbs = 1;
+    scale.max_iters = Some(6);
+    scale.duration = 1e9;
+    scale.workload.train_size = 8 * 16;
+    scale.eval_subset = 8;
+    pooled_equals_inline(scale, |cfg| {
+        let compute = ComputeModel::homogeneous(16, 1.0, 0.001, 0.05);
+        let net = NetworkModel::uniform(16, 1000.0, 0.001);
+        run_with_models(cfg, compute, net, "kregular8")
+    });
+    pooled_equals_inline(RunConfig::small_test(SystemKind::Gaia), hetero);
 }
