@@ -195,17 +195,21 @@ fn maxn() {
         black_box(MaxNPlanner::new(black_box(&grads)));
     });
     let p = MaxNPlanner::new(&grads);
-    bench("count_for_n x100", || {
-        for i in 1..=100 {
-            black_box(p.count_for_n(i as f64));
-        }
+    // One query is one counting pass over the gradient (there is no
+    // histogram to answer it from).
+    bench("count_for_n 280k entries", || {
+        black_box(p.count_for_n(black_box(10.0)));
     });
     bench("n_for_entry_budget", || {
         black_box(p.n_for_entry_budget(black_box(10_000), 0.85));
     });
+    plan_and_invert("280k entries", &grads);
     bench("select 280k entries N=10", || {
         black_box(p.select(black_box(&grads), 10.0));
     });
+    // `wire_exchange`'s set-up plans one tensor of this size.
+    let big = vec![Tensor::randn(Shape::d1(1_300_000), 1.0, &mut rng)];
+    plan_and_invert("1.3M entries", &big);
 
     // Cipher's ten variables / 6.5k entries, as `sim_paper` presents them:
     // one real gradient step, then what `complete_round` asks of Max N.
@@ -217,6 +221,7 @@ fn maxn() {
     bench("MaxNPlanner::new Cipher 6.5k entries", || {
         black_box(MaxNPlanner::new(black_box(&w.grads)));
     });
+    plan_and_invert("Cipher", &w.grads);
     let p = MaxNPlanner::new(&w.grads);
     bench("select Cipher N=10", || {
         black_box(p.select(black_box(&w.grads), 10.0));
@@ -240,6 +245,23 @@ fn maxn() {
             w.strategy
                 .generate_partial_gradients(black_box(&ctx), &w.grads, &w.model),
         );
+    });
+}
+
+/// A planner over `grads`, then the largest N for a budget of 10 % of the
+/// entries, then also for 40 %: what one link, and two link classes, cost
+/// the planner per iteration.
+fn plan_and_invert(what: &str, grads: &[Tensor]) {
+    let budget = |pct: usize| MaxNPlanner::new(grads).total_entries() * pct / 100;
+    let (b10, b40) = (budget(10), budget(40));
+    bench(&format!("new + 1 inversion {what}"), || {
+        let p = MaxNPlanner::new(black_box(grads));
+        black_box(p.n_for_entry_budget(black_box(b10), 0.85));
+    });
+    bench(&format!("new + 2 inversions {what}"), || {
+        let p = MaxNPlanner::new(black_box(grads));
+        black_box(p.n_for_entry_budget(black_box(b10), 0.85));
+        black_box(p.n_for_entry_budget(black_box(b40), 0.85));
     });
 }
 

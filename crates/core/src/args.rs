@@ -302,7 +302,9 @@ impl RunSpec {
         match flag {
             "--system" => {
                 self.system = args.parse_with(flag, |s| {
-                    SystemKind::parse(s).ok_or_else(|| format!("unknown system '{s}'"))
+                    SystemKind::parse(s).ok_or_else(|| {
+                        format!("unknown system '{s}' (maxN takes 0 < N <= 100, pragueG G >= 2)")
+                    })
                 })?
             }
             "--seed" => self.seed = args.parse(flag)?,
@@ -991,5 +993,24 @@ mod tests {
             .unwrap_err();
         assert_eq!(e, UsageError::new("--system", "unknown system 'bogus'"));
         assert_eq!(UsageError::unknown("--bad").reason, "unknown flag");
+    }
+
+    #[test]
+    fn out_of_range_systems_are_usage_errors() {
+        let system = |name: &str| {
+            let mut a = args(&["--system", name]);
+            let flag = a.next_flag().unwrap();
+            let mut spec = RunSpec::default();
+            spec.apply_sim_flag(&flag, &mut a).map(|_| spec.system)
+        };
+        for bad in "max0 max-5 max150 max100.5 maxnan maxinf prague0 prague1 prague(1)".split(' ') {
+            let e = system(bad).unwrap_err();
+            assert_eq!(e.flag, "--system", "{bad}");
+            assert!(e.reason.starts_with(&format!("unknown system '{bad}'")));
+        }
+        assert_eq!(system("max100"), Ok(SystemKind::MaxNOnly(100.0)));
+        assert_eq!(system("max0.85"), Ok(SystemKind::MaxNOnly(0.85)));
+        assert_eq!(system("prague2"), Ok(SystemKind::Prague(2)));
+        assert_eq!(system("prague(3)"), Ok(SystemKind::Prague(3)));
     }
 }

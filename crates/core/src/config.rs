@@ -39,8 +39,9 @@ pub enum SystemKind {
 
 impl SystemKind {
     /// Parse a CLI system name (the lowercase of [`SystemKind::name`],
-    /// plus the `maxN` / `pragueG` parameterized forms). All binaries
-    /// share this one parser.
+    /// plus the `maxN` / `pragueG` parameterized forms, `0 < N <= 100` and
+    /// `G >= 2` — the ranges the strategies accept). All binaries share
+    /// this one parser.
     pub fn parse(s: &str) -> Option<SystemKind> {
         Some(match s.to_ascii_lowercase().as_str() {
             "baseline" => SystemKind::Baseline,
@@ -52,9 +53,18 @@ impl SystemKind {
             "dlion-no-wu" => SystemKind::DLionNoWu,
             other => {
                 if let Some(n) = other.strip_prefix("max") {
-                    SystemKind::MaxNOnly(n.parse().ok()?)
+                    let n: f64 = n.parse().ok()?;
+                    // Also refuses NaN.
+                    if !(n > 0.0 && n <= 100.0) {
+                        return None;
+                    }
+                    SystemKind::MaxNOnly(n)
                 } else if let Some(g) = other.strip_prefix("prague") {
-                    SystemKind::Prague(g.trim_matches(|c| c == '(' || c == ')').parse().ok()?)
+                    let g: usize = g.trim_matches(|c| c == '(' || c == ')').parse().ok()?;
+                    if g < 2 {
+                        return None;
+                    }
+                    SystemKind::Prague(g)
                 } else {
                     return None;
                 }

@@ -11,134 +11,146 @@
 //!   `BW_net_j × iteration_time` (the data the link can carry while one
 //!   iteration runs, shared across the n−1 peer links of the NIC).
 //!
-//! [`MaxNPlanner`] makes the inversion cheap without sorting: each
-//! variable's magnitudes are histogrammed once per iteration into buckets
-//! (an O(E) counting pass, replacing the old O(E log E) sort). A quantile
-//! query then charges every bucket strictly above the threshold from the
-//! precomputed offsets and scans only the one bucket the threshold lands
-//! in. The largest admissible `N` is found by bisection over
-//! `[min_n, 100]`.
+//! [`MaxNPlanner`] inverts a budget without sorting and without a
+//! histogram. `new` keeps, per variable, a borrow of the gradient, its
+//! largest magnitude and its nonzero count, from one fused pass.
+//! The inversion bisects `[min_n, 100]` forty times, and each midpoint's
+//! count is exact: every variable holds the count of its entries already
+//! `>= thr(lo)` and a *view* that contains every entry still undecided,
+//! `thr(hi) <= |g| < thr(lo)`. A midpoint counts only the view (a popcount
+//! of compare masks, sixteen entries at a time) and adds the decided count.
+//! A view starts as the whole gradient and is compacted (a compress-store
+//! of its undecided entries into the inversion's buffer) once at most half
+//! of it is undecided, so the entries read over all forty steps stay a
+//! small multiple of the gradient instead of forty times it (compacting
+//! after every step reads as many but writes them all, and times slower:
+//! DESIGN.md, "One Max N pass"). No midpoint
+//! below 100 counts more than the nonzero entries, so a budget they fit
+//! in is inverted without a pass (a link that carries almost the whole
+//! gradient).
 //!
-//! The bucket of a magnitude is `⌊|g| · (n_buckets / max|g|)⌋`, capped at
-//! the last bucket: one multiply by a factor computed once per variable.
-//! The count is exact, not approximate, for *any* such factor — also one
-//! that rounds badly, overflows to ∞ (a denormal maximum) or is 0 (an
-//! infinite one) — because a float multiply by a non-negative constant, the
-//! truncating cast and the cap are each non-decreasing, and so is their
-//! composition. The threshold goes through the same map, so an entry in a
-//! higher bucket than the threshold's is `> thr`, one in a lower bucket is
-//! `< thr`, and only the threshold's own bucket holds entries on both
-//! sides. How evenly the map spreads the entries decides the cost of that
-//! scan, never the answer.
+//! The answer is the one a full count at every midpoint gives, bit for bit.
+//! `thr(N) = (1 - N/100)·max` is non-increasing in `N`, so for `lo < mid <
+//! hi` every entry `>= thr(lo)` is `>= thr(mid)` and every entry `<
+//! thr(hi)` is `< thr(mid)`: only the undecided entries can fall on either
+//! side, and each is counted by the same compare a full pass makes. Every
+//! midpoint's outcome, hence every later midpoint and the returned `N`, is
+//! the same.
 //!
-//! The histogram that answers "how many" also sizes the selection itself:
-//! [`MaxNPlanner::select`] hands each variable's threshold and count to
-//! `SparseVec::from_dense_counted`, which fills exact-size vectors in one
-//! branch-free pass.
+//! [`MaxNPlanner::select`] takes each variable's maximum from the planner
+//! and selects with `SparseVec::from_dense_threshold` (one counting pass,
+//! then one fill of exact-size vectors).
 
-use dlion_tensor::sparse::{max_abs, max_n_threshold, SparseVec};
+use dlion_tensor::sparse::{
+    count_selected, extend_band, max_abs_nonzero, max_n_threshold, retain_band, SparseVec,
+};
 use dlion_tensor::Tensor;
 
-/// Per-variable magnitude histogram: nonzero `|g|` values grouped by bucket
-/// (a counting sort without the within-bucket ordering — queries never need
-/// it).
-struct VarTable {
-    /// Nonzero magnitudes, grouped so bucket `b` occupies
-    /// `bucketed[starts[b]..starts[b + 1]]`.
-    bucketed: Vec<f32>,
-    /// Bucket start offsets; `starts.len() == n_buckets + 1`.
-    starts: Vec<u32>,
+/// One weight variable's gradient, as the planner keeps it.
+struct Var<'a> {
+    /// The gradient itself, borrowed from the caller.
+    grad: &'a [f32],
     /// Max `|g|` (0.0 for an all-zero variable).
     max_abs: f32,
-    /// `n_buckets / max_abs`: what [`bucket_of`] multiplies by.
-    scale: f64,
+    /// Entries Max N can ever select below `N = 100`: nonzero, not NaN.
+    nonzero: usize,
 }
 
-/// Bucket of magnitude `v` among `nb`. Non-decreasing in `v` whatever
-/// `scale` is (module header), which is all the counting needs.
-#[inline(always)]
-fn bucket_of(v: f32, scale: f64, nb: usize) -> usize {
-    ((v as f64 * scale) as usize).min(nb - 1)
+impl Var<'_> {
+    fn thr(&self, n: f64) -> f32 {
+        max_n_threshold(self.max_abs, n)
+    }
 }
 
-impl VarTable {
-    fn bucket(&self, v: f32) -> usize {
-        bucket_of(v, self.scale, self.starts.len() - 1)
+/// The smallest positive float: a band's lower bound when the threshold is
+/// 0, so that `lo <= |g|` keeps what Max N keeps there (exact zeros never
+/// travel).
+const TINY: f32 = f32::from_bits(1);
+
+/// One variable's part in a budget inversion.
+struct Share {
+    /// Its entries `>= thr(lo)` and `>= thr(hi)` (while `hi = 100`, its
+    /// nonzero ones): `at_hi - at_lo` are undecided.
+    at_lo: usize,
+    at_hi: usize,
+    /// The undecided magnitudes lie in `[band.0, band.1)`: `[thr(hi),
+    /// thr(lo))`, with [`TINY`] for a `thr(hi)` of 0.
+    band: (f32, f32),
+    /// Where the view is: `None` while it is the whole gradient, else a
+    /// range of the inversion's buffer.
+    view: Option<(usize, usize)>,
+    /// The counted entries the view does not hold (`at_lo` when it was
+    /// last compacted).
+    outside: usize,
+    /// This step's threshold and count.
+    thr: f32,
+    at_mid: usize,
+}
+
+impl Share {
+    /// Count `v` at the minimum N: everything below it is undecided.
+    fn new(v: &Var, min_n: f64) -> Share {
+        let thr = v.thr(min_n);
+        let at_lo = count_selected(v.grad, thr);
+        Share {
+            at_lo,
+            at_hi: v.nonzero,
+            band: (TINY, thr),
+            view: None,
+            outside: 0,
+            thr,
+            at_mid: at_lo,
+        }
     }
 
-    fn build(data: &[f32]) -> Self {
-        let mx = max_abs(data);
-        let nonzero = data.iter().filter(|g| g.abs() > 0.0).count();
-        if mx == 0.0 {
-            return VarTable {
-                bucketed: Vec::new(),
-                starts: vec![0, 0],
-                max_abs: 0.0,
-                scale: 0.0,
+    /// Its count at `mid`: the view's entries `>= thr(mid)` and what the
+    /// view leaves out, all of it above.
+    fn count(&mut self, v: &Var, mid: f64, buf: &[f32]) -> usize {
+        self.at_mid = self.at_lo;
+        if self.at_hi > self.at_lo {
+            self.thr = v.thr(mid);
+            let view = match self.view {
+                None => v.grad,
+                Some((at, len)) => &buf[at..at + len],
             };
+            self.at_mid = self.outside + count_selected(view, self.thr);
         }
-        // A vector's worth of expected entries per bucket: the scan of the
-        // threshold's bucket stays one or two instructions, and the offset
-        // table — zeroed, summed and walked at random by both passes below
-        // — stays an eighth of the data. The cap bounds it outright, and
-        // keeps every bucket id, the spare one included, a `u16`.
-        let nb = (nonzero / 8).clamp(16, u16::MAX as usize);
-        let scale = nb as f64 / mx as f64;
-        // Counting pass. Each entry's bucket is computed here, once, and
-        // kept for the placement pass; what no query counts (exact zeros,
-        // NaN) goes to a spare bucket `nb` past the real ones, so neither
-        // pass branches on the data. Bucket `b` is counted two slots up,
-        // at `starts[b + 2]`...
-        let mut starts = vec![0u32; nb + 3];
-        let mut ids = vec![0u16; data.len()];
-        for (id, &g) in ids.iter_mut().zip(data) {
-            let a = g.abs();
-            let b = if a > 0.0 { bucket_of(a, scale, nb) } else { nb };
-            *id = b as u16;
-            starts[b + 2] += 1;
-        }
-        // ...so that after the prefix sum `starts[b + 1]` is where bucket
-        // `b` starts...
-        for b in 1..starts.len() {
-            starts[b] += starts[b - 1];
-        }
-        // ...and, used as its cursor by the placement pass, ends up where
-        // bucket `b + 1` starts: `starts[b]` is then bucket `b`'s offset.
-        let mut bucketed = vec![0.0f32; data.len()];
-        for (&g, &b) in data.iter().zip(&ids) {
-            let cursor = &mut starts[b as usize + 1];
-            bucketed[*cursor as usize] = g.abs();
-            *cursor += 1;
-        }
-        // Drop the spare bucket: the tail of `bucketed`, the last two slots.
-        bucketed.truncate(nonzero);
-        starts.truncate(nb + 1);
-        VarTable {
-            bucketed,
-            starts,
-            max_abs: mx,
-            scale,
-        }
+        self.at_mid
     }
 
-    /// Entries with `|g| >= thr` and `|g| > 0` — the Max N selection count
-    /// for one variable (matches `SparseVec::from_dense_threshold`).
-    fn count_at_threshold(&self, thr: f32) -> usize {
-        if self.max_abs == 0.0 {
-            return 0;
+    /// Take the step's outcome: the midpoint becomes the band's upper edge
+    /// if the step fit, its lower edge if not. The view is compacted once
+    /// at most half of it is undecided.
+    fn decide(&mut self, v: &Var, fits: bool, buf: &mut Vec<f32>) {
+        if self.at_hi == self.at_lo {
+            return;
         }
-        if thr <= 0.0 {
-            return self.bucketed.len();
+        if fits {
+            (self.at_lo, self.band.1) = (self.at_mid, self.thr);
+        } else {
+            (self.at_hi, self.band.0) = (self.at_mid, self.thr.max(TINY));
         }
-        let b = self.bucket(thr);
-        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-        let above = self.bucketed.len() - hi;
-        let in_bucket = self.bucketed[lo..hi].iter().filter(|&&v| v >= thr).count();
-        above + in_bucket
+        let undecided = self.at_hi - self.at_lo;
+        let (lo, hi) = self.band;
+        self.view = match self.view {
+            _ if undecided == 0 => return,
+            None if 2 * undecided <= v.grad.len() => {
+                let at = buf.len();
+                extend_band(v.grad, lo, hi, buf);
+                Some((at, buf.len() - at))
+            }
+            Some((at, len)) if 2 * undecided <= len => {
+                Some((at, retain_band(&mut buf[at..at + len], lo, hi)))
+            }
+            _ => return,
+        };
+        self.outside = self.at_lo;
+        debug_assert_eq!(self.view.map(|(_, len)| len), Some(undecided));
     }
 }
 
-/// Precomputed per-variable magnitude tables for one iteration's gradients.
+/// Per-variable maxima over one iteration's gradients, and the exact budget
+/// inversion above.
 ///
 /// ```
 /// use dlion_core::MaxNPlanner;
@@ -154,24 +166,29 @@ impl VarTable {
 /// // ...and an unconstrained link ships the dense gradient (N = 100).
 /// assert_eq!(planner.n_for_entry_budget(usize::MAX, 0.85), 100.0);
 /// ```
-pub struct MaxNPlanner {
-    vars: Vec<VarTable>,
+pub struct MaxNPlanner<'a> {
+    vars: Vec<Var<'a>>,
     total_entries: usize,
 }
 
-impl MaxNPlanner {
-    /// Build from one model gradient (one tensor per weight variable).
-    /// O(E) in the total entry count — two counting passes, no sort.
-    pub fn new(grads: &[Tensor]) -> Self {
-        let mut vars = Vec::with_capacity(grads.len());
-        let mut total = 0;
-        for g in grads {
-            total += g.data().len();
-            vars.push(VarTable::build(g.data()));
-        }
+impl<'a> MaxNPlanner<'a> {
+    /// Build from one model gradient (one tensor per weight variable): one
+    /// pass over each, which the planner then borrows.
+    pub fn new(grads: &'a [Tensor]) -> Self {
+        let vars = grads
+            .iter()
+            .map(|g| {
+                let (max_abs, nonzero) = max_abs_nonzero(g.data());
+                Var {
+                    grad: g.data(),
+                    max_abs,
+                    nonzero,
+                }
+            })
+            .collect();
         MaxNPlanner {
             vars,
-            total_entries: total,
+            total_entries: grads.iter().map(|g| g.data().len()).sum(),
         }
     }
 
@@ -180,45 +197,62 @@ impl MaxNPlanner {
         self.total_entries
     }
 
-    /// How many entries Max N selects at parameter `n` (0 < n <= 100).
+    /// How many entries Max N selects at parameter `n` (0 < n <= 100): one
+    /// counting pass over the gradient.
     pub fn count_for_n(&self, n: f64) -> usize {
         if n >= 100.0 {
             return self.total_entries;
         }
         self.vars
             .iter()
-            .map(|v| v.count_at_threshold(max_n_threshold(v.max_abs, n)))
+            .map(|v| count_selected(v.grad, v.thr(n)))
             .sum()
     }
 
     /// The largest `N ∈ [min_n, 100]` whose selection fits `budget_entries`
-    /// entries. Returns `min_n` when even the minimum overflows (the
+    /// entries, by forty bisection steps over the undecided entries (module
+    /// header). Returns `min_n` when even the minimum overflows (the
     /// data-quality floor the paper sets with "minimum N = 0.85").
     pub fn n_for_entry_budget(&self, budget_entries: usize, min_n: f64) -> f64 {
         let min_n = min_n.clamp(1e-6, 100.0);
-        if self.count_for_n(100.0) <= budget_entries {
+        if self.total_entries <= budget_entries {
             return 100.0;
         }
-        if self.count_for_n(min_n) > budget_entries {
+        if min_n >= 100.0 {
             return min_n;
         }
-        // Bisect the monotone count(N) function.
+        // No count below N = 100 passes the nonzero entries: if they fit,
+        // every step does.
+        if self.vars.iter().map(|v| v.nonzero).sum::<usize>() <= budget_entries {
+            return (0..40).fold(min_n, |lo, _| 0.5 * (lo + 100.0));
+        }
+        let mut shares: Vec<Share> = self.vars.iter().map(|v| Share::new(v, min_n)).collect();
+        if shares.iter().map(|s| s.at_lo).sum::<usize>() > budget_entries {
+            return min_n;
+        }
+        // A view is at most half its gradient when it moves here, so the
+        // buffer never outgrows this.
+        let mut buf = Vec::with_capacity(self.total_entries);
         let (mut lo, mut hi) = (min_n, 100.0);
         for _ in 0..40 {
             let mid = 0.5 * (lo + hi);
-            if self.count_for_n(mid) <= budget_entries {
+            let vars = self.vars.iter().zip(&mut shares);
+            let fits = vars.map(|(v, s)| s.count(v, mid, &buf)).sum::<usize>() <= budget_entries;
+            if fits {
                 lo = mid;
             } else {
                 hi = mid;
+            }
+            for (v, s) in self.vars.iter().zip(&mut shares) {
+                s.decide(v, fits, &mut buf);
             }
         }
         lo
     }
 
     /// Materialize the Max N selection at parameter `n` of `grads`, the
-    /// gradients this planner was built from: each variable's maximum and
-    /// selection count come from its table, so the one pass left over the
-    /// data is the copy.
+    /// gradients this planner was built from, each variable's threshold
+    /// taken from the maximum the planner holds.
     pub fn select(&self, grads: &[Tensor], n: f64) -> Vec<SparseVec> {
         assert_eq!(grads.len(), self.vars.len());
         let entries: usize = grads.iter().map(|g| g.data().len()).sum();
@@ -230,10 +264,7 @@ impl MaxNPlanner {
         grads
             .iter()
             .zip(&self.vars)
-            .map(|(g, var)| {
-                let thr = max_n_threshold(var.max_abs, n);
-                SparseVec::from_dense_counted(g.data(), thr, var.count_at_threshold(thr))
-            })
+            .map(|(g, var)| SparseVec::from_dense_threshold(g.data(), var.thr(n)))
             .collect()
     }
 
@@ -285,7 +316,8 @@ mod tests {
 
     #[test]
     fn count_is_monotone_in_n() {
-        let p = MaxNPlanner::new(&grads());
+        let g = grads();
+        let p = MaxNPlanner::new(&g);
         let mut prev = 0;
         for i in 1..=100 {
             let c = p.count_for_n(i as f64);
@@ -357,12 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn capped_bucket_table_counts_exactly() {
-        // Enough nonzero entries that `nonzero / 8` passes the bucket cap.
+    fn large_gradient_counts_exactly() {
         let mut rng = DetRng::seed_from_u64(3);
         let g = vec![Tensor::randn(Shape::d1(600_000), 1.0, &mut rng)];
         let p = MaxNPlanner::new(&g);
-        assert_eq!(p.vars[0].starts.len(), u16::MAX as usize + 1);
         for n in [0.85, 10.0, 50.0, 90.0, 99.5] {
             let thr = max_n_threshold(p.vars[0].max_abs, n);
             let direct = g[0].data().iter().filter(|v| v.abs() >= thr).count();

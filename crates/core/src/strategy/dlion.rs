@@ -8,10 +8,11 @@
 //! fat links get rich gradients (up to dense) and thin links get only the
 //! statistically significant entries, down to the configured minimum N.
 //!
-//! The planner's histogram is built once per iteration; the budget
-//! inversion and the selection run once per *distinct* budget, counted in
-//! whole entries — all of a budget the inversion sees — and links that
-//! share one get copies. Micro-cloud links come in a few bandwidth classes,
+//! The planner (each variable's maximum and nonzero count, one pass) is
+//! built once per iteration; the budget inversion and the selection run
+//! once per *distinct* budget, counted in whole entries — all of a budget
+//! the inversion sees — and links that share one get copies, the last of
+//! them the selection itself. Micro-cloud links come in a few bandwidth classes,
 //! so that is one or two selections for five peers, and each peer's message
 //! is bit for bit what planning its link alone would give
 //! (`equal_budgets_share_one_selection`).
@@ -57,10 +58,10 @@ impl ExchangeStrategy for DLionExchange {
         let planner = MaxNPlanner::new(grads);
         // A link's N depends on its budget only through the whole entries
         // that fit, and links of equal bandwidth are the rule (one LAN, one
-        // WAN class): plan and select once per distinct entry budget, and
-        // give the peers that share it copies.
-        let mut plans: Vec<(usize, f64, GradData)> = Vec::new();
-        ctx.peers()
+        // WAN class): plan and select once per distinct entry budget.
+        let mut plans: Vec<(usize, f64, Option<GradData>)> = Vec::new();
+        let links: Vec<(usize, usize)> = ctx
+            .peers()
             .map(|peer| {
                 let entries = budget_entries(ctx.link_budget_bytes(peer), ctx.bytes_per_entry());
                 let known = plans.iter().position(|p| p.0 == entries);
@@ -73,17 +74,34 @@ impl ExchangeStrategy for DLionExchange {
                     } else {
                         GradData::Sparse(planner.select(grads, n))
                     };
-                    plans.push((entries, n, data));
+                    plans.push((entries, n, Some(data)));
                     plans.len() - 1
                 });
-                let (_, n, data) = &plans[plan];
+                (peer, plan)
+            })
+            .collect();
+        // The last peer sharing a selection takes it, the others get copies.
+        let mut sharing = vec![0; plans.len()];
+        for &(_, plan) in &links {
+            sharing[plan] += 1;
+        }
+        links
+            .into_iter()
+            .map(|(peer, plan)| {
+                sharing[plan] -= 1;
+                let (_, n_used, data) = &mut plans[plan];
+                let data = if sharing[plan] == 0 {
+                    data.take()
+                } else {
+                    data.clone()
+                };
                 PeerUpdate {
                     peer,
                     msg: GradMsg {
                         iteration: ctx.iteration,
                         lbs: ctx.lbs,
-                        data: data.clone(),
-                        n_used: *n,
+                        data: data.expect("a selection outlives its last peer"),
+                        n_used: *n_used,
                     },
                 }
             })

@@ -101,7 +101,7 @@ pub(super) fn pack_panels_transposed(bd: &[f32], k: usize, n: usize, pb: &mut Ve
 /// the determinism contract is bit-identity with the naive mul-then-add
 /// loop, and a fused multiply-add rounds once instead of twice.
 #[cfg(target_arch = "x86_64")]
-pub(super) mod simd {
+pub(crate) mod simd {
     use super::{MR, NR};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;

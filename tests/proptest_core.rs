@@ -187,36 +187,41 @@ fn maxn_planner_matches_sorted_reference() {
     }
 }
 
-/// `MaxNPlanner::select` / `select_for_budget` against the §3.3 definition
-/// written as plain scalar loops — same indices, same value bits, and
-/// `count_for_n` equal to the entries actually selected — over inputs that
-/// stress the bucket map and the compaction: exact zeros, −0.0, NaN, ±∞, a
-/// denormal maximum, all-equal magnitudes, one-entry and all-zero
-/// variables, and thresholds that land exactly on an entry.
+/// `MaxNPlanner::select` / `select_for_budget` / `n_for_entry_budget`
+/// against the §3.3 definition written as plain scalar loops — same
+/// indices, same value bits, `count_for_n` equal to the entries actually
+/// selected, and the same N bit for bit as a full count at every bisection
+/// midpoint — over inputs that stress the counting and compaction kernels:
+/// exact zeros, −0.0, NaN, ±∞, a denormal maximum, all-equal magnitudes,
+/// one-entry and all-zero variables, heavy tails, runs of equal magnitudes
+/// at the bisection's thresholds, thresholds that land exactly on an entry,
+/// and a gradient of more than 100k entries.
 #[test]
 fn maxn_select_matches_scalar_definition() {
     use dlion::tensor::sparse::SparseVec;
 
     // §3.3: per variable, the entries within N% of its largest magnitude;
     // exact zeros never travel; N = 100 is the dense gradient.
+    fn max_of(dense: &[f32]) -> f32 {
+        let magnitudes = dense.iter().filter(|v| !v.is_nan()).map(|v| v.abs());
+        magnitudes.fold(0.0f32, f32::max)
+    }
+    fn threshold(max: f32, n: f64) -> f32 {
+        let n = n.clamp(f64::MIN_POSITIVE, 100.0);
+        ((1.0 - n / 100.0) * max as f64) as f32
+    }
+    fn keep(v: f32, max: f32, n: f64) -> bool {
+        if n >= 100.0 {
+            true
+        } else {
+            max > 0.0 && v.abs() >= threshold(max, n) && v != 0.0
+        }
+    }
     fn reference_select(dense: &[f32], n: f64) -> SparseVec {
         let mut out = SparseVec::empty(dense.len());
-        let max = dense.iter().filter(|v| !v.is_nan()).fold(0.0f32, |m, v| {
-            if v.abs() > m {
-                v.abs()
-            } else {
-                m
-            }
-        });
-        let n = n.clamp(f64::MIN_POSITIVE, 100.0);
-        let thr = ((1.0 - n / 100.0) * max as f64) as f32;
+        let max = max_of(dense);
         for (i, &v) in dense.iter().enumerate() {
-            let keep = if n >= 100.0 {
-                true
-            } else {
-                max > 0.0 && v.abs() >= thr && v != 0.0
-            };
-            if keep {
+            if keep(v, max, n) {
                 out.indices.push(i as u32);
                 out.values.push(v);
             }
@@ -226,10 +231,14 @@ fn maxn_select_matches_scalar_definition() {
     fn reference_count(grads: &[Tensor], n: f64) -> usize {
         grads
             .iter()
-            .map(|g| reference_select(g.data(), n).nnz())
+            .map(|g| {
+                let max = max_of(g.data());
+                g.data().iter().filter(|&&v| keep(v, max, n)).count()
+            })
             .sum()
     }
-    // The largest admissible N by the documented 40-step bisection.
+    // The largest admissible N by the documented 40-step bisection, a full
+    // count at every midpoint.
     fn reference_n(grads: &[Tensor], budget: usize, min_n: f64) -> f64 {
         if reference_count(grads, 100.0) <= budget {
             return 100.0;
@@ -247,6 +256,21 @@ fn maxn_select_matches_scalar_definition() {
             }
         }
         lo
+    }
+    // The midpoints of the first `depth` bisection steps, on every path.
+    fn midpoints(min_n: f64, depth: u32) -> Vec<f64> {
+        let mut out = Vec::new();
+        let mut level = vec![(min_n, 100.0)];
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for (lo, hi) in level {
+                let mid = 0.5 * (lo + hi);
+                out.push(mid);
+                next.extend([(lo, mid), (mid, hi)]);
+            }
+            level = next;
+        }
+        out
     }
     fn same_bits(got: &[SparseVec], grads: &[Tensor], n: f64, what: &str) {
         assert_eq!(got.len(), grads.len(), "{what}");
@@ -285,6 +309,16 @@ fn maxn_select_matches_scalar_definition() {
             reference_count(&fixed, n),
             "fixed: count_for_n({n})"
         );
+    }
+    // Every budget the hazard variables can be given.
+    for budget in 0..=p.total_entries() + 1 {
+        for min_n in [0.85, 0.01, 99.5] {
+            assert_eq!(
+                p.n_for_entry_budget(budget, min_n).to_bits(),
+                reference_n(&fixed, budget, min_n).to_bits(),
+                "fixed: budget {budget}, min N {min_n}"
+            );
+        }
     }
 
     for case in 0..96u64 {
@@ -325,6 +359,11 @@ fn maxn_select_matches_scalar_definition() {
         }
         let total = p.total_entries();
         for budget in [0, 1, total / 10, total / 2, total - 1, total, total + 1] {
+            assert_eq!(
+                p.n_for_entry_budget(budget, 0.85).to_bits(),
+                reference_n(&grads, budget, 0.85).to_bits(),
+                "case {case}: n_for_entry_budget({budget})"
+            );
             let want_n = reference_n(&grads, budget, 0.85);
             let (n, sel) = p.select_for_budget(&grads, budget as f64 * 8.0 + 3.0, 8.0, 0.85);
             assert_eq!(
@@ -334,6 +373,78 @@ fn maxn_select_matches_scalar_definition() {
             );
             same_bits(&sel, &grads, n, &format!("case {case} budget {budget}"));
         }
+    }
+
+    // Heavy tails (a normal over a uniform, cubed), and runs of entries
+    // equal to the thresholds of the first bisection midpoints, whichever
+    // way the steps go.
+    let mids = midpoints(0.85, 4);
+    for case in 0..48u64 {
+        let mut rng = DetRng::seed_from_u64(9100 + case);
+        let mut grads = Vec::new();
+        for _ in 0..1 + rng.index(4) {
+            let len = 1 + rng.index(900);
+            let mut v: Vec<f32> = (0..len)
+                .map(|_| {
+                    let x = rng.normal() / rng.uniform().max(1e-3);
+                    (if case % 2 == 0 { x * x * x } else { x }) as f32
+                })
+                .collect();
+            let max = max_of(&v);
+            for _ in 0..rng.index(5) {
+                let thr = threshold(max, mids[rng.index(mids.len())]);
+                let at = rng.index(len);
+                let run = (1 + rng.index(40)).min(len - at);
+                for (j, x) in v[at..at + run].iter_mut().enumerate() {
+                    *x = if j % 2 == 0 { thr } else { -thr };
+                }
+            }
+            grads.push(Tensor::from_vec(Shape::d1(len), v));
+        }
+        let p = MaxNPlanner::new(&grads);
+        let total = p.total_entries();
+        let mut budgets = vec![0, total / 100, total / 10, total / 3, total - 1];
+        budgets.extend((0..6).map(|_| rng.index(total + 1)));
+        // The counts at the tied thresholds themselves, and one either side.
+        for &n in &mids {
+            let c = reference_count(&grads, n);
+            budgets.extend([c.saturating_sub(1), c, c + 1]);
+        }
+        for budget in budgets {
+            assert_eq!(
+                p.n_for_entry_budget(budget, 0.85).to_bits(),
+                reference_n(&grads, budget, 0.85).to_bits(),
+                "tails/ties case {case}: budget {budget}"
+            );
+        }
+    }
+
+    // One gradient of more than 100k entries, heavy-tailed, beside two
+    // small variables.
+    let mut rng = DetRng::seed_from_u64(9900);
+    let big: Vec<f32> = (0..120_000)
+        .map(|_| (rng.normal() / rng.uniform().max(1e-2)) as f32)
+        .collect();
+    let grads = vec![
+        Tensor::from_vec(Shape::d1(big.len()), big),
+        Tensor::randn(Shape::d1(300), 0.01, &mut rng),
+        var(vec![0.0, 1.0, -1.0, 0.5]),
+    ];
+    let p = MaxNPlanner::new(&grads);
+    let total = p.total_entries();
+    for budget in [0, total / 1000, total / 20, total / 4, total - 5] {
+        let n = p.n_for_entry_budget(budget, 0.85);
+        assert_eq!(
+            n.to_bits(),
+            reference_n(&grads, budget, 0.85).to_bits(),
+            "large: budget {budget}"
+        );
+        same_bits(
+            &p.select(&grads, n),
+            &grads,
+            n,
+            &format!("large: budget {budget}"),
+        );
     }
 }
 
