@@ -20,13 +20,13 @@ fn base(opts: &ExpOpts, seed: u64) -> RunConfig {
     cfg
 }
 
-/// All ablation/extension tables.
+/// The ablation tables and the Prague extension (the topology and
+/// scenario extensions are their own ids).
 pub fn ablations(opts: &ExpOpts) -> Vec<Table> {
     vec![
         ablation_dkt(opts),
         ablation_min_n(opts),
         extension_prague(opts),
-        extension_topology(opts),
     ]
 }
 

@@ -4,19 +4,36 @@
 //! experiments [--seeds N] [--fast] [--out DIR] [--md FILE] <id> [<id> ...] | all | list
 //! ```
 //!
-//! `--md FILE` additionally appends every produced table as GitHub-flavoured
-//! markdown to FILE (used to assemble EXPERIMENTS.md).
+//! Each id runs once, in the order first given (`verdicts` last, since it
+//! reads the CSVs the others write). `--md FILE` replaces the text between
+//! FILE's `<!-- RESULTS START -->` and `<!-- RESULTS END -->` markers with
+//! every table this run printed, verdicts last; EXPERIMENTS.md's region is
+//! `experiments --seeds 3 all --md EXPERIMENTS.md`, and nothing else writes
+//! a measured number there.
 
+use dlion_experiments::output::{replace_results, results_region, RESULTS_END, RESULTS_START};
 use dlion_experiments::{ExpOpts, Session, ALL_IDS};
 use dlion_telemetry::{info, warn};
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--seeds N] [--fast] [--out DIR] <id> [<id> ...]\n\
+        "usage: experiments [--seeds N] [--fast] [--out DIR] [--md FILE] <id> [<id> ...]\n\
          ids: {} | all | list",
         ALL_IDS.join(" ")
     );
+    std::process::exit(2);
+}
+
+/// `path`'s text with its results region replaced by `region`.
+fn spliced(path: &str, region: &str) -> Result<String, String> {
+    let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    replace_results(&doc, region)
+        .ok_or_else(|| format!("{path} lacks the {RESULTS_START} / {RESULTS_END} markers"))
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
     std::process::exit(2);
 }
 
@@ -57,34 +74,37 @@ fn main() {
     if ids.is_empty() {
         usage();
     }
-    ids.dedup();
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
+    ids.sort_by_key(|id| id == "verdicts");
+    // A report without markers fails now, not after the run.
+    if let Some(path) = &md {
+        spliced(path, "").unwrap_or_else(|e| fail(&e));
+    }
 
     let opts = ExpOpts::new(seeds, fast, &out);
     let mut session = Session::new(&opts);
+    let mut printed = Vec::new();
     let total = Instant::now();
     for id in &ids {
         let started = Instant::now();
         info!(target: "experiments", "=== {id} ===");
-        let tables = session.run(id);
-        for t in &tables {
+        for t in session.run(id) {
             println!("{}", t.render());
             if let Err(e) = t.write_csv(&opts.results_dir) {
                 warn!(target: "experiments", "could not write {}.csv: {e}", t.id);
             }
-            if let Some(path) = &md {
-                use std::io::Write;
-                let mut f = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .expect("open markdown report");
-                writeln!(f, "{}", t.to_markdown()).expect("write markdown report");
-            }
+            printed.push(t);
         }
         info!(target: "experiments",
             "=== {id} done in {:.1}s ===",
             started.elapsed().as_secs_f64()
         );
+    }
+    if let Some(path) = &md {
+        let doc =
+            spliced(path, &results_region(&printed, seeds, fast)).unwrap_or_else(|e| fail(&e));
+        std::fs::write(path, doc).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
     }
     info!(target: "experiments",
         "all done in {:.1}s; CSVs in {}",

@@ -1,4 +1,4 @@
-//! Console tables and CSV files.
+//! Console tables, CSV files and the results region of a markdown report.
 
 use std::fs;
 use std::path::Path;
@@ -52,6 +52,8 @@ impl Table {
                 .map(|(i, c)| format!("{:<w$}", c, w = widths[i]))
                 .collect::<Vec<_>>()
                 .join("  ")
+                .trim_end()
+                .to_string()
         };
         out.push_str(&line(&self.headers, &widths));
         out.push('\n');
@@ -62,22 +64,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Render as a GitHub-flavoured markdown table (used to assemble
-    /// EXPERIMENTS.md mechanically from the results).
-    pub fn to_markdown(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("### {} — {}\n\n", self.id, self.title));
-        s.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        s.push_str(&format!(
-            "|{}\n",
-            self.headers.iter().map(|_| "---|").collect::<String>()
-        ));
-        for r in &self.rows {
-            s.push_str(&format!("| {} |\n", r.join(" | ")));
-        }
-        s
     }
 
     /// Write `<dir>/<id>.csv` (quoting cells that contain commas).
@@ -106,6 +92,42 @@ impl Table {
         }
         fs::write(dir.join(format!("{}.csv", self.id)), s)
     }
+}
+
+/// The markers around the generated region of a markdown report.
+pub const RESULTS_START: &str = "<!-- RESULTS START -->";
+pub const RESULTS_END: &str = "<!-- RESULTS END -->";
+
+/// The generated region of a markdown report: a header naming the run's
+/// seeds and mode, then every table as rendered on the console, each in a
+/// `text` fence.
+pub fn results_region(tables: &[Table], seeds: usize, fast: bool) -> String {
+    let (flag, mode) = if fast {
+        (" --fast", "fast mode, durations ~10× shorter")
+    } else {
+        ("", "paper scale")
+    };
+    let per_cell = if seeds > 1 {
+        format!("{seeds} seeds per cell; a cell reads `mean ±95 % CI` over the seeds")
+    } else {
+        "1 seed per cell".to_string()
+    };
+    let mut s = format!(
+        "<!-- Generated by `experiments --md`; edit outside the markers only. -->\n\n\
+         Measured by `experiments --seeds {seeds}{flag}` ({mode}): {per_cell}.\n"
+    );
+    for t in tables {
+        s.push_str(&format!("\n```text\n{}```\n", t.render()));
+    }
+    s
+}
+
+/// `doc` with the text between [`RESULTS_START`] and [`RESULTS_END`]
+/// replaced by `region`; `None` if either marker is missing.
+pub fn replace_results(doc: &str, region: &str) -> Option<String> {
+    let start = doc.find(RESULTS_START)? + RESULTS_START.len();
+    let end = start + doc[start..].find(RESULTS_END)?;
+    Some(format!("{}\n\n{region}\n{}", &doc[..start], &doc[end..]))
 }
 
 /// `mean ±ci` formatting (ci omitted when 0, i.e. a single seed).
@@ -146,12 +168,34 @@ mod tests {
     }
 
     #[test]
-    fn markdown_rendering() {
-        let md = table().to_markdown();
-        assert!(md.starts_with("### figX"));
-        assert!(md.contains("| System | Accuracy |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| DLion | 0.712 |"));
+    fn render_trims_trailing_padding() {
+        assert!(table().render().lines().all(|l| l == l.trim_end()));
+    }
+
+    #[test]
+    fn results_region_fences_each_table_and_names_the_seeds() {
+        let region = results_region(&[table(), table()], 3, false);
+        assert!(region.contains("`experiments --seeds 3` (paper scale): 3 seeds per cell;"));
+        assert!(region.contains("mean ±95 % CI"));
+        assert_eq!(region.matches("```text\n== figX — Demo\n").count(), 2);
+        assert!(results_region(&[], 1, true).contains("`experiments --seeds 1 --fast` (fast mode"));
+    }
+
+    #[test]
+    fn replace_results_keeps_the_text_outside_the_markers() {
+        let doc = format!("head\n{RESULTS_START}\nold\n{RESULTS_END}\ntail\n");
+        let new = replace_results(&doc, "new\n").unwrap();
+        assert_eq!(
+            new,
+            format!("head\n{RESULTS_START}\n\nnew\n\n{RESULTS_END}\ntail\n")
+        );
+        // Replacing again is a fixed point.
+        assert_eq!(replace_results(&new, "new\n").unwrap(), new);
+        assert_eq!(replace_results("head\n", "x"), None);
+        assert_eq!(
+            replace_results(&format!("{RESULTS_END}{RESULTS_START}"), "x"),
+            None
+        );
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! verdict table recorded in EXPERIMENTS.md.
 
 use crate::output::Table;
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Parse a cell like `0.530`, `0.530 ±0.012` or `1242` into a number.
@@ -35,241 +34,185 @@ impl Csv {
         Some(Csv { headers, rows })
     }
 
-    /// Value at (row labelled `row_label` in column 0, column named `col`).
-    pub fn val(&self, row_label: &str, col: &str) -> Option<f64> {
+    /// Cell at (row labelled `row_label` in column 0, column named `col`),
+    /// as written.
+    pub fn cell(&self, row_label: &str, col: &str) -> Option<&str> {
         let ci = self.headers.iter().position(|h| h == col)?;
         let row = self.rows.iter().find(|r| r[0] == row_label)?;
-        parse_val(&row[ci])
+        row.get(ci).map(String::as_str)
     }
 }
 
-struct Check {
-    figure: &'static str,
-    claim: &'static str,
-    outcome: Option<bool>,
-    detail: String,
-}
+/// A cell of a figure's CSV: (row label in column 0, column header).
+type Cell = (&'static str, &'static str);
 
-fn check(
-    out: &mut Vec<Check>,
-    figure: &'static str,
-    claim: &'static str,
-    values: Option<(f64, f64)>,
-    cmp: impl Fn(f64, f64) -> bool,
-) {
-    match values {
-        Some((a, b)) => out.push(Check {
-            figure,
-            claim,
-            outcome: Some(cmp(a, b)),
-            detail: format!("{a:.3} vs {b:.3}"),
-        }),
-        None => out.push(Check {
-            figure,
-            claim,
-            outcome: None,
-            detail: "missing data".into(),
-        }),
-    }
-}
+/// One qualitative claim of the paper: (figure, claim, a, b, holds) reads
+/// "in `figure`'s CSV (named after the figure), `holds(a, b)`".
+type Claim = (&'static str, &'static str, Cell, Cell, fn(f64, f64) -> bool);
+
+const ABOVE: fn(f64, f64) -> bool = |a, b| a > b;
+const BELOW: fn(f64, f64) -> bool = |a, b| a < b;
+
+/// The shape checks, in the order the verdict table lists them.
+const CLAIMS: [Claim; 19] = [
+    (
+        "fig5",
+        "doubling GBS from epoch 0 hurts vs never",
+        ("epoch 0", "Final accuracy"),
+        ("never (fixed GBS)", "Final accuracy"),
+        BELOW,
+    ),
+    (
+        "fig5",
+        "late doubling (epoch 8) is ~harmless (>=90% of never)",
+        ("epoch 8", "Final accuracy"),
+        ("never (fixed GBS)", "Final accuracy"),
+        |a, b| a >= 0.9 * b,
+    ),
+    (
+        "fig7",
+        "larger N reaches higher converged accuracy (N=100 vs N=1)",
+        ("100", "Best accuracy"),
+        ("1", "Best accuracy"),
+        ABOVE,
+    ),
+    (
+        "fig9b",
+        "DKT_Best2all beats No_DKT",
+        ("DKT_Best2all", "Final accuracy"),
+        ("No_DKT", "Final accuracy"),
+        ABOVE,
+    ),
+    (
+        "fig9b",
+        "DKT_Best2all beats DKT_Best2worst",
+        ("DKT_Best2all", "Final accuracy"),
+        ("DKT_Best2worst", "Final accuracy"),
+        |a, b| a >= b,
+    ),
+    (
+        "fig9c",
+        "lambda=0.75 beats lambda=0 (no DKT)",
+        ("0.75", "Final accuracy"),
+        ("0", "Final accuracy"),
+        ABOVE,
+    ),
+    (
+        "fig11",
+        "DLion beats Baseline in Homo A",
+        ("DLion", "Homo A"),
+        ("Baseline", "Homo A"),
+        ABOVE,
+    ),
+    (
+        "fig11",
+        "DLion beats Baseline in Hetero SYS A",
+        ("DLion", "Hetero SYS A"),
+        ("Baseline", "Hetero SYS A"),
+        ABOVE,
+    ),
+    (
+        "fig11",
+        "DLion beats Baseline in Hetero SYS B",
+        ("DLion", "Hetero SYS B"),
+        ("Baseline", "Hetero SYS B"),
+        ABOVE,
+    ),
+    (
+        "fig12",
+        "DLion best on the GPU cluster (Homo C, vs Hop)",
+        ("DLion", "Homo C"),
+        ("Hop", "Homo C"),
+        ABOVE,
+    ),
+    (
+        "fig12",
+        "DLion best on the GPU cluster (Hetero SYS C, vs Ako)",
+        ("DLion", "Hetero SYS C"),
+        ("Ako", "Hetero SYS C"),
+        ABOVE,
+    ),
+    (
+        "fig13",
+        "DLion beats Baseline under compute heterogeneity (Hetero CPU A)",
+        ("DLion", "Hetero CPU A"),
+        ("Baseline", "Hetero CPU A"),
+        ABOVE,
+    ),
+    (
+        "fig15",
+        "LAN beats WAN for the dense Baseline (Homo A vs Homo B)",
+        ("Baseline", "Homo A"),
+        ("Baseline", "Homo B"),
+        ABOVE,
+    ),
+    (
+        "fig15",
+        "DLion best under network heterogeneity (Hetero NET A, vs Baseline)",
+        ("DLion", "Hetero NET A"),
+        ("Baseline", "Hetero NET A"),
+        ABOVE,
+    ),
+    (
+        "fig16",
+        "Max10 alone beats Baseline on the WAN (Homo B)",
+        ("Max10", "Homo B"),
+        ("Baseline", "Homo B"),
+        ABOVE,
+    ),
+    (
+        "fig17",
+        "DLion's worker deviation below Ako's (Hetero SYS B)",
+        ("DLion", "Hetero SYS B"),
+        ("Ako", "Hetero SYS B"),
+        BELOW,
+    ),
+    (
+        "fig18",
+        "DLion beats Baseline under dynamism (Dynamic SYS A)",
+        ("DLion", "Dynamic SYS A"),
+        ("Baseline", "Dynamic SYS A"),
+        ABOVE,
+    ),
+    (
+        "fig18",
+        "DLion beats Baseline under dynamism (Dynamic SYS B)",
+        ("DLion", "Dynamic SYS B"),
+        ("Baseline", "Dynamic SYS B"),
+        ABOVE,
+    ),
+    (
+        "fig21",
+        "DLion reaches the highest converged accuracy (vs Baseline)",
+        ("DLion", "Best accuracy"),
+        ("Baseline", "Best accuracy"),
+        ABOVE,
+    ),
+];
 
 /// Evaluate all shape checks against the CSVs in `dir`.
 pub fn verdicts(dir: &Path) -> Table {
-    let load = |id: &str| Csv::load(dir, id);
-    let csvs: HashMap<&str, Option<Csv>> = [
-        "fig5", "fig7", "fig9b", "fig9c", "fig11", "fig12", "fig13", "fig15", "fig16", "fig17",
-        "fig18", "fig21",
-    ]
-    .into_iter()
-    .map(|id| (id, load(id)))
-    .collect();
-    let get = |id: &str, row: &str, col: &str| -> Option<f64> {
-        csvs.get(id)
-            .and_then(|c| c.as_ref())
-            .and_then(|c| c.val(row, col))
-    };
-    let pair = |id: &str, r1: &str, c1: &str, r2: &str, c2: &str| -> Option<(f64, f64)> {
-        Some((get(id, r1, c1)?, get(id, r2, c2)?))
-    };
-
-    let mut checks = Vec::new();
-    check(
-        &mut checks,
-        "fig5",
-        "doubling GBS from epoch 0 hurts vs never",
-        pair(
-            "fig5",
-            "epoch 0",
-            "Final accuracy",
-            "never (fixed GBS)",
-            "Final accuracy",
-        ),
-        |a, b| a < b,
-    );
-    check(
-        &mut checks,
-        "fig5",
-        "late doubling (epoch 8) is ~harmless (>=90% of never)",
-        pair(
-            "fig5",
-            "epoch 8",
-            "Final accuracy",
-            "never (fixed GBS)",
-            "Final accuracy",
-        ),
-        |a, b| a >= 0.9 * b,
-    );
-    check(
-        &mut checks,
-        "fig7",
-        "larger N reaches higher converged accuracy (N=100 vs N=1)",
-        pair("fig7", "100", "Best accuracy", "1", "Best accuracy"),
-        |a, b| a > b,
-    );
-    check(
-        &mut checks,
-        "fig9b",
-        "DKT_Best2all beats No_DKT",
-        pair(
-            "fig9b",
-            "DKT_Best2all",
-            "Final accuracy",
-            "No_DKT",
-            "Final accuracy",
-        ),
-        |a, b| a > b,
-    );
-    check(
-        &mut checks,
-        "fig9b",
-        "DKT_Best2all beats DKT_Best2worst",
-        pair(
-            "fig9b",
-            "DKT_Best2all",
-            "Final accuracy",
-            "DKT_Best2worst",
-            "Final accuracy",
-        ),
-        |a, b| a >= b,
-    );
-    check(
-        &mut checks,
-        "fig9c",
-        "lambda=0.75 beats lambda=0 (no DKT)",
-        pair("fig9c", "0.75", "Final accuracy", "0", "Final accuracy"),
-        |a, b| a > b,
-    );
-    for env in ["Homo A", "Hetero SYS A", "Hetero SYS B"] {
-        check(
-            &mut checks,
-            "fig11",
-            if env == "Homo A" {
-                "DLion beats Baseline in Homo A"
-            } else if env == "Hetero SYS A" {
-                "DLion beats Baseline in Hetero SYS A"
-            } else {
-                "DLion beats Baseline in Hetero SYS B"
-            },
-            pair("fig11", "DLion", env, "Baseline", env),
-            |a, b| a > b,
-        );
-    }
-    for env in ["Homo C", "Hetero SYS C"] {
-        check(
-            &mut checks,
-            "fig12",
-            if env == "Homo C" {
-                "DLion best on the GPU cluster (Homo C, vs Hop)"
-            } else {
-                "DLion best on the GPU cluster (Hetero SYS C, vs Ako)"
-            },
-            pair(
-                "fig12",
-                "DLion",
-                env,
-                if env == "Homo C" { "Hop" } else { "Ako" },
-                env,
-            ),
-            |a, b| a > b,
-        );
-    }
-    check(
-        &mut checks,
-        "fig13",
-        "DLion beats Baseline under compute heterogeneity (Hetero CPU A)",
-        pair("fig13", "DLion", "Hetero CPU A", "Baseline", "Hetero CPU A"),
-        |a, b| a > b,
-    );
-    check(
-        &mut checks,
-        "fig15",
-        "LAN beats WAN for the dense Baseline (Homo A vs Homo B)",
-        pair("fig15", "Baseline", "Homo A", "Baseline", "Homo B"),
-        |a, b| a > b,
-    );
-    check(
-        &mut checks,
-        "fig15",
-        "DLion best under network heterogeneity (Hetero NET A, vs Baseline)",
-        pair("fig15", "DLion", "Hetero NET A", "Baseline", "Hetero NET A"),
-        |a, b| a > b,
-    );
-    check(
-        &mut checks,
-        "fig16",
-        "Max10 alone beats Baseline on the WAN (Homo B)",
-        pair("fig16", "Max10", "Homo B", "Baseline", "Homo B"),
-        |a, b| a > b,
-    );
-    check(
-        &mut checks,
-        "fig17",
-        "DLion's worker deviation below Ako's (Hetero SYS B)",
-        pair("fig17", "DLion", "Hetero SYS B", "Ako", "Hetero SYS B"),
-        |a, b| a < b,
-    );
-    for env in ["Dynamic SYS A", "Dynamic SYS B"] {
-        check(
-            &mut checks,
-            "fig18",
-            if env == "Dynamic SYS A" {
-                "DLion beats Baseline under dynamism (Dynamic SYS A)"
-            } else {
-                "DLion beats Baseline under dynamism (Dynamic SYS B)"
-            },
-            pair("fig18", "DLion", env, "Baseline", env),
-            |a, b| a > b,
-        );
-    }
-    check(
-        &mut checks,
-        "fig21",
-        "DLion reaches the highest converged accuracy (vs Baseline)",
-        pair(
-            "fig21",
-            "DLion",
-            "Best accuracy",
-            "Baseline",
-            "Best accuracy",
-        ),
-        |a, b| a > b,
-    );
-
     let mut t = Table::new(
         "verdicts",
         "Reproduction shape checks against the paper's qualitative claims",
         &["Figure", "Claim", "Verdict", "Measured"],
     );
-    for c in checks {
+    for &(figure, claim, a, b, holds) in &CLAIMS {
+        let (verdict, measured) = Csv::load(dir, figure)
+            .and_then(|csv| {
+                let (a, b) = (csv.cell(a.0, a.1)?, csv.cell(b.0, b.1)?);
+                let holds = holds(parse_val(a)?, parse_val(b)?);
+                Some((
+                    if holds { "PASS" } else { "DIVERGES" },
+                    format!("{a} vs {b}"),
+                ))
+            })
+            .unwrap_or(("NO DATA", "missing data".to_string()));
         t.row(vec![
-            c.figure.to_string(),
-            c.claim.to_string(),
-            match c.outcome {
-                Some(true) => "PASS".into(),
-                Some(false) => "DIVERGES".into(),
-                None => "NO DATA".into(),
-            },
-            c.detail,
+            figure.to_string(),
+            claim.to_string(),
+            verdict.to_string(),
+            measured,
         ]);
     }
     t
@@ -298,10 +241,37 @@ mod tests {
         )
         .unwrap();
         let csv = Csv::load(&dir, "figx").unwrap();
-        assert_eq!(csv.val("DLion", "Homo A"), Some(0.570));
-        assert_eq!(csv.val("Baseline", "Homo B"), Some(0.316));
-        assert_eq!(csv.val("Nobody", "Homo A"), None);
-        assert_eq!(csv.val("DLion", "Nowhere"), None);
+        assert_eq!(csv.cell("DLion", "Homo A"), Some("0.570 ±0.01"));
+        assert_eq!(csv.cell("Baseline", "Homo B"), Some("0.316"));
+        assert_eq!(csv.cell("Nobody", "Homo A"), None);
+        assert_eq!(csv.cell("DLion", "Nowhere"), None);
+    }
+
+    #[test]
+    fn committed_verdicts_are_what_the_committed_csvs_imply() {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let dir =
+            std::env::temp_dir().join(format!("dlion-verdict-committed-{}", std::process::id()));
+        verdicts(&results).write_csv(&dir).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join("verdicts.csv")).unwrap(),
+            std::fs::read_to_string(results.join("verdicts.csv")).unwrap()
+        );
+    }
+
+    #[test]
+    fn measured_shows_the_cells_as_written() {
+        let dir = std::env::temp_dir().join("dlion-verdict-intervals");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("fig17.csv"),
+            "System,Hetero SYS B\nDLion,0.036 ±0.004\nAko,0.021 ±0.010\n",
+        )
+        .unwrap();
+        let t = verdicts(&dir);
+        let row = t.rows.iter().find(|r| r[0] == "fig17").unwrap();
+        assert_eq!(row[2], "DIVERGES");
+        assert_eq!(row[3], "0.036 ±0.004 vs 0.021 ±0.010");
     }
 
     #[test]

@@ -20,10 +20,8 @@
 
 pub mod dataset;
 pub mod layer;
-pub mod metrics;
 pub mod model;
 pub mod models;
-pub mod momentum;
 pub mod serialize;
 pub mod sgd;
 

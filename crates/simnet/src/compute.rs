@@ -100,11 +100,6 @@ impl ComputeModel {
         self.capacity[w].value_at(t)
     }
 
-    /// Replace one worker's capacity schedule.
-    pub fn set_capacity(&mut self, w: usize, schedule: PiecewiseConst) {
-        self.capacity[w] = schedule;
-    }
-
     /// Multiply one worker's capacity schedule by a dimensionless factor
     /// schedule (a scenario's diurnal wave, an outage window, ...).
     pub fn scale_capacity(&mut self, w: usize, factor: &PiecewiseConst) {
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn dynamic_capacity_changes_iter_time() {
         let mut cm = ComputeModel::homogeneous(1, 24.0, 1.425, 0.1);
-        cm.set_capacity(0, PiecewiseConst::steps(vec![(0.0, 24.0), (100.0, 12.0)]));
+        cm.scale_capacity(0, &PiecewiseConst::steps(vec![(0.0, 1.0), (100.0, 0.5)]));
         let before = cm.iter_time(0, 32, 50.0);
         let after = cm.iter_time(0, 32, 150.0);
         assert!(after > before);

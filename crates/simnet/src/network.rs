@@ -18,7 +18,6 @@
 //! partial gradients.
 
 use crate::schedule::PiecewiseConst;
-use dlion_tensor::DetRng;
 use std::collections::HashMap;
 
 /// Result of enqueueing a transfer.
@@ -54,8 +53,6 @@ pub struct NetworkModel {
     latency: Vec<f64>,
     /// Next time each worker's NIC is free.
     egress_free: Vec<f64>,
-    /// Optional multiplicative bandwidth jitter: relative std + RNG.
-    jitter: Option<(f64, DetRng)>,
 }
 
 /// Hashable identity of a schedule: the bit patterns of its steps.
@@ -96,23 +93,7 @@ impl NetworkModel {
             link_class,
             latency,
             egress_free: vec![0.0; n],
-            jitter: None,
         }
-    }
-
-    /// Enable per-transfer multiplicative bandwidth jitter (relative std
-    /// `rel_std`, clamped so effective bandwidth never drops below 10 % of
-    /// the scheduled value) — the paper's "bandwidths in WANs are much more
-    /// scarce and fluctuating". Deterministic given the seed.
-    pub fn with_jitter(mut self, rel_std: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&rel_std),
-            "relative std must be in [0,1)"
-        );
-        if rel_std > 0.0 {
-            self.jitter = Some((rel_std, DetRng::seed_from_u64(seed)));
-        }
-        self
     }
 
     /// Fully symmetric network: every link has the same constant bandwidth
@@ -204,16 +185,6 @@ impl NetworkModel {
         self.link_sched(self.link_idx(src, dst)).value_at(now)
     }
 
-    /// When will `src`'s NIC next be free?
-    pub fn egress_free_at(&self, src: usize) -> f64 {
-        self.egress_free[src]
-    }
-
-    /// Egress backlog of `src` relative to `now` (seconds of queued work).
-    pub fn egress_backlog(&self, src: usize, now: f64) -> f64 {
-        (self.egress_free[src] - now).max(0.0)
-    }
-
     /// Enqueue a transfer of `bytes` on link `src→dst` at time `now`.
     ///
     /// The transfer starts when the NIC frees up, proceeds at the link's
@@ -224,13 +195,7 @@ impl NetworkModel {
         assert!(bytes >= 0.0);
         let li = self.link_idx(src, dst);
         let depart = self.egress_free[src].max(now);
-        let mut megabits = bytes * 8.0 / 1e6;
-        if let Some((std, rng)) = self.jitter.as_mut() {
-            // Jittering the *amount* by 1/factor is equivalent to jittering
-            // the bandwidth by the factor for this transfer.
-            let factor = (1.0 + rng.normal_ms(0.0, *std)).max(0.1);
-            megabits /= factor;
-        }
+        let megabits = bytes * 8.0 / 1e6;
         let tx = self.link_sched(li).time_to_accumulate(depart, megabits);
         assert!(
             tx.is_finite(),
@@ -320,7 +285,8 @@ mod tests {
         net.transfer(0, 1, 1_000_000.0, 0.0); // busy until 1.0
         let t = net.transfer(0, 1, 1_000_000.0, 5.0); // NIC idle again
         assert_eq!(t.depart, 5.0);
-        assert_eq!(net.egress_backlog(0, 5.5), 0.5);
+        // Busy until 6.0: a transfer enqueued at 5.5 waits for it.
+        assert_eq!(net.transfer(0, 1, 0.0, 5.5).depart, 6.0);
     }
 
     #[test]
@@ -335,58 +301,9 @@ mod tests {
     fn reset_clears_queues() {
         let mut net = NetworkModel::uniform(2, 8.0, 0.0);
         net.transfer(0, 1, 10_000_000.0, 0.0);
-        assert!(net.egress_free_at(0) > 0.0);
+        assert!(net.transfer(0, 1, 0.0, 0.0).depart > 0.0);
         net.reset();
-        assert_eq!(net.egress_free_at(0), 0.0);
-    }
-
-    #[test]
-    fn jitter_perturbs_but_preserves_mean() {
-        let base = {
-            let mut net = NetworkModel::uniform(2, 8.0, 0.0);
-            net.transfer(0, 1, 1_000_000.0, 0.0).arrival
-        };
-        let mut net = NetworkModel::uniform(2, 8.0, 0.0).with_jitter(0.2, 7);
-        let mut durations = Vec::new();
-        let mut t = 0.0;
-        for _ in 0..500 {
-            let tr = net.transfer(0, 1, 1_000_000.0, t);
-            durations.push(tr.arrival - tr.depart);
-            t = tr.arrival;
-        }
-        let mean = durations.iter().sum::<f64>() / durations.len() as f64;
-        assert!(
-            (mean - base).abs() < 0.15 * base,
-            "mean {mean} vs base {base}"
-        );
-        let distinct = durations
-            .iter()
-            .filter(|&&d| (d - base).abs() > 1e-9)
-            .count();
-        assert!(distinct > 400, "jitter must actually perturb transfers");
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let run = || {
-            let mut net = NetworkModel::uniform(2, 8.0, 0.0).with_jitter(0.3, 42);
-            let mut t = 0.0;
-            let mut out = Vec::new();
-            for _ in 0..20 {
-                let tr = net.transfer(0, 1, 500_000.0, t);
-                t = tr.arrival;
-                out.push(tr.arrival.to_bits());
-            }
-            out
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn zero_jitter_disabled() {
-        let mut a = NetworkModel::uniform(2, 8.0, 0.0).with_jitter(0.0, 1);
-        let mut b = NetworkModel::uniform(2, 8.0, 0.0);
-        assert_eq!(a.transfer(0, 1, 1e6, 0.0), b.transfer(0, 1, 1e6, 0.0));
+        assert_eq!(net.transfer(0, 1, 0.0, 0.0).depart, 0.0);
     }
 
     #[test]
