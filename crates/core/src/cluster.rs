@@ -121,7 +121,6 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 lbs: cfg.initial_lbs,
                 iteration: 0,
                 pending: None,
-                computing: false,
                 waiting: false,
                 last_iter_time: 0.0,
                 last_pull_round: 0,

@@ -207,14 +207,6 @@ pub struct RunConfig {
     pub eval_subset: usize,
     /// Minimum N for Max N (§5.1.4: 0.85).
     pub min_n: f64,
-    /// Gaia's significance threshold S, percent (§5.1.4: 1%).
-    pub gaia_s: f64,
-    /// Hop's staleness bound (§5.1.4: 5).
-    pub hop_bound: u64,
-    /// Hop's backup worker count (§5.1.4: 1).
-    pub hop_backup: usize,
-    /// DLion's bounded-staleness bound.
-    pub dlion_bound: u64,
     pub dkt: DktConfig,
     pub gbs: GbsConfig,
     /// Re-profile compute capacity every this many virtual seconds (also
@@ -292,10 +284,6 @@ impl RunConfig {
             eval_interval: 125.0,
             eval_subset: 200,
             min_n: 0.85,
-            gaia_s: 1.0,
-            hop_bound: 5,
-            hop_backup: 1,
-            dlion_bound: 5,
             dkt,
             gbs: GbsConfig::default(),
             profile_interval: 100.0,
@@ -333,7 +321,6 @@ impl RunConfig {
         assert!(self.initial_lbs > 0);
         assert!(self.eval_interval > 0.0 && self.eval_subset > 0);
         assert!(self.min_n > 0.0 && self.min_n <= 100.0);
-        assert!(self.gaia_s > 0.0);
         assert!(self.profile_interval > 0.0);
         assert!(self.grad_clip > 0.0);
         if let WireFormat::TopK(n) = self.wire {
@@ -389,9 +376,6 @@ mod tests {
     fn paper_defaults_match_section_514() {
         let c = RunConfig::paper_default(SystemKind::DLion, ClusterKind::Cpu);
         assert_eq!(c.min_n, 0.85);
-        assert_eq!(c.gaia_s, 1.0);
-        assert_eq!(c.hop_bound, 5);
-        assert_eq!(c.hop_backup, 1);
         assert_eq!(c.dkt.period_iters, 100);
         assert_eq!(c.dkt.lambda, 0.75);
         assert_eq!(c.initial_lbs, 32);

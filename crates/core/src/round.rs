@@ -474,8 +474,13 @@ impl Worker {
         self.sync.retarget(&ctx.neighbors);
         let next = self.iteration;
         let share_dkt = self.dkt.is_share_round(next);
+        // The iteration's one record, on both backends: the batch it
+        // sampled, its loss and its step time (virtual or training clock).
         event!(now, w: self.id, "iter_done";
             "iter" => next,
+            "lbs" => self.batch_buf.len(),
+            "loss" => loss,
+            "dt" => self.last_iter_time,
             "updates" => updates.len(),
             "share_dkt" => share_dkt);
 
@@ -524,9 +529,18 @@ impl Worker {
         members.counts(j, round) && !self.sync.is_demoted(j)
     }
 
-    /// Handle one training payload from `from` — the simulator's `Msg`
-    /// event and the live driver's decoded frame.
-    pub fn on_payload(&mut self, from: usize, payload: Payload, members: &Membership) -> Effect {
+    /// Handle one training payload from `from` that reached this rank at
+    /// `now` — the simulator's `Msg` event and the live driver's decoded
+    /// frame. Its `msg` row, and a merge's `dkt_merge` row, are written
+    /// here for both backends.
+    pub fn on_payload(
+        &mut self,
+        from: usize,
+        payload: Payload,
+        now: f64,
+        members: &Membership,
+    ) -> Effect {
+        event!(now, w: self.id, "msg"; "from" => from, "kind" => payload.kind());
         match payload {
             Payload::Grad(msg) => {
                 self.sync.on_gradient(from, msg.iteration);
@@ -559,6 +573,7 @@ impl Worker {
             Payload::Weights { weights, .. } => {
                 self.settle(drop);
                 self.model.merge_weights(&weights, self.dkt.cfg().lambda);
+                event!(now, w: self.id, "dkt_merge"; "from" => from);
                 Effect::Merged(weights)
             }
             Payload::Leave { completed } => Effect::Departed { completed },
@@ -749,7 +764,7 @@ mod tests {
             }
             for (from, round, v) in park {
                 let g = grad(w, round, v);
-                assert!(matches!(w.on_payload(from, g, &m), Effect::Parked));
+                assert!(matches!(w.on_payload(from, g, 0.0, &m), Effect::Parked));
             }
             w.iteration = 2;
             order.clear();
@@ -767,8 +782,8 @@ mod tests {
         let mut w = bsp_workers(3).swap_remove(0);
         let before = bits(&w);
         let (g0, g1) = (grad(&w, 0, 0.5), grad(&w, 1, 0.25));
-        w.on_payload(1, g0, &m);
-        w.on_payload(1, g1, &m);
+        w.on_payload(1, g0, 0.0, &m);
+        w.on_payload(1, g1, 0.0, &m);
         w.iteration = 1;
         let mut applied = Vec::new();
         // Round 0 is due but sender 2 is missing; round 1 is not due.
@@ -798,7 +813,7 @@ mod tests {
         let mut w = bsp_workers(3).swap_remove(0);
         for (from, round) in [(2, 1), (1, 0), (1, 1)] {
             let g = grad(&w, round, 0.5);
-            w.on_payload(from, g, &m);
+            w.on_payload(from, g, 0.0, &m);
         }
         w.iteration = 2;
         let mut applied = Vec::new();
@@ -851,7 +866,7 @@ mod tests {
     fn log(w: &mut Worker, shape: &Worker, arrivals: &[(usize, u64, f32)], m: &Membership) {
         for &(from, round, v) in arrivals {
             let g = grad(shape, round, v);
-            assert!(matches!(w.on_payload(from, g, m), Effect::Logged));
+            assert!(matches!(w.on_payload(from, g, 0.0, m), Effect::Logged));
         }
     }
 
@@ -906,7 +921,7 @@ mod tests {
         }
 
         // A DKT pull reads the settled weights.
-        match in_place.on_payload(1, Payload::DktRequest, &m) {
+        match in_place.on_payload(1, Payload::DktRequest, 0.0, &m) {
             Effect::Reply(Payload::Weights { weights, .. }) => {
                 assert_eq!(weights.iter().map(tensor_bits).collect::<Vec<_>>(), settled);
             }
@@ -1087,7 +1102,7 @@ mod tests {
         let mut w = bsp_workers(2).swap_remove(0);
         w.dkt.record_loss(2.0);
         w.dkt.record_loss(4.0);
-        match w.on_payload(1, Payload::DktRequest, &m) {
+        match w.on_payload(1, Payload::DktRequest, 0.0, &m) {
             Effect::Reply(Payload::Weights {
                 weights,
                 sender_loss,

@@ -20,8 +20,8 @@
 //! passes overlap each other and the event loop (DESIGN.md §4b). A join's
 //! place in the event order is fixed; only which thread ran the job is not,
 //! and no number depends on that. The thread running this file schedules:
-//! every gradient step of an untraced run is such a job, the first on a
-//! cold arena included; the weight updates — the own update and every
+//! every gradient step is such a job, traced or not, the first on a cold
+//! arena included; the weight updates — the own update and every
 //! peer gradient — wait in the worker's update log and are settled by the
 //! model's next user, normally that job (or an evaluation job); and what
 //! the loop itself computes per round — Max N planning and one selection
@@ -42,7 +42,7 @@ use crate::worker::{PendingIteration, Worker};
 use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
-use dlion_telemetry::{debug, event, profile_scope, tracing_on, Phase};
+use dlion_telemetry::{debug, event, profile_scope, Phase};
 use dlion_tensor::DetRng;
 use std::sync::Arc;
 
@@ -318,37 +318,19 @@ impl ClusterRunner {
         // driver computes on.
         let worker = &mut self.workers[w];
         worker.flush_parked(&self.members, false, |_, _| {});
-        debug_assert!(!worker.computing);
         worker.waiting = false;
-        worker.computing = true;
         worker.sample_batch_reuse();
-        // The gradients go out as a pool job — this thread schedules, it
-        // does not compute — unless a trace is being written: `iter_start`
-        // carries the loss.
-        let loss_now = if tracing_on() {
-            let loss = worker.compute_grads(&self.data, self.cfg.grad_clip);
-            worker.pending = Some(PendingIteration::Done { loss });
-            Some(loss)
-        } else {
-            worker.spawn_grads(&self.data, self.cfg.grad_clip);
-            None
-        };
-        let lbs = worker.lbs;
-        let iter = worker.iteration;
+        // The gradients go out as a pool job: this thread schedules, it
+        // does not compute.
+        worker.spawn_grads(&self.data, self.cfg.grad_clip);
         // The straggle factor multiplies the modelled iteration time — the
         // same place the live driver multiplies its assumed time — so
         // `cluster_health` rates (iterations / busy seconds) bit-match a
         // pinned-time live run's.
-        let dt = self.compute.iter_time(w, lbs, now) * self.straggle[w];
+        let dt = self.compute.iter_time(w, worker.lbs, now) * self.straggle[w];
         worker.last_iter_time = dt;
-        self.metrics.busy_time[w] += dt;
-        event!(now, w: w, "iter_start";
-            "iter" => iter, "lbs" => lbs, "loss" => loss_now.unwrap_or(f64::NAN), "dt" => dt);
         if self.cfg.telemetry {
             self.metrics.telemetry.observe("iter_secs", dt);
-        }
-        if let Some(loss) = loss_now {
-            self.observe_loss(loss);
         }
         self.inflight += 1;
         self.queue.schedule(now + dt, Ev::IterDone { w });
@@ -364,13 +346,9 @@ impl ClusterRunner {
     /// ([`Worker::on_payload`]).
     fn join(&mut self, w: usize) {
         if let Some(loss) = self.workers[w].join_grads() {
-            self.observe_loss(loss);
-        }
-    }
-
-    fn observe_loss(&mut self, loss: f64) {
-        if self.cfg.telemetry {
-            self.metrics.telemetry.observe("loss", loss);
+            if self.cfg.telemetry {
+                self.metrics.telemetry.observe("loss", loss);
+            }
         }
     }
 
@@ -390,17 +368,20 @@ impl ClusterRunner {
         self.inflight == 0
             && (0..self.n).all(|w| {
                 let worker = &self.workers[w];
-                (worker.iteration >= k || self.departed(w)) && !worker.computing
+                (worker.iteration >= k || self.departed(w)) && worker.pending.is_none()
             })
     }
 
     fn on_iter_done(&mut self, w: usize, now: f64) {
         self.join(w);
         let worker = &mut self.workers[w];
-        worker.computing = false;
         let Some(PendingIteration::Done { loss }) = worker.pending.take() else {
             panic!("IterDone without pending gradients");
         };
+        // A step counts as busy time once it completes, so a step still in
+        // flight when the run ends is not charged: Σ `iter_done.dt` is
+        // `busy_time[w]`, bit for bit.
+        self.metrics.busy_time[w] += worker.last_iter_time;
         let net = &self.net;
         let actions =
             worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now), &self.members);
@@ -446,7 +427,6 @@ impl ClusterRunner {
     }
 
     fn on_msg(&mut self, from: usize, to: usize, payload: Payload, now: f64) {
-        event!(now, w: to, "msg"; "from" => from, "kind" => payload.kind());
         if self.cfg.telemetry {
             self.metrics.telemetry.inc("msgs_recv");
         }
@@ -467,7 +447,7 @@ impl ClusterRunner {
             self.join(to);
         }
         // Only a gradient or a demotion can open a blocked gate.
-        let regate = match self.workers[to].on_payload(from, payload, &self.members) {
+        let regate = match self.workers[to].on_payload(from, payload, now, &self.members) {
             Effect::Parked | Effect::Logged => true,
             Effect::Noted => false,
             Effect::Reply(reply) => {
@@ -476,7 +456,6 @@ impl ClusterRunner {
             }
             Effect::Merged(_) => {
                 self.metrics.dkt_merges += 1;
-                event!(now, w: to, "dkt_merge"; "from" => from);
                 if self.cfg.telemetry {
                     self.metrics.telemetry.inc("dkt_merges");
                 }
@@ -540,7 +519,7 @@ impl ClusterRunner {
             return;
         }
         let worker = &mut self.workers[w];
-        if worker.computing {
+        if worker.pending.is_some() {
             return;
         }
         let policy = worker.strategy.sync_policy();

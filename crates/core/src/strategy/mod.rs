@@ -147,6 +147,15 @@ impl ExchangeStrategy for SyncOverride {
     }
 }
 
+/// Gaia's significance threshold S, percent (§5.1.4: 1 %).
+pub const GAIA_S: f64 = 1.0;
+/// Hop's staleness bound (§5.1.4: 5).
+pub const HOP_BOUND: u64 = 5;
+/// Hop's backup worker count (§5.1.4: 1).
+pub const HOP_BACKUP: usize = 1;
+/// The bounded-staleness bound of Baseline, DLion and Max N (§5.1.4: 5).
+pub const DLION_BOUND: u64 = 5;
+
 /// Build the strategy for a configured system.
 pub fn build_strategy(cfg: &RunConfig) -> Box<dyn ExchangeStrategy> {
     let inner = build_native_strategy(cfg);
@@ -158,14 +167,14 @@ pub fn build_strategy(cfg: &RunConfig) -> Box<dyn ExchangeStrategy> {
 
 fn build_native_strategy(cfg: &RunConfig) -> Box<dyn ExchangeStrategy> {
     match cfg.system {
-        SystemKind::Baseline => Box::new(baseline::Baseline::new(cfg.dlion_bound)),
+        SystemKind::Baseline => Box::new(baseline::Baseline::new(DLION_BOUND)),
         SystemKind::Ako => Box::new(ako::Ako::new()),
-        SystemKind::Gaia => Box::new(gaia::Gaia::new(cfg.gaia_s)),
-        SystemKind::Hop => Box::new(hop::Hop::new(cfg.hop_bound, cfg.hop_backup)),
+        SystemKind::Gaia => Box::new(gaia::Gaia::new(GAIA_S)),
+        SystemKind::Hop => Box::new(hop::Hop::new(HOP_BOUND, HOP_BACKUP)),
         SystemKind::DLion | SystemKind::DLionNoDbwu | SystemKind::DLionNoWu => {
-            Box::new(dlion::DLionExchange::new(cfg.min_n, cfg.dlion_bound))
+            Box::new(dlion::DLionExchange::new(cfg.min_n, DLION_BOUND))
         }
-        SystemKind::MaxNOnly(n) => Box::new(maxn_only::MaxNOnly::new(n, cfg.dlion_bound)),
+        SystemKind::MaxNOnly(n) => Box::new(maxn_only::MaxNOnly::new(n, DLION_BOUND)),
         SystemKind::Prague(g) => Box::new(prague::Prague::new(
             g,
             cfg.seed.wrapping_mul(97).wrapping_add(13),

@@ -41,8 +41,6 @@ pub struct Worker {
     /// out on the pool or already home, until the simulated completion
     /// time consumes the loss. Always `None` on the live backend.
     pub pending: Option<PendingIteration>,
-    /// True while an iteration is "executing" in virtual time.
-    pub computing: bool,
     /// True if blocked by the synchronization policy.
     pub waiting: bool,
     /// Duration of the last iteration (for the speed-assurance budget).
@@ -141,9 +139,9 @@ impl Worker {
         }
     }
 
-    /// Is the worker idle (neither computing nor marked waiting)?
+    /// Is the worker idle (no iteration pending, not marked waiting)?
     pub fn idle(&self) -> bool {
-        !self.computing && !self.waiting
+        self.pending.is_none() && !self.waiting
     }
 }
 
@@ -171,7 +169,6 @@ mod tests {
             lbs: 32,
             iteration: 0,
             pending: None,
-            computing: false,
             waiting: false,
             last_iter_time: 2.0,
             last_pull_round: 0,
@@ -238,9 +235,9 @@ mod tests {
     fn idle_logic() {
         let mut w = worker();
         assert!(w.idle());
-        w.computing = true;
+        w.pending = Some(PendingIteration::Done { loss: 1.0 });
         assert!(!w.idle());
-        w.computing = false;
+        w.pending = None;
         w.waiting = true;
         assert!(!w.idle());
     }

@@ -266,12 +266,6 @@ impl EnvSpec {
         }
         net
     }
-
-    /// Total capacity units at time `t` (the paper compares 144 vs 88 vs 114
-    /// cores across Homo A / Hetero CPU A / Hetero CPU B).
-    pub fn total_capacity(&self, t: f64) -> f64 {
-        self.capacity.iter().map(|c| c.value_at(t)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -283,9 +277,13 @@ mod tests {
         // Totals follow Table 3's rows: 144 / 84 / 124. (The paper's §5.2.3
         // text says 88 and 114, which don't match its own Table 3 rows
         // 24/24/12/12/6/6 = 84 and 24/24/24/24/24/4 = 124; the table wins.)
-        assert_eq!(EnvId::HomoA.spec().total_capacity(0.0), 144.0);
-        assert_eq!(EnvId::HeteroCpuA.spec().total_capacity(0.0), 84.0);
-        assert_eq!(EnvId::HeteroCpuB.spec().total_capacity(0.0), 124.0);
+        let cores = |env: EnvId| -> f64 {
+            let spec = env.spec();
+            spec.capacity.iter().map(|c| c.value_at(0.0)).sum()
+        };
+        assert_eq!(cores(EnvId::HomoA), 144.0);
+        assert_eq!(cores(EnvId::HeteroCpuA), 84.0);
+        assert_eq!(cores(EnvId::HeteroCpuB), 124.0);
     }
 
     #[test]

@@ -702,14 +702,13 @@ impl LiveWorker<'_, '_> {
         during_shutdown: bool,
     ) -> Result<(), LiveError> {
         self.out.msgs_recv += 1;
-        event!(self.now(), w: self.me, "msg"; "from" => from, "kind" => payload.kind());
-        match self.worker.on_payload(from, payload, &self.members) {
+        let now = self.now();
+        match self.worker.on_payload(from, payload, now, &self.members) {
             Effect::Parked | Effect::Noted => Ok(()),
             Effect::Logged => self.ack(from),
             Effect::Reply(reply) => self.send(from, reply, during_shutdown),
             Effect::Merged(weights) => {
                 self.out.dkt_merges += 1;
-                event!(self.now(), w: self.me, "dkt_merge"; "from" => from);
                 self.pool.extend(weights.into_iter().map(Tensor::into_data));
                 Ok(())
             }
@@ -748,7 +747,6 @@ impl LiveWorker<'_, '_> {
     /// else runs — a due batching round included. `Ok(false)`: this rank
     /// has departed.
     fn step(&mut self) -> Result<bool, LiveError> {
-        let me = self.me;
         // The step is the model's next user: the logged updates apply
         // first, outside the measured compute time.
         self.settle();
@@ -762,6 +760,9 @@ impl LiveWorker<'_, '_> {
         // exact float no-op, so unskewed workers are byte-identical to a
         // run without the flag.
         let dt = self.env.opts.assumed_iter_time.unwrap_or(measured) * self.straggle;
+        // The training-clock step, which `iter_done` records as the
+        // simulator does: Σ dt is the verdict's seconds. The wall compute
+        // time is `busy_secs`.
         self.worker.last_iter_time = dt;
         self.out.busy_secs += measured;
         // Feed the live batching controller: the training clock schedules
@@ -773,12 +774,6 @@ impl LiveWorker<'_, '_> {
         } else {
             rate
         };
-        // The training-clock step, as the simulator traces it: Σ dt is
-        // the verdict's seconds. The wall compute time is `busy_secs`.
-        event!(self.now(), w: me, "iter_start";
-            "iter" => self.worker.iteration, "lbs" => self.worker.lbs,
-            "loss" => loss, "dt" => dt);
-
         let (now, bw_mbps) = (self.now(), self.env.opts.bw_mbps);
         let actions = self
             .worker

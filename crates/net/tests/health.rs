@@ -138,7 +138,7 @@ impl Write for Captured {
 /// A traced run is the health plane: the chaos cell on TCP, traced and
 /// with no other switch, carries the verdict (one row per worker), the
 /// latency of every survivor link and the departure, and each worker's
-/// `iter_start` rows are the verdict's rate — their count over the sum of
+/// `iter_done` rows are the verdict's rate — their count over the sum of
 /// their `dt`, bit for bit, as in a simulator trace. The sink is
 /// process-wide, so this run's rows are told apart by their `env`.
 #[test]
@@ -203,7 +203,7 @@ fn a_traced_live_run_carries_its_health_with_no_knob() {
         "no peer_departed row for worker 1"
     );
 
-    let steps = of_kind("iter_start");
+    let steps = of_kind("iter_done");
     for w in 0..3 {
         let dts: Vec<f64> = steps
             .iter()

@@ -22,7 +22,6 @@ pub mod dataset;
 pub mod layer;
 pub mod model;
 pub mod models;
-pub mod serialize;
 pub mod sgd;
 
 pub use dataset::{Dataset, ShardPlan};

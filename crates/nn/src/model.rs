@@ -73,11 +73,6 @@ impl Model {
         self.layers[li].param_mut(pi)
     }
 
-    /// Number of elements in variable `v`.
-    pub fn var_numel(&self, v: usize) -> usize {
-        self.var(v).numel()
-    }
-
     /// Wire size (bytes) of a dense full-model transfer.
     pub fn wire_bytes(&self) -> usize {
         self.wire_bytes
@@ -330,8 +325,8 @@ mod tests {
         let m = tiny_model(&mut rng);
         assert_eq!(m.num_vars(), 4); // 2 dense layers x (w, b)
         assert_eq!(m.num_params(), 8 * 16 + 16 + 16 * 3 + 3);
-        assert_eq!(m.var_numel(0), 128);
-        assert_eq!(m.var_numel(1), 16);
+        assert_eq!(m.var(0).numel(), 128);
+        assert_eq!(m.var(1).numel(), 16);
         assert_eq!(m.wire_bytes(), 4 * m.num_params());
     }
 

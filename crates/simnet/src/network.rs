@@ -214,11 +214,6 @@ impl NetworkModel {
             depart - now);
         Transfer { depart, arrival }
     }
-
-    /// Reset all NIC queues (e.g. between simulation runs).
-    pub fn reset(&mut self) {
-        self.egress_free.iter_mut().for_each(|t| *t = 0.0);
-    }
 }
 
 #[cfg(test)]
@@ -295,15 +290,6 @@ mod tests {
         let t = net.transfer(0, 1, 0.0, 3.0);
         assert_eq!(t.depart, 3.0);
         assert!((t.arrival - 3.07).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_queues() {
-        let mut net = NetworkModel::uniform(2, 8.0, 0.0);
-        net.transfer(0, 1, 10_000_000.0, 0.0);
-        assert!(net.transfer(0, 1, 0.0, 0.0).depart > 0.0);
-        net.reset();
-        assert_eq!(net.transfer(0, 1, 0.0, 0.0).depart, 0.0);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! recorded stream.
 //!
 //! The dashboard reads rows both backends emit: each worker's newest
-//! `iter_start` (ITER, LBS, and RATE = `lbs / dt` in samples per
+//! `iter_done`, the round core's one record per iteration (ITER = the
+//! iterations it has completed, LBS, and RATE = `lbs / dt` in samples per
 //! training-clock second, so a `--straggle`d rank shows its slowdown), the
 //! `cluster_health` verdict, `peer_departed` and the topology plane's
 //! `topology_round` (active topology name in the header, per-worker
@@ -30,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::time::Duration;
 
-/// One worker's newest `iter_start` row.
+/// One worker's newest `iter_done` row.
 #[derive(Clone, Copy, Debug, Default)]
 struct WorkerRow {
     iter: u64,
@@ -108,7 +109,7 @@ impl State {
         };
         self.records += 1;
         match kind {
-            "iter_start" => {
+            "iter_done" => {
                 let row = WorkerRow {
                     iter: num(fields, "iter") as u64,
                     lbs: num(fields, "lbs") as u64,
@@ -337,14 +338,14 @@ mod tests {
         let mut s = State::default();
         s.ingest(&line(
             0,
-            "iter_start",
-            r#"{"iter":8,"lbs":49,"loss":1.5,"dt":0.08}"#,
+            "iter_done",
+            r#"{"iter":8,"lbs":49,"loss":1.5,"dt":0.08,"updates":2,"share_dkt":false}"#,
         ));
         // A stale iteration must not clobber the newer row.
         s.ingest(&line(
             0,
-            "iter_start",
-            r#"{"iter":4,"lbs":32,"loss":2.0,"dt":0.05}"#,
+            "iter_done",
+            r#"{"iter":4,"lbs":32,"loss":2.0,"dt":0.05,"updates":2,"share_dkt":false}"#,
         ));
         s.ingest(&line(
             0,
@@ -362,7 +363,7 @@ mod tests {
             r#"{"peer":2,"frames":40,"depth_hw":3,"queue_p50_us":10.0,"queue_p99_us":80.0,"write_p50_us":5.0,"write_p99_us":50.0,"read_p99_us":30.0,"apply_p99_us":20.0}"#,
         ));
         // Unknown kinds and garbage are counted / skipped, never fatal.
-        s.ingest(&line(0, "iter_done", r#"{"loss":1.5}"#));
+        s.ingest(&line(0, "send", r#"{"to":2,"kind":"grad"}"#));
         s.ingest("not json at all");
 
         let out = s.render();
@@ -414,8 +415,10 @@ mod tests {
         for (w, dt) in [(0, 0.5), (1, 1.5)] {
             s.ingest(&line(
                 w,
-                "iter_start",
-                &format!(r#"{{"iter":11,"lbs":32,"loss":2.1,"dt":{dt}}}"#),
+                "iter_done",
+                &format!(
+                    r#"{{"iter":11,"lbs":32,"loss":2.1,"dt":{dt},"updates":5,"share_dkt":false}}"#
+                ),
             ));
         }
         s.ingest(&line(

@@ -7,8 +7,9 @@
 //! of that kind — how CI asserts a run actually exercised a subsystem
 //! (e.g. `--require gbs_adjust` for the live batching controller, or
 //! `--require cluster_health` for the health plane). Event kinds with a
-//! pinned field schema (the health-, topology-, control-plane and fault
-//! events below) are additionally checked field-for-field on every record.
+//! pinned field schema (the iteration record `iter_done` and the health-,
+//! topology-, control-plane and fault events below) are additionally
+//! checked field-for-field on every record.
 //! `--summary` prints a per-kind table with record counts and first/last
 //! vtime instead of the one-line report. Exits 0 on success; exits 1 with
 //! the first offending line (or the missing kind) otherwise. Used by the
@@ -23,8 +24,9 @@ const REQUIRED_KEYS: [&str; 9] = [
 
 /// Event kinds whose `fields` layout is pinned: every record of the kind
 /// must carry exactly these keys. The health plane's events (DESIGN.md
-/// §4h: the verdict, each link's latency and each step's `iter_start`,
-/// whose `dt` sums to the verdict's seconds on both backends) and the
+/// §4h: the verdict, each link's latency and each iteration's one record,
+/// the round core's `iter_done`, whose `dt` sums to the verdict's seconds
+/// on both backends) and the
 /// topology plane's round event (DESIGN.md §4i) are fixed-key by design
 /// so traces stay diffable across runs; the control
 /// plane's four (DESIGN.md §4n) each have one emitter in `dlion-core`, so
@@ -35,7 +37,10 @@ const SCHEMAS: [(&str, &[&str]); 11] = [
         "cluster_health",
         &["iterations", "rate", "score", "departed", "straggler"],
     ),
-    ("iter_start", &["iter", "lbs", "loss", "dt"]),
+    (
+        "iter_done",
+        &["iter", "lbs", "loss", "dt", "updates", "share_dkt"],
+    ),
     (
         "frame_latency",
         &[
@@ -227,7 +232,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    const GOOD: &str = r#"{"wall_ns":1,"vtime":0.5,"seq":0,"system":"DLion","env":"Homo A","seed":1,"worker":0,"kind":"iter_done","fields":{"loss":1.5}}"#;
+    const GOOD: &str = r#"{"wall_ns":1,"vtime":0.5,"seq":0,"system":"DLion","env":"Homo A","seed":1,"worker":0,"kind":"eval","fields":{"loss":1.5}}"#;
 
     #[test]
     fn accepts_valid_lines() {
@@ -239,7 +244,7 @@ mod tests {
         assert!(check_line(1, "{\"vtime\":1}").is_err());
         assert!(check_line(1, "not json").is_err());
         assert!(check_line(1, "[1,2,3]").is_err());
-        let no_kind = GOOD.replace("\"kind\":\"iter_done\",", "");
+        let no_kind = GOOD.replace("\"kind\":\"eval\",", "");
         assert!(check_line(1, &no_kind).is_err());
     }
 
@@ -252,7 +257,7 @@ mod tests {
         std::fs::write(&good_path, format!("{GOOD}\n{second}\n")).unwrap();
         let summary = run(good_path.to_str().unwrap(), &[], false).unwrap();
         assert!(summary.contains("2 records"));
-        assert!(summary.contains("iter_done"));
+        assert!(summary.contains("eval"));
 
         let bad_path = dir.join("bad.jsonl");
         std::fs::write(&bad_path, format!("{GOOD}\n{GOOD}\n")).unwrap();
@@ -282,7 +287,7 @@ mod tests {
     #[test]
     fn health_schemas_are_pinned_field_for_field() {
         let ch = GOOD
-            .replace("\"kind\":\"iter_done\"", "\"kind\":\"cluster_health\"")
+            .replace("\"kind\":\"eval\"", "\"kind\":\"cluster_health\"")
             .replace(
                 "{\"loss\":1.5}",
                 "{\"iterations\":24,\"rate\":20,\"score\":1,\"departed\":false,\"straggler\":0}",
@@ -296,14 +301,17 @@ mod tests {
         let extra = ch.replace("\"departed\":false", "\"departed\":false,\"silent\":false");
         let err = check_line(1, &extra).unwrap_err();
         assert!(err.contains("schema pins"), "{err}");
-        // A step's row carries the same four fields on both backends.
+        // An iteration's row carries the same six fields on both backends.
         let step = GOOD
-            .replace("\"kind\":\"iter_done\"", "\"kind\":\"iter_start\"")
+            .replace("\"kind\":\"eval\"", "\"kind\":\"iter_done\"")
             .replace(
                 "{\"loss\":1.5}",
-                "{\"iter\":3,\"lbs\":32,\"loss\":1.5,\"dt\":0.05}",
+                r#"{"iter":3,"lbs":32,"loss":1.5,"dt":0.05,"updates":2,"share_dkt":false}"#,
             );
         assert!(check_line(1, &step).is_ok());
+        let bare = GOOD.replace("\"kind\":\"eval\"", "\"kind\":\"iter_done\"");
+        let err = check_line(1, &bare).unwrap_err();
+        assert!(err.contains("\"iter\""), "{err}");
         let wall = step.replace("\"dt\":0.05", "\"dt\":0.05,\"wall\":0.01");
         let err = check_line(1, &wall).unwrap_err();
         assert!(err.contains("schema pins"), "{err}");
@@ -314,7 +322,7 @@ mod tests {
     #[test]
     fn topology_round_schema_is_pinned_field_for_field() {
         let tr = GOOD
-            .replace("\"kind\":\"iter_done\"", "\"kind\":\"topology_round\"")
+            .replace("\"kind\":\"eval\"", "\"kind\":\"topology_round\"")
             .replace(
                 "{\"loss\":1.5}",
                 "{\"round\":3,\"topology\":\"kregular:2\",\"neighbors\":2,\"links\":6}",
@@ -353,7 +361,7 @@ mod tests {
         ];
         for (kind, fields, key) in cases {
             let line = GOOD
-                .replace("\"kind\":\"iter_done\"", &format!("\"kind\":\"{kind}\""))
+                .replace("\"kind\":\"eval\"", &format!("\"kind\":\"{kind}\""))
                 .replace("{\"loss\":1.5}", fields);
             assert!(check_line(1, &line).is_ok(), "{kind}");
             // Renaming a pinned key fails, naming the key...
@@ -384,14 +392,9 @@ mod tests {
         std::fs::write(&path, format!("{GOOD}\n")).unwrap();
         let p = path.to_str().unwrap();
         // The kind in the file satisfies the requirement...
-        assert!(run(p, &["iter_done".to_string()], false).is_ok());
+        assert!(run(p, &["eval".to_string()], false).is_ok());
         // ...an absent one fails, naming the kind.
-        let err = run(
-            p,
-            &["iter_done".to_string(), "gbs_adjust".to_string()],
-            false,
-        )
-        .unwrap_err();
+        let err = run(p, &["eval".to_string(), "gbs_adjust".to_string()], false).unwrap_err();
         assert!(err.contains("gbs_adjust"), "{err}");
     }
 }

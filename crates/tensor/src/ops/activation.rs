@@ -1,7 +1,6 @@
 //! Loss kernels: softmax cross-entropy and accuracy. (ReLU is two
 //! elementwise loops in `dlion_nn::layer::Relu`, over arena buffers.)
 
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
@@ -63,19 +62,10 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     correct as f64 / n as f64
 }
 
-/// One-hot encode labels into an `N×C` tensor.
-pub fn one_hot(labels: &[usize], classes: usize) -> Tensor {
-    let mut t = Tensor::zeros(Shape::d2(labels.len(), classes));
-    for (r, &y) in labels.iter().enumerate() {
-        assert!(y < classes);
-        *t.at_mut(&[r, y]) = 1.0;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::Shape;
 
     #[test]
     fn softmax_rows_sum_to_one_and_order() {
@@ -142,12 +132,6 @@ mod tests {
         let logits = Tensor::from_vec(Shape::d2(3, 2), vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4]);
         assert_eq!(accuracy(&logits, &[0, 1, 1]), 2.0 / 3.0);
         assert_eq!(accuracy(&logits, &[0, 1, 0]), 1.0);
-    }
-
-    #[test]
-    fn one_hot_encoding() {
-        let t = one_hot(&[2, 0], 3);
-        assert_eq!(t.data(), &[0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -30,11 +30,6 @@
 
 use crate::tensor::Tensor;
 
-/// Bytes on the wire per sparse entry: a `u32` index + an `f32` value.
-pub const SPARSE_ENTRY_BYTES: usize = 8;
-/// Bytes on the wire per dense entry: an `f32` value.
-pub const DENSE_ENTRY_BYTES: usize = 4;
-
 /// A sparse view of a gradient for one weight variable.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SparseVec {
@@ -59,20 +54,6 @@ impl SparseVec {
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.indices.len()
-    }
-
-    /// Fraction of dense entries represented.
-    pub fn density(&self) -> f64 {
-        if self.dense_len == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.dense_len as f64
-        }
-    }
-
-    /// Wire size in bytes (index + value per entry).
-    pub fn wire_bytes(&self) -> usize {
-        self.nnz() * SPARSE_ENTRY_BYTES
     }
 
     /// Select all entries of `dense` with `|v| >= thr` (thr >= 0) — the one
@@ -116,13 +97,6 @@ impl SparseVec {
         for (&i, &v) in self.indices.iter().zip(&self.values) {
             out[i as usize] += scale * v;
         }
-    }
-
-    /// Materialize as a dense vector.
-    pub fn to_dense(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.dense_len];
-        self.add_into(&mut out, 1.0);
-        out
     }
 }
 
@@ -461,11 +435,6 @@ pub fn max_n_select_model(grads: &[Tensor], n_percent: f64) -> Vec<SparseVec> {
         .collect()
 }
 
-/// Total wire bytes for a set of per-variable sparse gradients.
-pub fn total_wire_bytes(sparse: &[SparseVec]) -> usize {
-    sparse.iter().map(|s| s.wire_bytes()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,7 +447,8 @@ mod tests {
     fn max_n_100_selects_everything_including_zeros() {
         let s = max_n_select(&dense(), 100.0);
         assert_eq!(s.nnz(), 8, "N=100 must be dense-equivalent");
-        assert_eq!(s.to_dense(), dense());
+        assert_eq!(s.indices, (0..8).collect::<Vec<u32>>());
+        assert_eq!(s.values, dense());
     }
 
     #[test]
@@ -663,15 +633,16 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_accounting() {
-        let s = max_n_select(&dense(), 10.0);
-        assert_eq!(s.wire_bytes(), 3 * SPARSE_ENTRY_BYTES);
+    fn max_n_applies_per_variable() {
         let model = vec![
             Tensor::from_vec(crate::Shape::d1(8), dense()),
             Tensor::from_vec(crate::Shape::d1(8), dense()),
         ];
         let sel = max_n_select_model(&model, 10.0);
-        assert_eq!(total_wire_bytes(&sel), 6 * SPARSE_ENTRY_BYTES);
+        assert_eq!(sel.len(), 2);
+        for s in &sel {
+            assert_eq!(s.indices, vec![1, 4, 6]);
+        }
     }
 
     #[test]
@@ -683,12 +654,8 @@ mod tests {
     }
 
     #[test]
-    fn density_and_empty() {
+    fn empty_holds_no_entries() {
         let e = SparseVec::empty(10);
-        assert_eq!(e.nnz(), 0);
-        assert_eq!(e.density(), 0.0);
-        let s = max_n_select(&dense(), 10.0);
-        assert!((s.density() - 3.0 / 8.0).abs() < 1e-12);
-        assert_eq!(SparseVec::empty(0).density(), 0.0);
+        assert_eq!((e.nnz(), e.dense_len), (0, 10));
     }
 }

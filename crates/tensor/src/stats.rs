@@ -70,28 +70,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
     (my - slope * mx, slope)
 }
 
-/// Coefficient of determination R² for a fitted line.
-pub fn r_squared(xs: &[f64], ys: &[f64], intercept: f64, slope: f64) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    let my = mean(ys);
-    let mut ss_res = 0.0;
-    let mut ss_tot = 0.0;
-    for i in 0..xs.len() {
-        let pred = intercept + slope * xs[i];
-        ss_res += (ys[i] - pred) * (ys[i] - pred);
-        ss_tot += (ys[i] - my) * (ys[i] - my);
-    }
-    if ss_tot == 0.0 {
-        if ss_res == 0.0 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 /// Linear interpolated percentile in `[0, 100]` of an unsorted sample.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
@@ -141,7 +119,6 @@ mod tests {
         let (a, b) = linear_fit(&xs, &ys);
         assert!((a - 3.0).abs() < 1e-12);
         assert!((b - 2.0).abs() < 1e-12);
-        assert!((r_squared(&xs, &ys, a, b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -156,7 +133,6 @@ mod tests {
         let (a, b) = linear_fit(&xs, &ys);
         assert!((b - 0.5).abs() < 0.01, "slope {b}");
         assert!((a - 1.0).abs() < 0.15, "intercept {a}");
-        assert!(r_squared(&xs, &ys, a, b) > 0.99);
     }
 
     #[test]
@@ -176,13 +152,5 @@ mod tests {
         assert_eq!(percentile(&xs, 50.0), 35.0);
         assert_eq!(percentile(&xs, 25.0), 20.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn r_squared_flat_data() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [4.0, 4.0, 4.0];
-        assert_eq!(r_squared(&xs, &ys, 4.0, 0.0), 1.0);
-        assert_eq!(r_squared(&xs, &ys, 0.0, 0.0), 0.0);
     }
 }

@@ -84,9 +84,9 @@ impl std::error::Error for TopoError {}
 /// ```
 /// use dlion_topo::Topology;
 ///
-/// assert_eq!(Topology::Ring.neighbors(0, 6), vec![1, 5]);
-/// assert_eq!(Topology::FullMesh.link_count(6), 30);
-/// assert!(Topology::Star { hub: 2 }.is_connected(6));
+/// let ring = Topology::Ring.build(6, 0).unwrap();
+/// assert_eq!(ring.neighbors(0, 0), vec![1, 5]);
+/// assert_eq!(Topology::FullMesh.build(6, 0).unwrap().link_count(0), 30);
 /// assert_eq!(Topology::parse("kregular:2"), Ok(Topology::KRegular { k: 2 }));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -269,11 +269,7 @@ impl Topology {
         self.validate(n, seed)?;
         Ok(match *self {
             Topology::FullMesh | Topology::Ring | Topology::Star { .. } => {
-                Arc::new(StaticSchedule {
-                    spec: *self,
-                    n,
-                    seed,
-                })
+                Arc::new(StaticSchedule { spec: *self, n })
             }
             Topology::KRegular { k } => Arc::new(KRegularSchedule {
                 n,
@@ -289,33 +285,6 @@ impl Topology {
             }),
             Topology::Hier { g } => Arc::new(HierSchedule { n, g, seed }),
         })
-    }
-
-    /// Round-0 neighbor ids of worker `w` in an `n`-worker cluster, in id
-    /// order. Total: an invalid spec yields an empty set instead of a
-    /// panic (validation is the job of [`Topology::validate`]).
-    pub fn neighbors(&self, w: usize, n: usize) -> Vec<usize> {
-        if w >= n {
-            return Vec::new();
-        }
-        self.build(n, 0)
-            .map(|s| s.neighbors(w, 0))
-            .unwrap_or_default()
-    }
-
-    /// Total directed links in the round-0 graph.
-    pub fn link_count(&self, n: usize) -> usize {
-        (0..n).map(|w| self.neighbors(w, n).len()).sum()
-    }
-
-    /// True if the (window-unioned) reachability graph is connected
-    /// (required for decentralized training to converge to a common
-    /// model). Uses seed 0; seed-sensitive callers go through
-    /// [`Topology::validate`] / [`TopologySchedule::is_connected_over`].
-    pub fn is_connected(&self, n: usize) -> bool {
-        self.build(n, 0)
-            .map(|s| s.is_connected_over(&vec![true; n], 0))
-            .unwrap_or(false)
     }
 }
 
@@ -397,8 +366,6 @@ pub trait TopologySchedule: Send + Sync {
 pub struct StaticSchedule {
     spec: Topology,
     n: usize,
-    #[allow(dead_code)]
-    seed: u64,
 }
 
 impl TopologySchedule for StaticSchedule {
@@ -679,40 +646,50 @@ mod tests {
         Topology::Hier { g: 2 },
     ];
 
+    /// The seed-0 schedule of `t` on `n` workers (these tests read round 0).
+    fn round0(t: Topology, n: usize) -> Arc<dyn TopologySchedule> {
+        t.build(n, 0).expect("a valid spec")
+    }
+
+    fn connected(t: Topology, n: usize) -> bool {
+        round0(t, n).is_connected_over(&vec![true; n], 0)
+    }
+
     #[test]
     fn full_mesh_neighbors() {
         let t = Topology::FullMesh;
-        assert_eq!(t.neighbors(2, 4), vec![0, 1, 3]);
-        assert_eq!(t.link_count(6), 30);
-        assert!(t.is_connected(6));
+        assert_eq!(round0(t, 4).neighbors(2, 0), vec![0, 1, 3]);
+        assert_eq!(round0(t, 6).link_count(0), 30);
+        assert!(connected(t, 6));
     }
 
     #[test]
     fn ring_neighbors() {
         let t = Topology::Ring;
-        assert_eq!(t.neighbors(0, 6), vec![1, 5]);
-        assert_eq!(t.neighbors(3, 6), vec![2, 4]);
-        assert_eq!(t.neighbors(5, 6), vec![0, 4]);
-        assert_eq!(t.link_count(6), 12);
-        assert!(t.is_connected(6));
-        assert_eq!(t.neighbors(0, 2), vec![1]);
-        assert_eq!(t.neighbors(1, 2), vec![0]);
-        assert_eq!(t.neighbors(0, 3), vec![1, 2]);
+        assert_eq!(round0(t, 6).neighbors(0, 0), vec![1, 5]);
+        assert_eq!(round0(t, 6).neighbors(3, 0), vec![2, 4]);
+        assert_eq!(round0(t, 6).neighbors(5, 0), vec![0, 4]);
+        assert_eq!(round0(t, 6).link_count(0), 12);
+        assert!(connected(t, 6));
+        assert_eq!(round0(t, 2).neighbors(0, 0), vec![1]);
+        assert_eq!(round0(t, 2).neighbors(1, 0), vec![0]);
+        assert_eq!(round0(t, 3).neighbors(0, 0), vec![1, 2]);
     }
 
     #[test]
     fn star_neighbors() {
         let t = Topology::Star { hub: 2 };
-        assert_eq!(t.neighbors(2, 5), vec![0, 1, 3, 4]);
-        assert_eq!(t.neighbors(0, 5), vec![2]);
-        assert_eq!(t.link_count(5), 8);
-        assert!(t.is_connected(5));
+        assert_eq!(round0(t, 5).neighbors(2, 0), vec![0, 1, 3, 4]);
+        assert_eq!(round0(t, 5).neighbors(0, 0), vec![2]);
+        assert_eq!(round0(t, 5).link_count(0), 8);
+        assert!(connected(t, 5));
     }
 
     #[test]
     fn ring_cheaper_than_mesh() {
         for n in [3usize, 6, 10] {
-            assert!(Topology::Ring.link_count(n) <= Topology::FullMesh.link_count(n));
+            let links = |t| round0(t, n).link_count(0);
+            assert!(links(Topology::Ring) <= links(Topology::FullMesh));
         }
     }
 
@@ -721,8 +698,11 @@ mod tests {
         // The old assert paths: hub out of range, w >= n.
         let bad_hub = Topology::Star { hub: 9 };
         assert!(bad_hub.validate(4, 0).is_err());
-        assert_eq!(bad_hub.neighbors(0, 4), Vec::<usize>::new());
-        assert_eq!(Topology::Ring.neighbors(7, 4), Vec::<usize>::new());
+        assert!(bad_hub.build(4, 0).is_err());
+        assert_eq!(
+            round0(Topology::Ring, 4).neighbors(7, 0),
+            Vec::<usize>::new()
+        );
         // Parameter-range validation per spec.
         assert!(Topology::KRegular { k: 0 }.validate(4, 0).is_err());
         assert!(Topology::KRegular { k: 4 }.validate(4, 0).is_err());

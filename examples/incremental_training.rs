@@ -11,7 +11,7 @@
 //! cargo run --release --example incremental_training
 //! ```
 
-use dlion::nn::serialize::{restore, save_weights};
+use dlion::core::messages::{Payload, WireCfg};
 use dlion::prelude::*;
 
 fn train(model: &mut Model, ds: &Dataset, shard: &[usize], iters: usize, rng: &mut DetRng) {
@@ -30,12 +30,17 @@ fn main() {
     let mut model = ModelSpec::Cipher.build(&ds.sample_shape(), ds.classes(), &mut rng);
 
     train(&mut model, &ds, &day1, 600, &mut rng);
-    let day1_acc = model.evaluate(&ds, &test, 200).accuracy;
+    let day1_eval = model.evaluate(&ds, &test, 200);
+    let day1_acc = day1_eval.accuracy;
     println!("after day-1 training:        accuracy {day1_acc:.3}");
 
-    // Checkpoint (in memory here; any Write sink works).
-    let mut checkpoint = Vec::new();
-    save_weights(&model, &mut checkpoint).expect("checkpoint");
+    // Checkpoint (in memory here; any byte sink works): the weights as one
+    // checksummed `Weights` frame, the bytes a DKT weight transfer sends.
+    let checkpoint = Payload::Weights {
+        weights: model.weights(),
+        sender_loss: day1_eval.loss,
+    }
+    .to_wire(&WireCfg::default());
     println!(
         "checkpoint: {} bytes for {} parameters",
         checkpoint.len(),
@@ -45,7 +50,10 @@ fn main() {
     // "Day 2": 4000 new samples arrive. Resume from the checkpoint...
     let day2: Vec<usize> = (4_000..8_000).collect();
     let mut resumed = ModelSpec::Cipher.build(&ds.sample_shape(), ds.classes(), &mut rng);
-    restore(&mut resumed, &mut checkpoint.as_slice()).expect("restore");
+    match Payload::from_wire(&checkpoint, &mut Vec::new()).expect("restore") {
+        Payload::Weights { weights, .. } => resumed.set_weights(&weights),
+        other => panic!("a checkpoint holds weights, not {}", other.kind()),
+    }
     train(&mut resumed, &ds, &day2, 600, &mut rng);
     let resumed_acc = resumed.evaluate(&ds, &test, 200).accuracy;
 
