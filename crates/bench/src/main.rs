@@ -18,8 +18,9 @@
 use dlion_core::{build_cluster, MaxNPlanner, RunConfig, StrategyCtx, SystemKind};
 use dlion_microcloud::ClusterKind;
 use dlion_tensor::ops::{
-    conv2d_backward_direct, conv2d_backward_into, conv2d_backward_s, conv2d_direct, conv2d_s,
-    matmul_into, matmul_nt_into, matmul_tn_into, maxpool2_into, softmax_xent, ConvGrads,
+    conv2d_backward_direct, conv2d_backward_direct_into, conv2d_backward_into, conv2d_backward_s,
+    conv2d_direct, conv2d_s, matmul_into, matmul_nt_into, matmul_tn_into, maxpool2_into,
+    softmax_xent, ConvGrads,
 };
 use dlion_tensor::{DetRng, Scratch, Shape, Tensor};
 use std::hint::black_box;
@@ -138,32 +139,52 @@ fn kernels() {
         });
     }
 
-    // Cipher's three convolutions at batch 64 (a `sim_paper` LBS) on the
-    // same warm arena, forward, then backward as the model runs it: into the
-    // layer's own dw/db, and no input gradient for the first layer.
+    // Cipher's three convolutions on the same warm arena, forward, then
+    // backward as the model runs it: into the layer's own dw/db, and no input
+    // gradient for the first layer. At batch 64 (a `sim_paper` LBS) they are
+    // in the GEMM regime; at batch 1 (`sim_scale`'s) in the direct regime,
+    // timed beside the scalar loops that regime runs without AVX-512.
     // (c, h, w, f), 3×3 filters, pad 1.
     let cipher = [(1, 12, 4), (4, 6, 8), (8, 3, 16)];
-    for (layer, (c, hw, f)) in cipher.into_iter().enumerate() {
-        let input = Tensor::randn(Shape::d4(64, c, hw, hw), 1.0, &mut rng);
-        let weight = Tensor::randn(Shape::d4(f, c, 3, 3), 0.2, &mut rng);
-        let bias = Tensor::randn(Shape::d1(f), 0.1, &mut rng);
-        let dout = Tensor::randn(Shape::d4(64, f, hw, hw), 1.0, &mut rng);
-        let (i, w, b, d) = (&input, &weight, &bias, &dout);
-        let name = format!("Cipher conv{} (64,{c},{hw},{hw})x({f},{c},3,3)", layer + 1);
-        bench(&format!("conv2d fwd {name}"), || {
-            let y = conv2d_s(black_box(i), black_box(w), black_box(b), 1, &mut s);
-            s.put_tensor(black_box(y));
-        });
-        let want_dx = layer > 0;
-        let (mut dw, mut db) = (vec![0.0f32; weight.numel()], vec![0.0f32; f]);
-        let dx = if want_dx { "" } else { ", no dinput" };
-        bench(&format!("conv2d bwd {name}{dx}"), || {
-            let (i, w, d) = (black_box(i), black_box(w), black_box(d));
-            let dx = conv2d_backward_into(i, w, d, 1, want_dx, &mut dw, &mut db, &mut s);
-            if let Some(dx) = black_box(dx) {
-                s.put_tensor(dx);
+    for batch in [64, 1] {
+        for (layer, (c, hw, f)) in cipher.into_iter().enumerate() {
+            let input = Tensor::randn(Shape::d4(batch, c, hw, hw), 1.0, &mut rng);
+            let weight = Tensor::randn(Shape::d4(f, c, 3, 3), 0.2, &mut rng);
+            let bias = Tensor::randn(Shape::d1(f), 0.1, &mut rng);
+            let dout = Tensor::randn(Shape::d4(batch, f, hw, hw), 1.0, &mut rng);
+            let (i, w, b, d) = (&input, &weight, &bias, &dout);
+            let name = format!(
+                "Cipher conv{} ({batch},{c},{hw},{hw})x({f},{c},3,3)",
+                layer + 1
+            );
+            let want_dx = layer > 0;
+            let dx = if want_dx { "" } else { ", no dinput" };
+            let (mut dw, mut db) = (vec![0.0f32; weight.numel()], vec![0.0f32; f]);
+            let loops: &[(&str, bool)] = if batch == 1 {
+                &[("", false), (" scalar loops", true)]
+            } else {
+                &[("", false)]
+            };
+            for &(how, scalar) in loops {
+                let forward = if scalar { conv2d_direct } else { conv2d_s };
+                let backward = if scalar {
+                    conv2d_backward_direct_into
+                } else {
+                    conv2d_backward_into
+                };
+                bench(&format!("conv2d fwd {name}{how}"), || {
+                    let y = forward(black_box(i), black_box(w), black_box(b), 1, &mut s);
+                    s.put_tensor(black_box(y));
+                });
+                bench(&format!("conv2d bwd {name}{dx}{how}"), || {
+                    let (i, w, d) = (black_box(i), black_box(w), black_box(d));
+                    let dx = backward(i, w, d, 1, want_dx, &mut dw, &mut db, &mut s);
+                    if let Some(dx) = black_box(dx) {
+                        s.put_tensor(dx);
+                    }
+                });
             }
-        });
+        }
     }
 
     // Remaining hot ops from the old criterion suite.

@@ -151,14 +151,28 @@ pub fn parse_straggle(s: &str) -> Result<Vec<(usize, f64)>, String> {
     Ok(out)
 }
 
-/// A span of seconds (`--stall-secs`, `--peer-timeout`,
-/// `--gbs-adjust-period`, `--assumed-iter-time`):
-/// finite and above zero. A negative, NaN or infinite span makes no
-/// `Duration`, and a zero period never moves on.
-fn parse_secs(s: &str) -> Result<f64, String> {
+/// A rate or a span of seconds (`--lr`, `--stall-secs`, `--peer-timeout`,
+/// `--gbs-adjust-period`, `--assumed-iter-time`, `dlion-sim --duration`):
+/// finite and above zero. A NaN, negative or zero value fails
+/// `RunConfig::validate` or makes no `Duration`, a zero period never moves
+/// on, and an infinite run never ends.
+pub fn parse_positive<T>(s: &str) -> Result<T, String>
+where
+    T: FromStr + Into<f64> + Copy,
+    T::Err: fmt::Display,
+{
+    let v: T = s.parse().map_err(|e| format!("bad value '{s}': {e}"))?;
+    if !(v.into() > 0.0 && v.into().is_finite()) {
+        return Err(format!("must be finite and above zero, got {s}"));
+    }
+    Ok(v)
+}
+
+/// A share in [0, 1] (`dlion-sim --skew`). NaN is refused too.
+pub fn parse_unit(s: &str) -> Result<f64, String> {
     let v: f64 = s.parse().map_err(|e| format!("bad value '{s}': {e}"))?;
-    if !(v > 0.0 && v.is_finite()) {
-        return Err(format!("seconds must be finite and above zero, got {s}"));
+    if !(0.0..=1.0).contains(&v) {
+        return Err(format!("must be in [0, 1], got {s}"));
     }
     Ok(v)
 }
@@ -308,7 +322,7 @@ impl RunSpec {
                 })?
             }
             "--seed" => self.seed = args.parse(flag)?,
-            "--lr" => self.lr = Some(args.parse(flag)?),
+            "--lr" => self.lr = Some(args.parse_with(flag, parse_positive)?),
             "--wire" => self.wire = args.parse_with(flag, WireFormat::parse)?,
             "--topology" => self.topology = args.parse_with(flag, Topology::parse)?,
             "--scenario" => {
@@ -339,14 +353,14 @@ impl RunSpec {
             "--queue-cap" => self.queue_cap = args.parse_with(flag, parse_count)?,
             "--bw-mbps" => self.bw_mbps = args.parse(flag)?,
             "--assumed-iter-time" => {
-                self.assumed_iter_time = Some(args.parse_with(flag, parse_secs)?)
+                self.assumed_iter_time = Some(args.parse_with(flag, parse_positive)?)
             }
-            "--stall-secs" => self.stall_secs = args.parse_with(flag, parse_secs)?,
-            "--peer-timeout" => self.peer_timeout = Some(args.parse_with(flag, parse_secs)?),
+            "--stall-secs" => self.stall_secs = args.parse_with(flag, parse_positive)?,
+            "--peer-timeout" => self.peer_timeout = Some(args.parse_with(flag, parse_positive)?),
             "--kill" => self.fault = args.parse_with(flag, FaultPlan::parse)?,
             "--straggle" => self.straggle = args.parse_with(flag, parse_straggle)?,
             "--gbs-adjust-period" => {
-                self.gbs_adjust_period = Some(args.parse_with(flag, parse_secs)?)
+                self.gbs_adjust_period = Some(args.parse_with(flag, parse_positive)?)
             }
             _ => return Ok(false),
         }
@@ -678,7 +692,7 @@ mod tests {
             s.test = Some(50 + rng.below(1_000) as usize);
         }
         if rng.chance(30) {
-            s.lr = Some(rng.below(1000) as f32 / 1001.0);
+            s.lr = Some((1 + rng.below(1000)) as f32 / 1001.0);
         }
         if rng.chance(40) {
             s.wire = [
@@ -1012,5 +1026,29 @@ mod tests {
         assert_eq!(system("max0.85"), Ok(SystemKind::MaxNOnly(0.85)));
         assert_eq!(system("prague2"), Ok(SystemKind::Prague(2)));
         assert_eq!(system("prague(3)"), Ok(SystemKind::Prague(3)));
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_usage_errors() {
+        let lr = |v: &str| {
+            let mut a = args(&["--lr", v]);
+            let flag = a.next_flag().unwrap();
+            let mut spec = RunSpec::default();
+            spec.apply_flag(&flag, &mut a).map(|_| spec.lr)
+        };
+        for bad in ["nan", "-1", "0", "-0", "inf", "1e39"] {
+            let e = lr(bad).unwrap_err();
+            assert_eq!(e.flag, "--lr", "{bad}");
+            assert!(e.reason.contains("finite and above zero"), "{bad}: {e}");
+        }
+        assert_eq!(lr("fast").unwrap_err().flag, "--lr");
+        assert_eq!(lr("0.05"), Ok(Some(0.05)));
+        assert_eq!(parse_positive::<f64>("600"), Ok(600.0));
+        assert!(parse_positive::<f64>("-inf").is_err());
+        for bad in ["2", "-0.1", "nan", "inf"] {
+            assert!(parse_unit(bad).unwrap_err().contains("[0, 1]"), "{bad}");
+        }
+        assert_eq!(parse_unit("0"), Ok(0.0));
+        assert_eq!(parse_unit("1"), Ok(1.0));
     }
 }

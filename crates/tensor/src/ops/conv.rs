@@ -2,28 +2,26 @@
 //! backward passes, plus the depthwise variant used by MobileNet-style
 //! models.
 //!
-//! Two backends sit behind [`conv2d_s`] / [`conv2d_backward_into`]:
+//! Two regimes sit behind [`conv2d_s`] / [`conv2d_backward_into`], and
+//! [`use_gemm`]'s frozen size test picks one from the shapes alone:
 //!
-//! * **direct** loops ([`conv2d_direct`], [`conv2d_backward_direct`]) — no
-//!   intermediate buffers at all, best for tiny shapes (batch 1), where
-//!   padding the input and packing the filters cost more than they save;
-//! * **implicit GEMM** (`ops::igemm`) — register-tiled micro-kernels
-//!   reading the patches from a zero-padded copy of the input through an
-//!   offset table (the forward with its lanes across pixels), which wins as
-//!   soon as the implied GEMM has enough arithmetic to amortize that copy.
-//!   No patch matrix is built.
+//! * the **GEMM regime** (`ops::igemm`, order `Gemm`) — the chains of the
+//!   patch-matrix lowering it replaced, read from a zero-padded copy of the
+//!   input through an offset table; no patch matrix is built;
+//! * the **direct regime** — the chains of the direct loops here
+//!   ([`conv2d_direct`], [`conv2d_backward_direct_into`]): each forward
+//!   output starts from the bias and skips the taps outside the input, and
+//!   the backward skips zero upstream gradients (they flow through ReLU and
+//!   genuinely contain zeros). On a host with AVX-512 the same chains run on
+//!   `ops::igemm`'s pixel and tap lanes (order `Direct`, masked adds); the
+//!   loops here run them everywhere else, and are the reference the lanes
+//!   are tested against bit for bit.
 //!
-//! Both stay because each is the faster one on shapes a run really has
-//! (batch 1 on a thousand-worker simulation, batch ≥ 32 on a figure cell),
-//! and the direct loops double as the independent reference the GEMM path
-//! is tested against. Dispatch ([`use_gemm`]) depends only on the shapes, so
-//! a given layer at a given batch size always takes the same path and runs
-//! stay bit-reproducible — and its threshold is frozen: the two backends
-//! round differently (direct adds the bias first, the GEMM regime last), so
-//! moving a shape across it moves that shape's bits. The direct backward
-//! keeps its `g == 0.0` skip: upstream gradients flow through ReLU and
-//! genuinely contain zeros, unlike the dense activations that made the old
-//! matmul zero-skip a pessimization.
+//! The threshold picks the bits, not the speed: the two orders round
+//! differently (the direct one adds the bias first and skips terms, the
+//! GEMM one adds every term and the bias last), so a shape's bits depend on
+//! its side of `16 · 1024` MACs and never on the host, and moving a shape
+//! across it moves that shape's bits.
 //!
 //! The backward kernels proper are the `_into` forms: they write the
 //! parameter gradients into the caller's buffers (a layer's persistent
@@ -41,7 +39,7 @@
 //! dispatch than it saved at every batch size a run has (DESIGN.md §4b);
 //! the threads run whole worker-iterations instead (`crate::par`).
 
-use crate::ops::igemm;
+use crate::ops::igemm::{self, Order};
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -68,12 +66,13 @@ pub(crate) fn dims4(t: &Tensor) -> [usize; 4] {
     dims.try_into().expect("convolution operands are rank-4")
 }
 
-/// Does `input ⊛ weight` lower to a GEMM with enough arithmetic to beat the
-/// direct loops? Calibrated with `dlion-bench kernels` against the
-/// patch-matrix lowering the implicit GEMM replaced (materializing the
-/// patches was ~2 passes over them) and kept where it was: the backends add
-/// the bias at different ends of the chain, so the value decides bits, not
-/// only speed.
+/// Which regime, and so which chain order, `input ⊛ weight` runs in: the
+/// GEMM regime from `16 · 1024` MACs up, the direct regime below. The value
+/// was calibrated with `dlion-bench kernels` when the direct regime ran only
+/// the scalar loops and the patch-matrix lowering was the other side, and is
+/// kept where it was: it decides which chains a shape's outputs are, so
+/// moving it moves bits (batch 1 and batch ≥ 32 Cipher convs fall on
+/// opposite sides, and both regimes run on lanes).
 fn use_gemm(input: &Tensor, weight: &Tensor, pad: usize) -> bool {
     let [n, c, h, w] = dims4(input);
     let [f, _, kh, kw] = dims4(weight);
@@ -91,7 +90,9 @@ pub fn conv2d_s(
     s: &mut Scratch,
 ) -> Tensor {
     if use_gemm(input, weight, pad) {
-        igemm::forward(input, weight, bias, pad, s)
+        igemm::forward(input, weight, bias, pad, Order::Gemm, s)
+    } else if igemm::lanes() {
+        igemm::forward(input, weight, bias, pad, Order::Direct, s)
     } else {
         conv2d_direct(input, weight, bias, pad, s)
     }
@@ -113,9 +114,13 @@ pub fn conv2d_backward_into(
     s: &mut Scratch,
 ) -> Option<Tensor> {
     if use_gemm(input, weight, pad) {
-        igemm::backward_into(input, weight, dout, pad, want_dx, dweight, dbias, s)
+        let order = Order::Gemm;
+        igemm::backward_into(input, weight, dout, pad, order, want_dx, dweight, dbias, s)
+    } else if igemm::lanes() {
+        let order = Order::Direct;
+        igemm::backward_into(input, weight, dout, pad, order, want_dx, dweight, dbias, s)
     } else {
-        backward_direct_into(input, weight, dout, pad, want_dx, dweight, dbias, s)
+        conv2d_backward_direct_into(input, weight, dout, pad, want_dx, dweight, dbias, s)
     }
 }
 
@@ -210,13 +215,15 @@ pub fn conv2d_backward_direct(
     s: &mut Scratch,
 ) -> ConvGrads {
     grads_from_arena(weight, s, |dw, db, s| {
-        backward_direct_into(input, weight, dout, pad, true, dw, db, s)
+        conv2d_backward_direct_into(input, weight, dout, pad, true, dw, db, s)
     })
 }
 
-/// The direct backend of [`conv2d_backward_into`].
+/// Direct (loop-nest) convolution backward in the form of
+/// [`conv2d_backward_into`]: `dL/dW` and `dL/db` into the caller's buffers
+/// (every slot), `dL/d(input)` from `s` when `want_dx`.
 #[allow(clippy::too_many_arguments)]
-fn backward_direct_into(
+pub fn conv2d_backward_direct_into(
     input: &Tensor,
     weight: &Tensor,
     dout: &Tensor,

@@ -14,10 +14,13 @@
 //! filter, so a layer with 4 or 8 filters still fills every lane; `dW`'s
 //! lanes are filters × a run of adjacent taps (a 4-filter layer's vector
 //! holds one 4-tap run per filter), and `dinput` keeps the matmul tile.
-//! Tiny shapes keep the direct loops in `ops::conv`. Backend dispatch
-//! depends only on static shapes. Every kernel is serial: the repo's
-//! threads run whole worker-iterations (`crate::par`), not slices of a
-//! kernel.
+//! Shapes below `use_gemm`'s threshold keep the direct loops' chains (bias
+//! first, outside taps and zero gradients skipped) and run them on the same
+//! pixel and tap lanes with masked adds, plus input-pixel lanes for
+//! `dinput`; the scalar loops in `ops::conv` run them where AVX-512 is
+//! absent. Dispatch depends only on static shapes, so it picks a shape's
+//! bits, never the host's. Every kernel is serial: the repo's threads run
+//! whole worker-iterations (`crate::par`), not slices of a kernel.
 //!
 //! # Determinism rule
 //!
@@ -44,8 +47,9 @@
 //! a test a local one — the same code in all three. What remains beside
 //! the hot path is what tests compare it with: `matmul_naive` (the
 //! bit-identity reference for the blocked GEMMs) and the direct conv loops
-//! (a backend in their own right on tiny shapes, and the independent
-//! reference for the implicit GEMM). See `crate::scratch` for the ownership story.
+//! (the direct regime on a host without AVX-512, the bit-identity reference
+//! for its lane kernels, and the independent reference for the implicit
+//! GEMM). See `crate::scratch` for the ownership story.
 
 pub mod activation;
 pub mod conv;
@@ -55,8 +59,9 @@ pub mod pool;
 
 pub use activation::{softmax_rows, softmax_xent};
 pub use conv::{
-    conv2d_backward_direct, conv2d_backward_into, conv2d_backward_s, conv2d_direct, conv2d_s,
-    depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_backward_into, ConvGrads,
+    conv2d_backward_direct, conv2d_backward_direct_into, conv2d_backward_into, conv2d_backward_s,
+    conv2d_direct, conv2d_s, depthwise_conv2d, depthwise_conv2d_backward,
+    depthwise_conv2d_backward_into, ConvGrads,
 };
 pub use matmul::{matmul_into, matmul_naive, matmul_nt_into, matmul_tn_into};
 pub use pool::{maxpool2_backward_into, maxpool2_into};

@@ -35,6 +35,7 @@
 //! cargo run --release --bin dlion-sim -- --system dlion --gpu --env hetero-sys-c
 //! ```
 
+use dlion::core::args::{parse_positive, parse_unit};
 use dlion::core::report;
 use dlion::prelude::*;
 
@@ -77,9 +78,9 @@ fn parse_cli(mut args: Args) -> Result<Cli, UsageError> {
                     EnvId::parse(s).ok_or_else(|| format!("unknown environment '{s}'"))
                 })?
             }
-            "--duration" => cli.duration = args.parse(&flag)?,
+            "--duration" => cli.duration = args.parse_with(&flag, parse_positive)?,
             "--iters" => cli.iters = Some(args.parse(&flag)?),
-            "--skew" => cli.skew = Some(args.parse(&flag)?),
+            "--skew" => cli.skew = Some(args.parse_with(&flag, parse_unit)?),
             "--gpu" => cli.gpu = true,
             "--trace-links" => cli.trace_links = true,
             "--curve" => cli.curve = true,
@@ -276,6 +277,33 @@ mod tests {
         assert_eq!(cli(&["--duration", "long"]).unwrap_err().flag, "--duration");
         assert_eq!(cli(&["--wire", "fp8"]).unwrap_err().flag, "--wire");
         assert_eq!(cli(&["--what"]).unwrap_err().flag, "--what");
+    }
+
+    /// Numbers outside a flag's range are usage errors naming the range,
+    /// not a panic in `RunConfig::validate`, a run that never ends, or a
+    /// value silently clamped by the shard split.
+    #[test]
+    fn out_of_range_numbers_are_usage_errors() {
+        let cases = [
+            ("--lr", "nan", "finite and above zero"),
+            ("--lr", "-1", "finite and above zero"),
+            ("--lr", "0", "finite and above zero"),
+            ("--duration", "-1", "finite and above zero"),
+            ("--duration", "nan", "finite and above zero"),
+            ("--duration", "inf", "finite and above zero"),
+            ("--skew", "2", "[0, 1]"),
+            ("--skew", "nan", "[0, 1]"),
+        ];
+        for (flag, value, range) in cases {
+            let e = cli(&[flag, value]).unwrap_err();
+            assert_eq!(e.flag, flag, "{flag} {value}");
+            assert!(e.reason.contains(range), "{flag} {value}: {e}");
+        }
+        let c = cli(&["--lr", "0.1", "--duration", "60", "--skew", "1"]).unwrap();
+        assert_eq!(
+            (c.spec.lr, c.duration, c.skew),
+            (Some(0.1), 60.0, Some(1.0))
+        );
     }
 
     #[test]
