@@ -13,15 +13,16 @@
 //! flag to the spec ([`RunSpec::apply_flag`] /
 //! [`RunSpec::apply_sim_flag`]) and only handles its own extras when the
 //! spec declines — so a new shared flag (e.g. `--virtual`) is defined
-//! once, here, and `dlion-live --transport procs` children inherit it
-//! automatically through [`RunSpec::to_argv`], which emits exactly the
-//! non-default flags (spec → argv → spec is a lossless round trip).
+//! once, here, and its usage line once, in [`SIM_FLAGS`] / [`LIVE_FLAGS`].
+//! The tokens the user typed are the only encoding of a run:
+//! `dlion-live --transport procs` keeps each shared flag as typed
+//! ([`Args::current`]) and hands its children those tokens
+//! ([`child_argv`]), which they parse through the same grammar.
 
 use crate::config::SystemKind;
 use crate::fault::FaultPlan;
 use crate::messages::{WireFormat, DEFAULT_CHUNK_BYTES};
 use dlion_topo::Topology;
-use std::collections::VecDeque;
 use std::fmt;
 use std::net::SocketAddr;
 use std::str::FromStr;
@@ -75,32 +76,47 @@ impl std::error::Error for UsageError {}
 /// assert!(parse(Args::new(["--seed".into()])).is_err());
 /// ```
 pub struct Args {
-    argv: VecDeque<String>,
+    argv: Vec<String>,
+    /// Index of the next unread token.
+    next: usize,
+    /// Index of the token [`Args::next_flag`] returned last.
+    flag_at: usize,
 }
 
 impl Args {
     /// The process's arguments, program name skipped.
     pub fn from_env() -> Self {
-        Args {
-            argv: std::env::args().skip(1).collect(),
-        }
+        Args::new(std::env::args().skip(1))
     }
 
     pub fn new(argv: impl IntoIterator<Item = String>) -> Self {
         Args {
             argv: argv.into_iter().collect(),
+            next: 0,
+            flag_at: 0,
         }
     }
 
     /// The next flag token, if any.
     pub fn next_flag(&mut self) -> Option<String> {
-        self.argv.pop_front()
+        self.flag_at = self.next;
+        self.take()
+    }
+
+    fn take(&mut self) -> Option<String> {
+        let token = self.argv.get(self.next).cloned();
+        self.next += usize::from(token.is_some());
+        token
+    }
+
+    /// The last flag and the values read after it, as typed.
+    pub fn current(&self) -> &[String] {
+        &self.argv[self.flag_at..self.next]
     }
 
     /// The value following `flag`; errors if the list is exhausted.
     pub fn value(&mut self, flag: &str) -> Result<String, UsageError> {
-        self.argv
-            .pop_front()
+        self.take()
             .ok_or_else(|| UsageError::new(flag, "missing value"))
     }
 
@@ -204,16 +220,6 @@ pub fn parse_peers(s: &str) -> Result<Vec<SocketAddr>, String> {
     Ok(addrs)
 }
 
-/// The CLI spelling of a system name — the exact token
-/// [`SystemKind::parse`] accepts back.
-fn system_cli_name(system: SystemKind) -> String {
-    match system {
-        SystemKind::MaxNOnly(n) => format!("max{n}"),
-        SystemKind::Prague(g) => format!("prague{g}"),
-        other => other.name().to_ascii_lowercase(),
-    }
-}
-
 /// The typed union of every flag the `dlion-*` binaries share.
 ///
 /// A binary's parse loop offers each flag to the spec first and handles
@@ -236,10 +242,9 @@ fn system_cli_name(system: SystemKind) -> String {
 /// assert_eq!((spec.workers, spec.virtual_ranks), (8, 4));
 /// ```
 ///
-/// [`RunSpec::to_argv`] inverts the parse: it emits exactly the
-/// non-default flags, so `spec → argv → spec` round-trips losslessly
-/// (property-tested below) and a procs-mode parent can hand its whole
-/// configuration to child processes without naming each flag.
+/// A spec has no way back to flags: a procs-mode parent forwards the
+/// tokens it parsed ([`child_argv`]), so a child re-parses exactly what
+/// the user typed (property-tested below).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSpec {
     pub system: SystemKind,
@@ -266,9 +271,9 @@ pub struct RunSpec {
     pub fault: FaultPlan,
     pub straggle: Vec<(usize, f64)>,
     /// Generated chaos (`--scenario NAME[:ARGS][/...]`). Carried
-    /// symbolically: [`RunSpec::to_argv`] re-emits the raw spec (never
-    /// the expanded `--kill`/`--straggle`), so spawned children expand
-    /// the identical plan themselves from `(spec, workers, seed, iters)`.
+    /// symbolically: procs-mode children get the flag as typed (never
+    /// the expanded `--kill`/`--straggle`) and expand the identical plan
+    /// themselves from `(spec, workers, seed, iters)`.
     pub scenario: Option<crate::scenario::ScenarioSpec>,
     pub gbs_adjust_period: Option<f64>,
     pub trace_out: Option<String>,
@@ -351,7 +356,7 @@ impl RunSpec {
             "--test" => self.test = Some(args.parse(flag)?),
             "--chunk-bytes" => self.chunk_bytes = args.parse_with(flag, parse_count)?,
             "--queue-cap" => self.queue_cap = args.parse_with(flag, parse_count)?,
-            "--bw-mbps" => self.bw_mbps = args.parse(flag)?,
+            "--bw-mbps" => self.bw_mbps = args.parse_with(flag, parse_positive)?,
             "--assumed-iter-time" => {
                 self.assumed_iter_time = Some(args.parse_with(flag, parse_positive)?)
             }
@@ -487,8 +492,10 @@ impl RunSpec {
     /// `live_config(spec.system, spec.seed)`). Both backends read these
     /// fields from the config and nowhere else. The pure execution knobs
     /// (iters, queue caps, timeouts) go to
-    /// `LiveOpts::from_spec`. Fails only on a `--scenario` that cannot
-    /// expand, which [`RunSpec::validate`] reports first.
+    /// `LiveOpts::from_spec`. Fails on a `--scenario` that cannot expand
+    /// (which [`RunSpec::validate`] reports first), on fewer training
+    /// samples than workers and on a test set smaller than the config's
+    /// eval subset.
     pub fn configure(&self, cfg: &mut crate::config::RunConfig) -> Result<(), UsageError> {
         (cfg.fault, cfg.straggle) = self.chaos().map_err(|e| UsageError::new("--scenario", e))?;
         if let Some(v) = self.train {
@@ -496,6 +503,24 @@ impl RunSpec {
         }
         if let Some(v) = self.test {
             cfg.workload.test_size = v;
+        }
+        if cfg.workload.train_size < self.workers {
+            return Err(UsageError::new(
+                "--train",
+                format!(
+                    "must be at least --workers ({}), a sample per worker; got {}",
+                    self.workers, cfg.workload.train_size
+                ),
+            ));
+        }
+        if cfg.workload.test_size < cfg.eval_subset {
+            return Err(UsageError::new(
+                "--test",
+                format!(
+                    "must be at least the eval subset ({}); got {}",
+                    cfg.eval_subset, cfg.workload.test_size
+                ),
+            ));
         }
         if let Some(v) = self.lr {
             cfg.lr = v;
@@ -508,98 +533,43 @@ impl RunSpec {
         cfg.telemetry = self.telemetry;
         Ok(())
     }
-
-    /// Emit exactly the flags that differ from [`RunSpec::default`], in a
-    /// fixed order, such that parsing them back through
-    /// [`RunSpec::apply_flag`] reproduces `self` bit-for-bit.
-    pub fn to_argv(&self) -> Vec<String> {
-        let d = RunSpec::default();
-        let mut argv = Vec::new();
-        let mut flag = |name: &str, value: Option<String>| {
-            argv.push(name.to_string());
-            argv.extend(value);
-        };
-        if self.system != d.system {
-            flag("--system", Some(system_cli_name(self.system)));
-        }
-        if self.seed != d.seed {
-            flag("--seed", Some(self.seed.to_string()));
-        }
-        if self.workers != d.workers {
-            flag("--workers", Some(self.workers.to_string()));
-        }
-        if self.virtual_ranks != d.virtual_ranks {
-            flag("--virtual", Some(self.virtual_ranks.to_string()));
-        }
-        if self.iters != d.iters {
-            flag("--iters", Some(self.iters.to_string()));
-        }
-        if self.eval_every != d.eval_every {
-            flag("--eval-every", Some(self.eval_every.to_string()));
-        }
-        if let Some(v) = self.train {
-            flag("--train", Some(v.to_string()));
-        }
-        if let Some(v) = self.test {
-            flag("--test", Some(v.to_string()));
-        }
-        if let Some(v) = self.lr {
-            flag("--lr", Some(v.to_string()));
-        }
-        if self.wire != d.wire {
-            flag("--wire", Some(self.wire.render()));
-        }
-        if self.chunk_bytes != d.chunk_bytes {
-            flag("--chunk-bytes", Some(self.chunk_bytes.to_string()));
-        }
-        if self.topology != d.topology {
-            flag("--topology", Some(self.topology.render()));
-        }
-        if self.queue_cap != d.queue_cap {
-            flag("--queue-cap", Some(self.queue_cap.to_string()));
-        }
-        if self.bw_mbps != d.bw_mbps {
-            flag("--bw-mbps", Some(self.bw_mbps.to_string()));
-        }
-        if let Some(v) = self.assumed_iter_time {
-            flag("--assumed-iter-time", Some(v.to_string()));
-        }
-        if self.stall_secs != d.stall_secs {
-            flag("--stall-secs", Some(self.stall_secs.to_string()));
-        }
-        if let Some(v) = self.peer_timeout {
-            flag("--peer-timeout", Some(v.to_string()));
-        }
-        if !self.fault.is_empty() {
-            flag("--kill", Some(self.fault.render()));
-        }
-        if !self.straggle.is_empty() {
-            let spec = self
-                .straggle
-                .iter()
-                .map(|(w, f)| format!("{w}:{f}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            flag("--straggle", Some(spec));
-        }
-        if let Some(sc) = &self.scenario {
-            flag("--scenario", Some(sc.render()));
-        }
-        if let Some(v) = self.gbs_adjust_period {
-            flag("--gbs-adjust-period", Some(v.to_string()));
-        }
-        if let Some(v) = &self.trace_out {
-            flag("--trace-out", Some(v.clone()));
-        }
-        if self.telemetry {
-            flag("--telemetry", None);
-        }
-        if let Some(v) = &self.csv {
-            flag("--csv", Some(v.clone()));
-        }
-        argv
-    }
 }
+
+/// What a `dlion-live --transport procs` child parses ahead of its own
+/// addressing flags: the parent's shared flags as typed and in order
+/// (`shared` holds each one as [`Args::current`] gave it after
+/// [`RunSpec::apply_flag`] took it), minus the parent's output paths
+/// `--trace-out` and `--csv`, then `--workers` with the rank count the
+/// parent resolved, which overrides any typed one. Parsed through the same
+/// grammar it gives the child the parent's spec without those two paths.
+pub fn child_argv(shared: &[Vec<String>], workers: usize) -> Vec<String> {
+    let mut argv: Vec<String> = shared
+        .iter()
+        .filter(|f| !matches!(f[0].as_str(), "--trace-out" | "--csv"))
+        .flatten()
+        .cloned()
+        .collect();
+    argv.extend(["--workers".to_string(), workers.to_string()]);
+    argv
+}
+
+/// Usage lines of the flags [`RunSpec::apply_sim_flag`] takes; every
+/// binary prints them after its own first line.
+pub const SIM_FLAGS: &str = "  [--system baseline|ako|gaia|hop|dlion|dlion-no-wu|dlion-no-dbwu|maxN|pragueG]
+  [--seed N] [--lr F] [--wire dense|fp16|int8|topk[:N]]
+  [--topology full|ring|star:H|kregular:K|groups:G|hier:G]
+  [--scenario diurnal[:P[,D]]|outage:REGION[@I[+R]]|spotstorm[:C][@I][+R]|stragglers[:C[,A]] (joined with /)]
+  [--trace-out FILE] [--telemetry] [--csv FILE]
+";
+
+/// Usage lines of the flags [`RunSpec::apply_flag`] adds to
+/// [`SIM_FLAGS`]; the live binaries print both.
+pub const LIVE_FLAGS: &str =
+    "  [--workers N] [--virtual R] [--iters K] [--eval-every K] [--train N] [--test N]
+  [--chunk-bytes B] [--queue-cap N] [--bw-mbps F] [--assumed-iter-time S]
+  [--stall-secs S] [--peer-timeout S] [--kill W@I[+R],...] [--straggle W:F,...]
+  [--gbs-adjust-period S]
+";
 
 #[cfg(test)]
 mod tests {
@@ -635,7 +605,7 @@ mod tests {
         assert!(format!("{e}").starts_with("--iters:"));
     }
 
-    /// Tiny deterministic generator for the round-trip property test.
+    /// Tiny deterministic generator for the argv property test.
     struct Lcg(u64);
 
     impl Lcg {
@@ -654,151 +624,298 @@ mod tests {
         fn chance(&mut self, percent: u64) -> bool {
             self.below(100) < percent
         }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len() as u64) as usize]
+        }
     }
 
-    fn random_spec(rng: &mut Lcg) -> RunSpec {
-        let mut s = RunSpec {
-            workers: 2 + rng.below(14) as usize,
-            ..RunSpec::default()
-        };
-        if rng.chance(50) {
-            s.system = [
-                SystemKind::Baseline,
-                SystemKind::Ako,
-                SystemKind::Gaia,
-                SystemKind::Hop,
-                SystemKind::DLionNoWu,
-                SystemKind::DLionNoDbwu,
-                SystemKind::MaxNOnly(0.5 + rng.below(100) as f64 / 2.0),
-                SystemKind::Prague(2 + rng.below(4) as usize),
-            ][rng.below(8) as usize];
-        }
-        if rng.chance(50) {
-            s.seed = rng.next();
-        }
-        if rng.chance(30) {
-            s.virtual_ranks = 1 + rng.below(s.workers as u64) as usize;
-        }
-        if rng.chance(50) {
-            s.iters = 1 + rng.below(200);
-        }
-        if rng.chance(30) {
-            s.eval_every = rng.below(50);
-        }
-        if rng.chance(30) {
-            s.train = Some(100 + rng.below(10_000) as usize);
-        }
-        if rng.chance(30) {
-            s.test = Some(50 + rng.below(1_000) as usize);
-        }
-        if rng.chance(30) {
-            s.lr = Some((1 + rng.below(1000)) as f32 / 1001.0);
-        }
-        if rng.chance(40) {
-            s.wire = [
-                WireFormat::Fp16,
-                WireFormat::Int8,
-                WireFormat::TopK(1.0 + rng.below(99) as f64 / 2.0),
-            ][rng.below(3) as usize];
-        }
-        if rng.chance(30) {
-            s.chunk_bytes = 1 << (6 + rng.below(14));
-        }
-        if rng.chance(40) {
-            s.topology = [
-                Topology::Ring,
-                Topology::Star { hub: 0 },
-                Topology::KRegular { k: 1 },
-                Topology::Groups { g: 2 },
-            ][rng.below(4) as usize];
-        }
-        if rng.chance(30) {
-            s.queue_cap = 1 + rng.below(512) as usize;
-        }
-        if rng.chance(30) {
-            s.bw_mbps = 1.0 + rng.below(10_000) as f64 / 7.0;
-        }
-        if rng.chance(30) {
-            s.assumed_iter_time = Some(rng.below(1000) as f64 / 999.0 + 0.001);
-        }
-        if rng.chance(30) {
-            s.stall_secs = 1.0 + rng.below(300) as f64 / 3.0;
-        }
-        if rng.chance(30) {
-            s.peer_timeout = Some(0.1 + rng.below(100) as f64 / 10.0);
-        }
-        if rng.chance(30) {
-            let worker = rng.below(s.workers as u64) as usize;
-            let rejoin = rng.chance(50).then(|| 0.5 + rng.below(20) as f64 / 4.0);
-            s.fault = FaultPlan {
-                kills: vec![KillSpec {
-                    worker,
-                    at_iter: 1 + rng.below(s.iters.max(2) - 1),
-                    rejoin_after: rejoin,
-                }],
-            };
-        }
-        if rng.chance(30) {
-            s.straggle = vec![(
-                rng.below(s.workers as u64) as usize,
-                1.0 + rng.below(40) as f64 / 8.0,
-            )];
-        }
-        if rng.chance(30) {
-            let specs = [
-                "diurnal",
-                "diurnal:120,0.25",
-                "outage:Mumbai@5+1.5",
-                "spotstorm:2@3",
-                "stragglers:2,1.5",
-                "diurnal:600,0.5/outage:Oregon@4/stragglers:1,2",
-            ];
-            let raw = specs[rng.below(specs.len() as u64) as usize];
-            s.scenario = Some(crate::scenario::ScenarioSpec::parse(raw).unwrap());
-        }
-        if rng.chance(30) {
-            s.gbs_adjust_period = Some(0.05 + rng.below(100) as f64 / 100.0);
-        }
-        if rng.chance(20) {
-            s.trace_out = Some(format!("/tmp/t{}.jsonl", rng.below(100)));
-        }
-        if rng.chance(30) {
-            s.telemetry = true;
-        }
-        if rng.chance(20) {
-            s.csv = Some(format!("/tmp/c{}.csv", rng.below(100)));
-        }
-        s
+    fn strings(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
     }
 
-    fn reparse(argv: Vec<String>) -> RunSpec {
+    /// A parent's parse as `dlion-live` runs it: shared flags through
+    /// `apply_flag`, kept as typed, beside its own `--transport`,
+    /// `--port-base` and `--peers`. Returns the spec, the kept tokens and
+    /// the host count the children are addressed over.
+    fn parse_parent(argv: &[String]) -> Result<(RunSpec, Vec<Vec<String>>, usize), UsageError> {
         let mut spec = RunSpec::default();
+        let mut shared = Vec::new();
+        let mut peers = None;
+        let mut workers_given = false;
+        let mut args = Args::new(argv.iter().cloned());
+        while let Some(flag) = args.next_flag() {
+            workers_given |= flag == "--workers";
+            if spec.apply_flag(&flag, &mut args)? {
+                shared.push(args.current().to_vec());
+                continue;
+            }
+            match flag.as_str() {
+                "--transport" | "--port-base" => drop(args.value(&flag)?),
+                "--peers" => peers = Some(args.parse_with(&flag, parse_peers)?.len()),
+                _ => return Err(UsageError::unknown(flag)),
+            }
+        }
+        if let Some(peers) = peers {
+            spec.size_from_peers(peers, workers_given)?;
+        }
+        spec.validate()?;
+        let hosts = spec.host_count();
+        Ok((spec, shared, hosts))
+    }
+
+    /// The shared half of `dlion-worker`'s grammar, with a `--peers` list
+    /// of `hosts` addresses after `argv`.
+    fn parse_child(argv: Vec<String>, hosts: usize) -> RunSpec {
+        let mut spec = RunSpec::default();
+        let mut workers_given = false;
         let mut args = Args::new(argv);
         while let Some(flag) = args.next_flag() {
+            workers_given |= flag == "--workers";
             assert!(
                 spec.apply_flag(&flag, &mut args).unwrap(),
-                "to_argv emitted a flag apply_flag does not know: {flag}"
+                "the child's grammar refuses {flag}"
             );
         }
+        spec.size_from_peers(hosts, workers_given).unwrap();
+        spec.validate().unwrap();
         spec
     }
 
-    use crate::config::SystemKind;
-    use crate::fault::{FaultPlan, KillSpec};
-    use crate::messages::WireFormat;
-    use dlion_topo::Topology;
-
-    #[test]
-    fn spec_to_argv_to_spec_round_trips() {
-        let mut rng = Lcg(0x5EED_CAFE);
-        for case in 0..400 {
-            let spec = random_spec(&mut rng);
-            let argv = spec.to_argv();
-            let back = reparse(argv.clone());
-            assert_eq!(spec, back, "case {case}: argv {argv:?}");
+    /// A random parent argv: shared flags (some typed twice) and the
+    /// parent's own, in random order. Most are valid; `parse_parent`
+    /// decides.
+    fn random_argv(rng: &mut Lcg) -> Vec<String> {
+        let workers = if rng.chance(70) { 2 + rng.below(14) } else { 3 };
+        let iters = if rng.chance(50) {
+            1 + rng.below(200)
+        } else {
+            30
+        };
+        let virt = 1 + rng.below(workers);
+        let mut flags: Vec<Vec<String>> = Vec::new();
+        let mut flag = |keep: bool, name: &str, value: Option<String>| {
+            if keep {
+                flags.push(std::iter::once(name.to_string()).chain(value).collect());
+            }
+        };
+        let systems = [
+            "baseline",
+            "ako",
+            "gaia",
+            "hop",
+            "dlion",
+            "dlion-no-wu",
+            "DLion-no-dbwu",
+            "max5",
+            "max0.85",
+            "prague2",
+            "prague(3)",
+        ];
+        flag(rng.chance(50), "--system", Some(rng.pick(&systems).into()));
+        flag(rng.chance(50), "--seed", Some(rng.next().to_string()));
+        flag(rng.chance(10), "--seed", Some("7".into()));
+        let typed = workers != 3 || rng.chance(30);
+        flag(typed, "--workers", Some(workers.to_string()));
+        flag(rng.chance(30), "--virtual", Some(virt.to_string()));
+        flag(iters != 30, "--iters", Some(iters.to_string()));
+        flag(
+            rng.chance(30),
+            "--eval-every",
+            Some(rng.below(50).to_string()),
+        );
+        flag(
+            rng.chance(30),
+            "--train",
+            Some((100 + rng.below(10_000)).to_string()),
+        );
+        flag(
+            rng.chance(30),
+            "--test",
+            Some((100 + rng.below(1_000)).to_string()),
+        );
+        flag(
+            rng.chance(30),
+            "--lr",
+            Some(rng.pick(&["0.05", "1e-3", "0.3"]).into()),
+        );
+        let wires = ["dense", "fp16", "int8", "topk", "topk:25", "topk:0.5"];
+        flag(rng.chance(40), "--wire", Some(rng.pick(&wires).into()));
+        flag(
+            rng.chance(30),
+            "--chunk-bytes",
+            Some((1u64 << (6 + rng.below(14))).to_string()),
+        );
+        let topologies = ["full", "ring", "star", "star:1", "kregular:1", "groups:2"];
+        flag(
+            rng.chance(40),
+            "--topology",
+            Some(rng.pick(&topologies).into()),
+        );
+        flag(
+            rng.chance(30),
+            "--queue-cap",
+            Some((1 + rng.below(512)).to_string()),
+        );
+        flag(
+            rng.chance(30),
+            "--bw-mbps",
+            Some(rng.pick(&["125.5", "1e3", "0.5"]).into()),
+        );
+        flag(rng.chance(30), "--assumed-iter-time", Some("0.05".into()));
+        flag(
+            rng.chance(30),
+            "--stall-secs",
+            Some((1 + rng.below(300)).to_string()),
+        );
+        flag(rng.chance(30), "--peer-timeout", Some("2.5".into()));
+        let victim = rng.below(workers);
+        let at = 1 + rng.below(iters);
+        let rejoin = if rng.chance(50) { "" } else { "+0.5" };
+        flag(
+            rng.chance(20),
+            "--kill",
+            Some(format!("{victim}@{at}{rejoin}")),
+        );
+        flag(
+            rng.chance(20),
+            "--straggle",
+            Some(format!("{}:2.5", rng.below(workers))),
+        );
+        let scenarios = [
+            "diurnal",
+            "diurnal:120,0.25",
+            "outage:Mumbai@1+1.5",
+            "spotstorm:1@1",
+            "stragglers:1,1.5",
+            "diurnal:600,0.5/outage:Oregon@1/stragglers:1,2",
+        ];
+        flag(
+            rng.chance(20),
+            "--scenario",
+            Some(rng.pick(&scenarios).into()),
+        );
+        flag(rng.chance(30), "--gbs-adjust-period", Some("0.25".into()));
+        flag(
+            rng.chance(20),
+            "--trace-out",
+            Some(format!("/tmp/t{}.jsonl", rng.below(9))),
+        );
+        flag(rng.chance(30), "--telemetry", None);
+        flag(
+            rng.chance(20),
+            "--csv",
+            Some(format!("/tmp/c{}.csv", rng.below(9))),
+        );
+        flag(rng.chance(50), "--transport", Some("procs".into()));
+        flag(
+            rng.chance(30),
+            "--port-base",
+            Some((7000 + rng.below(999)).to_string()),
+        );
+        let hosts = workers.div_ceil(virt);
+        let list = (0..hosts)
+            .map(|h| format!("10.0.0.{h}:7300"))
+            .collect::<Vec<_>>()
+            .join(",");
+        flag(rng.chance(20), "--peers", Some(list));
+        for i in (1..flags.len()).rev() {
+            flags.swap(i, rng.below(i as u64 + 1) as usize);
         }
-        // The default spec needs no flags at all.
-        assert!(RunSpec::default().to_argv().is_empty());
+        flags.concat()
+    }
+
+    /// Every valid parent argv gives each child the parent's spec, bar the
+    /// parent's output paths, with the rank count the parent resolved.
+    #[test]
+    fn children_parse_the_parents_spec_from_its_tokens() {
+        let mut rng = Lcg(0x5EED_CAFE);
+        let mut valid = 0;
+        for case in 0..600 {
+            let argv = random_argv(&mut rng);
+            let Ok((parent, shared, hosts)) = parse_parent(&argv) else {
+                continue;
+            };
+            valid += 1;
+            let child_argv = child_argv(&shared, parent.workers);
+            let child = parse_child(child_argv.clone(), hosts);
+            let want = RunSpec {
+                trace_out: None,
+                csv: None,
+                ..parent
+            };
+            assert_eq!(child, want, "case {case}: {argv:?} -> {child_argv:?}");
+            for own in [
+                "--transport",
+                "--port-base",
+                "--peers",
+                "--trace-out",
+                "--csv",
+            ] {
+                assert!(!child_argv.iter().any(|t| t == own), "case {case}: {own}");
+            }
+        }
+        assert!(valid >= 300, "only {valid} valid argvs drawn");
+    }
+
+    /// Three ranks on two hosts: the children must not size the cluster
+    /// from the host list (2 × 2 = 4 ranks).
+    #[test]
+    fn uneven_placement_reaches_the_children_whole() {
+        let argv = strings(&["--transport", "procs", "--workers", "3", "--virtual", "2"]);
+        let (parent, shared, hosts) = parse_parent(&argv).unwrap();
+        assert_eq!((parent.workers, hosts), (3, 2));
+        let child = parse_child(child_argv(&shared, parent.workers), hosts);
+        assert_eq!((child.workers, child.host_count()), (3, 2));
+        // The default rank count reaches them too.
+        let (parent, shared, hosts) = parse_parent(&strings(&["--virtual", "2"])).unwrap();
+        assert_eq!(
+            parse_child(child_argv(&shared, parent.workers), hosts).workers,
+            3
+        );
+    }
+
+    /// Each flag the usage text names parses with a sample value through
+    /// the grammar whose text names it.
+    #[test]
+    fn usage_text_names_only_flags_the_grammar_takes() {
+        let sample = |flag: &str| match flag {
+            "--system" => Some("hop"),
+            "--seed" | "--workers" | "--iters" | "--eval-every" | "--queue-cap" => Some("4"),
+            "--virtual" => Some("2"),
+            "--lr" | "--assumed-iter-time" | "--gbs-adjust-period" => Some("0.05"),
+            "--wire" => Some("topk:5"),
+            "--topology" => Some("ring"),
+            "--scenario" => Some("diurnal/outage:Oregon@3"),
+            "--trace-out" => Some("/tmp/t.jsonl"),
+            "--csv" => Some("/tmp/t.csv"),
+            "--telemetry" => None,
+            "--train" | "--test" | "--chunk-bytes" => Some("4096"),
+            "--bw-mbps" | "--stall-secs" | "--peer-timeout" => Some("2.5"),
+            "--kill" => Some("1@3+0.5"),
+            "--straggle" => Some("1:2"),
+            other => panic!("no sample value for {other}"),
+        };
+        for (text, sim) in [(SIM_FLAGS, true), (LIVE_FLAGS, false)] {
+            let flags: Vec<&str> = text
+                .split('[')
+                .filter_map(|t| t.strip_prefix("--"))
+                .map(|t| &t[..t.find([' ', ']']).unwrap()])
+                .collect();
+            assert!(flags.len() >= 8, "{flags:?}");
+            for name in flags {
+                let flag = format!("--{name}");
+                let mut a = Args::new(sample(&flag).map(String::from));
+                let mut spec = RunSpec::default();
+                let took = if sim {
+                    spec.apply_sim_flag(&flag, &mut a)
+                } else {
+                    spec.apply_flag(&flag, &mut a)
+                };
+                assert_eq!(took, Ok(true), "{flag}");
+                assert!(a.next_flag().is_none(), "{flag} left its value");
+            }
+        }
     }
 
     #[test]
@@ -864,9 +981,17 @@ mod tests {
         assert_eq!(fault.kills[0].worker, 3);
         assert_eq!(fault.kills[0].at_iter, 5);
         assert_eq!(straggle.len(), 2);
-        // Same argv, same expansion: what a spawned child would derive.
-        let back = reparse(spec.to_argv());
-        assert_eq!(back.chaos().unwrap(), spec.chaos().unwrap());
+        // The child gets the token as typed and expands the same plan.
+        let sc = "outage:Mumbai@5/stragglers:2,2";
+        let (parent, shared, hosts) =
+            parse_parent(&strings(&["--workers", "6", "--scenario", sc])).unwrap();
+        assert_eq!(parent, spec);
+        let argv = child_argv(&shared, parent.workers);
+        assert!(argv.windows(2).any(|f| f == ["--scenario", sc]), "{argv:?}");
+        assert_eq!(
+            parse_child(argv, hosts).chaos().unwrap(),
+            spec.chaos().unwrap()
+        );
         // Mixing generated and explicit chaos is ambiguous; reject it.
         spec.straggle = vec![(1, 2.0)];
         assert_eq!(spec.validate().unwrap_err().flag, "--scenario");
@@ -1043,6 +1168,36 @@ mod tests {
         }
         assert_eq!(lr("fast").unwrap_err().flag, "--lr");
         assert_eq!(lr("0.05"), Ok(Some(0.05)));
+        for bad in ["nan", "-5", "0", "inf"] {
+            let e = RunSpec::default()
+                .apply_flag("--bw-mbps", &mut args(&[bad]))
+                .unwrap_err();
+            assert_eq!(e.flag, "--bw-mbps", "{bad}");
+            assert!(e.reason.contains("finite and above zero"), "{bad}: {e}");
+        }
+        // The workload sizes meet their bounds where the spec meets the
+        // config: a shard per worker, and the eval subset (100 here).
+        let configure = |list: &[&str]| {
+            let mut a = args(list);
+            let mut spec = RunSpec::default();
+            while let Some(flag) = a.next_flag() {
+                assert!(spec.apply_flag(&flag, &mut a).unwrap(), "{flag}");
+            }
+            let mut cfg = crate::config::RunConfig::small_test(SystemKind::DLion);
+            spec.configure(&mut cfg)
+        };
+        for (bad, flag, bound) in [
+            (&["--train", "0"][..], "--train", "--workers"),
+            (&["--train", "1", "--workers", "2"], "--train", "--workers"),
+            (&["--train", "5", "--workers", "6"], "--train", "--workers"),
+            (&["--test", "50"], "--test", "100"),
+            (&["--test", "99"], "--test", "100"),
+        ] {
+            let e = configure(bad).unwrap_err();
+            assert_eq!(e.flag, flag, "{bad:?}");
+            assert!(e.reason.contains(bound), "{bad:?}: {e}");
+        }
+        configure(&["--train", "2", "--workers", "2", "--test", "100"]).unwrap();
         assert_eq!(parse_positive::<f64>("600"), Ok(600.0));
         assert!(parse_positive::<f64>("-inf").is_err());
         for bad in ["2", "-0.1", "nan", "inf"] {

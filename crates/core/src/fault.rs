@@ -74,7 +74,8 @@ impl FaultPlan {
         Ok(FaultPlan { kills })
     }
 
-    /// Render back to the `--kill` argument syntax (process spawning).
+    /// Render back to the `--kill` argument syntax (`dlion-live` logs the
+    /// fault plan with it).
     pub fn render(&self) -> String {
         self.kills
             .iter()

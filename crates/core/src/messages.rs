@@ -570,16 +570,6 @@ impl WireFormat {
             WireFormat::TopK(_) => "topk",
         }
     }
-
-    /// Render back to the `--wire` argument syntax ([`WireFormat::parse`]
-    /// round-trips it) — how `dlion-live` forwards the flag to `procs`
-    /// children.
-    pub fn render(&self) -> String {
-        match self {
-            WireFormat::TopK(n) => format!("topk:{n}"),
-            other => other.name().to_string(),
-        }
-    }
 }
 
 /// Everything an encoder needs to put a payload on the wire.
@@ -1972,7 +1962,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_format_parse_and_render() {
+    fn wire_format_parse() {
         assert_eq!(WireFormat::parse("dense"), Ok(WireFormat::Dense));
         assert_eq!(WireFormat::parse("fp16"), Ok(WireFormat::Fp16));
         assert_eq!(WireFormat::parse("int8"), Ok(WireFormat::Int8));
@@ -1981,14 +1971,6 @@ mod tests {
         assert!(WireFormat::parse("topk:0").is_err());
         assert!(WireFormat::parse("topk:101").is_err());
         assert!(WireFormat::parse("fp8").is_err());
-        for f in [
-            WireFormat::Dense,
-            WireFormat::Fp16,
-            WireFormat::Int8,
-            WireFormat::TopK(25.0),
-        ] {
-            assert_eq!(WireFormat::parse(&f.render()), Ok(f), "{f:?}");
-        }
     }
 
     #[test]

@@ -2,24 +2,15 @@
 //! and print the same report `dlion-sim` prints for simulated runs.
 //!
 //! ```text
-//! dlion-live [--workers N] [--virtual R] [--system NAME] [--seed N]
-//!            [--iters K] [--eval-every K] [--transport tcp|mem|procs]
-//!            [--peers HOST:PORT,...] [--port-base P]
-//!            [--train N] [--test N] [--lr F] [--queue-cap N]
-//!            [--bw-mbps F] [--assumed-iter-time S] [--stall-secs S]
-//!            [--peer-timeout S] [--kill W@I[+R],...]
-//!            [--wire dense|fp16|int8|topk[:N]] [--chunk-bytes B]
-//!            [--gbs-adjust-period S]
-//!            [--topology full|ring|star:H|kregular:K|groups:G|hier:G]
-//!            [--straggle W:F,...] [--trace-out FILE] [--telemetry]
-//!            [--csv FILE]
+//! dlion-live [--transport tcp|mem|procs] [--peers HOST:PORT,...] [--port-base P]
+//!            [shared flags: dlion_core::args::SIM_FLAGS and LIVE_FLAGS]
 //! ```
 //!
 //! All shared flags live in [`RunSpec`]; this binary only adds the
 //! transport selector and the procs-mode addressing flags. Procs-mode
-//! children inherit the whole configuration through
-//! [`RunSpec::to_argv`], so a new shared flag propagates without this
-//! file naming it.
+//! children parse the shared flags exactly as the user typed them
+//! ([`child_argv`]), so a new shared flag reaches them without this file
+//! naming it.
 //!
 //! Transports:
 //!
@@ -61,6 +52,7 @@
 //!     --transport procs --port-base 7300
 //! ```
 
+use dlion_core::args::{child_argv, LIVE_FLAGS, SIM_FLAGS};
 use dlion_core::{report, Args, RunSpec, UsageError};
 use dlion_net::{
     assemble_metrics, live_config, loopback_addrs, parse_peers, run_live_virtual, LiveOpts,
@@ -72,6 +64,9 @@ use std::net::SocketAddr;
 #[derive(Debug)]
 struct Cli {
     spec: RunSpec,
+    /// Each shared flag as typed, with its values: what procs-mode
+    /// children parse.
+    shared: Vec<Vec<String>>,
     transport: String,
     peers: Option<Vec<SocketAddr>>,
     port_base: u16,
@@ -80,6 +75,7 @@ struct Cli {
 fn parse_cli(mut args: Args) -> Result<Cli, UsageError> {
     let mut cli = Cli {
         spec: RunSpec::default(),
+        shared: Vec::new(),
         transport: "tcp".to_string(),
         peers: None,
         port_base: 7300,
@@ -90,6 +86,7 @@ fn parse_cli(mut args: Args) -> Result<Cli, UsageError> {
             workers_given = true; // apply_flag consumes it below
         }
         if cli.spec.apply_flag(&flag, &mut args)? {
+            cli.shared.push(args.current().to_vec());
             continue;
         }
         match flag.as_str() {
@@ -120,16 +117,9 @@ fn parse_cli(mut args: Args) -> Result<Cli, UsageError> {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: dlion-live [--workers N] [--virtual R] [--system baseline|ako|gaia|hop|dlion|dlion-no-wu|dlion-no-dbwu|maxN]\n\
-         \x20                 [--seed N] [--iters K] [--eval-every K] [--transport tcp|mem|procs]\n\
-         \x20                 [--peers HOST:PORT,...] [--port-base P] [--train N] [--test N] [--lr F]\n\
-         \x20                 [--queue-cap N] [--bw-mbps F] [--assumed-iter-time S] [--stall-secs S]\n\
-         \x20                 [--peer-timeout S] [--kill W@I[+R],...]\n\
-         \x20                 [--wire dense|fp16|int8|topk[:N]] [--chunk-bytes B]\n\
-         \x20                 [--gbs-adjust-period S]\n\
-         \x20                 [--topology full|ring|star:H|kregular:K|groups:G|hier:G]\n\
-         \x20                 [--straggle W:F,...] [--trace-out FILE] [--telemetry] [--csv FILE]"
+    eprint!(
+        "usage: dlion-live [--transport tcp|mem|procs] [--peers HOST:PORT,...] [--port-base P]\n\
+         {SIM_FLAGS}{LIVE_FLAGS}"
     );
     std::process::exit(2);
 }
@@ -166,14 +156,10 @@ fn run_procs(cli: &Cli, env_label: &str) -> Vec<WorkerOutcome> {
         .map(|a| a.to_string())
         .collect::<Vec<_>>()
         .join(",");
-    // The children rebuild the identical cluster from the same spec;
-    // to_argv hands the whole configuration over without this binary
-    // naming each flag. Output paths stay with the parent (children get
+    // The children rebuild the identical cluster from the tokens this
+    // process parsed. Output paths stay with the parent (children get
     // per-host trace files instead, merged after the run).
-    let mut child_spec = spec.clone();
-    child_spec.trace_out = None;
-    child_spec.csv = None;
-    let child_argv = child_spec.to_argv();
+    let child_argv = child_argv(&cli.shared, spec.workers);
     let exe = std::env::current_exe().expect("current exe");
     let worker_bin = exe.with_file_name("dlion-worker");
     let mut children = Vec::with_capacity(hosts);
@@ -399,6 +385,40 @@ mod tests {
         assert_eq!((c.spec.workers, c.spec.virtual_ranks), (8, 4));
         let e = cli(&["--workers", "4", "--virtual", "5"]).unwrap_err();
         assert_eq!(e.flag, "--virtual");
+    }
+
+    #[test]
+    fn procs_children_get_the_shared_flags_as_typed() {
+        let c = cli(&[
+            "--transport",
+            "procs",
+            "--virtual",
+            "2",
+            "--port-base",
+            "7451",
+            "--scenario",
+            "outage:Oregon@2",
+            "--trace-out",
+            "/tmp/t.jsonl",
+            "--telemetry",
+            "--seed",
+            "9",
+        ])
+        .unwrap();
+        assert_eq!(
+            child_argv(&c.shared, c.spec.workers),
+            [
+                "--virtual",
+                "2",
+                "--scenario",
+                "outage:Oregon@2",
+                "--telemetry",
+                "--seed",
+                "9",
+                "--workers",
+                "3"
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! dlion-worker --id I (--peers HOST:PORT,... | --workers N [--port-base P])
-//!              [--virtual R] [shared RunSpec flags...] [--env-label L]
+//!              [--env-label L] [shared flags: dlion_core::args::SIM_FLAGS and LIVE_FLAGS]
 //! ```
 //!
 //! With the default `--virtual 1` each process hosts exactly one worker
@@ -30,7 +30,7 @@
 //! marked departed), or pauses there if the kill has `+R` — the chaos
 //! harness for churn testing.
 
-use dlion_core::args::RunSpec;
+use dlion_core::args::{RunSpec, LIVE_FLAGS, SIM_FLAGS};
 use dlion_core::{Args, UsageError};
 use dlion_net::{
     live_config, loopback_addrs, parse_peers, LiveCluster, LiveError, LiveOpts, TcpTransport,
@@ -97,15 +97,9 @@ fn parse_cli(mut args: Args) -> Result<Cli, UsageError> {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: dlion-worker --id I (--peers HOST:PORT,... | --workers N [--port-base P])\n\
-         \x20                   [--virtual R] [--system NAME] [--seed N] [--iters K]\n\
-         \x20                   [--eval-every K] [--train N] [--test N] [--lr F]\n\
-         \x20                   [--queue-cap N] [--bw-mbps F] [--assumed-iter-time S]\n\
-         \x20                   [--stall-secs S] [--peer-timeout S] [--kill W@I[+R],...]\n\
-         \x20                   [--topology SPEC] [--wire dense|fp16|int8|topk[:N]]\n\
-         \x20                   [--chunk-bytes B] [--gbs-adjust-period S] [--straggle W:F,...]\n\
-         \x20                   [--env-label L] [--trace-out FILE] [--telemetry]"
+    eprint!(
+        "usage: dlion-worker --id I (--peers HOST:PORT,... | --workers N [--port-base P]) [--env-label L]\n\
+         {SIM_FLAGS}{LIVE_FLAGS}"
     );
     std::process::exit(2);
 }

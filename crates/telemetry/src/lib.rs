@@ -14,7 +14,7 @@
 //!   [`trace!`]) with per-target filtering configured from the `DLION_LOG`
 //!   environment variable (e.g. `DLION_LOG=info,core.runner=debug`). Log
 //!   lines go to stderr — stdout stays reserved for tables and CSV.
-//! * **Structured tracing** ([`event!`], [`span!`], [`trace::emit`]): JSONL
+//! * **Structured tracing** ([`event!`], [`trace::emit`]): JSONL
 //!   records `{wall_ns, vtime, seq, system, env, seed, worker, kind,
 //!   fields}` appended to a sink installed with
 //!   [`trace::open_trace_file`] (the `--trace-out` flag).
@@ -32,8 +32,7 @@ pub mod trace;
 pub use metrics::{Histogram, Registry};
 pub use profiler::{profile_scope, Phase, PhaseStat};
 pub use trace::{
-    emit, flush_trace, open_trace_file, run_scope, set_trace_writer, span, span_depth, stop_trace,
-    tracing_on, RunScope, Span, Value,
+    emit, open_trace_file, run_scope, set_trace_writer, stop_trace, tracing_on, RunScope, Value,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -216,16 +215,6 @@ macro_rules! event {
         if $crate::tracing_on() {
             $crate::emit($vt, None, $kind, &[$($(($k, $crate::Value::from($v))),*)?]);
         }
-    };
-}
-
-/// Open a named span: emits `span_open` now and `span_close` (with the
-/// wall-clock duration) when the returned guard drops. No-op when tracing
-/// is off.
-#[macro_export]
-macro_rules! span {
-    ($vt:expr, $name:expr) => {
-        $crate::span($vt, $name)
     };
 }
 

@@ -88,18 +88,11 @@ pub fn set_trace_writer(w: Box<dyn Write + Send>) {
 }
 
 /// Open `path`, truncating, as the JSONL trace sink (the `--trace-out`
-/// flag) — buffered; call [`flush_trace`] or [`stop_trace`] to flush.
+/// flag) — buffered; [`stop_trace`] flushes it.
 pub fn open_trace_file(path: impl AsRef<Path>) -> std::io::Result<()> {
     let f = File::create(path)?;
     set_trace_writer(Box::new(BufWriter::new(f)));
     Ok(())
-}
-
-/// Flush the sink without closing it.
-pub fn flush_trace() {
-    if let Some(w) = SINK.lock().unwrap().as_mut() {
-        let _ = w.flush();
-    }
 }
 
 /// Disable tracing and close (flush + drop) the sink.
@@ -120,7 +113,6 @@ struct Ctx {
     env: String,
     seed: u64,
     seq: u64,
-    depth: u32,
 }
 
 thread_local! {
@@ -141,7 +133,6 @@ pub fn run_scope(system: &str, env: &str, seed: u64) -> RunScope {
             env: env.to_string(),
             seed,
             seq: 0,
-            depth: 0,
         })
     });
     RunScope { prev }
@@ -151,11 +142,6 @@ impl Drop for RunScope {
     fn drop(&mut self) {
         CTX.with(|c| *c.borrow_mut() = self.prev.take());
     }
-}
-
-/// Current span nesting depth on this thread (0 outside any span).
-pub fn span_depth() -> u32 {
-    CTX.with(|c| c.borrow().as_ref().map_or(0, |ctx| ctx.depth))
 }
 
 /// Emit one structured record. Prefer the [`crate::event!`] macro, which
@@ -212,64 +198,6 @@ pub fn emit(vtime: f64, worker: Option<usize>, kind: &str, fields: &[(&str, Valu
     }
 }
 
-/// RAII span: `span_open` on creation, `span_close` with the wall-clock
-/// duration on drop. Inert (no clock read) when tracing is off.
-pub struct Span {
-    name: &'static str,
-    vtime: f64,
-    start: Option<Instant>,
-}
-
-/// Open a span (see [`crate::span!`]).
-pub fn span(vtime: f64, name: &'static str) -> Span {
-    if !tracing_on() {
-        return Span {
-            name,
-            vtime,
-            start: None,
-        };
-    }
-    let depth = CTX.with(|c| {
-        c.borrow_mut().as_mut().map_or(0, |ctx| {
-            ctx.depth += 1;
-            ctx.depth
-        })
-    });
-    emit(
-        vtime,
-        None,
-        "span_open",
-        &[("name", Value::from(name)), ("depth", Value::from(depth))],
-    );
-    Span {
-        name,
-        vtime,
-        start: Some(Instant::now()),
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(t0) = self.start else { return };
-        let depth = CTX.with(|c| c.borrow().as_ref().map_or(0, |ctx| ctx.depth));
-        emit(
-            self.vtime,
-            None,
-            "span_close",
-            &[
-                ("name", Value::from(self.name)),
-                ("depth", Value::from(depth)),
-                ("dur_ns", Value::from(t0.elapsed().as_nanos() as u64)),
-            ],
-        );
-        CTX.with(|c| {
-            if let Some(ctx) = c.borrow_mut().as_mut() {
-                ctx.depth = ctx.depth.saturating_sub(1);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,7 +219,7 @@ mod tests {
     // Sink state is process-global, so everything trace-related lives in
     // one test (cargo runs tests in this binary concurrently).
     #[test]
-    fn records_spans_and_contexts() {
+    fn records_carry_their_run_context() {
         let (tx, rx) = channel();
         set_trace_writer(Box::new(ChannelSink(tx)));
         assert!(tracing_on());
@@ -299,17 +227,7 @@ mod tests {
         {
             let _run = run_scope("DLion", "Homo A", 7);
             emit(1.5, Some(3), "iter_done", &[("loss", Value::from(0.25f64))]);
-            {
-                let s1 = span(2.0, "outer");
-                assert_eq!(span_depth(), 1);
-                {
-                    let _s2 = span(2.0, "inner");
-                    assert_eq!(span_depth(), 2);
-                }
-                assert_eq!(span_depth(), 1);
-                drop(s1);
-            }
-            assert_eq!(span_depth(), 0);
+            emit(2.0, None, "gbs_adjust", &[("gbs", Value::from(96u64))]);
         }
         // Outside the run scope: null run identity, global seq.
         emit(f64::NAN, None, "log", &[("msg", Value::from("hi"))]);
@@ -321,7 +239,7 @@ mod tests {
             .try_iter()
             .map(|b| String::from_utf8(b).unwrap())
             .collect();
-        assert_eq!(lines.len(), 6, "{lines:?}");
+        assert_eq!(lines.len(), 3, "{lines:?}");
 
         // Schema round-trip through the in-crate parser.
         let recs: Vec<crate::json::Json> = lines
@@ -347,45 +265,12 @@ mod tests {
         );
 
         // Per-run seq is monotonic from 0.
-        for (i, r) in recs[..5].iter().enumerate() {
+        for (i, r) in recs[..2].iter().enumerate() {
             assert_eq!(r.get("seq").unwrap().as_u64(), Some(i as u64));
         }
 
-        // Span nesting: open(1), open(2), close(2), close(1).
-        let span_depths: Vec<(Option<&str>, u64)> = recs[1..5]
-            .iter()
-            .map(|r| {
-                (
-                    r.get("kind").unwrap().as_str(),
-                    r.get("fields")
-                        .unwrap()
-                        .get("depth")
-                        .unwrap()
-                        .as_u64()
-                        .unwrap(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            span_depths,
-            vec![
-                (Some("span_open"), 1),
-                (Some("span_open"), 2),
-                (Some("span_close"), 2),
-                (Some("span_close"), 1),
-            ]
-        );
-        let close_inner = &recs[3];
-        assert!(close_inner
-            .get("fields")
-            .unwrap()
-            .get("dur_ns")
-            .unwrap()
-            .as_u64()
-            .is_some());
-
         // The out-of-scope record has a null identity and null vtime.
-        let last = &recs[5];
+        let last = &recs[2];
         assert!(last.get("system").unwrap().is_null());
         assert!(last.get("seed").unwrap().is_null());
         assert!(last.get("vtime").unwrap().is_null());

@@ -2,11 +2,9 @@
 //! line and print its report.
 //!
 //! ```text
-//! dlion-sim [--system NAME] [--env NAME] [--duration SECS] [--iters N]
-//!           [--seed N] [--lr F] [--skew F] [--wire dense|fp16|int8|topk[:N]]
-//!           [--topology full|ring|star:H|kregular:K|groups:G|hier:G]
-//!           [--scenario NAME[:ARGS][/...]] [--gpu] [--trace-links] [--curve]
-//!           [--trace-out FILE] [--profile] [--telemetry]
+//! dlion-sim [--env NAME] [--duration SECS] [--iters N] [--skew F] [--gpu]
+//!           [--trace-links] [--curve] [--profile]
+//!           [shared flags: dlion_core::args::SIM_FLAGS]
 //! ```
 //!
 //! `--scenario` injects generated production-shaped chaos (see
@@ -35,16 +33,15 @@
 //! cargo run --release --bin dlion-sim -- --system dlion --gpu --env hetero-sys-c
 //! ```
 
-use dlion::core::args::{parse_positive, parse_unit};
+use dlion::core::args::{parse_positive, parse_unit, SIM_FLAGS};
 use dlion::core::report;
 use dlion::prelude::*;
 
 #[derive(Debug)]
 struct Cli {
-    /// The flag subset shared with the live binaries (`--system`,
-    /// `--seed`, `--lr`, `--wire`, `--topology`, `--trace-out`,
-    /// `--telemetry`, `--csv`) lives in the typed [`RunSpec`] builder —
-    /// defined once in `dlion_core::args` for all three CLIs.
+    /// The flag subset shared with the live binaries ([`SIM_FLAGS`])
+    /// lives in the typed [`RunSpec`] builder — defined once in
+    /// `dlion_core::args` for all three CLIs.
     spec: RunSpec,
     env: EnvId,
     duration: f64,
@@ -117,16 +114,11 @@ fn scenario_plan(cli: &Cli, n: usize) -> Result<Option<ScenarioPlan>, String> {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: dlion-sim [--system baseline|ako|gaia|hop|dlion|dlion-no-wu|dlion-no-dbwu|maxN|pragueG]\n\
-         \x20                [--env homo-a|homo-b|homo-c|hetero-cpu-a|hetero-cpu-b|hetero-net-a|hetero-net-b|\n\
-         \x20                       hetero-sys-a|hetero-sys-b|hetero-sys-c|dynamic-sys-a|dynamic-sys-b]\n\
-         \x20                [--duration SECS] [--iters N] [--seed N] [--lr F] [--skew F]\n\
-         \x20                [--wire dense|fp16|int8|topk[:N]]\n\
-         \x20                [--topology full|ring|star:H|kregular:K|groups:G|hier:G]\n\
-         \x20                [--scenario diurnal[:P[,D]]|outage:REGION[@I[+R]]|spotstorm[:C][@I][+R]|stragglers[:C[,A]] (joined with /)]\n\
-         \x20                [--gpu] [--trace-links] [--curve] [--csv FILE]\n\
-         \x20                [--trace-out FILE] [--profile] [--telemetry]"
+    eprint!(
+        "usage: dlion-sim [--env homo-a|homo-b|homo-c|hetero-cpu-a|hetero-cpu-b|hetero-net-a|hetero-net-b|\n\
+         \x20                      hetero-sys-a|hetero-sys-b|hetero-sys-c|dynamic-sys-a|dynamic-sys-b]\n\
+         \x20                [--duration SECS] [--iters N] [--skew F] [--gpu] [--trace-links] [--curve] [--profile]\n\
+         {SIM_FLAGS}"
     );
     std::process::exit(2);
 }
