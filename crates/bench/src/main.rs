@@ -105,8 +105,8 @@ fn kernels() {
         let weight = Tensor::randn(Shape::d4(12, 6, 3, 3), 0.2, &mut rng);
         let bias = Tensor::zeros(Shape::d1(12));
         let (i, w, b) = (&input, &weight, &bias);
-        // This shape is in the GEMM regime, so the dispatched entry points
-        // are the implicit-GEMM backend.
+        // The dispatched entry points are the implicit GEMM at every shape;
+        // the direct loops are the seed rows beside them.
         let fwd_gemm = bench("conv2d fwd implicit GEMM", || {
             let y = conv2d_s(black_box(i), black_box(w), black_box(b), 1, &mut s);
             s.put_tensor(black_box(y));
@@ -141,9 +141,9 @@ fn kernels() {
 
     // Cipher's three convolutions on the same warm arena, forward, then
     // backward as the model runs it: into the layer's own dw/db, and no input
-    // gradient for the first layer. At batch 64 (a `sim_paper` LBS) they are
-    // in the GEMM regime; at batch 1 (`sim_scale`'s) in the direct regime,
-    // timed beside the scalar loops that regime runs without AVX-512.
+    // gradient for the first layer, at batch 64 (a `sim_paper` LBS) and
+    // batch 1 (`sim_scale`'s). Both run the implicit GEMM; at batch 1 the
+    // scalar loops are timed beside it as seed rows (no path runs them).
     // (c, h, w, f), 3×3 filters, pad 1.
     let cipher = [(1, 12, 4), (4, 6, 8), (8, 3, 16)];
     for batch in [64, 1] {

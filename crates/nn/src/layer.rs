@@ -676,7 +676,7 @@ mod tests {
         let mut r = DetRng::seed_from_u64(81);
         let cases: Vec<(Box<dyn Layer>, Shape)> = vec![
             (Box::new(Dense::new(6, 4, &mut r)), Shape::d2(5, 6)),
-            // Implicit GEMM, then the direct loops.
+            // A multi-sample batch, then batch 1.
             (
                 Box::new(Conv2d::new(3, 8, 3, 1, &mut r)),
                 Shape::d4(4, 3, 8, 8),
@@ -768,13 +768,13 @@ mod tests {
             &Tensor::randn(Shape::d2(5, 6), 1.0, &mut xr),
             true,
         );
-        // Large enough that the conv dispatcher takes the implicit-GEMM path.
+        // A multi-sample batch...
         check(
             Box::new(Conv2d::new(3, 8, 3, 1, &mut r)),
             &Tensor::randn(Shape::d4(4, 3, 8, 8), 1.0, &mut xr),
             true,
         );
-        // Small enough that it stays on the direct loops.
+        // ...and batch 1: the same implicit GEMM.
         check(
             Box::new(Conv2d::new(1, 2, 3, 1, &mut r)),
             &Tensor::randn(Shape::d4(1, 1, 4, 4), 1.0, &mut xr),

@@ -460,12 +460,12 @@ mod tests {
         assert_eq!(bits(&one), bits(&fused));
     }
 
-    /// CipherNet on both conv backends (batch 1: direct loops, batch 32:
-    /// implicit GEMM) and MicroMobileNet, end to end: three training steps on a
-    /// *warm* arena — every buffer recycled, NaN-poisoned by `Scratch::put`
-    /// in debug builds — give the losses, gradients and weights of three
-    /// steps that each get a fresh arena, bit for bit, and the warm arena
-    /// ends every step holding what it held before it.
+    /// CipherNet at batch 1 and batch 32 and MicroMobileNet, end to end:
+    /// three training steps on a *warm* arena — every buffer recycled,
+    /// NaN-poisoned by `Scratch::put` in debug builds — give the losses,
+    /// gradients and weights of three steps that each get a fresh arena, bit
+    /// for bit, and the warm arena ends every step holding what it held
+    /// before it.
     #[test]
     fn warm_poisoned_arena_matches_fresh_arena_end_to_end() {
         use crate::models::ModelSpec;

@@ -2,26 +2,16 @@
 //! backward passes, plus the depthwise variant used by MobileNet-style
 //! models.
 //!
-//! Two regimes sit behind [`conv2d_s`] / [`conv2d_backward_into`], and
-//! [`use_gemm`]'s frozen size test picks one from the shapes alone:
-//!
-//! * the **GEMM regime** (`ops::igemm`, order `Gemm`) — the chains of the
-//!   patch-matrix lowering it replaced, read from a zero-padded copy of the
-//!   input through an offset table; no patch matrix is built;
-//! * the **direct regime** — the chains of the direct loops here
-//!   ([`conv2d_direct`], [`conv2d_backward_direct_into`]): each forward
-//!   output starts from the bias and skips the taps outside the input, and
-//!   the backward skips zero upstream gradients (they flow through ReLU and
-//!   genuinely contain zeros). On a host with AVX-512 the same chains run on
-//!   `ops::igemm`'s pixel and tap lanes (order `Direct`, masked adds); the
-//!   loops here run them everywhere else, and are the reference the lanes
-//!   are tested against bit for bit.
-//!
-//! The threshold picks the bits, not the speed: the two orders round
-//! differently (the direct one adds the bias first and skips terms, the
-//! GEMM one adds every term and the bias last), so a shape's bits depend on
-//! its side of `16 · 1024` MACs and never on the host, and moving a shape
-//! across it moves that shape's bits.
+//! [`conv2d_s`] / [`conv2d_backward_into`] run every standard convolution
+//! as `ops::igemm`'s implicit GEMM — the chains of the patch-matrix
+//! lowering it replaced, read from a zero-padded copy of the input through
+//! an offset table — at every shape and batch size, so the bits never
+//! depend on the batch size or on the host. The direct loops here
+//! ([`conv2d_direct`], [`conv2d_backward_direct_into`]) are the independent
+//! reference the tests hold it to (to rounding: they add the bias first and
+//! skip zero upstream gradients) and the benchmark's seed rows; no training
+//! or evaluation path runs them. The depthwise kernels are loop nests too,
+//! and those are the production path.
 //!
 //! The backward kernels proper are the `_into` forms: they write the
 //! parameter gradients into the caller's buffers (a layer's persistent
@@ -34,12 +24,12 @@
 //! [`Scratch`] arena, so whoever consumes a result can recycle it and the
 //! arena holds a fixed set of buffers per batch size.
 //!
-//! Every kernel is a plain serial loop nest. A training step is ~40 kernel
-//! calls of 3–300 µs each, and fanning any of them over threads cost more in
-//! dispatch than it saved at every batch size a run has (DESIGN.md §4b);
-//! the threads run whole worker-iterations instead (`crate::par`).
+//! Every kernel is serial. A training step is ~40 kernel calls of 3–300 µs
+//! each, and fanning any of them over threads cost more in dispatch than it
+//! saved at every batch size a run has (DESIGN.md §4b); the threads run
+//! whole worker-iterations instead (`crate::par`).
 
-use crate::ops::igemm::{self, Order};
+use crate::ops::igemm;
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -66,22 +56,8 @@ pub(crate) fn dims4(t: &Tensor) -> [usize; 4] {
     dims.try_into().expect("convolution operands are rank-4")
 }
 
-/// Which regime, and so which chain order, `input ⊛ weight` runs in: the
-/// GEMM regime from `16 · 1024` MACs up, the direct regime below. The value
-/// was calibrated with `dlion-bench kernels` when the direct regime ran only
-/// the scalar loops and the patch-matrix lowering was the other side, and is
-/// kept where it was: it decides which chains a shape's outputs are, so
-/// moving it moves bits (batch 1 and batch ≥ 32 Cipher convs fall on
-/// opposite sides, and both regimes run on lanes).
-fn use_gemm(input: &Tensor, weight: &Tensor, pad: usize) -> bool {
-    let [n, c, h, w] = dims4(input);
-    let [f, _, kh, kw] = dims4(weight);
-    let (oh, ow) = out_hw(h, w, kh, kw, pad);
-    n * oh * ow * c * kh * kw * f >= 16 * 1024
-}
-
 /// Standard convolution: `input (N,C,H,W)` ⊛ `weight (F,C,KH,KW)` + `bias (F)`
-/// → `(N,F,OH,OW)`, on the backend [`use_gemm`] picks for the shapes.
+/// → `(N,F,OH,OW)`, as an implicit GEMM.
 pub fn conv2d_s(
     input: &Tensor,
     weight: &Tensor,
@@ -89,19 +65,13 @@ pub fn conv2d_s(
     pad: usize,
     s: &mut Scratch,
 ) -> Tensor {
-    if use_gemm(input, weight, pad) {
-        igemm::forward(input, weight, bias, pad, Order::Gemm, s)
-    } else if igemm::lanes() {
-        igemm::forward(input, weight, bias, pad, Order::Direct, s)
-    } else {
-        conv2d_direct(input, weight, bias, pad, s)
-    }
+    igemm::forward(input, weight, bias, pad, s)
 }
 
-/// Backward pass of [`conv2d_s`], on the same backend as the forward pass:
-/// writes `dL/dW` and `dL/db` into the caller's `dweight (F·C·KH·KW)` and
-/// `dbias (F)` — every slot, so stale contents are fine — and returns
-/// `dL/d(input)` from `s` when `want_dx`. `dout` has shape `(N,F,OH,OW)`.
+/// Backward pass of [`conv2d_s`], as an implicit GEMM too: writes `dL/dW`
+/// and `dL/db` into the caller's `dweight (F·C·KH·KW)` and `dbias (F)` —
+/// every slot, so stale contents are fine — and returns `dL/d(input)` from
+/// `s` when `want_dx`. `dout` has shape `(N,F,OH,OW)`.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_into(
     input: &Tensor,
@@ -113,15 +83,7 @@ pub fn conv2d_backward_into(
     dbias: &mut [f32],
     s: &mut Scratch,
 ) -> Option<Tensor> {
-    if use_gemm(input, weight, pad) {
-        let order = Order::Gemm;
-        igemm::backward_into(input, weight, dout, pad, order, want_dx, dweight, dbias, s)
-    } else if igemm::lanes() {
-        let order = Order::Direct;
-        igemm::backward_into(input, weight, dout, pad, order, want_dx, dweight, dbias, s)
-    } else {
-        conv2d_backward_direct_into(input, weight, dout, pad, want_dx, dweight, dbias, s)
-    }
+    igemm::backward_into(input, weight, dout, pad, want_dx, dweight, dbias, s)
 }
 
 /// Run a backward `_into` kernel with `dweight`/`dbias` drawn from `s` and
@@ -581,8 +543,8 @@ mod tests {
     #[test]
     fn dispatched_backward_matches_direct_backend() {
         let mut s = Scratch::new();
-        // Shape large enough to take the implicit-GEMM path; direct loops
-        // are the reference.
+        // The dispatched implicit GEMM against the direct loops, the
+        // reference.
         let mut rng = DetRng::seed_from_u64(14);
         let input = Tensor::randn(Shape::d4(4, 3, 8, 8), 1.0, &mut rng);
         let weight = Tensor::randn(Shape::d4(6, 3, 3, 3), 0.5, &mut rng);
@@ -651,22 +613,13 @@ mod tests {
         conv2d_s(&input, &weight, &bias, 1, &mut s);
     }
 
-    /// The GEMM regime refuses the same malformed operands, in the same
-    /// words, as the direct loops.
+    /// The implicit GEMM refuses malformed operands in the same words as
+    /// the direct loops.
     fn gemm_regime_operands() -> (Tensor, Tensor, Tensor, Tensor) {
         let input = Tensor::zeros(Shape::d4(8, 4, 8, 8));
         let weight = Tensor::zeros(Shape::d4(8, 4, 3, 3));
-        assert!(use_gemm(&input, &weight, 1));
         let dout = Tensor::zeros(Shape::d4(8, 8, 8, 8));
         (input, weight, Tensor::zeros(Shape::d1(8)), dout)
-    }
-
-    #[test]
-    #[should_panic(expected = "channel mismatch")]
-    fn gemm_regime_channel_mismatch_panics() {
-        let (input, _, bias, _) = gemm_regime_operands();
-        let weight = Tensor::zeros(Shape::d4(8, 5, 3, 3));
-        conv2d_s(&input, &weight, &bias, 1, &mut Scratch::new());
     }
 
     #[test]

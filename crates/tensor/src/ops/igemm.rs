@@ -1,7 +1,6 @@
-//! Lane kernels for both convolution regimes behind
-//! [`crate::ops::conv2d_s`] and [`crate::ops::conv2d_backward_into`]: the
-//! implicit GEMM (shapes `use_gemm` admits) and the direct loops' chains
-//! (the shapes below it, on a host with AVX-512).
+//! Implicit-GEMM convolution: the one backend behind
+//! [`crate::ops::conv2d_s`] and [`crate::ops::conv2d_backward_into`], at
+//! every shape and batch size.
 //!
 //! A stride-1 convolution is the product `patches (R, K) · weightᵀ (K, F)`
 //! with one row per output pixel `r = (n, oy, ox)` and one column per tap
@@ -24,8 +23,8 @@
 //!   (masked) load `xpad[n·C·Hp·Wp + q + off[k] ..]`, and each filter `j` of a
 //!   register group of 16/8/4/1 is one accumulator. A lane is live iff
 //!   `q % Wp < OW` and `q < (OH−1)·Wp + OW`; the live lanes of a block are
-//!   consecutive NCHW outputs of each filter, so the accumulator is
-//!   compress-stored straight into `out[n][j]` — no transpose. Filter
+//!   consecutive NCHW outputs of each filter, so the bias-added accumulator
+//!   is compress-stored straight into `out[n][j]` — no transpose. Filter
 //!   count does not idle lanes (Cipher's 4- and 8-filter layers fill all
 //!   sixteen); a small map does (a 3×3 map fills 9 of its one block's 16);
 //! * `dW[f][k] = Σ_r patches[r][k] · drows[r][f]` over *runs*: a vector's
@@ -39,40 +38,27 @@
 //!   row in a 4- or 2-tap run). `drows` itself — `dout (N,F,OH,OW)` in row
 //!   layout — is a block transpose, sixteen pixels × `fw` filters through
 //!   `log₂ fw` perfect shuffles;
-//! * `dinput`, GEMM order: each 4-row strip of `dpatches = drows · W` is
-//!   computed into a strip buffer (all panels of the strip first) and
-//!   scatter-added into a padded `dpad` through the same offset table, then
-//!   un-padded. Direct order: sixteen *input-pixel* lanes over a zero-bordered
-//!   copy `dq (N, F, Hq, Wq)` of `dout`, in which every tap `(ky, kx)` of an
-//!   input pixel is one shifted load `dq[q + shift[ky·KW + kx]]`; each input
-//!   channel of a register group of 16/8/4/1 is one accumulator, and the live
-//!   lanes are compress-stored into `dinput[n][ci]`.
+//! * `dinput`: each 4-row strip of `dpatches = drows · W` is computed into a
+//!   strip buffer (all panels of the strip first) and scatter-added into a
+//!   padded `dpad` through the same offset table, then un-padded.
+//!
+//! Every buffer of a pass — the output, the padded input, `drows`, the
+//! strip, `dpad` — comes from the caller's arena; the forward reads the
+//! weight `(F, K)` in place, and only `dinput`'s filter panels live in the
+//! thread's packing buffer, as the GEMMs' do.
 //!
 //! # Order contract
 //!
-//! [`Order`] names the two chains an output element can be; `use_gemm`'s
-//! frozen size test picks one per shape, so a shape's bits never depend on
-//! the host. `mul` then `add`, never FMA; no split-`k`.
-//!
-//! * [`Order::Gemm`], the chains the patch-matrix + GEMM lowering ran:
-//!   forward `((0 + a₀w₀) + a₁w₁ + …) + bias` in ascending `k`, *including*
-//!   the padding taps' `0·w` terms (a NaN or ±∞ weight propagates);
-//!   `dW[f][k]` and `dbias[f]` from `+0.0` in ascending `r` (a lane is one
-//!   `(f, k)`: runs and filter groups only regroup the chains); each
-//!   `dpatches[r][k]` from `+0.0` in ascending `f`, and each `dinput` element
-//!   from `+0.0` receiving its `dpatches` terms in ascending `(r, k)`. No
-//!   zero skips.
-//! * [`Order::Direct`], the chains of the scalar loops in `ops::conv`:
-//!   forward from `bias[f]` through ascending `(ci, ky, kx)`, skipping taps
-//!   outside the input; `dW[f][k]` from `+0.0` in ascending `r`, skipping
-//!   `g == 0` and outside taps; `dbias[f]` the plain ascending sum from
-//!   `+0.0` (skipping a zero `g` changes no bit of it); each `dinput`
-//!   element from `+0.0` through `f` ascending, then `(oy, ox)` ascending —
-//!   `(ky, kx)` descending — skipping `g == 0` and outside taps. A skip is a
-//!   masked add (`_mm512_mask_add_ps` leaves the lane's chain untouched):
-//!   per-tap lane masks ANDed with the block's live lanes, and a `g ≠ 0`
-//!   compare (unordered, so a NaN `g` is added, as `g == 0.0` is false for
-//!   it).
+//! Every output element is one chain, the one the patch-matrix + GEMM
+//! lowering this replaced ran, at every shape (batch 1 included), so its
+//! bits depend neither on the host nor on the batch size: forward
+//! `((0 + a₀w₀) + a₁w₁ + …) + bias` in ascending `k`, *including* the
+//! padding taps' `0·w` terms (a NaN or ±∞ weight propagates); `dW[f][k]`
+//! and `dbias[f]` from `+0.0` in ascending `r` (a lane is one `(f, k)`: runs
+//! and filter groups only regroup the chains); each `dpatches[r][k]` from
+//! `+0.0` in ascending `f`, and each `dinput` element from `+0.0` receiving
+//! its `dpatches` terms in ascending `(r, k)`. `mul` then `add`, never FMA;
+//! no split-`k`; no zero skips.
 //!
 //! Bits are compared with NaNs equal whatever their sign and payload: which
 //! operand's NaN a `mul` or `add` hands on depends on operand order, which
@@ -81,15 +67,13 @@
 //! # Safety of the gather reads
 //!
 //! All `unsafe` of the convolution is in this module: the [`simd`] kernels,
-//! which read `xpad` and `dq` through raw pointers, and [`scatter_add`]'s
-//! unchecked writes into `dpad`. [`Geom::with`] makes the one assertion that
-//! covers a whole pass — the largest index any read can form, the last
-//! pixel's last run, `(N−1)·C·Hp·Wp + (OH−1)·Wp + (OW−1) + off[ks] + T − 1`,
-//! is inside the padded buffer, and in the direct order the last input
-//! pixel's first tap, `(N·F−1)·Hq·Wq + (H−1)·Wq + W − 1 + shift[0]`, inside
-//! `dq` — before any loop runs; bases, offsets, shifts, runs and lane masks
-//! come only from the geometry's own tables, which nothing outside this
-//! module can build. A run's dead taps (`kx ≥ KW`) read up to `T − 1`
+//! which read `xpad` through raw pointers, and [`scatter_add`]'s unchecked
+//! writes into `dpad`. [`Geom::with`] makes the one assertion that covers a
+//! whole pass — the largest index any read can form, the last pixel's last
+//! run, `(N−1)·C·Hp·Wp + (OH−1)·Wp + (OW−1) + off[ks] + T − 1`, is inside
+//! the padded buffer — before any loop runs; bases, offsets, runs and lane
+//! masks come only from the geometry's own tables, which nothing outside
+//! this module can build. A run's dead taps (`kx ≥ KW`) read up to `T − 1`
 //! floats past its row's last tap, so the padded buffer carries that slack
 //! after its last sample, zeroed, and a pad-0 input is copied too when the
 //! slack is not zero; forward, `dW` and `dpad` share the one length. The
@@ -97,11 +81,11 @@
 //! masked: a dead lane (a padding column, or past the grid's last pixel) is
 //! never read, and the portable twin reads live lanes only. The compress
 //! store writes exactly a block's live lanes; the masks of a sample count
-//! `OH·OW` of them (`H·W` in `dinput`'s grid), so a sample's stores stay
-//! inside its outputs. `dW`'s `drows` loads and the transpose's loads and
-//! stores are masked to the row's filters and the sample's pixels, and
-//! `dW`'s stores go to the group's filters below `F` and the run's taps
-//! inside its kernel row, so they stay inside `F·K`.
+//! `OH·OW` of them, so a sample's stores stay inside its `F·OH·OW` outputs.
+//! `dW`'s `drows` loads and the transpose's loads and stores are masked to
+//! the row's filters and the sample's pixels, and `dW`'s stores go to the
+//! group's filters below `F` and the run's taps inside its kernel row, so
+//! they stay inside `F·K`.
 
 use crate::ops::conv::{dims4, out_hw};
 use crate::ops::matmul::{micro_a_rows, pack_panels_rowmajor, with_pack_buf, MR, NR};
@@ -113,43 +97,26 @@ use std::cell::RefCell;
 /// `f32`s per 512-bit vector: the forward's pixels, `dW`'s filters × taps.
 const LANES: usize = 16;
 
-/// Bits per word of [`Geom::with`]'s interior bitmap.
-const WORD: usize = usize::BITS as usize;
-
 thread_local! {
     /// Reusable storage for [`Geom`]'s index and mask tables (per thread;
     /// like the GEMMs' packing buffer, convolutions never nest).
     static TABLES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Which chain an output element is (module header, "Order contract").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum Order {
-    /// The patch-matrix + GEMM lowering's: the GEMM regime.
-    Gemm,
-    /// The scalar loops' of `ops::conv`: the direct regime.
-    Direct,
-}
-
-/// Whether the host runs the lane kernels. Where it does not, the direct
-/// regime runs the scalar loops and the GEMM regime the portable twins.
-pub(super) fn lanes() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::ops::matmul::simd::available() {
-        return true;
-    }
-    false
+/// Whether the host runs the lane kernels; where it does not, the portable
+/// twins run the same chains.
+#[cfg(target_arch = "x86_64")]
+fn lanes() -> bool {
+    crate::ops::matmul::simd::available()
 }
 
 /// One convolution's shapes and its tables into the padded image.
 struct Geom<'a> {
-    order: Order,
     n: usize,
     c: usize,
     h: usize,
     w: usize,
     f: usize,
-    kh: usize,
     kw: usize,
     pad: usize,
     oh: usize,
@@ -167,67 +134,17 @@ struct Geom<'a> {
     /// `i` of `masks[b]` is set iff `q = 16·b + i` is live (`q % Wp < OW`,
     /// `q < (OH−1)·Wp + OW`).
     masks: &'a [usize],
-    /// Direct order only (empty in the GEMM order), like the fields below.
-    /// `tap_masks[b·KH·KW + ky·KW + kx]`: the live lanes of block `b` whose
-    /// tap `(ky, kx)` lies inside the input.
-    tap_masks: &'a [usize],
-    /// `cols[ox·⌈KW/T⌉ + kx0/T]`: lane `l` of a `dW` run starting at `kx0` is
-    /// set iff tap `kx0 + l%T` of column `ox` lies inside the input's width.
-    cols: &'a [usize],
-    /// Per run of `runs`: its kernel row `ky`, and its column-mask slot
-    /// `kx0/T`.
-    run_ky: &'a [usize],
-    run_cx: &'a [usize],
-    /// `dinput`'s grid over `dq`: rows `Hq = OH + 2·by`, `Wq = OW + 2·bx`
-    /// (`by = (KH−1) − pad` and `bx = (KW−1) − pad`, floored at 0).
-    hq: usize,
-    wq: usize,
-    /// One per 16-lane block of a sample's `dinput` grid `q = iy·Wq + ix`:
-    /// bit `i` set iff `q = 16·b + i` is live (`q % Wq < W`, `q < (H−1)·Wq + W`).
-    dx_masks: &'a [usize],
-    /// `dx_shift[ky·KW + kx]`: where in `dq` tap `(ky, kx)` of input pixel
-    /// `q` reads `dout[oy = iy + pad − ky][ox = ix + pad − kx]`, minus `q`.
-    dx_shift: &'a [usize],
-}
-
-/// The next `len` entries of `rest`.
-fn section<'t>(rest: &mut &'t [usize], len: usize) -> &'t [usize] {
-    let (head, tail) = rest.split_at(len);
-    *rest = tail;
-    head
-}
-
-/// The live-lane masks of a grid of `rows` rows, `live` of every `width`
-/// positions, in 16-lane blocks.
-fn block_masks(tab: &mut Vec<usize>, rows: usize, width: usize, live: usize) {
-    let first = tab.len();
-    tab.resize(first + ((rows - 1) * width + live).div_ceil(LANES), 0);
-    for y in 0..rows {
-        for q in y * width..y * width + live {
-            tab[first + q / LANES] |= 1 << (q % LANES);
-        }
-    }
 }
 
 impl Geom<'_> {
-    /// Build the geometry of `input ⊛ weight` for `order` and run `body`
-    /// with it.
-    fn with<R>(
-        input: &Tensor,
-        weight: &Tensor,
-        pad: usize,
-        order: Order,
-        body: impl FnOnce(&Geom) -> R,
-    ) -> R {
+    /// Build the geometry of `input ⊛ weight` and run `body` with it.
+    fn with<R>(input: &Tensor, weight: &Tensor, pad: usize, body: impl FnOnce(&Geom) -> R) -> R {
         let [n, c, h, w] = dims4(input);
         let [f, cw, kh, kw] = dims4(weight);
         assert_eq!(c, cw, "conv2d channel mismatch");
         let (oh, ow) = out_hw(h, w, kh, kw, pad);
         let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-        let fw = LANES.min(f.next_power_of_two());
-        let taps = LANES / fw;
-        let (by, bx) = ((kh - 1).saturating_sub(pad), (kw - 1).saturating_sub(pad));
-        let (hq, wq) = (oh + 2 * by, ow + 2 * bx);
+        let taps = LANES / LANES.min(f.next_power_of_two());
         TABLES.with(|t| {
             let mut tab = std::mem::take(&mut *t.borrow_mut());
             tab.clear();
@@ -242,100 +159,24 @@ impl Geom<'_> {
             for row in 0..c * kh {
                 tab.extend((0..kw).step_by(taps).map(|kx| row * kw + kx));
             }
-            let masks_at = tab.len();
-            block_masks(&mut tab, oh, wp, ow);
-            let blocks = tab.len() - masks_at;
-            let mut lens = [
-                c * kh * kw,
-                oh * ow,
-                c * kh * kw.div_ceil(taps),
-                blocks,
-                0,
-                0,
-                0,
-                0,
-                0,
-                0,
-            ];
-            if order == Order::Direct {
-                // Tap masks from a bitmap of the padded plane's interior:
-                // bit `j` is set iff position `j` holds an input element.
-                let bits = tab.len();
-                let reach = LANES * blocks + (kh - 1) * wp + kw;
-                tab.resize(bits + reach.div_ceil(WORD) + 1, 0);
-                for y in pad..h + pad {
-                    for j in y * wp + pad..y * wp + pad + w {
-                        tab[bits + j / WORD] |= 1 << (j % WORD);
-                    }
-                }
-                let interior = |tab: &[usize], j: usize| {
-                    let (i, s) = (bits + j / WORD, j % WORD);
-                    let hi = if s == 0 { 0 } else { tab[i + 1] << (WORD - s) };
-                    ((tab[i] >> s) | hi) & 0xffff
-                };
-                let at = tab.len();
-                for b in 0..blocks {
-                    let live = tab[masks_at + b];
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let m = interior(&tab, LANES * b + ky * wp + kx) & live;
-                            tab.push(m);
-                        }
-                    }
-                }
-                tab.drain(bits..at);
-                // Column masks of a run: its taps inside the width, the
-                // run's `T` bits repeated for each of the `fw` filter slots.
-                let copies = (0..fw).fold(0, |m, fl| m | 1 << (fl * taps));
-                for ox in 0..ow {
-                    for kx0 in (0..kw).step_by(taps) {
-                        let lo = pad.saturating_sub(ox + kx0).min(taps);
-                        let hi = (w + pad).saturating_sub(ox + kx0).min(taps);
-                        let run = ((1 << hi) - 1) & !((1 << lo) - 1);
-                        tab.push(run * copies);
-                    }
-                }
-                for _ in 0..c {
-                    for ky in 0..kh {
-                        tab.extend((0..kw.div_ceil(taps)).map(|_| ky));
-                    }
-                }
-                for _ in 0..c * kh {
-                    tab.extend(0..kw.div_ceil(taps));
-                }
-                let dx_at = tab.len();
-                block_masks(&mut tab, h, wq, w);
-                let dx_blocks = tab.len() - dx_at;
-                for ky in 0..kh {
-                    let row = (pad + by - ky) * wq + pad + bx;
-                    tab.extend((0..kw).map(|kx| row - kx));
-                }
-                let runs = lens[2];
-                lens[4..].copy_from_slice(&[
-                    blocks * kh * kw,
-                    ow * kw.div_ceil(taps),
-                    runs,
-                    runs,
-                    dx_blocks,
-                    kh * kw,
-                ]);
+            let span = (oh - 1) * wp + ow;
+            for q0 in (0..span).step_by(LANES) {
+                let live = (q0..span.min(q0 + LANES)).filter(|q| q % wp < ow);
+                tab.push(live.fold(0, |m, q| m | 1 << (q - q0)));
             }
-            let mut rest = &tab[..];
-            let [off, pix, runs, masks, tap_masks, cols, run_ky, run_cx, dx_masks, dx_shift] =
-                lens.map(|len| section(&mut rest, len));
+            let (off, rest) = tab.split_at(c * kh * kw);
+            let (pix, rest) = rest.split_at(oh * ow);
+            let (runs, masks) = rest.split_at(c * kh * kw.div_ceil(taps));
             // Each output pixel is one live lane: a sample's compress stores
-            // fill its `OH·OW` outputs exactly (and `H·W` inputs in `dinput`).
-            let live = |m: &[usize]| m.iter().map(|m| m.count_ones() as usize).sum::<usize>();
-            debug_assert_eq!(live(masks), oh * ow);
-            debug_assert!(order == Order::Gemm || live(dx_masks) == h * w);
+            // fill its `OH·OW` outputs exactly.
+            let live: u32 = masks.iter().map(|m| m.count_ones()).sum();
+            debug_assert_eq!(live as usize, oh * ow);
             let g = Geom {
-                order,
                 n,
                 c,
                 h,
                 w,
                 f,
-                kh,
                 kw,
                 pad,
                 oh,
@@ -346,30 +187,14 @@ impl Geom<'_> {
                 pix,
                 runs,
                 masks,
-                tap_masks,
-                cols,
-                run_ky,
-                run_cx,
-                hq,
-                wq,
-                dx_masks,
-                dx_shift,
             };
             // The one bound every raw read below relies on (see the module
             // header): all `T` lanes of the last pixel's last run are inside
-            // the padded image, and the forward's last tap lies in that run;
-            // the last input pixel's first tap is inside `dq`.
+            // the padded image, and the forward's last tap lies in that run.
             let last_run = g.off[g.runs[g.runs.len() - 1]];
             debug_assert!(g.off[g.k() - 1] < last_run + taps);
             let last = (n - 1) * g.sample() + g.pix[g.ohw() - 1] + last_run + taps - 1;
-            let dx_last = g
-                .dx_shift
-                .first()
-                .map_or(0, |s| (n * f - 1) * g.dq_plane() + (h - 1) * wq + w - 1 + s);
-            assert!(
-                last < g.padded_len() && dx_last < g.n * g.f * g.dq_plane(),
-                "conv2d gather out of bounds"
-            );
+            assert!(last < g.padded_len(), "conv2d gather out of bounds");
             let r = body(&g);
             *t.borrow_mut() = tab;
             r
@@ -379,11 +204,6 @@ impl Geom<'_> {
     /// Taps per output element, `C·KH·KW`.
     fn k(&self) -> usize {
         self.off.len()
-    }
-
-    /// Taps per kernel, `KH·KW`.
-    fn khkw(&self) -> usize {
-        self.kh * self.kw
     }
 
     /// Filter lanes of a `dW` vector, `min(16, F.next_power_of_two())`.
@@ -422,11 +242,6 @@ impl Geom<'_> {
         self.n * self.sample() + self.slack()
     }
 
-    /// Elements of one `dq` plane, `Hq·Wq`.
-    fn dq_plane(&self) -> usize {
-        self.hq * self.wq
-    }
-
     /// Whether the padded buffer is the input itself (no padding, no slack).
     fn in_place(&self) -> bool {
         self.pad == 0 && self.slack() == 0
@@ -436,22 +251,6 @@ impl Geom<'_> {
     fn base(&self, ni: usize, p: usize) -> usize {
         debug_assert!(ni < self.n);
         ni * self.sample() + self.pix[p]
-    }
-
-    /// Whether tap `(ky, kx)` of output pixel `(oy, ox)` lies inside the
-    /// input (the scalar loops' bounds test).
-    fn inside(&self, oy: usize, ox: usize, ky: usize, kx: usize) -> bool {
-        let pad = self.pad;
-        (pad..self.h + pad).contains(&(oy + ky)) && (pad..self.w + pad).contains(&(ox + kx))
-    }
-
-    /// The `(N,C,H,W)` input's rows: `N·C` planes of `H` rows of `W`.
-    fn image(&self) -> Extent {
-        Extent {
-            planes: self.n * self.c,
-            rows: self.h,
-            width: self.w,
-        }
     }
 
     /// Where the `(N,C,H,W)` input's rows sit.
@@ -479,19 +278,8 @@ impl Geom<'_> {
             return None;
         }
         let mut xpad = s.take(self.padded_len());
-        copy_rows(self.image(), src, self.dense(), &mut xpad, self.interior());
+        copy_rows(self, src, self.dense(), &mut xpad, self.interior());
         Some(xpad)
-    }
-
-    /// The padded image of `src` in `buf` (resized, zeroed around it), or
-    /// `src` itself when [`Geom::in_place`].
-    fn padded_in<'b>(&self, src: &'b [f32], buf: &'b mut [f32]) -> &'b [f32] {
-        if self.in_place() {
-            return src;
-        }
-        buf.fill(0.0);
-        copy_rows(self.image(), src, self.dense(), buf, self.interior());
-        buf
     }
 
     /// Inverse of [`Geom::padded`]: the interior of `dpad`, as a fresh
@@ -501,46 +289,14 @@ impl Geom<'_> {
             return dpad;
         }
         let mut out = s.take_uninit(self.n * self.c * self.h * self.w);
-        copy_rows(self.image(), &dpad, self.interior(), &mut out, self.dense());
+        copy_rows(self, &dpad, self.interior(), &mut out, self.dense());
         s.put(dpad);
         out
     }
-
-    /// `dout (N,F,OH,OW)` into the interior of the zeroed `dq` (`N·F`
-    /// planes of `Hq × Wq`, the output grid at row `by`, column `bx`).
-    fn bordered_dout(&self, dout: &[f32], dq: &mut [f32]) {
-        dq.fill(0.0);
-        let (by, bx) = ((self.hq - self.oh) / 2, (self.wq - self.ow) / 2);
-        let grid = Extent {
-            planes: self.n * self.f,
-            rows: self.oh,
-            width: self.ow,
-        };
-        let from = Planes {
-            at: 0,
-            row: self.ow,
-            plane: self.ohw(),
-        };
-        let to = Planes {
-            at: by * self.wq + bx,
-            row: self.wq,
-            plane: self.dq_plane(),
-        };
-        copy_rows(grid, dout, from, dq, to);
-    }
 }
 
-/// How many image rows a copy moves: `planes` planes of `rows` rows of
-/// `width` floats.
-#[derive(Clone, Copy)]
-struct Extent {
-    planes: usize,
-    rows: usize,
-    width: usize,
-}
-
-/// Where an image's rows sit in a buffer: row `y` of plane `i` starts at
-/// `at + i·plane + y·row`.
+/// Where an image's rows sit in a buffer: row `y` of plane `i` (of `N·C`)
+/// starts at `at + i·plane + y·row`.
 #[derive(Clone, Copy)]
 struct Planes {
     at: usize,
@@ -549,9 +305,9 @@ struct Planes {
 }
 
 impl Planes {
-    /// One past the last element of an image of extent `e` laid out this way.
-    fn end(self, e: Extent) -> usize {
-        self.at + (e.planes - 1) * self.plane + (e.rows - 1) * self.row + e.width
+    /// One past the last element of `g`'s image rows laid out this way.
+    fn end(self, g: &Geom) -> usize {
+        self.at + (g.n * g.c - 1) * self.plane + (g.h - 1) * self.row + g.w
     }
 }
 
@@ -578,34 +334,24 @@ impl Rows {
 /// `mul` + `add`, never FMA, like `ops::matmul::simd`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{sweep_len, Extent, Geom, Planes, LANES};
+    use super::{sweep_len, Geom, Planes, LANES};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
     /// The forward over pixel lanes: for every sample `ni`, every block `b`
     /// of its padded-width grid and every filter `j`, the live lanes `q` of
-    /// one chain over the taps `x[ni·sample + q + off[k]] · W[j][k]`,
-    /// ascending `k`, stored at `out[(ni·F + j)·OH·OW + p]` where `p` is the
-    /// lane's output pixel: from `+0.0` plus `bias[j]` last (`DIRECT` off,
-    /// `w` the filters packed as `(K, F)`), or from `bias[j]` over the taps
-    /// inside the input (`DIRECT` on, `w` the weight as `(F, K)`). Filters go
-    /// in register groups of 16/8/4/1.
+    /// `Σ_k x[ni·sample + q + off[k]] · w[j·K + k]`, ascending `k` from
+    /// `+0.0`, plus `bias[j]`, stored at `out[(ni·F + j)·OH·OW + p]` where `p`
+    /// is the lane's output pixel. Filters go in register groups of
+    /// 16/8/4/1.
     ///
     /// # Safety
-    /// AVX-512F must be available; `DIRECT` must match `g.order`; `x` must
-    /// hold `g.padded_len()` elements (which [`Geom::with`] bounds every live
-    /// read by), `w` `K·F`, `bias` `F` and `out` `N·F·OH·OW`.
+    /// AVX-512F must be available; `x` must hold `g.padded_len()` elements
+    /// (which [`Geom::with`] bounds every live read by), `w` `F·K` (the
+    /// weight as `(F, K)`), `bias` `F` and `out` `N·F·OH·OW`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn pixel_lanes<const DIRECT: bool>(
-        g: &Geom,
-        x: &[f32],
-        w: &[f32],
-        bias: &[f32],
-        out: &mut [f32],
-    ) {
-        let (f, ohw, khkw) = (g.f, g.ohw(), g.khkw());
-        // Steps between a filter's taps and between filters in `w`.
-        let (wk, wj) = if DIRECT { (1, g.k()) } else { (f, 1) };
+    pub unsafe fn pixel_lanes(g: &Geom, x: &[f32], w: &[f32], bias: &[f32], out: &mut [f32]) {
+        let (f, k, ohw) = (g.f, g.k(), g.ohw());
         for ni in 0..g.n {
             let xs = x.as_ptr().add(ni * g.sample());
             let os = out.as_mut_ptr().add(ni * f * ohw);
@@ -614,30 +360,23 @@ mod simd {
             let mut p0 = 0;
             for (b, &m) in g.masks.iter().enumerate() {
                 let (xq, m) = (xs.add(b * LANES), m as __mmask16);
-                let tm = if DIRECT {
-                    &g.tap_masks[b * khkw..][..khkw]
-                } else {
-                    &[]
-                };
                 let mut j0 = 0;
                 while j0 < f {
                     let l = Lanes {
                         xq,
                         m,
-                        tm,
                         off: g.off,
-                        w: w.as_ptr().add(j0 * wj),
-                        wk,
-                        wj,
+                        w: w.as_ptr().add(j0 * k),
+                        k,
                         bias: bias.as_ptr().add(j0),
                         dst: os.add(j0 * ohw + p0),
                         ohw,
                     };
                     j0 += match f - j0 {
-                        16.. => filters::<16, DIRECT>(&l),
-                        8.. => filters::<8, DIRECT>(&l),
-                        4.. => filters::<4, DIRECT>(&l),
-                        _ => filters::<1, DIRECT>(&l),
+                        16.. => filters::<16>(&l),
+                        8.. => filters::<8>(&l),
+                        4.. => filters::<4>(&l),
+                        _ => filters::<1>(&l),
                     };
                 }
                 p0 += m.count_ones() as usize;
@@ -651,15 +390,10 @@ mod simd {
         xq: *const f32,
         /// The block's live lanes.
         m: __mmask16,
-        /// Direct order: the block's live lanes per tap `(ky, kx)` inside
-        /// the input; empty in the GEMM order.
-        tm: &'a [usize],
         off: &'a [usize],
-        /// The group's first filter's first tap, taps `wk` apart and
-        /// filters `wj` apart.
+        /// The group's first filter's first tap; filters are `k` apart.
         w: *const f32,
-        wk: usize,
-        wj: usize,
+        k: usize,
         bias: *const f32,
         /// Where the group's first filter's live lanes go, filters `ohw`
         /// apart.
@@ -667,51 +401,27 @@ mod simd {
         ohw: usize,
     }
 
-    /// One block, `G` filters: the chains of [`pixel_lanes`], `x` the
-    /// block's masked load at `xq + off[k]`, compress-stored at
-    /// `dst + j·OH·OW`. Returns `G`.
+    /// One block, `G` filters: `acc[j] = acc[j] + x · w[j·K + k]` over the
+    /// taps, `x` the block's masked load at `xq + off[k]`, then
+    /// `acc[j] + bias[j]` compress-stored at `dst + j·OH·OW`. Returns `G`.
     ///
     /// # Safety
     /// AVX-512F must be available; the live lanes of `m` at `xq + off[k]`
-    /// must be readable for every `k`, `w` must hold `(K−1)·wk + (G−1)·wj + 1`
-    /// elements, `bias` `G`, and `dst + j·OH·OW` room for `m`'s live lanes
-    /// for `j < G`; in the direct order `tm` holds `KH·KW` masks within `m`.
+    /// must be readable for every `k`, `w` must hold `G·K` elements,
+    /// `bias` `G`, and `dst + j·OH·OW` room for `m`'s live lanes for `j < G`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn filters<const G: usize, const DIRECT: bool>(l: &Lanes) -> usize {
+    unsafe fn filters<const G: usize>(l: &Lanes) -> usize {
         let mut acc = [_mm512_setzero_ps(); G];
-        let mut wt = l.w;
-        if DIRECT {
+        for (t, &o) in l.off.iter().enumerate() {
+            let (x, wt) = (_mm512_maskz_loadu_ps(l.m, l.xq.add(o)), l.w.add(t));
             for (j, a) in acc.iter_mut().enumerate() {
-                *a = _mm512_set1_ps(*l.bias.add(j));
-            }
-            for row in l.off.chunks_exact(l.tm.len()) {
-                for (&o, &t) in row.iter().zip(l.tm) {
-                    let t = t as __mmask16;
-                    if t != 0 {
-                        let x = _mm512_maskz_loadu_ps(t, l.xq.add(o));
-                        for (j, a) in acc.iter_mut().enumerate() {
-                            let p = _mm512_mul_ps(x, _mm512_set1_ps(*wt.add(j * l.wj)));
-                            *a = _mm512_mask_add_ps(*a, t, *a, p);
-                        }
-                    }
-                    wt = wt.add(l.wk);
-                }
-            }
-        } else {
-            for &o in l.off {
-                let x = _mm512_maskz_loadu_ps(l.m, l.xq.add(o));
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a = _mm512_add_ps(*a, _mm512_mul_ps(x, _mm512_set1_ps(*wt.add(j))));
-                }
-                wt = wt.add(l.wk);
-            }
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a = _mm512_add_ps(*a, _mm512_set1_ps(*l.bias.add(j)));
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(x, _mm512_set1_ps(*wt.add(j * l.k))));
             }
         }
         for (j, a) in acc.into_iter().enumerate() {
-            _mm512_mask_compressstoreu_ps(l.dst.add(j * l.ohw), l.m, a);
+            let y = _mm512_add_ps(a, _mm512_set1_ps(*l.bias.add(j)));
+            _mm512_mask_compressstoreu_ps(l.dst.add(j * l.ohw), l.m, y);
         }
         G
     }
@@ -722,12 +432,11 @@ mod simd {
     /// compress-stores its sum into `db`.
     ///
     /// # Safety
-    /// AVX-512F must be available; `T` must be `g.taps()` and `DIRECT` match
-    /// `g.order`; `x` must hold `g.padded_len()` elements (which
-    /// [`Geom::with`] bounds every run's read by), `drows` `g.rows()·F`, `dw`
-    /// `F·K` and `db` `F`.
+    /// AVX-512F must be available; `T` must be `g.taps()`; `x` must hold
+    /// `g.padded_len()` elements (which [`Geom::with`] bounds every run's
+    /// read by), `drows` `g.rows()·F`, `dw` `F·K` and `db` `F`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn tap_runs<const T: usize, const DIRECT: bool>(
+    pub unsafe fn tap_runs<const T: usize>(
         g: &Geom,
         x: &[f32],
         drows: &[f32],
@@ -745,11 +454,11 @@ mod simd {
             while i0 < g.runs.len() {
                 let (runs, took) = (&g.runs[i0..], sweep_len(g.runs.len() - i0));
                 let sum = match took {
-                    12 => sweep::<T, 12, DIRECT>(g, x, runs, drows, j0, &out),
-                    6 => sweep::<T, 6, DIRECT>(g, x, runs, drows, j0, &out),
-                    3 => sweep::<T, 3, DIRECT>(g, x, runs, drows, j0, &out),
-                    2 => sweep::<T, 2, DIRECT>(g, x, runs, drows, j0, &out),
-                    _ => sweep::<T, 1, DIRECT>(g, x, runs, drows, j0, &out),
+                    12 => sweep::<T, 12>(g, x, runs, drows, j0, &out),
+                    6 => sweep::<T, 6>(g, x, runs, drows, j0, &out),
+                    3 => sweep::<T, 3>(g, x, runs, drows, j0, &out),
+                    2 => sweep::<T, 2>(g, x, runs, drows, j0, &out),
+                    _ => sweep::<T, 1>(g, x, runs, drows, j0, &out),
                 };
                 if i0 == 0 {
                     let m = heads & ((1 << (out.filters * T)) - 1);
@@ -768,24 +477,21 @@ mod simd {
         filters: usize,
     }
 
-    /// One sweep over every row `r = (ni, oy, ox)`, ascending, from `+0.0`,
-    /// for the first `G` runs of `runs`, a suffix of `g.runs`: lane `l` of
-    /// run `i`'s accumulator is
+    /// One sweep over every row `r = (ni, p)`, ascending, from `+0.0`, for
+    /// the first `G` runs of `runs`: lane `l` of run `i`'s accumulator is
     /// `Σ_r x[base_r + off[runs[i]] + l%T] · drows[r][j0 + l/T]`, stored at
     /// `dW[j0 + l/T][runs[i] + l%T]` for the group's filters and the run's
-    /// taps inside its kernel row. In the direct order a term is skipped
-    /// where `drows[r][j0 + l/T] == 0` or the tap lies outside the input.
-    /// Returns lane `l` = `Σ_r drows[r][j0 + l/T]` (0 past the row's `F`).
+    /// taps inside its kernel row. Returns lane `l` = `Σ_r drows[r][j0 + l/T]`
+    /// (0 past the row's `F`).
     ///
     /// # Safety
     /// AVX-512F must be available; `base_r + off[runs[i]] + T − 1 < x.len()`
     /// for every row and run; `drows` must hold `g.rows()·F` elements and
     /// `j0 < F`; `out.dw` must be `dW[j0][0]` of a `dW` holding `F·K`
-    /// floats and `j0 + out.filters <= F`; in the direct order `g.cols`,
-    /// `g.run_ky` and `g.run_cx` must be the geometry's.
+    /// floats and `j0 + out.filters <= F`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn sweep<const T: usize, const G: usize, const DIRECT: bool>(
+    unsafe fn sweep<const T: usize, const G: usize>(
         g: &Geom,
         x: &[f32],
         runs: &[usize],
@@ -797,14 +503,6 @@ mod simd {
         for (o, &ks) in off.iter_mut().zip(runs) {
             *o = g.off[ks];
         }
-        // Direct order: each run's kernel row and column-mask slot.
-        let (mut ky, mut cx) = ([0; G], [0; G]);
-        if DIRECT {
-            let i0 = g.runs.len() - runs.len();
-            ky.copy_from_slice(&g.run_ky[i0..][..G]);
-            cx.copy_from_slice(&g.run_cx[i0..][..G]);
-        }
-        let ncx = g.kw.div_ceil(T);
         let row = ((1u32 << (g.f - j0).min(LANES)) - 1) as __mmask16;
         let idx: [i32; LANES] = std::array::from_fn(|l| (l / T) as i32);
         let idx = _mm512_loadu_si512(idx.as_ptr().cast());
@@ -813,35 +511,14 @@ mod simd {
         let mut gp = drows.as_ptr().add(j0);
         for ni in 0..g.n {
             let xs = x.as_ptr().add(ni * g.sample());
-            for oy in 0..g.oh {
-                // Direct order: whether each run's kernel row lies inside.
-                let rows: [__mmask16; G] = std::array::from_fn(|i| {
-                    let inside = DIRECT && (g.pad..g.h + g.pad).contains(&(oy + ky[i]));
-                    if inside {
-                        0xffff
-                    } else {
-                        0
-                    }
-                });
-                for ox in 0..g.ow {
-                    let gr = _mm512_permutexvar_ps(idx, _mm512_maskz_loadu_ps(row, gp));
-                    gp = gp.add(g.f);
-                    let xr = xs.add(oy * g.wp + ox);
-                    if DIRECT {
-                        let nz = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(gr, _mm512_setzero_ps());
-                        let cols = g.cols.as_ptr().add(ox * ncx);
-                        for i in 0..G {
-                            let m = nz & rows[i] & *cols.add(cx[i]) as __mmask16;
-                            let p = _mm512_mul_ps(run::<T>(xr.add(off[i])), gr);
-                            a[i] = _mm512_mask_add_ps(a[i], m, a[i], p);
-                        }
-                    } else {
-                        for (ai, &o) in a.iter_mut().zip(&off) {
-                            *ai = _mm512_add_ps(*ai, _mm512_mul_ps(run::<T>(xr.add(o)), gr));
-                        }
-                    }
-                    s = _mm512_add_ps(s, gr);
+            for &p in g.pix {
+                let gr = _mm512_permutexvar_ps(idx, _mm512_maskz_loadu_ps(row, gp));
+                gp = gp.add(g.f);
+                let xr = xs.add(p);
+                for (ai, &o) in a.iter_mut().zip(&off) {
+                    *ai = _mm512_add_ps(*ai, _mm512_mul_ps(run::<T>(xr.add(o)), gr));
                 }
+                s = _mm512_add_ps(s, gr);
             }
         }
         // Plain stores: an `i32scatter` measured slower in the batch-64
@@ -875,82 +552,6 @@ mod simd {
             8 => _mm512_castsi512_ps(_mm512_broadcast_i64x4(_mm256_loadu_si256(p.cast()))),
             _ => _mm512_loadu_ps(p),
         }
-    }
-
-    /// The direct order's `dinput` over input-pixel lanes: for every sample
-    /// `ni`, every block `b` of its `dinput` grid and every channel `ci`, the
-    /// live lanes `q` of the chain from `+0.0` over `f` ascending, then
-    /// `(ky, kx)` descending, of `g · W[f][ci][ky][kx]` with
-    /// `g = dq[(ni·F + f)·Hq·Wq + q + dx_shift[ky·KW + kx]]`, skipping
-    /// `g == 0` (the border of `dq` is zero, so a tap outside `dout` is one),
-    /// stored at `dx[(ni·C + ci)·H·W + p]` where `p` is the lane's input
-    /// pixel. Channels go in register groups of 16/8/4/1.
-    ///
-    /// # Safety
-    /// AVX-512F must be available; `g.order` must be direct; `dq` must hold
-    /// `N·F·Hq·Wq` elements (which [`Geom::with`] bounds every live read by),
-    /// `w` `F·K` and `dx` `N·C·H·W`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn input_lanes(g: &Geom, dq: &[f32], w: &[f32], dx: &mut [f32]) {
-        let (c, hw, khkw) = (g.c, g.h * g.w, g.khkw());
-        for ni in 0..g.n {
-            let ds = dq.as_ptr().add(ni * g.f * g.dq_plane());
-            let xs = dx.as_mut_ptr().add(ni * c * hw);
-            let mut p0 = 0;
-            for (b, &m) in g.dx_masks.iter().enumerate() {
-                let (dqb, m) = (ds.add(b * LANES), m as __mmask16);
-                let mut c0 = 0;
-                while c0 < c {
-                    let (wc, dst) = (w.as_ptr().add(c0 * khkw), xs.add(c0 * hw + p0));
-                    c0 += match c - c0 {
-                        16.. => channels::<16>(g, dqb, m, wc, dst),
-                        8.. => channels::<8>(g, dqb, m, wc, dst),
-                        4.. => channels::<4>(g, dqb, m, wc, dst),
-                        _ => channels::<1>(g, dqb, m, wc, dst),
-                    };
-                }
-                p0 += m.count_ones() as usize;
-            }
-        }
-    }
-
-    /// One block of [`input_lanes`], `G` channels, compress-stored at
-    /// `dst + j·H·W`. Returns `G`.
-    ///
-    /// # Safety
-    /// AVX-512F must be available; the live lanes of `m` at
-    /// `dq + f·Hq·Wq + dx_shift[t]` must be readable for every `f` and `t`,
-    /// `w + f·K + j·KH·KW + t` too for `j < G`, and `dst + j·H·W` must have
-    /// room for `m`'s live lanes.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn channels<const G: usize>(
-        g: &Geom,
-        dq: *const f32,
-        m: __mmask16,
-        w: *const f32,
-        dst: *mut f32,
-    ) -> usize {
-        let (k, khkw, plane) = (g.k(), g.khkw(), g.dq_plane());
-        let mut acc = [_mm512_setzero_ps(); G];
-        for fi in 0..g.f {
-            let (dp, wf) = (dq.add(fi * plane), w.add(fi * k));
-            for (t, &sh) in g.dx_shift.iter().enumerate().rev() {
-                let gv = _mm512_maskz_loadu_ps(m, dp.add(sh));
-                let nz = _mm512_mask_cmp_ps_mask::<_CMP_NEQ_UQ>(m, gv, _mm512_setzero_ps());
-                if nz == 0 {
-                    continue;
-                }
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let p = _mm512_mul_ps(gv, _mm512_set1_ps(*wf.add(j * khkw + t)));
-                    *a = _mm512_mask_add_ps(*a, nz, *a, p);
-                }
-            }
-        }
-        for (j, a) in acc.into_iter().enumerate() {
-            _mm512_mask_compressstoreu_ps(dst.add(j * g.h * g.w), m, a);
-        }
-        G
     }
 
     /// `drows[(ni·OH·OW + p)·F + j] = dout[(ni·F + j)·OH·OW + p]`, a block of
@@ -1007,19 +608,19 @@ mod simd {
         }
     }
 
-    /// Every image row of extent `e` from `src` laid out as `from` to `dst`
-    /// laid out as `to`: sixteen floats at a time, a row's last (or only)
-    /// vector masked.
+    /// Every image row of `g` from `src` laid out as `from` to `dst` laid out
+    /// as `to`: sixteen floats at a time, a row's last (or only) vector
+    /// masked.
     ///
     /// # Safety
-    /// AVX-512F must be available; `from.end(e) <= src` length and
-    /// `to.end(e) <= dst` length.
+    /// AVX-512F must be available; `from.end(g) <= src` length and
+    /// `to.end(g) <= dst` length.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn copy_rows(e: Extent, src: *const f32, from: Planes, dst: *mut f32, to: Planes) {
-        let whole = e.width - e.width % LANES;
-        let tail = ((1u32 << (e.width % LANES)) - 1) as __mmask16;
-        for i in 0..e.planes {
-            for y in 0..e.rows {
+    pub unsafe fn copy_rows(g: &Geom, src: *const f32, from: Planes, dst: *mut f32, to: Planes) {
+        let whole = g.w - g.w % LANES;
+        let tail = ((1u32 << (g.w % LANES)) - 1) as __mmask16;
+        for i in 0..g.n * g.c {
+            for y in 0..g.h {
                 let s = src.add(from.at + i * from.plane + y * from.row);
                 let d = dst.add(to.at + i * to.plane + y * to.row);
                 for c in (0..whole).step_by(LANES) {
@@ -1033,33 +634,23 @@ mod simd {
 }
 
 /// Portable twin of [`simd::pixel_lanes`]: the same chains, a row segment
-/// of up to sixteen output pixels at a time, reading live lanes (and in the
-/// direct order, taps inside the input) only. `w` is `(K, F)` in the GEMM
-/// order and `(F, K)` in the direct order.
+/// of up to sixteen output pixels at a time, reading live lanes only.
 fn pixel_lanes_portable(g: &Geom, x: &[f32], w: &[f32], bias: &[f32], out: &mut [f32]) {
-    let (ow, ohw, k, direct) = (g.ow, g.ohw(), g.k(), g.order == Order::Direct);
+    let (ow, ohw) = (g.ow, g.ohw());
     for (ni, os) in out.chunks_exact_mut(g.f * ohw).enumerate() {
         for p0 in (0..ohw).step_by(ow) {
             for ox0 in (0..ow).step_by(LANES) {
                 let (p, lanes) = (p0 + ox0, LANES.min(ow - ox0));
                 let base = g.base(ni, p);
-                for (j, &b) in bias.iter().enumerate() {
-                    let mut acc = [if direct { b } else { 0.0 }; LANES];
-                    for (kk, &o) in g.off.iter().enumerate() {
-                        let (ky, kx) = (kk / g.kw % g.kh, kk % g.kw);
-                        let wv = if direct {
-                            w[j * k + kk]
-                        } else {
-                            w[kk * g.f + j]
-                        };
-                        for (l, a) in acc.iter_mut().enumerate().take(lanes) {
-                            if !direct || g.inside(p0 / ow, ox0 + l, ky, kx) {
-                                *a += x[base + o + l] * wv;
-                            }
+                for (j, (&b, wj)) in bias.iter().zip(w.chunks_exact(g.k())).enumerate() {
+                    let mut acc = [0.0f32; LANES];
+                    for (&o, &wv) in g.off.iter().zip(wj) {
+                        for (a, &xv) in acc.iter_mut().zip(&x[base + o..][..lanes]) {
+                            *a += xv * wv;
                         }
                     }
                     for (y, &a) in os[j * ohw + p..][..lanes].iter_mut().zip(&acc) {
-                        *y = if direct { a } else { a + b };
+                        *y = a + b;
                     }
                 }
             }
@@ -1109,52 +700,20 @@ fn store_sweep(
 
 /// Portable twin of [`simd::tap_runs`]: the same lanes, one run at a time.
 fn tap_runs_portable(g: &Geom, x: &[f32], drows: &[f32], dw: &mut [f32], db: &mut [f32]) {
-    let (t, ohw, direct) = (g.taps(), g.ohw(), g.order == Order::Direct);
+    let (t, ohw) = (g.taps(), g.ohw());
     for j0 in (0..g.f).step_by(g.fw()) {
         for (i, &ks) in g.runs.iter().enumerate() {
-            let (ky, kx0) = (ks / g.kw % g.kh, ks % g.kw);
             let (mut acc, mut sum) = ([0.0f32; LANES], [0.0f32; LANES]);
             for (r, row) in drows.chunks_exact(g.f).enumerate() {
-                let (oy, ox) = (r % ohw / g.ow, r % g.ow);
                 let gr: [f32; LANES] =
                     std::array::from_fn(|l| row.get(j0 + l / t).copied().unwrap_or(0.0));
                 let xr = &x[g.base(r / ohw, r % ohw) + g.off[ks]..][..t];
                 for (l, (a, s)) in acc.iter_mut().zip(&mut sum).enumerate() {
-                    if !direct || (gr[l] != 0.0 && g.inside(oy, ox, ky, kx0 + l % t)) {
-                        *a += xr[l % t] * gr[l];
-                    }
+                    *a += xr[l % t] * gr[l];
                     *s += gr[l];
                 }
             }
             store_sweep(g, j0, &[ks], &[acc], (i == 0).then_some(&sum), dw, db);
-        }
-    }
-}
-
-/// Portable twin of [`simd::input_lanes`]: the same chains, one input
-/// element at a time.
-fn input_lanes_portable(g: &Geom, dq: &[f32], w: &[f32], dx: &mut [f32]) {
-    let (khkw, plane) = (g.khkw(), g.dq_plane());
-    let mut at = 0;
-    for ni in 0..g.n {
-        for ci in 0..g.c {
-            for iy in 0..g.h {
-                for ix in 0..g.w {
-                    let q = iy * g.wq + ix;
-                    let mut acc = 0.0f32;
-                    for fi in 0..g.f {
-                        let dp = &dq[(ni * g.f + fi) * plane + q..];
-                        let wf = &w[(fi * g.c + ci) * khkw..][..khkw];
-                        for (&sh, &wv) in g.dx_shift.iter().zip(wf).rev() {
-                            if dp[sh] != 0.0 {
-                                acc += dp[sh] * wv;
-                            }
-                        }
-                    }
-                    dx[at] = acc;
-                    at += 1;
-                }
-            }
         }
     }
 }
@@ -1175,10 +734,10 @@ fn row_layout_portable(g: &Geom, dout: &[f32], drows: &mut [f32]) {
 }
 
 /// Portable twin of [`simd::copy_rows`].
-fn copy_rows_portable(e: Extent, src: &[f32], from: Planes, dst: &mut [f32], to: Planes) {
-    for i in 0..e.planes {
-        for y in 0..e.rows {
-            let s = &src[from.at + i * from.plane + y * from.row..][..e.width];
+fn copy_rows_portable(g: &Geom, src: &[f32], from: Planes, dst: &mut [f32], to: Planes) {
+    for i in 0..g.n * g.c {
+        for y in 0..g.h {
+            let s = &src[from.at + i * from.plane + y * from.row..][..g.w];
             for (d, &v) in dst[to.at + i * to.plane + y * to.row..].iter_mut().zip(s) {
                 *d = v;
             }
@@ -1187,32 +746,18 @@ fn copy_rows_portable(e: Extent, src: &[f32], from: Planes, dst: &mut [f32], to:
 }
 
 /// [`simd::pixel_lanes`] where the host has AVX-512, its twin elsewhere.
-/// `w` is the filters packed as `(K, F)` in the GEMM order, the weight
-/// `(F, K)` itself in the direct order.
 fn pixel_lanes(g: &Geom, x: &[f32], w: &[f32], bias: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), g.padded_len(), "conv2d padded image length");
-    assert_eq!(w.len(), g.k() * g.f, "conv2d filter length");
+    assert_eq!(w.len(), g.f * g.k(), "conv2d filter length");
     assert_eq!(bias.len(), g.f, "conv2d bias size");
     assert_eq!(out.len(), g.rows() * g.f, "conv2d output length");
     #[cfg(target_arch = "x86_64")]
     if lanes() {
-        // SAFETY: feature checked, `DIRECT` is the geometry's order. `x` has
-        // the length `Geom::with` asserted its bound against, the other
-        // extents are asserted above.
-        return unsafe {
-            match g.order {
-                Order::Gemm => simd::pixel_lanes::<false>(g, x, w, bias, out),
-                Order::Direct => simd::pixel_lanes::<true>(g, x, w, bias, out),
-            }
-        };
+        // SAFETY: feature checked. `x` has the length `Geom::with` asserted
+        // its bound against, the other extents are asserted above.
+        return unsafe { simd::pixel_lanes(g, x, w, bias, out) };
     }
     pixel_lanes_portable(g, x, w, bias, out)
-}
-
-/// `weight (F, K)` as `(K, F)` into `pb`: `pb[k·F + j] = W[j][k]`.
-fn pack_taps_by_filters(wd: &[f32], k: usize, pb: &mut Vec<f32>) {
-    pb.clear();
-    pb.extend((0..k).flat_map(|kk| wd[kk..].iter().step_by(k).copied()));
 }
 
 /// `dW (F, K)` and `dbias (F)`, every slot, from `x` and `drows` over runs
@@ -1225,55 +770,20 @@ fn tap_runs(g: &Geom, x: &[f32], drows: &[f32], dw: &mut [f32], db: &mut [f32]) 
     assert_eq!(db.len(), g.f, "conv2d_backward dbias length");
     #[cfg(target_arch = "x86_64")]
     if lanes() {
-        // SAFETY: feature checked, `T` and `DIRECT` are the geometry's. `x`
-        // has the length `Geom::with` asserted every run's read against; the
-        // `drows`, `dw` and `db` extents are asserted above.
+        // SAFETY: feature checked, `T` is the geometry's. `x` has the length
+        // `Geom::with` asserted every run's read against; the `drows`, `dw`
+        // and `db` extents are asserted above.
         return unsafe {
-            match (g.taps(), g.order == Order::Direct) {
-                (1, false) => simd::tap_runs::<1, false>(g, x, drows, dw, db),
-                (2, false) => simd::tap_runs::<2, false>(g, x, drows, dw, db),
-                (4, false) => simd::tap_runs::<4, false>(g, x, drows, dw, db),
-                (8, false) => simd::tap_runs::<8, false>(g, x, drows, dw, db),
-                (_, false) => simd::tap_runs::<16, false>(g, x, drows, dw, db),
-                (1, true) => simd::tap_runs::<1, true>(g, x, drows, dw, db),
-                (2, true) => simd::tap_runs::<2, true>(g, x, drows, dw, db),
-                (4, true) => simd::tap_runs::<4, true>(g, x, drows, dw, db),
-                (8, true) => simd::tap_runs::<8, true>(g, x, drows, dw, db),
-                (_, true) => simd::tap_runs::<16, true>(g, x, drows, dw, db),
+            match g.taps() {
+                1 => simd::tap_runs::<1>(g, x, drows, dw, db),
+                2 => simd::tap_runs::<2>(g, x, drows, dw, db),
+                4 => simd::tap_runs::<4>(g, x, drows, dw, db),
+                8 => simd::tap_runs::<8>(g, x, drows, dw, db),
+                _ => simd::tap_runs::<16>(g, x, drows, dw, db),
             }
         };
     }
     tap_runs_portable(g, x, drows, dw, db)
-}
-
-/// The direct order's `dinput (N,C,H,W)`, every slot, from the bordered
-/// `dout` copy `dq` (see [`Geom::bordered_dout`]) and the weight `(F, K)`:
-/// [`simd::input_lanes`] where the host has AVX-512, its twin elsewhere.
-fn input_lanes(g: &Geom, dq: &[f32], w: &[f32], dx: &mut [f32]) {
-    assert_eq!(
-        g.order,
-        Order::Direct,
-        "conv2d input lanes are the direct order's"
-    );
-    assert_eq!(
-        dq.len(),
-        g.n * g.f * g.dq_plane(),
-        "conv2d bordered dout length"
-    );
-    assert_eq!(w.len(), g.f * g.k(), "conv2d filter length");
-    assert_eq!(
-        dx.len(),
-        g.n * g.c * g.h * g.w,
-        "conv2d input gradient length"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if lanes() {
-        // SAFETY: feature checked, the order asserted; `dq` has the length
-        // `Geom::with` asserted every live read against, the other extents
-        // are asserted above.
-        return unsafe { simd::input_lanes(g, dq, w, dx) };
-    }
-    input_lanes_portable(g, dq, w, dx)
 }
 
 /// `dout (N,F,OH,OW)` → `drows (N·OH·OW, F)`, one row per pixel, every slot:
@@ -1298,18 +808,18 @@ fn row_layout(g: &Geom, dout: &[f32], drows: &mut [f32]) {
     row_layout_portable(g, dout, drows)
 }
 
-/// Copy every image row of extent `e` from `src` laid out as `from` to
-/// `dst` laid out as `to`: [`simd::copy_rows`] where the host has AVX-512,
-/// its twin elsewhere.
-fn copy_rows(e: Extent, src: &[f32], from: Planes, dst: &mut [f32], to: Planes) {
-    assert!(from.end(e) <= src.len(), "conv2d row copy: source");
-    assert!(to.end(e) <= dst.len(), "conv2d row copy: destination");
+/// Copy every image row of `g` from `src` laid out as `from` to `dst` laid
+/// out as `to`: [`simd::copy_rows`] where the host has AVX-512, its twin
+/// elsewhere.
+fn copy_rows(g: &Geom, src: &[f32], from: Planes, dst: &mut [f32], to: Planes) {
+    assert!(from.end(g) <= src.len(), "conv2d row copy: source");
+    assert!(to.end(g) <= dst.len(), "conv2d row copy: destination");
     #[cfg(target_arch = "x86_64")]
     if lanes() {
         // SAFETY: feature checked; both extents are asserted above.
-        return unsafe { simd::copy_rows(e, src.as_ptr(), from, dst.as_mut_ptr(), to) };
+        return unsafe { simd::copy_rows(g, src.as_ptr(), from, dst.as_mut_ptr(), to) };
     }
-    copy_rows_portable(e, src, from, dst, to)
+    copy_rows_portable(g, src, from, dst, to)
 }
 
 /// `dpad[base + off[k]] += dpatch[k]` in ascending `k`: one row of
@@ -1328,152 +838,95 @@ fn scatter_add(dpad: &mut [f32], base: usize, off: &[usize], dpatch: &[f32]) {
     }
 }
 
-/// Convolution forward in `order`: `input (N,C,H,W)` ⊛
-/// `weight (F,C,KH,KW)` + `bias (F)` → `(N,F,OH,OW)` from `s`. The direct order neither packs
-/// the filters nor takes its padded copy from `s`: it pads into the
-/// thread's packing buffer, so a thousand batch-1 arenas hold no pad
-/// buffers.
+/// Convolution forward: `input (N,C,H,W)` ⊛ `weight (F,C,KH,KW)` + `bias (F)`
+/// → `(N,F,OH,OW)` from `s`.
 pub(super) fn forward(
     input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
     pad: usize,
-    order: Order,
     s: &mut Scratch,
 ) -> Tensor {
-    let _p = (order == Order::Gemm)
-        .then(|| dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm));
-    Geom::with(input, weight, pad, order, |g| {
+    let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
+    Geom::with(input, weight, pad, |g| {
         let mut out = s.take_uninit(g.rows() * g.f);
-        match order {
-            Order::Gemm => {
-                let xbuf = g.padded(input.data(), s);
-                let x = xbuf.as_deref().unwrap_or(input.data());
-                with_pack_buf(|pb| {
-                    pack_taps_by_filters(weight.data(), g.k(), pb);
-                    pixel_lanes(g, x, pb, bias.data(), &mut out);
-                });
-                if let Some(xpad) = xbuf {
-                    s.put(xpad);
-                }
-            }
-            Order::Direct => with_pack_buf(|pb| {
-                pb.resize(g.padded_len(), 0.0);
-                let x = g.padded_in(input.data(), pb);
-                pixel_lanes(g, x, weight.data(), bias.data(), &mut out);
-            }),
+        let xbuf = g.padded(input.data(), s);
+        let x = xbuf.as_deref().unwrap_or(input.data());
+        pixel_lanes(g, x, weight.data(), bias.data(), &mut out);
+        if let Some(xpad) = xbuf {
+            s.put(xpad);
         }
         Tensor::from_vec(Shape::d4(g.n, g.f, g.oh, g.ow), out)
     })
 }
 
-/// Convolution backward in `order`: writes `dL/dW (F,C,KH,KW)` and `dL/db
-/// (F)` into the caller's buffers (every slot) and returns `dL/d(input)`
-/// from `s` when `want_dx`. `dout` has shape `(N,F,OH,OW)`. The direct
-/// order keeps its padded input, row layout and bordered `dout` in the
-/// thread's packing buffer, as [`forward`] does.
+/// Convolution backward: writes `dL/dW (F,C,KH,KW)` and `dL/db (F)` into the
+/// caller's buffers (every slot) and returns `dL/d(input)` from `s` when
+/// `want_dx`. `dout` has shape `(N,F,OH,OW)`.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn backward_into(
     input: &Tensor,
     weight: &Tensor,
     dout: &Tensor,
     pad: usize,
-    order: Order,
     want_dx: bool,
     dweight: &mut [f32],
     dbias: &mut [f32],
     s: &mut Scratch,
 ) -> Option<Tensor> {
-    let _p = (order == Order::Gemm)
-        .then(|| dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm));
-    Geom::with(input, weight, pad, order, |g| {
+    let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
+    Geom::with(input, weight, pad, |g| {
+        let (f, k, ohw) = (g.f, g.k(), g.ohw());
         assert_eq!(
             dout.shape().dims(),
-            &[g.n, g.f, g.oh, g.ow],
+            &[g.n, f, g.oh, g.ow],
             "conv2d_backward dout shape"
         );
-        match order {
-            Order::Gemm => gemm_backward(g, input, weight, dout, want_dx, dweight, dbias, s),
-            Order::Direct => with_pack_buf(|pb| {
-                // dW and dbias over runs of adjacent taps, as in the GEMM
-                // order, with the padded input and the row layout side by
-                // side in `pb`.
-                let (xlen, rlen) = (g.padded_len(), g.rows() * g.f);
-                // `dq` reuses the front of `pb` once `dW` is done.
-                pb.resize((xlen + rlen).max(g.n * g.f * g.dq_plane()), 0.0);
-                let (xbuf, rest) = pb.split_at_mut(xlen);
-                let drows = &mut rest[..rlen];
-                row_layout(g, dout.data(), drows);
-                let x = g.padded_in(input.data(), xbuf);
-                tap_runs(g, x, drows, dweight, dbias);
-                want_dx.then(|| {
-                    let dq = &mut pb[..g.n * g.f * g.dq_plane()];
-                    g.bordered_dout(dout.data(), dq);
-                    let mut dx = s.take_uninit(g.n * g.c * g.h * g.w);
-                    input_lanes(g, dq, weight.data(), &mut dx);
-                    Tensor::from_vec(Shape::d4(g.n, g.c, g.h, g.w), dx)
-                })
-            }),
+
+        // dout (N,F,OH,OW) -> row layout (N*OH*OW, F): one row per pixel.
+        let mut drows = s.take_uninit(g.rows() * f);
+        row_layout(g, dout.data(), &mut drows);
+
+        // dW and dbias over runs of adjacent taps, filters × taps per vector.
+        let xbuf = g.padded(input.data(), s);
+        let x = xbuf.as_deref().unwrap_or(input.data());
+        tap_runs(g, x, &drows, dweight, dbias);
+        if let Some(xpad) = xbuf {
+            s.put(xpad);
         }
-    })
-}
 
-/// The GEMM order's backward (see [`backward_into`]).
-#[allow(clippy::too_many_arguments)]
-fn gemm_backward(
-    g: &Geom,
-    input: &Tensor,
-    weight: &Tensor,
-    dout: &Tensor,
-    want_dx: bool,
-    dweight: &mut [f32],
-    dbias: &mut [f32],
-    s: &mut Scratch,
-) -> Option<Tensor> {
-    let (f, k, ohw) = (g.f, g.k(), g.ohw());
-    // dout (N,F,OH,OW) -> row layout (N*OH*OW, F): one row per pixel.
-    let mut drows = s.take_uninit(g.rows() * f);
-    row_layout(g, dout.data(), &mut drows);
-
-    // dW and dbias over runs of adjacent taps, filters × taps per vector.
-    let xbuf = g.padded(input.data(), s);
-    let x = xbuf.as_deref().unwrap_or(input.data());
-    tap_runs(g, x, &drows, dweight, dbias);
-    if let Some(xpad) = xbuf {
-        s.put(xpad);
-    }
-
-    let dinput = want_dx.then(|| {
-        // dpatches (R, K) = drows · W, a 4-row strip at a time — every
-        // panel of the strip before any of it is scattered, so each
-        // dpad element receives its terms in ascending (r, k).
-        let mut dpad = s.take(g.padded_len());
-        let kp = k.next_multiple_of(NR);
-        let mut strip = s.take_uninit(MR * kp);
-        with_pack_buf(|pb| {
-            // weight viewed as (F, K): panel[f][c] = W[f][j0 + c].
-            pack_panels_rowmajor(weight.data(), f, k, pb);
-            let mut rows = Rows { ni: 0, p: 0 };
-            for r0 in (0..g.rows()).step_by(MR) {
-                let mr = MR.min(g.rows() - r0);
-                for (jp, panel) in pb.chunks_exact(f * NR).enumerate() {
-                    let mut acc = [[0.0f32; NR]; MR];
-                    micro_a_rows(mr, f, &drows[r0 * f..], f, panel, &mut acc);
-                    for (i, row) in acc.iter().enumerate().take(mr) {
-                        strip[i * kp + jp * NR..][..NR].copy_from_slice(row);
+        let dinput = want_dx.then(|| {
+            // dpatches (R, K) = drows · W, a 4-row strip at a time — every
+            // panel of the strip before any of it is scattered, so each
+            // dpad element receives its terms in ascending (r, k).
+            let mut dpad = s.take(g.padded_len());
+            let kp = k.next_multiple_of(NR);
+            let mut strip = s.take_uninit(MR * kp);
+            with_pack_buf(|pb| {
+                // weight viewed as (F, K): panel[f][c] = W[f][j0 + c].
+                pack_panels_rowmajor(weight.data(), f, k, pb);
+                let mut rows = Rows { ni: 0, p: 0 };
+                for r0 in (0..g.rows()).step_by(MR) {
+                    let mr = MR.min(g.rows() - r0);
+                    for (jp, panel) in pb.chunks_exact(f * NR).enumerate() {
+                        let mut acc = [[0.0f32; NR]; MR];
+                        micro_a_rows(mr, f, &drows[r0 * f..], f, panel, &mut acc);
+                        for (i, row) in acc.iter().enumerate().take(mr) {
+                            strip[i * kp + jp * NR..][..NR].copy_from_slice(row);
+                        }
+                    }
+                    for dpatch in strip.chunks_exact(kp).take(mr) {
+                        let (ni, p) = rows.next(ohw);
+                        scatter_add(&mut dpad, g.base(ni, p), g.off, dpatch);
                     }
                 }
-                for dpatch in strip.chunks_exact(kp).take(mr) {
-                    let (ni, p) = rows.next(ohw);
-                    scatter_add(&mut dpad, g.base(ni, p), g.off, dpatch);
-                }
-            }
+            });
+            s.put(strip);
+            Tensor::from_vec(Shape::d4(g.n, g.c, g.h, g.w), g.unpadded(dpad, s))
         });
-        s.put(strip);
-        Tensor::from_vec(Shape::d4(g.n, g.c, g.h, g.w), g.unpadded(dpad, s))
-    });
-    s.put(drows);
-    dinput
+        s.put(drows);
+        dinput
+    })
 }
 
 #[cfg(test)]
@@ -1482,14 +935,36 @@ mod tests {
     use crate::ops::conv::{conv2d_backward_direct, conv2d_direct};
     use crate::rng::DetRng;
 
-    /// Shapes below the dispatcher's threshold too: the backend itself has
-    /// none. `(n, c, h, w, f, k, pad)`.
-    const SHAPES: [(usize, usize, usize, usize, usize, usize, usize); 4] = [
+    /// `(n, c, h, w, f, k, pad)`.
+    type Dims = (usize, usize, usize, usize, usize, usize, usize);
+
+    /// Small shapes, batch 1 among them.
+    const SHAPES: [Dims; 4] = [
         (2, 3, 8, 8, 5, 3, 1),
         (1, 1, 5, 7, 2, 3, 0),
         (3, 4, 6, 6, 8, 1, 0),
         (1, 2, 4, 4, 3, 3, 2),
     ];
+
+    /// Cipher's three convolutions, at a batch whose blocks end every sample
+    /// short of sixteen live lanes.
+    const CIPHER: [Dims; 3] = [
+        (3, 1, 12, 12, 4, 3, 1),
+        (3, 4, 6, 6, 8, 3, 1),
+        (3, 8, 3, 3, 16, 3, 1),
+    ];
+
+    /// Past `SHAPES` and `CIPHER`: `F = 1` (16-tap runs) on a pad-0 1×1
+    /// kernel, so the padded copy exists for its slack alone, and `F = 20`
+    /// (two filter groups, the second four wide) on a 25-pixel map.
+    const EDGES: [Dims; 2] = [(1, 2, 5, 5, 1, 1, 0), (1, 3, 5, 5, 20, 3, 1)];
+
+    /// `SHAPES`, `CIPHER` at batch 1 (as the thousand-worker simulation runs
+    /// it) and `EDGES`.
+    fn shapes() -> impl Iterator<Item = Dims> {
+        let batch_1 = CIPHER.map(|(_, c, h, w, f, k, pad)| (1, c, h, w, f, k, pad));
+        SHAPES.into_iter().chain(batch_1).chain(EDGES)
+    }
 
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32, what: &str) {
         assert_eq!(a.shape(), b.shape(), "{what}");
@@ -1502,12 +977,12 @@ mod tests {
     fn forward_matches_the_direct_loops() {
         let mut rng = DetRng::seed_from_u64(1);
         let mut s = Scratch::new();
-        for (n, c, h, w, f, k, pad) in SHAPES {
+        for (n, c, h, w, f, k, pad) in shapes() {
             let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
             let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
             let direct = conv2d_direct(&input, &weight, &bias, pad, &mut s);
-            let gemm = forward(&input, &weight, &bias, pad, Order::Gemm, &mut s);
+            let gemm = forward(&input, &weight, &bias, pad, &mut s);
             assert_close(
                 &direct,
                 &gemm,
@@ -1521,7 +996,7 @@ mod tests {
     fn backward_matches_the_direct_loops() {
         let mut rng = DetRng::seed_from_u64(3);
         let mut s = Scratch::new();
-        for (n, c, h, w, f, k, pad) in SHAPES {
+        for (n, c, h, w, f, k, pad) in shapes() {
             let input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
             let (oh, ow) = out_hw(h, w, k, k, pad);
@@ -1529,10 +1004,7 @@ mod tests {
             let a = conv2d_backward_direct(&input, &weight, &dout, pad, &mut s);
             // Stale buffers: every slot must be written.
             let (mut dw, mut db) = (vec![f32::NAN; weight.numel()], vec![f32::NAN; f]);
-            let order = Order::Gemm;
-            let dx = backward_into(
-                &input, &weight, &dout, pad, order, true, &mut dw, &mut db, &mut s,
-            );
+            let dx = backward_into(&input, &weight, &dout, pad, true, &mut dw, &mut db, &mut s);
             let what = format!("({n},{c},{h},{w},{f},{k},{pad})");
             assert_close(&a.dinput, &dx.expect("asked for"), 1e-3, &what);
             let dw = Tensor::from_vec(weight.shape().clone(), dw);
@@ -1541,25 +1013,10 @@ mod tests {
         }
     }
 
-    /// Cipher's three convolutions, at a batch whose blocks end every sample
-    /// short of sixteen live lanes.
-    const CIPHER: [(usize, usize, usize, usize, usize, usize, usize); 3] = [
-        (3, 1, 12, 12, 4, 3, 1),
-        (3, 4, 6, 6, 8, 3, 1),
-        (3, 8, 3, 3, 16, 3, 1),
-    ];
-
-    /// Past `SHAPES` and `CIPHER`: `F = 1` (16-tap runs) on a pad-0 1×1
-    /// kernel, so the padded copy exists for its slack alone, and `F = 20`
-    /// (two filter groups, the second four wide) on a 25-pixel map.
-    const EDGES: [(usize, usize, usize, usize, usize, usize, usize); 2] =
-        [(1, 2, 5, 5, 1, 1, 0), (1, 3, 5, 5, 20, 3, 1)];
-
     /// On an AVX-512 host the dispatched micro-kernels are the intrinsics;
-    /// the portable twins must give the same bits in both orders (elsewhere
-    /// this compares the twins with themselves). `dout` carries exact zeros
-    /// and the operands −0.0, NaN and ±∞, so the direct order's masks decide
-    /// bits.
+    /// the portable twins must give the same bits (elsewhere this compares
+    /// the twins with themselves). `dout` carries exact zeros and the
+    /// operands −0.0, NaN and ±∞, which every chain adds like any term.
     #[test]
     fn portable_micro_kernels_match_the_dispatched_ones_bit_for_bit() {
         // NaNs compare equal whatever their sign and payload (module header).
@@ -1581,12 +1038,9 @@ mod tests {
             }
         };
         // Which run lengths `T`, sweep sizes and transpose widths `fw` (with
-        // a sample's last pixel block short of sixteen) ran, per order.
+        // a sample's last pixel block short of sixteen) ran.
         let (mut taps, mut sweeps, mut ragged) = (vec![], vec![], vec![]);
-        let shapes = SHAPES.into_iter().chain(CIPHER).chain(EDGES);
-        for ((n, c, h, w, f, k, pad), order) in
-            shapes.flat_map(|sh| [(sh, Order::Gemm), (sh, Order::Direct)])
-        {
+        for (n, c, h, w, f, k, pad) in shapes().chain(CIPHER) {
             let mut input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
             let mut weight = Tensor::randn(Shape::d4(f, c, k, k), 0.5, &mut rng);
             let mut bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
@@ -1594,25 +1048,18 @@ mod tests {
             specials(&mut weight, &mut rng);
             specials(&mut bias, &mut rng);
             let mut s = Scratch::new();
-            Geom::with(&input, &weight, pad, order, |g| {
-                let what = |t: &str| format!("{t} {order:?} ({n},{c},{h},{w},{f},{k},{pad})");
+            Geom::with(&input, &weight, pad, |g| {
+                let what = |t: &str| format!("{t} ({n},{c},{h},{w},{f},{k},{pad})");
                 let xbuf = g.padded(input.data(), &mut s);
                 let x = xbuf.as_deref().unwrap_or(input.data());
                 let mut want = vec![0.0; g.padded_len()];
-                copy_rows_portable(g.image(), input.data(), g.dense(), &mut want, g.interior());
+                copy_rows_portable(g, input.data(), g.dense(), &mut want, g.interior());
                 assert_eq!(bits(x), bits(&want), "{}", what("padded copy"));
 
-                let mut wk = Vec::new();
-                pack_taps_by_filters(weight.data(), g.k(), &mut wk);
-                let wk = if order == Order::Gemm {
-                    &wk
-                } else {
-                    weight.data()
-                };
                 // Stale outputs: every slot must be written.
                 let (mut got, mut want) = (vec![f32::NAN; g.rows() * f], vec![0.0; g.rows() * f]);
-                pixel_lanes(g, x, wk, bias.data(), &mut got);
-                pixel_lanes_portable(g, x, wk, bias.data(), &mut want);
+                pixel_lanes(g, x, weight.data(), bias.data(), &mut got);
+                pixel_lanes_portable(g, x, weight.data(), bias.data(), &mut want);
                 assert_eq!(bits(&got), bits(&want), "{}", what("pixel_lanes"));
 
                 let mut dout = Tensor::randn(Shape::d4(n, f, g.oh, g.ow), 1.0, &mut rng);
@@ -1625,7 +1072,7 @@ mod tests {
                 row_layout_portable(g, dout.data(), &mut want);
                 assert_eq!(bits(&got), bits(&want), "{}", what("row_layout"));
                 if g.ohw() % LANES != 0 {
-                    ragged.push((order, g.fw()));
+                    ragged.push(g.fw());
                 }
 
                 let drows = got;
@@ -1635,39 +1082,21 @@ mod tests {
                 tap_runs_portable(g, x, &drows, &mut dw_want, &mut db_want);
                 assert_eq!(bits(&dw), bits(&dw_want), "{}", what("tap_runs dW"));
                 assert_eq!(bits(&db), bits(&db_want), "{}", what("tap_runs dbias"));
-                taps.push((order, g.taps()));
+                taps.push(g.taps());
                 let mut left = g.runs.len();
                 while left > 0 {
-                    sweeps.push((order, sweep_len(left)));
+                    sweeps.push(sweep_len(left));
                     left -= sweep_len(left);
-                }
-
-                if order == Order::Direct {
-                    let mut dq = vec![f32::NAN; n * f * g.dq_plane()];
-                    g.bordered_dout(dout.data(), &mut dq);
-                    let len = n * c * h * w;
-                    let (mut got, mut want) = (vec![f32::NAN; len], vec![0.0; len]);
-                    input_lanes(g, &dq, weight.data(), &mut got);
-                    input_lanes_portable(g, &dq, weight.data(), &mut want);
-                    assert_eq!(bits(&got), bits(&want), "{}", what("input_lanes"));
                 }
             });
         }
-        for order in [Order::Gemm, Order::Direct] {
-            for t in [1, 2, 4, 8, 16] {
-                assert!(taps.contains(&(order, t)), "runs of {t} taps: {taps:?}");
-                let fw = LANES / t;
-                assert!(
-                    ragged.contains(&(order, fw)),
-                    "{fw} filters, ragged: {ragged:?}"
-                );
-            }
-            for len in [12, 6, 3, 2, 1] {
-                assert!(
-                    sweeps.contains(&(order, len)),
-                    "a sweep of {len} runs: {sweeps:?}"
-                );
-            }
+        for t in [1, 2, 4, 8, 16] {
+            assert!(taps.contains(&t), "runs of {t} taps: {taps:?}");
+            let fw = LANES / t;
+            assert!(ragged.contains(&fw), "{fw} filters, ragged: {ragged:?}");
+        }
+        for len in [12, 6, 3, 2, 1] {
+            assert!(sweeps.contains(&len), "a sweep of {len} runs: {sweeps:?}");
         }
     }
 
@@ -1678,8 +1107,8 @@ mod tests {
         let weight = Tensor::randn(Shape::d4(6, 3, 3, 3), 0.5, &mut rng);
         let bias = Tensor::zeros(Shape::d1(6));
         let mut s = Scratch::new();
-        let a = forward(&input, &weight, &bias, 1, Order::Gemm, &mut s);
-        let b = forward(&input, &weight, &bias, 1, Order::Gemm, &mut s);
+        let a = forward(&input, &weight, &bias, 1, &mut s);
+        let b = forward(&input, &weight, &bias, 1, &mut s);
         assert_eq!(a.data(), b.data());
     }
 }

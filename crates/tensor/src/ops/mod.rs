@@ -14,19 +14,18 @@
 //! filter, so a layer with 4 or 8 filters still fills every lane; `dW`'s
 //! lanes are filters × a run of adjacent taps (a 4-filter layer's vector
 //! holds one 4-tap run per filter), and `dinput` keeps the matmul tile.
-//! Shapes below `use_gemm`'s threshold keep the direct loops' chains (bias
-//! first, outside taps and zero gradients skipped) and run them on the same
-//! pixel and tap lanes with masked adds, plus input-pixel lanes for
-//! `dinput`; the scalar loops in `ops::conv` run them where AVX-512 is
-//! absent. Dispatch depends only on static shapes, so it picks a shape's
-//! bits, never the host's. Every kernel is serial: the repo's threads run
-//! whole worker-iterations (`crate::par`), not slices of a kernel.
+//! Every standard convolution runs it, batch 1 included: there is one chain
+//! order per output element and no size threshold, so a shape's bits depend
+//! neither on the host nor on the batch size. Every kernel is serial: the
+//! repo's threads run whole worker-iterations (`crate::par`), not slices of
+//! a kernel.
 //!
 //! # Determinism rule
 //!
 //! Every reduction into an output element is a single sequential chain in
-//! a fixed index order (ascending `k` for GEMM, the loop-nest order for
-//! direct conv, chunk-index order for sums), so results are bit-identical
+//! a fixed index order (ascending `k` for GEMM and the implicit-GEMM
+//! convolution, the loop-nest order for depthwise conv, chunk-index order
+//! for sums), so results are bit-identical
 //! across runs and do not depend on which thread ran the step.
 //!
 //! In particular the blocked GEMMs are bit-identical to the naive `i,j,k`
@@ -40,16 +39,15 @@
 //!
 //! No kernel allocates its result: the GEMMs and the pooling kernels write
 //! into caller-owned buffers (`_into`), the convolutions draw theirs from a
-//! caller-owned `crate::Scratch` arena (`_s`, and the two backends behind
-//! them; the convolution backward's `_into` form writes the parameter
-//! gradients into the caller's buffers and skips the input gradient when
-//! nobody wants it). Training passes the worker's arena, evaluation one of its own,
-//! a test a local one — the same code in all three. What remains beside
-//! the hot path is what tests compare it with: `matmul_naive` (the
-//! bit-identity reference for the blocked GEMMs) and the direct conv loops
-//! (the direct regime on a host without AVX-512, the bit-identity reference
-//! for its lane kernels, and the independent reference for the implicit
-//! GEMM). See `crate::scratch` for the ownership story.
+//! caller-owned `crate::Scratch` arena (`_s`; the convolution backward's
+//! `_into` form writes the parameter gradients into the caller's buffers and
+//! skips the input gradient when nobody wants it). Training passes the
+//! worker's arena, evaluation one of its own, a test a local one — the same
+//! code in all three. What remains beside the hot path is what tests compare
+//! it with: `matmul_naive` (the bit-identity reference for the blocked
+//! GEMMs) and the direct conv loops (the independent, to-rounding reference
+//! for the implicit GEMM, and the benchmark's seed rows). See
+//! `crate::scratch` for the ownership story.
 
 pub mod activation;
 pub mod conv;

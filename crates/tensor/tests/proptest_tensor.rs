@@ -146,9 +146,9 @@ fn blocked_kernels_exactly_match_naive_reference() {
     }
 }
 
-/// One GEMM-regime convolution problem and its naive scalar reference,
-/// written from the order contract in `ops/igemm.rs`: the chains the
-/// im2col + GEMM lowering ran, element by element, with no tiling at all.
+/// One convolution problem and its naive scalar reference, written from the
+/// order contract in `ops/igemm.rs`: the chains the im2col + GEMM lowering
+/// ran, element by element, with no tiling at all.
 struct ConvCase {
     dims: [usize; 8], // n, c, h, w, f, kh, kw, pad
     input: Tensor,
@@ -175,6 +175,37 @@ impl ConvCase {
         }
         let at = ((ni * c + ci) * h + iy - pad) * w + ix - pad;
         (self.input.data()[at], Some(at))
+    }
+
+    /// Hold the dispatched forward and all three gradients, and the
+    /// parameter gradients without the input gradient (written over stale
+    /// buffer contents), to [`ConvCase::reference`] bit for bit; returns the
+    /// reference.
+    fn assert_dispatch_exact(
+        &self,
+        s: &mut Scratch,
+        what: &dyn Fn(&str) -> String,
+    ) -> [Vec<f32>; 4] {
+        let [n, _, _, _, f, _, _, pad] = self.dims;
+        let (oh, ow) = self.out_hw();
+        let [out, dinput, dweight, dbias] = self.reference();
+        let (input, weight, dout) = (&self.input, &self.weight, &self.dout);
+        let got = conv2d_s(input, weight, &self.bias, pad, s);
+        assert_eq!(got.shape().dims(), &[n, f, oh, ow]);
+        assert_same_bits(got.data(), &out, &what("forward"));
+        s.put_tensor(got);
+
+        let g = conv2d_backward_s(input, weight, dout, pad, s);
+        assert_same_bits(g.dinput.data(), &dinput, &what("dinput"));
+        assert_same_bits(g.dweight.data(), &dweight, &what("dweight"));
+        assert_same_bits(g.dbias.data(), &dbias, &what("dbias"));
+
+        let (mut dw, mut db) = (vec![f32::NAN; dweight.len()], vec![f32::NAN; f]);
+        let none = conv2d_backward_into(input, weight, dout, pad, false, &mut dw, &mut db, s);
+        assert!(none.is_none());
+        assert_same_bits(&dw, &dweight, &what("dweight, no dx"));
+        assert_same_bits(&db, &dbias, &what("dbias, no dx"));
+        [out, dinput, dweight, dbias]
     }
 
     /// `(out, dinput, dweight, dbias)` by the order contract.
@@ -249,9 +280,9 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
 /// padding gap inside a block, a sample's last block short of 16 live lanes
 /// and one that is full up to the padded buffer's last element — with exact
 /// zeros in `dout` (no zero skip) and, on every third case, −0.0, NaN and
-/// ±∞ among the inputs and weights. Every shape is sized into the GEMM
-/// regime, whose threshold (`16 · 1024` MACs) is part of the contract: the
-/// direct loops on the other side round differently.
+/// ±∞ among the inputs and weights. The contract holds at every batch
+/// size: each shape also runs at batch 1, as the thousand-worker
+/// simulation runs it.
 #[test]
 fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     let mut s = Scratch::new();
@@ -287,8 +318,9 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     for (case, &(c, h, w, f, kh, kw, pad)) in shapes.iter().enumerate() {
         let mut rng = DetRng::seed_from_u64(6500 + case as u64);
         let (oh, ow) = (h + 2 * pad + 1 - kh, w + 2 * pad + 1 - kw);
-        // The smallest batch in the GEMM regime, plus one so that the row
-        // count is not always a multiple of the 4-row strip.
+        // A batch of at least 16·1024 MACs (several samples per case),
+        // plus one so that the row count is not always a multiple of the
+        // 4-row strip.
         let n = (16 * 1024usize).div_ceil(oh * ow * c * kh * kw * f) + 1;
         strip_remainders[n * oh * ow % 4] += 1;
         run_lengths[(16 / f.next_power_of_two().min(16)).trailing_zeros() as usize] += 1;
@@ -324,7 +356,21 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
             bias,
             dout,
         };
-        let [out, dinput, dweight, dbias] = problem.reference();
+        let what =
+            |t: &str| format!("case {case} ({n},{c},{h},{w})x({f},{c},{kh},{kw}) pad {pad}: {t}");
+        let [out, dinput, dweight, dbias] = problem.assert_dispatch_exact(&mut s, &what);
+        // The same chains at batch 1: the first sample alone.
+        let sample = |t: &Tensor, len: usize, shape: Shape| {
+            Tensor::from_vec(shape, t.data()[..len].to_vec())
+        };
+        let alone = ConvCase {
+            dims: [1, c, h, w, f, kh, kw, pad],
+            input: sample(&problem.input, c * h * w, Shape::d4(1, c, h, w)),
+            weight: problem.weight.clone(),
+            bias: problem.bias.clone(),
+            dout: sample(&problem.dout, f * oh * ow, Shape::d4(1, f, oh, ow)),
+        };
+        alone.assert_dispatch_exact(&mut s, &|t: &str| what(&format!("batch 1, {t}")));
         let ConvCase {
             input,
             weight,
@@ -332,26 +378,6 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
             dout,
             ..
         } = &problem;
-        let what =
-            |t: &str| format!("case {case} ({n},{c},{h},{w})x({f},{c},{kh},{kw}) pad {pad}: {t}");
-
-        let got = conv2d_s(input, weight, bias, pad, &mut s);
-        assert_eq!(got.shape().dims(), &[n, f, oh, ow]);
-        assert_same_bits(got.data(), &out, &what("forward"));
-        s.put_tensor(got);
-
-        let g = conv2d_backward_s(input, weight, dout, pad, &mut s);
-        assert_same_bits(g.dinput.data(), &dinput, &what("dinput"));
-        assert_same_bits(g.dweight.data(), &dweight, &what("dweight"));
-        assert_same_bits(g.dbias.data(), &dbias, &what("dbias"));
-
-        // Without the input gradient: same parameter gradients, written
-        // over stale buffer contents.
-        let (mut dw, mut db) = (vec![f32::NAN; dweight.len()], vec![f32::NAN; f]);
-        let none = conv2d_backward_into(input, weight, dout, pad, false, &mut dw, &mut db, &mut s);
-        assert!(none.is_none());
-        assert_same_bits(&dw, &dweight, &what("dweight, no dx"));
-        assert_same_bits(&db, &dbias, &what("dbias, no dx"));
 
         // The direct loops are the independent reference: same numbers to
         // rounding (they add the bias first and skip zero gradients).
@@ -365,9 +391,9 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
             let direct = conv2d_direct(input, weight, bias, pad, &mut s);
             close(&out, direct.data(), "forward vs direct");
             let d = conv2d_backward_direct(input, weight, dout, pad, &mut s);
-            close(g.dinput.data(), d.dinput.data(), "dinput vs direct");
-            close(g.dweight.data(), d.dweight.data(), "dweight vs direct");
-            close(g.dbias.data(), d.dbias.data(), "dbias vs direct");
+            close(&dinput, d.dinput.data(), "dinput vs direct");
+            close(&dweight, d.dweight.data(), "dweight vs direct");
+            close(&dbias, d.dbias.data(), "dbias vs direct");
         }
     }
     assert!(
@@ -382,96 +408,6 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
         run_lengths.iter().all(|&cases| cases > 0),
         "every dW run length is covered: {run_lengths:?}"
     );
-}
-
-/// The direct regime's contract: below `use_gemm`'s `16 · 1024` MACs the
-/// dispatched forward, `dW`/`dbias` and `dinput` — the lane kernels on an
-/// AVX-512 host, the scalar loops elsewhere — are *bit-identical* to the
-/// scalar loops `conv2d_direct` / `conv2d_backward_direct`, NaNs equal
-/// whatever their sign. Shapes: pad 0/1/2 (pad 2 under a 1×1 kernel too),
-/// 1×1/3×3/5×5 kernels, non-square maps, maps narrower than a kernel row and
-/// wider than a 16-lane block, F ∈ {1, 2, 3, 5, 8, 16, 17}, C ∈ {1, 3, 4, 8},
-/// N ∈ {1, 2, 3}. Values: runs of ±0.0 in `dout` on every case, and on every
-/// other case NaN, ±∞, −0.0 and subnormals in the input, weights and bias.
-#[test]
-fn direct_regime_exactly_matches_the_scalar_loops() {
-    let mut s = Scratch::new();
-    // (n, c, h, w, f, kh, kw, pad)
-    let shapes = [
-        (1, 1, 12, 12, 4, 3, 3, 1), // Cipher conv1 at batch 1
-        (1, 4, 6, 6, 8, 3, 3, 1),   // Cipher conv2 at batch 1
-        (1, 8, 3, 3, 16, 3, 3, 1),  // Cipher conv3 at batch 1
-        (2, 1, 12, 12, 4, 3, 3, 1), // Cipher conv1 at batch 2
-        (3, 1, 5, 7, 1, 5, 5, 2),   // F = 1: 16-tap runs, 5x5 pad 2
-        (1, 3, 4, 9, 17, 1, 1, 0),  // F = 17: two filter groups, 1x1
-        (2, 3, 2, 3, 5, 5, 5, 2),   // a map narrower than a kernel row
-        (1, 8, 5, 4, 3, 3, 3, 0),   // pad 0, non-square
-        (1, 3, 7, 5, 8, 3, 3, 2),   // pad 2, 3x3: outputs past the input
-        (2, 1, 1, 2, 16, 3, 3, 2),  // a 1x2 map under a 3x3 kernel
-        (1, 3, 9, 17, 1, 5, 5, 2),  // OW = 17: a row spans two blocks
-        (3, 1, 6, 6, 3, 5, 5, 1),   // 5x5 pad 1
-        (1, 1, 3, 3, 5, 1, 1, 2),   // pad 2 under 1x1: a border of bias only
-        (2, 8, 4, 4, 16, 1, 1, 0),  // 1x1, F a full 16-lane group
-        (1, 1, 16, 20, 5, 3, 3, 1), // 20 columns: wider than a block
-        (1, 3, 6, 5, 2, 3, 3, 1),   // F = 2: 8-tap runs
-    ];
-    for (case, &(n, c, h, w, f, kh, kw, pad)) in shapes.iter().enumerate() {
-        let mut rng = DetRng::seed_from_u64(7100 + case as u64);
-        let (oh, ow) = (h + 2 * pad + 1 - kh, w + 2 * pad + 1 - kw);
-        assert!(
-            n * oh * ow * c * kh * kw * f < 16 * 1024,
-            "case {case} is in the GEMM regime"
-        );
-        let mut input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
-        let mut weight = Tensor::randn(Shape::d4(f, c, kh, kw), 0.5, &mut rng);
-        let mut bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
-        let mut dout = Tensor::randn(Shape::d4(n, f, oh, ow), 1.0, &mut rng);
-        // ReLU-style runs of exact zeros upstream, of both signs.
-        let len = dout.numel();
-        for _ in 0..3 {
-            let (at, run) = (rng.index(len), 1 + rng.index(8));
-            let zero = if rng.index(2) == 0 { 0.0 } else { -0.0 };
-            dout.data_mut()[at..len.min(at + run)].fill(zero);
-        }
-        if case % 2 == 1 {
-            let specials = [
-                -0.0,
-                f32::NAN,
-                f32::INFINITY,
-                f32::NEG_INFINITY,
-                1e-40,
-                -3e-39,
-            ];
-            for t in [&mut input, &mut weight, &mut bias] {
-                for v in specials {
-                    let at = rng.index(t.numel());
-                    t.data_mut()[at] = v;
-                }
-            }
-        }
-        let what =
-            |t: &str| format!("case {case} ({n},{c},{h},{w})x({f},{c},{kh},{kw}) pad {pad}: {t}");
-
-        let got = conv2d_s(&input, &weight, &bias, pad, &mut s);
-        let want = conv2d_direct(&input, &weight, &bias, pad, &mut s);
-        assert_eq!(got.shape().dims(), &[n, f, oh, ow]);
-        assert_same_bits(got.data(), want.data(), &what("forward"));
-
-        let g = conv2d_backward_s(&input, &weight, &dout, pad, &mut s);
-        let d = conv2d_backward_direct(&input, &weight, &dout, pad, &mut s);
-        assert_same_bits(g.dinput.data(), d.dinput.data(), &what("dinput"));
-        assert_same_bits(g.dweight.data(), d.dweight.data(), &what("dweight"));
-        assert_same_bits(g.dbias.data(), d.dbias.data(), &what("dbias"));
-
-        // As a model's first layer runs it: no input gradient, the
-        // parameter gradients written over stale buffer contents.
-        let (mut dw, mut db) = (vec![f32::NAN; weight.numel()], vec![f32::NAN; f]);
-        let none =
-            conv2d_backward_into(&input, &weight, &dout, pad, false, &mut dw, &mut db, &mut s);
-        assert!(none.is_none());
-        assert_same_bits(&dw, d.dweight.data(), &what("dweight, no dx"));
-        assert_same_bits(&db, d.dbias.data(), &what("dbias, no dx"));
-    }
 }
 
 /// `sq_l2` folds the squaring into the repo's one summation order: the same

@@ -2,8 +2,8 @@
 //! `forward`/`forward_backward`/`batch` conveniences all run the arena
 //! forward/backward, so what they return cannot depend on which arena
 //! served them — a throwaway one, a warm one, or one that has already
-//! served other batch sizes — on either conv backend (batch 1 takes the
-//! direct loops for all three CipherNet convs, batch 32 the implicit GEMM).
+//! served other batch sizes — at batch 1 as at batch 32 (every CipherNet
+//! conv is the implicit GEMM at both).
 //! Nor can it depend on which thread computed it: the simulator runs each
 //! worker's gradient step as a pool job, and a run whose jobs go to the
 //! pool equals one whose jobs run inline.
