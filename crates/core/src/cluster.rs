@@ -9,6 +9,7 @@
 
 use crate::config::RunConfig;
 use crate::dkt::DktState;
+use crate::gbs::Batching;
 use crate::strategy::build_strategy;
 use crate::sync::SyncState;
 use crate::worker::Worker;
@@ -43,6 +44,8 @@ pub struct ClusterInit {
 /// changes every seeded run.
 pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
     cfg.validate();
+    let straggled = cfg.straggle.iter().all(|&(w, _)| w < n);
+    assert!(straggled, "straggle names a worker outside the {n}");
     assert!(n > 0, "cluster needs at least one worker");
     let wl = &cfg.workload;
     assert!(
@@ -133,6 +136,7 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 parked: Vec::new(),
                 queued: Vec::new(),
                 kill: cfg.fault.kill_of(w),
+                batching: Batching::new(cfg, n),
             }
         })
         .collect();

@@ -315,6 +315,13 @@ impl RunConfig {
         c
     }
 
+    /// Worker `w`'s iteration-time multiplier: its `straggle` factor, 1.0
+    /// for a worker the list does not name.
+    pub fn straggle_of(&self, w: usize) -> f64 {
+        let named = self.straggle.iter().find(|&&(s, _)| s == w);
+        named.map_or(1.0, |&(_, f)| f)
+    }
+
     pub fn validate(&self) {
         assert!(self.duration > 0.0);
         assert!(self.lr > 0.0);

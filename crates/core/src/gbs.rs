@@ -12,14 +12,19 @@
 //! The learning rate is never changed. All knobs are configurable, as §3.2
 //! requires.
 //!
-//! [`Batching`] is the control plane around the controller, decided once
-//! for both backends (DESIGN.md §4n): when an adjustment round is due, who
-//! contributes to it, and the Eq. 5 split that follows.
+//! [`Batching`] is the control plane around the controller, held by every
+//! rank on both backends (DESIGN.md §4n): the round schedule — GBS steps
+//! and re-profiles on one clock — the RCP collect, and the Eq. 5 split a
+//! decided round makes. A backend supplies the clock, the rank's own RCP
+//! and the wire the [`Notice`]s travel on.
 
 use crate::config::RunConfig;
 use crate::lbs::partition_gbs;
+use crate::messages::FRAME_HEADER_BYTES;
 use crate::round::Membership;
+use crate::worker::Worker;
 use dlion_telemetry::{debug, emit};
+use std::collections::BTreeMap;
 
 /// Tunables for the GBS controller.
 #[derive(Clone, Copy, Debug)]
@@ -145,28 +150,72 @@ impl GbsController {
     }
 }
 
-/// The due rule of the batching cadence: round `r` is due once the
-/// training clock reaches `r × period`.
-fn round_due(r: u64, train_secs: f64, period: f64) -> bool {
-    train_secs >= r as f64 * period
+/// A batching-plane message between two ranks (§3.2). Live, these are the
+/// net-control frames `Rcp` and `Done`; the simulator sends them through
+/// its network model, priced at the same encoded size. Neither is a
+/// training payload: no `send`/`msg` row, no byte-ledger entry.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Notice {
+    /// The sender's relative compute power for control round `round`
+    /// (0 = start-up).
+    Rcp { round: u64, rcp: f64 },
+    /// The sender finished its iterations and opens no further round: no
+    /// collect waits for it from here on.
+    Done,
 }
 
-/// The §3.2 batching state of one cluster view. The simulator keeps one
-/// per cluster, every live rank its own; the copies agree because
-/// [`Batching::round`] reads nothing but the round number, the plan-seeded
-/// [`Membership`] ledger and the RCP vector every member holds.
+impl Notice {
+    /// Encoded frame length: the header, plus `round u64, rcp f64`.
+    pub fn wire_len(&self) -> usize {
+        FRAME_HEADER_BYTES + if let Notice::Rcp { .. } = self { 16 } else { 0 }
+    }
+}
+
+/// The boundary after `steps` GBS steps and `profiles` re-profiles: its
+/// clock time, and whether it steps the GBS, re-profiles or — the two
+/// coinciding — both, as one round.
+fn boundary(period: f64, every: f64, steps: u64, profiles: u64) -> (f64, bool, bool) {
+    let (g, p) = ((steps + 1) as f64 * period, (profiles + 1) as f64 * every);
+    (g.min(p), g <= p, p <= g)
+}
+
+/// The §3.2 batching state of one rank — each rank on either backend holds
+/// its own, in [`Worker::batching`]. The control rounds are boundaries of
+/// the rank's clock (the training clock live, virtual time in the
+/// simulator): round 0 at start-up, then a GBS step at every `r × period`
+/// and a re-profile at every `k × profile_interval`, a coinciding pair
+/// being one round with one repartition. A round due on the clock is
+/// *opened*: the rank's own RCP goes into the collect and out to every
+/// peer it awaits ([`Worker::batching_step`]); once each awaited peer's
+/// RCP for that round is in, the round is decided (`Batching::round`).
+/// The copies agree because a decision reads nothing but the round number
+/// and the RCPs collected for it, and every awaited peer sends the same
+/// value to everyone.
 #[derive(Default)]
 pub struct Batching {
     /// The growth controller and, in it, the GBS in force. `None`: no
     /// batching control at all (systems without dynamic batching).
     ctl: Option<GbsController>,
+    /// Clock seconds between GBS steps, and between re-profiles.
     period: f64,
-    /// The next round to run. Round `r` has nominal time `r × period` on
-    /// the training clock; round 0 is start-up, which only partitions.
+    every: f64,
+    /// The next round to decide, and the GBS steps and re-profiles the
+    /// rounds decided so far have passed.
     next: u64,
-    /// Who shared the last partition: a membership change repartitions
-    /// even on a round where the GBS held still.
+    steps: u64,
+    profiles: u64,
+    /// Who shared the last partition: a change of contributors (but for
+    /// ranks that finished) repartitions even on a round where the GBS
+    /// held still.
     contributors: Vec<usize>,
+    /// The collect: the round this rank opened and has not decided, and
+    /// the RCPs by `(round, rank)`, its own included — a round a faster
+    /// peer opened first pre-arrives.
+    open: Option<u64>,
+    rcps: BTreeMap<(u64, usize), f64>,
+    /// Peers whose [`Notice::Done`] arrived, awaited by no collect again;
+    /// at this rank's own index, whether it finished.
+    finished: Vec<bool>,
     /// `(nominal time, new GBS)` per change — [`crate::RunMetrics::gbs_trace`].
     pub gbs_trace: Vec<(f64, usize)>,
     /// `(nominal time, per-worker shares)` per repartition; a worker that
@@ -176,69 +225,112 @@ pub struct Batching {
 
 impl Batching {
     pub fn new(cfg: &RunConfig, n: usize) -> Batching {
+        let dynamic = cfg.system.dynamic_batching();
         let ctl = || GbsController::new(cfg.initial_lbs * n, cfg.workload.train_size, cfg.gbs);
         Batching {
-            ctl: cfg.system.dynamic_batching().then(ctl),
+            ctl: dynamic.then(ctl),
             period: cfg.gbs.adjust_period_secs,
+            every: cfg.profile_interval,
+            finished: if dynamic { vec![false; n] } else { Vec::new() },
             ..Default::default()
         }
     }
 
-    /// Adjustment rounds completed (start-up is not one).
-    pub fn rounds(&self) -> u64 {
-        self.next.saturating_sub(1)
+    /// Has the clock reached the boundary of round `round` (not yet
+    /// decided)? The walk stops at the first boundary past the clock, so a
+    /// round number from the wire, however large, costs no more than the
+    /// rounds the clock has passed.
+    fn due(&self, round: u64, clock: f64) -> bool {
+        let (mut steps, mut profiles) = (self.steps, self.profiles);
+        for _ in self.next.max(1)..=round {
+            let (at, step, profile) = boundary(self.period, self.every, steps, profiles);
+            if at > clock {
+                return false;
+            }
+            (steps, profiles) = (steps + step as u64, profiles + profile as u64);
+        }
+        true
     }
 
-    /// Is an RCP tagged `round` still of use (a round not yet run, on a
-    /// rank that adjusts at all)?
-    pub fn awaits(&self, round: u64) -> bool {
-        self.ctl.is_some() && round >= self.next
-    }
-
-    /// The round to run now that the training clock reads `train_secs`,
-    /// if one is due. `newest_seen` is the latest round a peer has
-    /// already opened: once due at all, converge on the newest due round
-    /// instead of trading stale ones.
-    pub fn next_due(&self, train_secs: f64, newest_seen: Option<u64>) -> Option<u64> {
-        if self.ctl.is_none() || !round_due(self.next, train_secs, self.period) {
+    /// The round to open now that the clock reads `clock`, if one is due
+    /// and none is open. Once due at all, converge on the newest due
+    /// round a peer already opened instead of trading stale ones.
+    fn next_due(&self, me: usize, clock: f64) -> Option<u64> {
+        if self.ctl.is_none() || self.open.is_some() || self.finished[me] {
             return None;
         }
-        let seen = newest_seen.filter(|&r| round_due(r, train_secs, self.period));
-        Some(seen.map_or(self.next, |r| r.max(self.next)))
+        let due = |r: &u64| self.due(*r, clock);
+        let newest = self.rcps.keys().next_back().map(|&(r, _)| r);
+        Some(newest.filter(due).map_or(self.next, |r| r.max(self.next))).filter(due)
     }
 
-    /// One control round: fast-forward the growth controller over every
-    /// boundary up to `round`, recording each change at its nominal time,
-    /// then repartition the GBS (Eq. 5) if it moved, the membership did,
-    /// or the caller re-profiled (`reprofiled_at`: the row's time). The
-    /// contributors are the workers the ledger counts at `iter_of(j)` —
-    /// the iteration the caller knows `j` to be at — whose RCP `rcp(j)`
-    /// is known; everyone else holds share 0. `rcp` is only asked when
-    /// the round does repartition. Writes the contributors' `lbs_of` and
-    /// returns whether it did, so the caller can resize its workers.
-    /// `stamp` is the trace timestamp and emitting worker of the events.
-    pub fn round(
-        &mut self,
-        round: u64,
-        reprofiled_at: Option<f64>,
-        stamp: (f64, Option<usize>),
-        members: &mut Membership,
-        iter_of: impl Fn(usize) -> u64,
-        mut rcp: impl FnMut(usize) -> Option<f64>,
-    ) -> bool {
-        let Some(ctl) = self.ctl.as_mut() else {
+    /// Open the round due at `clock`, if any: this rank's RCP (asked of
+    /// `rcp` only then) joins the collect. Returns the notice to send to
+    /// every peer the rank awaits.
+    fn open(&mut self, me: usize, clock: f64, rcp: impl FnOnce() -> f64) -> Option<Notice> {
+        let round = self.next_due(me, clock)?;
+        let rcp = rcp();
+        self.rcps.insert((round, me), rcp);
+        self.open = Some(round);
+        Some(Notice::Rcp { round, rcp })
+    }
+
+    /// A peer's notice: an RCP for a round not yet decided joins the
+    /// collect (a decided round's is stale), a Done retires the peer.
+    pub fn on_notice(&mut self, from: usize, notice: Notice) {
+        match notice {
+            Notice::Rcp { round, rcp } if self.ctl.is_some() && round >= self.next => {
+                self.rcps.insert((round, from), rcp);
+            }
+            Notice::Rcp { .. } => {}
+            Notice::Done => {
+                if let Some(f) = self.finished.get_mut(from) {
+                    *f = true;
+                }
+            }
+        }
+    }
+
+    /// This rank finished its iterations: it opens no further round. True
+    /// the first time, on a rank that batches at all — the caller then
+    /// sends its awaited peers a [`Notice::Done`].
+    pub(crate) fn finish(&mut self, me: usize) -> bool {
+        self.ctl.is_some() && !std::mem::replace(&mut self.finished[me], true)
+    }
+
+    /// Is a round open whose collect still lacks a peer `awaited` says
+    /// this rank waits for?
+    fn collecting(&self, awaited: impl Fn(usize) -> bool) -> bool {
+        self.open.is_some_and(|round| {
+            (0..self.finished.len()).any(|j| awaited(j) && !self.rcps.contains_key(&(round, j)))
+        })
+    }
+
+    /// Decide the open round: fast-forward the growth controller over
+    /// every boundary up to it, recording each change at its nominal time,
+    /// then repartition the GBS (Eq. 5) over the ranks whose RCP for the
+    /// round is in — everyone else holds share 0 — if the GBS moved, a
+    /// re-profile boundary was passed or a working rank joined or left the
+    /// contributors. Writes the contributors' `lbs_of` and returns whether
+    /// it repartitioned, so the caller can resize its rank. `now` stamps
+    /// the trace events, emitted by rank `me`.
+    fn round(&mut self, me: usize, now: f64, members: &mut Membership) -> bool {
+        let (Some(round), Some(ctl)) = (self.open.take(), self.ctl.as_mut()) else {
             return false;
         };
-        let (vt, who) = stamp;
-        let mut moved = reprofiled_at.is_some();
+        let (mut at, mut moved) = (0.0, false);
         for r in self.next.max(1)..=round {
-            let t = r as f64 * self.period;
+            let (t, step, profile) = boundary(self.period, self.every, self.steps, self.profiles);
+            (at, self.steps, self.profiles) =
+                (t, self.steps + step as u64, self.profiles + profile as u64);
+            moved |= profile;
             let before = ctl.phase();
-            if let Some(gbs) = ctl.maybe_adjust() {
+            // Only a GBS boundary steps the controller.
+            if let Some(gbs) = step.then(|| ctl.maybe_adjust()).flatten() {
                 moved = true;
                 self.gbs_trace.push((t, gbs));
                 let fields = [("gbs", gbs.into()), ("round", r.into()), ("t", t.into())];
-                emit(vt, who, "gbs_adjust", &fields);
+                emit(now, Some(me), "gbs_adjust", &fields);
                 debug!(target: "core.gbs", "t={t:.1}: GBS adjusted to {gbs}");
             }
             let after = ctl.phase();
@@ -249,36 +341,37 @@ impl Batching {
                     ("gbs", ctl.gbs().into()),
                     ("round", r.into()),
                 ];
-                emit(vt, who, "gbs_phase", &fields);
+                emit(now, Some(me), "gbs_phase", &fields);
             }
         }
-        self.next = self.next.max(round + 1);
-        let n = members.lbs_of.len();
-        let counted: Vec<usize> = (0..n).filter(|&j| members.counts(j, iter_of(j))).collect();
-        if !moved && counted == self.contributors {
-            return false;
-        }
-        let (contributors, rcps): (Vec<usize>, Vec<f64>) = counted
+        self.next = round + 1;
+        let later = self.rcps.split_off(&(self.next, 0));
+        let (contributors, rcps): (Vec<usize>, Vec<f64>) = std::mem::replace(&mut self.rcps, later)
             .into_iter()
-            .filter_map(|j| rcp(j).map(|r| (j, r)))
+            .filter(|&((r, _), _)| r == round)
+            .map(|((_, j), rcp)| (j, rcp))
             .unzip();
-        if contributors.is_empty() {
+        // A rank that finished its iterations takes no share any more, but
+        // its leaving alone is no reason to re-split the GBS.
+        let finished = &self.finished;
+        let working = |c: &[usize]| c.iter().filter(|&&j| !finished[j]).count();
+        let kept = contributors.iter().all(|j| self.contributors.contains(j));
+        if !moved && kept && working(&contributors) == working(&self.contributors) {
             return false;
         }
         let parts = partition_gbs(ctl.gbs(), &rcps);
-        let mut row = vec![0; n];
+        let mut row = vec![0; members.lbs_of.len()];
         for (&j, &lbs) in contributors.iter().zip(&parts) {
             row[j] = lbs;
             members.lbs_of[j] = lbs;
         }
-        let at = reprofiled_at.unwrap_or(round as f64 * self.period);
         let fields = [
             ("gbs", ctl.gbs().into()),
             ("round", round.into()),
             ("t", at.into()),
             ("members", contributors.len().into()),
         ];
-        emit(vt, who, "lbs_repartition", &fields);
+        emit(now, Some(me), "lbs_repartition", &fields);
         debug!(target: "core.lbs", "t={at:.1}: LBS repartition -> {row:?}");
         self.lbs_trace.push((at, row));
         self.contributors = contributors;
@@ -286,10 +379,57 @@ impl Batching {
     }
 }
 
+impl Worker {
+    /// Does this rank await `j`'s RCPs: a batching peer that has neither
+    /// finished nor been demoted?
+    pub fn awaits_rcp(&self, j: usize) -> bool {
+        let finished = self.batching.finished.get(j);
+        j != self.id && finished == Some(&false) && !self.sync.is_demoted(j)
+    }
+
+    /// Is this rank waiting on an open collect?
+    pub fn collecting(&self) -> bool {
+        self.batching.collecting(|j| self.awaits_rcp(j))
+    }
+
+    /// The batching plane between two iterations, the clock at `clock`:
+    /// decide the open round once every awaited RCP is in (`force`: with
+    /// whatever is in), resizing this rank if it repartitioned; then open
+    /// the next due round, if any, with the RCP `rcp` yields, and so on.
+    /// Returns the notices to send, each with its peer, and whether a
+    /// collect is still open — the rank does not start its next
+    /// iteration until none is. `now` stamps the trace events.
+    pub fn batching_step(
+        &mut self,
+        clock: f64,
+        now: f64,
+        members: &mut Membership,
+        mut force: bool,
+        mut rcp: impl FnMut() -> f64,
+    ) -> (Vec<(usize, Notice)>, bool) {
+        let mut sends = Vec::new();
+        loop {
+            if self.collecting() && !force {
+                return (sends, true);
+            }
+            force = false;
+            if self.batching.round(self.id, now, members) {
+                self.set_lbs(members.lbs_of[self.id]);
+            }
+            let Some(notice) = self.batching.open(self.id, clock, &mut rcp) else {
+                return (sends, false);
+            };
+            let peers = (0..members.lbs_of.len()).filter(|&j| self.awaits_rcp(j));
+            sends.extend(peers.map(|j| (j, notice)));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemKind;
+    use crate::messages::KIND_NET_BASE;
 
     fn cfg() -> GbsConfig {
         GbsConfig {
@@ -363,43 +503,79 @@ mod tests {
         GbsController::new(32, 1000, c);
     }
 
-    /// Three DLion workers at LBS 32 (GBS 96) over 12 000 samples, one
-    /// round per 0.25 s: 96 → 160 → 240 → 360 → 540 → 810 → 1200 → Done.
-    /// No backend attached; start-up (round 0) has run with equal RCPs.
-    fn started() -> (Batching, Membership) {
+    /// Rank 0 of three DLion workers at LBS 32 (GBS 96) over 12 000
+    /// samples, a GBS step every 0.25 s: 96 → 160 → 240 → 360 → 540 →
+    /// 810 → 1200 → Done. No backend attached; start-up (round 0) has run
+    /// with equal RCPs.
+    fn started(profile_interval: f64) -> (Batching, Membership) {
         let mut cfg = RunConfig::small_test(SystemKind::DLion);
         cfg.workload.train_size = 12_000;
         cfg.gbs.adjust_period_secs = 0.25;
+        cfg.profile_interval = profile_interval;
         let mut b = Batching::new(&cfg, 3);
-        let mut m = everyone_present(cfg.initial_lbs);
-        assert!(b.round(0, None, STAMP, &mut m, |_| 0, EVEN));
+        let mut m = Membership::planned(&cfg, 3);
+        assert_eq!(
+            decide(&mut b, &mut m, 0.0, &[1.0, 1.0, 1.0]),
+            Some((0, true))
+        );
         assert_eq!(b.lbs_trace, vec![(0.0, vec![32, 32, 32])]);
         (b, m)
     }
 
-    fn everyone_present(lbs: usize) -> Membership {
-        Membership {
-            departed_at: vec![None; 3],
-            lbs_of: vec![lbs; 3],
+    /// Rank 0 opens the round due at `clock` and collects one RCP per
+    /// peer, `rcps[j]` (a NaN: `j` is demoted and sends none), then
+    /// decides it: the round and whether it repartitioned.
+    fn decide(
+        b: &mut Batching,
+        m: &mut Membership,
+        clock: f64,
+        rcps: &[f64],
+    ) -> Option<(u64, bool)> {
+        let waiting = |b: &Batching| b.collecting(|j| awaits(b, j, rcps[j].is_nan()));
+        let Notice::Rcp { round, .. } = b.open(0, clock, || rcps[0])? else {
+            unreachable!("open sends an RCP")
+        };
+        for j in (1..3).filter(|&j| !rcps[j].is_nan()) {
+            let missing = !b.rcps.contains_key(&(round, j));
+            assert!(waiting(b) || !missing, "decidable before {j} answered");
+            b.on_notice(
+                j,
+                Notice::Rcp {
+                    round,
+                    rcp: rcps[j],
+                },
+            );
         }
+        assert!(!waiting(b));
+        Some((round, b.round(0, clock, m)))
     }
 
-    const STAMP: (f64, Option<usize>) = (0.0, None);
-    const EVEN: fn(usize) -> Option<f64> = |_| Some(1.0);
-    const UNASKED: fn(usize) -> Option<f64> = |_| panic!("no repartition, no RCP draw");
+    /// Does rank 0 await `j`, demoted or not (`Worker::awaits_rcp`)?
+    fn awaits(b: &Batching, j: usize, demoted: bool) -> bool {
+        j != 0 && b.finished.get(j) == Some(&false) && !demoted
+    }
+
+    const EVEN: &[f64] = &[1.0, 1.0, 1.0];
 
     #[test]
     fn fast_forward_equals_stepping_and_stamps_nominal_times() {
-        let ((mut a, mut ma), (mut b, mut mb)) = (started(), started());
+        let ((mut a, mut ma), (mut b, mut mb)) = (started(1e9), started(1e9));
         for r in 1..=4 {
-            assert!(a.round(r, None, STAMP, &mut ma, |_| 5 * r, EVEN));
+            assert_eq!(
+                decide(&mut a, &mut ma, 0.25 * r as f64, EVEN),
+                Some((r, true))
+            );
         }
-        // One long iteration skipped rounds 1-3: round 4 catches up.
-        assert!(b.round(4, None, STAMP, &mut mb, |_| 20, EVEN));
+        // One long iteration crossed rounds 1-4, and the peers opened
+        // round 4 already: rank 0 converges on it instead of trading the
+        // stale rounds.
+        for j in 1..3 {
+            b.on_notice(j, Notice::Rcp { round: 4, rcp: 1.0 });
+        }
+        assert_eq!(decide(&mut b, &mut mb, 1.1, EVEN), Some((4, true)));
         let schedule = vec![(0.25, 160), (0.5, 240), (0.75, 360), (1.0, 540)];
         assert_eq!(a.gbs_trace, schedule);
         assert_eq!(b.gbs_trace, schedule);
-        assert_eq!((a.rounds(), b.rounds()), (4, 4));
         // The skipped rounds never partitioned; the caught-up one splits
         // the GBS in force exactly like the stepped one.
         assert_eq!((a.lbs_trace.len(), b.lbs_trace.len()), (5, 2));
@@ -408,73 +584,124 @@ mod tests {
         assert_eq!(ma.lbs_of, mb.lbs_of);
     }
 
+    /// A GBS step every 0.25 s and a re-profile every 0.5 s: the pair at
+    /// 0.5 and 1.0 is one round with one repartition, and once the GBS is
+    /// Done only the re-profiles repartition. Re-profiling every 0.6 s
+    /// interleaves its own rounds, each stamped with its own time.
     #[test]
-    fn membership_change_repartitions_once_even_when_the_gbs_is_done() {
-        let (mut b, mut m) = started();
-        assert!(b.round(6, None, STAMP, &mut m, |_| 30, EVEN));
+    fn a_coinciding_gbs_step_and_re_profile_are_one_round() {
+        let (mut b, mut m) = started(0.5);
+        let mut clock = 0.0;
+        while b.gbs_trace.len() < 6 || clock < 3.0 {
+            clock += 0.05;
+            while decide(&mut b, &mut m, clock, EVEN).is_some() {}
+        }
+        let times: Vec<f64> = b.lbs_trace.iter().map(|&(t, _)| t).collect();
+        let steps = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5];
+        let profiles_after = [2.0, 2.5, 3.0];
+        assert_eq!(times, [&steps[..], &profiles_after].concat());
+        assert_eq!(b.next, 13, "rounds 1-12 end at 3.0 s: one per 0.25 s");
+        let (mut b, mut m) = started(0.6);
+        for clock in [0.25, 0.5, 0.6, 0.75] {
+            assert!(decide(&mut b, &mut m, clock, EVEN).is_some_and(|(_, moved)| moved));
+        }
+        let times: Vec<f64> = b.lbs_trace.iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, [0.0, 0.25, 0.5, 0.6, 0.75]);
+        assert_eq!(b.gbs_trace.len(), 3, "a re-profile does not step the GBS");
+    }
+
+    #[test]
+    fn a_contributor_change_repartitions_once_even_when_the_gbs_is_done() {
+        let (mut b, mut m) = started(1e9);
+        for r in 1..=6 {
+            decide(&mut b, &mut m, 0.25 * r as f64, EVEN);
+        }
         assert_eq!(b.gbs_trace.last(), Some(&(1.5, 1200)));
-        // Done, everyone still here: nothing to decide, no RCP asked.
-        assert!(!b.round(7, None, STAMP, &mut m, |_| 35, UNASKED));
-        m.departed_at[1] = Some(38);
-        assert!(b.round(8, None, STAMP, &mut m, |_| 40, EVEN));
+        // Done, everyone still here: nothing to decide.
+        assert_eq!(decide(&mut b, &mut m, 1.75, EVEN), Some((7, false)));
+        // Rank 1 departed and was demoted: it sends no RCP, nobody awaits one.
+        let gone = [1.0, f64::NAN, 1.0];
+        assert_eq!(decide(&mut b, &mut m, 2.0, &gone), Some((8, true)));
         assert_eq!(b.lbs_trace.last(), Some(&(2.0, vec![600, 0, 600])));
         assert_eq!(m.lbs_of, vec![600, 400, 600], "only contributors move");
-        assert!(!b.round(9, None, STAMP, &mut m, |_| 45, UNASKED));
+        assert_eq!(decide(&mut b, &mut m, 2.25, &gone), Some((9, false)));
         assert_eq!(b.gbs_trace.len(), 6);
-        // A re-profile repartitions regardless, stamped with its own time.
-        assert!(b.round(9, Some(2.3), STAMP, &mut m, |_| 46, EVEN));
-        assert_eq!(b.lbs_trace.last(), Some(&(2.3, vec![600, 0, 600])));
-        assert_eq!(b.rounds(), 9);
     }
 
     #[test]
-    fn the_ledger_at_the_trigger_iteration_picks_the_contributors() {
-        let (mut b, mut m) = started();
-        m.departed_at[1] = Some(17);
-        // Triggered at 15 the victim still computes; at 20 it does not —
-        // or, per worker, when the caller knows each one's iteration.
-        assert!(b.round(3, None, STAMP, &mut m, |_| 15, EVEN));
-        assert_eq!(b.lbs_trace.last(), Some(&(0.75, vec![120, 120, 120])));
-        assert!(b.round(4, None, STAMP, &mut m, |_| 20, EVEN));
-        assert_eq!(b.lbs_trace.last(), Some(&(1.0, vec![270, 0, 270])));
-        assert!(b.round(5, None, STAMP, &mut m, |j| [24, 17, 25][j], EVEN));
-        assert_eq!(b.lbs_trace.last(), Some(&(1.25, vec![405, 0, 405])));
-    }
-
-    #[test]
-    fn a_worker_without_an_rcp_holds_share_zero_from_round_zero() {
+    fn the_rcps_in_hand_pick_the_contributors_from_round_zero() {
         let cfg = RunConfig::small_test(SystemKind::DLion);
         let mut b = Batching::new(&cfg, 3);
-        let mut m = everyone_present(cfg.initial_lbs);
-        // Worker 2 was lost mid-profiling: no RCP, no mean-fill, no share.
-        let rcp = |j| (j != 2).then_some(if j == 0 { 3.0 } else { 1.0 });
-        assert!(b.round(0, None, STAMP, &mut m, |_| 0, rcp));
+        let mut m = Membership::planned(&cfg, 3);
+        // Rank 2 was lost mid-profiling: no RCP, no mean-fill, no share.
+        let lost = [3.0, 1.0, f64::NAN];
+        assert_eq!(decide(&mut b, &mut m, 0.0, &lost), Some((0, true)));
         assert_eq!(b.lbs_trace, vec![(0.0, vec![72, 24, 0])]);
-        assert_eq!(b.rounds(), 0);
-        // Nobody to split over: nothing is written.
-        assert!(!b.round(1, None, STAMP, &mut m, |_| 5, |_| None));
-        assert_eq!(b.lbs_trace.len(), 1);
+        // A round's stale RCPs are dropped once it is decided.
+        b.on_notice(1, Notice::Rcp { round: 0, rcp: 5.0 });
+        assert!(b.rcps.is_empty());
+    }
+
+    /// A rank whose Done arrived is not awaited, and its leaving the
+    /// contributors does not re-split the GBS by itself; the next
+    /// re-profile splits it over the ranks at work.
+    #[test]
+    fn a_finished_rank_is_not_awaited_and_takes_no_share() {
+        let (mut b, mut m) = started(1.0);
+        for r in 1..=6 {
+            decide(&mut b, &mut m, 0.25 * r as f64, EVEN);
+        }
+        assert_eq!(b.lbs_trace.last(), Some(&(1.5, vec![400, 400, 400])));
+        b.on_notice(2, Notice::Done);
+        assert!(!awaits(&b, 2, false) && awaits(&b, 1, false));
+        let done = [1.0, 1.0, f64::NAN];
+        assert_eq!(decide(&mut b, &mut m, 1.75, &done), Some((7, false)));
+        assert_eq!(decide(&mut b, &mut m, 2.0, &done), Some((8, true)));
+        assert_eq!(b.lbs_trace.last(), Some(&(2.0, vec![600, 600, 0])));
+        assert!(b.finish(0) && !b.finish(0));
+        assert_eq!(b.next_due(0, 9.0), None, "a finished rank opens no round");
     }
 
     #[test]
     fn rounds_come_due_at_exact_boundaries() {
-        assert!(round_due(1, 0.25, 0.25) && !round_due(1, 0.25f64.next_down(), 0.25));
-        assert!(round_due(3, 0.75, 0.25) && !round_due(4, 0.75, 0.25));
-        let (mut b, mut m) = started();
-        assert_eq!(b.next_due(0.2, None), None);
-        assert_eq!(b.next_due(0.25, None), Some(1));
+        let (mut b, mut m) = started(1e9);
+        assert_eq!(b.next_due(0, 0.2), None);
+        assert_eq!(b.next_due(0, 0.25), Some(1));
+        assert_eq!(b.next_due(0, 0.25f64.next_down()), None);
         // One long iteration crossed three boundaries: the rounds run one
         // by one, unless a peer already opened a later due one.
-        assert_eq!(b.next_due(0.8, None), Some(1));
-        assert_eq!(b.next_due(0.8, Some(3)), Some(3));
-        assert_eq!(b.next_due(0.8, Some(4)), Some(1), "round 4 is not due");
-        b.round(3, None, STAMP, &mut m, |_| 16, EVEN);
-        assert_eq!(b.next_due(0.8, Some(3)), None);
-        assert_eq!(b.next_due(1.0, None), Some(4));
-        assert!(!b.awaits(3) && b.awaits(4));
+        assert_eq!(b.next_due(0, 0.8), Some(1));
+        b.on_notice(1, Notice::Rcp { round: 4, rcp: 1.0 });
+        assert_eq!(b.next_due(0, 0.8), Some(1), "round 4 is not due");
+        b.on_notice(1, Notice::Rcp { round: 3, rcp: 1.0 });
+        assert_eq!(b.next_due(0, 0.8), Some(1), "only the newest seen counts");
+        // A round number no clock reaches is never due, and costs nothing.
+        b.on_notice(
+            2,
+            Notice::Rcp {
+                round: u64::MAX,
+                rcp: 1.0,
+            },
+        );
+        assert_eq!(b.next_due(0, 0.8), Some(1));
+        b.rcps.remove(&(u64::MAX, 2));
+        assert_eq!(b.next_due(0, 1.0), Some(4));
+        decide(&mut b, &mut m, 1.0, EVEN);
+        assert_eq!(b.next_due(0, 1.0), None);
+        assert_eq!(b.next_due(0, 1.25), Some(5));
         // A system without dynamic batching has no rounds at all.
-        let fixed = Batching::new(&RunConfig::small_test(SystemKind::Baseline), 3);
-        assert_eq!(fixed.next_due(9.0, Some(7)), None);
-        assert!(!fixed.awaits(4));
+        let mut fixed = Batching::new(&RunConfig::small_test(SystemKind::Baseline), 3);
+        fixed.on_notice(1, Notice::Rcp { round: 7, rcp: 1.0 });
+        assert_eq!(fixed.next_due(0, 9.0), None);
+        assert!(!awaits(&fixed, 1, false) && !fixed.finish(0));
+    }
+
+    /// The simulator prices a notice at the live frame's encoded size.
+    #[test]
+    fn notices_cost_what_their_frames_do() {
+        let rcp = crate::messages::encode_frame(KIND_NET_BASE + 3, &[0; 16]);
+        let done = crate::messages::encode_frame(KIND_NET_BASE + 2, &[]);
+        assert_eq!(Notice::Rcp { round: 1, rcp: 2.0 }.wire_len(), rcp.len());
+        assert_eq!(Notice::Done.wire_len(), done.len());
     }
 }

@@ -193,6 +193,18 @@ impl RunMetrics {
         stats::mean(&xs)
     }
 
+    /// Has the run converged by `now` (Fig. 21's stopping rule): past
+    /// `min_secs`, with the best mean accuracy up by less than
+    /// `min_improvement` over the last `window_secs`?
+    pub fn converged(&self, cv: &crate::config::ConvergenceCfg, now: f64) -> bool {
+        // `eval_times` is sorted: the evaluations up to the cutoff are a prefix.
+        let before = self
+            .eval_times
+            .partition_point(|&t| t <= now - cv.window_secs);
+        let best_before = (0..before).map(|e| self.mean_acc(e)).fold(0.0, f64::max);
+        now >= cv.min_secs && before > 0 && self.best_mean_acc() - best_before < cv.min_improvement
+    }
+
     /// Highest mean accuracy over the whole run.
     pub fn best_mean_acc(&self) -> f64 {
         (0..self.worker_acc.len())

@@ -5,10 +5,11 @@
 //! is [`crate::round`]; this file decides *when* each step happens in
 //! virtual time and turns the round's [`Action`]s into events. It owns the
 //! event queue, the compute and network models, byte accounting, a paused
-//! worker's resume, the batching ticks and evaluation. What a
-//! tick *decides* — the GBS step, who contributes, the Eq. 5 split — is
-//! [`crate::gbs::Batching`], shared with the live driver (DESIGN.md §4n);
-//! this file supplies the RCPs, by profiling its compute model. Virtual
+//! worker's resume and evaluation. The batching plane is each rank's own
+//! [`crate::gbs::Batching`], as on the live backend (DESIGN.md §4n): a rank
+//! between iterations opens the control round due at the virtual time,
+//! profiles its own RCP off the compute model and sends it to its peers as
+//! a [`Notice`] through the network model, and waits for theirs. Virtual
 //! time advances only through the event queue, so runs are fully
 //! deterministic for a given seed.
 //!
@@ -30,7 +31,7 @@
 
 use crate::cluster::build_cluster;
 use crate::config::RunConfig;
-use crate::gbs::Batching;
+use crate::gbs::Notice;
 use crate::lbs::{compute_rcp, PROFILE_LBS};
 use crate::messages::{
     add_wire_bytes, apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg,
@@ -57,10 +58,12 @@ enum Ev {
         to: usize,
         payload: Payload,
     },
-    /// GBS controller adjustment opportunity.
-    GbsTick,
-    /// Periodic compute re-profiling / LBS reassignment.
-    ProfileTick,
+    /// A batching notice (an RCP or a Done) arrived at `to`.
+    Notice {
+        from: usize,
+        to: usize,
+        notice: Notice,
+    },
     /// Periodic cluster-wide accuracy evaluation.
     EvalTick,
     /// A paused worker (rejoining kill) comes back.
@@ -79,20 +82,18 @@ pub struct ClusterRunner {
     data: Arc<Dataset>,
     eval_indices: Arc<[usize]>,
     metrics: RunMetrics,
-    batching: Batching,
     prof_rng: DetRng,
     bytes_per_param: f64,
     total_params: usize,
-    /// IterDone + Msg events still in the queue — lets `max_iters` runs end
-    /// exactly when all work (including in-flight messages) has drained.
+    /// IterDone, Msg and Notice events still in the queue — lets
+    /// `max_iters` runs end exactly when all work (including in-flight
+    /// messages) has drained.
     inflight: usize,
     /// The cluster's one membership ledger, shared by every worker's
     /// round core: [`Membership::planned`], exactly like the live
     /// driver's; rejoining kills are *not* in the ledger — they pause,
     /// staying members.
     members: Membership,
-    /// Per-worker iteration-time multiplier, from `cfg.straggle`.
-    straggle: Vec<f64>,
     /// True while a rejoining worker sits out its dead time.
     paused: Vec<bool>,
 }
@@ -121,15 +122,9 @@ impl ClusterRunner {
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         }
         let members = Membership::planned(&cfg, n);
-        let mut straggle = vec![1.0; n];
-        for &(w, f) in &cfg.straggle {
-            assert!(w < n, "straggle names worker {w} of {n}");
-            straggle[w] = f;
-        }
 
         ClusterRunner {
             prof_rng: init.prof_rng,
-            batching: Batching::new(&cfg, n),
             cfg,
             n,
             workers: init.workers,
@@ -143,7 +138,6 @@ impl ClusterRunner {
             total_params: init.total_params,
             inflight: 0,
             members,
-            straggle,
             paused: vec![false; n],
         }
     }
@@ -172,76 +166,7 @@ impl ClusterRunner {
         // a fresh deterministic per-run sequence counter.
         let _run_scope =
             dlion_telemetry::run_scope(&self.metrics.system, &self.metrics.env, self.cfg.seed);
-        event!(0.0, "run_start";
-            "workers" => self.n,
-            "duration" => self.cfg.duration,
-            "params" => self.total_params,
-            "initial_lbs" => self.cfg.initial_lbs);
-        debug!(target: "core.runner", "run start: {} on {} (seed {}, {} workers)",
-            self.metrics.system, self.metrics.env, self.cfg.seed, self.n);
-        // Initial LBS assignment ("the LBS controller is invoked to profile
-        // the compute capacity of workers" before training starts).
-        if self.cfg.system.dynamic_batching() {
-            self.batching_round(0, None, 0.0);
-        }
-        for w in 0..self.n {
-            if !self.reached_max_iters(w) {
-                self.start_iteration(w, 0.0);
-            }
-        }
-        self.queue.schedule(self.cfg.eval_interval, Ev::EvalTick);
-        if self.cfg.system.dynamic_batching() {
-            self.queue
-                .schedule(self.cfg.gbs.adjust_period_secs, Ev::GbsTick);
-            self.queue
-                .schedule(self.cfg.profile_interval, Ev::ProfileTick);
-        }
-
-        let mut end_time = self.cfg.duration;
-        loop {
-            let popped = {
-                let _eq = profile_scope(Phase::EventQueue);
-                self.queue.pop()
-            };
-            let Some((t, ev)) = popped else { break };
-            if t > self.cfg.duration {
-                break;
-            }
-            if self.cfg.telemetry {
-                self.metrics
-                    .telemetry
-                    .gauge_max("queue_depth", self.queue.len() as f64);
-                self.metrics.telemetry.inc("events");
-            }
-            if matches!(ev, Ev::IterDone { .. } | Ev::Msg { .. }) {
-                self.inflight -= 1;
-            }
-            match ev {
-                Ev::IterDone { w } => self.on_iter_done(w, t),
-                Ev::Msg { from, to, payload } => self.on_msg(from, to, payload, t),
-                Ev::GbsTick => self.on_gbs_tick(t),
-                Ev::ProfileTick => self.on_profile_tick(t),
-                Ev::Resume { w } => {
-                    self.paused[w] = false;
-                    event!(t, w: w, "rejoin"; "iter" => self.workers[w].iteration);
-                    self.try_start(w, t);
-                }
-                Ev::EvalTick => {
-                    self.eval_all(t);
-                    if self.check_converged(t) {
-                        self.metrics.converged_at = Some(t);
-                        end_time = t;
-                        break;
-                    }
-                    self.queue
-                        .schedule(t + self.cfg.eval_interval, Ev::EvalTick);
-                }
-            }
-            if self.max_iters_done() {
-                end_time = t;
-                break;
-            }
-        }
+        let end_time = self.simulate();
         // Strict BSP parks peer gradients until the next round start; at
         // the end of the run there is no next round, so flush the
         // remainder in the same canonical order before the final eval and
@@ -280,8 +205,13 @@ impl ClusterRunner {
                 })
                 .collect();
         }
-        self.metrics.gbs_trace = std::mem::take(&mut self.batching.gbs_trace);
-        self.metrics.lbs_trace = std::mem::take(&mut self.batching.lbs_trace);
+        // Every member decides every round from the same RCPs: the first
+        // full member's copy is the trace, as the live orchestrator takes it.
+        if let Some(w) = (0..self.n).find(|&w| !self.departed(w)) {
+            let batching = &mut self.workers[w].batching;
+            self.metrics.gbs_trace = std::mem::take(&mut batching.gbs_trace);
+            self.metrics.lbs_trace = std::mem::take(&mut batching.lbs_trace);
+        }
         if self.cfg.telemetry {
             let tm = &mut self.metrics.telemetry;
             tm.gauge_max("queue_peak", self.queue.peak_len() as f64);
@@ -310,6 +240,79 @@ impl ClusterRunner {
         self.metrics
     }
 
+    /// The event loop, from the start-up round to the end of the run;
+    /// returns the virtual end time.
+    fn simulate(&mut self) -> f64 {
+        event!(0.0, "run_start";
+            "workers" => self.n,
+            "duration" => self.cfg.duration,
+            "params" => self.total_params,
+            "initial_lbs" => self.cfg.initial_lbs);
+        debug!(target: "core.runner", "run start: {} on {} (seed {}, {} workers)",
+            self.metrics.system, self.metrics.env, self.cfg.seed, self.n);
+        // A batching rank opens round 0 first: "the LBS controller is
+        // invoked to profile the compute capacity of workers" before
+        // training starts.
+        for w in 0..self.n {
+            self.try_start(w, 0.0);
+        }
+        self.queue.schedule(self.cfg.eval_interval, Ev::EvalTick);
+
+        let mut end_time = self.cfg.duration;
+        loop {
+            let popped = {
+                let _eq = profile_scope(Phase::EventQueue);
+                self.queue.pop()
+            };
+            let Some((t, ev)) = popped else { break };
+            if t > self.cfg.duration {
+                break;
+            }
+            if self.cfg.telemetry {
+                self.metrics
+                    .telemetry
+                    .gauge_max("queue_depth", self.queue.len() as f64);
+                self.metrics.telemetry.inc("events");
+            }
+            if matches!(ev, Ev::IterDone { .. } | Ev::Msg { .. } | Ev::Notice { .. }) {
+                self.inflight -= 1;
+            }
+            match ev {
+                Ev::IterDone { w } => self.on_iter_done(w, t),
+                Ev::Msg { from, to, payload } => self.on_msg(from, to, payload, t),
+                Ev::Notice { from, to, notice } => {
+                    // A rank between iterations may be waiting on it.
+                    self.workers[to].batching.on_notice(from, notice);
+                    self.try_start(to, t);
+                }
+                Ev::Resume { w } => {
+                    self.paused[w] = false;
+                    event!(t, w: w, "rejoin"; "iter" => self.workers[w].iteration);
+                    self.try_start(w, t);
+                }
+                Ev::EvalTick => {
+                    self.eval_all(t);
+                    if self
+                        .cfg
+                        .converge
+                        .is_some_and(|cv| self.metrics.converged(&cv, t))
+                    {
+                        self.metrics.converged_at = Some(t);
+                        end_time = t;
+                        break;
+                    }
+                    self.queue
+                        .schedule(t + self.cfg.eval_interval, Ev::EvalTick);
+                }
+            }
+            if self.max_iters_done() {
+                end_time = t;
+                break;
+            }
+        }
+        end_time
+    }
+
     // ------------------------------------------------------------ events
 
     fn start_iteration(&mut self, w: usize, now: f64) {
@@ -327,7 +330,7 @@ impl ClusterRunner {
         // same place the live driver multiplies its assumed time — so
         // `cluster_health` rates (iterations / busy seconds) bit-match a
         // pinned-time live run's.
-        let dt = self.compute.iter_time(w, worker.lbs, now) * self.straggle[w];
+        let dt = self.compute.iter_time(w, worker.lbs, now) * self.cfg.straggle_of(w);
         worker.last_iter_time = dt;
         if self.cfg.telemetry {
             self.metrics.telemetry.observe("iter_secs", dt);
@@ -512,70 +515,45 @@ impl ClusterRunner {
             .schedule(t.arrival, Ev::Msg { from, to, payload });
     }
 
-    /// Start the next iteration if the sync policy allows; otherwise mark
-    /// the worker as waiting.
+    /// Between iterations: run the batching plane — the rank's RCP for a
+    /// round due at `now` profiled off the compute model — then start the
+    /// next iteration if no collect is open and the sync policy allows;
+    /// otherwise mark the worker as waiting. A finished rank tells its
+    /// peers, so no collect awaits it.
     fn try_start(&mut self, w: usize, now: f64) {
-        if self.reached_max_iters(w) || self.departed(w) || self.paused[w] {
+        if self.departed(w) || self.paused[w] || self.workers[w].pending.is_some() {
+            return;
+        }
+        let (compute, rng, noise) = (&self.compute, &mut self.prof_rng, self.cfg.profile_noise);
+        let rcp = || compute_rcp(&compute.profile(w, &PROFILE_LBS, now, noise, rng));
+        let worker = &mut self.workers[w];
+        let (sends, open) = worker.batching_step(now, now, &mut self.members, false, rcp);
+        worker.waiting = open;
+        let done = !open && self.reached_max_iters(w) && self.workers[w].batching.finish(w);
+        let dones = (0..self.n).filter(|&j| done && self.workers[w].awaits_rcp(j));
+        let dones: Vec<_> = dones.map(|j| (j, Notice::Done)).collect();
+        for (to, notice) in sends.into_iter().chain(dones) {
+            // A net-control frame: no `send` row, no byte ledger entry.
+            let bytes = notice.wire_len() as f64;
+            let arrival = self.net.transfer_control(w, to, bytes, now).arrival;
+            self.inflight += 1;
+            let ev = Ev::Notice {
+                from: w,
+                to,
+                notice,
+            };
+            self.queue.schedule(arrival, ev);
+        }
+        if open || self.reached_max_iters(w) {
             return;
         }
         let worker = &mut self.workers[w];
-        if worker.pending.is_some() {
-            return;
-        }
         let policy = worker.strategy.sync_policy();
         if worker.sync.can_start(policy, worker.iteration) {
             self.start_iteration(w, now);
         } else {
             worker.waiting = true;
         }
-    }
-
-    // ----------------------------------------------------- periodic ticks
-
-    /// One batching control round at virtual time `now`: the decision is
-    /// [`Batching::round`]'s; the simulator's half is the RCPs — profiled
-    /// from the compute model, noise drawn only if the round repartitions
-    /// — and resizing the workers that still contribute.
-    fn batching_round(&mut self, round: u64, reprofiled_at: Option<f64>, now: f64) {
-        let (compute, rng, noise) = (&self.compute, &mut self.prof_rng, self.cfg.profile_noise);
-        let rcp = |w| {
-            let samples = compute.profile(w, &PROFILE_LBS, now, noise, rng);
-            Some(compute_rcp(&samples))
-        };
-        let (members, workers) = (&mut self.members, &mut self.workers);
-        let (iter_of, stamp) = (|w: usize| workers[w].iteration, (now, None));
-        if self
-            .batching
-            .round(round, reprofiled_at, stamp, members, iter_of, rcp)
-        {
-            for w in 0..self.n {
-                let lbs = self.members.lbs_of[w];
-                if self.members.counts(w, self.workers[w].iteration) && lbs != self.workers[w].lbs {
-                    // A new size releases the arena — which a job in
-                    // flight holds.
-                    self.join(w);
-                    self.workers[w].set_lbs(lbs);
-                }
-            }
-        }
-    }
-
-    /// The GBS controller's adjustment opportunity: round `r` at its
-    /// nominal boundary `r × period`. Keeps ticking in the Done phase — a
-    /// departure still has to re-split the GBS over the survivors.
-    fn on_gbs_tick(&mut self, now: f64) {
-        let round = self.batching.rounds() + 1;
-        self.batching_round(round, None, now);
-        let next = (round + 1) as f64 * self.cfg.gbs.adjust_period_secs;
-        self.queue.schedule(next, Ev::GbsTick);
-    }
-
-    /// Periodic re-profiling: the shares follow the compute model even
-    /// when neither the GBS nor the membership moved.
-    fn on_profile_tick(&mut self, now: f64) {
-        self.batching_round(self.batching.rounds(), Some(now), now);
-        self.queue
-            .schedule(now + self.cfg.profile_interval, Ev::ProfileTick);
     }
 
     fn eval_all(&mut self, now: f64) {
@@ -613,27 +591,6 @@ impl ClusterRunner {
         self.metrics.worker_acc.push(accs);
         self.metrics.worker_loss.push(losses);
     }
-
-    fn check_converged(&self, now: f64) -> bool {
-        let Some(cv) = self.cfg.converge else {
-            return false;
-        };
-        if now < cv.min_secs {
-            return false;
-        }
-        let best_now = self.metrics.best_mean_acc();
-        let cutoff = now - cv.window_secs;
-        let best_before = self
-            .metrics
-            .eval_times
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t <= cutoff)
-            .map(|(e, _)| self.metrics.mean_acc(e))
-            .fold(0.0f64, f64::max);
-        self.metrics.eval_times.iter().any(|&t| t <= cutoff)
-            && best_now - best_before < cv.min_improvement
-    }
 }
 
 /// Virtual-network byte scale for a payload under a wire format: the
@@ -642,16 +599,11 @@ impl ClusterRunner {
 /// weights and control payloads are unaffected — they always travel
 /// full-precision.
 fn wire_byte_scale(payload: &Payload, format: WireFormat) -> f64 {
-    let Payload::Grad(g) = payload else {
-        return 1.0;
-    };
-    if !matches!(g.data, GradData::Dense(_)) {
-        return 1.0;
-    }
+    let dense = matches!(payload, Payload::Grad(g) if matches!(g.data, GradData::Dense(_)));
     match format {
-        WireFormat::Fp16 => 0.5,
-        WireFormat::Int8 => 0.25,
-        WireFormat::Dense | WireFormat::TopK(_) => 1.0,
+        WireFormat::Fp16 if dense => 0.5,
+        WireFormat::Int8 if dense => 0.25,
+        _ => 1.0,
     }
 }
 
@@ -815,6 +767,37 @@ mod tests {
         pooled_equals_inline(small(SystemKind::Gaia));
         let m = pooled_equals_inline(small(SystemKind::DLion));
         assert!(m.dkt_merges > 0, "no DKT merge");
+    }
+
+    /// Every rank decides every batching round itself, from the RCPs it
+    /// collected: on every rank the repartition rows — nominal times and
+    /// shares, so the RCP vector behind them — are the same.
+    #[test]
+    fn every_rank_decides_every_round_from_the_same_rcps() {
+        let mut cfg = small(SystemKind::DLion);
+        cfg.duration = 400.0;
+        cfg.gbs.adjust_period_secs = 60.0;
+        cfg.profile_interval = 45.0;
+        cfg.workload.train_size = 6000; // headroom under the GBS cap
+        let spec = EnvId::HeteroCpuA.spec();
+        let (compute, net) = (spec.compute_model(), spec.network_model());
+        let mut runner = ClusterRunner::new(cfg, compute, net, spec.name);
+        runner.simulate();
+        let rows: Vec<_> = runner
+            .workers
+            .iter()
+            .map(|w| &w.batching.lbs_trace)
+            .collect();
+        // The run ends wherever it is: a rank may be inside the last collect.
+        let decided = rows.iter().map(|r| r.len()).min().unwrap();
+        assert!(decided >= 8, "{decided} rounds decided");
+        for r in &rows {
+            assert_eq!(r[..decided], rows[0][..decided]);
+        }
+        let reprofiled = rows[0].iter().filter(|(t, _)| t % 60.0 != 0.0).count();
+        assert!(reprofiled >= 3, "{reprofiled} re-profile rows");
+        let distinct = |(_, parts): &(f64, Vec<usize>)| parts[0] != parts[4];
+        assert!(rows[0].iter().any(distinct), "the RCPs never differed");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::dkt::DktState;
 use crate::fault::KillSpec;
+use crate::gbs::Batching;
 use crate::messages::GradMsg;
 use crate::strategy::ExchangeStrategy;
 use crate::sync::SyncState;
@@ -75,6 +76,8 @@ pub struct Worker {
     /// This rank's planned kill (`RunConfig::fault`), if any: the round
     /// core fires it once the completed-iteration count reaches `at_iter`.
     pub kill: Option<KillSpec>,
+    /// This rank's §3.2 batching state: its round schedule and RCP collect.
+    pub batching: Batching,
 }
 
 /// One entry of the update log ([`Worker::queued`]).
@@ -181,6 +184,7 @@ mod tests {
             parked: Vec::new(),
             queued: Vec::new(),
             kill: None,
+            batching: Batching::new(&cfg, 6),
         }
     }
 

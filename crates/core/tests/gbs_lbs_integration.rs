@@ -64,6 +64,25 @@ fn gbs_grows_through_phases_and_lbs_follows() {
     );
 }
 
+/// The cell above re-profiles every 75 s and steps the GBS every 150 s:
+/// at 150, 300, 450 and 600 the two boundaries coincide and are one round
+/// with one repartition, not two rows at the same time.
+#[test]
+fn a_coinciding_gbs_step_and_re_profile_repartition_once() {
+    let compute = ComputeModel::homogeneous(6, 24.0, CPU_COST_PER_SAMPLE, CPU_OVERHEAD)
+        .with_batch_exponent(CPU_BATCH_EXPONENT);
+    let m = run_with_models(&cfg(), compute, lan(6), "gbs-growth");
+    let times: Vec<f64> = m.lbs_trace.iter().map(|&(t, _)| t).collect();
+    assert!(
+        times.contains(&150.0) && times.contains(&300.0),
+        "{times:?}"
+    );
+    assert!(
+        times.windows(2).all(|w| w[0] < w[1]),
+        "two rows at one time: {times:?}"
+    );
+}
+
 #[test]
 fn profiling_tracks_mid_run_capacity_change() {
     // Worker 5 loses 3/4 of its cores at t=300; its LBS share must shrink

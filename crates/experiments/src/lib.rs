@@ -141,3 +141,7 @@ mod tests {
         run_experiment("fig99", &ExpOpts::fast());
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/scratch/mod.rs"]
+pub(crate) mod scratch;

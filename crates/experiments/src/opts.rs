@@ -31,9 +31,11 @@ impl ExpOpts {
         ExpOpts::new(1, false, "results")
     }
 
-    /// Fast smoke-test options.
+    /// Fast smoke-test options. Their results directory is this
+    /// process's own, created only by whoever writes into it.
     pub fn fast() -> Self {
-        ExpOpts::new(1, true, std::env::temp_dir().join("dlion-results"))
+        let dir = format!("dlion-results-{}", std::process::id());
+        ExpOpts::new(1, true, std::env::temp_dir().join(dir))
     }
 
     /// Scale a duration for fast mode.

@@ -221,6 +221,7 @@ pub fn verdicts(dir: &Path) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
 
     #[test]
     fn parse_val_variants() {
@@ -233,8 +234,7 @@ mod tests {
 
     #[test]
     fn csv_lookup() {
-        let dir = std::env::temp_dir().join("dlion-verdict-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("verdict-test");
         std::fs::write(
             dir.join("figx.csv"),
             "System,Homo A,Homo B\nDLion,0.570 ±0.01,0.530\nBaseline,0.536,0.316\n",
@@ -250,8 +250,7 @@ mod tests {
     #[test]
     fn committed_verdicts_are_what_the_committed_csvs_imply() {
         let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        let dir =
-            std::env::temp_dir().join(format!("dlion-verdict-committed-{}", std::process::id()));
+        let dir = ScratchDir::new("verdict-committed");
         verdicts(&results).write_csv(&dir).unwrap();
         assert_eq!(
             std::fs::read_to_string(dir.join("verdicts.csv")).unwrap(),
@@ -261,8 +260,7 @@ mod tests {
 
     #[test]
     fn measured_shows_the_cells_as_written() {
-        let dir = std::env::temp_dir().join("dlion-verdict-intervals");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("verdict-intervals");
         std::fs::write(
             dir.join("fig17.csv"),
             "System,Hetero SYS B\nDLion,0.036 ±0.004\nAko,0.021 ±0.010\n",
@@ -276,8 +274,7 @@ mod tests {
 
     #[test]
     fn verdicts_report_missing_data_gracefully() {
-        let dir = std::env::temp_dir().join("dlion-verdict-empty");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("verdict-empty");
         let t = verdicts(&dir);
         assert!(!t.rows.is_empty());
         assert!(t.rows.iter().all(|r| r[2] == "NO DATA"));
@@ -285,8 +282,7 @@ mod tests {
 
     #[test]
     fn verdicts_pass_and_diverge() {
-        let dir = std::env::temp_dir().join("dlion-verdict-mixed");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("verdict-mixed");
         std::fs::write(
             dir.join("fig11.csv"),
             "System,Homo A,Hetero SYS A,Hetero SYS B\nBaseline,0.5,0.4,0.3\nDLion,0.6,0.3,0.5\n",

@@ -1,6 +1,9 @@
 //! Argument handling of the `experiments` binary: bad input is a usage
 //! error (exit code 2 with the usage text), never a panic.
 
+mod scratch;
+
+use scratch::ScratchDir;
 use std::process::Command;
 
 #[test]
@@ -13,14 +16,6 @@ fn zero_seeds_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage: experiments"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-}
-
-/// A scratch directory of this test binary, emptied first.
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dlion-cli-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 #[test]
@@ -37,7 +32,7 @@ fn usage_names_every_option() {
 
 #[test]
 fn a_repeated_id_runs_once_and_verdicts_render_last() {
-    let dir = scratch("repeat");
+    let dir = ScratchDir::new("cli-repeat");
     let md = dir.join("REPORT.md");
     std::fs::write(
         &md,
@@ -46,7 +41,7 @@ fn a_repeated_id_runs_once_and_verdicts_render_last() {
     .unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["--fast", "verdicts", "table1", "table2", "table1", "--out"])
-        .arg(&dir)
+        .arg(&*dir)
         .arg("--md")
         .arg(&md)
         .output()
@@ -69,13 +64,13 @@ fn a_repeated_id_runs_once_and_verdicts_render_last() {
 
 #[test]
 fn a_report_without_markers_is_an_error_not_a_panic() {
-    let dir = scratch("nomarkers");
+    let dir = ScratchDir::new("cli-nomarkers");
     let md = dir.join("REPORT.md");
     std::fs::write(&md, "# no markers here\n").unwrap();
     for file in [md.clone(), dir.join("missing.md")] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(["--fast", "table1", "--out"])
-            .arg(&dir)
+            .arg(&*dir)
             .arg("--md")
             .arg(&file)
             .output()

@@ -1,7 +1,10 @@
 //! Smoke tests for the experiment harness: the cheap experiments run
 //! end-to-end in fast mode and produce sane, well-formed tables.
 
+mod scratch;
+
 use dlion_experiments::{run_experiment, ExpOpts};
+use scratch::ScratchDir;
 
 fn fast() -> ExpOpts {
     ExpOpts::fast()
@@ -93,7 +96,9 @@ fn fig19_lbs_adapts_to_core_changes() {
 
 #[test]
 fn tables_render_and_write_csv() {
-    let opts = fast();
+    let dir = ScratchDir::new("tables");
+    let mut opts = fast();
+    opts.results_dir = dir.to_path_buf();
     for id in ["table1", "table2", "table3"] {
         let tables = run_experiment(id, &opts);
         for t in &tables {

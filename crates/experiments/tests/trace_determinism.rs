@@ -3,8 +3,11 @@
 //! it with tracing off, and every emitted record must carry the full
 //! schema.
 
+mod scratch;
+
 use dlion_experiments::{run_experiment, ExpOpts};
 use dlion_telemetry::json::{self, Json};
+use scratch::ScratchDir;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -39,7 +42,7 @@ fn fig_csvs(dir: &std::path::Path, opts: &ExpOpts, id: &str) -> Vec<(String, Vec
 
 #[test]
 fn tracing_does_not_change_figure_csvs() {
-    let base = std::env::temp_dir().join("dlion-trace-determinism");
+    let base = ScratchDir::new("trace-determinism");
     let off_dir = base.join("off");
     let on_dir = base.join("on");
     std::fs::create_dir_all(&off_dir).unwrap();

@@ -7,15 +7,17 @@
 //! gradients, compute, carry out `complete_round`'s actions (the fan-out,
 //! then the kill's Leaves and departure or pause, or a DKT round), gate
 //! the next iteration on the worker's [`dlion_core::SyncPolicy`]. Every
-//! control decision comes from there too (DESIGN.md §4n): when a batching
-//! round is due, who contributes and the LBS split
-//! ([`dlion_core::gbs::Batching`]), what demoting a peer does
-//! (`Worker::demote_peer`). This file keeps what only a live rank has: the
-//! transport, the clock, gradient acks, buffer recycling, the `done` peer
-//! flags (who left is `SyncState::is_demoted`), the RCP *exchange* (frames
-//! out, frames in), the pause, the Done plane, and [`WorkerOutcome`].
-//! Every wait that may apply traffic — an RCP collect, the iteration gate,
-//! a pause, the Done barrier — is one loop, `serve_until`.
+//! control decision comes from there too (DESIGN.md §4n): the batching
+//! rounds, their RCP collect and the LBS split (the rank's own
+//! [`dlion_core::gbs::Batching`], which the simulator's ranks hold too),
+//! what demoting a peer does (`Worker::demote_peer`). This file keeps what
+//! only a live rank has: the transport, the clock — the training clock the
+//! batching rounds fall due on, the RCP it measures — gradient acks,
+//! buffer recycling, the `done` peer flags (who left is
+//! `SyncState::is_demoted`), the pause, the Done plane, and
+//! [`WorkerOutcome`]. Every wait that may apply traffic — an RCP collect,
+//! the iteration gate, a pause, the Done barrier — is one loop,
+//! `serve_until`.
 //!
 //! ## Worker churn
 //!
@@ -68,7 +70,7 @@ use crate::LiveError;
 use dlion_core::args::RunSpec;
 use dlion_core::clock::{Clock, SystemClock};
 use dlion_core::config::RunConfig;
-use dlion_core::gbs::Batching;
+use dlion_core::gbs::Notice;
 use dlion_core::lbs::{compute_rcp, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
     add_wire_bytes, apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg,
@@ -258,13 +260,19 @@ impl WorkerOutcome {
     /// `dlion-live --transport procs`). Final weights are deliberately not
     /// serialized — weight capture is an in-process (test) facility.
     pub fn to_json(&self) -> String {
-        use dlion_telemetry::json::f64_into;
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
+        fn join(items: impl Iterator<Item = String>) -> String {
+            items.collect::<Vec<_>>().join(",")
+        }
+        let num = |v: f64| {
+            let mut s = String::new();
+            dlion_telemetry::json::f64_into(v, &mut s);
+            s
+        };
+        let mut s = format!(
             "{{\"id\":{},\"iterations\":{},\"msgs_sent\":{},\"msgs_recv\":{},\"dkt_merges\":{},\"departed\":{}",
             self.id, self.iterations, self.msgs_sent, self.msgs_recv, self.dkt_merges,
             self.departed
-        ));
+        );
         for (key, v) in [
             ("busy_secs", self.busy_secs),
             ("wall_secs", self.wall_secs),
@@ -274,57 +282,29 @@ impl WorkerOutcome {
             ("control_bytes", self.control_bytes),
             ("net_overhead_bytes", self.net_overhead_bytes),
         ] {
-            s.push_str(&format!(",\"{key}\":"));
-            f64_into(v, &mut s);
+            s.push_str(&format!(",\"{key}\":{}", num(v)));
         }
-        s.push_str(",\"wire_bytes_by_kind\":{");
-        for (i, (label, v)) in self.wire_bytes_by_kind.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{label}\":"));
-            f64_into(*v, &mut s);
-        }
-        s.push('}');
-        s.push_str(",\"evals\":[");
-        for (i, e) in self.evals.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{{\"iteration\":{},\"wall\":", e.iteration));
-            f64_into(e.wall, &mut s);
-            s.push_str(",\"accuracy\":");
-            f64_into(e.accuracy, &mut s);
-            s.push_str(",\"loss\":");
-            f64_into(e.loss, &mut s);
-            s.push('}');
-        }
-        s.push_str("],\"gbs_trace\":[");
-        for (i, (t, g)) in self.gbs_trace.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            f64_into(*t, &mut s);
-            s.push_str(&format!(",{g}]"));
-        }
-        s.push_str("],\"lbs_trace\":[");
-        for (i, (t, parts)) in self.lbs_trace.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            f64_into(*t, &mut s);
-            s.push_str(",[");
-            for (j, p) in parts.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&p.to_string());
-            }
-            s.push_str("]]");
-        }
-        s.push_str("]}");
+        let by_kind = self.wire_bytes_by_kind.iter();
+        let buckets = join(by_kind.map(|(label, v)| format!("\"{label}\":{}", num(*v))));
+        let evals = join(self.evals.iter().map(|e| {
+            let (wall, acc, loss) = (num(e.wall), num(e.accuracy), num(e.loss));
+            let it = e.iteration;
+            format!("{{\"iteration\":{it},\"wall\":{wall},\"accuracy\":{acc},\"loss\":{loss}}}")
+        }));
+        let gbs = join(
+            self.gbs_trace
+                .iter()
+                .map(|&(t, g)| format!("[{},{g}]", num(t))),
+        );
+        let lbs = join(
+            self.lbs_trace
+                .iter()
+                .map(|(t, p)| format!("[{},{p:?}]", num(*t))),
+        );
+        s.push_str(&format!(
+            ",\"wire_bytes_by_kind\":{{{buckets}}},\"evals\":[{evals}]"
+        ));
+        s.push_str(&format!(",\"gbs_trace\":[{gbs}],\"lbs_trace\":[{lbs}]}}"));
         s
     }
 
@@ -382,38 +362,31 @@ impl WorkerOutcome {
                 loss: num("loss")?,
             });
         }
-        for row in arr("gbs_trace")? {
-            let pair = match row {
-                Json::Arr(p) if p.len() == 2 => p,
-                _ => return Err("bad gbs_trace row".into()),
-            };
-            let t = pair[0].as_f64().ok_or("bad gbs_trace time")?;
-            let g = pair[1].as_f64().ok_or("bad gbs_trace value")?;
-            out.gbs_trace.push((t, g as usize));
+        // A trace row is `[nominal time, value]`.
+        fn row(r: &Json) -> Option<(f64, &Json)> {
+            match r {
+                Json::Arr(p) if p.len() == 2 => p[0].as_f64().map(|t| (t, &p[1])),
+                _ => None,
+            }
         }
-        for row in arr("lbs_trace")? {
-            let pair = match row {
-                Json::Arr(p) if p.len() == 2 => p,
-                _ => return Err("bad lbs_trace row".into()),
-            };
-            let t = pair[0].as_f64().ok_or("bad lbs_trace time")?;
-            let Json::Arr(ps) = &pair[1] else {
+        let rows = |key: &str| -> Result<Vec<(f64, &Json)>, String> {
+            let bad = || format!("bad {key} row");
+            arr(key)?.iter().map(|r| row(r).ok_or_else(bad)).collect()
+        };
+        for (t, gbs) in rows("gbs_trace")? {
+            out.gbs_trace
+                .push((t, gbs.as_f64().ok_or("bad gbs_trace value")? as usize));
+        }
+        for (t, shares) in rows("lbs_trace")? {
+            let Json::Arr(ps) = shares else {
                 return Err("bad lbs_trace shares".into());
             };
-            let mut parts = Vec::with_capacity(ps.len());
-            for p in ps {
-                parts.push(p.as_f64().ok_or("bad lbs_trace share")? as usize);
-            }
-            out.lbs_trace.push((t, parts));
+            let parts: Option<Vec<usize>> =
+                ps.iter().map(|p| p.as_f64().map(|x| x as usize)).collect();
+            out.lbs_trace.push((t, parts.ok_or("bad lbs_trace share")?));
         }
         Ok(out)
     }
-}
-
-/// What one inbound wire stream carries.
-enum Inbound {
-    Control(Control),
-    Payload(Payload),
 }
 
 struct LiveWorker<'a, 'b> {
@@ -422,12 +395,6 @@ struct LiveWorker<'a, 'b> {
     transport: &'b mut dyn ExchangeTransport,
     n: usize,
     me: usize,
-    /// This rank's copy of the §3.2 batching state. Every member runs its
-    /// own; agreement holds because a round's decision is a pure function
-    /// of the round number, the ledger and the exchanged RCPs, and the
-    /// exchange ([`LiveWorker::rcp_round`]) makes every member execute
-    /// the same rounds.
-    batching: Batching,
     /// The training clock: accumulated effective iteration times (`dt`).
     /// The adjustment schedule runs on this rather than raw `clock.now()`
     /// so a run's round-to-iteration alignment is a pure function of its
@@ -436,16 +403,10 @@ struct LiveWorker<'a, 'b> {
     /// EWMA of this worker's measured throughput, in samples/sec;
     /// `0` until the first iteration completes.
     ewma_rate: f64,
-    /// This worker's `cfg.straggle` factor (1.0 = none): the effective
-    /// `dt` multiplier applied in [`LiveWorker::step`].
-    straggle: f64,
     /// Decode+accept latency of inbound frames, per sending peer
     /// (advisory; recorded only in a traced run). A gradient is logged,
     /// not applied, on acceptance: its axpy is the next step's prologue.
     apply_lat: Vec<Histogram>,
-    /// RCPs received from peers, by `(round, peer)`; rounds may pre-arrive
-    /// (a faster peer opened a round we have not reached yet).
-    rcp_pending: BTreeMap<(u64, usize), f64>,
     done: Vec<bool>,
     /// The round core's ledger, [`Membership::planned`]: `departed_at` is
     /// seeded from the fault plan for permanent kills (making
@@ -608,41 +569,12 @@ impl LiveWorker<'_, '_> {
         self.outbound(to, sent, best_effort).map(|_| ())
     }
 
-    /// Best-effort control frame to every peer `to` selects.
-    fn broadcast(
-        &mut self,
-        msg: Control,
-        to: impl Fn(&Self, usize) -> bool,
-    ) -> Result<(), LiveError> {
-        for j in 0..self.n {
-            if j != self.me && to(self, j) {
-                self.send_control(j, msg, true)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decode one inbound wire stream (plain frame or chunked): a control
-    /// frame through the one control decode, anything else through the
-    /// payload codec. Chunked bodies reassemble into the worker's reusable
-    /// scratch; payload decode draws storage from the recycle pool.
-    fn decode_inbound(&mut self, from: usize, frame: &[u8]) -> Result<Inbound, LiveError> {
-        let (kind, body) = decode_wire(frame, &mut self.wire_scratch)?;
-        if kind < KIND_NET_BASE {
-            let payload = Payload::decode_body_pooled(kind, body, &mut self.pool)?;
-            return Ok(Inbound::Payload(payload));
-        }
-        match Control::decode(kind, body, self.n) {
-            Ok(msg) => Ok(Inbound::Control(msg)),
-            Err(LiveError::Protocol(why)) => {
-                Err(LiveError::Protocol(format!("from worker {from}: {why}")))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Handle one inbound wire stream — the live analogue of the
-    /// simulator's `Msg` event plus the net-control protocol.
+    /// Handle one inbound wire stream (plain frame or chunked) — the live
+    /// analogue of the simulator's `Msg` event plus the net-control
+    /// protocol: a control frame through the one control decode, anything
+    /// else through the payload codec. Chunked bodies reassemble into the
+    /// worker's reusable scratch; payload decode draws storage from the
+    /// recycle pool.
     fn handle_frame(
         &mut self,
         from: usize,
@@ -653,9 +585,16 @@ impl LiveWorker<'_, '_> {
         // the round core's acceptance (a gradient is logged, not applied),
         // recorded per sending peer in a traced run.
         let t0 = tracing_on().then(Instant::now);
-        let result = match self.decode_inbound(from, &frame)? {
-            Inbound::Payload(payload) => self.on_payload(from, payload, during_shutdown),
-            Inbound::Control(msg) => self.on_control(from, msg),
+        let (kind, body) = decode_wire(&frame, &mut self.wire_scratch)?;
+        let result = if kind < KIND_NET_BASE {
+            let payload = Payload::decode_body_pooled(kind, body, &mut self.pool)?;
+            self.on_payload(from, payload, during_shutdown)
+        } else {
+            let named = |why| LiveError::Protocol(format!("from worker {from}: {why}"));
+            match Control::decode(kind, body, self.n) {
+                Err(LiveError::Protocol(why)) => return Err(named(why)),
+                msg => self.on_control(from, msg?),
+            }
         };
         if let (Some(t0), Some(h)) = (t0, self.apply_lat.get_mut(from)) {
             h.record(t0.elapsed().as_secs_f64());
@@ -670,13 +609,14 @@ impl LiveWorker<'_, '_> {
             // One of our gradient messages reached its peer
             // (BlockOnDelivery's gate).
             Control::Ack => self.worker.sync.on_delivered_from(from),
-            Control::Done => self.done[from] = true,
-            // Rounds already run are stale; rounds ahead of us pre-arrive
-            // when a faster peer opens them first.
-            Control::Rcp { round, rcp } if self.batching.awaits(round) => {
-                self.rcp_pending.insert((round, from), rcp);
+            Control::Done => {
+                self.done[from] = true;
+                self.worker.batching.on_notice(from, Notice::Done);
             }
-            Control::Rcp { .. } => {}
+            Control::Rcp { round, rcp } => self
+                .worker
+                .batching
+                .on_notice(from, Notice::Rcp { round, rcp }),
             // The mesh is established: no rank joins a running one.
             Control::Hello { .. } => {
                 return Err(LiveError::Protocol(format!(
@@ -759,7 +699,8 @@ impl LiveWorker<'_, '_> {
         // `--straggle` skews the *effective* iteration time; ×1.0 is an
         // exact float no-op, so unskewed workers are byte-identical to a
         // run without the flag.
-        let dt = self.env.opts.assumed_iter_time.unwrap_or(measured) * self.straggle;
+        let straggle = self.env.cfg.straggle_of(self.me);
+        let dt = self.env.opts.assumed_iter_time.unwrap_or(measured) * straggle;
         // The training-clock step, which `iter_done` records as the
         // simulator does: Σ dt is the verdict's seconds. The wall compute
         // time is `busy_secs`.
@@ -842,8 +783,7 @@ impl LiveWorker<'_, '_> {
 
     /// Start-up LBS assignment for dynamic-batching systems: profile our
     /// own compute by wall clock at [`PROFILE_LBS`]; the RCP that yields
-    /// is exchanged and partitioned as round 0 of
-    /// [`LiveWorker::rcp_round`], like any later round's.
+    /// is exchanged and partitioned as round 0, like any later round's.
     fn startup_lbs(&mut self) -> Result<(), LiveError> {
         if !self.env.cfg.system.dynamic_batching() {
             return Ok(());
@@ -852,8 +792,7 @@ impl LiveWorker<'_, '_> {
         // sampling RNG must stay at the same position as in the simulator
         // (which profiles through its compute model, not through data).
         let mut prng = DetRng::seed_from_u64(self.env.cfg.seed ^ 0x5052_4F46 ^ self.me as u64);
-        let mut samples = Vec::with_capacity(PROFILE_LBS.len());
-        for &lbs in PROFILE_LBS.iter() {
+        let mut profile = |lbs: usize| {
             // Each profiled size is a batch-size change like any other: the
             // arena lets go of the previous size's buffers.
             self.worker.set_lbs(lbs);
@@ -865,84 +804,40 @@ impl LiveWorker<'_, '_> {
             let t0 = self.env.clock.now();
             self.worker
                 .compute_grads(self.env.data, self.env.cfg.grad_clip);
-            samples.push((lbs as f64, (self.env.clock.now() - t0).max(1e-6)));
-        }
+            (lbs as f64, (self.env.clock.now() - t0).max(1e-6))
+        };
+        let samples: Vec<_> = PROFILE_LBS.iter().map(|&lbs| profile(lbs)).collect();
         // Until the partition lands we hold the share the ledger says we
         // do: a fast peer's first gradient can race into the collect, and
         // its Eq. 7 divisor must not see a probe size.
         self.worker.set_lbs(self.env.cfg.initial_lbs);
-        self.rcp_round(0, compute_rcp(&samples))
+        self.batching(Some(compute_rcp(&samples)))
     }
 
-    /// Must peer `j` answer a round triggered at local iteration
-    /// `trigger_iter`? The `departed_at` ledger — seeded from the fault
-    /// plan — decides, so participation under a kill plan is a pure
-    /// function of the plan, not of Leave timing.
-    fn rcp_expected(&self, j: usize, trigger_iter: u64) -> bool {
-        j != self.me
-            && !self.worker.sync.is_demoted(j)
-            && !self.done[j]
-            && self.members.counts(j, trigger_iter)
-    }
-
-    /// Execute every adjustment round whose boundary the *local* training
-    /// clock has crossed. A peer's RCP for a not-yet-due round stays parked
-    /// in `rcp_pending` until we cross the boundary ourselves: opening a
-    /// round early (at whatever iteration the echo happened to arrive)
-    /// would make the trigger iteration — and hence the EWMA sample fed
-    /// into our broadcast RCP — depend on real-time thread interleaving,
-    /// destroying run-to-run determinism under a pinned iteration time.
-    /// The opener blocks in its collect (still serving frames), so a
-    /// slower peer keeps stepping until its own clock crosses and answers.
-    fn run_due_gbs_rounds(&mut self) -> Result<(), LiveError> {
+    /// Run every batching round due on the training clock to its
+    /// decision (the round core's `batching_step`): send our RCP — the
+    /// start-up profile, else the throughput EWMA — to the peers we await
+    /// and serve frames until theirs are in. A peer that opened a round
+    /// first parked its RCP in our collect; a slower one keeps stepping
+    /// until its own clock crosses the boundary and answers. A stall only
+    /// breaks genuinely wedged clusters: the silent peer holds share 0.
+    fn batching(&mut self, profiled: Option<f64>) -> Result<(), LiveError> {
+        let ewma = self.ewma_rate;
+        let rcp = move || profiled.unwrap_or_else(|| rcp_from_rate(ewma));
+        let mut stalled = false;
         loop {
-            let newest_seen = self.rcp_pending.keys().next_back().map(|&(r, _)| r);
-            let Some(round) = self.batching.next_due(self.train_secs, newest_seen) else {
+            let (clock, now, members) = (self.train_secs, self.now(), &mut self.members);
+            let (sends, open) = self.worker.batching_step(clock, now, members, stalled, rcp);
+            for (to, notice) in sends {
+                if let Notice::Rcp { round, rcp } = notice {
+                    self.send_control(to, Control::Rcp { round, rcp }, true)?;
+                }
+            }
+            if !open {
                 return Ok(());
-            };
-            // Rounds only trigger after at least one step, so the EWMA
-            // — our measured throughput — is primed.
-            self.rcp_round(round, rcp_from_rate(self.ewma_rate))?;
+            }
+            stalled = !self.serve_until(false, |lw| !lw.worker.collecting())?;
         }
-    }
-
-    /// One RCP exchange (§3.2, live; round 0 is start-up): broadcast our
-    /// RCP, collect every expected peer's, and hand the round to the
-    /// shared batching core, which steps the growth controller and
-    /// repartitions. `round` may be several periods ahead of the last one
-    /// run (a long iteration crossed several boundaries, or a stalled peer
-    /// was skipped over); the core fast-forwards through them.
-    fn rcp_round(&mut self, round: u64, my_rcp: f64) -> Result<(), LiveError> {
-        let trigger_iter = self.worker.iteration;
-        // Peers use the broadcast value verbatim — that is how every
-        // member partitions from the same RCP vector.
-        let msg = Control::Rcp { round, rcp: my_rcp };
-        self.broadcast(msg, |lw, j| lw.rcp_expected(j, trigger_iter))?;
-        self.rcp_pending.insert((round, self.me), my_rcp);
-        // Blocking collect: the round must not be decided until every
-        // expected peer has answered (departures and Dones observed
-        // mid-collect shrink the expectation). A stall only breaks
-        // genuinely wedged clusters: the silent peer then holds share 0.
-        self.serve_until(false, |lw| {
-            (0..lw.n).all(|j| {
-                !lw.rcp_expected(j, trigger_iter) || lw.rcp_pending.contains_key(&(round, j))
-            })
-        })?;
-        // Every member tests everyone — itself included — against the
-        // plan-seeded ledger at its own trigger iteration, so the round's
-        // share list never depends on frame timing.
-        let stamp = (self.now(), Some(self.me));
-        let (members, rcps) = (&mut self.members, &self.rcp_pending);
-        let rcp = |j| rcps.get(&(round, j)).copied();
-        let resplit = self
-            .batching
-            .round(round, None, stamp, members, |_| trigger_iter, rcp);
-        if resplit && members.counts(self.me, trigger_iter) {
-            self.worker.set_lbs(members.lbs_of[self.me]);
-        }
-        // Anything at or below the completed round is stale now.
-        self.rcp_pending.retain(|&(r, _), _| r > round);
-        Ok(())
     }
 
     /// Fold the end-of-run state into the outcome and trace the per-link
@@ -952,8 +847,8 @@ impl LiveWorker<'_, '_> {
     fn finish(&mut self) {
         self.out.iterations = self.worker.iteration;
         self.out.wall_secs = self.now();
-        self.out.gbs_trace = std::mem::take(&mut self.batching.gbs_trace);
-        self.out.lbs_trace = std::mem::take(&mut self.batching.lbs_trace);
+        self.out.gbs_trace = std::mem::take(&mut self.worker.batching.gbs_trace);
+        self.out.lbs_trace = std::mem::take(&mut self.worker.batching.lbs_trace);
         self.out.train_secs = self.train_secs;
         let us = |h: &Histogram, q: f64| h.quantile(q) * 1e6;
         for link in self.transport.link_health().iter().filter(|l| l.frames > 0) {
@@ -1021,19 +916,10 @@ pub fn run_worker(
     let scope_env = format!("{}/w{me}", env.env_label);
     let _scope = dlion_telemetry::run_scope(&system, &scope_env, env.cfg.seed);
 
-    let straggle = env
-        .cfg
-        .straggle
-        .iter()
-        .find(|(w, _)| *w == me)
-        .map_or(1.0, |&(_, f)| f);
     let mut lw = LiveWorker {
-        batching: Batching::new(env.cfg, n),
         train_secs: 0.0,
         ewma_rate: 0.0,
-        straggle,
         apply_lat: vec![Histogram::default(); n],
-        rcp_pending: BTreeMap::new(),
         done: vec![false; n],
         members: Membership::planned(env.cfg, n),
         wire_cfg: WireCfg {
@@ -1064,11 +950,10 @@ pub fn run_worker(
         while let Some((from, frame)) = lw.poll()? {
             lw.handle_frame(from, frame, false)?;
         }
-        // Any adjustment round that is due (training clock crossed a
-        // boundary, or a peer opened one — its RCP just arrived above)
-        // runs to completion before the next compute, so the new LBS is
-        // in force for it.
-        lw.run_due_gbs_rounds()?;
+        // Any batching round due on the training clock runs to its
+        // decision before the next compute, so the new LBS is in force
+        // for it.
+        lw.batching(None)?;
         if lw.worker.iteration >= env.opts.iters {
             break;
         }
@@ -1097,7 +982,9 @@ pub fn run_worker(
     // Done is in; departed peers owe us nothing, and a peer we never held
     // a connection to cannot send one. Per-peer FIFO means a peer's Done
     // arrives after all its gradients.
-    lw.broadcast(Control::Done, |lw, j| lw.env.links[j])?;
+    for j in (0..n).filter(|&j| j != me && env.links[j]) {
+        lw.send_control(j, Control::Done, true)?;
+    }
     lw.done[me] = true;
     event!(lw.now(), w: me, "barrier_enter"; "iter" => lw.worker.iteration);
     match lw.serve_until(true, |lw| lw.all_peers_finished()) {

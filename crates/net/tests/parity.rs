@@ -350,6 +350,50 @@ fn live_gbs_growth_matches_simulator_trajectory() {
     );
 }
 
+/// Both backends re-profile every `profile_interval` of their clock: with
+/// a re-profile every 0.6 s inside the 2.1 s run, the simulator and a Mem
+/// cluster repartition at the same nominal times — start-up, the six GBS
+/// steps and the re-profiles at 0.6, 1.2 and 1.8 — each row covering the
+/// GBS in force. The simulator's iteration takes (almost exactly) the
+/// pinned 0.05 s whatever the LBS.
+#[test]
+fn live_and_sim_re_profile_at_the_same_nominal_times() {
+    let mut cfg = gbs_parity_cfg();
+    cfg.profile_interval = 0.6;
+    let sim = run_with_models(
+        &cfg,
+        ComputeModel::homogeneous(3, 1.0, 1e-6, GBS_DT),
+        NetworkModel::uniform(3, BW_MBPS, 1e-4),
+        "parity/re-profile",
+    );
+    let live = run_live(
+        &cfg,
+        3,
+        &gbs_live_opts(),
+        TransportKind::Mem,
+        "live/re-profile",
+    )
+    .expect("live run");
+    assert_eq!(live.gbs_trace, GBS_EXPECTED.to_vec());
+    assert_eq!(sim.gbs_trace, live.gbs_trace);
+    let times = |m: &RunMetrics| -> Vec<f64> { m.lbs_trace.iter().map(|&(t, _)| t).collect() };
+    assert_eq!(times(&sim), times(&live), "repartition times diverged");
+    let steps = GBS_EXPECTED.iter().map(|&(t, _)| t);
+    let profiles = (1..=3).map(|k| k as f64 * 0.6);
+    let mut expected: Vec<f64> = std::iter::once(0.0).chain(steps).chain(profiles).collect();
+    expected.sort_by(f64::total_cmp);
+    assert_eq!(times(&live), expected);
+    for m in [&sim, &live] {
+        for (t, parts) in &m.lbs_trace {
+            assert_eq!(
+                parts.iter().sum::<usize>(),
+                gbs_at(&m.gbs_trace, *t),
+                "at t={t}"
+            );
+        }
+    }
+}
+
 #[test]
 fn live_gbs_trajectory_is_bit_identical_across_runs() {
     let cfg = gbs_parity_cfg();

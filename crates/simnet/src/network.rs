@@ -51,8 +51,9 @@ pub struct NetworkModel {
     link_class: Vec<u32>,
     /// One-way propagation latency per link (seconds), row-major.
     latency: Vec<f64>,
-    /// Next time each worker's NIC is free.
-    egress_free: Vec<f64>,
+    /// Next time each worker's NIC is free: `[data, control]`, one lane
+    /// per queue ([`NetworkModel::transfer_control`]).
+    egress_free: Vec<[f64; 2]>,
 }
 
 /// Hashable identity of a schedule: the bit patterns of its steps.
@@ -92,7 +93,7 @@ impl NetworkModel {
             classes,
             link_class,
             latency,
-            egress_free: vec![0.0; n],
+            egress_free: vec![[0.0; 2]; n],
         }
     }
 
@@ -192,9 +193,22 @@ impl NetworkModel {
     /// the last byte leaves. The NIC is then busy until the last byte has
     /// left.
     pub fn transfer(&mut self, src: usize, dst: usize, bytes: f64, now: f64) -> Transfer {
+        self.enqueue(0, src, dst, bytes, now)
+    }
+
+    /// [`NetworkModel::transfer`] of a control frame: control frames queue
+    /// behind each other, FIFO per sender, but not behind the sender's
+    /// data — a frame of a few dozen bytes interleaves with the bulk flows
+    /// to other peers, as the prototype's control queue is apart from its
+    /// data queue.
+    pub fn transfer_control(&mut self, src: usize, dst: usize, bytes: f64, now: f64) -> Transfer {
+        self.enqueue(1, src, dst, bytes, now)
+    }
+
+    fn enqueue(&mut self, lane: usize, src: usize, dst: usize, bytes: f64, now: f64) -> Transfer {
         assert!(bytes >= 0.0);
         let li = self.link_idx(src, dst);
-        let depart = self.egress_free[src].max(now);
+        let depart = self.egress_free[src][lane].max(now);
         let megabits = bytes * 8.0 / 1e6;
         let tx = self.link_sched(li).time_to_accumulate(depart, megabits);
         assert!(
@@ -202,7 +216,7 @@ impl NetworkModel {
             "link {src}->{dst} has zero tail bandwidth; transfer never completes"
         );
         let done_sending = depart + tx;
-        self.egress_free[src] = done_sending;
+        self.egress_free[src][lane] = done_sending;
         let arrival = done_sending + self.latency[li];
         dlion_telemetry::event!(now, w: src, "link_transfer";
             "dst" => dst,
@@ -241,6 +255,22 @@ mod tests {
         // A different sender is unaffected.
         let t3 = net.transfer(1, 2, 1_000_000.0, 0.0);
         assert_eq!(t3.depart, 0.0);
+    }
+
+    #[test]
+    fn control_frames_queue_behind_each_other_not_behind_data() {
+        let mut net = NetworkModel::uniform(3, 8.0, 0.5);
+        net.transfer(0, 1, 1_000_000.0, 0.0); // the data lane is busy for 1 s
+        let c1 = net.transfer_control(0, 2, 1_000.0, 0.0);
+        let c2 = net.transfer_control(0, 1, 1_000.0, 0.0);
+        assert_eq!(c1.depart, 0.0, "a control frame does not wait for data");
+        assert!((c1.arrival - 0.501).abs() < 1e-9);
+        assert!(
+            (c2.depart - 0.001).abs() < 1e-9,
+            "but behind the earlier one"
+        );
+        // ... and the data lane is where it was.
+        assert_eq!(net.transfer(0, 2, 8.0, 0.0).depart, 1.0);
     }
 
     #[test]

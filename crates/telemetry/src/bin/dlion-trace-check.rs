@@ -239,6 +239,33 @@ mod tests {
         assert!(check_line(1, GOOD).is_ok());
     }
 
+    /// The test's own `dlion-trace-check-<name>-<pid>` under the system
+    /// temp dir, removed with its files when the guard drops.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Scratch {
+            let dir = format!("dlion-trace-check-{name}-{}", std::process::id());
+            let dir = std::env::temp_dir().join(dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+    }
+
+    impl std::ops::Deref for Scratch {
+        type Target = std::path::Path;
+
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn rejects_missing_keys_and_bad_json() {
         assert!(check_line(1, "{\"vtime\":1}").is_err());
@@ -250,8 +277,7 @@ mod tests {
 
     #[test]
     fn file_validation_and_monotonic_seq() {
-        let dir = std::env::temp_dir().join("dlion-trace-check-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("test");
         let good_path = dir.join("good.jsonl");
         let second = GOOD.replace("\"seq\":0", "\"seq\":1");
         std::fs::write(&good_path, format!("{GOOD}\n{second}\n")).unwrap();
@@ -271,8 +297,7 @@ mod tests {
 
     #[test]
     fn summary_mode_reports_vtime_span_per_kind() {
-        let dir = std::env::temp_dir().join("dlion-trace-check-summary");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("summary");
         let path = dir.join("trace.jsonl");
         let second = GOOD
             .replace("\"seq\":0", "\"seq\":1")
@@ -386,8 +411,7 @@ mod tests {
 
     #[test]
     fn required_kinds_must_be_present() {
-        let dir = std::env::temp_dir().join("dlion-trace-check-require");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("require");
         let path = dir.join("trace.jsonl");
         std::fs::write(&path, format!("{GOOD}\n")).unwrap();
         let p = path.to_str().unwrap();
