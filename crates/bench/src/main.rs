@@ -19,8 +19,8 @@ use dlion_core::{build_cluster, MaxNPlanner, RunConfig, StrategyCtx, SystemKind}
 use dlion_microcloud::ClusterKind;
 use dlion_tensor::ops::{
     conv2d_backward_direct, conv2d_backward_direct_into, conv2d_backward_into, conv2d_backward_s,
-    conv2d_direct, conv2d_s, matmul_into, matmul_nt_into, matmul_tn_into, maxpool2_into,
-    softmax_xent, ConvGrads,
+    conv2d_direct, conv2d_s, matmul_into, matmul_nt_into, matmul_tn_into, maxpool2_backward_into,
+    maxpool2_into, softmax_xent, ConvGrads,
 };
 use dlion_tensor::{DetRng, Scratch, Shape, Tensor};
 use std::hint::black_box;
@@ -184,6 +184,28 @@ fn kernels() {
                     }
                 });
             }
+        }
+    }
+
+    // Cipher's two max-pools, forward and backward, at batch 64 and 1, on
+    // the same warm arena (the backward writes every slot of its buffer).
+    for batch in [64, 1] {
+        for (c, hw) in [(4, 12), (8, 6)] {
+            let input = Tensor::randn(Shape::d4(batch, c, hw, hw), 1.0, &mut rng);
+            let len = batch * c * (hw / 2) * (hw / 2);
+            let mut arg = vec![0u32; len];
+            let name = format!("Cipher maxpool2 ({batch},{c},{hw},{hw})");
+            bench(&format!("{name} fwd"), || {
+                let mut out = s.take_uninit(len);
+                maxpool2_into(black_box(&input), &mut out, &mut arg);
+                s.put(black_box(out));
+            });
+            let dout = Tensor::randn(Shape::d4(batch, c, hw / 2, hw / 2), 1.0, &mut rng);
+            bench(&format!("{name} bwd"), || {
+                let mut din = s.take_uninit(input.numel());
+                maxpool2_backward_into(black_box(&dout), &arg, input.shape(), &mut din);
+                s.put(black_box(din));
+            });
         }
     }
 

@@ -436,8 +436,8 @@ impl Layer for MaxPool2 {
         if !want_dx {
             return recycle(s, [dout]);
         }
-        let mut din = s.take(shape.numel());
-        maxpool2_backward_into(&dout, &self.spare_argmax, &mut din);
+        let mut din = s.take_uninit(shape.numel());
+        maxpool2_backward_into(&dout, &self.spare_argmax, &shape, &mut din);
         s.put_tensor(dout);
         Some(Tensor::from_vec(shape, din))
     }

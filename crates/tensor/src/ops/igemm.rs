@@ -38,14 +38,30 @@
 //!   row in a 4- or 2-tap run). `drows` itself — `dout (N,F,OH,OW)` in row
 //!   layout — is a block transpose, sixteen pixels × `fw` filters through
 //!   `log₂ fw` perfect shuffles;
-//! * `dinput`: each 4-row strip of `dpatches = drows · W` is computed into a
-//!   strip buffer (all panels of the strip first) and scatter-added into a
-//!   padded `dpad` through the same offset table, then un-padded.
+//! * `dinput` is the forward's mirror, a correlation of `dout` with the
+//!   flipped kernel, one sample at a time. The sample's `dout` is copied
+//!   into a *frame* `(F, Hb, Wb)`: each `OH×OW` plane inside a zero border
+//!   of `KH−1−pad` rows and `KW−1−pad` columns, `(H+KH−1) × (W+KW−1)` in all
+//!   (a pad above `K−1` borders nothing; the taps then start inside the
+//!   frame). A frame plane is the next `OH·OW` floats of `dout` expanded into
+//!   the cells that hold them, sixteen cells per expand. A vector holds
+//!   sixteen consecutive positions `q = y·Wb + x` of the sample's
+//!   frame-width *input* grid, so tap `t` of all sixteen is one contiguous
+//!   (masked) load `frame[f·Hb·Wb + q + toff[t]]`.
+//!   Taps run in descending `(ky, kx)` — ascending frame offset `toff[t]`,
+//!   which is ascending `r` — and each input channel of a register group of
+//!   8/4/2/1 builds its `dpatch` over ascending `f` from `+0.0` and adds it
+//!   to its running sum. A tap that falls outside the output map is no term
+//!   of the chain: its lanes are zeroed by a mask move before the add (the
+//!   frame's zeros times a ±∞ weight would be NaN, and `+0.0` leaves a sum
+//!   that started at `+0.0` unchanged). The live lanes of a block are
+//!   consecutive NCHW input pixels, compress-stored straight into
+//!   `dinput[n][c]`.
 //!
-//! Every buffer of a pass — the output, the padded input, `drows`, the
-//! strip, `dpad` — comes from the caller's arena; the forward reads the
-//! weight `(F, K)` in place, and only `dinput`'s filter panels live in the
-//! thread's packing buffer, as the GEMMs' do.
+//! Every buffer of a pass — the output, the padded input, `drows`,
+//! `dinput` — comes from the caller's arena but the frame, one sample's
+//! worth in a thread-local buffer that stays in cache; the kernels read the
+//! weight `(F, C, KH, KW)` in place.
 //!
 //! # Order contract
 //!
@@ -67,16 +83,16 @@
 //! # Safety of the gather reads
 //!
 //! All `unsafe` of the convolution is in this module: the [`simd`] kernels,
-//! which read `xpad` through raw pointers, and [`scatter_add`]'s unchecked
-//! writes into `dpad`. [`Geom::with`] makes the one assertion that covers a
-//! whole pass — the largest index any read can form, the last pixel's last
-//! run, `(N−1)·C·Hp·Wp + (OH−1)·Wp + (OW−1) + off[ks] + T − 1`, is inside
-//! the padded buffer — before any loop runs; bases, offsets, runs and lane
-//! masks come only from the geometry's own tables, which nothing outside
-//! this module can build. A run's dead taps (`kx ≥ KW`) read up to `T − 1`
-//! floats past its row's last tap, so the padded buffer carries that slack
-//! after its last sample, zeroed, and a pad-0 input is copied too when the
-//! slack is not zero; forward, `dW` and `dpad` share the one length. The
+//! which read the padded input and the frame through raw pointers.
+//! [`Geom::with`] makes the one assertion that covers the forward's and
+//! `dW`'s reads — the largest index any read can form, the last pixel's
+//! last run, `(N−1)·C·Hp·Wp + (OH−1)·Wp + (OW−1) + off[ks] + T − 1`, is
+//! inside the padded buffer — before any loop runs; bases, offsets, runs
+//! and lane masks come only from the geometry's own tables, which nothing
+//! outside this module can build. A run's dead taps (`kx ≥ KW`) read up to
+//! `T − 1` floats past its row's last tap, so the padded buffer carries that
+//! slack after its last sample, zeroed, and a pad-0 input is copied too when
+//! the slack is not zero; forward and `dW` share the one length. The
 //! forward's last tap `off[K−1]` lies inside the last run, and its loads are
 //! masked: a dead lane (a padding column, or past the grid's last pixel) is
 //! never read, and the portable twin reads live lanes only. The compress
@@ -85,22 +101,34 @@
 //! `dW`'s `drows` loads and the transpose's loads and stores are masked to
 //! the row's filters and the sample's pixels, and `dW`'s stores go to the
 //! group's filters below `F` and the run's taps inside its kernel row, so
-//! they stay inside `F·K`.
+//! they stay inside `F·K`. `dinput`'s kernel reads are covered by
+//! [`Mirror::with`]'s one assertion: the last input pixel of the frame's
+//! last plane, `(F−1)·Hb·Wb + (H−1)·Wb + (W−1)`, plus the last tap's offset
+//! `toff[KH·KW−1]` is inside the frame; its loads are masked to the block's
+//! input pixels and its compress stores, like the forward's, fill the
+//! sample's `C·H·W` slots exactly. The frame copy reads `dout` a plane at a
+//! time, as many floats as the plane's held cells, which its dispatcher
+//! asserts number `OH·OW`.
 
 use crate::ops::conv::{dims4, out_hw};
-use crate::ops::matmul::{micro_a_rows, pack_panels_rowmajor, with_pack_buf, MR, NR};
 use crate::scratch::Scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// `f32`s per 512-bit vector: the forward's pixels, `dW`'s filters × taps.
 const LANES: usize = 16;
 
 thread_local! {
     /// Reusable storage for [`Geom`]'s index and mask tables (per thread;
-    /// like the GEMMs' packing buffer, convolutions never nest).
+    /// convolutions never nest).
     static TABLES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// [`Mirror`]'s tables, built inside a [`Geom::with`].
+    static MIRROR: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// One sample's frame of `dout` (module header): rebuilt per sample,
+    /// so it stays in cache and adds nothing to the arena.
+    static FRAME: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Whether the host runs the lane kernels; where it does not, the portable
@@ -117,6 +145,7 @@ struct Geom<'a> {
     h: usize,
     w: usize,
     f: usize,
+    kh: usize,
     kw: usize,
     pad: usize,
     oh: usize,
@@ -177,6 +206,7 @@ impl Geom<'_> {
                 h,
                 w,
                 f,
+                kh,
                 kw,
                 pad,
                 oh,
@@ -281,18 +311,6 @@ impl Geom<'_> {
         copy_rows(self, src, self.dense(), &mut xpad, self.interior());
         Some(xpad)
     }
-
-    /// Inverse of [`Geom::padded`]: the interior of `dpad`, as a fresh
-    /// `(N,C,H,W)` buffer from `s`.
-    fn unpadded(&self, dpad: Vec<f32>, s: &mut Scratch) -> Vec<f32> {
-        if self.in_place() {
-            return dpad;
-        }
-        let mut out = s.take_uninit(self.n * self.c * self.h * self.w);
-        copy_rows(self, &dpad, self.interior(), &mut out, self.dense());
-        s.put(dpad);
-        out
-    }
 }
 
 /// Where an image's rows sit in a buffer: row `y` of plane `i` (of `N·C`)
@@ -311,22 +329,124 @@ impl Planes {
     }
 }
 
-/// Walks the rows `r = (ni, p)` in ascending order.
-struct Rows {
-    ni: usize,
-    p: usize,
+/// `dinput`'s tables: the forward's mirror over a zero-bordered frame of
+/// `dout` (module header).
+struct Mirror<'a> {
+    /// The frame's height and width: `dout`'s `OH×OW` inside a zero border
+    /// of `KH−1−pad` rows and `KW−1−pad` columns (none when `pad > K−1`).
+    hb: usize,
+    wb: usize,
+    /// The frame rows and columns that hold `dout`.
+    rows: Range<usize>,
+    cols: Range<usize>,
+    /// `toff[t]`, ascending: where tap `t` of input pixel `(y, x)` — `(ky,
+    /// kx) = (KH−1−t/KW, KW−1−t%KW)`, descending — reads the frame, from
+    /// `q = y·Wb + x`. Output pixel `(y + pad − ky, x + pad − kx)` is frame
+    /// cell `(y + t/KW + sy, x + t%KW + sx)`, where `(sy, sx) = (pad −
+    /// (KH−1), pad − (KW−1))` where positive, else 0.
+    toff: &'a [usize],
+    /// One per 16-lane block of a sample's frame-width input grid: bit `i`
+    /// of `masks[b]` is set iff `q = 16·b + i` is an input pixel
+    /// (`q % Wb < W`, `q < (H−1)·Wb + W`).
+    masks: &'a [usize],
+    /// `reach[b·KH·KW + t]`: the lanes of `masks[b]` that tap `t`
+    /// [lands](Mirror::lands) on an output pixel for.
+    reach: &'a [usize],
+    /// One per sixteen floats of a frame plane: bit `i` of `held[c]` is set
+    /// iff cell `16·c + i` holds `dout`.
+    held: &'a [usize],
 }
 
-impl Rows {
-    /// The current row's `(ni, p)`, then step to the next row.
-    fn next(&mut self, ohw: usize) -> (usize, usize) {
-        let at = (self.ni, self.p);
-        self.p += 1;
-        if self.p == ohw {
-            self.p = 0;
-            self.ni += 1;
-        }
-        at
+impl Mirror<'_> {
+    /// Build `g`'s mirror tables and run `body` with them.
+    fn with<R>(g: &Geom, body: impl FnOnce(&Mirror) -> R) -> R {
+        const BITS: usize = usize::BITS as usize;
+        let (top, left) = (
+            (g.kh - 1).saturating_sub(g.pad),
+            (g.kw - 1).saturating_sub(g.pad),
+        );
+        let (hb, wb, kk) = (g.oh + 2 * top, g.ow + 2 * left, g.kh * g.kw);
+        let (rows, cols) = (top..top + g.oh, left..left + g.ow);
+        let origin = (g.pad + 1).saturating_sub(g.kh) * wb + (g.pad + 1).saturating_sub(g.kw);
+        let span = (g.h - 1) * wb + g.w;
+        MIRROR.with(|t| {
+            let mut tab = std::mem::take(&mut *t.borrow_mut());
+            tab.clear();
+            // Two bitmaps over a frame plane, zero past its `Hb·Wb` cells for
+            // a block's reads: the input pixels, and the cells that hold
+            // `dout`.
+            let words = (hb * wb + LANES).div_ceil(BITS) + 1;
+            tab.resize(2 * words, 0);
+            let mut set = |at: usize, y: usize, x: Range<usize>| {
+                for c in y * wb + x.start..y * wb + x.end {
+                    tab[at + c / BITS] |= 1 << (c % BITS);
+                }
+            };
+            (0..g.h).for_each(|y| set(0, y, 0..g.w));
+            rows.clone().for_each(|y| set(words, y, cols.clone()));
+            // The sixteen cells from `c` of the bitmap at `at`.
+            let cells = |tab: &[usize], at: usize, c: usize| {
+                let (lo, hi) = (tab[at + c / BITS] as u128, tab[at + c / BITS + 1] as u128);
+                ((lo | hi << BITS) >> (c % BITS)) as usize & 0xffff
+            };
+            let toff = 2 * words;
+            tab.extend((0..kk).map(|t| origin + t / g.kw * wb + t % g.kw));
+            let masks = tab.len();
+            for q0 in (0..span).step_by(LANES) {
+                tab.push(cells(&tab, 0, q0));
+            }
+            for (b, q0) in (0..span).step_by(LANES).enumerate() {
+                for t in 0..kk {
+                    let on = cells(&tab, words, q0 + tab[toff + t]) & tab[masks + b];
+                    tab.push(on);
+                }
+            }
+            for c in (0..hb * wb).step_by(LANES) {
+                tab.push(cells(&tab, words, c));
+            }
+            let (toff, rest) = tab[toff..].split_at(kk);
+            let (masks, rest) = rest.split_at(span.div_ceil(LANES));
+            let (reach, held) = rest.split_at(masks.len() * kk);
+            let live: u32 = masks.iter().map(|m| m.count_ones()).sum();
+            debug_assert_eq!(live as usize, g.h * g.w);
+            let m = Mirror {
+                hb,
+                wb,
+                rows: rows.clone(),
+                cols: cols.clone(),
+                toff,
+                masks,
+                reach,
+                held,
+            };
+            // The one bound every raw frame read relies on (module header):
+            // the last plane's last input pixel under the last tap.
+            let last = (g.f - 1) * m.plane() + span - 1 + m.toff[kk - 1];
+            assert!(
+                last < m.frame_len(g),
+                "conv2d dinput frame read out of bounds"
+            );
+            let r = body(&m);
+            *t.borrow_mut() = tab;
+            r
+        })
+    }
+
+    /// Whether tap `t` of input pixel `(y, x)` lands on an output pixel:
+    /// whether the frame cell it reads holds `dout`.
+    fn lands(&self, y: usize, x: usize, t: usize) -> bool {
+        let at = y * self.wb + x + self.toff[t];
+        self.rows.contains(&(at / self.wb)) && self.cols.contains(&(at % self.wb))
+    }
+
+    /// Elements of one frame plane, `Hb·Wb`.
+    fn plane(&self) -> usize {
+        self.hb * self.wb
+    }
+
+    /// A sample's frame: `F` planes.
+    fn frame_len(&self, g: &Geom) -> usize {
+        g.f * self.plane()
     }
 }
 
@@ -334,7 +454,7 @@ impl Rows {
 /// `mul` + `add`, never FMA, like `ops::matmul::simd`.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{sweep_len, Geom, Planes, LANES};
+    use super::{sweep_len, Geom, Mirror, Planes, LANES};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
@@ -631,6 +751,135 @@ mod simd {
             }
         }
     }
+
+    /// The frame of `dout`, every slot, sixteen floats of a plane at a
+    /// time: the next `dout` floats of the plane, expanded into the lanes of
+    /// [`Mirror::held`], zero elsewhere.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `dout` must hold one sample's `F·OH·OW`
+    /// elements and `frame` `m.frame_len(g)`; `m.held` must count `OH·OW`
+    /// cells.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn frame(g: &Geom, m: &Mirror, dout: &[f32], frame: &mut [f32]) {
+        let plane = m.plane();
+        let tail = ((1u32 << (plane - (m.held.len() - 1) * LANES)) - 1) as __mmask16;
+        for i in 0..g.f {
+            let (mut src, dst) = (
+                dout.as_ptr().add(i * g.ohw()),
+                frame.as_mut_ptr().add(i * plane),
+            );
+            for (c, &held) in m.held.iter().enumerate() {
+                let n = held.count_ones();
+                let v = _mm512_maskz_loadu_ps(((1u32 << n) - 1) as __mmask16, src);
+                let v = _mm512_maskz_expand_ps(held as __mmask16, v);
+                let store = if c + 1 == m.held.len() { tail } else { !0 };
+                _mm512_mask_storeu_ps(dst.add(c * LANES), store, v);
+                src = src.add(n as usize);
+            }
+        }
+    }
+
+    /// One sample's `dinput` over input-pixel lanes: for every block `b` of
+    /// its frame-width input grid and every input channel `c`, the live
+    /// lanes `q` of `Σ_t dpatch_t` over the taps `t` that land on an output
+    /// pixel, ascending `t` from `+0.0`, where
+    /// `dpatch_t = Σ_f frame[f·Hb·Wb + q + toff[t]] · w[f·K + c·KH·KW + KH·KW−1−t]`
+    /// ascending `f` from `+0.0`; stored at `dx[c·H·W + p]` where `p` is the
+    /// lane's input pixel. Channels go in register groups of 8/4/2/1.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `frame` must hold `m.frame_len(g)`
+    /// elements (which [`Mirror::with`] bounds every live read by), `w`
+    /// `F·K` and `dx` `C·H·W`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn mirror_lanes(g: &Geom, m: &Mirror, frame: &[f32], w: &[f32], dx: &mut [f32]) {
+        let (c, hw, kk) = (g.c, g.h * g.w, m.toff.len());
+        // The input pixel of the block's first live lane.
+        let mut p0 = 0;
+        for (b, (&live, reach)) in m.masks.iter().zip(m.reach.chunks_exact(kk)).enumerate() {
+            let live = live as __mmask16;
+            let mut c0 = 0;
+            while c0 < c {
+                let l = Taps {
+                    fq: frame.as_ptr().add(b * LANES),
+                    live,
+                    reach,
+                    toff: m.toff,
+                    plane: m.plane(),
+                    f: g.f,
+                    w: w.as_ptr().add(c0 * kk),
+                    k: g.k(),
+                    dst: dx.as_mut_ptr().add(c0 * hw + p0),
+                    hw,
+                };
+                c0 += match c - c0 {
+                    8.. => channels::<8>(&l),
+                    4.. => channels::<4>(&l),
+                    2.. => channels::<2>(&l),
+                    _ => channels::<1>(&l),
+                };
+            }
+            p0 += live.count_ones() as usize;
+        }
+    }
+
+    /// One block of `dinput` for a group of input channels.
+    struct Taps<'a> {
+        /// The block's first position in the frame's first plane.
+        fq: *const f32,
+        /// The block's input pixels.
+        live: __mmask16,
+        /// Per tap, the lanes of `live` it lands on an output pixel for.
+        reach: &'a [usize],
+        toff: &'a [usize],
+        /// Floats per frame plane: filter `f`'s plane is `f·plane` on.
+        plane: usize,
+        f: usize,
+        /// `W[0][c0][0][0]`: channel `c0 + j`'s taps are `j·KH·KW` on,
+        /// filter `f`'s `f·K`.
+        w: *const f32,
+        k: usize,
+        /// Where channel `c0`'s live lanes go, channels `hw` apart.
+        dst: *mut f32,
+        hw: usize,
+    }
+
+    /// One block, `G` channels: per tap `t`, `d[j] = d[j] + x_f ·
+    /// W[f][c0+j][KH·KW−1−t]` over ascending `f` from `+0.0`, `x_f` the
+    /// block's masked load at `fq + f·plane + toff[t]`; then `acc[j] =
+    /// acc[j] + d[j]` with the lanes the tap does not land on zeroed first;
+    /// `acc[j]` compress-stored at `dst + j·H·W`. Returns `G`.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; the lanes of `live` at `fq + f·plane +
+    /// toff[t]` must be readable for every `f < F` and tap `t`, `w` must hold
+    /// `W[f][c0 + j][..]` for `j < G`, and `dst + j·H·W` room for `live`'s
+    /// lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn channels<const G: usize>(l: &Taps) -> usize {
+        let kk = l.toff.len();
+        let mut acc = [_mm512_setzero_ps(); G];
+        for (t, (&o, &on)) in l.toff.iter().zip(l.reach).enumerate() {
+            let mut d = [_mm512_setzero_ps(); G];
+            let (mut x, mut wt) = (l.fq.add(o), l.w.add(kk - 1 - t));
+            for _ in 0..l.f {
+                let v = _mm512_maskz_loadu_ps(l.live, x);
+                for (j, dj) in d.iter_mut().enumerate() {
+                    *dj = _mm512_add_ps(*dj, _mm512_mul_ps(v, _mm512_set1_ps(*wt.add(j * kk))));
+                }
+                (x, wt) = (x.add(l.plane), wt.add(l.k));
+            }
+            for (a, dj) in acc.iter_mut().zip(d) {
+                *a = _mm512_add_ps(*a, _mm512_maskz_mov_ps(on as __mmask16, dj));
+            }
+        }
+        for (j, a) in acc.into_iter().enumerate() {
+            _mm512_mask_compressstoreu_ps(l.dst.add(j * l.hw), l.live, a);
+        }
+        G
+    }
 }
 
 /// Portable twin of [`simd::pixel_lanes`]: the same chains, a row segment
@@ -745,6 +994,49 @@ fn copy_rows_portable(g: &Geom, src: &[f32], from: Planes, dst: &mut [f32], to: 
     }
 }
 
+/// Portable twin of [`simd::frame`].
+fn frame_portable(g: &Geom, m: &Mirror, dout: &[f32], frame: &mut [f32]) {
+    for (fr, plane) in frame
+        .chunks_exact_mut(m.plane())
+        .zip(dout.chunks_exact(g.ohw()))
+    {
+        fr.fill(0.0);
+        for (y, row) in m.rows.clone().zip(plane.chunks_exact(g.ow)) {
+            fr[y * m.wb + m.cols.start..][..g.ow].copy_from_slice(row);
+        }
+    }
+}
+
+/// Portable twin of [`simd::mirror_lanes`]: the same chains, a row segment
+/// of up to sixteen input pixels at a time, skipping the taps that land
+/// outside the output map.
+fn mirror_lanes_portable(g: &Geom, m: &Mirror, frame: &[f32], w: &[f32], dx: &mut [f32]) {
+    let (hw, kk, k) = (g.h * g.w, m.toff.len(), g.k());
+    for y in 0..g.h {
+        for x0 in (0..g.w).step_by(LANES) {
+            let (q, lanes) = (y * m.wb + x0, LANES.min(g.w - x0));
+            for ci in 0..g.c {
+                let mut acc = [0.0f32; LANES];
+                for (t, &o) in m.toff.iter().enumerate() {
+                    let mut d = [0.0f32; LANES];
+                    let taps = w[ci * kk + kk - 1 - t..].iter().step_by(k);
+                    for (plane, &wv) in frame.chunks_exact(m.plane()).zip(taps) {
+                        for (dl, &xv) in d.iter_mut().zip(&plane[q + o..][..lanes]) {
+                            *dl += xv * wv;
+                        }
+                    }
+                    for (x, (a, dl)) in (x0..).zip(acc.iter_mut().zip(d)).take(lanes) {
+                        if m.lands(y, x, t) {
+                            *a += dl;
+                        }
+                    }
+                }
+                dx[ci * hw + y * g.w + x0..][..lanes].copy_from_slice(&acc[..lanes]);
+            }
+        }
+    }
+}
+
 /// [`simd::pixel_lanes`] where the host has AVX-512, its twin elsewhere.
 fn pixel_lanes(g: &Geom, x: &[f32], w: &[f32], bias: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), g.padded_len(), "conv2d padded image length");
@@ -808,6 +1100,43 @@ fn row_layout(g: &Geom, dout: &[f32], drows: &mut [f32]) {
     row_layout_portable(g, dout, drows)
 }
 
+/// `dout (N,F,OH,OW)` in its frame `(N,F,Hb,Wb)` at [`Mirror::rows`] and
+/// [`Mirror::cols`], zero elsewhere: [`simd::frame`] where the host has
+/// AVX-512, its twin elsewhere.
+fn frame(g: &Geom, m: &Mirror, dout: &[f32], frame: &mut [f32]) {
+    assert_eq!(dout.len(), g.f * g.ohw(), "one sample's dout");
+    assert_eq!(frame.len(), m.frame_len(g), "conv2d dinput frame length");
+    let held: u32 = m.held.iter().map(|h| h.count_ones()).sum();
+    assert_eq!(
+        held as usize,
+        g.ohw(),
+        "the frame holds each output pixel once"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if lanes() {
+        // SAFETY: feature checked; the extents and the held count (which
+        // bounds every `dout` read) are asserted above.
+        return unsafe { simd::frame(g, m, dout, frame) };
+    }
+    frame_portable(g, m, dout, frame)
+}
+
+/// `dinput (N,C,H,W)`, every slot, from the frame of `dout` (module
+/// header): [`simd::mirror_lanes`] where the host has AVX-512, its twin
+/// elsewhere.
+fn mirror_lanes(g: &Geom, m: &Mirror, frame: &[f32], w: &[f32], dx: &mut [f32]) {
+    assert_eq!(frame.len(), m.frame_len(g), "conv2d dinput frame length");
+    assert_eq!(w.len(), g.f * g.k(), "conv2d filter length");
+    assert_eq!(dx.len(), g.c * g.h * g.w, "one sample's dinput");
+    #[cfg(target_arch = "x86_64")]
+    if lanes() {
+        // SAFETY: feature checked. `frame` has the length `Mirror::with`
+        // asserted its bound against, the other extents are asserted above.
+        return unsafe { simd::mirror_lanes(g, m, frame, w, dx) };
+    }
+    mirror_lanes_portable(g, m, frame, w, dx)
+}
+
 /// Copy every image row of `g` from `src` laid out as `from` to `dst` laid
 /// out as `to`: [`simd::copy_rows`] where the host has AVX-512, its twin
 /// elsewhere.
@@ -820,22 +1149,6 @@ fn copy_rows(g: &Geom, src: &[f32], from: Planes, dst: &mut [f32], to: Planes) {
         return unsafe { simd::copy_rows(g, src.as_ptr(), from, dst.as_mut_ptr(), to) };
     }
     copy_rows_portable(g, src, from, dst, to)
-}
-
-/// `dpad[base + off[k]] += dpatch[k]` in ascending `k`: one row of
-/// `dpatches` scattered through the offset table (`off` ascending, as
-/// [`Geom::with`] builds it).
-#[inline]
-fn scatter_add(dpad: &mut [f32], base: usize, off: &[usize], dpatch: &[f32]) {
-    let reach = off.last().map_or(0, |&o| base + o);
-    assert!(reach < dpad.len(), "conv2d scatter out of bounds");
-    for (&o, &t) in off.iter().zip(dpatch) {
-        debug_assert!(base + o <= reach);
-        // SAFETY: `off` is ascending, so `base + o <= reach`, which the
-        // assertion above puts inside `dpad`. (Unchecked because the bounds
-        // test per element cost 17–28 % of the input-gradient pass.)
-        unsafe { *dpad.get_unchecked_mut(base + o) += t };
-    }
 }
 
 /// Convolution forward: `input (N,C,H,W)` ⊛ `weight (F,C,KH,KW)` + `bias (F)`
@@ -876,7 +1189,7 @@ pub(super) fn backward_into(
 ) -> Option<Tensor> {
     let _p = dlion_telemetry::profile_scope(dlion_telemetry::Phase::Gemm);
     Geom::with(input, weight, pad, |g| {
-        let (f, k, ohw) = (g.f, g.k(), g.ohw());
+        let f = g.f;
         assert_eq!(
             dout.shape().dims(),
             &[g.n, f, g.oh, g.ow],
@@ -895,37 +1208,26 @@ pub(super) fn backward_into(
             s.put(xpad);
         }
 
-        let dinput = want_dx.then(|| {
-            // dpatches (R, K) = drows · W, a 4-row strip at a time — every
-            // panel of the strip before any of it is scattered, so each
-            // dpad element receives its terms in ascending (r, k).
-            let mut dpad = s.take(g.padded_len());
-            let kp = k.next_multiple_of(NR);
-            let mut strip = s.take_uninit(MR * kp);
-            with_pack_buf(|pb| {
-                // weight viewed as (F, K): panel[f][c] = W[f][j0 + c].
-                pack_panels_rowmajor(weight.data(), f, k, pb);
-                let mut rows = Rows { ni: 0, p: 0 };
-                for r0 in (0..g.rows()).step_by(MR) {
-                    let mr = MR.min(g.rows() - r0);
-                    for (jp, panel) in pb.chunks_exact(f * NR).enumerate() {
-                        let mut acc = [[0.0f32; NR]; MR];
-                        micro_a_rows(mr, f, &drows[r0 * f..], f, panel, &mut acc);
-                        for (i, row) in acc.iter().enumerate().take(mr) {
-                            strip[i * kp + jp * NR..][..NR].copy_from_slice(row);
-                        }
-                    }
-                    for dpatch in strip.chunks_exact(kp).take(mr) {
-                        let (ni, p) = rows.next(ohw);
-                        scatter_add(&mut dpad, g.base(ni, p), g.off, dpatch);
-                    }
-                }
-            });
-            s.put(strip);
-            Tensor::from_vec(Shape::d4(g.n, g.c, g.h, g.w), g.unpadded(dpad, s))
-        });
         s.put(drows);
-        dinput
+
+        // dinput: the forward's mirror over a zero-bordered frame of dout.
+        want_dx.then(|| {
+            Mirror::with(g, |m| {
+                let mut dx = s.take_uninit(g.n * g.c * g.h * g.w);
+                let samples = dx
+                    .chunks_exact_mut(g.c * g.h * g.w)
+                    .zip(dout.data().chunks_exact(f * g.ohw()));
+                FRAME.with(|fr| {
+                    let mut fr = fr.borrow_mut();
+                    fr.resize(m.frame_len(g), 0.0);
+                    for (dx, dout) in samples {
+                        frame(g, m, dout, &mut fr);
+                        mirror_lanes(g, m, &fr, weight.data(), dx);
+                    }
+                });
+                Tensor::from_vec(Shape::d4(g.n, g.c, g.h, g.w), dx)
+            })
+        })
     })
 }
 
@@ -1098,6 +1400,83 @@ mod tests {
         for len in [12, 6, 3, 2, 1] {
             assert!(sweeps.contains(&len), "a sweep of {len} runs: {sweeps:?}");
         }
+    }
+
+    /// The input gradient's frame and kernel against their portable twins,
+    /// bit for bit, on every edge of its blocks: an input row of 16, 17 and
+    /// 33 floats, `H = 1`, pad 0, 1, 2 and 3 (a pad above `K−1` borders
+    /// nothing), `KH ≠ KW`, 1×1 kernels and `C` not a multiple of its
+    /// register group. A NaN and a ±∞ weight sit on corner taps, which fall
+    /// outside the output map for a border pixel: a tap whose lanes are not
+    /// zeroed there adds `0·∞`.
+    #[test]
+    fn portable_mirror_matches_the_dispatched_one_bit_for_bit() {
+        let bits = |v: &[f32]| {
+            let canon = |y: &f32| {
+                if y.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    y.to_bits()
+                }
+            };
+            v.iter().map(canon).collect::<Vec<_>>()
+        };
+        // (n, c, h, w, f, kh, kw, pad)
+        let shapes = [
+            (2, 3, 4, 16, 5, 3, 3, 1),
+            (2, 5, 3, 17, 4, 3, 3, 1),
+            (1, 9, 1, 33, 3, 1, 3, 1),
+            (3, 7, 5, 6, 2, 1, 1, 2),
+            (2, 12, 4, 5, 6, 2, 3, 0),
+            (2, 2, 6, 6, 3, 3, 3, 2),
+            (1, 3, 2, 3, 4, 3, 2, 3),
+            (1, 4, 6, 6, 8, 3, 3, 1),
+            (3, 8, 3, 3, 16, 3, 3, 1),
+        ];
+        let mut rng = DetRng::seed_from_u64(45);
+        // Channel groups of [8, 4, 2, 1] that ran.
+        let mut groups = [0; 4];
+        for (n, c, h, w, f, kh, kw, pad) in shapes {
+            let input = Tensor::zeros(Shape::d4(n, c, h, w));
+            let mut weight = Tensor::randn(Shape::d4(f, c, kh, kw), 0.5, &mut rng);
+            let kk = kh * kw;
+            weight.data_mut()[0] = f32::NAN;
+            weight.data_mut()[(c - 1) * kk + kk - 1] = f32::INFINITY;
+            weight.data_mut()[(f - 1) * c * kk + kw - 1] = f32::NEG_INFINITY;
+            let (oh, ow) = out_hw(h, w, kh, kw, pad);
+            let mut dout = Tensor::randn(Shape::d4(n, f, oh, ow), 1.0, &mut rng);
+            for (i, v) in dout.data_mut().iter_mut().enumerate().step_by(3) {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            let what = |t: &str| format!("{t} ({n},{c},{h},{w})x({f},{c},{kh},{kw}) pad {pad}");
+            Geom::with(&input, &weight, pad, |g| {
+                Mirror::with(g, |m| {
+                    for dout in dout.data().chunks_exact(f * oh * ow) {
+                        // Stale outputs: every slot must be written.
+                        let len = m.frame_len(g);
+                        let (mut fr, mut want) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                        frame(g, m, dout, &mut fr);
+                        frame_portable(g, m, dout, &mut want);
+                        assert_eq!(bits(&fr), bits(&want), "{}", what("frame"));
+                        let len = c * h * w;
+                        let (mut dx, mut want) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                        mirror_lanes(g, m, &fr, weight.data(), &mut dx);
+                        mirror_lanes_portable(g, m, &fr, weight.data(), &mut want);
+                        assert_eq!(bits(&dx), bits(&want), "{}", what("mirror_lanes"));
+                    }
+                });
+            });
+            let mut left = c;
+            for (i, g) in [8, 4, 2, 1].into_iter().enumerate() {
+                while left >= g {
+                    (groups[i], left) = (groups[i] + 1, left - g);
+                }
+            }
+        }
+        assert!(
+            groups.iter().all(|&n| n > 0),
+            "every channel group: {groups:?}"
+        );
     }
 
     #[test]

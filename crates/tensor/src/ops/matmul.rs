@@ -52,7 +52,7 @@ thread_local! {
 
 /// Run `f` with this thread's panel-packing buffer (its contents are stale;
 /// the pack functions overwrite it).
-pub(super) fn with_pack_buf<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+fn with_pack_buf<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
     PACK_BUF.with(|p| {
         let mut pb = std::mem::take(&mut *p.borrow_mut());
         let r = f(&mut pb);
@@ -63,7 +63,7 @@ pub(super) fn with_pack_buf<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
 
 /// Pack row-major `B: K×N` into `ceil(n/NR)` column panels, each `k × NR`
 /// contiguous, zero-padding the last panel's missing columns.
-pub(super) fn pack_panels_rowmajor(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
+fn pack_panels_rowmajor(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
     let np = n.div_ceil(NR);
     pb.clear();
     pb.resize(np * k * NR, 0.0);
@@ -80,7 +80,7 @@ pub(super) fn pack_panels_rowmajor(bd: &[f32], k: usize, n: usize, pb: &mut Vec<
 
 /// Pack row-major `B: N×K` (i.e. Bᵀ of the multiply) into the same panel
 /// layout as [`pack_panels_rowmajor`].
-pub(super) fn pack_panels_transposed(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
+fn pack_panels_transposed(bd: &[f32], k: usize, n: usize, pb: &mut Vec<f32>) {
     let np = n.div_ceil(NR);
     pb.clear();
     pb.resize(np * k * NR, 0.0);
@@ -189,7 +189,7 @@ pub(crate) mod simd {
 /// registers, which is the entire point of register tiling (with a runtime
 /// `mr` the tile lives in memory and every `k` step pays loads + stores).
 #[inline]
-pub(super) fn micro_a_rows(
+fn micro_a_rows(
     mr: usize,
     k: usize,
     a: &[f32],

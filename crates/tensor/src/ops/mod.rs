@@ -13,7 +13,10 @@
 //! across consecutive pixels of a padded-width row, one accumulator per
 //! filter, so a layer with 4 or 8 filters still fills every lane; `dW`'s
 //! lanes are filters × a run of adjacent taps (a 4-filter layer's vector
-//! holds one 4-tap run per filter), and `dinput` keeps the matmul tile.
+//! holds one 4-tap run per filter), and `dinput` is the forward's mirror:
+//! its lanes are consecutive pixels of a frame-width *input* row, reading a
+//! zero-bordered copy of `dout`, one accumulator per input channel. Max-pool
+//! (`ops::pool`) compares sixteen windows per vector.
 //! Every standard convolution runs it, batch 1 included: there is one chain
 //! order per output element and no size threshold, so a shape's bits depend
 //! neither on the host nor on the batch size. Every kernel is serial: the

@@ -278,11 +278,17 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
 /// `OH·OW` < 4; and every edge of the forward's 16-pixel blocks over a
 /// sample's padded-width grid — `OW` of 16, 17 and 33, `OH` = 1, a 4-column
 /// padding gap inside a block, a sample's last block short of 16 live lanes
-/// and one that is full up to the padded buffer's last element — with exact
-/// zeros in `dout` (no zero skip) and, on every third case, −0.0, NaN and
-/// ±∞ among the inputs and weights. The contract holds at every batch
-/// size: each shape also runs at batch 1, as the thousand-worker
-/// simulation runs it.
+/// and one that is full up to the padded buffer's last element — and every
+/// edge of the input gradient's blocks over a frame-width input grid: an
+/// input row of 16, 17 and 33 floats, `H` = 1, pad 0, 1 and 2 (a pad above
+/// `K−1` borders nothing), `KH ≠ KW`, 1×1 kernels and `C` not a multiple of
+/// its register group of 8/4/2/1 — with exact zeros in `dout` (no zero
+/// skip) and, on every third case, −0.0, NaN and ±∞ among the inputs and
+/// weights, a NaN and a ±∞ weight on corner taps among them (a corner tap
+/// falls outside the output map for a border pixel, so a tap that is not
+/// masked out adds `0·∞` there). The contract holds at every batch size:
+/// each shape also runs at batch 1, as the thousand-worker simulation runs
+/// it.
 #[test]
 fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     let mut s = Scratch::new();
@@ -306,6 +312,12 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
         (4, 2, 9, 7, 2, 3, 0),   // OH = 1, OW = 7: one short block per sample
         (2, 6, 6, 2, 3, 3, 1),   // F = 2: dW runs of 8 taps
         (3, 5, 5, 1, 3, 3, 0),   // F = 1, pad 0: the last 16-tap run reads past the image
+        (3, 4, 16, 5, 3, 3, 1),  // an input row of 16 floats, C = 3: groups of 2 and 1
+        (5, 3, 17, 4, 3, 3, 1),  // an input row of 17, C = 5: groups of 4 and 1
+        (9, 1, 33, 3, 1, 3, 1),  // H = 1, an input row of 33, 1x3, C = 9: 8 and 1
+        (7, 5, 6, 2, 1, 1, 2),   // 1x1 under pad 2: no border, C = 7: 4, 2 and 1
+        (12, 4, 5, 6, 2, 3, 0),  // 2x3, pad 0, C = 12: 8 and 4
+        (3, 2, 3, 4, 3, 2, 3),   // pad 3 above both K - 1
     ];
     let mut strip_remainders = [0; 4];
     // dW's run lengths T = 16 / min(16, F.next_power_of_two()): [1, 2, 4, 8, 16].
@@ -315,6 +327,10 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     // live lanes, a sample's last block is full up to the padded buffer's
     // last element].
     let mut lane_edges = [0; 3];
+    // The input gradient's: [a block straddles two input rows, an input row
+    // spans two blocks or more, the frame has no border on an axis
+    // (pad > K − 1)], and its channel groups of [8, 4, 2, 1].
+    let (mut dx_edges, mut groups) = ([0; 3], [0; 4]);
     for (case, &(c, h, w, f, kh, kw, pad)) in shapes.iter().enumerate() {
         let mut rng = DetRng::seed_from_u64(6500 + case as u64);
         let (oh, ow) = (h + 2 * pad + 1 - kh, w + 2 * pad + 1 - kw);
@@ -331,6 +347,24 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
         }
         let live = ((span - 1) / 16 * 16..span).filter(|q| q % wp < ow).count();
         lane_edges[if live < 16 { 1 } else { 2 }] += 1;
+        let wb = ow + 2 * (kw - 1).saturating_sub(pad);
+        let span = (h - 1) * wb + w;
+        let mut blocks = (0..span).step_by(16).map(|q0| q0..span.min(q0 + 16));
+        if blocks.any(|b| b.start / wb != (b.end - 1) / wb) {
+            dx_edges[0] += 1;
+        }
+        if w > 16 {
+            dx_edges[1] += 1;
+        }
+        if pad > kh.min(kw) - 1 {
+            dx_edges[2] += 1;
+        }
+        let mut left = c;
+        for (i, g) in [8, 4, 2, 1].into_iter().enumerate() {
+            while left >= g {
+                (groups[i], left) = (groups[i] + 1, left - g);
+            }
+        }
         let mut input = Tensor::randn(Shape::d4(n, c, h, w), 1.0, &mut rng);
         let mut weight = Tensor::randn(Shape::d4(f, c, kh, kw), 0.5, &mut rng);
         let bias = Tensor::randn(Shape::d1(f), 0.5, &mut rng);
@@ -347,6 +381,15 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
                 let at = rng.index(weight.numel());
                 weight.data_mut()[at] = specials[(i + 1) % 4];
             }
+            // Corner taps: (0, 0) of filter 0, channel 0 and (KH−1, KW−1) of
+            // the last filter's last channel.
+            weight.data_mut()[0] = f32::NAN;
+            let last = weight.numel() - 1;
+            weight.data_mut()[last] = if case % 2 == 0 {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            };
             dout.data_mut()[0] = -0.0;
         }
         let problem = ConvCase {
@@ -407,6 +450,10 @@ fn implicit_gemm_conv_exactly_matches_the_order_contract() {
     assert!(
         run_lengths.iter().all(|&cases| cases > 0),
         "every dW run length is covered: {run_lengths:?}"
+    );
+    assert!(
+        dx_edges.iter().chain(&groups).all(|&cases| cases > 0),
+        "every input-gradient block edge and channel group is covered: {dx_edges:?} {groups:?}"
     );
 }
 
