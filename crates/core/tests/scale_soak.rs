@@ -12,12 +12,13 @@ use dlion_simnet::{ComputeModel, NetworkModel};
 const N: usize = 1024;
 const ITERS: u64 = 60;
 /// Per-run wall-clock budget. The acceptance bar is five minutes; a
-/// release build on CI hardware lands well under half of that.
+/// release build on a 2-vCPU Xeon runs each round in 17-20 s.
 const WALL_BUDGET_SECS: f64 = 300.0;
-/// Peak-RSS ceiling for the whole test process (both runs). The sim
-/// peaks around 1.4 GiB at this scale; 4 GiB leaves headroom without
-/// letting a per-worker memory regression slide.
-const RSS_CEILING_BYTES: u64 = 4 << 30;
+/// Peak-RSS ceiling for the whole test process (both runs): about twice
+/// the measured peak. The process peaks at 812 MiB VmHWM on a 2-vCPU
+/// Xeon (922 MiB while the network built n² schedules); 0.75 MiB more
+/// per worker fails it.
+const RSS_CEILING_BYTES: u64 = 1600 << 20;
 
 /// `VmHWM` (peak resident set) of this process, in bytes.
 fn peak_rss_bytes() -> u64 {
@@ -73,6 +74,10 @@ fn thousand_worker_sim_is_fast_lean_and_bit_deterministic() {
         let t0 = std::time::Instant::now();
         let m = soak_run();
         let wall = t0.elapsed().as_secs_f64();
+        println!(
+            "round {round}: {wall:.1} s, VmHWM {:.0} MiB",
+            peak_rss_bytes() as f64 / (1 << 20) as f64
+        );
         assert_eq!(m.iterations, vec![ITERS; N], "round {round} stalled");
         assert!(
             wall < WALL_BUDGET_SECS,

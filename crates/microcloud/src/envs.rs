@@ -256,15 +256,9 @@ impl EnvSpec {
     pub fn network_model(&self) -> NetworkModel {
         let n = self.n_workers();
         let latency = if self.lan { LAN_LATENCY } else { WAN_LATENCY };
-        let mut net = NetworkModel::uniform(n, LAN_MBPS, latency);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    net.set_link(i, j, self.worker_bw[i].min_with(&self.worker_bw[j]));
-                }
-            }
-        }
-        net
+        NetworkModel::from_links(n, latency, |i, j| {
+            self.worker_bw[i].min_with(&self.worker_bw[j])
+        })
     }
 }
 
@@ -294,6 +288,22 @@ mod tests {
         assert_eq!(net.bandwidth_mbps(4, 0, 0.0), 20.0);
         assert_eq!(net.bandwidth_mbps(0, 1, 0.0), 50.0);
         assert_eq!(net.bandwidth_mbps(2, 3, 0.0), 35.0);
+    }
+
+    #[test]
+    fn the_network_holds_its_distinct_pairwise_minima() {
+        let spec = EnvId::HeteroNetA.spec();
+        let mut minima: Vec<f64> = Vec::new();
+        for i in 0..6 {
+            for j in (0..6).filter(|&j| j != i) {
+                let m = spec.worker_bw[i].min_with(&spec.worker_bw[j]).value_at(0.0);
+                if !minima.contains(&m) {
+                    minima.push(m);
+                }
+            }
+        }
+        assert_eq!(minima.len(), 3, "Hetero NET A pairs 50, 35 and 20 Mbps");
+        assert_eq!(spec.network_model().link_classes(), minima.len());
     }
 
     #[test]

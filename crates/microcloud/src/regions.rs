@@ -27,15 +27,7 @@ pub fn region_name(i: usize) -> &'static str {
 /// A 6-worker [`NetworkModel`] where worker `i` lives in region `i` and
 /// link `i→j` carries the Table 2 bandwidth.
 pub fn amazon_wan_network() -> NetworkModel {
-    let mut flat = Vec::with_capacity(36);
-    for row in REGION_MBPS.iter() {
-        for &v in row.iter() {
-            // Diagonal entries never used; keep a positive placeholder so
-            // the model's invariants hold.
-            flat.push(if v == 0.0 { 1.0 } else { v });
-        }
-    }
-    NetworkModel::from_matrix(6, &flat, WAN_LATENCY)
+    NetworkModel::from_matrix(6, REGION_MBPS.as_flattened(), WAN_LATENCY)
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ use crate::LiveError;
 use dlion_core::clock::{Clock, SystemClock};
 use dlion_core::messages::{
     chunk_checksum, decode_frame_header, verify_chunked_header, Payload, WireCfg,
-    CHUNK_HEADER_BYTES, FRAME_HEADER_BYTES,
+    CHUNK_HEADER_BYTES, DEFAULT_CHUNK_BYTES, FRAME_HEADER_BYTES, MAX_FRAME_BODY_BYTES,
 };
 use dlion_core::transport::LinkHealth;
 use dlion_core::{ExchangeTransport, TransportError};
@@ -172,9 +172,9 @@ impl Default for TcpOpts {
 ///
 /// The buffer is sized once and written once: it is reserved for the whole
 /// stream when the first chunk header says how many chunk headers a body
-/// of `body_len` carries, and the socket's bytes land in its spare
-/// capacity ([`read_body`]) — no zero-fill ahead of the read, no
-/// reallocation at the last chunk.
+/// of `body_len` carries ([`stream_capacity`]), and the socket's bytes land
+/// in its spare capacity ([`read_body`]) — no zero-fill ahead of the read,
+/// no reallocation at the last chunk.
 fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Duration)>> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match stream.read_exact(&mut header) {
@@ -206,10 +206,7 @@ fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Durati
             )));
         }
         if index == 0 {
-            // Every chunk but the last is as long as the first; a stream
-            // whose later chunks are shorter just grows the buffer.
-            let chunks = h.body_len.div_ceil(chunk_len);
-            frame.reserve_exact(h.body_len + chunks * CHUNK_HEADER_BYTES);
+            frame.reserve_exact(stream_capacity(h.body_len, chunk_len));
         }
         frame.extend_from_slice(&chead);
         let start = frame.len();
@@ -221,6 +218,22 @@ fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Durati
         index += 1;
     }
     Ok(Some((frame, t0.elapsed())))
+}
+
+/// Most chunk headers a stream is reserved for up front: as many as the
+/// largest body carries in default-size chunks.
+const MAX_RESERVED_CHUNKS: usize = MAX_FRAME_BODY_BYTES.div_ceil(DEFAULT_CHUNK_BYTES);
+
+/// What a chunked stream whose body is `body_len` bytes and whose first
+/// chunk is `first_chunk` bytes reserves beyond its frame header. Every
+/// chunk but the last is as long as the first, so the count is exact for
+/// an honest sender; it is capped so that a crafted 1-byte first chunk
+/// cannot reserve twelve header bytes per body byte. A stream of more,
+/// smaller chunks (or of later chunks shorter than the first) grows the
+/// buffer instead.
+fn stream_capacity(body_len: usize, first_chunk: usize) -> usize {
+    let chunks = body_len.div_ceil(first_chunk).min(MAX_RESERVED_CHUNKS);
+    body_len + chunks * CHUNK_HEADER_BYTES
 }
 
 /// Append exactly `len` bytes from `stream` to `frame`, straight into its
@@ -1117,6 +1130,52 @@ mod tests {
             assert_eq!(stream.len(), payload.wire_len(&cfg));
             let slack = stream.capacity() - stream.len();
             assert!(slack < CHUNK_HEADER_BYTES, "{slack} spare bytes");
+        }
+    }
+
+    #[test]
+    fn a_crafted_first_chunk_cannot_inflate_the_reservation() {
+        use dlion_core::messages::frame_checksum;
+        // A valid chunked header for a 64 MiB body, then a 1-byte first
+        // chunk: sized from that chunk, the stream would carry 64 Mi chunk
+        // headers, 768 MiB of them reserved before the read fails.
+        let body_len = 64usize << 20;
+        let cfg = WireCfg {
+            chunk_bytes: 768,
+            ..WireCfg::default()
+        };
+        let mut prefix = dense_grad(500).to_wire(&cfg)[..FRAME_HEADER_BYTES].to_vec();
+        prefix[8..12].copy_from_slice(&(body_len as u32).to_le_bytes());
+        let sum = frame_checksum(&prefix[..12], &[]); // magic..body_len
+        prefix[12..20].copy_from_slice(&sum.to_le_bytes());
+        prefix.extend_from_slice(&1u32.to_le_bytes());
+        prefix.extend_from_slice(&chunk_checksum(0, &[7]).to_le_bytes());
+        prefix.push(7);
+        assert_eq!(prefix.len(), 33);
+        let err = read_frame(&mut &prefix[..]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+
+        // It reserves the body it declares plus at most the chunk headers
+        // of the largest body in default-size chunks (12 KiB).
+        let headers = (MAX_FRAME_BODY_BYTES / DEFAULT_CHUNK_BYTES) * CHUNK_HEADER_BYTES;
+        assert_eq!(headers, 12 << 10);
+        assert_eq!(stream_capacity(body_len, 1), body_len + headers);
+        assert_eq!(
+            stream_capacity(MAX_FRAME_BODY_BYTES, 1),
+            MAX_FRAME_BODY_BYTES + headers
+        );
+        // An honest stream in default-size chunks, up to the largest body,
+        // is still reserved exactly: sized once.
+        for body in [
+            1,
+            4096,
+            DEFAULT_CHUNK_BYTES + 1,
+            5_000_000,
+            MAX_FRAME_BODY_BYTES,
+        ] {
+            let first = body.min(DEFAULT_CHUNK_BYTES);
+            let wire = body + body.div_ceil(DEFAULT_CHUNK_BYTES) * CHUNK_HEADER_BYTES;
+            assert_eq!(stream_capacity(body, first), wire, "body {body}");
         }
     }
 

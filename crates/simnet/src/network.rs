@@ -38,81 +38,94 @@ impl Transfer {
 
 /// Directed-link network with per-worker egress FIFOs.
 ///
-/// Per-link state is flat arrays indexed by link id (`src * n + dst`).
-/// Bandwidth schedules are *interned*: real clusters have a handful of
-/// distinct link classes (LAN, a few WAN pairs), so an `n×n` cluster stores
-/// one `u32` class id per link plus one [`PiecewiseConst`] per class — at
-/// n=1024 that is 4 MB of ids instead of ~1M heap-allocated schedules.
+/// One link table: each distinct link (a bandwidth schedule and its
+/// latency) is stored once, and each directed link id (`src * n + dst`)
+/// holds a `u32` index into the table. Clusters have a handful of distinct
+/// links (LAN, a few WAN pairs): a uniform n=1024 network is 4 MB of zeroed
+/// ids and one schedule.
 pub struct NetworkModel {
     n: usize,
-    /// Distinct bandwidth schedules (Mbps), shared across links.
-    classes: Vec<PiecewiseConst>,
-    /// Row-major `n×n` index into `classes`; diagonal unused.
+    /// The distinct links, shared by every link id that indexes them.
+    classes: Vec<Link>,
+    /// Row-major `n×n` index into `classes` (the diagonal is never read).
     link_class: Vec<u32>,
-    /// One-way propagation latency per link (seconds), row-major.
-    latency: Vec<f64>,
     /// Next time each worker's NIC is free: `[data, control]`, one lane
     /// per queue ([`NetworkModel::transfer_control`]).
     egress_free: Vec<[f64; 2]>,
 }
 
-/// Hashable identity of a schedule: the bit patterns of its steps.
-fn sched_key(s: &PiecewiseConst) -> Vec<(u64, u64)> {
-    s.points()
-        .iter()
-        .map(|&(t, v)| (t.to_bits(), v.to_bits()))
-        .collect()
+/// One distinct link of the table.
+struct Link {
+    /// Bandwidth schedule (Mbps) and one-way latency (seconds).
+    mbps: PiecewiseConst,
+    latency: f64,
 }
 
-/// Intern `sched` into `classes`, returning its class id.
-fn intern(
-    classes: &mut Vec<PiecewiseConst>,
-    by_key: &mut HashMap<Vec<(u64, u64)>, u32>,
-    sched: PiecewiseConst,
-) -> u32 {
-    *by_key.entry(sched_key(&sched)).or_insert_with(|| {
-        classes.push(sched);
-        (classes.len() - 1) as u32
-    })
+/// Bit-for-bit identity of two schedules' steps: a class answers with its
+/// own bits, so `0.0` and `-0.0` must not share one.
+fn same_bits(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
+    let bits = |&(t, v): &(f64, f64)| (t.to_bits(), v.to_bits());
+    a.len() == b.len() && a.iter().map(bits).eq(b.iter().map(bits))
 }
 
 impl NetworkModel {
-    /// Build from explicit per-link schedules and latencies.
-    pub fn new(n: usize, links: Vec<PiecewiseConst>, latency: Vec<f64>) -> Self {
+    /// Fully symmetric network: every link has the same constant bandwidth
+    /// and latency (one class).
+    pub fn uniform(n: usize, mbps: f64, latency: f64) -> Self {
         assert!(n >= 2, "need at least two workers");
-        assert_eq!(links.len(), n * n, "links must be n*n");
-        assert_eq!(latency.len(), n * n, "latency must be n*n");
-        let mut classes = Vec::new();
-        let mut by_key = HashMap::new();
-        let link_class = links
-            .into_iter()
-            .map(|sched| intern(&mut classes, &mut by_key, sched))
-            .collect();
+        let mbps = PiecewiseConst::constant(mbps);
         NetworkModel {
             n,
-            classes,
-            link_class,
-            latency,
+            classes: vec![Link { mbps, latency }],
+            link_class: vec![0; n * n],
             egress_free: vec![[0.0; 2]; n],
         }
     }
 
-    /// Fully symmetric network: every link has the same constant bandwidth
-    /// and latency.
-    pub fn uniform(n: usize, mbps: f64, latency: f64) -> Self {
-        let links = vec![PiecewiseConst::constant(mbps); n * n];
-        NetworkModel::new(n, links, vec![latency; n * n])
-    }
-
-    /// Build from a per-link constant bandwidth matrix (row-major, Mbps).
+    /// Build from a per-link constant bandwidth matrix (row-major, Mbps;
+    /// the diagonal is ignored).
     pub fn from_matrix(n: usize, mbps: &[f64], latency: f64) -> Self {
         assert_eq!(mbps.len(), n * n);
-        let links = mbps.iter().map(|&b| PiecewiseConst::constant(b)).collect();
-        NetworkModel::new(n, links, vec![latency; n * n])
+        NetworkModel::from_links(n, latency, |i, j| [(0.0, mbps[i * n + j])])
+    }
+
+    /// Build from the steps of each directed link's bandwidth schedule,
+    /// `link(src, dst)`, all at one latency: one class per distinct link.
+    pub fn from_links<S: AsRef<[(f64, f64)]>>(
+        n: usize,
+        latency: f64,
+        mut link: impl FnMut(usize, usize) -> S,
+    ) -> Self {
+        // A uniform table's ids and lanes, with no class yet.
+        let mut net = NetworkModel::uniform(n, 0.0, latency);
+        net.classes.clear();
+        for li in (0..n * n).filter(|li| li / n != li % n) {
+            net.intern(li, link(li / n, li % n).as_ref(), latency);
+        }
+        net
+    }
+
+    /// Point link id `li` at the class with the bits of `(steps, latency)`,
+    /// adding one if there is none. Classes are few; the scan is short.
+    fn intern(&mut self, li: usize, steps: &[(f64, f64)], latency: f64) {
+        let same = |c: &Link| {
+            c.latency.to_bits() == latency.to_bits() && same_bits(c.mbps.points(), steps)
+        };
+        let c = self.classes.iter().position(same).unwrap_or_else(|| {
+            let mbps = PiecewiseConst::steps(steps.to_vec());
+            self.classes.push(Link { mbps, latency });
+            self.classes.len() - 1
+        });
+        self.link_class[li] = c as u32;
     }
 
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// How many distinct links the table holds.
+    pub fn link_classes(&self) -> usize {
+        self.classes.len()
     }
 
     fn link_idx(&self, src: usize, dst: usize) -> usize {
@@ -123,67 +136,45 @@ impl NetworkModel {
         src * self.n + dst
     }
 
-    /// Replace the schedule of one directed link.
-    pub fn set_link(&mut self, src: usize, dst: usize, schedule: PiecewiseConst) {
-        let i = self.link_idx(src, dst);
-        // Re-intern rather than building the class map from scratch: a
-        // dangling class (no links left pointing at it) is a few stale
-        // bytes, not a correctness issue.
-        let mut by_key: HashMap<Vec<(u64, u64)>, u32> = self
-            .classes
-            .iter()
-            .enumerate()
-            .map(|(c, s)| (sched_key(s), c as u32))
-            .collect();
-        self.link_class[i] = intern(&mut self.classes, &mut by_key, schedule);
-    }
-
-    fn link_sched(&self, li: usize) -> &PiecewiseConst {
+    fn link(&self, li: usize) -> &Link {
         &self.classes[self.link_class[li] as usize]
     }
 
+    /// Replace the schedule of one directed link (its latency stays). A
+    /// class no link indexes any more is a few stale bytes.
+    pub fn set_link(&mut self, src: usize, dst: usize, schedule: PiecewiseConst) {
+        let li = self.link_idx(src, dst);
+        self.intern(li, schedule.points(), self.link(li).latency);
+    }
+
     /// Multiply every link's bandwidth by the sending worker's factor
-    /// schedule (egress shaping: one NIC, one uplink). Interning is
-    /// preserved — scaled classes are shared by `(class, factor)`
-    /// identity, so an n×n cluster with a handful of link classes and a
-    /// handful of distinct factors stays a handful of classes.
+    /// schedule (egress shaping: one NIC, one uplink). A scaled class is
+    /// one per `(class, distinct factor)` pair: a handful stays a handful.
     pub fn scale_egress(&mut self, factors: &[PiecewiseConst]) {
-        assert_eq!(factors.len(), self.n, "need one factor per worker");
-        // Distinct factor identities (most scenarios phase-shift a few
-        // region waves across many workers).
-        let mut by_fkey: HashMap<Vec<(u64, u64)>, u32> = HashMap::new();
-        let fid: Vec<u32> = factors
-            .iter()
-            .map(|f| {
-                let next = by_fkey.len() as u32;
-                *by_fkey.entry(sched_key(f)).or_insert(next)
-            })
+        let n = self.n;
+        assert_eq!(factors.len(), n, "need one factor per worker");
+        // Each factor's identity: the first worker with the same bits.
+        let same = |v: usize, w: usize| same_bits(factors[v].points(), factors[w].points());
+        let fid: Vec<usize> = (0..n)
+            .map(|w| (0..=w).find(|&v| same(v, w)).unwrap())
             .collect();
-        let old_classes = std::mem::take(&mut self.classes);
-        let mut scaled: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut classes: Vec<PiecewiseConst> = Vec::new();
-        for src in 0..self.n {
-            for dst in 0..self.n {
-                let li = src * self.n + dst;
-                if src == dst {
-                    // Diagonal is never read; keep its class id valid.
-                    self.link_class[li] = 0;
-                    continue;
-                }
-                let oc = self.link_class[li];
-                self.link_class[li] = *scaled.entry((oc, fid[src])).or_insert_with(|| {
-                    classes.push(old_classes[oc as usize].product_with(&factors[src]));
-                    (classes.len() - 1) as u32
-                });
-            }
+        let old = std::mem::take(&mut self.classes);
+        let mut scaled: HashMap<(u32, usize), u32> = HashMap::new();
+        for li in (0..n * n).filter(|li| li / n != li % n) {
+            let (oc, src) = (self.link_class[li], li / n);
+            self.link_class[li] = *scaled.entry((oc, fid[src])).or_insert_with(|| {
+                let Link { mbps, latency } = &old[oc as usize];
+                let (mbps, latency) = (mbps.product_with(&factors[src]), *latency);
+                self.classes.push(Link { mbps, latency });
+                (self.classes.len() - 1) as u32
+            });
         }
-        self.classes = classes;
     }
 
     /// The *network resource monitor*: currently available bandwidth of the
     /// link `src→dst`, in Mbps.
     pub fn bandwidth_mbps(&self, src: usize, dst: usize, now: f64) -> f64 {
-        self.link_sched(self.link_idx(src, dst)).value_at(now)
+        self.link(self.link_idx(src, dst)).mbps.value_at(now)
     }
 
     /// Enqueue a transfer of `bytes` on link `src→dst` at time `now`.
@@ -210,14 +201,15 @@ impl NetworkModel {
         let li = self.link_idx(src, dst);
         let depart = self.egress_free[src][lane].max(now);
         let megabits = bytes * 8.0 / 1e6;
-        let tx = self.link_sched(li).time_to_accumulate(depart, megabits);
+        let link = self.link(li);
+        let (tx, latency) = (link.mbps.time_to_accumulate(depart, megabits), link.latency);
         assert!(
             tx.is_finite(),
             "link {src}->{dst} has zero tail bandwidth; transfer never completes"
         );
         let done_sending = depart + tx;
         self.egress_free[src][lane] = done_sending;
-        let arrival = done_sending + self.latency[li];
+        let arrival = done_sending + latency;
         dlion_telemetry::event!(now, w: src, "link_transfer";
             "dst" => dst,
             "bytes" => bytes,

@@ -166,6 +166,12 @@ impl PiecewiseConst {
     }
 }
 
+impl AsRef<[(f64, f64)]> for PiecewiseConst {
+    fn as_ref(&self) -> &[(f64, f64)] {
+        &self.points
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
