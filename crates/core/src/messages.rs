@@ -185,7 +185,8 @@ impl Payload {
     /// `Vec` — in-memory transports deliver exactly what TCP carries.
     pub fn to_wire(&self, cfg: &WireCfg) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len(cfg));
-        let mut scratch = Vec::with_capacity(self.body_len_with(cfg.format).min(cfg.chunk_bytes));
+        let body = self.body_len_with(cfg.format).min(cfg.chunk_bytes);
+        let mut scratch = Vec::with_capacity(FRAME_HEADER_BYTES + body);
         self.write_wire(&mut out, cfg, &mut scratch)
             .expect("Vec sink cannot fail");
         out
@@ -194,12 +195,15 @@ impl Payload {
     /// Stream this payload onto `w` under `cfg`, returning the exact number
     /// of bytes written (`== wire_len(cfg)`).
     ///
-    /// For bodies larger than one chunk the 20-byte header goes out before
-    /// any body serialization happens — the first byte is on the wire after
-    /// O(1) work — and each chunk is serialized into `scratch`, checksummed
-    /// and written while the previous chunk is still in flight in the
+    /// A plain frame is built whole in `scratch` — header, checksum, body —
+    /// and handed to `w` in one `write_all`. For bodies larger than one
+    /// chunk the 20-byte header goes out before any body serialization
+    /// happens — the first byte is on the wire after O(1) work — and each
+    /// chunk is serialized into `scratch` behind room for its 12-byte
+    /// header, checksummed and written with that header in one
+    /// `write_all`, while the previous chunk is still in flight in the
     /// kernel's socket buffer. `scratch` is a reusable per-peer buffer; it
-    /// never grows past one chunk.
+    /// never grows past one chunk and a header.
     pub fn write_wire<W: std::io::Write>(
         &self,
         w: &mut W,
@@ -209,13 +213,15 @@ impl Payload {
         let body_len = self.body_len_with(cfg.format);
         if body_len <= cfg.chunk_bytes {
             scratch.clear();
+            scratch.resize(FRAME_HEADER_BYTES, 0);
             write_body(self, cfg.format, scratch)?;
-            let header = frame_header(self.wire_kind(), 0, scratch.len(), Some(0));
-            let sum = frame_checksum(&header[0..CHECKSUMMED_PREFIX_BYTES], scratch);
-            w.write_all(&header[0..CHECKSUMMED_PREFIX_BYTES])?;
-            w.write_all(&sum.to_le_bytes())?;
+            let (head, body) = scratch.split_at_mut(FRAME_HEADER_BYTES);
+            let mut header = frame_header(self.wire_kind(), 0, body.len(), Some(0));
+            let sum = frame_checksum(&header[0..CHECKSUMMED_PREFIX_BYTES], body);
+            header[CHECKSUMMED_PREFIX_BYTES..].copy_from_slice(&sum.to_le_bytes());
+            head.copy_from_slice(&header);
             w.write_all(scratch)?;
-            Ok(FRAME_HEADER_BYTES + scratch.len())
+            Ok(scratch.len())
         } else {
             let header = frame_header(self.wire_kind(), FLAG_CHUNKED, body_len, None);
             w.write_all(&header)?;
@@ -994,10 +1000,11 @@ impl WireSink for Vec<u8> {
 }
 
 /// Sink that cuts the body into `chunk_bytes`-sized chunks, checksums each
-/// and writes `chunk_len | chunk_sum | bytes` onto `w` as soon as the
-/// chunk fills — chunk *k+1* is serialized while chunk *k* sits in the
-/// kernel's socket buffer. `buf` is the caller's reusable scratch (one
-/// chunk large, e.g. the per-peer writer thread's buffer).
+/// and writes `chunk_len | chunk_sum | bytes` onto `w` in one `write_all`
+/// as soon as the chunk fills — chunk *k+1* is serialized while chunk *k*
+/// sits in the kernel's socket buffer. `buf` is the caller's reusable
+/// scratch (one chunk and its header large, e.g. a link's buffer); a
+/// chunk's bytes land behind room for its header.
 struct ChunkSink<'a, W: std::io::Write> {
     w: &'a mut W,
     buf: &'a mut Vec<u8>,
@@ -1009,7 +1016,8 @@ struct ChunkSink<'a, W: std::io::Write> {
 impl<'a, W: std::io::Write> ChunkSink<'a, W> {
     fn new(w: &'a mut W, buf: &'a mut Vec<u8>, chunk_bytes: usize) -> Self {
         buf.clear();
-        buf.reserve(chunk_bytes);
+        buf.reserve(CHUNK_HEADER_BYTES + chunk_bytes);
+        buf.resize(CHUNK_HEADER_BYTES, 0);
         ChunkSink {
             w,
             buf,
@@ -1020,18 +1028,17 @@ impl<'a, W: std::io::Write> ChunkSink<'a, W> {
     }
 
     fn flush_chunk(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
+        let (header, bytes) = self.buf.split_at_mut(CHUNK_HEADER_BYTES);
+        if bytes.is_empty() {
             return Ok(());
         }
-        let sum = chunk_checksum(self.index, self.buf);
-        let mut header = [0u8; CHUNK_HEADER_BYTES];
-        header[0..4].copy_from_slice(&(self.buf.len() as u32).to_le_bytes());
+        let sum = chunk_checksum(self.index, bytes);
+        header[0..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
         header[4..12].copy_from_slice(&sum.to_le_bytes());
-        self.w.write_all(&header)?;
         self.w.write_all(self.buf)?;
-        self.written += CHUNK_HEADER_BYTES + self.buf.len();
+        self.written += self.buf.len();
         self.index += 1;
-        self.buf.clear();
+        self.buf.truncate(CHUNK_HEADER_BYTES);
         Ok(())
     }
 
@@ -1045,11 +1052,11 @@ impl<'a, W: std::io::Write> ChunkSink<'a, W> {
 impl<W: std::io::Write> WireSink for ChunkSink<'_, W> {
     fn put(&mut self, mut bytes: &[u8]) -> std::io::Result<()> {
         while !bytes.is_empty() {
-            let room = self.chunk_bytes - self.buf.len();
+            let room = CHUNK_HEADER_BYTES + self.chunk_bytes - self.buf.len();
             let take = room.min(bytes.len());
             self.buf.extend_from_slice(&bytes[..take]);
             bytes = &bytes[take..];
-            if self.buf.len() == self.chunk_bytes {
+            if self.buf.len() == CHUNK_HEADER_BYTES + self.chunk_bytes {
                 self.flush_chunk()?;
             }
         }
@@ -1740,6 +1747,69 @@ mod tests {
                 assert_eq!(n, streamed.len());
                 assert_eq!(n, p.wire_len(&cfg));
                 assert_eq!(streamed, p.to_wire(&cfg), "{format:?}/{chunk_bytes}");
+            }
+        }
+    }
+
+    /// A writer that counts the `write` calls it takes and keeps every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_wire_makes_one_write_per_frame_and_per_chunk() {
+        let payloads = [
+            Payload::Grad(dense_msg()),
+            Payload::Grad(sparse_msg()),
+            big_dense(777),
+            Payload::LossShare { avg_loss: 0.75 },
+            Payload::DktRequest,
+            Payload::Leave { completed: 11 },
+            Payload::Weights {
+                weights: vec![Tensor::from_vec(
+                    Shape::d1(5),
+                    vec![0.5, -1.0, 2.0, 0.0, 3.5],
+                )],
+                sender_loss: 1.25,
+            },
+        ];
+        for p in &payloads {
+            for chunk_bytes in [64, 300, 4096, usize::MAX] {
+                for format in [WireFormat::Dense, WireFormat::Fp16, WireFormat::Int8] {
+                    let cfg = WireCfg {
+                        format,
+                        chunk_bytes,
+                    };
+                    let mut w = CountingWriter::default();
+                    let mut scratch = Vec::new();
+                    let n = p.write_wire(&mut w, &cfg, &mut scratch).unwrap();
+                    let case = format!("{} {format:?}/{chunk_bytes}", p.kind());
+                    assert_eq!(n, w.bytes.len(), "{case}");
+                    assert_eq!(w.bytes, p.to_wire(&cfg), "{case}");
+                    // A plain frame is one write; a chunked stream is its
+                    // header, then one write per chunk (header and bytes).
+                    let body = p.body_len_with(format);
+                    let calls = if body <= chunk_bytes {
+                        1
+                    } else {
+                        1 + body.div_ceil(chunk_bytes)
+                    };
+                    assert_eq!(w.calls, calls, "{case}");
+                }
             }
         }
     }

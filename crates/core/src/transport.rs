@@ -22,16 +22,18 @@ use std::time::Duration;
 pub struct LinkHealth {
     /// The peer this link reaches.
     pub peer: usize,
-    /// Frames currently queued for the peer (send-side backpressure).
+    /// Frames currently queued for the peer or being written to it
+    /// (send-side backpressure).
     pub queue_depth: usize,
     /// High-water mark of `queue_depth` over the link's lifetime.
     pub queue_depth_hw: usize,
     /// Frames that completed the send path on this link.
     pub frames: u64,
-    /// Seconds a frame waited in the send queue (enqueue → writer pickup).
+    /// Seconds a frame waited in the send queue (enqueue → writer pickup;
+    /// for a frame its sender wrote itself, the wait for the link's lock).
     pub queue_wait: Histogram,
-    /// Seconds the writer spent serializing + pushing a frame into the
-    /// socket (encode and socket write overlap for chunked streams).
+    /// Seconds spent serializing + pushing a frame into the socket
+    /// (encode and socket write overlap for chunked streams).
     pub write_time: Histogram,
     /// Seconds the reader spent pulling + verifying a frame off the wire.
     pub read_time: Histogram,

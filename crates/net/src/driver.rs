@@ -54,11 +54,13 @@
 //!
 //! Two protocol additions have no simulator counterpart:
 //!
-//! * every received gradient is acknowledged with a [`Control::Ack`]
-//!   frame when the round core accepts it — into the update log, or at
-//!   the strict-BSP flush; the ack drives `SyncState::on_delivered_from`
-//!   on the sender, which is what `BlockOnDelivery` (Gaia) gates on. The
-//!   simulator makes the same call at the virtual arrival time instead.
+//! * under `BlockOnDelivery` (Gaia) every received gradient is
+//!   acknowledged with a [`Control::Ack`] frame when the round core
+//!   accepts it into the update log; the ack drives
+//!   `SyncState::on_delivered_from` on the sender, which is what that
+//!   policy gates on. No other policy reads an ack, so no other run sends
+//!   one. The simulator makes the same call at the virtual arrival time
+//!   instead.
 //! * when a worker finishes its last iteration it sends [`Control::Done`]
 //!   to every peer and keeps receiving until it holds a Done from every
 //!   peer that has not departed. Transports guarantee per-peer FIFO, so a
@@ -78,7 +80,7 @@ use dlion_core::messages::{
 };
 use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
-use dlion_core::{Action, Effect, ExchangeTransport, Membership, TransportError};
+use dlion_core::{Action, Effect, ExchangeTransport, Membership, SyncPolicy, TransportError};
 use dlion_nn::Dataset;
 use dlion_telemetry::{event, tracing_on, Histogram};
 use dlion_tensor::{DetRng, Tensor};
@@ -660,25 +662,28 @@ impl LiveWorker<'_, '_> {
     }
 
     /// Acknowledge an accepted gradient (the ack drives the sender's
-    /// `SyncState::on_delivered_from`, `BlockOnDelivery`'s gate). An ack
-    /// is advisory — a peer that cannot receive it cannot be gated on —
-    /// so it is sent best-effort: a failed ack demotes nobody, and the
-    /// peer's departure arrives in FIFO order behind the frames it
+    /// `SyncState::on_delivered_from`, `BlockOnDelivery`'s gate). Only
+    /// that gate reads an ack, so a run under any other policy sends
+    /// none. An ack is advisory — a peer that cannot receive it cannot be
+    /// gated on — so it is sent best-effort: a failed ack demotes nobody,
+    /// and the peer's departure arrives in FIFO order behind the frames it
     /// already queued (its Leave, the link's EOF, a failed gradient send).
     fn ack(&mut self, from: usize) -> Result<(), LiveError> {
-        self.send_control(from, Control::Ack, true)
+        match self.worker.strategy.sync_policy() {
+            SyncPolicy::BlockOnDelivery => self.send_control(from, Control::Ack, true),
+            _ => Ok(()),
+        }
     }
 
     /// The strict-BSP flush point (see `Worker::flush_parked`), plus the
-    /// live half: recycle each applied gradient's buffers and ack it.
-    /// Strict BSP accepts a gradient here, not on arrival.
-    fn flush_parked(&mut self, force: bool) -> Result<(), LiveError> {
-        let mut senders = Vec::new();
-        self.worker.flush_parked(&self.members, force, |from, msg| {
-            senders.push(from);
-            Payload::Grad(msg).recycle(&mut self.pool);
+    /// live half: recycle each applied gradient's buffers. Strict BSP
+    /// accepts a gradient here, not on arrival, and its policy reads no
+    /// ack, so none is sent.
+    fn flush_parked(&mut self, force: bool) {
+        let pool = &mut self.pool;
+        self.worker.flush_parked(&self.members, force, |_, msg| {
+            Payload::Grad(msg).recycle(pool);
         });
-        senders.into_iter().try_for_each(|from| self.ack(from))
     }
 
     /// One training iteration: compute, then the round core's
@@ -970,7 +975,7 @@ pub fn run_worker(
         // The single BSP flush point: every gradient of the rounds before
         // the one we are about to compute applies now, in canonical order
         // (gating says those rounds are complete).
-        lw.flush_parked(false)?;
+        lw.flush_parked(false);
         if !lw.step()? {
             return Ok(lw.finish_departed());
         }
@@ -1006,7 +1011,7 @@ pub fn run_worker(
         lw.handle_frame(from, frame, true)?;
     }
     // No further local rounds: whatever is still deferred applies now.
-    lw.flush_parked(true)?;
+    lw.flush_parked(true);
 
     lw.eval();
     lw.finish();

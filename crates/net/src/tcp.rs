@@ -39,10 +39,11 @@
 //! * a send to a host-mate pushes the exact wire bytes a socket would
 //!   carry into that rank's inbox, so local and remote peers decode
 //!   byte-identical streams;
-//! * a send to another host is **one writer job**. On a ranked mesh the
-//!   writer puts a [`Control::Route`] marker right ahead of the frame, so
-//!   a marker takes no queue slot of its own, and because one writer feeds
-//!   one socket feeds one reader, nothing can come between the two;
+//! * a send to another host is **one job** on its link, written whole
+//!   under the link's lock. On a ranked mesh a [`Control::Route`] marker
+//!   goes out in the same write as the frame, so a marker takes no queue
+//!   slot of its own, and because one write at a time feeds one socket
+//!   feeds one reader, nothing can come between the two;
 //! * a link's **reader** takes a marker only if its `src` lives on the
 //!   sending host and its `dst` here. Any other marker is dropped, and so
 //!   is the frame behind it (it is no marker either). The frame behind a
@@ -57,7 +58,11 @@
 //!
 //! Each established host link gets:
 //!
-//! * a **writer thread** draining a bounded `sync_channel` of jobs into
+//! * a **writer thread** for what a sending rank does not write itself.
+//!   A plain frame (a body of at most one chunk, as control frames and
+//!   Max N gradients are) is written by its sender, in one `write`,
+//!   whenever nothing on the link is queued or being written. Chunked streams, and whatever a sender finds queued ahead
+//!   of it, go through a bounded `sync_channel` the writer drains into
 //!   the socket — the channel bound is the backpressure limit: ranks
 //!   producing gradients faster than a link drains them block in
 //!   `send_frame` once `queue_cap` jobs are queued;
@@ -65,8 +70,13 @@
 //!   (header-validated, so a corrupt length field can never cause an
 //!   unbounded allocation) and routes them into the rank inboxes.
 //!
-//! Per-peer FIFO — the trait's ordering contract — holds because one
-//! writer feeds one TCP stream feeds one reader.
+//! Per-peer FIFO — the trait's ordering contract — holds because the
+//! link counts a job in before it is queued or written and out only
+//! after its bytes are on the socket: a sender writes itself only at a
+//! count of 0, when nothing is left to overtake, and one write at a time
+//! feeds one TCP stream feeds one reader. Both paths write through
+//! `Link::put` and its one socket write, `Wire::write`; a link shaper
+//! belongs there.
 //!
 //! ## Per-peer liveness
 //!
@@ -170,11 +180,12 @@ impl Default for TcpOpts {
 /// re-verifies end-to-end, so in-memory and TCP transports deliver
 /// byte-identical streams to the driver.
 ///
-/// The buffer is sized once and written once: it is reserved for the whole
-/// stream when the first chunk header says how many chunk headers a body
-/// of `body_len` carries ([`stream_capacity`]), and the socket's bytes land
-/// in its spare capacity ([`read_body`]) — no zero-fill ahead of the read,
-/// no reallocation at the last chunk.
+/// The buffer is sized once and written once: a plain frame's is reserved
+/// for header and body before the header is copied in, a chunked stream's
+/// for the whole stream when the first chunk header says how many chunk
+/// headers a body of `body_len` carries ([`stream_capacity`]), and the
+/// socket's bytes land in its spare capacity ([`read_body`]) — no
+/// zero-fill ahead of the read, no reallocation at the last chunk.
 fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Duration)>> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match stream.read_exact(&mut header) {
@@ -185,13 +196,14 @@ fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Durati
     let t0 = Instant::now();
     let bad = |msg: String| std::io::Error::new(ErrorKind::InvalidData, msg);
     let h = decode_frame_header(&header).map_err(|e| bad(format!("bad header: {e}")))?;
-    let mut frame = header.to_vec();
     if !h.is_chunked() {
-        frame.reserve_exact(h.body_len);
+        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + h.body_len);
+        frame.extend_from_slice(&header);
         read_body(stream, &mut frame, h.body_len)?;
         return Ok(Some((frame, t0.elapsed())));
     }
     verify_chunked_header(&header, h.checksum).map_err(|e| bad(format!("bad header: {e}")))?;
+    let mut frame = Vec::new();
     let mut received = 0usize;
     let mut index = 0u64;
     while received < h.body_len {
@@ -206,7 +218,8 @@ fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Durati
             )));
         }
         if index == 0 {
-            frame.reserve_exact(stream_capacity(h.body_len, chunk_len));
+            frame.reserve_exact(FRAME_HEADER_BYTES + stream_capacity(h.body_len, chunk_len));
+            frame.extend_from_slice(&header);
         }
         frame.extend_from_slice(&chead);
         let start = frame.len();
@@ -216,6 +229,10 @@ fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Durati
         }
         received += chunk_len;
         index += 1;
+    }
+    if index == 0 {
+        // A chunked header announcing an empty body: no chunk follows.
+        frame.extend_from_slice(&header);
     }
     Ok(Some((frame, t0.elapsed())))
 }
@@ -338,50 +355,158 @@ enum Note {
     Silent(usize),
 }
 
-/// One unit of work for a host link's writer thread: a body, and on a
-/// ranked mesh the `(src, dst)` ranks of the route marker the writer puts
-/// right ahead of it. Each job carries its enqueue instant; when
-/// instrumentation is on, the writer turns it into the link's queue-wait
-/// sample.
+/// One unit of work for a host link: a body, and on a ranked mesh the
+/// `(src, dst)` ranks of the route marker that goes out in the same write.
+/// A queued job carries its enqueue instant; when instrumentation is on,
+/// the writer turns it into the link's queue-wait sample.
 struct Job {
     route: Option<(usize, usize)>,
     body: Body,
     at: Instant,
 }
 
-/// Control frames and small payloads travel pre-encoded; large payloads
-/// travel as `Arc<Payload>` and are *streamed* by the writer — serialized
-/// chunk-by-chunk into its reusable scratch buffer, so chunk *k+1* is
-/// being encoded while chunk *k* is in the kernel's socket buffer, and the
-/// full body never exists as one materialized `Vec<u8>`. Both kinds ride
-/// the same bounded queue, so per-peer FIFO (the trait contract) is
-/// preserved.
+/// Control frames travel pre-encoded; payloads travel as `Arc<Payload>`
+/// and are encoded by whoever writes them — a large one *streamed*,
+/// serialized chunk-by-chunk into the link's reusable scratch buffer, so
+/// chunk *k+1* is being encoded while chunk *k* is in the kernel's socket
+/// buffer, and the full body never exists as one materialized `Vec<u8>`.
 enum Body {
     Frame(Vec<u8>),
     Stream(Arc<Payload>, WireCfg),
 }
 
+impl Body {
+    /// Whether this is one plain frame (a body of at most one chunk),
+    /// which a sending rank may write itself; a chunked stream is the
+    /// writer thread's.
+    fn is_plain(&self) -> bool {
+        match self {
+            Body::Frame(frame) => frame.len() <= FRAME_HEADER_BYTES + DEFAULT_CHUNK_BYTES,
+            Body::Stream(payload, cfg) => !payload.wire_is_chunked(cfg),
+        }
+    }
+}
+
+/// The sending half of one host link, shared by the host's endpoints and
+/// the link's writer thread.
+struct Link {
+    /// The socket's write half. Whoever holds the lock writes one whole
+    /// job: the writer thread, or a sending rank writing a plain frame
+    /// itself.
+    wire: Mutex<Wire>,
+    /// Jobs on this link queued for the writer or being written. A job
+    /// is counted in before it is queued or written and out only after
+    /// its bytes are on the socket, so a sender that finds the count at 0
+    /// has nothing on the link to overtake: per-pair FIFO (the trait
+    /// contract) holds across the two paths.
+    jobs: AtomicUsize,
+}
+
+impl Link {
+    /// Write one counted job (counted in at `at`) under the link's lock,
+    /// then count it out — only now that its bytes are on the socket —
+    /// and record its stats.
+    fn put(
+        &self,
+        route: Option<(usize, usize)>,
+        body: &Body,
+        at: Instant,
+        stats: Option<&LinkStats>,
+    ) -> std::io::Result<()> {
+        let mut wire = self.wire.lock().unwrap();
+        let picked = Instant::now();
+        let written = wire.write(route, body);
+        drop(wire);
+        self.jobs.fetch_sub(1, Ordering::Release);
+        if let Some(stats) = stats {
+            stats.wrote(picked - at, picked.elapsed());
+        }
+        written
+    }
+}
+
+/// A link's socket and the buffers its writes reuse.
+struct Wire {
+    socket: Marked,
+    /// Encoding scratch, one chunk and a header large, reused by every
+    /// payload this link carries.
+    scratch: Vec<u8>,
+}
+
+impl Wire {
+    /// Put one job's bytes on the socket: the one write of both send
+    /// paths. On a ranked mesh the route marker leaves in the same
+    /// `write` as the frame (as a stream's header), so nothing can come
+    /// between the two.
+    fn write(&mut self, route: Option<(usize, usize)>, body: &Body) -> std::io::Result<()> {
+        if let Some((src, dst)) = route {
+            let marker = &mut self.socket.marker;
+            marker.clear();
+            marker.extend_from_slice(&Control::Route { src, dst }.to_frame());
+        }
+        match body {
+            Body::Frame(frame) => self.socket.write_all(frame),
+            Body::Stream(payload, cfg) => payload
+                .write_wire(&mut self.socket, cfg, &mut self.scratch)
+                .map(drop),
+        }
+    }
+}
+
+/// A socket whose next write carries a pending route marker in front.
+struct Marked {
+    stream: TcpStream,
+    marker: Vec<u8>,
+}
+
+impl Write for Marked {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.marker.is_empty() {
+            return self.stream.write(buf);
+        }
+        self.marker.extend_from_slice(buf);
+        let written = self.stream.write_all(&self.marker);
+        self.marker.clear();
+        written.map(|()| buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Per-link lifecycle instrumentation (one slot per peer, allocated only
-/// under [`TcpOpts::instrument`]). The depth counter is atomic so
-/// `enqueue` never takes a lock on the hot path; the histograms are
-/// touched once per frame by the writer/reader threads.
+/// under [`TcpOpts::instrument`]). The high-water mark is atomic so a
+/// send never takes a lock for it; the histograms are touched once per
+/// frame by whoever wrote it and by the reader thread.
 #[derive(Default)]
 struct LinkStats {
-    /// Frames currently sitting in the send queue.
-    depth: AtomicUsize,
-    /// Deepest the send queue ever got.
+    /// Most jobs the link ever held queued or being written.
     depth_hw: AtomicUsize,
     lat: Mutex<LinkLat>,
 }
 
+impl LinkStats {
+    /// One job is on the socket after `waited` for the link (in the queue,
+    /// or for the link's lock when its sender wrote it) and `took` to
+    /// encode and write.
+    fn wrote(&self, waited: Duration, took: Duration) {
+        let mut lat = self.lat.lock().unwrap();
+        lat.frames += 1;
+        lat.queue_wait.record(waited.as_secs_f64());
+        lat.write_time.record(took.as_secs_f64());
+    }
+}
+
 #[derive(Default)]
 struct LinkLat {
-    /// Frames this writer pushed onto the socket.
+    /// Frames pushed onto the socket, by the writer or inline.
     frames: u64,
-    /// Enqueue → writer pickup (time spent queued behind other frames).
+    /// Enqueue → holding the link's lock (time spent queued behind other
+    /// frames; for a frame its sender wrote, the wait for the lock).
     queue_wait: Histogram,
-    /// Writer pickup → socket write complete (serialize + kernel hand-off;
-    /// for streamed payloads, encode and write overlap chunk-by-chunk).
+    /// Pickup → socket write complete (serialize + kernel hand-off; for
+    /// streamed payloads, encode and write overlap chunk-by-chunk).
     write_time: Histogram,
     /// Inbound body transfer time (see [`read_frame`]).
     read_time: Histogram,
@@ -390,6 +515,7 @@ struct LinkLat {
 struct Peer {
     tx: SyncSender<Job>,
     writer: JoinHandle<()>,
+    link: Arc<Link>,
     /// Cleared by the reader on EOF/error; a dead link rejects sends.
     alive: bool,
 }
@@ -506,37 +632,27 @@ impl Mesh {
     /// the inboxes.
     fn wire(self: &Arc<Self>, j: usize, stream: TcpStream) -> std::io::Result<()> {
         let (tx, rx) = sync_channel::<Job>(self.queue_cap);
-        let mut wstream = stream.try_clone()?;
+        let link = Arc::new(Link {
+            wire: Mutex::new(Wire {
+                socket: Marked {
+                    stream: stream.try_clone()?,
+                    marker: Vec::new(),
+                },
+                scratch: Vec::new(),
+            }),
+            jobs: AtomicUsize::new(0),
+        });
+        let wlink = Arc::clone(&link);
         let wlat = self.lat.clone();
         let writer = thread::spawn(move || {
-            // Reusable per-link scratch: one chunk large, reused across
-            // every streamed payload on this link.
-            let mut scratch: Vec<u8> = Vec::new();
             while let Ok(Job { route, body, at }) = rx.recv() {
-                let picked = Instant::now();
-                let marked = route.is_none_or(|(src, dst)| {
-                    let marker = Control::Route { src, dst }.to_frame();
-                    wstream.write_all(&marker).is_ok()
-                });
-                let ok = marked
-                    && match body {
-                        Body::Frame(frame) => wstream.write_all(&frame).is_ok(),
-                        Body::Stream(payload, cfg) => {
-                            payload.write_wire(&mut wstream, &cfg, &mut scratch).is_ok()
-                        }
-                    };
-                if let Some(stats) = wlat.as_deref().map(|l| &l[j]) {
-                    stats.depth.fetch_sub(1, Ordering::Relaxed);
-                    let mut lat = stats.lat.lock().unwrap();
-                    lat.frames += 1;
-                    lat.queue_wait.record((picked - at).as_secs_f64());
-                    lat.write_time.record(picked.elapsed().as_secs_f64());
-                }
-                if !ok {
+                let stats = wlat.as_deref().map(|l| &l[j]);
+                if wlink.put(route, &body, at, stats).is_err() {
                     break;
                 }
             }
-            let _ = wstream.shutdown(Shutdown::Write);
+            let wire = wlink.wire.lock().unwrap();
+            let _ = wire.socket.stream.shutdown(Shutdown::Write);
         });
         let mut rstream = stream;
         let mesh = Arc::clone(self);
@@ -564,6 +680,7 @@ impl Mesh {
         self.peers.lock().unwrap()[j] = Some(Peer {
             tx,
             writer,
+            link,
             alive: true,
         });
         Ok(())
@@ -736,7 +853,9 @@ impl TcpTransport {
     /// Deliver `body` to rank `to`: straight into its inbox if it lives on
     /// this host, as the exact wire bytes a socket would carry; otherwise
     /// as one job on its host's link, behind its route marker on a ranked
-    /// mesh.
+    /// mesh. A plain frame on a link with nothing queued or being written
+    /// is written here, under the link's lock; anything else is queued for
+    /// the link's writer.
     fn send(&self, to: usize, body: Body) -> Result<(), TransportError> {
         if to == self.rank {
             return Err(TransportError::PeerGone(to));
@@ -755,36 +874,32 @@ impl TcpTransport {
                 .map_err(|_| TransportError::PeerGone(to));
         }
         let route = shape.ranks.is_some().then_some((self.rank, to));
-        let job = Job {
-            route,
-            body,
-            at: Instant::now(),
-        };
-        self.enqueue(host, to, job)
-    }
-
-    /// Queue a job for rank `to` on host `h`'s writer. Clones the sender
-    /// out of the lock: a blocking backpressure send must not hold the
-    /// mesh mutex against the readers.
-    fn enqueue(&self, h: usize, to: usize, job: Job) -> Result<(), TransportError> {
-        let tx = {
+        // Clone the sender out of the lock: a blocking backpressure send
+        // must not hold the mesh mutex against the readers.
+        let (tx, link) = {
             let peers = self.mesh.peers.lock().unwrap();
-            match peers.get(h).and_then(|p| p.as_ref()) {
-                Some(p) if p.alive => p.tx.clone(),
+            match peers.get(host).and_then(|p| p.as_ref()) {
+                Some(p) if p.alive => (p.tx.clone(), Arc::clone(&p.link)),
                 _ => return Err(TransportError::PeerGone(to)),
             }
         };
-        // Count the job in before the (possibly blocking) send, so the
-        // depth includes the job we may be backpressured on; the writer
-        // decrements at pickup, and a failed send rolls back here.
-        if let Some(stats) = self.mesh.lat.as_deref().map(|l| &l[h]) {
-            let depth = stats.depth.fetch_add(1, Ordering::Relaxed) + 1;
-            stats.depth_hw.fetch_max(depth, Ordering::Relaxed);
+        let stats = self.mesh.lat.as_deref().map(|l| &l[host]);
+        // Count the job in before it is written or queued, so the count
+        // includes a job we may be backpressured on.
+        let at = Instant::now();
+        let ahead = link.jobs.fetch_add(1, Ordering::AcqRel);
+        if let Some(stats) = stats {
+            stats.depth_hw.fetch_max(ahead + 1, Ordering::Relaxed);
         }
+        if ahead == 0 && body.is_plain() {
+            return link.put(route, &body, at, stats).map_err(|_| {
+                self.mesh.kill_link(host);
+                TransportError::PeerGone(to)
+            });
+        }
+        let job = Job { route, body, at };
         tx.send(job).map_err(|_| {
-            if let Some(stats) = self.mesh.lat.as_deref().map(|l| &l[h]) {
-                stats.depth.fetch_sub(1, Ordering::Relaxed);
-            }
+            link.jobs.fetch_sub(1, Ordering::Release);
             TransportError::PeerGone(to)
         })
     }
@@ -868,12 +983,13 @@ impl ExchangeTransport for TcpTransport {
         self.send(to, Body::Frame(frame))
     }
 
-    /// Streamed send: the payload crosses to the writer thread as an
-    /// `Arc`, which serializes it straight onto the socket under `cfg` —
-    /// the 20-byte header is on the wire after O(1) work and the body
-    /// never materializes. Small bodies (one chunk or less) go out as a
-    /// plain frame from the same code path. Returns the wire length
-    /// whether the peer is a host-mate or not — byte ledgers cannot tell.
+    /// Streamed send: the payload is serialized straight onto the socket
+    /// under `cfg` — a plain frame (one chunk or less) in one write, by
+    /// this rank when its link is idle; a chunked stream by the link's
+    /// writer thread, which gets the payload as an `Arc`, puts the 20-byte
+    /// header on the wire after O(1) work and never materializes the
+    /// body. Returns the wire length whether the peer is a host-mate or
+    /// not — byte ledgers cannot tell.
     fn send_wire(
         &mut self,
         to: usize,
@@ -892,14 +1008,18 @@ impl ExchangeTransport for TcpTransport {
         let Some(lat) = self.mesh.lat.as_deref() else {
             return Vec::new();
         };
+        let peers = self.mesh.peers.lock().unwrap();
         (0..self.mesh.shape.n)
             .filter(|&j| j != self.mesh.shape.me)
             .map(|j| {
                 let stats = &lat[j];
                 let l = stats.lat.lock().unwrap();
+                let jobs = peers[j]
+                    .as_ref()
+                    .map(|p| p.link.jobs.load(Ordering::Relaxed));
                 LinkHealth {
                     peer: j,
-                    queue_depth: stats.depth.load(Ordering::Relaxed),
+                    queue_depth: jobs.unwrap_or(0),
                     queue_depth_hw: stats.depth_hw.load(Ordering::Relaxed),
                     frames: l.frames,
                     queue_wait: l.queue_wait.clone(),
@@ -1007,7 +1127,7 @@ pub fn loopback_mesh(
 mod tests {
     use super::*;
     use crate::RankLayout;
-    use dlion_core::messages::Payload;
+    use dlion_core::messages::{GradMsg, Payload};
     use dlion_core::ManualClock;
 
     #[test]
@@ -1095,7 +1215,7 @@ mod tests {
     }
 
     fn dense_grad(n: usize) -> Payload {
-        use dlion_core::messages::{GradData, GradMsg};
+        use dlion_core::messages::GradData;
         use dlion_tensor::{Shape, Tensor};
         Payload::Grad(GradMsg {
             iteration: 5,
@@ -1106,6 +1226,99 @@ mod tests {
             )]),
             n_used: 100.0,
         })
+    }
+
+    /// Send `rounds` rounds of a chunked stream (the writer's), a plain
+    /// payload and a control frame (written by the sender when the link is
+    /// idle) to rank `to`, back to back; returns the wire bytes in send
+    /// order.
+    fn interleaved_sends(t: &mut TcpTransport, to: usize, rounds: u64) -> Vec<Vec<u8>> {
+        let chunked = WireCfg {
+            chunk_bytes: 4096,
+            ..WireCfg::default()
+        };
+        let Payload::Grad(grad) = dense_grad(20_000) else {
+            unreachable!()
+        };
+        let mut sent = Vec::new();
+        for i in 0..rounds {
+            let stream = Payload::Grad(GradMsg {
+                iteration: i,
+                ..grad.clone()
+            });
+            assert!(stream.wire_is_chunked(&chunked));
+            sent.push(stream.to_wire(&chunked));
+            t.send_wire(to, Arc::new(stream), &chunked).unwrap();
+            let plain = Payload::LossShare {
+                avg_loss: i as f64 + 0.5,
+            };
+            sent.push(plain.to_wire(&WireCfg::default()));
+            t.send_wire(to, Arc::new(plain), &WireCfg::default())
+                .unwrap();
+            let control = Control::Rcp { round: i, rcp: 1.0 }.to_frame();
+            sent.push(control.clone());
+            t.send_frame(to, control).unwrap();
+        }
+        sent
+    }
+
+    /// Frames written by their sender never overtake the streams queued
+    /// for the link's writer ahead of them.
+    #[test]
+    fn plain_frames_and_queued_streams_arrive_in_send_order() {
+        let opts = TcpOpts {
+            queue_cap: 2,
+            ..TcpOpts::default()
+        };
+        let mut mesh = loopback_mesh(2, 7, &opts, None).unwrap();
+        let mut b = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
+        let sent = thread::scope(|s| {
+            let sender = s.spawn(|| interleaved_sends(&mut a, 1, 300));
+            let got: Vec<Vec<u8>> = (0..900).map(|_| recv(&mut b).1).collect();
+            (sender.join().unwrap(), got)
+        });
+        for (k, (sent, got)) in sent.0.iter().zip(&sent.1).enumerate() {
+            assert!(sent == got, "frame {k} arrived out of send order");
+        }
+    }
+
+    /// A job counts on its link until its bytes are written, not until the
+    /// writer picks it up: a plain frame sent while a stream is being
+    /// written queues behind it instead of racing it for the socket.
+    #[test]
+    fn a_frame_sent_during_a_write_queues_behind_it() {
+        let mut mesh = loopback_mesh(2, 7, &TcpOpts::default(), None).unwrap();
+        let mut b = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
+        let link = Arc::clone(&a.mesh.peers.lock().unwrap()[1].as_ref().unwrap().link);
+        let chunked = WireCfg {
+            chunk_bytes: 4096,
+            ..WireCfg::default()
+        };
+        let stream = Arc::new(dense_grad(20_000));
+        let plain = Payload::LossShare { avg_loss: 0.5 };
+        // Hold the socket, as a long write would, while the writer picks
+        // the stream up.
+        let socket = link.wire.lock().unwrap();
+        a.send_wire(1, Arc::clone(&stream), &chunked).unwrap();
+        thread::sleep(Duration::from_millis(50));
+        let (sent, was_sent) = channel();
+        thread::scope(|s| {
+            s.spawn(|| {
+                a.send_wire(1, Arc::new(plain.clone()), &WireCfg::default())
+                    .unwrap();
+                sent.send(()).unwrap();
+            });
+            let queued = was_sent.recv_timeout(Duration::from_secs(2)).is_ok();
+            drop(socket);
+            assert!(
+                queued,
+                "the frame waited for the socket, ahead of the stream"
+            );
+        });
+        assert_eq!(recv(&mut b).1, stream.to_wire(&chunked));
+        assert_eq!(recv(&mut b).1, plain.to_wire(&WireCfg::default()));
     }
 
     #[test]
@@ -1457,6 +1670,25 @@ mod tests {
         assert_eq!(got[0].1, big.to_wire(&cfg), "local bytes");
         assert_eq!(got[1].1, got[0].1, "local and routed wire bytes differ");
         assert_eq!(got[1].1.len(), routed_len);
+
+        // Two host-mates interleave streams and plain frames to the same
+        // remote rank at once: every marker still arrives right ahead of
+        // its frame, and each sender's frames arrive in its send order.
+        let (senders, receivers) = eps.split_at_mut(2);
+        let [s0, s1] = senders else { unreachable!() };
+        let (sent, got) = thread::scope(|s| {
+            let a = s.spawn(|| interleaved_sends(s0, 2, 100));
+            let b = s.spawn(|| interleaved_sends(s1, 2, 100));
+            let got: Vec<(usize, Vec<u8>)> = (0..600).map(|_| recv(&mut receivers[0])).collect();
+            ([a.join().unwrap(), b.join().unwrap()], got)
+        });
+        for (from, sent) in sent.iter().enumerate() {
+            let mine: Vec<&Vec<u8>> = got.iter().filter(|g| g.0 == from).map(|g| &g.1).collect();
+            assert_eq!(mine.len(), sent.len(), "rank {from} lost frames");
+            for (k, (sent, got)) in sent.iter().zip(mine).enumerate() {
+                assert!(sent == got, "rank {from}'s frame {k} out of send order");
+            }
+        }
     }
 
     /// A route marker is checked against the placement, not learned from.

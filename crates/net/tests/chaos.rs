@@ -21,7 +21,7 @@ use dlion_net::{
 };
 use dlion_simnet::{ComputeModel, NetworkModel};
 use dlion_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -330,14 +330,26 @@ fn an_unusable_rcp_from_a_peer_is_a_protocol_error_not_a_panic() {
     }
 }
 
-/// Rank 0's endpoint, whose sends to rank 1 fail once `cut` is set: rank
-/// 1's process has exited under it.
-struct CutOffFromOne {
+/// A Mem endpoint that counts the acks it is asked to send, and whose
+/// sends to rank 1 fail once `cut` is set: rank 1's process has exited
+/// under it.
+struct Watched {
     inner: MemTransport,
     cut: Arc<AtomicBool>,
+    acks: Arc<AtomicUsize>,
 }
 
-impl ExchangeTransport for CutOffFromOne {
+impl Watched {
+    fn new(inner: MemTransport) -> Watched {
+        Watched {
+            inner,
+            cut: Arc::default(),
+            acks: Arc::default(),
+        }
+    }
+}
+
+impl ExchangeTransport for Watched {
     fn me(&self) -> usize {
         self.inner.me()
     }
@@ -347,6 +359,9 @@ impl ExchangeTransport for CutOffFromOne {
     }
 
     fn send_frame(&mut self, to: usize, frame: Vec<u8>) -> Result<(), TransportError> {
+        if matches!(Control::from_frame(&frame, self.n()), Ok(Control::Ack)) {
+            self.acks.fetch_add(1, Ordering::SeqCst);
+        }
         if to == 1 && self.cut.load(Ordering::SeqCst) {
             return Err(TransportError::PeerGone(1));
         }
@@ -370,12 +385,13 @@ impl ExchangeTransport for CutOffFromOne {
 /// counted: the ack for the gradient fails, but an ack is advisory, so it
 /// demotes nobody, and the RCP behind the gradient decides the round. (A
 /// failed ack used to demote the rank on the spot and rank 0 alone gave it
-/// share 0 — the flake of the determinism test below.)
+/// share 0 — the flake of the determinism test below.) The run gates on
+/// delivery, the one policy that sends acks; the test's rank 1 acks rank
+/// 0's gradients and sends none of its own until its last.
 #[test]
 fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
     let mut cfg = gbs_chaos_cfg();
-    // Rank 0 never waits for gradients the test does not send.
-    cfg.sync_override = Some(SyncPolicy::Asynchronous);
+    cfg.sync_override = Some(SyncPolicy::BlockOnDelivery);
     let opts = LiveOpts {
         iters: 6,
         eval_every: 0,
@@ -397,15 +413,14 @@ fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
     let cluster = LiveCluster::new(&cfg, 2, 1, &opts, "live/failed-ack").expect("cluster");
     let mut mesh = mem_mesh(2);
     let mut rank1 = mesh.pop().expect("endpoint 1");
-    let cut = Arc::new(AtomicBool::new(false));
-    let rank0 = CutOffFromOne {
-        inner: mesh.pop().expect("endpoint 0"),
-        cut: Arc::clone(&cut),
-    };
+    let rank0 = Watched::new(mesh.pop().expect("endpoint 0"));
+    let (cut, acks) = (Arc::clone(&rank0.cut), Arc::clone(&rank0.acks));
     let outcome = std::thread::scope(|s| {
         let run = s.spawn(|| cluster.run_ranks(vec![rank0]).remove(0));
-        // Play rank 1: answer round 0; when round 1 opens (rank 0 is now
-        // in its collect), queue the last frames and exit.
+        // Play rank 1: ack rank 0's gradients, answer round 0; when round
+        // 1 opens (rank 0 is now in its collect), queue the last frames
+        // and exit.
+        let mut acked = 0;
         loop {
             let (_, frame) = rank1
                 .recv_frame_timeout(Duration::from_secs(120))
@@ -417,6 +432,7 @@ fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
                     rank1.send_frame(0, answer).expect("send");
                 }
                 Ok(Control::Rcp { round: 1, rcp }) => {
+                    assert!(acked > 0, "rank 0 sent no gradient before round 1");
                     cut.store(true, Ordering::SeqCst);
                     let wire = WireCfg::default();
                     let last = [
@@ -429,12 +445,19 @@ fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
                     }
                     break;
                 }
-                _ => {} // rank 0's gradients
+                Ok(other) => panic!("rank 0 sent {other:?}"),
+                Err(_) => {
+                    // One of rank 0's gradients: deliver it.
+                    rank1.send_frame(0, Control::Ack.to_frame()).expect("ack");
+                    acked += 1;
+                }
             }
         }
         run.join().expect("run_ranks")
     });
     let o = outcome.expect("rank 0's run");
+    // Rank 1 sent one gradient, after the cut: its ack failed.
+    assert_eq!(acks.load(Ordering::SeqCst), 1);
     let (_, parts) = o
         .lbs_trace
         .iter()
@@ -444,6 +467,28 @@ fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
         parts[1] > 0,
         "rank 1's queued RCP was not counted: {parts:?}"
     );
+}
+
+/// Only `BlockOnDelivery` reads an ack, so only a run under it sends one:
+/// a DLion run (bounded staleness) over Mem sends none, the same cluster
+/// gating on delivery sends one per accepted gradient.
+#[test]
+fn only_a_run_gating_on_delivery_sends_acks() {
+    const ITERS: u64 = 6;
+    let acks_sent = |policy: Option<SyncPolicy>| {
+        let mut cfg = chaos_cfg(SystemKind::DLion, ITERS, "");
+        cfg.sync_override = policy;
+        let opts = chaos_opts(ITERS);
+        let cluster = LiveCluster::new(&cfg, 3, 1, &opts, "live/acks").expect("cluster");
+        let endpoints: Vec<Watched> = mem_mesh(3).into_iter().map(Watched::new).collect();
+        let acks: Vec<_> = endpoints.iter().map(|e| Arc::clone(&e.acks)).collect();
+        for outcome in cluster.run_ranks(endpoints) {
+            assert_eq!(outcome.expect("a rank's run").iterations, ITERS);
+        }
+        acks.iter().map(|a| a.load(Ordering::SeqCst)).sum::<usize>()
+    };
+    assert_eq!(acks_sent(None), 0, "a DLion run sent acks");
+    assert!(acks_sent(Some(SyncPolicy::BlockOnDelivery)) > 0);
 }
 
 #[test]
