@@ -185,11 +185,31 @@ impl Payload {
     /// `Vec` — in-memory transports deliver exactly what TCP carries.
     pub fn to_wire(&self, cfg: &WireCfg) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len(cfg));
-        let body = self.body_len_with(cfg.format).min(cfg.chunk_bytes);
-        let mut scratch = Vec::with_capacity(FRAME_HEADER_BYTES + body);
-        self.write_wire(&mut out, cfg, &mut scratch)
-            .expect("Vec sink cannot fail");
+        if self.wire_is_chunked(cfg) {
+            let mut scratch = Vec::with_capacity(CHUNK_HEADER_BYTES + cfg.chunk_bytes);
+            self.write_wire(&mut out, cfg, &mut scratch)
+                .expect("Vec sink cannot fail");
+        } else {
+            // A plain frame is built where it is returned: no copy.
+            self.plain_frame_into(cfg.format, &mut out)
+                .expect("Vec sink cannot fail");
+        }
         out
+    }
+
+    /// Build this payload's plain frame — header, checksum, body — in
+    /// `buf`, replacing what it held. [`Payload::write_wire`] writes it with
+    /// one `write_all`; [`Payload::to_wire`] returns it.
+    fn plain_frame_into(&self, format: WireFormat, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        buf.clear();
+        buf.resize(FRAME_HEADER_BYTES, 0);
+        write_body(self, format, buf)?;
+        let (head, body) = buf.split_at_mut(FRAME_HEADER_BYTES);
+        let mut header = frame_header(self.wire_kind(), 0, body.len(), Some(0));
+        let sum = frame_checksum(&header[0..CHECKSUMMED_PREFIX_BYTES], body);
+        header[CHECKSUMMED_PREFIX_BYTES..].copy_from_slice(&sum.to_le_bytes());
+        head.copy_from_slice(&header);
+        Ok(())
     }
 
     /// Stream this payload onto `w` under `cfg`, returning the exact number
@@ -212,14 +232,7 @@ impl Payload {
     ) -> std::io::Result<usize> {
         let body_len = self.body_len_with(cfg.format);
         if body_len <= cfg.chunk_bytes {
-            scratch.clear();
-            scratch.resize(FRAME_HEADER_BYTES, 0);
-            write_body(self, cfg.format, scratch)?;
-            let (head, body) = scratch.split_at_mut(FRAME_HEADER_BYTES);
-            let mut header = frame_header(self.wire_kind(), 0, body.len(), Some(0));
-            let sum = frame_checksum(&header[0..CHECKSUMMED_PREFIX_BYTES], body);
-            header[CHECKSUMMED_PREFIX_BYTES..].copy_from_slice(&sum.to_le_bytes());
-            head.copy_from_slice(&header);
+            self.plain_frame_into(cfg.format, scratch)?;
             w.write_all(scratch)?;
             Ok(scratch.len())
         } else {

@@ -7,7 +7,7 @@
 //! mode count) is tuned so accuracy climbs over many hundreds of SGD
 //! iterations — the regime where the paper's systems differentiate.
 
-use dlion_tensor::{DetRng, Shape, Tensor};
+use dlion_tensor::{draws, DetRng, Shape, Tensor};
 
 /// A labelled image dataset held fully in memory.
 pub struct Dataset {
@@ -62,22 +62,49 @@ impl Dataset {
                     .collect()
             })
             .collect();
-        let mut data = Vec::with_capacity(n * pixels);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
+        // One sample's draws in stream order: its mode, its pixels (written
+        // into `pixels_out`, or skipped), its label. The walk and the fill
+        // below both go through here, so they cannot disagree on the order.
+        let sample = |i: usize, rng: &mut DetRng, pixels_out: Option<&mut [f32]>| {
             let class = i % classes; // balanced classes
             let mode = rng.index(modes);
-            let p = &protos[class * modes + mode];
-            for &pv in p.iter() {
-                data.push(pv + rng.normal_ms(0.0, noise) as f32);
+            match pixels_out {
+                Some(out) => {
+                    let p = &protos[class * modes + mode];
+                    for (v, &pv) in out.iter_mut().zip(p) {
+                        *v = pv + rng.normal_ms(0.0, noise) as f32;
+                    }
+                }
+                None => rng.skip_normals(pixels),
             }
-            let label = if label_noise > 0.0 && rng.uniform() < label_noise {
+            if label_noise > 0.0 && rng.uniform() < label_noise {
                 rng.index(classes)
             } else {
                 class
-            };
-            labels.push(label);
+            }
+        };
+        // The outputs first, ahead of the walk's transient allocations, as
+        // the serial loop made them: allocated after them, 2 of 28
+        // `sim_paper` benchmark processes read `peak_rss_mb` ≈ 50 instead
+        // of 40–44 MB (DESIGN.md §4b).
+        let mut data = vec![0.0f32; n * pixels];
+        let mut labels = Vec::with_capacity(n);
+        // The serial walk: every label, and each chunk's start state.
+        let per_chunk = draws::rows_per_chunk(pixels);
+        let mut starts = Vec::with_capacity(n.div_ceil(per_chunk));
+        for i in 0..n {
+            if i % per_chunk == 0 {
+                starts.push(rng.clone());
+            }
+            labels.push(sample(i, rng, None));
         }
+        // The pixels, chunk by chunk on the pool, in place.
+        let chunk_len = per_chunk * pixels;
+        draws::fill_chunks(&mut data, chunk_len, starts, |c, mut rng, chunk| {
+            for (j, out) in chunk.chunks_mut(pixels).enumerate() {
+                sample(c * per_chunk + j, &mut rng, Some(out));
+            }
+        });
         let mut dims = sample_shape.dims().to_vec();
         dims[0] = n;
         Dataset::new(Tensor::from_vec(dims, data), labels, classes)

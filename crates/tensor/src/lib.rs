@@ -19,11 +19,15 @@
 //! * [`DetRng`] — a deterministic, seedable RNG with the distributions the
 //!   workloads need (uniform, normal via Box–Muller, shuffling),
 //! * [`par`] — the task pool the layers above run whole worker-iterations
-//!   and experiment cells on; nothing in this crate's math calls it.
+//!   and experiment cells on; nothing in this crate's math calls it,
+//! * [`draws`] — a run's large set-up draws (a synthetic dataset, a large
+//!   [`Tensor::randn`]) in fixed chunks filled on that pool, bit for bit
+//!   the serial stream.
 //!
 //! Nothing in this crate knows about workers, networks or training loops;
 //! it is a pure math layer.
 
+pub mod draws;
 pub mod ops;
 pub mod par;
 pub mod rng;

@@ -106,6 +106,22 @@ impl DetRng {
         r * theta.cos()
     }
 
+    /// Advance the stream exactly as `k` calls of [`DetRng::normal`] would,
+    /// the spare included: a held spare is the first draw, a whole pair
+    /// costs two `next_u64`, and only an odd tail computes the one
+    /// Box–Muller pair whose second half it must leave as the spare.
+    pub fn skip_normals(&mut self, mut k: usize) {
+        if k > 0 && self.spare_normal.take().is_some() {
+            k -= 1;
+        }
+        for _ in 0..2 * (k / 2) {
+            self.next_u64();
+        }
+        if k % 2 == 1 {
+            self.normal();
+        }
+    }
+
     /// Normal with the given mean and standard deviation.
     pub fn normal_ms(&mut self, mean: f64, std: f64) -> f64 {
         mean + std * self.normal()

@@ -4,6 +4,7 @@
 //! operations, no views or broadcasting machinery beyond what the NN stack
 //! needs. Heavy kernels live in [`crate::ops`].
 
+use crate::draws;
 use crate::rng::DetRng;
 use crate::shape::Shape;
 use crate::{chunked_sum, deterministic_sum};
@@ -77,12 +78,19 @@ impl Tensor {
         }
     }
 
-    /// I.i.d. normal entries with the given std (mean 0).
+    /// I.i.d. normal entries with the given std (mean 0). Above one
+    /// [`draws::CHUNK`] the stream is filled chunk by chunk on the pool —
+    /// the same values, and `rng` ends in the same state.
     pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut DetRng) -> Self {
         let shape = shape.into();
-        let data = (0..shape.numel())
-            .map(|_| rng.normal_ms(0.0, std as f64) as f32)
-            .collect();
+        let n = shape.numel();
+        let data = if n > draws::CHUNK {
+            draws::normals(n, std, rng)
+        } else {
+            (0..n)
+                .map(|_| rng.normal_ms(0.0, std as f64) as f32)
+                .collect()
+        };
         Tensor {
             shape,
             data: Arc::new(data),
