@@ -110,6 +110,17 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
     let classes = data.classes();
     let mut mrng = DetRng::seed_from_u64(model_seed);
     let proto_model = wl.model.build(&sample_shape, classes, &mut mrng);
+    // The fault plan's permanent kills: the departures every rank knows of
+    // from the start, so each renormalizes at the planned round whenever
+    // the news lands. A rejoining kill (`W@I+R`) is a pause: its rank stays
+    // a member and is never listed.
+    let planned: Vec<(usize, u64)> = cfg
+        .fault
+        .kills
+        .iter()
+        .filter(|k| k.rejoin_after.is_none() && k.worker < n)
+        .map(|k| (k.worker, k.at_iter))
+        .collect();
     let workers: Vec<Worker> = (0..n)
         .map(|w| {
             let model = proto_model.clone();
@@ -136,6 +147,7 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 parked: Vec::new(),
                 queued: Vec::new(),
                 kill: cfg.fault.kill_of(w),
+                departures: planned.clone(),
                 batching: Batching::new(cfg, n),
             }
         })
@@ -181,6 +193,30 @@ mod tests {
         for w in &init.workers[1..] {
             assert_eq!(w.model.weights(), w0);
         }
+    }
+
+    /// Without batching control and without kills a rank holds no
+    /// per-peer share vector and an empty departure list: a 1024-rank
+    /// Baseline cluster (the `sim_scale` shape) pays nothing per peer for
+    /// its ledger.
+    #[test]
+    fn a_rank_without_batching_or_kills_holds_no_per_peer_ledger() {
+        let n = 1024;
+        let mut cfg = RunConfig::small_test(SystemKind::Baseline);
+        cfg.initial_lbs = 1;
+        cfg.workload.train_size = 8 * n;
+        cfg.workload.test_size = 16;
+        cfg.eval_subset = 8;
+        cfg.topology = crate::Topology::KRegular { k: 8 };
+        let init = build_cluster(&cfg, n);
+        for w in &init.workers {
+            assert_eq!(w.batching.shares.capacity(), 0);
+            assert_eq!(w.departures.capacity(), 0);
+            assert_eq!(w.batching.share(w.id ^ 1), 1);
+        }
+        // A batching system's ranks each hold their own n shares.
+        let init = build_cluster(&RunConfig::small_test(SystemKind::DLion), 3);
+        assert!(init.workers.iter().all(|w| w.batching.shares == [32; 3]));
     }
 
     #[test]

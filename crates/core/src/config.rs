@@ -250,10 +250,10 @@ pub struct RunConfig {
     /// the same iteration-indexed semantics: a killed worker completes
     /// rounds `0..at_iter`, sends its last round's gradients, and leaves;
     /// survivors renormalize their Eq. 7 divisors from that round on
-    /// (every worker holds the full plan and seeds its ledger from it,
-    /// [`crate::Membership::planned`]). A rejoining kill pauses the worker
-    /// for `rejoin_after` seconds (virtual in the simulator, clock seconds
-    /// live); it stays a member and keeps receiving.
+    /// (`build_cluster` seeds every worker's departures from the plan,
+    /// [`crate::worker::Worker::departures`]). A rejoining kill pauses the
+    /// worker for `rejoin_after` seconds (virtual in the simulator, clock
+    /// seconds live); it stays a member and keeps receiving.
     pub fault: crate::fault::FaultPlan,
     /// Per-worker iteration-time multipliers (`--straggle W:F`): `(worker,
     /// factor)` with a positive finite factor (> 1 slows the worker), at

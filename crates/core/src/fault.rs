@@ -6,9 +6,10 @@
 //! churn — a `dlion-worker` departing (and optionally rejoining)
 //! mid-run. A [`FaultPlan`] is the shared description both backends
 //! consume (`RunConfig::fault`, `--kill`), with one meaning on both: a
-//! permanent kill broadcasts a `Payload::Leave` and is seeded into the
-//! ledger ([`crate::Membership::planned`]); a rejoining one pauses the
-//! worker — it stops stepping, keeps receiving and stays a member.
+//! permanent kill broadcasts a `Payload::Leave` and is seeded into every
+//! rank's departures ([`crate::worker::Worker::departures`]); a rejoining
+//! one pauses the worker — it stops stepping, keeps receiving and stays a
+//! member.
 //!
 //! Kill specs are written `W@I` ("worker W leaves when it reaches
 //! iteration I") with an optional `+R` suffix ("…or, instead of leaving,

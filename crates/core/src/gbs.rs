@@ -21,7 +21,6 @@
 use crate::config::RunConfig;
 use crate::lbs::partition_gbs;
 use crate::messages::FRAME_HEADER_BYTES;
-use crate::round::Membership;
 use crate::worker::Worker;
 use dlion_telemetry::{debug, emit};
 use std::collections::BTreeMap;
@@ -190,7 +189,9 @@ fn boundary(period: f64, every: f64, steps: u64, profiles: u64) -> (f64, bool, b
 /// RCP for that round is in, the round is decided (`Batching::round`).
 /// The copies agree because a decision reads nothing but the round number
 /// and the RCPs collected for it, and every awaited peer sends the same
-/// value to everyone.
+/// value to everyone. Each copy keeps the shares it decided: a rank prices
+/// an arriving gradient with its own decisions, never with a peer's
+/// (DESIGN.md §4n).
 #[derive(Default)]
 pub struct Batching {
     /// The growth controller and, in it, the GBS in force. `None`: no
@@ -216,6 +217,11 @@ pub struct Batching {
     /// Peers whose [`Notice::Done`] arrived, awaited by no collect again;
     /// at this rank's own index, whether it finished.
     finished: Vec<bool>,
+    /// Every rank's LBS share as this rank last decided it — the weighted
+    /// Eq. 7 denominator ([`Batching::share`]). Empty without batching
+    /// control, where every share is `initial` for good.
+    pub(crate) shares: Vec<usize>,
+    initial: usize,
     /// `(nominal time, new GBS)` per change — [`crate::RunMetrics::gbs_trace`].
     pub gbs_trace: Vec<(f64, usize)>,
     /// `(nominal time, per-worker shares)` per repartition; a worker that
@@ -227,13 +233,23 @@ impl Batching {
     pub fn new(cfg: &RunConfig, n: usize) -> Batching {
         let dynamic = cfg.system.dynamic_batching();
         let ctl = || GbsController::new(cfg.initial_lbs * n, cfg.workload.train_size, cfg.gbs);
+        // Only a batching rank keeps per-peer state.
+        let peers = if dynamic { n } else { 0 };
         Batching {
             ctl: dynamic.then(ctl),
             period: cfg.gbs.adjust_period_secs,
             every: cfg.profile_interval,
-            finished: if dynamic { vec![false; n] } else { Vec::new() },
+            finished: vec![false; peers],
+            shares: vec![cfg.initial_lbs; peers],
+            initial: cfg.initial_lbs,
             ..Default::default()
         }
+    }
+
+    /// Rank `j`'s LBS share as this rank decided it: `cfg.initial_lbs`
+    /// until a round of this rank's repartitions.
+    pub fn share(&self, j: usize) -> usize {
+        self.shares.get(j).copied().unwrap_or(self.initial)
     }
 
     /// Has the clock reached the boundary of round `round` (not yet
@@ -311,10 +327,10 @@ impl Batching {
     /// then repartition the GBS (Eq. 5) over the ranks whose RCP for the
     /// round is in — everyone else holds share 0 — if the GBS moved, a
     /// re-profile boundary was passed or a working rank joined or left the
-    /// contributors. Writes the contributors' `lbs_of` and returns whether
+    /// contributors. Writes the contributors' shares and returns whether
     /// it repartitioned, so the caller can resize its rank. `now` stamps
     /// the trace events, emitted by rank `me`.
-    fn round(&mut self, me: usize, now: f64, members: &mut Membership) -> bool {
+    fn round(&mut self, me: usize, now: f64) -> bool {
         let (Some(round), Some(ctl)) = (self.open.take(), self.ctl.as_mut()) else {
             return false;
         };
@@ -360,10 +376,10 @@ impl Batching {
             return false;
         }
         let parts = partition_gbs(ctl.gbs(), &rcps);
-        let mut row = vec![0; members.lbs_of.len()];
+        let mut row = vec![0; self.shares.len()];
         for (&j, &lbs) in contributors.iter().zip(&parts) {
             row[j] = lbs;
-            members.lbs_of[j] = lbs;
+            self.shares[j] = lbs;
         }
         let fields = [
             ("gbs", ctl.gbs().into()),
@@ -403,7 +419,6 @@ impl Worker {
         &mut self,
         clock: f64,
         now: f64,
-        members: &mut Membership,
         mut force: bool,
         mut rcp: impl FnMut() -> f64,
     ) -> (Vec<(usize, Notice)>, bool) {
@@ -413,13 +428,13 @@ impl Worker {
                 return (sends, true);
             }
             force = false;
-            if self.batching.round(self.id, now, members) {
-                self.set_lbs(members.lbs_of[self.id]);
+            if self.batching.round(self.id, now) {
+                self.set_lbs(self.batching.share(self.id));
             }
             let Some(notice) = self.batching.open(self.id, clock, &mut rcp) else {
                 return (sends, false);
             };
-            let peers = (0..members.lbs_of.len()).filter(|&j| self.awaits_rcp(j));
+            let peers = (0..self.schedule.n()).filter(|&j| self.awaits_rcp(j));
             sends.extend(peers.map(|j| (j, notice)));
         }
     }
@@ -507,30 +522,21 @@ mod tests {
     /// samples, a GBS step every 0.25 s: 96 → 160 → 240 → 360 → 540 →
     /// 810 → 1200 → Done. No backend attached; start-up (round 0) has run
     /// with equal RCPs.
-    fn started(profile_interval: f64) -> (Batching, Membership) {
+    fn started(profile_interval: f64) -> Batching {
         let mut cfg = RunConfig::small_test(SystemKind::DLion);
         cfg.workload.train_size = 12_000;
         cfg.gbs.adjust_period_secs = 0.25;
         cfg.profile_interval = profile_interval;
         let mut b = Batching::new(&cfg, 3);
-        let mut m = Membership::planned(&cfg, 3);
-        assert_eq!(
-            decide(&mut b, &mut m, 0.0, &[1.0, 1.0, 1.0]),
-            Some((0, true))
-        );
+        assert_eq!(decide(&mut b, 0.0, &[1.0, 1.0, 1.0]), Some((0, true)));
         assert_eq!(b.lbs_trace, vec![(0.0, vec![32, 32, 32])]);
-        (b, m)
+        b
     }
 
     /// Rank 0 opens the round due at `clock` and collects one RCP per
     /// peer, `rcps[j]` (a NaN: `j` is demoted and sends none), then
     /// decides it: the round and whether it repartitioned.
-    fn decide(
-        b: &mut Batching,
-        m: &mut Membership,
-        clock: f64,
-        rcps: &[f64],
-    ) -> Option<(u64, bool)> {
+    fn decide(b: &mut Batching, clock: f64, rcps: &[f64]) -> Option<(u64, bool)> {
         let waiting = |b: &Batching| b.collecting(|j| awaits(b, j, rcps[j].is_nan()));
         let Notice::Rcp { round, .. } = b.open(0, clock, || rcps[0])? else {
             unreachable!("open sends an RCP")
@@ -547,7 +553,7 @@ mod tests {
             );
         }
         assert!(!waiting(b));
-        Some((round, b.round(0, clock, m)))
+        Some((round, b.round(0, clock)))
     }
 
     /// Does rank 0 await `j`, demoted or not (`Worker::awaits_rcp`)?
@@ -559,12 +565,9 @@ mod tests {
 
     #[test]
     fn fast_forward_equals_stepping_and_stamps_nominal_times() {
-        let ((mut a, mut ma), (mut b, mut mb)) = (started(1e9), started(1e9));
+        let (mut a, mut b) = (started(1e9), started(1e9));
         for r in 1..=4 {
-            assert_eq!(
-                decide(&mut a, &mut ma, 0.25 * r as f64, EVEN),
-                Some((r, true))
-            );
+            assert_eq!(decide(&mut a, 0.25 * r as f64, EVEN), Some((r, true)));
         }
         // One long iteration crossed rounds 1-4, and the peers opened
         // round 4 already: rank 0 converges on it instead of trading the
@@ -572,7 +575,7 @@ mod tests {
         for j in 1..3 {
             b.on_notice(j, Notice::Rcp { round: 4, rcp: 1.0 });
         }
-        assert_eq!(decide(&mut b, &mut mb, 1.1, EVEN), Some((4, true)));
+        assert_eq!(decide(&mut b, 1.1, EVEN), Some((4, true)));
         let schedule = vec![(0.25, 160), (0.5, 240), (0.75, 360), (1.0, 540)];
         assert_eq!(a.gbs_trace, schedule);
         assert_eq!(b.gbs_trace, schedule);
@@ -581,7 +584,7 @@ mod tests {
         assert_eq!((a.lbs_trace.len(), b.lbs_trace.len()), (5, 2));
         assert_eq!(b.lbs_trace[1], (1.0, vec![180, 180, 180]));
         assert_eq!(a.lbs_trace[4], b.lbs_trace[1]);
-        assert_eq!(ma.lbs_of, mb.lbs_of);
+        assert_eq!(a.shares, b.shares);
     }
 
     /// A GBS step every 0.25 s and a re-profile every 0.5 s: the pair at
@@ -590,20 +593,20 @@ mod tests {
     /// interleaves its own rounds, each stamped with its own time.
     #[test]
     fn a_coinciding_gbs_step_and_re_profile_are_one_round() {
-        let (mut b, mut m) = started(0.5);
+        let mut b = started(0.5);
         let mut clock = 0.0;
         while b.gbs_trace.len() < 6 || clock < 3.0 {
             clock += 0.05;
-            while decide(&mut b, &mut m, clock, EVEN).is_some() {}
+            while decide(&mut b, clock, EVEN).is_some() {}
         }
         let times: Vec<f64> = b.lbs_trace.iter().map(|&(t, _)| t).collect();
         let steps = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5];
         let profiles_after = [2.0, 2.5, 3.0];
         assert_eq!(times, [&steps[..], &profiles_after].concat());
         assert_eq!(b.next, 13, "rounds 1-12 end at 3.0 s: one per 0.25 s");
-        let (mut b, mut m) = started(0.6);
+        let mut b = started(0.6);
         for clock in [0.25, 0.5, 0.6, 0.75] {
-            assert!(decide(&mut b, &mut m, clock, EVEN).is_some_and(|(_, moved)| moved));
+            assert!(decide(&mut b, clock, EVEN).is_some_and(|(_, moved)| moved));
         }
         let times: Vec<f64> = b.lbs_trace.iter().map(|&(t, _)| t).collect();
         assert_eq!(times, [0.0, 0.25, 0.5, 0.6, 0.75]);
@@ -612,19 +615,19 @@ mod tests {
 
     #[test]
     fn a_contributor_change_repartitions_once_even_when_the_gbs_is_done() {
-        let (mut b, mut m) = started(1e9);
+        let mut b = started(1e9);
         for r in 1..=6 {
-            decide(&mut b, &mut m, 0.25 * r as f64, EVEN);
+            decide(&mut b, 0.25 * r as f64, EVEN);
         }
         assert_eq!(b.gbs_trace.last(), Some(&(1.5, 1200)));
         // Done, everyone still here: nothing to decide.
-        assert_eq!(decide(&mut b, &mut m, 1.75, EVEN), Some((7, false)));
+        assert_eq!(decide(&mut b, 1.75, EVEN), Some((7, false)));
         // Rank 1 departed and was demoted: it sends no RCP, nobody awaits one.
         let gone = [1.0, f64::NAN, 1.0];
-        assert_eq!(decide(&mut b, &mut m, 2.0, &gone), Some((8, true)));
+        assert_eq!(decide(&mut b, 2.0, &gone), Some((8, true)));
         assert_eq!(b.lbs_trace.last(), Some(&(2.0, vec![600, 0, 600])));
-        assert_eq!(m.lbs_of, vec![600, 400, 600], "only contributors move");
-        assert_eq!(decide(&mut b, &mut m, 2.25, &gone), Some((9, false)));
+        assert_eq!(b.shares, vec![600, 400, 600], "only contributors move");
+        assert_eq!(decide(&mut b, 2.25, &gone), Some((9, false)));
         assert_eq!(b.gbs_trace.len(), 6);
     }
 
@@ -632,10 +635,9 @@ mod tests {
     fn the_rcps_in_hand_pick_the_contributors_from_round_zero() {
         let cfg = RunConfig::small_test(SystemKind::DLion);
         let mut b = Batching::new(&cfg, 3);
-        let mut m = Membership::planned(&cfg, 3);
         // Rank 2 was lost mid-profiling: no RCP, no mean-fill, no share.
         let lost = [3.0, 1.0, f64::NAN];
-        assert_eq!(decide(&mut b, &mut m, 0.0, &lost), Some((0, true)));
+        assert_eq!(decide(&mut b, 0.0, &lost), Some((0, true)));
         assert_eq!(b.lbs_trace, vec![(0.0, vec![72, 24, 0])]);
         // A round's stale RCPs are dropped once it is decided.
         b.on_notice(1, Notice::Rcp { round: 0, rcp: 5.0 });
@@ -647,16 +649,16 @@ mod tests {
     /// re-profile splits it over the ranks at work.
     #[test]
     fn a_finished_rank_is_not_awaited_and_takes_no_share() {
-        let (mut b, mut m) = started(1.0);
+        let mut b = started(1.0);
         for r in 1..=6 {
-            decide(&mut b, &mut m, 0.25 * r as f64, EVEN);
+            decide(&mut b, 0.25 * r as f64, EVEN);
         }
         assert_eq!(b.lbs_trace.last(), Some(&(1.5, vec![400, 400, 400])));
         b.on_notice(2, Notice::Done);
         assert!(!awaits(&b, 2, false) && awaits(&b, 1, false));
         let done = [1.0, 1.0, f64::NAN];
-        assert_eq!(decide(&mut b, &mut m, 1.75, &done), Some((7, false)));
-        assert_eq!(decide(&mut b, &mut m, 2.0, &done), Some((8, true)));
+        assert_eq!(decide(&mut b, 1.75, &done), Some((7, false)));
+        assert_eq!(decide(&mut b, 2.0, &done), Some((8, true)));
         assert_eq!(b.lbs_trace.last(), Some(&(2.0, vec![600, 600, 0])));
         assert!(b.finish(0) && !b.finish(0));
         assert_eq!(b.next_due(0, 9.0), None, "a finished rank opens no round");
@@ -664,7 +666,7 @@ mod tests {
 
     #[test]
     fn rounds_come_due_at_exact_boundaries() {
-        let (mut b, mut m) = started(1e9);
+        let mut b = started(1e9);
         assert_eq!(b.next_due(0, 0.2), None);
         assert_eq!(b.next_due(0, 0.25), Some(1));
         assert_eq!(b.next_due(0, 0.25f64.next_down()), None);
@@ -686,7 +688,7 @@ mod tests {
         assert_eq!(b.next_due(0, 0.8), Some(1));
         b.rcps.remove(&(u64::MAX, 2));
         assert_eq!(b.next_due(0, 1.0), Some(4));
-        decide(&mut b, &mut m, 1.0, EVEN);
+        decide(&mut b, 1.0, EVEN);
         assert_eq!(b.next_due(0, 1.0), None);
         assert_eq!(b.next_due(0, 1.25), Some(5));
         // A system without dynamic batching has no rounds at all.

@@ -63,7 +63,7 @@ pub use gbs::{GbsConfig, GbsController, GbsPhase};
 pub use maxn::MaxNPlanner;
 pub use messages::{GradMsg, Payload, WireError};
 pub use metrics::{HealthSummary, RunMetrics};
-pub use round::{Action, Effect, Membership};
+pub use round::{Action, Effect};
 pub use runner::{run_env, run_with_models, ClusterRunner};
 pub use scenario::{ScenarioKind, ScenarioPlan, ScenarioSpec};
 pub use strategy::{ExchangeStrategy, PeerUpdate, StrategyCtx};

@@ -45,8 +45,8 @@ pub struct HealthSummary {
     pub straggler: usize,
     /// The straggler's score — the paper's slowest/median ratio.
     pub straggler_score: f64,
-    /// Workers that left the run for good (a permanent kill): the sim's
-    /// ledger, the live outcomes' `departed` flags.
+    /// Workers that left the run for good (a permanent kill): each sim
+    /// rank's `Worker::departed`, the live outcomes' `departed` flags.
     pub departed: Vec<bool>,
 }
 

@@ -2,10 +2,14 @@
 //! compute → weighted self-update → per-link fan-out → apply peer
 //! gradients → DKT) as methods on [`Worker`], called by both backends.
 //! Both updates go through one update log: `complete_round` logs the own
-//! update, `on_payload` every gradient it does not park, and the model's
-//! next user settles the log in order — the gradient step as its prologue
-//! (inside the pool job on the simulator), or whoever reads the weights
-//! first ([`Worker::settle`]).
+//! update, `on_payload` every gradient it does not park, `flush_parked`
+//! each complete round of those it does, and the model's next user settles
+//! the log in order — the gradient step as its prologue (inside the pool
+//! job on the simulator), or whoever reads the weights first
+//! ([`Worker::settle`]). What a rank prices an update with — who left at
+//! which round, every peer's LBS share — is its own state
+//! ([`Worker::departures`], its [`crate::gbs::Batching`]); neither backend
+//! holds a ledger of its own.
 //!
 //! [`crate::runner::ClusterRunner`] (virtual time) and the live driver in
 //! `dlion-net` (real transports) each own *when* things happen and *how*
@@ -17,7 +21,6 @@
 //! BSP follows from both backends executing this code, not from two
 //! copies being kept in step.
 
-use crate::config::RunConfig;
 use crate::messages::{GradData, GradMsg, Payload};
 use crate::strategy::StrategyCtx;
 use crate::sync::SyncPolicy;
@@ -28,52 +31,13 @@ use dlion_telemetry::{event, profile_scope, Phase};
 use dlion_tensor::{par, Scratch, SparseVec, Tensor};
 use std::sync::Arc;
 
-/// Who contributes to which round, and with what share: the ledger every
-/// Eq. 7 divisor is computed from. The simulator shares one per cluster;
-/// each live worker keeps its own (plan-seeded, so all copies agree).
-pub struct Membership {
-    /// `Some(k)`: the worker computes rounds `0..k`, so its gradients
-    /// count in the divisor for rounds `< k` and are excluded from `k` on.
-    pub departed_at: Vec<Option<u64>>,
-    /// Every worker's current LBS share (the weighted denominator).
-    pub lbs_of: Vec<usize>,
-}
-
-impl Membership {
-    /// The ledger both backends start a run from: every worker at
-    /// `cfg.initial_lbs`, and every *permanent* kill of the fault plan
-    /// seeded, so all copies renormalize at the planned round whenever the
-    /// Leave lands. A rejoining kill (`W@I+R`) is a pause: the worker stays
-    /// a member and is never listed.
-    pub fn planned(cfg: &RunConfig, n: usize) -> Membership {
-        let mut departed_at = vec![None; n];
-        for k in &cfg.fault.kills {
-            if k.rejoin_after.is_none() && k.worker < n {
-                departed_at[k.worker] = Some(k.at_iter);
-            }
-        }
-        Membership {
-            departed_at,
-            lbs_of: vec![cfg.initial_lbs; n],
-        }
-    }
-
-    /// Does worker `j` compute — and hence contribute gradients for —
-    /// `round`?
-    pub fn counts(&self, j: usize, round: u64) -> bool {
-        self.departed_at[j].is_none_or(|k| round < k)
-    }
-}
-
 /// What [`Worker::on_payload`] did with a payload, and what is left for
 /// the backend to do about it.
 pub enum Effect {
-    /// Strict BSP: the gradient is accounted for and parked until
-    /// [`Worker::flush_parked`], which hands it back once applied.
-    Parked,
-    /// The gradient is accounted for, priced and in the update log: it
-    /// is accepted (the live caller acknowledges it now) and applies when
-    /// the model's next user settles the log.
+    /// The gradient is accounted for and accepted: priced and in the
+    /// update log, or — strict BSP — parked until [`Worker::flush_parked`]
+    /// logs its round. It applies when the model's next user settles the
+    /// log; a live caller under `BlockOnDelivery` acknowledges it now.
     Logged,
     /// A peer's loss share was recorded.
     Noted,
@@ -94,8 +58,8 @@ pub enum Effect {
 pub enum Action {
     /// Put this payload on the wire to that peer.
     Send(usize, Payload),
-    /// The rank leaves the run (a permanent kill): it stops stepping. The
-    /// ledger already excludes it from this round on.
+    /// The rank leaves the run (a permanent kill): it stops stepping.
+    /// Every rank's departures already exclude it from this round on.
     Depart,
     /// A rejoining kill: stop stepping for this many seconds (virtual or
     /// clock), still receiving, then go on as a member.
@@ -234,18 +198,34 @@ fn grads_step(
 }
 
 impl Worker {
+    /// Does worker `j` compute — and hence contribute gradients for —
+    /// `round`, as far as this rank knows ([`Worker::departures`])?
+    fn counts(&self, j: usize, round: u64) -> bool {
+        self.departures
+            .iter()
+            .all(|&(peer, k)| peer != j || round < k)
+    }
+
+    /// Has this rank left the run: is its own planned departure round
+    /// behind its completed-iteration count?
+    pub fn departed(&self) -> bool {
+        !self.counts(self.id, self.iteration)
+    }
+
     /// Group-wise Eq. 7 divisor for `round`: this worker plus the round's
-    /// declared neighbors `nbrs`, minus anyone the ledger says left before
-    /// it. Both the plain `1/n` and the weighted `LBS/GBS` denominators
-    /// count only that group; on a full mesh with no departures this is
-    /// the global `(n, GBS)` pair exactly (shares partition the GBS).
-    pub fn counted_for(&self, nbrs: &[usize], round: u64, members: &Membership) -> (usize, usize) {
+    /// declared neighbors `nbrs`, minus anyone this rank knows left before
+    /// it, each peer at the share this rank's batching decided for it
+    /// ([`crate::gbs::Batching::share`]). Both the plain `1/n` and the
+    /// weighted `LBS/GBS` denominators count only that group; on a full
+    /// mesh with no departures this is the global `(n, GBS)` pair exactly
+    /// (shares partition the GBS).
+    pub fn counted_for(&self, nbrs: &[usize], round: u64) -> (usize, usize) {
         let mut n = 1;
         let mut gbs = self.lbs;
         for &j in nbrs {
-            if members.counts(j, round) {
+            if self.counts(j, round) {
                 n += 1;
-                gbs += members.lbs_of[j];
+                gbs += self.batching.share(j);
             }
         }
         (n, gbs.max(1))
@@ -409,17 +389,11 @@ impl Worker {
     /// order: the gradient sends; then, on the round its [`Worker::kill`]
     /// fires, the Leaves and [`Action::Depart`] (permanent) or
     /// [`Action::Pause`] (rejoining) and nothing else; otherwise, on a
-    /// share round, the DKT sends. A gradient goes to the peers the ledger
+    /// share round, the DKT sends. A gradient goes to the peers this rank
     /// counts for its round; a Leave or DKT send to those it counts for
     /// the next round and gating has not demoted. `bw(j)` is the bandwidth
     /// to neighbor `j` in Mbps.
-    pub fn complete_round(
-        &mut self,
-        loss: f64,
-        now: f64,
-        bw: impl Fn(usize) -> f64,
-        members: &Membership,
-    ) -> Actions {
+    pub fn complete_round(&mut self, loss: f64, now: f64, bw: impl Fn(usize) -> f64) -> Actions {
         // The round this completion belongs to and its declared neighbor
         // set: the fan-out targets, the divisor group, and (per-round sets
         // are symmetric) exactly the senders the next round gates on.
@@ -433,14 +407,14 @@ impl Worker {
                 "links" => self.schedule.link_count(round));
         }
         self.dkt.record_loss(loss);
-        let factor = self.factor(self.lbs, self.counted_for(&nbrs, round, members));
+        let factor = self.factor(self.lbs, self.counted_for(&nbrs, round));
         self.queued.push(Update::Own { factor });
         // A strategy that reads the weights sees them with the own update
         // (and everything logged before it) applied, as eagerly.
         if self.strategy.reads_weights() {
             self.settle(drop);
         }
-        let n = members.lbs_of.len();
+        let n = self.schedule.n();
         // Strategies only read their neighbors' entries (link budgets).
         let mut bw_mbps = vec![0.0; n];
         for &j in &nbrs {
@@ -484,12 +458,12 @@ impl Worker {
             "updates" => updates.len(),
             "share_dkt" => share_dkt);
 
-        // A gradient goes to every peer the ledger counts for the round it
+        // A gradient goes to every peer this rank counts for the round it
         // was computed in — the peers whose divisor counts it. A demoted
         // one's delivery is not awaited (`SyncState::on_sent_to`).
         let mut steps = Vec::with_capacity(updates.len() + 1);
         for up in updates {
-            if members.counts(up.peer, round) {
+            if self.counts(up.peer, round) {
                 self.sync.on_sent_to(up.peer);
                 steps.push(Step::Act(Action::Send(up.peer, Payload::Grad(up.msg))));
             }
@@ -502,7 +476,7 @@ impl Worker {
             Some(None) => {
                 steps.push(Step::Departed(next));
                 let leave = Payload::Leave { completed: next };
-                for j in (0..n).filter(|&j| j != self.id && self.is_target(j, next, members)) {
+                for j in (0..n).filter(|&j| j != self.id && self.is_target(j, next)) {
                     steps.push(Step::Act(Action::Send(j, leave.clone())));
                 }
                 steps.push(Step::Act(Action::Depart));
@@ -511,7 +485,7 @@ impl Worker {
                 steps.push(Step::Pause(next, secs));
                 steps.push(Step::Act(Action::Pause(secs)));
             }
-            None if share_dkt => self.dkt_round(members, &mut steps),
+            None if share_dkt => self.dkt_round(&mut steps),
             None => {}
         }
         Actions {
@@ -522,38 +496,32 @@ impl Worker {
     }
 
     /// Who hears a Leave or a DKT send, which speak for the next `round`:
-    /// peer `j` iff the ledger counts it for that round and gating has not
+    /// peer `j` iff this rank counts it for that round and gating has not
     /// demoted it. Planned kills make the set a pure function of the plan,
     /// like the Eq. 7 divisor; demotion covers unplanned loss.
-    fn is_target(&self, j: usize, round: u64, members: &Membership) -> bool {
-        members.counts(j, round) && !self.sync.is_demoted(j)
+    fn is_target(&self, j: usize, round: u64) -> bool {
+        self.counts(j, round) && !self.sync.is_demoted(j)
     }
 
     /// Handle one training payload from `from` that reached this rank at
     /// `now` — the simulator's `Msg` event and the live driver's decoded
     /// frame. Its `msg` row, and a merge's `dkt_merge` row, are written
     /// here for both backends.
-    pub fn on_payload(
-        &mut self,
-        from: usize,
-        payload: Payload,
-        now: f64,
-        members: &Membership,
-    ) -> Effect {
+    pub fn on_payload(&mut self, from: usize, payload: Payload, now: f64) -> Effect {
         event!(now, w: self.id, "msg"; "from" => from, "kind" => payload.kind());
         match payload {
             Payload::Grad(msg) => {
                 self.sync.on_gradient(from, msg.iteration);
                 if self.strategy.sync_policy() == SyncPolicy::Synchronous {
                     self.parked.push((from, msg));
-                    return Effect::Parked;
+                    return Effect::Logged;
                 }
                 // The gradient round's group (symmetric, so sender and
-                // receiver agree on it) sets the divisor, from the ledger
-                // as it stands now; the axpy waits in the log for the
-                // model's next user.
+                // receiver agree on it) sets the divisor, from this rank's
+                // departures and shares as they stand now; the axpy waits
+                // in the log for the model's next user.
                 let nbrs = self.schedule.neighbors(self.id, msg.iteration);
-                let divisor = self.counted_for(&nbrs, msg.iteration, members);
+                let divisor = self.counted_for(&nbrs, msg.iteration);
                 let factor = self.factor(msg.lbs, divisor);
                 self.queued.push(Update::Peer { msg, factor });
                 Effect::Logged
@@ -580,69 +548,48 @@ impl Worker {
         }
     }
 
-    /// The single strict-BSP flush point: settle the update log (under
-    /// strict BSP it holds at most the own update), then apply parked
-    /// gradients of rounds this worker has completed (all rounds when
-    /// `force` — end of run, no further local round will come) in
-    /// `(round, sender)` order, handing each applied message to `applied`.
+    /// The single strict-BSP flush point: log the parked gradients of
+    /// rounds this worker has completed (all rounds when `force` — end of
+    /// run, no further local round will come), in `(round, sender)` order,
+    /// each priced with its round's divisor. They go behind what the log
+    /// already holds (under strict BSP at most the own update), and the
+    /// model's next user settles them with it.
     ///
     /// Arrival order depends on the previous round's gating-release order
     /// (sim) or on frame racing (live); sorting keeps it out of the float
     /// addition order, which is what makes BSP runs bit-identical across
     /// backends, transports and interleavings. For the same reason a round
-    /// whose batch is incomplete — a sender the ledger counts for it is
-    /// still missing — stays parked: applying half of it now and half at a
+    /// whose batch is incomplete — a sender this rank counts for it is
+    /// still missing — stays parked: logging half of it now and half at a
     /// later flush would order by arrival again. The hold-back cannot
     /// stall: a counted sender's gradient is guaranteed delivered (per-link
     /// FIFO puts it before any Leave; a paused sender stays gated on), and
-    /// gating blocks the next local round on the same set anyway. In place
-    /// and allocation-free once warm.
-    pub fn flush_parked(
-        &mut self,
-        members: &Membership,
-        force: bool,
-        mut applied: impl FnMut(usize, GradMsg),
-    ) {
-        if self.parked.is_empty() {
-            return;
-        }
-        self.settle(drop);
+    /// gating blocks the next local round on the same set anyway.
+    pub fn flush_parked(&mut self, force: bool) {
         let mut parked = std::mem::take(&mut self.parked);
         parked.sort_by_key(|&(from, ref msg)| (msg.iteration, from));
-        let end = if force {
-            parked.len()
-        } else {
-            parked.partition_point(|(_, msg)| msg.iteration < self.iteration)
-        };
-        // Walk the due prefix one round at a time; held-back rounds are
-        // rotated to the front so `parked[held..end]` is what was applied.
-        let (mut held, mut at) = (0, 0);
-        while at < end {
-            let round = parked[at].1.iteration;
-            let len = parked[at..end].partition_point(|(_, msg)| msg.iteration == round);
+        let mut at = 0;
+        while let Some(round) = parked.get(at).map(|(_, msg)| msg.iteration) {
+            if !force && round >= self.iteration {
+                break;
+            }
+            let len = parked[at..].partition_point(|(_, msg)| msg.iteration == round);
             let batch = &parked[at..at + len];
             let nbrs = self.schedule.neighbors(self.id, round);
             let complete = force
                 || nbrs.iter().all(|&j| {
-                    !members.counts(j, round)
+                    !self.counts(j, round)
                         || batch.binary_search_by_key(&j, |&(from, _)| from).is_ok()
                 });
-            if complete {
-                let (n, gbs) = self.counted_for(&nbrs, round, members);
-                let (lr, weighted) = (self.lr, self.weighted);
-                let factor = |lbs| update_factor(lr, n, lbs, gbs, weighted);
-                let updates = batch
-                    .iter()
-                    .map(|(_, msg)| (Delta::from(&msg.data), factor(msg.lbs)));
-                apply_in_order(&mut self.model, updates);
-            } else {
-                parked[held..at + len].rotate_right(len);
-                held += len;
+            if !complete {
+                at += len;
+                continue;
             }
-            at += len;
-        }
-        for (from, msg) in parked.drain(held..end) {
-            applied(from, msg);
+            let divisor = self.counted_for(&nbrs, round);
+            for (_, msg) in parked.drain(at..at + len) {
+                let factor = self.factor(msg.lbs, divisor);
+                self.queued.push(Update::Peer { msg, factor });
+            }
         }
         self.parked = parked;
     }
@@ -650,19 +597,38 @@ impl Worker {
     /// Demote a departed peer — Hop's backup-worker demotion applied to
     /// an absent worker: it no longer gates this worker's iterations (or
     /// its `BlockOnDelivery` ack-waiting) and is no longer a DKT pull
-    /// target. `completed` is the round the ledger excludes it from.
-    pub fn demote_peer(&mut self, peer: usize, completed: u64, now: f64) {
+    /// target — and record the round it left at, the one place a rank
+    /// learns of a departure: the fault plan's round if the peer is
+    /// planned out (so every rank renormalizes at the same round, whenever
+    /// the news lands), else its Leave's `completed`, else — a crash, seen
+    /// as an EOF or a timeout — the round after its last gradient here.
+    /// Idempotent: returns whether the peer was newly demoted.
+    pub fn demote_peer(&mut self, peer: usize, completed: Option<u64>, now: f64) -> bool {
+        if peer == self.id || self.sync.is_demoted(peer) {
+            return false;
+        }
+        let planned = self.departures.iter().find(|&&(j, _)| j == peer);
+        let round = match planned {
+            Some(&(_, k)) => k,
+            None => {
+                let last = self.sync.received_from(peer);
+                let k = completed.unwrap_or_else(|| last.map_or(0, |r| r + 1));
+                self.departures.push((peer, k));
+                k
+            }
+        };
         self.sync.demote(peer);
         self.dkt.forget(peer);
         event!(now, w: self.id, "peer_departed";
-            "peer" => peer, "completed" => completed, "iter" => self.iteration);
+            "peer" => peer, "completed" => round, "iter" => self.iteration);
+        true
     }
 
     /// A DKT round (§3.4) of [`Worker::complete_round`]: share the recent
     /// average loss with the next round's target neighbors, then pull from
     /// the best-known worker if the mode says so and it is a target (at
     /// most once per DKT period).
-    fn dkt_round(&mut self, members: &Membership, steps: &mut Vec<Step>) {
+    fn dkt_round(&mut self, steps: &mut Vec<Step>) {
         let Some(avg_loss) = self.dkt.avg_loss() else {
             return;
         };
@@ -670,15 +636,12 @@ impl Worker {
         self.dkt.update_known(self.id, avg_loss);
         let next = self.iteration;
         for j in self.schedule.neighbors(self.id, next) {
-            if self.is_target(j, next, members) {
+            if self.is_target(j, next) {
                 steps.push(Step::Act(Action::Send(j, Payload::LossShare { avg_loss })));
             }
         }
         let round = next / self.dkt.cfg().period_iters;
-        let pull = self
-            .dkt
-            .pull_target()
-            .filter(|&t| self.is_target(t, next, members));
+        let pull = self.dkt.pull_target().filter(|&t| self.is_target(t, next));
         if let Some(target) = pull.filter(|_| self.last_pull_round < round) {
             self.last_pull_round = round;
             steps.push(Step::Act(Action::Send(target, Payload::DktRequest)));
@@ -697,13 +660,6 @@ mod tests {
         let mut cfg = RunConfig::small_test(SystemKind::Baseline);
         cfg.sync_override = Some(SyncPolicy::Synchronous);
         build_cluster(&cfg, n).workers
-    }
-
-    fn ledger(lbs_of: Vec<usize>) -> Membership {
-        Membership {
-            departed_at: vec![None; lbs_of.len()],
-            lbs_of,
-        }
     }
 
     /// A dense round-`round` gradient shaped like `w`'s model, every entry
@@ -730,33 +686,117 @@ mod tests {
         w.model.weights().iter().map(tensor_bits).collect()
     }
 
+    /// The update log as `(round, value)` per peer gradient (the value of
+    /// its first entry names the arrival) and `(u64::MAX, 0.0)` for the
+    /// own update.
+    fn logged(w: &Worker) -> Vec<(u64, f32)> {
+        w.queued
+            .iter()
+            .map(|update| match update {
+                Update::Own { .. } => (u64::MAX, 0.0),
+                Update::Peer { msg, .. } => match &msg.data {
+                    GradData::Dense(vars) => (msg.iteration, vars[0].data()[0]),
+                    GradData::Sparse(_) => unreachable!("the tests send dense gradients"),
+                },
+            })
+            .collect()
+    }
+
     #[test]
-    fn divisor_follows_the_ledger() {
-        let w = bsp_workers(4).swap_remove(0);
+    fn divisor_follows_the_ranks_departures_and_shares() {
+        let mut w = bsp_workers(4).swap_remove(0);
         let nbrs = w.schedule.neighbors(0, 0);
         assert_eq!(nbrs, vec![1, 2, 3]);
-        let mut m = ledger(vec![32, 20, 30, 40]);
+        w.batching.shares = vec![32, 20, 30, 40];
         // Full mesh, nobody gone: exactly (n, GBS).
-        assert_eq!(w.counted_for(&nbrs, 0, &m), (4, 122));
-        assert_eq!(w.counted_for(&nbrs, 999, &m), (4, 122));
+        assert_eq!(w.counted_for(&nbrs, 0), (4, 122));
+        assert_eq!(w.counted_for(&nbrs, 999), (4, 122));
         // Worker 2 computes rounds 0..3 only.
-        m.departed_at[2] = Some(3);
-        assert!(m.counts(2, 2) && !m.counts(2, 3));
-        assert_eq!(w.counted_for(&nbrs, 2, &m), (4, 122));
-        assert_eq!(w.counted_for(&nbrs, 3, &m), (3, 92));
-        assert_eq!(w.counted_for(&nbrs, 7, &m), (3, 92));
+        w.demote_peer(2, Some(3), 0.0);
+        assert!(w.counts(2, 2) && !w.counts(2, 3));
+        assert_eq!(w.counted_for(&nbrs, 2), (4, 122));
+        assert_eq!(w.counted_for(&nbrs, 3), (3, 92));
+        assert_eq!(w.counted_for(&nbrs, 7), (3, 92));
         // The divisor is group-wise: only declared neighbors count.
-        assert_eq!(w.counted_for(&[1], 0, &m), (2, 52));
+        assert_eq!(w.counted_for(&[1], 0), (2, 52));
+    }
+
+    /// Two DLion ranks of one cluster decide a GBS step at their own
+    /// times: until rank 1 has decided it, it prices with the shares from
+    /// before the round — not its own old share beside rank 0's new one —
+    /// and once both have, they agree.
+    #[test]
+    fn each_rank_prices_with_its_own_decisions() {
+        let mut cfg = RunConfig::small_test(SystemKind::DLion);
+        cfg.workload.train_size = 12_000;
+        cfg.gbs.adjust_period_secs = 0.25;
+        cfg.profile_interval = 1e9;
+        let mut ws = build_cluster(&cfg, 2).workers;
+        // Rank `w`'s batching plane at `clock`, its notices delivered at
+        // once; whether a collect is still open.
+        let step = |ws: &mut [Worker], w: usize, clock: f64| {
+            let rcp = [3.0, 1.0][w];
+            let (sends, open) = ws[w].batching_step(clock, clock, false, || rcp);
+            for (to, notice) in sends {
+                ws[to].batching.on_notice(w, notice);
+            }
+            open
+        };
+        let divisor = |w: &Worker| w.counted_for(&[1 - w.id], 1);
+        // Start-up: both decide round 0, GBS 64 split 3:1.
+        assert!(step(&mut ws, 0, 0.0));
+        assert!(!step(&mut ws, 1, 0.0) && !step(&mut ws, 0, 0.0));
+        assert_eq!((ws[0].lbs, ws[1].lbs), (48, 16));
+        assert_eq!((divisor(&ws[0]), divisor(&ws[1])), ((2, 64), (2, 64)));
+        // Round 1 steps the GBS to 128: rank 1 opens it, rank 0 decides
+        // it first.
+        assert!(step(&mut ws, 1, 0.25));
+        assert!(!step(&mut ws, 0, 0.25));
+        assert_eq!(ws[0].lbs, 96);
+        assert_eq!(divisor(&ws[0]), (2, 128));
+        assert_eq!(divisor(&ws[1]), (2, 64), "rank 1 has not decided round 1");
+        assert!(!step(&mut ws, 1, 0.25));
+        assert_eq!(ws[1].lbs, 32);
+        assert_eq!(divisor(&ws[1]), divisor(&ws[0]));
+    }
+
+    /// A rank records a departure once, in `demote_peer`: a planned peer
+    /// at the plan's round whatever its Leave or an EOF says, an unplanned
+    /// one at its Leave's round, or — an EOF — the round after its last
+    /// gradient here.
+    #[test]
+    fn demote_peer_records_one_departure() {
+        let mut ws = planned_ranks(4, "2@5");
+        assert!(ws.iter().all(|w| w.departures == [(2, 5)]));
+        let (w, v) = (&mut ws[0], 1);
+        assert!(w.demote_peer(2, Some(9), 0.0), "a Leave claiming 9");
+        assert!(w.demote_peer(v, Some(7), 0.0));
+        w.sync.on_gradient(3, 4);
+        assert!(w.demote_peer(3, None, 0.0));
+        assert_eq!(w.departures, [(2, 5), (v, 7), (3, 5)]);
+        // Later news of a demoted peer, or of the rank itself, is no news.
+        assert!(!w.demote_peer(v, None, 0.0) && !w.demote_peer(3, Some(1), 0.0));
+        assert!(!w.demote_peer(0, Some(1), 0.0));
+        assert_eq!(w.departures, [(2, 5), (v, 7), (3, 5)]);
+        assert!(w.counts(3, 4) && !w.counts(3, 5));
+        // An EOF from a planned peer leaves the plan's round too.
+        let w = &mut ws[1];
+        w.sync.on_gradient(2, 8);
+        assert!(w.demote_peer(2, None, 0.0));
+        assert_eq!(w.departures, [(2, 5)]);
+        // The victim's own plan is in its departures too.
+        let w = &mut ws[2];
+        assert!(!w.departed());
+        w.iteration = 5;
+        assert!(w.departed());
     }
 
     #[test]
     fn flush_order_is_round_then_sender_whatever_the_park_order() {
-        let m = ledger(vec![32; 3]);
         // The same rank twice (seeded build: identical weights), fed the
         // same gradients in opposite arrival orders.
         let (mut a, mut b) = (bsp_workers(3).swap_remove(0), bsp_workers(3).swap_remove(0));
         let arrivals = [(1, 0, 1e-3), (2, 0, 3e3), (1, 1, 7e-5), (2, 1, 11.0)];
-        let mut order = Vec::new();
         for (w, rev) in [(&mut a, false), (&mut b, true)] {
             let mut park: Vec<_> = arrivals.to_vec();
             if rev {
@@ -764,13 +804,14 @@ mod tests {
             }
             for (from, round, v) in park {
                 let g = grad(w, round, v);
-                assert!(matches!(w.on_payload(from, g, 0.0, &m), Effect::Parked));
+                assert!(matches!(w.on_payload(from, g, 0.0), Effect::Logged));
             }
+            assert!(w.queued.is_empty(), "parked, not logged");
             w.iteration = 2;
-            order.clear();
-            w.flush_parked(&m, false, |from, msg| order.push((msg.iteration, from)));
-            assert_eq!(order, vec![(0, 1), (0, 2), (1, 1), (1, 2)]);
+            w.flush_parked(false);
+            assert_eq!(logged(w), [(0, 1e-3), (0, 3e3), (1, 7e-5), (1, 11.0)]);
             assert!(w.parked.is_empty());
+            w.settle(drop);
         }
         assert_eq!(bits(&a), bits(&b));
         assert_ne!(bits(&a), bits(&bsp_workers(3)[0]), "nothing was applied");
@@ -778,49 +819,80 @@ mod tests {
 
     #[test]
     fn incomplete_round_stays_parked_until_complete_or_forced() {
-        let mut m = ledger(vec![32; 3]);
         let mut w = bsp_workers(3).swap_remove(0);
         let before = bits(&w);
         let (g0, g1) = (grad(&w, 0, 0.5), grad(&w, 1, 0.25));
-        w.on_payload(1, g0, 0.0, &m);
-        w.on_payload(1, g1, 0.0, &m);
+        w.on_payload(1, g0, 0.0);
+        w.on_payload(1, g1, 0.0);
         w.iteration = 1;
-        let mut applied = Vec::new();
         // Round 0 is due but sender 2 is missing; round 1 is not due.
-        w.flush_parked(&m, false, |from, msg| applied.push((msg.iteration, from)));
-        assert!(applied.is_empty());
+        w.flush_parked(false);
+        assert!(w.queued.is_empty());
         assert_eq!(w.parked.len(), 2);
-        assert_eq!(bits(&w), before);
-        // A ledger that says 2 never computed round 0 completes the batch.
-        m.departed_at[2] = Some(0);
-        w.flush_parked(&m, false, |from, msg| applied.push((msg.iteration, from)));
-        assert_eq!(applied, vec![(0, 1)]);
+        // Learning that 2 never computed round 0 completes the batch.
+        w.demote_peer(2, Some(0), 0.0);
+        w.flush_parked(false);
+        assert_eq!(logged(&w), [(0, 0.5)]);
         assert_eq!(w.parked.len(), 1);
+        w.settle(drop);
         let after_round0 = bits(&w);
         assert_ne!(after_round0, before);
         // Round 1 is still ahead of us: only `force` drains it.
-        w.flush_parked(&m, false, |_, _| panic!("round 1 is not due"));
-        assert_eq!(bits(&w), after_round0);
-        w.flush_parked(&m, true, |from, msg| applied.push((msg.iteration, from)));
-        assert_eq!(applied, vec![(0, 1), (1, 1)]);
+        w.flush_parked(false);
+        assert!(w.queued.is_empty());
+        w.flush_parked(true);
+        assert_eq!(logged(&w), [(1, 0.25)]);
         assert!(w.parked.is_empty());
+        w.settle(drop);
         assert_ne!(bits(&w), after_round0);
     }
 
     #[test]
     fn held_back_round_does_not_block_a_complete_later_one() {
-        let m = ledger(vec![32; 3]);
         let mut w = bsp_workers(3).swap_remove(0);
-        for (from, round) in [(2, 1), (1, 0), (1, 1)] {
-            let g = grad(&w, round, 0.5);
-            w.on_payload(from, g, 0.0, &m);
+        for (from, round, v) in [(2, 1, 0.5), (1, 0, 0.25), (1, 1, 0.125)] {
+            let g = grad(&w, round, v);
+            w.on_payload(from, g, 0.0);
         }
         w.iteration = 2;
-        let mut applied = Vec::new();
-        w.flush_parked(&m, false, |from, msg| applied.push((msg.iteration, from)));
-        assert_eq!(applied, vec![(1, 1), (1, 2)]);
+        w.flush_parked(false);
+        assert_eq!(logged(&w), [(1, 0.125), (1, 0.5)]);
         assert_eq!(w.parked.len(), 1);
         assert_eq!((w.parked[0].0, w.parked[0].1.iteration), (1, 0));
+    }
+
+    /// After a flush the log is the own update, then each complete due
+    /// round's gradients in `(round, sender)` order; an incomplete round
+    /// stays parked. Settled, it leaves the bits of applying each update
+    /// in that order at once.
+    #[test]
+    fn a_flush_logs_complete_rounds_behind_the_own_update() {
+        let (mut w, mut eager) = (
+            planned_ranks(3, "").swap_remove(0),
+            planned_ranks(3, "").swap_remove(0),
+        );
+        let complete = [(1, 0, 1e-3), (2, 0, 3e3), (1, 1, 7e-5), (2, 1, 11.0)];
+        w.iteration = 2;
+        eager.iteration = 2;
+        own_eagerly(&mut eager);
+        apply_eagerly(&mut eager, &complete);
+        w.complete_round(1.0, 0.0, |_| 1000.0).for_each(drop);
+        for (from, round, v) in [
+            (2, 1, 11.0),
+            (1, 2, 5.0),
+            (1, 1, 7e-5),
+            (2, 0, 3e3),
+            (1, 0, 1e-3),
+        ] {
+            let g = grad(&w, round, v);
+            w.on_payload(from, g, 0.0);
+        }
+        w.flush_parked(false);
+        let own = (u64::MAX, 0.0);
+        assert_eq!(logged(&w), [own, (0, 1e-3), (0, 3e3), (1, 7e-5), (1, 11.0)]);
+        assert_eq!((w.parked.len(), w.parked[0].1.iteration), (1, 2));
+        w.settle(drop);
+        assert_eq!(bits(&w), bits(&eager));
     }
 
     /// The arrivals of the update-log tests: two while the round's
@@ -841,13 +913,13 @@ mod tests {
 
     /// The reference: apply each arrival to `w`'s model at once, with the
     /// factor the round core logs for it.
-    fn apply_eagerly(w: &mut Worker, arrivals: &[(usize, u64, f32)], m: &Membership) {
+    fn apply_eagerly(w: &mut Worker, arrivals: &[(usize, u64, f32)]) {
         for &(_, round, v) in arrivals {
             let Payload::Grad(msg) = grad(w, round, v) else {
                 unreachable!()
             };
             let nbrs = w.schedule.neighbors(w.id, round);
-            let factor = w.factor(msg.lbs, w.counted_for(&nbrs, round, m));
+            let factor = w.factor(msg.lbs, w.counted_for(&nbrs, round));
             let GradData::Dense(vars) = &msg.data else {
                 unreachable!()
             };
@@ -856,17 +928,17 @@ mod tests {
     }
 
     /// The reference's own update for its round `w.iteration`.
-    fn own_eagerly(w: &mut Worker, m: &Membership) {
+    fn own_eagerly(w: &mut Worker) {
         let nbrs = w.schedule.neighbors(w.id, w.iteration);
-        let factor = w.factor(w.lbs, w.counted_for(&nbrs, w.iteration, m));
+        let factor = w.factor(w.lbs, w.counted_for(&nbrs, w.iteration));
         w.model.apply_dense_update(&w.grads, factor);
     }
 
     /// Hand `arrivals` to `w`'s round core, shaped like `shape`'s model.
-    fn log(w: &mut Worker, shape: &Worker, arrivals: &[(usize, u64, f32)], m: &Membership) {
+    fn log(w: &mut Worker, shape: &Worker, arrivals: &[(usize, u64, f32)]) {
         for &(from, round, v) in arrivals {
             let g = grad(shape, round, v);
-            assert!(matches!(w.on_payload(from, g, 0.0, m), Effect::Logged));
+            assert!(matches!(w.on_payload(from, g, 0.0), Effect::Logged));
         }
     }
 
@@ -880,7 +952,6 @@ mod tests {
     /// applying each update the moment it happened.
     #[test]
     fn the_update_log_settles_in_the_eager_order() {
-        let m = ledger(vec![32, 20, 44]);
         let (mut eager, data, clip) = rank0(SystemKind::Baseline);
         let (mut pooled, ..) = rank0(SystemKind::Baseline);
         let (mut in_place, ..) = rank0(SystemKind::Baseline);
@@ -888,9 +959,9 @@ mod tests {
 
         // Eager: the round's step, each update as it happens, the next step.
         eager.compute_grads(&data, clip);
-        apply_eagerly(&mut eager, &DURING_JOB, &m);
-        own_eagerly(&mut eager, &m);
-        apply_eagerly(&mut eager, &WHILE_IDLE, &m);
+        apply_eagerly(&mut eager, &DURING_JOB);
+        own_eagerly(&mut eager);
+        apply_eagerly(&mut eager, &WHILE_IDLE);
         let settled = bits(&eager);
         assert_ne!(settled, before, "nothing was applied");
         eager.sample_batch_reuse();
@@ -899,7 +970,7 @@ mod tests {
         // The round: out on the pool while two gradients arrive, and in
         // place with the same two arriving after it.
         pooled.spawn_grads(&data, clip);
-        log(&mut pooled, &eager, &DURING_JOB, &m);
+        log(&mut pooled, &eager, &DURING_JOB);
         assert_eq!(
             pooled.sync.received_from(2),
             Some(0),
@@ -910,18 +981,18 @@ mod tests {
             in_place.compute_grads(&data, clip).to_bits(),
             loss.to_bits()
         );
-        log(&mut in_place, &eager, &DURING_JOB, &m);
+        log(&mut in_place, &eager, &DURING_JOB);
         for w in [&mut pooled, &mut in_place] {
             w.pending = None;
-            assert_eq!(w.complete_round(loss, 0.0, |_| 1000.0, &m).count(), 2);
-            log(w, &eager, &WHILE_IDLE, &m);
+            assert_eq!(w.complete_round(loss, 0.0, |_| 1000.0).count(), 2);
+            log(w, &eager, &WHILE_IDLE);
             assert_eq!(w.queued.len(), 5, "nothing applies on arrival");
             assert_eq!(bits(w), before);
             w.sample_batch_reuse();
         }
 
         // A DKT pull reads the settled weights.
-        match in_place.on_payload(1, Payload::DktRequest, 0.0, &m) {
+        match in_place.on_payload(1, Payload::DktRequest, 0.0) {
             Effect::Reply(Payload::Weights { weights, .. }) => {
                 assert_eq!(weights.iter().map(tensor_bits).collect::<Vec<_>>(), settled);
             }
@@ -972,15 +1043,14 @@ mod tests {
                 self.0.reads_weights()
             }
         }
-        let m = ledger(vec![32; 3]);
         let (mut eager, data, clip) = rank0(SystemKind::Gaia);
         let (mut gaia, ..) = rank0(SystemKind::Gaia);
         eager.compute_grads(&data, clip);
-        apply_eagerly(&mut eager, &DURING_JOB, &m);
-        own_eagerly(&mut eager, &m);
+        apply_eagerly(&mut eager, &DURING_JOB);
+        own_eagerly(&mut eager);
 
         gaia.compute_grads(&data, clip);
-        log(&mut gaia, &eager, &DURING_JOB, &m);
+        log(&mut gaia, &eager, &DURING_JOB);
         let seen = Arc::new(Mutex::new(Vec::new()));
         let inner = std::mem::replace(
             &mut gaia.strategy,
@@ -988,15 +1058,14 @@ mod tests {
         );
         assert!(inner.reads_weights());
         gaia.strategy = Box::new(Spy(inner, Arc::clone(&seen)));
-        gaia.complete_round(1.0, 0.0, |_| 1000.0, &m).for_each(drop);
+        gaia.complete_round(1.0, 0.0, |_| 1000.0).for_each(drop);
         assert!(gaia.queued.is_empty(), "settled before generating");
         assert_eq!(*seen.lock().unwrap(), bits(&eager));
     }
 
     /// `n` strict-BSP Baseline workers sharing losses every 4 rounds under
-    /// the fault plan `kills`, each holding one computed gradient, and the
-    /// plan's ledger.
-    fn planned_ranks(n: usize, kills: &str) -> (Vec<Worker>, Membership) {
+    /// the fault plan `kills`, each holding one computed gradient.
+    fn planned_ranks(n: usize, kills: &str) -> Vec<Worker> {
         let mut cfg = RunConfig::small_test(SystemKind::Baseline);
         cfg.sync_override = Some(SyncPolicy::Synchronous);
         cfg.dkt.mode = crate::dkt::DktMode::Best2All;
@@ -1008,13 +1077,13 @@ mod tests {
             w.sample_batch_reuse();
             w.compute_grads(&init.data, cfg.grad_clip);
         }
-        (workers, Membership::planned(&cfg, n))
+        workers
     }
 
     /// Complete `w`'s round `round`; its actions as `(what, peer)` in order.
-    fn post_round(w: &mut Worker, round: u64, m: &Membership) -> Vec<(&'static str, usize)> {
+    fn post_round(w: &mut Worker, round: u64) -> Vec<(&'static str, usize)> {
         w.iteration = round;
-        let actions = w.complete_round(1.0, 0.0, |_| 1000.0, m);
+        let actions = w.complete_round(1.0, 0.0, |_| 1000.0);
         actions
             .map(|a| match a {
                 Action::Send(j, payload) => (payload.kind(), j),
@@ -1028,11 +1097,11 @@ mod tests {
     fn a_permanent_kill_sends_gradients_then_leaves_then_departs() {
         // Worker 2 is planned out from round 2; worker 1 leaves at 4 — a
         // share round, with worker 0 a target — having demoted worker 3,
-        // which the ledger still counts for round 3.
-        let (mut ws, m) = planned_ranks(4, "1@4,2@2");
+        // which it still counts for round 3.
+        let mut ws = planned_ranks(4, "1@4,2@2");
         let w = &mut ws[1];
-        w.demote_peer(3, 9, 0.0);
-        let got = post_round(w, 3, &m);
+        w.demote_peer(3, Some(9), 0.0);
+        let got = post_round(w, 3);
         let want = [("grad", 0), ("grad", 3), ("leave", 0), ("depart", 1)];
         assert_eq!(got, want);
         assert_eq!(w.iteration, 4);
@@ -1045,10 +1114,10 @@ mod tests {
 
     #[test]
     fn a_rejoining_kill_pauses_exactly_once() {
-        let (mut ws, m) = planned_ranks(3, "1@4+0.5");
+        let mut ws = planned_ranks(3, "1@4+0.5");
         let w = &mut ws[1];
         w.iteration = 3;
-        let actions: Vec<Action> = w.complete_round(1.0, 0.0, |_| 1000.0, &m).collect();
+        let actions: Vec<Action> = w.complete_round(1.0, 0.0, |_| 1000.0).collect();
         assert_eq!(actions.last(), Some(&Action::Pause(0.5)));
         assert!(actions[..2]
             .iter()
@@ -1056,7 +1125,7 @@ mod tests {
         assert_eq!(actions.len(), 3, "no DKT on the kill round: {actions:?}");
         let pauses: usize = (0..12)
             .map(|r| {
-                post_round(w, r, &m)
+                post_round(w, r)
                     .iter()
                     .filter(|(a, _)| *a == "pause")
                     .count()
@@ -1069,40 +1138,39 @@ mod tests {
     fn a_share_round_skips_demoted_and_uncounted_neighbors() {
         // Worker 3 is planned out from round 2, worker 2 is demoted, and
         // the best loss worker 0 knows of is worker 3's.
-        let (mut ws, m) = planned_ranks(4, "3@2");
+        let mut ws = planned_ranks(4, "3@2");
         let w = &mut ws[0];
-        w.demote_peer(2, 9, 0.0);
+        w.demote_peer(2, Some(9), 0.0);
         w.dkt.update_known(3, 0.0);
         w.dkt.update_known(1, 1e9);
-        // The ledger still counts worker 2 for round 3's gradient.
-        let got = post_round(w, 3, &m);
+        // Worker 0 still counts worker 2 for round 3's gradient.
+        let got = post_round(w, 3);
         let want = [("grad", 1), ("grad", 2), ("loss_share", 1)];
         assert_eq!(got, want, "no share to 2 or 3, no pull to 3");
         // A counted, live best is pulled from.
         w.dkt.forget(3);
         w.dkt.update_known(1, 0.0);
-        let got = post_round(w, 7, &m);
+        let got = post_round(w, 7);
         let pulls: Vec<_> = got.iter().filter(|(a, _)| *a == "dkt_request").collect();
         assert_eq!(pulls, vec![&("dkt_request", 1)]);
     }
 
     #[test]
     fn a_gradient_goes_only_to_a_peer_counted_for_its_round() {
-        let (mut ws, m) = planned_ranks(3, "2@2");
+        let mut ws = planned_ranks(3, "2@2");
         let w = &mut ws[0];
         // Round 1's send order is rotated by one.
-        assert_eq!(post_round(w, 1, &m), vec![("grad", 2), ("grad", 1)]);
-        assert_eq!(post_round(w, 2, &m), vec![("grad", 1)]);
+        assert_eq!(post_round(w, 1), vec![("grad", 2), ("grad", 1)]);
+        assert_eq!(post_round(w, 2), vec![("grad", 1)]);
         assert_eq!(w.sync.undelivered(), 3);
     }
 
     #[test]
     fn dkt_request_is_answered_with_weights_and_avg_loss() {
-        let m = ledger(vec![32; 2]);
         let mut w = bsp_workers(2).swap_remove(0);
         w.dkt.record_loss(2.0);
         w.dkt.record_loss(4.0);
-        match w.on_payload(1, Payload::DktRequest, 0.0, &m) {
+        match w.on_payload(1, Payload::DktRequest, 0.0) {
             Effect::Reply(Payload::Weights {
                 weights,
                 sender_loss,

@@ -38,7 +38,7 @@ use crate::messages::{
     WireFormat, DEFAULT_CHUNK_BYTES,
 };
 use crate::metrics::{HealthSummary, LinkSample, RunMetrics};
-use crate::round::{Action, Effect, Membership};
+use crate::round::{Action, Effect};
 use crate::worker::{PendingIteration, Worker};
 use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
@@ -89,11 +89,6 @@ pub struct ClusterRunner {
     /// `max_iters` runs end exactly when all work (including in-flight
     /// messages) has drained.
     inflight: usize,
-    /// The cluster's one membership ledger, shared by every worker's
-    /// round core: [`Membership::planned`], exactly like the live
-    /// driver's; rejoining kills are *not* in the ledger — they pause,
-    /// staying members.
-    members: Membership,
     /// True while a rejoining worker sits out its dead time.
     paused: Vec<bool>,
 }
@@ -121,7 +116,6 @@ impl ClusterRunner {
                 .validate(n, cfg.max_iters.unwrap_or(u64::MAX))
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         }
-        let members = Membership::planned(&cfg, n);
 
         ClusterRunner {
             prof_rng: init.prof_rng,
@@ -137,26 +131,15 @@ impl ClusterRunner {
             bytes_per_param: init.bytes_per_param,
             total_params: init.total_params,
             inflight: 0,
-            members,
             paused: vec![false; n],
         }
-    }
-
-    /// Has worker `w` stopped contributing (its planned departure round is
-    /// behind its completed-iteration count)?
-    fn departed(&self, w: usize) -> bool {
-        !self.members.counts(w, self.workers[w].iteration)
     }
 
     /// Visit every worker mutably before [`ClusterRunner::run`] — the hook
     /// for installing custom [`crate::strategy::ExchangeStrategy`] plugins
     /// (see the `custom_strategy` example).
-    pub fn for_each_worker(&mut self, mut f: impl FnMut(&mut Worker)) {
-        for w in self.workers.iter_mut() {
-            f(w);
-            // The hook may have changed the worker's share.
-            self.members.lbs_of[w.id] = w.lbs;
-        }
+    pub fn for_each_worker(&mut self, f: impl FnMut(&mut Worker)) {
+        self.workers.iter_mut().for_each(f);
     }
 
     /// Run the simulation to completion and return its metrics.
@@ -169,15 +152,15 @@ impl ClusterRunner {
         let end_time = self.simulate();
         // Strict BSP parks peer gradients until the next round start; at
         // the end of the run there is no next round, so flush the
-        // remainder in the same canonical order before the final eval and
-        // weight capture — the live driver's shutdown flush does the same.
-        // An iteration still computing when the run ends is joined first.
-        // The update logs stay as they are: the evaluation jobs apply
-        // them, not this thread.
+        // remainder into the update log in the same canonical order before
+        // the final eval and weight capture — the live driver's shutdown
+        // flush does the same. An iteration still computing when the run
+        // ends is joined first. The update logs stay as they are: the
+        // evaluation jobs apply them, not this thread.
         for w in 0..self.n {
             self.join(w);
-            if !self.departed(w) {
-                self.workers[w].flush_parked(&self.members, true, |_, _| {});
+            if !self.workers[w].departed() {
+                self.workers[w].flush_parked(true);
             }
         }
         // Final evaluation at the end of the run, unless one just happened.
@@ -194,7 +177,7 @@ impl ClusterRunner {
             // exactly like the live collector's.
             self.metrics.final_weights = (0..self.n)
                 .map(|w| {
-                    if self.departed(w) {
+                    if self.workers[w].departed() {
                         Vec::new()
                     } else {
                         // Empty unless the run ended right after an
@@ -207,7 +190,7 @@ impl ClusterRunner {
         }
         // Every member decides every round from the same RCPs: the first
         // full member's copy is the trace, as the live orchestrator takes it.
-        if let Some(w) = (0..self.n).find(|&w| !self.departed(w)) {
+        if let Some(w) = (0..self.n).find(|&w| !self.workers[w].departed()) {
             let batching = &mut self.workers[w].batching;
             self.metrics.gbs_trace = std::mem::take(&mut batching.gbs_trace);
             self.metrics.lbs_trace = std::mem::take(&mut batching.lbs_trace);
@@ -224,9 +207,9 @@ impl ClusterRunner {
         }
         trace_wire_bytes(end_time, None, &self.metrics.wire_bytes_by_kind);
         // Cluster health verdict (DESIGN.md §4h): iteration rates on the
-        // virtual clock, departures from the ledger.
+        // virtual clock, departures from each rank's own record.
         let m = &self.metrics;
-        let departed = (0..self.n).map(|w| self.departed(w)).collect();
+        let departed = self.workers.iter().map(Worker::departed).collect();
         let health = HealthSummary::of_run(&m.iterations, &m.busy_time, departed);
         health.trace(end_time, &m.iterations);
         self.metrics.health = health;
@@ -316,11 +299,11 @@ impl ClusterRunner {
     // ------------------------------------------------------------ events
 
     fn start_iteration(&mut self, w: usize, now: f64) {
-        // Strict BSP applies the previous round's parked peer gradients
-        // here, so the forward pass below sees the same model the live
-        // driver computes on.
+        // Strict BSP logs the previous round's parked peer gradients here,
+        // so the step below applies them and its forward pass sees the
+        // same model the live driver computes on.
         let worker = &mut self.workers[w];
-        worker.flush_parked(&self.members, false, |_, _| {});
+        worker.flush_parked(false);
         worker.waiting = false;
         worker.sample_batch_reuse();
         // The gradients go out as a pool job: this thread schedules, it
@@ -371,7 +354,7 @@ impl ClusterRunner {
         self.inflight == 0
             && (0..self.n).all(|w| {
                 let worker = &self.workers[w];
-                (worker.iteration >= k || self.departed(w)) && worker.pending.is_none()
+                (worker.iteration >= k || worker.departed()) && worker.pending.is_none()
             })
     }
 
@@ -386,8 +369,7 @@ impl ClusterRunner {
         // `busy_time[w]`, bit for bit.
         self.metrics.busy_time[w] += worker.last_iter_time;
         let net = &self.net;
-        let actions =
-            worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now), &self.members);
+        let actions = worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now));
         let mut shared_loss = false;
         for action in actions {
             match action {
@@ -414,7 +396,7 @@ impl ClusterRunner {
                     // gradients — the live backend's per-peer FIFO.
                     self.send(w, to, payload, now);
                 }
-                // The ledger excludes a departed worker from here on.
+                // Every rank's departures exclude it from here on.
                 Action::Depart => {}
                 // A paused worker stays a member and keeps receiving.
                 Action::Pause(secs) => {
@@ -442,7 +424,7 @@ impl ClusterRunner {
         }
         // A message in flight when its recipient departed: the sender gets
         // its delivery credit (above), the payload goes nowhere.
-        if self.departed(to) {
+        if self.workers[to].departed() {
             return;
         }
         // A pull of, or a merge into, the model needs it home.
@@ -450,8 +432,8 @@ impl ClusterRunner {
             self.join(to);
         }
         // Only a gradient or a demotion can open a blocked gate.
-        let regate = match self.workers[to].on_payload(from, payload, now, &self.members) {
-            Effect::Parked | Effect::Logged => true,
+        let regate = match self.workers[to].on_payload(from, payload, now) {
+            Effect::Logged => true,
             Effect::Noted => false,
             Effect::Reply(reply) => {
                 self.send(to, from, reply, now);
@@ -469,7 +451,7 @@ impl ClusterRunner {
                 // this worker demote it. Arriving per-link FIFO behind the
                 // victim's last gradients, the demotion can never cost a
                 // round its gradients — the live backend's ordering.
-                self.workers[to].demote_peer(from, completed, now);
+                self.workers[to].demote_peer(from, Some(completed), now);
                 true
             }
         };
@@ -521,13 +503,13 @@ impl ClusterRunner {
     /// otherwise mark the worker as waiting. A finished rank tells its
     /// peers, so no collect awaits it.
     fn try_start(&mut self, w: usize, now: f64) {
-        if self.departed(w) || self.paused[w] || self.workers[w].pending.is_some() {
+        if self.workers[w].departed() || self.paused[w] || self.workers[w].pending.is_some() {
             return;
         }
         let (compute, rng, noise) = (&self.compute, &mut self.prof_rng, self.cfg.profile_noise);
         let rcp = || compute_rcp(&compute.profile(w, &PROFILE_LBS, now, noise, rng));
         let worker = &mut self.workers[w];
-        let (sends, open) = worker.batching_step(now, now, &mut self.members, false, rcp);
+        let (sends, open) = worker.batching_step(now, now, false, rcp);
         worker.waiting = open;
         let done = !open && self.reached_max_iters(w) && self.workers[w].batching.finish(w);
         let dones = (0..self.n).filter(|&j| done && self.workers[w].awaits_rcp(j));
@@ -565,7 +547,7 @@ impl ClusterRunner {
                 self.join(w);
                 // A departed worker is gone; like the live collector, it
                 // has no eval row — the fixed-shape metric slots read 0.
-                (!self.departed(w))
+                (!self.workers[w].departed())
                     .then(|| self.workers[w].spawn_eval(&self.data, &self.eval_indices))
             })
             .collect();

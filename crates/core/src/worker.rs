@@ -7,9 +7,9 @@
 //! gradient — wait in one update log ([`Worker::queued`]) until the
 //! model's next user settles it, in log order: the next gradient step (a
 //! pool job on the simulator), or a reader of the weights (a DKT reply or
-//! merge, evaluation, final-weight capture, a weight-reading strategy, the
-//! strict-BSP flush). Log order is the order eager application used, so
-//! deferring changes no bit.
+//! merge, evaluation, final-weight capture, a weight-reading strategy).
+//! Log order is the order eager application used, so deferring changes no
+//! bit.
 
 use crate::dkt::DktState;
 use crate::fault::KillSpec;
@@ -64,19 +64,28 @@ pub struct Worker {
     pub weighted: bool,
     pub schedule: Arc<dyn TopologySchedule>,
     /// Strict BSP only: peer gradients parked as `(sender, msg)` until
-    /// the next [`Worker::flush_parked`].
+    /// [`Worker::flush_parked`] logs their round.
     pub parked: Vec<(usize, GradMsg)>,
     /// The update log: every weight update accepted but not yet applied —
-    /// the own update of each completed round and every non-parked peer
-    /// gradient, in the order they happened, each priced (its Eq. 7
-    /// factor) when it was logged. Nothing applies an entry on arrival;
-    /// the model's next user settles the log in this order
-    /// ([`Worker::settle`]; inside the gradient job on the simulator).
+    /// the own update of each completed round and every peer gradient, in
+    /// the order they happened (a parked one when its round is flushed),
+    /// each priced (its Eq. 7 factor) when it was logged. Nothing applies
+    /// an entry on arrival; the model's next user settles the log in this
+    /// order ([`Worker::settle`]; inside the gradient job on the
+    /// simulator).
     pub queued: Vec<Update>,
     /// This rank's planned kill (`RunConfig::fault`), if any: the round
     /// core fires it once the completed-iteration count reaches `at_iter`.
     pub kill: Option<KillSpec>,
-    /// This rank's §3.2 batching state: its round schedule and RCP collect.
+    /// The departures this rank knows of, as `(rank, round)`: the rank
+    /// computes rounds `0..round`, so its gradients count in the divisor
+    /// for earlier rounds and are excluded from `round` on. Seeded with the
+    /// fault plan's permanent kills (`build_cluster`; a rejoining kill is a
+    /// pause, its rank stays a member), grown only by
+    /// [`Worker::demote_peer`]. Empty in a run without departures.
+    pub departures: Vec<(usize, u64)>,
+    /// This rank's §3.2 batching state: its round schedule, RCP collect
+    /// and the LBS shares it decided.
     pub batching: Batching,
 }
 
@@ -85,7 +94,8 @@ pub enum Update {
     /// This worker's own Eq. 7 step over [`Worker::grads`] — which stay
     /// untouched until the log is settled.
     Own { factor: f32 },
-    /// A peer's gradient, priced with the ledger as it stood on arrival.
+    /// A peer's gradient, priced with this rank's departures and shares
+    /// as they stood when it was logged.
     Peer { msg: GradMsg, factor: f32 },
 }
 
@@ -184,6 +194,7 @@ mod tests {
             parked: Vec::new(),
             queued: Vec::new(),
             kill: None,
+            departures: Vec::new(),
             batching: Batching::new(&cfg, 6),
         }
     }

@@ -5,20 +5,10 @@
 
 use crate::opts::ExpOpts;
 use crate::output::{fmt_pm, Table};
-use crate::standard::fan_cells;
-use dlion_core::{DktConfig, RunConfig, SystemKind};
-use dlion_microcloud::{ClusterKind, EnvId};
+use crate::standard::{config, fan_cells};
+use dlion_core::{DktConfig, SystemKind};
+use dlion_microcloud::EnvId;
 use dlion_tensor::stats;
-
-fn base(opts: &ExpOpts, seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::paper_default(SystemKind::DLion, ClusterKind::Cpu);
-    cfg.seed = seed;
-    cfg.duration = opts.dur(1500.0);
-    cfg.workload.train_size = opts.train_size(24_000);
-    cfg.workload.test_size = if opts.fast { 400 } else { 2000 };
-    cfg.eval_subset = if opts.fast { 150 } else { 250 };
-    cfg
-}
 
 /// The ablation tables and the Prague extension (the topology and
 /// scenario extensions are their own ids).
@@ -59,7 +49,7 @@ pub fn extension_topology(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for topo in topos {
         for &seed in &opts.seeds {
-            let mut cfg = base(opts, seed);
+            let mut cfg = config(opts, SystemKind::DLion, seed);
             cfg.topology = topo;
             dlion_telemetry::debug!(target: "experiments.progress","  running DLion on {} / seed {seed} ...", topo.name());
             cells.push((cfg, EnvId::HomoB));
@@ -128,7 +118,7 @@ pub fn extension_scenario(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for sc in specs {
         for &seed in &opts.seeds {
-            let mut cfg = base(opts, seed);
+            let mut cfg = config(opts, SystemKind::DLion, seed);
             let mut survivors = n;
             let mut plan = None;
             if sc != "none" {
@@ -203,7 +193,7 @@ fn extension_prague(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for sys in systems {
         for &seed in &opts.seeds {
-            let mut cfg = base(opts, seed);
+            let mut cfg = config(opts, SystemKind::DLion, seed);
             cfg.system = sys;
             if !sys.dkt() {
                 cfg.dkt = DktConfig::off();
@@ -248,8 +238,8 @@ fn ablation_dkt(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for env in envs {
         for &seed in &opts.seeds {
-            let cfg_on = base(opts, seed);
-            let mut cfg_off = base(opts, seed);
+            let cfg_on = config(opts, SystemKind::DLion, seed);
+            let mut cfg_off = config(opts, SystemKind::DLion, seed);
             cfg_off.dkt = DktConfig::off();
             dlion_telemetry::debug!(target: "experiments.progress","  running DKT ablation in {} / seed {seed} ...", env.name());
             cells.push((cfg_on, env));
@@ -289,7 +279,7 @@ fn ablation_min_n(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for min_n in floors {
         for &seed in &opts.seeds {
-            let mut cfg = base(opts, seed);
+            let mut cfg = config(opts, SystemKind::DLion, seed);
             cfg.min_n = min_n;
             dlion_telemetry::debug!(target: "experiments.progress","  running min_n {min_n} / seed {seed} ...");
             cells.push((cfg, EnvId::HeteroNetA));

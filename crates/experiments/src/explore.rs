@@ -3,7 +3,7 @@
 
 use crate::opts::ExpOpts;
 use crate::output::{fmt_pm, fmt_time, Table};
-use crate::standard::fan_cells;
+use crate::standard::{config, fan_cells};
 use dlion_core::config::ConvergenceCfg;
 use dlion_core::{run_with_models, DktConfig, DktMode, RunConfig, SystemKind};
 use dlion_microcloud::{
@@ -146,16 +146,6 @@ pub fn fig9(opts: &ExpOpts) -> Vec<Table> {
     vec![fig9a(opts), fig9b(opts), fig9c(opts)]
 }
 
-fn base_dkt_cfg(opts: &ExpOpts, seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::paper_default(SystemKind::DLion, ClusterKind::Cpu);
-    cfg.seed = seed;
-    cfg.duration = opts.dur(1500.0);
-    cfg.workload.train_size = opts.train_size(24_000);
-    cfg.workload.test_size = if opts.fast { 400 } else { 2000 };
-    cfg.eval_subset = if opts.fast { 150 } else { 250 };
-    cfg
-}
-
 /// Figure 9a: when-to-send — training time to the target accuracy vs. the
 /// weight-exchange period.
 fn fig9a(opts: &ExpOpts) -> Table {
@@ -172,7 +162,7 @@ fn fig9a(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for period in periods {
         for &seed in &opts.seeds {
-            let mut cfg = base_dkt_cfg(opts, seed);
+            let mut cfg = config(opts, SystemKind::DLion, seed);
             cfg.duration = opts.dur(2000.0);
             cfg.dkt.period_iters = period;
             dlion_telemetry::debug!(target: "experiments.progress","  running DKT period {period} / seed {seed} ...");
@@ -216,7 +206,7 @@ fn fig9b(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for (label, mode) in variants {
         for &seed in &opts.seeds {
-            let mut cfg = base_dkt_cfg(opts, seed);
+            let mut cfg = config(opts, SystemKind::DLion, seed);
             cfg.dkt.mode = mode;
             dlion_telemetry::debug!(target: "experiments.progress","  running {label} / seed {seed} ...");
             cells.push((cfg, EnvId::HomoB));
@@ -244,7 +234,7 @@ fn fig9c(opts: &ExpOpts) -> Table {
     let mut cells = Vec::new();
     for lambda in lambdas {
         for &seed in &opts.seeds {
-            let mut cfg = base_dkt_cfg(opts, seed);
+            let mut cfg = config(opts, SystemKind::DLion, seed);
             cfg.dkt.lambda = lambda;
             if lambda == 0.0 {
                 // λ = 0 is No_DKT; skip the useless weight traffic.

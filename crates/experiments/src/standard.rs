@@ -44,6 +44,19 @@ pub fn fan_cells(cells: &[(RunConfig, EnvId)]) -> Vec<RunMetrics> {
     })
 }
 
+/// The standard experiment cell: a system's paper defaults on the CPU
+/// cluster, 1500 s (scaled by `--fast`), and the shared train, test and
+/// evaluation sizes. Every figure and ablation starts from it.
+pub fn config(opts: &ExpOpts, system: SystemKind, seed: u64) -> RunConfig {
+    let mut cfg = RunConfig::paper_default(system, ClusterKind::Cpu);
+    cfg.seed = seed;
+    cfg.duration = opts.dur(1500.0);
+    cfg.workload.train_size = opts.train_size(24_000);
+    cfg.workload.test_size = if opts.fast { 400 } else { 2000 };
+    cfg.eval_subset = if opts.fast { 150 } else { 250 };
+    cfg
+}
+
 /// Memoizing runner for the standard CPU-cluster configuration.
 pub struct StandardRuns {
     opts: ExpOpts,
@@ -56,17 +69,6 @@ impl StandardRuns {
             opts: opts.clone(),
             memo: HashMap::new(),
         }
-    }
-
-    /// The standard CPU config for a system: paper defaults, 1500 s.
-    pub fn config(&self, system: SystemKind, seed: u64) -> RunConfig {
-        let mut cfg = RunConfig::paper_default(system, ClusterKind::Cpu);
-        cfg.seed = seed;
-        cfg.duration = self.opts.dur(1500.0);
-        cfg.workload.train_size = self.opts.train_size(24_000);
-        cfg.workload.test_size = if self.opts.fast { 400 } else { 2000 };
-        cfg.eval_subset = if self.opts.fast { 150 } else { 250 };
-        cfg
     }
 
     /// All seeds' metrics for `(system, env)`, running anything missing.
@@ -89,7 +91,7 @@ impl StandardRuns {
             }
             let cells: Vec<(RunConfig, EnvId)> = missing
                 .iter()
-                .map(|&seed| (self.config(system, seed), env))
+                .map(|&seed| (config(&self.opts, system, seed), env))
                 .collect();
             for (&seed, m) in missing.iter().zip(fan_cells(&cells)) {
                 self.memo.insert((system.name(), env, seed), m);
@@ -150,8 +152,7 @@ mod tests {
 
     #[test]
     fn config_uses_paper_settings() {
-        let sr = StandardRuns::new(&ExpOpts::full());
-        let c = sr.config(SystemKind::DLion, 3);
+        let c = config(&ExpOpts::full(), SystemKind::DLion, 3);
         assert_eq!(c.seed, 3);
         assert_eq!(c.duration, 1500.0);
         assert_eq!(c.workload.train_size, 24_000);

@@ -37,17 +37,19 @@
 //!   backup-worker demotion applied to an absent worker
 //!   (`Worker::demote_peer`, shared with the simulator): it stops
 //!   iteration gating (and `BlockOnDelivery` ack-waiting) on it and drops
-//!   it as a DKT pull target, and the update-factor ledger (`departed_at`)
-//!   renormalizes averaging over the workers that actually contribute:
-//!   the departed peer counts in the divisor for rounds `< K` (its
-//!   gradients for those rounds exist and are applied) and is excluded
-//!   from `K` on. With a planned kill the ledger is seeded from the
-//!   fault plan itself ([`Membership::planned`], the simulator's seeding),
-//!   so every survivor renormalizes at the same round no matter when the
-//!   Leave frame lands — kill plans are deterministic.
+//!   it as a DKT pull target, and the rank's departures
+//!   (`Worker::departures`) renormalize averaging over the workers that
+//!   actually contribute: the departed peer counts in the divisor for
+//!   rounds `< K` (its gradients for those rounds exist and are applied)
+//!   and is excluded from `K` on. `K` is the Leave's, or — a crash — the
+//!   round after the peer's last gradient; a planned kill is in every
+//!   rank's departures from the start (`build_cluster` seeds them from
+//!   the fault plan, for both backends), so every survivor renormalizes
+//!   at the same round no matter when the Leave frame lands — kill plans
+//!   are deterministic.
 //! * A **rejoining kill** (`--kill W@I+R`) is a pause, like the
 //!   simulator's: the rank stops stepping for `R` clock seconds and keeps
-//!   serving frames. It stays a member — no Leave, no ledger entry — so
+//!   serving frames. It stays a member — no Leave, no departure — so
 //!   its neighbors wait for it as for any slow peer (`RunSpec::validate`
 //!   refuses a pause the stall timeout would cut short). A Hello after
 //!   establishment is a protocol error: nobody comes back from a Leave.
@@ -80,7 +82,7 @@ use dlion_core::messages::{
 };
 use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
-use dlion_core::{Action, Effect, ExchangeTransport, Membership, SyncPolicy, TransportError};
+use dlion_core::{Action, Effect, ExchangeTransport, SyncPolicy, TransportError};
 use dlion_nn::Dataset;
 use dlion_telemetry::{event, tracing_on, Histogram};
 use dlion_tensor::{DetRng, Tensor};
@@ -410,13 +412,6 @@ struct LiveWorker<'a, 'b> {
     /// not applied, on acceptance: its axpy is the next step's prologue.
     apply_lat: Vec<Histogram>,
     done: Vec<bool>,
-    /// The round core's ledger, [`Membership::planned`]: `departed_at` is
-    /// seeded from the fault plan for permanent kills (making
-    /// renormalization independent of message timing) and set from the
-    /// Leave or a received-round guess for unplanned crashes; `lbs_of`
-    /// holds every worker's LBS share — all `initial_lbs` until a
-    /// profiling round repartitions.
-    members: Membership,
     /// Wire encoding in force for every training payload this worker
     /// sends (`cfg.wire` + [`LiveOpts::chunk_bytes`]).
     wire_cfg: WireCfg,
@@ -435,22 +430,14 @@ impl LiveWorker<'_, '_> {
         self.env.clock.now()
     }
 
-    /// Demote a departed peer: it no longer gates us, receives from us,
-    /// or serves as a DKT target, and rounds from `completed` on are
-    /// averaged without it. Idempotent: the demotion is the record.
+    /// Demote a departed peer (`Worker::demote_peer`: it records the
+    /// round — the plan's, the Leave's `completed`, else the one after
+    /// its last gradient) and check the graph it leaves. Idempotent.
     fn note_departed(&mut self, peer: usize, completed: Option<u64>) {
-        if peer == self.me || self.worker.sync.is_demoted(peer) {
+        let now = self.now();
+        if !self.worker.demote_peer(peer, completed, now) {
             return;
         }
-        let k = completed
-            .or(self.members.departed_at[peer])
-            .unwrap_or_else(|| {
-                // Crash without a Leave: everything received so far is all
-                // there will be.
-                self.worker.sync.received_from(peer).map_or(0, |r| r + 1)
-            });
-        self.members.departed_at[peer].get_or_insert(k);
-        self.worker.demote_peer(peer, k, self.now());
         // A departure can cut the communication graph: a partitioned
         // component would train on silently while the others' gradients
         // never reach it. Warn loudly instead of hanging quietly (the
@@ -645,8 +632,8 @@ impl LiveWorker<'_, '_> {
     ) -> Result<(), LiveError> {
         self.out.msgs_recv += 1;
         let now = self.now();
-        match self.worker.on_payload(from, payload, now, &self.members) {
-            Effect::Parked | Effect::Noted => Ok(()),
+        match self.worker.on_payload(from, payload, now) {
+            Effect::Noted => Ok(()),
             Effect::Logged => self.ack(from),
             Effect::Reply(reply) => self.send(from, reply, during_shutdown),
             Effect::Merged(weights) => {
@@ -673,17 +660,6 @@ impl LiveWorker<'_, '_> {
             SyncPolicy::BlockOnDelivery => self.send_control(from, Control::Ack, true),
             _ => Ok(()),
         }
-    }
-
-    /// The strict-BSP flush point (see `Worker::flush_parked`), plus the
-    /// live half: recycle each applied gradient's buffers. Strict BSP
-    /// accepts a gradient here, not on arrival, and its policy reads no
-    /// ack, so none is sent.
-    fn flush_parked(&mut self, force: bool) {
-        let pool = &mut self.pool;
-        self.worker.flush_parked(&self.members, force, |_, msg| {
-            Payload::Grad(msg).recycle(pool);
-        });
     }
 
     /// One training iteration: compute, then the round core's
@@ -721,9 +697,7 @@ impl LiveWorker<'_, '_> {
             rate
         };
         let (now, bw_mbps) = (self.now(), self.env.opts.bw_mbps);
-        let actions = self
-            .worker
-            .complete_round(loss, now, |_| bw_mbps, &self.members);
+        let actions = self.worker.complete_round(loss, now, |_| bw_mbps);
         for action in actions {
             match action {
                 Action::Send(to, payload) => self.send(to, payload, false)?,
@@ -812,7 +786,7 @@ impl LiveWorker<'_, '_> {
             (lbs as f64, (self.env.clock.now() - t0).max(1e-6))
         };
         let samples: Vec<_> = PROFILE_LBS.iter().map(|&lbs| profile(lbs)).collect();
-        // Until the partition lands we hold the share the ledger says we
+        // Until the partition lands we hold the share our batching says we
         // do: a fast peer's first gradient can race into the collect, and
         // its Eq. 7 divisor must not see a probe size.
         self.worker.set_lbs(self.env.cfg.initial_lbs);
@@ -831,8 +805,8 @@ impl LiveWorker<'_, '_> {
         let rcp = move || profiled.unwrap_or_else(|| rcp_from_rate(ewma));
         let mut stalled = false;
         loop {
-            let (clock, now, members) = (self.train_secs, self.now(), &mut self.members);
-            let (sends, open) = self.worker.batching_step(clock, now, members, stalled, rcp);
+            let (clock, now) = (self.train_secs, self.now());
+            let (sends, open) = self.worker.batching_step(clock, now, stalled, rcp);
             for (to, notice) in sends {
                 if let Notice::Rcp { round, rcp } = notice {
                     self.send_control(to, Control::Rcp { round, rcp }, true)?;
@@ -873,7 +847,7 @@ impl LiveWorker<'_, '_> {
 
     /// A rejoining kill (`W@I+R`), the runner's pause and resume: stop
     /// stepping for `secs` clock seconds, serving frames as usual. We stay
-    /// a member — no Leave, no ledger entry — and our neighbors wait for
+    /// a member — no Leave, no departure — and our neighbors wait for
     /// us as for any slow peer.
     fn pause(&mut self, secs: f64) -> Result<(), LiveError> {
         let until = self.now() + secs;
@@ -926,7 +900,6 @@ pub fn run_worker(
         ewma_rate: 0.0,
         apply_lat: vec![Histogram::default(); n],
         done: vec![false; n],
-        members: Membership::planned(env.cfg, n),
         wire_cfg: WireCfg {
             format: env.cfg.wire,
             chunk_bytes: env.opts.chunk_bytes,
@@ -973,9 +946,10 @@ pub fn run_worker(
             )));
         }
         // The single BSP flush point: every gradient of the rounds before
-        // the one we are about to compute applies now, in canonical order
-        // (gating says those rounds are complete).
-        lw.flush_parked(false);
+        // the one we are about to compute joins the update log now, in
+        // canonical order (gating says those rounds are complete), and
+        // the step settles it.
+        lw.worker.flush_parked(false);
         if !lw.step()? {
             return Ok(lw.finish_departed());
         }
@@ -1010,8 +984,9 @@ pub fn run_worker(
     while let Ok(Some((from, frame))) = lw.poll() {
         lw.handle_frame(from, frame, true)?;
     }
-    // No further local rounds: whatever is still deferred applies now.
-    lw.flush_parked(true);
+    // No further local rounds: whatever is still parked joins the log,
+    // and the final evaluation settles it.
+    lw.worker.flush_parked(true);
 
     lw.eval();
     lw.finish();

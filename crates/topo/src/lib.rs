@@ -497,10 +497,12 @@ pub struct GroupSchedule {
     /// — shared by all n `neighbors` calls of a round instead of
     /// re-shuffling the full permutation per call. A map because the runner
     /// interleaves rounds (see [`KRegularSchedule::offsets`]).
-    memo: std::sync::Mutex<std::collections::HashMap<u64, std::sync::Arc<Membership>>>,
+    memo: std::sync::Mutex<std::collections::HashMap<u64, std::sync::Arc<RoundGroups>>>,
 }
 
-struct Membership {
+/// One round's groups: each worker's group id and each group's sorted
+/// members.
+struct RoundGroups {
     group_of: Vec<usize>,
     members: Vec<Vec<usize>>,
 }
@@ -515,7 +517,7 @@ impl GroupSchedule {
         perm
     }
 
-    fn membership(&self, round: u64) -> std::sync::Arc<Membership> {
+    fn membership(&self, round: u64) -> std::sync::Arc<RoundGroups> {
         let mut memo = self.memo.lock().unwrap();
         if let Some(m) = memo.get(&round) {
             return m.clone();
@@ -533,7 +535,7 @@ impl GroupSchedule {
         for m in &mut members {
             m.sort_unstable();
         }
-        let m = std::sync::Arc::new(Membership { group_of, members });
+        let m = std::sync::Arc::new(RoundGroups { group_of, members });
         memo.insert(round, m.clone());
         m
     }
