@@ -149,6 +149,7 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 kill: cfg.fault.kill_of(w),
                 departures: planned.clone(),
                 batching: Batching::new(cfg, n),
+                record: Default::default(),
             }
         })
         .collect();

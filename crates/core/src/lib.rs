@@ -43,6 +43,7 @@ pub mod lbs;
 pub mod maxn;
 pub mod messages;
 pub mod metrics;
+pub mod record;
 pub mod report;
 pub mod round;
 pub mod runner;
@@ -63,6 +64,7 @@ pub use gbs::{GbsConfig, GbsController, GbsPhase};
 pub use maxn::MaxNPlanner;
 pub use messages::{GradMsg, Payload, WireError};
 pub use metrics::{HealthSummary, RunMetrics};
+pub use record::{assemble_metrics, EvalPoint, WorkerOutcome};
 pub use round::{Action, Effect};
 pub use runner::{run_env, run_with_models, ClusterRunner};
 pub use scenario::{ScenarioKind, ScenarioPlan, ScenarioSpec};

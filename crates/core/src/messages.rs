@@ -12,7 +12,6 @@
 //! codec's true encoded size (see [`Payload::wire_len`]).
 
 use dlion_tensor::{Shape, SparseVec, Tensor};
-use std::collections::BTreeMap;
 
 /// Size of a small control message (loss share) in simulated bytes — the
 /// exact encoded size of a [`Payload::LossShare`] frame (header + `f64`).
@@ -411,23 +410,13 @@ pub const WIRE_LABELS: [&str; 6] = [
     "control",
 ];
 
-/// Charge `bytes` to `label`'s bucket of a `wire_bytes_by_kind` ledger.
-/// Called once per message on both backends: the key is allocated the
-/// first time a label occurs, not per message.
-pub fn add_wire_bytes(by_kind: &mut BTreeMap<String, f64>, label: &'static str, bytes: f64) {
-    match by_kind.get_mut(label) {
-        Some(total) => *total += bytes,
-        None => {
-            by_kind.insert(label.to_owned(), bytes);
-        }
-    }
-}
-
-/// Trace an encoded bytes-on-the-wire ledger as one `wire_bytes_by_kind`
-/// event: one fixed key per wire label, so sim (cluster-wide, `w` =
-/// `None`) and live (per worker) rows line up column-for-column.
-pub fn trace_wire_bytes(vt: f64, w: Option<usize>, by_kind: &BTreeMap<String, f64>) {
-    let fields = WIRE_LABELS.map(|l| (l, by_kind.get(l).copied().unwrap_or(0.0).into()));
+/// Trace an encoded bytes-on-the-wire ledger (per label, in [`WIRE_LABELS`]
+/// order) as one `wire_bytes_by_kind` event: one fixed key per wire label,
+/// so sim (cluster-wide, `w` = `None`) and live (per worker) rows line up
+/// column-for-column.
+pub fn trace_wire_bytes(vt: f64, w: Option<usize>, bytes: [f64; WIRE_LABELS.len()]) {
+    let fields: [(&str, _); WIRE_LABELS.len()] =
+        std::array::from_fn(|i| (WIRE_LABELS[i], bytes[i].into()));
     dlion_telemetry::emit(vt, w, "wire_bytes_by_kind", &fields);
 }
 

@@ -28,10 +28,11 @@ pub struct LinkSample {
 /// The cluster-health view of one run (DESIGN.md §4h): per-worker
 /// iteration rates and straggler scores — the slowest/median ratio is the
 /// same signal §3.2's LBS repartitioning acts on — plus who left the run.
-/// Both backends build it with [`HealthSummary::of_run`] — the sim at the
-/// end of `run()`, the live orchestrator from worker outcomes — with rates
-/// taken from the *training clock*, so under a pinned iteration time the
-/// summary is bit-identical across repeat runs and transports.
+/// Both backends build it in the one fold of the ranks' records
+/// ([`crate::record::assemble_metrics`]), with rates taken from the
+/// *training clock* (Σ `dt`: virtual in the sim, pinnable live), so under a
+/// pinned iteration time the summary is bit-identical across repeat runs,
+/// transports and the simulator.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HealthSummary {
     /// Per-worker iteration rate on the training clock, iterations/sec
@@ -80,16 +81,6 @@ impl HealthSummary {
         }
     }
 
-    /// The verdict of a finished run, from what either backend knows per
-    /// worker: iterations completed, training-clock seconds they took
-    /// (virtual busy time in the sim, accumulated `dt` live) and
-    /// departures.
-    pub fn of_run(iterations: &[u64], seconds: &[f64], departed: Vec<bool>) -> HealthSummary {
-        let rate = |(&i, &s): (&u64, &f64)| if s > 0.0 { i as f64 / s } else { 0.0 };
-        let rates = iterations.iter().zip(seconds).map(rate).collect();
-        HealthSummary::compute(rates, departed)
-    }
-
     /// Trace the verdict: one fixed-key `cluster_health` event per worker
     /// at training-clock time `vt`, the same columns from both backends.
     pub fn trace(&self, vt: f64, iterations: &[u64]) {
@@ -104,17 +95,24 @@ impl HealthSummary {
     }
 }
 
-/// Everything recorded during one simulated run.
+/// Everything recorded during one run, simulated or live: the fold of the
+/// ranks' records ([`crate::record::assemble_metrics`]), plus, on the
+/// simulator, what only its event loop sees (`converged_at`, `link_trace`
+/// and the in-loop telemetry). Times are the backend's clock: virtual
+/// seconds on the simulator, wall seconds since the cluster epoch live
+/// (the training clock where a field says so).
 #[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
     pub system: String,
     pub env: String,
     pub seed: u64,
-    /// Virtual time of each evaluation point.
+    /// Time of each evaluation point.
     pub eval_times: Vec<f64>,
-    /// `worker_acc[e][w]`: worker w's test accuracy at eval point e.
+    /// `worker_acc[e][s]`: the test accuracy at eval point e of the s-th
+    /// rank that finished the run — a departed rank is in no row, so a row
+    /// is as wide as the survivors (every rank without departures).
     pub worker_acc: Vec<Vec<f64>>,
-    /// `worker_loss[e][w]`: worker w's test loss at eval point e.
+    /// `worker_loss[e][s]`: the test loss, shaped as `worker_acc`.
     pub worker_loss: Vec<Vec<f64>>,
     /// (time, GBS) whenever the GBS controller changed it.
     pub gbs_trace: Vec<(f64, usize)>,
@@ -122,28 +120,34 @@ pub struct RunMetrics {
     pub lbs_trace: Vec<(f64, Vec<usize>)>,
     /// Sampled gradient transfers (only when `trace_links` is on).
     pub link_trace: Vec<LinkSample>,
-    /// Total bytes sent, by payload kind.
+    /// Total bytes sent, by payload kind: the network model's bytes on the
+    /// simulator, exact encoded frame lengths live.
     pub grad_bytes: f64,
     pub weight_bytes: f64,
     pub control_bytes: f64,
     /// Bytes on the wire by *encoded* representation (`grad_dense`,
-    /// `grad_sparse`, `grad_fp16`, `grad_int8`, `weights`, `control`) —
-    /// the quantized-wire ablation column. Sim rows use exact encoded
-    /// frame lengths so they compare one-for-one with live runs.
+    /// `grad_sparse`, `grad_fp16`, `grad_int8`, `weights`, `control`; the
+    /// labels that carried bytes) — the quantized-wire ablation column.
+    /// Both backends count exact encoded frame lengths here, so sim and
+    /// live rows compare one-for-one.
     pub wire_bytes_by_kind: std::collections::BTreeMap<String, f64>,
     /// Iterations completed per worker.
     pub iterations: Vec<u64>,
-    /// Virtual seconds each worker spent computing gradients (the rest is
-    /// synchronization waiting or network-gated idling).
+    /// Seconds each worker spent computing gradients (the rest is
+    /// synchronization waiting or network-gated idling): the virtual steps
+    /// on the simulator, wall seconds live.
     pub busy_time: Vec<f64>,
     /// Number of DKT weight merges applied cluster-wide.
     pub dkt_merges: u64,
     /// Time at which the convergence detector fired, if it did.
     pub converged_at: Option<f64>,
-    /// Total simulated duration.
+    /// Length of the run: the virtual end time on the simulator, the last
+    /// rank's exit in wall seconds live.
     pub duration: f64,
     /// Per-run telemetry (counters / gauges / histograms), populated only
-    /// when `RunConfig::telemetry` is on. All recorded quantities are
+    /// when `RunConfig::telemetry` is on. The counters a record also holds
+    /// (messages, bytes, DKT merges, batching rounds) are added once, by
+    /// the fold, on both backends. On the simulator everything recorded is
     /// virtual-time-derived, so this is deterministic per seed.
     pub telemetry: dlion_telemetry::Registry,
     /// Cluster health summary (straggler scores, departures) — the
@@ -193,18 +197,6 @@ impl RunMetrics {
         stats::mean(&xs)
     }
 
-    /// Has the run converged by `now` (Fig. 21's stopping rule): past
-    /// `min_secs`, with the best mean accuracy up by less than
-    /// `min_improvement` over the last `window_secs`?
-    pub fn converged(&self, cv: &crate::config::ConvergenceCfg, now: f64) -> bool {
-        // `eval_times` is sorted: the evaluations up to the cutoff are a prefix.
-        let before = self
-            .eval_times
-            .partition_point(|&t| t <= now - cv.window_secs);
-        let best_before = (0..before).map(|e| self.mean_acc(e)).fold(0.0, f64::max);
-        now >= cv.min_secs && before > 0 && self.best_mean_acc() - best_before < cv.min_improvement
-    }
-
     /// Highest mean accuracy over the whole run.
     pub fn best_mean_acc(&self) -> f64 {
         (0..self.worker_acc.len())
@@ -212,8 +204,8 @@ impl RunMetrics {
             .fold(0.0, f64::max)
     }
 
-    /// Mean accuracy at (or before) virtual time `t`. `eval_times` is
-    /// sorted (evaluations happen in virtual-time order), so binary-search
+    /// Mean accuracy at (or before) time `t`. `eval_times` is sorted
+    /// (evaluations happen in time order), so binary-search
     /// for the last eval point not after `t`.
     pub fn mean_acc_at(&self, t: f64) -> f64 {
         let e = self.eval_times.partition_point(|&te| te <= t);
@@ -224,7 +216,7 @@ impl RunMetrics {
         }
     }
 
-    /// First virtual time at which the mean accuracy reached `target`
+    /// First time at which the mean accuracy reached `target`
     /// (linear interpolation between eval points), if ever.
     pub fn time_to_accuracy(&self, target: f64) -> Option<f64> {
         let mut prev: Option<(f64, f64)> = None;

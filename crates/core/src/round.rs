@@ -383,9 +383,10 @@ impl Worker {
     }
 
     /// Finish the round whose gradients sit in `self.grads`: record the
-    /// loss, log the own (self-weighted) update, generate the per-link
-    /// partial gradients, advance the iteration and retarget gating at
-    /// the round's neighbor set. Returns what the rank does next, in
+    /// loss and the step time (`last_iter_time`, into the record's
+    /// training-clock seconds), log the own (self-weighted) update,
+    /// generate the per-link partial gradients, advance the iteration and
+    /// retarget gating at the round's neighbor set. Returns what the rank does next, in
     /// order: the gradient sends; then, on the round its [`Worker::kill`]
     /// fires, the Leaves and [`Action::Depart`] (permanent) or
     /// [`Action::Pause`] (rejoining) and nothing else; otherwise, on a
@@ -407,6 +408,7 @@ impl Worker {
                 "links" => self.schedule.link_count(round));
         }
         self.dkt.record_loss(loss);
+        self.record.train_secs += self.last_iter_time;
         let factor = self.factor(self.lbs, self.counted_for(&nbrs, round));
         self.queued.push(Update::Own { factor });
         // A strategy that reads the weights sees them with the own update
@@ -506,9 +508,10 @@ impl Worker {
     /// Handle one training payload from `from` that reached this rank at
     /// `now` — the simulator's `Msg` event and the live driver's decoded
     /// frame. Its `msg` row, and a merge's `dkt_merge` row, are written
-    /// here for both backends.
+    /// and counted in the rank's record here for both backends.
     pub fn on_payload(&mut self, from: usize, payload: Payload, now: f64) -> Effect {
         event!(now, w: self.id, "msg"; "from" => from, "kind" => payload.kind());
+        self.record.msgs_recv += 1;
         match payload {
             Payload::Grad(msg) => {
                 self.sync.on_gradient(from, msg.iteration);
@@ -541,6 +544,7 @@ impl Worker {
             Payload::Weights { weights, .. } => {
                 self.settle(drop);
                 self.model.merge_weights(&weights, self.dkt.cfg().lambda);
+                self.record.dkt_merges += 1;
                 event!(now, w: self.id, "dkt_merge"; "from" => from);
                 Effect::Merged(weights)
             }

@@ -4,14 +4,16 @@
 //! fan-out, peer-gradient apply, strict-BSP flush, DKT, the planned kill —
 //! is [`crate::round`]; this file decides *when* each step happens in
 //! virtual time and turns the round's [`Action`]s into events. It owns the
-//! event queue, the compute and network models, byte accounting, a paused
-//! worker's resume and evaluation. The batching plane is each rank's own
-//! [`crate::gbs::Batching`], as on the live backend (DESIGN.md §4n): a rank
-//! between iterations opens the control round due at the virtual time,
-//! profiles its own RCP off the compute model and sends it to its peers as
-//! a [`Notice`] through the network model, and waits for theirs. Virtual
-//! time advances only through the event queue, so runs are fully
-//! deterministic for a given seed.
+//! event queue, the compute and network models, what a send costs, a
+//! paused worker's resume and evaluation; each rank's record of its run is
+//! its own ([`crate::record`]), and the run's [`RunMetrics`] are their fold
+//! ([`assemble_metrics`]), as on the live backend. The batching plane is
+//! each rank's own [`crate::gbs::Batching`], as on the live backend
+//! (DESIGN.md §4n): a rank between iterations opens the control round due
+//! at the virtual time, profiles its own RCP off the compute model and
+//! sends it to its peers as a [`Notice`] through the network model, and
+//! waits for theirs. Virtual time advances only through the event queue,
+//! so runs are fully deterministic for a given seed.
 //!
 //! Host time is another matter: a worker's gradients *complete* at the
 //! simulated time the compute model dictates, and are computed on the host
@@ -30,20 +32,21 @@
 //! join it lends a hand with its own queued jobs rather than sleep.
 
 use crate::cluster::build_cluster;
-use crate::config::RunConfig;
+use crate::config::{ConvergenceCfg, RunConfig};
 use crate::gbs::Notice;
 use crate::lbs::{compute_rcp, PROFILE_LBS};
 use crate::messages::{
-    add_wire_bytes, apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg,
-    WireFormat, DEFAULT_CHUNK_BYTES,
+    apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg, WireFormat,
+    DEFAULT_CHUNK_BYTES, WIRE_LABELS,
 };
-use crate::metrics::{HealthSummary, LinkSample, RunMetrics};
+use crate::metrics::{LinkSample, RunMetrics};
+use crate::record::assemble_metrics;
 use crate::round::{Action, Effect};
 use crate::worker::{PendingIteration, Worker};
 use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
-use dlion_telemetry::{debug, event, profile_scope, Phase};
+use dlion_telemetry::{debug, event, profile_scope, Phase, Registry};
 use dlion_tensor::DetRng;
 use std::sync::Arc;
 
@@ -81,7 +84,14 @@ pub struct ClusterRunner {
     /// Shared with the gradient and evaluation jobs out on the pool.
     data: Arc<Dataset>,
     eval_indices: Arc<[usize]>,
-    metrics: RunMetrics,
+    env: String,
+    /// What only the event loop sees: events, queue depths, step and
+    /// transfer times (when `cfg.telemetry` is on), and the sampled links.
+    telemetry: Registry,
+    link_trace: Vec<LinkSample>,
+    /// `(time, survivors' mean accuracy)` per evaluation tick: the `eval`
+    /// row and Fig. 21's stopping rule.
+    evals: Vec<(f64, f64)>,
     prof_rng: DetRng,
     bytes_per_param: f64,
     total_params: usize,
@@ -102,15 +112,6 @@ impl ClusterRunner {
         // shards, neighbor sets — identical to what the live backend builds.
         let init = build_cluster(&cfg, n);
 
-        let metrics = RunMetrics {
-            system: cfg.system.name(),
-            env: env_name.to_string(),
-            seed: cfg.seed,
-            iterations: vec![0; n],
-            busy_time: vec![0.0; n],
-            ..Default::default()
-        };
-
         if !cfg.fault.is_empty() {
             cfg.fault
                 .validate(n, cfg.max_iters.unwrap_or(u64::MAX))
@@ -127,7 +128,10 @@ impl ClusterRunner {
             queue: EventQueue::new(),
             data: Arc::new(init.data),
             eval_indices: init.eval_indices.into(),
-            metrics,
+            env: env_name.to_string(),
+            telemetry: Registry::default(),
+            link_trace: Vec::new(),
+            evals: Vec::new(),
             bytes_per_param: init.bytes_per_param,
             total_params: init.total_params,
             inflight: 0,
@@ -142,97 +146,73 @@ impl ClusterRunner {
         self.workers.iter_mut().for_each(f);
     }
 
-    /// Run the simulation to completion and return its metrics.
+    /// Run the simulation to completion and return its metrics: the fold
+    /// of the ranks' records, plus what only the simulator has.
     pub fn run(mut self) -> RunMetrics {
         // All trace records emitted from this thread until `_run_scope`
         // drops carry this run's {system, env, seed} identity and draw from
         // a fresh deterministic per-run sequence counter.
-        let _run_scope =
-            dlion_telemetry::run_scope(&self.metrics.system, &self.metrics.env, self.cfg.seed);
-        let end_time = self.simulate();
+        let system = self.cfg.system.name();
+        let _run_scope = dlion_telemetry::run_scope(&system, &self.env, self.cfg.seed);
+        let (end_time, converged) = self.simulate();
         // Strict BSP parks peer gradients until the next round start; at
         // the end of the run there is no next round, so flush the
         // remainder into the update log in the same canonical order before
-        // the final eval and weight capture — the live driver's shutdown
-        // flush does the same. An iteration still computing when the run
-        // ends is joined first. The update logs stay as they are: the
-        // evaluation jobs apply them, not this thread.
+        // the final evaluation — the live driver's shutdown flush does the
+        // same. An iteration still computing when the run ends is joined
+        // first. The evaluation jobs apply the update logs, not this
+        // thread; every rank's end-of-run take follows, as the live
+        // driver's.
         for w in 0..self.n {
             self.join(w);
             if !self.workers[w].departed() {
                 self.workers[w].flush_parked(true);
             }
         }
-        // Final evaluation at the end of the run, unless one just happened.
-        if self.metrics.eval_times.last().copied().unwrap_or(-1.0) < end_time {
+        if self.evals.last().is_none_or(|&(t, _)| t < end_time) {
             self.eval_all(end_time);
         }
-        for w in 0..self.n {
-            self.metrics.iterations[w] = self.workers[w].iteration;
-        }
-        self.metrics.duration = end_time;
-        if self.cfg.capture_weights {
-            // A departed worker's slot stays empty — its model is whatever
-            // it was at departure and is excluded from parity comparisons,
-            // exactly like the live collector's.
-            self.metrics.final_weights = (0..self.n)
-                .map(|w| {
-                    if self.workers[w].departed() {
-                        Vec::new()
-                    } else {
-                        // Empty unless the run ended right after an
-                        // evaluation with arrivals behind it.
-                        self.workers[w].settle(drop);
-                        self.workers[w].model.weights()
-                    }
-                })
-                .collect();
-        }
-        // Every member decides every round from the same RCPs: the first
-        // full member's copy is the trace, as the live orchestrator takes it.
-        if let Some(w) = (0..self.n).find(|&w| !self.workers[w].departed()) {
-            let batching = &mut self.workers[w].batching;
-            self.metrics.gbs_trace = std::mem::take(&mut batching.gbs_trace);
-            self.metrics.lbs_trace = std::mem::take(&mut batching.lbs_trace);
-        }
+        let capture = self.cfg.capture_weights;
+        let records = self.workers.iter_mut().map(|worker| {
+            let mut record = worker.take_record(capture);
+            // Virtual time is the rank's training clock: it computes for
+            // exactly its steps.
+            (record.wall_secs, record.busy_secs) = (end_time, record.train_secs);
+            record
+        });
+        let mut m = assemble_metrics(&self.cfg, &self.env, records.collect());
+        m.converged_at = converged.then_some(end_time);
+        m.link_trace = self.link_trace;
         if self.cfg.telemetry {
-            let tm = &mut self.metrics.telemetry;
-            tm.gauge_max("queue_peak", self.queue.peak_len() as f64);
-            let (adjusts, parts) = (self.metrics.gbs_trace.len(), self.metrics.lbs_trace.len());
-            for (name, k) in [("gbs_adjusts", adjusts), ("lbs_repartitions", parts)] {
-                if k > 0 {
-                    tm.add(name, k as u64);
-                }
-            }
+            self.telemetry
+                .gauge_max("queue_peak", self.queue.peak_len() as f64);
+            m.telemetry.absorb(self.telemetry);
         }
-        trace_wire_bytes(end_time, None, &self.metrics.wire_bytes_by_kind);
-        // Cluster health verdict (DESIGN.md §4h): iteration rates on the
-        // virtual clock, departures from each rank's own record.
-        let m = &self.metrics;
-        let departed = self.workers.iter().map(Worker::departed).collect();
-        let health = HealthSummary::of_run(&m.iterations, &m.busy_time, departed);
-        health.trace(end_time, &m.iterations);
-        self.metrics.health = health;
+        let by_label = |l| m.wire_bytes_by_kind.get(l).copied().unwrap_or(0.0);
+        trace_wire_bytes(end_time, None, WIRE_LABELS.map(by_label));
+        // Cluster health verdict (DESIGN.md §4h), at the virtual end time.
+        m.health.trace(end_time, &m.iterations);
         event!(end_time, "run_end";
-            "iterations" => self.metrics.total_iterations(),
-            "grad_bytes" => self.metrics.grad_bytes,
-            "final_acc" => self.metrics.final_mean_acc(),
-            "converged" => self.metrics.converged_at.is_some());
+            "iterations" => m.total_iterations(),
+            "grad_bytes" => m.grad_bytes,
+            "final_acc" => m.final_mean_acc(),
+            "converged" => converged);
         debug!(target: "core.runner", "run end: {} iterations, final acc {:.4}",
-            self.metrics.total_iterations(), self.metrics.final_mean_acc());
-        self.metrics
+            m.total_iterations(), m.final_mean_acc());
+        m
     }
 
     /// The event loop, from the start-up round to the end of the run;
-    /// returns the virtual end time.
-    fn simulate(&mut self) -> f64 {
+    /// returns the virtual end time and whether the convergence detector
+    /// ended the run.
+    fn simulate(&mut self) -> (f64, bool) {
         event!(0.0, "run_start";
             "workers" => self.n,
             "duration" => self.cfg.duration,
             "params" => self.total_params,
             "initial_lbs" => self.cfg.initial_lbs);
         debug!(target: "core.runner", "run start: {} on {} (seed {}, {} workers)",
-            self.metrics.system, self.metrics.env, self.cfg.seed, self.n);
+            self.cfg.system.name(), self.env, self.cfg.seed, self.n);
         // A batching rank opens round 0 first: "the LBS controller is
         // invoked to profile the compute capacity of workers" before
         // training starts.
@@ -240,8 +220,6 @@ impl ClusterRunner {
             self.try_start(w, 0.0);
         }
         self.queue.schedule(self.cfg.eval_interval, Ev::EvalTick);
-
-        let mut end_time = self.cfg.duration;
         loop {
             let popped = {
                 let _eq = profile_scope(Phase::EventQueue);
@@ -252,10 +230,9 @@ impl ClusterRunner {
                 break;
             }
             if self.cfg.telemetry {
-                self.metrics
-                    .telemetry
+                self.telemetry
                     .gauge_max("queue_depth", self.queue.len() as f64);
-                self.metrics.telemetry.inc("events");
+                self.telemetry.inc("events");
             }
             if matches!(ev, Ev::IterDone { .. } | Ev::Msg { .. } | Ev::Notice { .. }) {
                 self.inflight -= 1;
@@ -278,22 +255,19 @@ impl ClusterRunner {
                     if self
                         .cfg
                         .converge
-                        .is_some_and(|cv| self.metrics.converged(&cv, t))
+                        .is_some_and(|cv| converged(&self.evals, &cv, t))
                     {
-                        self.metrics.converged_at = Some(t);
-                        end_time = t;
-                        break;
+                        return (t, true);
                     }
                     self.queue
                         .schedule(t + self.cfg.eval_interval, Ev::EvalTick);
                 }
             }
             if self.max_iters_done() {
-                end_time = t;
-                break;
+                return (t, false);
             }
         }
-        end_time
+        (self.cfg.duration, false)
     }
 
     // ------------------------------------------------------------ events
@@ -316,7 +290,7 @@ impl ClusterRunner {
         let dt = self.compute.iter_time(w, worker.lbs, now) * self.cfg.straggle_of(w);
         worker.last_iter_time = dt;
         if self.cfg.telemetry {
-            self.metrics.telemetry.observe("iter_secs", dt);
+            self.telemetry.observe("iter_secs", dt);
         }
         self.inflight += 1;
         self.queue.schedule(now + dt, Ev::IterDone { w });
@@ -333,7 +307,7 @@ impl ClusterRunner {
     fn join(&mut self, w: usize) {
         if let Some(loss) = self.workers[w].join_grads() {
             if self.cfg.telemetry {
-                self.metrics.telemetry.observe("loss", loss);
+                self.telemetry.observe("loss", loss);
             }
         }
     }
@@ -364,10 +338,10 @@ impl ClusterRunner {
         let Some(PendingIteration::Done { loss }) = worker.pending.take() else {
             panic!("IterDone without pending gradients");
         };
-        // A step counts as busy time once it completes, so a step still in
-        // flight when the run ends is not charged: Σ `iter_done.dt` is
-        // `busy_time[w]`, bit for bit.
-        self.metrics.busy_time[w] += worker.last_iter_time;
+        // A step counts as busy time once it completes (`complete_round`
+        // adds it to the record), so a step still in flight when the run
+        // ends is not charged: Σ `iter_done.dt` is `busy_time[w]`, bit for
+        // bit.
         let net = &self.net;
         let actions = worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now));
         let mut shared_loss = false;
@@ -376,10 +350,10 @@ impl ClusterRunner {
                 Action::Send(to, payload) => {
                     if let Payload::Grad(msg) = &payload {
                         if self.cfg.telemetry {
-                            self.metrics.telemetry.inc("strategy_updates");
+                            self.telemetry.inc("strategy_updates");
                         }
                         if self.cfg.trace_links {
-                            self.metrics.link_trace.push(LinkSample {
+                            self.link_trace.push(LinkSample {
                                 time: now,
                                 src: w,
                                 dst: to,
@@ -406,15 +380,12 @@ impl ClusterRunner {
             }
         }
         if shared_loss && self.cfg.telemetry {
-            self.metrics.telemetry.inc("dkt_rounds");
+            self.telemetry.inc("dkt_rounds");
         }
         self.try_start(w, now);
     }
 
     fn on_msg(&mut self, from: usize, to: usize, payload: Payload, now: f64) {
-        if self.cfg.telemetry {
-            self.metrics.telemetry.inc("msgs_recv");
-        }
         // Gradient delivery unblocks the sender under BlockOnDelivery.
         if matches!(payload, Payload::Grad(_)) {
             self.workers[from].sync.on_delivered_from(to);
@@ -434,16 +405,9 @@ impl ClusterRunner {
         // Only a gradient or a demotion can open a blocked gate.
         let regate = match self.workers[to].on_payload(from, payload, now) {
             Effect::Logged => true,
-            Effect::Noted => false,
+            Effect::Noted | Effect::Merged(_) => false,
             Effect::Reply(reply) => {
                 self.send(to, from, reply, now);
-                false
-            }
-            Effect::Merged(_) => {
-                self.metrics.dkt_merges += 1;
-                if self.cfg.telemetry {
-                    self.metrics.telemetry.inc("dkt_merges");
-                }
                 false
             }
             Effect::Departed { completed } => {
@@ -460,7 +424,9 @@ impl ClusterRunner {
         }
     }
 
-    /// Put a payload on the wire and schedule its arrival.
+    /// Put a payload on the wire, price it in the sender's record (the
+    /// network model's bytes by kind, the exact encoded length by wire
+    /// label) and schedule its arrival.
     fn send(&mut self, from: usize, to: usize, mut payload: Payload, now: f64) {
         // Lossy wire formats change the numbers the receiver trains on:
         // apply them here, exactly where the live codec quantizes, so a
@@ -468,17 +434,13 @@ impl ClusterRunner {
         apply_wire_format(&mut payload, self.cfg.wire);
         let scale = wire_byte_scale(&payload, self.cfg.wire);
         let bytes = scale * payload.wire_bytes(self.bytes_per_param, self.total_params);
-        match payload.kind() {
-            "grad" => self.metrics.grad_bytes += bytes,
-            "weights" => self.metrics.weight_bytes += bytes,
-            _ => self.metrics.control_bytes += bytes,
-        }
-        let label = wire_label(&payload, self.cfg.wire);
         let encoded = payload.wire_len(&WireCfg {
             format: self.cfg.wire,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
         }) as f64;
-        add_wire_bytes(&mut self.metrics.wire_bytes_by_kind, label, encoded);
+        let label = wire_label(&payload, self.cfg.wire);
+        let record = &mut self.workers[from].record;
+        record.sent(payload.kind(), label, bytes, encoded);
         let t = self.net.transfer(from, to, bytes, now);
         event!(now, w: from, "send";
             "to" => to,
@@ -486,11 +448,8 @@ impl ClusterRunner {
             "bytes" => bytes,
             "arrival" => t.arrival);
         if self.cfg.telemetry {
-            let tm = &mut self.metrics.telemetry;
-            tm.inc("msgs_sent");
-            tm.add("bytes_sent", bytes as u64);
-            tm.observe("msg_bytes", bytes);
-            tm.observe("transfer_secs", t.arrival - now);
+            self.telemetry.observe("msg_bytes", bytes);
+            self.telemetry.observe("transfer_secs", t.arrival - now);
         }
         self.inflight += 1;
         self.queue
@@ -541,38 +500,41 @@ impl ClusterRunner {
     fn eval_all(&mut self, now: f64) {
         // Evaluation sees every model as the event order left it — its
         // update log applied, inside the job — and fans out over the same
-        // pool ([`Worker::spawn_eval`]).
+        // pool ([`Worker::spawn_eval`]). A departed worker is gone; like
+        // the live collector, it is evaluated no more.
         let jobs: Vec<_> = (0..self.n)
             .map(|w| {
                 self.join(w);
-                // A departed worker is gone; like the live collector, it
-                // has no eval row — the fixed-shape metric slots read 0.
                 (!self.workers[w].departed())
                     .then(|| self.workers[w].spawn_eval(&self.data, &self.eval_indices))
             })
             .collect();
-        let mut accs = vec![0.0; self.n];
-        let mut losses = vec![0.0; self.n];
         let mut alive = Vec::with_capacity(self.n);
-        for (w, job) in jobs.into_iter().enumerate() {
+        for (worker, job) in self.workers.iter_mut().zip(jobs) {
             if let Some(job) = job {
-                let r = self.workers[w].join_eval(job);
-                accs[w] = r.accuracy;
-                losses[w] = r.loss;
-                alive.push(r.accuracy);
+                let r = worker.join_eval(job);
+                alive.push(worker.push_eval(now, r).accuracy);
             }
         }
         let mean = dlion_tensor::stats::mean(&alive);
         event!(now, "eval"; "mean_acc" => mean);
         debug!(target: "core.eval", "t={now:.1}: mean acc {mean:.4}");
         if self.cfg.telemetry {
-            self.metrics.telemetry.inc("evals");
-            self.metrics.telemetry.gauge_max("best_mean_acc", mean);
+            self.telemetry.inc("evals");
+            self.telemetry.gauge_max("best_mean_acc", mean);
         }
-        self.metrics.eval_times.push(now);
-        self.metrics.worker_acc.push(accs);
-        self.metrics.worker_loss.push(losses);
+        self.evals.push((now, mean));
     }
+}
+
+/// Fig. 21's stopping rule over the per-tick survivor means: past
+/// `min_secs`, with the best mean accuracy up by less than
+/// `min_improvement` over the last `window_secs`.
+fn converged(evals: &[(f64, f64)], cv: &ConvergenceCfg, now: f64) -> bool {
+    // `evals` is in time order: the evaluations up to the cutoff are a prefix.
+    let before = evals.partition_point(|&(t, _)| t <= now - cv.window_secs);
+    let best = |es: &[(f64, f64)]| es.iter().map(|&(_, acc)| acc).fold(0.0, f64::max);
+    now >= cv.min_secs && before > 0 && best(evals) - best(&evals[..before]) < cv.min_improvement
 }
 
 /// Virtual-network byte scale for a payload under a wire format: the

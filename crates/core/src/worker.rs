@@ -15,6 +15,7 @@ use crate::dkt::DktState;
 use crate::fault::KillSpec;
 use crate::gbs::Batching;
 use crate::messages::GradMsg;
+use crate::record::WorkerOutcome;
 use crate::strategy::ExchangeStrategy;
 use crate::sync::SyncState;
 use dlion_nn::{EvalResult, Model};
@@ -87,6 +88,9 @@ pub struct Worker {
     /// This rank's §3.2 batching state: its round schedule, RCP collect
     /// and the LBS shares it decided.
     pub batching: Batching,
+    /// This rank's record of its run ([`crate::record`]), taken at the end
+    /// of the run by [`Worker::take_record`].
+    pub record: WorkerOutcome,
 }
 
 /// One entry of the update log ([`Worker::queued`]).
@@ -196,6 +200,7 @@ mod tests {
             kill: None,
             departures: Vec::new(),
             batching: Batching::new(&cfg, 6),
+            record: WorkerOutcome::default(),
         }
     }
 

@@ -119,7 +119,6 @@ pub fn extension_scenario(opts: &ExpOpts) -> Table {
     for sc in specs {
         for &seed in &opts.seeds {
             let mut cfg = config(opts, SystemKind::DLion, seed);
-            let mut survivors = n;
             let mut plan = None;
             if sc != "none" {
                 let spec = ScenarioSpec::parse(sc).expect("sweep spec");
@@ -127,22 +126,16 @@ pub fn extension_scenario(opts: &ExpOpts) -> Table {
                 // uses for duration-driven runs: ~2 s per round.
                 let iters = ((cfg.duration / 2.0) as u64).max(2);
                 let p = generate(&spec, n, seed, iters, cfg.duration).expect("sweep plan");
-                survivors = n - p
-                    .fault
-                    .kills
-                    .iter()
-                    .filter(|k| k.rejoin_after.is_none())
-                    .count();
                 cfg.fault = p.fault.clone();
                 cfg.straggle = p.straggle.clone();
                 plan = Some(p);
             }
             dlion_telemetry::debug!(target: "experiments.progress",
                 "  running DLion under scenario '{sc}' / seed {seed} ...");
-            cells.push((sc, survivors, cfg, plan));
+            cells.push((cfg, plan));
         }
     }
-    let metrics = dlion_tensor::par::par_map(&cells, |(_, _, cfg, plan)| {
+    let metrics = dlion_tensor::par::par_map(&cells, |(cfg, plan)| {
         // The resource models are rebuilt per cell (they are not
         // `Clone`): same env spec + same plan -> the same schedules.
         let mut compute = env.compute_model();
@@ -153,10 +146,8 @@ pub fn extension_scenario(opts: &ExpOpts) -> Table {
         run_with_models(cfg, compute, net, env.name)
     });
     for (sc, runs) in specs.iter().zip(metrics.chunks(opts.seeds.len())) {
-        let survivors = cells
-            .iter()
-            .find(|(c, ..)| c == sc)
-            .map_or(n, |(_, s, ..)| *s);
+        // An evaluation row holds the ranks that finished the run.
+        let survivors = runs[0].worker_acc.last().map_or(0, Vec::len);
         let mut accs = Vec::new();
         let mut losses = Vec::new();
         let mut iters = Vec::new();

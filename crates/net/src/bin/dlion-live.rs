@@ -55,7 +55,7 @@
 use dlion_core::args::{child_argv, LIVE_FLAGS, SIM_FLAGS};
 use dlion_core::{report, Args, RunSpec, UsageError};
 use dlion_net::{
-    assemble_metrics, live_config, loopback_addrs, parse_peers, run_live_virtual, LiveOpts,
+    assemble_and_trace, live_config, loopback_addrs, parse_peers, run_live_virtual, LiveOpts,
     TransportKind, WorkerOutcome,
 };
 use std::io::Read;
@@ -267,12 +267,12 @@ fn main() {
         "procs" => {
             let outcomes = run_procs(&cli, &env_label);
             // The parent owns the merged trace: cluster-level events
-            // (cluster_health rollups from assemble_metrics) land in
+            // (the cluster_health verdict from assemble_and_trace) land in
             // `path` first, then the per-host files are appended.
             if let Some(path) = &spec.trace_out {
                 dlion_telemetry::open_trace_file(path).expect("open trace file");
             }
-            let m = assemble_metrics(&cfg, &env_label, outcomes);
+            let m = assemble_and_trace(&cfg, &env_label, outcomes);
             if let Some(path) = &spec.trace_out {
                 dlion_telemetry::stop_trace();
                 merge_child_traces(path, spec.host_count());

@@ -14,8 +14,10 @@
 //! only a live rank has: the transport, the clock — the training clock the
 //! batching rounds fall due on, the RCP it measures — gradient acks,
 //! buffer recycling, the `done` peer flags (who left is
-//! `SyncState::is_demoted`), the pause, the Done plane, and
-//! [`WorkerOutcome`]. Every wait that may apply traffic — an RCP collect,
+//! `SyncState::is_demoted`), the pause and the Done plane. The rank's
+//! [`WorkerOutcome`] is its own record (`dlion_core::record`, the
+//! simulator's ranks keep one too); this file prices each send into it at
+//! the exact frame length. Every wait that may apply traffic — an RCP collect,
 //! the iteration gate, a pause, the Done barrier — is one loop,
 //! `serve_until`.
 //!
@@ -77,16 +79,16 @@ use dlion_core::config::RunConfig;
 use dlion_core::gbs::Notice;
 use dlion_core::lbs::{compute_rcp, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
-    add_wire_bytes, apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg,
-    WireFormat, KIND_NET_BASE,
+    apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat,
+    KIND_NET_BASE,
 };
+use dlion_core::record::WorkerOutcome;
 use dlion_core::worker::Worker;
 use dlion_core::TopologySchedule;
 use dlion_core::{Action, Effect, ExchangeTransport, SyncPolicy, TransportError};
 use dlion_nn::Dataset;
 use dlion_telemetry::{event, tracing_on, Histogram};
 use dlion_tensor::{DetRng, Tensor};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -198,212 +200,12 @@ pub struct WorkerEnv<'a> {
     pub env_label: String,
 }
 
-/// One periodic (or final) evaluation of a worker's model.
-#[derive(Clone, Copy, Debug)]
-pub struct EvalPoint {
-    /// Iterations completed when the evaluation ran.
-    pub iteration: u64,
-    /// Seconds since the cluster epoch.
-    pub wall: f64,
-    pub accuracy: f64,
-    pub loss: f64,
-}
-
-/// What one live worker reports back to the orchestrator. Byte counts are
-/// *exact encoded frame lengths* — unlike the simulator's scaled
-/// accounting, nothing here is extrapolated.
-#[derive(Debug, Default)]
-pub struct WorkerOutcome {
-    pub id: usize,
-    pub iterations: u64,
-    /// Wall seconds spent inside gradient computation.
-    pub busy_secs: f64,
-    /// Wall seconds from cluster epoch to this worker's exit.
-    pub wall_secs: f64,
-    pub msgs_sent: u64,
-    pub msgs_recv: u64,
-    pub grad_bytes: f64,
-    pub weight_bytes: f64,
-    pub control_bytes: f64,
-    /// Bytes of net-only control frames (ack/done/rcp) —
-    /// overhead the simulator does not model, kept out of the
-    /// sim-comparable counters above.
-    pub net_overhead_bytes: f64,
-    /// Exact encoded bytes sent, bucketed by wire label (`grad_dense`,
-    /// `grad_sparse`, `grad_fp16`, `grad_int8`, `weights`, `control`) —
-    /// the per-format view of the three counters above, comparable with
-    /// the simulator's `RunMetrics::wire_bytes_by_kind`.
-    pub wire_bytes_by_kind: BTreeMap<String, f64>,
-    pub dkt_merges: u64,
-    /// This worker left the run early (a permanent planned kill). A
-    /// departed worker reports no final evaluation and its
-    /// outcome is excluded from cluster-level convergence metrics.
-    pub departed: bool,
-    pub evals: Vec<EvalPoint>,
-    /// Every GBS change this worker's controller applied, as
-    /// `(nominal round time, new GBS)` — the live analogue of
-    /// [`dlion_core::RunMetrics::gbs_trace`]. The time is the round's
-    /// scheduled boundary `round × adjust_period`, not the wall instant
-    /// the exchange completed, so identical schedules produce
-    /// bit-identical traces.
-    pub gbs_trace: Vec<(f64, usize)>,
-    /// Every LBS repartition, as `(nominal time, per-worker shares)`;
-    /// a worker that was not a member of the round holds share 0.
-    pub lbs_trace: Vec<(f64, Vec<usize>)>,
-    /// Accumulated training-clock seconds (Σ effective per-iteration
-    /// `dt`). With a pinned `assumed_iter_time` this — and the iteration
-    /// rate `iterations / train_secs` the health plane scores stragglers
-    /// by — is bit-identical across runs and transports.
-    pub train_secs: f64,
-    /// Final weight tensors, when `cfg.capture_weights` is on.
-    pub final_weights: Option<Vec<Tensor>>,
-}
-
-impl WorkerOutcome {
-    /// One-line JSON for crossing a process boundary (`dlion-worker` →
-    /// `dlion-live --transport procs`). Final weights are deliberately not
-    /// serialized — weight capture is an in-process (test) facility.
-    pub fn to_json(&self) -> String {
-        fn join(items: impl Iterator<Item = String>) -> String {
-            items.collect::<Vec<_>>().join(",")
-        }
-        let num = |v: f64| {
-            let mut s = String::new();
-            dlion_telemetry::json::f64_into(v, &mut s);
-            s
-        };
-        let mut s = format!(
-            "{{\"id\":{},\"iterations\":{},\"msgs_sent\":{},\"msgs_recv\":{},\"dkt_merges\":{},\"departed\":{}",
-            self.id, self.iterations, self.msgs_sent, self.msgs_recv, self.dkt_merges,
-            self.departed
-        );
-        for (key, v) in [
-            ("busy_secs", self.busy_secs),
-            ("wall_secs", self.wall_secs),
-            ("train_secs", self.train_secs),
-            ("grad_bytes", self.grad_bytes),
-            ("weight_bytes", self.weight_bytes),
-            ("control_bytes", self.control_bytes),
-            ("net_overhead_bytes", self.net_overhead_bytes),
-        ] {
-            s.push_str(&format!(",\"{key}\":{}", num(v)));
-        }
-        let by_kind = self.wire_bytes_by_kind.iter();
-        let buckets = join(by_kind.map(|(label, v)| format!("\"{label}\":{}", num(*v))));
-        let evals = join(self.evals.iter().map(|e| {
-            let (wall, acc, loss) = (num(e.wall), num(e.accuracy), num(e.loss));
-            let it = e.iteration;
-            format!("{{\"iteration\":{it},\"wall\":{wall},\"accuracy\":{acc},\"loss\":{loss}}}")
-        }));
-        let gbs = join(
-            self.gbs_trace
-                .iter()
-                .map(|&(t, g)| format!("[{},{g}]", num(t))),
-        );
-        let lbs = join(
-            self.lbs_trace
-                .iter()
-                .map(|(t, p)| format!("[{},{p:?}]", num(*t))),
-        );
-        s.push_str(&format!(
-            ",\"wire_bytes_by_kind\":{{{buckets}}},\"evals\":[{evals}]"
-        ));
-        s.push_str(&format!(",\"gbs_trace\":[{gbs}],\"lbs_trace\":[{lbs}]}}"));
-        s
-    }
-
-    /// Parse [`WorkerOutcome::to_json`] output.
-    pub fn from_json(line: &str) -> Result<WorkerOutcome, String> {
-        use dlion_telemetry::json::Json;
-        let v = dlion_telemetry::json::parse(line)?;
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        let int = |key: &str| num(key).map(|x| x as u64);
-        let mut out = WorkerOutcome {
-            id: int("id")? as usize,
-            iterations: int("iterations")?,
-            msgs_sent: int("msgs_sent")?,
-            msgs_recv: int("msgs_recv")?,
-            dkt_merges: int("dkt_merges")?,
-            busy_secs: num("busy_secs")?,
-            wall_secs: num("wall_secs")?,
-            grad_bytes: num("grad_bytes")?,
-            weight_bytes: num("weight_bytes")?,
-            control_bytes: num("control_bytes")?,
-            net_overhead_bytes: num("net_overhead_bytes")?,
-            train_secs: num("train_secs")?,
-            departed: matches!(v.get("departed"), Some(Json::Bool(true))),
-            ..Default::default()
-        };
-        // Parent and child are always the same build: every field
-        // `to_json` writes is required.
-        let arr = |key: &str| match v.get(key) {
-            Some(Json::Arr(items)) => Ok(items),
-            _ => Err(format!("missing {key}")),
-        };
-        let Some(Json::Obj(buckets)) = v.get("wire_bytes_by_kind") else {
-            return Err("missing wire_bytes_by_kind".into());
-        };
-        for (label, val) in buckets {
-            let b = val
-                .as_f64()
-                .ok_or_else(|| format!("bad wire_bytes_by_kind[{label}]"))?;
-            out.wire_bytes_by_kind.insert(label.clone(), b);
-        }
-        for e in arr("evals")? {
-            let num = |key: &str| {
-                e.get(key)
-                    .and_then(|x| x.as_f64())
-                    .ok_or_else(|| format!("missing eval {key}"))
-            };
-            out.evals.push(EvalPoint {
-                iteration: num("iteration")? as u64,
-                wall: num("wall")?,
-                accuracy: num("accuracy")?,
-                loss: num("loss")?,
-            });
-        }
-        // A trace row is `[nominal time, value]`.
-        fn row(r: &Json) -> Option<(f64, &Json)> {
-            match r {
-                Json::Arr(p) if p.len() == 2 => p[0].as_f64().map(|t| (t, &p[1])),
-                _ => None,
-            }
-        }
-        let rows = |key: &str| -> Result<Vec<(f64, &Json)>, String> {
-            let bad = || format!("bad {key} row");
-            arr(key)?.iter().map(|r| row(r).ok_or_else(bad)).collect()
-        };
-        for (t, gbs) in rows("gbs_trace")? {
-            out.gbs_trace
-                .push((t, gbs.as_f64().ok_or("bad gbs_trace value")? as usize));
-        }
-        for (t, shares) in rows("lbs_trace")? {
-            let Json::Arr(ps) = shares else {
-                return Err("bad lbs_trace shares".into());
-            };
-            let parts: Option<Vec<usize>> =
-                ps.iter().map(|p| p.as_f64().map(|x| x as usize)).collect();
-            out.lbs_trace.push((t, parts.ok_or("bad lbs_trace share")?));
-        }
-        Ok(out)
-    }
-}
-
 struct LiveWorker<'a, 'b> {
     worker: Worker,
     env: &'b WorkerEnv<'a>,
     transport: &'b mut dyn ExchangeTransport,
     n: usize,
     me: usize,
-    /// The training clock: accumulated effective iteration times (`dt`).
-    /// The adjustment schedule runs on this rather than raw `clock.now()`
-    /// so a run's round-to-iteration alignment is a pure function of its
-    /// iteration times — pinnable via `assumed_iter_time`.
-    train_secs: f64,
     /// EWMA of this worker's measured throughput, in samples/sec;
     /// `0` until the first iteration completes.
     ewma_rate: f64,
@@ -422,7 +224,6 @@ struct LiveWorker<'a, 'b> {
     /// storage here, and `decode_body_pooled` draws from it — steady-state
     /// decode does not allocate.
     pool: Vec<Vec<f32>>,
-    out: WorkerOutcome,
 }
 
 impl LiveWorker<'_, '_> {
@@ -512,10 +313,10 @@ impl LiveWorker<'_, '_> {
         }
     }
 
-    /// Encode and send a training payload, with exact byte accounting per
-    /// wire label. Top-k sparsification happens here, *above* the codec
-    /// (the transport then encodes a sparse body); fp16/int8 quantization
-    /// happens inside the codec on the wire.
+    /// Encode and send a training payload, priced in the record at its
+    /// exact frame length. Top-k sparsification happens here, *above* the
+    /// codec (the transport then encodes a sparse body); fp16/int8
+    /// quantization happens inside the codec on the wire.
     fn send(
         &mut self,
         to: usize,
@@ -532,13 +333,7 @@ impl LiveWorker<'_, '_> {
             .send_wire(to, Arc::new(payload), &self.wire_cfg);
         if let Some(bytes) = self.outbound(to, sent, best_effort)? {
             let bytes = bytes as f64;
-            match kind {
-                "grad" => self.out.grad_bytes += bytes,
-                "weights" => self.out.weight_bytes += bytes,
-                _ => self.out.control_bytes += bytes,
-            }
-            add_wire_bytes(&mut self.out.wire_bytes_by_kind, label, bytes);
-            self.out.msgs_sent += 1;
+            self.worker.record.sent(kind, label, bytes, bytes);
             event!(self.now(), w: self.me, "send";
                 "to" => to, "kind" => kind, "bytes" => bytes);
         }
@@ -553,7 +348,7 @@ impl LiveWorker<'_, '_> {
         best_effort: bool,
     ) -> Result<(), LiveError> {
         let frame = msg.to_frame();
-        self.out.net_overhead_bytes += frame.len() as f64;
+        self.worker.record.net_overhead_bytes += frame.len() as f64;
         let sent = self.transport.send_frame(to, frame);
         self.outbound(to, sent, best_effort).map(|_| ())
     }
@@ -622,22 +417,19 @@ impl LiveWorker<'_, '_> {
     }
 
     /// Hand a training payload to the round core and do the live half of
-    /// its effect: acks, replies, merged weights' recycling, outcome
-    /// counters.
+    /// its effect: acks, replies, merged weights' recycling.
     fn on_payload(
         &mut self,
         from: usize,
         payload: Payload,
         during_shutdown: bool,
     ) -> Result<(), LiveError> {
-        self.out.msgs_recv += 1;
         let now = self.now();
         match self.worker.on_payload(from, payload, now) {
             Effect::Noted => Ok(()),
             Effect::Logged => self.ack(from),
             Effect::Reply(reply) => self.send(from, reply, during_shutdown),
             Effect::Merged(weights) => {
-                self.out.dkt_merges += 1;
                 self.pool.extend(weights.into_iter().map(Tensor::into_data));
                 Ok(())
             }
@@ -682,14 +474,15 @@ impl LiveWorker<'_, '_> {
         // run without the flag.
         let straggle = self.env.cfg.straggle_of(self.me);
         let dt = self.env.opts.assumed_iter_time.unwrap_or(measured) * straggle;
-        // The training-clock step, which `iter_done` records as the
-        // simulator does: Σ dt is the verdict's seconds. The wall compute
-        // time is `busy_secs`.
+        // The training-clock step, which `iter_done` records and
+        // `complete_round` adds to the record's `train_secs` as on the
+        // simulator: Σ dt is the verdict's seconds, and the clock the
+        // batching rounds fall due on (a pure function of the iteration
+        // times — pinnable via `assumed_iter_time`). The wall compute time
+        // is `busy_secs`.
         self.worker.last_iter_time = dt;
-        self.out.busy_secs += measured;
-        // Feed the live batching controller: the training clock schedules
-        // adjustment rounds, the throughput EWMA becomes our RCP.
-        self.train_secs += dt;
+        self.worker.record.busy_secs += measured;
+        // The throughput EWMA becomes our RCP.
         let rate = self.worker.lbs as f64 / dt;
         self.ewma_rate = if self.ewma_rate > 0.0 {
             EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * self.ewma_rate
@@ -725,15 +518,9 @@ impl LiveWorker<'_, '_> {
             .worker
             .model
             .evaluate(self.env.data, self.env.eval_indices, 125);
-        let point = EvalPoint {
-            iteration: self.worker.iteration,
-            wall: self.now(),
-            accuracy: r.accuracy,
-            loss: r.loss,
-        };
+        let point = self.worker.push_eval(self.now(), r);
         event!(point.wall, w: self.me, "eval";
             "iter" => point.iteration, "acc" => point.accuracy, "loss" => point.loss);
-        self.out.evals.push(point);
     }
 
     /// Serve inbound frames until `ready` holds. `Ok(false)` means nothing
@@ -805,7 +592,7 @@ impl LiveWorker<'_, '_> {
         let rcp = move || profiled.unwrap_or_else(|| rcp_from_rate(ewma));
         let mut stalled = false;
         loop {
-            let (clock, now) = (self.train_secs, self.now());
+            let (clock, now) = (self.worker.record.train_secs, self.now());
             let (sends, open) = self.worker.batching_step(clock, now, stalled, rcp);
             for (to, notice) in sends {
                 if let Notice::Rcp { round, rcp } = notice {
@@ -819,19 +606,25 @@ impl LiveWorker<'_, '_> {
         }
     }
 
-    /// Fold the end-of-run state into the outcome and trace the per-link
-    /// frame-lifecycle latency (advisory wall-clock quantiles, in µs, over
-    /// the whole run; an instrumented transport's links that carried
-    /// frames) and the byte ledger.
-    fn finish(&mut self) {
-        self.out.iterations = self.worker.iteration;
-        self.out.wall_secs = self.now();
-        self.out.gbs_trace = std::mem::take(&mut self.worker.batching.gbs_trace);
-        self.out.lbs_trace = std::mem::take(&mut self.worker.batching.lbs_trace);
-        self.out.train_secs = self.train_secs;
+    /// The end of the run: unless this rank departed, the last flush and
+    /// the final evaluation; then the end-of-run take
+    /// (`Worker::take_record`: final weights, batching traces), stamped
+    /// with the exit time. Traces the per-link frame-lifecycle latency
+    /// (advisory wall-clock quantiles, in µs, over the whole run; an
+    /// instrumented transport's links that carried frames), the byte
+    /// ledger and `run_end`.
+    fn finish(mut self) -> WorkerOutcome {
+        if !self.worker.departed() {
+            // No further local rounds: whatever is still parked joins the
+            // log, and the final evaluation settles it.
+            self.worker.flush_parked(true);
+            self.eval();
+        }
+        let mut out = self.worker.take_record(self.env.cfg.capture_weights);
+        out.wall_secs = self.now();
         let us = |h: &Histogram, q: f64| h.quantile(q) * 1e6;
         for link in self.transport.link_health().iter().filter(|l| l.frames > 0) {
-            event!(self.out.wall_secs, w: self.me, "frame_latency";
+            event!(out.wall_secs, w: self.me, "frame_latency";
                 "peer" => link.peer,
                 "frames" => link.frames,
                 "depth_hw" => link.queue_depth_hw,
@@ -842,7 +635,17 @@ impl LiveWorker<'_, '_> {
                 "read_p99_us" => us(&link.read_time, 0.99),
                 "apply_p99_us" => self.apply_lat.get(link.peer).map_or(0.0, |h| us(h, 0.99)));
         }
-        trace_wire_bytes(self.now(), Some(self.me), &self.out.wire_bytes_by_kind);
+        trace_wire_bytes(self.now(), Some(self.me), out.wire_bytes);
+        if out.departed {
+            event!(out.wall_secs, w: self.me, "run_end";
+                "iterations" => out.iterations, "departed" => true);
+        } else {
+            event!(out.wall_secs, w: self.me, "run_end";
+                "iterations" => out.iterations,
+                "grad_bytes" => out.grad_bytes,
+                "final_acc" => out.evals.last().map_or(0.0, |e| e.accuracy));
+        }
+        out
     }
 
     /// A rejoining kill (`W@I+R`), the runner's pause and resume: stop
@@ -865,17 +668,6 @@ impl LiveWorker<'_, '_> {
             .filter(|&j| j != self.me)
             .all(|j| self.done[j] || self.worker.sync.is_demoted(j) || !self.env.links[j])
     }
-
-    /// Finalize an early exit (a permanent kill): no final evaluation,
-    /// no weights — the outcome is marked departed and excluded from
-    /// cluster convergence metrics.
-    fn finish_departed(mut self) -> WorkerOutcome {
-        self.out.departed = true;
-        self.finish();
-        event!(self.out.wall_secs, w: self.me, "run_end";
-            "iterations" => self.out.iterations, "departed" => true);
-        self.out
-    }
 }
 
 /// Run one live worker to completion: startup profiling (dynamic-batching
@@ -896,7 +688,6 @@ pub fn run_worker(
     let _scope = dlion_telemetry::run_scope(&system, &scope_env, env.cfg.seed);
 
     let mut lw = LiveWorker {
-        train_secs: 0.0,
         ewma_rate: 0.0,
         apply_lat: vec![Histogram::default(); n],
         done: vec![false; n],
@@ -906,10 +697,6 @@ pub fn run_worker(
         },
         wire_scratch: Vec::new(),
         pool: Vec::new(),
-        out: WorkerOutcome {
-            id: me,
-            ..Default::default()
-        },
         n,
         me,
         worker,
@@ -951,7 +738,7 @@ pub fn run_worker(
         // the step settles it.
         lw.worker.flush_parked(false);
         if !lw.step()? {
-            return Ok(lw.finish_departed());
+            return Ok(lw.finish());
         }
     }
 
@@ -984,93 +771,5 @@ pub fn run_worker(
     while let Ok(Some((from, frame))) = lw.poll() {
         lw.handle_frame(from, frame, true)?;
     }
-    // No further local rounds: whatever is still parked joins the log,
-    // and the final evaluation settles it.
-    lw.worker.flush_parked(true);
-
-    lw.eval();
-    lw.finish();
-    if env.cfg.capture_weights {
-        lw.out.final_weights = Some(lw.worker.model.weights());
-    }
-    event!(lw.out.wall_secs, w: me, "run_end";
-        "iterations" => lw.out.iterations,
-        "grad_bytes" => lw.out.grad_bytes,
-        "final_acc" => lw.out.evals.last().map(|e| e.accuracy).unwrap_or(0.0));
-    Ok(lw.out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn outcome_json_round_trips() {
-        let out = WorkerOutcome {
-            id: 2,
-            iterations: 30,
-            busy_secs: 1.5,
-            wall_secs: 2.25,
-            msgs_sent: 60,
-            msgs_recv: 58,
-            grad_bytes: 123456.0,
-            weight_bytes: 0.0,
-            control_bytes: 28.0,
-            net_overhead_bytes: 1160.0,
-            dkt_merges: 1,
-            departed: false,
-            evals: vec![EvalPoint {
-                iteration: 30,
-                wall: 2.0,
-                accuracy: 0.375,
-                loss: 1.875,
-            }],
-            gbs_trace: vec![(0.25, 160), (0.5, 240)],
-            lbs_trace: vec![(0.0, vec![32, 32, 32]), (0.25, vec![54, 53, 53])],
-            wire_bytes_by_kind: [
-                ("grad_dense".to_string(), 123456.0),
-                ("control".to_string(), 28.0),
-            ]
-            .into_iter()
-            .collect(),
-            train_secs: 1.5,
-            final_weights: None,
-        };
-        let back = WorkerOutcome::from_json(&out.to_json()).unwrap();
-        assert_eq!(back.id, 2);
-        assert_eq!(back.train_secs, 1.5);
-        assert_eq!(back.gbs_trace, vec![(0.25, 160), (0.5, 240)]);
-        assert_eq!(back.lbs_trace.len(), 2);
-        assert_eq!(back.lbs_trace[1], (0.25, vec![54, 53, 53]));
-        assert_eq!(back.iterations, 30);
-        assert_eq!(back.msgs_sent, 60);
-        assert_eq!(back.busy_secs, 1.5);
-        assert_eq!(back.net_overhead_bytes, 1160.0);
-        assert_eq!(back.evals.len(), 1);
-        assert_eq!(back.evals[0].accuracy, 0.375);
-        assert!(!back.departed);
-        assert_eq!(back.wire_bytes_by_kind.get("grad_dense"), Some(&123456.0));
-        assert_eq!(back.wire_bytes_by_kind.get("control"), Some(&28.0));
-        assert!(back.final_weights.is_none());
-    }
-
-    #[test]
-    fn departed_outcome_round_trips() {
-        let out = WorkerOutcome {
-            id: 1,
-            iterations: 20,
-            departed: true,
-            ..Default::default()
-        };
-        let back = WorkerOutcome::from_json(&out.to_json()).unwrap();
-        assert!(back.departed);
-        assert_eq!(back.iterations, 20);
-        assert!(back.evals.is_empty());
-    }
-
-    #[test]
-    fn outcome_json_rejects_garbage() {
-        assert!(WorkerOutcome::from_json("not json").is_err());
-        assert!(WorkerOutcome::from_json("{\"id\":1}").is_err());
-    }
+    Ok(lw.finish())
 }

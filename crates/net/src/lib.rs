@@ -36,8 +36,9 @@
 //!   simulator also reads), places ranks on hosts by the static
 //!   [`live::RankLayout`], and runs the rank endpoints it is handed — all
 //!   of them in-process for [`run_live`]/[`run_live_virtual`], one host's
-//!   per `dlion-worker` process; outcomes fold into the same
-//!   [`dlion_core::RunMetrics`] the simulator reports.
+//!   per `dlion-worker` process; each rank's record folds into
+//!   [`dlion_core::RunMetrics`] through the same
+//!   [`dlion_core::assemble_metrics`] the simulator's ranks go through.
 //! * [`control`] — the net-level control protocol: the [`Control`] enum,
 //!   its frame encoding and the one validated decode. The normative
 //!   control-frame table lives there.
@@ -48,10 +49,11 @@ pub mod live;
 pub mod tcp;
 
 pub use control::{Control, RankHello, KIND_ACK, KIND_DONE, KIND_HELLO, KIND_RCP, KIND_ROUTE};
-pub use driver::{parse_straggle, run_worker, EvalPoint, LiveOpts, WorkerEnv, WorkerOutcome};
+pub use dlion_core::record::{assemble_metrics, EvalPoint, WorkerOutcome};
+pub use driver::{parse_straggle, run_worker, LiveOpts, WorkerEnv};
 pub use live::{
-    assemble_metrics, link_masks, live_config, run_live, run_live_virtual, LiveCluster, RankLayout,
-    TransportKind,
+    assemble_and_trace, link_masks, live_config, run_live, run_live_virtual, LiveCluster,
+    RankLayout, TransportKind,
 };
 pub use tcp::{loopback_addrs, loopback_mesh, parse_peers, TcpOpts, TcpTransport};
 

@@ -3,19 +3,19 @@
 //! same [`build_cluster`] the simulator uses), places its ranks on hosts,
 //! and runs the rank endpoints it is handed: every rank in this process
 //! for [`run_live`] / [`run_live_virtual`], one host's ranks per OS
-//! process for `dlion-worker`. The per-worker outcomes fold into the same
-//! [`RunMetrics`] the simulator reports — so the report, CSV and
-//! comparison tooling work unchanged on live runs.
+//! process for `dlion-worker`. The ranks' records fold into
+//! [`RunMetrics`] through the simulator's fold, [`assemble_metrics`] — so
+//! the report, CSV and comparison tooling work unchanged on live runs.
 
 use crate::control::RankHello;
-use crate::driver::{run_worker, LiveOpts, WorkerEnv, WorkerOutcome};
+use crate::driver::{run_worker, LiveOpts, WorkerEnv};
 use crate::tcp::{loopback_mesh, TcpOpts};
 use crate::LiveError;
 use dlion_core::cluster::ClusterInit;
 use dlion_core::worker::Worker;
 use dlion_core::{
-    build_cluster, ExchangeTransport, HealthSummary, RunConfig, RunMetrics, SystemKind,
-    TopologySchedule,
+    assemble_metrics, build_cluster, ExchangeTransport, RunConfig, RunMetrics, SystemKind,
+    TopologySchedule, WorkerOutcome,
 };
 use dlion_microcloud::ClusterKind;
 use std::ops::Range;
@@ -312,141 +312,27 @@ pub fn run_live_virtual(
         }
     };
     let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(assemble_metrics(cfg, env_label, outcomes))
+    Ok(assemble_and_trace(cfg, env_label, outcomes))
 }
 
-/// Fold per-worker outcomes into the simulator's [`RunMetrics`] shape.
-/// Times are wall seconds since the cluster epoch; byte counts are exact
-/// encoded frame lengths.
-pub fn assemble_metrics(
+/// Fold the ranks' records ([`assemble_metrics`]) and trace the cluster
+/// health verdict at the cluster's final training-clock time, as the
+/// simulator traces it at its end time, so sim and live traces line up.
+pub fn assemble_and_trace(
     cfg: &RunConfig,
     env_label: &str,
-    mut outcomes: Vec<WorkerOutcome>,
+    outcomes: Vec<WorkerOutcome>,
 ) -> RunMetrics {
-    outcomes.sort_by_key(|o| o.id);
-    let n = outcomes.len();
-    let mut m = RunMetrics {
-        system: cfg.system.name(),
-        env: env_label.to_string(),
-        seed: cfg.seed,
-        iterations: outcomes.iter().map(|o| o.iterations).collect(),
-        busy_time: outcomes.iter().map(|o| o.busy_secs).collect(),
-        ..Default::default()
-    };
-    m.duration = outcomes.iter().map(|o| o.wall_secs).fold(0.0, f64::max);
-    for o in &outcomes {
-        m.grad_bytes += o.grad_bytes;
-        m.weight_bytes += o.weight_bytes;
-        m.control_bytes += o.control_bytes;
-        m.dkt_merges += o.dkt_merges;
-        for (label, bytes) in &o.wire_bytes_by_kind {
-            *m.wire_bytes_by_kind.entry(label.clone()).or_insert(0.0) += bytes;
-        }
-    }
-    // The GBS/LBS trajectory is cluster-wide state every member records
-    // identically (nominal round times, agreed partitions), so any one
-    // full member's copy is *the* trace — take the first worker that
-    // finished the run.
-    if let Some(rep) = outcomes.iter().find(|o| !o.departed) {
-        m.gbs_trace = rep.gbs_trace.clone();
-        m.lbs_trace = rep.lbs_trace.clone();
-    }
-    // Evaluation points are per-iteration-count, identical across the
-    // workers that finished (same `iters`/`eval_every` plus the final
-    // eval); a row's time is the latest worker's wall clock at that
-    // point. Departed workers report no evaluations and are excluded —
-    // convergence metrics describe the surviving membership.
-    let survivors: Vec<&WorkerOutcome> = outcomes.iter().filter(|o| !o.departed).collect();
-    let rows = survivors.iter().map(|o| o.evals.len()).min().unwrap_or(0);
-    for e in 0..rows {
-        let t = survivors
-            .iter()
-            .map(|o| o.evals[e].wall)
-            .fold(0.0, f64::max);
-        m.eval_times.push(t);
-        m.worker_acc
-            .push(survivors.iter().map(|o| o.evals[e].accuracy).collect());
-        m.worker_loss
-            .push(survivors.iter().map(|o| o.evals[e].loss).collect());
-    }
-    if cfg.capture_weights {
-        m.final_weights = outcomes
-            .iter_mut()
-            .map(|o| o.final_weights.take().unwrap_or_default())
-            .collect();
-    }
-    // Cluster health verdict (the orchestrator side of the health plane):
-    // rates on the *training clock* and who departed. All inputs are
-    // deterministic under a pinned iteration time, so this summary —
-    // unlike wall-clock durations — is bit-comparable across repeat runs
-    // and across Mem vs TCP transports.
-    let train_secs: Vec<f64> = outcomes.iter().map(|o| o.train_secs).collect();
-    let departed = outcomes.iter().map(|o| o.departed).collect();
-    m.health = HealthSummary::of_run(&m.iterations, &train_secs, departed);
-    // Trace the verdict at the cluster's final training-clock time, as the
-    // simulator does at its end time, so sim and live traces line up.
+    let vt = outcomes.iter().map(|o| o.train_secs).fold(0.0, f64::max);
+    let m = assemble_metrics(cfg, env_label, outcomes);
     let _scope = dlion_telemetry::run_scope(&m.system, env_label, cfg.seed);
-    let vt = train_secs.iter().copied().fold(0.0, f64::max);
     m.health.trace(vt, &m.iterations);
-    if cfg.telemetry {
-        let tm = &mut m.telemetry;
-        for o in &outcomes {
-            tm.add("msgs_sent", o.msgs_sent);
-            tm.add("msgs_recv", o.msgs_recv);
-            tm.add(
-                "bytes_sent",
-                (o.grad_bytes + o.weight_bytes + o.control_bytes) as u64,
-            );
-            tm.add("net_overhead_bytes", o.net_overhead_bytes as u64);
-            tm.add("dkt_merges", o.dkt_merges);
-            tm.observe("worker_busy_secs", o.busy_secs);
-        }
-        // Cluster-wide controller activity is counted once, like the
-        // simulator's — not once per worker.
-        tm.add("gbs_adjusts", m.gbs_trace.len() as u64);
-        tm.add("lbs_repartitions", m.lbs_trace.len() as u64);
-        tm.gauge_max("workers", n as f64);
-    }
     m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::EvalPoint;
-
-    fn outcome(id: usize) -> WorkerOutcome {
-        WorkerOutcome {
-            id,
-            iterations: 10,
-            busy_secs: 1.0 + id as f64,
-            wall_secs: 5.0 + id as f64,
-            msgs_sent: 20,
-            msgs_recv: 20,
-            grad_bytes: 1000.0,
-            weight_bytes: 0.0,
-            control_bytes: 50.0,
-            net_overhead_bytes: 200.0,
-            dkt_merges: 1,
-            departed: false,
-            evals: vec![EvalPoint {
-                iteration: 10,
-                wall: 4.0 + id as f64,
-                accuracy: 0.5,
-                loss: 1.0,
-            }],
-            gbs_trace: vec![(0.25, 160)],
-            lbs_trace: vec![(0.0, vec![32, 32]), (0.25, vec![80, 80])],
-            wire_bytes_by_kind: [
-                ("grad_dense".to_string(), 1000.0),
-                ("control".to_string(), 50.0),
-            ]
-            .into_iter()
-            .collect(),
-            train_secs: 0.5,
-            ..Default::default()
-        }
-    }
 
     #[test]
     fn layout_even_splits_and_collapses_links() {
@@ -513,67 +399,5 @@ mod tests {
             assert_eq!(mask, &schedule.union_links(w, opts.iters), "worker {w}");
         }
         assert!(masks[0].iter().filter(|&&on| on).count() < n - 1);
-    }
-
-    #[test]
-    fn metrics_assembly_sums_and_orders() {
-        let cfg = live_config(SystemKind::Baseline, 1);
-        // Out-of-order outcomes must land in id order.
-        let m = assemble_metrics(&cfg, "live/2w", vec![outcome(1), outcome(0)]);
-        assert_eq!(m.iterations, vec![10, 10]);
-        assert_eq!(m.busy_time, vec![1.0, 2.0]);
-        assert_eq!(m.grad_bytes, 2000.0);
-        assert_eq!(m.control_bytes, 100.0);
-        assert_eq!(m.dkt_merges, 2);
-        assert_eq!(m.duration, 6.0);
-        assert_eq!(m.eval_times, vec![5.0]);
-        assert_eq!(m.worker_acc, vec![vec![0.5, 0.5]]);
-        assert_eq!(m.env, "live/2w");
-        // Cluster-wide trajectory: one representative copy, not a sum.
-        assert_eq!(m.gbs_trace, vec![(0.25, 160)]);
-        assert_eq!(m.lbs_trace.len(), 2);
-        assert_eq!(m.wire_bytes_by_kind.get("grad_dense"), Some(&2000.0));
-        assert_eq!(m.wire_bytes_by_kind.get("control"), Some(&100.0));
-        assert!(m.telemetry.is_empty());
-    }
-
-    #[test]
-    fn departed_workers_excluded_from_eval_rows() {
-        let cfg = live_config(SystemKind::Baseline, 1);
-        let mut dead = outcome(1);
-        dead.departed = true;
-        dead.evals.clear(); // a departed worker reports no evaluations
-        let m = assemble_metrics(&cfg, "live/3w", vec![outcome(0), dead, outcome(2)]);
-        // Eval rows cover survivors only — the empty departed outcome
-        // must not zero them out.
-        assert_eq!(m.eval_times.len(), 1);
-        assert_eq!(m.worker_acc, vec![vec![0.5, 0.5]]);
-        // Per-worker scalar columns still cover everyone.
-        assert_eq!(m.iterations.len(), 3);
-    }
-
-    #[test]
-    fn health_summary_scores_rates_and_records_departures() {
-        let cfg = live_config(SystemKind::Baseline, 1);
-        let mut slow = outcome(2);
-        slow.train_secs = 1.5; // rate 6.67 vs the others' 20
-        let mut gone = outcome(1);
-        gone.departed = true;
-        let m = assemble_metrics(&cfg, "live/3w", vec![outcome(0), gone, slow]);
-        assert_eq!(m.health.straggler, 2);
-        assert!((m.health.straggler_score - 3.0).abs() < 1e-12);
-        assert!((m.health.rates[0] - 20.0).abs() < 1e-12);
-        assert_eq!(m.health.departed, vec![false, true, false]);
-    }
-
-    #[test]
-    fn telemetry_aggregation_when_enabled() {
-        let mut cfg = live_config(SystemKind::Baseline, 1);
-        cfg.telemetry = true;
-        let m = assemble_metrics(&cfg, "live/2w", vec![outcome(0), outcome(1)]);
-        assert_eq!(m.telemetry.counter("msgs_sent"), 40);
-        assert_eq!(m.telemetry.counter("net_overhead_bytes"), 400);
-        assert_eq!(m.telemetry.counter("gbs_adjusts"), 1);
-        assert_eq!(m.telemetry.counter("lbs_repartitions"), 2);
     }
 }

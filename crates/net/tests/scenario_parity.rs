@@ -120,10 +120,10 @@ fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
         assert_eq!(m.iterations, expected, "{label} iteration schedule");
     }
 
-    // Survivor weights are bit-identical across all three backends. The
-    // victim's slot is skipped: the sim parks a departed worker (its
-    // last weights remain capturable) while the live backend's slot is
-    // empty — only the survivors' math is required to agree.
+    // Survivor weights are bit-identical across all three backends. A
+    // departed rank's slot is empty on every backend: its end-of-run
+    // take captures no weights (its model is whatever it was at
+    // departure), so only the survivors' math is compared.
     let (sw, mw, tw) = (
         weight_bits(&sim.final_weights),
         weight_bits(&mem.final_weights),
@@ -134,6 +134,30 @@ fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
         assert_eq!(sw[w], mw[w], "sim vs mem weights diverged at worker {w}");
         assert_eq!(mw[w], tw[w], "mem vs tcp weights diverged at worker {w}");
     }
+    for (ws, label) in [(&sw, "sim"), (&mw, "mem"), (&tw, "tcp")] {
+        assert!(
+            ws[victim].is_empty(),
+            "{label} captured the victim's weights"
+        );
+    }
+
+    // One fold: the evaluation rows hold the survivors only, on every
+    // backend, so the rows agree bit for bit (the victim is in none).
+    let rows = |m: &RunMetrics| {
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        (bits(&m.worker_acc), bits(&m.worker_loss))
+    };
+    assert_eq!(
+        sim.worker_acc.last().map(Vec::len),
+        Some(N - 1),
+        "sim row width"
+    );
+    assert_eq!(rows(&sim), rows(&mem), "sim vs mem evaluation rows");
+    assert_eq!(rows(&mem), rows(&tcp), "mem vs tcp evaluation rows");
 
     // The cluster-health verdict is one value on every backend: the same
     // departures and straggler, and the iteration rates/scores bit-match

@@ -193,6 +193,18 @@ impl Registry {
         self.hists.entry(name).or_default().record(v);
     }
 
+    /// Take in the entries of a registry that records other names (the
+    /// simulator's event-loop registry beside the fold of its ranks'
+    /// records). A name recorded in both panics.
+    pub fn absorb(&mut self, other: Registry) {
+        let names = |r: &Registry| r.counters.len() + r.gauges.len() + r.hists.len();
+        let expected = names(self) + names(&other);
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.hists.extend(other.hists);
+        assert_eq!(names(self), expected, "two registries record one name");
+    }
+
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
@@ -351,6 +363,25 @@ mod tests {
         assert_eq!(r.histogram("iter_secs").unwrap().count(), 2);
         assert!(!r.is_empty());
         assert!(Registry::default().is_empty());
+    }
+
+    /// Absorbing a registry of other names reads as if one had recorded
+    /// everything; a shared name is refused.
+    #[test]
+    fn registry_absorbs_a_registry_of_other_names() {
+        let (mut a, mut b, mut both) = <(Registry, Registry, Registry)>::default();
+        for r in [&mut a, &mut both] {
+            r.add("msgs", 2);
+            r.observe("secs", 0.5);
+        }
+        for r in [&mut b, &mut both] {
+            r.gauge_max("depth", 4.0);
+            r.observe("iter_secs", 1e-3);
+        }
+        a.absorb(b.clone());
+        assert_eq!(a, both);
+        let shared = std::panic::catch_unwind(move || a.absorb(b));
+        assert!(shared.is_err(), "a shared name must not be overwritten");
     }
 
     #[test]
