@@ -382,23 +382,24 @@ pub fn apply_wire_format(payload: &mut Payload, format: WireFormat) {
     }
 }
 
-/// Accounting label for a payload as encoded under `format`: which
-/// `wire_bytes_by_kind` bucket its wire bytes land in. Top-k payloads are
-/// sparsified *before* encoding, so they show up as `grad_sparse`.
-pub fn wire_label(payload: &Payload, format: WireFormat) -> &'static str {
+/// Accounting slot for a payload as encoded under `format`: the index in
+/// [`WIRE_LABELS`] of the `wire_bytes_by_kind` bucket its wire bytes land
+/// in. Top-k payloads are sparsified *before* encoding, so they show up as
+/// `grad_sparse`.
+pub fn wire_slot(payload: &Payload, format: WireFormat) -> usize {
     match payload {
         Payload::Grad(g) => match (&g.data, format) {
-            (GradData::Sparse(_), _) => "grad_sparse",
-            (GradData::Dense(_), WireFormat::Fp16) => "grad_fp16",
-            (GradData::Dense(_), WireFormat::Int8) => "grad_int8",
-            (GradData::Dense(_), _) => "grad_dense",
+            (GradData::Dense(_), WireFormat::Fp16) => 2,
+            (GradData::Dense(_), WireFormat::Int8) => 3,
+            (GradData::Dense(_), _) => 0,
+            (GradData::Sparse(_), _) => 1,
         },
-        Payload::Weights { .. } => "weights",
-        Payload::LossShare { .. } | Payload::DktRequest | Payload::Leave { .. } => "control",
+        Payload::Weights { .. } => 4,
+        Payload::LossShare { .. } | Payload::DktRequest | Payload::Leave { .. } => 5,
     }
 }
 
-/// Every label [`wire_label`] can return, in the fixed order the
+/// Every wire label, indexed by [`wire_slot`], in the fixed order the
 /// `wire_bytes_by_kind` trace event and the health report's byte ledger
 /// list them.
 pub const WIRE_LABELS: [&str; 6] = [
@@ -1866,7 +1867,7 @@ mod tests {
             let mut expect = big_dense(513);
             apply_wire_format(&mut expect, format);
             assert_eq!(decoded.to_wire(&PLAIN), expect.to_wire(&PLAIN), "{label}");
-            assert_eq!(wire_label(&p, format), label);
+            assert_eq!(WIRE_LABELS[wire_slot(&p, format)], label);
         }
     }
 
@@ -1877,7 +1878,10 @@ mod tests {
         let Payload::Grad(g) = &p else { unreachable!() };
         assert!(matches!(g.data, GradData::Sparse(_)));
         assert_eq!(g.n_used, 10.0);
-        assert_eq!(wire_label(&p, WireFormat::TopK(10.0)), "grad_sparse");
+        assert_eq!(
+            WIRE_LABELS[wire_slot(&p, WireFormat::TopK(10.0))],
+            "grad_sparse"
+        );
     }
 
     #[test]

@@ -109,8 +109,12 @@ pub struct RunMetrics {
     /// Time of each evaluation point.
     pub eval_times: Vec<f64>,
     /// `worker_acc[e][s]`: the test accuracy at eval point e of the s-th
-    /// rank that finished the run — a departed rank is in no row, so a row
-    /// is as wide as the survivors (every rank without departures).
+    /// rank that finished the run ([`RunMetrics::eval_ids`]) — a departed
+    /// rank is in no row, so a row is as wide as the survivors (every rank
+    /// without departures). Before a departure a row's mean can therefore
+    /// differ from the simulator's traced `eval` mean and Fig. 21's
+    /// stopping rule, which average the ranks still in the run at that
+    /// tick, a rank that departs later included.
     pub worker_acc: Vec<Vec<f64>>,
     /// `worker_loss[e][s]`: the test loss, shaped as `worker_acc`.
     pub worker_loss: Vec<Vec<f64>>,
@@ -233,26 +237,31 @@ impl RunMetrics {
         None
     }
 
-    /// Write the per-worker accuracy/loss time series as CSV
-    /// (`time,mean_acc,acc_w0..,loss_w0..`) — consumed by plotting scripts
-    /// and the `dlion-sim --csv` flag.
-    pub fn write_timeseries_csv<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
+    /// The worker ids an evaluation row holds, in row order: the ranks
+    /// that did not depart.
+    pub fn eval_ids(&self) -> Vec<usize> {
         let n = self.worker_acc.first().map_or(0, |r| r.len());
+        let departed = |w: usize| self.health.departed.get(w).copied().unwrap_or(false);
+        (0..).filter(|&w| !departed(w)).take(n).collect()
+    }
+
+    /// Write the per-worker accuracy/loss time series as CSV
+    /// (`time,mean_acc,acc_w0..,loss_w0..`, a column named by its worker
+    /// id: a departed rank has none) — consumed by plotting scripts and
+    /// the `dlion-sim --csv` flag.
+    pub fn write_timeseries_csv<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
+        let ids = self.eval_ids();
         write!(out, "time,mean_acc")?;
-        for w in 0..n {
-            write!(out, ",acc_w{w}")?;
-        }
-        for w in 0..n {
-            write!(out, ",loss_w{w}")?;
+        for column in ["acc", "loss"] {
+            for w in &ids {
+                write!(out, ",{column}_w{w}")?;
+            }
         }
         writeln!(out)?;
         for (e, t) in self.eval_times.iter().enumerate() {
             write!(out, "{t},{}", self.mean_acc(e))?;
-            for a in &self.worker_acc[e] {
-                write!(out, ",{a}")?;
-            }
-            for l in &self.worker_loss[e] {
-                write!(out, ",{l}")?;
+            for v in self.worker_acc[e].iter().chain(&self.worker_loss[e]) {
+                write!(out, ",{v}")?;
             }
             writeln!(out)?;
         }
@@ -371,6 +380,17 @@ mod tests {
         );
         assert_eq!(text.lines().count(), 4); // header + 3 eval points
         assert!(text.lines().nth(1).unwrap().starts_with("100,"));
+        // A column is named by its worker id: with worker 1 of three
+        // departed, the rows hold workers 0 and 2.
+        let mut m = m;
+        m.health.departed = vec![false, true, false];
+        let mut buf = Vec::new();
+        m.write_timeseries_csv(&mut buf).unwrap();
+        let header = String::from_utf8(buf).unwrap();
+        assert_eq!(
+            header.lines().next().unwrap(),
+            "time,mean_acc,acc_w0,acc_w2,loss_w0,loss_w2"
+        );
     }
 
     #[test]

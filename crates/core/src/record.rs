@@ -76,17 +76,16 @@ pub struct WorkerOutcome {
 
 impl WorkerOutcome {
     /// Price one sent payload: `kind` is its [`crate::Payload::kind`],
-    /// `label` its [`crate::messages::wire_label`], `bytes` what the kind
+    /// `slot` its [`crate::messages::wire_slot`], `bytes` what the kind
     /// counters charge and `encoded` its exact encoded length.
-    pub fn sent(&mut self, kind: &str, label: &str, bytes: f64, encoded: f64) {
+    pub fn sent(&mut self, kind: &str, slot: usize, bytes: f64, encoded: f64) {
         self.msgs_sent += 1;
         match kind {
             "grad" => self.grad_bytes += bytes,
             "weights" => self.weight_bytes += bytes,
             _ => self.control_bytes += bytes,
         }
-        let slot = WIRE_LABELS.iter().position(|&l| l == label);
-        self.wire_bytes[slot.expect("a wire label")] += encoded;
+        self.wire_bytes[slot] += encoded;
     }
 
     /// The labels that carried bytes, with their totals.
@@ -448,8 +447,8 @@ mod tests {
     #[test]
     fn a_send_is_priced_once_by_kind_and_by_label() {
         let mut r = WorkerOutcome::default();
-        r.sent("grad", "grad_fp16", 500.0, 520.0);
-        r.sent("dkt_request", "control", 20.0, 20.0);
+        r.sent("grad", 2, 500.0, 520.0);
+        r.sent("dkt_request", 5, 20.0, 20.0);
         assert_eq!(r.msgs_sent, 2);
         assert_eq!((r.grad_bytes, r.control_bytes), (500.0, 20.0));
         assert_eq!(
@@ -484,14 +483,31 @@ mod tests {
 
     #[test]
     fn departed_workers_excluded_from_eval_rows() {
-        // A departed rank's evaluations before it left count in no row.
-        let mut dead = outcome(1);
-        dead.departed = true;
-        let m = assemble_metrics(&cfg(), "live/3w", vec![outcome(0), dead, outcome(2)]);
-        assert_eq!(m.eval_times.len(), 1);
-        assert_eq!(m.worker_acc, vec![vec![0.5, 0.5]]);
-        // Per-worker scalar columns still cover everyone.
-        assert_eq!(m.iterations.len(), 3);
+        // Survivors evaluate twice; a departed rank stopped evaluating when
+        // it left (after one evaluation, or before any). Neither its points
+        // nor its shorter list may shape a row: the row count is the
+        // survivors', and each row holds the survivors only.
+        let survivor = |id| {
+            let mut o = outcome(id);
+            let later = EvalPoint {
+                iteration: 20,
+                wall: 9.0,
+                ..o.evals[0]
+            };
+            o.evals.push(later);
+            o
+        };
+        for kept in [1, 0] {
+            let mut dead = outcome(1);
+            dead.departed = true;
+            dead.evals.truncate(kept);
+            let m = assemble_metrics(&cfg(), "live/3w", vec![survivor(0), dead, survivor(2)]);
+            assert_eq!(m.eval_times, vec![6.0, 9.0], "departed rank kept {kept}");
+            assert_eq!(m.worker_acc, vec![vec![0.5, 0.5]; 2]);
+            assert_eq!(m.worker_loss, vec![vec![1.0, 1.0]; 2]);
+            // Per-worker scalar columns still cover everyone.
+            assert_eq!(m.iterations.len(), 3);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::config::{ConvergenceCfg, RunConfig};
 use crate::gbs::Notice;
 use crate::lbs::{compute_rcp, PROFILE_LBS};
 use crate::messages::{
-    apply_wire_format, trace_wire_bytes, wire_label, GradData, Payload, WireCfg, WireFormat,
+    apply_wire_format, trace_wire_bytes, wire_slot, GradData, Payload, WireCfg, WireFormat,
     DEFAULT_CHUNK_BYTES, WIRE_LABELS,
 };
 use crate::metrics::{LinkSample, RunMetrics};
@@ -89,8 +89,9 @@ pub struct ClusterRunner {
     /// transfer times (when `cfg.telemetry` is on), and the sampled links.
     telemetry: Registry,
     link_trace: Vec<LinkSample>,
-    /// `(time, survivors' mean accuracy)` per evaluation tick: the `eval`
-    /// row and Fig. 21's stopping rule.
+    /// `(time, mean accuracy of the ranks still in the run)` per
+    /// evaluation tick — a rank that departs later counts until it does:
+    /// the `eval` row and Fig. 21's stopping rule.
     evals: Vec<(f64, f64)>,
     prof_rng: DetRng,
     bytes_per_param: f64,
@@ -438,9 +439,9 @@ impl ClusterRunner {
             format: self.cfg.wire,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
         }) as f64;
-        let label = wire_label(&payload, self.cfg.wire);
+        let slot = wire_slot(&payload, self.cfg.wire);
         let record = &mut self.workers[from].record;
-        record.sent(payload.kind(), label, bytes, encoded);
+        record.sent(payload.kind(), slot, bytes, encoded);
         let t = self.net.transfer(from, to, bytes, now);
         event!(now, w: from, "send";
             "to" => to,
@@ -527,7 +528,8 @@ impl ClusterRunner {
     }
 }
 
-/// Fig. 21's stopping rule over the per-tick survivor means: past
+/// Fig. 21's stopping rule over the per-tick means of the ranks still in
+/// the run (`ClusterRunner::evals`): past
 /// `min_secs`, with the best mean accuracy up by less than
 /// `min_improvement` over the last `window_secs`.
 fn converged(evals: &[(f64, f64)], cv: &ConvergenceCfg, now: f64) -> bool {

@@ -79,7 +79,7 @@ use dlion_core::config::RunConfig;
 use dlion_core::gbs::Notice;
 use dlion_core::lbs::{compute_rcp, rcp_from_rate, PROFILE_LBS};
 use dlion_core::messages::{
-    apply_wire_format, decode_wire, trace_wire_bytes, wire_label, Payload, WireCfg, WireFormat,
+    apply_wire_format, decode_wire, trace_wire_bytes, wire_slot, Payload, WireCfg, WireFormat,
     KIND_NET_BASE,
 };
 use dlion_core::record::WorkerOutcome;
@@ -327,13 +327,13 @@ impl LiveWorker<'_, '_> {
             apply_wire_format(&mut payload, self.wire_cfg.format);
         }
         let kind = payload.kind();
-        let label = wire_label(&payload, self.wire_cfg.format);
+        let slot = wire_slot(&payload, self.wire_cfg.format);
         let sent = self
             .transport
             .send_wire(to, Arc::new(payload), &self.wire_cfg);
         if let Some(bytes) = self.outbound(to, sent, best_effort)? {
             let bytes = bytes as f64;
-            self.worker.record.sent(kind, label, bytes, bytes);
+            self.worker.record.sent(kind, slot, bytes, bytes);
             event!(self.now(), w: self.me, "send";
                 "to" => to, "kind" => kind, "bytes" => bytes);
         }

@@ -158,6 +158,18 @@ fn generated_scenario_is_bit_identical_across_sim_mem_and_tcp() {
     );
     assert_eq!(rows(&sim), rows(&mem), "sim vs mem evaluation rows");
     assert_eq!(rows(&mem), rows(&tcp), "mem vs tcp evaluation rows");
+    // The CSV names each column by its worker id: the victim (worker 0)
+    // has none, and worker 1 is not renumbered into its place.
+    for (m, label) in [(&sim, "sim"), (&mem, "mem"), (&tcp, "tcp")] {
+        let mut csv = Vec::new();
+        m.write_timeseries_csv(&mut csv).unwrap();
+        let csv = String::from_utf8(csv).unwrap();
+        let header = csv.lines().next().unwrap();
+        assert_eq!(
+            header, "time,mean_acc,acc_w1,acc_w2,acc_w3,loss_w1,loss_w2,loss_w3",
+            "{label} CSV header"
+        );
+    }
 
     // The cluster-health verdict is one value on every backend: the same
     // departures and straggler, and the iteration rates/scores bit-match
