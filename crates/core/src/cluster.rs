@@ -135,7 +135,6 @@ pub fn build_cluster(cfg: &RunConfig, n: usize) -> ClusterInit {
                 lbs: cfg.initial_lbs,
                 iteration: 0,
                 pending: None,
-                waiting: false,
                 last_iter_time: 0.0,
                 last_pull_round: 0,
                 scratch: dlion_tensor::Scratch::new(),

@@ -21,6 +21,7 @@
 use crate::config::RunConfig;
 use crate::lbs::partition_gbs;
 use crate::messages::FRAME_HEADER_BYTES;
+use crate::rank::{Item, Output};
 use crate::worker::Worker;
 use dlion_telemetry::{debug, emit};
 use std::collections::BTreeMap;
@@ -314,12 +315,15 @@ impl Batching {
         self.ctl.is_some() && !std::mem::replace(&mut self.finished[me], true)
     }
 
-    /// Is a round open whose collect still lacks a peer `awaited` says
-    /// this rank waits for?
-    fn collecting(&self, awaited: impl Fn(usize) -> bool) -> bool {
-        self.open.is_some_and(|round| {
-            (0..self.finished.len()).any(|j| awaited(j) && !self.rcps.contains_key(&(round, j)))
-        })
+    /// The round this rank opened and has not decided, if any, and the
+    /// peers `awaited` says it waits for whose RCP for it is not in.
+    fn collect<'a>(
+        &'a self,
+        awaited: impl Fn(usize) -> bool + 'a,
+    ) -> Option<(u64, impl Iterator<Item = usize> + 'a)> {
+        let round = self.open?;
+        let missing = move |&j: &usize| awaited(j) && !self.rcps.contains_key(&(round, j));
+        Some((round, (0..self.finished.len()).filter(missing)))
     }
 
     /// Decide the open round: fast-forward the growth controller over
@@ -405,37 +409,47 @@ impl Worker {
 
     /// Is this rank waiting on an open collect?
     pub fn collecting(&self) -> bool {
-        self.batching.collecting(|j| self.awaits_rcp(j))
+        let collect = self.batching.collect(|j| self.awaits_rcp(j));
+        collect.is_some_and(|(_, mut missing)| missing.next().is_some())
+    }
+
+    /// The open collect this rank waits on: its round and the awaited
+    /// peers whose RCP for it is missing.
+    pub fn awaited_rcps(&self) -> Option<(u64, Vec<usize>)> {
+        let (round, missing) = self.batching.collect(|j| self.awaits_rcp(j))?;
+        Some((round, missing.collect::<Vec<_>>())).filter(|(_, m)| !m.is_empty())
     }
 
     /// The batching plane between two iterations, the clock at `clock`:
     /// decide the open round once every awaited RCP is in (`force`: with
     /// whatever is in), resizing this rank if it repartitioned; then open
     /// the next due round, if any, with the RCP `rcp` yields, and so on.
-    /// Returns the notices to send, each with its peer, and whether a
-    /// collect is still open — the rank does not start its next
-    /// iteration until none is. `now` stamps the trace events.
+    /// Appends a notice to `out` for each awaited peer of a round it
+    /// opens; returns whether a collect is still open — the rank does not
+    /// start its next iteration until none is. `now` stamps the trace
+    /// events.
     pub fn batching_step(
         &mut self,
         clock: f64,
         now: f64,
         mut force: bool,
         mut rcp: impl FnMut() -> f64,
-    ) -> (Vec<(usize, Notice)>, bool) {
-        let mut sends = Vec::new();
+        mut out: impl FnMut(Item),
+    ) -> bool {
         loop {
             if self.collecting() && !force {
-                return (sends, true);
+                return true;
             }
             force = false;
             if self.batching.round(self.id, now) {
                 self.set_lbs(self.batching.share(self.id));
             }
             let Some(notice) = self.batching.open(self.id, clock, &mut rcp) else {
-                return (sends, false);
+                return false;
             };
-            let peers = (0..self.schedule.n()).filter(|&j| self.awaits_rcp(j));
-            sends.extend(peers.map(|j| (j, notice)));
+            for j in (0..self.schedule.n()).filter(|&j| self.awaits_rcp(j)) {
+                out(Output::Notice(j, notice).into());
+            }
         }
     }
 }
@@ -537,7 +551,10 @@ mod tests {
     /// peer, `rcps[j]` (a NaN: `j` is demoted and sends none), then
     /// decides it: the round and whether it repartitioned.
     fn decide(b: &mut Batching, clock: f64, rcps: &[f64]) -> Option<(u64, bool)> {
-        let waiting = |b: &Batching| b.collecting(|j| awaits(b, j, rcps[j].is_nan()));
+        let waiting = |b: &Batching| {
+            let collect = b.collect(|j| awaits(b, j, rcps[j].is_nan()));
+            collect.is_some_and(|(_, mut missing)| missing.next().is_some())
+        };
         let Notice::Rcp { round, .. } = b.open(0, clock, || rcps[0])? else {
             unreachable!("open sends an RCP")
         };

@@ -43,6 +43,7 @@ pub mod lbs;
 pub mod maxn;
 pub mod messages;
 pub mod metrics;
+pub mod rank;
 pub mod record;
 pub mod report;
 pub mod round;
@@ -64,8 +65,8 @@ pub use gbs::{GbsConfig, GbsController, GbsPhase};
 pub use maxn::MaxNPlanner;
 pub use messages::{GradMsg, Payload, WireError};
 pub use metrics::{HealthSummary, RunMetrics};
+pub use rank::{Host, Input, Output, Outputs, Rank, Wait};
 pub use record::{assemble_metrics, EvalPoint, WorkerOutcome};
-pub use round::{Action, Effect};
 pub use runner::{run_env, run_with_models, ClusterRunner};
 pub use scenario::{ScenarioKind, ScenarioPlan, ScenarioSpec};
 pub use strategy::{ExchangeStrategy, PeerUpdate, StrategyCtx};

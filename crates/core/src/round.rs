@@ -17,11 +17,12 @@
 //! divisor or decides what a rank sends after a round lives here, once.
 //! Whatever differs per backend — link bandwidth, the timestamp, acks,
 //! buffer recycling — is an argument or is done by the caller on the
-//! returned [`Effect`] or [`Action`]. Sim ≡ live bit parity under strict
+//! returned [`Effect`] or the [`Output`]s it appends. Sim ≡ live bit parity under strict
 //! BSP follows from both backends executing this code, not from two
 //! copies being kept in step.
 
 use crate::messages::{GradData, GradMsg, Payload};
+use crate::rank::{Item, Mark, Output};
 use crate::strategy::StrategyCtx;
 use crate::sync::SyncPolicy;
 use crate::weighted::update_factor;
@@ -50,57 +51,6 @@ pub enum Effect {
     /// The sender announced its departure after `completed` iterations;
     /// the caller demotes it with [`Worker::demote_peer`].
     Departed { completed: u64 },
-}
-
-/// One step of a rank's post-round sequence ([`Worker::complete_round`]),
-/// for the backend to carry out in order.
-#[derive(Debug, PartialEq)]
-pub enum Action {
-    /// Put this payload on the wire to that peer.
-    Send(usize, Payload),
-    /// The rank leaves the run (a permanent kill): it stops stepping.
-    /// Every rank's departures already exclude it from this round on.
-    Depart,
-    /// A rejoining kill: stop stepping for this many seconds (virtual or
-    /// clock), still receiving, then go on as a member.
-    Pause(f64),
-}
-
-/// The post-round sequence, in execution order. Its own trace events
-/// (`departed`, `pause`, `dkt_round`) sit between its actions and are
-/// emitted as iteration passes them, so they land among the backend's
-/// `send` rows where the sequence puts them.
-pub struct Actions {
-    steps: std::vec::IntoIter<Step>,
-    now: f64,
-    w: usize,
-}
-
-/// An action, or the trace event that precedes the next ones: `departed
-/// {iter}`, `pause {iter, secs}` and `dkt_round {avg_loss}`.
-enum Step {
-    Act(Action),
-    Departed(u64),
-    Pause(u64, f64),
-    DktRound(f64),
-}
-
-impl Iterator for Actions {
-    type Item = Action;
-
-    fn next(&mut self) -> Option<Action> {
-        let (now, w) = (self.now, self.w);
-        loop {
-            match self.steps.next()? {
-                Step::Act(action) => return Some(action),
-                Step::Departed(iter) => event!(now, w: w, "departed"; "iter" => iter),
-                Step::Pause(iter, secs) => {
-                    event!(now, w: w, "pause"; "iter" => iter, "secs" => secs)
-                }
-                Step::DktRound(loss) => event!(now, w: w, "dkt_round"; "avg_loss" => loss),
-            }
-        }
-    }
 }
 
 /// What one weight update adds, before its factor: dense gradients (a
@@ -386,15 +336,23 @@ impl Worker {
     /// loss and the step time (`last_iter_time`, into the record's
     /// training-clock seconds), log the own (self-weighted) update,
     /// generate the per-link partial gradients, advance the iteration and
-    /// retarget gating at the round's neighbor set. Returns what the rank does next, in
-    /// order: the gradient sends; then, on the round its [`Worker::kill`]
-    /// fires, the Leaves and [`Action::Depart`] (permanent) or
-    /// [`Action::Pause`] (rejoining) and nothing else; otherwise, on a
-    /// share round, the DKT sends. A gradient goes to the peers this rank
-    /// counts for its round; a Leave or DKT send to those it counts for
-    /// the next round and gating has not demoted. `bw(j)` is the bandwidth
-    /// to neighbor `j` in Mbps.
-    pub fn complete_round(&mut self, loss: f64, now: f64, bw: impl Fn(usize) -> f64) -> Actions {
+    /// retarget gating at the round's neighbor set. Appends what the rank
+    /// does next to `out`, in order: the gradient sends; then, on the
+    /// round its [`Worker::kill`] fires, the Leaves and
+    /// [`Output::Departed`] (permanent) or nothing more (rejoining: it
+    /// returns the pause's length); otherwise, on a share round, the DKT
+    /// sends. The sequence's trace rows (`departed`, `pause`, `dkt_round`)
+    /// sit between its outputs, written as the backend passes them. A
+    /// gradient goes to the peers this rank counts for its round; a Leave
+    /// or DKT send to those it counts for the next round and gating has
+    /// not demoted. `bw(j)` is the bandwidth to neighbor `j` in Mbps.
+    pub fn complete_round(
+        &mut self,
+        loss: f64,
+        now: f64,
+        bw: impl Fn(usize) -> f64,
+        mut out: impl FnMut(Item),
+    ) -> Option<f64> {
         // The round this completion belongs to and its declared neighbor
         // set: the fan-out targets, the divisor group, and (per-round sets
         // are symmetric) exactly the senders the next round gates on.
@@ -463,11 +421,10 @@ impl Worker {
         // A gradient goes to every peer this rank counts for the round it
         // was computed in — the peers whose divisor counts it. A demoted
         // one's delivery is not awaited (`SyncState::on_sent_to`).
-        let mut steps = Vec::with_capacity(updates.len() + 1);
         for up in updates {
             if self.counts(up.peer, round) {
                 self.sync.on_sent_to(up.peer);
-                steps.push(Step::Act(Action::Send(up.peer, Payload::Grad(up.msg))));
+                out(Output::Send(up.peer, Payload::Grad(up.msg)).into());
             }
         }
         // The kill fires right after the fan-out, so the victim's last
@@ -476,25 +433,18 @@ impl Worker {
         let kill = self.kill.filter(|k| k.at_iter == next);
         match kill.map(|k| k.rejoin_after) {
             Some(None) => {
-                steps.push(Step::Departed(next));
+                out(Item::Mark(Mark::Departed(next), now, self.id));
                 let leave = Payload::Leave { completed: next };
                 for j in (0..n).filter(|&j| j != self.id && self.is_target(j, next)) {
-                    steps.push(Step::Act(Action::Send(j, leave.clone())));
+                    out(Output::Send(j, leave.clone()).into());
                 }
-                steps.push(Step::Act(Action::Depart));
+                out(Output::Departed.into());
             }
-            Some(Some(secs)) => {
-                steps.push(Step::Pause(next, secs));
-                steps.push(Step::Act(Action::Pause(secs)));
-            }
-            None if share_dkt => self.dkt_round(&mut steps),
+            Some(Some(secs)) => out(Item::Mark(Mark::Pause(next, secs), now, self.id)),
+            None if share_dkt => self.dkt_round(now, out),
             None => {}
         }
-        Actions {
-            steps: steps.into_iter(),
-            now,
-            w: self.id,
-        }
+        kill.and_then(|k| k.rejoin_after)
     }
 
     /// Who hears a Leave or a DKT send, which speak for the next `round`:
@@ -632,23 +582,23 @@ impl Worker {
     /// average loss with the next round's target neighbors, then pull from
     /// the best-known worker if the mode says so and it is a target (at
     /// most once per DKT period).
-    fn dkt_round(&mut self, steps: &mut Vec<Step>) {
+    fn dkt_round(&mut self, now: f64, mut out: impl FnMut(Item)) {
         let Some(avg_loss) = self.dkt.avg_loss() else {
             return;
         };
-        steps.push(Step::DktRound(avg_loss));
+        out(Item::Mark(Mark::DktRound(avg_loss), now, self.id));
         self.dkt.update_known(self.id, avg_loss);
         let next = self.iteration;
         for j in self.schedule.neighbors(self.id, next) {
             if self.is_target(j, next) {
-                steps.push(Step::Act(Action::Send(j, Payload::LossShare { avg_loss })));
+                out(Output::Send(j, Payload::LossShare { avg_loss }).into());
             }
         }
         let round = next / self.dkt.cfg().period_iters;
         let pull = self.dkt.pull_target().filter(|&t| self.is_target(t, next));
         if let Some(target) = pull.filter(|_| self.last_pull_round < round) {
             self.last_pull_round = round;
-            steps.push(Step::Act(Action::Send(target, Payload::DktRequest)));
+            out(Output::Send(target, Payload::DktRequest).into());
         }
     }
 }
@@ -658,6 +608,7 @@ mod tests {
     use super::*;
     use crate::cluster::build_cluster;
     use crate::config::{RunConfig, SystemKind};
+    use crate::rank::Outputs;
 
     /// `n` strict-BSP Baseline workers on a full mesh, no backend attached.
     fn bsp_workers(n: usize) -> Vec<Worker> {
@@ -740,8 +691,9 @@ mod tests {
         // once; whether a collect is still open.
         let step = |ws: &mut [Worker], w: usize, clock: f64| {
             let rcp = [3.0, 1.0][w];
-            let (sends, open) = ws[w].batching_step(clock, clock, false, || rcp);
-            for (to, notice) in sends {
+            let mut out = Outputs::default();
+            let open = ws[w].batching_step(clock, clock, false, || rcp, out.sink());
+            while let Some(Output::Notice(to, notice)) = out.pop() {
                 ws[to].batching.on_notice(w, notice);
             }
             open
@@ -880,7 +832,7 @@ mod tests {
         eager.iteration = 2;
         own_eagerly(&mut eager);
         apply_eagerly(&mut eager, &complete);
-        w.complete_round(1.0, 0.0, |_| 1000.0).for_each(drop);
+        w.complete_round(1.0, 0.0, |_| 1000.0, Outputs::default().sink());
         for (from, round, v) in [
             (2, 1, 11.0),
             (1, 2, 5.0),
@@ -988,7 +940,9 @@ mod tests {
         log(&mut in_place, &eager, &DURING_JOB);
         for w in [&mut pooled, &mut in_place] {
             w.pending = None;
-            assert_eq!(w.complete_round(loss, 0.0, |_| 1000.0).count(), 2);
+            let mut out = Outputs::default();
+            w.complete_round(loss, 0.0, |_| 1000.0, out.sink());
+            assert!(out.pop().is_some() && out.pop().is_some() && out.pop().is_none());
             log(w, &eager, &WHILE_IDLE);
             assert_eq!(w.queued.len(), 5, "nothing applies on arrival");
             assert_eq!(bits(w), before);
@@ -1062,7 +1016,7 @@ mod tests {
         );
         assert!(inner.reads_weights());
         gaia.strategy = Box::new(Spy(inner, Arc::clone(&seen)));
-        gaia.complete_round(1.0, 0.0, |_| 1000.0).for_each(drop);
+        gaia.complete_round(1.0, 0.0, |_| 1000.0, Outputs::default().sink());
         assert!(gaia.queued.is_empty(), "settled before generating");
         assert_eq!(*seen.lock().unwrap(), bits(&eager));
     }
@@ -1084,17 +1038,25 @@ mod tests {
         workers
     }
 
-    /// Complete `w`'s round `round`; its actions as `(what, peer)` in order.
-    fn post_round(w: &mut Worker, round: u64) -> Vec<(&'static str, usize)> {
+    /// Complete `w`'s round `round`: its outputs in order and the pause it
+    /// returned.
+    fn round_outputs(w: &mut Worker, round: u64) -> (Vec<Output>, Option<f64>) {
         w.iteration = round;
-        let actions = w.complete_round(1.0, 0.0, |_| 1000.0);
-        actions
-            .map(|a| match a {
-                Action::Send(j, payload) => (payload.kind(), j),
-                Action::Depart => ("depart", w.id),
-                Action::Pause(_) => ("pause", w.id),
-            })
-            .collect()
+        let mut out = Outputs::default();
+        let pause = w.complete_round(1.0, 0.0, |_| 1000.0, out.sink());
+        (std::iter::from_fn(|| out.pop()).collect(), pause)
+    }
+
+    /// Complete `w`'s round `round`; what it does as `(what, peer)` in order.
+    fn post_round(w: &mut Worker, round: u64) -> Vec<(&'static str, usize)> {
+        let (outputs, pause) = round_outputs(w, round);
+        let what = |o| match o {
+            Output::Send(j, payload) => (payload.kind(), j),
+            Output::Departed => ("depart", w.id),
+            other => panic!("not a post-round output: {other:?}"),
+        };
+        let pause = pause.map(|_| ("pause", w.id));
+        outputs.into_iter().map(what).chain(pause).collect()
     }
 
     #[test]
@@ -1120,13 +1082,12 @@ mod tests {
     fn a_rejoining_kill_pauses_exactly_once() {
         let mut ws = planned_ranks(3, "1@4+0.5");
         let w = &mut ws[1];
-        w.iteration = 3;
-        let actions: Vec<Action> = w.complete_round(1.0, 0.0, |_| 1000.0).collect();
-        assert_eq!(actions.last(), Some(&Action::Pause(0.5)));
-        assert!(actions[..2]
+        let (outputs, pause) = round_outputs(w, 3);
+        assert_eq!(pause, Some(0.5));
+        assert!(outputs
             .iter()
-            .all(|a| matches!(a, Action::Send(_, Payload::Grad(_)))));
-        assert_eq!(actions.len(), 3, "no DKT on the kill round: {actions:?}");
+            .all(|o| matches!(o, Output::Send(_, Payload::Grad(_)))));
+        assert_eq!(outputs.len(), 2, "no DKT on the kill round: {outputs:?}");
         let pauses: usize = (0..12)
             .map(|r| {
                 post_round(w, r)

@@ -1,19 +1,19 @@
 //! The cluster runner: the discrete-event backend of the rank protocol.
 //!
-//! The per-worker workflow of Figure 4/10 — weighted self-update, per-link
-//! fan-out, peer-gradient apply, strict-BSP flush, DKT, the planned kill —
-//! is [`crate::round`]; this file decides *when* each step happens in
-//! virtual time and turns the round's [`Action`]s into events. It owns the
-//! event queue, the compute and network models, what a send costs, a
-//! paused worker's resume and evaluation; each rank's record of its run is
-//! its own ([`crate::record`]), and the run's [`RunMetrics`] are their fold
-//! ([`assemble_metrics`]), as on the live backend. The batching plane is
-//! each rank's own [`crate::gbs::Batching`], as on the live backend
-//! (DESIGN.md §4n): a rank between iterations opens the control round due
-//! at the virtual time, profiles its own RCP off the compute model and
-//! sends it to its peers as a [`Notice`] through the network model, and
-//! waits for theirs. Virtual time advances only through the event queue,
-//! so runs are fully deterministic for a given seed.
+//! Each simulated rank is a [`Rank`] (`crate::rank`, DESIGN.md §4l), the
+//! machine the live driver runs too: it decides every step, send,
+//! batching round, pause and finish. This file maps virtual-time events to
+//! a rank's inputs and its outputs to events — a step becomes a pool job
+//! completing at the time the compute model gives, a send a priced
+//! transfer through the network model, a batching notice a transfer on its
+//! control lane, a wake-up an event (a paused rank's resume). It keeps the
+//! event queue, the compute and network models, evaluation ticks and the
+//! link telemetry; each rank's record of its run is its own
+//! ([`crate::record`]), and the run's [`RunMetrics`] are their fold
+//! ([`assemble_metrics`]), as on the live backend. A rank's batching rounds
+//! fall due on virtual time and its RCP is profiled off the compute model.
+//! Virtual time advances only through the event queue, so runs are fully
+//! deterministic for a given seed.
 //!
 //! Host time is another matter: a worker's gradients *complete* at the
 //! simulated time the compute model dictates, and are computed on the host
@@ -33,16 +33,15 @@
 
 use crate::cluster::build_cluster;
 use crate::config::{ConvergenceCfg, RunConfig};
-use crate::gbs::Notice;
 use crate::lbs::{compute_rcp, PROFILE_LBS};
 use crate::messages::{
     apply_wire_format, trace_wire_bytes, wire_slot, GradData, Payload, WireCfg, WireFormat,
     DEFAULT_CHUNK_BYTES, WIRE_LABELS,
 };
 use crate::metrics::{LinkSample, RunMetrics};
+use crate::rank::{Host, Input, Output, Outputs, Rank};
 use crate::record::assemble_metrics;
-use crate::round::{Action, Effect};
-use crate::worker::{PendingIteration, Worker};
+use crate::worker::Worker;
 use dlion_microcloud::EnvId;
 use dlion_nn::Dataset;
 use dlion_simnet::{ComputeModel, EventQueue, NetworkModel};
@@ -52,32 +51,20 @@ use std::sync::Arc;
 
 /// Simulation events.
 enum Ev {
-    /// A worker's gradient computation completed.
-    IterDone { w: usize },
-    /// A message arrived at `to` (and, for gradients, its delivery also
-    /// unblocks the sender under `BlockOnDelivery`).
-    Msg {
-        from: usize,
-        to: usize,
-        payload: Payload,
-    },
-    /// A batching notice (an RCP or a Done) arrived at `to`.
-    Notice {
-        from: usize,
-        to: usize,
-        notice: Notice,
-    },
+    /// An input reaches rank `w`: its computed step, a message or a
+    /// notice (each in flight until then), or the wake-up it asked for.
+    Input { w: usize, input: Input },
     /// Periodic cluster-wide accuracy evaluation.
     EvalTick,
-    /// A paused worker (rejoining kill) comes back.
-    Resume { w: usize },
 }
 
 /// A fully-wired simulated cluster.
 pub struct ClusterRunner {
     cfg: RunConfig,
     n: usize,
-    workers: Vec<Worker>,
+    ranks: Vec<Rank>,
+    /// What the rank being fed asks for; reused across inputs.
+    out: Outputs,
     net: NetworkModel,
     compute: ComputeModel,
     queue: EventQueue<Ev>,
@@ -96,12 +83,10 @@ pub struct ClusterRunner {
     prof_rng: DetRng,
     bytes_per_param: f64,
     total_params: usize,
-    /// IterDone, Msg and Notice events still in the queue — lets
+    /// Inputs in flight (every queued input but a wake-up) — lets
     /// `max_iters` runs end exactly when all work (including in-flight
     /// messages) has drained.
     inflight: usize,
-    /// True while a rejoining worker sits out its dead time.
-    paused: Vec<bool>,
 }
 
 impl ClusterRunner {
@@ -118,12 +103,16 @@ impl ClusterRunner {
                 .validate(n, cfg.max_iters.unwrap_or(u64::MAX))
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         }
+        // The event loop sees every message delivered before it ends a
+        // run: no rank holds links or a barrier.
+        let rank = |worker| Rank::new(worker, cfg.max_iters, Vec::new());
 
         ClusterRunner {
             prof_rng: init.prof_rng,
-            cfg,
             n,
-            workers: init.workers,
+            ranks: init.workers.into_iter().map(rank).collect(),
+            out: Outputs::default(),
+            cfg,
             net,
             compute,
             queue: EventQueue::new(),
@@ -136,15 +125,14 @@ impl ClusterRunner {
             bytes_per_param: init.bytes_per_param,
             total_params: init.total_params,
             inflight: 0,
-            paused: vec![false; n],
         }
     }
 
     /// Visit every worker mutably before [`ClusterRunner::run`] — the hook
     /// for installing custom [`crate::strategy::ExchangeStrategy`] plugins
     /// (see the `custom_strategy` example).
-    pub fn for_each_worker(&mut self, f: impl FnMut(&mut Worker)) {
-        self.workers.iter_mut().for_each(f);
+    pub fn for_each_worker(&mut self, mut f: impl FnMut(&mut Worker)) {
+        self.ranks.iter_mut().for_each(|rank| f(&mut rank.worker));
     }
 
     /// Run the simulation to completion and return its metrics: the fold
@@ -156,26 +144,21 @@ impl ClusterRunner {
         let system = self.cfg.system.name();
         let _run_scope = dlion_telemetry::run_scope(&system, &self.env, self.cfg.seed);
         let (end_time, converged) = self.simulate();
-        // Strict BSP parks peer gradients until the next round start; at
-        // the end of the run there is no next round, so flush the
-        // remainder into the update log in the same canonical order before
-        // the final evaluation — the live driver's shutdown flush does the
-        // same. An iteration still computing when the run ends is joined
-        // first. The evaluation jobs apply the update logs, not this
-        // thread; every rank's end-of-run take follows, as the live
-        // driver's.
+        // An iteration still computing when the run ends is joined, and
+        // what strict BSP still parks joins the update log (`Rank::close`,
+        // as at the live driver's end) before the final evaluation. The
+        // evaluation jobs apply the update logs, not this thread; every
+        // rank's end-of-run take follows, as the live driver's.
         for w in 0..self.n {
             self.join(w);
-            if !self.workers[w].departed() {
-                self.workers[w].flush_parked(true);
-            }
+            self.ranks[w].close();
         }
         if self.evals.last().is_none_or(|&(t, _)| t < end_time) {
             self.eval_all(end_time);
         }
         let capture = self.cfg.capture_weights;
-        let records = self.workers.iter_mut().map(|worker| {
-            let mut record = worker.take_record(capture);
+        let records = self.ranks.iter_mut().map(|rank| {
+            let mut record = rank.worker.take_record(capture);
             // Virtual time is the rank's training clock: it computes for
             // exactly its steps.
             (record.wall_secs, record.busy_secs) = (end_time, record.train_secs);
@@ -218,7 +201,7 @@ impl ClusterRunner {
         // invoked to profile the compute capacity of workers" before
         // training starts.
         for w in 0..self.n {
-            self.try_start(w, 0.0);
+            self.feed(w, Input::Wake, 0.0);
         }
         self.queue.schedule(self.cfg.eval_interval, Ev::EvalTick);
         loop {
@@ -235,21 +218,21 @@ impl ClusterRunner {
                     .gauge_max("queue_depth", self.queue.len() as f64);
                 self.telemetry.inc("events");
             }
-            if matches!(ev, Ev::IterDone { .. } | Ev::Msg { .. } | Ev::Notice { .. }) {
-                self.inflight -= 1;
-            }
             match ev {
-                Ev::IterDone { w } => self.on_iter_done(w, t),
-                Ev::Msg { from, to, payload } => self.on_msg(from, to, payload, t),
-                Ev::Notice { from, to, notice } => {
-                    // A rank between iterations may be waiting on it.
-                    self.workers[to].batching.on_notice(from, notice);
-                    self.try_start(to, t);
-                }
-                Ev::Resume { w } => {
-                    self.paused[w] = false;
-                    event!(t, w: w, "rejoin"; "iter" => self.workers[w].iteration);
-                    self.try_start(w, t);
+                Ev::Input { w, input } => {
+                    // Every input but a wake-up was in flight.
+                    self.inflight -= usize::from(!matches!(input, Input::Wake));
+                    // A gradient's delivery credits its sender first — also
+                    // when the recipient departed, where the payload goes
+                    // nowhere.
+                    if let Input::Payload {
+                        from,
+                        payload: Payload::Grad(_),
+                    } = input
+                    {
+                        self.feed(from, Input::Delivered { from: w }, t);
+                    }
+                    self.feed(w, input, t);
                 }
                 Ev::EvalTick => {
                     self.eval_all(t);
@@ -273,14 +256,70 @@ impl ClusterRunner {
 
     // ------------------------------------------------------------ events
 
+    /// Hand rank `w` an input at `now` and carry out what it asks, in
+    /// order. A wake-up it asks for at `now` (once its post-round sends
+    /// are out) is fed right away; a pause's goes through the queue.
+    fn feed(&mut self, w: usize, input: Input, now: f64) {
+        let mut out = std::mem::take(&mut self.out);
+        let mut input = Some(input);
+        let mut shared_loss = false;
+        while let Some(next) = input.take() {
+            // The rank's batching clock is virtual time; its RCP is
+            // profiled off the compute model, from the run's profiling
+            // stream.
+            let (net, compute, rng) = (&self.net, &self.compute, &mut self.prof_rng);
+            let noise = self.cfg.profile_noise;
+            let mut telemetry = self.cfg.telemetry.then_some(&mut self.telemetry);
+            let mut host = Host {
+                clock: now,
+                bandwidth: &|j| net.bandwidth_mbps(w, j, now),
+                rcp: &mut || compute_rcp(&compute.profile(w, &PROFILE_LBS, now, noise, rng)),
+                joined: &mut |loss| telemetry.iter_mut().for_each(|t| t.observe("loss", loss)),
+                recycle: &mut drop,
+            };
+            self.ranks[w].on(next, now, &mut host, &mut out);
+            while let Some(output) = out.pop() {
+                match output {
+                    Output::Step => self.start_iteration(w, now),
+                    Output::Send(to, payload) => {
+                        shared_loss |= matches!(payload, Payload::LossShare { .. });
+                        // A Leave goes through the modelled links: egress
+                        // is serialized per sender and the queue is FIFO at
+                        // equal timestamps, so it never overtakes the
+                        // victim's last gradients — the live backend's
+                        // per-peer FIFO.
+                        self.send(w, to, payload, now);
+                    }
+                    Output::Notice(to, notice) => {
+                        // A net-control frame: no `send` row, no byte ledger
+                        // entry.
+                        let bytes = notice.wire_len() as f64;
+                        let arrival = self.net.transfer_control(w, to, bytes, now).arrival;
+                        self.inflight += 1;
+                        let input = Input::Notice { from: w, notice };
+                        self.queue.schedule(arrival, Ev::Input { w: to, input });
+                    }
+                    Output::WakeAt(t) if t > now || self.ranks[w].paused() => {
+                        let input = Input::Wake;
+                        self.queue.schedule(t, Ev::Input { w, input });
+                    }
+                    Output::WakeAt(_) => input = Some(Input::Wake),
+                    // Delivery is credited at arrival; the loop ends the
+                    // run itself.
+                    Output::Ack(_) | Output::Departed | Output::Finished => {}
+                }
+            }
+        }
+        if shared_loss && self.cfg.telemetry {
+            self.telemetry.inc("dkt_rounds");
+        }
+        self.out = out;
+    }
+
+    /// A step of rank `w` (its minibatch sampled): out to the pool as a
+    /// job, complete at the time the compute model gives.
     fn start_iteration(&mut self, w: usize, now: f64) {
-        // Strict BSP logs the previous round's parked peer gradients here,
-        // so the step below applies them and its forward pass sees the
-        // same model the live driver computes on.
-        let worker = &mut self.workers[w];
-        worker.flush_parked(false);
-        worker.waiting = false;
-        worker.sample_batch_reuse();
+        let worker = &mut self.ranks[w].worker;
         // The gradients go out as a pool job: this thread schedules, it
         // does not compute.
         worker.spawn_grads(&self.data, self.cfg.grad_clip);
@@ -294,30 +333,24 @@ impl ClusterRunner {
             self.telemetry.observe("iter_secs", dt);
         }
         self.inflight += 1;
-        self.queue.schedule(now + dt, Ev::IterDone { w });
+        let input = Input::Computed;
+        self.queue.schedule(now + dt, Ev::Input { w, input });
     }
 
     /// Bring worker `w`'s gradient job home, if one is out: from here on
     /// its model, gradients and arena are where the eager computation
-    /// would have left them, up to the updates still in its log. Called
-    /// wherever they are first needed — `on_iter_done(w)`, a DKT request
-    /// for or a weight merge into `w`'s model, an LBS change (it resets
-    /// the arena), evaluation, the end of the run. A peer gradient
-    /// reaching `w` is *not* a join point: it joins the update log
-    /// ([`Worker::on_payload`]).
+    /// would have left them, up to the updates still in its log. The
+    /// rank joins where it needs its model — its step's completion, a DKT
+    /// request for or a weight merge into it ([`Rank::on`]); an LBS change
+    /// (it resets the arena) happens only between steps; this joins for
+    /// evaluation and at the end of the run. A peer gradient reaching `w`
+    /// is *not* a join point: it joins the update log.
     fn join(&mut self, w: usize) {
-        if let Some(loss) = self.workers[w].join_grads() {
+        if let Some(loss) = self.ranks[w].worker.join_grads() {
             if self.cfg.telemetry {
                 self.telemetry.observe("loss", loss);
             }
         }
-    }
-
-    /// Has worker `w` completed the configured iteration cap (if any)?
-    fn reached_max_iters(&self, w: usize) -> bool {
-        self.cfg
-            .max_iters
-            .is_some_and(|k| self.workers[w].iteration >= k)
     }
 
     /// Under `max_iters`, the run ends once every worker reached the cap,
@@ -327,108 +360,31 @@ impl ClusterRunner {
             return false;
         };
         self.inflight == 0
-            && (0..self.n).all(|w| {
-                let worker = &self.workers[w];
+            && self.ranks.iter().all(|rank| {
+                let worker = &rank.worker;
                 (worker.iteration >= k || worker.departed()) && worker.pending.is_none()
             })
-    }
-
-    fn on_iter_done(&mut self, w: usize, now: f64) {
-        self.join(w);
-        let worker = &mut self.workers[w];
-        let Some(PendingIteration::Done { loss }) = worker.pending.take() else {
-            panic!("IterDone without pending gradients");
-        };
-        // A step counts as busy time once it completes (`complete_round`
-        // adds it to the record), so a step still in flight when the run
-        // ends is not charged: Σ `iter_done.dt` is `busy_time[w]`, bit for
-        // bit.
-        let net = &self.net;
-        let actions = worker.complete_round(loss, now, |j| net.bandwidth_mbps(w, j, now));
-        let mut shared_loss = false;
-        for action in actions {
-            match action {
-                Action::Send(to, payload) => {
-                    if let Payload::Grad(msg) = &payload {
-                        if self.cfg.telemetry {
-                            self.telemetry.inc("strategy_updates");
-                        }
-                        if self.cfg.trace_links {
-                            self.link_trace.push(LinkSample {
-                                time: now,
-                                src: w,
-                                dst: to,
-                                bytes: msg.wire_bytes(self.bytes_per_param, self.total_params),
-                                entries: msg.entries(),
-                                n_used: msg.n_used,
-                            });
-                        }
-                    }
-                    shared_loss |= matches!(payload, Payload::LossShare { .. });
-                    // A Leave goes through the modelled links: egress is
-                    // serialized per sender and the queue is FIFO at equal
-                    // timestamps, so it never overtakes the victim's last
-                    // gradients — the live backend's per-peer FIFO.
-                    self.send(w, to, payload, now);
-                }
-                // Every rank's departures exclude it from here on.
-                Action::Depart => {}
-                // A paused worker stays a member and keeps receiving.
-                Action::Pause(secs) => {
-                    self.paused[w] = true;
-                    self.queue.schedule(now + secs, Ev::Resume { w });
-                }
-            }
-        }
-        if shared_loss && self.cfg.telemetry {
-            self.telemetry.inc("dkt_rounds");
-        }
-        self.try_start(w, now);
-    }
-
-    fn on_msg(&mut self, from: usize, to: usize, payload: Payload, now: f64) {
-        // Gradient delivery unblocks the sender under BlockOnDelivery.
-        if matches!(payload, Payload::Grad(_)) {
-            self.workers[from].sync.on_delivered_from(to);
-            if self.workers[from].waiting {
-                self.try_start(from, now);
-            }
-        }
-        // A message in flight when its recipient departed: the sender gets
-        // its delivery credit (above), the payload goes nowhere.
-        if self.workers[to].departed() {
-            return;
-        }
-        // A pull of, or a merge into, the model needs it home.
-        if matches!(payload, Payload::DktRequest | Payload::Weights { .. }) {
-            self.join(to);
-        }
-        // Only a gradient or a demotion can open a blocked gate.
-        let regate = match self.workers[to].on_payload(from, payload, now) {
-            Effect::Logged => true,
-            Effect::Noted | Effect::Merged(_) => false,
-            Effect::Reply(reply) => {
-                self.send(to, from, reply, now);
-                false
-            }
-            Effect::Departed { completed } => {
-                // The victim's departure notice arrived — only now does
-                // this worker demote it. Arriving per-link FIFO behind the
-                // victim's last gradients, the demotion can never cost a
-                // round its gradients — the live backend's ordering.
-                self.workers[to].demote_peer(from, Some(completed), now);
-                true
-            }
-        };
-        if regate && self.workers[to].waiting {
-            self.try_start(to, now);
-        }
     }
 
     /// Put a payload on the wire, price it in the sender's record (the
     /// network model's bytes by kind, the exact encoded length by wire
     /// label) and schedule its arrival.
     fn send(&mut self, from: usize, to: usize, mut payload: Payload, now: f64) {
+        if let Payload::Grad(msg) = &payload {
+            if self.cfg.telemetry {
+                self.telemetry.inc("strategy_updates");
+            }
+            if self.cfg.trace_links {
+                self.link_trace.push(LinkSample {
+                    time: now,
+                    src: from,
+                    dst: to,
+                    bytes: msg.wire_bytes(self.bytes_per_param, self.total_params),
+                    entries: msg.entries(),
+                    n_used: msg.n_used,
+                });
+            }
+        }
         // Lossy wire formats change the numbers the receiver trains on:
         // apply them here, exactly where the live codec quantizes, so a
         // sim run and a live run see the same gradients.
@@ -440,7 +396,7 @@ impl ClusterRunner {
             chunk_bytes: DEFAULT_CHUNK_BYTES,
         }) as f64;
         let slot = wire_slot(&payload, self.cfg.wire);
-        let record = &mut self.workers[from].record;
+        let record = &mut self.ranks[from].worker.record;
         record.sent(payload.kind(), slot, bytes, encoded);
         let t = self.net.transfer(from, to, bytes, now);
         event!(now, w: from, "send";
@@ -453,49 +409,8 @@ impl ClusterRunner {
             self.telemetry.observe("transfer_secs", t.arrival - now);
         }
         self.inflight += 1;
-        self.queue
-            .schedule(t.arrival, Ev::Msg { from, to, payload });
-    }
-
-    /// Between iterations: run the batching plane — the rank's RCP for a
-    /// round due at `now` profiled off the compute model — then start the
-    /// next iteration if no collect is open and the sync policy allows;
-    /// otherwise mark the worker as waiting. A finished rank tells its
-    /// peers, so no collect awaits it.
-    fn try_start(&mut self, w: usize, now: f64) {
-        if self.workers[w].departed() || self.paused[w] || self.workers[w].pending.is_some() {
-            return;
-        }
-        let (compute, rng, noise) = (&self.compute, &mut self.prof_rng, self.cfg.profile_noise);
-        let rcp = || compute_rcp(&compute.profile(w, &PROFILE_LBS, now, noise, rng));
-        let worker = &mut self.workers[w];
-        let (sends, open) = worker.batching_step(now, now, false, rcp);
-        worker.waiting = open;
-        let done = !open && self.reached_max_iters(w) && self.workers[w].batching.finish(w);
-        let dones = (0..self.n).filter(|&j| done && self.workers[w].awaits_rcp(j));
-        let dones: Vec<_> = dones.map(|j| (j, Notice::Done)).collect();
-        for (to, notice) in sends.into_iter().chain(dones) {
-            // A net-control frame: no `send` row, no byte ledger entry.
-            let bytes = notice.wire_len() as f64;
-            let arrival = self.net.transfer_control(w, to, bytes, now).arrival;
-            self.inflight += 1;
-            let ev = Ev::Notice {
-                from: w,
-                to,
-                notice,
-            };
-            self.queue.schedule(arrival, ev);
-        }
-        if open || self.reached_max_iters(w) {
-            return;
-        }
-        let worker = &mut self.workers[w];
-        let policy = worker.strategy.sync_policy();
-        if worker.sync.can_start(policy, worker.iteration) {
-            self.start_iteration(w, now);
-        } else {
-            worker.waiting = true;
-        }
+        let input = Input::Payload { from, payload };
+        self.queue.schedule(t.arrival, Ev::Input { w: to, input });
     }
 
     fn eval_all(&mut self, now: f64) {
@@ -506,15 +421,15 @@ impl ClusterRunner {
         let jobs: Vec<_> = (0..self.n)
             .map(|w| {
                 self.join(w);
-                (!self.workers[w].departed())
-                    .then(|| self.workers[w].spawn_eval(&self.data, &self.eval_indices))
+                let worker = &mut self.ranks[w].worker;
+                (!worker.departed()).then(|| worker.spawn_eval(&self.data, &self.eval_indices))
             })
             .collect();
         let mut alive = Vec::with_capacity(self.n);
-        for (worker, job) in self.workers.iter_mut().zip(jobs) {
+        for (rank, job) in self.ranks.iter_mut().zip(jobs) {
             if let Some(job) = job {
-                let r = worker.join_eval(job);
-                alive.push(worker.push_eval(now, r).accuracy);
+                let r = rank.worker.join_eval(job);
+                alive.push(rank.worker.push_eval(now, r).accuracy);
             }
         }
         let mean = dlion_tensor::stats::mean(&alive);
@@ -730,9 +645,9 @@ mod tests {
         let mut runner = ClusterRunner::new(cfg, compute, net, spec.name);
         runner.simulate();
         let rows: Vec<_> = runner
-            .workers
+            .ranks
             .iter()
-            .map(|w| &w.batching.lbs_trace)
+            .map(|r| &r.worker.batching.lbs_trace)
             .collect();
         // The run ends wherever it is: a rank may be inside the last collect.
         let decided = rows.iter().map(|r| r.len()).min().unwrap();

@@ -178,6 +178,27 @@ impl SyncState {
         }
     }
 
+    /// Whom a shut gate for `next_iter` waits on: the tracked peers below
+    /// the round it needs (backups included), or — `BlockOnDelivery` —
+    /// the peers one of our gradients has not reached. Empty when the
+    /// gate is open.
+    pub fn lagging(&self, policy: SyncPolicy, next_iter: u64) -> Vec<usize> {
+        let below = |round: u64| {
+            let behind = |&j: &usize| self.received[j].is_none_or(|v| v < round);
+            self.tracked.iter().copied().filter(behind).collect()
+        };
+        match policy {
+            _ if self.can_start(policy, next_iter) => Vec::new(),
+            SyncPolicy::Asynchronous => Vec::new(),
+            SyncPolicy::Synchronous => below(next_iter - 1),
+            SyncPolicy::BoundedStaleness { bound, .. } => below(next_iter - 1 - bound),
+            SyncPolicy::BlockOnDelivery => {
+                let owed = |&j: &usize| self.undelivered_to[j] > 0;
+                (0..self.undelivered_to.len()).filter(owed).collect()
+            }
+        }
+    }
+
     fn peers_at_least(&self, iteration: u64) -> usize {
         self.tracked
             .iter()
@@ -219,6 +240,25 @@ mod tests {
         s.on_gradient(1, 1);
         s.on_gradient(2, 1);
         assert!(s.can_start(SyncPolicy::Synchronous, 2));
+    }
+
+    #[test]
+    fn a_shut_gate_names_whom_it_waits_on() {
+        use SyncPolicy::*;
+        let mut s = SyncState::new(0, 3);
+        assert_eq!(s.lagging(Synchronous, 1), vec![1, 2]);
+        s.on_gradient(1, 0);
+        assert_eq!(s.lagging(Synchronous, 1), vec![2]);
+        s.on_gradient(2, 0);
+        assert!(s.lagging(Synchronous, 1).is_empty());
+        let bounded = BoundedStaleness {
+            bound: 5,
+            backup_workers: 0,
+        };
+        assert_eq!(s.lagging(bounded, 8), vec![1, 2], "floor 2, both at 0");
+        s.on_sent_to(2);
+        assert_eq!(s.lagging(BlockOnDelivery, 3), vec![2]);
+        assert!(s.lagging(Asynchronous, 9).is_empty());
     }
 
     #[test]

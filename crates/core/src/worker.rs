@@ -39,12 +39,10 @@ pub struct Worker {
     pub lbs: usize,
     /// Completed iterations (== index of the next iteration to run).
     pub iteration: u64,
-    /// The simulator's iteration in progress: its gradient computation,
-    /// out on the pool or already home, until the simulated completion
-    /// time consumes the loss. Always `None` on the live backend.
+    /// A step's result until its rank consumes it
+    /// ([`crate::rank::Input::Computed`]): the simulator's gradient job,
+    /// out on the pool or already home, or a live step's loss.
     pub pending: Option<PendingIteration>,
-    /// True if blocked by the synchronization policy.
-    pub waiting: bool,
     /// Duration of the last iteration (for the speed-assurance budget).
     pub last_iter_time: f64,
     /// Last DKT round in which this worker issued a pull request.
@@ -103,7 +101,7 @@ pub enum Update {
     Peer { msg: GradMsg, factor: f32 },
 }
 
-/// A gradient computation awaiting its virtual completion.
+/// A computed step awaiting its rank: a gradient job, or its result.
 pub enum PendingIteration {
     /// Spawned by [`Worker::spawn_grads`] and not joined yet: the job owns
     /// `model`, `scratch`, `grads`, `batch_buf` and the log it settles;
@@ -155,11 +153,6 @@ impl Worker {
             self.batch_buf.push(i);
         }
     }
-
-    /// Is the worker idle (no iteration pending, not marked waiting)?
-    pub fn idle(&self) -> bool {
-        self.pending.is_none() && !self.waiting
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +179,6 @@ mod tests {
             lbs: 32,
             iteration: 0,
             pending: None,
-            waiting: false,
             last_iter_time: 2.0,
             last_pull_round: 0,
             scratch: Scratch::new(),
@@ -249,17 +241,6 @@ mod tests {
         // An unchanged LBS keeps the warm arena.
         w.set_lbs(100);
         assert_eq!(w.scratch.held_bytes(), at_100);
-    }
-
-    #[test]
-    fn idle_logic() {
-        let mut w = worker();
-        assert!(w.idle());
-        w.pending = Some(PendingIteration::Done { loss: 1.0 });
-        assert!(!w.idle());
-        w.pending = None;
-        w.waiting = true;
-        assert!(!w.idle());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! allocations: an exact count is the least of a few runs.
 
 use dlion_core::messages::{GradData, WireCfg, WireFormat};
-use dlion_core::{GradMsg, Payload};
+use dlion_core::rank::{Host, Input, Output, Outputs, Rank, Wait};
+use dlion_core::worker::PendingIteration;
+use dlion_core::{build_cluster, GradMsg, Payload, RunConfig, SyncPolicy, SystemKind};
 use dlion_nn::Dataset;
 use dlion_tensor::{par, DetRng, Shape, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -168,4 +170,58 @@ fn the_synthetic_dataset_allocates_its_images_once() {
         bytes < images + labels + LARGE,
         "{bytes} B allocated for {images} B of images and {labels} B of labels"
     );
+}
+
+/// Feed `rank` through a host whose answers cost nothing.
+fn feed(rank: &mut Rank, input: Input, now: f64, out: &mut Outputs) {
+    let mut host = Host {
+        clock: now,
+        bandwidth: &|_| 1000.0,
+        rcp: &mut || 1.0,
+        joined: &mut drop,
+        recycle: &mut drop,
+    };
+    rank.on(input, now, &mut host, out);
+}
+
+/// A rank input that changes no decision — a delivery credit while the
+/// gate stays shut — allocates nothing: the simulator's 1024 ranks pay
+/// the rank layer on every event.
+#[test]
+fn a_rank_input_that_changes_no_decision_allocates_nothing() {
+    let _one = exclusive();
+    let mut cfg = RunConfig::small_test(SystemKind::Baseline);
+    cfg.sync_override = Some(SyncPolicy::Synchronous);
+    let init = build_cluster(&cfg, 3);
+    let worker = init.workers.into_iter().next().expect("rank 0");
+    let mut rank = Rank::new(worker, None, Vec::new());
+    let mut out = Outputs::default();
+    // Round 0 has no gate; its step, computed here, sends a gradient to
+    // each peer, and round 1's gate waits for theirs.
+    feed(&mut rank, Input::Wake, 0.0, &mut out);
+    assert!(matches!(out.pop(), Some(Output::Step)));
+    let loss = rank.worker.compute_grads(&init.data, cfg.grad_clip);
+    rank.worker.pending = Some(PendingIteration::Done { loss });
+    feed(&mut rank, Input::Computed, 1.0, &mut out);
+    while let Some(output) = out.pop() {
+        if let Output::WakeAt(t) = output {
+            feed(&mut rank, Input::Wake, t, &mut out);
+        }
+    }
+    let shut = Wait::Gate {
+        round: 1,
+        missing: vec![1, 2],
+    };
+    assert_eq!(rank.waiting_on(), Some(shut));
+    let credit = |rank: &mut Rank, out: &mut Outputs| {
+        counted(|| feed(rank, Input::Delivered { from: 1 }, 1.0, out))
+            .0
+             .0
+    };
+    let calls = (0..5)
+        .map(|_| credit(&mut rank, &mut out))
+        .min()
+        .expect("five runs");
+    assert_eq!(calls, 0);
+    assert!(out.pop().is_none(), "the gate stays shut");
 }

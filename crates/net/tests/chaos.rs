@@ -607,3 +607,46 @@ fn a_late_hello_is_a_protocol_error() {
         other => panic!("expected a protocol error, got {other:?}"),
     }
 }
+
+/// A silent peer stalls a rank at its gate, and the stall says what the
+/// rank waits on: the gate's round and whose gradients are missing. On a
+/// manual clock the stall timeout passes only as the test moves the clock.
+#[test]
+fn a_stall_at_the_gate_names_the_missing_gradients() {
+    const ITERS: u64 = 5;
+    let mut cfg = live_config(SystemKind::Baseline, 1);
+    cfg.max_iters = Some(ITERS);
+    cfg.sync_override = Some(SyncPolicy::Synchronous);
+    let clock = Arc::new(ManualClock::new());
+    let opts = LiveOpts {
+        iters: ITERS,
+        eval_every: 0,
+        assumed_iter_time: Some(0.05),
+        stall_timeout: Duration::from_secs(30),
+        clock: clock.clone(),
+        ..Default::default()
+    };
+    let cluster = LiveCluster::new(&cfg, 2, 1, &opts, "live/silent-peer").expect("cluster");
+    let mut mesh = mem_mesh(2);
+    let mut rank1 = mesh.pop().expect("endpoint 1");
+    let rank0 = mesh.pop().expect("endpoint 0");
+    let outcome = std::thread::scope(|s| {
+        let run = s.spawn(|| cluster.run_ranks(vec![rank0]).remove(0));
+        // Rank 1 takes rank 0's first gradient and says nothing.
+        rank1
+            .recv_frame_timeout(Duration::from_secs(120))
+            .expect("recv")
+            .expect("rank 0's first gradient");
+        while !run.is_finished() {
+            clock.advance(31.0);
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        run.join().expect("run_ranks")
+    });
+    match outcome {
+        Err(LiveError::Stalled(why)) => {
+            assert_eq!(why, "worker 0 waits on Gate { round: 1, missing: [1] }")
+        }
+        other => panic!("expected a stall, got {other:?}"),
+    }
+}

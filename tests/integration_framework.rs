@@ -158,7 +158,6 @@ fn worker_state_is_inspectable_before_run() {
     r.for_each_worker(|w| {
         ids.push(w.id);
         lbs.push(w.lbs);
-        assert!(w.idle());
         assert_eq!(w.iteration, 0);
         assert!(!w.shard.is_empty());
     });
