@@ -117,7 +117,7 @@ fn kernels() {
         });
         speedup("conv2d fwd", fwd_direct, fwd_gemm);
         let out = conv2d_s(i, w, b, 1, &mut s);
-        let dout = Tensor::randn(out.shape().clone(), 1.0, &mut rng);
+        let dout = Tensor::randn(*out.shape(), 1.0, &mut rng);
         let d = &dout;
         let bwd_gemm = bench("conv2d bwd implicit GEMM", || {
             let g = conv2d_backward_s(black_box(i), black_box(w), black_box(d), 1, &mut s);

@@ -11,6 +11,7 @@
 //! scaling is `bytes_per_param / ENC_DENSE_ENTRY_BYTES` relative to the
 //! codec's true encoded size (see [`Payload::wire_len`]).
 
+use dlion_tensor::shape::MAX_RANK;
 use dlion_tensor::{Shape, SparseVec, Tensor};
 
 /// Size of a small control message (loss share) in simulated bytes — the
@@ -522,7 +523,6 @@ const GRAD_VARIANT_I8: u8 = 3;
 /// Cap on pre-allocation from attacker-controlled counts during decode;
 /// larger counts still decode, they just reallocate as they grow.
 const MAX_DECODE_VARS: usize = 1024;
-const MAX_TENSOR_RANK: u8 = 8;
 
 /// How gradient values travel on the wire — the `--wire` ablation axis.
 /// Weights (DKT transfers) and control frames are always
@@ -1367,18 +1367,17 @@ fn dec_tensor_fmt(
     variant: u8,
     pool: &mut Vec<Vec<f32>>,
 ) -> Result<Tensor, WireError> {
-    let rank = c.u8()?;
-    if rank > MAX_TENSOR_RANK {
+    let rank = c.u8()? as usize;
+    if rank > MAX_RANK {
         return Err(WireError::Malformed("tensor rank too large"));
     }
-    let mut dims = Vec::with_capacity(rank as usize);
+    let mut dims = [0usize; MAX_RANK];
     let mut numel: usize = 1;
-    for _ in 0..rank {
-        let d = c.u32()? as usize;
+    for d in &mut dims[..rank] {
+        *d = c.u32()? as usize;
         numel = numel
-            .checked_mul(d)
+            .checked_mul(*d)
             .ok_or(WireError::Malformed("tensor element count overflow"))?;
-        dims.push(d);
     }
     let entry_bytes = match variant {
         GRAD_VARIANT_F16 => 2,
@@ -1410,7 +1409,7 @@ fn dec_tensor_fmt(
                 .map(|b| f32::from_le_bytes(b.try_into().unwrap())),
         ),
     }
-    Ok(Tensor::from_vec(Shape(dims), data))
+    Ok(Tensor::from_vec(Shape::new(&dims[..rank]), data))
 }
 
 fn dec_sparse(c: &mut Cursor<'_>) -> Result<SparseVec, WireError> {

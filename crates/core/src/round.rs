@@ -626,7 +626,7 @@ mod tests {
             lbs: 32,
             data: GradData::Dense(
                 vars.iter()
-                    .map(|t| Tensor::full(t.shape().clone(), value))
+                    .map(|t| Tensor::full(*t.shape(), value))
                     .collect(),
             ),
             n_used: 100.0,

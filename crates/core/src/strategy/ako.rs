@@ -77,10 +77,7 @@ impl ExchangeStrategy for Ako {
             .partitions
             .get_or_insert_with(|| Self::pick_partitions(ctx));
         if self.accum.is_empty() {
-            self.accum = grads
-                .iter()
-                .map(|g| Tensor::zeros(g.shape().clone()))
-                .collect();
+            self.accum = grads.iter().map(|g| Tensor::zeros(*g.shape())).collect();
         }
         for (a, g) in self.accum.iter_mut().zip(grads) {
             a.add_assign(g);

@@ -122,7 +122,7 @@ mod tests {
 
     fn grads(m: &Model, rng: &mut DetRng) -> Vec<Tensor> {
         (0..m.num_vars())
-            .map(|v| Tensor::randn(m.var(v).shape().clone(), 0.1, rng))
+            .map(|v| Tensor::randn(*m.var(v).shape(), 0.1, rng))
             .collect()
     }
 

@@ -56,10 +56,7 @@ impl ExchangeStrategy for Gaia {
         model: &Model,
     ) -> Vec<PeerUpdate> {
         if self.accum.is_empty() {
-            self.accum = grads
-                .iter()
-                .map(|g| Tensor::zeros(g.shape().clone()))
-                .collect();
+            self.accum = grads.iter().map(|g| Tensor::zeros(*g.shape())).collect();
         }
         let thr_frac = (self.s_percent / 100.0) as f32;
         let mut vars = Vec::with_capacity(grads.len());
@@ -117,14 +114,14 @@ mod tests {
         // Gradients sized so that lr*|g| is tiny relative to weights for most
         // entries: nothing significant on the first iteration.
         let tiny: Vec<Tensor> = (0..m.num_vars())
-            .map(|v| Tensor::full(m.var(v).shape().clone(), 1e-7))
+            .map(|v| Tensor::full(*m.var(v).shape(), 1e-7))
             .collect();
         let ups = gaia.generate_partial_gradients(&ctx, &tiny, &m);
         let sent: usize = ups[0].msg.entries();
         assert_eq!(sent, 0, "tiny gradients must not be significant");
         // A huge gradient is significant everywhere.
         let huge: Vec<Tensor> = (0..m.num_vars())
-            .map(|v| Tensor::full(m.var(v).shape().clone(), 10.0))
+            .map(|v| Tensor::full(*m.var(v).shape(), 10.0))
             .collect();
         let ups = gaia.generate_partial_gradients(&ctx, &huge, &m);
         assert_eq!(ups[0].msg.entries(), m.num_params());
@@ -140,7 +137,7 @@ mod tests {
         // (|w| <= 1e-3) needs |acc| >= 3.33e-5, i.e. 4 accumulation steps;
         // heavier weights need proportionally more.
         let step: Vec<Tensor> = (0..m.num_vars())
-            .map(|v| Tensor::full(m.var(v).shape().clone(), 1e-5))
+            .map(|v| Tensor::full(*m.var(v).shape(), 1e-5))
             .collect();
         let mut total_sent = 0usize;
         let mut sent_at = Vec::new();
@@ -178,7 +175,7 @@ mod tests {
         let m = model();
         let mut rng = DetRng::seed_from_u64(7);
         let grads: Vec<Tensor> = (0..m.num_vars())
-            .map(|v| Tensor::randn(m.var(v).shape().clone(), 0.01, &mut rng))
+            .map(|v| Tensor::randn(*m.var(v).shape(), 0.01, &mut rng))
             .collect();
         let ctx = test_ctx(0, 6);
         let sent_at = |s: f64| {

@@ -71,7 +71,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(1);
         let model = dlion_nn::cipher_net(&Shape::d4(1, 1, 12, 12), 10, 6, 12, 24, 48, &mut rng);
         let grads: Vec<Tensor> = (0..model.num_vars())
-            .map(|v| Tensor::randn(model.var(v).shape().clone(), 0.1, &mut rng))
+            .map(|v| Tensor::randn(*model.var(v).shape(), 0.1, &mut rng))
             .collect();
         let mut ctx = test_ctx(0, 3);
         let mut m10 = MaxNOnly::new(10.0, 5);
@@ -93,7 +93,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(2);
         let model = dlion_nn::cipher_net(&Shape::d4(1, 1, 12, 12), 10, 6, 12, 24, 48, &mut rng);
         let grads: Vec<Tensor> = (0..model.num_vars())
-            .map(|v| Tensor::randn(model.var(v).shape().clone(), 0.1, &mut rng))
+            .map(|v| Tensor::randn(*model.var(v).shape(), 0.1, &mut rng))
             .collect();
         let ctx = test_ctx(0, 3);
         let ups = MaxNOnly::new(100.0, 5).generate_partial_gradients(&ctx, &grads, &model);

@@ -9,10 +9,16 @@
 
 use dlion_core::messages::{GradData, WireCfg, WireFormat};
 use dlion_core::rank::{Host, Input, Output, Outputs, Rank, Wait};
+use dlion_core::strategy::baseline::Baseline;
 use dlion_core::worker::PendingIteration;
-use dlion_core::{build_cluster, GradMsg, Payload, RunConfig, SyncPolicy, SystemKind};
-use dlion_nn::Dataset;
-use dlion_tensor::{par, DetRng, Shape, Tensor};
+use dlion_core::{
+    build_cluster, ClusterRunner, ExchangeStrategy, GradMsg, Payload, RunConfig, StrategyCtx,
+    SyncPolicy, SystemKind, Topology,
+};
+use dlion_microcloud::ClusterKind;
+use dlion_nn::{Dataset, ModelSpec};
+use dlion_simnet::{ComputeModel, NetworkModel};
+use dlion_tensor::{par, DetRng, Scratch, Shape, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -224,4 +230,124 @@ fn a_rank_input_that_changes_no_decision_allocates_nothing() {
         .expect("five runs");
     assert_eq!(calls, 0);
     assert!(out.pop().is_none(), "the gate stays shut");
+}
+
+/// A tensor handle is a shape copied inline and a refcount bump: cloning
+/// one, or building any shape, never reaches the allocator.
+#[test]
+fn a_tensor_clone_and_a_shape_allocate_nothing() {
+    let _one = exclusive();
+    let t = Tensor::zeros(Shape::d4(2, 3, 4, 5));
+    assert_eq!(fewest_calls(|| t.clone()), 0, "Tensor::clone");
+    let dims = [2usize, 3, 4, 5];
+    let shapes: [(&str, &dyn Fn() -> Shape); 6] = [
+        ("scalar", &Shape::scalar),
+        ("d1", &|| Shape::d1(7)),
+        ("d2", &|| Shape::d2(3, 4)),
+        ("d4", &|| Shape::d4(2, 3, 4, 5)),
+        ("new", &|| Shape::new(&dims)),
+        ("from slice", &|| Shape::from(&dims[..3])),
+    ];
+    for (name, make) in shapes {
+        assert_eq!(fewest_calls(make), 0, "Shape::{name}");
+    }
+    // `From<Vec>` frees the vec it is handed and allocates nothing more.
+    let calls = fewest_calls(|| {
+        let v = vec![2usize, 3];
+        Shape::from(v)
+    });
+    assert_eq!(calls, 1, "From<Vec<usize>>: only the argument itself");
+}
+
+/// A batch drawn from a warm arena: the label `Vec` and the `Arc` around
+/// the arena's buffer.
+#[test]
+fn a_warm_batch_allocates_its_labels_and_its_storage_handle() {
+    let _one = exclusive();
+    let ds = Dataset::synth_vision(64, 1);
+    let mut arena = Scratch::new();
+    let indices = [3, 1, 4, 1, 5];
+    let calls = (0..5)
+        .map(|_| {
+            let ((calls, _, _), (x, _labels)) = counted(|| ds.batch_scratch(&indices, &mut arena));
+            arena.put_tensor(x);
+            calls
+        })
+        .min()
+        .expect("five runs");
+    assert_eq!(calls, 2);
+}
+
+/// Baseline's dense fan-out (§5.1.4: the whole gradient to every peer)
+/// of a Cipher gradient to 8 peers: each peer's `Vec` of tensor handles
+/// and the outer `Vec`, nothing per tensor.
+#[test]
+fn baseline_fans_a_cipher_gradient_out_to_8_peers_in_9_allocations() {
+    let _one = exclusive();
+    let mut rng = DetRng::seed_from_u64(1);
+    let model = ModelSpec::Cipher.build(&Shape::d4(1, 1, 12, 12), 10, &mut rng);
+    let grads: Vec<Tensor> = (0..model.num_vars())
+        .map(|v| Tensor::zeros(model.var(v).shape().dims()))
+        .collect();
+    assert_eq!(grads.len(), 10, "Cipher's variables");
+    let ctx = StrategyCtx {
+        worker: 0,
+        n: 9,
+        iteration: 0,
+        now: 0.0,
+        lbs: 1,
+        iter_time: 1.0,
+        bw_mbps: vec![1000.0; 9],
+        neighbors: (1..9).collect(),
+        bytes_per_param: 4.0,
+        total_params: model.num_params(),
+        lr: 0.1,
+    };
+    let calls = fewest_calls(|| Baseline::new(5).generate_partial_gradients(&ctx, &grads, &model));
+    assert_eq!(calls, 8 + 1, "one Vec per peer and the outer one");
+}
+
+/// Allocations per rank-iteration of a toy `sim_scale` cell (Baseline on
+/// `kregular:8` at batch 1, 48 ranks × 3 iterations), run inside a
+/// `par_map` item so every job runs inline on the counted thread: 123.7
+/// (DESIGN.md §4b).
+#[test]
+fn a_scale_cell_stays_within_its_allocations_per_rank_iteration() {
+    const N: usize = 48;
+    const PER_RANK_ITERATION: usize = 124;
+    let _one = exclusive();
+    let mut cfg = RunConfig::paper_default(SystemKind::Baseline, ClusterKind::Cpu);
+    cfg.seed = 1;
+    cfg.duration = 1e9;
+    cfg.eval_interval = 1e9;
+    cfg.max_iters = Some(3);
+    cfg.initial_lbs = 1;
+    cfg.workload.train_size = 8 * N;
+    cfg.workload.test_size = 16;
+    cfg.eval_subset = 8;
+    cfg.topology = Topology::KRegular { k: 8 };
+    cfg.capture_weights = true;
+    let per_run = par::par_map(&[cfg], |cfg| {
+        (0..3)
+            .map(|_| {
+                let runner = ClusterRunner::new(
+                    cfg.clone(),
+                    ComputeModel::homogeneous(N, 1.0, 0.001, 0.05),
+                    NetworkModel::uniform(N, 1000.0, 0.001),
+                    "scale/kregular8",
+                );
+                let ((calls, _, _), m) = counted(|| runner.run());
+                assert_eq!(m.total_iterations(), 3 * N as u64);
+                calls
+            })
+            .min()
+            .expect("three runs")
+    })
+    .remove(0);
+    let rank_iterations = 3 * N;
+    assert!(
+        per_run <= PER_RANK_ITERATION * rank_iterations,
+        "{per_run} allocations over {rank_iterations} rank-iterations: {:.1} each",
+        per_run as f64 / rank_iterations as f64
+    );
 }

@@ -61,7 +61,7 @@ fn db_weight_recovers_sample_weighted_gradient() {
     let (xall, yall) = ds.batch(&idx_all);
     let (_, gall) = model.forward_backward(&xall, &yall);
     for v in 0..model.num_vars() {
-        let mut combined = Tensor::zeros(ga[v].shape().clone());
+        let mut combined = Tensor::zeros(*ga[v].shape());
         combined.axpy(db / (db + 1.0), &ga[v]);
         combined.axpy(1.0 / (db + 1.0), &gb[v]);
         let diff: f32 = combined

@@ -14,6 +14,7 @@ use dlion_core::messages::{
     ENC_DENSE_ENTRY_BYTES, ENC_SPARSE_ENTRY_BYTES, FRAME_HEADER_BYTES, KIND_GRAD,
     MAX_FRAME_BODY_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };
+use dlion_tensor::shape::MAX_RANK;
 use dlion_tensor::{DetRng, Shape, SparseVec, Tensor};
 
 /// One plain frame whatever the body size: the canonical bytes the tests
@@ -36,7 +37,7 @@ fn rand_tensor(rng: &mut DetRng) -> Tensor {
             }
         })
         .collect();
-    let shape = Shape(dims);
+    let shape = Shape::new(&dims);
     let n = shape.numel();
     let data: Vec<f32> = (0..n).map(|_| rand_value(rng)).collect();
     Tensor::from_vec(shape, data)
@@ -213,6 +214,85 @@ fn header_fields_are_validated() {
     let mut trailing = good.clone();
     trailing.push(0);
     assert!(Payload::from_wire(&trailing, &mut Vec::new()).is_err());
+}
+
+/// A dense gradient body (iteration, LBS, `n_used`, variant 0, one
+/// tensor) whose tensor declares `rank` unit dims and holds one value.
+fn one_tensor_grad_body(rank: usize) -> Vec<u8> {
+    let mut body = Vec::new();
+    body.extend_from_slice(&7u64.to_le_bytes());
+    body.extend_from_slice(&32u32.to_le_bytes());
+    body.extend_from_slice(&100f64.to_le_bytes());
+    body.push(0);
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.push(rank as u8);
+    for _ in 0..rank {
+        body.extend_from_slice(&1u32.to_le_bytes());
+    }
+    body.extend_from_slice(&1.5f32.to_le_bytes());
+    body
+}
+
+/// The decoder's rank bound is the shape's: a tensor declaring one dim
+/// more than `MAX_RANK` is malformed (never a panic in `Shape::new`),
+/// and one at `MAX_RANK` decodes.
+#[test]
+fn a_tensor_rank_above_max_rank_is_malformed() {
+    let at = Payload::from_wire(
+        &encode_frame(KIND_GRAD, &one_tensor_grad_body(MAX_RANK)),
+        &mut Vec::new(),
+    );
+    let Ok(Payload::Grad(GradMsg {
+        data: GradData::Dense(vars),
+        ..
+    })) = at
+    else {
+        panic!("rank {MAX_RANK} did not decode: {at:?}");
+    };
+    assert_eq!(vars[0].shape().dims(), &[1; MAX_RANK]);
+    assert_eq!(vars[0].data(), &[1.5]);
+    let above = encode_frame(KIND_GRAD, &one_tensor_grad_body(MAX_RANK + 1));
+    assert_eq!(
+        Payload::from_wire(&above, &mut Vec::new()).err(),
+        Some(WireError::Malformed("tensor rank too large"))
+    );
+}
+
+/// A rank-`MAX_RANK` tensor round-trips bit-exactly as a gradient, in
+/// every gradient wire format, and as a DKT weight transfer.
+#[test]
+fn a_max_rank_tensor_round_trips() {
+    let mut rng = DetRng::seed_from_u64(11);
+    let dims: Vec<usize> = (0..MAX_RANK).map(|i| 2 + i).collect();
+    let t = Tensor::randn(Shape::new(&dims), 1.0, &mut rng);
+    let grad = Payload::Grad(GradMsg {
+        iteration: 3,
+        lbs: 16,
+        data: GradData::Dense(vec![t.clone()]),
+        n_used: 100.0,
+    });
+    let weights = Payload::Weights {
+        weights: vec![t],
+        sender_loss: 0.25,
+    };
+    for format in [WireFormat::Dense, WireFormat::Fp16, WireFormat::Int8] {
+        let cfg = WireCfg { format, ..PLAIN };
+        for p in [&grad, &weights] {
+            let frame = p.to_wire(&cfg);
+            let back = Payload::from_wire(&frame, &mut Vec::new())
+                .unwrap_or_else(|e| panic!("{format:?} {}: {e}", p.kind()));
+            assert_eq!(back.to_wire(&cfg), frame, "{format:?} {}", p.kind());
+            let shapes = match &back {
+                Payload::Grad(GradMsg {
+                    data: GradData::Dense(v),
+                    ..
+                }) => v.iter().map(|t| *t.shape()).collect::<Vec<_>>(),
+                Payload::Weights { weights, .. } => weights.iter().map(|t| *t.shape()).collect(),
+                other => panic!("decoded as {}", other.kind()),
+            };
+            assert_eq!(shapes, vec![Shape::new(&dims)]);
+        }
+    }
 }
 
 #[test]

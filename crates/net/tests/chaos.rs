@@ -403,7 +403,7 @@ fn a_failed_ack_does_not_preempt_a_departing_ranks_queued_rcp() {
     let weights = dlion_core::build_cluster(&cfg, 2).workers[1]
         .model
         .weights();
-    let zeros = weights.iter().map(|w| Tensor::zeros(w.shape().clone()));
+    let zeros = weights.iter().map(|w| Tensor::zeros(*w.shape()));
     let grad = Payload::Grad(GradMsg {
         iteration: 4,
         lbs: cfg.initial_lbs,

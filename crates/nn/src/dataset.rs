@@ -105,9 +105,8 @@ impl Dataset {
                 sample(c * per_chunk + j, &mut rng, Some(out));
             }
         });
-        let mut dims = sample_shape.dims().to_vec();
-        dims[0] = n;
-        Dataset::new(Tensor::from_vec(dims, data), labels, classes)
+        let shape = sample_shape.with_dim(0, n);
+        Dataset::new(Tensor::from_vec(shape, data), labels, classes)
     }
 
     /// CIFAR10 stand-in used throughout the CPU-cluster experiments:
@@ -154,7 +153,8 @@ impl Dataset {
     /// Materialize a batch `(images, labels)` for the given sample indices,
     /// the image tensor's storage drawn from the arena `s`; it re-enters
     /// the arena when the training step recycles it, so steady-state
-    /// batching allocates nothing but the (small) label vector.
+    /// batching makes two allocations: the (small) label vector and the
+    /// `Arc` around the arena's buffer (the shape is inline).
     pub fn batch_scratch(
         &self,
         indices: &[usize],
@@ -166,10 +166,9 @@ impl Dataset {
         for (dst, &i) in x.chunks_mut(row_len).zip(indices) {
             dst.copy_from_slice(&id[i * row_len..(i + 1) * row_len]);
         }
-        let mut dims = self.images.shape().dims().to_vec();
-        dims[0] = indices.len();
+        let shape = self.images.shape().with_dim(0, indices.len());
         let y = indices.iter().map(|&i| self.labels[i]).collect();
-        (Tensor::from_vec(dims, x), y)
+        (Tensor::from_vec(shape, x), y)
     }
 
     /// [`Dataset::batch_scratch`] for callers without an arena to keep.

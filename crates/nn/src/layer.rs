@@ -363,7 +363,7 @@ impl Layer for Relu {
         for (o, &v) in y.iter_mut().zip(x.data()) {
             *o = v.max(0.0);
         }
-        let shape = x.shape().clone();
+        let shape = *x.shape();
         self.cached_x = Some(x);
         Tensor::from_vec(shape, y)
     }
@@ -424,7 +424,7 @@ impl Layer for MaxPool2 {
         let mut arg = std::mem::take(&mut self.spare_argmax);
         arg.resize(len, 0);
         maxpool2_into(&x, &mut out, &mut arg);
-        self.cached_shape = Some(x.shape().clone());
+        self.cached_shape = Some(*x.shape());
         self.cached_argmax = Some(arg);
         s.put_tensor(x);
         Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
@@ -471,7 +471,7 @@ impl Layer for Flatten {
     fn forward(&mut self, x: Tensor, _s: &mut Scratch) -> Tensor {
         let n = x.shape().dim(0);
         let f = x.numel() / n;
-        self.cached_shape = Some(x.shape().clone());
+        self.cached_shape = Some(*x.shape());
         x.reshape(Shape::d2(n, f))
     }
 
@@ -493,7 +493,7 @@ mod tests {
     fn feed(x: &Tensor, s: &mut Scratch) -> Tensor {
         let mut buf = s.take_uninit(x.numel());
         buf.copy_from_slice(x.data());
-        Tensor::from_vec(x.shape().clone(), buf)
+        Tensor::from_vec(*x.shape(), buf)
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

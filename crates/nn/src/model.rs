@@ -142,7 +142,7 @@ impl Model {
             // later, wherever that step runs.
             for &(li, pi) in &self.param_map {
                 let g = self.layers[li].grad(pi);
-                grads.push(Tensor::from_vec(g.shape().clone(), g.data().to_vec()));
+                grads.push(Tensor::from_vec(*g.shape(), g.data().to_vec()));
             }
         } else {
             for (g, &(li, pi)) in grads.iter_mut().zip(&self.param_map) {
@@ -439,7 +439,7 @@ mod tests {
             .iter()
             .map(|&(scale, factor)| {
                 let g = (0..one.num_vars())
-                    .map(|v| Tensor::randn(one.var(v).shape().clone(), scale, &mut rng))
+                    .map(|v| Tensor::randn(*one.var(v).shape(), scale, &mut rng))
                     .collect();
                 (g, factor)
             })

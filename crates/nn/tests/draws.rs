@@ -74,8 +74,7 @@ fn prototypes_match_serial(label: &str) {
                     rng.normal();
                 }
                 let mut reference = rng.clone();
-                let ds =
-                    Dataset::gaussian_prototypes(4, 3, n, shape.clone(), 0.6, 1.0, 0.3, &mut rng);
+                let ds = Dataset::gaussian_prototypes(4, 3, n, shape, 0.6, 1.0, 0.3, &mut rng);
                 let (want, want_labels) =
                     serial_prototypes(4, 3, n, pixels, 0.6, 1.0, 0.3, &mut reference);
                 let at = format!("{label}: {pixels} px, n = {n}, spare = {spare}");

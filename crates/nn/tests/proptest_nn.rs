@@ -22,7 +22,7 @@ fn dense_update_linearity() {
         let mut m2 = model(seed);
         let mut rng = DetRng::seed_from_u64(seed + 1);
         let grads: Vec<Tensor> = (0..m1.num_vars())
-            .map(|v| Tensor::randn(m1.var(v).shape().clone(), 0.1, &mut rng))
+            .map(|v| Tensor::randn(*m1.var(v).shape(), 0.1, &mut rng))
             .collect();
         m1.apply_dense_update(&grads, a);
         m1.apply_dense_update(&grads, b);

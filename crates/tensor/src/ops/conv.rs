@@ -99,7 +99,7 @@ fn grads_from_arena(
     ConvGrads {
         dinput,
         dbias: Tensor::from_vec(Shape::d1(dbias.len()), dbias),
-        dweight: Tensor::from_vec(weight.shape().clone(), dweight),
+        dweight: Tensor::from_vec(*weight.shape(), dweight),
     }
 }
 
@@ -455,7 +455,7 @@ mod tests {
 
     /// Numerical gradient check of a scalar function of the conv output.
     fn num_grad(f: &mut dyn FnMut(&Tensor) -> f32, x: &Tensor, eps: f32) -> Tensor {
-        let mut g = Tensor::zeros(x.shape().clone());
+        let mut g = Tensor::zeros(*x.shape());
         let mut xp = x.clone();
         for i in 0..x.numel() {
             let orig = xp.data()[i];

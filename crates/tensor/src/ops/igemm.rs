@@ -1309,7 +1309,7 @@ mod tests {
             let dx = backward_into(&input, &weight, &dout, pad, true, &mut dw, &mut db, &mut s);
             let what = format!("({n},{c},{h},{w},{f},{k},{pad})");
             assert_close(&a.dinput, &dx.expect("asked for"), 1e-3, &what);
-            let dw = Tensor::from_vec(weight.shape().clone(), dw);
+            let dw = Tensor::from_vec(*weight.shape(), dw);
             assert_close(&a.dweight, &dw, 1e-3, &what);
             assert_close(&a.dbias, &Tensor::from_vec(Shape::d1(f), db), 1e-3, &what);
         }

@@ -12,12 +12,15 @@ use std::sync::Arc;
 
 /// A dense, row-major tensor of `f32` with copy-on-write storage.
 ///
-/// Cloning a tensor shares its buffer (a refcount bump); the clone copies
-/// lazily on first mutation. This is what lets a 1000-worker simulated
-/// cluster start from one shared weight snapshot instead of n materialized
-/// copies, and what makes per-peer dense gradient fan-out (k messages per
-/// iteration, each "cloning" the gradient tensors) allocation-free until a
-/// wire format actually rewrites the values.
+/// Cloning a tensor copies its inline [`Shape`] and shares its buffer (a
+/// refcount bump): no allocation. The clone copies lazily on first
+/// mutation. This is what lets a 1000-worker simulated cluster start from
+/// one shared weight snapshot instead of n materialized copies, and what
+/// makes per-peer dense gradient fan-out (k messages per iteration, each
+/// "cloning" the gradient tensors) cost one `Vec` of handles per peer
+/// until a wire format actually rewrites the values. Building a tensor
+/// (`from_vec`, `zeros`, …) allocates once more than its values: the `Arc`
+/// around them. `dlion-core`'s `alloc_counts` test pins these counts.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
@@ -197,7 +200,7 @@ impl Tensor {
     /// New tensor `f(x)` applied elementwise.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }

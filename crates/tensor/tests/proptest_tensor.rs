@@ -477,7 +477,7 @@ fn shape_offsets_bijective() {
     for case in 0..64u64 {
         let mut rng = DetRng::seed_from_u64(7000 + case);
         let (d0, d1, d2) = (1 + rng.index(4), 1 + rng.index(4), 1 + rng.index(4));
-        let s = Shape(vec![d0, d1, d2]);
+        let s = Shape::new(&[d0, d1, d2]);
         let mut seen = vec![false; s.numel()];
         for i in 0..d0 {
             for j in 0..d1 {
