@@ -277,7 +277,7 @@ fn maxn() {
         now: 0.0,
         lbs: w.lbs,
         iter_time: 2.0,
-        bw_mbps: vec![0.0, 50.0, 50.0, 50.0, 20.0, 20.0],
+        bw_mbps: vec![50.0, 50.0, 50.0, 20.0, 20.0],
         neighbors: (1..6).collect(),
         bytes_per_param: init.bytes_per_param,
         total_params: init.total_params,

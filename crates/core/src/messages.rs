@@ -197,6 +197,22 @@ impl Payload {
         out
     }
 
+    /// What a TCP endpoint hands the rank this payload is for: the plain
+    /// frame [`Payload::to_wire`] builds when the body fits one chunk,
+    /// otherwise an assembled frame ([`FLAG_ASSEMBLED`]) — exactly what
+    /// the TCP reader assembles from the chunked stream, built where it is
+    /// returned, with no sum over bytes that never touch a socket.
+    pub fn to_assembled(&self, cfg: &WireCfg) -> Vec<u8> {
+        if !self.wire_is_chunked(cfg) {
+            return self.to_wire(cfg);
+        }
+        let body_len = self.body_len_with(cfg.format);
+        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body_len);
+        out.extend_from_slice(&assembled_header(self.wire_kind(), body_len));
+        write_body(self, cfg.format, &mut out).expect("Vec sink cannot fail");
+        out
+    }
+
     /// Build this payload's plain frame — header, checksum, body — in
     /// `buf`, replacing what it held. [`Payload::write_wire`] writes it with
     /// one `write_all`; [`Payload::to_wire`] returns it.
@@ -246,8 +262,8 @@ impl Payload {
         }
     }
 
-    /// Decode a wire stream (plain or chunked) back into a payload,
-    /// reassembling chunked bodies into `scratch`. Rejects transport-control
+    /// Decode a wire stream (plain, chunked or assembled) back into a
+    /// payload, reassembling chunked bodies into `scratch`. Rejects transport-control
     /// frame kinds (`>= KIND_NET_BASE`) and any malformed body; never panics.
     pub fn from_wire(stream: &[u8], scratch: &mut Vec<u8>) -> Result<Payload, WireError> {
         let (kind, body) = decode_wire(stream, scratch)?;
@@ -432,7 +448,7 @@ pub fn trace_wire_bytes(vt: f64, w: Option<usize>, bytes: [f64; WIRE_LABELS.len(
 //   0       4     magic  b"DLWF"
 //   4       2     version (WIRE_VERSION)
 //   6       1     kind
-//   7       1     flags (FLAG_CHUNKED; unknown bits rejected)
+//   7       1     flags (FLAG_CHUNKED; FLAG_ASSEMBLED is never on the wire)
 //   8       4     body_len
 //   12      8     checksum
 //   20      ...   body
@@ -453,6 +469,13 @@ pub fn trace_wire_bytes(vt: f64, w: Option<usize>, bytes: [f64; WIRE_LABELS.len(
 // chunks land, and a reordered chunk fails verification even when its
 // bytes are intact.
 //
+// Assembled frames (flags == FLAG_ASSEMBLED) never travel: they are how a
+// TCP endpoint hands a chunked stream to its rank once the reader has
+// checked every chunk's sum — the header with the flag, a zero checksum
+// field and `body_len`, then the body in one run. `decode_frame_header`
+// refuses the flag as unknown, so no peer can send one; `decode_wire`
+// takes the body as it stands, unsummed.
+//
 // The lane checksum (wire v3; DESIGN.md "Frame format (v3)" is normative):
 // 32 `u64` lanes start from fixed constants; lane `i` absorbs the
 // little-endian 8-byte words `i, i+32, i+64, ...` of the input by
@@ -464,8 +487,9 @@ pub fn trace_wire_bytes(vt: f64, w: Option<usize>, bytes: [f64; WIRE_LABELS.len(
 // and injective in the word, so a change confined to one aligned word —
 // or to the seed, or to the length — always changes the digest, and the
 // rotate keeps a bit position from cancelling between two words of a
-// lane. One pass runs at memory speed, which is why the sender,
-// `read_frame` and `decode_wire` can all verify every byte.
+// lane. One pass runs at memory speed; still, a received byte is summed
+// once: by `read_frame` for a chunked stream (handed on assembled), by
+// `decode_wire` for everything else.
 //
 // The checksums cover the header prefix as well as the body, so any
 // single-bit corruption anywhere in the frame — including the kind or
@@ -487,6 +511,11 @@ const CHECKSUMMED_PREFIX_BYTES: usize = 12;
 /// Header flag: the body follows as checksummed chunks, not as one run of
 /// `body_len` bytes.
 pub const FLAG_CHUNKED: u8 = 0x01;
+/// Header flag of an assembled frame: a chunked stream whose chunk sums a
+/// TCP reader already checked, handed on as one contiguous body behind a
+/// header with a zero checksum field. Local only: off a socket it is an
+/// unknown flag.
+pub const FLAG_ASSEMBLED: u8 = 0x80;
 /// Per-chunk header size: `chunk_len u32 | chunk_sum u64`.
 pub const CHUNK_HEADER_BYTES: usize = 12;
 /// Default chunk size for streamed bodies: large enough that the 12-byte
@@ -797,6 +826,13 @@ fn frame_header(kind: u8, flags: u8, body_len: usize, checksum: Option<u64>) -> 
     h
 }
 
+/// The header of an assembled frame ([`FLAG_ASSEMBLED`]) of `body_len`
+/// body bytes. Its checksum field is zero, so a plain frame whose flag
+/// bit flips still carries a body sum there and is refused.
+pub fn assembled_header(kind: u8, body_len: usize) -> [u8; FRAME_HEADER_BYTES] {
+    frame_header(kind, FLAG_ASSEMBLED, body_len, Some(0))
+}
+
 /// Build a complete plain frame (header + checksum + body) around `body`.
 pub fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
     debug_assert!(body.len() <= MAX_FRAME_BODY_BYTES);
@@ -813,7 +849,8 @@ pub fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
     pub kind: u8,
-    /// Header flags ([`FLAG_CHUNKED`]); unknown bits are rejected.
+    /// Header flags ([`FLAG_CHUNKED`], [`FLAG_ASSEMBLED`] in
+    /// [`decode_wire`] only); unknown bits are rejected.
     pub flags: u8,
     /// Body length in bytes (total payload bytes for chunked streams,
     /// excluding per-chunk headers).
@@ -831,7 +868,14 @@ impl FrameHeader {
 /// Validate a frame header (first [`FRAME_HEADER_BYTES`] bytes). Used by
 /// streaming readers that fetch the body separately; checksum verification
 /// happens in [`verify_frame_body`] (plain) or per chunk (chunked).
+/// [`FLAG_ASSEMBLED`] is an unknown flag here: what a socket carries is
+/// never an assembled frame.
 pub fn decode_frame_header(header: &[u8]) -> Result<FrameHeader, WireError> {
+    parse_header(header, FLAG_CHUNKED)
+}
+
+/// [`decode_frame_header`] with `known` as the flags it accepts.
+fn parse_header(header: &[u8], known: u8) -> Result<FrameHeader, WireError> {
     if header.len() < FRAME_HEADER_BYTES {
         return Err(WireError::Truncated {
             need: FRAME_HEADER_BYTES,
@@ -847,7 +891,7 @@ pub fn decode_frame_header(header: &[u8]) -> Result<FrameHeader, WireError> {
     }
     let kind = header[6];
     let flags = header[7];
-    if flags & !FLAG_CHUNKED != 0 {
+    if flags & !known != 0 {
         return Err(WireError::Malformed("unknown header flags"));
     }
     let body_len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
@@ -905,15 +949,21 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u8, &[u8]), WireError> {
     Ok((h.kind, body))
 }
 
-/// Split a wire stream — plain frame or chunked stream — into
-/// `(kind, body)` after full validation. Plain bodies borrow from the
-/// input; chunked bodies are verified chunk-by-chunk and reassembled into
-/// `scratch` (a reusable buffer), which the returned slice then borrows.
+/// Split a wire stream — plain frame, chunked stream or assembled frame —
+/// into `(kind, body)`. Plain frames and chunked streams are fully
+/// validated: plain bodies borrow from the input; chunked bodies are
+/// verified chunk-by-chunk and reassembled into `scratch` (a reusable
+/// buffer), which the returned slice then borrows. An assembled frame's
+/// sums were checked where it was assembled: its body borrows from the
+/// input unsummed, and `scratch` is not touched.
 pub fn decode_wire<'a>(
     stream: &'a [u8],
     scratch: &'a mut Vec<u8>,
 ) -> Result<(u8, &'a [u8]), WireError> {
-    let h = decode_frame_header(stream)?;
+    let h = parse_header(stream, FLAG_CHUNKED | FLAG_ASSEMBLED)?;
+    if h.flags & FLAG_ASSEMBLED != 0 {
+        return assembled_body(stream, &h);
+    }
     if !h.is_chunked() {
         return decode_frame(stream);
     }
@@ -956,6 +1006,29 @@ pub fn decode_wire<'a>(
         return Err(WireError::Malformed("trailing bytes after frame"));
     }
     Ok((h.kind, &scratch[..]))
+}
+
+/// An assembled frame's `(kind, body)`, checked for all but sums: the
+/// flag alone, a zero checksum field, a payload kind and exactly
+/// `body_len` body bytes.
+fn assembled_body<'a>(stream: &'a [u8], h: &FrameHeader) -> Result<(u8, &'a [u8]), WireError> {
+    if h.flags != FLAG_ASSEMBLED || h.checksum != 0 {
+        return Err(WireError::Malformed("not an assembled frame header"));
+    }
+    if h.kind >= KIND_NET_BASE {
+        return Err(WireError::BadKind(h.kind));
+    }
+    let body = &stream[FRAME_HEADER_BYTES..];
+    if body.len() < h.body_len {
+        return Err(WireError::Truncated {
+            need: FRAME_HEADER_BYTES + h.body_len,
+            have: stream.len(),
+        });
+    }
+    if body.len() > h.body_len {
+        return Err(WireError::Malformed("trailing bytes after frame"));
+    }
+    Ok((h.kind, body))
 }
 
 #[cfg(test)]
@@ -1732,6 +1805,67 @@ mod tests {
         let plain = p.to_wire(&PLAIN);
         let back2 = Payload::from_wire(&plain, &mut scratch).expect("plain via from_wire");
         assert_eq!(back2.to_wire(&PLAIN), plain);
+    }
+
+    #[test]
+    fn an_assembled_frame_is_the_chunked_body_in_one_run() {
+        let p = big_dense(1000);
+        for format in [WireFormat::Dense, WireFormat::Fp16, WireFormat::Int8] {
+            let cfg = WireCfg {
+                format,
+                chunk_bytes: 256,
+            };
+            let body_len = p.body_len_with(format);
+            let frame = p.to_assembled(&cfg);
+            assert_eq!(
+                frame[..FRAME_HEADER_BYTES],
+                assembled_header(KIND_GRAD, body_len)
+            );
+            assert_eq!(frame.len(), FRAME_HEADER_BYTES + body_len);
+            assert_eq!(frame.capacity(), frame.len());
+            // The body is the raw stream's, borrowed in place.
+            let stream = p.to_wire(&cfg);
+            let raw = decode_wire(&stream, &mut Vec::new()).unwrap().1.to_vec();
+            let mut scratch = Vec::new();
+            let (kind, body) = decode_wire(&frame, &mut scratch).unwrap();
+            assert_eq!((kind, body), (KIND_GRAD, &raw[..]), "{format:?}");
+            assert_eq!(scratch.capacity(), 0);
+            // Off a socket it is an unknown flag.
+            assert!(decode_frame_header(&frame).is_err());
+            assert!(decode_frame(&frame).is_err());
+        }
+        // A body that fits one chunk stays a plain frame.
+        assert_eq!(p.to_assembled(&PLAIN), p.to_wire(&PLAIN));
+    }
+
+    #[test]
+    fn an_assembled_frame_is_checked_for_all_but_sums() {
+        let cfg = WireCfg {
+            format: WireFormat::Dense,
+            chunk_bytes: 256,
+        };
+        let frame = big_dense(100).to_assembled(&cfg);
+        let decode = |f: &[u8]| decode_wire(f, &mut Vec::new()).map(|(k, b)| (k, b.len()));
+        assert!(decode(&frame).is_ok());
+        let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut f = frame.clone();
+            edit(&mut f);
+            decode(&f)
+        };
+        let not_assembled = Err(WireError::Malformed("not an assembled frame header"));
+        assert_eq!(edited(&|f| f[7] |= FLAG_CHUNKED), not_assembled);
+        assert_eq!(edited(&|f| f[12] = 1), not_assembled);
+        assert_eq!(
+            edited(&|f| f[6] = KIND_NET_BASE),
+            Err(WireError::BadKind(KIND_NET_BASE))
+        );
+        assert!(matches!(
+            edited(&|f| f.truncate(f.len() - 1)),
+            Err(WireError::Truncated { .. })
+        ));
+        assert!(edited(&|f| f.push(0)).is_err());
+        assert_eq!(edited(&|f| f[4] ^= 1), Err(WireError::BadVersion(2)));
+        assert_eq!(edited(&|f| f[0] ^= 1), Err(WireError::BadMagic));
     }
 
     #[test]

@@ -375,11 +375,7 @@ impl Worker {
             self.settle(drop);
         }
         let n = self.schedule.n();
-        // Strategies only read their neighbors' entries (link budgets).
-        let mut bw_mbps = vec![0.0; n];
-        for &j in &nbrs {
-            bw_mbps[j] = bw(j);
-        }
+        let bw_mbps = nbrs.iter().map(|&j| bw(j)).collect();
         let ctx = StrategyCtx {
             worker: self.id,
             n,

@@ -43,8 +43,8 @@ impl Ako {
         // Worst link's per-iteration byte budget decides how much of the
         // gradient can be shipped each round.
         let min_budget = ctx
-            .peers()
-            .map(|p| ctx.link_budget_bytes(p))
+            .link_budgets()
+            .map(|(_, budget)| budget)
             .fold(f64::INFINITY, f64::min)
             .max(1.0);
         let p = (ctx.dense_bytes() / min_budget).ceil() as usize;
@@ -153,11 +153,11 @@ mod tests {
         assert_eq!(Ako::pick_partitions(&ctx), 2);
         // Starved network -> capped partitions.
         let mut slow = ctx.clone();
-        slow.bw_mbps = vec![0.001; 6];
+        slow.bw_mbps = vec![0.001; 5];
         assert_eq!(Ako::pick_partitions(&slow), MAX_PARTITIONS);
         // Fat LAN -> single partition (send everything).
         let mut fast = ctx.clone();
-        fast.bw_mbps = vec![100_000.0; 6];
+        fast.bw_mbps = vec![100_000.0; 5];
         assert_eq!(Ako::pick_partitions(&fast), 1);
     }
 

@@ -61,9 +61,9 @@ impl ExchangeStrategy for DLionExchange {
         // WAN class): plan and select once per distinct entry budget.
         let mut plans: Vec<(usize, f64, Option<GradData>)> = Vec::new();
         let links: Vec<(usize, usize)> = ctx
-            .peers()
-            .map(|peer| {
-                let entries = budget_entries(ctx.link_budget_bytes(peer), ctx.bytes_per_entry());
+            .link_budgets()
+            .map(|(peer, budget)| {
+                let entries = budget_entries(budget, ctx.bytes_per_entry());
                 let known = plans.iter().position(|p| p.0 == entries);
                 let plan = known.unwrap_or_else(|| {
                     let n = planner.n_for_entry_budget(entries, self.min_n);
@@ -133,7 +133,7 @@ mod tests {
         let g = grads(&m, &mut rng);
         let mut ctx = test_ctx(0, 6);
         // Heterogeneous links: worker 1 fat, worker 5 thin (Fig. 8's setup).
-        ctx.bw_mbps = vec![0.0, 200.0, 50.0, 50.0, 20.0, 5.0];
+        ctx.bw_mbps = vec![200.0, 50.0, 50.0, 20.0, 5.0];
         ctx.total_params = m.num_params();
         ctx.bytes_per_param = 5_000_000.0 / m.num_params() as f64;
         let mut dl = DLionExchange::new(0.85, 5);
@@ -174,7 +174,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(9);
         let g = grads(&m, &mut rng);
         let mut ctx = test_ctx(0, 4);
-        ctx.bw_mbps = vec![0.0, 50.0, 20.0, 50.0];
+        ctx.bw_mbps = vec![50.0, 20.0, 50.0];
         ctx.total_params = m.num_params();
         ctx.bytes_per_param = 5_000_000.0 / m.num_params() as f64;
         let ups = DLionExchange::new(0.85, 5).generate_partial_gradients(&ctx, &g, &m);
@@ -206,7 +206,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(7);
         let g = grads(&m, &mut rng);
         let mut ctx = test_ctx(0, 2);
-        ctx.bw_mbps = vec![0.0, 100_000.0];
+        ctx.bw_mbps = vec![100_000.0];
         ctx.total_params = m.num_params();
         ctx.bytes_per_param = 5_000_000.0 / m.num_params() as f64;
         let ups = DLionExchange::new(0.85, 5).generate_partial_gradients(&ctx, &g, &m);
@@ -220,7 +220,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(8);
         let g = grads(&m, &mut rng);
         let mut ctx = test_ctx(0, 2);
-        ctx.bw_mbps = vec![0.0, 0.0001];
+        ctx.bw_mbps = vec![0.0001];
         ctx.total_params = m.num_params();
         ctx.bytes_per_param = 5_000_000.0 / m.num_params() as f64;
         let ups = DLionExchange::new(0.85, 5).generate_partial_gradients(&ctx, &g, &m);

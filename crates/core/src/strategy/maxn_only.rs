@@ -76,7 +76,7 @@ mod tests {
         let mut ctx = test_ctx(0, 3);
         let mut m10 = MaxNOnly::new(10.0, 5);
         let a = m10.generate_partial_gradients(&ctx, &grads, &model);
-        ctx.bw_mbps = vec![0.0, 1.0, 10_000.0];
+        ctx.bw_mbps = vec![1.0, 10_000.0];
         let b = m10.generate_partial_gradients(&ctx, &grads, &model);
         assert_eq!(
             a[0].msg.entries(),

@@ -39,8 +39,8 @@ pub struct StrategyCtx {
     /// Duration of the iteration that produced these gradients (seconds) —
     /// `1 / Iter_com_i` in the paper's budget formula.
     pub iter_time: f64,
-    /// Available bandwidth to each worker in Mbps (self entry 0) — the
-    /// network resource monitor's answer.
+    /// Available bandwidth to each neighbor in Mbps, aligned with
+    /// `neighbors` — the network resource monitor's answer.
     pub bw_mbps: Vec<f64>,
     /// This worker's communication neighbors (the full peer set under the
     /// paper's full mesh; a subset under sparse topologies).
@@ -69,13 +69,27 @@ impl StrategyCtx {
         2.0 * self.bytes_per_param
     }
 
-    /// Transmission-speed-assurance byte budget for the link to `peer`
-    /// (§3.3): the bytes the link can carry during one iteration
-    /// (`BW_net_j / Iter_com_i`), divided by the n−1 peer transfers sharing
+    /// Transmission-speed-assurance byte budget for the link to neighbor
+    /// `peer` (§3.3): the bytes the link can carry during one iteration
+    /// (`BW_net_j / Iter_com_i`), divided by the peer transfers sharing
     /// this worker's NIC.
     pub fn link_budget_bytes(&self, peer: usize) -> f64 {
-        assert_ne!(peer, self.worker);
-        let bytes_per_sec = self.bw_mbps[peer] * 1e6 / 8.0;
+        let at = self.neighbors.iter().position(|&j| j == peer);
+        self.budget(self.bw_mbps[at.expect("a budget is for a neighbor")])
+    }
+
+    /// Every neighbor with its link's [`link_budget_bytes`], in
+    /// `neighbors` order.
+    ///
+    /// [`link_budget_bytes`]: StrategyCtx::link_budget_bytes
+    pub fn link_budgets(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.peers()
+            .zip(&self.bw_mbps)
+            .map(|(j, &bw)| (j, self.budget(bw)))
+    }
+
+    fn budget(&self, bw_mbps: f64) -> f64 {
+        let bytes_per_sec = bw_mbps * 1e6 / 8.0;
         bytes_per_sec * self.iter_time / self.neighbors.len().max(1) as f64
     }
 }
@@ -196,7 +210,7 @@ mod tests {
             now: 0.0,
             lbs: 32,
             iter_time: 2.0,
-            bw_mbps: vec![50.0; n],
+            bw_mbps: vec![50.0; n - 1],
             bytes_per_param: 350.0,
             total_params: 14_000,
             lr: 0.3,

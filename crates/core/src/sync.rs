@@ -84,11 +84,13 @@ impl SyncState {
     /// so a peer that was a neighbor two rounds ago still counts as
     /// caught-up when the schedule rotates it back in.
     pub fn retarget(&mut self, neighbors: &[usize]) {
-        self.tracked = neighbors
-            .iter()
-            .copied()
-            .filter(|&j| j != self.me && !self.demoted[j])
-            .collect();
+        self.tracked.clear();
+        self.tracked.extend(
+            neighbors
+                .iter()
+                .copied()
+                .filter(|&j| j != self.me && !self.demoted[j]),
+        );
     }
 
     /// Record a gradient received from `from` for `iteration`.

@@ -152,8 +152,13 @@ pub trait ExchangeTransport: Send {
     /// `Arc<Payload>` to its per-peer writer thread, which serializes
     /// chunk *k+1* while chunk *k* is in the socket buffer, so a 5 MB
     /// gradient never exists as one materialized `Vec<u8>` on the send
-    /// path. Receivers decode both layouts with [`Payload::from_wire`] /
-    /// `decode_wire`.
+    /// path. What the receiver gets is not always those bytes: the TCP
+    /// reader checks each chunk's sum as it lands and hands a chunked
+    /// stream on as an assembled frame (header and body in one run,
+    /// [`Payload::to_assembled`] — what a host-mate gets too), while an
+    /// in-memory transport delivers the raw stream. Receivers decode every
+    /// layout with [`Payload::from_wire`] / `decode_wire`, which sums what
+    /// no reader summed and nothing twice.
     fn send_wire(
         &mut self,
         to: usize,

@@ -219,8 +219,9 @@ struct LiveWorker<'a, 'b> {
     /// Wire encoding in force for every training payload this worker
     /// sends (`cfg.wire` + [`LiveOpts::chunk_bytes`]).
     wire_cfg: WireCfg,
-    /// Reusable reassembly buffer for inbound chunked streams
-    /// (`decode_wire` scratch).
+    /// Reusable reassembly buffer for inbound raw chunked streams
+    /// (`decode_wire` scratch) — the Mem transport's only: a TCP endpoint
+    /// hands a chunked stream on assembled, decoded in place.
     wire_scratch: Vec<u8>,
     /// Recycled dense-value buffers: settled gradients and merged weights
     /// return their storage here, and `decode_body_pooled` draws from it —
@@ -327,9 +328,10 @@ impl LiveWorker<'_, '_> {
     /// Decode one inbound wire stream (plain frame or chunked) into the
     /// rank's input — the live analogue of the simulator's events: a
     /// control frame through the one control decode, anything else through
-    /// the payload codec. Chunked bodies reassemble into the worker's
-    /// reusable scratch; payload decode draws storage from the recycle
-    /// pool.
+    /// the payload codec. A raw chunked stream (Mem) reassembles into the
+    /// worker's reusable scratch; an assembled one (TCP, summed by its
+    /// reader) is decoded where it lies. Payload decode draws storage from
+    /// the recycle pool.
     fn handle_frame(&mut self, from: usize, frame: Vec<u8>) -> Result<(), LiveError> {
         // Frame-lifecycle instrumentation, last leg: reassembly + decode +
         // the rank's acceptance (a gradient is logged, not applied),

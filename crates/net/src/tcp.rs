@@ -36,9 +36,10 @@
 //! endpoints of one host share its links and its placement — the Hello
 //! blocks, checked, never learned from:
 //!
-//! * a send to a host-mate pushes the exact wire bytes a socket would
-//!   carry into that rank's inbox, so local and remote peers decode
-//!   byte-identical streams;
+//! * a send to a host-mate pushes into that rank's inbox the exact bytes
+//!   the reader hands on for a frame off a socket (a chunked stream
+//!   arrives assembled, [`Payload::to_assembled`]), so local and remote
+//!   peers decode byte-identical frames;
 //! * a send to another host is **one job** on its link, written whole
 //!   under the link's lock. On a ranked mesh a [`Control::Route`] marker
 //!   goes out in the same write as the frame, so a marker takes no queue
@@ -66,9 +67,11 @@
 //!   the socket — the channel bound is the backpressure limit: ranks
 //!   producing gradients faster than a link drains them block in
 //!   `send_frame` once `queue_cap` jobs are queued;
-//! * a **reader thread** that reassembles length-prefixed frames
+//! * a **reader thread** that reads length-prefixed frames
 //!   (header-validated, so a corrupt length field can never cause an
-//!   unbounded allocation) and routes them into the rank inboxes.
+//!   unbounded allocation), checks each chunk of a chunked stream as it
+//!   lands and hands the stream on assembled, and routes the frames into
+//!   the rank inboxes.
 //!
 //! Per-peer FIFO — the trait's ordering contract — holds because the
 //! link counts a job in before it is queued or written and out only
@@ -101,8 +104,8 @@ use crate::control::{Control, RankHello};
 use crate::LiveError;
 use dlion_core::clock::{Clock, SystemClock};
 use dlion_core::messages::{
-    chunk_checksum, decode_frame_header, verify_chunked_header, Payload, WireCfg,
-    CHUNK_HEADER_BYTES, DEFAULT_CHUNK_BYTES, FRAME_HEADER_BYTES, MAX_FRAME_BODY_BYTES,
+    assembled_header, chunk_checksum, decode_frame_header, verify_chunked_header, Payload, WireCfg,
+    CHUNK_HEADER_BYTES, DEFAULT_CHUNK_BYTES, FRAME_HEADER_BYTES,
 };
 use dlion_core::transport::LinkHealth;
 use dlion_core::{ExchangeTransport, TransportError};
@@ -162,31 +165,30 @@ impl Default for TcpOpts {
     }
 }
 
-/// Read one full wire stream (plain frame or chunked); `Ok(None)` on clean
-/// EOF at a frame boundary. The second return is the time spent reading
-/// the *body* (header completion → frame completion) — the transfer
-/// portion of the frame lifecycle, excluding however long the reader
-/// blocked waiting for the header to appear. The header is validated
-/// *before* any body byte is read, so `body_len` is bounded by the
-/// codec's `MAX_FRAME_BODY_BYTES`.
+/// Read one wire stream (plain frame or chunked) into `frame`, emptied
+/// first; `Ok(None)` on clean EOF at a frame boundary. The return is the
+/// time spent reading the *body* (header completion → frame completion)
+/// — the transfer portion of the frame lifecycle, excluding however long
+/// the reader blocked waiting for the header to appear. The header is
+/// validated *before* any body byte is read, so `body_len` is bounded by
+/// the codec's `MAX_FRAME_BODY_BYTES`, and a header carrying
+/// `FLAG_ASSEMBLED` is refused like any unknown flag.
 ///
-/// Chunked streams are verified **incrementally**: each chunk's
+/// A plain frame is handed on as it arrived; `decode_wire` sums it. A
+/// chunked stream is summed here, and only here: each chunk's
 /// index-seeded checksum is checked the moment its bytes arrive, so a
 /// corrupted or reordered chunk aborts the read mid-transfer
 /// (`InvalidData` → the reader kills the link → the driver sees the peer
 /// as gone) without waiting for — or buffering toward — the rest of a
-/// 5 MB body. The returned buffer is the complete raw stream, chunk
-/// headers included; receivers decode it with `decode_wire`, which
-/// re-verifies end-to-end, so in-memory and TCP transports deliver
-/// byte-identical streams to the driver.
+/// 5 MB body. What it hands on is the assembled frame: an
+/// [`assembled_header`] and the chunks' bodies, without their headers, in
+/// one run that `decode_wire` takes unsummed and uncopied — byte for byte
+/// what a host-mate's send delivers ([`Payload::to_assembled`]).
 ///
-/// The buffer is sized once and written once: a plain frame's is reserved
-/// for header and body before the header is copied in, a chunked stream's
-/// for the whole stream when the first chunk header says how many chunk
-/// headers a body of `body_len` carries ([`stream_capacity`]), and the
+/// The buffer is sized once, from the header, and written once: the
 /// socket's bytes land in its spare capacity ([`read_body`]) — no
 /// zero-fill ahead of the read, no reallocation at the last chunk.
-fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Duration)>> {
+fn read_frame(stream: &mut impl Read, frame: &mut Vec<u8>) -> std::io::Result<Option<Duration>> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     match stream.read_exact(&mut header) {
         Ok(()) => {}
@@ -196,14 +198,16 @@ fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Durati
     let t0 = Instant::now();
     let bad = |msg: String| std::io::Error::new(ErrorKind::InvalidData, msg);
     let h = decode_frame_header(&header).map_err(|e| bad(format!("bad header: {e}")))?;
+    frame.clear();
     if !h.is_chunked() {
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + h.body_len);
+        frame.reserve_exact(FRAME_HEADER_BYTES + h.body_len);
         frame.extend_from_slice(&header);
-        read_body(stream, &mut frame, h.body_len)?;
-        return Ok(Some((frame, t0.elapsed())));
+        read_body(stream, frame, h.body_len)?;
+        return Ok(Some(t0.elapsed()));
     }
     verify_chunked_header(&header, h.checksum).map_err(|e| bad(format!("bad header: {e}")))?;
-    let mut frame = Vec::new();
+    frame.reserve_exact(FRAME_HEADER_BYTES + h.body_len);
+    frame.extend_from_slice(&assembled_header(h.kind, h.body_len));
     let mut received = 0usize;
     let mut index = 0u64;
     while received < h.body_len {
@@ -217,40 +221,15 @@ fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<(Vec<u8>, Durati
                 h.body_len
             )));
         }
-        if index == 0 {
-            frame.reserve_exact(FRAME_HEADER_BYTES + stream_capacity(h.body_len, chunk_len));
-            frame.extend_from_slice(&header);
-        }
-        frame.extend_from_slice(&chead);
         let start = frame.len();
-        read_body(stream, &mut frame, chunk_len)?;
+        read_body(stream, frame, chunk_len)?;
         if chunk_checksum(index, &frame[start..]) != chunk_sum {
             return Err(bad(format!("chunk {index} checksum mismatch")));
         }
         received += chunk_len;
         index += 1;
     }
-    if index == 0 {
-        // A chunked header announcing an empty body: no chunk follows.
-        frame.extend_from_slice(&header);
-    }
-    Ok(Some((frame, t0.elapsed())))
-}
-
-/// Most chunk headers a stream is reserved for up front: as many as the
-/// largest body carries in default-size chunks.
-const MAX_RESERVED_CHUNKS: usize = MAX_FRAME_BODY_BYTES.div_ceil(DEFAULT_CHUNK_BYTES);
-
-/// What a chunked stream whose body is `body_len` bytes and whose first
-/// chunk is `first_chunk` bytes reserves beyond its frame header. Every
-/// chunk but the last is as long as the first, so the count is exact for
-/// an honest sender; it is capped so that a crafted 1-byte first chunk
-/// cannot reserve twelve header bytes per body byte. A stream of more,
-/// smaller chunks (or of later chunks shorter than the first) grows the
-/// buffer instead.
-fn stream_capacity(body_len: usize, first_chunk: usize) -> usize {
-    let chunks = body_len.div_ceil(first_chunk).min(MAX_RESERVED_CHUNKS);
-    body_len + chunks * CHUNK_HEADER_BYTES
+    Ok(Some(t0.elapsed()))
 }
 
 /// Append exactly `len` bytes from `stream` to `frame`, straight into its
@@ -323,7 +302,8 @@ impl Shape {
 fn accept_hello(stream: &mut TcpStream, shape: &Shape) -> Result<usize, LiveError> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
-    let (frame, _) = read_frame(stream)?
+    let mut frame = Vec::new();
+    read_frame(stream, &mut frame)?
         .ok_or_else(|| LiveError::Protocol("peer closed before hello".into()))?;
     let got = Control::from_frame(&frame, shape.total())?;
     let Control::Hello { id, n, .. } = got else {
@@ -659,8 +639,8 @@ impl Mesh {
         // Readers are detached: they exit on EOF/error, announcing the
         // loss.
         thread::spawn(move || {
-            let mut route = None;
-            while let Ok(Some((frame, took))) = read_frame(&mut rstream) {
+            let (mut route, mut frame) = (None, Vec::new());
+            while let Ok(Some(took)) = read_frame(&mut rstream, &mut frame) {
                 if let Some(stats) = mesh.lat.as_deref().map(|l| &l[j]) {
                     stats
                         .lat
@@ -672,7 +652,7 @@ impl Mesh {
                 if let Some(silence) = &mesh.silence {
                     silence.hear(j);
                 }
-                mesh.deliver(j, &mut route, frame);
+                mesh.deliver(j, &mut route, std::mem::take(&mut frame));
             }
             mesh.kill_link(j);
             mesh.host_gone(j);
@@ -851,7 +831,8 @@ impl TcpTransport {
     }
 
     /// Deliver `body` to rank `to`: straight into its inbox if it lives on
-    /// this host, as the exact wire bytes a socket would carry; otherwise
+    /// this host, as the exact bytes a reader hands on for it off a socket
+    /// (a chunked payload assembled, never summed); otherwise
     /// as one job on its host's link, behind its route marker on a ranked
     /// mesh. A plain frame on a link with nothing queued or being written
     /// is written here, under the link's lock; anything else is queued for
@@ -865,7 +846,7 @@ impl TcpTransport {
         if host == shape.me {
             let bytes = match body {
                 Body::Frame(frame) => frame,
-                Body::Stream(payload, cfg) => payload.to_wire(&cfg),
+                Body::Stream(payload, cfg) => payload.to_assembled(&cfg),
             };
             return self
                 .mesh
@@ -1127,8 +1108,29 @@ pub fn loopback_mesh(
 mod tests {
     use super::*;
     use crate::RankLayout;
-    use dlion_core::messages::{GradMsg, Payload};
+    use dlion_core::messages::{decode_wire, GradMsg, Payload, FLAG_ASSEMBLED, FLAG_CHUNKED};
     use dlion_core::ManualClock;
+
+    /// `to_wire`'s stream as the reader hands it on: a plain frame as it
+    /// is; a chunked stream as its header re-flagged [`FLAG_ASSEMBLED`]
+    /// with a zero checksum field, then its chunks' bytes without their
+    /// headers.
+    fn assembled(stream: &[u8]) -> Vec<u8> {
+        if stream[7] & FLAG_CHUNKED == 0 {
+            return stream.to_vec();
+        }
+        let mut out = stream[..FRAME_HEADER_BYTES].to_vec();
+        out[7] = FLAG_ASSEMBLED;
+        out[12..20].fill(0);
+        let mut pos = FRAME_HEADER_BYTES;
+        while pos < stream.len() {
+            let len = u32::from_le_bytes(stream[pos..pos + 4].try_into().unwrap()) as usize;
+            let body = pos + CHUNK_HEADER_BYTES;
+            out.extend_from_slice(&stream[body..body + len]);
+            pos = body + len;
+        }
+        out
+    }
 
     #[test]
     fn loopback_addrs_expand_port_base() {
@@ -1204,13 +1206,19 @@ mod tests {
                 .unwrap()
                 .expect("stream should arrive");
             assert_eq!(from, 0);
-            assert_eq!(stream.len(), sent, "raw stream bytes match wire_len");
-            // The raw bytes are exactly what an in-memory transport would
-            // deliver, and they decode through the shared entry point.
-            assert_eq!(stream, payload.to_wire(&cfg), "{format:?}");
+            // The stream arrives assembled: `to_wire`'s bytes without the
+            // chunk headers, decoded in place — the scratch a chunked
+            // stream would be reassembled into stays unallocated.
+            let body_len = payload.body_len_with(cfg.format);
+            assert_eq!(stream.len(), FRAME_HEADER_BYTES + body_len);
+            assert_eq!(stream, assembled(&payload.to_wire(&cfg)), "{format:?}");
+            assert_eq!(stream, payload.to_assembled(&cfg), "{format:?}");
             let mut scratch = Vec::new();
-            let back = Payload::from_wire(&stream, &mut scratch).unwrap();
-            assert_eq!(back.kind(), "grad");
+            let (kind, body) = decode_wire(&stream, &mut scratch).unwrap();
+            let back = Payload::decode_body(kind, body).unwrap();
+            assert_eq!(scratch.capacity(), 0, "{format:?}");
+            let raw = Payload::from_wire(&payload.to_wire(&cfg), &mut Vec::new()).unwrap();
+            assert_eq!(back, raw, "{format:?}");
         }
     }
 
@@ -1247,7 +1255,7 @@ mod tests {
                 ..grad.clone()
             });
             assert!(stream.wire_is_chunked(&chunked));
-            sent.push(stream.to_wire(&chunked));
+            sent.push(assembled(&stream.to_wire(&chunked)));
             t.send_wire(to, Arc::new(stream), &chunked).unwrap();
             let plain = Payload::LossShare {
                 avg_loss: i as f64 + 0.5,
@@ -1317,14 +1325,15 @@ mod tests {
                 "the frame waited for the socket, ahead of the stream"
             );
         });
-        assert_eq!(recv(&mut b).1, stream.to_wire(&chunked));
+        assert_eq!(recv(&mut b).1, assembled(&stream.to_wire(&chunked)));
         assert_eq!(recv(&mut b).1, plain.to_wire(&WireCfg::default()));
     }
 
     #[test]
     fn received_chunked_streams_are_sized_once() {
-        // One chunk header of slack used to be reserved for a stream that
-        // carries one per chunk, so the last chunk doubled the buffer.
+        // The assembled frame is sized from the header: exactly its bytes,
+        // no room for chunk headers it does not keep, no doubling at the
+        // last chunk.
         let mut mesh = loopback_mesh(2, 7, &TcpOpts::default(), None).unwrap();
         let mut b = mesh.pop().unwrap();
         let mut a = mesh.pop().unwrap();
@@ -1340,9 +1349,8 @@ mod tests {
                 .recv_frame_timeout(Duration::from_secs(5))
                 .unwrap()
                 .expect("stream should arrive");
-            assert_eq!(stream.len(), payload.wire_len(&cfg));
-            let slack = stream.capacity() - stream.len();
-            assert!(slack < CHUNK_HEADER_BYTES, "{slack} spare bytes");
+            assert_eq!(stream, assembled(&payload.to_wire(&cfg)));
+            assert_eq!(stream.capacity(), stream.len(), "spare bytes");
         }
     }
 
@@ -1351,7 +1359,8 @@ mod tests {
         use dlion_core::messages::frame_checksum;
         // A valid chunked header for a 64 MiB body, then a 1-byte first
         // chunk: sized from that chunk, the stream would carry 64 Mi chunk
-        // headers, 768 MiB of them reserved before the read fails.
+        // headers. The reader reserves the assembled frame the header
+        // declares, whatever the chunks, and then runs out of bytes.
         let body_len = 64usize << 20;
         let cfg = WireCfg {
             chunk_bytes: 768,
@@ -1365,30 +1374,29 @@ mod tests {
         prefix.extend_from_slice(&chunk_checksum(0, &[7]).to_le_bytes());
         prefix.push(7);
         assert_eq!(prefix.len(), 33);
-        let err = read_frame(&mut &prefix[..]).unwrap_err();
+        let mut frame = Vec::new();
+        let err = read_frame(&mut &prefix[..], &mut frame).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert_eq!(frame.capacity(), body_len + FRAME_HEADER_BYTES);
+    }
 
-        // It reserves the body it declares plus at most the chunk headers
-        // of the largest body in default-size chunks (12 KiB).
-        let headers = (MAX_FRAME_BODY_BYTES / DEFAULT_CHUNK_BYTES) * CHUNK_HEADER_BYTES;
-        assert_eq!(headers, 12 << 10);
-        assert_eq!(stream_capacity(body_len, 1), body_len + headers);
-        assert_eq!(
-            stream_capacity(MAX_FRAME_BODY_BYTES, 1),
-            MAX_FRAME_BODY_BYTES + headers
-        );
-        // An honest stream in default-size chunks, up to the largest body,
-        // is still reserved exactly: sized once.
-        for body in [
-            1,
-            4096,
-            DEFAULT_CHUNK_BYTES + 1,
-            5_000_000,
-            MAX_FRAME_BODY_BYTES,
-        ] {
-            let first = body.min(DEFAULT_CHUNK_BYTES);
-            let wire = body + body.div_ceil(DEFAULT_CHUNK_BYTES) * CHUNK_HEADER_BYTES;
-            assert_eq!(stream_capacity(body, first), wire, "body {body}");
+    /// No peer can send an assembled frame: its flag is unknown on a
+    /// socket, whether alone or next to `FLAG_CHUNKED`.
+    #[test]
+    fn a_peer_cannot_send_an_assembled_frame() {
+        let cfg = WireCfg {
+            chunk_bytes: 768,
+            ..WireCfg::default()
+        };
+        let payload = dense_grad(500);
+        let local = payload.to_assembled(&cfg);
+        assert_eq!(local[7], FLAG_ASSEMBLED);
+        assert!(decode_wire(&local, &mut Vec::new()).is_ok());
+        let mut both = payload.to_wire(&cfg);
+        both[7] |= FLAG_ASSEMBLED;
+        for bytes in [local, both] {
+            let err = read_frame(&mut &bytes[..], &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData);
         }
     }
 
@@ -1408,7 +1416,6 @@ mod tests {
 
     #[test]
     fn a_flipped_bit_ends_the_read_before_the_next_chunk() {
-        use dlion_core::messages::decode_wire;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (rx, _) = listener.accept().unwrap();
@@ -1435,16 +1442,17 @@ mod tests {
                     stream: &rx,
                     taken: 0,
                 };
-                let got = read_frame(&mut counted);
+                let mut frame = Vec::new();
+                let got = read_frame(&mut counted, &mut frame);
                 let taken = counted.taken;
                 if (pos, bit) == (7, 0) {
                     // FLAG_CHUNKED cleared: read as a plain frame (which
                     // the reader does not sum), refused by `decode_wire`;
                     // the chunk headers left over are no frame header.
-                    let (frame, _) = got.unwrap().unwrap();
+                    got.unwrap().unwrap();
                     assert_eq!(taken, FRAME_HEADER_BYTES + body_len);
                     assert!(decode_wire(&frame, &mut Vec::new()).is_err());
-                    assert!(read_frame(&mut counted).is_err());
+                    assert!(read_frame(&mut counted, &mut frame).is_err());
                 } else {
                     let err = got.expect_err("corrupt stream was delivered");
                     assert_eq!(err.kind(), ErrorKind::InvalidData, "byte {pos} bit {bit}");
@@ -1469,8 +1477,9 @@ mod tests {
         }
         // The link itself is fine: the intact stream still arrives.
         tx.write_all(&stream).unwrap();
-        let (frame, _) = read_frame(&mut &rx).unwrap().unwrap();
-        assert_eq!(frame, stream);
+        let mut frame = Vec::new();
+        read_frame(&mut &rx, &mut frame).unwrap().unwrap();
+        assert_eq!(frame, assembled(&stream));
     }
 
     #[test]
@@ -1667,9 +1676,9 @@ mod tests {
         let mut got = [recv(&mut eps[1]), recv(&mut eps[1])];
         got.sort_by_key(|(from, _)| *from);
         assert_eq!([got[0].0, got[1].0], [0, 2]);
-        assert_eq!(got[0].1, big.to_wire(&cfg), "local bytes");
-        assert_eq!(got[1].1, got[0].1, "local and routed wire bytes differ");
-        assert_eq!(got[1].1.len(), routed_len);
+        assert_eq!(got[0].1, assembled(&big.to_wire(&cfg)), "local bytes");
+        assert_eq!(got[1].1, got[0].1, "local and routed bytes differ");
+        assert_eq!(routed_len, big.wire_len(&cfg));
 
         // Two host-mates interleave streams and plain frames to the same
         // remote rank at once: every marker still arrives right ahead of
